@@ -1476,11 +1476,13 @@ func tableEvents(quick bool) {
 // Table L: tiered (LSM) sighting storage. The memtable budget is set to a
 // quarter of the dataset's resident footprint, so ~3/4 of the working set
 // lives in sorted runs on disk — the bigger-than-RAM regime the tier
-// exists for. Three questions: (1) what does tiering cost on the update
+// exists for. Four questions: (1) what does tiering cost on the update
 // path next to the all-RAM WAL store, (2) what do point lookups cost when
 // they hit the memtable (hot) vs when they fall through the bloom-gated
-// runs (cold), and (3) how much faster is recovery when it opens run
-// footers and replays only the WAL tail instead of folding the full log.
+// runs (cold), (3) what does a range query cost when its answer lies in
+// the runs' spatial leaves, and (4) how much faster is recovery when it
+// opens run footers and replays only the WAL tail instead of folding the
+// full log.
 // Recorded runs live in BENCH_lsm.json.
 
 func tableLSM(quick bool) {
@@ -1657,6 +1659,32 @@ func tableLSM(quick bool) {
 	fmt.Printf("%-34s %12v %12v\n", "tiered, hot (memtable)", hot50, hot99)
 	fmt.Printf("%-34s %12v %12v\n", "tiered, cold (uniform)", cold50, cold99)
 	fmt.Printf("bloom-admitted run probes per lookup: %.2f (target <= 1)\n\n", probes)
+
+	// Cold range queries: square windows placed uniformly over the area.
+	// With three quarters of the records run-resident, nearly every answer
+	// comes out of the runs' spatial leaves.
+	rangeQueries := lookups / 50
+	fmt.Printf("%-34s %12s %12s %14s %14s\n", "cold range query", "p50", "p99", "leaves/query", "records/query")
+	for _, width := range []float64{200, 1000} {
+		qrng := rand.New(rand.NewSource(11))
+		lat := make([]time.Duration, rangeQueries)
+		records := 0
+		leaves0 := tierDB.TierStats().LeafReads
+		for i := range lat {
+			x, y := qrng.Float64()*(side-width), qrng.Float64()*(side-width)
+			t0 := time.Now()
+			tierDB.SearchArea(geo.R(x, y, x+width, y+width), func(core.Sighting) bool { records++; return true })
+			lat[i] = time.Since(t0)
+		}
+		p50, p99 := percentiles(lat)
+		leaves := tierDB.TierStats().LeafReads - leaves0
+		fmt.Printf("%-34s %12v %12v %14.1f %14.1f\n", fmt.Sprintf("tiered, %.0f m window", width), p50, p99,
+			float64(leaves)/float64(rangeQueries), float64(records)/float64(rangeQueries))
+	}
+	if errs := tierDB.TierStats().ReadErrors; errs != 0 {
+		fatal(fmt.Errorf("table L: %d tier read errors", errs))
+	}
+	fmt.Println()
 
 	// Recovery: a populated leaf restarts. The baseline folds its full
 	// WAL; the tiered store opens run footers and replays only the tail

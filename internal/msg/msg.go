@@ -447,7 +447,8 @@ type TierDiag struct {
 	Warm bool
 	// MemtableBytes is the estimated resident size of all shard
 	// memtables; RunBytes the run files' on-disk size; MetaBytes the
-	// resident run metadata (bloom filters and sparse indexes).
+	// resident run metadata (bloom filters, sparse indexes and spatial
+	// leaf directories).
 	MemtableBytes int64
 	RunBytes      int64
 	MetaBytes     int64

@@ -43,6 +43,10 @@ func (s *Server) shardMaintenance(sdb *store.ShardedSightingDB) {
 		s.met.Gauge("sighting_compactions").Set(ts.Compactions)
 		s.met.Gauge("sighting_bloom_hits").Set(ts.BloomHits)
 		s.met.Gauge("sighting_bloom_misses").Set(ts.BloomMisses)
+		s.met.Gauge("sighting_tier_leaf_reads").Set(ts.LeafReads)
+		// Non-zero means a run is damaged and query answers are missing
+		// what it held.
+		s.met.Gauge("sighting_tier_read_errors").Set(ts.ReadErrors)
 	}
 
 	if s.autoShard == nil {

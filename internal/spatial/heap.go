@@ -76,3 +76,20 @@ func (h *heapOf[T]) siftDown(i int) {
 		i = m
 	}
 }
+
+// MinHeap exposes the package's heap to best-first traversals kept outside
+// it (the tiered store's cursor over run-file spatial leaves).
+type MinHeap[T any] struct{ h heapOf[T] }
+
+// Len returns the number of entries.
+func (m *MinHeap[T]) Len() int { return m.h.len() }
+
+// Push adds val under key.
+func (m *MinHeap[T]) Push(key float64, val T) { m.h.push(key, val) }
+
+// Pop removes and returns the entry with the smallest key. The heap must
+// not be empty.
+func (m *MinHeap[T]) Pop() (key float64, val T) {
+	e := m.h.pop()
+	return e.key, e.val
+}

@@ -66,7 +66,8 @@ type tierState struct {
 	compactions atomic.Int64
 	bloomHits   atomic.Int64
 	bloomMisses atomic.Int64
-	errs        atomic.Int64
+	leafReads   atomic.Int64 // spatial leaves fetched by range and NN reads
+	readErrs    atomic.Int64 // failed run reads: pread, decode, checksum, corrupt leaf
 
 	// warmed flips once recovery (synchronous or background) has replayed
 	// every shard's WAL tail; MaintainTiers is a no-op before that.
@@ -96,13 +97,15 @@ type TierStats struct {
 	MemtableBytes int64 // estimated resident memtable bytes, all shards
 	Runs          int   // run files across all shards
 	RunBytes      int64 // run file bytes on disk
-	MetaBytes     int64 // resident run metadata (blooms + sparse indexes)
+	MetaBytes     int64 // resident run metadata (blooms, sparse indexes, leaf directories)
 	DiskRecords   int64 // records in runs, tombstones included
 	DiskLive      int64 // live (non-tombstone) records in runs
 	Flushes       int64
 	Compactions   int64
 	BloomHits     int64 // run probes admitted by a bloom filter
 	BloomMisses   int64 // run probes skipped by a bloom filter
+	LeafReads     int64 // spatial leaves read by range and nearest-neighbor queries
+	ReadErrors    int64 // run reads that failed (I/O, decode, checksum, corrupt leaf); each shrinks an answer
 	Backlog       int   // shards over the MaxRuns compaction threshold
 }
 
@@ -252,7 +255,6 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 	// content the new run shadows record-for-record.
 	if db.wal != nil && db.wal.Err() == nil {
 		if err := db.wal.CompactShard(shard, nil); err != nil {
-			db.tier.errs.Add(1)
 			return fmt.Errorf("store: resetting WAL segment after flush of shard %d: %w", shard, err)
 		}
 	}
@@ -420,7 +422,7 @@ func (sh *sightingShard) tierLookup(ts *tierState, id core.OID) (runRecord, bool
 		ts.bloomHits.Add(1)
 		rec, ok, err := r.get(id)
 		if err != nil {
-			ts.errs.Add(1)
+			ts.readErrs.Add(1)
 			continue
 		}
 		if ok {
@@ -430,12 +432,22 @@ func (sh *sightingShard) tierLookup(ts *tierState, id core.OID) (runRecord, bool
 	return runRecord{}, false
 }
 
-// runsNewerHave reports whether any run newer than index k contains id
-// (live or tombstone) — the shadow check of pruned run scans.
-func (sh *sightingShard) runsNewerHave(ts *tierState, id core.OID, k int) bool {
-	t := sh.tier
+// shadowed reports whether a version of id read from a run is not the
+// authoritative one: the memtable holds the id (live or tombstoned), or
+// one of newer — the runs ahead of that run in the list — contains it
+// (live or tombstone). A spatial read sees only the leaves its rectangle or
+// frontier touches, so it cannot know from what it read that a newer
+// version lies elsewhere; every hit is therefore checked by id — after the
+// position test, so only candidates inside the query pay the probes.
+func (sh *sightingShard) shadowed(ts *tierState, newer []*tierRun, id core.OID) bool {
+	if _, ok := sh.byID[id]; ok {
+		return true
+	}
+	if _, ok := sh.dead[id]; ok {
+		return true
+	}
 	key := string(id)
-	for _, r := range t.runs[:k] {
+	for _, r := range newer {
 		if r.count == 0 || id < r.minOID || id > r.maxOID {
 			continue
 		}
@@ -445,7 +457,7 @@ func (sh *sightingShard) runsNewerHave(ts *tierState, id core.OID, k int) bool {
 		}
 		ts.bloomHits.Add(1)
 		if _, ok, err := r.get(id); err != nil {
-			ts.errs.Add(1)
+			ts.readErrs.Add(1)
 		} else if ok {
 			return true
 		}
@@ -497,7 +509,7 @@ func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bo
 			return true
 		})
 		if err != nil {
-			ts.errs.Add(1)
+			ts.readErrs.Add(1)
 		}
 		if stopped {
 			return false
@@ -506,60 +518,61 @@ func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bo
 	return true
 }
 
-// tierScanPruned streams authoritative on-disk records from only the
-// runs prune admits (e.g. by MBR against a query rectangle). Because
-// pruned runs may hide an object's newer version, authority is checked
-// per candidate with a bloom-gated probe of the newer runs instead of a
-// seen-set. Caller holds the shard lock; reports false if visit stopped.
-func (sh *sightingShard) tierScanPruned(ts *tierState, prune func(*tierRun) bool, visit func(rec runRecord) bool) bool {
+// tierSearch streams the shard's authoritative run-resident sightings
+// inside rect through visit. Per run it walks the in-RAM leaf directory,
+// reads only the spatial leaves whose MBR intersects rect, tests the
+// positions there, and reads and shadow-checks a record only for entries
+// inside rect. Caller holds the shard lock; reports false if visit stopped
+// the search.
+func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s core.Sighting) bool) bool {
 	t := sh.tier
 	if t == nil || len(t.runs) == 0 {
 		return true
 	}
+	sc := runScratchPool.Get().(*runScratch)
+	defer runScratchPool.Put(sc)
 	for k, r := range t.runs {
-		if r.count == 0 || r.live == 0 || (prune != nil && !prune(r)) {
+		if r.live == 0 || !r.mbr.IntersectsClosed(rect) {
 			continue
 		}
-		stopped := false
-		err := r.scan(func(rec runRecord) bool {
-			if rec.tombstone {
-				return true
+		for i, mbr := range r.leaves {
+			if !mbr.IntersectsClosed(rect) {
+				continue
 			}
-			id := rec.s.OID
-			if _, ok := sh.byID[id]; ok {
-				return true
+			ts.leafReads.Add(1)
+			entries, err := r.readLeaf(i, sc)
+			if err != nil {
+				ts.readErrs.Add(1)
+				continue
 			}
-			if _, ok := sh.dead[id]; ok {
-				return true
+			for _, e := range entries {
+				if !rect.ContainsClosed(e.pos) {
+					continue
+				}
+				rec, err := r.recordAt(e, sc)
+				if err != nil {
+					ts.readErrs.Add(1)
+					continue
+				}
+				if sh.shadowed(ts, t.runs[:k], rec.s.OID) {
+					continue
+				}
+				if !visit(rec.s) {
+					return false
+				}
 			}
-			if k > 0 && sh.runsNewerHave(ts, id, k) {
-				return true
-			}
-			if !visit(rec) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			ts.errs.Add(1)
-		}
-		if stopped {
-			return false
 		}
 	}
 	return true
 }
 
-// tierNearestSource builds the nearest-neighbor merge source covering
-// the shard's disk runs: MinDist is the closest distance any run's MBR
+// tierNearestSource builds the nearest-neighbor merge source covering the
+// shard's disk runs: MinDist is the closest distance any run's MBR
 // permits, so the lazy merge never opens (or reads) the runs of a shard
 // whose disk content lies beyond the consumer's stopping distance. When
-// opened, the cursor materializes the shard's authoritative run records
-// and sorts them by distance — runs are id-ordered, not space-ordered,
-// so a distance-ordered stream over them costs one pass over the run
-// bytes; acceptable because NN queries are rare next to updates and the
-// MinDist gate skips the cost entirely for hot-area queries.
+// opened, the source is a best-first cursor over the runs' spatial leaves
+// (tierNearestCursor), so a consumer that stops after k neighbors reads
+// only the leaves and records its frontier reached.
 func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (spatial.CursorSource, bool) {
 	sh.mu.RLock()
 	t := sh.tier
@@ -579,34 +592,88 @@ func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (
 		return spatial.CursorSource{}, false
 	}
 	return spatial.CursorSource{MinDist: minDist, Open: func() spatial.Cursor {
-		var ns []spatial.Neighbor
+		c := &tierNearestCursor{sh: sh, ts: db.tier, p: p, sc: runScratchPool.Get().(*runScratch)}
 		sh.mu.RLock()
-		sh.tierScanAll(db.tier, func(rec runRecord) bool {
-			ns = append(ns, spatial.Neighbor{ID: rec.s.OID, Pos: rec.s.Pos, Dist: p.Dist(rec.s.Pos)})
-			return true
-		})
+		c.runs = append(c.runs, sh.tier.runs...)
+		for k, r := range c.runs {
+			r.acquire() // cannot fail: the manifest reference is alive under the lock
+			for i, mbr := range r.leaves {
+				c.h.Push(mbr.DistToPoint(p), tierNearestItem{run: int32(k), leaf: int32(i)})
+			}
+		}
 		sh.mu.RUnlock()
-		sort.Slice(ns, func(i, j int) bool { return ns[i].Dist < ns[j].Dist })
-		return &sliceCursor{ns: ns}
+		return spatial.LockCursor(&sh.mu, c)
 	}}, true
 }
 
-// sliceCursor streams a pre-sorted neighbor slice.
-type sliceCursor struct {
-	ns  []spatial.Neighbor
-	pos int
+// tierNearestItem is one frontier slot of a tierNearestCursor: an unread
+// spatial leaf keyed by its MBR's distance (leaf >= 0), or one leaf entry
+// keyed by its position's distance (leaf < 0).
+type tierNearestItem struct {
+	run   int32 // index into the cursor's run list
+	leaf  int32
+	entry leafEntry
 }
 
-func (c *sliceCursor) Next() (spatial.Neighbor, bool) {
-	if c.pos >= len(c.ns) {
-		return spatial.Neighbor{}, false
+// tierNearestCursor streams one shard's authoritative run-resident
+// sightings in order of increasing distance from p, best-first over the
+// leaf directories of a pinned snapshot of the shard's run list (newest
+// first). Every advance runs under the shard's read lock
+// (spatial.LockCursor): the shadow check reads the memtable. If the shard
+// flushes or compacts between advances the stream degrades to a
+// best-effort snapshot, as the Cursor contract allows; NearestFunc
+// re-resolves every delivered id through Get.
+type tierNearestCursor struct {
+	sh   *sightingShard
+	ts   *tierState
+	p    geo.Point
+	runs []*tierRun
+	h    spatial.MinHeap[tierNearestItem]
+	sc   *runScratch
+}
+
+// Next implements spatial.Cursor.
+func (c *tierNearestCursor) Next() (spatial.Neighbor, bool) {
+	for c.h.Len() > 0 {
+		dist, it := c.h.Pop()
+		r := c.runs[it.run]
+		if it.leaf >= 0 {
+			c.ts.leafReads.Add(1)
+			entries, err := r.readLeaf(int(it.leaf), c.sc)
+			if err != nil {
+				c.ts.readErrs.Add(1)
+				continue
+			}
+			for _, e := range entries {
+				c.h.Push(c.p.Dist(e.pos), tierNearestItem{run: it.run, leaf: -1, entry: e})
+			}
+			continue
+		}
+		rec, err := r.recordAt(it.entry, c.sc)
+		if err != nil {
+			c.ts.readErrs.Add(1)
+			continue
+		}
+		if c.sh.shadowed(c.ts, c.runs[:it.run], rec.s.OID) {
+			continue
+		}
+		return spatial.Neighbor{ID: rec.s.OID, Pos: rec.s.Pos, Dist: dist}, true
 	}
-	n := c.ns[c.pos]
-	c.pos++
-	return n, true
+	return spatial.Neighbor{}, false
 }
 
-func (c *sliceCursor) Close() {}
+// Close implements spatial.Cursor, unpinning the runs.
+func (c *tierNearestCursor) Close() {
+	if c.sc == nil {
+		return
+	}
+	runScratchPool.Put(c.sc)
+	c.sc = nil
+	for _, r := range c.runs {
+		r.release()
+	}
+	c.runs = nil
+}
 
 // MaintainTiers runs one maintenance pass: flush every shard whose
 // memtable exceeds its budget share, then compact every shard whose run
@@ -671,9 +738,9 @@ func (db *ShardedSightingDB) maybeFlushBackpressure(sh *sightingShard, shard int
 	if ts == nil || sh.tier == nil || sh.memBytes <= 2*ts.budget || db.replStandby.Load() {
 		return
 	}
-	if err := db.flushShardLocked(sh, shard); err != nil {
-		ts.errs.Add(1)
-	}
+	// A failure is retried, and reported, by the janitor's next
+	// MaintainTiers pass: the shard stays over its budget.
+	_ = db.flushShardLocked(sh, shard)
 }
 
 // TierStats snapshots the tiering machinery. Zero-valued (Enabled false)
@@ -690,6 +757,8 @@ func (db *ShardedSightingDB) TierStats() TierStats {
 		Compactions: ts.compactions.Load(),
 		BloomHits:   ts.bloomHits.Load(),
 		BloomMisses: ts.bloomMisses.Load(),
+		LeafReads:   ts.leafReads.Load(),
+		ReadErrors:  ts.readErrs.Load(),
 	}
 	for _, sh := range db.gen.Load().shards {
 		sh.mu.RLock()

@@ -1,12 +1,14 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -163,6 +165,50 @@ func TestRunRoundtrip(t *testing.T) {
 			t.Fatalf("MBR %v misses %v", r.mbr, rec.s.Pos)
 		}
 	}
+
+	// Spatial block: every live record sits in exactly one leaf, inside
+	// that leaf's directory MBR, and its entry's offset decodes to the
+	// record the id lookup returns. Tombstones are not indexed.
+	if want := (wantLive + runLeafEntries - 1) / runLeafEntries; len(r.leaves) != want {
+		t.Fatalf("%d leaves for %d live records, want %d", len(r.leaves), wantLive, want)
+	}
+	indexed := make(map[core.OID]int)
+	sc := new(runScratch)
+	for i := range r.leaves {
+		entries, err := r.readLeaf(i, sc)
+		if err != nil {
+			t.Fatalf("readLeaf(%d): %v", i, err)
+		}
+		if i < len(r.leaves)-1 && len(entries) != runLeafEntries {
+			t.Fatalf("inner leaf %d holds %d entries", i, len(entries))
+		}
+		for j, e := range entries {
+			if !r.leaves[i].ContainsClosed(e.pos) {
+				t.Fatalf("leaf %d MBR %v misses its entry %v", i, r.leaves[i], e.pos)
+			}
+			rec, err := r.recordAt(e, sc)
+			if err != nil {
+				t.Fatalf("recordAt(leaf %d entry %d): %v", i, j, err)
+			}
+			byID, ok, err := r.get(rec.s.OID)
+			if err != nil || !ok || byID.s != rec.s || !byID.expires.Equal(rec.expires) {
+				t.Fatalf("leaf %d entry %d decodes to %+v, id lookup gives %+v (%v, %v)", i, j, rec, byID, ok, err)
+			}
+			indexed[rec.s.OID]++
+		}
+	}
+	for _, rec := range recs {
+		if want := map[bool]int{true: 0, false: 1}[rec.tombstone]; indexed[rec.s.OID] != want {
+			t.Fatalf("%s (tombstone %v) appears in %d leaves, want %d", rec.s.OID, rec.tombstone, indexed[rec.s.OID], want)
+		}
+	}
+	if err := r.verify(); err != nil {
+		t.Fatalf("verify of a fresh run: %v", err)
+	}
+	// The directory is resident metadata and must be accounted as such.
+	if min := int64(len(r.bloom.bits) + len(r.leaves)*runLeafDirEntrySize); r.metaBytes() < min {
+		t.Fatalf("metaBytes %d below bloom + leaf directory (%d)", r.metaBytes(), min)
+	}
 }
 
 func TestRunWriterRejectsUnsortedKeys(t *testing.T) {
@@ -205,6 +251,254 @@ func TestOpenRunDetectsMetaCorruption(t *testing.T) {
 	}
 }
 
+// patchRun rewrites the run file at path with edit applied to its bytes.
+func patchRun(t *testing.T, path string, edit func(data []byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunSpatialCorruption is the corruption table of the v2 spatial
+// block: whatever is damaged, the run is refused at open, fails verify, or
+// yields a counted-and-skipped leaf — never a panic or a read outside the
+// records region.
+func TestRunSpatialCorruption(t *testing.T) {
+	dir := t.TempDir()
+	r := writeTestRun(t, dir, 0, 1, testRunRecords(200))
+	path, size := r.path, r.size
+	spatialOff, spatialLen := r.recordsLen, r.spatialLen
+	dirOff := size - runFooterSize - int64(len(r.leaves))*runLeafDirEntrySize
+	footerOff := size - runFooterSize
+	r.retire(false)
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func() {
+		t.Helper()
+		if err := os.WriteFile(path, pristine, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("truncation", func(t *testing.T) {
+		defer restore()
+		// Every cut inside the spatial leaves, the meta blocks and the
+		// footer loses the footer: open must refuse, whatever bytes end
+		// up in its place.
+		for cut := spatialOff; cut < size; cut++ {
+			if err := os.WriteFile(path, pristine[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := openRun(path); err == nil {
+				r.retire(false)
+				t.Fatalf("openRun accepted a run truncated at %d of %d", cut, size)
+			}
+		}
+	})
+
+	t.Run("directory bytes", func(t *testing.T) {
+		defer restore()
+		for off := dirOff; off < footerOff; off += 5 {
+			patchRun(t, path, func(d []byte) []byte { d[off] ^= 0x10; return d })
+			if r, err := openRun(path); err == nil {
+				r.retire(false)
+				t.Fatalf("openRun accepted a flipped directory byte at %d", off)
+			}
+			restore()
+		}
+	})
+
+	t.Run("footer length mismatch", func(t *testing.T) {
+		defer restore()
+		// Spatial length shrunk by one entry (and the records region grown
+		// to keep the sum), then the directory length off by one leaf.
+		for _, field := range []int64{24, 48} {
+			patchRun(t, path, func(d []byte) []byte {
+				f := d[footerOff:]
+				switch field {
+				case 24:
+					putU64(f[24:], uint64(spatialLen-runLeafEntrySize))
+					putU64(f[0:], uint64(spatialOff+runLeafEntrySize))
+				case 48:
+					putU64(f[48:], getU64(f[48:])-runLeafDirEntrySize)
+					putU64(f[40:], getU64(f[40:])+runLeafDirEntrySize)
+				}
+				return d
+			})
+			if r, err := openRun(path); err == nil {
+				r.retire(false)
+				t.Fatalf("openRun accepted inconsistent footer field at %d", field)
+			}
+			restore()
+		}
+	})
+
+	t.Run("spatial checksum on full scan", func(t *testing.T) {
+		defer restore()
+		// The low mantissa byte of a coordinate: the entry stays inside its
+		// leaf's bounds, so only the region checksum can tell.
+		patchRun(t, path, func(d []byte) []byte { d[spatialOff+runLeafEntrySize*3] ^= 0x01; return d })
+		r, err := openRun(path)
+		if err != nil {
+			t.Fatalf("open reads no spatial leaf, yet failed: %v", err)
+		}
+		defer r.retire(false)
+		if err := r.verify(); err == nil || !strings.Contains(err.Error(), "spatial checksum") {
+			t.Fatalf("verify = %v, want spatial checksum mismatch", err)
+		}
+	})
+
+	t.Run("out-of-range offset", func(t *testing.T) {
+		defer restore()
+		patchRun(t, path, func(d []byte) []byte {
+			putU64(d[spatialOff+16:], uint64(spatialOff)+1000) // entry 0 of leaf 0
+			return d
+		})
+		r, err := openRun(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.retire(false)
+		sc := new(runScratch)
+		if _, err := r.readLeaf(0, sc); err == nil {
+			t.Fatal("leaf with an offset beyond the records region accepted")
+		}
+		if len(r.leaves) > 1 {
+			if _, err := r.readLeaf(1, sc); err != nil {
+				t.Fatalf("undamaged leaf 1 refused: %v", err)
+			}
+		}
+	})
+
+	t.Run("offset into another record", func(t *testing.T) {
+		defer restore()
+		// Swap the offsets of two entries: both stay in range, but each now
+		// addresses a record at a different position.
+		patchRun(t, path, func(d []byte) []byte {
+			a, b := d[spatialOff+16:], d[spatialOff+runLeafEntrySize+16:]
+			x, y := getU64(a), getU64(b)
+			putU64(a, y)
+			putU64(b, x)
+			return d
+		})
+		r, err := openRun(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.retire(false)
+		sc := new(runScratch)
+		entries, err := r.readLeaf(0, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := r.recordAt(entries[0], sc); err == nil {
+			t.Fatalf("entry addressing another record decoded to %+v", rec)
+		}
+	})
+}
+
+func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
+func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
+
+// TestOpenRunRefusesV1 pins the no-fallback rule: a format-1 run (92-byte
+// footer, no spatial block) is refused with its version named.
+func TestOpenRunRefusesV1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), runFileName(0, 1))
+	v1 := make([]byte, 300) // records + meta stand-ins, then the v1 footer
+	footer := v1[len(v1)-92:]
+	binary.LittleEndian.PutUint32(footer[80:], 1)
+	binary.LittleEndian.PutUint64(footer[84:], runMagic)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := openRun(path)
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("openRun(v1 file) = %v, want an error naming version 1", err)
+	}
+}
+
+// TestRunGetAllocs pins the cold-get allocation budget: the block buffer
+// is pooled and skipped records are compared in place, so a hit allocates
+// only the returned id and a bloom-admitted miss nothing.
+func TestRunGetAllocs(t *testing.T) {
+	r := writeTestRun(t, t.TempDir(), 0, 1, testRunRecords(500))
+	defer r.retire(false)
+	hit, miss := core.OID("obj-00222"), core.OID("obj-00222x") // mid-block; absent but inside the key range
+	if _, ok, err := r.get(hit); !ok || err != nil {
+		t.Fatalf("get(%s) = %v, %v", hit, ok, err)
+	}
+	if _, ok, err := r.get(miss); ok || err != nil {
+		t.Fatalf("get(%s) = %v, %v", miss, ok, err)
+	}
+	if n := testing.AllocsPerRun(200, func() { r.get(hit) }); n > 2 {
+		t.Fatalf("get hit allocates %.0f times, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { r.get(miss) }); n > 0 {
+		t.Fatalf("get miss allocates %.0f times, want 0", n)
+	}
+}
+
+// FuzzRunSpatial feeds arbitrary bytes to the leaf-directory parser and
+// the leaf decoder: they must reject or decode, never panic or
+// index out of range.
+func FuzzRunSpatial(f *testing.F) {
+	dir := f.TempDir()
+	name := runFileName(0, 1)
+	w, err := newRunWriter(dir, name, 10)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range testRunRecords(150) {
+		if err := w.add(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.finish(); err != nil {
+		f.Fatal(err)
+	}
+	r, err := openRun(filepath.Join(dir, name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(r.path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dirOff := r.size - runFooterSize - int64(len(r.leaves))*runLeafDirEntrySize
+	f.Add(data[dirOff:r.size-runFooterSize], uint16(r.live))
+	f.Add(data[r.recordsLen:r.recordsLen+runLeafEntries*runLeafEntrySize], uint16(runLeafEntries))
+	f.Add([]byte{}, uint16(0))
+	r.retire(false)
+
+	f.Fuzz(func(t *testing.T, b []byte, live uint16) {
+		if leaves, err := parseLeafDir(b, int64(live)); err == nil {
+			if want := (int(live) + runLeafEntries - 1) / runLeafEntries; len(leaves) != want {
+				t.Fatalf("parseLeafDir returned %d leaves for %d live records", len(leaves), live)
+			}
+		}
+		if len(b) > runLeafEntries*runLeafEntrySize {
+			b = b[:runLeafEntries*runLeafEntrySize]
+		}
+		mbr := geo.R(0, 0, 100, 100)
+		if entries, err := decodeLeaf(nil, b, mbr, int64(live)); err == nil {
+			if len(entries) != len(b)/runLeafEntrySize {
+				t.Fatalf("decodeLeaf returned %d entries for %d bytes", len(entries), len(b))
+			}
+			for j, e := range entries {
+				if !mbr.ContainsClosed(e.pos) || e.off < 0 || e.off >= int64(live) {
+					t.Fatalf("decodeLeaf passed entry %d = %+v", j, e)
+				}
+			}
+		}
+	})
+}
+
 // ---------------------------------------------------------------------------
 // Tiered store behavior against the all-RAM oracle.
 
@@ -213,11 +507,19 @@ func TestOpenRunDetectsMetaCorruption(t *testing.T) {
 // same clock.
 func tieredPair(t *testing.T, shards int, ttl time.Duration, clock func() time.Time) (*ShardedSightingDB, *SightingDB) {
 	t.Helper()
+	return tieredPairBudget(t, shards, 1, ttl, clock)
+}
+
+// tieredPairBudget is tieredPair with an explicit memtable budget; the
+// scripted tests pass a large one so that only their own flushAll calls
+// cut runs.
+func tieredPairBudget(t *testing.T, shards int, budget int64, ttl time.Duration, clock func() time.Time) (*ShardedSightingDB, *SightingDB) {
+	t.Helper()
 	dir := t.TempDir()
 	opts := []SightingDBOption{WithTTL(ttl), WithClock(clock)}
 	tiered := NewShardedSightingDB(append(opts,
 		WithShards(shards),
-		WithTiering(TierConfig{Dir: dir, MemtableBytes: 1, MaxRuns: 3}))...)
+		WithTiering(TierConfig{Dir: dir, MemtableBytes: budget, MaxRuns: 3}))...)
 	if err := tiered.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -499,8 +801,14 @@ func TestTieredOracleParity(t *testing.T) {
 			}
 		}
 
-		// Checkpoint: full-state parity plus point parity on a sample.
+		// Checkpoint: full-state parity, spatial result-set parity through
+		// the runs' leaves, plus point parity on a sample.
 		diffStates(t, fmt.Sprintf("round %d", round), storeState(tiered), storeState(oracle))
+		for i := 0; i < 6; i++ {
+			x, y, side := rng.Float64()*900, rng.Float64()*900, 20+rng.Float64()*300
+			assertSpatialParity(t, fmt.Sprintf("round %d", round), tiered, oracle,
+				geo.R(x, y, x+side, y+side), geo.Pt(rng.Float64()*1000, rng.Float64()*1000))
+		}
 		for i := 0; i < 40; i++ {
 			id := core.OID(fmt.Sprintf("obj-%03d", rng.Intn(population)))
 			got, gok := tiered.Get(id)
@@ -511,9 +819,266 @@ func TestTieredOracleParity(t *testing.T) {
 		}
 	}
 	st := tiered.TierStats()
-	if st.Flushes == 0 || st.Runs == 0 {
-		t.Fatalf("parity test never exercised the disk tier: %+v", st)
+	if st.Flushes < 3 || st.Compactions < 1 || st.Runs == 0 || st.LeafReads == 0 {
+		t.Fatalf("parity test never exercised the disk tier enough (want >= 3 flushes, >= 1 compaction, leaf reads): %+v", st)
 	}
+	if st.ReadErrors != 0 {
+		t.Fatalf("%d read errors on undamaged runs", st.ReadErrors)
+	}
+}
+
+// searchSet collects SearchArea's answer as id → position, failing on a
+// duplicate id.
+func searchSet(t *testing.T, label string, db SightingStore, r geo.Rect) map[core.OID]geo.Point {
+	t.Helper()
+	out := make(map[core.OID]geo.Point)
+	db.SearchArea(r, func(s core.Sighting) bool {
+		if _, dup := out[s.OID]; dup {
+			t.Fatalf("%s: SearchArea(%v) yielded %s twice", label, r, s.OID)
+		}
+		out[s.OID] = s.Pos
+		return true
+	})
+	return out
+}
+
+// assertSpatialParity compares the tiered store with the oracle on one
+// range query (full result set: ids and positions, no duplicates) and one
+// exhaustive nearest-neighbor enumeration (every record once, at its
+// current position, distances non-decreasing and equal to the oracle's).
+func assertSpatialParity(t *testing.T, label string, tiered, oracle SightingStore, r geo.Rect, p geo.Point) {
+	t.Helper()
+	got, want := searchSet(t, label, tiered, r), searchSet(t, label, oracle, r)
+	for id, pos := range want {
+		if gp, ok := got[id]; !ok || gp != pos {
+			t.Fatalf("%s: SearchArea(%v): %s = %v (found %v), oracle %v", label, r, id, gp, ok, pos)
+		}
+	}
+	for id, pos := range got {
+		if _, ok := want[id]; !ok {
+			t.Fatalf("%s: SearchArea(%v) returned %s at %v, absent from the oracle's answer", label, r, id, pos)
+		}
+	}
+
+	type hit struct {
+		pos  geo.Point
+		dist float64
+	}
+	enumerate := func(db SightingStore) (map[core.OID]hit, []float64) {
+		byID := make(map[core.OID]hit)
+		var dists []float64
+		db.NearestFunc(p, func(s core.Sighting, d float64) bool {
+			if _, dup := byID[s.OID]; dup {
+				t.Fatalf("%s: NearestFunc(%v) yielded %s twice", label, p, s.OID)
+			}
+			if n := len(dists); n > 0 && d < dists[n-1] {
+				t.Fatalf("%s: NearestFunc(%v) distances decrease: %g after %g", label, p, d, dists[n-1])
+			}
+			byID[s.OID] = hit{s.Pos, d}
+			dists = append(dists, d)
+			return true
+		})
+		return byID, dists
+	}
+	gotNN, gotD := enumerate(tiered)
+	wantNN, wantD := enumerate(oracle)
+	if len(gotNN) != len(wantNN) {
+		t.Fatalf("%s: NearestFunc(%v) enumerated %d records, oracle %d", label, p, len(gotNN), len(wantNN))
+	}
+	for id, w := range wantNN {
+		g, ok := gotNN[id]
+		if !ok || g.pos != w.pos || math.Abs(g.dist-w.dist) > 1e-9 {
+			t.Fatalf("%s: NearestFunc(%v): %s = %+v (found %v), oracle %+v", label, p, id, g, ok, w)
+		}
+	}
+	for i := range wantD {
+		if math.Abs(gotD[i]-wantD[i]) > 1e-9 {
+			t.Fatalf("%s: NearestFunc(%v)[%d] at distance %g, oracle %g", label, p, i, gotD[i], wantD[i])
+		}
+	}
+}
+
+// flushAll freezes every shard's memtable into a run, whatever its size —
+// the scripted tests place objects in specific runs with it.
+func flushAll(t *testing.T, db *ShardedSightingDB) {
+	t.Helper()
+	for i, sh := range db.gen.Load().shards {
+		sh.lockWrite()
+		err := db.flushShardLocked(sh, i)
+		sh.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTieredSpatialShadowing scripts the cases where a spatial read sees an
+// old version of an object and must learn, from structures it did not
+// read, that the version is dead: the object moved away in a newer run
+// whose leaves the query prunes, was tombstoned in a newer run, was
+// cold-removed (dead-set), or was re-put into the memtable. Both spatial
+// query kinds are compared with the oracle at every step.
+func TestTieredSpatialShadowing(t *testing.T) {
+	base := time.Unix(1000, 0)
+	tiered, oracle := tieredPairBudget(t, 1, 64<<20, 0, func() time.Time { return base })
+	put := func(id string, x, y float64) {
+		s := core.Sighting{OID: core.OID(id), T: base, Pos: geo.Pt(x, y), SensAcc: 5}
+		tiered.Put(s)
+		oracle.Put(s)
+	}
+	remove := func(id string) {
+		if got, want := tiered.Remove(core.OID(id)), oracle.Remove(core.OID(id)); got != want {
+			t.Fatalf("Remove(%s) = %v, oracle %v", id, got, want)
+		}
+	}
+	corner := geo.R(0, 0, 60, 60) // the query window; the named objects start inside it
+	probe := geo.Pt(10, 10)
+	check := func(label string, absent ...string) {
+		t.Helper()
+		assertSpatialParity(t, label, tiered, oracle, corner, probe)
+		got := searchSet(t, label, tiered, corner)
+		for _, id := range absent {
+			if pos, ok := got[core.OID(id)]; ok {
+				t.Fatalf("%s: %s still answered inside %v (at %v)", label, id, corner, pos)
+			}
+		}
+	}
+	// filler spreads n objects over the whole 1000 m square so every run
+	// has several spatial leaves, most of them far from the corner.
+	filler := func(gen, n int) {
+		for i := 0; i < n; i++ {
+			put(fmt.Sprintf("fill-%d-%03d", gen, i), 100+float64(i%30)*30, 100+float64(i/30)*30)
+		}
+	}
+
+	// Run 1 (oldest): the named objects inside the corner.
+	for i, id := range []string{"moved", "tombstoned", "cold-removed", "reput-out", "reput-in", "stays"} {
+		put(id, 5+float64(i)*8, 20)
+	}
+	filler(1, 300)
+	flushAll(t, tiered)
+	check("one run")
+
+	// Run 2: "moved" leaves the corner for the far side, among enough
+	// filler that its new entry sits in a leaf the corner query prunes;
+	// "tombstoned" is removed and the tombstone flushed.
+	put("moved", 950, 950)
+	remove("tombstoned")
+	filler(2, 300)
+	flushAll(t, tiered)
+	check("moved + tombstoned in newer run", "moved", "tombstoned")
+	// The case is only the intended one if the corner query never read the
+	// newer run's leaf holding "moved" at (950, 950).
+	runs := tiered.gen.Load().shards[0].tier.runs
+	if len(runs) != 2 {
+		t.Fatalf("%d runs after two flushes", len(runs))
+	}
+	pruned := false
+	for _, mbr := range runs[0].leaves {
+		if mbr.ContainsClosed(geo.Pt(950, 950)) && !mbr.IntersectsClosed(corner) {
+			pruned = true
+		}
+	}
+	if !pruned {
+		t.Fatalf("the newer run's leaf holding the moved object intersects the query window: %v", runs[0].leaves)
+	}
+	leafReads := tiered.TierStats().LeafReads
+	searchSet(t, "pruning", tiered, corner)
+	if read, total := tiered.TierStats().LeafReads-leafReads, int64(len(runs[0].leaves)+len(runs[1].leaves)); read == 0 || read >= total {
+		t.Fatalf("corner query read %d of %d leaves", read, total)
+	}
+
+	// Dead-set and memtable shadows over run-resident versions.
+	remove("cold-removed")
+	put("reput-out", 800, 100)
+	put("reput-in", 30, 30)
+	check("dead-set + memtable re-puts", "moved", "tombstoned", "cold-removed", "reput-out")
+	if got := searchSet(t, "re-put", tiered, corner)["reput-in"]; got != geo.Pt(30, 30) {
+		t.Fatalf("reput-in answered at %v, want its memtable position (30,30)", got)
+	}
+
+	// Flush those shadows into run 3, then compact everything into one run:
+	// the answers must not change at either step.
+	flushAll(t, tiered)
+	check("three runs", "moved", "tombstoned", "cold-removed", "reput-out")
+	filler(4, 50)
+	flushAll(t, tiered)
+	if err := tiered.MaintainTiers(); err != nil { // 4 runs > MaxRuns 3
+		t.Fatal(err)
+	}
+	if st := tiered.TierStats(); st.Compactions == 0 || st.Runs != 1 {
+		t.Fatalf("expected one compacted run: %+v", st)
+	}
+	check("compacted", "moved", "tombstoned", "cold-removed", "reput-out")
+	if st := tiered.TierStats(); st.ReadErrors != 0 {
+		t.Fatalf("%d read errors on undamaged runs", st.ReadErrors)
+	}
+}
+
+// TestTierReadErrorsCounted damages a live store's run file and checks the
+// loss is visible: a flipped byte in a spatial leaf and in a record block
+// each raise TierStats.ReadErrors (and the query carries on, answering
+// from what it can still read).
+func TestTierReadErrorsCounted(t *testing.T) {
+	base := time.Unix(1000, 0)
+	newStore := func(t *testing.T) (*ShardedSightingDB, *tierRun) {
+		db, _ := tieredPairBudget(t, 1, 64<<20, 0, func() time.Time { return base })
+		for i := 0; i < 300; i++ {
+			db.Put(core.Sighting{OID: core.OID(fmt.Sprintf("e-%03d", i)), T: base, Pos: geo.Pt(float64(i%20)*10, float64(i/20)*10), SensAcc: 5})
+		}
+		flushAll(t, db)
+		runs := db.gen.Load().shards[0].tier.runs
+		if len(runs) != 1 {
+			t.Fatalf("%d runs after one flush", len(runs))
+		}
+		return db, runs[0]
+	}
+	world := geo.R(-1, -1, 1000, 1000)
+	count := func(db *ShardedSightingDB) int {
+		n := 0
+		db.SearchArea(world, func(core.Sighting) bool { n++; return true })
+		return n
+	}
+
+	t.Run("spatial leaf", func(t *testing.T) {
+		for name, off := range map[string]int64{"coordinate": 7, "offset": 16 + 6} { // exponent byte of X; a high byte of the offset
+			db, r := newStore(t)
+			if n := count(db); n != 300 || db.TierStats().ReadErrors != 0 {
+				t.Fatalf("%s: undamaged store answered %d with %d read errors", name, n, db.TierStats().ReadErrors)
+			}
+			patchRun(t, r.path, func(d []byte) []byte { d[r.recordsLen+runLeafEntrySize*70+off] ^= 0x20; return d }) // entry 6 of leaf 1
+			if n := count(db); n >= 300 || n < 300-runLeafEntries {
+				t.Fatalf("%s: damaged leaf: %d of 300 answered, want the other leaves' records", name, n)
+			}
+			if errs := db.TierStats().ReadErrors; errs == 0 {
+				t.Fatalf("%s: damaged spatial leaf not counted", name)
+			}
+			before := db.TierStats().ReadErrors
+			db.NearestFunc(geo.Pt(0, 0), func(core.Sighting, float64) bool { return true })
+			if db.TierStats().ReadErrors == before {
+				t.Fatalf("%s: nearest-neighbor pass over the damaged leaf not counted", name)
+			}
+		}
+	})
+
+	t.Run("record block", func(t *testing.T) {
+		db, r := newStore(t)
+		// The id-length byte of the first record, turned into a length no
+		// block can hold: the point lookup's block decode fails; so does
+		// every full scan's checksum.
+		patchRun(t, r.path, func(d []byte) []byte { d[1] = 0xff; return d })
+		if _, ok := db.Get("e-003"); ok {
+			t.Fatal("Get decoded a record out of a damaged block")
+		}
+		afterGet := db.TierStats().ReadErrors
+		if afterGet == 0 {
+			t.Fatal("damaged record block not counted on Get")
+		}
+		db.ForEach(func(core.Sighting) bool { return true })
+		if db.TierStats().ReadErrors == afterGet {
+			t.Fatal("data checksum mismatch on a full scan not counted")
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -858,6 +1423,19 @@ func TestTieredMemoryBounded(t *testing.T) {
 	}
 	if st.Flushes == 0 {
 		t.Fatal("backpressure never flushed")
+	}
+	// The other resident part is run metadata: blooms (10 bits/record),
+	// sparse indexes (one ~40-byte entry per 16 records) and leaf
+	// directories (32 bytes per 64 live records) — a few bytes per record,
+	// and never less than the directories it must include.
+	var dirBytes int64
+	for _, sh := range db.gen.Load().shards {
+		for _, r := range sh.tier.runs {
+			dirBytes += int64(len(r.leaves)) * runLeafDirEntrySize
+		}
+	}
+	if st.MetaBytes <= dirBytes || st.MetaBytes > 8*st.DiskRecords+256*int64(st.Runs) {
+		t.Fatalf("run metadata at %d bytes for %d records in %d runs (%d of leaf directory)", st.MetaBytes, st.DiskRecords, st.Runs, dirBytes)
 	}
 	if db.Len() < 4000 {
 		t.Fatalf("Len = %d, want >= 4000", db.Len())

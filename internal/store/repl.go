@@ -202,9 +202,9 @@ func (db *ShardedSightingDB) ReadRunChunk(name string, off int64, maxBytes int) 
 const replFetchTempPattern = ".tier-fetch-*"
 
 // ReplFetchRun downloads one run file through read — called with growing
-// offsets until it reports eof — into a temporary, verifies both of the
-// run's checksums (metadata and full data region), and atomically renames
-// it into the tier directory. Idempotent: a run already present on disk
+// offsets until it reports eof — into a temporary, verifies all three of
+// the run's checksums (metadata, records, spatial leaves), and atomically
+// renames it into the tier directory. Idempotent: a run already present on disk
 // (this download raced another, or survives from before a demotion) is
 // kept as is — run files are immutable and content-addressed by name.
 func (db *ShardedSightingDB) ReplFetchRun(name string, read func(off int64, maxBytes int) (data []byte, eof bool, err error)) error {
@@ -255,18 +255,19 @@ func (db *ShardedSightingDB) ReplFetchRun(name string, read func(off int64, maxB
 		return fmt.Errorf("store: closing run fetch temp: %w", err)
 	}
 	// Verify before install: openRun checks the footer and the metadata
-	// checksum, the full scan checks the data-region checksum. A transfer
-	// torn or corrupted anywhere fails here and leaves no trace.
+	// checksum (bloom, sparse index, leaf directory), verify the records'
+	// and the spatial leaves' checksums. A transfer torn or corrupted
+	// anywhere fails here and leaves no trace.
 	r, err := openRun(tmp.Name())
 	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: verifying fetched run %s: %w", name, err)
 	}
-	scanErr := r.scan(func(runRecord) bool { return true })
+	verifyErr := r.verify()
 	r.retire(false)
-	if scanErr != nil {
+	if verifyErr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: verifying fetched run %s: %w", name, scanErr)
+		return fmt.Errorf("store: verifying fetched run %s: %w", name, verifyErr)
 	}
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		os.Remove(tmp.Name())

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -132,6 +133,31 @@ func TestReplFetchRunTornTransfer(t *testing.T) {
 	assertNoFetchTemps("corrupted transfer")
 	if _, serr := os.Stat(filepath.Join(dstDir, other)); !os.IsNotExist(serr) {
 		t.Fatal("corrupted transfer installed a run")
+	}
+
+	// So must one whose damage sits in the spatial leaves, which neither
+	// open nor the record scan reads: verify-before-install covers that
+	// block's checksum too.
+	meta, err := openRun(filepath.Join(srcDir, other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spatialByte := meta.recordsLen + 3 // inside the first leaf entry's X
+	meta.retire(false)
+	err = dst.ReplFetchRun(other, func(off int64, maxBytes int) ([]byte, bool, error) {
+		data, _, eof, rerr := src.ReadRunChunk(other, off, maxBytes)
+		if rerr == nil && off <= spatialByte && spatialByte < off+int64(len(data)) {
+			data = append([]byte(nil), data...)
+			data[spatialByte-off] ^= 0x01
+		}
+		return data, eof, rerr
+	})
+	if err == nil || !strings.Contains(err.Error(), "spatial checksum") {
+		t.Fatalf("transfer with a damaged spatial leaf: %v, want a spatial checksum failure", err)
+	}
+	assertNoFetchTemps("spatially corrupted transfer")
+	if _, serr := os.Stat(filepath.Join(dstDir, other)); !os.IsNotExist(serr) {
+		t.Fatal("spatially corrupted transfer installed a run")
 	}
 
 	// And the happy path for the second run still works afterwards.

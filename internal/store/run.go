@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,10 +20,10 @@ import (
 )
 
 // This file implements the immutable sorted-run files of the tiered
-// sighting store. See the package comment for the full tiered-storage
-// spec; the layout in brief:
+// sighting store (format version 2). The package comment describes how
+// the tiers use them; the file layout is specified here:
 //
-//	[records region][bloom block][index block][fixed 92-byte footer]
+//	[records][spatial leaves][bloom block][index block][leaf directory][112-byte footer]
 //
 // Records are sorted strictly by object id. Each record is
 //
@@ -30,25 +33,56 @@ import (
 //
 // with flags bit0 = tombstone, bit1 = T valid, bit2 = expires valid.
 // Timestamps are UnixNano; a cleared validity bit means the zero
-// time.Time. The bloom block is bloomFilter.marshal over every record's
-// id (tombstones included). The index block holds the run's key range
-// and a sparse index — one (oid, offset) entry per runSparseEvery
-// records — which is the only per-record state a reader keeps in RAM.
-// The footer pins region lengths, record counts, the spatial MBR of the
-// live records, and two CRC32s: crcData over the records region,
-// crcMeta over bloom+index. Opening a run reads footer + meta and
-// verifies crcMeta only — recovery cost is O(metadata); crcData is
-// verified by every complete scan (compaction, enumeration), so data
-// corruption surfaces before it can propagate into a merged run.
+// time.Time.
+//
+// The spatial leaves hold one 24-byte entry (X f64 | Y f64 | record
+// offset u64) per live record — tombstones have no position and are not
+// indexed — sorted by the Hilbert key of the position over the run's MBR
+// and cut into leaves of runLeafEntries entries (the last one may be
+// short). The leaf directory holds one 32-byte MBR (MinX, MinY, MaxX, MaxY
+// f64) per leaf, in leaf order.
+//
+// The bloom block is bloomFilter.marshal over every record's id
+// (tombstones included). The index block holds the run's key range and a
+// sparse index, one (oid, offset) entry per runSparseEvery records.
+//
+// Resident per run: bloom filter, sparse index and leaf directory
+// (≈0.5 B per live record); records and spatial leaves stay on disk.
+//
+// The footer pins the five region lengths, the record counts, the MBR of
+// the live records and three CRC32s:
+//
+//   - crcMeta covers bloom + index + leaf directory and is verified at
+//     open, which reads exactly those blocks and the footer — recovery
+//     cost is O(metadata).
+//   - crcData covers the records region and is verified by every complete
+//     scan (compaction, enumeration, verify), so data corruption surfaces
+//     before it can propagate into a merged run.
+//   - crcSpatial covers the spatial leaves and is verified by verify (run
+//     before a fetched run is installed). Spatial reads in between check
+//     each leaf structurally instead: every entry must lie inside its
+//     directory MBR and point inside the records region, and the record
+//     read at an entry's offset must be live at exactly the entry's
+//     position. A leaf or entry failing that is skipped and counted as a
+//     read error.
 const (
 	runMagic      uint64 = 0x4c5352554e303031 // "LSRUN001"
-	runVersion    uint32 = 1
-	runFooterSize        = 92
+	runVersion    uint32 = 2
+	runFooterSize        = 112
+	// runTrailerSize is the footer's version + magic tail, at the same
+	// distance from the end of the file in every format version.
+	runTrailerSize = 12
 
 	// runSparseEvery is the sparse-index granularity: a point lookup reads
 	// and scans at most this many records after the bloom filter and the
 	// binary search admit the run.
 	runSparseEvery = 16
+
+	// runLeafEntries is the spatial leaf fan-out: a spatial read fetches
+	// and tests this many positions per directory MBR it cannot rule out.
+	runLeafEntries      = 64
+	runLeafEntrySize    = 24
+	runLeafDirEntrySize = 32
 
 	runFlagTombstone = 1 << 0
 	runFlagHasT      = 1 << 1
@@ -122,38 +156,57 @@ func appendRunRecord(buf []byte, rec runRecord) []byte {
 	return buf
 }
 
+// runLivePayload is the fixed payload size following a live record's key.
+const runLivePayload = 40
+
+// splitRunRecord parses the header of the record starting at buf[pos]:
+// its flags, its key (aliasing buf) and the offset just past the whole
+// record. Point lookups step over records with it without building an id.
+func splitRunRecord(buf []byte, pos int) (flags byte, key []byte, next int, err error) {
+	if pos < 0 || pos >= len(buf) {
+		return 0, nil, 0, fmt.Errorf("store: run record truncated at offset %d", pos)
+	}
+	flags = buf[pos]
+	pos++
+	n, w := binary.Uvarint(buf[pos:])
+	if w <= 0 || n > uint64(len(buf)-pos-w) {
+		return 0, nil, 0, fmt.Errorf("store: run record id truncated at offset %d", pos)
+	}
+	pos += w
+	key = buf[pos : pos+int(n)]
+	next = pos + int(n)
+	if flags&runFlagTombstone == 0 {
+		if next+runLivePayload > len(buf) {
+			return 0, nil, 0, fmt.Errorf("store: run record payload truncated at offset %d", next)
+		}
+		next += runLivePayload
+	}
+	return flags, key, next, nil
+}
+
 // decodeRunRecord decodes one record starting at buf[pos], returning the
 // record and the offset just past it.
 func decodeRunRecord(buf []byte, pos int) (runRecord, int, error) {
-	if pos >= len(buf) {
-		return runRecord{}, 0, fmt.Errorf("store: run record truncated at offset %d", pos)
+	flags, key, next, err := splitRunRecord(buf, pos)
+	if err != nil {
+		return runRecord{}, 0, err
 	}
-	flags := buf[pos]
-	pos++
-	n, w := binary.Uvarint(buf[pos:])
-	if w <= 0 || pos+w+int(n) > len(buf) {
-		return runRecord{}, 0, fmt.Errorf("store: run record id truncated at offset %d", pos)
-	}
-	pos += w
 	rec := runRecord{tombstone: flags&runFlagTombstone != 0}
-	rec.s.OID = core.OID(buf[pos : pos+int(n)])
-	pos += int(n)
+	rec.s.OID = core.OID(key)
 	if rec.tombstone {
-		return rec, pos, nil
+		return rec, next, nil
 	}
-	if pos+40 > len(buf) {
-		return runRecord{}, 0, fmt.Errorf("store: run record payload truncated at offset %d", pos)
-	}
+	payload := buf[next-runLivePayload : next]
 	if flags&runFlagHasT != 0 {
-		rec.s.T = time.Unix(0, int64(binary.LittleEndian.Uint64(buf[pos:])))
+		rec.s.T = time.Unix(0, int64(binary.LittleEndian.Uint64(payload)))
 	}
-	rec.s.Pos.X = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+8:]))
-	rec.s.Pos.Y = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+16:]))
-	rec.s.SensAcc = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+24:]))
+	rec.s.Pos.X = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:]))
+	rec.s.Pos.Y = math.Float64frombits(binary.LittleEndian.Uint64(payload[16:]))
+	rec.s.SensAcc = math.Float64frombits(binary.LittleEndian.Uint64(payload[24:]))
 	if flags&runFlagHasExp != 0 {
-		rec.expires = time.Unix(0, int64(binary.LittleEndian.Uint64(buf[pos+32:])))
+		rec.expires = time.Unix(0, int64(binary.LittleEndian.Uint64(payload[32:])))
 	}
-	return rec, pos + 40, nil
+	return rec, next, nil
 }
 
 // sparseEntry is one in-RAM sparse-index entry: the id of every
@@ -163,12 +216,20 @@ type sparseEntry struct {
 	off int64
 }
 
+// leafEntry is one spatial-leaf entry: a live record's position and the
+// offset of the record in the records region.
+type leafEntry struct {
+	pos geo.Point
+	off int64
+}
+
 // runWriter streams records (strictly ascending by id) into a run file
 // using the write-temp/fsync/rename/dir-fsync protocol: the run either
-// exists complete under its final name or not at all. Per-record state
-// kept until finish is one 8-byte hash (for the bloom filter, whose size
-// needs the final count) plus the sparse index — the same metadata a
-// reader of the finished run holds.
+// exists complete under its final name or not at all. The records region
+// is written in one pass; what the writer keeps per record until finish is
+// one 8-byte hash (for the bloom filter, whose size needs the final count),
+// the sparse index and, per live record, one 24-byte leaf entry (the
+// spatial block is sorted along a curve over the final MBR).
 type runWriter struct {
 	dir, name string
 	tmp       *os.File
@@ -178,11 +239,11 @@ type runWriter struct {
 	count, live int64
 	hashes      []uint64
 	sparse      []sparseEntry
+	entries     []leafEntry
 	last        core.OID
 	minOID      core.OID
 	maxOID      core.OID
 	mbr         geo.Rect
-	hasMBR      bool
 	bitsPerKey  int
 	scratch     []byte
 }
@@ -242,8 +303,9 @@ func (w *runWriter) add(rec runRecord) error {
 	if w.count > 0 && id <= w.last {
 		return fmt.Errorf("store: run records out of order (%q after %q)", id, w.last)
 	}
+	off := w.bufw.n
 	if w.count%runSparseEvery == 0 {
-		w.sparse = append(w.sparse, sparseEntry{oid: id, off: w.bufw.n})
+		w.sparse = append(w.sparse, sparseEntry{oid: id, off: off})
 	}
 	w.scratch = appendRunRecord(w.scratch[:0], rec)
 	if err := w.bufw.write(w.scratch); err != nil {
@@ -258,13 +320,13 @@ func (w *runWriter) add(rec runRecord) error {
 	w.last = id
 	w.count++
 	if !rec.tombstone {
-		w.live++
-		if !w.hasMBR {
+		if w.live == 0 {
 			w.mbr = geo.Rect{Min: rec.s.Pos, Max: rec.s.Pos}
-			w.hasMBR = true
 		} else {
 			w.mbr.GrowToInclude(rec.s.Pos)
 		}
+		w.live++
+		w.entries = append(w.entries, leafEntry{pos: rec.s.Pos, off: off})
 	}
 	return nil
 }
@@ -275,11 +337,77 @@ func (w *runWriter) abort() {
 	os.Remove(w.tmp.Name())
 }
 
-// finish writes the meta regions and footer, makes the file and its
-// directory entry durable, and renames it into place.
+// putRect encodes r (MinX, MinY, MaxX, MaxY as f64) into b[:32]; getRect
+// decodes it. The footer's MBR and the leaf directory share the encoding.
+func putRect(b []byte, r geo.Rect) {
+	binary.LittleEndian.PutUint64(b[0:], math.Float64bits(r.Min.X))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(r.Min.Y))
+	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(r.Max.X))
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(r.Max.Y))
+}
+
+func getRect(b []byte) geo.Rect {
+	return geo.Rect{
+		Min: geo.Pt(math.Float64frombits(binary.LittleEndian.Uint64(b[0:])), math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))),
+		Max: geo.Pt(math.Float64frombits(binary.LittleEndian.Uint64(b[16:])), math.Float64frombits(binary.LittleEndian.Uint64(b[24:]))),
+	}
+}
+
+// writeSpatial sorts the buffered leaf entries along the Hilbert curve
+// over the run's MBR, appends them to the file as the spatial leaves and
+// returns the region's checksum and the leaf directory block.
+func (w *runWriter) writeSpatial() (crcSpatial uint32, dir []byte, err error) {
+	if int64(len(w.entries)) > math.MaxUint32 {
+		return 0, nil, fmt.Errorf("store: run %s holds %d live records, beyond the spatial block's limit", w.name, len(w.entries))
+	}
+	// Sort (curve key, entry index) pairs packed into one word each, then
+	// emit the entries in that order, a leaf at a time.
+	order := make([]uint64, len(w.entries))
+	for i, e := range w.entries {
+		order[i] = uint64(geo.HilbertKey(w.mbr, e.pos))<<32 | uint64(i)
+	}
+	slices.Sort(order)
+
+	crc := crc32.NewIEEE()
+	leaf := make([]byte, 0, runLeafEntries*runLeafEntrySize)
+	for len(order) > 0 {
+		n := min(len(order), runLeafEntries)
+		first := w.entries[uint32(order[0])].pos
+		mbr := geo.Rect{Min: first, Max: first}
+		leaf = leaf[:0]
+		for _, o := range order[:n] {
+			e := w.entries[uint32(o)]
+			mbr.GrowToInclude(e.pos)
+			leaf = binary.LittleEndian.AppendUint64(leaf, math.Float64bits(e.pos.X))
+			leaf = binary.LittleEndian.AppendUint64(leaf, math.Float64bits(e.pos.Y))
+			leaf = binary.LittleEndian.AppendUint64(leaf, uint64(e.off))
+		}
+		if err := w.bufw.write(leaf); err != nil {
+			return 0, nil, fmt.Errorf("store: writing run spatial leaf: %w", err)
+		}
+		crc.Write(leaf)
+		dir = append(dir, make([]byte, runLeafDirEntrySize)...)
+		putRect(dir[len(dir)-runLeafDirEntrySize:], mbr)
+		order = order[n:]
+	}
+	return crc.Sum32(), dir, nil
+}
+
+// finish writes the spatial leaves, the meta blocks and the footer, makes
+// the file and its directory entry durable, and renames it into place.
 func (w *runWriter) finish() error {
+	fail := func(err error) error {
+		w.abort()
+		return err
+	}
 	recordsLen := w.bufw.n
 	crcData := w.crc.Sum32()
+
+	crcSpatial, dir, err := w.writeSpatial()
+	if err != nil {
+		return fail(err)
+	}
+	spatialLen := w.bufw.n - recordsLen
 
 	bloom := newBloomFilter(int(w.count), w.bitsPerKey)
 	for _, h := range w.hashes {
@@ -302,27 +430,24 @@ func (w *runWriter) finish() error {
 	crcMeta := crc32.NewIEEE()
 	crcMeta.Write(bloomBlock)
 	crcMeta.Write(idx)
+	crcMeta.Write(dir)
 
 	footer := make([]byte, runFooterSize)
 	binary.LittleEndian.PutUint64(footer[0:], uint64(recordsLen))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(w.count))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(w.live))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(len(bloomBlock)))
-	binary.LittleEndian.PutUint64(footer[32:], uint64(len(idx)))
-	binary.LittleEndian.PutUint64(footer[40:], math.Float64bits(w.mbr.Min.X))
-	binary.LittleEndian.PutUint64(footer[48:], math.Float64bits(w.mbr.Min.Y))
-	binary.LittleEndian.PutUint64(footer[56:], math.Float64bits(w.mbr.Max.X))
-	binary.LittleEndian.PutUint64(footer[64:], math.Float64bits(w.mbr.Max.Y))
-	binary.LittleEndian.PutUint32(footer[72:], crcData)
-	binary.LittleEndian.PutUint32(footer[76:], crcMeta.Sum32())
-	binary.LittleEndian.PutUint32(footer[80:], runVersion)
-	binary.LittleEndian.PutUint64(footer[84:], runMagic)
+	binary.LittleEndian.PutUint64(footer[24:], uint64(spatialLen))
+	binary.LittleEndian.PutUint64(footer[32:], uint64(len(bloomBlock)))
+	binary.LittleEndian.PutUint64(footer[40:], uint64(len(idx)))
+	binary.LittleEndian.PutUint64(footer[48:], uint64(len(dir)))
+	putRect(footer[56:], w.mbr)
+	binary.LittleEndian.PutUint32(footer[88:], crcData)
+	binary.LittleEndian.PutUint32(footer[92:], crcSpatial)
+	binary.LittleEndian.PutUint32(footer[96:], crcMeta.Sum32())
+	binary.LittleEndian.PutUint32(footer[100:], runVersion)
+	binary.LittleEndian.PutUint64(footer[104:], runMagic)
 
-	fail := func(err error) error {
-		w.abort()
-		return err
-	}
-	for _, block := range [][]byte{bloomBlock, idx, footer} {
+	for _, block := range [][]byte{bloomBlock, idx, dir, footer} {
 		if err := w.bufw.write(block); err != nil {
 			return fail(fmt.Errorf("store: writing run meta: %w", err))
 		}
@@ -349,22 +474,26 @@ func (w *runWriter) finish() error {
 }
 
 // tierRun is one opened immutable run: a read-only file handle plus the
-// in-RAM metadata (bloom filter, sparse index, key range, MBR, counts)
-// every probe is gated through. Runs are reference-counted: the manifest
-// holds one reference, enumerations that read the file outside the shard
-// lock hold one more for their duration, and the file is closed (and, for
-// compacted-away runs, deleted) when the last reference drops.
+// in-RAM metadata (bloom filter, sparse index, leaf directory, key range,
+// MBR, counts) every probe is gated through. Runs are reference-counted:
+// the manifest holds one reference, enumerations that read the file
+// outside the shard lock hold one more for their duration, and the file is
+// closed (and, for compacted-away runs, deleted) when the last reference
+// drops.
 type tierRun struct {
 	path       string
 	f          *os.File
 	size       int64
-	recordsLen int64
+	recordsLen int64 // records region [0, recordsLen)
+	spatialLen int64 // spatial leaves [recordsLen, recordsLen+spatialLen)
 	count      int64
 	live       int64
 	mbr        geo.Rect
 	crcData    uint32
+	crcSpatial uint32
 	bloom      *bloomFilter
 	sparse     []sparseEntry
+	leaves     []geo.Rect // leaf directory: MBR of spatial leaf i
 	minOID     core.OID
 	maxOID     core.OID
 
@@ -373,8 +502,8 @@ type tierRun struct {
 }
 
 // openRun opens path, reading footer and meta blocks and verifying the
-// meta checksum. The records region is not read — that is what keeps
-// tiered recovery O(metadata).
+// meta checksum. Neither the records nor the spatial leaves are read —
+// that is what keeps tiered recovery O(metadata).
 func openRun(path string) (*tierRun, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -388,18 +517,26 @@ func openRun(path string) (*tierRun, error) {
 	if err != nil {
 		return fail(fmt.Errorf("store: statting run %s: %w", path, err))
 	}
-	if st.Size() < runFooterSize {
-		return fail(fmt.Errorf("store: run %s too short (%d bytes)", path, st.Size()))
-	}
-	footer := make([]byte, runFooterSize)
-	if _, err := f.ReadAt(footer, st.Size()-runFooterSize); err != nil {
+	// One read of the file's tail; the version + magic trailer is checked
+	// before the length, because it sits at the same place in every format
+	// version — a file of another version is reported as such, not as
+	// truncated or garbage.
+	footer := make([]byte, min(st.Size(), runFooterSize))
+	if _, err := f.ReadAt(footer, st.Size()-int64(len(footer))); err != nil {
 		return fail(fmt.Errorf("store: reading run footer %s: %w", path, err))
 	}
-	if got := binary.LittleEndian.Uint64(footer[84:]); got != runMagic {
+	if len(footer) < runTrailerSize {
+		return fail(fmt.Errorf("store: run %s too short (%d bytes)", path, st.Size()))
+	}
+	trailer := footer[len(footer)-runTrailerSize:]
+	if got := binary.LittleEndian.Uint64(trailer[4:]); got != runMagic {
 		return fail(fmt.Errorf("store: run %s bad magic %#x", path, got))
 	}
-	if v := binary.LittleEndian.Uint32(footer[80:]); v != runVersion {
-		return fail(fmt.Errorf("store: run %s unsupported version %d", path, v))
+	if v := binary.LittleEndian.Uint32(trailer[0:]); v != runVersion {
+		return fail(fmt.Errorf("store: run %s has format version %d, this build reads only version %d", path, v, runVersion))
+	}
+	if len(footer) < runFooterSize {
+		return fail(fmt.Errorf("store: run %s too short (%d bytes)", path, st.Size()))
 	}
 	r := &tierRun{
 		path:       path,
@@ -408,33 +545,59 @@ func openRun(path string) (*tierRun, error) {
 		recordsLen: int64(binary.LittleEndian.Uint64(footer[0:])),
 		count:      int64(binary.LittleEndian.Uint64(footer[8:])),
 		live:       int64(binary.LittleEndian.Uint64(footer[16:])),
-		crcData:    binary.LittleEndian.Uint32(footer[72:]),
+		spatialLen: int64(binary.LittleEndian.Uint64(footer[24:])),
+		crcData:    binary.LittleEndian.Uint32(footer[88:]),
+		crcSpatial: binary.LittleEndian.Uint32(footer[92:]),
 	}
-	r.mbr.Min.X = math.Float64frombits(binary.LittleEndian.Uint64(footer[40:]))
-	r.mbr.Min.Y = math.Float64frombits(binary.LittleEndian.Uint64(footer[48:]))
-	r.mbr.Max.X = math.Float64frombits(binary.LittleEndian.Uint64(footer[56:]))
-	r.mbr.Max.Y = math.Float64frombits(binary.LittleEndian.Uint64(footer[64:]))
-	bloomLen := int64(binary.LittleEndian.Uint64(footer[24:]))
-	idxLen := int64(binary.LittleEndian.Uint64(footer[32:]))
-	if r.recordsLen < 0 || bloomLen < 0 || idxLen < 0 ||
-		r.recordsLen+bloomLen+idxLen+runFooterSize != st.Size() {
+	bloomLen := int64(binary.LittleEndian.Uint64(footer[32:]))
+	idxLen := int64(binary.LittleEndian.Uint64(footer[40:]))
+	dirLen := int64(binary.LittleEndian.Uint64(footer[48:]))
+	r.mbr = getRect(footer[56:])
+	// Each length is bounded by the file size before they are summed, so a
+	// hostile footer cannot overflow the consistency check.
+	for _, n := range [...]int64{r.recordsLen, r.spatialLen, bloomLen, idxLen, dirLen} {
+		if n < 0 || n > st.Size() {
+			return fail(fmt.Errorf("store: run %s region length %d out of range", path, n))
+		}
+	}
+	if r.recordsLen+r.spatialLen+bloomLen+idxLen+dirLen+runFooterSize != st.Size() {
 		return fail(fmt.Errorf("store: run %s region lengths inconsistent with size %d", path, st.Size()))
 	}
-	meta := make([]byte, bloomLen+idxLen)
-	if _, err := f.ReadAt(meta, r.recordsLen); err != nil {
+	if r.live < 0 || r.live > r.count || r.spatialLen/runLeafEntrySize != r.live || r.spatialLen%runLeafEntrySize != 0 {
+		return fail(fmt.Errorf("store: run %s spatial block of %d bytes does not hold its %d live records", path, r.spatialLen, r.live))
+	}
+	meta := make([]byte, bloomLen+idxLen+dirLen)
+	if _, err := f.ReadAt(meta, r.recordsLen+r.spatialLen); err != nil {
 		return fail(fmt.Errorf("store: reading run meta %s: %w", path, err))
 	}
-	if got := crc32.ChecksumIEEE(meta); got != binary.LittleEndian.Uint32(footer[76:]) {
+	if got := crc32.ChecksumIEEE(meta); got != binary.LittleEndian.Uint32(footer[96:]) {
 		return fail(fmt.Errorf("store: run %s meta checksum mismatch", path))
 	}
 	if r.bloom, err = unmarshalBloom(meta[:bloomLen]); err != nil {
 		return fail(fmt.Errorf("store: run %s: %w", path, err))
 	}
-	if err := r.parseIndex(meta[bloomLen:]); err != nil {
+	if err := r.parseIndex(meta[bloomLen : bloomLen+idxLen]); err != nil {
 		return fail(fmt.Errorf("store: run %s index: %w", path, err))
+	}
+	if r.leaves, err = parseLeafDir(meta[bloomLen+idxLen:], r.live); err != nil {
+		return fail(fmt.Errorf("store: run %s: %w", path, err))
 	}
 	r.refs.Store(1)
 	return r, nil
+}
+
+// parseLeafDir decodes the leaf directory block of a run holding live
+// indexed records: one MBR per spatial leaf.
+func parseLeafDir(b []byte, live int64) ([]geo.Rect, error) {
+	want := (live + runLeafEntries - 1) / runLeafEntries
+	if int64(len(b)) != want*runLeafDirEntrySize {
+		return nil, fmt.Errorf("leaf directory of %d bytes does not describe the %d leaves of %d live records", len(b), want, live)
+	}
+	leaves := make([]geo.Rect, want)
+	for i := range leaves {
+		leaves[i] = getRect(b[i*runLeafDirEntrySize:])
+	}
+	return leaves, nil
 }
 
 // parseIndex decodes the index block into the key range and sparse index.
@@ -511,14 +674,27 @@ func (r *tierRun) retire(remove bool) {
 	r.release()
 }
 
-// metaBytes estimates the run's resident metadata footprint.
+// metaBytes estimates the run's resident metadata footprint: bloom
+// filter, sparse index and leaf directory.
 func (r *tierRun) metaBytes() int64 {
-	n := int64(len(r.bloom.bits)) + 128
+	n := int64(len(r.bloom.bits)) + 128 + int64(len(r.leaves))*runLeafDirEntrySize
 	for _, e := range r.sparse {
 		n += int64(len(e.oid)) + 24
 	}
 	return n
 }
+
+// runScratch holds the read buffers of one run probe, pooled so that
+// point lookups and spatial reads allocate only for the records they
+// return.
+type runScratch struct {
+	block   []byte // sparse-index block of a point lookup, grown on demand
+	leaf    [runLeafEntries * runLeafEntrySize]byte
+	entries [runLeafEntries]leafEntry // leaf, decoded
+	rec     [256]byte                 // first read of a record addressed by offset
+}
+
+var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
 // get point-looks id up in the run: binary search over the sparse index,
 // then a bounded scan of at most runSparseEvery records. The caller has
@@ -537,24 +713,122 @@ func (r *tierRun) get(id core.OID) (runRecord, bool, error) {
 	if i < len(r.sparse) {
 		end = r.sparse[i].off
 	}
-	block := make([]byte, end-start)
+	if start < 0 || end > r.recordsLen || start > end {
+		return runRecord{}, false, fmt.Errorf("store: run %s sparse index block [%d, %d) outside the records region", r.path, start, end)
+	}
+	sc := runScratchPool.Get().(*runScratch)
+	defer runScratchPool.Put(sc)
+	if int64(cap(sc.block)) < end-start {
+		sc.block = make([]byte, end-start)
+	}
+	block := sc.block[:end-start]
 	if _, err := r.f.ReadAt(block, start); err != nil {
 		return runRecord{}, false, fmt.Errorf("store: reading run block %s: %w", r.path, err)
 	}
+	// Keys are compared in place; only the record returned is decoded.
 	for pos := 0; pos < len(block); {
-		rec, next, err := decodeRunRecord(block, pos)
+		_, key, next, err := splitRunRecord(block, pos)
 		if err != nil {
 			return runRecord{}, false, fmt.Errorf("store: run %s: %w", r.path, err)
 		}
-		if rec.s.OID == id {
-			return rec, true, nil
+		if string(key) == string(id) {
+			rec, _, err := decodeRunRecord(block, pos)
+			return rec, err == nil, err
 		}
-		if rec.s.OID > id {
+		if string(key) > string(id) {
 			return runRecord{}, false, nil
 		}
 		pos = next
 	}
 	return runRecord{}, false, nil
+}
+
+// readLeaf reads spatial leaf i and returns its entries (in sc, valid
+// until sc's next use). Every entry must lie inside the leaf's directory
+// MBR and address the records region; a leaf failing that is corrupt as a
+// whole.
+func (r *tierRun) readLeaf(i int, sc *runScratch) ([]leafEntry, error) {
+	n := min(r.live-int64(i)*runLeafEntries, runLeafEntries)
+	buf := sc.leaf[:n*runLeafEntrySize]
+	if _, err := r.f.ReadAt(buf, r.recordsLen+int64(i)*int64(len(sc.leaf))); err != nil {
+		return nil, fmt.Errorf("store: reading run %s spatial leaf %d: %w", r.path, i, err)
+	}
+	entries, err := decodeLeaf(sc.entries[:0], buf, r.leaves[i], r.recordsLen)
+	if err != nil {
+		return nil, fmt.Errorf("store: run %s spatial leaf %d: %w", r.path, i, err)
+	}
+	return entries, nil
+}
+
+// decodeLeaf appends the entries of one spatial leaf to dst, validating
+// each against the leaf's directory MBR and the length of the records
+// region.
+func decodeLeaf(dst []leafEntry, buf []byte, mbr geo.Rect, recordsLen int64) ([]leafEntry, error) {
+	if len(buf)%runLeafEntrySize != 0 {
+		return nil, fmt.Errorf("torn entry (%d bytes)", len(buf))
+	}
+	for ; len(buf) > 0; buf = buf[runLeafEntrySize:] {
+		e := leafEntry{
+			pos: geo.Pt(math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])), math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))),
+			off: int64(binary.LittleEndian.Uint64(buf[16:])),
+		}
+		if !mbr.ContainsClosed(e.pos) {
+			return nil, fmt.Errorf("entry %d at %v outside the leaf's bounds %v", len(dst), e.pos, mbr)
+		}
+		if e.off < 0 || e.off >= recordsLen {
+			return nil, fmt.Errorf("entry %d offset %d outside the records region", len(dst), e.off)
+		}
+		dst = append(dst, e)
+	}
+	return dst, nil
+}
+
+// recordAt reads the record a (validated) leaf entry addresses. The record
+// must be live at exactly the entry's position — anything else means the
+// entry or the record is corrupt.
+func (r *tierRun) recordAt(e leafEntry, sc *runScratch) (runRecord, error) {
+	buf := sc.rec[:]
+	if rest := r.recordsLen - e.off; rest < int64(len(buf)) {
+		buf = buf[:rest]
+	}
+	if _, err := r.f.ReadAt(buf, e.off); err != nil {
+		return runRecord{}, fmt.Errorf("store: reading run %s record at %d: %w", r.path, e.off, err)
+	}
+	rec, _, err := decodeRunRecord(buf, 0)
+	if err != nil && int64(len(buf)) < r.recordsLen-e.off {
+		// An id too long for the first read: retry with everything the
+		// header can describe (a uvarint length and a 64 KiB id at most —
+		// ids arrive in datagrams).
+		long := make([]byte, min(r.recordsLen-e.off, 1+binary.MaxVarintLen64+1<<16+runLivePayload))
+		if _, err := r.f.ReadAt(long, e.off); err != nil {
+			return runRecord{}, fmt.Errorf("store: reading run %s record at %d: %w", r.path, e.off, err)
+		}
+		rec, _, err = decodeRunRecord(long, 0)
+	}
+	if err != nil {
+		return runRecord{}, fmt.Errorf("store: run %s record at %d: %w", r.path, e.off, err)
+	}
+	if rec.tombstone || rec.s.Pos != e.pos {
+		return runRecord{}, fmt.Errorf("store: run %s spatial entry at %v addresses a different record (offset %d)", r.path, e.pos, e.off)
+	}
+	return rec, nil
+}
+
+// verify reads the whole file once and checks both region checksums: a
+// complete scan of the records against crcData, then the spatial leaves
+// against crcSpatial. Run on a fetched file before it is installed.
+func (r *tierRun) verify() error {
+	if err := r.scan(func(runRecord) bool { return true }); err != nil {
+		return err
+	}
+	crc := crc32.NewIEEE()
+	if _, err := io.Copy(crc, io.NewSectionReader(r.f, r.recordsLen, r.spatialLen)); err != nil {
+		return fmt.Errorf("store: reading run %s spatial leaves: %w", r.path, err)
+	}
+	if crc.Sum32() != r.crcSpatial {
+		return fmt.Errorf("store: run %s spatial checksum mismatch", r.path)
+	}
+	return nil
 }
 
 // runIterator streams a run's records in id order, verifying the data
@@ -568,6 +842,9 @@ type runIterator struct {
 	delivered int64
 	err       error
 }
+
+// runIterChunk is the read size of a streaming pass.
+const runIterChunk = 256 << 10
 
 // iter opens a streaming pass over the records region.
 func (r *tierRun) iter() *runIterator {
@@ -600,18 +877,28 @@ func (it *runIterator) next() (runRecord, bool) {
 		}
 		it.pos += int64(it.off)
 		tail := len(it.buf) - it.off
-		chunk := int64(256 * 1024)
+		chunk := int64(runIterChunk)
 		if chunk > remainingFile {
 			chunk = remainingFile
 		}
-		nbuf := make([]byte, tail+int(chunk))
-		copy(nbuf, it.buf[it.off:])
-		if _, err := it.run.f.ReadAt(nbuf[tail:], it.pos+int64(tail)); err != nil {
+		// One buffer per iterator: slide the undecoded tail to the front
+		// and refill behind it (delivered records hold no reference into
+		// the buffer — their ids were copied out). The first fill has no
+		// tail, so it leaves room for the later ones' partial record.
+		need := tail + int(chunk)
+		if cap(it.buf) < need {
+			nbuf := make([]byte, need, need+4<<10)
+			copy(nbuf, it.buf[it.off:])
+			it.buf = nbuf
+		} else {
+			copy(it.buf[:tail], it.buf[it.off:])
+			it.buf = it.buf[:need]
+		}
+		if _, err := it.run.f.ReadAt(it.buf[tail:], it.pos+int64(tail)); err != nil {
 			it.err = fmt.Errorf("store: reading run %s: %w", it.run.path, err)
 			return runRecord{}, false
 		}
-		it.crc.Write(nbuf[tail:])
-		it.buf = nbuf
+		it.crc.Write(it.buf[tail:])
 		it.off = 0
 	}
 }

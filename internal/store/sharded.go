@@ -901,22 +901,8 @@ func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, v
 			}
 		}
 		if !stopped && sh.tier != nil {
-			// Disk-resident candidates: scan only the runs whose MBR
-			// intersects the query, re-validating each candidate against
-			// the memtable and the newer runs (a pruned newer run may
-			// hide the object's move out of the rectangle).
-			sh.tierScanPruned(db.tier,
-				func(run *tierRun) bool { return run.mbr.IntersectsClosed(r) },
-				func(rec runRecord) bool {
-					if !r.ContainsClosed(rec.s.Pos) {
-						return true
-					}
-					if !visit(rec.s) {
-						stopped = true
-						return false
-					}
-					return true
-				})
+			// Disk-resident records, through the runs' spatial leaves.
+			stopped = !sh.tierSearch(db.tier, r, visit)
 		}
 		sh.mu.RUnlock()
 		if stopped {

@@ -31,22 +31,33 @@
 // memtable of a small per-shard LSM tree, letting a leaf hold sighting
 // populations larger than RAM and recover without replaying history.
 //
-// Run file format (run-SSSS-NNNNNNNN.run, immutable once renamed into
-// place):
+// Run file format, version 2 (run-SSSS-NNNNNNNN.run, immutable once
+// renamed into place; byte-level layout at the top of run.go):
 //
-//	[records][bloom block][index block][92-byte footer]
+//	[records][spatial leaves][bloom block][index block][leaf directory][112-byte footer]
 //
 // Records sort strictly ascending by object id; each is a flags byte
 // (bit0 tombstone, bit1 T valid, bit2 expires valid), a uvarint-prefixed
 // id, and — for live records — a fixed 40-byte payload (T, X, Y, SensAcc,
-// expires). The bloom block is a double-hashed FNV-1a filter over every
-// record id (BloomBitsPerKey bits per key, default 10, ≈1% false
+// expires). The spatial leaves index the live records by position: one
+// 24-byte entry (X, Y, record offset) each, sorted along a Hilbert curve
+// over the run's MBR and cut into leaves of 64; the leaf directory holds
+// one MBR per leaf. The bloom block is a double-hashed FNV-1a filter over
+// every record id (BloomBitsPerKey bits per key, default 10, ≈1% false
 // positives). The index block holds the key range plus a sparse index
-// (one entry per 16 records) — the only per-record state a reader keeps
-// resident. The footer pins region lengths, record/live counts, the
-// spatial MBR of the live records, a CRC over the records region
-// (verified by every complete scan) and a CRC over bloom+index (verified
-// at open, keeping recovery O(metadata)).
+// (one entry per 16 records).
+//
+// Resident per run are the bloom filter, the sparse index and the leaf
+// directory (≈0.5 B per live record); records and spatial leaves are
+// read from disk on demand. The footer pins the region lengths, the
+// record/live counts, the MBR of the live records and one CRC per kind
+// of region: bloom + index + directory (verified at open, which reads
+// only those — recovery stays O(metadata)), records (verified by every
+// complete scan: compaction, enumeration, fetched-run verification) and
+// spatial leaves (verified when a fetched run is checked before install;
+// ordinary spatial reads validate each leaf structurally instead — see
+// the read path). A file of another format version is refused at open
+// with the version named; there is no fallback reader.
 //
 // Manifest format (shard-SSSS.manifest, JSON): the shard's run list,
 // newest first, plus the next run sequence number. The manifest rename is
@@ -66,11 +77,25 @@
 //
 // Read path: Get consults memtable, then tombstones, then runs newest to
 // oldest — each run gated by its key range and bloom filter, then one
-// sparse-index probe reading at most 16 records. Range queries scan only
-// runs whose MBR intersects the rectangle, re-validating candidates
-// against the memtable and newer runs; nearest-neighbor queries merge a
-// distance-sorted stream over each shard's runs behind the quadtree
-// cursors, gated by run-MBR distance.
+// sparse-index probe reading at most 16 records. Both spatial query kinds
+// read runs through the leaf directories: a range query takes the runs
+// whose MBR intersects the rectangle, reads only the leaves whose
+// directory MBR intersects it and tests the positions there; a
+// nearest-neighbor query runs a best-first cursor over the leaves ordered
+// by directory-MBR distance (merged behind the quadtree cursors and gated
+// by run-MBR distance, so a shard whose runs lie beyond the consumer's
+// stopping distance is never read). The shadow-check rule for these
+// pruned reads: a leaf entry is only a candidate — the query did not read
+// the places a newer version of the object could be — so for every entry
+// that passes the position test (and only those) the record is read at
+// its offset and its id checked against the memtable, the tombstone set
+// and, bloom-gated, every newer run; a hit in any of them drops the
+// candidate. A leaf whose entries leave its directory MBR or the records
+// region, and an entry whose record is not live at the entry's position,
+// are skipped and counted (TierStats.ReadErrors, gauge
+// sighting_tier_read_errors) — as are failed reads, decode errors and
+// checksum mismatches anywhere on the read path — so a damaged run shows
+// up instead of silently shrinking answers.
 //
 // Compaction triggers: a shard exceeding MaxRuns runs (default 4) has its
 // whole run set k-way merged into one run off-lock — newest version per
