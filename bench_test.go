@@ -21,7 +21,7 @@
 //	BenchmarkTable2RangeQueryRemote/2 — "remote range query (2 servers)"
 //	BenchmarkTable2RangeQueryRemote/4 — "remote range query (4 servers)"
 //
-// Ablations (DESIGN.md experiments index): BenchmarkIndexAblation (A1) and
+// Ablations (indexed in cmd/lsbench's command comment): BenchmarkIndexAblation (A1) and
 // BenchmarkCacheAblation (A2). Absolute numbers differ from the paper's
 // 2001 hardware; the shape — updates cheaper than range queries, position
 // queries cheapest, local ≪ remote, larger areas slower — is what the

@@ -1,5 +1,6 @@
 // Command lsbench regenerates the paper's evaluation tables and the
-// ablation studies listed in DESIGN.md.
+// ablation studies listed below; each table's own comment in this package
+// says what it measures and where its recorded run lives.
 //
 // Usage:
 //
@@ -17,6 +18,7 @@
 //	lsbench -table E      # event pipeline: indexed delta evaluation vs evaluate-all
 //	lsbench -table L      # tiered (LSM) sighting storage: bigger-than-RAM leaves, tail-only recovery
 //	lsbench -table F      # hot-standby replication: steady-state overhead, failover-to-first-query latency
+//	lsbench -table Q      # leaf range/NN qualification: time per candidate, allocations, exact-path share
 //	lsbench -table all    # everything
 //	lsbench -quick        # smaller populations, faster runs
 //
@@ -54,7 +56,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to run: 1, 2, A1 … A8, W or all")
+	table := flag.String("table", "all", "which table to run: 1, 2, A1 … A8, W, B, R, E, L, F, Q or all")
 	quick := flag.Bool("quick", false, "reduced populations for a fast smoke run")
 	flag.Parse()
 
@@ -79,9 +81,10 @@ func main() {
 	run("E", tableEvents)
 	run("L", tableLSM)
 	run("F", tableRepl)
+	run("Q", tableRangeQualify)
 
 	switch *table {
-	case "1", "2", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "W", "B", "R", "E", "L", "F", "all":
+	case "1", "2", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "W", "B", "R", "E", "L", "F", "Q", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(1)

@@ -109,36 +109,42 @@ type NearestResult struct {
 // Ties on distance are broken by object id so the result is deterministic
 // across servers and runs.
 func SelectNearest(candidates []Entry, p geo.Point, reqAcc, nearQual float64) NearestResult {
-	qual := make([]Entry, 0, len(candidates))
+	// Each qualifying candidate's distance is computed once and carried
+	// beside it through the sort.
+	type ranked struct {
+		e Entry
+		d float64
+	}
+	qual := make([]ranked, 0, len(candidates))
 	for _, e := range candidates {
 		if e.LD.Acc <= reqAcc {
-			qual = append(qual, e)
+			qual = append(qual, ranked{e, e.LD.Pos.Dist(p)})
 		}
 	}
 	if len(qual) == 0 {
 		return NearestResult{}
 	}
 	sort.Slice(qual, func(i, j int) bool {
-		di, dj := qual[i].LD.Pos.Dist2(p), qual[j].LD.Pos.Dist2(p)
-		if di != dj {
-			return di < dj
+		if qual[i].d != qual[j].d {
+			return qual[i].d < qual[j].d
 		}
-		return qual[i].OID < qual[j].OID
+		return qual[i].e.OID < qual[j].e.OID
 	})
-	nearest := qual[0]
-	dist := nearest.LD.Pos.Dist(p)
+	dist := qual[0].d
 	res := NearestResult{
-		Nearest: nearest,
+		Nearest: qual[0].e,
 		Found:   true,
 	}
 	if g := dist - reqAcc; g > 0 {
 		res.GuaranteedMinDist = g
 	}
 	limit := dist + nearQual
-	for _, e := range qual[1:] {
-		if e.LD.Pos.Dist(p) <= limit {
-			res.Near = append(res.Near, e)
+	// Sorted by distance, so nearObjSet is a prefix of the rest.
+	for _, r := range qual[1:] {
+		if r.d > limit {
+			break
 		}
+		res.Near = append(res.Near, r.e)
 	}
 	return res
 }

@@ -1,0 +1,249 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"locsvc/internal/geo"
+)
+
+// overlapTol is how far the prepared predicate's overlap degree may sit
+// from Area.Overlap's: the two differ only by the exact arithmetic's own
+// rounding.
+const overlapTol = 1e-9
+
+func reversed(pg geo.Polygon) geo.Polygon {
+	out := make(geo.Polygon, len(pg))
+	for i, p := range pg {
+		out[len(pg)-1-i] = p
+	}
+	return out
+}
+
+// randomConvexAreas returns convex query areas of every shape the predicate
+// classifies against: rectangles, hulls of random point clouds, slivers (a
+// thin rotated band), each in both orientations.
+func randomConvexAreas(rng *rand.Rand, n int) []Area {
+	var out []Area
+	add := func(pg geo.Polygon) {
+		if a := (Area{Vertices: pg}); a.Valid() && a.Size() > 1e-3 {
+			out = append(out, a, Area{Vertices: reversed(pg)})
+		}
+	}
+	for i := 0; i < n; i++ {
+		cx, cy := rng.Float64()*2000-1000, rng.Float64()*2000-1000
+		switch i % 3 {
+		case 0:
+			add(geo.R(cx, cy, cx+1+rng.Float64()*400, cy+1+rng.Float64()*400).Poly())
+		case 1:
+			pts := make([]geo.Point, 3+rng.Intn(12))
+			spread := 5 + rng.Float64()*300
+			for k := range pts {
+				pts[k] = geo.Pt(cx+rng.NormFloat64()*spread, cy+rng.NormFloat64()*spread)
+			}
+			add(geo.ConvexHull(pts))
+		case 2:
+			// Sliver: long along a random direction, 1 cm to 1 m wide.
+			ang := rng.Float64() * math.Pi
+			ux, uy := math.Cos(ang), math.Sin(ang)
+			length, width := 50+rng.Float64()*500, 0.01+rng.Float64()
+			pts := make([]geo.Point, 4+rng.Intn(6))
+			for k := range pts {
+				along, across := rng.Float64()*length, rng.Float64()*width
+				pts[k] = geo.Pt(cx+ux*along-uy*across, cy+uy*along+ux*across)
+			}
+			add(geo.ConvexHull(pts))
+		}
+	}
+	return out
+}
+
+// checkAgainstExact compares the prepared predicate with the unprepared
+// path for one (area, descriptor) pair at several thresholds.
+func checkAgainstExact(t *testing.T, a Area, ld LocationDescriptor) {
+	t.Helper()
+	var pred RangePredicate
+	pred.Prepare(a, math.Inf(1), 0.5)
+	want := a.Overlap(ld)
+	got := pred.Overlap(ld)
+	if math.Abs(got-want) > overlapTol {
+		t.Fatalf("overlap %v, exact %v (diff %g)\narea %v\nld %+v", got, want, got-want, a.Vertices, ld)
+	}
+	if ld.Acc > 0 {
+		// The classification alone must agree with the exact ratio.
+		switch class, _ := pred.classify(ld.Pos, ld.Acc, 0); class {
+		case circleInside:
+			if want < 1-overlapTol {
+				t.Fatalf("classified inside, exact overlap %v\narea %v\nld %+v", want, a.Vertices, ld)
+			}
+		case circleOutside:
+			if want > overlapTol {
+				t.Fatalf("classified outside, exact overlap %v\narea %v\nld %+v", want, a.Vertices, ld)
+			}
+		}
+	}
+	for _, reqOverlap := range []float64{1e-9, 0.1, 0.5, 0.9, 1} {
+		if math.Abs(want-reqOverlap) <= overlapTol {
+			continue // too close to call: either decision is right
+		}
+		for _, reqAcc := range []float64{ld.Acc / 2, ld.Acc, ld.Acc + 1} {
+			pred.Prepare(a, reqAcc, reqOverlap)
+			ok, _ := pred.Qualifies(ld)
+			if exp := a.RangeQualifies(ld, reqAcc, reqOverlap); ok != exp {
+				t.Fatalf("Qualifies = %v, RangeQualifies = %v at reqAcc %v reqOverlap %v (exact overlap %v)\narea %v\nld %+v",
+					ok, exp, reqAcc, reqOverlap, want, a.Vertices, ld)
+			}
+		}
+	}
+}
+
+func TestRangePredicateMatchesExactOverlap(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, a := range randomConvexAreas(rng, 150) {
+		b := a.Bounds()
+		span := math.Max(b.Width(), b.Height())
+		for i := 0; i < 120; i++ {
+			// Centres in and around the area, radii from a fraction of
+			// a sliver's width to several times the area.
+			ld := LocationDescriptor{
+				Pos: geo.Pt(b.Min.X-span/2+rng.Float64()*(b.Width()+span), b.Min.Y-span/2+rng.Float64()*(b.Height()+span)),
+				Acc: math.Exp(rng.Float64()*math.Log(3*span+1)) - 1 + 1e-3,
+			}
+			if i%10 == 0 {
+				ld.Acc = 0
+			}
+			checkAgainstExact(t, a, ld)
+		}
+	}
+}
+
+func TestRangePredicateDirectedCases(t *testing.T) {
+	sq := geo.R(0, 0, 100, 100).Poly()
+	tri := geo.Polygon{geo.Pt(0, 0), geo.Pt(200, 0), geo.Pt(0, 100)}
+	cases := []struct {
+		name string
+		pg   geo.Polygon
+		ld   LocationDescriptor
+	}{
+		{"tangent from inside", sq, LocationDescriptor{Pos: geo.Pt(10, 50), Acc: 10}},
+		{"tangent from outside", sq, LocationDescriptor{Pos: geo.Pt(-10, 50), Acc: 10}},
+		{"tangent to two edges inside", sq, LocationDescriptor{Pos: geo.Pt(10, 10), Acc: 10}},
+		{"tangent to the hypotenuse", tri, LocationDescriptor{Pos: geo.Pt(40, 30), Acc: math.Abs(100*40+200*30-20000) / math.Hypot(100, 200)}},
+		{"centre on an edge", sq, LocationDescriptor{Pos: geo.Pt(0, 50), Acc: 10}},
+		{"centre on the hypotenuse", tri, LocationDescriptor{Pos: geo.Pt(100, 50), Acc: 7}},
+		{"centre on a vertex", sq, LocationDescriptor{Pos: geo.Pt(100, 100), Acc: 10}},
+		{"centre on an acute vertex", tri, LocationDescriptor{Pos: geo.Pt(200, 0), Acc: 25}},
+		{"point inside", sq, LocationDescriptor{Pos: geo.Pt(50, 50)}},
+		{"point on an edge", sq, LocationDescriptor{Pos: geo.Pt(0, 50)}},
+		{"point on the hypotenuse", tri, LocationDescriptor{Pos: geo.Pt(100, 50)}},
+		{"point on a vertex", sq, LocationDescriptor{Pos: geo.Pt(100, 0)}},
+		{"point just outside", sq, LocationDescriptor{Pos: geo.Pt(-1e-3, 50)}},
+		{"point far outside", sq, LocationDescriptor{Pos: geo.Pt(500, 500)}},
+		{"circle containing the polygon", sq, LocationDescriptor{Pos: geo.Pt(50, 50), Acc: 500}},
+		{"circle containing the polygon, off centre", tri, LocationDescriptor{Pos: geo.Pt(-50, -50), Acc: 400}},
+		{"circle through the polygon", sq, LocationDescriptor{Pos: geo.Pt(50, -200), Acc: 260}},
+		{"fully inside", sq, LocationDescriptor{Pos: geo.Pt(50, 50), Acc: 10}},
+		{"fully outside", sq, LocationDescriptor{Pos: geo.Pt(200, 200), Acc: 10}},
+		{"outside past a vertex", sq, LocationDescriptor{Pos: geo.Pt(-8, -8), Acc: 10}},
+	}
+	for _, tc := range cases {
+		for _, pg := range []geo.Polygon{tc.pg, reversed(tc.pg)} {
+			pg, tc := pg, tc
+			t.Run(tc.name, func(t *testing.T) { checkAgainstExact(t, Area{Vertices: pg}, tc.ld) })
+		}
+	}
+}
+
+// TestRangePredicateContainedCircleQualifiesAtFullOverlap pins the one
+// deliberate difference from the exact arithmetic: a wholly contained
+// circle has overlap exactly 1, where circle∩polygon / circle can round to
+// 0.999….
+func TestRangePredicateContainedCircleQualifiesAtFullOverlap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var pred RangePredicate
+	for _, a := range randomConvexAreas(rng, 60) {
+		pred.Prepare(a, 1000, 1)
+		c := a.Vertices.Centroid()
+		// The largest circle around the centroid that stays inside.
+		r := math.Inf(1)
+		for i := range pred.edges {
+			e := &pred.edges[i]
+			r = math.Min(r, (c.X-e.a.X)*e.nx+(c.Y-e.a.Y)*e.ny)
+		}
+		for _, ld := range []LocationDescriptor{{Pos: c, Acc: r}, {Pos: c, Acc: r / 3}} {
+			if ov := pred.Overlap(ld); ov != 1 {
+				t.Fatalf("contained circle overlap = %v, want exactly 1\narea %v\nld %+v", ov, a.Vertices, ld)
+			}
+			if ok, exact := pred.Qualifies(ld); !ok || exact {
+				t.Fatalf("contained circle: Qualifies = %v (exact %v), want true without exact arithmetic", ok, exact)
+			}
+		}
+	}
+}
+
+// TestRangePredicateUnclassifiableAreas: areas the half-plane test cannot
+// handle fall back to the exact arithmetic for every circle.
+func TestRangePredicateUnclassifiableAreas(t *testing.T) {
+	lShape := geo.Polygon{geo.Pt(0, 0), geo.Pt(100, 0), geo.Pt(100, 40), geo.Pt(40, 40), geo.Pt(40, 100), geo.Pt(0, 100)}
+	rng := rand.New(rand.NewSource(9))
+	for _, pg := range []geo.Polygon{lShape, reversed(lShape), nil, {geo.Pt(0, 0), geo.Pt(10, 10)}, {geo.Pt(0, 0), geo.Pt(5, 5), geo.Pt(10, 10)}} {
+		a := Area{Vertices: pg}
+		var pred RangePredicate
+		pred.Prepare(a, 100, 0.5)
+		if len(pred.edges) != 0 {
+			t.Fatalf("area %v got half-planes", pg)
+		}
+		for i := 0; i < 200; i++ {
+			ld := LocationDescriptor{Pos: geo.Pt(rng.Float64()*140-20, rng.Float64()*140-20), Acc: rng.Float64() * 50}
+			if got, want := pred.Overlap(ld), a.Overlap(ld); got != want {
+				t.Fatalf("overlap %v, want %v for %+v in %v", got, want, ld, pg)
+			}
+			ok, _ := pred.Qualifies(ld)
+			if want := a.RangeQualifies(ld, 100, 0.5); ok != want {
+				t.Fatalf("Qualifies %v, want %v for %+v in %v", ok, want, ld, pg)
+			}
+		}
+	}
+}
+
+func TestRangePredicateZeroValueAndBadThresholds(t *testing.T) {
+	ld := LocationDescriptor{Pos: geo.Pt(5, 5), Acc: 1}
+	var zero RangePredicate
+	if ok, _ := zero.Qualifies(ld); ok {
+		t.Error("zero predicate qualified a descriptor")
+	}
+	a := AreaFromRect(geo.R(0, 0, 10, 10))
+	var pred RangePredicate
+	for _, reqOverlap := range []float64{0, -1, 1.5} {
+		pred.Prepare(a, 10, reqOverlap)
+		if ok, _ := pred.Qualifies(ld); ok {
+			t.Errorf("reqOverlap %v qualified", reqOverlap)
+		}
+	}
+	pred.Prepare(a, 0.5, 0.5)
+	if ok, _ := pred.Qualifies(ld); ok {
+		t.Error("descriptor less accurate than reqAcc qualified")
+	}
+}
+
+func TestSelectNearestNearSetIsDistanceOrderedPrefix(t *testing.T) {
+	p := geo.Pt(0, 0)
+	cands := []Entry{
+		{OID: "far", LD: LocationDescriptor{Pos: geo.Pt(100, 0), Acc: 1}},
+		{OID: "b", LD: LocationDescriptor{Pos: geo.Pt(0, 10), Acc: 1}},
+		{OID: "coarse", LD: LocationDescriptor{Pos: geo.Pt(1, 0), Acc: 99}},
+		{OID: "a", LD: LocationDescriptor{Pos: geo.Pt(10, 0), Acc: 1}},
+		{OID: "near", LD: LocationDescriptor{Pos: geo.Pt(25, 0), Acc: 1}},
+	}
+	res := SelectNearest(cands, p, 5, 15)
+	if !res.Found || res.Nearest.OID != "a" {
+		t.Fatalf("nearest = %+v, want a (tie with b broken by id)", res.Nearest)
+	}
+	if len(res.Near) != 2 || res.Near[0].OID != "b" || res.Near[1].OID != "near" {
+		t.Fatalf("near = %+v, want [b near]", res.Near)
+	}
+	if res.GuaranteedMinDist != 5 {
+		t.Fatalf("guaranteed min dist = %v, want 5", res.GuaranteedMinDist)
+	}
+}

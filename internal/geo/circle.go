@@ -146,13 +146,9 @@ func (c Circle) IntersectRectArea(r Rect) float64 {
 
 // coversRect reports whether the disk fully contains rectangle r.
 func (c Circle) coversRect(r Rect) bool {
-	for _, p := range []Point{
-		{r.Min.X, r.Min.Y}, {r.Max.X, r.Min.Y},
-		{r.Max.X, r.Max.Y}, {r.Min.X, r.Max.Y},
-	} {
-		if !c.Contains(p) {
-			return false
-		}
-	}
-	return true
+	// The corner farthest from the centre decides, and it is the one
+	// farthest along each axis.
+	dx := math.Max(math.Abs(r.Min.X-c.C.X), math.Abs(r.Max.X-c.C.X))
+	dy := math.Max(math.Abs(r.Min.Y-c.C.Y), math.Abs(r.Max.Y-c.C.Y))
+	return dx*dx+dy*dy <= c.R*c.R+1e-12
 }

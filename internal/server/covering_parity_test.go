@@ -1,0 +1,508 @@
+package server_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"locsvc/internal/client"
+	"locsvc/internal/core"
+	"locsvc/internal/geo"
+	"locsvc/internal/hierarchy"
+	"locsvc/internal/msg"
+	"locsvc/internal/server"
+	"locsvc/internal/store"
+	"locsvc/internal/transport"
+)
+
+// The covering-index parity tests drive a two-leaf hierarchy through a
+// scripted random mix of every operation that installs, moves, re-annotates
+// or removes a sighting, and after each stretch compare range and
+// nearest-neighbor answers — at each leaf and through a client — with a
+// brute-force join of the leaves' sightingDBs and visitorDBs under the
+// unprepared predicate (core.Area.RangeQualifies, core.SelectNearest). They
+// also walk every index entry for the covering invariant: an entry that
+// carries an accuracy carries its visitor record's current OfferedAcc.
+
+// parityWorld is one deployment under test plus the script's own view of
+// which objects exist.
+type parityWorld struct {
+	t       *testing.T
+	rng     *rand.Rand
+	net     *transport.Inproc
+	dep     *hierarchy.Deployment
+	area    geo.Rect
+	owner   *client.Client
+	querier *client.Client
+	objs    map[core.OID]*client.TrackedObject
+	order   []core.OID
+	nextID  int
+	// extra are servers outside the tree (a standby) that get the
+	// leaf-level checks too.
+	extra []*server.Server
+}
+
+// leafOptions builds one leaf's options; the parity scenarios differ only
+// here.
+type leafOptions func(id string, base server.Options) server.Options
+
+func newParityWorld(t *testing.T, seed int64, base server.Options, leaf leafOptions) *parityWorld {
+	t.Helper()
+	spec := hierarchy.Spec{
+		RootArea: geo.R(0, 0, 1000, 500),
+		Levels:   []hierarchy.Level{{Rows: 1, Cols: 2}},
+	}
+	net := NewTestNet()
+	dep, err := hierarchy.DeployWith(net, spec, base, func(cfg store.ConfigRecord, o server.Options) (server.Options, error) {
+		if cfg.IsLeaf() {
+			return leaf(cfg.ID, o), nil
+		}
+		return o, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		dep.Close()
+		net.Close()
+	})
+	w := &parityWorld{
+		t: t, rng: rand.New(rand.NewSource(seed)), net: net, dep: dep, area: spec.RootArea,
+		objs: map[core.OID]*client.TrackedObject{},
+	}
+	ls := &testLS{net: net, dep: dep}
+	w.owner = ls.newClientAt(t, "owner", geo.Pt(10, 10), client.Options{})
+	w.querier = ls.newClientAt(t, "querier", geo.Pt(990, 10), client.Options{})
+	return w
+}
+
+func (w *parityWorld) randomPos() geo.Point {
+	return geo.Pt(1+w.rng.Float64()*(w.area.Width()-2), 1+w.rng.Float64()*(w.area.Height()-2))
+}
+
+func (w *parityWorld) pick() (core.OID, *client.TrackedObject) {
+	oid := w.order[w.rng.Intn(len(w.order))]
+	return oid, w.objs[oid]
+}
+
+func (w *parityWorld) forget(oid core.OID) {
+	delete(w.objs, oid)
+	for i, o := range w.order {
+		if o == oid {
+			w.order = append(w.order[:i], w.order[i+1:]...)
+			return
+		}
+	}
+}
+
+func (w *parityWorld) register() {
+	oid := core.OID(fmt.Sprintf("o%04d", w.nextID))
+	w.nextID++
+	des := 5 + float64(w.rng.Intn(40))
+	obj, err := w.owner.Register(ctx(w.t), sightingAt(string(oid), w.randomPos()), des, 200, 3)
+	if err != nil {
+		w.t.Fatalf("register %s: %v", oid, err)
+	}
+	w.objs[oid] = obj
+	w.order = append(w.order, oid)
+}
+
+func (w *parityWorld) update(oid core.OID, obj *client.TrackedObject, p geo.Point) {
+	if err := obj.Update(ctx(w.t), sightingAt(string(oid), p)); err != nil {
+		w.t.Fatalf("update %s to %v: %v", oid, p, err)
+	}
+}
+
+// step applies one random operation of the scripted mix.
+func (w *parityWorld) step() {
+	r := w.rng.Intn(100)
+	if len(w.order) < 30 {
+		r = 0
+	}
+	switch {
+	case r < 22:
+		w.register()
+	case r < 62: // a few meters: stays in its leaf unless it sits on the border
+		oid, obj := w.pick()
+		p := obj.LastSent().Pos
+		p.X = math.Min(math.Max(p.X+w.rng.Float64()*10-5, 1), w.area.Width()-1)
+		p.Y = math.Min(math.Max(p.Y+w.rng.Float64()*10-5, 1), w.area.Height()-1)
+		w.update(oid, obj, p)
+	case r < 78: // anywhere: a handover out of one leaf and into the other half the time
+		oid, obj := w.pick()
+		w.update(oid, obj, w.randomPos())
+	case r < 92:
+		oid, obj := w.pick()
+		if _, err := obj.ChangeAcc(ctx(w.t), 5+float64(w.rng.Intn(60)), 300); err != nil {
+			w.t.Fatalf("change acc %s: %v", oid, err)
+		}
+	default:
+		oid, obj := w.pick()
+		if err := obj.Deregister(ctx(w.t)); err != nil {
+			w.t.Fatalf("deregister %s: %v", oid, err)
+		}
+		w.forget(oid)
+	}
+}
+
+func (w *parityWorld) steps(n int) {
+	for i := 0; i < n; i++ {
+		w.step()
+	}
+}
+
+func (w *parityWorld) leaves() []*server.Server {
+	var out []*server.Server
+	for _, id := range w.dep.Leaves() {
+		out = append(out, w.dep.Servers[id])
+	}
+	return out
+}
+
+func sortEntries(es []core.Entry) {
+	sort.Slice(es, func(i, j int) bool { return es[i].OID < es[j].OID })
+}
+
+// decisionTol is how close an exact overlap degree may sit to the
+// threshold before either decision counts as right.
+const decisionTol = 1e-9
+
+// checkRange compares one range answer with the old predicate applied to
+// the oracle join.
+func (w *parityWorld) checkRange(what string, got, oracle []core.Entry, area core.Area, reqAcc, reqOverlap float64) {
+	w.t.Helper()
+	gotByID := make(map[core.OID]core.Entry, len(got))
+	for _, e := range got {
+		if _, dup := gotByID[e.OID]; dup {
+			w.t.Fatalf("%s: %s reported twice", what, e.OID)
+		}
+		gotByID[e.OID] = e
+	}
+	for _, e := range oracle {
+		ge, reported := gotByID[e.OID]
+		delete(gotByID, e.OID)
+		if reported && ge != e {
+			w.t.Fatalf("%s: %s reported as %+v, stores say %+v", what, e.OID, ge.LD, e.LD)
+		}
+		if e.LD.Acc <= reqAcc && math.Abs(area.Overlap(e.LD)-reqOverlap) <= decisionTol {
+			continue
+		}
+		if want := area.RangeQualifies(e.LD, reqAcc, reqOverlap); reported != want {
+			w.t.Fatalf("%s: %s %+v reported=%v, old predicate says %v (area %v, reqAcc %v, reqOverlap %v, overlap %v)",
+				what, e.OID, e.LD, reported, want, area.Bounds(), reqAcc, reqOverlap, area.Overlap(e.LD))
+		}
+	}
+	for oid := range gotByID {
+		w.t.Fatalf("%s: %s reported but not in the stores", what, oid)
+	}
+}
+
+func (w *parityWorld) randomQuery() (core.Area, float64, float64) {
+	size := 20 + w.rng.Float64()*400
+	x, y := w.rng.Float64()*(w.area.Width()-size/2), w.rng.Float64()*(w.area.Height()-size/2)
+	reqAcc := []float64{12, 30, 100}[w.rng.Intn(3)]
+	reqOverlap := []float64{1e-9, 0.25, 0.5, 0.9}[w.rng.Intn(4)]
+	return core.AreaFromRect(geo.R(x, y, x+size, y+size)), reqAcc, reqOverlap
+}
+
+// check runs the invariant walker and the oracle comparisons and returns
+// how many index entries carry an accuracy, per leaf-level server checked.
+func (w *parityWorld) check(stage string) []int {
+	w.t.Helper()
+	var annotated []int
+	var all []core.Entry
+	for i, srv := range append(w.leaves(), w.extra...) {
+		n, violations := srv.CoveringEntriesForTest()
+		if len(violations) > 0 {
+			w.t.Fatalf("%s: %s breaks the covering-entry invariant:\n%v", stage, srv.ID(), violations)
+		}
+		annotated = append(annotated, n)
+		oracle := srv.OracleEntriesForTest()
+		if i < len(w.dep.Leaves()) {
+			all = append(all, oracle...)
+		}
+		for q := 0; q < 8; q++ {
+			area, reqAcc, reqOverlap := w.randomQuery()
+			got := srv.LocalRangeForTest(area, reqAcc, reqOverlap)
+			w.checkRange(fmt.Sprintf("%s: local range at %s", stage, srv.ID()), got, oracle, area, reqAcc, reqOverlap)
+		}
+	}
+	if len(all) != len(w.objs) {
+		w.t.Fatalf("%s: stores hold %d objects, script expects %d", stage, len(all), len(w.objs))
+	}
+	for q := 0; q < 8; q++ {
+		area, reqAcc, reqOverlap := w.randomQuery()
+		res, err := w.querier.RangeQueryFull(ctx(w.t), area, reqAcc, reqOverlap)
+		if err != nil || res.Partial {
+			w.t.Fatalf("%s: range query: partial=%v err=%v", stage, res.Partial, err)
+		}
+		w.checkRange(stage+": client range", res.Objs, all, area, reqAcc, reqOverlap)
+	}
+	for q := 0; q < 8; q++ {
+		p := w.randomPos()
+		reqAcc := []float64{12, 30, 100}[w.rng.Intn(3)]
+		nearQual := w.rng.Float64() * 60
+		got, err := w.querier.NeighborQuery(ctx(w.t), p, reqAcc, nearQual)
+		want := core.SelectNearest(all, p, reqAcc, nearQual)
+		if !want.Found {
+			if err == nil {
+				w.t.Fatalf("%s: neighbor query at %v found %+v, oracle nothing", stage, p, got.Nearest)
+			}
+			continue
+		}
+		if err != nil {
+			w.t.Fatalf("%s: neighbor query at %v: %v (oracle %+v)", stage, p, err, want.Nearest)
+		}
+		sortEntries(got.Near)
+		sortEntries(want.Near)
+		if got.Nearest != want.Nearest || got.GuaranteedMinDist != want.GuaranteedMinDist || fmt.Sprint(got.Near) != fmt.Sprint(want.Near) {
+			w.t.Fatalf("%s: neighbor query at %v (reqAcc %v, nearQual %v):\n got %+v near %v\nwant %+v near %v",
+				stage, p, reqAcc, nearQual, got.Nearest, got.Near, want.Nearest, want.Near)
+		}
+	}
+	return annotated
+}
+
+func openWALs(t *testing.T, dir, id string, shards int) (*store.FileWAL, *store.ShardedWAL) {
+	t.Helper()
+	vwal, err := store.OpenFileWAL(filepath.Join(dir, id+".visitors.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	swal, err := store.OpenShardedWAL(filepath.Join(dir, id+".sightings"), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vwal, swal
+}
+
+func sum(ns []int) int {
+	total := 0
+	for _, n := range ns {
+		total += n
+	}
+	return total
+}
+
+// TestCoveringIndexParity: an all-RAM, WAL-backed, sharded deployment
+// through the whole mix, a live Resize, TTL expiry and a crash recovery.
+func TestCoveringIndexParity(t *testing.T) {
+	dir := t.TempDir()
+	var skew atomic.Int64 // nanoseconds the deployment's clock runs ahead
+	clock := func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	const ttl = 30 * time.Minute
+	base := server.Options{SightingTTL: ttl, JanitorInterval: 20 * time.Millisecond, Clock: clock}
+	leaf := func(id string, o server.Options) server.Options {
+		o.WAL, o.SightingWAL = openWALs(t, dir, id, 4)
+		return o
+	}
+	w := newParityWorld(t, 41, base, leaf)
+
+	w.steps(260)
+	if n := sum(w.check("after the mix")); n != len(w.objs) {
+		t.Fatalf("%d of %d entries carry an accuracy; every put went through the server", n, len(w.objs))
+	}
+
+	// A live resize carries the accuracies across.
+	victim := w.dep.Leaves()[0]
+	if err := w.dep.Servers[victim].SightingsForTest().(*store.ShardedSightingDB).Resize(7); err != nil {
+		t.Fatal(err)
+	}
+	if n := sum(w.check("after Resize")); n != len(w.objs) {
+		t.Fatalf("%d of %d entries carry an accuracy after Resize", n, len(w.objs))
+	}
+	w.steps(80)
+	w.check("mix after Resize")
+
+	// TTL expiry: late in every lease, refresh every other object; then
+	// jump past the old leases and let the janitor and the update path's
+	// sweep tear the silent objects down.
+	skew.Add(int64(ttl * 2 / 3))
+	var silent []core.OID
+	for i, oid := range append([]core.OID(nil), w.order...) {
+		if i%2 == 0 {
+			w.update(oid, w.objs[oid], w.objs[oid].LastSent().Pos)
+		} else {
+			silent = append(silent, oid)
+		}
+	}
+	skew.Add(int64(ttl / 2))
+	for _, oid := range silent {
+		w.forget(oid)
+	}
+	waitFor(t, func() bool {
+		n := 0
+		for _, srv := range w.leaves() {
+			n += srv.SightingCount()
+		}
+		return n == len(w.objs)
+	}, "silent objects to expire")
+	w.check("after expiry")
+
+	// Crash recovery: the replayed entries carry no accuracy and resolve
+	// through the visitorDB; the updates that follow annotate them again.
+	cfg := configOf(t, w.dep, victim)
+	if err := w.dep.Servers[victim].Close(); err != nil {
+		t.Fatal(err)
+	}
+	o := leaf(string(victim), base)
+	srv, err := server.New(cfg, core.AreaFromRect(w.area), w.net, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.dep.Servers[victim] = srv
+	if n := w.check("after WAL recovery")[0]; n != 0 {
+		t.Fatalf("%d replayed entries carry an accuracy", n)
+	}
+	if got := srv.Metrics().Counter("range_acc_lookups").Value(); got == 0 {
+		t.Fatal("recovered leaf answered range queries without visitorDB lookups")
+	}
+	w.steps(120)
+	if n := w.check("mix after WAL recovery")[0]; n == 0 {
+		t.Fatal("no entry was annotated again after recovery")
+	}
+}
+
+func configOf(t *testing.T, dep *hierarchy.Deployment, id msg.NodeID) store.ConfigRecord {
+	t.Helper()
+	for _, cfg := range dep.Configs {
+		if msg.NodeID(cfg.ID) == id {
+			return cfg
+		}
+	}
+	t.Fatalf("no config for %s", id)
+	return store.ConfigRecord{}
+}
+
+// TestCoveringIndexParityTiered: memtables a few dozen records deep, so
+// the mix runs across flushes and a compaction and most hits are cold.
+func TestCoveringIndexParityTiered(t *testing.T) {
+	dir := t.TempDir()
+	base := server.Options{JanitorInterval: 10 * time.Millisecond}
+	leaf := func(id string, o server.Options) server.Options {
+		o.WAL, o.SightingWAL = openWALs(t, dir, id, 2)
+		o.Tiering = &store.TierConfig{MemtableBytes: 1, MaxRuns: 2} // floored at 4 KiB per shard
+		return o
+	}
+	w := newParityWorld(t, 43, base, leaf)
+	tierStats := func() (flushes, compactions int64) {
+		for _, srv := range w.leaves() {
+			st := srv.SightingsForTest().(*store.ShardedSightingDB).TierStats()
+			flushes += st.Flushes
+			compactions += st.Compactions
+		}
+		return
+	}
+	for round := 0; ; round++ {
+		w.steps(150)
+		w.check(fmt.Sprintf("tiered round %d", round))
+		if f, c := tierStats(); f >= 4 && c >= 1 {
+			break
+		}
+		if round == 10 {
+			f, c := tierStats()
+			t.Fatalf("only %d flushes and %d compactions after %d rounds", f, c, round)
+		}
+	}
+	lookups := int64(0)
+	for _, srv := range w.leaves() {
+		lookups += srv.Metrics().Counter("range_acc_lookups").Value()
+	}
+	if lookups == 0 {
+		t.Fatal("cold hits resolved no accuracy through the visitorDB")
+	}
+}
+
+// TestCoveringIndexParityStandby: one leaf gets a standby that starts late
+// (a snapshot resync) and then follows the stream; the standby's own
+// answers must match its own stores, and nothing it applies may leave an
+// index entry with a stale accuracy.
+func TestCoveringIndexParityStandby(t *testing.T) {
+	dir := t.TempDir()
+	base := server.Options{JanitorInterval: 20 * time.Millisecond}
+	const standbyID = "r.0~s"
+	leaf := func(id string, o server.Options) server.Options {
+		o.WAL, o.SightingWAL = openWALs(t, dir, id, 2)
+		if id == "r.0" {
+			o.ReplPeer = standbyID
+		}
+		return o
+	}
+	w := newParityWorld(t, 47, base, leaf)
+	w.steps(200)
+	w.check("primary alone")
+
+	cfg := configOf(t, w.dep, "r.0")
+	cfg.ID = standbyID
+	o := base
+	o.WAL, o.SightingWAL = openWALs(t, dir, standbyID, 2)
+	o.ReplPeer, o.ReplStandby = "r.0", true
+	standby, err := server.New(cfg, core.AreaFromRect(w.area), w.net, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { standby.Close() })
+	w.extra = append(w.extra, standby)
+
+	primary := w.dep.Servers["r.0"]
+	mirrored := func() bool {
+		a, b := primary.OracleEntriesForTest(), standby.OracleEntriesForTest()
+		sortEntries(a)
+		sortEntries(b)
+		return len(a) > 0 && fmt.Sprint(a) == fmt.Sprint(b)
+	}
+	waitFor(t, mirrored, "standby to resync from the snapshot")
+	w.check("after the standby resync")
+
+	w.steps(200)
+	waitFor(t, mirrored, "standby to follow the stream")
+	w.check("standby following the stream")
+}
+
+// TestCoveringIndexConcurrentChangeAcc races accuracy renegotiations
+// against position updates of the same objects: whichever way each pair
+// interleaves, the index entry must end up carrying the visitor record's
+// final OfferedAcc.
+func TestCoveringIndexConcurrentChangeAcc(t *testing.T) {
+	base := server.Options{Shards: 2}
+	w := newParityWorld(t, 53, base, func(_ string, o server.Options) server.Options { return o })
+	const objects, rounds = 8, 150
+	for i := 0; i < objects; i++ {
+		w.register()
+	}
+	var wg sync.WaitGroup
+	for _, oid := range w.order {
+		oid, obj := oid, w.objs[oid]
+		home := obj.LastSent().Pos
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				p := geo.Pt(home.X+float64(r%3)-1, home.Y)
+				if err := obj.Update(ctx(t), sightingAt(string(oid), p)); err != nil {
+					t.Errorf("update %s: %v", oid, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := obj.ChangeAcc(ctx(t), float64(10+r%50), 300); err != nil {
+					t.Errorf("change acc %s: %v", oid, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := sum(w.check("after the race")); n != objects {
+		t.Fatalf("%d of %d entries carry an accuracy", n, objects)
+	}
+}

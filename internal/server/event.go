@@ -72,7 +72,7 @@ import (
 // Meeting predicates are evaluated leaf-locally: two objects whose
 // positions come within the subscribed distance on the same leaf trigger a
 // notification. Meetings exactly straddling a leaf boundary are missed —
-// an accepted approximation, documented in DESIGN.md.
+// the accepted approximation of evaluating them leaf-locally.
 
 // leafSub is one installed subscription on a leaf server. The mutable
 // fields (members, firedPairs, lastCount, seq) are guarded by events.mu;

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/msg"
@@ -64,3 +66,48 @@ func (s *Server) EventMeetingPairsForTest(subID string) [][2]core.OID {
 	}
 	return out
 }
+
+// LocalRangeForTest runs this leaf's own range evaluation, as the leaf half
+// of Algorithm 6-5 does.
+func (s *Server) LocalRangeForTest(area core.Area, reqAcc, reqOverlap float64) []core.Entry {
+	return s.localRangeResult(area, reqAcc, reqOverlap, area.Bounds().Enlarge(reqAcc))
+}
+
+// OracleEntriesForTest joins the sightingDB with the visitorDB by brute
+// force: every stored sighting that has a visitor record, as the entry a
+// query would report for it.
+func (s *Server) OracleEntriesForTest() []core.Entry {
+	var out []core.Entry
+	s.sightings.ForEach(func(sight core.Sighting) bool {
+		if rec, ok := s.visitors.Get(sight.OID); ok {
+			out = append(out, core.Entry{OID: sight.OID, LD: core.LocationDescriptor{Pos: sight.Pos, Acc: rec.OfferedAcc}})
+		}
+		return true
+	})
+	return out
+}
+
+// CoveringEntriesForTest walks every index entry of the sightingDB and
+// checks the covering-entry invariant: an entry that carries an accuracy
+// carries its visitor record's current OfferedAcc. It returns how many
+// entries carry one and a description of every violation.
+func (s *Server) CoveringEntriesForTest() (annotated int, violations []string) {
+	world := s.rootArea.Bounds().Enlarge(1e6)
+	s.sightings.SearchEntries(world, func(id core.OID, _ geo.Point, acc float64) bool {
+		if acc == store.AccUnknown {
+			return true
+		}
+		annotated++
+		if rec, ok := s.visitors.Get(id); !ok {
+			violations = append(violations, fmt.Sprintf("%s: entry carries %v, no visitor record", id, acc))
+		} else if rec.OfferedAcc != acc {
+			violations = append(violations, fmt.Sprintf("%s: entry carries %v, visitor record offers %v", id, acc, rec.OfferedAcc))
+		}
+		return true
+	})
+	return annotated, violations
+}
+
+// SightingsForTest exposes the sighting store (to resize it, or to drive
+// tier maintenance).
+func (s *Server) SightingsForTest() store.SightingStore { return s.sightings }

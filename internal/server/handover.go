@@ -40,6 +40,7 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 		s.met.Counter("updates_deduped").Inc()
 		return reply, nil
 	}
+	accEpoch := s.accEpoch.Load()
 	rec, registered := s.visitors.Get(req.S.OID)
 	if !registered {
 		return nil, core.ErrNotFound
@@ -48,8 +49,7 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 	if s.inArea(req.S.Pos) {
 		// Line 8: plain in-area update, batched per shard by the
 		// pipeline under concurrency.
-		s.pipe.Put(req.S)
-		s.notePutCommitted()
+		s.putSighting(req.S, rec.OfferedAcc, accEpoch)
 		s.met.Counter("updates_local").Inc()
 		res := msg.UpdateRes{Moved: false, OfferedAcc: rec.OfferedAcc}
 		s.dedupe.remember(from, req.Seq, res)
@@ -84,6 +84,47 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 	}
 	s.dedupe.remember(from, req.Seq, ures)
 	return ures, nil
+}
+
+// putSighting commits sight through the update pipeline and records acc on
+// the sighting's index entry (see rangeScan for the invariant). acc is the
+// OfferedAcc of the object's visitor record as the caller read or wrote it
+// after loading epoch from accEpoch. If the epoch moved, an accuracy
+// rewrite ran meanwhile: the accuracy handed down may predate it while the
+// put landed after its re-annotation, so the entry is annotated again from
+// the visitor record.
+func (s *Server) putSighting(sight core.Sighting, acc float64, epoch uint64) {
+	s.pipe.PutAcc(sight, acc)
+	s.notePutCommitted()
+	if s.accEpoch.Load() != epoch {
+		s.refreshAcc(sight.OID)
+	}
+}
+
+// visitorAccRewritten must follow every write (or removal) of a leaf's
+// visitor record that is not followed by a putSighting for the object: it
+// brings the accuracy on the sighting's index entry back in line.
+func (s *Server) visitorAccRewritten(oid core.OID) {
+	s.accEpoch.Add(1)
+	s.refreshAcc(oid)
+}
+
+// refreshAcc annotates oid's index entry with its visitor record's current
+// OfferedAcc (unknown when there is none), again if another rewrite landed
+// while it did — the later writer of the two then wins with the later
+// value.
+func (s *Server) refreshAcc(oid core.OID) {
+	for {
+		epoch := s.accEpoch.Load()
+		acc := float64(store.AccUnknown)
+		if rec, ok := s.visitors.Get(oid); ok {
+			acc = rec.OfferedAcc
+		}
+		s.sightings.SetAcc(oid, acc)
+		if s.accEpoch.Load() == epoch {
+			return
+		}
+	}
 }
 
 // forwardHandover starts handover processing: with a warm (leaf → area)
@@ -229,12 +270,12 @@ func (s *Server) becomeAgent(req msg.HandoverReq) (msg.HandoverRes, error) {
 		RegInfo:    req.RegInfo,
 		PathT:      req.S.T,
 	}
+	accEpoch := s.accEpoch.Load()
 	if err := s.visitors.Put(rec); err != nil {
 		s.met.Counter("visitor_db_errors").Inc()
 		return msg.HandoverRes{}, err
 	}
-	s.pipe.Put(req.S)
-	s.notePutCommitted()
+	s.putSighting(req.S, offered, accEpoch)
 	s.met.Counter("handover_accepted").Inc()
 
 	// If the accuracy this leaf can offer differs from the registered

@@ -23,7 +23,8 @@ import (
 //     minimum distance).
 //
 // The paper defines the query's semantics but not its distributed
-// resolution; this concretisation is documented in DESIGN.md.
+// resolution; this comment and neighborQueryLocal's are the specification
+// of this concretisation.
 func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryReq) (msg.Message, error) {
 	if !s.cfg.IsLeaf() {
 		return nil, core.ErrBadRequest
@@ -148,7 +149,9 @@ func (s *Server) neighborQueryLocal(req msg.NeighborQueryReq) (msg.Message, bool
 	const scanCap = 64
 	nearestDist := -1.0
 	examined := 0
-	s.sightings.NearestFunc(req.P, func(sight core.Sighting, dist float64) bool {
+	sc := s.newRangeScan()
+	defer sc.release()
+	s.sightings.NearestEntries(req.P, func(id core.OID, pos geo.Point, acc, dist float64) bool {
 		if !sa.ContainsRect(geo.RectAround(req.P, dist).Enlarge(req.ReqAcc)) {
 			// The candidate disc already escapes this leaf, and every
 			// later candidate is farther still: locality is unprovable.
@@ -158,8 +161,8 @@ func (s *Server) neighborQueryLocal(req msg.NeighborQueryReq) (msg.Message, bool
 		// candidate's position: overlap is then positive and the
 		// predicate reduces to the accuracy test, exactly as the
 		// expanding ring converges to.
-		window := core.AreaFromRect(geo.RectAround(req.P, dist+1))
-		if _, ok := s.entryIfQualifies(sight, window, req.ReqAcc, anyOverlap); ok {
+		sc.pred.Prepare(core.AreaFromRect(geo.RectAround(req.P, dist+1)), req.ReqAcc, anyOverlap)
+		if _, ok := sc.entryIfQualifies(id, pos, acc); ok {
 			nearestDist = dist
 			return false
 		}
@@ -183,8 +186,10 @@ func (s *Server) neighborQueryLocal(req msg.NeighborQueryReq) (msg.Message, bool
 	if !sa.ContainsRect(enlarged) {
 		return nil, false
 	}
-	cands := s.localRangeResult(window, req.ReqAcc, anyOverlap, enlarged)
-	res := core.SelectNearest(cands, req.P, req.ReqAcc, req.NearQual)
+	// SelectNearest copies what it keeps, so the candidates can stay in
+	// the scan's pooled buffer.
+	sc.run(window, req.ReqAcc, anyOverlap, enlarged)
+	res := core.SelectNearest(sc.out, req.P, req.ReqAcc, req.NearQual)
 	if !res.Found {
 		return msg.NeighborQueryRes{Found: false}, true
 	}

@@ -2,11 +2,14 @@ package server
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
+	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
+	"locsvc/internal/store"
 )
 
 // coverEpsilon is the relative tolerance when comparing collected coverage
@@ -99,9 +102,10 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 	covered := 0.0
 	darkCover := 0.0
 
-	// Local contribution (Algorithm 6-5, lines 3-7).
+	// Local contribution (Algorithm 6-5, lines 3-7). The result slice is
+	// adopted as is: a local-only answer is never copied again.
 	if enlarged.Intersects(s.cfg.SA.Bounds()) {
-		out.objs = append(out.objs, s.localRangeResult(area, reqAcc, reqOverlap, enlarged)...)
+		out.objs = s.localRangeResult(area, reqAcc, reqOverlap, enlarged)
 		covered += area.Vertices.IntersectRectArea(s.cfg.SA.Bounds())
 		out.servers++
 	}
@@ -166,6 +170,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 	// plus dark cover accounts for the whole area.
 	timeout := time.NewTimer(s.opts.QueryTimeout)
 	defer timeout.Stop()
+	var parts [][]core.Entry // remote partial results, joined once at the end
 	for covered+darkCover+coverEpsilon*expected < expected {
 		select {
 		case m := <-ch:
@@ -173,7 +178,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			if !ok {
 				continue
 			}
-			out.objs = append(out.objs, sub.Objs...)
+			parts = append(parts, sub.Objs)
 			covered += sub.CoveredSize
 			darkCover += sub.UnreachableSize
 			out.unreachable = mergeUnreachable(out.unreachable, sub.Unreachable...)
@@ -188,6 +193,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			// Return what we have: partial answers beat none under
 			// UDP loss; the shortfall is visible to the caller.
 			out.partial = true
+			out.objs = joinEntries(out.objs, parts)
 			return out, nil
 		case <-ctx.Done():
 			return rangeOutcome{}, ctx.Err()
@@ -197,40 +203,162 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 		out.partial = true
 	}
 	s.met.Counter("range_query_remote").Inc()
+	out.objs = joinEntries(out.objs, parts)
 	return out, nil
+}
+
+// joinEntries concatenates the local result and the remote partial results
+// with one exact-size allocation, or none when at most one of them holds
+// anything.
+func joinEntries(local []core.Entry, parts [][]core.Entry) []core.Entry {
+	total := len(local)
+	for _, p := range parts {
+		total += len(p)
+	}
+	if total == len(local) {
+		return local
+	}
+	if len(local) == 0 {
+		for _, p := range parts {
+			if len(p) == total {
+				return p
+			}
+		}
+	}
+	out := make([]core.Entry, 0, total)
+	out = append(out, local...)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // localRangeResult evaluates the range predicate against this leaf's
 // sightingDB using the spatial index (Algorithm 6-5 lines 4-5). Candidate
 // positions are found within the reqAcc-enlarged bounds — an object whose
 // position lies outside the area can still qualify if its location area
-// overlaps enough (Section 3.2) — then filtered exactly.
+// overlaps enough (Section 3.2) — then filtered exactly. The result is one
+// allocation of just the size needed (nil when nothing qualifies).
 func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64, enlarged geo.Rect) []core.Entry {
-	var out []core.Entry
-	s.sightings.SearchArea(enlarged, func(sight core.Sighting) bool {
-		if e, ok := s.entryIfQualifies(sight, area, reqAcc, reqOverlap); ok {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
+	sc := s.newRangeScan()
+	defer sc.release()
+	sc.run(area, reqAcc, reqOverlap, enlarged)
+	if len(sc.out) == 0 {
+		return nil
+	}
+	return append([]core.Entry(nil), sc.out...)
 }
 
-// entryIfQualifies looks up the visitor record behind a sighting and
-// applies the full range predicate of Section 3.2, returning the wire
-// entry when the object qualifies. It is shared by the range-query leaf
-// path and the nearest-neighbor local fast path, so both apply identical
-// accuracy and overlap semantics.
-func (s *Server) entryIfQualifies(sight core.Sighting, area core.Area, reqAcc, reqOverlap float64) (core.Entry, bool) {
-	rec, ok := s.visitors.Get(sight.OID)
+// rangeScan is the state of one leaf-side candidate scan — the prepared
+// predicate, the qualifying entries so far and the outcome tallies —
+// pooled so that a query allocates nothing but its result.
+//
+// The covering-entry invariant the scan relies on: a candidate arrives as
+// (id, position, accuracy) read off the sighting store's index entry, and
+// an accuracy that is present equals the visitor record's OfferedAcc. The
+// server is the only writer of both: every put that installs an entry
+// hands down the OfferedAcc of the visitor record it just read or wrote
+// (putSighting), and every later write of a visitor record's OfferedAcc —
+// ChangeAcc, a replicated visitor record — re-annotates the entry
+// (refreshAcc), with the accEpoch check in putSighting closing the window
+// in which a put could carry an accuracy read before such a write and land
+// after it. Entries the server did not put — WAL replay, replication,
+// disk runs, a store in mid-resize — carry store.AccUnknown, and those
+// alone are resolved through the visitorDB, which stays the source of
+// truth.
+type rangeScan struct {
+	s    *Server
+	pred core.RangePredicate
+	out  []core.Entry
+	// collect is the scan's SearchEntries visitor, bound once per pooled
+	// value.
+	collect func(id core.OID, pos geo.Point, acc float64) bool
+
+	candidates, qualified, exact, lookups int64
+}
+
+var rangeScanPool = sync.Pool{New: func() any {
+	sc := new(rangeScan)
+	sc.collect = func(id core.OID, pos geo.Point, acc float64) bool {
+		if e, ok := sc.entryIfQualifies(id, pos, acc); ok {
+			sc.out = append(sc.out, e)
+		}
+		return true
+	}
+	return sc
+}}
+
+func (s *Server) newRangeScan() *rangeScan {
+	sc := rangeScanPool.Get().(*rangeScan)
+	sc.s = s
+	return sc
+}
+
+// run evaluates the range predicate over this leaf's candidates inside
+// enlarged, appending the qualifying entries to out.
+func (sc *rangeScan) run(area core.Area, reqAcc, reqOverlap float64, enlarged geo.Rect) {
+	sc.pred.Prepare(area, reqAcc, reqOverlap)
+	sc.s.sightings.SearchEntries(enlarged, sc.collect)
+}
+
+// release books the scan's tallies on the leaf's counters and returns it
+// to the pool; out must not be used afterwards.
+func (sc *rangeScan) release() {
+	m := &sc.s.rangeMet
+	m.candidates.Add(sc.candidates)
+	m.qualified.Add(sc.qualified)
+	m.exact.Add(sc.exact)
+	m.lookups.Add(sc.lookups)
+	clear(sc.out) // drop the object-id strings
+	*sc = rangeScan{pred: sc.pred, out: sc.out[:0], collect: sc.collect}
+	rangeScanPool.Put(sc)
+}
+
+// entryIfQualifies applies the scan's prepared predicate — the full range
+// predicate of Section 3.2 — to one index entry, returning the wire entry
+// when the object qualifies. It is shared by the range-query leaf path and
+// the nearest-neighbor local fast path, so both apply identical accuracy
+// and overlap semantics. Only an entry without a recorded accuracy costs a
+// visitorDB lookup (and an object without a visitor record never
+// qualifies).
+func (sc *rangeScan) entryIfQualifies(id core.OID, pos geo.Point, acc float64) (core.Entry, bool) {
+	sc.candidates++
+	if acc == store.AccUnknown {
+		sc.lookups++
+		rec, ok := sc.s.visitors.Get(id)
+		if !ok {
+			return core.Entry{}, false
+		}
+		acc = rec.OfferedAcc
+	}
+	ld := core.LocationDescriptor{Pos: pos, Acc: acc}
+	ok, exact := sc.pred.Qualifies(ld)
+	if exact {
+		sc.exact++
+	}
 	if !ok {
 		return core.Entry{}, false
 	}
-	ld := core.LocationDescriptor{Pos: sight.Pos, Acc: rec.OfferedAcc}
-	if !area.RangeQualifies(ld, reqAcc, reqOverlap) {
-		return core.Entry{}, false
+	sc.qualified++
+	return core.Entry{OID: id, LD: ld}, true
+}
+
+// rangeCounters are the leaf's range-evaluation outcome counters, resolved
+// once so a query books them without registry lookups: candidates the
+// index search delivered, how many qualified, how many needed the exact
+// overlap arithmetic and how many had to be resolved through the
+// visitorDB.
+type rangeCounters struct {
+	candidates, qualified, exact, lookups *metrics.Counter
+}
+
+func newRangeCounters(met *metrics.Registry) rangeCounters {
+	return rangeCounters{
+		candidates: met.Counter("range_candidates"),
+		qualified:  met.Counter("range_qualified"),
+		exact:      met.Counter("range_exact_overlap"),
+		lookups:    met.Counter("range_acc_lookups"),
 	}
-	return core.Entry{OID: sight.OID, LD: ld}, true
 }
 
 // handleRangeQueryFwd implements the forwarding half of Algorithm 6-5:

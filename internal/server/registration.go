@@ -83,13 +83,13 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 		RegInfo:    req.RegInfo,
 		PathT:      req.S.T,
 	}
+	accEpoch := s.accEpoch.Load()
 	if err := s.visitors.Put(rec); err != nil {
 		s.met.Counter("visitor_db_errors").Inc()
 		s.respondToOrigin(req.Origin, msg.ErrorResFrom(err))
 		return
 	}
-	s.pipe.Put(req.S)
-	s.notePutCommitted()
+	s.putSighting(req.S, offered, accEpoch)
 	s.met.Counter("register_ok").Inc()
 
 	// Line 12: answer the registering instance.
@@ -277,6 +277,8 @@ func (s *Server) handleChangeAcc(req msg.ChangeAccReq) (msg.Message, error) {
 	if !s.cfg.IsLeaf() {
 		return nil, core.ErrBadRequest
 	}
+	s.accMu.Lock()
+	defer s.accMu.Unlock()
 	rec, ok := s.visitors.Get(req.OID)
 	if !ok {
 		return nil, core.ErrNotFound
@@ -296,5 +298,6 @@ func (s *Server) handleChangeAcc(req msg.ChangeAccReq) (msg.Message, error) {
 		s.met.Counter("visitor_db_errors").Inc()
 		return nil, err
 	}
+	s.visitorAccRewritten(req.OID)
 	return msg.ChangeAccRes{OK: true, OfferedAcc: offered}, nil
 }

@@ -673,10 +673,12 @@ func (r *replState) apply(stream int, rec msg.ReplRecord) error {
 		if err := s.visitors.Put(visitorRecord(rec.Visitor)); err != nil {
 			return err
 		}
+		s.visitorAccRewritten(rec.Visitor.OID)
 	case msg.ReplVisitorRemove:
 		if _, err := s.visitors.Remove(rec.OID); err != nil {
 			return err
 		}
+		s.visitorAccRewritten(rec.OID)
 	case msg.ReplRuns:
 		if err := r.sdb.ReplInstallRuns(stream, rec.Runs, rec.NextSeq, rec.ClearMem, r.fetchRun(stream)); err != nil {
 			return err
@@ -689,6 +691,13 @@ func (r *replState) apply(stream int, rec msg.ReplRecord) error {
 			}
 			if err := s.visitors.ReplReplaceAll(recs); err != nil {
 				return err
+			}
+			// A node demoted from primary still holds index entries it
+			// annotated itself; bring them in line with the records
+			// that just replaced its own.
+			s.accEpoch.Add(1)
+			for i := range recs {
+				s.refreshAcc(recs[i].OID)
 			}
 		} else {
 			state := store.ReplShardState{

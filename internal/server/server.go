@@ -278,6 +278,17 @@ type Server struct {
 	// transport-level retry is applied exactly once; nil on non-leaves.
 	dedupe *dedupe
 
+	// rangeMet are the leaf's range-evaluation outcome counters.
+	rangeMet rangeCounters
+	// accEpoch counts rewrites of a visitor record's OfferedAcc that are
+	// not part of installing the object's sighting (ChangeAcc, replicated
+	// visitor records); putSighting compares it around its read of the
+	// visitor record to notice that the accuracy it hands down to the
+	// sighting's index entry may already be superseded. accMu serializes
+	// ChangeAcc's read-modify-write of the visitor record.
+	accEpoch atomic.Uint64
+	accMu    sync.Mutex
+
 	// repl, on a leaf with a replication peer, is its half of the
 	// primary/standby pair (repl.go); nil otherwise.
 	repl *replState
@@ -349,6 +360,7 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 	s.events = newEvents(opts.EventOracle, indexWorld, opts.EventQueueDepth)
 	s.notify = newNotifier(s)
 	if cfg.IsLeaf() {
+		s.rangeMet = newRangeCounters(s.met)
 		shards, serr := store.NormalizeShards(opts.Shards)
 		if serr != nil {
 			visitors.Close()

@@ -28,14 +28,24 @@ import (
 
 // Item is one indexed object. Ref is an optional opaque payload carried
 // alongside the entry by indexes that implement ItemIndex: a store can
-// stash its record pointer there and get it back from a search, sparing a
-// hash-map lookup per match on the hot read path. Indexes never inspect
-// Ref; id-keyed callers may leave it nil.
+// stash its record pointer there and get it back from a search or a
+// nearest-neighbor cursor, sparing a hash-map lookup per match on the hot
+// read path. Acc rides along the same way: the object's offered accuracy,
+// so that a query can build the location descriptor (Pos, Acc) from the
+// index entry alone — the index covers range and nearest-neighbor
+// qualification. Indexes never inspect Ref or Acc. Whoever sets Ref owns
+// the meaning of Acc and must set it explicitly: the zero value means
+// "perfectly accurate", AccUnknown means "not recorded here".
 type Item struct {
 	ID  core.OID
 	Pos geo.Point
 	Ref any
+	Acc float64
 }
+
+// AccUnknown is the Item.Acc of an entry whose offered accuracy is not
+// recorded on the entry. Real accuracies are never negative.
+const AccUnknown = -1
 
 // Index is the interface shared by all spatial index implementations.
 // Implementations are not safe for concurrent use; the owning store
@@ -74,8 +84,10 @@ type ItemIndex interface {
 	Index
 	// InsertItem adds it, carrying its Ref payload alongside the entry.
 	InsertItem(it Item)
-	// SearchItems is Search handing back the stored Item per match.
-	SearchItems(r geo.Rect, visit func(it Item) bool)
+	// SearchItems is Search handing back the stored Item per match. The
+	// pointer aims into the index: it is valid, and the Item must stay
+	// unmodified, for the duration of the visit call only.
+	SearchItems(r geo.Rect, visit func(it *Item) bool)
 }
 
 // Kind selects an index implementation by name; it is used by server

@@ -6,11 +6,15 @@ import (
 )
 
 // Neighbor is one entry of a nearest-neighbor stream: an indexed object
-// together with its distance from the query point.
+// together with its distance from the query point. Ref and Acc are the
+// entry's Item payload where the index carries one (see Item); cursors over
+// id-keyed entries leave Ref nil, and Acc means nothing without Ref.
 type Neighbor struct {
 	ID   core.OID
 	Pos  geo.Point
 	Dist float64
+	Ref  any
+	Acc  float64
 }
 
 // NearestFetch returns up to k entries nearest to a fixed query point,

@@ -102,7 +102,7 @@ func (t *Quadtree) Len() int { return t.size }
 
 // Insert implements Index.
 func (t *Quadtree) Insert(id core.OID, p geo.Point) {
-	t.InsertItem(Item{ID: id, Pos: p})
+	t.InsertItem(Item{ID: id, Pos: p, Acc: AccUnknown})
 }
 
 // InsertItem implements ItemIndex, carrying it.Ref alongside the entry.
@@ -331,12 +331,13 @@ func buildSubtree(items []Item, byX bool) *qnode {
 // so a subtree whose actual data lies nowhere near r is abandoned on entry
 // even when its quadrant region intersects r.
 func (t *Quadtree) Search(r geo.Rect, visit func(id core.OID, p geo.Point) bool) {
-	t.SearchItems(r, func(it Item) bool { return visit(it.ID, it.Pos) })
+	t.SearchItems(r, func(it *Item) bool { return visit(it.ID, it.Pos) })
 }
 
 // SearchItems implements ItemIndex: the same pruned descent, handing the
-// stored Item (payload included) to the visitor.
-func (t *Quadtree) SearchItems(r geo.Rect, visit func(it Item) bool) {
+// stored Item (payload included) to the visitor in place, without copying
+// it out of its bucket.
+func (t *Quadtree) SearchItems(r geo.Rect, visit func(it *Item) bool) {
 	if t.root == nil {
 		return
 	}
@@ -355,23 +356,23 @@ func (t *Quadtree) SearchItems(r geo.Rect, visit func(it Item) bool) {
 			if r.ContainsRect(n.sub) {
 				// The whole bucket lies inside r: emit without
 				// per-item containment tests.
-				for _, it := range n.items {
-					if !visit(it) {
+				for i := range n.items {
+					if !visit(&n.items[i]) {
 						return
 					}
 				}
 				continue
 			}
-			for _, it := range n.items {
-				if r.ContainsClosed(it.Pos) && !visit(it) {
+			for i := range n.items {
+				if it := &n.items[i]; r.ContainsClosed(it.Pos) && !visit(it) {
 					return
 				}
 			}
 			continue
 		}
 		if r.ContainsClosed(n.pos) {
-			for _, it := range n.res {
-				if !visit(it) {
+			for i := range n.res {
+				if !visit(&n.res[i]) {
 					return
 				}
 			}
@@ -438,7 +439,7 @@ func (c *quadCursor) Next() (Neighbor, bool) {
 		e := c.h.pop()
 		if e.val.node == nil {
 			it := e.val.item
-			return Neighbor{ID: it.ID, Pos: it.Pos, Dist: e.key}, true
+			return Neighbor{ID: it.ID, Pos: it.Pos, Dist: e.key, Ref: it.Ref, Acc: it.Acc}, true
 		}
 		n := e.val.node
 		floor := e.key

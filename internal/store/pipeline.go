@@ -59,6 +59,7 @@ type updateLane struct {
 
 type pendingUpdate struct {
 	s    core.Sighting
+	acc  float64
 	done chan struct{}
 }
 
@@ -121,7 +122,12 @@ func (p *UpdatePipeline) currentLanes() *laneSet {
 
 // Put routes s through its shard's combining lane and returns once the
 // update is committed to the store. It is safe for concurrent use.
-func (p *UpdatePipeline) Put(s core.Sighting) {
+func (p *UpdatePipeline) Put(s core.Sighting) { p.PutAcc(s, AccUnknown) }
+
+// PutAcc is Put for a caller that knows the object's offered accuracy: acc
+// is recorded on the index entry the update installs (see
+// SightingStore.PutBatchAcc).
+func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 	p.ops.Add(1)
 	ls := p.currentLanes()
 	lane := &ls.l[spatial.ShardFor(s.OID, len(ls.l))]
@@ -130,7 +136,7 @@ func (p *UpdatePipeline) Put(s core.Sighting) {
 		// A leader is committing: enqueue and wait for it to apply us.
 		p.handoffs.Add(1)
 		done := make(chan struct{})
-		lane.pending = append(lane.pending, pendingUpdate{s: s, done: done})
+		lane.pending = append(lane.pending, pendingUpdate{s: s, acc: acc, done: done})
 		lane.mu.Unlock()
 		<-done
 		return
@@ -140,23 +146,26 @@ func (p *UpdatePipeline) Put(s core.Sighting) {
 
 	// Leader: commit own update, then drain whatever queued up meanwhile,
 	// batch by batch, until the lane is empty.
-	batch := []core.Sighting{s}
+	// The leader's own update and its accuracy share one allocation.
+	own := &struct {
+		s   [1]core.Sighting
+		acc [1]float64
+	}{[1]core.Sighting{s}, [1]float64{acc}}
+	batch, accs := own.s[:], own.acc[:]
 	var dones []chan struct{}
 	applied := 0
 	for {
+		var deltas []Delta // nil: none wanted
 		if p.onCommit != nil {
-			deltas := p.db.PutBatchDeltas(batch, make([]Delta, 0, len(batch)))
-			applied += len(batch)
-			for _, d := range dones {
-				close(d)
-			}
+			deltas = make([]Delta, 0, len(batch))
+		}
+		deltas = p.db.PutBatchAcc(batch, accs, deltas)
+		applied += len(batch)
+		for _, d := range dones {
+			close(d)
+		}
+		if p.onCommit != nil {
 			p.onCommit(deltas)
-		} else {
-			p.db.PutBatch(batch)
-			applied += len(batch)
-			for _, d := range dones {
-				close(d)
-			}
 		}
 		lane.mu.Lock()
 		if len(lane.pending) == 0 {
@@ -167,10 +176,10 @@ func (p *UpdatePipeline) Put(s core.Sighting) {
 		queued := lane.pending
 		lane.pending = nil
 		lane.mu.Unlock()
-		batch = batch[:0]
-		dones = dones[:0]
+		batch, accs, dones = batch[:0], accs[:0], dones[:0]
 		for _, pu := range queued {
 			batch = append(batch, pu.s)
+			accs = append(accs, pu.acc)
 			dones = append(dones, pu.done)
 		}
 	}

@@ -20,10 +20,10 @@ type gatedStore struct {
 	release chan struct{}        // one receive per batch to proceed
 }
 
-func (g *gatedStore) PutBatch(batch []core.Sighting) {
+func (g *gatedStore) PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta {
 	g.entered <- append([]core.Sighting(nil), batch...)
 	<-g.release
-	g.SightingStore.PutBatch(batch)
+	return g.SightingStore.PutBatchAcc(batch, accs, out)
 }
 
 func TestPipelinePutApplies(t *testing.T) {

@@ -442,9 +442,9 @@ func (db *ShardedSightingDB) ReplInstallSnapshot(shard int, st ReplShardState, f
 	}
 	items := make([]spatial.Item, 0, len(st.Live))
 	for _, s := range st.Live {
-		e := &sightingEntry{s: s, expires: expires}
+		e := &sightingEntry{s: s, expires: expires, acc: AccUnknown}
 		sh.byID[s.OID] = e
-		items = append(items, spatial.Item{ID: s.OID, Pos: s.Pos, Ref: e})
+		items = append(items, e.item())
 		sh.noteInsert(s.Pos)
 		if sh.tier != nil {
 			sh.memBytes += memCost(s.OID)

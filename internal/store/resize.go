@@ -121,8 +121,8 @@ func (db *ShardedSightingDB) Resize(n int) error {
 		dst.mu.Lock()
 		if qt, ok := dst.idx.(*spatial.Quadtree); ok {
 			items := make([]spatial.Item, 0, len(dst.byID))
-			for id, e := range dst.byID {
-				items = append(items, spatial.Item{ID: id, Pos: e.s.Pos, Ref: e})
+			for _, e := range dst.byID {
+				items = append(items, e.item())
 			}
 			qt.Rebuild(items)
 		}
@@ -193,7 +193,7 @@ func (db *ShardedSightingDB) handoffShard(sh *sightingShard, next *shardGen) {
 	groups := make(map[int][]spatial.Item, n)
 	for id, e := range sh.byID {
 		j := spatial.ShardFor(id, n)
-		groups[j] = append(groups[j], spatial.Item{ID: id, Pos: e.s.Pos, Ref: e})
+		groups[j] = append(groups[j], e.item())
 	}
 	for j, items := range groups {
 		dst := next.shards[j]

@@ -369,17 +369,17 @@ func (db *ShardedSightingDB) liveShards() []*sightingShard {
 
 // Put implements SightingStore.
 func (db *ShardedSightingDB) Put(s core.Sighting) {
-	db.putOne(s, nil)
+	db.putOne(s, AccUnknown, nil)
 }
 
 // putOne commits one sighting, appending its delta to *out when out is
 // non-nil.
-func (db *ShardedSightingDB) putOne(s core.Sighting, out *[]Delta) {
+func (db *ShardedSightingDB) putOne(s core.Sighting, acc float64, out *[]Delta) {
 	sh, g, i := db.lockOwner(s.OID)
 	if db.wal != nil {
 		_ = db.wal.AppendPut(i, len(g.shards), s)
 	}
-	d := db.putLocked(sh, s)
+	d := db.putLocked(sh, s, acc)
 	db.maybeFlushBackpressure(sh, i)
 	sh.mu.Unlock()
 	if out != nil {
@@ -394,22 +394,35 @@ func (db *ShardedSightingDB) putOne(s core.Sighting, out *[]Delta) {
 // superseded update. While a resize migration is in flight the batch falls
 // back to per-object authority resolution.
 func (db *ShardedSightingDB) PutBatch(batch []core.Sighting) {
-	db.putBatch(batch, nil)
+	db.putBatch(batch, nil, nil)
 }
 
 // PutBatchDeltas implements SightingStore. Coalesced objects yield one delta
 // spanning the pre-batch position and the final one.
 func (db *ShardedSightingDB) PutBatchDeltas(batch []core.Sighting, out []Delta) []Delta {
-	db.putBatch(batch, &out)
+	db.putBatch(batch, nil, &out)
 	return out
 }
 
-func (db *ShardedSightingDB) putBatch(batch []core.Sighting, out *[]Delta) {
+// PutBatchAcc implements SightingStore.
+func (db *ShardedSightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta {
+	if out == nil {
+		db.putBatch(batch, accs, nil)
+		return nil
+	}
+	db.putBatch(batch, accs, &out)
+	return out
+}
+
+// putBatch is the body of the three batch puts: accs[i], when accs is
+// non-nil, is recorded on batch[i]'s index entry, and deltas are appended
+// to *out when out is non-nil.
+func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out *[]Delta) {
 	switch len(batch) {
 	case 0:
 		return
 	case 1:
-		db.putOne(batch[0], out)
+		db.putOne(batch[0], accAt(accs, 0), out)
 		return
 	}
 	g := db.gen.Load()
@@ -417,14 +430,14 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, out *[]Delta) {
 		// A migration is draining the previous generation: authority is
 		// per object, so group commit degrades to per-object puts for the
 		// duration of the handoff walk.
-		for _, s := range batch {
-			db.putOne(s, out)
+		for k, s := range batch {
+			db.putOne(s, accAt(accs, k), out)
 		}
 		return
 	}
 	n := len(g.shards)
 	if n == 1 {
-		db.putGroup(g, 0, batch, out)
+		db.putGroup(g, 0, batch, accs, out)
 		return
 	}
 	// Fast path: batches assembled by a per-shard pipeline lane are
@@ -439,17 +452,21 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, out *[]Delta) {
 		}
 	}
 	if same {
-		db.putGroup(g, first, batch, out)
+		db.putGroup(g, first, batch, accs, out)
 		return
 	}
 	groups := make([][]core.Sighting, n)
-	for _, s := range batch {
+	groupAccs := make([][]float64, n) // entries stay nil when accs is
+	for k, s := range batch {
 		i := spatial.ShardFor(s.OID, n)
 		groups[i] = append(groups[i], s)
+		if accs != nil {
+			groupAccs[i] = append(groupAccs[i], accs[k])
+		}
 	}
 	for i, grp := range groups {
 		if len(grp) > 0 {
-			db.putGroup(g, i, grp, out)
+			db.putGroup(g, i, grp, groupAccs[i], out)
 		}
 	}
 }
@@ -463,13 +480,13 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, out *[]Delta) {
 // re-routes per object. When out is non-nil every applied put appends its
 // delta — on the coalesced path only the surviving last-per-object puts
 // apply, so each emitted delta spans pre-batch old to batch-final new.
-func (db *ShardedSightingDB) putGroup(g *shardGen, shard int, group []core.Sighting, out *[]Delta) {
+func (db *ShardedSightingDB) putGroup(g *shardGen, shard int, group []core.Sighting, accs []float64, out *[]Delta) {
 	sh := g.shards[shard]
 	sh.lockWrite()
 	if sh.moved {
 		sh.mu.Unlock()
-		for _, s := range group {
-			db.putOne(s, out)
+		for k, s := range group {
+			db.putOne(s, accAt(accs, k), out)
 		}
 		return
 	}
@@ -493,18 +510,18 @@ func (db *ShardedSightingDB) putGroup(g *shardGen, shard int, group []core.Sight
 		if len(last) < len(group) {
 			for i, s := range group {
 				if last[s.OID] == i {
-					emit(db.putLocked(sh, s))
+					emit(db.putLocked(sh, s, accAt(accs, i)))
 				}
 			}
 			return
 		}
 	}
-	for _, s := range group {
-		emit(db.putLocked(sh, s))
+	for i, s := range group {
+		emit(db.putLocked(sh, s, accAt(accs, i)))
 	}
 }
 
-func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting) Delta {
+func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting, acc float64) Delta {
 	old := sh.byID[s.OID]
 	if old != nil {
 		sh.idx.Remove(s.OID, old.s.Pos)
@@ -516,18 +533,43 @@ func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting) Delta
 			sh.memBytes -= tombCost(s.OID)
 		}
 	}
-	entry := &sightingEntry{s: s}
+	entry := &sightingEntry{s: s, acc: acc}
 	if db.ttl > 0 {
 		entry.expires = db.clock().Add(db.ttl)
 	}
 	sh.byID[s.OID] = entry
-	if sh.items != nil {
-		sh.items.InsertItem(spatial.Item{ID: s.OID, Pos: s.Pos, Ref: entry})
-	} else {
-		sh.idx.Insert(s.OID, s.Pos)
-	}
+	sh.index(entry)
 	sh.noteInsert(s.Pos)
 	return putDelta(s, old)
+}
+
+// index adds e to the shard's spatial sub-index. Caller holds the shard's
+// write lock.
+func (sh *sightingShard) index(e *sightingEntry) {
+	if sh.items != nil {
+		sh.items.InsertItem(e.item())
+	} else {
+		sh.idx.Insert(e.s.OID, e.s.Pos)
+	}
+}
+
+// SetAcc implements SightingStore. Only the memtable entry is touched: a
+// record that lives in a run has no accuracy to keep current.
+func (db *ShardedSightingDB) SetAcc(id core.OID, acc float64) bool {
+	sh, _, _ := db.lockOwner(id)
+	defer sh.mu.Unlock()
+	e, ok := sh.byID[id]
+	if !ok {
+		return false
+	}
+	if e.acc != acc {
+		// Same position, so the shard's bounding rectangle stands.
+		sh.idx.Remove(id, e.s.Pos)
+		e = &sightingEntry{s: e.s, expires: e.expires, acc: acc}
+		sh.byID[id] = e
+		sh.index(e)
+	}
+	return true
 }
 
 // Get implements SightingStore. On a tiered store a memtable miss falls
@@ -667,7 +709,7 @@ func (db *ShardedSightingDB) Touch(id core.OID) bool {
 		if db.wal != nil {
 			_ = db.wal.AppendPut(i, len(g.shards), rec.s)
 		}
-		db.putLocked(sh, rec.s)
+		db.putLocked(sh, rec.s, AccUnknown)
 		return true
 	}
 	if db.ttl > 0 {
@@ -775,7 +817,7 @@ func (db *ShardedSightingDB) sweepShard(sh *sightingShard, max int) ([]core.OID,
 func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) bool) {
 	g := db.gen.Load()
 	if g.prev == nil {
-		db.searchShards(g.shards, r, visit)
+		db.searchShards(g.shards, r, hitSink{rec: visit})
 		return
 	}
 	seen := make(map[core.OID]bool)
@@ -787,8 +829,21 @@ func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) 
 		return visit(s)
 	}
 	if db.searchPrevShards(g.prev.shards, r, dedup) {
-		db.searchShards(g.shards, r, dedup)
+		db.searchShards(g.shards, r, hitSink{rec: dedup})
 	}
+}
+
+// SearchEntries implements SightingStore: the same fan-out as SearchArea,
+// delivering memtable hits off the index entries. While a resize is
+// draining a generation, hits need the record-level dedupe and
+// re-validation of SearchArea, so they are delivered without an accuracy.
+func (db *ShardedSightingDB) SearchEntries(r geo.Rect, visit func(id core.OID, pos geo.Point, acc float64) bool) {
+	g := db.gen.Load()
+	if g.prev == nil {
+		db.searchShards(g.shards, r, hitSink{entry: visit})
+		return
+	}
+	db.SearchArea(r, func(s core.Sighting) bool { return visit(s.OID, s.Pos, AccUnknown) })
 }
 
 // scanPrevShards visits the draining generation's shards, with enumerate
@@ -840,72 +895,36 @@ func (db *ShardedSightingDB) scanPrevShards(shards []*sightingShard, enumerate f
 // searchPrevShards is scanPrevShards with the rectangle-search enumerator.
 func (db *ShardedSightingDB) searchPrevShards(shards []*sightingShard, r geo.Rect, visit func(s core.Sighting) bool) bool {
 	return db.scanPrevShards(shards, func(sh *sightingShard, emit func(s core.Sighting) bool) {
-		if !sh.nonempty || !sh.bound.IntersectsClosed(r) {
-			return
+		if sh.nonempty && sh.bound.IntersectsClosed(r) {
+			sc := newIndexScan(hitSink{rec: emit})
+			sc.search(sh.idx, sh.items, sh.byID, r)
+			sc.release()
 		}
-		if sh.items != nil {
-			sh.items.SearchItems(r, func(it spatial.Item) bool {
-				e, ok := it.Ref.(*sightingEntry)
-				if !ok {
-					e = sh.byID[it.ID]
-				}
-				return emit(e.s)
-			})
-			return
-		}
-		sh.idx.Search(r, func(id core.OID, _ geo.Point) bool {
-			return emit(sh.byID[id].s)
-		})
 	}, visit)
 }
 
 // searchShards runs the rectangle search over one generation's shards and
 // reports whether the enumeration ran to completion (false once the visitor
 // stopped it).
-func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, visit func(s core.Sighting) bool) bool {
-	stopped := false
-	var sh *sightingShard
-	// One inner closure pair for all shards; sh is rebound per iteration.
-	// The payload path resolves the record straight off the index entry;
-	// the fallback re-hashes through byID.
-	innerItems := func(it spatial.Item) bool {
-		e, ok := it.Ref.(*sightingEntry)
-		if !ok {
-			e = sh.byID[it.ID]
-		}
-		if !visit(e.s) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	inner := func(id core.OID, _ geo.Point) bool {
-		if !visit(sh.byID[id].s) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	for _, cur := range shards {
-		sh = cur
+func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, sink hitSink) bool {
+	// One pooled scan for all shards, rebound to each shard's hash index.
+	sc := newIndexScan(sink)
+	defer sc.release()
+	for _, sh := range shards {
 		sh.mu.RLock()
 		// A moved shard is scanned too: its content is the immutable
 		// pre-handoff snapshot, which is what keeps a query that loaded
 		// this generation before a resize completed from missing records
 		// (callers running against two generations dedupe by id).
 		if sh.nonempty && sh.bound.IntersectsClosed(r) {
-			if sh.items != nil {
-				sh.items.SearchItems(r, innerItems)
-			} else {
-				sh.idx.Search(r, inner)
-			}
+			sc.search(sh.idx, sh.items, sh.byID, r)
 		}
-		if !stopped && sh.tier != nil {
+		if !sc.stopped && sh.tier != nil {
 			// Disk-resident records, through the runs' spatial leaves.
-			stopped = !sh.tierSearch(db.tier, r, visit)
+			sh.tierSearch(db.tier, r, sc.cold)
 		}
 		sh.mu.RUnlock()
-		if stopped {
+		if sc.stopped {
 			return false
 		}
 	}
@@ -916,24 +935,55 @@ func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, v
 // nearest-neighbor cursors in global distance order. Each shard is locked
 // only for the duration of one cursor advance, so writers are not starved
 // by a long enumeration, and a shard whose bounding rectangle lies beyond
-// the distance at which the consumer stops is never opened at all. An
-// entry removed between the advance and the visit is skipped. During a
-// live resize the merge spans both generations and dedupes by object id
-// (an entry observed in its pre-handoff and post-handoff shard is visited
-// once).
+// the distance at which the consumer stops is never opened at all. A
+// memtable neighbor is delivered as the record the cursor's item points
+// at — the record that was live when its shard's cursor advanced — with no
+// second lookup. During a live resize the merge spans both generations,
+// dedupes by object id (an entry observed in its pre-handoff and
+// post-handoff shard is visited once) and re-resolves every neighbor
+// through Get, which skips entries removed since the advance; cold
+// neighbors of a tiered store are re-resolved the same way.
 func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting, dist float64) bool) {
+	db.nearest(p, func(n spatial.Neighbor, e *sightingEntry) bool {
+		if e != nil {
+			return visit(e.s, n.Dist)
+		}
+		s, found := db.Get(n.ID)
+		return !found || visit(s, n.Dist)
+	})
+}
+
+// NearestEntries implements SightingStore: NearestFunc with memtable
+// neighbors delivered off the cursor's index entries. A neighbor that
+// NearestFunc would re-resolve through Get is re-resolved here too and
+// delivered without an accuracy.
+func (db *ShardedSightingDB) NearestEntries(p geo.Point, visit func(id core.OID, pos geo.Point, acc, dist float64) bool) {
+	db.nearest(p, func(n spatial.Neighbor, e *sightingEntry) bool {
+		if e != nil {
+			return visit(n.ID, n.Pos, n.Acc, n.Dist)
+		}
+		s, found := db.Get(n.ID)
+		return !found || visit(s.OID, s.Pos, AccUnknown, n.Dist)
+	})
+}
+
+// nearest is the merge behind NearestFunc and NearestEntries. visit
+// receives each neighbor with its memtable record and with n.Acc set to
+// that record's accuracy, or with a nil record when the neighbor has to be
+// re-resolved by id: a cold hit, a hit of an index kind without item
+// payloads seen outside its shard's lock, and every hit while a resize is
+// draining a generation (a drained shard's preserved snapshot may have been
+// superseded since).
+func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor, e *sightingEntry) bool) {
 	g := db.gen.Load()
 	if g.prev == nil && len(g.shards) == 1 && db.tier == nil {
 		// Nothing to merge: stream straight off the sub-index. A moved
 		// shard streams its immutable pre-handoff snapshot, like any
-		// query holding a generation a resize has since drained; the
-		// Get re-resolution below keeps delivered records current.
+		// query holding a generation a resize has since drained.
 		sh := g.shards[0]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		sh.idx.NearestFunc(p, func(id core.OID, _ geo.Point, dist float64) bool {
-			return visit(sh.byID[id].s, dist)
-		})
+		streamNearest(sh.idx, sh.byID, p, visit)
 		return
 	}
 	shards := g.shards
@@ -955,8 +1005,7 @@ func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting
 		// Capture the sub-index now, under the lock: a handoff never
 		// mutates a drained tree, so a cursor opened later on this
 		// snapshot stays valid even if the shard is drained
-		// mid-enumeration — its entries are re-validated per visit
-		// through Get, like any concurrently mutated entry.
+		// mid-enumeration.
 		idx := sh.idx
 		minDist := 0.0
 		if usable {
@@ -991,11 +1040,11 @@ func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting
 			}
 			seen[n.ID] = true
 		}
-		s, found := db.Get(n.ID)
-		if !found {
-			continue
+		var e *sightingEntry
+		if g.prev == nil {
+			e, _ = n.Ref.(*sightingEntry)
 		}
-		if !visit(s, n.Dist) {
+		if !visit(n, e) {
 			return
 		}
 	}
@@ -1282,9 +1331,9 @@ func (db *ShardedSightingDB) recoverShardLocked(g *shardGen, shard int) error {
 	}
 	items := make([]spatial.Item, 0, len(live))
 	for _, s := range live {
-		e := &sightingEntry{s: s, expires: expires}
+		e := &sightingEntry{s: s, expires: expires, acc: AccUnknown}
 		sh.byID[s.OID] = e
-		items = append(items, spatial.Item{ID: s.OID, Pos: s.Pos, Ref: e})
+		items = append(items, e.item())
 		sh.noteInsert(s.Pos)
 	}
 	if qt, ok := sh.idx.(*spatial.Quadtree); ok {

@@ -25,6 +25,39 @@
 //   - ConfigRecord — the persistent configuration record describing a
 //     server's service area, parent and children.
 //
+// # Covering index entries
+//
+// A memtable record's spatial index entry carries, beside the object id
+// and the position, the object's offered accuracy (spatial.Item.Acc,
+// mirrored on the record), so a range or nearest-neighbor query can build
+// the location descriptor (pos, acc) and qualify a candidate from the index
+// bucket alone — SearchEntries and NearestEntries dereference no record
+// and their consumer needs no visitorDB lookup. The accuracy is derived
+// state; the invariant around it:
+//
+//   - Who writes it. Only the caller of PutBatchAcc (UpdatePipeline.PutAcc)
+//     and SetAcc — the leaf server, which hands down the OfferedAcc of the
+//     visitor record it holds whenever it installs a sighting, and calls
+//     SetAcc whenever it rewrites that OfferedAcc afterwards. The store
+//     never invents, logs, ships or persists an accuracy: WAL records, run
+//     files, replication streams and snapshots do not contain it.
+//   - When it is unknown. AccUnknown (−1 — not the zero value, which means
+//     "perfectly accurate") marks every entry that did not arrive with an
+//     accuracy: Put, PutBatch, PutBatchDeltas and UpdatePipeline.Put, WAL
+//     replay (Recover), ReplInstallSnapshot, Touch promoting a cold record,
+//     and every hit read from a disk run. SearchEntries and NearestEntries
+//     also report it for hits that have to be re-resolved by id (all hits
+//     while a Resize is draining a generation); the resize itself carries
+//     accuracies across, since they live on the records. Consumers resolve
+//     an unknown accuracy through the source of truth, the visitorDB, so
+//     nothing depends on an accuracy being present.
+//   - Why it is never stale. An entry's accuracy changes only with the
+//     entry — a put for the object replaces both under the shard lock — or
+//     through SetAcc under the same lock, so the last writer wins, and the
+//     server orders its writes so that the last writer carries the visitor
+//     record's current value (server/rangequery.go, rangeScan). A flush
+//     drops the memtable entries and their accuracies with them.
+//
 // # Tiered sighting storage
 //
 // With WithTiering, each shard of a ShardedSightingDB becomes the
@@ -225,9 +258,114 @@ type SightingDB struct {
 
 var _ SightingStore = (*SightingDB)(nil)
 
+// sightingEntry is one memtable record. s and acc never change once the
+// entry is published (an update or SetAcc installs a fresh entry), so a
+// reader that got the pointer under the shard lock may keep reading them
+// after releasing it; expires is refreshed in place under the write lock.
 type sightingEntry struct {
 	s       core.Sighting
 	expires time.Time
+	// acc is the object's offered accuracy as handed down by the server,
+	// AccUnknown when it was not (see "Covering index entries" in the
+	// package comment). The spatial index item carries a copy.
+	acc float64
+}
+
+// item builds the entry's spatial index item.
+func (e *sightingEntry) item() spatial.Item {
+	return spatial.Item{ID: e.s.OID, Pos: e.s.Pos, Ref: e, Acc: e.acc}
+}
+
+// hitSink delivers the hits of a search at the level the caller asked for:
+// entry receives (id, position, accuracy) read off the index entry without
+// touching the record behind it; rec receives the whole sighting. Exactly
+// one of the two is set.
+type hitSink struct {
+	entry func(id core.OID, pos geo.Point, acc float64) bool
+	rec   func(s core.Sighting) bool
+}
+
+// item delivers a memtable hit. Caller holds the lock guarding byID.
+func (k hitSink) item(it *spatial.Item, byID map[core.OID]*sightingEntry) bool {
+	e, own := it.Ref.(*sightingEntry)
+	acc := it.Acc
+	if !own {
+		// An index kind without item payloads: re-hash through byID.
+		e = byID[it.ID]
+		acc = e.acc
+	}
+	if k.entry != nil {
+		return k.entry(it.ID, it.Pos, acc)
+	}
+	return k.rec(e.s)
+}
+
+// cold delivers a run-resident hit; runs do not record accuracies.
+func (k hitSink) cold(s core.Sighting) bool {
+	if k.entry != nil {
+		return k.entry(s.OID, s.Pos, AccUnknown)
+	}
+	return k.rec(s)
+}
+
+// indexScan is the visitor state of one rectangle search, pooled with its
+// visitor closures bound once so that a search allocates nothing: sink is
+// where the hits go, byID the hash index of the sub-index being searched
+// (rebound per shard), stopped whether the consumer ended the search.
+type indexScan struct {
+	sink    hitSink
+	byID    map[core.OID]*sightingEntry
+	stopped bool
+	plain   spatial.Item // the current hit of an index kind without items
+
+	item func(it *spatial.Item) bool
+	id   func(id core.OID, p geo.Point) bool
+	cold func(s core.Sighting) bool
+}
+
+var indexScanPool = sync.Pool{New: func() any {
+	sc := new(indexScan)
+	sc.item = func(it *spatial.Item) bool {
+		if sc.sink.item(it, sc.byID) {
+			return true
+		}
+		sc.stopped = true
+		return false
+	}
+	sc.id = func(id core.OID, p geo.Point) bool {
+		sc.plain = spatial.Item{ID: id, Pos: p}
+		return sc.item(&sc.plain)
+	}
+	sc.cold = func(s core.Sighting) bool {
+		if sc.sink.cold(s) {
+			return true
+		}
+		sc.stopped = true
+		return false
+	}
+	return sc
+}}
+
+func newIndexScan(sink hitSink) *indexScan {
+	sc := indexScanPool.Get().(*indexScan)
+	sc.sink = sink
+	return sc
+}
+
+func (sc *indexScan) release() {
+	sc.sink, sc.byID, sc.stopped, sc.plain = hitSink{}, nil, false, spatial.Item{}
+	indexScanPool.Put(sc)
+}
+
+// search runs the rectangle search over one sub-index. Caller holds the
+// lock guarding idx and byID.
+func (sc *indexScan) search(idx spatial.Index, items spatial.ItemIndex, byID map[core.OID]*sightingEntry, r geo.Rect) {
+	sc.byID = byID
+	if items != nil {
+		items.SearchItems(r, sc.item)
+	} else {
+		idx.Search(r, sc.id)
+	}
 }
 
 // NewSightingDB returns an empty sighting database.
@@ -265,53 +403,97 @@ func (db *SightingDB) ShardFor(core.OID) int { return 0 }
 func (db *SightingDB) Put(s core.Sighting) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.putLocked(s)
+	db.putLocked(s, AccUnknown)
 }
 
 // PutBatch applies a batch of puts under a single lock acquisition. Later
 // entries for the same object override earlier ones, as if applied in order.
 func (db *SightingDB) PutBatch(batch []core.Sighting) {
-	if len(batch) == 0 {
-		return
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, s := range batch {
-		db.putLocked(s)
-	}
+	db.putBatch(batch, nil, nil)
 }
 
 // PutBatchDeltas implements SightingStore. The single-lock database does not
 // coalesce, so a batch with repeated objects yields one delta per entry, in
 // application order.
 func (db *SightingDB) PutBatchDeltas(batch []core.Sighting, out []Delta) []Delta {
-	if len(batch) == 0 {
-		return out
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, s := range batch {
-		out = append(out, db.putLocked(s))
-	}
+	db.putBatch(batch, nil, &out)
 	return out
 }
 
-func (db *SightingDB) putLocked(s core.Sighting) Delta {
+// PutBatchAcc implements SightingStore.
+func (db *SightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta {
+	if out == nil {
+		db.putBatch(batch, accs, nil)
+		return nil
+	}
+	db.putBatch(batch, accs, &out)
+	return out
+}
+
+// putBatch applies batch in order, with accs[i] (when accs is non-nil)
+// recorded on batch[i]'s index entry and the deltas appended to *out (when
+// out is non-nil).
+func (db *SightingDB) putBatch(batch []core.Sighting, accs []float64, out *[]Delta) {
+	if len(batch) == 0 {
+		return
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for i, s := range batch {
+		d := db.putLocked(s, accAt(accs, i))
+		if out != nil {
+			*out = append(*out, d)
+		}
+	}
+}
+
+// accAt returns the accuracy recorded for batch position i; a nil accs
+// means the caller knows none.
+func accAt(accs []float64, i int) float64 {
+	if accs == nil {
+		return AccUnknown
+	}
+	return accs[i]
+}
+
+func (db *SightingDB) putLocked(s core.Sighting, acc float64) Delta {
 	old := db.byID[s.OID]
 	if old != nil {
 		db.idx.Remove(s.OID, old.s.Pos)
 	}
-	entry := &sightingEntry{s: s}
+	entry := &sightingEntry{s: s, acc: acc}
 	if db.ttl > 0 {
 		entry.expires = db.clock().Add(db.ttl)
 	}
 	db.byID[s.OID] = entry
-	if db.items != nil {
-		db.items.InsertItem(spatial.Item{ID: s.OID, Pos: s.Pos, Ref: entry})
-	} else {
-		db.idx.Insert(s.OID, s.Pos)
-	}
+	db.indexLocked(entry)
 	return putDelta(s, old)
+}
+
+// indexLocked adds e to the spatial index.
+func (db *SightingDB) indexLocked(e *sightingEntry) {
+	if db.items != nil {
+		db.items.InsertItem(e.item())
+	} else {
+		db.idx.Insert(e.s.OID, e.s.Pos)
+	}
+}
+
+// SetAcc implements SightingStore.
+func (db *SightingDB) SetAcc(id core.OID, acc float64) bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	e, ok := db.byID[id]
+	if !ok {
+		return false
+	}
+	if e.acc != acc {
+		db.idx.Remove(id, e.s.Pos)
+		e = &sightingEntry{s: e.s, expires: e.expires, acc: acc}
+		db.byID[id] = e
+		db.indexLocked(e)
+	}
+	return true
 }
 
 // Get returns the sighting record for id via the hash index.
@@ -442,30 +624,62 @@ func (db *SightingDB) SweepExpired(max int) []core.OID {
 // rectangle r, via the spatial index. With a payload-carrying index the
 // record is resolved straight off the index entry.
 func (db *SightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) bool) {
+	db.search(r, hitSink{rec: visit})
+}
+
+// SearchEntries implements SightingStore.
+func (db *SightingDB) SearchEntries(r geo.Rect, visit func(id core.OID, pos geo.Point, acc float64) bool) {
+	db.search(r, hitSink{entry: visit})
+}
+
+func (db *SightingDB) search(r geo.Rect, sink hitSink) {
+	sc := newIndexScan(sink)
+	defer sc.release()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if db.items != nil {
-		db.items.SearchItems(r, func(it spatial.Item) bool {
-			e, ok := it.Ref.(*sightingEntry)
-			if !ok {
-				e = db.byID[it.ID]
-			}
-			return visit(e.s)
-		})
-		return
-	}
-	db.idx.Search(r, func(id core.OID, _ geo.Point) bool {
-		return visit(db.byID[id].s)
-	})
+	sc.search(db.idx, db.items, db.byID, r)
 }
 
 // NearestFunc visits sightings in order of increasing distance from p.
 func (db *SightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting, dist float64) bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	db.idx.NearestFunc(p, func(id core.OID, _ geo.Point, dist float64) bool {
-		return visit(db.byID[id].s, dist)
+	streamNearest(db.idx, db.byID, p, func(n spatial.Neighbor, e *sightingEntry) bool {
+		return visit(e.s, n.Dist)
 	})
+}
+
+// NearestEntries implements SightingStore.
+func (db *SightingDB) NearestEntries(p geo.Point, visit func(id core.OID, pos geo.Point, acc, dist float64) bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	streamNearest(db.idx, db.byID, p, func(n spatial.Neighbor, _ *sightingEntry) bool {
+		return visit(n.ID, n.Pos, n.Acc, n.Dist)
+	})
+}
+
+// streamNearest walks one sub-index's nearest-neighbor cursor around p,
+// handing visit each neighbor with its record and with n.Acc set to the
+// record's accuracy — both read off the cursor's item when the index kind
+// carries the payload, resolved through the hash index otherwise. Caller
+// holds the lock guarding idx and byID.
+func streamNearest(idx spatial.Index, byID map[core.OID]*sightingEntry, p geo.Point, visit func(n spatial.Neighbor, e *sightingEntry) bool) {
+	c := idx.NearestCursor(p)
+	defer c.Close()
+	for {
+		n, ok := c.Next()
+		if !ok {
+			return
+		}
+		e, own := n.Ref.(*sightingEntry)
+		if !own {
+			e = byID[n.ID]
+			n.Acc = e.acc
+		}
+		if !visit(n, e) {
+			return
+		}
+	}
 }
 
 // ForEach visits every stored sighting in unspecified order.

@@ -3,7 +3,14 @@ package store
 import (
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
+	"locsvc/internal/spatial"
 )
+
+// AccUnknown is the accuracy of an index entry that records none: entries
+// put without one (Put, PutBatch, PutBatchDeltas), replayed from a WAL,
+// installed by replication or read from a disk run. See "Covering index
+// entries" in the package comment.
+const AccUnknown = spatial.AccUnknown
 
 // SightingStore is the sighting-database interface the server programs
 // against. Two implementations exist:
@@ -39,6 +46,18 @@ type SightingStore interface {
 	// emits one delta per object, spanning the pre-batch position and the
 	// final one; deltas for the same object are always in commit order.
 	PutBatchDeltas(batch []core.Sighting, out []Delta) []Delta
+	// PutBatchAcc is the general batch put. With a non-nil accs (one per
+	// batch entry) it records accs[i] as batch[i]'s object's offered
+	// accuracy on the index entry; the accuracy is logged and replicated
+	// nowhere, and the caller keeps it current (SetAcc). Deltas are
+	// reported as by PutBatchDeltas, but only when out is non-nil — pass
+	// an empty non-nil slice to ask for them, nil to skip them.
+	PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta
+	// SetAcc replaces the accuracy recorded on id's index entry, leaving
+	// the sighting and its expiration date alone. It reports false when
+	// the memtable holds no entry for id — there is then nothing to keep
+	// current.
+	SetAcc(id core.OID, acc float64) bool
 	// Get returns the record for id via the hash index.
 	Get(id core.OID) (core.Sighting, bool)
 	// Remove deletes the record for id and reports whether it existed.
@@ -61,8 +80,15 @@ type SightingStore interface {
 	SweepExpired(max int) []core.OID
 	// SearchArea visits every sighting inside the closed rectangle r.
 	SearchArea(r geo.Rect, visit func(s core.Sighting) bool)
+	// SearchEntries is SearchArea at index-entry level: visit receives the
+	// id, the position and the recorded accuracy (AccUnknown when none)
+	// of every match without the record behind the entry being read.
+	SearchEntries(r geo.Rect, visit func(id core.OID, pos geo.Point, acc float64) bool)
 	// NearestFunc visits sightings in order of increasing distance from p.
 	NearestFunc(p geo.Point, visit func(s core.Sighting, dist float64) bool)
+	// NearestEntries is NearestFunc at index-entry level, like
+	// SearchEntries.
+	NearestEntries(p geo.Point, visit func(id core.OID, pos geo.Point, acc, dist float64) bool)
 	// ForEach visits every stored sighting in unspecified order.
 	ForEach(visit func(s core.Sighting) bool)
 }

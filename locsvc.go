@@ -34,8 +34,10 @@
 //	_ = obj.Update(ctx, ...)
 //	ld, err := c.PosQuery(ctx, "taxi-7")
 //
-// See the examples/ directory for complete scenarios and DESIGN.md for the
-// mapping between this code base and the paper.
+// See the examples/ directory for complete scenarios. The mapping between
+// this code base and the paper is in the package comments: internal/core
+// (the service model of Section 3), internal/store (data storage, Section
+// 5) and internal/server (the algorithms of Section 6).
 package locsvc
 
 import (
