@@ -25,7 +25,8 @@
 // BenchmarkCacheAblation (A2). Absolute numbers differ from the paper's
 // 2001 hardware; the shape — updates cheaper than range queries, position
 // queries cheapest, local ≪ remote, larger areas slower — is what the
-// reproduction checks (see EXPERIMENTS.md).
+// reproduction checks (lsbench -table 1 and -table 2 print the paper's
+// value beside each measured row).
 package locsvc_test
 
 import (

@@ -24,7 +24,7 @@
 //
 // Numbers are produced on the in-process testbed (goroutine servers with a
 // synthetic per-hop latency); compare shapes, not absolute values, against
-// the paper (EXPERIMENTS.md records both).
+// the paper (tables 1 and 2 print the paper's value beside each row).
 package main
 
 import (

@@ -291,9 +291,10 @@ func TestFailoverSoak(t *testing.T) {
 		ld, qerr := clients["o1"].PosQuery(soakCtx(t), "o0")
 		return qerr == nil && ld.Pos == final
 	})
-	if got := heir.Metrics().Gauge("repl_role").Value(); got != 1 {
-		t.Fatalf("heir repl_role = %d after failover, want 1 (primary)", got)
-	}
+	// The gauge follows the role on the heir's next janitor tick.
+	waitSoak(t, "heir's repl_role gauge to read 1 (primary)", func() bool {
+		return heir.Metrics().Gauge("repl_role").Value() == 1
+	})
 
 	// Crash the victim for real and restart it from its own WAL + runs,
 	// still configured as a primary (it never learned of the takeover).

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,6 +189,75 @@ func TestAreaCacheDirectHandover(t *testing.T) {
 	}
 	if ld.Pos != geo.Pt(800, 100) {
 		t.Errorf("ld = %+v", ld)
+	}
+}
+
+// TestPosQueryDuringDirectHandoverRepair asks for an object inside the
+// window a direct handover opens: the old agent has dropped its records,
+// the root still points at it, and the new agent's CreatePath — held back
+// here by the network — has not arrived. The root must hold the query for
+// the repair instead of answering that the object is not tracked.
+func TestPosQueryDuringDirectHandoverRepair(t *testing.T) {
+	const repairDelay = 100 * time.Millisecond
+	var holdRepairs atomic.Bool
+	net := transport.NewInproc(transport.InprocOptions{
+		FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
+			if _, ok := env.Msg.(msg.CreatePath); ok && to == "r" && holdRepairs.Load() {
+				return transport.Fault{Delay: repairDelay}
+			}
+			return transport.Fault{}
+		},
+	})
+	dep, err := hierarchy.Deploy(net, quadSpec(), server.Options{EnableAreaCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		dep.Close()
+		net.Close()
+	})
+	ls := &testLS{net: net, dep: dep}
+	root, _ := dep.Server("r")
+	oldLeaf, _ := dep.Server("r.0")
+
+	owner := ls.newClientAt(t, "owner", geo.Pt(700, 100), client.Options{})
+	obj, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(700, 100)), 10, 50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return root.VisitorCount() == 1 }, "path at root")
+	// Warm r.0's (leaf → area) cache as TestAreaCacheDirectHandover does.
+	q := ls.newClientAt(t, "warm", geo.Pt(100, 100), client.Options{})
+	if _, err := q.RangeQueryRect(ctx(t), geo.R(700, 50, 900, 150), 25, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return oldLeafHasArea(oldLeaf, geo.Pt(800, 100)) }, "r.0 learned r.1's area")
+
+	holdRepairs.Store(true)
+	if err := obj.Update(ctx(t), sightingAt("o1", geo.Pt(800, 100))); err != nil {
+		t.Fatal(err)
+	}
+	if got := oldLeaf.Metrics().Counter("handover_direct").Value(); got != 1 {
+		t.Fatalf("direct handovers = %d, want 1", got)
+	}
+	if rec, _ := rootVisitor(root, "o1"); rec.ForwardRef != "r.0" {
+		t.Fatalf("root already points to %q: the repair was not held back", rec.ForwardRef)
+	}
+
+	remote := ls.newClientAt(t, "remote", geo.Pt(1400, 1400), client.Options{})
+	asked := time.Now()
+	ld, err := remote.PosQuery(ctx(t), "o1")
+	if err != nil {
+		t.Fatalf("query inside the repair window: %v", err)
+	}
+	if ld.Pos != geo.Pt(800, 100) {
+		t.Errorf("ld = %+v, want the position at the new agent", ld)
+	}
+	if root.Metrics().Counter("pos_fwd_bounced").Value() == 0 {
+		t.Error("the query never dead-ended at the root: the window was not exercised")
+	}
+	if waited := time.Since(asked); waited > 2*repairDelay {
+		t.Errorf("query answered after %v: released by the grace period, not by the repair arriving after %v", waited, repairDelay)
 	}
 }
 

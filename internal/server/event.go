@@ -59,10 +59,11 @@ import (
 // # Notification delivery
 //
 // Reports and notifications leave through the server's notifier: bounded
-// per-destination queues drained by on-demand goroutines that send with
-// the PathRetry budget, so a lost datagram does not lose a predicate
-// transition and a slow or dead subscriber stalls only its own queue,
-// never the update pipeline or other subscribers. Count reports and
+// per-destination queues, each drained on demand by one task on the
+// transport's handler executor that sends with the PathRetry budget, so a
+// lost datagram does not lose a predicate transition and a slow or dead
+// subscriber stalls only its own queue, never the update pipeline or
+// other subscribers. Count reports and
 // transition notifications coalesce latest-wins per subscription (the
 // subscriber learns current state, not history); meeting notifications
 // queue FIFO with a drop-oldest bound. Retries mean duplicates:
@@ -424,7 +425,7 @@ func (s *Server) eventDispatcher() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case w := <-s.events.work:
 			if w.install != nil {

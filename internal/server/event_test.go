@@ -124,6 +124,18 @@ func TestMeetingEvent(t *testing.T) {
 	if err := sub.SubscribeMeeting("meet", area, 20, rec.add); err != nil {
 		t.Fatal(err)
 	}
+	// The leaf's dispatcher evaluates deltas behind the commits, and a
+	// meeting delta looks its partners up in the store as it is by then. A
+	// count subscription over the same area rides the same queue, so its
+	// local count says how far the dispatcher has got. (The threshold is
+	// never reached.)
+	if err := sub.SubscribeCountAbove("progress", area, 50, 100, func(msg.EventNotify) {}); err != nil {
+		t.Fatal(err)
+	}
+	// Subscribing is a one-way send: wait until the one leaf the area
+	// covers (r.0, exactly) installed both.
+	leaf, _ := ls.dep.Server("r.0")
+	waitFor(t, func() bool { return leaf.EventSubCountForTest() == 2 }, "subscriptions installed on the covered leaf")
 
 	if _, err := owner.Register(ctx(t), sightingAt("alice", geo.Pt(100, 100)), 10, 50, 3); err != nil {
 		t.Fatal(err)
@@ -133,6 +145,12 @@ func TestMeetingEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both registrations evaluated while the two are still far apart —
+	// not later, against Bob's next position.
+	waitFor(t, func() bool {
+		n, _ := leaf.EventLocalCountForTest("progress")
+		return n == 2
+	}, "the dispatcher to evaluate both registrations")
 	if len(rec.snapshot()) != 0 {
 		t.Fatal("meeting fired while objects far apart")
 	}

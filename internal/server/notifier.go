@@ -1,16 +1,15 @@
 package server
 
 import (
-	"context"
 	"sync"
-	"time"
 
 	"locsvc/internal/msg"
 	"locsvc/internal/transport"
 )
 
-// notifier owns outbound event delivery: per-destination bounded queues
-// drained by on-demand goroutines that send with the PathRetry budget.
+// notifier owns outbound event delivery: per-destination bounded queues,
+// each drained on demand by one task on the transport's handler executor
+// that sends with the PathRetry budget.
 // The shape exists for backpressure isolation — a slow, lossy, or dead
 // subscriber fills and stalls only its own queue while the event
 // dispatcher (and the update pipeline behind it) keeps running, and other
@@ -82,23 +81,16 @@ func (n *notifier) EnqueueFIFO(to msg.NodeID, m msg.Message) {
 	n.mu.Unlock()
 }
 
-// startDrainLocked spins up the destination's drain goroutine if it is
-// not already running. Caller holds n.mu.
+// startDrainLocked starts the destination's drain if it is not already
+// running. Caller holds n.mu.
 func (n *notifier) startDrainLocked(to msg.NodeID, q *notifyQueue) {
-	if q.draining {
+	if q.draining || !n.s.beginBackground() {
+		// Already draining — or shutting down: leave the queue; Close is
+		// tearing the node down.
 		return
 	}
-	s := n.s
-	s.bgMu.Lock()
-	if s.stopped {
-		s.bgMu.Unlock()
-		// Shutting down: leave the queue; Close is tearing the node down.
-		return
-	}
-	s.wg.Add(1)
-	s.bgMu.Unlock()
 	q.draining = true
-	go n.drain(to)
+	transport.Go(func() { n.drain(to) })
 }
 
 // drain delivers one destination's queue to empty, keyed messages first
@@ -127,39 +119,18 @@ func (n *notifier) drain(to msg.NodeID) {
 			return
 		}
 		n.mu.Unlock()
-		select {
-		case <-s.stop:
-			// Best-effort flush on shutdown, no retry loop to wait out.
+		if s.ctx.Err() != nil || !s.opts.PathRetry.Enabled() {
+			// Shutting down (or retries disabled): a best-effort flush, no
+			// retry loop to wait out.
 			s.sendOrCount(to, m)
 			continue
-		default:
 		}
-		n.send(to, m)
-	}
-}
-
-// send delivers one message with the PathRetry budget — the same
-// reasoning as forwardPath: an event notification is the only copy of the
-// transition it announces, so each is re-sent until the peer's ack or the
-// budget runs out.
-func (n *notifier) send(to msg.NodeID, m msg.Message) {
-	s := n.s
-	pol := s.opts.PathRetry
-	if !pol.Enabled() {
-		s.sendOrCount(to, m)
-		return
-	}
-	total := time.Duration(pol.MaxAttempts) * (pol.PerTryTimeout + pol.MaxBackoff)
-	ctx, cancel := context.WithTimeout(context.Background(), total)
-	defer cancel()
-	go func() {
-		select {
-		case <-s.stop:
-			cancel()
-		case <-ctx.Done():
+		// The same reasoning as forwardPath: an event notification is the
+		// only copy of the transition it announces, so each is re-sent
+		// until the peer's ack or the budget runs out — every attempt has
+		// its PerTryTimeout, every backoff its cap — or the server closes.
+		if _, err := transport.CallWithRetry(s.ctx, s.node, func() msg.NodeID { return to }, m, s.opts.PathRetry); err != nil {
+			s.met.Counter("event_notify_failed").Inc()
 		}
-	}()
-	if _, err := transport.CallWithRetry(ctx, s.node, func() msg.NodeID { return to }, m, pol); err != nil {
-		s.met.Counter("event_notify_failed").Inc()
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"locsvc/internal/core"
@@ -184,7 +185,9 @@ func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 			s.met.Counter("pos_fwd_bounced").Inc()
 			parent := s.parentForOID(req.OID)
 			if parent == "" {
-				s.respondToOrigin(req.Origin, msg.PosQueryRes{OpID: req.Origin.OpID, Found: false, Hops: req.Hops})
+				// Nobody above to ask: hold the query for the repair
+				// that an in-flight handover is about to deliver.
+				s.holdForRepair(req)
 				return
 			}
 			s.forwardPosQueryOr(parent, req)
@@ -208,6 +211,77 @@ func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 			return
 		}
 		s.forwardPosQueryOr(parent, req)
+	}
+}
+
+// repairGrace is how long the root holds a position query that dead-ended
+// on the root's own record before answering it not-found. A repair in
+// flight arrives within a round trip or two; the grace is what a genuinely
+// stale leftover record costs its askers, so it stays well under their
+// query timeout.
+const repairGrace = 250 * time.Millisecond
+
+// heldQueries holds, at the root, the position queries whose forwarding
+// path dead-ended: the root's record points to the very child that found
+// nothing below it. After a direct handover that is the normal state of
+// affairs for a moment — the old agent has dropped its records and pruned
+// its branch, while the new agent's CreatePath is still climbing — and the
+// object is not gone at all. So the query waits for the next change to the
+// object's path at the root (the repair, whose climb ends here, or a
+// removal), then descends again along whatever the root records by then.
+// Nothing blocks: a held query is an entry and a timer.
+type heldQueries struct {
+	mu sync.Mutex
+	m  map[core.OID][]*heldQuery
+}
+
+type heldQuery struct {
+	req   msg.PosQueryFwd
+	timer *time.Timer
+}
+
+// holdForRepair parks req until releaseHeld(req.OID) or the grace runs out.
+func (s *Server) holdForRepair(req msg.PosQueryFwd) {
+	h := &s.held
+	q := &heldQuery{req: req}
+	q.timer = time.AfterFunc(repairGrace, func() {
+		h.mu.Lock()
+		qs := h.m[req.OID]
+		for i := range qs {
+			if qs[i] != q {
+				continue
+			}
+			if qs = append(qs[:i], qs[i+1:]...); len(qs) == 0 {
+				delete(h.m, req.OID)
+			} else {
+				h.m[req.OID] = qs
+			}
+			h.mu.Unlock()
+			s.respondToOrigin(req.Origin, msg.PosQueryRes{OpID: req.Origin.OpID, Found: false, Hops: req.Hops})
+			return
+		}
+		h.mu.Unlock() // released meanwhile
+	})
+	h.mu.Lock()
+	if h.m == nil {
+		h.m = make(map[core.OID][]*heldQuery)
+	}
+	h.m[req.OID] = append(h.m[req.OID], q)
+	h.mu.Unlock()
+}
+
+// releaseHeld sends the queries held for oid down the tree again, from this
+// server's current record. The path-maintenance handlers call it after a
+// change to oid's record at the root.
+func (s *Server) releaseHeld(oid core.OID) {
+	h := &s.held
+	h.mu.Lock()
+	qs := h.m[oid]
+	delete(h.m, oid)
+	h.mu.Unlock()
+	for _, q := range qs {
+		q.timer.Stop()
+		s.handlePosQueryFwd("", q.req)
 	}
 }
 

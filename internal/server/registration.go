@@ -127,7 +127,10 @@ func (s *Server) handleCreatePath(from msg.NodeID, req msg.CreatePath) {
 	// subtree. Each ancestor applies or refuses independently by PathT.
 	if s.parent() != "" {
 		s.forwardPath(s.parentForOID(req.OID), req)
+		return
 	}
+	// The climb ends here, so the path below is whole again.
+	s.releaseHeld(req.OID)
 }
 
 // handleRemovePath tears a forwarding path down bottom-up: used by
@@ -156,7 +159,9 @@ func (s *Server) handleRemovePath(from msg.NodeID, req msg.RemovePath) {
 	}
 	if s.parent() != "" {
 		s.forwardPath(s.parentForOID(req.OID), req)
+		return
 	}
+	s.releaseHeld(req.OID)
 }
 
 // respondToOrigin sends an operation response directly to the node the
@@ -183,45 +188,86 @@ func (s *Server) sendOrCount(to msg.NodeID, m msg.Message) {
 // an ancestor without a record and turns later queries for the object into
 // definitive not-founds. So unlike plain fan-out (where the query's own
 // deadline bounds the damage), each hop re-sends until the peer's ack or
-// the budget runs out. Runs asynchronously; path propagation is off the
-// request path by design (Algorithm 6-1 answers the client before the
-// climb completes).
+// the budget runs out.
+//
+// The first send happens here, on the caller's goroutine, so the message is
+// on its way before the caller answers its own request; what is off the
+// request path by design (Algorithm 6-1 answers the client before the climb
+// completes) is the wait for the ack. No goroutine does that waiting: the
+// call's resolution — the ack, or the sweeper's timeout — runs pathSend.acked
+// as a continuation, and a retry is a timer. A population registering at
+// once therefore costs one in-flight table entry per unacknowledged path
+// message, not a parked stack. Close abandons what is pending through the
+// server's context; once it has begun — or with retries disabled — a
+// message gets one best-effort send instead.
 func (s *Server) forwardPath(to msg.NodeID, m msg.Message) {
-	pol := s.opts.PathRetry
-	if !pol.Enabled() {
+	if !s.opts.PathRetry.Enabled() || s.ctx.Err() != nil {
 		s.sendOrCount(to, m)
 		return
 	}
-	s.bgMu.Lock()
-	if s.stopped {
-		s.bgMu.Unlock()
-		// Shutting down: one best-effort send instead of a retry loop
-		// Close would have to wait out.
-		s.sendOrCount(to, m)
+	(&pathSend{s: s, to: to, m: m}).try()
+}
+
+// pathSend is one forwarding-path message on its way to its acknowledgement.
+type pathSend struct {
+	s     *Server
+	to    msg.NodeID
+	m     msg.Message
+	tries int
+}
+
+// try sends the message as a call with the per-try deadline.
+func (p *pathSend) try() {
+	s := p.s
+	if s.ctx.Err() != nil {
 		return
+	}
+	p.tries++
+	ctx, cancel := context.WithTimeout(s.ctx, s.opts.PathRetry.PerTryTimeout)
+	pc, err := s.node.CallAsync(ctx, p.to, p.m)
+	cancel() // tracker keeps its own deadline; cancel only ends the slot wait
+	if err != nil {
+		p.failed(err)
+		return
+	}
+	pc.Then(p.acked)
+}
+
+// acked is the call's continuation (see PendingCall.Then): it runs on the
+// goroutine that resolved the call and does not block.
+func (p *pathSend) acked(reply msg.Message) {
+	if err := msg.AsError(reply); err != nil {
+		p.failed(err)
+	}
+}
+
+// failed schedules the next try after the policy's backoff, or gives the
+// message up: budget exhausted, an error no retry clears, or shutdown.
+func (p *pathSend) failed(err error) {
+	s := p.s
+	if s.ctx.Err() != nil {
+		return
+	}
+	pol := s.opts.PathRetry
+	if p.tries >= pol.MaxAttempts || !transport.Retryable(err) {
+		s.met.Counter("path_propagation_failed").Inc()
+		return
+	}
+	transport.CountRetry(s.node)
+	time.AfterFunc(pol.Backoff(p.tries), p.try)
+}
+
+// beginBackground reserves a slot in s.wg for work that must finish before
+// Close tears the stores down; the caller releases it with s.wg.Done. It
+// refuses once Close has begun.
+func (s *Server) beginBackground() bool {
+	s.bgMu.Lock()
+	defer s.bgMu.Unlock()
+	if s.stopped {
+		return false
 	}
 	s.wg.Add(1)
-	s.bgMu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		// Bound the whole budget so a goroutine never outlives its
-		// usefulness: all attempts plus all maximal backoff draws.
-		total := time.Duration(pol.MaxAttempts) * (pol.PerTryTimeout + pol.MaxBackoff)
-		ctx, cancel := context.WithTimeout(context.Background(), total)
-		defer cancel()
-		// Abort outstanding attempts on shutdown: Close waits for this
-		// goroutine before detaching from the network.
-		go func() {
-			select {
-			case <-s.stop:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-		if _, err := transport.CallWithRetry(ctx, s.node, func() msg.NodeID { return to }, m, pol); err != nil {
-			s.met.Counter("path_propagation_failed").Inc()
-		}
-	}()
+	return true
 }
 
 // forward sends m to a hierarchy neighbor as a tracked one-way: the message

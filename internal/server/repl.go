@@ -344,19 +344,12 @@ func (r *replState) sendable(st *replStream) bool {
 }
 
 // stopping reports server shutdown.
-func (r *replState) stopping() bool {
-	select {
-	case <-r.s.stop:
-		return true
-	default:
-		return false
-	}
-}
+func (r *replState) stopping() bool { return r.s.ctx.Err() != nil }
 
 // pause sleeps one send-idle period or until shutdown.
 func (r *replState) pause() {
 	select {
-	case <-r.s.stop:
+	case <-r.s.ctx.Done():
 	case <-time.After(replSendIdle):
 	}
 }
@@ -472,17 +465,8 @@ func (r *replState) send(st *replStream, batch []msg.ReplRecord, first uint64) {
 		MaxBackoff:    replSendIdle,
 		PerTryTimeout: s.opts.CallTimeout,
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		select {
-		case <-s.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	defer cancel()
 	m := msg.ReplAppend{Epoch: r.epoch.Load(), Stream: st.id, FirstSeq: first, Recs: batch}
-	res, err := transport.CallWithRetry(ctx, s.node, func() msg.NodeID { return r.peer }, m, pol)
+	res, err := transport.CallWithRetry(s.ctx, s.node, func() msg.NodeID { return r.peer }, m, pol)
 	if err != nil {
 		s.met.Counter("repl_send_errors").Inc()
 		r.pause()
@@ -591,13 +575,9 @@ func (s *Server) handleReplAppend(req msg.ReplAppend) (msg.Message, error) {
 	// Applies write through the WAL and the tier manifests, which Close
 	// tears down after draining s.wg — so an apply must hold a slot for
 	// its whole run (the same guard as forwardPath) or not start at all.
-	s.bgMu.Lock()
-	if s.stopped {
-		s.bgMu.Unlock()
+	if !s.beginBackground() {
 		return nil, core.ErrUnavailable
 	}
-	s.wg.Add(1)
-	s.bgMu.Unlock()
 	defer s.wg.Done()
 	if req.Stream < 0 || req.Stream >= len(r.streams) {
 		return nil, fmt.Errorf("%w: replication stream %d out of range", core.ErrBadRequest, req.Stream)
@@ -730,17 +710,8 @@ func (r *replState) fetchRun(shard int) func(name string) error {
 				MaxBackoff:    replSendIdle,
 				PerTryTimeout: s.opts.CallTimeout,
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				select {
-				case <-s.stop:
-					cancel()
-				case <-ctx.Done():
-				}
-			}()
-			defer cancel()
 			m := msg.RunFetch{Shard: shard, Name: name, Off: off, MaxBytes: maxBytes}
-			res, err := transport.CallWithRetry(ctx, s.node, func() msg.NodeID { return r.peer }, m, pol)
+			res, err := transport.CallWithRetry(s.ctx, s.node, func() msg.NodeID { return r.peer }, m, pol)
 			if err != nil {
 				return nil, false, err
 			}
@@ -829,7 +800,7 @@ func (s *Server) replMonitor() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
 		}
@@ -838,7 +809,7 @@ func (s *Server) replMonitor() {
 			// exchange: a lossy link must not read as a dead primary,
 			// or the monitor promotes standbys for every loss burst.
 			// An open breaker still fails the whole probe instantly.
-			ctx, cancel := context.WithTimeout(context.Background(), s.opts.ReplHealthInterval)
+			ctx, cancel := context.WithTimeout(s.ctx, s.opts.ReplHealthInterval)
 			_, err := transport.CallWithRetry(ctx, s.node,
 				func() msg.NodeID { return msg.NodeID(primary) }, msg.DiagReq{},
 				transport.RetryPolicy{
@@ -871,22 +842,13 @@ func (s *Server) replMonitor() {
 // Returns false (and leaves the pair as is, to retry next tick) if the
 // standby did not confirm the promotion.
 func (s *Server) failover(primary, standby string) bool {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		select {
-		case <-s.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	defer cancel()
 	pol := transport.RetryPolicy{
 		MaxAttempts:   4,
 		BaseBackoff:   25 * time.Millisecond,
 		MaxBackoff:    250 * time.Millisecond,
 		PerTryTimeout: s.opts.CallTimeout,
 	}
-	res, err := transport.CallWithRetry(ctx, s.node, func() msg.NodeID { return msg.NodeID(standby) }, msg.Promote{}, pol)
+	res, err := transport.CallWithRetry(s.ctx, s.node, func() msg.NodeID { return msg.NodeID(standby) }, msg.Promote{}, pol)
 	if err != nil {
 		s.met.Counter("repl_failover_errors").Inc()
 		return false

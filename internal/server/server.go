@@ -270,6 +270,7 @@ type Server struct {
 
 	caches *leafCaches
 	pend   *pending
+	held   heldQueries
 	events *events
 	notify *notifier
 	met    *metrics.Registry
@@ -303,12 +304,16 @@ type Server struct {
 	autoShard    *store.AutoShard
 	gaugedShards int
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// ctx is the server's lifetime: Close cancels it, which stops the
+	// background loops and aborts every outbound retry loop running under
+	// it (path propagation, notifications, replication).
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
-	// bgMu guards stopped, which refuses new background goroutines (path
-	// propagation retries) once Close has started waiting on wg — an Add
-	// racing the Wait at counter zero is a WaitGroup misuse.
+	// bgMu guards stopped, which refuses new background work (notifier
+	// drains, replication applies) once Close has started waiting on wg —
+	// an Add racing the Wait at counter zero is a WaitGroup misuse.
 	bgMu    sync.Mutex
 	stopped bool
 
@@ -348,7 +353,6 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		caches:   newLeafCaches(opts),
 		pend:     newPending(),
 		met:      opts.Metrics,
-		stop:     make(chan struct{}),
 	}
 	// Only leaves evaluate subscriptions against sightings, so only they
 	// get the subscription index and delta dispatcher; everywhere else the
@@ -460,8 +464,10 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 			visitors.SetReplTee(r)
 		}
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	node, err := network.Attach(msg.NodeID(cfg.ID), s.handle)
 	if err != nil {
+		s.cancel()
 		visitors.Close()
 		closeWALs()
 		return nil, fmt.Errorf("server %s: attaching to network: %w", cfg.ID, err)
@@ -530,18 +536,20 @@ func (s *Server) leafInfo() msg.LeafInfo {
 // Close detaches the server from the network, stops its background
 // goroutines and closes the stores. The order is load-bearing: stopped
 // flips first (no new background work or replication applies start),
-// then the node detaches (in-flight outbound calls resolve instead of
-// waiting out their timeouts), and only after every tracked goroutine —
-// janitor, event dispatcher, notifier drains, path retries, replication
-// senders and in-flight replication applies — has drained do the WALs
-// and tier manifests close underneath them.
+// the lifetime context is cancelled (loops stop, retry loops give up,
+// unacknowledged path messages are abandoned), then the node detaches
+// (in-flight outbound calls resolve instead of waiting out their
+// timeouts), and only after every tracked task — janitor, event
+// dispatcher, notifier drains, replication senders and in-flight
+// replication applies — has drained do the WALs and tier manifests close
+// underneath them.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		s.bgMu.Lock()
 		s.stopped = true
 		s.bgMu.Unlock()
-		close(s.stop)
+		s.cancel()
 		if s.repl != nil {
 			s.repl.wake()
 		}
@@ -570,8 +578,9 @@ func (s *Server) Close() error {
 }
 
 // handle is the transport handler: it dispatches every incoming message to
-// the algorithm implementations. It runs on a per-message goroutine, so
-// handlers may block on nested calls (handover, distributed queries).
+// the algorithm implementations. The transport runs it concurrently for
+// every message, so handlers may block on nested calls (handover,
+// distributed queries).
 func (s *Server) handle(ctx context.Context, from msg.NodeID, m msg.Message) (msg.Message, error) {
 	switch req := m.(type) {
 	// Registration (Algorithm 6-1).
@@ -681,7 +690,7 @@ func (s *Server) janitor() {
 	walDownReported := false
 	for {
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
 			// A standby never expires soft state on its own: removals

@@ -2,7 +2,7 @@
 // with configurable workloads: it is the testbed substitute for the paper's
 // five-workstation evaluation (Section 7.2) and powers the Table 2
 // reproduction as well as the hierarchy, caching, locality and
-// update-protocol ablations (DESIGN.md, experiments index).
+// update-protocol ablations (indexed in cmd/lsbench's command comment).
 //
 // The paper's three load-generator machines become worker goroutines; its
 // 100 Mbit LAN becomes the in-process transport, optionally with a per-hop

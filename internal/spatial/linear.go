@@ -9,7 +9,8 @@ import (
 )
 
 // Linear is a brute-force index used as a correctness reference for the
-// tree indexes and as the baseline in the index ablation (DESIGN.md, A1).
+// tree indexes and as the baseline in the index ablation (lsbench -table
+// A1, BenchmarkIndexAblation).
 // Insert and Remove are O(1); Search and NearestFunc scan all entries.
 type Linear struct {
 	items map[core.OID][]geo.Point

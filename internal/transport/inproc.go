@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"locsvc/internal/metrics"
@@ -84,8 +85,9 @@ type InprocOptions struct {
 	// BreakerCooldown is the open→half-open probe interval; zero uses
 	// defaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// Metrics, if non-nil, receives wire_retries, wire_breaker_open and
-	// peer_state series (shared by every node of this network).
+	// Metrics, if non-nil, receives wire_retries, wire_call_timeouts,
+	// wire_late_replies, wire_breaker_open and peer_state series (shared by
+	// every node of this network).
 	Metrics *metrics.Registry
 }
 
@@ -107,14 +109,20 @@ type inprocBatch struct {
 	timer *time.Timer
 }
 
-// Inproc is an in-process Network: nodes are handler functions invoked on
-// dedicated goroutines per delivery.
+// Inproc is an in-process Network: nodes are handler functions, each
+// delivered request handled concurrently on the handler executor.
 type Inproc struct {
 	mu     sync.RWMutex
 	nodes  map[msg.NodeID]*inprocNode
 	opts   InprocOptions
 	wg     sync.WaitGroup
 	closed bool
+
+	// faulty is false while nothing can touch a delivery — no plan, rate or
+	// jitter configured, no node down, no link blocked — and lets deliver
+	// skip the fault stage and its lock. Stored under dropMu by everything
+	// that changes one of those.
+	faulty atomic.Bool
 
 	// dropMu guards rng (all seeded fault draws), held (the reorder
 	// hold-back slots) and the node-level fault maps down/blocked.
@@ -132,9 +140,12 @@ type Inproc struct {
 	// asymmetric partitions.
 	blocked map[pairKey]bool
 
-	// retries counts CallWithRetry re-attempts by nodes of this network
-	// (nil without a metrics registry).
-	retries *metrics.Counter
+	// retries counts CallWithRetry re-attempts by nodes of this network,
+	// callTimeouts the calls the deadline sweeper expired and lateReplies
+	// the replies that found no waiter (all nil without a metrics registry).
+	retries      *metrics.Counter
+	callTimeouts *metrics.Counter
+	lateReplies  *metrics.Counter
 
 	// batchMu guards the per-link delivery batches.
 	batchMu sync.Mutex
@@ -161,8 +172,19 @@ func NewInproc(opts InprocOptions) *Inproc {
 	}
 	if opts.Metrics != nil {
 		n.retries = opts.Metrics.Counter("wire_retries")
+		n.callTimeouts = opts.Metrics.Counter("wire_call_timeouts")
+		n.lateReplies = opts.Metrics.Counter("wire_late_replies")
 	}
+	n.noteFaultsLocked()
 	return n
+}
+
+// noteFaultsLocked recomputes faulty. Caller holds dropMu (or is the
+// constructor).
+func (n *Inproc) noteFaultsLocked() {
+	o := &n.opts
+	n.faulty.Store(o.FaultPlan != nil || o.DupRate > 0 || o.ReorderRate > 0 || o.DelayJitter > 0 ||
+		n.dropRate > 0 || len(n.down) > 0 || len(n.blocked) > 0)
 }
 
 // SetNodeDown pauses or resumes a node: while down, every delivery to or
@@ -176,6 +198,7 @@ func (n *Inproc) SetNodeDown(id msg.NodeID, down bool) {
 	} else {
 		delete(n.down, id)
 	}
+	n.noteFaultsLocked()
 	n.dropMu.Unlock()
 }
 
@@ -189,6 +212,7 @@ func (n *Inproc) Block(from, to msg.NodeID, blocked bool) {
 	} else {
 		delete(n.blocked, pairKey{from, to})
 	}
+	n.noteFaultsLocked()
 	n.dropMu.Unlock()
 }
 
@@ -243,6 +267,10 @@ func (n *Inproc) Attach(id msg.NodeID, h Handler) (Node, error) {
 	tc := trackerConfig{
 		maxInFlight: n.opts.MaxInFlight,
 		sweepEvery:  n.opts.SweepInterval,
+	}
+	if n.opts.Metrics != nil {
+		tc.onTimeout = n.callTimeouts.Inc
+		tc.onLate = n.lateReplies.Inc
 	}
 	if node.health != nil {
 		tc.onOutcome = node.health.outcome
@@ -338,6 +366,7 @@ func (n *Inproc) drawP(p float64) bool {
 func (n *Inproc) SetDropRate(p float64) {
 	n.dropMu.Lock()
 	n.dropRate = p
+	n.noteFaultsLocked()
 	n.dropMu.Unlock()
 }
 
@@ -380,7 +409,13 @@ func (n *Inproc) drawFault(from, to msg.NodeID, env msg.Envelope) Fault {
 // drop, duplicate, jitter and reorder — happens here, synchronously on
 // the sender's goroutine, so a sequential send schedule consumes the
 // seeded rng in a deterministic order regardless of timer interleaving.
+// A network with no fault of any kind configured skips the stage, and with
+// it two trips through the network-wide dropMu per envelope.
 func (n *Inproc) deliver(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
+	if !n.faulty.Load() {
+		n.dispatch(from, dst, env, false)
+		return
+	}
 	if n.nodeFaulted(from, dst.id) {
 		return
 	}
@@ -447,21 +482,30 @@ func (n *Inproc) enqueue(from msg.NodeID, dst *inprocNode, env msg.Envelope, reo
 	n.dispatch(from, dst, env, slotHeld)
 }
 
-// dispatch delivers one envelope — directly on its own goroutine, or via
-// the per-link batch when batching is enabled. slotHeld as in enqueue.
+// dispatch delivers one envelope, or adds it to the per-link batch when
+// batching is enabled. A request is handled on the handler executor:
+// concurrently with its sender and with every other envelope, in no
+// particular order. A reply is resolved right here, on the goroutine that
+// produced it (resolving never blocks); only a link with a modelled latency
+// to sleep out hands the reply to a worker too. slotHeld as in enqueue.
 func (n *Inproc) dispatch(from msg.NodeID, dst *inprocNode, env msg.Envelope, slotHeld bool) {
 	if n.opts.BatchMax >= 2 {
 		n.batchAdd(from, dst, env)
 		return
 	}
+	lat := n.latency(from, dst.id)
+	if env.Reply && lat <= 0 {
+		n.handle(from, dst, env)
+		return
+	}
 	if !n.addStage(slotHeld) {
 		return
 	}
-	go func() {
+	handlers.run(func() {
 		defer n.wg.Done()
-		n.sleepLatency(from, dst.id)
+		time.Sleep(lat)
 		n.handle(from, dst, env)
-	}()
+	})
 }
 
 // batchAdd coalesces env into the open batch for its link, flushing on the
@@ -506,8 +550,8 @@ func (n *Inproc) batchAdd(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
 }
 
 // deliverBatch delivers a flushed batch: one latency draw for the whole
-// batch (it models one datagram), then each envelope handled on its own
-// goroutine, preserving the handlers-may-nest-calls contract.
+// batch (it models one datagram), then each request handled on the
+// executor, concurrently, and each reply resolved in place.
 func (n *Inproc) deliverBatch(from msg.NodeID, b *inprocBatch) {
 	if !n.addDelivery() {
 		return
@@ -519,18 +563,22 @@ func (n *Inproc) deliverBatch(from msg.NodeID, b *inprocBatch) {
 // The inner per-envelope Adds are plain: they always run while the outer
 // slot is held, so the counter cannot be zero when Close is waiting.
 func (n *Inproc) deliverBatchSlot(from msg.NodeID, b *inprocBatch) {
-	go func() {
+	handlers.run(func() {
 		defer n.wg.Done()
-		n.sleepLatency(from, b.dst.id)
+		time.Sleep(n.latency(from, b.dst.id))
 		for _, env := range b.envs {
+			if env.Reply {
+				n.handle(from, b.dst, env)
+				continue
+			}
 			env := env
 			n.wg.Add(1)
-			go func() {
+			handlers.run(func() {
 				defer n.wg.Done()
 				n.handle(from, b.dst, env)
-			}()
+			})
 		}
-	}()
+	})
 }
 
 // flushBatches delivers every open batch; called on network close, after
@@ -553,17 +601,18 @@ func (n *Inproc) flushBatches() {
 	}
 }
 
-// sleepLatency applies the configured one-way latency for a link.
-func (n *Inproc) sleepLatency(from, to msg.NodeID) {
+// latency returns the configured one-way latency of a link.
+func (n *Inproc) latency(from, to msg.NodeID) time.Duration {
 	if lat := n.opts.Latency; lat != nil {
-		if d := lat(from, to); d > 0 {
-			time.Sleep(d)
-		}
+		return lat(from, to)
 	}
+	return 0
 }
 
 // handle executes one delivered envelope: observation, then reply
-// correlation through the tracker or handler dispatch.
+// correlation through the tracker (which never blocks, so dispatch may call
+// this for a reply on whatever goroutine produced it) or the node's
+// handler, whose answer goes back through deliver on this same goroutine.
 func (n *Inproc) handle(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
 	if obs := n.opts.OnDeliver; obs != nil {
 		obs(from, dst.id, env.Msg)

@@ -1,11 +1,11 @@
 // Package transport moves protocol messages between location servers,
 // clients and tracked objects. Two implementations are provided:
 //
-//   - Inproc: every node is a goroutine-dispatched handler in one process,
-//     with injectable per-hop latency and loss. This substitutes the paper's
+//   - Inproc: every node is a handler function in one process, with
+//     injectable per-hop latency and loss. This substitutes the paper's
 //     testbed of five workstations on 100 Mbit Ethernet: hop counts, message
 //     sequences and concurrency are identical, only absolute wire time
-//     differs (see DESIGN.md, substitutions).
+//     differs (InprocOptions.Latency models it per link).
 //   - UDP: each node binds a datagram socket, mirroring the paper's choice
 //     of UDP for efficient client/server and server/server interaction.
 //
@@ -30,8 +30,16 @@ import (
 
 // Handler processes one incoming message on a node. For hop-by-hop calls
 // the returned message is sent back as the reply; returning an error sends
-// an ErrorRes instead. One-way messages ignore the return values. Handlers
-// run on their own goroutine and may issue nested Calls.
+// an ErrorRes instead. One-way messages ignore the return values.
+//
+// Every delivered request is handled concurrently — with its sender, with
+// the transport's receive path and with every other envelope — on a worker
+// of the handler executor (executor.go), so a handler may block, in nested
+// Calls included: the worker set grows on demand and is never capped. No
+// order holds between two envelopes, even from one sender to one node.
+// Replies are not handled at all: the transport resolves the caller's
+// PendingCall inline, on the replying handler's goroutine (Inproc) or the
+// socket's read loop (UDP).
 type Handler func(ctx context.Context, from msg.NodeID, m msg.Message) (msg.Message, error)
 
 // Node is one attached endpoint of a Network.
@@ -126,11 +134,24 @@ type calls struct {
 
 // callWaiter is one in-flight call: its reply channel (buffered so no
 // resolver ever blocks), its destination (for per-peer outcome
-// accounting) and its deadline (zero = none).
+// accounting), its deadline (zero = none) and, when the caller left one
+// with PendingCall.Then, the continuation that takes the resolution in
+// place of the channel.
 type callWaiter struct {
 	ch       chan msg.Message
 	to       msg.NodeID
 	deadline time.Time
+	then     func(msg.Message)
+}
+
+// resolve hands the call's outcome to whoever takes it. The caller has
+// removed w from the table (under calls.mu, which also publishes then).
+func (w *callWaiter) resolve(m msg.Message) {
+	if w.then != nil {
+		w.then(m)
+		return
+	}
+	w.ch <- m
 }
 
 func newCalls(cfg trackerConfig) *calls {
@@ -212,7 +233,7 @@ func (c *calls) deliver(id uint64, m msg.Message) bool {
 		}
 		return false
 	}
-	w.ch <- m
+	w.resolve(m)
 	if c.cfg.onOutcome != nil {
 		c.cfg.onOutcome(w.to, true)
 	}
@@ -244,7 +265,7 @@ func (c *calls) sweepLoop() {
 				if c.slots != nil {
 					<-c.slots
 				}
-				w.ch <- msg.ErrorRes{Code: msg.CodeTimeout, Text: "in-flight call expired before its reply arrived"}
+				w.resolve(msg.ErrorRes{Code: msg.CodeTimeout, Text: "in-flight call expired before its reply arrived"})
 				if c.cfg.onTimeout != nil {
 					c.cfg.onTimeout()
 				}
@@ -323,4 +344,27 @@ func (p *PendingCall) Done() <-chan msg.Message { return p.ch }
 // late and dropped.
 func (p *PendingCall) Wait(ctx context.Context) (msg.Message, error) {
 	return p.c.await(ctx, p.id, p.ch)
+}
+
+// Then leaves the call's resolution to fn, for a caller that would
+// otherwise park a goroutine in Wait only to learn whether an
+// acknowledgement came: fn receives what Done would have delivered (the
+// reply, or the sweeper's timeout frame; run it through msg.AsError) exactly
+// once, on the goroutine that resolves the call — a replying handler's, a
+// read loop's, the sweeper's — or at once on the caller's when the call has
+// resolved already. fn must not block. A call handed to Then is not to be
+// waited on as well.
+func (p *PendingCall) Then(fn func(msg.Message)) {
+	c := p.c
+	c.mu.Lock()
+	w, pending := c.waiters[p.id]
+	if pending {
+		w.then = fn
+	}
+	c.mu.Unlock()
+	if !pending {
+		// Taken out of the table already: its resolver is on the way to
+		// the (buffered) channel.
+		fn(<-p.ch)
+	}
 }

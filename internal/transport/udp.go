@@ -402,8 +402,11 @@ func (nd *udpNode) readLoop(wg *sync.WaitGroup) {
 	}
 }
 
-// process routes one received envelope: reply correlation through the
-// tracker, or handler dispatch on its own goroutine.
+// process routes one received envelope. A reply is resolved through the
+// tracker right here on the read loop (resolving never blocks); a request
+// is handled on the handler executor, concurrently with the read loop and
+// with every other envelope — of the same datagram too — in no particular
+// order, so a handler may block in nested calls.
 func (nd *udpNode) process(env msg.Envelope, src netip.AddrPort) {
 	// Learn the sender's address so replies and later messages to
 	// this node need no static directory entry. Known senders — the
@@ -430,7 +433,7 @@ func (nd *udpNode) process(env msg.Envelope, src netip.AddrPort) {
 		return
 	}
 	nd.handlerWG.Add(1)
-	go func(env msg.Envelope) {
+	handlers.run(func() {
 		defer nd.handlerWG.Done()
 		resp, herr := nd.handler(context.Background(), env.From, env.Msg)
 		if env.CorrID == 0 {
@@ -448,7 +451,7 @@ func (nd *udpNode) process(env msg.Envelope, src netip.AddrPort) {
 		reply := msg.Envelope{From: nd.id, CorrID: env.CorrID, Reply: true, Msg: payload}
 		// Best effort: UDP replies may be lost like any datagram.
 		_ = nd.write(env.From, reply)
-	}(env)
+	})
 }
 
 // transmit sends one assembled datagram carrying count envelopes and
