@@ -1030,7 +1030,6 @@ func tableBatch(quick bool) {
 		net := transport.NewUDPWithOptions(transport.UDPOptions{
 			Metrics:     reg,
 			BatchMax:    batchMax,
-			BatchLinger: time.Millisecond,
 			CallTimeout: 10 * time.Second,
 			MaxInFlight: 512,
 		})

@@ -59,7 +59,7 @@ func main() {
 		host        = flag.String("host", "127.0.0.1", "local host to bind the client socket on")
 		timeout     = flag.Duration("timeout", 5*time.Second, "operation timeout")
 		batchMax    = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (≥ 2 enables batching)")
-		batchLinger = flag.Duration("batch-linger", time.Millisecond, "how long a lone envelope waits for batch company before it is flushed (with -batch-max ≥ 2)")
+		batchLinger = flag.Duration("batch-linger", 0, "ignored: batching no longer lingers, an envelope leaves as soon as the sender is idle; the flag goes with the next benchmark re-baseline")
 		retries     = flag.Int("retries", 1, "total attempts per operation (> 1 enables retries with backoff; duplicates are deduplicated server-side)")
 		retryBase   = flag.Duration("retry-backoff", 20*time.Millisecond, "base of the exponential retry backoff (full jitter)")
 		retryMax    = flag.Duration("retry-max-backoff", time.Second, "cap on one retry backoff draw")

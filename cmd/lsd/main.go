@@ -41,12 +41,16 @@
 // fenced by the epoch and demotes itself to standby.
 //
 // -batch-max ≥ 2 turns on outbound datagram batching: up to that many
-// envelopes headed for the same peer ride one UDP datagram, flushed when
-// the batch fills, would exceed the 65,507-byte datagram cap, or has
-// waited -batch-linger (default 1ms) for company. A batch of one is the
-// legacy wire frame byte-for-byte, so batching and non-batching servers
-// interoperate freely; batch traffic shows up in the wire_batches_in/out
-// and wire_envelopes_per_batch metrics.
+// envelopes headed for the same peer ride one UDP datagram. No envelope
+// waits for a timer: one sent while the server is idle leaves at once,
+// alone, and envelopes share a datagram only when they are produced faster
+// than they can be sent, so batches grow with load (-batch-linger is
+// accepted and ignored). A batch of one is the legacy wire frame
+// byte-for-byte, so batching and non-batching servers interoperate freely;
+// batch traffic shows up in the wire_batches_in/out and
+// wire_envelopes_per_batch metrics. The socket asks for 4 MiB of kernel
+// buffer each way; raise net.core.rmem_max/wmem_max if the host caps them
+// lower, or bursts of small datagrams are dropped at 208 KiB.
 //
 // -breaker-threshold ≥ 1 arms per-peer circuit breakers on this server's
 // outbound calls: after that many consecutive swept timeouts toward one
@@ -113,7 +117,7 @@ func main() {
 		caches       = flag.Bool("caches", true, "enable the Section 6.5 leaf caches")
 		restore      = flag.Bool("restore", false, "request updates from persisted visitors at startup")
 		batchMax     = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (≥ 2 enables batching; 1 sends each envelope alone)")
-		batchLinger  = flag.Duration("batch-linger", time.Millisecond, "how long a lone envelope waits for batch company before it is flushed (with -batch-max ≥ 2)")
+		batchLinger  = flag.Duration("batch-linger", 0, "ignored: batching no longer lingers, an envelope leaves as soon as the sender is idle; the flag goes with the next benchmark re-baseline")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive call timeouts toward one peer that open its circuit breaker (0 disables breakers)")
 		brkCooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker refuses calls before one probe call may half-open it")
 		standbyOf    = flag.String("standby-of", "", "run as the hot standby of this leaf: adopt its service area, mirror it via WAL-tail streaming and run shipping, serve after a parent-driven promotion (requires -swal; this server's -id must be in the topology's nodes but not its tree)")

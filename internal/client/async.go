@@ -33,9 +33,7 @@ func (t *TrackedObject) UpdateAsync(ctx context.Context, s core.Sighting) (*Pend
 	if s.OID != t.oid {
 		return nil, fmt.Errorf("%w: sighting for %s on handle of %s", core.ErrBadRequest, s.OID, t.oid)
 	}
-	cctx, cancel := context.WithTimeout(ctx, t.c.opts.Timeout)
-	defer cancel()
-	p, err := t.c.node.CallAsync(cctx, t.Agent(), msg.UpdateReq{S: s, Seq: t.c.nextSeq()})
+	p, err := t.c.node.CallAsync(t.c.opCtx(ctx), t.Agent(), msg.UpdateReq{S: s, Seq: t.c.nextSeq()})
 	if err != nil {
 		return nil, err
 	}
@@ -69,9 +67,7 @@ type PendingPosQuery struct {
 // fan-out callers batch many distinct objects, where the cache check
 // belongs on the caller's side if wanted.
 func (c *Client) PosQueryAsync(ctx context.Context, oid core.OID, accBound float64) (*PendingPosQuery, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
-	defer cancel()
-	p, err := c.node.CallAsync(cctx, c.Entry(), msg.PosQueryReq{OID: oid, AccBound: accBound})
+	p, err := c.node.CallAsync(c.opCtx(ctx), c.Entry(), msg.PosQueryReq{OID: oid, AccBound: accBound})
 	if err != nil {
 		return nil, err
 	}

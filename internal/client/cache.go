@@ -109,9 +109,7 @@ func (c *Client) posQueryViaCache(ctx context.Context, oid core.OID, accBound fl
 	if !ok {
 		return core.LocationDescriptor{}, false
 	}
-	cctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
-	defer cancel()
-	resp, err := c.node.Call(cctx, agent, msg.PosQueryDirect{OID: oid})
+	resp, err := c.node.Call(c.opCtx(ctx), agent, msg.PosQueryDirect{OID: oid})
 	if err != nil {
 		c.cache.invalidate(oid)
 		return core.LocationDescriptor{}, false

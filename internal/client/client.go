@@ -217,9 +217,7 @@ func (c *Client) Register(ctx context.Context, s core.Sighting, desAcc, minAcc, 
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			transport.CountRetry(c.node)
-			select {
-			case <-time.After(c.opts.Retry.Backoff(i)):
-			case <-ctx.Done():
+			if !c.opts.Retry.Pause(ctx, i) {
 				return nil, ctx.Err()
 			}
 		}
@@ -230,8 +228,12 @@ func (c *Client) Register(ctx context.Context, s core.Sighting, desAcc, minAcc, 
 			}
 			continue
 		}
+		// A stopped timer, not time.After: an unfired time.After stays
+		// alive for all of perTry, and a fleet registers in far less.
+		timer := time.NewTimer(perTry)
 		select {
 		case m := <-ch:
+			timer.Stop()
 			switch res := m.(type) {
 			case msg.RegisterRes:
 				return &TrackedObject{
@@ -250,9 +252,10 @@ func (c *Client) Register(ctx context.Context, s core.Sighting, desAcc, minAcc, 
 				}
 				return nil, core.ErrBadRequest
 			}
-		case <-time.After(perTry):
+		case <-timer.C:
 			lastErr = fmt.Errorf("client: registration timed out: %w", context.DeadlineExceeded)
 		case <-ctx.Done():
+			timer.Stop()
 			return nil, ctx.Err()
 		}
 	}
@@ -301,9 +304,7 @@ func (t *TrackedObject) Update(ctx context.Context, s core.Sighting) error {
 	if s.OID != t.oid {
 		return fmt.Errorf("%w: sighting for %s on handle of %s", core.ErrBadRequest, s.OID, t.oid)
 	}
-	cctx, cancel := context.WithTimeout(ctx, t.c.opts.Timeout)
-	defer cancel()
-	resp, err := transport.CallWithRetry(cctx, t.c.node, t.Agent,
+	resp, err := transport.CallWithRetry(t.c.opCtx(ctx), t.c.node, t.Agent,
 		msg.UpdateReq{S: s, Seq: t.c.nextSeq()}, t.c.opts.Retry)
 	if err != nil {
 		return err
@@ -345,9 +346,7 @@ func (t *TrackedObject) MaybeUpdate(ctx context.Context, s core.Sighting) (bool,
 // ChangeAcc renegotiates the accuracy range (Section 3.1). On success the
 // newly offered accuracy is returned.
 func (t *TrackedObject) ChangeAcc(ctx context.Context, desAcc, minAcc float64) (float64, error) {
-	cctx, cancel := context.WithTimeout(ctx, t.c.opts.Timeout)
-	defer cancel()
-	resp, err := t.c.node.Call(cctx, t.Agent(), msg.ChangeAccReq{OID: t.oid, DesAcc: desAcc, MinAcc: minAcc})
+	resp, err := t.c.node.Call(t.c.opCtx(ctx), t.Agent(), msg.ChangeAccReq{OID: t.oid, DesAcc: desAcc, MinAcc: minAcc})
 	if err != nil {
 		return 0, err
 	}
@@ -366,9 +365,7 @@ func (t *TrackedObject) ChangeAcc(ctx context.Context, desAcc, minAcc float64) (
 
 // Deregister removes the object from the service (Section 3.1).
 func (t *TrackedObject) Deregister(ctx context.Context) error {
-	cctx, cancel := context.WithTimeout(ctx, t.c.opts.Timeout)
-	defer cancel()
-	_, err := t.c.node.Call(cctx, t.Agent(), msg.DeregisterReq{OID: t.oid})
+	_, err := t.c.node.Call(t.c.opCtx(ctx), t.Agent(), msg.DeregisterReq{OID: t.oid})
 	return err
 }
 
@@ -412,9 +409,14 @@ func (c *Client) PosQueryBounded(ctx context.Context, oid core.OID, accBound flo
 // server under the client's timeout and retry budget. The entry is re-read
 // before every attempt so a concurrent SetEntry redirects retries.
 func (c *Client) callEntry(ctx context.Context, m msg.Message) (msg.Message, error) {
-	cctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
-	defer cancel()
-	return transport.CallWithRetry(cctx, c.node, c.Entry, m, c.opts.Retry)
+	return transport.CallWithRetry(c.opCtx(ctx), c.node, c.Entry, m, c.opts.Retry)
+}
+
+// opCtx bounds one operation by the client's timeout. The transport's
+// in-flight tracker enforces the deadline (transport.WithCallDeadline), so
+// no operation pays for a timer context of its own.
+func (c *Client) opCtx(ctx context.Context) context.Context {
+	return transport.WithCallDeadline(ctx, c.opts.Timeout)
 }
 
 // RangeResult is the client-side result of a range query. Partial marks a

@@ -15,10 +15,13 @@ import (
 // (overlap exactly 1), a circle at least its radius beyond one edge lies
 // wholly outside (overlap 0), a circle that crosses one edge's line and
 // clears every other overlaps by the circular segment that line cuts off
-// (one closed-form expression), and only the rest — circles near a vertex —
-// pay the exact circle∩polygon arithmetic of Area.Overlap. Overlap degrees
-// agree with Area.Overlap to within rounding (a contained circle yields
-// exactly 1 where the exact arithmetic yields 1 − ε).
+// (one closed-form expression), and only the rest — circles near a vertex,
+// and segments within overlapTie of the threshold — pay the exact
+// circle∩polygon arithmetic of Area.Overlap. Overlap degrees agree with
+// Area.Overlap to within rounding (a contained circle yields exactly 1
+// where the exact arithmetic yields 1 − ε), and Qualifies decides exactly
+// as Area.RangeQualifies does: where rounding could tip the comparison
+// with reqOverlap, the exact arithmetic makes it.
 //
 // The half-plane classification needs a convex area; for anything else
 // (which Area.Valid rejects, but a query may still carry) every circle
@@ -40,6 +43,13 @@ type areaEdge struct {
 	a      geo.Point
 	nx, ny float64
 }
+
+// overlapTie is how close to reqOverlap a closed-form segment share may
+// come before the exact arithmetic decides instead. The two differ by
+// rounding only (around 1e-16; the tests hold them to 1e-9), but a circle
+// centred on a query edge has share 0.5 exactly and 0.49999999999999989 by
+// Area.Overlap, and 0.5 is the threshold every client asks for.
+const overlapTie = 1e-9
 
 // pointMargin is how far (in meters) a perfectly accurate position must be
 // from every edge for the half-plane test alone to decide containment;
@@ -143,7 +153,9 @@ func (p *RangePredicate) overlap(ld LocationDescriptor) (ov float64, exact bool)
 	case circleOutside:
 		return 0, false
 	case circleCrossesOne:
-		return segmentShare(d / ld.Acc), false
+		if ov := segmentShare(d / ld.Acc); math.Abs(ov-p.reqOverlap) > overlapTie {
+			return ov, false
+		}
 	}
 	return p.area.Overlap(ld), true
 }

@@ -155,6 +155,55 @@ func TestRangePredicateDirectedCases(t *testing.T) {
 	}
 }
 
+// TestRangePredicateThresholdTies: where the closed-form segment share lands
+// on reqOverlap, the predicate must decide as Area.RangeQualifies does, not
+// as its own rounding happens to fall. A circle centred on an edge is the
+// case that occurs: its share is 0.5 exactly, the exact arithmetic's a few
+// ulps either side, and 0.5 is the usual threshold. The first case is the
+// range query that failed the benchmark's answer check (city_queries,
+// seed 4): the object sits on the query rectangle's top edge.
+func TestRangePredicateThresholdTies(t *testing.T) {
+	check := func(a Area, ld LocationDescriptor) {
+		t.Helper()
+		var pred RangePredicate
+		pred.Prepare(a, ld.Acc, 0.5)
+		ok, exact := pred.Qualifies(ld)
+		if want := a.RangeQualifies(ld, ld.Acc, 0.5); ok != want {
+			t.Errorf("Qualifies = %v (exact %v), RangeQualifies = %v; exact overlap %.17g\narea %v\nld %+v",
+				ok, exact, want, a.Overlap(ld), a.Vertices, ld)
+		}
+	}
+	check(AreaFromRect(geo.R(5569.313296874293, 596.0458984375, 6569.313296874293, 1596.0458984375)),
+		LocationDescriptor{Pos: geo.Pt(6314.59765625, 1596.0458984375), Acc: 10})
+
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 200; i++ {
+		// Bench-like coordinates: rectangles anywhere in a 10 km city,
+		// positions on the 1/1024 m grid.
+		x0, y0 := rng.Float64()*9000, math.Round(rng.Float64()*9000*1024)/1024
+		w, h := 100+rng.Float64()*1000, 100+math.Round(rng.Float64()*1000*1024)/1024
+		r := geo.R(x0, y0, x0+w, y0+h)
+		for _, pg := range []geo.Polygon{r.Poly(), reversed(r.Poly())} {
+			a := Area{Vertices: pg}
+			for _, acc := range []float64{0.5, 3, 10, 25, 50} {
+				along := 0.1 + 0.8*rng.Float64()
+				for _, c := range []geo.Point{
+					geo.Pt(x0+along*w, y0),   // bottom
+					geo.Pt(x0+along*w, y0+h), // top
+					geo.Pt(x0, y0+along*h),   // left
+					geo.Pt(x0+w, y0+along*h), // right
+				} {
+					check(a, LocationDescriptor{Pos: c, Acc: acc})
+					// And a hair to either side of the edge.
+					for _, off := range []float64{-1e-9, 1e-9, -1e-12, 1e-12} {
+						check(a, LocationDescriptor{Pos: geo.Pt(c.X+off*acc, c.Y+off*acc), Acc: acc})
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRangePredicateContainedCircleQualifiesAtFullOverlap pins the one
 // deliberate difference from the exact arithmetic: a wholly contained
 // circle has overlap exactly 1, where circle∩polygon / circle can round to

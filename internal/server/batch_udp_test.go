@@ -28,7 +28,6 @@ func TestEndToEndOverBatchedUDP(t *testing.T) {
 	net := transport.NewUDPWithOptions(transport.UDPOptions{
 		Metrics:     reg,
 		BatchMax:    16,
-		BatchLinger: time.Millisecond,
 		CallTimeout: 5 * time.Second,
 		MaxInFlight: 128,
 	})

@@ -33,9 +33,8 @@ func TestUDPBatchingCoalesces(t *testing.T) {
 	const burst = 64
 	reg := metrics.NewRegistry()
 	nw := NewUDPWithOptions(UDPOptions{
-		Metrics:     reg,
-		BatchMax:    16,
-		BatchLinger: 2 * time.Millisecond,
+		Metrics:  reg,
+		BatchMax: 16,
 	})
 	defer nw.Close()
 
@@ -64,7 +63,7 @@ func TestUDPBatchingCoalesces(t *testing.T) {
 	}
 	// The point of the exercise: the burst rode in far fewer datagrams
 	// than envelopes. 64 envelopes at a 16-envelope cap need only 4
-	// datagrams; allow slack for linger flushes mid-burst.
+	// datagrams; allow slack for what the flusher sends mid-burst.
 	if got := reg.Counter("wire_datagrams_out").Value(); got > burst/2 {
 		t.Errorf("wire_datagrams_out = %d for %d envelopes, batching ineffective", got, burst)
 	}
@@ -80,7 +79,7 @@ func TestUDPBatchingCoalesces(t *testing.T) {
 // batching receiver.
 func TestUDPBatchingInterop(t *testing.T) {
 	regA := metrics.NewRegistry()
-	batching := NewUDPWithOptions(UDPOptions{Metrics: regA, BatchMax: 8, BatchLinger: time.Millisecond})
+	batching := NewUDPWithOptions(UDPOptions{Metrics: regA, BatchMax: 8})
 	defer batching.Close()
 	plain := NewUDP()
 	defer plain.Close()
@@ -131,15 +130,28 @@ func TestUDPBatchingInterop(t *testing.T) {
 	}
 }
 
+// bigResult returns range-query entries that encode to about 40 KiB (~40
+// bytes per entry), so two such envelopes never fit in one 65,507-byte
+// datagram.
+func bigResult() []core.Entry {
+	objs := make([]core.Entry, 1_000)
+	for i := range objs {
+		objs[i] = core.Entry{
+			OID: core.OID(fmt.Sprintf("object-%08d", i)),
+			LD:  core.LocationDescriptor{Pos: geo.Pt(float64(i), float64(i)), Acc: 10},
+		}
+	}
+	return objs
+}
+
 // TestUDPBatchSizeCapFlush checks the size-aware flush: envelopes too big
 // to share one maxDatagram datagram are split across datagrams instead of
 // producing an oversize write error.
 func TestUDPBatchSizeCapFlush(t *testing.T) {
 	reg := metrics.NewRegistry()
 	nw := NewUDPWithOptions(UDPOptions{
-		Metrics:     reg,
-		BatchMax:    64,
-		BatchLinger: 5 * time.Millisecond,
+		Metrics:  reg,
+		BatchMax: 64,
 	})
 	defer nw.Close()
 	if _, err := nw.Attach("sink", nil); err != nil {
@@ -150,15 +162,7 @@ func TestUDPBatchSizeCapFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ~40 bytes per entry: 1k entries ≈ 40 KiB per envelope, so two never
-	// fit in one 65,507-byte datagram.
-	objs := make([]core.Entry, 1_000)
-	for i := range objs {
-		objs[i] = core.Entry{
-			OID: core.OID(fmt.Sprintf("object-%08d", i)),
-			LD:  core.LocationDescriptor{Pos: geo.Pt(float64(i), float64(i)), Acc: 10},
-		}
-	}
+	objs := bigResult()
 	const big = 4
 	for i := 0; i < big; i++ {
 		if err := src.Send("sink", msg.RangeQueryRes{Objs: objs, Servers: i}); err != nil {
@@ -175,7 +179,7 @@ func TestUDPBatchSizeCapFlush(t *testing.T) {
 // TestUDPCallRoundTripWithBatching runs the request/response path with
 // batching enabled end to end: coalescing must not break correlation.
 func TestUDPCallRoundTripWithBatching(t *testing.T) {
-	nw := NewUDPWithOptions(UDPOptions{BatchMax: 8, BatchLinger: time.Millisecond})
+	nw := NewUDPWithOptions(UDPOptions{BatchMax: 8})
 	defer nw.Close()
 	if _, err := nw.Attach("server", valueEchoHandler); err != nil {
 		t.Fatal(err)

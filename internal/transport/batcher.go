@@ -3,131 +3,182 @@ package transport
 import (
 	"net"
 	"sync"
-	"time"
 
 	"locsvc/internal/msg"
 	"locsvc/internal/wire"
 )
 
-// defaultBatchLinger bounds how long a lone envelope waits for company
-// before its batch is flushed anyway. Small enough to be invisible next to
-// even a LAN round trip, large enough for a burst of updates to coalesce.
-const defaultBatchLinger = time.Millisecond
+// Outbound coalescing is self-clocked: there is no timer anywhere between
+// an envelope and the wire. An envelope added to an idle node wakes the
+// node's flusher goroutine and leaves as soon as that goroutine gets a
+// processor; envelopes added while the flusher waits for a processor, or
+// is inside a send for another batch, join their destination's open batch
+// and leave with it. So batches form exactly when envelopes arrive faster
+// than they can be sent — under load — and a lone envelope on a quiet node
+// travels alone, at once. A batch that reaches the count cap (BatchMax) or
+// would outgrow maxDatagram is sent by the goroutine that filled it, which
+// is the backpressure: at most one open batch per destination ever waits
+// for the flusher.
+
+// flusher is that rule, for the UDP batcher and for Inproc's modelled
+// batches alike: one goroutine that calls drain once for every kick, or
+// run of kicks, since its last call began.
+type flusher struct {
+	// drain sends everything that is open. It runs only on the flusher's
+	// goroutine.
+	drain func()
+	// wake holds at most one token: drain takes everything there is, so a
+	// second token would say nothing the first does not.
+	wake     chan struct{}
+	quit     chan struct{}
+	quitOnce sync.Once
+	done     chan struct{}
+}
+
+func startFlusher(drain func()) *flusher {
+	f := &flusher{
+		drain: drain,
+		wake:  make(chan struct{}, 1),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	go f.loop()
+	return f
+}
+
+func (f *flusher) loop() {
+	defer close(f.done)
+	for {
+		select {
+		case <-f.wake:
+			f.drain()
+		case <-f.quit:
+			return
+		}
+	}
+}
+
+// kick tells the flusher there is something to drain. It never blocks.
+func (f *flusher) kick() {
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
+}
+
+// stop ends the flusher and returns once its goroutine has exited. What is
+// still open then is the caller's to drain.
+func (f *flusher) stop() {
+	f.quitOnce.Do(func() { close(f.quit) })
+	<-f.done
+}
 
 // batcher is the size-aware outbound coalescer of a UDP node: envelopes
 // headed for the same destination are folded into one batch frame (one
-// datagram), flushed when the batch would exceed maxDatagram, when it
-// reaches the count cap, or when the linger timer fires. The wire format
-// lives in wire.BatchBuilder; the batcher only holds flush policy.
+// datagram). The wire format lives in wire.BatchBuilder; the batcher holds
+// the open batches and the caps, the flusher decides when they leave.
 type batcher struct {
-	nd     *udpNode
-	max    int // count cap, ≥ 2
-	linger time.Duration
+	nd  *udpNode
+	max int // count cap, ≥ 2
+	fl  *flusher
 
-	mu      sync.Mutex
-	pending map[msg.NodeID]*pendingBatch
-	closed  bool
+	mu     sync.Mutex
+	open   map[msg.NodeID]*pendingBatch
+	closed bool
+
+	// taken is drain's scratch list of detached batches.
+	taken []*pendingBatch
 }
 
-// pendingBatch is the open batch for one destination. Its timer fires the
-// linger flush; identity (pointer equality) guards against flushing a
-// successor batch for the same destination.
+// pendingBatch is the open batch for one destination. Batches are pooled:
+// send resets one and hands it back, buffer included.
 type pendingBatch struct {
-	bb    wire.BatchBuilder
-	addr  *net.UDPAddr
-	timer *time.Timer
+	bb   wire.BatchBuilder
+	addr *net.UDPAddr
 }
 
-func newBatcher(nd *udpNode, max int, linger time.Duration) *batcher {
-	if linger <= 0 {
-		linger = defaultBatchLinger
-	}
-	return &batcher{nd: nd, max: max, linger: linger, pending: make(map[msg.NodeID]*pendingBatch)}
+var batchPool = sync.Pool{New: func() any { return new(pendingBatch) }}
+
+func newBatcher(nd *udpNode, max int) *batcher {
+	b := &batcher{nd: nd, max: max, open: make(map[msg.NodeID]*pendingBatch)}
+	b.fl = startFlusher(b.drain)
+	return b
 }
 
 // add enqueues one encoded envelope frame for dst. The frame is copied, so
-// the caller may recycle its buffer immediately. Flushes triggered by the
-// size or count caps run after the lock is released.
+// the caller may recycle its buffer immediately. A batch this frame fills,
+// or does not fit into any more, is sent here, after the lock is released.
 func (b *batcher) add(dst msg.NodeID, addr *net.UDPAddr, frame []byte) {
-	var flush []*pendingBatch
+	var full *pendingBatch
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		b.nd.transmit(addr, frame, 1)
 		return
 	}
-	pb := b.pending[dst]
-	if pb == nil {
-		pb = &pendingBatch{addr: addr}
-		b.pending[dst] = pb
+	pb := b.open[dst]
+	if pb != nil && pb.bb.SizeWith(len(frame)) > maxDatagram {
+		full, pb = pb, nil
 	}
-	if pb.bb.Count() > 0 && pb.bb.SizeWith(len(frame)) > maxDatagram {
-		flush = append(flush, b.detachLocked(dst, pb))
-		pb = &pendingBatch{addr: addr}
-		b.pending[dst] = pb
+	if pb == nil {
+		pb = batchPool.Get().(*pendingBatch)
+		pb.addr = addr
+		b.open[dst] = pb
 	}
 	pb.bb.Add(frame)
-	switch {
-	case pb.bb.Count() >= b.max:
-		flush = append(flush, b.detachLocked(dst, pb))
-	case pb.bb.Count() == 1:
-		pb.timer = time.AfterFunc(b.linger, func() { b.lingerFlush(dst, pb) })
-	}
-	b.mu.Unlock()
-	for _, pb := range flush {
-		b.send(pb)
-	}
-}
-
-// detachLocked removes pb from the pending table and disarms its timer.
-// Callers hold b.mu.
-func (b *batcher) detachLocked(dst msg.NodeID, pb *pendingBatch) *pendingBatch {
-	if b.pending[dst] == pb {
-		delete(b.pending, dst)
-	}
-	if pb.timer != nil {
-		pb.timer.Stop()
-	}
-	return pb
-}
-
-// lingerFlush is the timer callback. The identity check makes it a no-op
-// when pb was already flushed (and possibly replaced) by a cap.
-func (b *batcher) lingerFlush(dst msg.NodeID, pb *pendingBatch) {
-	b.mu.Lock()
-	if b.pending[dst] != pb {
-		b.mu.Unlock()
-		return
-	}
-	delete(b.pending, dst)
-	b.mu.Unlock()
-	b.send(pb)
-}
-
-// send assembles pb into one datagram and transmits it.
-func (b *batcher) send(pb *pendingBatch) {
 	n := pb.bb.Count()
-	if n == 0 {
-		return
+	if n >= b.max {
+		delete(b.open, dst)
+		full = pb
 	}
+	b.mu.Unlock()
+	if n == 1 {
+		// A new open batch: the only state the flusher may not know of.
+		b.fl.kick()
+	}
+	if full != nil {
+		b.send(full)
+	}
+}
+
+// drain detaches every open batch and sends them.
+func (b *batcher) drain() {
+	b.mu.Lock()
+	for dst, pb := range b.open {
+		b.taken = append(b.taken, pb)
+		delete(b.open, dst)
+	}
+	b.mu.Unlock()
+	for i, pb := range b.taken {
+		b.send(pb)
+		b.taken[i] = nil
+	}
+	b.taken = b.taken[:0]
+}
+
+// send assembles pb into one datagram, transmits it and recycles pb.
+func (b *batcher) send(pb *pendingBatch) {
 	bp := wire.GetBuffer()
 	data := pb.bb.AppendTo((*bp)[:0])
 	*bp = data
-	b.nd.transmit(pb.addr, data, n)
+	b.nd.transmit(pb.addr, data, pb.bb.Count())
 	wire.PutBuffer(bp)
+	pb.bb.Reset()
+	pb.addr = nil
+	batchPool.Put(pb)
 }
 
-// closeFlush flushes every open batch and routes subsequent adds straight
-// to the socket. Called when the node detaches.
+// closeFlush routes subsequent adds straight to the socket, stops the
+// flusher and sends what was still open. Called when the node detaches;
+// later calls do nothing.
 func (b *batcher) closeFlush() {
 	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return
+	}
 	b.closed = true
-	rest := make([]*pendingBatch, 0, len(b.pending))
-	for dst, pb := range b.pending {
-		rest = append(rest, b.detachLocked(dst, pb))
-	}
 	b.mu.Unlock()
-	for _, pb := range rest {
-		b.send(pb)
-	}
+	b.fl.stop()
+	b.drain()
 }

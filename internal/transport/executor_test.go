@@ -286,7 +286,12 @@ var benchSink msg.Message
 // in-process network: per-envelope time and allocations of dispatch,
 // handler hand-off and inline reply resolution.
 func BenchmarkInprocCall(b *testing.B) {
-	net := NewInproc(InprocOptions{})
+	benchCall(b, NewInproc(InprocOptions{}))
+}
+
+// benchCall times blocking round trips to a do-nothing handler over net,
+// which it closes.
+func benchCall(b *testing.B, net Network) {
 	defer net.Close()
 	if _, err := net.Attach("srv", func(context.Context, msg.NodeID, msg.Message) (msg.Message, error) {
 		return msg.Ack{}, nil

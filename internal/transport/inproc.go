@@ -62,10 +62,12 @@ type InprocOptions struct {
 	// BatchMax ≥ 2 coalesces deliveries per (from, to) pair into batches
 	// of at most that many envelopes, modelling the UDP transport's
 	// datagram batching: one latency draw per batch instead of per
-	// envelope. 0 or 1 delivers each envelope on its own.
+	// envelope. 0 or 1 delivers each envelope on its own. The flush rule
+	// is the UDP batcher's (batcher.go): no timer, one flusher goroutine
+	// for the network, so a lone envelope is delivered as soon as the
+	// flusher runs and batches form only under load.
 	BatchMax int
-	// BatchLinger bounds how long a lone envelope waits to be coalesced;
-	// zero uses a small default. Only meaningful with BatchMax ≥ 2.
+	// BatchLinger is ignored, as in UDPOptions, and goes when that goes.
 	BatchLinger time.Duration
 	// CallTimeout caps every Call/CallAsync deadline: the effective
 	// deadline is the earlier of the context's and now+CallTimeout.
@@ -104,9 +106,9 @@ type heldEnv struct {
 
 // inprocBatch is the open delivery batch for one directed link.
 type inprocBatch struct {
-	dst   *inprocNode
-	envs  []msg.Envelope
-	timer *time.Timer
+	from msg.NodeID
+	dst  *inprocNode
+	envs []msg.Envelope
 }
 
 // Inproc is an in-process Network: nodes are handler functions, each
@@ -147,9 +149,12 @@ type Inproc struct {
 	callTimeouts *metrics.Counter
 	lateReplies  *metrics.Counter
 
-	// batchMu guards the per-link delivery batches.
-	batchMu sync.Mutex
-	batches map[pairKey]*inprocBatch
+	// batchMu guards the per-link delivery batches; batchFl (nil without
+	// batching) delivers the open ones whenever it gets a processor.
+	batchMu     sync.Mutex
+	batches     map[pairKey]*inprocBatch
+	batchClosed bool
+	batchFl     *flusher
 }
 
 var _ Network = (*Inproc)(nil)
@@ -176,6 +181,13 @@ func NewInproc(opts InprocOptions) *Inproc {
 		n.lateReplies = opts.Metrics.Counter("wire_late_replies")
 	}
 	n.noteFaultsLocked()
+	if opts.BatchMax >= 2 {
+		n.batchFl = startFlusher(func() {
+			for _, b := range n.takeBatches(false) {
+				n.deliverBatch(b)
+			}
+		})
+	}
 	return n
 }
 
@@ -283,6 +295,11 @@ func (n *Inproc) Attach(id msg.NodeID, h Handler) (Node, error) {
 // Close implements Network. It waits up to a grace period for in-flight
 // deliveries so tests do not leak handler goroutines.
 func (n *Inproc) Close() error {
+	// The flusher goes first, while deliveries are still admitted: what it
+	// has taken is delivered, what it has not is flushed below.
+	if n.batchFl != nil {
+		n.batchFl.stop()
+	}
 	n.mu.Lock()
 	n.closed = true
 	nodes := make([]*inprocNode, 0, len(n.nodes))
@@ -508,96 +525,87 @@ func (n *Inproc) dispatch(from msg.NodeID, dst *inprocNode, env msg.Envelope, sl
 	})
 }
 
-// batchAdd coalesces env into the open batch for its link, flushing on the
-// count cap or arming the linger timer.
+// batchAdd coalesces env into the open batch for its link. A batch the
+// envelope fills is delivered here; a new one is the flusher's to deliver.
 func (n *Inproc) batchAdd(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
 	key := pairKey{from, dst.id}
-	var flush *inprocBatch
 	n.batchMu.Lock()
+	if n.batchClosed {
+		n.batchMu.Unlock()
+		return
+	}
 	b := n.batches[key]
 	if b == nil {
-		b = &inprocBatch{dst: dst}
+		b = &inprocBatch{from: from, dst: dst}
 		n.batches[key] = b
 	}
 	b.envs = append(b.envs, env)
-	switch {
-	case len(b.envs) >= n.opts.BatchMax:
+	count := len(b.envs)
+	if count >= n.opts.BatchMax {
 		delete(n.batches, key)
-		if b.timer != nil {
-			b.timer.Stop()
-		}
-		flush = b
-	case len(b.envs) == 1:
-		linger := n.opts.BatchLinger
-		if linger <= 0 {
-			linger = defaultBatchLinger
-		}
-		b.timer = time.AfterFunc(linger, func() {
-			n.batchMu.Lock()
-			if n.batches[key] != b {
-				n.batchMu.Unlock()
-				return
-			}
-			delete(n.batches, key)
-			n.batchMu.Unlock()
-			n.deliverBatch(from, b)
-		})
 	}
 	n.batchMu.Unlock()
-	if flush != nil {
-		n.deliverBatch(from, flush)
+	switch {
+	case count >= n.opts.BatchMax:
+		n.deliverBatch(b)
+	case count == 1:
+		n.batchFl.kick()
 	}
+}
+
+// takeBatches detaches every open batch; final also refuses later adds.
+func (n *Inproc) takeBatches(final bool) []*inprocBatch {
+	n.batchMu.Lock()
+	defer n.batchMu.Unlock()
+	n.batchClosed = n.batchClosed || final
+	var open []*inprocBatch
+	for k, b := range n.batches {
+		open = append(open, b)
+		delete(n.batches, k)
+	}
+	return open
 }
 
 // deliverBatch delivers a flushed batch: one latency draw for the whole
 // batch (it models one datagram), then each request handled on the
 // executor, concurrently, and each reply resolved in place.
-func (n *Inproc) deliverBatch(from msg.NodeID, b *inprocBatch) {
+func (n *Inproc) deliverBatch(b *inprocBatch) {
 	if !n.addDelivery() {
 		return
 	}
-	n.deliverBatchSlot(from, b)
+	n.deliverBatchSlot(b)
 }
 
 // deliverBatchSlot is deliverBatch with the delivery slot already reserved.
 // The inner per-envelope Adds are plain: they always run while the outer
 // slot is held, so the counter cannot be zero when Close is waiting.
-func (n *Inproc) deliverBatchSlot(from msg.NodeID, b *inprocBatch) {
+func (n *Inproc) deliverBatchSlot(b *inprocBatch) {
 	handlers.run(func() {
 		defer n.wg.Done()
-		time.Sleep(n.latency(from, b.dst.id))
+		time.Sleep(n.latency(b.from, b.dst.id))
 		for _, env := range b.envs {
 			if env.Reply {
-				n.handle(from, b.dst, env)
+				n.handle(b.from, b.dst, env)
 				continue
 			}
 			env := env
 			n.wg.Add(1)
 			handlers.run(func() {
 				defer n.wg.Done()
-				n.handle(from, b.dst, env)
+				n.handle(b.from, b.dst, env)
 			})
 		}
 	})
 }
 
-// flushBatches delivers every open batch; called on network close, after
-// the closed flag is up but before Close starts waiting, so it reserves
-// slots directly — the sequential Add still happens-before the Wait.
+// flushBatches delivers every open batch and refuses later ones; called on
+// network close, after the closed flag is up but before Close starts
+// waiting, so it reserves slots directly — the sequential Add still
+// happens-before the Wait.
 func (n *Inproc) flushBatches() {
-	n.batchMu.Lock()
-	rest := make(map[pairKey]*inprocBatch, len(n.batches))
-	for k, b := range n.batches {
-		if b.timer != nil {
-			b.timer.Stop()
-		}
-		rest[k] = b
-		delete(n.batches, k)
-	}
-	n.batchMu.Unlock()
-	for k, b := range rest {
+	for _, b := range n.takeBatches(true) {
 		n.wg.Add(1)
-		n.deliverBatchSlot(k.from, b)
+		n.deliverBatchSlot(b)
 	}
 }
 

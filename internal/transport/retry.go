@@ -94,6 +94,20 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	return jitter(backoff)
 }
 
+// Pause sleeps out the backoff before attempt attempt+1 (see Backoff) and
+// reports whether it did; false means ctx ended first. Its timer is stopped
+// on the way out, so an abandoned pause leaves nothing behind.
+func (p RetryPolicy) Pause(ctx context.Context, attempt int) bool {
+	t := time.NewTimer(p.Backoff(attempt))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // retryRNG is the shared jitter source. Backoff draws are rare (one per
 // retry, not per call), so one locked source is fine.
 var retryRNG = struct {
@@ -125,30 +139,24 @@ func CallWithRetry(ctx context.Context, nd Node, dest func() msg.NodeID, m msg.M
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			CountRetry(nd)
-			select {
-			case <-time.After(pol.Backoff(i)):
-			case <-ctx.Done():
+			if !pol.Pause(ctx, i) {
 				return nil, lastErr
 			}
 		}
-		tryCtx := ctx
+		tryCtx, cancel := ctx, func() {}
 		if pol.PerTryTimeout > 0 {
-			var cancel context.CancelFunc
+			// A timer context, not WithCallDeadline: a try that ends on its
+			// own context is the caller giving up, which the peer's breaker
+			// does not count; a swept one would be a failure of the peer.
 			tryCtx, cancel = context.WithTimeout(ctx, pol.PerTryTimeout)
-			res, err := nd.Call(tryCtx, dest(), m)
-			cancel()
-			if err == nil {
-				return res, nil
-			}
-			lastErr = err
-		} else {
-			res, err := nd.Call(tryCtx, dest(), m)
-			if err == nil {
-				return res, nil
-			}
-			lastErr = err
 		}
-		if !Retryable(lastErr) || ctx.Err() != nil {
+		res, err := nd.Call(tryCtx, dest(), m)
+		cancel()
+		if err == nil {
+			return res, nil
+		}
+		lastErr = err
+		if !Retryable(lastErr) || ctx.Err() != nil || deadlinePassed(ctx) {
 			return nil, lastErr
 		}
 	}

@@ -27,7 +27,6 @@ func TestMultiplexSoak(t *testing.T) {
 	nw := NewUDPWithOptions(UDPOptions{
 		Metrics:       reg,
 		BatchMax:      8,
-		BatchLinger:   time.Millisecond,
 		CallTimeout:   150 * time.Millisecond,
 		SweepInterval: 10 * time.Millisecond,
 		MaxInFlight:   64,

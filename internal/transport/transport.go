@@ -233,10 +233,12 @@ func (c *calls) deliver(id uint64, m msg.Message) bool {
 		}
 		return false
 	}
-	w.resolve(m)
+	// Accounting first: the caller this wakes may look at the breaker (its
+	// next call) or at the counters before this goroutine runs again.
 	if c.cfg.onOutcome != nil {
 		c.cfg.onOutcome(w.to, true)
 	}
+	w.resolve(m)
 	return true
 }
 
@@ -265,13 +267,15 @@ func (c *calls) sweepLoop() {
 				if c.slots != nil {
 					<-c.slots
 				}
-				w.resolve(msg.ErrorRes{Code: msg.CodeTimeout, Text: "in-flight call expired before its reply arrived"})
+				// Counted before resolved, as in deliver: a caller that
+				// has its timeout finds it in wire_call_timeouts.
 				if c.cfg.onTimeout != nil {
 					c.cfg.onTimeout()
 				}
 				if c.cfg.onOutcome != nil {
 					c.cfg.onOutcome(w.to, false)
 				}
+				w.resolve(msg.ErrorRes{Code: msg.CodeTimeout, Text: "in-flight call expired before its reply arrived"})
 			}
 		}
 	}
@@ -284,24 +288,42 @@ func (c *calls) pending() int {
 	return len(c.waiters)
 }
 
-// close stops the sweeper and unblocks registrations waiting on a slot.
-// In-flight waiters are left to their callers' contexts.
+// close stops the sweeper, unblocks registrations waiting on a slot and
+// fails the callers parked in await with ErrClosed: nothing will resolve
+// their calls any more. Continuations left with Then are dropped.
 func (c *calls) close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 }
 
-// await blocks until the reply for id arrives or ctx is done.
+// await blocks until the reply for id arrives, ctx is done or the tracker
+// closes.
 func (c *calls) await(ctx context.Context, id uint64, ch chan msg.Message) (msg.Message, error) {
 	select {
 	case m := <-ch:
-		if err := msg.AsError(m); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return replyOrError(m)
 	case <-ctx.Done():
 		c.cancel(id)
 		return nil, fmt.Errorf("transport: call: %w", ctx.Err())
+	case <-c.stop:
+		// With the sweeper gone a deadline no longer resolves anything.
+		// A reply that made it in first still counts.
+		select {
+		case m := <-ch:
+			return replyOrError(m)
+		default:
+		}
+		c.cancel(id)
+		return nil, fmt.Errorf("transport: call: %w", ErrClosed)
 	}
+}
+
+// replyOrError turns a resolution into Call's results: an error frame is
+// the error, anything else the reply.
+func replyOrError(m msg.Message) (msg.Message, error) {
+	if err := msg.AsError(m); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // callDeadline resolves the deadline for a new call: the earlier of the
@@ -322,9 +344,41 @@ func callDeadline(ctx context.Context, def time.Duration) time.Time {
 	return dl
 }
 
+// WithCallDeadline returns a context for Call, CallAsync and
+// PendingCall.Wait whose deadline is the earlier of parent's and
+// now+timeout, and which costs no timer, goroutine or channel: cancellation
+// is parent's, and the deadline is only carried, for callDeadline to read.
+// What enforces it is the in-flight tracker's sweeper, which resolves the
+// call with a timeout error frame once the deadline has passed (and Wait
+// returns ErrClosed if the node closes first) — so, unlike
+// context.WithTimeout's, this context's Done never fires on the deadline
+// and it is of no use to code that selects on Done to learn about one.
+func WithCallDeadline(parent context.Context, timeout time.Duration) context.Context {
+	deadline := time.Now().Add(timeout)
+	if d, ok := parent.Deadline(); ok && !deadline.Before(d) {
+		return parent
+	}
+	return deadlineCtx{Context: parent, deadline: deadline}
+}
+
+type deadlineCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// deadlinePassed reports whether ctx carries a deadline that is over,
+// whether or not anything has cancelled ctx for it.
+func deadlinePassed(ctx context.Context) bool {
+	d, ok := ctx.Deadline()
+	return ok && !time.Now().Before(d)
+}
+
 // PendingCall is one multiplexed in-flight request. It resolves exactly
 // once: with the reply, with a timeout error frame from the deadline
-// sweeper, or with the Wait context's error.
+// sweeper, with the Wait context's error, or with ErrClosed when its node
+// closes under a waiter.
 type PendingCall struct {
 	c  *calls
 	id uint64

@@ -24,6 +24,17 @@ import (
 // datagrams.
 const maxDatagram = 65507
 
+// socketBuffer is the receive and send buffer requested for every node's
+// socket. With no linger in front of it the kernel queue is the only queue
+// between a windowless sender — a client's MaxInFlight pipelined calls, a
+// leaf's path messages for a burst of registrations — and a read loop that
+// shares its processors with the handlers it feeds. The kernel charges a
+// minimum-size datagram some 800 bytes, so the 208 KiB Linux default drops
+// the 257th; 4 MiB holds several thousand, a few nodes' worth of full
+// in-flight windows. Best effort: the kernel clamps the request to
+// net.core.rmem_max / wmem_max, and a refusal is ignored.
+const socketBuffer = 4 << 20
+
 // UDPOptions configure a UDP network.
 type UDPOptions struct {
 	// Metrics receives the network's wire-level counters; nil gets a
@@ -32,10 +43,13 @@ type UDPOptions struct {
 	// BatchMax ≥ 2 enables outbound batching with that many envelopes per
 	// datagram at most; 0 or 1 sends one envelope per datagram (the
 	// compatible default — a batch of one is a legacy frame anyway).
+	// Coalescing is self-clocked (see batcher.go): no envelope ever waits
+	// for a timer. One sent from an idle node leaves at once, alone;
+	// envelopes for one destination share a datagram only when they are
+	// produced faster than the node's flusher can put them on the wire.
 	BatchMax int
-	// BatchLinger bounds how long a lone envelope waits to be coalesced;
-	// zero uses a small default (defaultBatchLinger). Only meaningful
-	// with BatchMax ≥ 2.
+	// BatchLinger is ignored: there is no linger any more. The field stays
+	// until the benchmark, which still passes it, is re-baselined.
 	BatchLinger time.Duration
 	// CallTimeout caps every Call/CallAsync deadline: the effective
 	// deadline is the earlier of the context's and now+CallTimeout.
@@ -70,7 +84,8 @@ type UDPOptions struct {
 // pooled buffers with the size guard applied before the socket write.
 // With BatchMax ≥ 2 outbound envelopes per destination are coalesced into
 // batch frames (see the batcher); receive is always batch-aware, so a
-// non-batching network interoperates with a batching peer.
+// non-batching network interoperates with a batching peer. Every socket
+// asks for socketBuffer bytes of kernel buffer in each direction.
 type UDP struct {
 	opts UDPOptions
 
@@ -215,6 +230,10 @@ func (u *UDP) Route(id msg.NodeID) (string, bool) {
 
 // newNode builds a node with its tracker and (if configured) batcher.
 func (u *UDP) newNode(id msg.NodeID, conn *net.UDPConn, h Handler) *udpNode {
+	// Best effort, see socketBuffer: a smaller buffer only loses datagrams
+	// sooner, which the call path survives like any other loss.
+	_ = conn.SetReadBuffer(socketBuffer)
+	_ = conn.SetWriteBuffer(socketBuffer)
 	nd := &udpNode{id: id, net: u, conn: conn, handler: h}
 	nd.health = newHealth(breakerConfig{
 		threshold: u.opts.BreakerThreshold,
@@ -233,7 +252,7 @@ func (u *UDP) newNode(id msg.NodeID, conn *net.UDPConn, h Handler) *udpNode {
 	}
 	nd.calls = newCalls(tc)
 	if u.opts.BatchMax >= 2 {
-		nd.batch = newBatcher(nd, u.opts.BatchMax, u.opts.BatchLinger)
+		nd.batch = newBatcher(nd, u.opts.BatchMax)
 	}
 	return nd
 }

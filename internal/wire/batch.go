@@ -124,7 +124,7 @@ func uvarintLen(v uint64) int {
 
 // BatchBuilder accumulates pre-encoded envelope frames and flushes them as
 // one datagram. It owns the frame format so transports only hold flush
-// policy (size cap, count cap, linger); the builder guarantees the
+// policy (size cap, count cap, flush when idle); the builder guarantees the
 // 1-envelope == legacy frame rule. Builders are not safe for concurrent
 // use — the transport's coalescer serializes access per destination.
 type BatchBuilder struct {
