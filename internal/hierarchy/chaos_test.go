@@ -59,6 +59,17 @@ func TestChaosSoak(t *testing.T) {
 	base := server.Options{
 		CallTimeout:  callTimeout,
 		QueryTimeout: queryTO,
+		// The default path budget (4 tries) is sized for realistic loss:
+		// at 20 % each way three failed tries open the breaker, the
+		// fourth is refused unsent, and now and then a registration's
+		// CreatePath is given up for good (one object in 18 runs of this
+		// soak). The soak is not about that budget; like its clients, its
+		// servers get one that outlasts the loss it injects.
+		PathRetry: transport.RetryPolicy{
+			MaxAttempts: 10,
+			BaseBackoff: 20 * time.Millisecond,
+			MaxBackoff:  150 * time.Millisecond,
+		},
 	}
 	dep, err := hierarchy.DeployWith(net, spec, base, func(cfg store.ConfigRecord, o server.Options) (server.Options, error) {
 		if cfg.IsLeaf() {
@@ -122,6 +133,18 @@ func TestChaosSoak(t *testing.T) {
 		}
 		clients[oid] = c
 		objects[oid] = obj
+	}
+	// A registration is acknowledged before its CreatePath has climbed
+	// (Algorithm 6-1), and under the loss that is on already the climb may
+	// need its retries. Until the root has heard of an object, "not tracked"
+	// is the honest answer to a query for it — so the first leaf goes dark
+	// only once every forwarding path stands.
+	pathsBy := time.Now().Add(10 * time.Second)
+	for dep.RootVisitorCount() != len(positions) {
+		if time.Now().After(pathsBy) {
+			t.Fatalf("forwarding paths incomplete: %d of %d objects at the root", dep.RootVisitorCount(), len(positions))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	liveUpdate := func(oid string, p geo.Point) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,8 +19,8 @@ import (
 )
 
 // TestDedupeWindowEviction pins the time-based half of the eviction policy:
-// entries older than the window are misses, and the sweep is lazy (a lookup
-// or remember drops them).
+// entries older than the window are misses, with no sweep needed to make
+// them so.
 func TestDedupeWindowEviction(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
@@ -57,8 +58,9 @@ func TestDedupeWindowEviction(t *testing.T) {
 	}
 }
 
-// TestDedupeCapEviction pins the FIFO half: when the table exceeds its cap
-// the oldest (sender, seq) entries fall out first.
+// TestDedupeCapEviction pins the depth half: a sender's window holds its
+// most recent requests, at most DedupeCap of them, and the oldest fall out
+// first.
 func TestDedupeCapEviction(t *testing.T) {
 	net := transport.NewInproc(transport.InprocOptions{})
 	defer net.Close()
@@ -213,6 +215,49 @@ func TestDedupeClearedByRestart(t *testing.T) {
 	}
 	if restarted.SightingCount() != 1 {
 		t.Fatalf("recovery update not applied: %d sightings", restarted.SightingCount())
+	}
+}
+
+// TestDedupeGaugesAndSenderSweep pins what an operator sees of the table and
+// what bounds it: every janitor tick exports the senders a leaf remembers
+// replies for and the slots they hold, and drops the senders that have been
+// silent for a dedupe window.
+func TestDedupeGaugesAndSenderSweep(t *testing.T) {
+	var elapsed atomic.Int64
+	clock := func() time.Time { return time.Unix(1000, elapsed.Load()) }
+
+	net := transport.NewInproc(transport.InprocOptions{})
+	defer net.Close()
+	// No JanitorInterval: the test is the only one to tick.
+	ls := newDedupeLeaf(t, net, server.Options{
+		Clock:        clock,
+		DedupeWindow: 10 * time.Second,
+	})
+	gauges := func() (senders, remembered int64) {
+		ls.JanitorTickForTest()
+		return ls.Metrics().Gauge("dedupe_senders").Value(), ls.Metrics().Gauge("dedupe_remembered").Value()
+	}
+
+	probe := attachProbe(t, net, "probe")
+	registerVia(t, net, "o1", geo.Pt(100, 100)) // stamped by its client, "owner-o1"
+	for seq := uint64(1); seq <= 3; seq++ {
+		callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(100+float64(seq), 100), seq))
+	}
+	if senders, remembered := gauges(); senders != 2 || remembered != 4 {
+		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d; want 2 senders (owner-o1, probe) holding 1 + 3 replies", senders, remembered)
+	}
+
+	// Half a window on, the probe is heard from again and the registrant
+	// is not; a full window after the registration only the probe is left.
+	elapsed.Add(int64(6 * time.Second))
+	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(110, 100), 4))
+	elapsed.Add(int64(5 * time.Second))
+	if senders, remembered := gauges(); senders != 1 || remembered != 4 {
+		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d; want the probe alone with its 4 replies", senders, remembered)
+	}
+	elapsed.Add(int64(10 * time.Second))
+	if senders, remembered := gauges(); senders != 0 || remembered != 0 {
+		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d a window after the last request; want 0, 0", senders, remembered)
 	}
 }
 

@@ -24,7 +24,7 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 	// moved reply; nothing is remembered in the dedupe window, so a retry
 	// straddling a failover is re-answered by whoever is primary then.
 	if r := s.repl; r != nil && !r.primary.Load() {
-		s.met.Counter("updates_redirected_standby").Inc()
+		s.writeMet.updatesRedirectedStandby.Inc()
 		return msg.UpdateRes{
 			Moved:     true,
 			NewAgent:  r.peer,
@@ -37,7 +37,7 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 	// not_found against the departed record and strand the client on the
 	// old agent.
 	if reply, ok := s.dedupe.lookup(from, req.Seq); ok {
-		s.met.Counter("updates_deduped").Inc()
+		s.writeMet.updatesDeduped.Inc()
 		return reply, nil
 	}
 	accEpoch := s.accEpoch.Load()
@@ -50,14 +50,13 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 		// Line 8: plain in-area update, batched per shard by the
 		// pipeline under concurrency.
 		s.putSighting(req.S, rec.OfferedAcc, accEpoch)
-		s.met.Counter("updates_local").Inc()
-		res := msg.UpdateRes{Moved: false, OfferedAcc: rec.OfferedAcc}
-		s.dedupe.remember(from, req.Seq, res)
-		return res, nil
+		s.writeMet.updatesLocal.Inc()
+		s.dedupe.rememberInArea(from, req.Seq, rec.OfferedAcc)
+		return msg.UpdateRes{OfferedAcc: rec.OfferedAcc}, nil
 	}
 
 	// Lines 1-6: the object left the service area — hand over.
-	s.met.Counter("handover_initiated").Inc()
+	s.writeMet.handoverInitiated.Inc()
 	res, err := s.forwardHandover(ctx, msg.HandoverReq{
 		S:        req.S,
 		RegInfo:  rec.RegInfo,
@@ -141,7 +140,7 @@ func (s *Server) forwardHandover(ctx context.Context, req msg.HandoverReq) (msg.
 		resp, err := s.node.Call(cctx, leaf, direct)
 		if err == nil {
 			if hr, ok := resp.(msg.HandoverRes); ok {
-				s.met.Counter("handover_direct").Inc()
+				s.writeMet.handoverDirect.Inc()
 				// Prune the old branch bottom-up; the repair
 				// CreatePath from the new agent re-points the
 				// LCA (see handleRemovePath for the guards).
@@ -159,7 +158,7 @@ func (s *Server) forwardHandover(ctx context.Context, req msg.HandoverReq) (msg.
 		// Stale cache entry or unreachable leaf: invalidate and fall
 		// back to the hierarchy.
 		s.caches.invalidateLeaf(leaf)
-		s.met.Counter("handover_direct_miss").Inc()
+		s.writeMet.handoverDirectMiss.Inc()
 	}
 
 	parent := s.parentForOID(req.S.OID)
@@ -184,7 +183,7 @@ func (s *Server) forwardHandover(ctx context.Context, req msg.HandoverReq) (msg.
 // along the same path while each hop fixes its forwarding references.
 func (s *Server) handleHandover(ctx context.Context, from msg.NodeID, req msg.HandoverReq) (msg.Message, error) {
 	req.Hops++
-	s.met.Counter("handover_seen").Inc()
+	s.writeMet.handoverSeen.Inc()
 
 	if req.Direct {
 		// Cache-shortcut delivery straight to this leaf (Section 6.5).
@@ -276,7 +275,7 @@ func (s *Server) becomeAgent(req msg.HandoverReq) (msg.HandoverRes, error) {
 		return msg.HandoverRes{}, err
 	}
 	s.putSighting(req.S, offered, accEpoch)
-	s.met.Counter("handover_accepted").Inc()
+	s.writeMet.handoverAccepted.Inc()
 
 	// If the accuracy this leaf can offer differs from the registered
 	// desire, notify the registering instance (Section 3.1,

@@ -16,7 +16,7 @@ import (
 // creates its records, triggers createPath and answers the registering
 // instance directly.
 func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
-	s.met.Counter("register_seen").Inc()
+	s.writeMet.registerSeen.Inc()
 	req.Hops++
 
 	if !s.inArea(req.S.Pos) {
@@ -52,14 +52,14 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 	// instead of re-applying (see the wire package's retry-idempotency
 	// rules).
 	if reply, ok := s.dedupe.lookup(req.Origin.Node, req.Seq); ok {
-		s.met.Counter("register_deduped").Inc()
+		s.writeMet.registerDeduped.Inc()
 		s.respondToOrigin(req.Origin, reply)
 		return
 	}
 	offered, ok := req.RegInfo.OfferedAcc(s.opts.AchievableAcc)
 	if !ok {
 		// Registration not successful (lines 13-14).
-		s.met.Counter("register_failed").Inc()
+		s.writeMet.registerFailed.Inc()
 		failed := msg.RegisterFailed{
 			OpID:       req.Origin.OpID,
 			Server:     s.ID(),
@@ -90,7 +90,7 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 		return
 	}
 	s.putSighting(req.S, offered, accEpoch)
-	s.met.Counter("register_ok").Inc()
+	s.writeMet.registerOK.Inc()
 
 	// Line 12: answer the registering instance.
 	res := msg.RegisterRes{

@@ -131,10 +131,15 @@ type Options struct {
 	// DedupeWindow bounds how long a leaf remembers replies to Seq-stamped
 	// requests (UpdateReq, RegisterReq) so a client retry is applied
 	// exactly once. Zero uses a 30s default; the window only needs to
-	// outlast the longest retry budget.
+	// outlast the longest retry budget. A sender that has sent nothing for
+	// this long is dropped from the table.
 	DedupeWindow time.Duration
-	// DedupeCap bounds the remembered-reply table's entry count (FIFO
-	// eviction). Zero uses a 4096-entry default.
+	// DedupeCap bounds how many of one sender's most recent Seq-stamped
+	// requests a leaf remembers replies to: the pipeline depth a sender can
+	// retry across. The window is a ring indexed by seq, so the bound in
+	// effect is the largest power of two within DedupeCap; a sender only
+	// grows to it by having that many requests inside DedupeWindow. Zero
+	// uses a 4096-slot default.
 	DedupeCap int
 	// PathRetry is the retry budget for forwarding-path propagation
 	// (the CreatePath/RemovePath climbs). These one-way messages are
@@ -281,6 +286,9 @@ type Server struct {
 
 	// rangeMet are the leaf's range-evaluation outcome counters.
 	rangeMet rangeCounters
+	// writeMet are the counters of the registration, update and handover
+	// handlers.
+	writeMet writeCounters
 	// accEpoch counts rewrites of a visitor record's OfferedAcc that are
 	// not part of installing the object's sighting (ChangeAcc, replicated
 	// visitor records); putSighting compares it around its read of the
@@ -303,6 +311,9 @@ type Server struct {
 	// gauges are registered so a shrink can drop the stale ones.
 	autoShard    *store.AutoShard
 	gaugedShards int
+	// walDownReported, the janitor's, remembers that a dead sighting WAL
+	// has been counted.
+	walDownReported bool
 
 	// ctx is the server's lifetime: Close cancels it, which stops the
 	// background loops and aborts every outbound retry loop running under
@@ -318,6 +329,33 @@ type Server struct {
 	stopped bool
 
 	closeOnce sync.Once
+}
+
+// writeCounters are the counters the registration, update and handover
+// handlers bump once or more per message, resolved once: Registry.Counter
+// takes the registry's lock and hashes the name on every call.
+type writeCounters struct {
+	registerSeen, registerOK, registerFailed, registerDeduped *metrics.Counter
+	updatesLocal, updatesDeduped, updatesRedirectedStandby    *metrics.Counter
+	handoverInitiated, handoverSeen, handoverAccepted         *metrics.Counter
+	handoverDirect, handoverDirectMiss                        *metrics.Counter
+}
+
+func newWriteCounters(met *metrics.Registry) writeCounters {
+	return writeCounters{
+		registerSeen:             met.Counter("register_seen"),
+		registerOK:               met.Counter("register_ok"),
+		registerFailed:           met.Counter("register_failed"),
+		registerDeduped:          met.Counter("register_deduped"),
+		updatesLocal:             met.Counter("updates_local"),
+		updatesDeduped:           met.Counter("updates_deduped"),
+		updatesRedirectedStandby: met.Counter("updates_redirected_standby"),
+		handoverInitiated:        met.Counter("handover_initiated"),
+		handoverSeen:             met.Counter("handover_seen"),
+		handoverAccepted:         met.Counter("handover_accepted"),
+		handoverDirect:           met.Counter("handover_direct"),
+		handoverDirectMiss:       met.Counter("handover_direct_miss"),
+	}
 }
 
 // New creates the server described by cfg, attaches it to the network and
@@ -353,6 +391,7 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		caches:   newLeafCaches(opts),
 		pend:     newPending(),
 		met:      opts.Metrics,
+		writeMet: newWriteCounters(opts.Metrics),
 	}
 	// Only leaves evaluate subscriptions against sightings, so only they
 	// get the subscription index and delta dispatcher; everywhere else the
@@ -687,40 +726,47 @@ func (s *Server) janitor() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.opts.JanitorInterval)
 	defer ticker.Stop()
-	walDownReported := false
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
-			// A standby never expires soft state on its own: removals
-			// (including expiry) replicate from the primary, and expiring
-			// locally would diverge the mirror and tear down forwarding
-			// paths the primary still serves.
-			if s.repl == nil || s.repl.primary.Load() {
-				s.expireVisitors(s.sightings.Expired())
-			}
-			if s.repl != nil {
-				s.repl.updateGauges()
-			}
-			if sdb, ok := s.sightings.(*store.ShardedSightingDB); ok {
-				// Surface a dead sighting WAL once: the store keeps
-				// serving (soft state), but the operator must learn
-				// durability is gone before the next crash proves it.
-				if err := sdb.WALErr(); err != nil && !walDownReported {
-					walDownReported = true
-					s.met.Counter("sighting_wal_down").Inc()
-				}
-				// Contention-driven live resizing, then occupancy and
-				// contention export — the tick is both the policy's
-				// observation cadence and the metrics refresh.
-				s.shardMaintenance(sdb)
-				// Keep the sighting WAL's replay time proportional to the
-				// live set: compact any segment whose history outgrew it.
-				if err := sdb.CompactWALIfGrown(); err != nil {
-					s.met.Counter("sighting_wal_compact_errors").Inc()
-				}
-			}
+			s.janitorTick()
+		}
+	}
+}
+
+// janitorTick is one round of a leaf's periodic maintenance.
+func (s *Server) janitorTick() {
+	// A standby never expires soft state on its own: removals
+	// (including expiry) replicate from the primary, and expiring
+	// locally would diverge the mirror and tear down forwarding
+	// paths the primary still serves.
+	if s.repl == nil || s.repl.primary.Load() {
+		s.expireVisitors(s.sightings.Expired())
+	}
+	if s.repl != nil {
+		s.repl.updateGauges()
+	}
+	// Forget the senders that have been silent for a dedupe window, and
+	// export what the table holds.
+	s.dedupeMaintenance()
+	if sdb, ok := s.sightings.(*store.ShardedSightingDB); ok {
+		// Surface a dead sighting WAL once: the store keeps
+		// serving (soft state), but the operator must learn
+		// durability is gone before the next crash proves it.
+		if err := sdb.WALErr(); err != nil && !s.walDownReported {
+			s.walDownReported = true
+			s.met.Counter("sighting_wal_down").Inc()
+		}
+		// Contention-driven live resizing, then occupancy and
+		// contention export — the tick is both the policy's
+		// observation cadence and the metrics refresh.
+		s.shardMaintenance(sdb)
+		// Keep the sighting WAL's replay time proportional to the
+		// live set: compact any segment whose history outgrew it.
+		if err := sdb.CompactWALIfGrown(); err != nil {
+			s.met.Counter("sighting_wal_compact_errors").Inc()
 		}
 	}
 }
