@@ -58,8 +58,8 @@ const (
 )
 
 // newTable1DB loads a sighting database with the paper's Table 1 population.
-func newTable1DB(kind spatial.Kind) (*store.SightingDB, []core.Sighting) {
-	db := store.NewSightingDB(store.WithIndex(kind))
+func newTable1DB(kind spatial.Kind) (*store.ShardedSightingDB, []core.Sighting) {
+	db := store.NewShardedSightingDB(store.WithIndex(kind))
 	rng := rand.New(rand.NewSource(1))
 	sightings := make([]core.Sighting, table1Objects)
 	now := time.Now()
@@ -88,7 +88,7 @@ func BenchmarkTable1IndexCreation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db := store.NewSightingDB()
+		db := store.NewShardedSightingDB()
 		for _, s := range sightings {
 			db.Put(s)
 		}
@@ -124,7 +124,7 @@ func BenchmarkTable1PositionQuery(b *testing.B) {
 // storageRangeQuery runs the leaf-storage part of a range query: spatial
 // index search over the enlarged bounds plus the exact overlap filter —
 // the work the paper's Table 1 measures.
-func storageRangeQuery(db *store.SightingDB, area core.Area, reqAcc, reqOverlap float64) int {
+func storageRangeQuery(db *store.ShardedSightingDB, area core.Area, reqAcc, reqOverlap float64) int {
 	enlarged := area.Bounds().Enlarge(reqAcc)
 	n := 0
 	db.SearchArea(enlarged, func(s core.Sighting) bool {
@@ -450,10 +450,10 @@ func BenchmarkCacheAblation(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Sharded store: parallel throughput of the concurrent sighting store at
-// 1/4/8 shards, against the seed-equivalent single-lock baseline. Updates go
-// through the batched UpdatePipeline (group commit per shard); queries fan
-// out across shards and merge. A recorded run lives in
-// BENCH_sharded_store.json.
+// 1/4/8 shards. Updates go through the batched UpdatePipeline (group commit
+// per shard); queries fan out across shards and merge. A recorded run lives
+// in BENCH_sharded_store.json (its baseline-singlelock rows are a store
+// that no longer exists).
 
 var shardBenchSeed atomic.Int64
 
@@ -462,25 +462,12 @@ func benchRng() *rand.Rand {
 	return rand.New(rand.NewSource(shardBenchSeed.Add(1)))
 }
 
-// shardedBenchStores enumerates the stores under comparison: the seed
-// single-lock SightingDB and the sharded store at increasing shard counts.
-func shardedBenchStores() []struct {
-	name string
-	mk   func() store.SightingStore
-} {
-	return []struct {
-		name string
-		mk   func() store.SightingStore
-	}{
-		{"baseline-singlelock", func() store.SightingStore { return store.NewSightingDB() }},
-		{"shards=1", func() store.SightingStore { return store.NewShardedSightingDB(store.WithShards(1)) }},
-		{"shards=4", func() store.SightingStore { return store.NewShardedSightingDB(store.WithShards(4)) }},
-		{"shards=8", func() store.SightingStore { return store.NewShardedSightingDB(store.WithShards(8)) }},
-	}
-}
+// shardBenchCounts are the shard counts under comparison: one shard (the
+// default layout) and increasing counts.
+var shardBenchCounts = []int{1, 4, 8}
 
 // loadShardBench fills db with the Table 1 population.
-func loadShardBench(db store.SightingStore) []core.Sighting {
+func loadShardBench(db *store.ShardedSightingDB) []core.Sighting {
 	rng := rand.New(rand.NewSource(1))
 	sightings := make([]core.Sighting, table1Objects)
 	now := time.Now()
@@ -496,9 +483,9 @@ func loadShardBench(db store.SightingStore) []core.Sighting {
 }
 
 func BenchmarkShardedUpdate(b *testing.B) {
-	for _, bc := range shardedBenchStores() {
-		b.Run(bc.name, func(b *testing.B) {
-			db := bc.mk()
+	for _, shards := range shardBenchCounts {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			db := store.NewShardedSightingDB(store.WithShards(shards))
 			sightings := loadShardBench(db)
 			pipe := store.NewUpdatePipeline(db)
 			b.ResetTimer()
@@ -516,9 +503,9 @@ func BenchmarkShardedUpdate(b *testing.B) {
 }
 
 func BenchmarkShardedRangeQuery(b *testing.B) {
-	for _, bc := range shardedBenchStores() {
-		b.Run(bc.name, func(b *testing.B) {
-			db := bc.mk()
+	for _, shards := range shardBenchCounts {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			db := store.NewShardedSightingDB(store.WithShards(shards))
 			loadShardBench(db)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -541,9 +528,9 @@ func BenchmarkShardedRangeQuery(b *testing.B) {
 }
 
 func BenchmarkShardedNearest(b *testing.B) {
-	for _, bc := range shardedBenchStores() {
-		b.Run(bc.name, func(b *testing.B) {
-			db := bc.mk()
+	for _, shards := range shardBenchCounts {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			db := store.NewShardedSightingDB(store.WithShards(shards))
 			loadShardBench(db)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -565,9 +552,9 @@ func BenchmarkShardedNearest(b *testing.B) {
 // BenchmarkShardedMixed is the paper-shaped workload: 90% updates, 10%
 // range queries, all goroutines hammering one store.
 func BenchmarkShardedMixed(b *testing.B) {
-	for _, bc := range shardedBenchStores() {
-		b.Run(bc.name, func(b *testing.B) {
-			db := bc.mk()
+	for _, shards := range shardBenchCounts {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			db := store.NewShardedSightingDB(store.WithShards(shards))
 			sightings := loadShardBench(db)
 			pipe := store.NewUpdatePipeline(db)
 			b.ResetTimer()

@@ -118,7 +118,7 @@ func table1(quick bool) {
 
 	// Creating index.
 	start := time.Now()
-	db := store.NewSightingDB()
+	db := store.NewShardedSightingDB()
 	for _, s := range sightings {
 		db.Put(s)
 	}
@@ -292,7 +292,7 @@ func ablationIndex(quick bool) {
 	fmt.Printf("%-10s %14s %14s %14s\n", "index", "updates/s", "range100m/s", "knn5/s")
 
 	for _, kind := range []spatial.Kind{spatial.KindQuadtree, spatial.KindRTree, spatial.KindLinear} {
-		db := store.NewSightingDB(store.WithIndex(kind))
+		db := store.NewShardedSightingDB(store.WithIndex(kind))
 		rng := rand.New(rand.NewSource(1))
 		sightings := make([]core.Sighting, objects)
 		now := time.Now()
@@ -631,15 +631,16 @@ func ablationRootPartitions(quick bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation A7: sharded sighting store with the batched update pipeline.
-// Parallel workers hammer one store; shards=0 is the seed single-lock
-// SightingDB baseline. The wal upd/s column repeats the update workload
-// with durable per-shard sighting logs attached (one WAL append per
-// group-commit batch, no fsync; recorded runs in BENCH_wal.json). The knn5 column shows the resumable per-shard
-// nearest-neighbor cursors: the distance-ordered merge advances each shard
-// one neighbor at a time instead of re-fetching prefixes with doubled
-// depth (recorded runs live in BENCH_sharded_store.json and
-// BENCH_nn_cursor.json).
+// Ablation A7: the sighting store's shard count under the batched update
+// pipeline. Parallel workers hammer one store of 1 (the default), 4 and 8
+// shards. The wal upd/s column repeats the update workload with durable
+// per-shard sighting logs attached (one WAL append per group-commit batch,
+// no fsync; recorded runs in BENCH_wal.json). The knn5 column shows the
+// resumable per-shard nearest-neighbor cursors: the distance-ordered merge
+// advances each shard one neighbor at a time instead of re-fetching
+// prefixes with doubled depth (recorded runs live in
+// BENCH_sharded_store.json and BENCH_nn_cursor.json; their "single lock"
+// rows are a store that no longer exists).
 
 func ablationShardedStore(quick bool) {
 	objects := 25_000
@@ -649,13 +650,13 @@ func ablationShardedStore(quick bool) {
 	}
 	const side = 10_000.0
 	const workers = 8
-	fmt.Printf("\nAblation A7: sharded store vs single lock (%d objects, %d workers x %d updates)\n\n",
+	fmt.Printf("\nAblation A7: shard count (%d objects, %d workers x %d updates)\n\n",
 		objects, workers, opsPerWorker)
-	fmt.Printf("%-22s %14s %14s %14s %14s\n", "store", "updates/s", "wal upd/s", "range q/s", "knn5 q/s")
+	fmt.Printf("%-8s %14s %14s %14s %14s\n", "shards", "updates/s", "wal upd/s", "range q/s", "knn5 q/s")
 
 	// measureUpdates loads db with the standard population and hammers it
 	// with the parallel pipeline update workload, returning updates/s.
-	measureUpdates := func(db store.SightingStore) float64 {
+	measureUpdates := func(db *store.ShardedSightingDB) float64 {
 		rng := rand.New(rand.NewSource(1))
 		sightings := make([]core.Sighting, objects)
 		now := time.Now()
@@ -686,38 +687,26 @@ func ablationShardedStore(quick bool) {
 		return float64(workers*opsPerWorker) / time.Since(start).Seconds()
 	}
 
-	for _, shards := range []int{0, 1, 4, 8} {
-		var db store.SightingStore
-		name := fmt.Sprintf("sharded (%d shards)", shards)
-		if shards == 0 {
-			db = store.NewSightingDB()
-			name = "single lock (seed)"
-		} else {
-			db = store.NewShardedSightingDB(store.WithShards(shards))
-		}
+	for _, shards := range []int{1, 4, 8} {
+		db := store.NewShardedSightingDB(store.WithShards(shards))
 		updateRate := measureUpdates(db)
 
 		// Same workload with durable per-shard sighting logs attached
 		// (process-crash durability, no fsync) — the wal upd/s column.
-		walRate := "-"
-		if shards > 0 {
-			walDir, err := os.MkdirTemp("", "lsbench-wal")
-			if err != nil {
-				fatal(err)
-			}
-			swal, err := store.OpenShardedWAL(walDir, shards)
-			if err != nil {
-				fatal(err)
-			}
-			wdb := store.NewShardedSightingDB(store.WithSightingWAL(swal))
-			rate := measureUpdates(wdb)
-			if err := swal.Flush(); err != nil {
-				fatal(err)
-			}
-			swal.Close()
-			os.RemoveAll(walDir)
-			walRate = fmt.Sprintf("%.0f", rate)
+		walDir, err := os.MkdirTemp("", "lsbench-wal")
+		if err != nil {
+			fatal(err)
 		}
+		swal, err := store.OpenShardedWAL(walDir, shards)
+		if err != nil {
+			fatal(err)
+		}
+		walRate := measureUpdates(store.NewShardedSightingDB(store.WithSightingWAL(swal)))
+		if err := swal.Flush(); err != nil {
+			fatal(err)
+		}
+		swal.Close()
+		os.RemoveAll(walDir)
 
 		queries := opsPerWorker / 10
 		var wg sync.WaitGroup
@@ -756,7 +745,7 @@ func ablationShardedStore(quick bool) {
 		}
 		wg.Wait()
 		knnRate := float64(workers*knnOps) / time.Since(start).Seconds()
-		fmt.Printf("%-22s %14.0f %14s %14.0f %14.0f\n", name, updateRate, walRate, queryRate, knnRate)
+		fmt.Printf("%-8d %14.0f %14.0f %14.0f %14.0f\n", shards, updateRate, walRate, queryRate, knnRate)
 	}
 }
 

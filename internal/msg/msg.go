@@ -475,7 +475,8 @@ type DiagRes struct {
 	Sightings int
 	// Shards describes the sighting store's current generation — the
 	// per-shard occupancy and contention counters the AutoShard policy
-	// resizes on. Empty on non-leaf servers and single-lock stores.
+	// resizes on. One entry per shard on a leaf (a default leaf has one
+	// shard); empty on non-leaf servers.
 	Shards []ShardDiag
 	// Epoch counts the sighting store's completed live resizes.
 	Epoch uint64

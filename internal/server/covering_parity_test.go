@@ -311,7 +311,7 @@ func TestCoveringIndexParity(t *testing.T) {
 
 	// A live resize carries the accuracies across.
 	victim := w.dep.Leaves()[0]
-	if err := w.dep.Servers[victim].SightingsForTest().(*store.ShardedSightingDB).Resize(7); err != nil {
+	if err := w.dep.Servers[victim].SightingsForTest().Resize(7); err != nil {
 		t.Fatal(err)
 	}
 	if n := sum(w.check("after Resize")); n != len(w.objs) {
@@ -393,7 +393,7 @@ func TestCoveringIndexParityTiered(t *testing.T) {
 	w := newParityWorld(t, 43, base, leaf)
 	tierStats := func() (flushes, compactions int64) {
 		for _, srv := range w.leaves() {
-			st := srv.SightingsForTest().(*store.ShardedSightingDB).TierStats()
+			st := srv.SightingsForTest().TierStats()
 			flushes += st.Flushes
 			compactions += st.Compactions
 		}

@@ -4,14 +4,14 @@ import (
 	"fmt"
 
 	"locsvc/internal/msg"
-	"locsvc/internal/store"
 )
 
-// shardMaintenance runs once per janitor tick on leaves with a sharded
-// sighting store: it exports per-shard occupancy and contention through
-// the metrics registry and, when an AutoShard policy is configured, feeds
-// it the tick's contention sample and applies its resize decision.
-func (s *Server) shardMaintenance(sdb *store.ShardedSightingDB) {
+// shardMaintenance runs once per janitor tick on a leaf: it exports
+// per-shard occupancy and contention through the metrics registry and, when
+// an AutoShard policy is configured, feeds it the tick's contention sample
+// and applies its resize decision.
+func (s *Server) shardMaintenance() {
+	sdb := s.sightings
 	stats := sdb.ShardStats()
 	var ops, contended int64
 	for i, st := range stats {
@@ -88,10 +88,8 @@ func (s *Server) handleDiag() (msg.Message, error) {
 		Visitors: s.visitors.Len(),
 		Metrics:  s.met.Snapshot(),
 	}
-	if s.sightings != nil {
-		res.Sightings = s.sightings.Len()
-	}
-	if sdb, ok := s.sightings.(*store.ShardedSightingDB); ok {
+	if sdb := s.sightings; sdb != nil {
+		res.Sightings = sdb.Len()
 		res.Epoch = sdb.Epoch()
 		for _, st := range sdb.ShardStats() {
 			res.Shards = append(res.Shards, msg.ShardDiag{Len: st.Len, Ops: st.Ops, Contended: st.Contended})

@@ -3,9 +3,43 @@ package server_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"locsvc/internal/client"
 	"locsvc/internal/core"
+	"locsvc/internal/geo"
+	"locsvc/internal/hierarchy"
+	"locsvc/internal/server"
 )
+
+// TestDefaultLeafExportsOneShard pins what every leaf reports about its
+// sighting store, not only a sharded or WAL-backed one: a leaf deployed
+// with the zero Options answers a diagnostics request with exactly one
+// shard holding all its sightings, and a janitor tick sets the shard gauges.
+func TestDefaultLeafExportsOneShard(t *testing.T) {
+	ls := newTestLS(t, hierarchy.Spec{RootArea: geo.R(0, 0, 1500, 1500)}, server.Options{})
+	cl := ls.newClientAt(t, "diag-default", geo.Pt(10, 10), client.Options{Timeout: 10 * time.Second})
+	const n = 7
+	for i := 0; i < n; i++ {
+		if _, err := cl.Register(ctx(t), sightingAt(fmt.Sprintf("d%d", i), geo.Pt(float64(100+i), 100)), 10, 50, 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := cl.Diag(ctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.IsLeaf || res.Sightings != n || len(res.Shards) != 1 || res.Shards[0].Len != n {
+		t.Fatalf("DiagRes: leaf %v, %d sightings, shards %+v; want a leaf with one shard of %d", res.IsLeaf, res.Sightings, res.Shards, n)
+	}
+	leaf := ls.dep.Servers[ls.dep.Leaves()[0]]
+	leaf.JanitorTickForTest()
+	for gauge, want := range map[string]int64{"sighting_shards": 1, "sighting_shard_occupancy.000": n} {
+		if got := leaf.Metrics().Gauge(gauge).Value(); got != want {
+			t.Errorf("gauge %s = %d after a janitor tick, want %d", gauge, got, want)
+		}
+	}
+}
 
 // appended diagnostic: dump visitor records for lost objects
 func dumpObject(t *testing.T, ls *testLS, oid core.OID) {

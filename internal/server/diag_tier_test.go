@@ -34,7 +34,7 @@ func TestDiagExportsTierReadErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sdb := s.sightings.(*store.ShardedSightingDB)
+	sdb := s.sightings
 	for i := 0; i < 400; i++ {
 		s.pipe.Put(replSighting(i))
 	}

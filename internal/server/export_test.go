@@ -109,8 +109,8 @@ func (s *Server) CoveringEntriesForTest() (annotated int, violations []string) {
 }
 
 // SightingsForTest exposes the sighting store (to resize it, or to drive
-// tier maintenance).
-func (s *Server) SightingsForTest() store.SightingStore { return s.sightings }
+// tier maintenance); nil on a non-leaf server.
+func (s *Server) SightingsForTest() *store.ShardedSightingDB { return s.sightings }
 
 // JanitorTickForTest runs one round of the leaf's periodic maintenance; for
 // servers deployed without a JanitorInterval, so no janitor runs beside it.

@@ -203,7 +203,7 @@ func TestReplPromoteFencesZombiePrimary(t *testing.T) {
 	// primary's reverse stream (higher epoch) it must end up a standby.
 	a.pipe.Put(replSighting(n))
 	waitUntil(t, "zombie to be fenced into standby", func() bool {
-		return a.repl.role() == replRoleStandby && a.sightings.(*store.ShardedSightingDB).ReplStandby()
+		return a.repl.role() == replRoleStandby && a.sightings.ReplStandby()
 	})
 	fresh := core.Sighting{OID: "fresh", T: time.Now(), Pos: geo.Pt(500, 500), SensAcc: 5}
 	b.pipe.Put(fresh)
@@ -240,8 +240,8 @@ func TestReplRunShippingMirrorsTier(t *testing.T) {
 	a := newReplLeaf(t, net, "leafA", "leafB", false, tier())
 	b := newReplLeaf(t, net, "leafB", "leafA", true, tier())
 
-	sdbA := a.sightings.(*store.ShardedSightingDB)
-	sdbB := b.sightings.(*store.ShardedSightingDB)
+	sdbA := a.sightings
+	sdbB := b.sightings
 
 	// Enough volume that the janitor's MaintainTiers flushes several
 	// memtables into runs (and likely compacts).

@@ -76,18 +76,17 @@ type Options struct {
 	Index spatial.Kind
 	// Shards partitions a leaf's sightingDB into that many independently
 	// locked shards keyed by object id, so concurrent updates scale
-	// across cores. 0 or 1 keeps the single-lock store; negative counts
-	// are rejected by New (store.NormalizeShards). With AutoShard set this
-	// is only the starting point — the count then adapts at runtime.
+	// across cores. 0 or 1 means one shard; negative counts are rejected
+	// by New (store.NormalizeShards). With AutoShard set this is only the
+	// starting point — the count then adapts at runtime.
 	Shards int
 	// AutoShard enables contention-driven live resizing of a leaf's
 	// sighting store: every janitor tick feeds the shard-lock and
 	// pipeline-lane contention samples to the policy, and a grow/shrink
 	// decision drives store.ShardedSightingDB.Resize while the server
 	// keeps serving (with a sighting WAL attached, the log follows
-	// through an epoch switch). The leaf uses the sharded store even when
-	// Shards <= 1. Zero fields in the config take the documented
-	// defaults.
+	// through an epoch switch). Zero fields in the config take the
+	// documented defaults.
 	AutoShard *store.AutoShardConfig
 	// Tiering turns a leaf's sighting store into a two-tier LSM: the
 	// in-memory shards become memtables and older versions migrate to
@@ -104,10 +103,10 @@ type Options struct {
 	// SightingWAL persists a leaf's sightingDB through one durable log
 	// segment per shard; nil keeps the sighting store purely in memory
 	// (the paper's baseline, rebuilt via RestoreVisitors after a crash).
-	// When set, the leaf uses the sharded store regardless of Shards, the
-	// store adopts the WAL's shard count, existing log contents are
-	// replayed (all shards in parallel) before the server attaches to the
-	// network, and the server closes the WAL on Close.
+	// When set, the store adopts the WAL's shard count whatever Shards
+	// says, existing log contents are replayed (all shards in parallel)
+	// before the server attaches to the network, and the server closes the
+	// WAL on Close.
 	SightingWAL *store.ShardedWAL
 	// CallTimeout bounds hop-by-hop calls (handover forwarding).
 	CallTimeout time.Duration
@@ -263,10 +262,9 @@ type Server struct {
 	opts     Options
 	node     transport.Node
 
-	// sightings is the main-memory sighting database; only leaf servers
-	// populate it (Section 5). With Options.Shards > 1 it is the sharded
-	// implementation; otherwise the single-lock one.
-	sightings store.SightingStore
+	// sightings is the main-memory sighting database (Section 5), of
+	// Options.Shards shards; nil on non-leaf servers.
+	sightings *store.ShardedSightingDB
 	// pipe batches concurrent position updates per shard (group commit);
 	// all sighting writes on the update/registration path go through it.
 	pipe *store.UpdatePipeline
@@ -436,45 +434,25 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 			store.WithIndex(opts.Index),
 			store.WithTTL(opts.SightingTTL),
 			store.WithClock(opts.Clock),
+			store.WithShards(shards),
+		}
+		if opts.SightingWAL != nil {
+			sopts = append(sopts, store.WithSightingWAL(opts.SightingWAL))
 		}
 		if opts.Tiering != nil {
 			sopts = append(sopts, store.WithTiering(*opts.Tiering))
 		}
-		switch {
-		case opts.SightingWAL != nil:
-			sdb := store.NewShardedSightingDB(append(sopts,
-				store.WithShards(shards),
-				store.WithSightingWAL(opts.SightingWAL))...)
-			// Tiered stores recover in the background (satellite of the
-			// bigger-than-RAM design): RecoverBackground opens the run
-			// manifests synchronously — reads are served from disk
-			// immediately — and replays each shard's short WAL tail behind
-			// that shard's write lock. Close waits for the warm-up.
-			if opts.Tiering != nil {
-				err = sdb.RecoverBackground()
-			} else {
-				err = sdb.Recover()
-			}
-			if err != nil {
-				visitors.Close()
-				closeWALs()
-				return nil, fmt.Errorf("server %s: recovering sightingDB: %w", cfg.ID, err)
-			}
-			s.sightings = sdb
-		case shards > 1 || opts.AutoShard != nil || opts.Tiering != nil:
-			sdb := store.NewShardedSightingDB(append(sopts, store.WithShards(shards))...)
-			if opts.Tiering != nil {
-				// No WAL to replay: Recover just opens the tier manifests
-				// (and sweeps crash leftovers) from TierConfig.Dir.
-				if err := sdb.Recover(); err != nil {
-					visitors.Close()
-					closeWALs()
-					return nil, fmt.Errorf("server %s: opening tiered sightingDB: %w", cfg.ID, err)
-				}
-			}
-			s.sightings = sdb
-		default:
-			s.sightings = store.NewSightingDB(sopts...)
+		s.sightings = store.NewShardedSightingDB(sopts...)
+		// Replay the sighting WAL and open the tier manifests, whichever
+		// there are (nothing to do on an all-RAM leaf). With both, the
+		// store recovers in the background: the run manifests open
+		// synchronously — reads are served from disk immediately — and
+		// each shard's short WAL tail replays behind that shard's write
+		// lock. Close waits for the warm-up.
+		if err = s.sightings.RecoverBackground(); err != nil {
+			visitors.Close()
+			closeWALs()
+			return nil, fmt.Errorf("server %s: recovering sightingDB: %w", cfg.ID, err)
 		}
 		if opts.AutoShard != nil {
 			s.autoShard = store.NewAutoShard(*opts.AutoShard)
@@ -491,15 +469,13 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		s.pipe = store.NewUpdatePipeline(s.sightings, popts...)
 		s.dedupe = newDedupe(opts.DedupeWindow, opts.DedupeCap, opts.Clock)
 		if opts.ReplPeer != "" {
-			// The SightingWAL branch above guarantees the sharded store.
-			sdb := s.sightings.(*store.ShardedSightingDB)
-			r := newReplState(s, msg.NodeID(opts.ReplPeer), sdb, opts.ReplStandby)
+			r := newReplState(s, msg.NodeID(opts.ReplPeer), s.sightings, opts.ReplStandby)
 			s.repl = r
 			if opts.ReplStandby {
-				sdb.SetReplStandby(true)
+				s.sightings.SetReplStandby(true)
 			}
 			opts.SightingWAL.SetReplTee(r)
-			sdb.SetReplNotify(r.notifyRuns)
+			s.sightings.SetReplNotify(r.notifyRuns)
 			visitors.SetReplTee(r)
 		}
 	}
@@ -599,11 +575,11 @@ func (s *Server) Close() error {
 		if verr := s.visitors.Close(); verr != nil && err == nil {
 			err = verr
 		}
-		if sdb, ok := s.sightings.(*store.ShardedSightingDB); ok {
+		if s.sightings != nil {
 			// A tiered leaf may still be replaying its WAL tail in the
 			// background; closing the WAL underneath that replay would turn
 			// an orderly shutdown into a spurious recovery failure.
-			if werr := sdb.WaitRecovered(); werr != nil && err == nil {
+			if werr := s.sightings.WaitRecovered(); werr != nil && err == nil {
 				err = werr
 			}
 		}
@@ -751,23 +727,21 @@ func (s *Server) janitorTick() {
 	// Forget the senders that have been silent for a dedupe window, and
 	// export what the table holds.
 	s.dedupeMaintenance()
-	if sdb, ok := s.sightings.(*store.ShardedSightingDB); ok {
-		// Surface a dead sighting WAL once: the store keeps
-		// serving (soft state), but the operator must learn
-		// durability is gone before the next crash proves it.
-		if err := sdb.WALErr(); err != nil && !s.walDownReported {
-			s.walDownReported = true
-			s.met.Counter("sighting_wal_down").Inc()
-		}
-		// Contention-driven live resizing, then occupancy and
-		// contention export — the tick is both the policy's
-		// observation cadence and the metrics refresh.
-		s.shardMaintenance(sdb)
-		// Keep the sighting WAL's replay time proportional to the
-		// live set: compact any segment whose history outgrew it.
-		if err := sdb.CompactWALIfGrown(); err != nil {
-			s.met.Counter("sighting_wal_compact_errors").Inc()
-		}
+	// Surface a dead sighting WAL once: the store keeps serving (soft
+	// state), but the operator must learn durability is gone before the
+	// next crash proves it.
+	if err := s.sightings.WALErr(); err != nil && !s.walDownReported {
+		s.walDownReported = true
+		s.met.Counter("sighting_wal_down").Inc()
+	}
+	// Contention-driven live resizing, then occupancy and contention
+	// export — the tick is both the policy's observation cadence and the
+	// metrics refresh.
+	s.shardMaintenance()
+	// Keep the sighting WAL's replay time proportional to the live set:
+	// compact any segment whose history outgrew it.
+	if err := s.sightings.CompactWALIfGrown(); err != nil {
+		s.met.Counter("sighting_wal_compact_errors").Inc()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,8 +129,7 @@ func TestShardedStoreConcurrency(t *testing.T) {
 						if errors.Is(err, core.ErrNotFound) {
 							// Transient: the nearest candidate can move
 							// between the ring and collection phases
-							// while movers run (present with the
-							// single-lock store too).
+							// while movers run (at one shard too).
 							nnMisses.Add(1)
 						} else {
 							queryErrs.Add(1)
@@ -167,37 +167,44 @@ func TestShardedStoreConcurrency(t *testing.T) {
 	}
 }
 
-// TestShardedOptionMatchesSingleLock runs the same small scenario against a
-// 1-shard and an 8-shard deployment and expects identical query answers —
-// the sharded store must not change service semantics.
-func TestShardedOptionMatchesSingleLock(t *testing.T) {
-	results := map[int][]core.Entry{}
+// TestShardCountDoesNotChangeAnswers runs the same small scenario against a
+// 1-shard and an 8-shard deployment and expects from both the answer a
+// linear scan of the registered positions gives — the shard count must not
+// change service semantics.
+func TestShardCountDoesNotChangeAnswers(t *testing.T) {
+	const reqAcc, reqOverlap = 50, 0.5
+	window := geo.R(200, 200, 1200, 1200)
+	results := map[int]map[core.OID]geo.Point{}
 	for _, shards := range []int{1, 8} {
 		ls := newTestLS(t, quadSpec(), server.Options{AchievableAcc: 10, Shards: shards})
 		owner := ls.newClientAt(t, fmt.Sprintf("own-%d", shards), geo.Pt(10, 10), client.Options{Timeout: 10 * time.Second})
 		rng := rand.New(rand.NewSource(17))
+		want := map[core.OID]geo.Point{}
 		for i := 0; i < 40; i++ {
-			p := geo.Pt(rng.Float64()*1400+10, rng.Float64()*1400+10)
-			if _, err := owner.Register(ctx(t), sightingAt(fmt.Sprintf("m%d", i), p), 10, 50, 30); err != nil {
+			s := sightingAt(fmt.Sprintf("m%d", i), geo.Pt(rng.Float64()*1400+10, rng.Float64()*1400+10))
+			tr, err := owner.Register(ctx(t), s, 10, 50, 30)
+			if err != nil {
 				t.Fatal(err)
 			}
+			ld := core.LocationDescriptor{Pos: s.Pos, Acc: tr.OfferedAcc()}
+			if core.AreaFromRect(window).RangeQualifies(ld, reqAcc, reqOverlap) {
+				want[s.OID] = s.Pos
+			}
 		}
-		got, err := owner.RangeQueryRect(ctx(t), geo.R(200, 200, 1200, 1200), 50, 0.5)
+		entries, err := owner.RangeQueryRect(ctx(t), window, reqAcc, reqOverlap)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := map[core.OID]geo.Point{}
+		for _, e := range entries {
+			got[e.OID] = e.LD.Pos
+		}
+		if len(want) == 0 || len(got) != len(entries) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards: range query answered %v, a scan of the registered positions %v", shards, got, want)
+		}
 		results[shards] = got
 	}
-	if len(results[1]) != len(results[8]) {
-		t.Fatalf("1-shard range query found %d objects, 8-shard %d", len(results[1]), len(results[8]))
-	}
-	want := map[core.OID]geo.Point{}
-	for _, e := range results[1] {
-		want[e.OID] = e.LD.Pos
-	}
-	for _, e := range results[8] {
-		if p, ok := want[e.OID]; !ok || p != e.LD.Pos {
-			t.Errorf("8-shard result %s at %v not in 1-shard result", e.OID, e.LD.Pos)
-		}
+	if !reflect.DeepEqual(results[1], results[8]) {
+		t.Errorf("1-shard answer %v, 8-shard answer %v", results[1], results[8])
 	}
 }

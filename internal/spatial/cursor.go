@@ -2,7 +2,22 @@ package spatial
 
 import (
 	"sync"
+
+	"locsvc/internal/core"
+	"locsvc/internal/geo"
 )
+
+// Neighbor is one entry of a nearest-neighbor stream: an indexed object
+// together with its distance from the query point. Ref and Acc are the
+// entry's Item payload where the index carries one (see Item); cursors over
+// id-keyed entries leave Ref nil, and Acc means nothing without Ref.
+type Neighbor struct {
+	ID   core.OID
+	Pos  geo.Point
+	Dist float64
+	Ref  any
+	Acc  float64
+}
 
 // Cursor is a paused nearest-neighbor enumeration around a fixed query
 // point. Each Next call advances the underlying traversal exactly far
@@ -23,8 +38,8 @@ import (
 //     not be used after Close; Close is idempotent.
 //   - A cursor is only as concurrency-safe as the index it traverses:
 //     callers synchronize Next/Close against writers exactly as they would
-//     synchronize NearestFunc (Sharded and the stores wrap each advance in
-//     the owning shard's read lock).
+//     synchronize NearestFunc (the store wraps each advance in the owning
+//     shard's read lock, LockCursor).
 type Cursor interface {
 	Next() (Neighbor, bool)
 	Close()

@@ -9,16 +9,17 @@
 // nearest-neighbor queries. Nearest-neighbor enumeration is exposed two
 // ways: push-style (NearestFunc) and as a resumable pull-style Cursor
 // (NearestCursor) whose best-first traversal pauses between neighbors — the
-// building block that lets the sharded wrappers merge per-shard streams
+// building block that lets the sharded store merge per-shard streams
 // without re-traversing each shard's prefix (see Cursor for the contract).
 //
-// The concurrent wrappers (Sharded here, store.ShardedSightingDB) maintain
-// a conservative per-shard bounding rectangle over live entries: it always
-// contains every live position (inserts grow it immediately; removals only
-// mark it stale and it is recomputed once stale removals outnumber live
-// entries), so skipping a shard whose rectangle misses a query rectangle,
-// or ordering unopened shard streams by the rectangle's minimum distance,
-// can never change a query result.
+// The indexes themselves are single-threaded. The concurrent wrapper,
+// store.ShardedSightingDB, keeps one index per shard (ShardFor picks it)
+// and a conservative bounding rectangle over each shard's live entries: it
+// always contains every live position (inserts grow it immediately;
+// removals only mark it stale and it is recomputed once stale removals
+// outnumber live entries), so skipping a shard whose rectangle misses a
+// query rectangle, or ordering unopened shard streams by the rectangle's
+// minimum distance (CursorSource.MinDist), can never change a query result.
 package spatial
 
 import (

@@ -25,21 +25,15 @@ func (pointSet) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(ps)
 }
 
-// newShardedQuadtree builds the sharded wrapper covered by the property
-// tests alongside the plain indexes.
-func newShardedQuadtree() Index {
-	return NewSharded(4, func() Index { return NewQuadtree() })
-}
-
 // TestQuickSearchMatchesLinear: for any generated point set and query
-// rectangle, tree and sharded searches return exactly what the linear
+// rectangle, tree and partitioned searches return exactly what the linear
 // reference does.
 func TestQuickSearchMatchesLinear(t *testing.T) {
 	prop := func(ps pointSet, qx0, qy0, qx1, qy1 int8) bool {
 		ref := NewLinear()
 		qt := NewQuadtree()
 		rt := NewRTree()
-		sh := newShardedQuadtree()
+		sh := newPartitionedQuadtree()
 		for i, p := range ps {
 			id := core.OID(fmt.Sprintf("o%d", i))
 			ref.Insert(id, p)
@@ -64,7 +58,7 @@ func TestQuickDeleteHalfMatchesLinear(t *testing.T) {
 		ref := NewLinear()
 		qt := NewQuadtree()
 		rt := NewRTree()
-		sh := newShardedQuadtree()
+		sh := newPartitionedQuadtree()
 		for i, p := range ps {
 			id := core.OID(fmt.Sprintf("o%d", i))
 			ref.Insert(id, p)
@@ -94,13 +88,13 @@ func TestQuickDeleteHalfMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestQuickNearestStreamMatchesLinear: the sharded merged nearest-neighbor
-// stream yields exactly the linear reference's distance sequence, for the
+// TestQuickNearestStreamMatchesLinear: the merged nearest-neighbor stream
+// of the partitioned stand-in (MergeSources over four quadtrees) yields exactly the linear reference's distance sequence, for the
 // whole population.
 func TestQuickNearestStreamMatchesLinear(t *testing.T) {
 	prop := func(ps pointSet, qx, qy int8) bool {
 		ref := NewLinear()
-		sh := newShardedQuadtree()
+		sh := newPartitionedQuadtree()
 		for i, p := range ps {
 			id := core.OID(fmt.Sprintf("o%d", i))
 			ref.Insert(id, p)
@@ -148,7 +142,7 @@ func TestQuickNearestIsGlobalMinimum(t *testing.T) {
 		for _, mk := range []func() Index{
 			func() Index { return NewQuadtree() },
 			func() Index { return NewRTree() },
-			newShardedQuadtree,
+			newPartitionedQuadtree,
 		} {
 			ix := mk()
 			for i, p := range ps {

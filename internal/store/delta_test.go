@@ -10,13 +10,13 @@ import (
 	"locsvc/internal/geo"
 )
 
-// deltaStores builds the two SightingStore implementations side by side so
-// every delta test runs against both.
-func deltaStores(t *testing.T, opts ...SightingDBOption) map[string]SightingStore {
+// deltaStores builds the store at one shard (the default layout) and at
+// four, so every delta test runs against both.
+func deltaStores(t *testing.T, opts ...SightingDBOption) map[string]*ShardedSightingDB {
 	t.Helper()
-	return map[string]SightingStore{
-		"single":  NewSightingDB(opts...),
-		"sharded": NewShardedSightingDB(append(opts, WithShards(4))...),
+	return map[string]*ShardedSightingDB{
+		"shards=1": NewShardedSightingDB(append(opts, WithShards(1))...),
+		"shards=4": NewShardedSightingDB(append(opts, WithShards(4))...),
 	}
 }
 
@@ -25,7 +25,7 @@ func TestPutBatchDeltas(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a := core.Sighting{OID: "a", Pos: geo.Pt(10, 10)}
 			b := core.Sighting{OID: "b", Pos: geo.Pt(20, 20)}
-			ds := db.PutBatchDeltas([]core.Sighting{a, b}, nil)
+			ds := db.PutBatchAcc([]core.Sighting{a, b}, nil, []Delta{})
 			if len(ds) != 2 {
 				t.Fatalf("got %d deltas, want 2: %+v", len(ds), ds)
 			}
@@ -37,7 +37,7 @@ func TestPutBatchDeltas(t *testing.T) {
 
 			// An update reports the superseded position.
 			a2 := core.Sighting{OID: "a", Pos: geo.Pt(30, 30)}
-			ds = db.PutBatchDeltas([]core.Sighting{a2}, nil)
+			ds = db.PutBatchAcc([]core.Sighting{a2}, nil, []Delta{})
 			if len(ds) != 1 {
 				t.Fatalf("got %d deltas, want 1", len(ds))
 			}
@@ -49,12 +49,10 @@ func TestPutBatchDeltas(t *testing.T) {
 	}
 }
 
-// TestPutBatchDeltasCoalesced pins the batch-coalescing contract: when a
-// batch contains several updates to one object, the emitted delta(s) for
-// that object span the pre-batch position to the batch-final one, and the
-// final store state matches sequential application. The sharded store emits
-// exactly one delta; the single-lock store one per entry — both spans
-// compose to the same net change.
+// TestPutBatchDeltasCoalesced pins the batch-coalescing contract: a batch
+// with several updates to one object emits exactly one delta for it,
+// spanning the pre-batch position and the batch-final one, and the final
+// store state matches sequential application.
 func TestPutBatchDeltasCoalesced(t *testing.T) {
 	for name, db := range deltaStores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -64,22 +62,10 @@ func TestPutBatchDeltasCoalesced(t *testing.T) {
 				{OID: "a", Pos: geo.Pt(3, 3)},
 				{OID: "a", Pos: geo.Pt(4, 4)},
 			}
-			ds := db.PutBatchDeltas(batch, nil)
-			if len(ds) == 0 {
-				t.Fatal("no deltas emitted")
-			}
-			first, last := ds[0], ds[len(ds)-1]
-			if !first.HasOld || first.Old != geo.Pt(1, 1) {
-				t.Fatalf("first delta %+v: want old = pre-batch (1,1)", first)
-			}
-			if last.New != geo.Pt(4, 4) {
-				t.Fatalf("last delta %+v: want new = batch-final (4,4)", last)
-			}
-			// Interior deltas (if any) must chain old -> new.
-			for i := 1; i < len(ds); i++ {
-				if !ds[i].HasOld || ds[i].Old != ds[i-1].New {
-					t.Fatalf("delta %d (%+v) does not chain from %+v", i, ds[i], ds[i-1])
-				}
+			ds := db.PutBatchAcc(batch, nil, []Delta{})
+			want := Delta{Op: DeltaPut, OID: "a", Old: geo.Pt(1, 1), HasOld: true, New: geo.Pt(4, 4)}
+			if len(ds) != 1 || ds[0] != want {
+				t.Fatalf("deltas %+v, want exactly %+v", ds, want)
 			}
 			if s, ok := db.Get("a"); !ok || s.Pos != geo.Pt(4, 4) {
 				t.Fatalf("store state %+v after batch, want pos (4,4)", s)

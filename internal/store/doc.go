@@ -1,0 +1,149 @@
+// Package store implements the data-storage components of a location server
+// (paper Section 5 and Fig. 7):
+//
+//   - ShardedSightingDB — the main-memory database of sighting records kept
+//     by leaf servers, with a spatial index over positions (for range and
+//     nearest-neighbor queries) and a hash index over object identifiers
+//     (for position queries). Records carry soft-state expiration dates.
+//     The database is partitioned by object id into independently locked
+//     shards — one by default — so updates scale across cores;
+//     UpdatePipeline batches concurrent updates per shard (group commit
+//     under one lock acquisition). The shard count adapts at runtime:
+//     Resize migrates the store to a new count behind an epoch-versioned
+//     mapping without quiescing it, and the AutoShard policy decides when,
+//     from write-lock contention sampled on the shard mutexes and the
+//     pipeline lanes.
+//   - VisitorDB — the per-server database of visitor records, persisted via
+//     an append-only log so that forwarding paths survive crashes. The paper
+//     used DB2 over JDBC; the log-plus-snapshot store here preserves the
+//     property that matters (durability of forwarding paths) without an
+//     external database.
+//   - ShardedWAL — optional per-shard write-ahead logs for the sighting
+//     store (WithSightingWAL): each group-commit batch is one log append,
+//     and Recover replays all shards in parallel, bulk-loading each shard's
+//     spatial index. See the wal.go file comment for the log format,
+//     durability modes (WithSync) and recovery guarantees.
+//   - ConfigRecord — the persistent configuration record describing a
+//     server's service area, parent and children.
+//
+// # Covering index entries
+//
+// A memtable record's spatial index entry carries, beside the object id
+// and the position, the object's offered accuracy (spatial.Item.Acc,
+// mirrored on the record), so a range or nearest-neighbor query can build
+// the location descriptor (pos, acc) and qualify a candidate from the index
+// bucket alone — SearchEntries and NearestEntries dereference no record
+// and their consumer needs no visitorDB lookup. The accuracy is derived
+// state; the invariant around it:
+//
+//   - Who writes it. Only the caller of PutBatchAcc (UpdatePipeline.PutAcc)
+//     and SetAcc — the leaf server, which hands down the OfferedAcc of the
+//     visitor record it holds whenever it installs a sighting, and calls
+//     SetAcc whenever it rewrites that OfferedAcc afterwards. The store
+//     never invents, logs, ships or persists an accuracy: WAL records, run
+//     files, replication streams and snapshots do not contain it.
+//   - When it is unknown. AccUnknown (−1 — not the zero value, which means
+//     "perfectly accurate") marks every entry that did not arrive with an
+//     accuracy: Put, PutBatch, PutBatchAcc without accuracies and
+//     UpdatePipeline.Put, WAL replay (Recover), ReplInstallSnapshot, Touch
+//     promoting a cold record, and every hit read from a disk run.
+//     SearchEntries and NearestEntries
+//     also report it for hits that have to be re-resolved by id (all hits
+//     while a Resize is draining a generation); the resize itself carries
+//     accuracies across, since they live on the records. Consumers resolve
+//     an unknown accuracy through the source of truth, the visitorDB, so
+//     nothing depends on an accuracy being present.
+//   - Why it is never stale. An entry's accuracy changes only with the
+//     entry — a put for the object replaces both under the shard lock — or
+//     through SetAcc under the same lock, so the last writer wins, and the
+//     server orders its writes so that the last writer carries the visitor
+//     record's current value (server/rangequery.go, rangeScan). A flush
+//     drops the memtable entries and their accuracies with them.
+//
+// # Tiered sighting storage
+//
+// With WithTiering, each shard of a ShardedSightingDB becomes the
+// memtable of a small per-shard LSM tree, letting a leaf hold sighting
+// populations larger than RAM and recover without replaying history.
+//
+// Run file format, version 2 (run-SSSS-NNNNNNNN.run, immutable once
+// renamed into place; byte-level layout at the top of run.go):
+//
+//	[records][spatial leaves][bloom block][index block][leaf directory][112-byte footer]
+//
+// Records sort strictly ascending by object id; each is a flags byte
+// (bit0 tombstone, bit1 T valid, bit2 expires valid), a uvarint-prefixed
+// id, and — for live records — a fixed 40-byte payload (T, X, Y, SensAcc,
+// expires). The spatial leaves index the live records by position: one
+// 24-byte entry (X, Y, record offset) each, sorted along a Hilbert curve
+// over the run's MBR and cut into leaves of 64; the leaf directory holds
+// one MBR per leaf. The bloom block is a double-hashed FNV-1a filter over
+// every record id (BloomBitsPerKey bits per key, default 10, ≈1% false
+// positives). The index block holds the key range plus a sparse index
+// (one entry per 16 records).
+//
+// Resident per run are the bloom filter, the sparse index and the leaf
+// directory (≈0.5 B per live record); records and spatial leaves are
+// read from disk on demand. The footer pins the region lengths, the
+// record/live counts, the MBR of the live records and one CRC per kind
+// of region: bloom + index + directory (verified at open, which reads
+// only those — recovery stays O(metadata)), records (verified by every
+// complete scan: compaction, enumeration, fetched-run verification) and
+// spatial leaves (verified when a fetched run is checked before install;
+// ordinary spatial reads validate each leaf structurally instead — see
+// the read path). A file of another format version is refused at open
+// with the version named; there is no fallback reader.
+//
+// Manifest format (shard-SSSS.manifest, JSON): the shard's run list,
+// newest first, plus the next run sequence number. The manifest rename is
+// the commit point of every flush and compaction; run files no manifest
+// references are crash leftovers, swept at open.
+//
+// Write path: updates commit to the memtable (WAL-logged as before).
+// When a shard's estimated memtable bytes exceed its share of
+// MemtableBytes, MaintainTiers — driven by the server's janitor — freezes
+// the memtable into a new run (live records and tombstones, id-sorted),
+// prepends it to the manifest, clears the memtable and resets the WAL
+// segment; at twice the share the update path flushes inline
+// (backpressure). Flushes move data between tiers without changing the
+// store's logical content, so they emit no deltas and the event pipeline
+// is unaffected. Removing or expiring a record whose versions live only
+// in runs plants a memtable tombstone that shadows them until compaction.
+//
+// Read path: Get consults memtable, then tombstones, then runs newest to
+// oldest — each run gated by its key range and bloom filter, then one
+// sparse-index probe reading at most 16 records. Both spatial query kinds
+// read runs through the leaf directories: a range query takes the runs
+// whose MBR intersects the rectangle, reads only the leaves whose
+// directory MBR intersects it and tests the positions there; a
+// nearest-neighbor query runs a best-first cursor over the leaves ordered
+// by directory-MBR distance (merged behind the quadtree cursors and gated
+// by run-MBR distance, so a shard whose runs lie beyond the consumer's
+// stopping distance is never read). The shadow-check rule for these
+// pruned reads: a leaf entry is only a candidate — the query did not read
+// the places a newer version of the object could be — so for every entry
+// that passes the position test (and only those) the record is read at
+// its offset and its id checked against the memtable, the tombstone set
+// and, bloom-gated, every newer run; a hit in any of them drops the
+// candidate. A leaf whose entries leave its directory MBR or the records
+// region, and an entry whose record is not live at the entry's position,
+// are skipped and counted (TierStats.ReadErrors, gauge
+// sighting_tier_read_errors) — as are failed reads, decode errors and
+// checksum mismatches anywhere on the read path — so a damaged run shows
+// up instead of silently shrinking answers.
+//
+// Compaction triggers: a shard exceeding MaxRuns runs (default 4) has its
+// whole run set k-way merged into one run off-lock — newest version per
+// id wins; tombstones and records expired for more than one full TTL are
+// dropped (the one-TTL slack guarantees the janitor's Expired scan
+// observed them first) — and the result installs under one manifest
+// swap; readers pin runs by reference count, so nothing blocks and files
+// unlink only after their last reader.
+//
+// Recovery order: load manifests → sweep unreferenced runs and
+// temporaries → open run footers/metadata (no record reads) → replay the
+// short WAL tail covering the current memtable. Recover does all of that
+// before returning; RecoverBackground returns once the tiers are open
+// and warms the memtables behind per-shard locks, so reads are served
+// almost immediately after restart.
+package store

@@ -500,12 +500,12 @@ func FuzzRunSpatial(f *testing.F) {
 }
 
 // ---------------------------------------------------------------------------
-// Tiered store behavior against the all-RAM oracle.
+// Tiered store behavior against the brute-force oracle.
 
 // tieredPair builds a tiered sharded store (tiny memtable budget so
-// flushes happen readily) and the single-lock all-RAM oracle, both on the
-// same clock.
-func tieredPair(t *testing.T, shards int, ttl time.Duration, clock func() time.Time) (*ShardedSightingDB, *SightingDB) {
+// flushes happen readily) and the brute-force oracle, both on the same
+// clock.
+func tieredPair(t *testing.T, shards int, ttl time.Duration, clock func() time.Time) (*ShardedSightingDB, *oracleStore) {
 	t.Helper()
 	return tieredPairBudget(t, shards, 1, ttl, clock)
 }
@@ -513,21 +513,18 @@ func tieredPair(t *testing.T, shards int, ttl time.Duration, clock func() time.T
 // tieredPairBudget is tieredPair with an explicit memtable budget; the
 // scripted tests pass a large one so that only their own flushAll calls
 // cut runs.
-func tieredPairBudget(t *testing.T, shards int, budget int64, ttl time.Duration, clock func() time.Time) (*ShardedSightingDB, *SightingDB) {
+func tieredPairBudget(t *testing.T, shards int, budget int64, ttl time.Duration, clock func() time.Time) (*ShardedSightingDB, *oracleStore) {
 	t.Helper()
-	dir := t.TempDir()
-	opts := []SightingDBOption{WithTTL(ttl), WithClock(clock)}
-	tiered := NewShardedSightingDB(append(opts,
-		WithShards(shards),
-		WithTiering(TierConfig{Dir: dir, MemtableBytes: budget, MaxRuns: 3}))...)
+	tiered := NewShardedSightingDB(WithTTL(ttl), WithClock(clock), WithShards(shards),
+		WithTiering(TierConfig{Dir: t.TempDir(), MemtableBytes: budget, MaxRuns: 3}))
 	if err := tiered.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	return tiered, NewSightingDB(opts...)
+	return tiered, newOracleTTL(ttl, clock)
 }
 
-// storeState snapshots a SightingStore's full logical content.
-func storeState(db SightingStore) map[core.OID]core.Sighting {
+// storeState snapshots a store's (or the oracle's) full logical content.
+func storeState(db sightingQueries) map[core.OID]core.Sighting {
 	out := make(map[core.OID]core.Sighting)
 	db.ForEach(func(s core.Sighting) bool {
 		out[s.OID] = s
@@ -597,7 +594,7 @@ func TestTieredFlushAndLookup(t *testing.T) {
 	}
 
 	// Range queries see disk-resident records.
-	countIn := func(db SightingStore, r geo.Rect) int {
+	countIn := func(db sightingQueries, r geo.Rect) int {
 		n := 0
 		db.SearchArea(r, func(core.Sighting) bool { n++; return true })
 		return n
@@ -737,7 +734,7 @@ func TestTieredExpiry(t *testing.T) {
 }
 
 // TestTieredOracleParity is the randomized differential test: a tiered
-// store and the all-RAM single-lock oracle receive the same stream of
+// store and the brute-force oracle receive the same stream of
 // puts, removes, touches, expiry sweeps and (rejected) resizes, with tier
 // maintenance interleaved, and must agree on the full logical state at
 // every checkpoint.
@@ -829,7 +826,7 @@ func TestTieredOracleParity(t *testing.T) {
 
 // searchSet collects SearchArea's answer as id → position, failing on a
 // duplicate id.
-func searchSet(t *testing.T, label string, db SightingStore, r geo.Rect) map[core.OID]geo.Point {
+func searchSet(t *testing.T, label string, db sightingQueries, r geo.Rect) map[core.OID]geo.Point {
 	t.Helper()
 	out := make(map[core.OID]geo.Point)
 	db.SearchArea(r, func(s core.Sighting) bool {
@@ -846,7 +843,7 @@ func searchSet(t *testing.T, label string, db SightingStore, r geo.Rect) map[cor
 // range query (full result set: ids and positions, no duplicates) and one
 // exhaustive nearest-neighbor enumeration (every record once, at its
 // current position, distances non-decreasing and equal to the oracle's).
-func assertSpatialParity(t *testing.T, label string, tiered, oracle SightingStore, r geo.Rect, p geo.Point) {
+func assertSpatialParity(t *testing.T, label string, tiered, oracle sightingQueries, r geo.Rect, p geo.Point) {
 	t.Helper()
 	got, want := searchSet(t, label, tiered, r), searchSet(t, label, oracle, r)
 	for id, pos := range want {
@@ -864,7 +861,7 @@ func assertSpatialParity(t *testing.T, label string, tiered, oracle SightingStor
 		pos  geo.Point
 		dist float64
 	}
-	enumerate := func(db SightingStore) (map[core.OID]hit, []float64) {
+	enumerate := func(db sightingQueries) (map[core.OID]hit, []float64) {
 		byID := make(map[core.OID]hit)
 		var dists []float64
 		db.NearestFunc(p, func(s core.Sighting, d float64) bool {

@@ -139,10 +139,8 @@ func TestPipelineConcurrentDistinctObjects(t *testing.T) {
 	if testing.Short() {
 		iters = 40
 	}
-	for _, db := range []SightingStore{
-		NewSightingDB(),
-		NewShardedSightingDB(WithShards(8)),
-	} {
+	for _, shards := range []int{1, 8} {
+		db := NewShardedSightingDB(WithShards(shards))
 		pipe := NewUpdatePipeline(db)
 		const workers = 10
 		var wg sync.WaitGroup
@@ -158,12 +156,12 @@ func TestPipelineConcurrentDistinctObjects(t *testing.T) {
 		}
 		wg.Wait()
 		if db.Len() != workers {
-			t.Fatalf("%T: Len = %d, want %d", db, db.Len(), workers)
+			t.Fatalf("shards=%d: Len = %d, want %d", shards, db.Len(), workers)
 		}
 		for w := 0; w < workers; w++ {
 			s, ok := db.Get(core.OID(fmt.Sprintf("w%d", w)))
 			if !ok || s.Pos.Y != float64(iters-1) {
-				t.Errorf("%T: w%d final = %+v, %v (want Y=%d)", db, w, s, ok, iters-1)
+				t.Errorf("shards=%d: w%d final = %+v, %v (want Y=%d)", shards, w, s, ok, iters-1)
 			}
 		}
 	}

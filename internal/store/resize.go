@@ -9,10 +9,9 @@ import (
 
 // NormalizeShards is the single place shard-count configuration is
 // validated and defaulted: negative counts are an error, zero means "use
-// the default" (one shard, the single-lock layout), anything else passes
-// through. Every surface that accepts a shard count (server.Options,
-// locsvc.LocalConfig, lsd -shards) funnels through here instead of
-// clamping locally.
+// the default" (one shard), anything else passes through. Every surface
+// that accepts a shard count (server.Options, locsvc.LocalConfig, lsd
+// -shards) funnels through here instead of clamping locally.
 func NormalizeShards(n int) (int, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("store: negative shard count %d", n)

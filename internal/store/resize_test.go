@@ -41,13 +41,13 @@ func TestNormalizeShards(t *testing.T) {
 }
 
 // TestResizeQuiescent drives grow and shrink resizes on a quiescent store
-// and checks every query surface against the single-lock oracle after each
+// and checks every query surface against the brute-force oracle after each
 // step, plus the epoch counter and the shard-count invariants.
 func TestResizeQuiescent(t *testing.T) {
 	const side = 1000.0
 	rng := rand.New(rand.NewSource(3))
 	db := NewShardedSightingDB(WithShards(4))
-	oracle := NewSightingDB(WithIndex(spatial.KindLinear))
+	oracle := newOracle()
 	for i := 0; i < 500; i++ {
 		s := sighting(fmt.Sprintf("o%d", i), rng.Float64()*side, rng.Float64()*side)
 		db.Put(s)
@@ -92,7 +92,7 @@ func TestResizeQuiescent(t *testing.T) {
 // grow and shrink resizes. Queries racing the migration must never see an
 // object twice, never see a frozen (quiescent) object missing, and NN
 // streams must stay distance-monotone. After quiescing, every query
-// surface must match the single-lock oracle exactly.
+// surface must match the brute-force oracle exactly.
 func TestResizeOracleStress(t *testing.T) {
 	const (
 		side    = 1000.0
@@ -254,9 +254,9 @@ func TestResizeOracleStress(t *testing.T) {
 		t.Fatalf("NumShards = %d, want %d", got, want)
 	}
 
-	// Quiesced: the store must now equal the single-lock oracle built
+	// Quiesced: the store must now equal the brute-force oracle built
 	// from the deterministic final states.
-	oracle := NewSightingDB(WithIndex(spatial.KindLinear))
+	oracle := newOracle()
 	for i := 0; i < frozen; i++ {
 		oracle.Put(sighting(fmt.Sprintf("frozen%d", i), side+10+float64(i*3), side+50))
 	}
@@ -304,8 +304,8 @@ func TestResizeExpiryAcrossResize(t *testing.T) {
 		t.Errorf("sweep after resize found %d (o3: %v), want 63 without o3", len(found), found["o3"])
 	}
 	for id := range found {
-		if !db.RemoveExpired(id) {
-			t.Errorf("RemoveExpired(%s) failed after resize", id)
+		if _, ok := db.RemoveExpiredDelta(id); !ok {
+			t.Errorf("RemoveExpiredDelta(%s) failed after resize", id)
 		}
 	}
 	if db.Len() != 1 {
@@ -767,7 +767,7 @@ func TestMidMigrationFreshnessWins(t *testing.T) {
 	if err := db.Resize(3); err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewSightingDB(WithIndex(spatial.KindLinear))
+	oracle := newOracle()
 	for i := 0; i < n; i++ {
 		id := core.OID(fmt.Sprintf("o%d", i))
 		if id == removed {

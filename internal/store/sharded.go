@@ -80,8 +80,7 @@ type ShardedSightingDB struct {
 	// per-shard LSM tree (see lsm.go and the package comment): the shard's
 	// in-memory state covers only the recent tail, older versions live in
 	// immutable sorted runs on disk, and every read path consults the runs
-	// behind the memtable. Nil on all-RAM stores — the default, and the
-	// differential-testing oracle for the tiered mode.
+	// behind the memtable. Nil on all-RAM stores, the default.
 	tier *tierState
 
 	// replNotify, when set, observes every tier-structure change (flush,
@@ -207,11 +206,11 @@ func (sh *sightingShard) noteRemove() {
 var _ SightingStore = (*ShardedSightingDB)(nil)
 
 // NewShardedSightingDB returns an empty sharded sighting database. The
-// shard count comes from WithShards (default 1, which is behaviorally the
-// single-lock SightingDB); with WithSightingWAL the store adopts the WAL's
-// segment count instead, since the persistent log records the id→shard
-// mapping of its last epoch. Call Recover before use to replay an existing
-// log. The count can change at runtime through Resize.
+// shard count comes from WithShards (default 1: one lock, and the direct
+// paths with nothing to group or merge); with WithSightingWAL the store
+// adopts the WAL's segment count instead, since the persistent log records
+// the id→shard mapping of its last epoch. Call Recover before use to replay
+// an existing log. The count can change at runtime through Resize.
 func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 	cfg := defaultSightingConfig()
 	for _, opt := range opts {
@@ -397,14 +396,8 @@ func (db *ShardedSightingDB) PutBatch(batch []core.Sighting) {
 	db.putBatch(batch, nil, nil)
 }
 
-// PutBatchDeltas implements SightingStore. Coalesced objects yield one delta
+// PutBatchAcc implements SightingStore. Coalesced objects yield one delta
 // spanning the pre-batch position and the final one.
-func (db *ShardedSightingDB) PutBatchDeltas(batch []core.Sighting, out []Delta) []Delta {
-	db.putBatch(batch, nil, &out)
-	return out
-}
-
-// PutBatchAcc implements SightingStore.
 func (db *ShardedSightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta {
 	if out == nil {
 		db.putBatch(batch, accs, nil)
@@ -414,7 +407,7 @@ func (db *ShardedSightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, 
 	return out
 }
 
-// putBatch is the body of the three batch puts: accs[i], when accs is
+// putBatch is the body of the batch puts: accs[i], when accs is
 // non-nil, is recorded on batch[i]'s index entry, and deltas are appended
 // to *out when out is non-nil.
 func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out *[]Delta) {
@@ -575,8 +568,8 @@ func (db *ShardedSightingDB) SetAcc(id core.OID, acc float64) bool {
 // Get implements SightingStore. On a tiered store a memtable miss falls
 // through to the disk runs, newest to oldest, gated by each run's key
 // range and bloom filter; a memtable tombstone answers "gone" without
-// touching disk. Like the all-RAM store, Get does not filter records
-// whose TTL has passed but whose expiry has not been swept yet.
+// touching disk. Tiered or not, Get does not filter records whose TTL has
+// passed but whose expiry has not been swept yet.
 func (db *ShardedSightingDB) Get(id core.OID) (core.Sighting, bool) {
 	sh := db.rlockOwner(id)
 	defer sh.mu.RUnlock()
@@ -657,15 +650,9 @@ func (db *ShardedSightingDB) removeColdLocked(sh *sightingShard, g *shardGen, i 
 	return removeDelta(id, &sightingEntry{s: rec.s, expires: rec.expires}), true
 }
 
-// RemoveExpired implements SightingStore: the record is removed only if
-// its TTL has passed at the time the shard lock is held, so a record
+// RemoveExpiredDelta implements SightingStore: the record is removed only
+// if its TTL has passed at the time the shard lock is held, so a record
 // refreshed since an expiry observation survives.
-func (db *ShardedSightingDB) RemoveExpired(id core.OID) bool {
-	_, ok := db.RemoveExpiredDelta(id)
-	return ok
-}
-
-// RemoveExpiredDelta implements SightingStore.
 func (db *ShardedSightingDB) RemoveExpiredDelta(id core.OID) (Delta, bool) {
 	sh, g, i := db.lockOwner(id)
 	defer sh.mu.Unlock()
@@ -720,8 +707,8 @@ func (db *ShardedSightingDB) Touch(id core.OID) bool {
 
 // Expired implements SightingStore with a full scan, shard by shard. Both
 // generations are visited while a migration is in flight; a record seen in
-// both yields a duplicate id, which the caller's conditional RemoveExpired
-// makes harmless.
+// both yields a duplicate id, which the caller's conditional
+// RemoveExpiredDelta makes harmless.
 func (db *ShardedSightingDB) Expired() []core.OID {
 	if db.ttl <= 0 {
 		return nil

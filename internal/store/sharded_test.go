@@ -113,83 +113,76 @@ func TestShardedExpiryAndSweep(t *testing.T) {
 
 // TestSweepExpiredNoDuplicatesWithinCall: a budget far exceeding the
 // population must not wrap the cursor and report the same id twice in one
-// call, on either implementation.
+// call: the call reports exactly what the oracle calls expired.
 func TestSweepExpiredNoDuplicatesWithinCall(t *testing.T) {
-	now := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	for _, db := range []SightingStore{
-		NewSightingDB(WithTTL(time.Second), WithClock(clock)),
-		NewShardedSightingDB(WithShards(4), WithTTL(time.Second), WithClock(clock)),
-	} {
+	for _, shards := range []int{1, 4} {
+		now := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
+		clock := func() time.Time { return now } // single goroutine
+		db := NewShardedSightingDB(WithShards(shards), WithTTL(time.Second), WithClock(clock))
+		oracle := newOracleTTL(time.Second, clock)
 		for i := 0; i < 5; i++ {
-			db.Put(sighting(fmt.Sprintf("o%d", i), float64(i), 0))
+			s := sighting(fmt.Sprintf("o%d", i), float64(i), 0)
+			db.Put(s)
+			oracle.Put(s)
 		}
-		mu.Lock()
 		now = now.Add(time.Minute)
-		mu.Unlock()
-		ids := db.SweepExpired(1000)
-		seen := map[core.OID]bool{}
-		for _, id := range ids {
-			if seen[id] {
-				t.Errorf("%T: SweepExpired reported %s twice in one call", db, id)
-			}
-			seen[id] = true
-		}
-		if len(seen) == 0 {
-			t.Errorf("%T: SweepExpired found nothing", db)
+		got, want := db.SweepExpired(1000), oracle.Expired()
+		sortOIDs(got)
+		sortOIDs(want)
+		if !equalOIDs(got, want) { // sorted, so a repeated id shows here
+			t.Errorf("shards=%d: SweepExpired(1000) = %v, oracle's Expired %v", shards, got, want)
 		}
 	}
 }
 
-// TestRemoveExpiredGuardsRefresh: RemoveExpired must be a no-op for a
+// TestRemoveExpiredGuardsRefresh: RemoveExpiredDelta must be a no-op for a
 // record refreshed after the expiry observation — the race the janitor and
-// the pipeline sweep act under.
+// the pipeline sweep act under — and agree with the oracle throughout.
 func TestRemoveExpiredGuardsRefresh(t *testing.T) {
-	now := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	for _, db := range []SightingStore{
-		NewSightingDB(WithTTL(30*time.Second), WithClock(clock)),
-		NewShardedSightingDB(WithShards(4), WithTTL(30*time.Second), WithClock(clock)),
-	} {
-		db.Put(sighting("x", 1, 1))
-		db.Put(sighting("y", 2, 2))
-		mu.Lock()
+	for _, shards := range []int{1, 4} {
+		now := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
+		clock := func() time.Time { return now } // single goroutine
+		db := NewShardedSightingDB(WithShards(shards), WithTTL(30*time.Second), WithClock(clock))
+		oracle := newOracleTTL(30*time.Second, clock)
+		put := func(s core.Sighting) { db.Put(s); oracle.Put(s) }
+		put(sighting("x", 1, 1))
+		put(sighting("y", 2, 2))
 		now = now.Add(time.Minute)
-		mu.Unlock()
-		if got := db.Expired(); len(got) != 2 {
-			t.Fatalf("%T: Expired = %v", db, got)
+		if got, want := db.Expired(), oracle.Expired(); len(got) != 2 || len(want) != 2 {
+			t.Fatalf("shards=%d: Expired = %v, oracle %v", shards, got, want)
 		}
-		db.Put(sighting("x", 1, 1)) // refreshed between observation and removal
-		if db.RemoveExpired("x") {
-			t.Errorf("%T: RemoveExpired removed a refreshed record", db)
+		put(sighting("x", 1, 1)) // refreshed between observation and removal
+		for id, want := range map[core.OID]bool{"x": false, "y": true, "missing": false} {
+			got, removed := db.RemoveExpiredDelta(id)
+			wantDelta, oracleRemoved := oracle.RemoveExpiredDelta(id)
+			if removed != want || oracleRemoved != want || got != wantDelta {
+				t.Errorf("shards=%d: RemoveExpiredDelta(%s) = %+v, %v; oracle %+v, %v; want removed=%v",
+					shards, id, got, removed, wantDelta, oracleRemoved, want)
+			}
 		}
 		if _, ok := db.Get("x"); !ok {
-			t.Errorf("%T: refreshed record gone", db)
-		}
-		if !db.RemoveExpired("y") {
-			t.Errorf("%T: RemoveExpired kept a genuinely expired record", db)
-		}
-		if db.RemoveExpired("missing") {
-			t.Errorf("%T: RemoveExpired removed a missing record", db)
+			t.Errorf("shards=%d: refreshed record gone", shards)
 		}
 	}
+}
+
+func sortOIDs(ids []core.OID) {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // collectArea runs a range query and returns the result as a sorted id list.
-func collectArea(db SightingStore, r geo.Rect) []core.OID {
+func collectArea(db sightingQueries, r geo.Rect) []core.OID {
 	var out []core.OID
 	db.SearchArea(r, func(s core.Sighting) bool {
 		out = append(out, s.OID)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sortOIDs(out)
 	return out
 }
 
 // collectNearest returns the first k (id, dist) pairs of the NN stream.
-func collectNearest(db SightingStore, p geo.Point, k int) []spatial.Neighbor {
+func collectNearest(db sightingQueries, p geo.Point, k int) []spatial.Neighbor {
 	var out []spatial.Neighbor
 	db.NearestFunc(p, func(s core.Sighting, dist float64) bool {
 		out = append(out, spatial.Neighbor{ID: s.OID, Pos: s.Pos, Dist: dist})
@@ -210,9 +203,9 @@ func equalOIDs(a, b []core.OID) bool {
 	return true
 }
 
-// checkAgainstOracle compares sharded range and NN results against the
-// single-lock linear-scan oracle holding the same records.
-func checkAgainstOracle(t *testing.T, db SightingStore, oracle *SightingDB, rng *rand.Rand, side float64) {
+// checkAgainstOracle compares the store's range and NN results against the
+// brute-force oracle holding the same records.
+func checkAgainstOracle(t *testing.T, db sightingQueries, oracle *oracleStore, rng *rand.Rand, side float64) {
 	t.Helper()
 	if db.Len() != oracle.Len() {
 		t.Fatalf("Len = %d, oracle %d", db.Len(), oracle.Len())
@@ -240,36 +233,65 @@ func checkAgainstOracle(t *testing.T, db SightingStore, oracle *SightingDB, rng 
 }
 
 // TestShardedMatchesOracleRandomized applies the same randomized op
-// sequence (puts, batched puts, removes) to a 4-shard store and to the
-// single-lock linear-index oracle, checking queries agree throughout.
+// sequence (puts, batched puts, removes) to a store — of one shard, the
+// default layout, and of four — and to the brute-force oracle, checking
+// that queries agree throughout and that every batch reports the coalesced
+// deltas: one per object, from its pre-batch position to its final one.
 func TestShardedMatchesOracleRandomized(t *testing.T) {
 	const side = 100.0
-	rng := rand.New(rand.NewSource(42))
-	db := NewShardedSightingDB(WithShards(4))
-	oracle := NewSightingDB(WithIndex(spatial.KindLinear))
-	for round := 0; round < 30; round++ {
-		switch rng.Intn(3) {
-		case 0:
-			s := sighting(fmt.Sprintf("o%d", rng.Intn(60)), rng.Float64()*side, rng.Float64()*side)
-			db.Put(s)
-			oracle.Put(s)
-		case 1:
-			batch := make([]core.Sighting, 1+rng.Intn(20))
-			for i := range batch {
-				// Coarse grid provokes duplicate positions and
-				// repeated ids inside one batch.
-				batch[i] = sighting(fmt.Sprintf("o%d", rng.Intn(60)),
-					float64(rng.Intn(20))*5, float64(rng.Intn(20))*5)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			db := NewShardedSightingDB(WithShards(shards))
+			oracle := newOracle()
+			for round := 0; round < 30; round++ {
+				switch rng.Intn(3) {
+				case 0:
+					s := sighting(fmt.Sprintf("o%d", rng.Intn(60)), rng.Float64()*side, rng.Float64()*side)
+					db.Put(s)
+					oracle.Put(s)
+				case 1:
+					batch := make([]core.Sighting, 1+rng.Intn(20))
+					for i := range batch {
+						// Coarse grid provokes duplicate positions and
+						// repeated ids inside one batch.
+						batch[i] = sighting(fmt.Sprintf("o%d", rng.Intn(60)),
+							float64(rng.Intn(20))*5, float64(rng.Intn(20))*5)
+					}
+					before := storeState(oracle)
+					oracle.PutBatch(batch)
+					checkBatchDeltas(t, db.PutBatchAcc(batch, nil, []Delta{}), before, oracle)
+				case 2:
+					id := core.OID(fmt.Sprintf("o%d", rng.Intn(60)))
+					if db.Remove(id) != oracle.Remove(id) {
+						t.Fatalf("Remove(%s) disagreed with oracle", id)
+					}
+				}
+				checkAgainstOracle(t, db, oracle, rng, side)
 			}
-			db.PutBatch(batch)
-			oracle.PutBatch(batch)
-		case 2:
-			id := core.OID(fmt.Sprintf("o%d", rng.Intn(60)))
-			if db.Remove(id) != oracle.Remove(id) {
-				t.Fatalf("Remove(%s) disagreed with oracle", id)
-			}
+		})
+	}
+}
+
+// checkBatchDeltas checks the deltas one batch put reported against the
+// oracle's state before and after the batch: exactly one DeltaPut per
+// object the batch touched, spanning its pre-batch position (if it had
+// one) and its final one.
+func checkBatchDeltas(t *testing.T, ds []Delta, before map[core.OID]core.Sighting, after *oracleStore) {
+	t.Helper()
+	seen := map[core.OID]bool{}
+	for _, d := range ds {
+		old, hadOld := before[d.OID]
+		now, _ := after.Get(d.OID)
+		if seen[d.OID] || d.Op != DeltaPut || d.HasOld != hadOld || (hadOld && d.Old != old.Pos) || d.New != now.Pos {
+			t.Fatalf("delta %+v (repeated: %v): oracle had %+v (present %v) before the batch, %+v after", d, seen[d.OID], old, hadOld, now)
 		}
-		checkAgainstOracle(t, db, oracle, rng, side)
+		seen[d.OID] = true
+	}
+	for id, now := range storeState(after) {
+		if now != before[id] && !seen[id] {
+			t.Fatalf("no delta for %s, which the batch moved to %v", id, now.Pos)
+		}
 	}
 }
 
@@ -323,7 +345,7 @@ func TestShardedConcurrentMatchesOracle(t *testing.T) {
 			}
 			wg.Wait()
 
-			oracle := NewSightingDB(WithIndex(spatial.KindLinear))
+			oracle := newOracle()
 			for _, s := range final {
 				oracle.Put(s)
 			}
@@ -391,7 +413,7 @@ func TestShardedBoundPruningStaysExact(t *testing.T) {
 	const side = 1000.0
 	rng := rand.New(rand.NewSource(7))
 	db := NewShardedSightingDB(WithShards(4))
-	oracle := NewSightingDB(WithIndex(spatial.KindLinear))
+	oracle := newOracle()
 	put := func(id string, x, y float64) {
 		s := sighting(id, x, y)
 		db.Put(s)

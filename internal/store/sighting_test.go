@@ -16,8 +16,10 @@ func sighting(id string, x, y float64) core.Sighting {
 	return core.Sighting{OID: core.OID(id), T: time.Now(), Pos: geo.Pt(x, y), SensAcc: 5}
 }
 
+// The TestSightingDB* tests drive the default layout, one shard.
+
 func TestSightingDBPutGetRemove(t *testing.T) {
-	db := NewSightingDB()
+	db := NewShardedSightingDB()
 	s := sighting("o1", 10, 20)
 	db.Put(s)
 	got, ok := db.Get("o1")
@@ -39,7 +41,7 @@ func TestSightingDBPutGetRemove(t *testing.T) {
 }
 
 func TestSightingDBUpdateMovesIndexEntry(t *testing.T) {
-	db := NewSightingDB()
+	db := NewShardedSightingDB()
 	db.Put(sighting("o1", 10, 10))
 	db.Put(sighting("o1", 90, 90)) // update, same id
 	if db.Len() != 1 {
@@ -76,7 +78,7 @@ func TestSightingDBExpiry(t *testing.T) {
 		mu.Unlock()
 	}
 
-	db := NewSightingDB(WithTTL(30*time.Second), WithClock(clock))
+	db := NewShardedSightingDB(WithTTL(30*time.Second), WithClock(clock))
 	db.Put(sighting("fresh", 1, 1))
 	db.Put(sighting("stale", 2, 2))
 	if got := db.Expired(); len(got) != 0 {
@@ -97,7 +99,7 @@ func TestSightingDBExpiry(t *testing.T) {
 }
 
 func TestSightingDBExpiryDisabled(t *testing.T) {
-	db := NewSightingDB() // zero TTL
+	db := NewShardedSightingDB() // zero TTL
 	db.Put(sighting("o", 1, 1))
 	if got := db.Expired(); got != nil {
 		t.Errorf("Expired with TTL=0 = %v", got)
@@ -111,7 +113,7 @@ func TestSightingDBExpiryDisabled(t *testing.T) {
 }
 
 func TestSightingDBNearestFunc(t *testing.T) {
-	db := NewSightingDB()
+	db := NewShardedSightingDB()
 	db.Put(sighting("a", 0, 0))
 	db.Put(sighting("b", 10, 0))
 	db.Put(sighting("c", 20, 0))
@@ -127,7 +129,7 @@ func TestSightingDBNearestFunc(t *testing.T) {
 }
 
 func TestSightingDBForEachAndString(t *testing.T) {
-	db := NewSightingDB(WithIndex(spatial.KindRTree))
+	db := NewShardedSightingDB(WithIndex(spatial.KindRTree))
 	for i := 0; i < 5; i++ {
 		db.Put(sighting(fmt.Sprintf("o%d", i), float64(i), float64(i)))
 	}
@@ -141,13 +143,13 @@ func TestSightingDBForEachAndString(t *testing.T) {
 	if count != 1 {
 		t.Errorf("ForEach early stop visited %d", count)
 	}
-	if got := db.String(); got != "SightingDB(5 records)" {
+	if got := db.String(); got != "ShardedSightingDB(1 shards, 5 records)" {
 		t.Errorf("String = %q", got)
 	}
 }
 
 func TestSightingDBConcurrentAccess(t *testing.T) {
-	db := NewSightingDB(WithTTL(time.Minute))
+	db := NewShardedSightingDB(WithTTL(time.Minute))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

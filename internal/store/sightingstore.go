@@ -7,21 +7,19 @@ import (
 )
 
 // AccUnknown is the accuracy of an index entry that records none: entries
-// put without one (Put, PutBatch, PutBatchDeltas), replayed from a WAL,
-// installed by replication or read from a disk run. See "Covering index
-// entries" in the package comment.
+// put without one (Put, PutBatch, PutBatchAcc with nil accs), replayed from
+// a WAL, installed by replication or read from a disk run. See "Covering
+// index entries" in the package comment.
 const AccUnknown = spatial.AccUnknown
 
-// SightingStore is the sighting-database interface the server programs
-// against. Two implementations exist:
+// SightingStore is the sighting-database interface UpdatePipeline and the
+// benchmark rig program against. ShardedSightingDB — N independently locked
+// shards keyed by object id, one by default, with a batch API that applies
+// a group of updates per shard under one lock acquisition — is the only
+// implementation outside tests, which substitute a fake through it
+// (pipeline_test.go).
 //
-//   - SightingDB — one lock, the seed-equivalent baseline and the oracle
-//     the sharded implementation is property-tested against;
-//   - ShardedSightingDB — N independently locked shards keyed by object id,
-//     with a batch API that applies a group of updates per shard under one
-//     lock acquisition.
-//
-// All implementations are safe for concurrent use. Queries observe a
+// Implementations are safe for concurrent use. Queries observe a
 // consistent snapshot per shard; cross-shard queries are linearizable only
 // when the store is quiescent, which matches the service semantics (a range
 // query racing an update may see either position — exactly as it may over
@@ -40,18 +38,15 @@ type SightingStore interface {
 	// PutBatch applies a batch of puts, acquiring each involved shard's
 	// lock once. Later entries for the same object override earlier ones.
 	PutBatch(batch []core.Sighting)
-	// PutBatchDeltas is PutBatch with change reporting: one Delta per
-	// committed change is appended to out and the extended slice returned.
-	// An implementation that coalesces superseded updates within the batch
-	// emits one delta per object, spanning the pre-batch position and the
-	// final one; deltas for the same object are always in commit order.
-	PutBatchDeltas(batch []core.Sighting, out []Delta) []Delta
 	// PutBatchAcc is the general batch put. With a non-nil accs (one per
 	// batch entry) it records accs[i] as batch[i]'s object's offered
 	// accuracy on the index entry; the accuracy is logged and replicated
-	// nowhere, and the caller keeps it current (SetAcc). Deltas are
-	// reported as by PutBatchDeltas, but only when out is non-nil — pass
-	// an empty non-nil slice to ask for them, nil to skip them.
+	// nowhere, and the caller keeps it current (SetAcc). With a non-nil out
+	// — pass an empty non-nil slice to ask, nil to skip — one Delta per
+	// committed change is appended to out and the extended slice returned.
+	// Superseded updates within the batch are coalesced: an object put
+	// several times yields one delta, spanning the pre-batch position and
+	// the final one; deltas for the same object are always in commit order.
 	PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta
 	// SetAcc replaces the accuracy recorded on id's index entry, leaving
 	// the sighting and its expiration date alone. It reports false when
@@ -65,11 +60,11 @@ type SightingStore interface {
 	// RemoveDelta is Remove with change reporting: the returned delta
 	// carries the removed record's last position.
 	RemoveDelta(id core.OID) (Delta, bool)
-	// RemoveExpired deletes the record for id only if its TTL has
-	// passed, so callers acting on a stale expiry observation cannot
-	// tear down a concurrently refreshed record.
-	RemoveExpired(id core.OID) bool
-	// RemoveExpiredDelta is RemoveExpired with change reporting.
+	// RemoveExpiredDelta deletes the record for id only if its TTL has
+	// passed, so callers acting on a stale expiry observation (the
+	// janitor's Expired snapshot, the pipeline's amortized sweep) cannot
+	// tear down a concurrently refreshed record. The returned delta
+	// carries the removed record's last position.
 	RemoveExpiredDelta(id core.OID) (Delta, bool)
 	// Touch refreshes the expiration date of id.
 	Touch(id core.OID) bool

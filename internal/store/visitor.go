@@ -12,7 +12,7 @@ import (
 // On a non-leaf server only ForwardRef is meaningful: it names the child
 // server next on the path to the visitor's agent. On a leaf server
 // ForwardRef is empty and OfferedAcc/RegInfo describe the registration; the
-// sighting itself lives in the SightingDB.
+// sighting itself lives in the sightingDB.
 type VisitorRecord struct {
 	OID core.OID `json:"oid"`
 	// ForwardRef is the child server id on the path towards the agent;

@@ -445,7 +445,7 @@ func TestShardedWALReplayEqualsOracle(t *testing.T) {
 		default: // expire: age the record's lease out, then sweep it
 			if _, ok := oracle[id]; ok {
 				now = now.Add(2 * ttl)
-				if !db.RemoveExpired(id) {
+				if _, ok := db.RemoveExpiredDelta(id); !ok {
 					t.Fatalf("step %d: %s did not expire", step, id)
 				}
 				delete(oracle, id)

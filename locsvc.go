@@ -156,9 +156,8 @@ type LocalConfig struct {
 	Index IndexKind
 	// Shards partitions each leaf's sighting store into that many
 	// independently locked shards keyed by object id, so concurrent
-	// updates scale across cores; 0 or 1 keeps the single-lock store,
-	// negative counts are rejected. With AutoShard this is only the
-	// starting count.
+	// updates scale across cores; 0 or 1 means one shard, negative
+	// counts are rejected. With AutoShard this is only the starting count.
 	Shards int
 	// AutoShard enables contention-driven live resizing of each leaf's
 	// sighting store: the shard count grows and shrinks between the
