@@ -21,8 +21,8 @@
 //	BenchmarkTable2RangeQueryRemote/2 — "remote range query (2 servers)"
 //	BenchmarkTable2RangeQueryRemote/4 — "remote range query (4 servers)"
 //
-// Ablations (indexed in cmd/lsbench's command comment): BenchmarkIndexAblation (A1) and
-// BenchmarkCacheAblation (A2). Absolute numbers differ from the paper's
+// Ablation (indexed in cmd/lsbench's command comment): BenchmarkCacheAblation
+// (A2). Absolute numbers differ from the paper's
 // 2001 hardware; the shape — updates cheaper than range queries, position
 // queries cheapest, local ≪ remote, larger areas slower — is what the
 // reproduction checks (lsbench -table 1 and -table 2 print the paper's
@@ -58,8 +58,8 @@ const (
 )
 
 // newTable1DB loads a sighting database with the paper's Table 1 population.
-func newTable1DB(kind spatial.Kind) (*store.ShardedSightingDB, []core.Sighting) {
-	db := store.NewShardedSightingDB(store.WithIndex(kind))
+func newTable1DB() (*store.ShardedSightingDB, []core.Sighting) {
+	db := store.NewShardedSightingDB()
 	rng := rand.New(rand.NewSource(1))
 	sightings := make([]core.Sighting, table1Objects)
 	now := time.Now()
@@ -98,7 +98,7 @@ func BenchmarkTable1IndexCreation(b *testing.B) {
 }
 
 func BenchmarkTable1PositionUpdate(b *testing.B) {
-	db, sightings := newTable1DB(spatial.KindQuadtree)
+	db, sightings := newTable1DB()
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,7 +110,7 @@ func BenchmarkTable1PositionUpdate(b *testing.B) {
 }
 
 func BenchmarkTable1PositionQuery(b *testing.B) {
-	db, sightings := newTable1DB(spatial.KindQuadtree)
+	db, sightings := newTable1DB()
 	rng := rand.New(rand.NewSource(3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -138,7 +138,7 @@ func storageRangeQuery(db *store.ShardedSightingDB, area core.Area, reqAcc, reqO
 }
 
 func BenchmarkTable1RangeQuery(b *testing.B) {
-	db, _ := newTable1DB(spatial.KindQuadtree)
+	db, _ := newTable1DB()
 	for _, bc := range []struct {
 		name string
 		side float64
@@ -349,47 +349,6 @@ func BenchmarkTable2RangeQueryRemote(b *testing.B) {
 				if _, err := w.clients[0].RangeQueryRect(ctx, bc.area, 100, 0.5); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablation A1: spatial index choice for the sightingDB.
-
-func BenchmarkIndexAblation(b *testing.B) {
-	for _, kind := range []spatial.Kind{spatial.KindQuadtree, spatial.KindRTree, spatial.KindLinear} {
-		b.Run(kind.String()+"/update", func(b *testing.B) {
-			db, sightings := newTable1DB(kind)
-			rng := rand.New(rand.NewSource(10))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := sightings[rng.Intn(len(sightings))]
-				s.Pos = geo.Pt(rng.Float64()*table1AreaSide, rng.Float64()*table1AreaSide)
-				db.Put(s)
-			}
-		})
-		b.Run(kind.String()+"/range100m", func(b *testing.B) {
-			db, _ := newTable1DB(kind)
-			rng := rand.New(rand.NewSource(11))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x := rng.Float64() * (table1AreaSide - 100)
-				y := rng.Float64() * (table1AreaSide - 100)
-				storageRangeQuery(db, core.AreaFromRect(geo.R(x, y, x+100, y+100)), 25, 0.5)
-			}
-		})
-		b.Run(kind.String()+"/nearest", func(b *testing.B) {
-			db, _ := newTable1DB(kind)
-			rng := rand.New(rand.NewSource(12))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := geo.Pt(rng.Float64()*table1AreaSide, rng.Float64()*table1AreaSide)
-				n := 0
-				db.NearestFunc(p, func(core.Sighting, float64) bool {
-					n++
-					return n < 5
-				})
 			}
 		})
 	}
@@ -776,27 +735,23 @@ func BenchmarkNeighborQuery(b *testing.B) {
 // cursors keep the steady state at a handful of allocations per query,
 // where the container/heap implementation boxed every push.
 func BenchmarkNearestCursor(b *testing.B) {
-	for _, kind := range []spatial.Kind{spatial.KindQuadtree, spatial.KindRTree} {
-		b.Run(kind.String(), func(b *testing.B) {
-			ix := spatial.New(kind)
-			rng := rand.New(rand.NewSource(16))
-			for i := 0; i < table1Objects; i++ {
-				ix.Insert(core.OID(fmt.Sprintf("o%d", i)),
-					geo.Pt(rng.Float64()*table1AreaSide, rng.Float64()*table1AreaSide))
+	ix := spatial.NewQuadtree()
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < table1Objects; i++ {
+		ix.Insert(core.OID(fmt.Sprintf("o%d", i)),
+			geo.Pt(rng.Float64()*table1AreaSide, rng.Float64()*table1AreaSide))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := geo.Pt(rng.Float64()*table1AreaSide, rng.Float64()*table1AreaSide)
+		c := ix.NearestCursor(p)
+		for k := 0; k < 5; k++ {
+			if _, ok := c.Next(); !ok {
+				break
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := geo.Pt(rng.Float64()*table1AreaSide, rng.Float64()*table1AreaSide)
-				c := ix.NearestCursor(p)
-				for k := 0; k < 5; k++ {
-					if _, ok := c.Next(); !ok {
-						break
-					}
-				}
-				c.Close()
-			}
-		})
+		}
+		c.Close()
 	}
 }
 
@@ -822,7 +777,7 @@ func BenchmarkIndexBulkLoad(b *testing.B) {
 	})
 	b.Run("bulk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			spatial.BulkLoad(items)
+			spatial.NewQuadtree().Rebuild(items)
 		}
 	})
 }

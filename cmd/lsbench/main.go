@@ -6,13 +6,12 @@
 //
 //	lsbench -table 1      # Table 1: data-storage throughput
 //	lsbench -table 2      # Table 2: distributed response time / throughput
-//	lsbench -table A1     # spatial-index ablation
 //	lsbench -table A2     # caching ablation
 //	lsbench -table A3     # hierarchy height/fan-out sweep
 //	lsbench -table A4     # update-protocol comparison
 //	lsbench -table A5     # query-locality sweep
 //	lsbench -table A8     # live shard-resize cost (epoch map overhead, stall bounds)
-//	lsbench -table W      # wire codec: binary vs gob envelope round trips
+//	lsbench -table W      # wire codec: binary envelope round trips
 //	lsbench -table B      # datagram batching + async client over real UDP
 //	lsbench -table R      # resilience: retry/breaker overhead, degraded queries, recovery time
 //	lsbench -table E      # event pipeline: indexed delta evaluation vs evaluate-all
@@ -49,14 +48,13 @@ import (
 	"locsvc/internal/object"
 	"locsvc/internal/server"
 	"locsvc/internal/sim"
-	"locsvc/internal/spatial"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
 	"locsvc/internal/wire"
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to run: 1, 2, A1 … A8, W, B, R, E, L, F, Q or all")
+	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A8, W, B, R, E, L, F, Q or all")
 	quick := flag.Bool("quick", false, "reduced populations for a fast smoke run")
 	flag.Parse()
 
@@ -67,7 +65,6 @@ func main() {
 	}
 	run("1", table1)
 	run("2", table2)
-	run("A1", ablationIndex)
 	run("A2", ablationCache)
 	run("A3", ablationHierarchy)
 	run("A4", ablationUpdateProtocols)
@@ -84,7 +81,7 @@ func main() {
 	run("Q", tableRangeQualify)
 
 	switch *table {
-	case "1", "2", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "W", "B", "R", "E", "L", "F", "Q", "all":
+	case "1", "2", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "W", "B", "R", "E", "L", "F", "Q", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(1)
@@ -276,63 +273,6 @@ func measurePar(workers, opsPerWorker int, op func(*rand.Rand) error) float64 {
 		fmt.Fprintf(os.Stderr, "warning: %d/%d parallel ops failed\n", f, total)
 	}
 	return float64(total) / time.Since(start).Seconds()
-}
-
-// ---------------------------------------------------------------------------
-// Ablation A1: spatial index.
-
-func ablationIndex(quick bool) {
-	objects := 25_000
-	ops := 20_000
-	if quick {
-		objects, ops = 5_000, 4_000
-	}
-	const side = 10_000.0
-	fmt.Printf("\nAblation A1: spatial index choice (%d objects)\n\n", objects)
-	fmt.Printf("%-10s %14s %14s %14s\n", "index", "updates/s", "range100m/s", "knn5/s")
-
-	for _, kind := range []spatial.Kind{spatial.KindQuadtree, spatial.KindRTree, spatial.KindLinear} {
-		db := store.NewShardedSightingDB(store.WithIndex(kind))
-		rng := rand.New(rand.NewSource(1))
-		sightings := make([]core.Sighting, objects)
-		now := time.Now()
-		for i := range sightings {
-			sightings[i] = core.Sighting{
-				OID: core.OID(fmt.Sprintf("o-%d", i)), T: now,
-				Pos: geo.Pt(rng.Float64()*side, rng.Float64()*side), SensAcc: 10,
-			}
-			db.Put(sightings[i])
-		}
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			s := sightings[rng.Intn(objects)]
-			s.Pos = geo.Pt(rng.Float64()*side, rng.Float64()*side)
-			db.Put(s)
-		}
-		updates := float64(ops) / time.Since(start).Seconds()
-
-		rangeOps := ops / 4
-		start = time.Now()
-		for i := 0; i < rangeOps; i++ {
-			x, y := rng.Float64()*(side-100), rng.Float64()*(side-100)
-			db.SearchArea(geo.R(x, y, x+100, y+100).Enlarge(25), func(core.Sighting) bool { return true })
-		}
-		ranges := float64(rangeOps) / time.Since(start).Seconds()
-
-		knnOps := ops / 4
-		if kind == spatial.KindLinear {
-			knnOps /= 20 // linear knn sorts everything; keep runtime sane
-		}
-		start = time.Now()
-		for i := 0; i < knnOps; i++ {
-			p := geo.Pt(rng.Float64()*side, rng.Float64()*side)
-			n := 0
-			db.NearestFunc(p, func(core.Sighting, float64) bool { n++; return n < 5 })
-		}
-		knn := float64(knnOps) / time.Since(start).Seconds()
-
-		fmt.Printf("%-10s %14.0f %14.0f %14.0f\n", kind, updates, ranges, knn)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -903,21 +843,19 @@ func ablationResize(quick bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Table W: wire codec. The hand-rolled binary codec vs the retired gob
-// format on the datagrams that dominate steady-state traffic: every remote
-// operation pays the codec twice (request + response), so round-trip
-// encode+decode throughput is the number that matters. Recorded runs live
-// in BENCH_wire.json.
+// Table W: wire codec. The hand-rolled binary codec on the datagrams that
+// dominate steady-state traffic: every remote operation pays the codec
+// twice (request + response), so round-trip encode+decode throughput is
+// the number that matters. BENCH_wire.json records its comparison with the
+// encoding/gob format it replaced.
 
 func tableWire(quick bool) {
 	binOps := 2_000_000
-	gobOps := 40_000
 	if quick {
-		binOps, gobOps = 200_000, 5_000
+		binOps = 200_000
 	}
-	fmt.Printf("\nTable W: wire codec round trips (binary vs gob baseline)\n\n")
-	fmt.Printf("%-20s %10s %10s %14s %14s %9s\n",
-		"message", "bin bytes", "gob bytes", "binary rt/s", "gob rt/s", "speedup")
+	fmt.Printf("\nTable W: wire codec round trips\n\n")
+	fmt.Printf("%-20s %10s %14s\n", "message", "bin bytes", "binary rt/s")
 
 	subObjs := make([]core.Entry, 16)
 	for i := range subObjs {
@@ -955,10 +893,6 @@ func tableWire(quick bool) {
 		if err != nil {
 			fatal(err)
 		}
-		gobData, err := wire.EncodeGob(e.env)
-		if err != nil {
-			fatal(err)
-		}
 
 		buf := make([]byte, 0, len(binData))
 		start := time.Now()
@@ -973,20 +907,7 @@ func tableWire(quick bool) {
 		}
 		binRate := float64(binOps) / time.Since(start).Seconds()
 
-		start = time.Now()
-		for i := 0; i < gobOps; i++ {
-			data, gerr := wire.EncodeGob(e.env)
-			if gerr != nil {
-				fatal(gerr)
-			}
-			if _, gerr := wire.DecodeGob(data); gerr != nil {
-				fatal(gerr)
-			}
-		}
-		gobRate := float64(gobOps) / time.Since(start).Seconds()
-
-		fmt.Printf("%-20s %10d %10d %14.0f %14.0f %8.1fx\n",
-			e.name, len(binData), len(gobData), binRate, gobRate, binRate/gobRate)
+		fmt.Printf("%-20s %10d %14.0f\n", e.name, len(binData), binRate)
 	}
 }
 

@@ -55,7 +55,6 @@ import (
 	"locsvc/internal/geo"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
-	"locsvc/internal/spatial"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
 )
@@ -72,8 +71,6 @@ type Options struct {
 	// JanitorInterval is how often expired visitors are collected;
 	// defaults to SightingTTL/4.
 	JanitorInterval time.Duration
-	// Index selects the sightingDB's spatial index (default quadtree).
-	Index spatial.Kind
 	// Shards partitions a leaf's sightingDB into that many independently
 	// locked shards keyed by object id, so concurrent updates scale
 	// across cores. 0 or 1 means one shard; negative counts are rejected
@@ -431,7 +428,6 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 			}
 		}
 		sopts := []store.SightingDBOption{
-			store.WithIndex(opts.Index),
 			store.WithTTL(opts.SightingTTL),
 			store.WithClock(opts.Clock),
 			store.WithShards(shards),

@@ -22,9 +22,16 @@ func randomItems(n int, seed int64) []Item {
 	return items
 }
 
+// bulkLoad returns a quadtree bulk-loaded from items through Rebuild.
+func bulkLoad(items []Item) *Quadtree {
+	t := NewQuadtree()
+	t.Rebuild(items)
+	return t
+}
+
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	items := randomItems(2000, 31)
-	bulk := BulkLoad(items)
+	bulk := bulkLoad(items)
 	inc := NewQuadtree()
 	for _, it := range items {
 		inc.Insert(it.ID, it.Pos)
@@ -58,7 +65,7 @@ func TestBulkLoadBalanced(t *testing.T) {
 	for i := range items {
 		items[i] = Item{ID: core.OID(fmt.Sprintf("o%d", i)), Pos: geo.Pt(float64(i), float64(i))}
 	}
-	bulk := BulkLoad(items)
+	bulk := bulkLoad(items)
 	maxDepth := 4 * int(math.Ceil(math.Log2(float64(n+1))))
 	if d := bulk.Depth(); d > maxDepth {
 		t.Errorf("bulk depth %d for sorted input, want <= %d", d, maxDepth)
@@ -75,12 +82,12 @@ func TestBulkLoadBalanced(t *testing.T) {
 }
 
 func TestBulkLoadDuplicatesAndEmpty(t *testing.T) {
-	if got := BulkLoad(nil); got.Len() != 0 {
+	if got := bulkLoad(nil); got.Len() != 0 {
 		t.Errorf("empty bulk load Len = %d", got.Len())
 	}
 	p := geo.Pt(5, 5)
 	items := []Item{{ID: "a", Pos: p}, {ID: "b", Pos: p}, {ID: "c", Pos: geo.Pt(1, 1)}}
-	bulk := BulkLoad(items)
+	bulk := bulkLoad(items)
 	if bulk.Len() != 3 {
 		t.Fatalf("Len = %d", bulk.Len())
 	}
@@ -99,15 +106,27 @@ func TestBulkLoadDuplicatesAndEmpty(t *testing.T) {
 func TestRebuildAndBounds(t *testing.T) {
 	t1 := NewQuadtree()
 	t1.Insert("x", geo.Pt(0, 0))
-	t1.Rebuild(randomItems(100, 33))
+	items := randomItems(100, 33)
+	var want geo.Rect
+	for i, it := range items {
+		if i == 0 {
+			want = geo.Rect{Min: it.Pos, Max: it.Pos}
+		}
+		want.GrowToInclude(it.Pos)
+	}
+	t1.Rebuild(items)
 	if t1.Len() != 100 {
 		t.Fatalf("Len after rebuild = %d", t1.Len())
 	}
-	b := t1.Bounds()
-	if b.Empty() || b.Min.X < 0 || b.Max.X > 1000 {
-		t.Errorf("Bounds = %v", b)
+	if got := idsIn(t1, geo.R(0, 0, 0, 0)); len(got) != 0 {
+		t.Errorf("entry from before the rebuild survived: %v", got)
 	}
-	if got := NewQuadtree().Bounds(); !got.Empty() {
-		t.Errorf("empty tree bounds = %v", got)
+	// A rebuild recomputes the cached subtree rectangles exactly.
+	if got := t1.root.sub; got != want {
+		t.Errorf("root bounds = %v, want %v", got, want)
+	}
+	t1.Rebuild(nil)
+	if t1.Len() != 0 || t1.root != nil {
+		t.Errorf("rebuild from nothing left Len %d, root %v", t1.Len(), t1.root)
 	}
 }

@@ -9,8 +9,9 @@ import (
 
 // Neighbor is one entry of a nearest-neighbor stream: an indexed object
 // together with its distance from the query point. Ref and Acc are the
-// entry's Item payload where the index carries one (see Item); cursors over
-// id-keyed entries leave Ref nil, and Acc means nothing without Ref.
+// entry's Item payload (see Item); an entry inserted without one, or a
+// cursor over a source that keeps none (the store's disk runs), yields a
+// nil Ref, and Acc means nothing without Ref.
 type Neighbor struct {
 	ID   core.OID
 	Pos  geo.Point

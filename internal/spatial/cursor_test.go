@@ -22,16 +22,12 @@ type partitioned struct {
 	parts [4]Index
 }
 
-func newPartitioned(mk func() Index) *partitioned {
+func newPartitionedQuadtree() Index {
 	pt := new(partitioned)
 	for i := range pt.parts {
-		pt.parts[i] = mk()
+		pt.parts[i] = NewQuadtree()
 	}
 	return pt
-}
-
-func newPartitionedQuadtree() Index {
-	return newPartitioned(func() Index { return NewQuadtree() })
 }
 
 var everywhere = geo.R(math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1))
@@ -119,24 +115,13 @@ func (pt *partitioned) NearestFunc(p geo.Point, visit func(id core.OID, q geo.Po
 // cursorTestIndexes enumerates every Index implementation under the cursor
 // contract, including the partitioned stand-in (whose cursor is the lazy
 // merge).
-func cursorTestIndexes() []struct {
-	name string
-	mk   func() Index
-} {
-	return []struct {
-		name string
-		mk   func() Index
-	}{
-		{"quadtree", func() Index { return NewQuadtree() }},
-		{"rtree", func() Index { return NewRTree() }},
-		{"linear", func() Index { return NewLinear() }},
-		{"partitioned", newPartitionedQuadtree},
-	}
+func cursorTestIndexes() []indexKind {
+	return append(allKinds[:len(allKinds):len(allKinds)], indexKind{"partitioned", newPartitionedQuadtree})
 }
 
 // TestCursorMatchesNearestFunc: on a quiescent snapshot, the cursor stream
 // is exactly the NearestFunc stream — same entries, same order, same
-// distances — for every index kind, with duplicate positions present.
+// distances — for every implementation, with duplicate positions present.
 func TestCursorMatchesNearestFunc(t *testing.T) {
 	for _, tc := range cursorTestIndexes() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -191,7 +176,7 @@ func TestCursorMatchesNearestFunc(t *testing.T) {
 
 // TestCursorMonotoneAcrossMutation: a cursor resumed across interleaved
 // inserts and removes still yields non-decreasing distances, for every
-// index kind.
+// implementation.
 func TestCursorMonotoneAcrossMutation(t *testing.T) {
 	for _, tc := range cursorTestIndexes() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,76 +233,68 @@ func TestCursorMonotoneAcrossMutation(t *testing.T) {
 // opened, rectangle-keyed per-part cursors agree exactly with the linear
 // reference.
 func TestShardedPruningMatchesOracle(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		sub  func() Index
-	}{
-		{"quadtree", func() Index { return NewQuadtree() }},
-		{"rtree", func() Index { return NewRTree() }},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(37))
-			ref := NewLinear()
-			sh := newPartitioned(mk.sub)
-			pos := map[core.OID]geo.Point{}
-			var ids []core.OID
-			for step := 0; step < 4000; step++ {
-				switch {
-				case len(ids) == 0 || rng.Intn(3) > 0:
-					id := core.OID(fmt.Sprintf("o%d", step))
-					p := geo.Pt(float64(rng.Intn(200)), float64(rng.Intn(200)))
-					ref.Insert(id, p)
-					sh.Insert(id, p)
-					pos[id] = p
-					ids = append(ids, id)
-				default:
-					i := rng.Intn(len(ids))
-					id := ids[i]
-					ids[i] = ids[len(ids)-1]
-					ids = ids[:len(ids)-1]
-					if !sh.Remove(id, pos[id]) || !ref.Remove(id, pos[id]) {
-						t.Fatalf("remove %s failed", id)
-					}
-					delete(pos, id)
+	t.Run("quadtree", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		ref := NewLinear()
+		sh := newPartitionedQuadtree()
+		pos := map[core.OID]geo.Point{}
+		var ids []core.OID
+		for step := 0; step < 4000; step++ {
+			switch {
+			case len(ids) == 0 || rng.Intn(3) > 0:
+				id := core.OID(fmt.Sprintf("o%d", step))
+				p := geo.Pt(float64(rng.Intn(200)), float64(rng.Intn(200)))
+				ref.Insert(id, p)
+				sh.Insert(id, p)
+				pos[id] = p
+				ids = append(ids, id)
+			default:
+				i := rng.Intn(len(ids))
+				id := ids[i]
+				ids[i] = ids[len(ids)-1]
+				ids = ids[:len(ids)-1]
+				if !sh.Remove(id, pos[id]) || !ref.Remove(id, pos[id]) {
+					t.Fatalf("remove %s failed", id)
+				}
+				delete(pos, id)
+			}
+		}
+		if sh.Len() != ref.Len() {
+			t.Fatalf("Len = %d, want %d", sh.Len(), ref.Len())
+		}
+		// Search oracle over random rectangles (some clustered in
+		// corners, where stale bounds would over- or under-prune).
+		for trial := 0; trial < 50; trial++ {
+			x, y := rng.Float64()*200, rng.Float64()*200
+			w, h := rng.Float64()*60, rng.Float64()*60
+			r := geo.R(x, y, x+w, y+h)
+			want := idsIn(ref, r)
+			if got := idsIn(sh, r); !equalIDs(got, want) {
+				t.Fatalf("Search(%v): got %d ids, want %d", r, len(got), len(want))
+			}
+		}
+		// Nearest oracle: full-stream distance equality.
+		for trial := 0; trial < 10; trial++ {
+			q := geo.Pt(rng.Float64()*200, rng.Float64()*200)
+			var want, got []float64
+			ref.NearestFunc(q, func(_ core.OID, _ geo.Point, d float64) bool {
+				want = append(want, d)
+				return true
+			})
+			sh.NearestFunc(q, func(_ core.OID, _ geo.Point, d float64) bool {
+				got = append(got, d)
+				return true
+			})
+			if len(got) != len(want) {
+				t.Fatalf("nearest stream %d entries, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("nearest dist[%d] = %v, want %v", i, got[i], want[i])
 				}
 			}
-			if sh.Len() != ref.Len() {
-				t.Fatalf("Len = %d, want %d", sh.Len(), ref.Len())
-			}
-			// Search oracle over random rectangles (some clustered in
-			// corners, where stale bounds would over- or under-prune).
-			for trial := 0; trial < 50; trial++ {
-				x, y := rng.Float64()*200, rng.Float64()*200
-				w, h := rng.Float64()*60, rng.Float64()*60
-				r := geo.R(x, y, x+w, y+h)
-				want := idsIn(ref, r)
-				if got := idsIn(sh, r); !equalIDs(got, want) {
-					t.Fatalf("Search(%v): got %d ids, want %d", r, len(got), len(want))
-				}
-			}
-			// Nearest oracle: full-stream distance equality.
-			for trial := 0; trial < 10; trial++ {
-				q := geo.Pt(rng.Float64()*200, rng.Float64()*200)
-				var want, got []float64
-				ref.NearestFunc(q, func(_ core.OID, _ geo.Point, d float64) bool {
-					want = append(want, d)
-					return true
-				})
-				sh.NearestFunc(q, func(_ core.OID, _ geo.Point, d float64) bool {
-					got = append(got, d)
-					return true
-				})
-				if len(got) != len(want) {
-					t.Fatalf("nearest stream %d entries, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("nearest dist[%d] = %v, want %v", i, got[i], want[i])
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestMergeSourcesLazyOpen: sources beyond the consumer's stopping distance

@@ -10,32 +10,31 @@ import (
 	"locsvc/internal/geo"
 )
 
-// allKinds enumerates the implementations under test.
-var allKinds = []Kind{KindQuadtree, KindRTree, KindLinear}
+// indexKind is one Index implementation under test.
+type indexKind struct {
+	name string
+	mk   func() Index
+}
 
-func TestKindString(t *testing.T) {
-	if KindQuadtree.String() != "quadtree" || KindRTree.String() != "rtree" ||
-		KindLinear.String() != "linear" || Kind(0).String() != "unknown" {
-		t.Error("Kind.String mismatch")
-	}
+// allKinds enumerates the implementations under test: the quadtree and the
+// brute-force reference it is checked against.
+var allKinds = []indexKind{
+	{"quadtree", func() Index { return NewQuadtree() }},
+	{"linear", func() Index { return NewLinear() }},
 }
 
 func TestNewFallsBackToQuadtree(t *testing.T) {
-	if _, ok := New(Kind(99)).(*Quadtree); !ok {
-		t.Error("unknown kind did not fall back to quadtree")
-	}
-	if _, ok := New(KindRTree).(*RTree); !ok {
-		t.Error("KindRTree mismatched")
-	}
-	if _, ok := New(KindLinear).(*Linear); !ok {
-		t.Error("KindLinear mismatched")
+	for _, k := range []Kind{KindQuadtree, Kind(99)} {
+		if _, ok := New(k).(*Quadtree); !ok {
+			t.Errorf("New(%d) is not a quadtree", k)
+		}
 	}
 }
 
 func TestInsertSearchBasic(t *testing.T) {
 	for _, kind := range allKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			ix := New(kind)
+		t.Run(kind.name, func(t *testing.T) {
+			ix := kind.mk()
 			ix.Insert("a", geo.Pt(1, 1))
 			ix.Insert("b", geo.Pt(5, 5))
 			ix.Insert("c", geo.Pt(9, 9))
@@ -58,8 +57,8 @@ func TestInsertSearchBasic(t *testing.T) {
 
 func TestRemove(t *testing.T) {
 	for _, kind := range allKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			ix := New(kind)
+		t.Run(kind.name, func(t *testing.T) {
+			ix := kind.mk()
 			ix.Insert("a", geo.Pt(1, 1))
 			ix.Insert("b", geo.Pt(2, 2))
 			if !ix.Remove("a", geo.Pt(1, 1)) {
@@ -84,8 +83,8 @@ func TestRemove(t *testing.T) {
 func TestDuplicatePositions(t *testing.T) {
 	// Multiple objects sighted at exactly the same coordinates.
 	for _, kind := range allKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			ix := New(kind)
+		t.Run(kind.name, func(t *testing.T) {
+			ix := kind.mk()
 			p := geo.Pt(3, 3)
 			ix.Insert("a", p)
 			ix.Insert("b", p)
@@ -105,8 +104,8 @@ func TestDuplicatePositions(t *testing.T) {
 
 func TestSearchEarlyStop(t *testing.T) {
 	for _, kind := range allKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			ix := New(kind)
+		t.Run(kind.name, func(t *testing.T) {
+			ix := kind.mk()
 			for i := 0; i < 100; i++ {
 				ix.Insert(core.OID(fmt.Sprintf("o%d", i)), geo.Pt(float64(i%10), float64(i/10)))
 			}
@@ -124,8 +123,8 @@ func TestSearchEarlyStop(t *testing.T) {
 
 func TestNearestOrdering(t *testing.T) {
 	for _, kind := range allKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			ix := New(kind)
+		t.Run(kind.name, func(t *testing.T) {
+			ix := kind.mk()
 			rng := rand.New(rand.NewSource(5))
 			for i := 0; i < 300; i++ {
 				ix.Insert(core.OID(fmt.Sprintf("o%d", i)), geo.Pt(rng.Float64()*1000, rng.Float64()*1000))
@@ -154,28 +153,24 @@ func TestNearestOrdering(t *testing.T) {
 func TestKNearestAgainstLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ref := NewLinear()
-	indexes := map[string]Index{"quadtree": NewQuadtree(), "rtree": NewRTree()}
+	qt := NewQuadtree()
 	for i := 0; i < 500; i++ {
 		p := geo.Pt(rng.Float64()*100, rng.Float64()*100)
 		id := core.OID(fmt.Sprintf("o%d", i))
 		ref.Insert(id, p)
-		for _, ix := range indexes {
-			ix.Insert(id, p)
-		}
+		qt.Insert(id, p)
 	}
 	for trial := 0; trial < 25; trial++ {
 		q := geo.Pt(rng.Float64()*100, rng.Float64()*100)
 		want := KNearest(ref, q, 10)
-		for name, ix := range indexes {
-			got := KNearest(ix, q, 10)
-			if len(got) != len(want) {
-				t.Fatalf("%s: got %d results, want %d", name, len(got), len(want))
-			}
-			for i := range got {
-				// Compare distances (ids may differ on exact ties).
-				if dg, dw := got[i].Pos.Dist(q), want[i].Pos.Dist(q); dg != dw {
-					t.Errorf("%s trial %d rank %d: dist %v, want %v", name, trial, i, dg, dw)
-				}
+		got := KNearest(qt, q, 10)
+		if len(got) != len(want) {
+			t.Fatalf("got %d results, want %d", len(got), len(want))
+		}
+		for i := range got {
+			// Compare distances (ids may differ on exact ties).
+			if dg, dw := got[i].Pos.Dist(q), want[i].Pos.Dist(q); dg != dw {
+				t.Errorf("trial %d rank %d: dist %v, want %v", trial, i, dg, dw)
 			}
 		}
 	}
@@ -184,7 +179,7 @@ func TestKNearestAgainstLinear(t *testing.T) {
 func TestRandomizedOpsAgainstLinearReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ref := NewLinear()
-	indexes := map[string]Index{"quadtree": NewQuadtree(), "rtree": NewRTree()}
+	qt := NewQuadtree()
 	type entry struct {
 		id core.OID
 		p  geo.Point
@@ -198,9 +193,7 @@ func TestRandomizedOpsAgainstLinearReference(t *testing.T) {
 			p := geo.Pt(rng.Float64()*200, rng.Float64()*200)
 			live = append(live, entry{id, p})
 			ref.Insert(id, p)
-			for _, ix := range indexes {
-				ix.Insert(id, p)
-			}
+			qt.Insert(id, p)
 		default:
 			i := rng.Intn(len(live))
 			e := live[i]
@@ -209,23 +202,18 @@ func TestRandomizedOpsAgainstLinearReference(t *testing.T) {
 			if !ref.Remove(e.id, e.p) {
 				t.Fatal("reference remove failed")
 			}
-			for name, ix := range indexes {
-				if !ix.Remove(e.id, e.p) {
-					t.Fatalf("%s: remove %v failed at op %d", name, e.id, op)
-				}
+			if !qt.Remove(e.id, e.p) {
+				t.Fatalf("remove %v failed at op %d", e.id, op)
 			}
 		}
 		if op%250 == 0 {
 			r := geo.R(rng.Float64()*200, rng.Float64()*200, rng.Float64()*200, rng.Float64()*200)
 			want := idsIn(ref, r)
-			for name, ix := range indexes {
-				if ix.Len() != ref.Len() {
-					t.Fatalf("%s: Len %d, want %d", name, ix.Len(), ref.Len())
-				}
-				got := idsIn(ix, r)
-				if !equalIDs(got, want) {
-					t.Fatalf("%s: search mismatch at op %d: got %d ids, want %d", name, op, len(got), len(want))
-				}
+			if qt.Len() != ref.Len() {
+				t.Fatalf("Len %d, want %d", qt.Len(), ref.Len())
+			}
+			if got := idsIn(qt, r); !equalIDs(got, want) {
+				t.Fatalf("search mismatch at op %d: got %d ids, want %d", op, len(got), len(want))
 			}
 		}
 	}
@@ -259,7 +247,7 @@ func TestKNearestZeroAndEmpty(t *testing.T) {
 }
 
 func TestSearchAll(t *testing.T) {
-	ix := NewRTree()
+	ix := NewQuadtree()
 	ix.Insert("a", geo.Pt(1, 1))
 	ix.Insert("b", geo.Pt(3, 3))
 	items := SearchAll(ix, geo.R(0, 0, 2, 2))

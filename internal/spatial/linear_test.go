@@ -8,10 +8,9 @@ import (
 	"locsvc/internal/geo"
 )
 
-// Linear is a brute-force index used as a correctness reference for the
-// tree indexes and as the baseline in the index ablation (lsbench -table
-// A1, BenchmarkIndexAblation).
-// Insert and Remove are O(1); Search and NearestFunc scan all entries.
+// Linear is a brute-force Index, the correctness reference the quadtree
+// (and the partitioned merge stand-in) is checked against. Insert and
+// Remove are O(1); Search and NearestFunc scan all entries.
 type Linear struct {
 	items map[core.OID][]geo.Point
 	size  int
@@ -122,4 +121,33 @@ func (l *Linear) NearestFunc(p geo.Point, visit func(id core.OID, q geo.Point, d
 			return
 		}
 	}
+}
+
+// SearchAll collects every entry inside r.
+func SearchAll(ix Index, r geo.Rect) []Item {
+	var out []Item
+	ix.Search(r, func(id core.OID, p geo.Point) bool {
+		out = append(out, Item{ID: id, Pos: p})
+		return true
+	})
+	return out
+}
+
+// KNearest returns up to k entries closest to p, nearest first. It pulls
+// exactly k neighbors off a cursor, so no implementation over-fetches.
+func KNearest(ix Index, p geo.Point, k int) []Item {
+	if k <= 0 {
+		return nil
+	}
+	c := ix.NearestCursor(p)
+	defer c.Close()
+	out := make([]Item, 0, k)
+	for len(out) < k {
+		n, ok := c.Next()
+		if !ok {
+			break
+		}
+		out = append(out, Item{ID: n.ID, Pos: n.Pos})
+	}
+	return out
 }

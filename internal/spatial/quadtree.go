@@ -49,10 +49,7 @@ type Quadtree struct {
 	ghosts int
 }
 
-var (
-	_ Index     = (*Quadtree)(nil)
-	_ ItemIndex = (*Quadtree)(nil)
-)
+var _ Index = (*Quadtree)(nil)
 
 // NewQuadtree returns an empty point quadtree.
 func NewQuadtree() *Quadtree { return &Quadtree{} }
@@ -100,12 +97,14 @@ func quadrantOf(center, p geo.Point) int {
 // Len implements Index.
 func (t *Quadtree) Len() int { return t.size }
 
-// Insert implements Index.
+// Insert implements Index: an entry without a payload.
 func (t *Quadtree) Insert(id core.OID, p geo.Point) {
 	t.InsertItem(Item{ID: id, Pos: p, Acc: AccUnknown})
 }
 
-// InsertItem implements ItemIndex, carrying it.Ref alongside the entry.
+// InsertItem adds it, carrying its Ref and Acc alongside the entry.
+// Entries inserted through either Insert or InsertItem are removed through
+// the same Remove — the payload plays no part in matching.
 func (t *Quadtree) InsertItem(it Item) {
 	t.size++
 	if t.root == nil {
@@ -278,9 +277,25 @@ func collect(n *qnode, out *[]Item) {
 	}
 }
 
+// Rebuild replaces the tree's contents with a balanced bulk load of items
+// (buildSubtree), giving logarithmic depth regardless of input order. The
+// caller's slice is left untouched.
+//
+// Its value is the worst case, not the average: on randomly ordered input,
+// incremental insertion already yields a balanced tree and is considerably
+// faster (BenchmarkIndexBulkLoad), but on sorted or clustered replay input
+// — exactly what a recovering server may receive when visitors re-report in
+// a systematic order — incremental insertion degenerates into a chain while
+// the bulk load guarantees logarithmic depth.
+func (t *Quadtree) Rebuild(items []Item) {
+	t.root = buildSubtree(append([]Item(nil), items...), true)
+	t.size = len(items)
+	t.ghosts = 0
+}
+
 // buildSubtree constructs a balanced subtree: batches small enough for one
 // bucket become leaves, larger ones are divided at the true median along
-// alternating axes (BulkLoad and deletion rebuilds share it, so a rebuild
+// alternating axes (Rebuild and deletion rebuilds share it, so a rebuild
 // is also where stale rectangles are tightened). It may reorder items.
 func buildSubtree(items []Item, byX bool) *qnode {
 	if len(items) == 0 {
@@ -334,9 +349,10 @@ func (t *Quadtree) Search(r geo.Rect, visit func(id core.OID, p geo.Point) bool)
 	t.SearchItems(r, func(it *Item) bool { return visit(it.ID, it.Pos) })
 }
 
-// SearchItems implements ItemIndex: the same pruned descent, handing the
-// stored Item (payload included) to the visitor in place, without copying
-// it out of its bucket.
+// SearchItems is Search handing back the stored Item (payload included)
+// per match, in place, without copying it out of its bucket. The pointer
+// aims into the tree: it is valid, and the Item must stay unmodified, for
+// the duration of the visit call only.
 func (t *Quadtree) SearchItems(r geo.Rect, visit func(it *Item) bool) {
 	if t.root == nil {
 		return
@@ -349,7 +365,7 @@ func (t *Quadtree) SearchItems(r geo.Rect, visit func(it *Item) bool) {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !intersectsClosed(n.sub, r) {
+		if !n.sub.IntersectsClosed(r) {
 			continue
 		}
 		if n.leaf {

@@ -26,25 +26,22 @@ func (pointSet) Generate(rng *rand.Rand, size int) reflect.Value {
 }
 
 // TestQuickSearchMatchesLinear: for any generated point set and query
-// rectangle, tree and partitioned searches return exactly what the linear
-// reference does.
+// rectangle, quadtree and partitioned searches return exactly what the
+// linear reference does.
 func TestQuickSearchMatchesLinear(t *testing.T) {
 	prop := func(ps pointSet, qx0, qy0, qx1, qy1 int8) bool {
 		ref := NewLinear()
 		qt := NewQuadtree()
-		rt := NewRTree()
 		sh := newPartitionedQuadtree()
 		for i, p := range ps {
 			id := core.OID(fmt.Sprintf("o%d", i))
 			ref.Insert(id, p)
 			qt.Insert(id, p)
-			rt.Insert(id, p)
 			sh.Insert(id, p)
 		}
 		r := geo.R(float64(qx0), float64(qy0), float64(qx1), float64(qy1))
 		want := idsIn(ref, r)
-		return equalIDs(idsIn(qt, r), want) && equalIDs(idsIn(rt, r), want) &&
-			equalIDs(idsIn(sh, r), want)
+		return equalIDs(idsIn(qt, r), want) && equalIDs(idsIn(sh, r), want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -52,18 +49,17 @@ func TestQuickSearchMatchesLinear(t *testing.T) {
 }
 
 // TestQuickDeleteHalfMatchesLinear: deleting an arbitrary half of the
-// entries leaves all implementations agreeing.
+// entries leaves the quadtree, the partitioned stand-in and the linear
+// reference agreeing.
 func TestQuickDeleteHalfMatchesLinear(t *testing.T) {
 	prop := func(ps pointSet) bool {
 		ref := NewLinear()
 		qt := NewQuadtree()
-		rt := NewRTree()
 		sh := newPartitionedQuadtree()
 		for i, p := range ps {
 			id := core.OID(fmt.Sprintf("o%d", i))
 			ref.Insert(id, p)
 			qt.Insert(id, p)
-			rt.Insert(id, p)
 			sh.Insert(id, p)
 		}
 		for i, p := range ps {
@@ -71,17 +67,16 @@ func TestQuickDeleteHalfMatchesLinear(t *testing.T) {
 				continue
 			}
 			id := core.OID(fmt.Sprintf("o%d", i))
-			if !ref.Remove(id, p) || !qt.Remove(id, p) || !rt.Remove(id, p) || !sh.Remove(id, p) {
+			if !ref.Remove(id, p) || !qt.Remove(id, p) || !sh.Remove(id, p) {
 				return false
 			}
 		}
-		if qt.Len() != ref.Len() || rt.Len() != ref.Len() || sh.Len() != ref.Len() {
+		if qt.Len() != ref.Len() || sh.Len() != ref.Len() {
 			return false
 		}
 		all := geo.R(-1, -1, 51, 51)
 		want := idsIn(ref, all)
-		return equalIDs(idsIn(qt, all), want) && equalIDs(idsIn(rt, all), want) &&
-			equalIDs(idsIn(sh, all), want)
+		return equalIDs(idsIn(qt, all), want) && equalIDs(idsIn(sh, all), want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -89,8 +84,9 @@ func TestQuickDeleteHalfMatchesLinear(t *testing.T) {
 }
 
 // TestQuickNearestStreamMatchesLinear: the merged nearest-neighbor stream
-// of the partitioned stand-in (MergeSources over four quadtrees) yields exactly the linear reference's distance sequence, for the
-// whole population.
+// of the partitioned stand-in (MergeSources over four quadtrees) yields
+// exactly the linear reference's distance sequence, for the whole
+// population.
 func TestQuickNearestStreamMatchesLinear(t *testing.T) {
 	prop := func(ps pointSet, qx, qy int8) bool {
 		ref := NewLinear()
@@ -141,7 +137,6 @@ func TestQuickNearestIsGlobalMinimum(t *testing.T) {
 		}
 		for _, mk := range []func() Index{
 			func() Index { return NewQuadtree() },
-			func() Index { return NewRTree() },
 			newPartitionedQuadtree,
 		} {
 			ix := mk()

@@ -242,8 +242,7 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 	// The manifest rename committed: reset the memtable.
 	sh.byID = make(map[core.OID]*sightingEntry)
 	sh.dead = make(map[core.OID]struct{})
-	sh.idx = db.newIndex()
-	sh.items, _ = sh.idx.(spatial.ItemIndex)
+	sh.idx = spatial.NewQuadtree()
 	sh.nonempty = false
 	sh.stale = 0
 	sh.memBytes = 0

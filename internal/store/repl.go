@@ -360,8 +360,7 @@ func (db *ShardedSightingDB) resetMemtableLocked(sh *sightingShard) {
 	if sh.tier != nil || sh.dead != nil {
 		sh.dead = make(map[core.OID]struct{})
 	}
-	sh.idx = db.newIndex()
-	sh.items, _ = sh.idx.(spatial.ItemIndex)
+	sh.idx = spatial.NewQuadtree()
 	sh.nonempty = false
 	sh.stale = 0
 	sh.memBytes = 0
@@ -440,27 +439,14 @@ func (db *ShardedSightingDB) ReplInstallSnapshot(shard int, st ReplShardState, f
 	if db.ttl > 0 {
 		expires = db.clock().Add(db.ttl)
 	}
-	items := make([]spatial.Item, 0, len(st.Live))
 	for _, s := range st.Live {
-		e := &sightingEntry{s: s, expires: expires, acc: AccUnknown}
-		sh.byID[s.OID] = e
-		items = append(items, e.item())
+		sh.byID[s.OID] = &sightingEntry{s: s, expires: expires, acc: AccUnknown}
 		sh.noteInsert(s.Pos)
 		if sh.tier != nil {
 			sh.memBytes += memCost(s.OID)
 		}
 	}
-	if qt, ok := sh.idx.(*spatial.Quadtree); ok {
-		qt.Rebuild(items)
-	} else if sh.items != nil {
-		for _, it := range items {
-			sh.items.InsertItem(it)
-		}
-	} else {
-		for _, it := range items {
-			sh.idx.Insert(it.ID, it.Pos)
-		}
-	}
+	sh.rebuildIndexLocked()
 	if sh.tier != nil {
 		for _, id := range st.Dead {
 			sh.dead[id] = struct{}{}

@@ -99,7 +99,7 @@ func (db *ShardedSightingDB) Resize(n int) error {
 		prev:   old,
 	}
 	for i := range next.shards {
-		next.shards[i] = db.newShard()
+		next.shards[i] = newShard()
 	}
 	db.gen.Store(next)
 
@@ -108,23 +108,16 @@ func (db *ShardedSightingDB) Resize(n int) error {
 		db.handoffShard(sh, next)
 	}
 
-	// Build every destination's spatial index with one bulk load. For the
-	// quadtree (the default) the handoff deferred all tree work to this
-	// pass — moved entries were query-visible through the draining
-	// generation's preserved trees meanwhile — which keeps each handoff's
-	// lock hold down to the map moves, so no query ever stalls for more
-	// than one shard's map handoff (or one rebuild here). The balanced
-	// bulk build also makes the steady-state tree shape independent of
-	// migration order.
+	// Build every destination's quadtree with one bulk load. The handoff
+	// deferred all tree work to this pass — moved entries were
+	// query-visible through the draining generation's preserved trees
+	// meanwhile — which keeps each handoff's lock hold down to the map
+	// moves, so no query ever stalls for more than one shard's map handoff
+	// (or one rebuild here). The balanced bulk build also makes the
+	// steady-state tree shape independent of migration order.
 	for _, dst := range next.shards {
 		dst.mu.Lock()
-		if qt, ok := dst.idx.(*spatial.Quadtree); ok {
-			items := make([]spatial.Item, 0, len(dst.byID))
-			for _, e := range dst.byID {
-				items = append(items, e.item())
-			}
-			qt.Rebuild(items)
-		}
+		dst.rebuildIndexLocked()
 		dst.mu.Unlock()
 	}
 
@@ -189,32 +182,23 @@ func (db *ShardedSightingDB) handoffShard(sh *sightingShard, next *shardGen) {
 	n := len(next.shards)
 	// Group entries by destination so each destination lock is taken once
 	// per source shard.
-	groups := make(map[int][]spatial.Item, n)
+	groups := make(map[int][]*sightingEntry, n)
 	for id, e := range sh.byID {
 		j := spatial.ShardFor(id, n)
-		groups[j] = append(groups[j], e.item())
+		groups[j] = append(groups[j], e)
 	}
-	for j, items := range groups {
+	for j, entries := range groups {
 		dst := next.shards[j]
-		// Quadtree destinations defer all tree insertion to the final
-		// bulk Rebuild: until then the moved entries stay query-visible
-		// through this (preserved) source tree, and skipping per-entry
-		// tree work here is what keeps the handoff's lock hold — the
-		// longest stall any concurrent operation can see — proportional
-		// to the map moves alone.
-		_, deferTree := dst.idx.(*spatial.Quadtree)
+		// All tree insertion is deferred to the final bulk Rebuild: until
+		// then the moved entries stay query-visible through this
+		// (preserved) source tree, and skipping per-entry tree work here is
+		// what keeps the handoff's lock hold — the longest stall any
+		// concurrent operation can see — proportional to the map moves
+		// alone.
 		dst.mu.Lock()
-		for _, it := range items {
-			e := it.Ref.(*sightingEntry)
-			dst.byID[it.ID] = e
-			if !deferTree {
-				if dst.items != nil {
-					dst.items.InsertItem(it)
-				} else {
-					dst.idx.Insert(it.ID, it.Pos)
-				}
-			}
-			dst.noteInsert(it.Pos)
+		for _, e := range entries {
+			dst.byID[e.s.OID] = e
+			dst.noteInsert(e.s.Pos)
 		}
 		dst.mu.Unlock()
 	}

@@ -682,7 +682,7 @@ func TestMidMigrationFreshnessWins(t *testing.T) {
 	old := db.gen.Load()
 	next := &shardGen{epoch: old.epoch + 1, shards: make([]*sightingShard, 5), prev: old}
 	for i := range next.shards {
-		next.shards[i] = db.newShard()
+		next.shards[i] = newShard()
 	}
 	db.gen.Store(next)
 	db.handoffShard(old.shards[0], next)
@@ -753,13 +753,7 @@ func TestMidMigrationFreshnessWins(t *testing.T) {
 	db.handoffShard(old.shards[1], next)
 	for _, dst := range next.shards {
 		dst.mu.Lock()
-		if qt, ok := dst.idx.(*spatial.Quadtree); ok {
-			items := make([]spatial.Item, 0, len(dst.byID))
-			for id, e := range dst.byID {
-				items = append(items, spatial.Item{ID: id, Pos: e.s.Pos, Ref: e})
-			}
-			qt.Rebuild(items)
-		}
+		dst.rebuildIndexLocked()
 		dst.mu.Unlock()
 	}
 	db.gen.Store(&shardGen{epoch: next.epoch, shards: next.shards})

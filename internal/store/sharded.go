@@ -53,9 +53,6 @@ type ShardedSightingDB struct {
 	gen   atomic.Pointer[shardGen]
 	ttl   time.Duration
 	clock func() time.Time
-	// newIndex builds one shard's spatial sub-index; retained so Resize
-	// can populate fresh generations.
-	newIndex func() spatial.Index
 
 	// resizeMu serializes Resize against itself and against WAL
 	// compaction (both restructure or rewrite per-shard state that must
@@ -106,14 +103,13 @@ type shardGen struct {
 }
 
 type sightingShard struct {
-	mu  sync.RWMutex
-	idx spatial.Index
-	// items is idx narrowed to the payload-carrying capability (nil when
-	// the index kind does not support it): entries then carry their
-	// *sightingEntry, so a range search resolves records straight off the
-	// index node instead of re-hashing every match through byID.
-	items spatial.ItemIndex
-	byID  map[core.OID]*sightingEntry
+	mu sync.RWMutex
+	// idx is the shard's spatial index. Every item carries its
+	// *sightingEntry (Ref) and that entry's accuracy (Acc), so range and
+	// nearest-neighbor searches resolve records straight off the tree
+	// instead of re-hashing every match through byID.
+	idx  *spatial.Quadtree
+	byID map[core.OID]*sightingEntry
 
 	// moved marks a shard whose contents were handed off to a newer
 	// generation. Set under mu by the migration; every mutation that
@@ -220,10 +216,9 @@ func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 		cfg.shards = cfg.wal.NumShards()
 	}
 	db := &ShardedSightingDB{
-		ttl:      cfg.ttl,
-		clock:    cfg.clock,
-		newIndex: cfg.newIndex,
-		wal:      cfg.wal,
+		ttl:   cfg.ttl,
+		clock: cfg.clock,
+		wal:   cfg.wal,
 	}
 	if cfg.tier != nil {
 		tc := cfg.tier.withDefaults()
@@ -238,20 +233,29 @@ func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 	}
 	g := &shardGen{shards: make([]*sightingShard, cfg.shards)}
 	for i := range g.shards {
-		g.shards[i] = db.newShard()
+		g.shards[i] = newShard()
 	}
 	db.gen.Store(g)
 	return db
 }
 
-// newShard builds one empty shard with a fresh sub-index.
-func (db *ShardedSightingDB) newShard() *sightingShard {
-	sh := &sightingShard{
-		idx:  db.newIndex(),
+// newShard builds one empty shard with a fresh quadtree.
+func newShard() *sightingShard {
+	return &sightingShard{
+		idx:  spatial.NewQuadtree(),
 		byID: make(map[core.OID]*sightingEntry),
 	}
-	sh.items, _ = sh.idx.(spatial.ItemIndex)
-	return sh
+}
+
+// rebuildIndexLocked bulk-loads the shard's quadtree from its hash index
+// (Quadtree.Rebuild), one item per record carrying the record and its
+// accuracy. Caller holds the shard's write lock.
+func (sh *sightingShard) rebuildIndexLocked() {
+	items := make([]spatial.Item, 0, len(sh.byID))
+	for _, e := range sh.byID {
+		items = append(items, e.item())
+	}
+	sh.idx.Rebuild(items)
 }
 
 // NumShards implements SightingStore, reporting the current generation's
@@ -531,19 +535,9 @@ func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting, acc f
 		entry.expires = db.clock().Add(db.ttl)
 	}
 	sh.byID[s.OID] = entry
-	sh.index(entry)
+	sh.idx.InsertItem(entry.item())
 	sh.noteInsert(s.Pos)
 	return putDelta(s, old)
-}
-
-// index adds e to the shard's spatial sub-index. Caller holds the shard's
-// write lock.
-func (sh *sightingShard) index(e *sightingEntry) {
-	if sh.items != nil {
-		sh.items.InsertItem(e.item())
-	} else {
-		sh.idx.Insert(e.s.OID, e.s.Pos)
-	}
 }
 
 // SetAcc implements SightingStore. Only the memtable entry is touched: a
@@ -560,7 +554,7 @@ func (db *ShardedSightingDB) SetAcc(id core.OID, acc float64) bool {
 		sh.idx.Remove(id, e.s.Pos)
 		e = &sightingEntry{s: e.s, expires: e.expires, acc: acc}
 		sh.byID[id] = e
-		sh.index(e)
+		sh.idx.InsertItem(e.item())
 	}
 	return true
 }
@@ -884,7 +878,7 @@ func (db *ShardedSightingDB) searchPrevShards(shards []*sightingShard, r geo.Rec
 	return db.scanPrevShards(shards, func(sh *sightingShard, emit func(s core.Sighting) bool) {
 		if sh.nonempty && sh.bound.IntersectsClosed(r) {
 			sc := newIndexScan(hitSink{rec: emit})
-			sc.search(sh.idx, sh.items, sh.byID, r)
+			sc.search(sh.idx, r)
 			sc.release()
 		}
 	}, visit)
@@ -894,7 +888,7 @@ func (db *ShardedSightingDB) searchPrevShards(shards []*sightingShard, r geo.Rec
 // reports whether the enumeration ran to completion (false once the visitor
 // stopped it).
 func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, sink hitSink) bool {
-	// One pooled scan for all shards, rebound to each shard's hash index.
+	// One pooled scan for all shards.
 	sc := newIndexScan(sink)
 	defer sc.release()
 	for _, sh := range shards {
@@ -904,7 +898,7 @@ func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, s
 		// this generation before a resize completed from missing records
 		// (callers running against two generations dedupe by id).
 		if sh.nonempty && sh.bound.IntersectsClosed(r) {
-			sc.search(sh.idx, sh.items, sh.byID, r)
+			sc.search(sh.idx, r)
 		}
 		if !sc.stopped && sh.tier != nil {
 			// Disk-resident records, through the runs' spatial leaves.
@@ -956,10 +950,10 @@ func (db *ShardedSightingDB) NearestEntries(p geo.Point, visit func(id core.OID,
 
 // nearest is the merge behind NearestFunc and NearestEntries. visit
 // receives each neighbor with its memtable record and with n.Acc set to
-// that record's accuracy, or with a nil record when the neighbor has to be
-// re-resolved by id: a cold hit, a hit of an index kind without item
-// payloads seen outside its shard's lock, and every hit while a resize is
-// draining a generation (a drained shard's preserved snapshot may have been
+// that record's accuracy, both read off the cursor's item, or with a nil
+// record when the neighbor has to be re-resolved by id: a cold hit (the
+// runs' cursors carry no payload) and every hit while a resize is draining
+// a generation (a drained shard's preserved snapshot may have been
 // superseded since).
 func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor, e *sightingEntry) bool) {
 	g := db.gen.Load()
@@ -970,7 +964,7 @@ func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor,
 		sh := g.shards[0]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		streamNearest(sh.idx, sh.byID, p, visit)
+		streamNearest(sh.idx, p, visit)
 		return
 	}
 	shards := g.shards
@@ -1316,24 +1310,11 @@ func (db *ShardedSightingDB) recoverShardLocked(g *shardGen, shard int) error {
 	if db.ttl > 0 {
 		expires = db.clock().Add(db.ttl)
 	}
-	items := make([]spatial.Item, 0, len(live))
 	for _, s := range live {
-		e := &sightingEntry{s: s, expires: expires, acc: AccUnknown}
-		sh.byID[s.OID] = e
-		items = append(items, e.item())
+		sh.byID[s.OID] = &sightingEntry{s: s, expires: expires, acc: AccUnknown}
 		sh.noteInsert(s.Pos)
 	}
-	if qt, ok := sh.idx.(*spatial.Quadtree); ok {
-		qt.Rebuild(items)
-	} else if sh.items != nil {
-		for _, it := range items {
-			sh.items.InsertItem(it)
-		}
-	} else {
-		for _, it := range items {
-			sh.idx.Insert(it.ID, it.Pos)
-		}
-	}
+	sh.rebuildIndexLocked()
 	return nil
 }
 

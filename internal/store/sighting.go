@@ -11,32 +11,22 @@ import (
 
 // sightingConfig collects the options of NewShardedSightingDB.
 type sightingConfig struct {
-	newIndex func() spatial.Index
-	ttl      time.Duration
-	clock    func() time.Time
-	shards   int
-	wal      *ShardedWAL
-	tier     *TierConfig
+	ttl    time.Duration
+	clock  func() time.Time
+	shards int
+	wal    *ShardedWAL
+	tier   *TierConfig
 }
 
 func defaultSightingConfig() sightingConfig {
 	return sightingConfig{
-		newIndex: func() spatial.Index { return spatial.NewQuadtree() },
-		clock:    time.Now,
-		shards:   1,
+		clock:  time.Now,
+		shards: 1,
 	}
 }
 
 // SightingDBOption customizes a ShardedSightingDB.
 type SightingDBOption func(*sightingConfig)
-
-// WithIndex selects the spatial index implementation (default: quadtree,
-// the paper's choice). The database creates one index per shard.
-func WithIndex(kind spatial.Kind) SightingDBOption {
-	return func(c *sightingConfig) {
-		c.newIndex = func() spatial.Index { return spatial.New(kind) }
-	}
-}
 
 // WithTTL sets the soft-state time-to-live for sighting records. Zero
 // disables expiration.
@@ -110,19 +100,13 @@ type hitSink struct {
 	rec   func(s core.Sighting) bool
 }
 
-// item delivers a memtable hit. Caller holds the lock guarding byID.
-func (k hitSink) item(it *spatial.Item, byID map[core.OID]*sightingEntry) bool {
-	e, own := it.Ref.(*sightingEntry)
-	acc := it.Acc
-	if !own {
-		// An index kind without item payloads: re-hash through byID.
-		e = byID[it.ID]
-		acc = e.acc
-	}
+// item delivers a memtable hit off its index item, whose Ref is the
+// record. Caller holds the lock guarding the shard's index.
+func (k hitSink) item(it *spatial.Item) bool {
 	if k.entry != nil {
-		return k.entry(it.ID, it.Pos, acc)
+		return k.entry(it.ID, it.Pos, it.Acc)
 	}
-	return k.rec(e.s)
+	return k.rec(it.Ref.(*sightingEntry).s)
 }
 
 // cold delivers a run-resident hit; runs do not record accuracies.
@@ -135,31 +119,23 @@ func (k hitSink) cold(s core.Sighting) bool {
 
 // indexScan is the visitor state of one rectangle search, pooled with its
 // visitor closures bound once so that a search allocates nothing: sink is
-// where the hits go, byID the hash index of the sub-index being searched
-// (rebound per shard), stopped whether the consumer ended the search.
+// where the hits go, stopped whether the consumer ended the search.
 type indexScan struct {
 	sink    hitSink
-	byID    map[core.OID]*sightingEntry
 	stopped bool
-	plain   spatial.Item // the current hit of an index kind without items
 
 	item func(it *spatial.Item) bool
-	id   func(id core.OID, p geo.Point) bool
 	cold func(s core.Sighting) bool
 }
 
 var indexScanPool = sync.Pool{New: func() any {
 	sc := new(indexScan)
 	sc.item = func(it *spatial.Item) bool {
-		if sc.sink.item(it, sc.byID) {
+		if sc.sink.item(it) {
 			return true
 		}
 		sc.stopped = true
 		return false
-	}
-	sc.id = func(id core.OID, p geo.Point) bool {
-		sc.plain = spatial.Item{ID: id, Pos: p}
-		return sc.item(&sc.plain)
 	}
 	sc.cold = func(s core.Sighting) bool {
 		if sc.sink.cold(s) {
@@ -178,19 +154,14 @@ func newIndexScan(sink hitSink) *indexScan {
 }
 
 func (sc *indexScan) release() {
-	sc.sink, sc.byID, sc.stopped, sc.plain = hitSink{}, nil, false, spatial.Item{}
+	sc.sink, sc.stopped = hitSink{}, false
 	indexScanPool.Put(sc)
 }
 
-// search runs the rectangle search over one sub-index. Caller holds the
-// lock guarding idx and byID.
-func (sc *indexScan) search(idx spatial.Index, items spatial.ItemIndex, byID map[core.OID]*sightingEntry, r geo.Rect) {
-	sc.byID = byID
-	if items != nil {
-		items.SearchItems(r, sc.item)
-	} else {
-		idx.Search(r, sc.id)
-	}
+// search runs the rectangle search over one shard's quadtree. Caller holds
+// the lock guarding idx.
+func (sc *indexScan) search(idx *spatial.Quadtree, r geo.Rect) {
+	idx.SearchItems(r, sc.item)
 }
 
 // NewSightingDB returns an empty one-shard sighting database.
@@ -210,25 +181,15 @@ func accAt(accs []float64, i int) float64 {
 	return accs[i]
 }
 
-// streamNearest walks one sub-index's nearest-neighbor cursor around p,
-// handing visit each neighbor with its record and with n.Acc set to the
-// record's accuracy — both read off the cursor's item when the index kind
-// carries the payload, resolved through the hash index otherwise. Caller
-// holds the lock guarding idx and byID.
-func streamNearest(idx spatial.Index, byID map[core.OID]*sightingEntry, p geo.Point, visit func(n spatial.Neighbor, e *sightingEntry) bool) {
+// streamNearest walks one shard quadtree's nearest-neighbor cursor around
+// p, handing visit each neighbor with its record and its accuracy (n.Acc),
+// both read off the cursor's item. Caller holds the lock guarding idx.
+func streamNearest(idx *spatial.Quadtree, p geo.Point, visit func(n spatial.Neighbor, e *sightingEntry) bool) {
 	c := idx.NearestCursor(p)
 	defer c.Close()
 	for {
 		n, ok := c.Next()
-		if !ok {
-			return
-		}
-		e, own := n.Ref.(*sightingEntry)
-		if !own {
-			e = byID[n.ID]
-			n.Acc = e.acc
-		}
-		if !visit(n, e) {
+		if !ok || !visit(n, n.Ref.(*sightingEntry)) {
 			return
 		}
 	}

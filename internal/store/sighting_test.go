@@ -9,7 +9,6 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
-	"locsvc/internal/spatial"
 )
 
 func sighting(id string, x, y float64) core.Sighting {
@@ -129,7 +128,7 @@ func TestSightingDBNearestFunc(t *testing.T) {
 }
 
 func TestSightingDBForEachAndString(t *testing.T) {
-	db := NewShardedSightingDB(WithIndex(spatial.KindRTree))
+	db := NewShardedSightingDB()
 	for i := 0; i < 5; i++ {
 		db.Put(sighting(fmt.Sprintf("o%d", i), float64(i), float64(i)))
 	}

@@ -14,7 +14,6 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
-	"locsvc/internal/spatial"
 )
 
 // writeVisitorLog writes n visitor put records and returns the log path
@@ -492,48 +491,46 @@ func TestShardedWALReplayEqualsOracle(t *testing.T) {
 
 // The acceptance scenario: kill after N batched updates through the
 // pipeline, recover in parallel, and compare every query surface against a
-// never-crashed oracle store. Also exercises recovery into non-quadtree
-// indexes (no Rebuild bulk-load path) for the same result.
+// never-crashed oracle store, with every shard's quadtree bulk-loaded
+// through Rebuild.
 func TestShardedWALCrashAfterBatchedUpdates(t *testing.T) {
-	for _, kind := range []spatial.Kind{spatial.KindQuadtree, spatial.KindRTree} {
-		t.Run(kind.String(), func(t *testing.T) {
-			const shards = 8
-			dir := t.TempDir()
-			w, err := OpenShardedWAL(dir, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			db := NewShardedSightingDB(WithSightingWAL(w), WithIndex(kind))
-			pipe := NewUpdatePipeline(db)
-			oracle := sightingOracle{}
-			rng := rand.New(rand.NewSource(9))
-			now := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
-			for i := 0; i < 4000; i++ {
-				id := core.OID(fmt.Sprintf("obj-%d", rng.Intn(500)))
-				s := core.Sighting{OID: id, T: now, Pos: geo.Pt(rng.Float64()*1000, rng.Float64()*1000), SensAcc: 5}
-				pipe.Put(s)
-				oracle[id] = s
-			}
-			if err := db.WALErr(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("quadtree", func(t *testing.T) {
+		const shards = 8
+		dir := t.TempDir()
+		w, err := OpenShardedWAL(dir, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := NewShardedSightingDB(WithSightingWAL(w))
+		pipe := NewUpdatePipeline(db)
+		oracle := sightingOracle{}
+		rng := rand.New(rand.NewSource(9))
+		now := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
+		for i := 0; i < 4000; i++ {
+			id := core.OID(fmt.Sprintf("obj-%d", rng.Intn(500)))
+			s := core.Sighting{OID: id, T: now, Pos: geo.Pt(rng.Float64()*1000, rng.Float64()*1000), SensAcc: 5}
+			pipe.Put(s)
+			oracle[id] = s
+		}
+		if err := db.WALErr(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-			// Kill; recover from disk.
-			w2, err := OpenShardedWAL(dir, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w2.Close()
-			db2 := NewShardedSightingDB(WithSightingWAL(w2), WithIndex(kind))
-			if err := db2.Recover(); err != nil {
-				t.Fatalf("Recover: %v", err)
-			}
-			expectRecovered(t, db2, oracle)
-		})
-	}
+		// Kill; recover from disk.
+		w2, err := OpenShardedWAL(dir, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w2.Close()
+		db2 := NewShardedSightingDB(WithSightingWAL(w2))
+		if err := db2.Recover(); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		expectRecovered(t, db2, oracle)
+	})
 }
 
 // Compaction shrinks segments to the live set, and a recover after

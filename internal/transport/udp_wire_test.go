@@ -84,7 +84,15 @@ func TestWireMetricsCounters(t *testing.T) {
 	}
 
 	// Request and reply, both sent and received inside this process: two
-	// datagrams out, two in, symmetric byte counts.
+	// datagrams out, two in, symmetric byte counts. The server counts its
+	// reply after the send returns, which can be after the caller has the
+	// reply in hand, so give the out-counters a moment to settle.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if reg.Counter("wire_datagrams_out").Value() >= 2 &&
+			reg.Counter("wire_bytes_out").Value() >= reg.Counter("wire_bytes_in").Value() {
+			break
+		}
+	}
 	if got := reg.Counter("wire_datagrams_out").Value(); got != 2 {
 		t.Errorf("wire_datagrams_out = %d, want 2", got)
 	}

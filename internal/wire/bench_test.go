@@ -90,8 +90,7 @@ func BenchmarkWireDecode(b *testing.B) {
 }
 
 // BenchmarkWireRoundTrip is encode+decode back to back: the full codec
-// cost of one request or response datagram, comparable one-to-one with
-// BenchmarkGobRoundTrip (the retired format, kept as the baseline).
+// cost of one request or response datagram.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	for name, env := range benchEnvelopes() {
 		b.Run(name, func(b *testing.B) {
@@ -104,25 +103,6 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := Decode(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGobRoundTrip is the gob baseline the tentpole is measured
-// against (≥5x target, BENCH_wire.json).
-func BenchmarkGobRoundTrip(b *testing.B) {
-	for name, env := range benchEnvelopes() {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				data, err := EncodeGob(env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := DecodeGob(data); err != nil {
 					b.Fatal(err)
 				}
 			}

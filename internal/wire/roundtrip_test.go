@@ -13,8 +13,7 @@ import (
 
 // This file property-tests the binary codec over the full tag registry:
 // for every registered message type, decode(encode(x)) must reproduce x
-// exactly, and — while the retired gob codec is still around — must agree
-// with what a gob round trip of the same envelope produces. The corpus
+// exactly. The corpus
 // uses UTC timestamps (the codec normalizes instants to UTC; see the
 // package doc) and finite floats (NaN breaks value equality, though it
 // round-trips bit-exactly, which FuzzDecode covers).
@@ -65,7 +64,7 @@ func randEntry(rng *rand.Rand) core.Entry {
 }
 
 // randEntries returns nil about a third of the time — nil and absent are
-// the same thing on the wire, matching gob's zero-field omission.
+// the same thing on the wire.
 func randEntries(rng *rand.Rand) []core.Entry {
 	if rng.Intn(3) == 0 {
 		return nil
@@ -326,8 +325,7 @@ func randomMessage(rng *rand.Rand, tag msg.Tag) (msg.Message, bool) {
 }
 
 // TestRoundTripEveryRegisteredType drives decode(encode(x)) == x with a
-// random-value corpus over the complete tag registry, and cross-checks
-// every envelope against the retired gob codec.
+// random-value corpus over the complete tag registry.
 func TestRoundTripEveryRegisteredType(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
 	for _, tag := range msg.AllTags() {
@@ -357,20 +355,6 @@ func TestRoundTripEveryRegisteredType(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, env) {
 					t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, env)
-				}
-
-				// Cross-check against the old gob codec: both formats
-				// must reconstruct the same envelope.
-				gobData, err := EncodeGob(env)
-				if err != nil {
-					t.Fatalf("EncodeGob: %v", err)
-				}
-				gobEnv, err := DecodeGob(gobData)
-				if err != nil {
-					t.Fatalf("DecodeGob: %v", err)
-				}
-				if !reflect.DeepEqual(got, gobEnv) {
-					t.Fatalf("binary and gob decodings disagree:\n binary %#v\n    gob %#v", got, gobEnv)
 				}
 			}
 		})

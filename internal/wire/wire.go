@@ -1,9 +1,9 @@
 // Package wire encodes protocol envelopes for datagram transports with a
-// hand-rolled, versioned, length-delimited binary codec. It replaces the
-// original encoding/gob format (kept as EncodeGob/DecodeGob for comparison
-// benchmarks and cross-checking): gob re-transmits type descriptors on
-// every datagram, reflects over the message structs and allocates a fresh
-// encoder per envelope, all of which this codec avoids — encoding appends
+// hand-rolled, versioned, length-delimited binary codec. It replaced the
+// original encoding/gob format (BENCH_wire.json records the comparison):
+// gob re-transmits type descriptors on every datagram, reflects over the
+// message structs and allocates a fresh encoder per envelope, all of which
+// this codec avoids — encoding appends
 // into a caller-supplied (typically pooled) buffer with zero allocations,
 // and decoding reads directly out of the receive buffer with no
 // reflection.

@@ -52,7 +52,6 @@ import (
 	"locsvc/internal/hierarchy"
 	"locsvc/internal/msg"
 	"locsvc/internal/server"
-	"locsvc/internal/spatial"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
 )
@@ -111,9 +110,6 @@ func AreaFromRect(r Rect) Area { return core.AreaFromRect(r) }
 // AreaFromPoints builds the convex query area spanned by corner points.
 func AreaFromPoints(points ...Point) Area { return core.AreaFromPoints(points) }
 
-// IndexKind selects a spatial index implementation.
-type IndexKind = spatial.Kind
-
 // AutoShardConfig bounds and tunes adaptive shard resizing
 // (LocalConfig.AutoShard); see store.AutoShardConfig for the decision
 // rule and field defaults.
@@ -123,13 +119,6 @@ type AutoShardConfig = store.AutoShardConfig
 // (LocalConfig.Tiering); see store.TierConfig for the knobs and their
 // defaults.
 type TierConfig = store.TierConfig
-
-// Spatial index kinds for LocalConfig.Index.
-const (
-	IndexQuadtree = spatial.KindQuadtree
-	IndexRTree    = spatial.KindRTree
-	IndexLinear   = spatial.KindLinear
-)
 
 // LocalConfig configures an in-process deployment of the service.
 type LocalConfig struct {
@@ -152,8 +141,6 @@ type LocalConfig struct {
 	// enabled features (SightingTTL/4; else 5s with AutoShard; else 1m
 	// with a sighting WAL).
 	JanitorInterval time.Duration
-	// Index selects the sightingDB spatial index (default quadtree).
-	Index IndexKind
 	// Shards partitions each leaf's sighting store into that many
 	// independently locked shards keyed by object id, so concurrent
 	// updates scale across cores; 0 or 1 means one shard, negative
@@ -262,7 +249,6 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 		AchievableAcc:    cfg.AchievableAcc,
 		SightingTTL:      cfg.SightingTTL,
 		JanitorInterval:  cfg.JanitorInterval,
-		Index:            cfg.Index,
 		Shards:           shards,
 		AutoShard:        cfg.AutoShard,
 		EnableAreaCache:  cfg.EnableCaches,

@@ -150,29 +150,26 @@ func TestFacadeReplicas(t *testing.T) {
 	}
 }
 
-func TestFacadeCachesAndIndexChoices(t *testing.T) {
-	for _, kind := range []locsvc.IndexKind{locsvc.IndexQuadtree, locsvc.IndexRTree, locsvc.IndexLinear} {
-		svc, err := locsvc.NewLocal(locsvc.LocalConfig{
-			Area:         locsvc.R(0, 0, 1000, 1000),
-			Levels:       []locsvc.Level{{Rows: 2, Cols: 2}},
-			Index:        kind,
-			EnableCaches: true,
-		})
-		if err != nil {
-			t.Fatalf("index %v: %v", kind, err)
-		}
-		ctx := context.Background()
-		c, err := svc.NewClientAt("c", locsvc.Pt(10, 10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Register(ctx, locsvc.Sighting{OID: "o", T: time.Now(), Pos: locsvc.Pt(10, 10), SensAcc: 5}, 10, 50, 3); err != nil {
-			t.Fatalf("index %v: %v", kind, err)
-		}
-		if _, err := c.PosQuery(ctx, "o"); err != nil {
-			t.Fatalf("index %v: %v", kind, err)
-		}
-		c.Close()
-		svc.Close()
+func TestFacadeCaches(t *testing.T) {
+	svc, err := locsvc.NewLocal(locsvc.LocalConfig{
+		Area:         locsvc.R(0, 0, 1000, 1000),
+		Levels:       []locsvc.Level{{Rows: 2, Cols: 2}},
+		EnableCaches: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	c, err := svc.NewClientAt("c", locsvc.Pt(10, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Register(ctx, locsvc.Sighting{OID: "o", T: time.Now(), Pos: locsvc.Pt(10, 10), SensAcc: 5}, 10, 50, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PosQuery(ctx, "o"); err != nil {
+		t.Fatal(err)
 	}
 }
