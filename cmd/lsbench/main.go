@@ -10,7 +10,6 @@
 //	lsbench -table A3     # hierarchy height/fan-out sweep
 //	lsbench -table A4     # update-protocol comparison
 //	lsbench -table A5     # query-locality sweep
-//	lsbench -table A8     # live shard-resize cost (epoch map overhead, stall bounds)
 //	lsbench -table W      # wire codec: binary envelope round trips
 //	lsbench -table B      # datagram batching + async client over real UDP
 //	lsbench -table R      # resilience: retry/breaker overhead, degraded queries, recovery time
@@ -54,7 +53,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A8, W, B, R, E, L, F, Q or all")
+	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A7, W, B, R, E, L, F, Q or all")
 	quick := flag.Bool("quick", false, "reduced populations for a fast smoke run")
 	flag.Parse()
 
@@ -71,7 +70,6 @@ func main() {
 	run("A5", ablationLocality)
 	run("A6", ablationRootPartitions)
 	run("A7", ablationShardedStore)
-	run("A8", ablationResize)
 	run("W", tableWire)
 	run("B", tableBatch)
 	run("R", tableResilience)
@@ -81,7 +79,7 @@ func main() {
 	run("Q", tableRangeQualify)
 
 	switch *table {
-	case "1", "2", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "W", "B", "R", "E", "L", "F", "Q", "all":
+	case "1", "2", "A2", "A3", "A4", "A5", "A6", "A7", "W", "B", "R", "E", "L", "F", "Q", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(1)
@@ -687,159 +685,6 @@ func ablationShardedStore(quick bool) {
 		knnRate := float64(workers*knnOps) / time.Since(start).Seconds()
 		fmt.Printf("%-8d %14.0f %14.0f %14.0f %14.0f\n", shards, updateRate, walRate, queryRate, knnRate)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablation A8: live adaptive shard resizing. Two questions: (1) what does
-// the epoch-versioned shard map cost on the steady-state hot paths (it
-// should be ~free: one atomic pointer load plus a bool check per op —
-// compare against the A7 recordings taken before the indirection existed),
-// and (2) what does a live resize of a populated store cost — total
-// migration wall time, and the worst stall any concurrent query observes
-// (bounded by one shard's handoff, not the whole migration). Recorded runs
-// live in BENCH_resize.json.
-
-func ablationResize(quick bool) {
-	objects := 25_000
-	opsPerWorker := 50_000
-	population := 1_000_000
-	if quick {
-		objects, opsPerWorker, population = 5_000, 10_000, 100_000
-	}
-	const side = 10_000.0
-	const workers = 8
-
-	fmt.Printf("\nAblation A8: live adaptive shard resizing\n\n")
-
-	// Part 1: steady-state cost of the epoch indirection (compare to the
-	// same columns of A7 recorded before this refactor).
-	fmt.Printf("steady state, 8 shards (%d objects, %d workers x %d updates; compare A7):\n", objects, workers, opsPerWorker)
-	db := store.NewShardedSightingDB(store.WithShards(8))
-	rng := rand.New(rand.NewSource(1))
-	sightings := make([]core.Sighting, objects)
-	now := time.Now()
-	for i := range sightings {
-		sightings[i] = core.Sighting{
-			OID: core.OID(fmt.Sprintf("obj-%d", i)), T: now,
-			Pos:     geo.Pt(rng.Float64()*side, rng.Float64()*side),
-			SensAcc: 10,
-		}
-		db.Put(sightings[i])
-	}
-	pipe := store.NewUpdatePipeline(db)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < opsPerWorker; i++ {
-				s := sightings[wrng.Intn(objects)]
-				s.Pos = geo.Pt(wrng.Float64()*side, wrng.Float64()*side)
-				pipe.Put(s)
-			}
-		}(w)
-	}
-	wg.Wait()
-	fmt.Printf("  %-18s %14.0f\n", "updates/s", float64(workers*opsPerWorker)/time.Since(start).Seconds())
-	knnOps := opsPerWorker / 10
-	start = time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rand.New(rand.NewSource(int64(200 + w)))
-			for i := 0; i < knnOps; i++ {
-				p := geo.Pt(wrng.Float64()*side, wrng.Float64()*side)
-				n := 0
-				db.NearestFunc(p, func(core.Sighting, float64) bool {
-					n++
-					return n < 5
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	fmt.Printf("  %-18s %14.0f\n", "knn5 q/s", float64(workers*knnOps)/time.Since(start).Seconds())
-
-	// Part 2: live resize of a populated store under continuous query
-	// probes. Point lookups (Get) touch one shard and can stall on at
-	// most one handoff — the protocol's headline bound. A full-fan-out
-	// range query convoys behind the shard walk (it can wait at each
-	// successive handoff it catches up with), so its worst case is
-	// reported separately; it is still bounded by the migration, never
-	// by a global quiesce.
-	fmt.Printf("\nlive resize (%d sightings, concurrent query probes):\n", population)
-	fmt.Printf("  %-12s %14s %16s %16s %16s %16s\n", "transition", "resize ms",
-		"get stall ms", "get base ms", "range stall ms", "range base ms")
-	big := store.NewShardedSightingDB(store.WithShards(4))
-	ids := make([]core.OID, population)
-	for i := 0; i < population; i++ {
-		ids[i] = core.OID(fmt.Sprintf("obj-%d", i))
-		big.Put(core.Sighting{OID: ids[i], T: now, Pos: geo.Pt(rng.Float64()*side, rng.Float64()*side), SensAcc: 10})
-	}
-	// Independent goroutines per probe kind: a range query stuck behind
-	// the shard walk must not stop the point-lookup probe from sampling.
-	getProbe := func(stop <-chan struct{}, maxNanos *int64) {
-		prng := rand.New(rand.NewSource(77))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			t0 := time.Now()
-			big.Get(ids[prng.Intn(population)])
-			if d := time.Since(t0).Nanoseconds(); d > atomic.LoadInt64(maxNanos) {
-				atomic.StoreInt64(maxNanos, d)
-			}
-		}
-	}
-	rangeProbe := func(stop <-chan struct{}, maxNanos *int64) {
-		prng := rand.New(rand.NewSource(78))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			x, y := prng.Float64()*(side-50), prng.Float64()*(side-50)
-			t0 := time.Now()
-			big.SearchArea(geo.R(x, y, x+50, y+50), func(core.Sighting) bool { return true })
-			if d := time.Since(t0).Nanoseconds(); d > atomic.LoadInt64(maxNanos) {
-				atomic.StoreInt64(maxNanos, d)
-			}
-		}
-	}
-	measure := func(name string, target int) {
-		run := func(resize bool) (getMax, rangeMax, resizeMS float64) {
-			var g, r int64
-			stop := make(chan struct{})
-			var pwg sync.WaitGroup
-			pwg.Add(2)
-			go func() { defer pwg.Done(); getProbe(stop, &g) }()
-			go func() { defer pwg.Done(); rangeProbe(stop, &r) }()
-			if resize {
-				t0 := time.Now()
-				if err := big.Resize(target); err != nil {
-					fatal(err)
-				}
-				resizeMS = float64(time.Since(t0).Nanoseconds()) / 1e6
-			} else {
-				time.Sleep(300 * time.Millisecond)
-			}
-			close(stop)
-			pwg.Wait()
-			return float64(g) / 1e6, float64(r) / 1e6, resizeMS
-		}
-		baseGet, baseRange, _ := run(false)
-		stallGet, stallRange, resizeMS := run(true)
-		fmt.Printf("  %-12s %14.1f %16.2f %16.2f %16.2f %16.2f\n", name, resizeMS,
-			stallGet, baseGet, stallRange, baseRange)
-	}
-	measure("4 -> 8", 8)
-	measure("8 -> 4", 4)
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@
 //
 // stats prints the entry server's diagnostic snapshot: visitor and
 // sighting counts, the sighting store's shard layout (occupancy and
-// lock-contention counters per shard, resize epoch — what the -autoshard
-// policy feeds on) and the metrics registry. Servers started by lsd share
+// lock-contention counters per shard, plus the update pipeline's
+// handoffs) and the metrics registry. Servers started by lsd share
 // one registry between the server and its UDP transport, so the snapshot
 // includes the wire-level series (wire_bytes_in/out, wire_datagrams_in/out,
 // wire_decode_errors, wire_oversize_dropped) next to the protocol counters.
@@ -197,7 +197,7 @@ func main() {
 		}
 		fmt.Printf("server %s (%s): %d visitors, %d sightings\n", res.Server, role, res.Visitors, res.Sightings)
 		if len(res.Shards) > 0 {
-			fmt.Printf("sighting shards: %d (epoch %d)\n", len(res.Shards), res.Epoch)
+			fmt.Printf("sighting shards: %d\n", len(res.Shards))
 			fmt.Printf("  %-6s %10s %12s %12s\n", "shard", "records", "writeops", "contended")
 			for i, sh := range res.Shards {
 				fmt.Printf("  %-6d %10d %12d %12d\n", i, sh.Len, sh.Ops, sh.Contended)

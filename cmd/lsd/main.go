@@ -15,12 +15,11 @@
 //	...
 //
 // Flags -acc, -ttl and -caches tune the leaf behaviour; -shards partitions
-// the leaf's sighting store, -autoshard lets the shard count adapt to
-// observed lock contention at runtime (live resize between -autoshard-min
-// and -autoshard-max), -swal gives the store durable per-shard logs that
-// are replayed in parallel at startup (and re-cut under the new mapping
-// when a resize moves the layout to its next epoch), and -fsync upgrades
-// both WALs to machine-crash durability. -tier layers tiered (LSM)
+// the leaf's sighting store, -swal gives the store durable per-shard logs
+// that are replayed in parallel at startup (a -swal directory that already
+// holds history keeps the shard count it was written with, whatever
+// -shards says), and -fsync upgrades both WALs to machine-crash
+// durability. -tier layers tiered (LSM)
 // storage over -swal: the in-memory shards keep only the recent tail
 // (bounded by -tier-memtable-bytes) while older versions live in
 // immutable sorted runs beside the WAL segments, so a leaf can track far
@@ -103,11 +102,8 @@ func main() {
 		port         = flag.Int("port", 7000, "first port for generated addresses (with -gen)")
 		walPath      = flag.String("wal", "", "visitorDB WAL path (persistent forwarding paths)")
 		swalDir      = flag.String("swal", "", "sightingDB WAL directory: one durable log segment per shard, replayed in parallel at startup (leaves only)")
-		shards       = flag.Int("shards", 1, "sighting-store shards on a leaf (independently locked, keyed by object id); the starting count with -autoshard")
-		autoshard    = flag.Bool("autoshard", false, "adapt the leaf's shard count to observed lock contention at runtime (live resize; with -swal the log follows through epoch switches)")
-		autoshardMin = flag.Int("autoshard-min", 1, "lower shard-count bound for -autoshard")
-		autoshardMax = flag.Int("autoshard-max", 64, "upper shard-count bound for -autoshard")
-		tier         = flag.Bool("tier", false, "tiered (LSM) sighting storage: shards become memtables, older versions live in sorted runs beside the -swal segments, recovery replays only the WAL tail (leaves with -swal only; incompatible with -autoshard)")
+		shards       = flag.Int("shards", 1, "sighting-store shards on a leaf (independently locked, keyed by object id); an existing -swal directory keeps its own count")
+		tier         = flag.Bool("tier", false, "tiered (LSM) sighting storage: shards become memtables, older versions live in sorted runs beside the -swal segments, recovery replays only the WAL tail (leaves with -swal only)")
 		tierMemBytes = flag.Int64("tier-memtable-bytes", 64<<20, "total memtable budget across shards before runs are flushed to disk (with -tier)")
 		tierMaxRuns  = flag.Int("tier-max-runs", 4, "per-shard run-file count beyond which the janitor compacts (with -tier)")
 		tierBloom    = flag.Int("tier-bloom-bits", 10, "bloom-filter bits per key in each run file (with -tier)")
@@ -213,9 +209,6 @@ func main() {
 		EnableAreaCache:  *caches,
 		EnableAgentCache: *caches,
 		EnablePosCache:   *caches,
-	}
-	if *autoshard {
-		opts.AutoShard = &store.AutoShardConfig{Min: *autoshardMin, Max: *autoshardMax}
 	}
 	var walOpts []store.FileWALOption
 	if *fsync {

@@ -467,9 +467,8 @@ func (c *Client) RangeQueryRect(ctx context.Context, r geo.Rect, reqAcc, reqOver
 }
 
 // Diag fetches the entry server's diagnostic snapshot: store occupancy,
-// sighting-shard layout (occupancy and contention per shard, resize
-// epoch) and the metrics registry. Operator tooling (lsctl stats) uses it
-// to observe what the AutoShard policy observes.
+// sighting-shard layout (occupancy and contention per shard) and the
+// metrics registry. Operator tooling (lsctl stats) prints it.
 func (c *Client) Diag(ctx context.Context) (msg.DiagRes, error) {
 	resp, err := c.callEntry(ctx, msg.DiagReq{})
 	if err != nil {

@@ -165,8 +165,8 @@ func Deploy(network transport.Network, spec Spec, opts server.Options) (*Deploym
 // non-nil, receives each server's config record plus the shared base
 // options and returns the options that server starts with — the seam for
 // per-leaf concerns such as visitor WALs, per-shard sighting WALs, and
-// per-leaf shard policy (a hot downtown leaf can start with more shards,
-// or get its own AutoShard bounds, while quiet leaves stay at one shard).
+// per-leaf shard counts (a hot downtown leaf can run more shards while
+// quiet leaves stay at one).
 // An error from customize aborts the deployment.
 func DeployWith(network transport.Network, spec Spec, opts server.Options, customize func(cfg store.ConfigRecord, base server.Options) (server.Options, error)) (*Deployment, error) {
 	configs, err := Build(spec)

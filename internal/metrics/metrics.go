@@ -210,15 +210,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// DropGauge removes a gauge from the registry — used when the entity it
-// described disappears (a shard after a shrink, say), so snapshots do not
-// keep reporting a stale series.
-func (r *Registry) DropGauge(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.gauges, name)
-}
-
 // Histogram returns (creating if needed) the histogram with the given name.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()

@@ -186,8 +186,4 @@ func TestGauge(t *testing.T) {
 	if !strings.Contains(snap, "shards = 6") {
 		t.Errorf("snapshot missing gauge: %q", snap)
 	}
-	r.DropGauge("shards")
-	if snap := r.Snapshot(); strings.Contains(snap, "shards") {
-		t.Errorf("dropped gauge still in snapshot: %q", snap)
-	}
 }

@@ -473,12 +473,13 @@ type DiagRes struct {
 	IsLeaf    bool
 	Visitors  int
 	Sightings int
-	// Shards describes the sighting store's current generation — the
-	// per-shard occupancy and contention counters the AutoShard policy
-	// resizes on. One entry per shard on a leaf (a default leaf has one
-	// shard); empty on non-leaf servers.
+	// Shards describes the sighting store's shards: per-shard occupancy
+	// and write-lock contention counters. One entry per shard on a leaf (a
+	// default leaf has one shard); empty on non-leaf servers.
 	Shards []ShardDiag
-	// Epoch counts the sighting store's completed live resizes.
+	// Epoch is always 0: the store no longer changes its shard count at
+	// runtime. The field stays for wire compatibility and is dropped at
+	// the next wire version bump.
 	Epoch uint64
 	// Tier is the tiered-storage snapshot; nil when tiering is disabled.
 	Tier *TierDiag

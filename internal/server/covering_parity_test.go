@@ -291,7 +291,7 @@ func sum(ns []int) int {
 }
 
 // TestCoveringIndexParity: an all-RAM, WAL-backed, sharded deployment
-// through the whole mix, a live Resize, TTL expiry and a crash recovery.
+// through the whole mix, TTL expiry and a crash recovery.
 func TestCoveringIndexParity(t *testing.T) {
 	dir := t.TempDir()
 	var skew atomic.Int64 // nanoseconds the deployment's clock runs ahead
@@ -308,17 +308,6 @@ func TestCoveringIndexParity(t *testing.T) {
 	if n := sum(w.check("after the mix")); n != len(w.objs) {
 		t.Fatalf("%d of %d entries carry an accuracy; every put went through the server", n, len(w.objs))
 	}
-
-	// A live resize carries the accuracies across.
-	victim := w.dep.Leaves()[0]
-	if err := w.dep.Servers[victim].SightingsForTest().Resize(7); err != nil {
-		t.Fatal(err)
-	}
-	if n := sum(w.check("after Resize")); n != len(w.objs) {
-		t.Fatalf("%d of %d entries carry an accuracy after Resize", n, len(w.objs))
-	}
-	w.steps(80)
-	w.check("mix after Resize")
 
 	// TTL expiry: late in every lease, refresh every other object; then
 	// jump past the old leases and let the janitor and the update path's
@@ -347,6 +336,7 @@ func TestCoveringIndexParity(t *testing.T) {
 
 	// Crash recovery: the replayed entries carry no accuracy and resolve
 	// through the visitorDB; the updates that follow annotate them again.
+	victim := w.dep.Leaves()[0]
 	cfg := configOf(t, w.dep, victim)
 	if err := w.dep.Servers[victim].Close(); err != nil {
 		t.Fatal(err)

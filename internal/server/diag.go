@@ -7,28 +7,15 @@ import (
 )
 
 // shardMaintenance runs once per janitor tick on a leaf: it exports
-// per-shard occupancy and contention through the metrics registry and, when
-// an AutoShard policy is configured, feeds it the tick's contention sample
-// and applies its resize decision.
+// per-shard occupancy and contention through the metrics registry.
 func (s *Server) shardMaintenance() {
 	sdb := s.sightings
 	stats := sdb.ShardStats()
-	var ops, contended int64
 	for i, st := range stats {
-		ops += st.Ops
-		contended += st.Contended
 		s.met.Gauge(shardGaugeName("sighting_shard_occupancy", i)).Set(int64(st.Len))
 		s.met.Gauge(shardGaugeName("sighting_shard_contended", i)).Set(st.Contended)
 	}
-	// A shrink leaves gauges for shards that no longer exist; drop them so
-	// snapshots describe the current generation only.
-	for i := len(stats); i < s.gaugedShards; i++ {
-		s.met.DropGauge(shardGaugeName("sighting_shard_occupancy", i))
-		s.met.DropGauge(shardGaugeName("sighting_shard_contended", i))
-	}
-	s.gaugedShards = len(stats)
 	s.met.Gauge("sighting_shards").Set(int64(len(stats)))
-	s.met.Gauge("sighting_epoch").Set(int64(sdb.Epoch()))
 
 	// Tiering observability: memtable pressure, run inventory and the
 	// flush/compaction cadence, refreshed once per tick like the shard
@@ -47,21 +34,6 @@ func (s *Server) shardMaintenance() {
 		// Non-zero means a run is damaged and query answers are missing
 		// what it held.
 		s.met.Gauge("sighting_tier_read_errors").Set(ts.ReadErrors)
-	}
-
-	if s.autoShard == nil {
-		return
-	}
-	pipeOps, handoffs := s.pipe.Stats()
-	if target, ok := s.autoShard.Observe(sdb.NumShards(), ops, contended, pipeOps, handoffs); ok {
-		if err := sdb.Resize(target); err != nil {
-			// The in-memory resize stands even on error (the failure is
-			// the WAL's epoch switch — logging stopped); count it so the
-			// operator sees the log fell behind the layout.
-			s.met.Counter("sighting_resize_errors").Inc()
-			return
-		}
-		s.met.Counter("sighting_resizes").Inc()
 	}
 }
 
@@ -90,7 +62,6 @@ func (s *Server) handleDiag() (msg.Message, error) {
 	}
 	if sdb := s.sightings; sdb != nil {
 		res.Sightings = sdb.Len()
-		res.Epoch = sdb.Epoch()
 		for _, st := range sdb.ShardStats() {
 			res.Shards = append(res.Shards, msg.ShardDiag{Len: st.Len, Ops: st.Ops, Contended: st.Contended})
 		}

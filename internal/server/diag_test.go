@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -38,6 +39,31 @@ func TestDefaultLeafExportsOneShard(t *testing.T) {
 		if got := leaf.Metrics().Gauge(gauge).Value(); got != want {
 			t.Errorf("gauge %s = %d after a janitor tick, want %d", gauge, got, want)
 		}
+	}
+}
+
+// TestDiagNonLeaf: the diagnostics message must answer on inner servers
+// too, without shard data.
+func TestDiagNonLeaf(t *testing.T) {
+	ls := newTestLS(t, quadSpec(), server.Options{AchievableAcc: 10})
+	srv, ok := ls.dep.Server(ls.dep.Root())
+	if !ok {
+		t.Fatal("no root server")
+	}
+	cl, err := client.New(ls.net, "diag-root-client", srv.ID(), client.Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := cl.Diag(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.IsLeaf || len(res.Shards) != 0 {
+		t.Errorf("root diag claims leaf data: %+v", res)
+	}
+	if res.Server != srv.ID() {
+		t.Errorf("diag server = %s, want %s", res.Server, srv.ID())
 	}
 }
 

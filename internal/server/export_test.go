@@ -108,8 +108,8 @@ func (s *Server) CoveringEntriesForTest() (annotated int, violations []string) {
 	return annotated, violations
 }
 
-// SightingsForTest exposes the sighting store (to resize it, or to drive
-// tier maintenance); nil on a non-leaf server.
+// SightingsForTest exposes the sighting store (to read its tier
+// statistics); nil on a non-leaf server.
 func (s *Server) SightingsForTest() *store.ShardedSightingDB { return s.sightings }
 
 // JanitorTickForTest runs one round of the leaf's periodic maintenance; for

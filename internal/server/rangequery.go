@@ -263,7 +263,7 @@ func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64, en
 // (refreshAcc), with the accEpoch check in putSighting closing the window
 // in which a put could carry an accuracy read before such a write and land
 // after it. Entries the server did not put — WAL replay, replication,
-// disk runs, a store in mid-resize — carry store.AccUnknown, and those
+// disk runs — carry store.AccUnknown, and those
 // alone are resolved through the visitorDB, which stays the source of
 // truth.
 type rangeScan struct {

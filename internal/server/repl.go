@@ -309,8 +309,7 @@ func (r *replState) sender(st *replStream) {
 		}
 		if needSync {
 			if err := r.startSync(st); err != nil {
-				// Store busy (resize in flight) or WAL down; try again
-				// after a pause rather than spin.
+				// WAL down; try again after a pause rather than spin.
 				st.mu.Lock()
 				st.needSync = true
 				st.mu.Unlock()

@@ -74,24 +74,14 @@ type Options struct {
 	// Shards partitions a leaf's sightingDB into that many independently
 	// locked shards keyed by object id, so concurrent updates scale
 	// across cores. 0 or 1 means one shard; negative counts are rejected
-	// by New (store.NormalizeShards). With AutoShard set this is only the
-	// starting point — the count then adapts at runtime.
+	// by New (store.NormalizeShards). The count is fixed for the server's
+	// lifetime.
 	Shards int
-	// AutoShard enables contention-driven live resizing of a leaf's
-	// sighting store: every janitor tick feeds the shard-lock and
-	// pipeline-lane contention samples to the policy, and a grow/shrink
-	// decision drives store.ShardedSightingDB.Resize while the server
-	// keeps serving (with a sighting WAL attached, the log follows
-	// through an epoch switch). Zero fields in the config take the
-	// documented defaults.
-	AutoShard *store.AutoShardConfig
 	// Tiering turns a leaf's sighting store into a two-tier LSM: the
 	// in-memory shards become memtables and older versions migrate to
 	// immutable sorted runs on disk (store.TierConfig documents the
 	// knobs). Requires SightingWAL unless TierConfig.Dir is set
-	// explicitly. The shard count is pinned while tiering is enabled, so
-	// Tiering and AutoShard are mutually exclusive. With a sighting WAL
-	// the leaf recovers in the background: reads are served from the run
+	// explicitly. With a sighting WAL the leaf recovers in the background: reads are served from the run
 	// files as soon as the manifests are open while the WAL tail replays
 	// shard by shard behind the shard locks.
 	Tiering *store.TierConfig
@@ -167,9 +157,8 @@ type Options struct {
 	EventResyncInterval time.Duration
 	// ReplPeer names this leaf's hot-standby replication peer (see
 	// repl.go). Requires SightingWAL (the WAL tail is the replication
-	// stream) and excludes AutoShard (streams are per-shard, so the
-	// count is pinned). With ReplStandby false the server starts as the
-	// pair's primary, streaming its committed writes to the peer.
+	// stream). With ReplStandby false the server starts as the pair's
+	// primary, streaming its committed writes to the peer.
 	ReplPeer string
 	// ReplStandby starts the server in the standby role: it mirrors the
 	// peer's state, redirects update traffic to it and never
@@ -201,10 +190,7 @@ func (o Options) withDefaults() Options {
 		o.QueryTimeout = 5 * time.Second
 	}
 	if o.JanitorInterval <= 0 {
-		// Derive the tick from the enabled features. The AutoShard
-		// observation cadence caps it at 5s: the policy exists to track
-		// workload shifts, which a TTL/4 of minutes (or the leisurely
-		// WAL-compaction default) would watch in slow motion.
+		// Derive the tick from the enabled features.
 		if o.SightingTTL > 0 {
 			o.JanitorInterval = o.SightingTTL / 4
 		} else if o.SightingWAL != nil {
@@ -212,9 +198,10 @@ func (o Options) withDefaults() Options {
 			// drives the grow-triggered compaction of the WAL segments.
 			o.JanitorInterval = time.Minute
 		}
-		if (o.AutoShard != nil || o.Tiering != nil) && (o.JanitorInterval <= 0 || o.JanitorInterval > 5*time.Second) {
-			// Both the AutoShard policy and tier maintenance (flush /
-			// compaction scheduling) want a responsive tick.
+		if o.Tiering != nil && (o.JanitorInterval <= 0 || o.JanitorInterval > 5*time.Second) {
+			// Tier maintenance (flush / compaction scheduling) wants a
+			// responsive tick, not a TTL/4 of minutes or the leisurely
+			// WAL-compaction default.
 			o.JanitorInterval = 5 * time.Second
 		}
 	}
@@ -301,11 +288,6 @@ type Server struct {
 	// childRecords/childFor.
 	children atomic.Pointer[[]store.ChildRecord]
 
-	// autoShard, on leaves that enabled it, is the adaptive shard-count
-	// policy the janitor feeds; gaugedShards tracks how many per-shard
-	// gauges are registered so a shrink can drop the stale ones.
-	autoShard    *store.AutoShard
-	gaugedShards int
 	// walDownReported, the janitor's, remembers that a dead sighting WAL
 	// has been counted.
 	walDownReported bool
@@ -405,27 +387,15 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 			closeWALs()
 			return nil, fmt.Errorf("server %s: %w", cfg.ID, serr)
 		}
-		if opts.Tiering != nil && opts.AutoShard != nil {
-			visitors.Close()
-			closeWALs()
-			return nil, fmt.Errorf("server %s: Tiering and AutoShard are mutually exclusive (run files pin the shard count)", cfg.ID)
-		}
 		if opts.Tiering != nil && opts.SightingWAL == nil && opts.Tiering.Dir == "" {
 			visitors.Close()
 			closeWALs()
 			return nil, fmt.Errorf("server %s: Tiering requires a SightingWAL or an explicit TierConfig.Dir", cfg.ID)
 		}
-		if opts.ReplPeer != "" {
-			if opts.SightingWAL == nil {
-				visitors.Close()
-				closeWALs()
-				return nil, fmt.Errorf("server %s: ReplPeer requires a SightingWAL (the WAL tail is the replication stream)", cfg.ID)
-			}
-			if opts.AutoShard != nil {
-				visitors.Close()
-				closeWALs()
-				return nil, fmt.Errorf("server %s: ReplPeer and AutoShard are mutually exclusive (streams are per-shard)", cfg.ID)
-			}
+		if opts.ReplPeer != "" && opts.SightingWAL == nil {
+			visitors.Close()
+			closeWALs()
+			return nil, fmt.Errorf("server %s: ReplPeer requires a SightingWAL (the WAL tail is the replication stream)", cfg.ID)
 		}
 		sopts := []store.SightingDBOption{
 			store.WithTTL(opts.SightingTTL),
@@ -449,9 +419,6 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 			visitors.Close()
 			closeWALs()
 			return nil, fmt.Errorf("server %s: recovering sightingDB: %w", cfg.ID, err)
-		}
-		if opts.AutoShard != nil {
-			s.autoShard = store.NewAutoShard(*opts.AutoShard)
 		}
 		var popts []store.PipelineOption
 		if opts.SightingTTL > 0 {
@@ -730,9 +697,7 @@ func (s *Server) janitorTick() {
 		s.walDownReported = true
 		s.met.Counter("sighting_wal_down").Inc()
 	}
-	// Contention-driven live resizing, then occupancy and contention
-	// export — the tick is both the policy's observation cadence and the
-	// metrics refresh.
+	// Refresh the shard occupancy, contention and tier gauges.
 	s.shardMaintenance()
 	// Keep the sighting WAL's replay time proportional to the live set:
 	// compact any segment whose history outgrew it.

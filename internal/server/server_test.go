@@ -488,6 +488,39 @@ func TestNeighborQueryEmptyService(t *testing.T) {
 	}
 }
 
+// TestNeighborQueryAtExactObjectPosition: a nearest-neighbor query issued
+// from exactly an object's recorded position with nearQual 0 used to
+// return not-found — the collection window around the nearest candidate
+// had radius 0, so its area was zero and every candidate's overlap degree
+// collapsed to 0 (pre-existing since the seed). Both resolution paths are
+// pinned: the provably-local cursor walk (query deep inside a leaf) and the
+// distributed expanding ring (query on a leaf border).
+func TestNeighborQueryAtExactObjectPosition(t *testing.T) {
+	ls := newTestLS(t, quadSpec(), server.Options{AchievableAcc: 10})
+	ctx := context.Background()
+	owner := ls.newClientAt(t, "nn-owner", geo.Pt(100, 100), client.Options{Timeout: 5 * time.Second})
+	positions := []geo.Point{
+		geo.Pt(100, 100), // deep inside leaf r.0: local fast path
+		geo.Pt(740, 740), // near the r.0 corner: distributed ring
+	}
+	for i, p := range positions {
+		if _, err := owner.Register(ctx, core.Sighting{
+			OID: core.OID(fmt.Sprintf("exact-%d", i)), T: time.Now(), Pos: p, SensAcc: 5,
+		}, 10, 100, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range positions {
+		res, err := owner.NeighborQuery(ctx, p, 100, 0)
+		if err != nil {
+			t.Fatalf("NeighborQuery at exact position %v: %v", p, err)
+		}
+		if res.Nearest.OID != core.OID(fmt.Sprintf("exact-%d", i)) {
+			t.Errorf("nearest at %v = %s, want exact-%d", p, res.Nearest.OID, i)
+		}
+	}
+}
+
 func TestDeregisterRemovesPath(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{})
 	c := ls.newClientAt(t, "client", geo.Pt(100, 100), client.Options{})

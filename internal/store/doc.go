@@ -8,11 +8,9 @@
 //     The database is partitioned by object id into independently locked
 //     shards — one by default — so updates scale across cores;
 //     UpdatePipeline batches concurrent updates per shard (group commit
-//     under one lock acquisition). The shard count adapts at runtime:
-//     Resize migrates the store to a new count behind an epoch-versioned
-//     mapping without quiescing it, and the AutoShard policy decides when,
-//     from write-lock contention sampled on the shard mutexes and the
-//     pipeline lanes.
+//     under one lock acquisition). The shard count is fixed when the store
+//     is built (WithShards, or the layout of an attached WAL directory), so
+//     every operation finds its shard with one hash of the object id.
 //   - VisitorDB — the per-server database of visitor records, persisted via
 //     an append-only log so that forwarding paths survive crashes. The paper
 //     used DB2 over JDBC; the log-plus-snapshot store here preserves the
@@ -46,13 +44,10 @@
 //     "perfectly accurate") marks every entry that did not arrive with an
 //     accuracy: Put, PutBatch, PutBatchAcc without accuracies and
 //     UpdatePipeline.Put, WAL replay (Recover), ReplInstallSnapshot, Touch
-//     promoting a cold record, and every hit read from a disk run.
-//     SearchEntries and NearestEntries
-//     also report it for hits that have to be re-resolved by id (all hits
-//     while a Resize is draining a generation); the resize itself carries
-//     accuracies across, since they live on the records. Consumers resolve
-//     an unknown accuracy through the source of truth, the visitorDB, so
-//     nothing depends on an accuracy being present.
+//     promoting a cold record, and every hit SearchEntries and
+//     NearestEntries read from a disk run. Consumers resolve an unknown
+//     accuracy through the source of truth, the visitorDB, so nothing
+//     depends on an accuracy being present.
 //   - Why it is never stale. An entry's accuracy changes only with the
 //     entry — a put for the object replaces both under the shard lock — or
 //     through SetAcc under the same lock, so the last writer wins, and the

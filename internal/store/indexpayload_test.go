@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,14 +16,10 @@ import (
 // path of the store relies on: each item of a shard's quadtree carries its
 // memtable record (Ref == byID[ID]) together with that record's accuracy
 // and position, and the tree holds exactly one item per record. It walks
-// every shard of the current generation, which must not be mid-resize.
+// every shard.
 func (db *ShardedSightingDB) indexPayloadErr() error {
-	g := db.gen.Load()
-	if g.prev != nil {
-		return fmt.Errorf("a resize is still draining epoch %d", g.prev.epoch)
-	}
 	everywhere := geo.R(math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1))
-	for i, sh := range g.shards {
+	for i, sh := range db.shards {
 		sh.mu.RLock()
 		var err error
 		seen := 0
@@ -168,44 +163,6 @@ func TestIndexPayloadInvariant(t *testing.T) {
 		checkIndexPayloads(t, standby, "ReplInstallSnapshot")
 		putRandom(standby, rand.New(rand.NewSource(8)), "p", 200, 300)
 		checkIndexPayloads(t, standby, "puts after ReplInstallSnapshot")
-	})
-
-	t.Run("resize", func(t *testing.T) {
-		db := NewShardedSightingDB(WithShards(1))
-		putRandom(db, rand.New(rand.NewSource(9)), "o", 400, 2000)
-		// Writers race the resizes: puts, accuracy changes and removals
-		// land in draining and fresh shards alike.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 0; w < 3; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(100 + w)))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					putRandom(db, rng, "o", 400, 8)
-					id := core.OID(fmt.Sprintf("o%d", rng.Intn(400)))
-					if rng.Intn(4) == 0 {
-						db.Remove(id)
-					} else {
-						db.SetAcc(id, float64(rng.Intn(50)))
-					}
-				}
-			}(w)
-		}
-		for _, n := range []int{4, 2, 3} {
-			if err := db.Resize(n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		close(stop)
-		wg.Wait()
-		checkIndexPayloads(t, db, "Resize")
 	})
 
 	t.Run("tiered_flush", func(t *testing.T) {

@@ -22,9 +22,9 @@ import (
 // manifest (manifest.go). See the package comment for the full spec.
 
 // TierConfig enables and tunes tiered sighting storage. Zero-valued
-// fields take the defaults noted below. The shard count is fixed while
-// tiering is enabled (Resize returns an error): run files and manifests
-// are per-shard and do not migrate.
+// fields take the defaults noted below. Run files and manifests are
+// per-shard, named by shard index, so a tier directory belongs to the
+// shard count it was written under.
 type TierConfig struct {
 	// Dir holds the run files and manifests. With an attached sighting
 	// WAL it defaults to the WAL's directory (run/manifest names cannot
@@ -140,8 +140,7 @@ func (db *ShardedSightingDB) openTiers() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: creating tier dir %s: %w", dir, err)
 	}
-	g := db.gen.Load()
-	n := len(g.shards)
+	n := len(db.shards)
 	referenced := make(map[string]bool)
 	manifests := make([]tierManifest, n)
 	for i := 0; i < n; i++ {
@@ -170,7 +169,7 @@ func (db *ShardedSightingDB) openTiers() error {
 			}
 			t.runs = append(t.runs, r)
 		}
-		sh := g.shards[i]
+		sh := db.shards[i]
 		sh.mu.Lock()
 		sh.tier = t
 		if sh.dead == nil {
@@ -270,12 +269,11 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 // block: the merge reads immutable pinned runs off-lock, and only the
 // final list swap takes the shard's write lock. Flushes racing the merge
 // only prepend runs, so the snapshot stays the exact suffix of the list.
-// The caller holds resizeMu, serializing compactions against each other
-// and against WAL-layout changes.
+// The caller holds maintMu, serializing compactions against each other.
 func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) error {
 	sh.mu.RLock()
 	t := sh.tier
-	if sh.moved || t == nil || len(t.runs) < 2 {
+	if t == nil || len(t.runs) < 2 {
 		sh.mu.RUnlock()
 		return nil
 	}
@@ -299,7 +297,7 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 	}
 
 	sh.mu.Lock()
-	if sh.moved || len(t.runs) < len(snap) {
+	if len(t.runs) < len(snap) {
 		sh.mu.Unlock()
 		if merged != nil {
 			merged.retire(true)
@@ -679,7 +677,7 @@ func (c *tierNearestCursor) Close() {
 // count exceeds MaxRuns. It replaces CompactWALIfGrown on tiered stores
 // and is likewise cheap when nothing grew and safe on every janitor
 // tick. A pass is skipped while recovery is still warming the memtables
-// or while another maintenance/compaction pass holds the resize lock.
+// or while another maintenance or compaction pass runs.
 func (db *ShardedSightingDB) MaintainTiers() error {
 	ts := db.tier
 	if ts == nil || !ts.warmed.Load() || db.replStandby.Load() {
@@ -688,14 +686,12 @@ func (db *ShardedSightingDB) MaintainTiers() error {
 		// ReplInstallSnapshot.
 		return nil
 	}
-	if !db.resizeMu.TryLock() {
+	if !db.maintMu.TryLock() {
 		return nil
 	}
-	defer db.resizeMu.Unlock()
-	g := db.gen.Load()
+	defer db.maintMu.Unlock()
 	var errs []error
-	for i := range g.shards {
-		sh := g.shards[i]
+	for i, sh := range db.shards {
 		sh.mu.RLock()
 		hasTier := sh.tier != nil
 		over := hasTier && sh.memBytes > ts.budget
@@ -705,10 +701,7 @@ func (db *ShardedSightingDB) MaintainTiers() error {
 		}
 		if over {
 			sh.lockWrite()
-			var err error
-			if !sh.moved {
-				err = db.flushShardLocked(sh, i)
-			}
+			err := db.flushShardLocked(sh, i)
 			sh.mu.Unlock()
 			if err != nil {
 				errs = append(errs, err)
@@ -759,7 +752,7 @@ func (db *ShardedSightingDB) TierStats() TierStats {
 		LeafReads:   ts.leafReads.Load(),
 		ReadErrors:  ts.readErrs.Load(),
 	}
-	for _, sh := range db.gen.Load().shards {
+	for _, sh := range db.shards {
 		sh.mu.RLock()
 		out.MemtableBytes += sh.memBytes
 		if sh.tier != nil {

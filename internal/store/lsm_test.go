@@ -735,8 +735,8 @@ func TestTieredExpiry(t *testing.T) {
 
 // TestTieredOracleParity is the randomized differential test: a tiered
 // store and the brute-force oracle receive the same stream of
-// puts, removes, touches, expiry sweeps and (rejected) resizes, with tier
-// maintenance interleaved, and must agree on the full logical state at
+// puts, removes, touches and expiry sweeps, with tier maintenance
+// interleaved, and must agree on the full logical state at
 // every checkpoint.
 func TestTieredOracleParity(t *testing.T) {
 	rounds := 40
@@ -788,13 +788,6 @@ func TestTieredOracleParity(t *testing.T) {
 			}
 			for _, id := range oracle.Expired() {
 				oracle.RemoveExpiredDelta(id)
-			}
-		case 2: // resize is pinned while tiered
-			if err := tiered.Resize(8); err == nil {
-				t.Fatal("Resize(8) succeeded on a tiered store")
-			}
-			if err := tiered.Resize(3); err != nil {
-				t.Fatalf("same-count Resize errored: %v", err)
 			}
 		}
 
@@ -899,7 +892,7 @@ func assertSpatialParity(t *testing.T, label string, tiered, oracle sightingQuer
 // the scripted tests place objects in specific runs with it.
 func flushAll(t *testing.T, db *ShardedSightingDB) {
 	t.Helper()
-	for i, sh := range db.gen.Load().shards {
+	for i, sh := range db.shards {
 		sh.lockWrite()
 		err := db.flushShardLocked(sh, i)
 		sh.mu.Unlock()
@@ -966,7 +959,7 @@ func TestTieredSpatialShadowing(t *testing.T) {
 	check("moved + tombstoned in newer run", "moved", "tombstoned")
 	// The case is only the intended one if the corner query never read the
 	// newer run's leaf holding "moved" at (950, 950).
-	runs := tiered.gen.Load().shards[0].tier.runs
+	runs := tiered.shards[0].tier.runs
 	if len(runs) != 2 {
 		t.Fatalf("%d runs after two flushes", len(runs))
 	}
@@ -1024,7 +1017,7 @@ func TestTierReadErrorsCounted(t *testing.T) {
 			db.Put(core.Sighting{OID: core.OID(fmt.Sprintf("e-%03d", i)), T: base, Pos: geo.Pt(float64(i%20)*10, float64(i/20)*10), SensAcc: 5})
 		}
 		flushAll(t, db)
-		runs := db.gen.Load().shards[0].tier.runs
+		runs := db.shards[0].tier.runs
 		if len(runs) != 1 {
 			t.Fatalf("%d runs after one flush", len(runs))
 		}
@@ -1426,7 +1419,7 @@ func TestTieredMemoryBounded(t *testing.T) {
 	// directories (32 bytes per 64 live records) — a few bytes per record,
 	// and never less than the directories it must include.
 	var dirBytes int64
-	for _, sh := range db.gen.Load().shards {
+	for _, sh := range db.shards {
 		for _, r := range sh.tier.runs {
 			dirBytes += int64(len(r.leaves)) * runLeafDirEntrySize
 		}

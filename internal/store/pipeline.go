@@ -18,15 +18,8 @@ import (
 // to a plain Put (one extra uncontended mutex); under high concurrency a
 // K-deep queue costs one lock acquisition instead of K, and superseded
 // updates to the same object are coalesced away by the store's PutBatch.
-//
-// The lane array follows the store through live resizes: every Put checks
-// the store's current shard count and swaps in a fresh lane set when it
-// changed. Old lanes drain naturally — whoever holds or claims leadership
-// of a lane commits everything queued on it — so no update is stranded by
-// the swap, and a batch assembled under the old lane count is simply
-// re-grouped by the store. Each update queued behind a lane leader bumps
-// the handoff counter; together with the store's shard-lock contention
-// samples it is the signal the AutoShard policy resizes on.
+// Each update queued behind a lane leader bumps the handoff counter, which
+// diagnostics export beside the store's shard-lock contention samples.
 //
 // The pipeline also amortizes janitor work: after committing a batch, the
 // leader sweeps a bounded number of records for soft-state expiry and hands
@@ -37,18 +30,14 @@ type UpdatePipeline struct {
 	onExpired func([]core.OID)
 	onCommit  func([]Delta)
 
-	lanes  atomic.Pointer[laneSet]
-	swapMu sync.Mutex // serializes lane-set swaps
+	// lanes has one combining lane per store shard.
+	lanes []updateLane
 
 	// ops counts updates routed through the pipeline, handoffs the subset
 	// that queued behind a lane leader (combining happened — the lock was
-	// busy). Cumulative; survive lane-set swaps.
+	// busy). Cumulative.
 	ops      atomic.Int64
 	handoffs atomic.Int64
-}
-
-type laneSet struct {
-	l []updateLane
 }
 
 type updateLane struct {
@@ -88,8 +77,7 @@ func OnCommit(fn func([]Delta)) PipelineOption {
 // NewUpdatePipeline builds a pipeline over db with one combining lane per
 // shard.
 func NewUpdatePipeline(db SightingStore, opts ...PipelineOption) *UpdatePipeline {
-	p := &UpdatePipeline{db: db}
-	p.lanes.Store(&laneSet{l: make([]updateLane, db.NumShards())})
+	p := &UpdatePipeline{db: db, lanes: make([]updateLane, db.NumShards())}
 	for _, opt := range opts {
 		opt(p)
 	}
@@ -102,24 +90,6 @@ func (p *UpdatePipeline) Stats() (ops, handoffs int64) {
 	return p.ops.Load(), p.handoffs.Load()
 }
 
-// currentLanes returns the lane set, swapping in a fresh one when the
-// store's shard count changed since the last look (a live resize).
-func (p *UpdatePipeline) currentLanes() *laneSet {
-	ls := p.lanes.Load()
-	n := p.db.NumShards()
-	if len(ls.l) == n {
-		return ls
-	}
-	p.swapMu.Lock()
-	defer p.swapMu.Unlock()
-	ls = p.lanes.Load()
-	if len(ls.l) != n {
-		ls = &laneSet{l: make([]updateLane, n)}
-		p.lanes.Store(ls)
-	}
-	return ls
-}
-
 // Put routes s through its shard's combining lane and returns once the
 // update is committed to the store. It is safe for concurrent use.
 func (p *UpdatePipeline) Put(s core.Sighting) { p.PutAcc(s, AccUnknown) }
@@ -129,8 +99,7 @@ func (p *UpdatePipeline) Put(s core.Sighting) { p.PutAcc(s, AccUnknown) }
 // SightingStore.PutBatchAcc).
 func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 	p.ops.Add(1)
-	ls := p.currentLanes()
-	lane := &ls.l[spatial.ShardFor(s.OID, len(ls.l))]
+	lane := &p.lanes[spatial.ShardFor(s.OID, len(p.lanes))]
 	lane.mu.Lock()
 	if lane.leading {
 		// A leader is committing: enqueue and wait for it to apply us.

@@ -65,7 +65,7 @@ func TestPipelineGroupCommit(t *testing.T) {
 	// Wait until every follower is queued on the lane.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		lane := &pipe.lanes.Load().l[0]
+		lane := &pipe.lanes[0]
 		lane.mu.Lock()
 		n := len(lane.pending)
 		lane.mu.Unlock()

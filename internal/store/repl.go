@@ -97,23 +97,12 @@ type ReplShardState struct {
 	NextSeq uint64
 }
 
-// ErrReplResize reports a replication operation that raced a shard-layout
-// change. Replicated stores run a fixed shard count (the server forbids
-// AutoShard alongside a replica), so hitting this is a configuration
-// error, not a transient.
-var ErrReplResize = errors.New("store: replication requires a fixed shard layout")
-
-// replShard resolves shard in the current generation, rejecting in-flight
-// resizes.
-func (db *ShardedSightingDB) replShard(shard int) (*sightingShard, *shardGen, error) {
-	g := db.gen.Load()
-	if g.prev != nil {
-		return nil, nil, ErrReplResize
+// replShard resolves a shard index carried by a replication message.
+func (db *ShardedSightingDB) replShard(shard int) (*sightingShard, error) {
+	if shard < 0 || shard >= len(db.shards) {
+		return nil, fmt.Errorf("store: replication shard %d out of range (%d shards)", shard, len(db.shards))
 	}
-	if shard < 0 || shard >= len(g.shards) {
-		return nil, nil, fmt.Errorf("store: replication shard %d out of range (%d shards)", shard, len(g.shards))
-	}
-	return g.shards[shard], g, nil
+	return db.shards[shard], nil
 }
 
 // ReplSnapshot captures shard's full state and, while still holding the
@@ -124,15 +113,12 @@ func (db *ShardedSightingDB) replShard(shard int) (*sightingShard, *shardGen, er
 // applied after the snapshot was taken. That is what lets a sender splice
 // the snapshot into a live stream without pausing writers.
 func (db *ShardedSightingDB) ReplSnapshot(shard int, token uint64) (ReplShardState, error) {
-	sh, _, err := db.replShard(shard)
+	sh, err := db.replShard(shard)
 	if err != nil {
 		return ReplShardState{}, err
 	}
 	sh.lockWrite()
 	defer sh.mu.Unlock()
-	if sh.moved {
-		return ReplShardState{}, ErrReplResize
-	}
 	st := ReplShardState{Live: sh.liveSnapshot()}
 	if t := sh.tier; t != nil {
 		for id := range sh.dead {
@@ -381,15 +367,12 @@ func (db *ShardedSightingDB) ReplInstallRuns(shard int, names []string, nextSeq 
 	if err := db.fetchMissingRuns(names, fetch); err != nil {
 		return err
 	}
-	sh, _, err := db.replShard(shard)
+	sh, err := db.replShard(shard)
 	if err != nil {
 		return err
 	}
 	sh.lockWrite()
 	defer sh.mu.Unlock()
-	if sh.moved {
-		return ErrReplResize
-	}
 	if err := db.swapRunsLocked(sh, shard, names, nextSeq); err != nil {
 		return err
 	}
@@ -420,15 +403,12 @@ func (db *ShardedSightingDB) ReplInstallSnapshot(shard int, st ReplShardState, f
 			return err
 		}
 	}
-	sh, _, err := db.replShard(shard)
+	sh, err := db.replShard(shard)
 	if err != nil {
 		return err
 	}
 	sh.lockWrite()
 	defer sh.mu.Unlock()
-	if sh.moved {
-		return ErrReplResize
-	}
 	if sh.tier != nil {
 		if err := db.swapRunsLocked(sh, shard, st.Runs, st.NextSeq); err != nil {
 			return err

@@ -32,32 +32,18 @@ import (
 // nearest-neighbor merge never opens a shard whose rectangle lies beyond
 // the consumer's stopping distance.
 //
-// # The epoch invariant
-//
-// The id→shard mapping lives behind an epoch-versioned generation pointer
-// (shardGen) so the shard count can change while the store serves traffic
-// (Resize, typically driven by an AutoShard policy). At every instant each
-// object id has exactly one authoritative shard: the shard the id hashes to
-// in the oldest generation that has not yet handed that shard off. All
-// mutations lock the authoritative shard and double-check its moved flag
-// after acquiring the lock — a shard observed moved means a newer
-// generation took over, and the operation reloads the generation pointer
-// and retries. A resize drains the old generation one shard at a time while
-// holding that shard's lock (the per-shard handoff), so no operation is
-// ever blocked for longer than one shard's handoff and the steady-state
-// cost of the indirection is one atomic pointer load plus one bool check.
-// Queries that run while a migration is in flight consult both generations
-// — previous first, current second, so an entry mid-flight is seen by at
-// least one of the two scans — and dedupe by object id.
+// The shard count is fixed when the store is built: WithShards sets it, or
+// an attached WAL's persisted layout does. Every operation finds its shard
+// with one hash of the object id.
 type ShardedSightingDB struct {
-	gen   atomic.Pointer[shardGen]
-	ttl   time.Duration
-	clock func() time.Time
+	shards []*sightingShard
+	ttl    time.Duration
+	clock  func() time.Time
 
-	// resizeMu serializes Resize against itself and against WAL
-	// compaction (both restructure or rewrite per-shard state that must
-	// not interleave with a generation change).
-	resizeMu sync.Mutex
+	// maintMu serializes the passes that rewrite per-shard persistent
+	// state across the whole store: CompactWAL, CompactWALIfGrown and
+	// MaintainTiers.
+	maintMu sync.Mutex
 
 	// sweepShardCursor rotates the shard SweepExpired starts at, so
 	// small budgets still cover every shard over successive calls.
@@ -88,20 +74,6 @@ type ShardedSightingDB struct {
 	replStandby atomic.Bool
 }
 
-// shardGen is one generation of the id→shard mapping: an epoch number, the
-// shard array of that epoch, and — while a migration out of the previous
-// generation is still in flight — a pointer to that previous generation.
-// Generations are immutable once published; Resize publishes a fresh one.
-type shardGen struct {
-	epoch  uint64
-	shards []*sightingShard
-	// prev is the generation being drained into this one, nil once the
-	// migration completed. While non-nil, a shard of prev that has not
-	// been handed off (moved == false) is still the authority for the ids
-	// hashing to it under prev's mapping.
-	prev *shardGen
-}
-
 type sightingShard struct {
 	mu sync.RWMutex
 	// idx is the shard's spatial index. Every item carries its
@@ -111,21 +83,9 @@ type sightingShard struct {
 	idx  *spatial.Quadtree
 	byID map[core.OID]*sightingEntry
 
-	// moved marks a shard whose contents were handed off to a newer
-	// generation. Set under mu by the migration; every mutation that
-	// acquired this shard's lock re-checks it and re-routes (the
-	// double-check half of the epoch protocol). byID and idx are KEPT,
-	// frozen as an immutable pre-handoff snapshot — queries holding a
-	// generation a resize has since drained still read them (with moved
-	// hits re-validated against current authority), so they must never
-	// be nil'ed or mutated after the handoff; the whole generation is
-	// reclaimed when its last reader drops it.
-	moved bool
-
 	// ops and contended sample write-lock pressure: ops counts write-path
 	// lock acquisitions, contended the subset that found the lock already
-	// held (TryLock failed). Their ratio is the contention signal the
-	// AutoShard policy feeds on.
+	// held (TryLock failed). Diagnostics export both (ShardStats).
 	ops       atomic.Int64
 	contended atomic.Int64
 
@@ -205,8 +165,8 @@ var _ SightingStore = (*ShardedSightingDB)(nil)
 // shard count comes from WithShards (default 1: one lock, and the direct
 // paths with nothing to group or merge); with WithSightingWAL the store
 // adopts the WAL's segment count instead, since the persistent log records
-// the id→shard mapping of its last epoch. Call Recover before use to replay
-// an existing log. The count can change at runtime through Resize.
+// the id→shard mapping its segments were written under. Call Recover before
+// use to replay an existing log. The count never changes afterwards.
 func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 	cfg := defaultSightingConfig()
 	for _, opt := range opts {
@@ -231,20 +191,53 @@ func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 		}
 		db.tier = &tierState{cfg: tc, budget: budget}
 	}
-	g := &shardGen{shards: make([]*sightingShard, cfg.shards)}
-	for i := range g.shards {
-		g.shards[i] = newShard()
+	db.shards = make([]*sightingShard, cfg.shards)
+	for i := range db.shards {
+		db.shards[i] = &sightingShard{
+			idx:  spatial.NewQuadtree(),
+			byID: make(map[core.OID]*sightingEntry),
+		}
 	}
-	db.gen.Store(g)
 	return db
 }
 
-// newShard builds one empty shard with a fresh quadtree.
-func newShard() *sightingShard {
-	return &sightingShard{
-		idx:  spatial.NewQuadtree(),
-		byID: make(map[core.OID]*sightingEntry),
+// NormalizeShards is the single place shard-count configuration is
+// validated and defaulted: negative counts are an error, zero means "use
+// the default" (one shard), anything else passes through. Every surface
+// that accepts a shard count (server.Options, locsvc.LocalConfig, lsd
+// -shards) funnels through here instead of clamping locally.
+func NormalizeShards(n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("store: negative shard count %d", n)
 	}
+	if n == 0 {
+		return 1, nil
+	}
+	return n, nil
+}
+
+// ShardStat is one shard's occupancy and write-lock pressure snapshot, as
+// exported through diagnostics.
+type ShardStat struct {
+	// Len is the shard's record count.
+	Len int
+	// Ops is the cumulative number of write-path lock acquisitions.
+	Ops int64
+	// Contended is the subset of Ops that found the lock already held.
+	Contended int64
+}
+
+// ShardStats returns a point-in-time snapshot of the shards. The counters
+// are cumulative; callers interested in rates keep the previous snapshot
+// and difference.
+func (db *ShardedSightingDB) ShardStats() []ShardStat {
+	out := make([]ShardStat, len(db.shards))
+	for i, sh := range db.shards {
+		sh.mu.RLock()
+		out[i] = ShardStat{Len: len(sh.byID), Ops: sh.ops.Load(), Contended: sh.contended.Load()}
+		sh.mu.RUnlock()
+	}
+	return out
 }
 
 // rebuildIndexLocked bulk-loads the shard's quadtree from its hash index
@@ -258,76 +251,25 @@ func (sh *sightingShard) rebuildIndexLocked() {
 	sh.idx.Rebuild(items)
 }
 
-// NumShards implements SightingStore, reporting the current generation's
-// shard count.
-func (db *ShardedSightingDB) NumShards() int { return len(db.gen.Load().shards) }
+// NumShards implements SightingStore.
+func (db *ShardedSightingDB) NumShards() int { return len(db.shards) }
 
-// Epoch returns the current mapping epoch: 0 at construction, incremented
-// by every completed Resize. Diagnostics only.
-func (db *ShardedSightingDB) Epoch() uint64 { return db.gen.Load().epoch }
-
-// ShardFor implements SightingStore against the current generation. During
-// a live resize the returned index is a routing hint, not an authority
-// claim — mutations internally re-resolve the owning shard.
+// ShardFor implements SightingStore.
 func (db *ShardedSightingDB) ShardFor(id core.OID) int {
-	return spatial.ShardFor(id, len(db.gen.Load().shards))
+	return spatial.ShardFor(id, len(db.shards))
 }
 
-// lockOwner returns id's authoritative shard, write-locked, together with
-// the generation it belongs to and its index there. The authority rule: the
-// previous generation's shard while a migration is in flight and that shard
-// has not been handed off, the current generation's shard otherwise. The
-// moved re-check after acquiring the lock closes the race with a handoff
-// that completed while this goroutine waited.
-func (db *ShardedSightingDB) lockOwner(id core.OID) (*sightingShard, *shardGen, int) {
-	for {
-		g := db.gen.Load()
-		if p := g.prev; p != nil {
-			i := spatial.ShardFor(id, len(p.shards))
-			sh := p.shards[i]
-			sh.lockWrite()
-			if !sh.moved {
-				return sh, p, i
-			}
-			sh.mu.Unlock()
-		}
-		i := spatial.ShardFor(id, len(g.shards))
-		sh := g.shards[i]
-		sh.lockWrite()
-		if !sh.moved {
-			return sh, g, i
-		}
-		sh.mu.Unlock()
-		// The shard we reached was drained by a later resize; the release
-		// of its lock made the newer generation pointer visible. Retry.
-	}
+// lockOwner returns id's shard, write-locked, together with its index.
+func (db *ShardedSightingDB) lockOwner(id core.OID) (*sightingShard, int) {
+	i := db.ShardFor(id)
+	sh := db.shards[i]
+	sh.lockWrite()
+	return sh, i
 }
 
-// rlockOwner is lockOwner for readers (no contention sampling).
-func (db *ShardedSightingDB) rlockOwner(id core.OID) *sightingShard {
-	for {
-		g := db.gen.Load()
-		if p := g.prev; p != nil {
-			sh := p.shards[spatial.ShardFor(id, len(p.shards))]
-			sh.mu.RLock()
-			if !sh.moved {
-				return sh
-			}
-			sh.mu.RUnlock()
-		}
-		sh := g.shards[spatial.ShardFor(id, len(g.shards))]
-		sh.mu.RLock()
-		if !sh.moved {
-			return sh
-		}
-		sh.mu.RUnlock()
-	}
-}
-
-// Len implements SightingStore. While a migration is in flight the count is
-// a best-effort snapshot (a record mid-handoff can be counted in both
-// generations), exact whenever the store is quiescent — the same contract
-// every cross-shard read has.
+// Len implements SightingStore. Across shards the count is a best-effort
+// snapshot under concurrent writes, exact whenever the store is quiescent —
+// the same contract every cross-shard read has.
 // On a tiered store the count additionally includes the runs' live
 // records and is an upper-bound estimate: a record present in the
 // memtable and a run, or in several overlapping runs, is counted once
@@ -336,16 +278,14 @@ func (db *ShardedSightingDB) rlockOwner(id core.OID) *sightingShard {
 // only new ids.
 func (db *ShardedSightingDB) Len() int {
 	n := 0
-	for _, sh := range db.liveShards() {
+	for _, sh := range db.shards {
 		sh.mu.RLock()
-		if !sh.moved {
-			n += len(sh.byID)
-			if sh.tier != nil {
-				for _, r := range sh.tier.runs {
-					n += int(r.live)
-				}
-				n -= len(sh.dead)
+		n += len(sh.byID)
+		if sh.tier != nil {
+			for _, r := range sh.tier.runs {
+				n += int(r.live)
 			}
+			n -= len(sh.dead)
 		}
 		sh.mu.RUnlock()
 	}
@@ -353,21 +293,6 @@ func (db *ShardedSightingDB) Len() int {
 		n = 0
 	}
 	return n
-}
-
-// liveShards returns the shards a cross-shard scan must visit: the previous
-// generation's first (so an entry handed off between the two scans is seen
-// in the current one — scanning source before destination makes misses
-// impossible), then the current generation's.
-func (db *ShardedSightingDB) liveShards() []*sightingShard {
-	g := db.gen.Load()
-	if g.prev == nil {
-		return g.shards
-	}
-	out := make([]*sightingShard, 0, len(g.prev.shards)+len(g.shards))
-	out = append(out, g.prev.shards...)
-	out = append(out, g.shards...)
-	return out
 }
 
 // Put implements SightingStore.
@@ -378,9 +303,9 @@ func (db *ShardedSightingDB) Put(s core.Sighting) {
 // putOne commits one sighting, appending its delta to *out when out is
 // non-nil.
 func (db *ShardedSightingDB) putOne(s core.Sighting, acc float64, out *[]Delta) {
-	sh, g, i := db.lockOwner(s.OID)
+	sh, i := db.lockOwner(s.OID)
 	if db.wal != nil {
-		_ = db.wal.AppendPut(i, len(g.shards), s)
+		_ = db.wal.AppendPut(i, s)
 	}
 	d := db.putLocked(sh, s, acc)
 	db.maybeFlushBackpressure(sh, i)
@@ -394,8 +319,7 @@ func (db *ShardedSightingDB) putOne(s core.Sighting, acc float64, out *[]Delta) 
 // group applied under a single lock acquisition. Within a group, updates to
 // the same object are coalesced — only the last sighting per object touches
 // the spatial index, fusing its Remove+Insert pair once instead of once per
-// superseded update. While a resize migration is in flight the batch falls
-// back to per-object authority resolution.
+// superseded update.
 func (db *ShardedSightingDB) PutBatch(batch []core.Sighting) {
 	db.putBatch(batch, nil, nil)
 }
@@ -422,19 +346,9 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out
 		db.putOne(batch[0], accAt(accs, 0), out)
 		return
 	}
-	g := db.gen.Load()
-	if g.prev != nil {
-		// A migration is draining the previous generation: authority is
-		// per object, so group commit degrades to per-object puts for the
-		// duration of the handoff walk.
-		for k, s := range batch {
-			db.putOne(s, accAt(accs, k), out)
-		}
-		return
-	}
-	n := len(g.shards)
+	n := len(db.shards)
 	if n == 1 {
-		db.putGroup(g, 0, batch, accs, out)
+		db.putGroup(0, batch, accs, out)
 		return
 	}
 	// Fast path: batches assembled by a per-shard pipeline lane are
@@ -449,7 +363,7 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out
 		}
 	}
 	if same {
-		db.putGroup(g, first, batch, accs, out)
+		db.putGroup(first, batch, accs, out)
 		return
 	}
 	groups := make([][]core.Sighting, n)
@@ -463,7 +377,7 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out
 	}
 	for i, grp := range groups {
 		if len(grp) > 0 {
-			db.putGroup(g, i, grp, groupAccs[i], out)
+			db.putGroup(i, grp, groupAccs[i], out)
 		}
 	}
 }
@@ -472,25 +386,17 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out
 // coalescing superseded updates to the same object. With a WAL attached the
 // whole group becomes a single write-ahead append — the batch is the
 // durability unit, amortizing marshal and flush cost the same way the
-// pipeline's combining lane amortizes lock cost. If the shard was handed
-// off to a newer generation while this call waited for its lock, the group
-// re-routes per object. When out is non-nil every applied put appends its
-// delta — on the coalesced path only the surviving last-per-object puts
-// apply, so each emitted delta spans pre-batch old to batch-final new.
-func (db *ShardedSightingDB) putGroup(g *shardGen, shard int, group []core.Sighting, accs []float64, out *[]Delta) {
-	sh := g.shards[shard]
+// pipeline's combining lane amortizes lock cost. When out is non-nil every
+// applied put appends its delta — on the coalesced path only the surviving
+// last-per-object puts apply, so each emitted delta spans pre-batch old to
+// batch-final new.
+func (db *ShardedSightingDB) putGroup(shard int, group []core.Sighting, accs []float64, out *[]Delta) {
+	sh := db.shards[shard]
 	sh.lockWrite()
-	if sh.moved {
-		sh.mu.Unlock()
-		for k, s := range group {
-			db.putOne(s, accAt(accs, k), out)
-		}
-		return
-	}
 	defer sh.mu.Unlock()
 	defer db.maybeFlushBackpressure(sh, shard) // runs before the unlock
 	if db.wal != nil {
-		_ = db.wal.AppendBatch(shard, len(g.shards), group)
+		_ = db.wal.AppendBatch(shard, group)
 	}
 	emit := func(d Delta) {
 		if out != nil {
@@ -543,7 +449,7 @@ func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting, acc f
 // SetAcc implements SightingStore. Only the memtable entry is touched: a
 // record that lives in a run has no accuracy to keep current.
 func (db *ShardedSightingDB) SetAcc(id core.OID, acc float64) bool {
-	sh, _, _ := db.lockOwner(id)
+	sh, _ := db.lockOwner(id)
 	defer sh.mu.Unlock()
 	e, ok := sh.byID[id]
 	if !ok {
@@ -565,7 +471,8 @@ func (db *ShardedSightingDB) SetAcc(id core.OID, acc float64) bool {
 // touching disk. Tiered or not, Get does not filter records whose TTL has
 // passed but whose expiry has not been swept yet.
 func (db *ShardedSightingDB) Get(id core.OID) (core.Sighting, bool) {
-	sh := db.rlockOwner(id)
+	sh := db.shards[db.ShardFor(id)]
+	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e, ok := sh.byID[id]
 	if ok {
@@ -592,13 +499,13 @@ func (db *ShardedSightingDB) Remove(id core.OID) bool {
 // by the next flush, dropped with the shadowed versions at compaction)
 // so the run-resident version stops being visible immediately.
 func (db *ShardedSightingDB) RemoveDelta(id core.OID) (Delta, bool) {
-	sh, g, i := db.lockOwner(id)
+	sh, i := db.lockOwner(id)
 	defer sh.mu.Unlock()
 	e, ok := sh.byID[id]
 	if !ok {
-		return db.removeColdLocked(sh, g, i, id, false)
+		return db.removeColdLocked(sh, i, id, false)
 	}
-	db.logRemove(i, len(g.shards), id)
+	db.logRemove(i, id)
 	sh.idx.Remove(id, e.s.Pos)
 	delete(sh.byID, id)
 	if db.tier != nil {
@@ -625,7 +532,7 @@ func (db *ShardedSightingDB) tombstoneLocked(sh *sightingShard, id core.OID) {
 // may live in a disk run: it resolves the newest on-disk version and, if
 // live (and, for expiredOnly, past its TTL), logs the removal and plants
 // a tombstone. Caller holds the shard's write lock.
-func (db *ShardedSightingDB) removeColdLocked(sh *sightingShard, g *shardGen, i int, id core.OID, expiredOnly bool) (Delta, bool) {
+func (db *ShardedSightingDB) removeColdLocked(sh *sightingShard, i int, id core.OID, expiredOnly bool) (Delta, bool) {
 	if sh.tier == nil {
 		return Delta{}, false
 	}
@@ -639,7 +546,7 @@ func (db *ShardedSightingDB) removeColdLocked(sh *sightingShard, g *shardGen, i 
 	if expiredOnly && (db.ttl <= 0 || rec.expires.IsZero() || !db.clock().After(rec.expires)) {
 		return Delta{}, false
 	}
-	db.logRemove(i, len(g.shards), id)
+	db.logRemove(i, id)
 	db.tombstoneLocked(sh, id)
 	return removeDelta(id, &sightingEntry{s: rec.s, expires: rec.expires}), true
 }
@@ -648,16 +555,16 @@ func (db *ShardedSightingDB) removeColdLocked(sh *sightingShard, g *shardGen, i 
 // if its TTL has passed at the time the shard lock is held, so a record
 // refreshed since an expiry observation survives.
 func (db *ShardedSightingDB) RemoveExpiredDelta(id core.OID) (Delta, bool) {
-	sh, g, i := db.lockOwner(id)
+	sh, i := db.lockOwner(id)
 	defer sh.mu.Unlock()
 	e, ok := sh.byID[id]
 	if !ok {
-		return db.removeColdLocked(sh, g, i, id, true)
+		return db.removeColdLocked(sh, i, id, true)
 	}
 	if db.ttl <= 0 || e.expires.IsZero() || !db.clock().After(e.expires) {
 		return Delta{}, false
 	}
-	db.logRemove(i, len(g.shards), id)
+	db.logRemove(i, id)
 	sh.idx.Remove(id, e.s.Pos)
 	delete(sh.byID, id)
 	if db.tier != nil {
@@ -673,7 +580,7 @@ func (db *ShardedSightingDB) RemoveExpiredDelta(id core.OID) (Delta, bool) {
 // lease (write-ahead-logged like a put, so the refresh survives a crash
 // even though the run keeps the stale expiry).
 func (db *ShardedSightingDB) Touch(id core.OID) bool {
-	sh, g, i := db.lockOwner(id)
+	sh, i := db.lockOwner(id)
 	defer sh.mu.Unlock()
 	e, ok := sh.byID[id]
 	if !ok {
@@ -688,7 +595,7 @@ func (db *ShardedSightingDB) Touch(id core.OID) bool {
 			return false
 		}
 		if db.wal != nil {
-			_ = db.wal.AppendPut(i, len(g.shards), rec.s)
+			_ = db.wal.AppendPut(i, rec.s)
 		}
 		db.putLocked(sh, rec.s, AccUnknown)
 		return true
@@ -699,37 +606,31 @@ func (db *ShardedSightingDB) Touch(id core.OID) bool {
 	return true
 }
 
-// Expired implements SightingStore with a full scan, shard by shard. Both
-// generations are visited while a migration is in flight; a record seen in
-// both yields a duplicate id, which the caller's conditional
-// RemoveExpiredDelta makes harmless.
+// Expired implements SightingStore with a full scan, shard by shard.
 func (db *ShardedSightingDB) Expired() []core.OID {
 	if db.ttl <= 0 {
 		return nil
 	}
 	var out []core.OID
-	for _, sh := range db.liveShards() {
+	for _, sh := range db.shards {
 		now := db.clock()
 		sh.mu.RLock()
-		if !sh.moved {
-			for id, e := range sh.byID {
-				if !e.expires.IsZero() && now.After(e.expires) {
-					out = append(out, id)
+		for id, e := range sh.byID {
+			if !e.expires.IsZero() && now.After(e.expires) {
+				out = append(out, id)
+			}
+		}
+		if sh.tier != nil {
+			// Run-resident records expire too: report them so the caller
+			// tears them down through the normal removal path (which
+			// plants the tombstone) before compaction drops them. Full run
+			// scans — the janitor's backstop cadence, not a hot path.
+			sh.tierScanAll(db.tier, func(rec runRecord) bool {
+				if !rec.expires.IsZero() && now.After(rec.expires) {
+					out = append(out, rec.s.OID)
 				}
-			}
-			if sh.tier != nil {
-				// Run-resident records expire too: report them so the
-				// caller tears them down through the normal removal path
-				// (which plants the tombstone) before compaction drops
-				// them. Full run scans — the janitor's backstop cadence,
-				// not a hot path.
-				sh.tierScanAll(db.tier, func(rec runRecord) bool {
-					if !rec.expires.IsZero() && now.After(rec.expires) {
-						out = append(out, rec.s.OID)
-					}
-					return true
-				})
-			}
+				return true
+			})
 		}
 		sh.mu.RUnlock()
 	}
@@ -744,13 +645,12 @@ func (db *ShardedSightingDB) SweepExpired(max int) []core.OID {
 	if max <= 0 || db.ttl <= 0 {
 		return nil
 	}
-	shards := db.liveShards()
-	n := len(shards)
+	n := len(db.shards)
 	start := int(db.sweepShardCursor.Add(1)-1) % n
 	var out []core.OID
 	remaining := max
 	for i := 0; i < n && remaining > 0; i++ {
-		ids, examined := db.sweepShard(shards[(start+i)%n], remaining)
+		ids, examined := db.sweepShard(db.shards[(start+i)%n], remaining)
 		out = append(out, ids...)
 		remaining -= examined
 	}
@@ -764,7 +664,7 @@ func (db *ShardedSightingDB) SweepExpired(max int) []core.OID {
 func (db *ShardedSightingDB) sweepShard(sh *sightingShard, max int) ([]core.OID, int) {
 	sh.lockWrite()
 	defer sh.mu.Unlock()
-	if sh.moved || len(sh.byID) == 0 {
+	if len(sh.byID) == 0 {
 		return nil, 0
 	}
 	now := db.clock()
@@ -793,110 +693,23 @@ func (db *ShardedSightingDB) sweepShard(sh *sightingShard, max int) ([]core.OID,
 // SearchArea implements SightingStore by fanning the rectangle across the
 // shards whose bounding rectangle intersects it. Each shard is visited
 // under its read lock; the search is a consistent snapshot per shard.
-// During a live resize both generations are scanned — the draining one
-// first — and results are deduped by object id.
 func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) bool) {
-	g := db.gen.Load()
-	if g.prev == nil {
-		db.searchShards(g.shards, r, hitSink{rec: visit})
-		return
-	}
-	seen := make(map[core.OID]bool)
-	dedup := func(s core.Sighting) bool {
-		if seen[s.OID] {
-			return true
-		}
-		seen[s.OID] = true
-		return visit(s)
-	}
-	if db.searchPrevShards(g.prev.shards, r, dedup) {
-		db.searchShards(g.shards, r, hitSink{rec: dedup})
-	}
+	db.search(r, hitSink{rec: visit})
 }
 
 // SearchEntries implements SightingStore: the same fan-out as SearchArea,
-// delivering memtable hits off the index entries. While a resize is
-// draining a generation, hits need the record-level dedupe and
-// re-validation of SearchArea, so they are delivered without an accuracy.
+// delivering memtable hits off the index entries.
 func (db *ShardedSightingDB) SearchEntries(r geo.Rect, visit func(id core.OID, pos geo.Point, acc float64) bool) {
-	g := db.gen.Load()
-	if g.prev == nil {
-		db.searchShards(g.shards, r, hitSink{entry: visit})
-		return
-	}
-	db.SearchArea(r, func(s core.Sighting) bool { return visit(s.OID, s.Pos, AccUnknown) })
+	db.search(r, hitSink{entry: visit})
 }
 
-// scanPrevShards visits the draining generation's shards, with enumerate
-// producing each shard's candidate records (called under that shard's
-// read lock). An unmoved shard is still its objects' authority, so its
-// hits are delivered directly, under its lock, like any other shard. A
-// moved shard's hits come from its preserved pre-handoff snapshot and may
-// have been superseded in the current generation since — they are
-// buffered and re-validated against current authority only after the
-// shard lock is released (Get locks the owning shard, which must never be
-// attempted while a read lock on this one is held): a hit whose record
-// mutated since the handoff is dropped here and the current generation's
-// scan reports its fresh state instead. Reports whether the enumeration
-// ran to completion.
-func (db *ShardedSightingDB) scanPrevShards(shards []*sightingShard, enumerate func(sh *sightingShard, emit func(s core.Sighting) bool), visit func(s core.Sighting) bool) bool {
-	var stale []core.Sighting
-	for _, sh := range shards {
-		stale = stale[:0]
-		stopped := false
-		sh.mu.RLock()
-		moved := sh.moved
-		enumerate(sh, func(s core.Sighting) bool {
-			if moved {
-				stale = append(stale, s)
-				return true
-			}
-			if !visit(s) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		sh.mu.RUnlock()
-		if stopped {
-			return false
-		}
-		for _, s := range stale {
-			if cur, ok := db.Get(s.OID); !ok || cur != s {
-				continue
-			}
-			if !visit(s) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// searchPrevShards is scanPrevShards with the rectangle-search enumerator.
-func (db *ShardedSightingDB) searchPrevShards(shards []*sightingShard, r geo.Rect, visit func(s core.Sighting) bool) bool {
-	return db.scanPrevShards(shards, func(sh *sightingShard, emit func(s core.Sighting) bool) {
-		if sh.nonempty && sh.bound.IntersectsClosed(r) {
-			sc := newIndexScan(hitSink{rec: emit})
-			sc.search(sh.idx, r)
-			sc.release()
-		}
-	}, visit)
-}
-
-// searchShards runs the rectangle search over one generation's shards and
-// reports whether the enumeration ran to completion (false once the visitor
-// stopped it).
-func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, sink hitSink) bool {
+// search runs the rectangle search over every shard until sink stops it.
+func (db *ShardedSightingDB) search(r geo.Rect, sink hitSink) {
 	// One pooled scan for all shards.
 	sc := newIndexScan(sink)
 	defer sc.release()
-	for _, sh := range shards {
+	for _, sh := range db.shards {
 		sh.mu.RLock()
-		// A moved shard is scanned too: its content is the immutable
-		// pre-handoff snapshot, which is what keeps a query that loaded
-		// this generation before a resize completed from missing records
-		// (callers running against two generations dedupe by id).
 		if sh.nonempty && sh.bound.IntersectsClosed(r) {
 			sc.search(sh.idx, r)
 		}
@@ -906,10 +719,9 @@ func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, s
 		}
 		sh.mu.RUnlock()
 		if sc.stopped {
-			return false
+			return
 		}
 	}
-	return true
 }
 
 // NearestFunc implements SightingStore by merging resumable per-shard
@@ -919,11 +731,8 @@ func (db *ShardedSightingDB) searchShards(shards []*sightingShard, r geo.Rect, s
 // the distance at which the consumer stops is never opened at all. A
 // memtable neighbor is delivered as the record the cursor's item points
 // at — the record that was live when its shard's cursor advanced — with no
-// second lookup. During a live resize the merge spans both generations,
-// dedupes by object id (an entry observed in its pre-handoff and
-// post-handoff shard is visited once) and re-resolves every neighbor
-// through Get, which skips entries removed since the advance; cold
-// neighbors of a tiered store are re-resolved the same way.
+// second lookup. Cold neighbors of a tiered store are re-resolved through
+// Get, which skips entries removed since the advance.
 func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting, dist float64) bool) {
 	db.nearest(p, func(n spatial.Neighbor, e *sightingEntry) bool {
 		if e != nil {
@@ -951,42 +760,33 @@ func (db *ShardedSightingDB) NearestEntries(p geo.Point, visit func(id core.OID,
 // nearest is the merge behind NearestFunc and NearestEntries. visit
 // receives each neighbor with its memtable record and with n.Acc set to
 // that record's accuracy, both read off the cursor's item, or with a nil
-// record when the neighbor has to be re-resolved by id: a cold hit (the
-// runs' cursors carry no payload) and every hit while a resize is draining
-// a generation (a drained shard's preserved snapshot may have been
-// superseded since).
+// record when the neighbor is a cold hit, to be re-resolved by id (the
+// runs' cursors carry no payload).
 func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor, e *sightingEntry) bool) {
-	g := db.gen.Load()
-	if g.prev == nil && len(g.shards) == 1 && db.tier == nil {
-		// Nothing to merge: stream straight off the sub-index. A moved
-		// shard streams its immutable pre-handoff snapshot, like any
-		// query holding a generation a resize has since drained.
-		sh := g.shards[0]
+	if len(db.shards) == 1 && db.tier == nil {
+		// Nothing to merge: stream straight off the sub-index.
+		sh := db.shards[0]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		streamNearest(sh.idx, p, visit)
 		return
 	}
-	shards := g.shards
 	var seen map[core.OID]bool
-	if g.prev != nil {
-		shards = db.liveShards()
-		seen = make(map[core.OID]bool)
-	}
-	if db.tier != nil && seen == nil {
+	if db.tier != nil {
 		// A record can surface from both a shard's memtable cursor and
 		// its run cursor (it moved while the query ran); dedupe by id.
 		seen = make(map[core.OID]bool)
 	}
-	srcs := make([]spatial.CursorSource, 0, len(shards))
-	for _, sh := range shards {
+	srcs := make([]spatial.CursorSource, 0, len(db.shards))
+	for _, sh := range db.shards {
 		sh := sh
 		sh.mu.RLock()
 		usable := sh.nonempty
-		// Capture the sub-index now, under the lock: a handoff never
-		// mutates a drained tree, so a cursor opened later on this
-		// snapshot stays valid even if the shard is drained
-		// mid-enumeration.
+		// Capture the sub-index now, under the lock: a tier flush (or a
+		// replicated snapshot install) replaces the memtable's tree and
+		// never mutates the old one again, so a cursor opened later on
+		// this capture stays valid even if the shard flushes before the
+		// merge opens it.
 		idx := sh.idx
 		minDist := 0.0
 		if usable {
@@ -1021,51 +821,16 @@ func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor,
 			}
 			seen[n.ID] = true
 		}
-		var e *sightingEntry
-		if g.prev == nil {
-			e, _ = n.Ref.(*sightingEntry)
-		}
+		e, _ := n.Ref.(*sightingEntry)
 		if !visit(n, e) {
 			return
 		}
 	}
 }
 
-// ForEach implements SightingStore. Both generations are visited during a
-// live resize, deduped by object id; hits from the draining generation
-// are re-validated against current authority (see SearchArea) so a
-// preserved pre-handoff snapshot cannot suppress a fresher record.
+// ForEach implements SightingStore.
 func (db *ShardedSightingDB) ForEach(visit func(s core.Sighting) bool) {
-	g := db.gen.Load()
-	if g.prev == nil {
-		db.forEachShards(g.shards, visit)
-		return
-	}
-	seen := make(map[core.OID]bool)
-	dedup := func(s core.Sighting) bool {
-		if seen[s.OID] {
-			return true
-		}
-		seen[s.OID] = true
-		return visit(s)
-	}
-	// Draining generation first, through the shared moved-shard
-	// buffer-and-revalidate scanner; then the current generation.
-	if db.scanPrevShards(g.prev.shards, func(sh *sightingShard, emit func(s core.Sighting) bool) {
-		for _, e := range sh.byID {
-			if !emit(e.s) {
-				return
-			}
-		}
-	}, dedup) {
-		db.forEachShards(g.shards, dedup)
-	}
-}
-
-// forEachShards visits one generation's shards, reporting whether the
-// enumeration ran to completion.
-func (db *ShardedSightingDB) forEachShards(shards []*sightingShard, visit func(s core.Sighting) bool) bool {
-	for _, sh := range shards {
+	for _, sh := range db.shards {
 		stopped := false
 		sh.mu.RLock()
 		for _, e := range sh.byID {
@@ -1081,10 +846,9 @@ func (db *ShardedSightingDB) forEachShards(shards []*sightingShard, visit func(s
 		}
 		sh.mu.RUnlock()
 		if stopped {
-			return false
+			return
 		}
 	}
-	return true
 }
 
 // String implements fmt.Stringer for diagnostics.
@@ -1094,11 +858,11 @@ func (db *ShardedSightingDB) String() string {
 
 // logRemove write-ahead-logs one removal. Caller holds the shard's write
 // lock.
-func (db *ShardedSightingDB) logRemove(shard, count int, id core.OID) {
+func (db *ShardedSightingDB) logRemove(shard int, id core.OID) {
 	if db.wal == nil {
 		return
 	}
-	_ = db.wal.AppendRemove(shard, count, id)
+	_ = db.wal.AppendRemove(shard, id)
 }
 
 // WALErr returns the sticky error of the first failed WAL append, or nil
@@ -1124,9 +888,7 @@ func (db *ShardedSightingDB) WALErr() error {
 // be empty and takes each shard's lock for the whole rebuild. Replayed
 // records get a fresh soft-state TTL lease — the paper's expiry semantics
 // re-age them if their objects stay silent after the restart. Without an
-// attached WAL, Recover is a no-op. A log left mid-resize by a crash was
-// already folded across the epoch boundary by OpenShardedWAL, so the store
-// recovers at the epoch the resize was moving to.
+// attached WAL, Recover is a no-op.
 // On a tiered store Recover first opens the tiers — sweeping crash
 // leftovers, loading each shard's manifest and run metadata (O(metadata),
 // no record reads) — and then replays only the short WAL tail covering
@@ -1142,14 +904,13 @@ func (db *ShardedSightingDB) Recover() error {
 		db.markWarm()
 		return nil
 	}
-	g := db.gen.Load()
-	errs := make([]error, len(g.shards))
+	errs := make([]error, len(db.shards))
 	var wg sync.WaitGroup
-	for i := range g.shards {
+	for i := range db.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = db.recoverShard(g, i)
+			errs[i] = db.recoverShard(i)
 		}(i)
 	}
 	wg.Wait()
@@ -1190,16 +951,15 @@ func (db *ShardedSightingDB) RecoverBackground() error {
 	if !ts.warming.CompareAndSwap(false, true) {
 		return errors.New("store: RecoverBackground called twice")
 	}
-	g := db.gen.Load()
-	for _, sh := range g.shards {
+	for _, sh := range db.shards {
 		sh.mu.Lock()
 	}
-	ts.warmWG.Add(len(g.shards))
-	for i := range g.shards {
+	ts.warmWG.Add(len(db.shards))
+	for i := range db.shards {
 		go func(i int) {
 			defer ts.warmWG.Done()
-			err := db.recoverShardLocked(g, i)
-			g.shards[i].mu.Unlock()
+			err := db.recoverShardLocked(i)
+			db.shards[i].mu.Unlock()
 			if err != nil {
 				ts.warmMu.Lock()
 				ts.warmErr = errors.Join(ts.warmErr, err)
@@ -1234,17 +994,17 @@ func (db *ShardedSightingDB) WaitRecovered() error {
 }
 
 // recoverShard replays one shard's segment and bulk-loads the shard.
-func (db *ShardedSightingDB) recoverShard(g *shardGen, shard int) error {
-	sh := g.shards[shard]
+func (db *ShardedSightingDB) recoverShard(shard int) error {
+	sh := db.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return db.recoverShardLocked(g, shard)
+	return db.recoverShardLocked(shard)
 }
 
 // recoverShardLocked is recoverShard with the shard's write lock already
 // held by the caller.
-func (db *ShardedSightingDB) recoverShardLocked(g *shardGen, shard int) error {
-	sh := g.shards[shard]
+func (db *ShardedSightingDB) recoverShardLocked(shard int) error {
+	sh := db.shards[shard]
 	if len(sh.byID) != 0 {
 		return fmt.Errorf("store: recovering shard %d over %d live records (Recover must run on an empty store)", shard, len(sh.byID))
 	}
@@ -1323,7 +1083,7 @@ func (db *ShardedSightingDB) recoverShardLocked(g *shardGen, shard int) error {
 // between the snapshot and the rewrite). Call it to keep replay time
 // proportional to the live set instead of the update history; the server's
 // janitor drives the grow-triggered variant, CompactWALIfGrown. Without an
-// attached WAL it is a no-op. Compaction serializes with Resize.
+// attached WAL it is a no-op.
 func (db *ShardedSightingDB) CompactWAL() error {
 	if db.wal == nil {
 		return nil
@@ -1335,18 +1095,14 @@ func (db *ShardedSightingDB) CompactWAL() error {
 		return db.MaintainTiers()
 	}
 	if err := db.wal.Err(); err != nil {
-		// A down WAL has stopped logging — and after a resize whose epoch
-		// switch failed, its segment layout no longer matches the store's
-		// shard count, so compaction must not index into it. The sticky
-		// error is the answer.
+		// A down WAL has stopped logging; the sticky error is the answer.
 		return err
 	}
-	db.resizeMu.Lock()
-	defer db.resizeMu.Unlock()
-	g := db.gen.Load()
+	db.maintMu.Lock()
+	defer db.maintMu.Unlock()
 	var errs []error
-	for i := range g.shards {
-		if err := db.compactShard(g, i); err != nil {
+	for i := range db.shards {
+		if err := db.compactShard(i); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -1358,8 +1114,7 @@ func (db *ShardedSightingDB) CompactWAL() error {
 // classic log-structured policy: amortized rewrite cost stays a constant
 // fraction of append work, and an idle or freshly compacted shard is never
 // rewritten. Cheap when nothing grew; safe to call on every janitor tick.
-// While a Resize is in flight the pass is skipped (the resize itself
-// rewrites every segment under the new mapping).
+// While another compaction pass runs the call is skipped.
 func (db *ShardedSightingDB) CompactWALIfGrown() error {
 	if db.tier != nil {
 		// Tiered stores flush and compact through MaintainTiers; a
@@ -1372,25 +1127,23 @@ func (db *ShardedSightingDB) CompactWALIfGrown() error {
 		// rewriting and the sticky error is surfaced through WALErr.
 		return nil
 	}
-	if !db.resizeMu.TryLock() {
+	if !db.maintMu.TryLock() {
 		return nil
 	}
-	defer db.resizeMu.Unlock()
-	g := db.gen.Load()
+	defer db.maintMu.Unlock()
 	var errs []error
-	for i := range g.shards {
+	for i, sh := range db.shards {
 		appended := db.wal.AppendedSince(i)
 		if appended == 0 {
 			continue
 		}
-		sh := g.shards[i]
 		sh.mu.RLock()
 		grown := appended > int64(len(sh.byID))+walCompactSlack
 		sh.mu.RUnlock()
 		if !grown {
 			continue
 		}
-		if err := db.compactShard(g, i); err != nil {
+		if err := db.compactShard(i); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -1402,9 +1155,9 @@ func (db *ShardedSightingDB) CompactWALIfGrown() error {
 // outside the shard lock — updates only stall for the queue drain and the
 // in-memory snapshot, while records appended during the rewrite wait in
 // the buffer and land after the snapshot (BeginCompact/FinishCompact).
-// Caller holds resizeMu, so the generation and the WAL layout are stable.
-func (db *ShardedSightingDB) compactShard(g *shardGen, i int) error {
-	sh := g.shards[i]
+// Caller holds maintMu, so no other pass rewrites the segment meanwhile.
+func (db *ShardedSightingDB) compactShard(i int) error {
+	sh := db.shards[i]
 	if db.wal.Asynchronous() {
 		sh.mu.Lock()
 		if err := db.wal.BeginCompact(i); err != nil {

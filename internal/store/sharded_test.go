@@ -518,3 +518,57 @@ func TestSweepExpiredShardRotationFairness(t *testing.T) {
 		}
 	}
 }
+
+func TestNormalizeShards(t *testing.T) {
+	for _, tc := range []struct {
+		in, want int
+		wantErr  bool
+	}{
+		{in: -1, wantErr: true},
+		{in: -100, wantErr: true},
+		{in: 0, want: 1},
+		{in: 1, want: 1},
+		{in: 64, want: 64},
+	} {
+		got, err := NormalizeShards(tc.in)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("NormalizeShards(%d) = %d, want error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("NormalizeShards(%d) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+// TestShardContentionSampling: the contended counter must move under real
+// lock contention and stay commensurate with ops.
+func TestShardContentionSampling(t *testing.T) {
+	db := NewShardedSightingDB(WithShards(1))
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				db.Put(sighting(fmt.Sprintf("w%d-o%d", w, i%10), float64(i%100), 0))
+			}
+		}(w)
+	}
+	wg.Wait()
+	stats := db.ShardStats()
+	if len(stats) != 1 {
+		t.Fatalf("ShardStats len = %d", len(stats))
+	}
+	if stats[0].Ops < 4000 {
+		t.Errorf("ops = %d, want >= 4000", stats[0].Ops)
+	}
+	if stats[0].Contended > stats[0].Ops {
+		t.Errorf("contended %d > ops %d", stats[0].Contended, stats[0].Ops)
+	}
+	if stats[0].Len != 80 {
+		t.Errorf("Len = %d, want 80", stats[0].Len)
+	}
+}

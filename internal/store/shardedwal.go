@@ -30,29 +30,20 @@ import (
 // flush cost of durability is amortized over the batch exactly as the
 // combining lane amortizes lock cost.
 //
-// # Epochs
+// # Epoch layouts
 //
-// The segment layout is epoch-stamped so it can follow the store through a
-// live Resize. Epoch 0 is the layout a directory starts with (segments
-// named shard-NNNN.wal, no in-file marker, for compatibility with logs
-// written before epochs existed); every resize moves the log to the next
-// epoch: each new shard's segment is created atomically as an epoch header
-// record (WALEpoch, carrying the epoch number and the new shard count)
-// followed by one snapshot batch of the shard's live set, written while
-// the store briefly quiesces that shard (SwitchShard). Once every shard of
-// the new epoch has switched, the old epoch's files are deleted
-// (FinishEpoch).
-//
-// The epoch invariant recovery relies on: a valid epoch-e segment for
-// shard j begins with a full live-set snapshot of every object hashing to
-// j under epoch e's mapping, so the existence of that segment makes every
-// older-epoch record for those objects obsolete. OpenShardedWAL uses it to
-// replay across an epoch boundary left by a crash mid-resize: shards of
-// the newest epoch that have segments replay them alone; shards that never
-// switched recover their objects by folding all older-epoch segments and
-// filtering by the new mapping, and the fold is then materialized as the
-// missing epoch segments so the directory is single-epoch again before the
-// store attaches.
+// A directory this package creates stays at epoch 0: segments named
+// shard-NNNN.wal with no in-file marker, and the segment count fixed by the
+// first open. Earlier builds could re-partition a running store and moved
+// the directory to a later epoch, whose segments (shard-NNNN-eNNNNNN.wal)
+// each begin with a WALEpoch header (the epoch number and shard count)
+// followed by a snapshot of that shard's live set; such a segment
+// supersedes every older-epoch record of the objects hashing to its shard.
+// OpenShardedWAL still reads that layout: it opens at the newest epoch's
+// shard count, folds forward a switch a crash left half-done (writing the
+// missing segments from the older epochs' records) and deletes the older
+// epochs' files. Compaction keeps a segment's header; nothing writes a new
+// epoch.
 //
 // # Append modes
 //
@@ -77,20 +68,20 @@ import (
 type ShardedWAL struct {
 	dir  string
 	sync bool
-	opts []FileWALOption
 
-	// genMu guards the generation pointers and the transition state. The
-	// append path holds the read lock across routing and enqueue, so a
-	// shard switch (write lock) is ordered against every in-flight
-	// append.
-	genMu sync.RWMutex
-	cur   *walGen
-	// next and switched are non-nil only between StartEpoch and
-	// FinishEpoch: next is the layout being switched to, switched[j]
-	// marks the new shards whose segment already exists and receives
-	// their appends.
-	next     *walGen
-	switched []bool
+	// epoch is the layout epoch the directory opened at (see the type
+	// comment) and count its segment count; both are fixed for the life
+	// of the WAL.
+	epoch int64
+	count int
+	segs  []*FileWAL
+	bufs  []walShardBuf // nil in synchronous (WithSync) mode
+
+	// appended counts records logged per shard since that segment's last
+	// compaction, feeding the store's grow-triggered compaction policy.
+	appended []atomic.Int64
+
+	wg sync.WaitGroup // writer goroutines
 
 	down  atomic.Bool
 	errMu sync.Mutex
@@ -158,35 +149,18 @@ func (w *ShardedWAL) Mark(shard int, token uint64) error {
 	if w.down.Load() {
 		return w.Err()
 	}
-	w.genMu.RLock()
-	g := w.cur
-	w.genMu.RUnlock()
-	if g.bufs == nil {
+	if w.bufs == nil {
 		if tee := w.replTee(); tee != nil {
 			tee.TeeMark(shard, token)
 		}
 		return nil
 	}
-	sb := &g.bufs[shard]
+	sb := &w.bufs[shard]
 	sb.mu.Lock()
 	sb.waitSpace()
 	sb.push(WALRecord{Op: walReplMark, Epoch: int64(token)})
 	sb.mu.Unlock()
 	return nil
-}
-
-// walGen is one epoch of the segment layout.
-type walGen struct {
-	epoch int64
-	count int
-	segs  []*FileWAL
-	bufs  []walShardBuf // nil in synchronous (WithSync) mode
-
-	// appended counts records logged per shard since that segment's last
-	// compaction, feeding the store's grow-triggered compaction policy.
-	appended []atomic.Int64
-
-	wg sync.WaitGroup // writer goroutines of this generation
 }
 
 // walShardBuf is one shard's pending append list, double-buffered with its
@@ -209,7 +183,7 @@ type walShardBuf struct {
 	free [][]core.Sighting
 }
 
-// initCond lazily wires the buffer's condition variables.
+// initCond wires the buffer's condition variables.
 func (sb *walShardBuf) initCond() {
 	sb.data = sync.NewCond(&sb.mu)
 	sb.space = sync.NewCond(&sb.mu)
@@ -259,8 +233,8 @@ const walCoalesceDelay = time.Millisecond
 // auto-compaction, so both fire at the same point.
 const walCompactSlack = 1024
 
-// segmentPath names shard i's log inside dir at epoch e. Epoch 0 keeps the
-// pre-epoch naming so existing directories open unchanged.
+// segmentPath names shard i's log inside dir at epoch e. Epoch 0 has no
+// epoch in the name.
 func segmentPath(dir string, i int, epoch int64) string {
 	if epoch == 0 {
 		return filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", i))
@@ -284,11 +258,11 @@ func parseSegmentName(name string) (shard int, epoch int64, ok bool) {
 // OpenShardedWAL opens (creating if needed) a sharded sighting log under
 // dir. For a fresh directory, shards fixes the initial segment count
 // (normalized through NormalizeShards: negative is an error, zero means
-// one). A directory that already holds history opens at the count of its
-// newest epoch — the persistent log, not the flag, remembers the layout a
-// resize moved to — and a transition a crash left half-finished is folded
-// forward first (see the type comment). Passing WithSync selects the
-// synchronous fsync-per-append mode; otherwise appends are asynchronous.
+// one). A directory that already holds history opens at the count its
+// segments were written under — the persistent log, not the flag, pins the
+// layout — and an epoch switch a crash left half-finished is folded forward
+// first (see the type comment). Passing WithSync selects the synchronous
+// fsync-per-append mode; otherwise appends are asynchronous.
 func OpenShardedWAL(dir string, shards int, opts ...FileWALOption) (*ShardedWAL, error) {
 	shards, err := NormalizeShards(shards)
 	if err != nil {
@@ -301,31 +275,30 @@ func OpenShardedWAL(dir string, shards int, opts ...FileWALOption) (*ShardedWAL,
 	for _, opt := range opts {
 		opt(&probe)
 	}
-	w := &ShardedWAL{dir: dir, sync: probe.sync, opts: opts}
+	w := &ShardedWAL{dir: dir, sync: probe.sync}
 
-	count, epoch, err := w.settleLayout(shards)
+	w.count, w.epoch, err = w.settleLayout(shards)
 	if err != nil {
 		return nil, err
 	}
-	g := &walGen{epoch: epoch, count: count, segs: make([]*FileWAL, count), appended: make([]atomic.Int64, count)}
-	for i := range g.segs {
-		seg, err := OpenFileWAL(segmentPath(dir, i, epoch), opts...)
+	w.segs = make([]*FileWAL, w.count)
+	w.appended = make([]atomic.Int64, w.count)
+	for i := range w.segs {
+		seg, err := OpenFileWAL(segmentPath(dir, i, w.epoch), opts...)
 		if err != nil {
-			w.cur = g
 			w.Close()
 			return nil, err
 		}
-		g.segs[i] = seg
+		w.segs[i] = seg
 	}
 	if !w.sync {
-		g.bufs = make([]walShardBuf, count)
-		for i := range g.bufs {
-			g.bufs[i].initCond()
-			g.wg.Add(1)
-			go w.writer(g, i)
+		w.bufs = make([]walShardBuf, w.count)
+		for i := range w.bufs {
+			w.bufs[i].initCond()
+			w.wg.Add(1)
+			go w.writer(i)
 		}
 	}
-	w.cur = g
 	return w, nil
 }
 
@@ -360,7 +333,7 @@ func (w *ShardedWAL) settleLayout(requested int) (count int, epoch int64, err er
 	}
 	// Validate epoch-stamped segments: a valid one starts with a matching
 	// header record. Anything else (an empty or truncated file a crashed
-	// SwitchShard left before its snapshot rename committed) is discarded
+	// epoch switch left before its snapshot rename committed) is discarded
 	// — it never carried authority.
 	counts := make(map[int64]int)
 	for e, segs := range byEpoch {
@@ -379,9 +352,8 @@ func (w *ShardedWAL) settleLayout(requested int) (count int, epoch int64, err er
 			}
 			if invalid || hdr.Epoch != e || hdr.ShardCount <= 0 || shard >= hdr.ShardCount {
 				// Structurally not an epoch segment: the leftover of a
-				// SwitchShard that crashed before its atomic rename
-				// committed a complete snapshot. It never carried
-				// authority.
+				// switch that crashed before its atomic rename committed a
+				// complete snapshot. It never carried authority.
 				os.Remove(path)
 				delete(segs, shard)
 				continue
@@ -449,8 +421,8 @@ func (w *ShardedWAL) settleLayout(requested int) (count int, epoch int64, err er
 		}
 		return count, 0, nil
 	}
-	// A resize moved the log past epoch 0. Finish any transition a crash
-	// interrupted: shards of the newest epoch that never switched recover
+	// The log is past epoch 0. Finish any switch a crash interrupted:
+	// shards of the newest epoch that never switched recover
 	// their objects from the fold of every older epoch, filtered by the
 	// new mapping, and the result is written as their missing snapshot
 	// segments.
@@ -476,7 +448,7 @@ func (w *ShardedWAL) settleLayout(requested int) (count int, epoch int64, err er
 			}
 		}
 		for _, j := range missing {
-			if cerr := writeEpochSegment(w.dir, j, maxEpoch, count, perShard[j], w.sync); cerr != nil {
+			if cerr := writeEpochSegment(w.dir, j, maxEpoch, count, perShard[j]); cerr != nil {
 				return 0, 0, cerr
 			}
 		}
@@ -585,162 +557,75 @@ func readEpochHeader(path string) (rec WALRecord, invalid bool, err error) {
 // writeEpochSegment atomically creates shard j's segment for epoch e: the
 // header record plus one snapshot batch of live, written to a temporary
 // file, fsynced and renamed into place — so the segment either exists
-// complete (and carries authority for its shard's objects) or not at all.
-// It returns only after the rename committed; opening the segment for
-// appending is the caller's business.
-func writeEpochSegment(dir string, shard int, epoch int64, count int, live []core.Sighting, durable bool) error {
-	f, err := createEpochSegment(dir, shard, epoch, count, live, durable)
+// complete (and carries authority for its shard's objects) or not at all,
+// through writeRecordsAtomic's write-temp/fsync/rename protocol.
+func writeEpochSegment(dir string, shard int, epoch int64, count int, live []core.Sighting) error {
+	recs := []WALRecord{{Op: WALEpoch, Epoch: epoch, ShardCount: count}}
+	if len(live) > 0 {
+		recs = append(recs, WALRecord{Op: WALSightingBatch, Sightings: live})
+	}
+	f, err := writeRecordsAtomic(segmentPath(dir, shard, epoch), recs)
 	if err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// createEpochSegment is writeEpochSegment returning the open FileWAL for
-// the new segment, positioned for appends. The atomic write-temp/fsync/
-// rename protocol is writeRecordsAtomic, shared with compaction.
-func createEpochSegment(dir string, shard int, epoch int64, count int, live []core.Sighting, durable bool) (*FileWAL, error) {
-	recs := []WALRecord{{Op: WALEpoch, Epoch: epoch, ShardCount: count}}
-	if len(live) > 0 {
-		recs = append(recs, WALRecord{Op: WALSightingBatch, Sightings: live})
-	}
-	path := segmentPath(dir, shard, epoch)
-	f, err := writeRecordsAtomic(path, recs)
-	if err != nil {
-		return nil, err
-	}
-	// The directory entry was made durable by writeRecordsAtomic's
-	// unconditional dir fsync, in every durability mode.
-	return &FileWAL{path: path, f: f, w: bufio.NewWriter(f), sync: durable}, nil
-}
+// NumShards returns the number of log segments.
+func (w *ShardedWAL) NumShards() int { return w.count }
 
-// NumShards returns the number of log segments of the current epoch.
-func (w *ShardedWAL) NumShards() int {
-	w.genMu.RLock()
-	defer w.genMu.RUnlock()
-	return w.cur.count
-}
-
-// Epoch returns the current layout epoch, for diagnostics.
-func (w *ShardedWAL) Epoch() int64 {
-	w.genMu.RLock()
-	defer w.genMu.RUnlock()
-	return w.cur.epoch
-}
+// Epoch returns the layout epoch the directory opened at, for diagnostics.
+func (w *ShardedWAL) Epoch() int64 { return w.epoch }
 
 // Dir returns the directory holding the segments, for diagnostics.
 func (w *ShardedWAL) Dir() string { return w.dir }
 
-// route picks the generation and segment for one object. Caller holds
-// genMu (read) for the routing decision only; the decision stays valid
-// after the read lock is released because every append runs under the
-// store lock of the shard that owns the object, and that same store lock
-// is what SwitchShard's caller holds to flip the shard's routing — so
-// neither the switched flag this routing read nor the generation it chose
-// can change until the append's store lock is released (and FinishEpoch,
-// which retires the old generation's writers, cannot run before every
-// shard has flipped). shard and count describe the caller's mapping
-// context (its shard index and shard count); when they match the current
-// layout the index is used as-is — the steady-state fast path, one
-// integer compare — otherwise the segment is recomputed from the id,
-// which is what keeps appends correctly routed while the store's
-// in-memory migration runs ahead of the log's epoch switch.
-func (w *ShardedWAL) route(id core.OID, shard, count int) (*walGen, int) {
-	if w.next != nil {
-		j := spatial.ShardFor(id, w.next.count)
-		if w.switched[j] {
-			return w.next, j
-		}
-		return w.cur, spatial.ShardFor(id, w.cur.count)
-	}
-	if count == w.cur.count {
-		return w.cur, shard
-	}
-	return w.cur, spatial.ShardFor(id, w.cur.count)
-}
-
-// AppendBatch logs one group-commit batch of sighting puts — asynchronously
-// in the default mode, durably before returning with WithSync. shard and
-// count are the caller's routing context (see route). Later entries for
-// the same object supersede earlier ones, matching SightingStore.PutBatch.
-// The batch is copied; the caller may reuse the slice. After a failed
-// append the WAL is down (see Err) and calls return the sticky error
-// without logging.
-func (w *ShardedWAL) AppendBatch(shard, count int, batch []core.Sighting) error {
+// AppendBatch logs one group-commit batch of sighting puts to shard's
+// segment — asynchronously in the default mode, durably before returning
+// with WithSync. Later entries for the same object supersede earlier ones,
+// matching SightingStore.PutBatch. The batch is copied; the caller may
+// reuse the slice. After a failed append the WAL is down (see Err) and
+// calls return the sticky error without logging.
+func (w *ShardedWAL) AppendBatch(shard int, batch []core.Sighting) error {
 	if w.down.Load() {
 		return w.Err()
 	}
-	w.genMu.RLock()
-	if w.next == nil && count == w.cur.count {
-		g := w.cur
-		w.genMu.RUnlock()
-		return w.appendPutRecord(g, shard, batch, core.Sighting{}, false)
-	}
-	// Layouts straddle (an in-flight resize): split the group by the
-	// log's own mapping. Relative order per object is preserved.
-	type dest struct {
-		g   *walGen
-		idx int
-	}
-	groups := make(map[dest][]core.Sighting)
-	order := make([]dest, 0, 2)
-	for _, s := range batch {
-		g, idx := w.route(s.OID, -1, -1)
-		d := dest{g, idx}
-		if _, ok := groups[d]; !ok {
-			order = append(order, d)
-		}
-		groups[d] = append(groups[d], s)
-	}
-	w.genMu.RUnlock()
-	var first error
-	for _, d := range order {
-		if err := w.appendPutRecord(d.g, d.idx, groups[d], core.Sighting{}, false); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return w.appendPutRecord(shard, batch, core.Sighting{}, false)
 }
 
 // AppendPut logs a single sighting put — the batch-of-one common case,
 // spared the caller-side slice — with the same mode semantics as
 // AppendBatch.
-func (w *ShardedWAL) AppendPut(shard, count int, s core.Sighting) error {
+func (w *ShardedWAL) AppendPut(shard int, s core.Sighting) error {
 	if w.down.Load() {
 		return w.Err()
 	}
-	w.genMu.RLock()
-	g, idx := w.route(s.OID, shard, count)
-	w.genMu.RUnlock()
-	return w.appendPutRecord(g, idx, nil, s, true)
+	return w.appendPutRecord(shard, nil, s, true)
 }
 
 // appendPutRecord commits one put record (batch, or the single sighting
-// when one is true) to g's segment idx. Runs outside genMu — the routing
-// decision is pinned by the caller's store shard lock (see route) — so
-// blocking on the buffer's backpressure cannot stall a concurrent shard
-// switch.
-func (w *ShardedWAL) appendPutRecord(g *walGen, idx int, batch []core.Sighting, s core.Sighting, one bool) error {
+// when one is true) to shard's segment.
+func (w *ShardedWAL) appendPutRecord(shard int, batch []core.Sighting, s core.Sighting, one bool) error {
 	n := int64(len(batch))
 	if one {
 		n = 1
 	}
-	if g.bufs == nil {
+	if w.bufs == nil {
 		rec := WALRecord{Op: WALSightingBatch, Sightings: batch}
 		if one {
 			rec.Sightings = []core.Sighting{s}
 		}
-		if err := g.segs[idx].Append(rec); err != nil {
+		if err := w.segs[shard].Append(rec); err != nil {
 			w.fail(err)
 			return err
 		}
-		g.appended[idx].Add(n)
+		w.appended[shard].Add(n)
 		if tee := w.replTee(); tee != nil {
-			tee.TeePut(idx, rec.Sightings)
+			tee.TeePut(shard, rec.Sightings)
 		}
 		return nil
 	}
-	sb := &g.bufs[idx]
+	sb := &w.bufs[shard]
 	sb.mu.Lock()
 	sb.waitSpace()
 	cp := sb.takeBatchBuf()
@@ -751,36 +636,33 @@ func (w *ShardedWAL) appendPutRecord(g *walGen, idx int, batch []core.Sighting, 
 	}
 	sb.push(WALRecord{Op: WALSightingBatch, Sightings: cp})
 	sb.mu.Unlock()
-	g.appended[idx].Add(n)
+	w.appended[shard].Add(n)
 	return nil
 }
 
-// AppendRemove logs the removal of id, with the same mode and routing
-// semantics as AppendBatch.
-func (w *ShardedWAL) AppendRemove(shard, count int, id core.OID) error {
+// AppendRemove logs the removal of id to shard's segment, with the same
+// mode semantics as AppendBatch.
+func (w *ShardedWAL) AppendRemove(shard int, id core.OID) error {
 	if w.down.Load() {
 		return w.Err()
 	}
-	w.genMu.RLock()
-	g, idx := w.route(id, shard, count)
-	w.genMu.RUnlock()
-	if g.bufs == nil {
-		if err := g.segs[idx].Append(WALRecord{Op: WALSightingRemove, OID: id}); err != nil {
+	if w.bufs == nil {
+		if err := w.segs[shard].Append(WALRecord{Op: WALSightingRemove, OID: id}); err != nil {
 			w.fail(err)
 			return err
 		}
-		g.appended[idx].Add(1)
+		w.appended[shard].Add(1)
 		if tee := w.replTee(); tee != nil {
-			tee.TeeRemove(idx, id)
+			tee.TeeRemove(shard, id)
 		}
 		return nil
 	}
-	sb := &g.bufs[idx]
+	sb := &w.bufs[shard]
 	sb.mu.Lock()
 	sb.waitSpace()
 	sb.push(WALRecord{Op: WALSightingRemove, OID: id})
 	sb.mu.Unlock()
-	g.appended[idx].Add(1)
+	w.appended[shard].Add(1)
 	return nil
 }
 
@@ -788,10 +670,10 @@ func (w *ShardedWAL) AppendRemove(shard, count int, id core.OID) error {
 // window once records are pending, swaps the shard's list out, encodes it
 // (timestamps memoized across the drain — group-commit records cluster in
 // time) and hands the whole drain to the segment as one write+flush.
-func (w *ShardedWAL) writer(g *walGen, shard int) {
-	defer g.wg.Done()
-	sb := &g.bufs[shard]
-	seg := g.segs[shard]
+func (w *ShardedWAL) writer(shard int) {
+	defer w.wg.Done()
+	sb := &w.bufs[shard]
+	seg := w.segs[shard]
 	var local []WALRecord
 	var out []byte
 	var memo walTimeMemo
@@ -862,180 +744,17 @@ func (w *ShardedWAL) writer(g *walGen, shard int) {
 	}
 }
 
-// StartEpoch opens an epoch transition to newCount shards. No segment
-// exists yet and no append routes to the new layout until its shard is
-// switched; the store calls SwitchShard once per new shard (under that
-// shard's lock) and FinishEpoch when all have switched. Only one
-// transition can be in flight.
-func (w *ShardedWAL) StartEpoch(newCount int) error {
-	newCount, err := NormalizeShards(newCount)
-	if err != nil {
-		return err
-	}
-	if w.down.Load() {
-		return w.Err()
-	}
-	w.genMu.Lock()
-	defer w.genMu.Unlock()
-	if w.next != nil {
-		return fmt.Errorf("store: sighting WAL epoch transition already in flight")
-	}
-	ng := &walGen{
-		epoch:    w.cur.epoch + 1,
-		count:    newCount,
-		segs:     make([]*FileWAL, newCount),
-		appended: make([]atomic.Int64, newCount),
-	}
-	if !w.sync {
-		ng.bufs = make([]walShardBuf, newCount)
-	}
-	w.next = ng
-	w.switched = make([]bool, newCount)
-	return nil
-}
-
-// SwitchShard moves one shard of the pending epoch onto its new segment:
-// the segment is created atomically as epoch header + live-set snapshot,
-// and from the moment SwitchShard returns, appends for objects hashing to
-// shard under the new mapping land in it. The caller must hold the store
-// lock that quiesces exactly those objects for the duration of the call —
-// that lock is what makes the snapshot complete (nothing newer exists) and
-// the routing flip race-free. Pre-snapshot records for these objects in
-// older segments lose authority to the snapshot, per the epoch invariant.
-//
-// SwitchShard performs the segment write (including an fsync) inline, so
-// the caller's shard stays quiesced for the disk work — the right trade
-// in the synchronous (WithSync) mode, whose appends fsync under that lock
-// anyway. The asynchronous mode uses the BeginSwitchShard/
-// FinishSwitchShard pair instead, which moves the disk work off the lock.
-func (w *ShardedWAL) SwitchShard(shard int, live []core.Sighting) error {
-	if err := w.BeginSwitchShard(shard); err != nil {
-		return err
-	}
-	return w.FinishSwitchShard(shard, live)
-}
-
-// BeginSwitchShard flips one shard of the pending epoch onto the new
-// routing: from here on, appends for objects hashing to shard under the
-// new mapping accumulate in the new generation's buffer (asynchronous
-// mode) instead of reaching any old segment. The caller must hold the
-// store lock quiescing those objects across BeginSwitchShard and the
-// live-set snapshot it takes before releasing that lock, and must then
-// call FinishSwitchShard with the snapshot. Between the two calls the
-// records are buffered in memory only — the same bounded process-crash
-// loss window every asynchronous append has; a crash in the window leaves
-// no (valid) epoch segment for the shard, so recovery folds its objects
-// from the older epochs, a consistent prefix.
-func (w *ShardedWAL) BeginSwitchShard(shard int) error {
-	if w.down.Load() {
-		return w.Err()
-	}
-	w.genMu.Lock()
-	defer w.genMu.Unlock()
-	if w.next == nil {
-		return fmt.Errorf("store: SwitchShard without StartEpoch")
-	}
-	if w.next.bufs != nil && w.next.bufs[shard].data == nil {
-		w.next.bufs[shard].initCond()
-	}
-	w.switched[shard] = true
-	return nil
-}
-
-// FinishSwitchShard writes the shard's epoch segment (header + the
-// snapshot taken under the store lock, atomically via temp+rename) and
-// starts the shard's writer, which then drains whatever buffered since
-// BeginSwitchShard — landing after the snapshot, exactly the replay order
-// that reproduces the store. Called without the store's shard lock: the
-// segment write and its fsync stall no one.
-func (w *ShardedWAL) FinishSwitchShard(shard int, live []core.Sighting) error {
-	w.genMu.RLock()
-	ng := w.next
-	w.genMu.RUnlock()
-	if ng == nil {
-		return fmt.Errorf("store: FinishSwitchShard without StartEpoch")
-	}
-	seg, err := createEpochSegment(w.dir, shard, ng.epoch, ng.count, live, w.sync)
-	if err != nil {
-		w.fail(err)
-		if ng.bufs != nil {
-			// The shard's writer will never start: release anyone parked
-			// on the buffer (producers at the cap, flush barriers) so the
-			// sticky error surfaces instead of a hang.
-			sb := &ng.bufs[shard]
-			sb.mu.Lock()
-			sb.stop = true
-			for _, ack := range sb.acks {
-				close(ack)
-			}
-			sb.acks = nil
-			if sb.space != nil {
-				sb.space.Broadcast()
-			}
-			sb.mu.Unlock()
-		}
-		return err
-	}
-	w.genMu.Lock()
-	ng.segs[shard] = seg
-	if ng.bufs != nil {
-		ng.wg.Add(1)
-		go w.writer(ng, shard)
-	}
-	w.genMu.Unlock()
-	return nil
-}
-
-// FinishEpoch completes the transition: the new generation becomes
-// current, the old generation's writers drain and stop, and its files are
-// deleted (they carry no authority once every new shard has its snapshot
-// segment — leftovers from a crash here are cleaned up by the next open).
-func (w *ShardedWAL) FinishEpoch() {
-	w.genMu.Lock()
-	old := w.cur
-	if w.next == nil {
-		w.genMu.Unlock()
-		return
-	}
-	for _, sw := range w.switched {
-		if !sw {
-			w.genMu.Unlock()
-			// Unswitched shards keep routing to the old layout; finishing
-			// now would strand their appends. The caller drives every
-			// shard through SwitchShard first.
-			return
-		}
-	}
-	w.cur = w.next
-	w.next = nil
-	w.switched = nil
-	w.genMu.Unlock()
-
-	w.stopGen(old)
-	for i, seg := range old.segs {
-		if seg != nil {
-			seg.Close()
-		}
-		os.Remove(segmentPath(w.dir, i, old.epoch))
-	}
-}
-
-// stopGen drains and stops one generation's writer goroutines.
-func (w *ShardedWAL) stopGen(g *walGen) {
-	if g.bufs == nil {
-		return
-	}
-	for i := range g.bufs {
-		sb := &g.bufs[i]
+// stopWriters drains and stops the writer goroutines.
+func (w *ShardedWAL) stopWriters() {
+	for i := range w.bufs {
+		sb := &w.bufs[i]
 		sb.mu.Lock()
-		if sb.data != nil {
-			sb.stop = true
-			sb.data.Signal()
-			sb.space.Broadcast()
-		}
+		sb.stop = true
+		sb.data.Signal()
+		sb.space.Broadcast()
 		sb.mu.Unlock()
 	}
-	g.wg.Wait()
+	w.wg.Wait()
 }
 
 // Flush blocks until every record appended before the call has been handed
@@ -1043,24 +762,10 @@ func (w *ShardedWAL) stopGen(g *walGen) {
 // durability barrier of the asynchronous mode (a no-op barrier with
 // WithSync, where appends are already synchronous).
 func (w *ShardedWAL) Flush() error {
-	w.genMu.RLock()
-	gens := []*walGen{w.cur}
-	if w.next != nil {
-		gens = append(gens, w.next)
+	acks := make([]chan struct{}, len(w.bufs))
+	for i := range w.bufs {
+		acks[i] = barrier(&w.bufs[i])
 	}
-	var acks []chan struct{}
-	for _, g := range gens {
-		if g.bufs == nil {
-			continue
-		}
-		for i := range g.bufs {
-			if g.bufs[i].data == nil {
-				continue // not yet switched
-			}
-			acks = append(acks, barrier(&g.bufs[i]))
-		}
-	}
-	w.genMu.RUnlock()
 	for _, ack := range acks {
 		<-ack
 	}
@@ -1083,16 +788,10 @@ func barrier(sb *walShardBuf) chan struct{} {
 	return ack
 }
 
-// flushShard is Flush for a single current-epoch shard buffer.
+// flushShard is Flush for a single shard buffer.
 func (w *ShardedWAL) flushShard(shard int) error {
-	w.genMu.RLock()
-	var ack chan struct{}
-	if w.cur.bufs != nil {
-		ack = barrier(&w.cur.bufs[shard])
-	}
-	w.genMu.RUnlock()
-	if ack != nil {
-		<-ack
+	if w.bufs != nil {
+		<-barrier(&w.bufs[shard])
 	}
 	return w.Err()
 }
@@ -1124,10 +823,7 @@ func (w *ShardedWAL) fail(err error) {
 // with its offset). Epoch layout markers are consumed internally; callers
 // see only state-bearing records.
 func (w *ShardedWAL) ReplayShard(shard int, fn func(WALRecord) error) error {
-	w.genMu.RLock()
-	seg := w.cur.segs[shard]
-	w.genMu.RUnlock()
-	return seg.Replay(func(rec WALRecord) error {
+	return w.segs[shard].Replay(func(rec WALRecord) error {
 		if rec.Op == WALEpoch {
 			return nil
 		}
@@ -1140,9 +836,7 @@ func (w *ShardedWAL) ReplayShard(shard int, fn func(WALRecord) error) error {
 // the grow signal for compaction policies, commensurable with a live-set
 // size.
 func (w *ShardedWAL) AppendedSince(shard int) int64 {
-	w.genMu.RLock()
-	defer w.genMu.RUnlock()
-	return w.cur.appended[shard].Load()
+	return w.appended[shard].Load()
 }
 
 // CompactShard atomically rewrites shard's segment to one batch record
@@ -1150,7 +844,6 @@ func (w *ShardedWAL) AppendedSince(shard int) int64 {
 // buffer (a buffered pre-snapshot record written after the snapshot would
 // un-supersede it on replay). The caller must guarantee no concurrent
 // appends to the same shard for the whole call (the store holds the shard
-// lock) and no concurrent epoch transition (the store holds its resize
 // lock); in asynchronous mode the BeginCompact/FinishCompact pair lets the
 // disk work happen outside the shard lock instead.
 func (w *ShardedWAL) CompactShard(shard int, live []core.Sighting) error {
@@ -1177,9 +870,7 @@ func (w *ShardedWAL) BeginCompact(shard int) error {
 	if err := w.flushShard(shard); err != nil {
 		return err
 	}
-	w.genMu.RLock()
-	sb := &w.cur.bufs[shard]
-	w.genMu.RUnlock()
+	sb := &w.bufs[shard]
 	sb.mu.Lock()
 	sb.compacting = true
 	sb.mu.Unlock()
@@ -1191,9 +882,7 @@ func (w *ShardedWAL) BeginCompact(shard int) error {
 // rewrite into the new segment. Called without the store's shard lock.
 func (w *ShardedWAL) FinishCompact(shard int, live []core.Sighting) error {
 	err := w.rewriteSegment(shard, live)
-	w.genMu.RLock()
-	sb := &w.cur.bufs[shard]
-	w.genMu.RUnlock()
+	sb := &w.bufs[shard]
 	sb.mu.Lock()
 	sb.compacting = false
 	sb.data.Signal()
@@ -1212,12 +901,11 @@ func (w *ShardedWAL) rewriteSegment(shard int, live []core.Sighting) error {
 // the rewrite a replicated snapshot install needs, where dropping the dead
 // set would resurrect run-resident versions on the next crash.
 func (w *ShardedWAL) rewriteSegmentState(shard int, live []core.Sighting, dead []core.OID) error {
-	w.genMu.RLock()
-	g := w.cur
-	w.genMu.RUnlock()
 	var recs []WALRecord
-	if g.epoch > 0 {
-		recs = append(recs, WALRecord{Op: WALEpoch, Epoch: g.epoch, ShardCount: g.count})
+	if w.epoch > 0 {
+		// Keep the header: without it the next open would take the
+		// segment for a crashed switch's leftover and delete it.
+		recs = append(recs, WALRecord{Op: WALEpoch, Epoch: w.epoch, ShardCount: w.count})
 	}
 	if len(live) > 0 {
 		recs = append(recs, WALRecord{Op: WALSightingBatch, Sightings: live})
@@ -1225,10 +913,10 @@ func (w *ShardedWAL) rewriteSegmentState(shard int, live []core.Sighting, dead [
 	for _, id := range dead {
 		recs = append(recs, WALRecord{Op: WALSightingRemove, OID: id})
 	}
-	if err := g.segs[shard].CompactRecords(recs); err != nil {
+	if err := w.segs[shard].CompactRecords(recs); err != nil {
 		return err
 	}
-	g.appended[shard].Store(0)
+	w.appended[shard].Store(0)
 	return nil
 }
 
@@ -1243,31 +931,19 @@ func (w *ShardedWAL) CompactShardState(shard int, live []core.Sighting, dead []c
 }
 
 // Close drains the append buffers, stops the writers and closes every
-// segment — of the current epoch and, if a transition is in flight, of the
-// partially switched next epoch. It is idempotent. The caller should have
-// stopped appending (as with FileWAL.Close); an append racing Close is
-// dropped — the stop flag under each shard's mutex keeps it a clean drop,
-// never a reorder or a race — and appends after Close park on the stopped
-// buffer without touching the closed segments.
+// segment. It is idempotent. The caller should have stopped appending (as
+// with FileWAL.Close); an append racing Close is dropped — the stop flag
+// under each shard's mutex keeps it a clean drop, never a reorder or a
+// race — and appends after Close park on the stopped buffer without
+// touching the closed segments.
 func (w *ShardedWAL) Close() error {
 	w.closeOnce.Do(func() {
-		w.genMu.Lock()
-		gens := []*walGen{}
-		if w.cur != nil {
-			gens = append(gens, w.cur)
-		}
-		if w.next != nil {
-			gens = append(gens, w.next)
-		}
-		w.genMu.Unlock()
+		w.stopWriters()
 		errs := []error{w.Err()}
-		for _, g := range gens {
-			w.stopGen(g)
-			for _, seg := range g.segs {
-				if seg != nil {
-					if err := seg.Close(); err != nil {
-						errs = append(errs, err)
-					}
+		for _, seg := range w.segs {
+			if seg != nil {
+				if err := seg.Close(); err != nil {
+					errs = append(errs, err)
 				}
 			}
 		}

@@ -63,9 +63,7 @@ func WithSightingWAL(w *ShardedWAL) SightingDBOption {
 // ShardedSightingDB: each shard becomes the memtable of a per-shard LSM
 // tree whose sorted runs live under cfg.Dir (defaulting to the attached
 // WAL's directory). See the package comment for the full spec. The tier
-// activates when Recover or RecoverBackground opens it; the shard count
-// is fixed while tiering is enabled (Resize errors, AutoShard must be
-// off).
+// activates when Recover or RecoverBackground opens it.
 func WithTiering(cfg TierConfig) SightingDBOption {
 	return func(c *sightingConfig) {
 		tc := cfg

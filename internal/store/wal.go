@@ -14,11 +14,11 @@
 //     object id. These are appended by ShardedSightingDB through a
 //     ShardedWAL, one log segment per shard; batch framing amortizes the
 //     marshal and flush cost across the batch exactly as the update
-//     pipeline's combining lane amortizes lock cost. Segments written
-//     after a live resize start with an Op "epoch" layout marker (the
-//     resize epoch and the shard count ids are hashed across from that
-//     record on); see ShardedWAL for the epoch invariant recovery relies
-//     on.
+//     pipeline's combining lane amortizes lock cost. Segments of a
+//     directory past epoch 0 — one an earlier build re-partitioned — start
+//     with an Op "epoch" layout marker (the epoch and the shard count ids
+//     are hashed across from that record on); see ShardedWAL for how
+//     recovery reads that layout.
 //
 // # Durability modes
 //
@@ -94,11 +94,13 @@ const (
 	// soft-state expiry).
 	WALSightingBatch  WALOp = "sbatch"
 	WALSightingRemove WALOp = "sremove"
-	// WALEpoch is the layout marker heading every sighting segment written
-	// at epoch > 0: it records the epoch number and the shard count of the
+	// WALEpoch is the layout marker heading every sighting segment at
+	// epoch > 0: it records the epoch number and the shard count of the
 	// id→segment mapping the rest of the segment was written under, which
-	// is what lets recovery replay across the epoch boundary a live resize
-	// (or a crash mid-resize) leaves behind. It carries no object state.
+	// is what lets recovery read a directory an earlier build
+	// re-partitioned, or crashed while re-partitioning. Only the open of
+	// such a directory and the compaction of its segments write it; it
+	// carries no object state.
 	WALEpoch WALOp = "epoch"
 )
 
@@ -120,7 +122,7 @@ type WALRecord struct {
 	// OID is the removed object of a WALSightingRemove record.
 	OID core.OID `json:"oid,omitempty"`
 	// Epoch and ShardCount describe the segment layout of a WALEpoch
-	// record: the resize epoch and the number of shards ids are hashed
+	// record: the layout epoch and the number of shards ids are hashed
 	// across from this record on.
 	Epoch      int64 `json:"epoch,omitempty"`
 	ShardCount int   `json:"shards,omitempty"`

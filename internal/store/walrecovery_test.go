@@ -289,7 +289,7 @@ func TestShardedWALShardCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendRemove(2, 4, "x"); err != nil {
+	if err := w.AppendRemove(2, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

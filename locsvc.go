@@ -110,11 +110,6 @@ func AreaFromRect(r Rect) Area { return core.AreaFromRect(r) }
 // AreaFromPoints builds the convex query area spanned by corner points.
 func AreaFromPoints(points ...Point) Area { return core.AreaFromPoints(points) }
 
-// AutoShardConfig bounds and tunes adaptive shard resizing
-// (LocalConfig.AutoShard); see store.AutoShardConfig for the decision
-// rule and field defaults.
-type AutoShardConfig = store.AutoShardConfig
-
 // TierConfig enables and tunes tiered (LSM) sighting storage
 // (LocalConfig.Tiering); see store.TierConfig for the knobs and their
 // defaults.
@@ -136,30 +131,24 @@ type LocalConfig struct {
 	// SightingTTL enables soft-state expiry of silent objects.
 	SightingTTL time.Duration
 	// JanitorInterval overrides the leaves' janitor cadence — the tick
-	// that collects expired visitors, observes contention for AutoShard
-	// and compacts grown WAL segments. Zero picks a default from the
-	// enabled features (SightingTTL/4; else 5s with AutoShard; else 1m
-	// with a sighting WAL).
+	// that collects expired visitors, maintains the storage tiers and
+	// compacts grown WAL segments. Zero picks a default from the enabled
+	// features (SightingTTL/4; else 1m with a sighting WAL; at most 5s
+	// with Tiering).
 	JanitorInterval time.Duration
 	// Shards partitions each leaf's sighting store into that many
 	// independently locked shards keyed by object id, so concurrent
 	// updates scale across cores; 0 or 1 means one shard, negative
-	// counts are rejected. With AutoShard this is only the starting count.
+	// counts are rejected. A leaf's WAL directory, once written, pins its
+	// count.
 	Shards int
-	// AutoShard enables contention-driven live resizing of each leaf's
-	// sighting store: the shard count grows and shrinks between the
-	// configured bounds from observed lock contention, with queries and
-	// updates served throughout the migration. Zero fields take the
-	// documented defaults.
-	AutoShard *AutoShardConfig
 	// Tiering turns each leaf's sighting store into a two-tier LSM:
 	// the in-memory shards hold only the recent tail (the memtable
 	// budget) and older versions live in immutable sorted runs under
 	// the leaf's WAL directory, so a leaf can track far more objects
 	// than fit in RAM and recovery replays only the short WAL tail.
-	// Requires WALDir (unless TierConfig.Dir is set per deployment);
-	// mutually exclusive with AutoShard. Zero fields take the
-	// documented defaults.
+	// Requires WALDir (unless TierConfig.Dir is set per deployment). Zero
+	// fields take the documented defaults.
 	Tiering *TierConfig
 	// WALDir enables durable server state. Every server persists its
 	// visitorDB (the forwarding paths of paper Section 5) to
@@ -181,9 +170,8 @@ type LocalConfig struct {
 	// epoch and rebinds its forwarding records; clients follow the
 	// redirect transparently. Requires WALDir (the WAL tail is the
 	// replication stream) and at least one hierarchy level (the root has
-	// no parent to fail it over); mutually exclusive with AutoShard. See
-	// the internal/server package documentation for the failover
-	// semantics and the loss window.
+	// no parent to fail it over). See the internal/server package
+	// documentation for the failover semantics and the loss window.
 	Replicas bool
 	// ReplHealthInterval overrides the parents' primary-probe cadence
 	// with Replicas (default 500ms). Failover triggers after three
@@ -224,20 +212,12 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrBadRequest, err)
 	}
-	if cfg.Tiering != nil {
-		if cfg.WALDir == "" && cfg.Tiering.Dir == "" {
-			return nil, fmt.Errorf("%w: Tiering requires WALDir (or an explicit TierConfig.Dir)", core.ErrBadRequest)
-		}
-		if cfg.AutoShard != nil {
-			return nil, fmt.Errorf("%w: Tiering and AutoShard are mutually exclusive", core.ErrBadRequest)
-		}
+	if cfg.Tiering != nil && cfg.WALDir == "" && cfg.Tiering.Dir == "" {
+		return nil, fmt.Errorf("%w: Tiering requires WALDir (or an explicit TierConfig.Dir)", core.ErrBadRequest)
 	}
 	if cfg.Replicas {
 		if cfg.WALDir == "" {
 			return nil, fmt.Errorf("%w: Replicas requires WALDir (the WAL tail is the replication stream)", core.ErrBadRequest)
-		}
-		if cfg.AutoShard != nil {
-			return nil, fmt.Errorf("%w: Replicas and AutoShard are mutually exclusive (replication streams are per-shard)", core.ErrBadRequest)
 		}
 		if len(cfg.Levels) == 0 {
 			return nil, fmt.Errorf("%w: Replicas requires at least one level (the root has no parent to fail it over)", core.ErrBadRequest)
@@ -250,7 +230,6 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 		SightingTTL:      cfg.SightingTTL,
 		JanitorInterval:  cfg.JanitorInterval,
 		Shards:           shards,
-		AutoShard:        cfg.AutoShard,
 		EnableAreaCache:  cfg.EnableCaches,
 		EnableAgentCache: cfg.EnableCaches,
 		EnablePosCache:   cfg.EnableCaches,

@@ -88,9 +88,8 @@ func TestFacadeReplicas(t *testing.T) {
 	levels := []locsvc.Level{{Rows: 2, Cols: 2}}
 	area := locsvc.R(0, 0, 1000, 1000)
 	for name, bad := range map[string]locsvc.LocalConfig{
-		"no WALDir":      {Area: area, Levels: levels, Replicas: true},
-		"no levels":      {Area: area, WALDir: os.TempDir(), Replicas: true},
-		"with AutoShard": {Area: area, Levels: levels, WALDir: os.TempDir(), Replicas: true, AutoShard: &locsvc.AutoShardConfig{}},
+		"no WALDir": {Area: area, Levels: levels, Replicas: true},
+		"no levels": {Area: area, WALDir: os.TempDir(), Replicas: true},
 	} {
 		if _, err := locsvc.NewLocal(bad); !errors.Is(err, locsvc.ErrBadRequest) {
 			t.Errorf("Replicas %s: err = %v, want ErrBadRequest", name, err)
