@@ -13,7 +13,6 @@
 //	lsbench -table W      # wire codec: binary envelope round trips
 //	lsbench -table B      # datagram batching + async client over real UDP
 //	lsbench -table R      # resilience: retry/breaker overhead, degraded queries, recovery time
-//	lsbench -table E      # event pipeline: indexed delta evaluation vs evaluate-all
 //	lsbench -table L      # tiered (LSM) sighting storage: bigger-than-RAM leaves, tail-only recovery
 //	lsbench -table F      # hot-standby replication: steady-state overhead, failover-to-first-query latency
 //	lsbench -table Q      # leaf range/NN qualification: time per candidate, allocations, exact-path share
@@ -53,7 +52,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A7, W, B, R, E, L, F, Q or all")
+	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A7, W, B, R, L, F, Q or all")
 	quick := flag.Bool("quick", false, "reduced populations for a fast smoke run")
 	flag.Parse()
 
@@ -73,13 +72,12 @@ func main() {
 	run("W", tableWire)
 	run("B", tableBatch)
 	run("R", tableResilience)
-	run("E", tableEvents)
 	run("L", tableLSM)
 	run("F", tableRepl)
 	run("Q", tableRangeQualify)
 
 	switch *table {
-	case "1", "2", "A2", "A3", "A4", "A5", "A6", "A7", "W", "B", "R", "E", "L", "F", "Q", "all":
+	case "1", "2", "A2", "A3", "A4", "A5", "A6", "A7", "W", "B", "R", "L", "F", "Q", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(1)
@@ -1112,124 +1110,6 @@ func tableResilience(quick bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Table E: the subscription-indexed, delta-driven event pipeline against the
-// evaluate-all baseline it replaced. One leaf carries the whole fleet plus N
-// installed count subscriptions; 8 workers hammer synchronous position
-// updates for a fixed window. In oracle mode (Options.EventOracle — the
-// seed behavior) every update re-evaluates every subscription before the
-// update acks, so throughput collapses linearly in N. In indexed mode each
-// committed delta is matched against the subscription rectangle index (two
-// point stabs) on the dispatcher goroutine, off the update path, so update
-// throughput is nearly flat in N. Recorded runs live in BENCH_events.json.
-
-func tableEvents(quick bool) {
-	const workers = 8
-	const side = 1500.0
-	fleet := 2_000
-	subCounts := []int{0, 100, 1_000, 10_000}
-	window := 1500 * time.Millisecond
-	if quick {
-		fleet, window = 400, 300*time.Millisecond
-		subCounts = []int{0, 100, 1_000}
-	}
-	fleet = (fleet / workers) * workers
-	per := fleet / workers
-
-	fmt.Printf("\nTable E: event pipeline, update throughput vs installed subscriptions\n")
-	fmt.Printf("(single leaf, %d objects, %d workers, 50 m x 50 m count subscriptions)\n\n", fleet, workers)
-	fmt.Printf("%-8s %16s %16s %10s\n", "subs", "indexed upd/s", "oracle upd/s", "speedup")
-
-	runCfg := func(oracle bool, subs int) float64 {
-		net := transport.NewInproc(transport.InprocOptions{})
-		defer net.Close()
-		dep, err := hierarchy.Deploy(net, hierarchy.Spec{RootArea: geo.R(0, 0, side, side)},
-			server.Options{EventOracle: oracle})
-		if err != nil {
-			fatal(err)
-		}
-		defer dep.Close()
-		ctx := context.Background()
-		leaf, _ := dep.LeafFor(geo.Pt(1, 1))
-
-		// Per-worker clients own disjoint slices of the fleet.
-		rng := rand.New(rand.NewSource(11))
-		objs := make([]*client.TrackedObject, fleet)
-		for w := 0; w < workers; w++ {
-			c, cerr := client.New(net, msg.NodeID(fmt.Sprintf("ev-upd-%d", w)), leaf,
-				client.Options{Timeout: 30 * time.Second})
-			if cerr != nil {
-				fatal(cerr)
-			}
-			defer c.Close()
-			for i := w * per; i < (w+1)*per; i++ {
-				obj, rerr := c.Register(ctx, core.Sighting{
-					OID: core.OID(fmt.Sprintf("e-%d", i)), T: time.Now(),
-					Pos: geo.Pt(rng.Float64()*side, rng.Float64()*side), SensAcc: 10,
-				}, 25, 100, 3)
-				if rerr != nil {
-					fatal(rerr)
-				}
-				objs[i] = obj
-			}
-		}
-
-		// Scattered small count subscriptions; the threshold is out of
-		// reach so the workload measures evaluation, not notify traffic.
-		subscriber, err := client.New(net, "ev-subscriber", leaf, client.Options{Timeout: 30 * time.Second})
-		if err != nil {
-			fatal(err)
-		}
-		defer subscriber.Close()
-		for i := 0; i < subs; i++ {
-			x, y := rng.Float64()*(side-50), rng.Float64()*(side-50)
-			area := core.AreaFromRect(geo.R(x, y, x+50, y+50))
-			if serr := subscriber.SubscribeCountAbove(fmt.Sprintf("es-%d", i), area, 25, fleet+1,
-				func(msg.EventNotify) {}); serr != nil {
-				fatal(serr)
-			}
-		}
-		srv, _ := dep.Server(leaf)
-		for srv.Metrics().Gauge("event_subscriptions").Value() < int64(subs) {
-			time.Sleep(5 * time.Millisecond)
-		}
-
-		deadline := time.Now().Add(window)
-		var done atomic.Int64
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wrng := rand.New(rand.NewSource(int64(100 + w)))
-				for time.Now().Before(deadline) {
-					i := w*per + wrng.Intn(per)
-					if uerr := objs[i].Update(ctx, core.Sighting{
-						OID: core.OID(fmt.Sprintf("e-%d", i)), T: time.Now(),
-						Pos: geo.Pt(wrng.Float64()*side, wrng.Float64()*side), SensAcc: 10,
-					}); uerr != nil {
-						fatal(uerr)
-					}
-					done.Add(1)
-				}
-			}(w)
-		}
-		wg.Wait()
-		return float64(done.Load()) / time.Since(start).Seconds()
-	}
-
-	for _, subs := range subCounts {
-		indexed := runCfg(false, subs)
-		oracle := runCfg(true, subs)
-		speedup := "-"
-		if oracle > 0 {
-			speedup = fmt.Sprintf("%.1fx", indexed/oracle)
-		}
-		fmt.Printf("%-8d %16.0f %16.0f %10s\n", subs, indexed, oracle, speedup)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Table L: tiered (LSM) sighting storage. The memtable budget is set to a
 // quarter of the dataset's resident footprint, so ~3/4 of the working set
 // lives in sorted runs on disk — the bigger-than-RAM regime the tier
@@ -1278,7 +1158,7 @@ func tableLSM(quick bool) {
 	// loadAndHammer populates db and runs the parallel pipeline update
 	// workload; maintain (non-nil on tiered stores) is called periodically
 	// the way the janitor would.
-	loadAndHammer := func(db store.SightingStore, ss []core.Sighting, maintain func()) float64 {
+	loadAndHammer := func(db *store.ShardedSightingDB, ss []core.Sighting, maintain func()) float64 {
 		for _, s := range ss {
 			db.Put(s)
 		}
@@ -1390,7 +1270,7 @@ func tableLSM(quick bool) {
 		s.Pos = geo.Pt(rng.Float64()*side, rng.Float64()*side)
 		tierDB.Put(s)
 	}
-	measureGets := func(db store.SightingStore, pick func(*rand.Rand) core.OID) (p50, p99 time.Duration, missed int) {
+	measureGets := func(db *store.ShardedSightingDB, pick func(*rand.Rand) core.OID) (p50, p99 time.Duration, missed int) {
 		lrng := rand.New(rand.NewSource(9))
 		lat := make([]time.Duration, lookups)
 		for i := range lat {

@@ -41,20 +41,22 @@ import (
 //     position only; pairs that separate (or whose object left the area or
 //     the store) are dropped, and a dropped pair re-fires if it re-meets.
 //
-// # Overflow → resync, and the evaluate-all oracle
+// # Full scans: install, overflow and the periodic resync
 //
-// The delta queue never blocks a commit: when it is full the deltas are
-// dropped, a flag is raised (plus the event_delta_overflow counter) and
-// the dispatcher rebuilds every subscription's state from a full store
-// scan — the resync — after finishing the item in hand. The same
-// full-scan evaluator doubles as three other things: the initial
-// evaluation at install, a periodic safety net (Options.EventResyncInterval)
-// that also force-re-reports counts so a permanently lost report cannot
-// leave the coordinator stale forever, and the evaluate-all oracle mode
-// (Options.EventOracle) that re-evaluates every subscription synchronously
-// after every mutation — the seed behavior, kept as the correctness oracle
-// the property tests compare against and the baseline lsbench -table E
-// measures.
+// The delta pipeline is a leaf's only event engine. Next to it sits one
+// full-scan evaluator that rebuilds a subscription's state from the store,
+// and it serves three purposes, all on the dispatcher goroutine: the
+// initial evaluation of a freshly installed subscription, the resync after
+// an overflow, and a periodic safety net (Options.EventResyncInterval) that
+// also force-re-reports counts so a permanently lost report cannot leave
+// the coordinator stale forever. The delta queue never blocks a commit:
+// when it is full the deltas are dropped, a flag is raised (plus the
+// event_delta_overflow counter) and the dispatcher resyncs every
+// subscription after finishing the item in hand.
+//
+// A leaf with no installed subscription queues nothing: the commit path
+// drops its deltas on the spot (see enqueueDeltas for why the first
+// subscription cannot miss a commit).
 //
 // # Notification delivery
 //
@@ -77,18 +79,15 @@ import (
 
 // leafSub is one installed subscription on a leaf server. The mutable
 // fields (members, firedPairs, lastCount, seq) are guarded by events.mu;
-// evalMu additionally serializes full re-evaluations so two concurrent
-// oracle-mode scans cannot report against each other's store snapshots out
-// of order.
+// every evaluation that writes them runs on the dispatcher goroutine.
 type leafSub struct {
 	sub msg.EventSubscribe
 	// bounds is the region the subscription matches against: the area
 	// enlarged by ReqAcc (count) or by the meeting distance (meeting).
 	bounds geo.Rect
-	evalMu sync.Mutex
 	// members is the current set of locally qualifying objects of a count
-	// subscription, maintained incrementally from deltas (indexed mode
-	// only; oracle mode recounts from scratch).
+	// subscription, maintained incrementally from deltas and rebuilt by
+	// every full scan.
 	members   map[core.OID]bool
 	lastCount int
 	// seq numbers this leaf's outgoing count reports and meeting
@@ -132,11 +131,11 @@ type events struct {
 	mu    sync.Mutex
 	local map[string]*leafSub
 	coord map[string]*coordSub
-	// oracle selects synchronous evaluate-all after every mutation (the
-	// seed behavior) instead of the indexed delta pipeline.
-	oracle bool
+	// nlocal is len(local), written under mu and read without it by the
+	// commit path (enqueueDeltas).
+	nlocal atomic.Int64
 	// idx spatially indexes installed subscription regions by SubID; nil
-	// in oracle mode and on non-leaf servers.
+	// on non-leaf servers, which never install a subscription.
 	idx *spatial.RectIndex
 	// work feeds the dispatcher goroutine; nil when idx is.
 	work chan eventWork
@@ -152,14 +151,17 @@ type eventWork struct {
 	install *leafSub
 }
 
-func newEvents(oracle bool, indexWorld geo.Rect, queueDepth int) *events {
+// newEvents returns the event state of the server cfg describes. Only
+// leaves evaluate subscriptions against sightings, so only they get the
+// subscription index and the dispatcher queue; everywhere else the events
+// struct just routes and coordinates.
+func newEvents(cfg store.ConfigRecord, queueDepth int) *events {
 	e := &events{
-		local:  make(map[string]*leafSub),
-		coord:  make(map[string]*coordSub),
-		oracle: oracle,
+		local: make(map[string]*leafSub),
+		coord: make(map[string]*coordSub),
 	}
-	if !oracle && !indexWorld.Empty() {
-		e.idx = spatial.NewRectIndex(indexWorld)
+	if cfg.IsLeaf() {
+		e.idx = spatial.NewRectIndex(cfg.SA.Bounds())
 		e.work = make(chan eventWork, queueDepth)
 	}
 	return e
@@ -230,9 +232,8 @@ func (s *Server) handleEventSubscribe(from msg.NodeID, sub msg.EventSubscribe) {
 	}
 }
 
-// installSubscription registers the subscription locally and triggers its
-// initial evaluation (synchronously in oracle mode, through the dispatcher
-// otherwise).
+// installSubscription registers the subscription locally and queues its
+// initial evaluation on the dispatcher.
 func (s *Server) installSubscription(sub msg.EventSubscribe) {
 	e := s.events
 	e.mu.Lock()
@@ -252,27 +253,22 @@ func (s *Server) installSubscription(sub msg.EventSubscribe) {
 			firedPairs: make(map[pairKey]bool),
 		}
 		e.local[sub.SubID] = ls
-		if e.idx != nil {
-			e.idx.Insert(sub.SubID, ls.bounds)
-		}
+		e.nlocal.Add(1)
+		e.idx.Insert(sub.SubID, ls.bounds)
 		s.met.Gauge("event_subscriptions").Add(1)
 	}
 	if sub.Coordinator == s.ID() {
 		s.ensureCoordinatorLocked(sub)
 	}
 	e.mu.Unlock()
-	if e.work != nil {
-		select {
-		case e.work <- eventWork{install: ls}:
-		default:
-			// Queue full: the overflow resync will pick the new
-			// subscription up along with everything else.
-			e.resyncNeeded.Store(true)
-			s.met.Counter("event_delta_overflow").Inc()
-		}
-		return
+	select {
+	case e.work <- eventWork{install: ls}:
+	default:
+		// Queue full: the overflow resync will pick the new subscription
+		// up along with everything else.
+		e.resyncNeeded.Store(true)
+		s.met.Counter("event_delta_overflow").Inc()
 	}
-	s.resyncSub(ls, false)
 }
 
 // ensureCoordinator registers this server as the subscription's
@@ -304,9 +300,8 @@ func (s *Server) handleEventUnsubscribe(from msg.NodeID, req msg.EventUnsubscrib
 		e.mu.Lock()
 		if _, existed := e.local[req.SubID]; existed {
 			delete(e.local, req.SubID)
-			if e.idx != nil {
-				e.idx.Remove(req.SubID)
-			}
+			e.nlocal.Add(-1)
+			e.idx.Remove(req.SubID)
 			s.met.Gauge("event_subscriptions").Add(-1)
 		}
 		delete(e.coord, req.SubID)
@@ -372,13 +367,22 @@ func (s *Server) handleEventCount(req msg.EventCount) {
 }
 
 // ---------------------------------------------------------------------------
-// The delta path (indexed mode).
+// The delta path.
 
-// enqueueDeltas hands a committed delta batch to the dispatcher without
-// ever blocking the committing goroutine: a full queue drops the batch and
-// schedules a full resync instead.
+// enqueueDeltas hands a committed delta batch — from the pipeline's
+// OnCommit hook or a removal path (deregistration, handover departure,
+// soft-state expiry) — to the dispatcher without ever blocking the
+// committing goroutine: a full queue drops the batch and schedules a full
+// resync instead.
+//
+// A leaf with no installed subscription drops the batch on the spot. That
+// cannot lose a commit the first subscription needs: the commit happens
+// before this call reads nlocal, so a read of 0 precedes the first
+// subscription's increment, and that subscription's install evaluation —
+// queued after the increment, run on the dispatcher — scans a store that
+// already holds the commit.
 func (s *Server) enqueueDeltas(ds []store.Delta) {
-	if len(ds) == 0 {
+	if len(ds) == 0 || s.events.nlocal.Load() == 0 {
 		return
 	}
 	select {
@@ -389,36 +393,11 @@ func (s *Server) enqueueDeltas(ds []store.Delta) {
 	}
 }
 
-// notePutCommitted runs after a pipeline Put on the mutation path. In
-// indexed mode it is a no-op — the pipeline's OnCommit hook already fed
-// the dispatcher; in oracle mode it re-evaluates every subscription, the
-// seed behavior the benchmark baseline measures.
-func (s *Server) notePutCommitted() {
-	if s.events != nil && s.events.oracle {
-		s.resyncAllSubs(false)
-	}
-}
-
-// noteRemovals feeds removal deltas (deregistration, handover departure,
-// soft-state expiry) into the event engine.
-func (s *Server) noteRemovals(ds []store.Delta) {
-	if s.events == nil || len(ds) == 0 {
-		return
-	}
-	if s.events.work != nil {
-		s.enqueueDeltas(ds)
-		return
-	}
-	if s.events.oracle {
-		s.resyncAllSubs(false)
-	}
-}
-
-// eventDispatcher is the single consumer of the delta queue on a leaf in
-// indexed mode. Running evaluation on one goroutine keeps the incremental
-// state free of cross-evaluation races by construction; backpressure is
-// the bounded queue plus the overflow→resync policy, never a blocked
-// committer.
+// eventDispatcher is the single consumer of the delta queue on a leaf and
+// the only goroutine that evaluates subscriptions. Running evaluation on
+// one goroutine keeps the incremental state free of cross-evaluation races
+// by construction; backpressure is the bounded queue plus the
+// overflow→resync policy, never a blocked committer.
 func (s *Server) eventDispatcher() {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.opts.EventResyncInterval)
@@ -434,13 +413,31 @@ func (s *Server) eventDispatcher() {
 				s.applyDeltas(w.deltas)
 			}
 			if s.events.resyncNeeded.Swap(false) {
-				s.resyncAllSubs(true)
+				s.resyncAfterOverflow()
 			}
 		case <-tick.C:
 			// Periodic safety net: rebuild from the store and force
 			// re-reports, healing anything a lost report or dropped
 			// delta left stale.
-			s.resyncAllSubs(true)
+			s.resyncAllSubs()
+		}
+	}
+}
+
+// resyncAfterOverflow discards everything queued, then resyncs every
+// subscription. The queued deltas are older than the dropped one: applied
+// after the resync, a stale one would move its object back to a position no
+// later delta corrects. Whatever is queued — installs included — committed
+// or was installed before the scan, so the scan covers it; a delta queued
+// after the discard is newer than any dropped one, and applying it after
+// the scan is safe because an object's deltas arrive in commit order.
+func (s *Server) resyncAfterOverflow() {
+	for {
+		select {
+		case <-s.events.work:
+		default:
+			s.resyncAllSubs()
+			return
 		}
 	}
 }
@@ -566,12 +563,11 @@ func (s *Server) applyMeetingDelta(ls *leafSub, d store.Delta, fires []meetingFi
 }
 
 // ---------------------------------------------------------------------------
-// The full-scan evaluator: oracle mode, install evaluation, and resync.
+// The full-scan evaluator: install evaluation, overflow and periodic resync.
 
-// resyncAllSubs re-evaluates every installed subscription from the store.
-// force re-reports counts even when unchanged (the periodic safety net);
-// oracle mode calls it unforced after every mutation.
-func (s *Server) resyncAllSubs(force bool) {
+// resyncAllSubs re-evaluates every installed subscription from the store
+// and re-reports every count, changed or not.
+func (s *Server) resyncAllSubs() {
 	e := s.events
 	e.mu.Lock()
 	subs := make([]*leafSub, 0, len(e.local))
@@ -580,11 +576,15 @@ func (s *Server) resyncAllSubs(force bool) {
 	}
 	e.mu.Unlock()
 	for _, ls := range subs {
-		s.resyncSub(ls, force)
+		s.resyncSub(ls, true)
 	}
 }
 
-// resyncSub rebuilds one subscription's state from a full store scan.
+// resyncSub rebuilds one subscription's state from a full store scan;
+// force re-reports a count even when unchanged. It runs on the dispatcher
+// goroutine only — the install evaluation, the overflow resync and the
+// periodic tick all come from there — so no two evaluations of a
+// subscription overlap, and the scan itself runs outside events.mu.
 func (s *Server) resyncSub(ls *leafSub, force bool) {
 	switch ls.sub.Kind {
 	case msg.EventCountAbove:
@@ -596,27 +596,17 @@ func (s *Server) resyncSub(ls *leafSub, force bool) {
 
 // resyncCount recounts a subscription's qualifying objects from the store
 // and reports a changed (or, when force is set, any) count to the
-// coordinator. Scans run outside events.mu; evalMu keeps concurrent
-// oracle-mode evaluations from reporting stale counts over fresh ones.
+// coordinator.
 func (s *Server) resyncCount(ls *leafSub, force bool) {
-	ls.evalMu.Lock()
-	defer ls.evalMu.Unlock()
 	sub := ls.sub
-	indexed := s.events.idx != nil
-	var members map[core.OID]bool
-	if indexed {
-		members = make(map[core.OID]bool)
-	}
-	count := 0
+	members := make(map[core.OID]bool)
 	s.sightings.SearchArea(ls.bounds, func(sight core.Sighting) bool {
 		if s.countQualifies(sub, sight.OID, sight.Pos) {
-			count++
-			if members != nil {
-				members[sight.OID] = true
-			}
+			members[sight.OID] = true
 		}
 		return true
 	})
+	count := len(members)
 
 	s.events.mu.Lock()
 	if s.events.local[sub.SubID] != ls {
@@ -624,9 +614,7 @@ func (s *Server) resyncCount(ls *leafSub, force bool) {
 		s.events.mu.Unlock()
 		return
 	}
-	if indexed {
-		ls.members = members
-	}
+	ls.members = members
 	changed := count != ls.lastCount
 	ls.lastCount = count
 	var seq uint64
@@ -644,8 +632,6 @@ func (s *Server) resyncCount(ls *leafSub, force bool) {
 // from the store and fires the pairs that formed since the last known
 // state.
 func (s *Server) resyncMeeting(ls *leafSub) {
-	ls.evalMu.Lock()
-	defer ls.evalMu.Unlock()
 	sub := ls.sub
 	var inArea []core.Sighting
 	s.sightings.SearchArea(ls.bounds, func(sight core.Sighting) bool {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,36 +32,33 @@ type eventScenarioMeet struct {
 	distance float64
 }
 
-// TestEventPipelineOracleParity drives an identical randomized scenario —
-// registrations, moves (including cross-leaf handovers), deregistrations,
-// re-registrations, and mid-stream subscribe/unsubscribe — through both
-// event engines and checks that each converges to the ground truth computed
-// from the final object positions: per-subscription aggregate counts at the
-// coordinator, and per-leaf currently-meeting pair sets. The indexed engine
-// (incremental deltas) must be observationally equivalent to the
-// evaluate-all oracle.
-func TestEventPipelineOracleParity(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		oracle bool
-	}{
-		{"indexed", false},
-		{"oracle", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			runEventScenario(t, mode.oracle)
-		})
-	}
+// countMember replicates a count subscription's membership rule for an
+// object at p with the given offered accuracy: position inside the
+// ReqAcc-enlarged bounds and majority area overlap of its location
+// descriptor.
+func countMember(area core.Area, reqAcc, offeredAcc float64, p geo.Point) bool {
+	return area.Bounds().Enlarge(reqAcc).ContainsClosed(p) &&
+		area.RangeQualifies(core.LocationDescriptor{Pos: p, Acc: offeredAcc}, reqAcc, 0.5)
 }
 
-func runEventScenario(t *testing.T, oracle bool) {
+// TestEventPipelineOracleParity drives a randomized scenario —
+// registrations, moves (including cross-leaf handovers), deregistrations,
+// re-registrations, and mid-stream subscribe/unsubscribe — through the
+// indexed (incremental-delta) event pipeline and checks that it converges
+// to the ground-truth oracle computed from the final object positions:
+// per-subscription aggregate counts at the coordinator, and per-leaf
+// currently-meeting pair sets.
+func TestEventPipelineOracleParity(t *testing.T) {
+	t.Run("indexed", runEventScenario)
+}
+
+func runEventScenario(t *testing.T) {
 	const (
 		numObjects = 24
 		steps      = 120
 		offeredAcc = 10 // achievable 10, desired 10 → offered 10
 	)
 	ls := newTestLS(t, quadSpec(), server.Options{
-		EventOracle:         oracle,
 		EventResyncInterval: 200 * time.Millisecond,
 	})
 	rng := rand.New(rand.NewSource(42))
@@ -181,20 +179,12 @@ func runEventScenario(t *testing.T, oracle bool) {
 		activeCounts = append(activeCounts, churnSub)
 	}
 
-	// Ground truth from the final positions, replicating the membership
-	// rule: position inside the ReqAcc-enlarged bounds and majority area
-	// overlap of the offered-accuracy location descriptor.
-	qualifies := func(area core.Area, reqAcc float64, p geo.Point) bool {
-		if !area.Bounds().Enlarge(reqAcc).ContainsClosed(p) {
-			return false
-		}
-		return area.RangeQualifies(core.LocationDescriptor{Pos: p, Acc: offeredAcc}, reqAcc, 0.5)
-	}
+	// Ground truth from the final positions.
 	expected := make(map[string]int)
 	for _, cs := range activeCounts {
 		n := 0
 		for _, p := range pos {
-			if qualifies(cs.area, cs.reqAcc, p) {
+			if countMember(cs.area, cs.reqAcc, offeredAcc, p) {
 				n++
 			}
 		}
@@ -288,56 +278,141 @@ func runEventScenario(t *testing.T, oracle bool) {
 	}
 }
 
-// TestEventExpiryParity checks that soft-state expiry feeds the event
-// engine in both modes: a fired count predicate transitions back off when
-// its objects expire, without any explicit deregistration.
+// TestEventExpiryParity checks that soft-state expiry feeds the indexed
+// event engine: a fired count predicate transitions back off when its
+// objects expire, without any explicit deregistration.
 func TestEventExpiryParity(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		oracle bool
-	}{
-		{"indexed", false},
-		{"oracle", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			ls := newTestLS(t, quadSpec(), server.Options{
-				EventOracle:         mode.oracle,
-				SightingTTL:         150 * time.Millisecond,
-				JanitorInterval:     30 * time.Millisecond,
-				EventResyncInterval: 200 * time.Millisecond,
-			})
-			sub := ls.newClientAt(t, "subscriber", geo.Pt(100, 100), client.Options{})
-			owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
+	t.Run("indexed", runEventExpiry)
+}
 
-			var rec notifyRecorder
-			area := core.AreaFromRect(geo.R(50, 50, 250, 250))
-			if err := sub.SubscribeCountAbove("soft", area, 25, 2, rec.add); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := owner.Register(ctx(t), sightingAt("a", geo.Pt(100, 100)), 10, 50, 3); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := owner.Register(ctx(t), sightingAt("b", geo.Pt(150, 150)), 10, 50, 3); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, func() bool {
-				ns := rec.snapshot()
-				return len(ns) >= 1 && ns[len(ns)-1].Fired && ns[len(ns)-1].Total == 2
-			}, "threshold notification")
+func runEventExpiry(t *testing.T) {
+	ls := newTestLS(t, quadSpec(), server.Options{
+		SightingTTL:         150 * time.Millisecond,
+		JanitorInterval:     30 * time.Millisecond,
+		EventResyncInterval: 200 * time.Millisecond,
+	})
+	sub := ls.newClientAt(t, "subscriber", geo.Pt(100, 100), client.Options{})
+	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
 
-			// No more updates: both records expire and the predicate must
-			// transition off.
-			waitFor(t, func() bool {
-				ns := rec.snapshot()
-				return len(ns) >= 2 && !ns[len(ns)-1].Fired
-			}, "expiry transition")
-			coord, _ := ls.dep.Server("r.0")
-			waitFor(t, func() bool {
-				total, _, ok := coord.EventCoordTotalForTest("soft")
-				return ok && total == 0
-			}, "aggregate drained to zero")
-		})
+	var rec notifyRecorder
+	area := core.AreaFromRect(geo.R(50, 50, 250, 250))
+	if err := sub.SubscribeCountAbove("soft", area, 25, 2, rec.add); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := owner.Register(ctx(t), sightingAt("a", geo.Pt(100, 100)), 10, 50, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.Register(ctx(t), sightingAt("b", geo.Pt(150, 150)), 10, 50, 3); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		ns := rec.snapshot()
+		return len(ns) >= 1 && ns[len(ns)-1].Fired && ns[len(ns)-1].Total == 2
+	}, "threshold notification")
+
+	// No more updates: both records expire and the predicate must
+	// transition off.
+	waitFor(t, func() bool {
+		ns := rec.snapshot()
+		return len(ns) >= 2 && !ns[len(ns)-1].Fired
+	}, "expiry transition")
+	coord, _ := ls.dep.Server("r.0")
+	waitFor(t, func() bool {
+		total, _, ok := coord.EventCoordTotalForTest("soft")
+		return ok && total == 0
+	}, "aggregate drained to zero")
+}
+
+// TestFirstSubscriptionDuringUpdates covers a leaf's step from no
+// subscription — when its commits queue no deltas at all — to one: a count
+// subscription is installed while a writer keeps moving objects in and out
+// of its area. The periodic resync is out of reach, so only the install
+// evaluation and the deltas after it can produce the right count: a commit
+// that fell between the two, or a queued delta applied after an overflow
+// resync had already scanned past it, would leave the count wrong.
+func TestFirstSubscriptionDuringUpdates(t *testing.T) {
+	const (
+		numObjects = 16
+		offeredAcc = 10 // achievable 10, desired 10 → offered 10
+		reqAcc     = 25
+	)
+	ls := newTestLS(t, quadSpec(), server.Options{EventResyncInterval: time.Hour})
+	subscriber := ls.newClientAt(t, "subscriber", geo.Pt(100, 100), client.Options{})
+	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
+	leafID, _ := ls.dep.LeafFor(geo.Pt(100, 100))
+	leaf, _ := ls.dep.Server(leafID)
+	if n := leaf.EventSubCountForTest(); n != 0 {
+		t.Fatalf("leaf starts with %d subscriptions", n)
+	}
+
+	// The area and every position stay on the one leaf, so each move is an
+	// in-area update through the pipeline, half of them across the area's
+	// border.
+	area := core.AreaFromRect(geo.R(200, 200, 400, 400))
+	rng := rand.New(rand.NewSource(7))
+	randPos := func() geo.Point {
+		if rng.Intn(2) == 0 {
+			return geo.Pt(210+rng.Float64()*180, 210+rng.Float64()*180)
+		}
+		return geo.Pt(10+rng.Float64()*160, 10+rng.Float64()*700)
+	}
+	handles := make([]*client.TrackedObject, numObjects)
+	pos := make([]geo.Point, numObjects)
+	for i := range handles {
+		pos[i] = randPos()
+		obj, err := owner.Register(ctx(t), sightingAt(fmt.Sprintf("obj-%d", i), pos[i]), offeredAcc, 50, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = obj
+	}
+
+	var moves atomic.Int64
+	wctx := ctx(t)
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			i := rng.Intn(numObjects)
+			p := randPos()
+			if err := handles[i].Update(wctx, sightingAt(fmt.Sprintf("obj-%d", i), p)); err != nil {
+				done <- err
+				return
+			}
+			pos[i] = p
+			moves.Add(1)
+		}
+	}()
+	waitMoves := func(n int64) {
+		waitFor(t, func() bool { return moves.Load() >= n }, fmt.Sprintf("%d moves", n))
+	}
+	waitMoves(200)
+	if err := subscriber.SubscribeCountAbove("first", area, reqAcc, numObjects+1, func(msg.EventNotify) {}); err != nil {
+		t.Fatal(err)
+	}
+	waitMoves(moves.Load() + 200)
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	want := 0
+	for _, p := range pos {
+		if countMember(area, reqAcc, offeredAcc, p) {
+			want++
+		}
+	}
+	// The subscriber's entry leaf is also the subscription's coordinator.
+	waitFor(t, func() bool {
+		total, _, ok := leaf.EventCoordTotalForTest("first")
+		return ok && total == want
+	}, fmt.Sprintf("coordinator total %d", want))
 }
 
 // TestEventSlowSubscriberBackpressure pins the backpressure contract: a
@@ -427,10 +502,10 @@ func TestEventSlowSubscriberBackpressure(t *testing.T) {
 	}, "notifier observed the dead subscriber")
 }
 
-// TestEventFanoutSoak hammers the indexed pipeline from many goroutines —
+// TestEventFanoutSoak hammers the event pipeline from many goroutines —
 // updates, handovers, subscription churn, diagnostics — to give the race
-// detector surface. Correctness is covered by the parity test; this one
-// asserts only clean shutdown and a live hierarchy at the end.
+// detector surface. Correctness is covered by the ground-truth tests; this
+// one asserts only clean shutdown and a live hierarchy at the end.
 func TestEventFanoutSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")

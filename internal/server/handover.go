@@ -67,7 +67,7 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 	}
 	// Remove the visitor and sighting records (lines 5-6).
 	if d, ok := s.sightings.RemoveDelta(req.S.OID); ok {
-		s.noteRemovals([]store.Delta{d})
+		s.enqueueDeltas([]store.Delta{d})
 	}
 	if _, derr := s.visitors.Remove(req.S.OID); derr != nil {
 		s.met.Counter("visitor_db_errors").Inc()
@@ -94,7 +94,6 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 // the visitor record.
 func (s *Server) putSighting(sight core.Sighting, acc float64, epoch uint64) {
 	s.pipe.PutAcc(sight, acc)
-	s.notePutCommitted()
 	if s.accEpoch.Load() != epoch {
 		s.refreshAcc(sight.OID)
 	}

@@ -304,7 +304,7 @@ func (s *Server) handleDeregister(_ context.Context, req msg.DeregisterReq) (msg
 		lastT = sight.T
 	}
 	if d, ok := s.sightings.RemoveDelta(req.OID); ok {
-		s.noteRemovals([]store.Delta{d})
+		s.enqueueDeltas([]store.Delta{d})
 	}
 	if _, err := s.visitors.Remove(req.OID); err != nil {
 		s.met.Counter("visitor_db_errors").Inc()

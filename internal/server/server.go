@@ -136,12 +136,6 @@ type Options struct {
 	// value enables a small default budget; MaxAttempts 1 restores
 	// fire-and-forget.
 	PathRetry transport.RetryPolicy
-	// EventOracle selects the evaluate-all event engine: every installed
-	// subscription is re-evaluated synchronously after every mutation.
-	// This is the original (seed) behavior, kept as the correctness
-	// oracle for property tests and as the lsbench baseline; the default
-	// is the subscription-indexed delta pipeline (see event.go).
-	EventOracle bool
 	// EventQueueDepth bounds the delta queue feeding a leaf's event
 	// dispatcher. A full queue never blocks a commit: overflowing delta
 	// batches are dropped and replaced by a full resync. Default 256.
@@ -370,14 +364,7 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		met:      opts.Metrics,
 		writeMet: newWriteCounters(opts.Metrics),
 	}
-	// Only leaves evaluate subscriptions against sightings, so only they
-	// get the subscription index and delta dispatcher; everywhere else the
-	// events struct just routes and coordinates.
-	indexWorld := geo.Rect{}
-	if cfg.IsLeaf() && !opts.EventOracle {
-		indexWorld = cfg.SA.Bounds()
-	}
-	s.events = newEvents(opts.EventOracle, indexWorld, opts.EventQueueDepth)
+	s.events = newEvents(cfg, opts.EventQueueDepth)
 	s.notify = newNotifier(s)
 	if cfg.IsLeaf() {
 		s.rangeMet = newRangeCounters(s.met)
@@ -420,14 +407,11 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 			closeWALs()
 			return nil, fmt.Errorf("server %s: recovering sightingDB: %w", cfg.ID, err)
 		}
-		var popts []store.PipelineOption
+		// Feed committed update deltas straight into the event dispatcher;
+		// the enqueue never blocks the committing lane.
+		popts := []store.PipelineOption{store.OnCommit(s.enqueueDeltas)}
 		if opts.SightingTTL > 0 {
 			popts = append(popts, store.OnExpired(s.expireVisitors))
-		}
-		if s.events.work != nil {
-			// Feed committed update deltas straight into the event
-			// dispatcher; the enqueue never blocks the committing lane.
-			popts = append(popts, store.OnCommit(s.enqueueDeltas))
 		}
 		s.pipe = store.NewUpdatePipeline(s.sightings, popts...)
 		s.dedupe = newDedupe(opts.DedupeWindow, opts.DedupeCap, opts.Clock)
@@ -451,13 +435,13 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		return nil, fmt.Errorf("server %s: attaching to network: %w", cfg.ID, err)
 	}
 	s.node = node
-	if cfg.IsLeaf() && opts.JanitorInterval > 0 {
-		s.wg.Add(1)
-		go s.janitor()
-	}
-	if s.events.work != nil {
+	if cfg.IsLeaf() {
 		s.wg.Add(1)
 		go s.eventDispatcher()
+		if opts.JanitorInterval > 0 {
+			s.wg.Add(1)
+			go s.janitor()
+		}
 	}
 	if s.repl != nil {
 		for _, st := range s.repl.streams {
@@ -717,7 +701,7 @@ func (s *Server) expireVisitors(ids []core.OID) {
 			ds = append(ds, d)
 		}
 	}
-	s.noteRemovals(ds)
+	s.enqueueDeltas(ds)
 }
 
 // expireVisitor removes one expired visitor like a deregistration,

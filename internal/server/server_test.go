@@ -222,6 +222,11 @@ func TestHandoverDeepHierarchy(t *testing.T) {
 	if obj.Agent() != "r.0.0" {
 		t.Fatalf("initial agent = %s", obj.Agent())
 	}
+	// The registration's CreatePath climbs asynchronously. Let it reach the
+	// root first: arriving at r.0 after the handovers below, it would
+	// re-create the record they removed there.
+	root, _ := ls.dep.Server("r")
+	waitFor(t, func() bool { return root.VisitorCount() == 1 }, "registration path at the root")
 
 	// Local handover within quadrant r.0 (crossing leaf boundary at 400).
 	if err := obj.Update(ctx(t), sightingAt("o1", geo.Pt(500, 100))); err != nil {
@@ -245,7 +250,6 @@ func TestHandoverDeepHierarchy(t *testing.T) {
 		r0, _ := ls.dep.Server("r.0")
 		r01, _ := ls.dep.Server("r.0.1")
 		r1, _ := ls.dep.Server("r.1")
-		root, _ := ls.dep.Server("r")
 		return r0.VisitorCount() == 0 && r01.VisitorCount() == 0 &&
 			r1.VisitorCount() == 1 && root.VisitorCount() == 1
 	}, "path rewired through root")

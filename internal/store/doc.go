@@ -43,9 +43,8 @@
 //   - When it is unknown. AccUnknown (−1 — not the zero value, which means
 //     "perfectly accurate") marks every entry that did not arrive with an
 //     accuracy: Put, PutBatch, PutBatchAcc without accuracies and
-//     UpdatePipeline.Put, WAL replay (Recover), ReplInstallSnapshot, Touch
-//     promoting a cold record, and every hit SearchEntries and
-//     NearestEntries read from a disk run. Consumers resolve an unknown
+//     UpdatePipeline.Put, WAL replay (Recover), ReplInstallSnapshot, and
+//     every hit SearchEntries and NearestEntries read from a disk run. Consumers resolve an unknown
 //     accuracy through the source of truth, the visitorDB, so nothing
 //     depends on an accuracy being present.
 //   - Why it is never stale. An entry's accuracy changes only with the

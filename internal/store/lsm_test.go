@@ -690,22 +690,25 @@ func TestTieredExpiry(t *testing.T) {
 	if err := tiered.MaintainTiers(); err != nil {
 		t.Fatal(err)
 	}
-	// Touch half so their lease outlives the jump past the original TTL.
+	// Re-put half, unchanged, so their lease outlives the jump past the
+	// original TTL: a run-resident record is refreshed like any other.
 	mu.Lock()
 	now = base.Add(8 * time.Second)
 	mu.Unlock()
 	for i := 0; i < 50; i++ {
 		id := core.OID(fmt.Sprintf("o-%02d", i))
-		if !tiered.Touch(id) {
-			t.Fatalf("Touch(%s) — run-resident record not promotable", id)
+		s, ok := tiered.Get(id)
+		if !ok {
+			t.Fatalf("Get(%s) — run-resident record not found", id)
 		}
-		oracle.Touch(id)
+		tiered.Put(s)
+		oracle.Put(s)
 	}
 	mu.Lock()
 	now = base.Add(15 * time.Second)
 	mu.Unlock()
 
-	// The untouched half is expired — including the run-resident copies.
+	// The other half is expired — including the run-resident copies.
 	exp := tiered.Expired()
 	expSet := make(map[core.OID]bool, len(exp))
 	for _, id := range exp {
@@ -718,7 +721,7 @@ func TestTieredExpiry(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		if expSet[core.OID(fmt.Sprintf("o-%02d", i))] {
-			t.Fatalf("Expired reported touched o-%02d", i)
+			t.Fatalf("Expired reported refreshed o-%02d", i)
 		}
 	}
 	// Tear them down the way the janitor does.
@@ -735,8 +738,8 @@ func TestTieredExpiry(t *testing.T) {
 
 // TestTieredOracleParity is the randomized differential test: a tiered
 // store and the brute-force oracle receive the same stream of
-// puts, removes, touches and expiry sweeps, with tier maintenance
-// interleaved, and must agree on the full logical state at
+// puts, removes, same-position refreshes and expiry sweeps, with tier
+// maintenance interleaved, and must agree on the full logical state at
 // every checkpoint.
 func TestTieredOracleParity(t *testing.T) {
 	rounds := 40
@@ -769,11 +772,15 @@ func TestTieredOracleParity(t *testing.T) {
 				if got != want {
 					t.Fatalf("round %d: Remove(%s) = %v, oracle %v", round, id, got, want)
 				}
-			default: // touch
-				got := tiered.Touch(id)
-				want := oracle.Touch(id)
-				if got != want {
-					t.Fatalf("round %d: Touch(%s) = %v, oracle %v", round, id, got, want)
+			default: // refresh: re-put the object at its stored position
+				got, gok := tiered.Get(id)
+				want, wok := oracle.Get(id)
+				if gok != wok || got.Pos != want.Pos || !got.T.Equal(want.T) {
+					t.Fatalf("round %d: Get(%s) = %v %v, oracle %v %v", round, id, got, gok, want, wok)
+				}
+				if gok {
+					tiered.Put(got)
+					oracle.Put(want)
 				}
 			}
 		}

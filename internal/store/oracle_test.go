@@ -37,7 +37,7 @@ type sightingQueries interface {
 func newOracle() *oracleStore { return newOracleTTL(0, time.Now) }
 
 // newOracleTTL returns an empty oracle whose records expire ttl after their
-// last put or touch on clock; a zero ttl disables expiry.
+// last put on clock; a zero ttl disables expiry.
 func newOracleTTL(ttl time.Duration, clock func() time.Time) *oracleStore {
 	return &oracleStore{recs: make(map[core.OID]oracleRec), ttl: ttl, clock: clock}
 }
@@ -69,15 +69,6 @@ func (o *oracleStore) PutBatch(batch []core.Sighting) {
 func (o *oracleStore) Remove(id core.OID) bool {
 	_, ok := o.recs[id]
 	delete(o.recs, id)
-	return ok
-}
-
-func (o *oracleStore) Touch(id core.OID) bool {
-	rec, ok := o.recs[id]
-	if ok {
-		rec.expires = o.lease()
-		o.recs[id] = rec
-	}
 	return ok
 }
 

@@ -66,10 +66,12 @@ func OnExpired(fn func([]core.OID)) PipelineOption {
 
 // OnCommit installs a callback receiving the change deltas of every batch
 // the pipeline commits. The callback runs on the lane leader's goroutine
-// while it still holds lane leadership, so for any one object the callbacks
-// observe deltas in commit order; it owns the slice it is handed. A slow
-// callback stalls its lane — consumers that can fall behind must hand off
-// to their own queue (the server's event dispatcher does).
+// while it still holds lane leadership and before any update of the batch
+// returns, so for any one object the callbacks observe deltas in commit
+// order, ahead of anything the updater does next; it owns the slice it is
+// handed. A slow callback stalls its lane and the batch's updaters —
+// consumers that can fall behind must hand off to their own queue (the
+// server's event dispatcher does).
 func OnCommit(fn func([]Delta)) PipelineOption {
 	return func(p *UpdatePipeline) { p.onCommit = fn }
 }
@@ -130,11 +132,11 @@ func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 		}
 		deltas = p.db.PutBatchAcc(batch, accs, deltas)
 		applied += len(batch)
-		for _, d := range dones {
-			close(d)
-		}
 		if p.onCommit != nil {
 			p.onCommit(deltas)
+		}
+		for _, d := range dones {
+			close(d)
 		}
 		lane.mu.Lock()
 		if len(lane.pending) == 0 {

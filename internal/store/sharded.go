@@ -254,7 +254,7 @@ func (sh *sightingShard) rebuildIndexLocked() {
 // NumShards implements SightingStore.
 func (db *ShardedSightingDB) NumShards() int { return len(db.shards) }
 
-// ShardFor implements SightingStore.
+// ShardFor maps an object id to its shard.
 func (db *ShardedSightingDB) ShardFor(id core.OID) int {
 	return spatial.ShardFor(id, len(db.shards))
 }
@@ -267,9 +267,9 @@ func (db *ShardedSightingDB) lockOwner(id core.OID) (*sightingShard, int) {
 	return sh, i
 }
 
-// Len implements SightingStore. Across shards the count is a best-effort
-// snapshot under concurrent writes, exact whenever the store is quiescent —
-// the same contract every cross-shard read has.
+// Len returns the number of stored sighting records. Across shards the
+// count is a best-effort snapshot under concurrent writes, exact whenever
+// the store is quiescent — the same contract every cross-shard read has.
 // On a tiered store the count additionally includes the runs' live
 // records and is an upper-bound estimate: a record present in the
 // memtable and a run, or in several overlapping runs, is counted once
@@ -295,7 +295,8 @@ func (db *ShardedSightingDB) Len() int {
 	return n
 }
 
-// Put implements SightingStore.
+// Put inserts or replaces the record for s.OID and refreshes its expiration
+// date.
 func (db *ShardedSightingDB) Put(s core.Sighting) {
 	db.putOne(s, AccUnknown, nil)
 }
@@ -315,8 +316,9 @@ func (db *ShardedSightingDB) putOne(s core.Sighting, acc float64, out *[]Delta) 
 	}
 }
 
-// PutBatch implements SightingStore: the batch is grouped by shard and each
-// group applied under a single lock acquisition. Within a group, updates to
+// PutBatch applies a batch of puts; later entries for the same object
+// override earlier ones. The batch is grouped by shard and each group
+// applied under a single lock acquisition. Within a group, updates to
 // the same object are coalesced — only the last sighting per object touches
 // the spatial index, fusing its Remove+Insert pair once instead of once per
 // superseded update.
@@ -446,8 +448,10 @@ func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting, acc f
 	return putDelta(s, old)
 }
 
-// SetAcc implements SightingStore. Only the memtable entry is touched: a
-// record that lives in a run has no accuracy to keep current.
+// SetAcc replaces the accuracy recorded on id's index entry, leaving the
+// sighting and its expiration date alone. It reports false when the
+// memtable holds no entry for id: only the memtable entry is touched, and
+// a record that lives in a run has no accuracy to keep current.
 func (db *ShardedSightingDB) SetAcc(id core.OID, acc float64) bool {
 	sh, _ := db.lockOwner(id)
 	defer sh.mu.Unlock()
@@ -488,13 +492,14 @@ func (db *ShardedSightingDB) Get(id core.OID) (core.Sighting, bool) {
 	return core.Sighting{}, false
 }
 
-// Remove implements SightingStore.
+// Remove deletes the record for id and reports whether it existed.
 func (db *ShardedSightingDB) Remove(id core.OID) bool {
 	_, ok := db.RemoveDelta(id)
 	return ok
 }
 
-// RemoveDelta implements SightingStore. On a tiered store removing a
+// RemoveDelta is Remove with change reporting: the returned delta carries
+// the removed record's last position. On a tiered store removing a
 // record that lives only in a run leaves a memtable tombstone (persisted
 // by the next flush, dropped with the shadowed versions at compaction)
 // so the run-resident version stops being visible immediately.
@@ -551,9 +556,11 @@ func (db *ShardedSightingDB) removeColdLocked(sh *sightingShard, i int, id core.
 	return removeDelta(id, &sightingEntry{s: rec.s, expires: rec.expires}), true
 }
 
-// RemoveExpiredDelta implements SightingStore: the record is removed only
-// if its TTL has passed at the time the shard lock is held, so a record
-// refreshed since an expiry observation survives.
+// RemoveExpiredDelta deletes the record for id only if its TTL has passed
+// at the time the shard lock is held, so callers acting on a stale expiry
+// observation (the janitor's Expired snapshot, the pipeline's amortized
+// sweep) cannot tear down a concurrently refreshed record. The returned
+// delta carries the removed record's last position.
 func (db *ShardedSightingDB) RemoveExpiredDelta(id core.OID) (Delta, bool) {
 	sh, i := db.lockOwner(id)
 	defer sh.mu.Unlock()
@@ -575,38 +582,8 @@ func (db *ShardedSightingDB) RemoveExpiredDelta(id core.OID) (Delta, bool) {
 	return removeDelta(id, e), true
 }
 
-// Touch implements SightingStore. On a tiered store touching a record
-// that lives only in a run promotes it into the memtable with a fresh
-// lease (write-ahead-logged like a put, so the refresh survives a crash
-// even though the run keeps the stale expiry).
-func (db *ShardedSightingDB) Touch(id core.OID) bool {
-	sh, i := db.lockOwner(id)
-	defer sh.mu.Unlock()
-	e, ok := sh.byID[id]
-	if !ok {
-		if sh.tier == nil {
-			return false
-		}
-		if _, gone := sh.dead[id]; gone {
-			return false
-		}
-		rec, found := sh.tierLookup(db.tier, id)
-		if !found || rec.tombstone {
-			return false
-		}
-		if db.wal != nil {
-			_ = db.wal.AppendPut(i, rec.s)
-		}
-		db.putLocked(sh, rec.s, AccUnknown)
-		return true
-	}
-	if db.ttl > 0 {
-		e.expires = db.clock().Add(db.ttl)
-	}
-	return true
-}
-
-// Expired implements SightingStore with a full scan, shard by shard.
+// Expired returns the ids of all records whose soft-state TTL passed, from
+// a full scan, shard by shard.
 func (db *ShardedSightingDB) Expired() []core.OID {
 	if db.ttl <= 0 {
 		return nil
@@ -697,8 +674,10 @@ func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) 
 	db.search(r, hitSink{rec: visit})
 }
 
-// SearchEntries implements SightingStore: the same fan-out as SearchArea,
-// delivering memtable hits off the index entries.
+// SearchEntries is SearchArea at index-entry level: visit receives the id,
+// the position and the recorded accuracy (AccUnknown when none) of every
+// match without the record behind the entry being read. It is the same
+// fan-out as SearchArea, delivering memtable hits off the index entries.
 func (db *ShardedSightingDB) SearchEntries(r geo.Rect, visit func(id core.OID, pos geo.Point, acc float64) bool) {
 	db.search(r, hitSink{entry: visit})
 }
@@ -743,10 +722,10 @@ func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting
 	})
 }
 
-// NearestEntries implements SightingStore: NearestFunc with memtable
-// neighbors delivered off the cursor's index entries. A neighbor that
-// NearestFunc would re-resolve through Get is re-resolved here too and
-// delivered without an accuracy.
+// NearestEntries is NearestFunc at index-entry level, like SearchEntries:
+// memtable neighbors are delivered off the cursor's index entries. A
+// neighbor that NearestFunc would re-resolve through Get is re-resolved
+// here too and delivered without an accuracy.
 func (db *ShardedSightingDB) NearestEntries(p geo.Point, visit func(id core.OID, pos geo.Point, acc, dist float64) bool) {
 	db.nearest(p, func(n spatial.Neighbor, e *sightingEntry) bool {
 		if e != nil {
@@ -828,7 +807,7 @@ func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor,
 	}
 }
 
-// ForEach implements SightingStore.
+// ForEach visits every stored sighting in unspecified order.
 func (db *ShardedSightingDB) ForEach(visit func(s core.Sighting) bool) {
 	for _, sh := range db.shards {
 		stopped := false

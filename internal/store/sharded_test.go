@@ -31,12 +31,6 @@ func TestShardedSightingDBBasic(t *testing.T) {
 	if !db.Remove("o7") || db.Remove("o7") {
 		t.Error("Remove / double-Remove misbehaved")
 	}
-	if db.Touch("missing") {
-		t.Error("Touch missing returned true")
-	}
-	if !db.Touch("o8") {
-		t.Error("Touch existing returned false")
-	}
 	count := 0
 	db.ForEach(func(core.Sighting) bool { count++; return true })
 	if count != 39 {
@@ -395,7 +389,9 @@ func TestShardedConcurrentHammer(t *testing.T) {
 					db.Remove(core.OID(fmt.Sprintf("w%d-o%d", w%4, rng.Intn(40))))
 				case 7:
 					db.SweepExpired(8)
-					db.Touch(core.OID(id))
+					if s, ok := db.Get(core.OID(id)); ok {
+						db.Put(s)
+					}
 				}
 			}
 		}(w)

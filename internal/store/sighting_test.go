@@ -84,13 +84,13 @@ func TestSightingDBExpiry(t *testing.T) {
 		t.Fatalf("expired immediately: %v", got)
 	}
 	advance(20 * time.Second)
-	db.Touch("fresh") // refresh one record
+	db.Put(sighting("fresh", 1, 1)) // refresh one record
 	advance(20 * time.Second)
 	got := db.Expired()
 	if len(got) != 1 || got[0] != "stale" {
 		t.Errorf("Expired = %v, want [stale]", got)
 	}
-	// A Put also refreshes the deadline.
+	// Re-putting the stale one refreshes its deadline too.
 	db.Put(sighting("stale", 2, 2))
 	if got := db.Expired(); len(got) != 0 {
 		t.Errorf("Expired after refresh = %v", got)
@@ -103,11 +103,8 @@ func TestSightingDBExpiryDisabled(t *testing.T) {
 	if got := db.Expired(); got != nil {
 		t.Errorf("Expired with TTL=0 = %v", got)
 	}
-	if !db.Touch("o") {
-		t.Error("Touch existing returned false")
-	}
-	if db.Touch("missing") {
-		t.Error("Touch missing returned true")
+	if got := db.SweepExpired(10); got != nil {
+		t.Errorf("SweepExpired with TTL=0 = %v", got)
 	}
 }
 
