@@ -1,21 +1,19 @@
-// Command lsbench regenerates the paper's evaluation tables and the
-// ablation studies listed below; each table's own comment in this package
-// says what it measures and where its recorded run lives.
+// Command lsbench regenerates the paper's Section 7 evaluation — table 1
+// (storage throughput), table 2 (distributed response times) — and the
+// ablations of its design choices, plus the hot-standby failover table that
+// no bench/ workload covers yet. Engineering measurements (codec, batching,
+// retries, tiered storage, range qualification) live in bench/'s workloads.
 //
 // Usage:
 //
 //	lsbench -table 1      # Table 1: data-storage throughput
 //	lsbench -table 2      # Table 2: distributed response time / throughput
-//	lsbench -table A2     # caching ablation
+//	lsbench -table A2     # Section 6.5 caching ablation
 //	lsbench -table A3     # hierarchy height/fan-out sweep
 //	lsbench -table A4     # update-protocol comparison
 //	lsbench -table A5     # query-locality sweep
-//	lsbench -table W      # wire codec: binary envelope round trips
-//	lsbench -table B      # datagram batching + async client over real UDP
-//	lsbench -table R      # resilience: retry/breaker overhead, degraded queries, recovery time
-//	lsbench -table L      # tiered (LSM) sighting storage: bigger-than-RAM leaves, tail-only recovery
+//	lsbench -table A6     # Section 4 HLR-style root partitioning
 //	lsbench -table F      # hot-standby replication: steady-state overhead, failover-to-first-query latency
-//	lsbench -table Q      # leaf range/NN qualification: time per candidate, allocations, exact-path share
 //	lsbench -table all    # everything
 //	lsbench -quick        # smaller populations, faster runs
 //
@@ -30,7 +28,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,11 +45,10 @@ import (
 	"locsvc/internal/sim"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
-	"locsvc/internal/wire"
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A7, W, B, R, L, F, Q or all")
+	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A6, F or all")
 	quick := flag.Bool("quick", false, "reduced populations for a fast smoke run")
 	flag.Parse()
 
@@ -68,16 +64,10 @@ func main() {
 	run("A4", ablationUpdateProtocols)
 	run("A5", ablationLocality)
 	run("A6", ablationRootPartitions)
-	run("A7", ablationShardedStore)
-	run("W", tableWire)
-	run("B", tableBatch)
-	run("R", tableResilience)
-	run("L", tableLSM)
 	run("F", tableRepl)
-	run("Q", tableRangeQualify)
 
 	switch *table {
-	case "1", "2", "A2", "A3", "A4", "A5", "A6", "A7", "W", "B", "R", "L", "F", "Q", "all":
+	case "1", "2", "A2", "A3", "A4", "A5", "A6", "F", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(1)
@@ -563,824 +553,6 @@ func ablationRootPartitions(quick bool) {
 		}
 		fmt.Printf("%-12d %22s %24s\n", parts, strings.Join(recStats, "/"), strings.Join(msgStats, "/"))
 		w.Close()
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablation A7: the sighting store's shard count under the batched update
-// pipeline. Parallel workers hammer one store of 1 (the default), 4 and 8
-// shards. The wal upd/s column repeats the update workload with durable
-// per-shard sighting logs attached (one WAL append per group-commit batch,
-// no fsync; recorded runs in BENCH_wal.json). The knn5 column shows the
-// resumable per-shard nearest-neighbor cursors: the distance-ordered merge
-// advances each shard one neighbor at a time instead of re-fetching
-// prefixes with doubled depth (recorded runs live in
-// BENCH_sharded_store.json and BENCH_nn_cursor.json; their "single lock"
-// rows are a store that no longer exists).
-
-func ablationShardedStore(quick bool) {
-	objects := 25_000
-	opsPerWorker := 50_000
-	if quick {
-		objects, opsPerWorker = 5_000, 10_000
-	}
-	const side = 10_000.0
-	const workers = 8
-	fmt.Printf("\nAblation A7: shard count (%d objects, %d workers x %d updates)\n\n",
-		objects, workers, opsPerWorker)
-	fmt.Printf("%-8s %14s %14s %14s %14s\n", "shards", "updates/s", "wal upd/s", "range q/s", "knn5 q/s")
-
-	// measureUpdates loads db with the standard population and hammers it
-	// with the parallel pipeline update workload, returning updates/s.
-	measureUpdates := func(db *store.ShardedSightingDB) float64 {
-		rng := rand.New(rand.NewSource(1))
-		sightings := make([]core.Sighting, objects)
-		now := time.Now()
-		for i := range sightings {
-			sightings[i] = core.Sighting{
-				OID: core.OID(fmt.Sprintf("obj-%d", i)), T: now,
-				Pos:     geo.Pt(rng.Float64()*side, rng.Float64()*side),
-				SensAcc: 10,
-			}
-			db.Put(sightings[i])
-		}
-		pipe := store.NewUpdatePipeline(db)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wrng := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < opsPerWorker; i++ {
-					s := sightings[wrng.Intn(objects)]
-					s.Pos = geo.Pt(wrng.Float64()*side, wrng.Float64()*side)
-					pipe.Put(s)
-				}
-			}(w)
-		}
-		wg.Wait()
-		return float64(workers*opsPerWorker) / time.Since(start).Seconds()
-	}
-
-	for _, shards := range []int{1, 4, 8} {
-		db := store.NewShardedSightingDB(store.WithShards(shards))
-		updateRate := measureUpdates(db)
-
-		// Same workload with durable per-shard sighting logs attached
-		// (process-crash durability, no fsync) — the wal upd/s column.
-		walDir, err := os.MkdirTemp("", "lsbench-wal")
-		if err != nil {
-			fatal(err)
-		}
-		swal, err := store.OpenShardedWAL(walDir, shards)
-		if err != nil {
-			fatal(err)
-		}
-		walRate := measureUpdates(store.NewShardedSightingDB(store.WithSightingWAL(swal)))
-		if err := swal.Flush(); err != nil {
-			fatal(err)
-		}
-		swal.Close()
-		os.RemoveAll(walDir)
-
-		queries := opsPerWorker / 10
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wrng := rand.New(rand.NewSource(int64(100 + w)))
-				for i := 0; i < queries; i++ {
-					x := wrng.Float64() * (side - 100)
-					y := wrng.Float64() * (side - 100)
-					db.SearchArea(geo.R(x, y, x+100, y+100), func(core.Sighting) bool { return true })
-				}
-			}(w)
-		}
-		wg.Wait()
-		queryRate := float64(workers*queries) / time.Since(start).Seconds()
-
-		knnOps := opsPerWorker / 10
-		start = time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wrng := rand.New(rand.NewSource(int64(200 + w)))
-				for i := 0; i < knnOps; i++ {
-					p := geo.Pt(wrng.Float64()*side, wrng.Float64()*side)
-					n := 0
-					db.NearestFunc(p, func(core.Sighting, float64) bool {
-						n++
-						return n < 5
-					})
-				}
-			}(w)
-		}
-		wg.Wait()
-		knnRate := float64(workers*knnOps) / time.Since(start).Seconds()
-		fmt.Printf("%-8d %14.0f %14.0f %14.0f %14.0f\n", shards, updateRate, walRate, queryRate, knnRate)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table W: wire codec. The hand-rolled binary codec on the datagrams that
-// dominate steady-state traffic: every remote operation pays the codec
-// twice (request + response), so round-trip encode+decode throughput is
-// the number that matters. BENCH_wire.json records its comparison with the
-// encoding/gob format it replaced.
-
-func tableWire(quick bool) {
-	binOps := 2_000_000
-	if quick {
-		binOps = 200_000
-	}
-	fmt.Printf("\nTable W: wire codec round trips\n\n")
-	fmt.Printf("%-20s %10s %14s\n", "message", "bin bytes", "binary rt/s")
-
-	subObjs := make([]core.Entry, 16)
-	for i := range subObjs {
-		subObjs[i] = core.Entry{
-			OID: core.OID(fmt.Sprintf("obj-%04d", i)),
-			LD:  core.LocationDescriptor{Pos: geo.Pt(float64(i)*10, 500), Acc: 10},
-		}
-	}
-	envelopes := []struct {
-		name string
-		env  msg.Envelope
-	}{
-		{"UpdateReq", msg.Envelope{From: "obj-node-17", CorrID: 421, Msg: msg.UpdateReq{S: core.Sighting{
-			OID: "truck-7", T: time.Unix(1_700_000_000, 250_000_000).UTC(),
-			Pos: geo.Pt(1234.5, 987.25), SensAcc: 10,
-		}}}},
-		{"PosQueryRes", msg.Envelope{From: "r.2", CorrID: 99, Reply: true, Msg: msg.PosQueryRes{
-			OpID: 7, Found: true,
-			LD:    core.LocationDescriptor{Pos: geo.Pt(431.25, 1102.5), Acc: 12.5},
-			Agent: "r.2",
-			AgentInfo: msg.LeafInfo{
-				ID:   "r.2",
-				Area: core.AreaFromRect(geo.R(0, 750, 750, 1500)),
-			},
-			MaxSpeed: 15, Hops: 3,
-		}}},
-		{"RangeQuerySubRes(16)", msg.Envelope{From: "r.1", Msg: msg.RangeQuerySubRes{
-			OpID: 99, Objs: subObjs, CoveredSize: 2500,
-			Leaf: msg.LeafInfo{ID: "r.1", Area: core.AreaFromRect(geo.R(0, 0, 750, 750))},
-		}}},
-	}
-
-	for _, e := range envelopes {
-		binData, err := wire.Encode(e.env)
-		if err != nil {
-			fatal(err)
-		}
-
-		buf := make([]byte, 0, len(binData))
-		start := time.Now()
-		for i := 0; i < binOps; i++ {
-			buf, err = wire.AppendEncode(buf[:0], e.env)
-			if err != nil {
-				fatal(err)
-			}
-			if _, err := wire.Decode(buf); err != nil {
-				fatal(err)
-			}
-		}
-		binRate := float64(binOps) / time.Since(start).Seconds()
-
-		fmt.Printf("%-20s %10d %14.0f\n", e.name, len(binData), binRate)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table B: datagram batching and the multiplexed async client over real UDP
-// sockets. An update-heavy fan-out workload — one client node keeping a
-// fleet of objects fresh with UpdateAsync — runs once with the batcher off
-// (every envelope its own datagram, the pre-batching transport) and once
-// with coalescing on. Throughput, fan-out round latency and the
-// envelopes-per-datagram ratio come from the same shared metrics registry
-// the servers report through. Recorded runs live in BENCH_batch.json.
-
-func tableBatch(quick bool) {
-	fleet := 192
-	rounds := 25
-	if quick {
-		fleet, rounds = 48, 5
-	}
-	fmt.Printf("\nTable B: datagram batching + multiplexed async client (real UDP, %d objects x %d update rounds)\n\n", fleet, rounds)
-	fmt.Printf("%-18s %12s %14s %14s %12s %12s\n",
-		"config", "updates/s", "fan-out ms", "envs/datagram", "datagrams", "envelopes")
-
-	type result struct {
-		updatesPerSec float64
-		fanoutMs      float64
-		ratio         float64
-	}
-	runCfg := func(label string, batchMax int) result {
-		reg := metrics.NewRegistry()
-		net := transport.NewUDPWithOptions(transport.UDPOptions{
-			Metrics:     reg,
-			BatchMax:    batchMax,
-			CallTimeout: 10 * time.Second,
-			MaxInFlight: 512,
-		})
-		defer net.Close()
-		dep, err := hierarchy.Deploy(net, hierarchy.Spec{
-			RootArea: geo.R(0, 0, 1500, 1500),
-			Levels:   []hierarchy.Level{{Rows: 2, Cols: 2}},
-		}, server.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		defer dep.Close()
-
-		ctx := context.Background()
-		entry, _ := dep.LeafFor(geo.Pt(100, 100))
-		cl, err := client.New(net, "bench-client", entry, client.Options{Timeout: 10 * time.Second})
-		if err != nil {
-			fatal(err)
-		}
-		defer cl.Close()
-
-		// Spread the fleet over all four leaves so the coalescer batches
-		// per destination, then jitter updates inside each quadrant so no
-		// round triggers handovers.
-		quadrant := func(i int) geo.Point {
-			qx, qy := float64(i%2), float64((i/2)%2)
-			return geo.Pt(100+qx*750+float64(i%30), 100+qy*750+float64((i/30)%30))
-		}
-		objs := make([]*client.TrackedObject, fleet)
-		for i := range objs {
-			obj, err := cl.Register(ctx, core.Sighting{
-				OID: core.OID(fmt.Sprintf("b-%d", i)), T: time.Now(),
-				Pos: quadrant(i), SensAcc: 10,
-			}, 10, 100, 3)
-			if err != nil {
-				fatal(err)
-			}
-			objs[i] = obj
-		}
-
-		envBefore := reg.Counter("wire_envelopes_out").Value()
-		dgBefore := reg.Counter("wire_datagrams_out").Value()
-		pending := make([]*client.PendingUpdate, fleet)
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for i, obj := range objs {
-				p := quadrant(i)
-				p.X += float64(r%5) * 2
-				pu, err := obj.UpdateAsync(ctx, core.Sighting{
-					OID: core.OID(fmt.Sprintf("b-%d", i)), T: time.Now(), Pos: p, SensAcc: 10,
-				})
-				if err != nil {
-					fatal(err)
-				}
-				pending[i] = pu
-			}
-			for _, pu := range pending {
-				if err := pu.Wait(ctx); err != nil {
-					fatal(err)
-				}
-			}
-		}
-		elapsed := time.Since(start)
-		envs := reg.Counter("wire_envelopes_out").Value() - envBefore
-		dgs := reg.Counter("wire_datagrams_out").Value() - dgBefore
-
-		res := result{
-			updatesPerSec: float64(fleet*rounds) / elapsed.Seconds(),
-			fanoutMs:      elapsed.Seconds() * 1000 / float64(rounds),
-			ratio:         float64(envs) / float64(dgs),
-		}
-		fmt.Printf("%-18s %12.0f %14.2f %14.2f %12d %12d\n",
-			label, res.updatesPerSec, res.fanoutMs, res.ratio, dgs, envs)
-		return res
-	}
-
-	unbatched := runCfg("unbatched", 1)
-	batched := runCfg("batched (16)", 16)
-	fmt.Printf("\ndatagram reduction: %.1fx fewer datagrams per envelope; fan-out %.2fx faster\n",
-		batched.ratio/unbatched.ratio, unbatched.fanoutMs/batched.fanoutMs)
-}
-
-// ---------------------------------------------------------------------------
-// Table R: resilience. Three questions, answered on the in-process testbed:
-//
-//  1. What does the resilience machinery cost when nothing fails? The same
-//     update/query workload runs once with retries, breakers and the
-//     path-retry budget effectively off, and once with the full stack armed.
-//     On a loss-free network no retry ever fires, so the delta is the pure
-//     bookkeeping overhead (sequence stamping, dedupe lookups, breaker state
-//     checks, tracked fan-out acks) — the acceptance bar is <= 5%.
-//  2. What do degraded queries cost while a leaf is dark? Whole-area range
-//     queries run against a paused leaf: the first ones burn the query
-//     timeout, then the parent's breaker opens and the remainder fail fast
-//     with an unreachable report. Both latencies and the partial rate are
-//     reported.
-//  3. How fast does the hierarchy recover? The dark leaf is crashed for
-//     real and restarted from its WAL; recovery time is measured from the
-//     restart until the parent's breaker has closed AND a whole-area query
-//     comes back complete (not partial).
-//
-// Recorded runs live in BENCH_resilience.json.
-
-func tableResilience(quick bool) {
-	fleet, rounds, darkQueries := 128, 20, 12
-	if quick {
-		fleet, rounds, darkQueries = 32, 5, 6
-	}
-	fmt.Printf("\nTable R: resilience (%d objects x %d update rounds + per-round range query)\n\n", fleet, rounds)
-
-	spec := hierarchy.Spec{
-		RootArea: geo.R(0, 0, 1500, 1500),
-		Levels:   []hierarchy.Level{{Rows: 2, Cols: 2}},
-	}
-	quadrant := func(i int) geo.Point {
-		qx, qy := float64(i%2), float64((i/2)%2)
-		return geo.Pt(100+qx*750+float64(i%30), 100+qy*750+float64((i/30)%30))
-	}
-	wholeArea := core.AreaFromRect(spec.RootArea)
-
-	// Phase 1: fault-free overhead, resilience off vs on. Both configs
-	// run on the suite's LAN model (200µs per hop, as in Table 2): the
-	// question is what the stack costs a deployment whose per-op budget
-	// is network-bound, not how it microbenchmarks against a zero-cost
-	// in-memory hop.
-	runCfg := func(resilient bool) (elapsed time.Duration) {
-		opts := transport.InprocOptions{
-			Latency: func(_, _ msg.NodeID) time.Duration { return 200 * time.Microsecond },
-		}
-		if resilient {
-			opts.BreakerThreshold = 3
-			opts.BreakerCooldown = 250 * time.Millisecond
-		}
-		net := transport.NewInproc(opts)
-		defer net.Close()
-		srvOpts := server.Options{}
-		if !resilient {
-			srvOpts.PathRetry = transport.RetryPolicy{MaxAttempts: 1}
-		}
-		dep, err := hierarchy.Deploy(net, spec, srvOpts)
-		if err != nil {
-			fatal(err)
-		}
-		defer dep.Close()
-
-		ctx := context.Background()
-		clOpts := client.Options{Timeout: 10 * time.Second}
-		if resilient {
-			clOpts.Retry = transport.DefaultRetryPolicy()
-		}
-		entry, _ := dep.LeafFor(geo.Pt(100, 100))
-		cl, err := client.New(net, "bench-client", entry, clOpts)
-		if err != nil {
-			fatal(err)
-		}
-		defer cl.Close()
-
-		objs := make([]*client.TrackedObject, fleet)
-		for i := range objs {
-			obj, rerr := cl.Register(ctx, core.Sighting{
-				OID: core.OID(fmt.Sprintf("r-%d", i)), T: time.Now(),
-				Pos: quadrant(i), SensAcc: 10,
-			}, 10, 100, 3)
-			if rerr != nil {
-				fatal(rerr)
-			}
-			objs[i] = obj
-		}
-
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for i, obj := range objs {
-				p := quadrant(i)
-				p.X += float64(r%5) * 2
-				if uerr := obj.Update(ctx, core.Sighting{
-					OID: core.OID(fmt.Sprintf("r-%d", i)), T: time.Now(), Pos: p, SensAcc: 10,
-				}); uerr != nil {
-					fatal(uerr)
-				}
-			}
-			if _, qerr := cl.RangeQueryFull(ctx, wholeArea, 100, 0.5); qerr != nil {
-				fatal(qerr)
-			}
-		}
-		return time.Since(start)
-	}
-
-	fmt.Printf("%-26s %12s %14s\n", "config", "ops/s", "elapsed ms")
-	report := func(label string, d time.Duration) {
-		ops := float64(fleet*rounds+rounds) / d.Seconds()
-		fmt.Printf("%-26s %12.0f %14.1f\n", label, ops, d.Seconds()*1000)
-	}
-	// Interleave two runs per config and keep the faster one: the very
-	// first deployment absorbs process warm-up, which would otherwise be
-	// billed entirely to whichever config runs first.
-	minDur := func(a, b time.Duration) time.Duration {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	base, resil := runCfg(false), runCfg(true)
-	base, resil = minDur(base, runCfg(false)), minDur(resil, runCfg(true))
-	report("baseline (stack off)", base)
-	report("resilient (stack armed)", resil)
-	overhead := (resil.Seconds() - base.Seconds()) / base.Seconds() * 100
-	fmt.Printf("\nfault-free overhead: %+.1f%% (acceptance: <= 5%%)\n", overhead)
-
-	// Phases 2 + 3 share one resilient deployment with a WAL-backed leaf.
-	const (
-		callTO   = 150 * time.Millisecond
-		queryTO  = 400 * time.Millisecond
-		cooldown = 250 * time.Millisecond
-	)
-	reg := metrics.NewRegistry()
-	net := transport.NewInproc(transport.InprocOptions{
-		Metrics:          reg,
-		SweepInterval:    10 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  cooldown,
-	})
-	defer net.Close()
-	walDir, err := os.MkdirTemp("", "lsbench-resilience")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(walDir)
-	darkLeaf := msg.NodeID("r.3")
-	walPath := walDir + "/r3.wal"
-	srvOpts := server.Options{CallTimeout: callTO, QueryTimeout: queryTO}
-	dep, err := hierarchy.DeployWith(net, spec, srvOpts, func(cfg store.ConfigRecord, o server.Options) (server.Options, error) {
-		if msg.NodeID(cfg.ID) == darkLeaf {
-			wal, werr := store.OpenFileWAL(walPath)
-			if werr != nil {
-				return o, werr
-			}
-			o.WAL = wal
-		}
-		return o, nil
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer dep.Close()
-
-	ctx := context.Background()
-	cl, err := client.New(net, "dark-client", "r.0", client.Options{
-		Timeout: 10 * time.Second,
-		Retry:   transport.DefaultRetryPolicy(),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer cl.Close()
-	for i := 0; i < 4; i++ {
-		if _, rerr := cl.Register(ctx, core.Sighting{
-			OID: core.OID(fmt.Sprintf("d-%d", i)), T: time.Now(),
-			Pos: quadrant(i), SensAcc: 10,
-		}, 10, 100, 3); rerr != nil {
-			fatal(rerr)
-		}
-	}
-
-	// Phase 2: degraded queries against a paused leaf. The first queries
-	// wait out the coordinator's query timeout; once the breaker opens
-	// the unreachable report short-circuits the wait.
-	net.SetNodeDown(darkLeaf, true)
-	var darkLat []time.Duration
-	partial := 0
-	for i := 0; i < darkQueries; i++ {
-		qs := time.Now()
-		res, qerr := cl.RangeQueryFull(ctx, wholeArea, 100, 0.5)
-		if qerr != nil {
-			fatal(qerr)
-		}
-		darkLat = append(darkLat, time.Since(qs))
-		if res.Partial {
-			partial++
-		}
-	}
-	first, last := darkLat[0], darkLat[len(darkLat)-1]
-	fmt.Printf("\ndark-leaf range queries: %d/%d partial; first %.0f ms (timeout-bound), last %.0f ms (breaker fail-fast)\n",
-		partial, darkQueries, first.Seconds()*1000, last.Seconds()*1000)
-
-	// Phase 3: crash the paused leaf for real and restart it from its
-	// WAL; recovery is complete when the parent's breaker closed and a
-	// whole-area query is no longer partial.
-	net.SetNodeDown(darkLeaf, false)
-	if cerr := dep.Servers[darkLeaf].Close(); cerr != nil {
-		fatal(cerr)
-	}
-	wal, err := store.OpenFileWAL(walPath)
-	if err != nil {
-		fatal(err)
-	}
-	restartOpts := srvOpts
-	restartOpts.WAL = wal
-	var cfg store.ConfigRecord
-	for _, c := range dep.Configs {
-		if msg.NodeID(c.ID) == darkLeaf {
-			cfg = c
-		}
-	}
-	restartAt := time.Now()
-	srv, err := server.New(cfg, core.AreaFromRect(spec.RootArea), net, restartOpts)
-	if err != nil {
-		fatal(err)
-	}
-	dep.Servers[darkLeaf] = srv
-	for {
-		res, qerr := cl.RangeQueryFull(ctx, wholeArea, 100, 0.5)
-		if qerr == nil && !res.Partial && net.PeerState(dep.Root(), darkLeaf) == transport.PeerClosed {
-			break
-		}
-		if time.Since(restartAt) > 30*time.Second {
-			fatal(fmt.Errorf("hierarchy never recovered after %s restart", darkLeaf))
-		}
-		time.Sleep(cooldown / 5)
-	}
-	recovery := time.Since(restartAt)
-	fmt.Printf("leaf restart recovery: %.0f ms until breaker closed + first complete query (cooldown %v)\n",
-		recovery.Seconds()*1000, cooldown)
-	fmt.Printf("breaker fail-fast rejections during dark phase: %d; visitors restored from WAL: %d\n",
-		reg.Counter("wire_breaker_open").Value(), srv.VisitorCount())
-}
-
-// ---------------------------------------------------------------------------
-// Table L: tiered (LSM) sighting storage. The memtable budget is set to a
-// quarter of the dataset's resident footprint, so ~3/4 of the working set
-// lives in sorted runs on disk — the bigger-than-RAM regime the tier
-// exists for. Four questions: (1) what does tiering cost on the update
-// path next to the all-RAM WAL store, (2) what do point lookups cost when
-// they hit the memtable (hot) vs when they fall through the bloom-gated
-// runs (cold), (3) what does a range query cost when its answer lies in
-// the runs' spatial leaves, and (4) how much faster is recovery when it
-// opens run footers and replays only the WAL tail instead of folding the
-// full log.
-// Recorded runs live in BENCH_lsm.json.
-
-func tableLSM(quick bool) {
-	const side = 10_000.0
-	const shards = 8
-	const workers = 8
-	objects := 200_000
-	opsPerWorker := 50_000
-	lookups := 100_000
-	recoverPop := 1_000_000
-	if quick {
-		objects, opsPerWorker, lookups, recoverPop = 20_000, 5_000, 10_000, 50_000
-	}
-	// A quarter of the estimated resident footprint (~180 B/entry): the
-	// dataset is 4x the memtable budget, per the design target.
-	budget := int64(objects) * 180 / 4
-
-	fmt.Printf("\nTable L: tiered (LSM) sighting storage\n")
-	fmt.Printf("(%d objects, %d shards, memtable budget %d KiB = dataset/4, %d workers)\n\n",
-		objects, shards, budget>>10, workers)
-
-	newSightings := func(n int) []core.Sighting {
-		rng := rand.New(rand.NewSource(1))
-		ss := make([]core.Sighting, n)
-		now := time.Now()
-		for i := range ss {
-			ss[i] = core.Sighting{
-				OID: core.OID(fmt.Sprintf("obj-%d", i)), T: now,
-				Pos:     geo.Pt(rng.Float64()*side, rng.Float64()*side),
-				SensAcc: 10,
-			}
-		}
-		return ss
-	}
-
-	// loadAndHammer populates db and runs the parallel pipeline update
-	// workload; maintain (non-nil on tiered stores) is called periodically
-	// the way the janitor would.
-	loadAndHammer := func(db *store.ShardedSightingDB, ss []core.Sighting, maintain func()) float64 {
-		for _, s := range ss {
-			db.Put(s)
-		}
-		if maintain != nil {
-			maintain()
-		}
-		pipe := store.NewUpdatePipeline(db)
-		start := time.Now()
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		if maintain != nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				tick := time.NewTicker(20 * time.Millisecond)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-tick.C:
-						maintain()
-					}
-				}
-			}()
-		}
-		var uwg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			uwg.Add(1)
-			go func(w int) {
-				defer uwg.Done()
-				wrng := rand.New(rand.NewSource(int64(w)))
-				for i := 0; i < opsPerWorker; i++ {
-					s := ss[wrng.Intn(len(ss))]
-					s.Pos = geo.Pt(wrng.Float64()*side, wrng.Float64()*side)
-					pipe.Put(s)
-				}
-			}(w)
-		}
-		uwg.Wait()
-		rate := float64(workers*opsPerWorker) / time.Since(start).Seconds()
-		close(stop)
-		wg.Wait()
-		return rate
-	}
-
-	percentiles := func(lat []time.Duration) (p50, p99 time.Duration) {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		return lat[len(lat)/2], lat[len(lat)*99/100]
-	}
-
-	ss := newSightings(objects)
-
-	// Baseline: the all-RAM sharded store with durable per-shard logs —
-	// what a leaf runs today when the working set fits in memory.
-	baseDir, err := os.MkdirTemp("", "lsbench-lsm-base")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(baseDir)
-	baseWAL, err := store.OpenShardedWAL(baseDir, shards)
-	if err != nil {
-		fatal(err)
-	}
-	baseDB := store.NewShardedSightingDB(store.WithSightingWAL(baseWAL))
-	baseUpd := loadAndHammer(baseDB, ss, nil)
-
-	// Tiered store under the same workload.
-	tierDir, err := os.MkdirTemp("", "lsbench-lsm-tier")
-	if err != nil {
-		fatal(err)
-	}
-	defer os.RemoveAll(tierDir)
-	tierWAL, err := store.OpenShardedWAL(tierDir, shards)
-	if err != nil {
-		fatal(err)
-	}
-	tierDB := store.NewShardedSightingDB(
-		store.WithSightingWAL(tierWAL),
-		store.WithTiering(store.TierConfig{MemtableBytes: budget}))
-	if err := tierDB.Recover(); err != nil {
-		fatal(err)
-	}
-	tierUpd := loadAndHammer(tierDB, ss, func() {
-		if merr := tierDB.MaintainTiers(); merr != nil {
-			fatal(merr)
-		}
-	})
-	if err := tierDB.MaintainTiers(); err != nil {
-		fatal(err)
-	}
-	st := tierDB.TierStats()
-
-	fmt.Printf("%-34s %14s\n", "updates (8 workers, pipeline)", "upd/s")
-	fmt.Printf("%-34s %14.0f\n", "all-RAM + WAL (baseline)", baseUpd)
-	fmt.Printf("%-34s %14.0f\n\n", "tiered (dataset 4x memtable)", tierUpd)
-	fmt.Printf("tier state after load: %d runs, %d KiB on disk, memtables %d KiB resident, run metadata %d KiB resident\n",
-		st.Runs, st.RunBytes>>10, st.MemtableBytes>>10, st.MetaBytes>>10)
-	fmt.Printf("flushes %d, compactions %d, disk records %d (%d live)\n\n",
-		st.Flushes, st.Compactions, st.DiskRecords, st.DiskLive)
-
-	// Point lookups. Hot: re-put a small subset so it resides in the
-	// memtables, then query it. Cold: uniform over the whole population —
-	// with a 4x dataset most probes fall through to the runs.
-	hotN := objects / 20
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < hotN; i++ {
-		s := ss[i]
-		s.Pos = geo.Pt(rng.Float64()*side, rng.Float64()*side)
-		tierDB.Put(s)
-	}
-	measureGets := func(db *store.ShardedSightingDB, pick func(*rand.Rand) core.OID) (p50, p99 time.Duration, missed int) {
-		lrng := rand.New(rand.NewSource(9))
-		lat := make([]time.Duration, lookups)
-		for i := range lat {
-			id := pick(lrng)
-			t0 := time.Now()
-			if _, ok := db.Get(id); !ok {
-				missed++
-			}
-			lat[i] = time.Since(t0)
-		}
-		p50, p99 = percentiles(lat)
-		return p50, p99, missed
-	}
-	pre := tierDB.TierStats()
-	hot50, hot99, _ := measureGets(tierDB, func(r *rand.Rand) core.OID { return ss[r.Intn(hotN)].OID })
-	cold50, cold99, _ := measureGets(tierDB, func(r *rand.Rand) core.OID { return ss[r.Intn(objects)].OID })
-	post := tierDB.TierStats()
-	probes := float64(post.BloomHits-pre.BloomHits) / float64(2*lookups)
-	base50, base99, _ := measureGets(baseDB, func(r *rand.Rand) core.OID { return ss[r.Intn(objects)].OID })
-
-	fmt.Printf("%-34s %12s %12s\n", "point lookup", "p50", "p99")
-	fmt.Printf("%-34s %12v %12v\n", "all-RAM + WAL (baseline)", base50, base99)
-	fmt.Printf("%-34s %12v %12v\n", "tiered, hot (memtable)", hot50, hot99)
-	fmt.Printf("%-34s %12v %12v\n", "tiered, cold (uniform)", cold50, cold99)
-	fmt.Printf("bloom-admitted run probes per lookup: %.2f (target <= 1)\n\n", probes)
-
-	// Cold range queries: square windows placed uniformly over the area.
-	// With three quarters of the records run-resident, nearly every answer
-	// comes out of the runs' spatial leaves.
-	rangeQueries := lookups / 50
-	fmt.Printf("%-34s %12s %12s %14s %14s\n", "cold range query", "p50", "p99", "leaves/query", "records/query")
-	for _, width := range []float64{200, 1000} {
-		qrng := rand.New(rand.NewSource(11))
-		lat := make([]time.Duration, rangeQueries)
-		records := 0
-		leaves0 := tierDB.TierStats().LeafReads
-		for i := range lat {
-			x, y := qrng.Float64()*(side-width), qrng.Float64()*(side-width)
-			t0 := time.Now()
-			tierDB.SearchArea(geo.R(x, y, x+width, y+width), func(core.Sighting) bool { records++; return true })
-			lat[i] = time.Since(t0)
-		}
-		p50, p99 := percentiles(lat)
-		leaves := tierDB.TierStats().LeafReads - leaves0
-		fmt.Printf("%-34s %12v %12v %14.1f %14.1f\n", fmt.Sprintf("tiered, %.0f m window", width), p50, p99,
-			float64(leaves)/float64(rangeQueries), float64(records)/float64(rangeQueries))
-	}
-	if errs := tierDB.TierStats().ReadErrors; errs != 0 {
-		fatal(fmt.Errorf("table L: %d tier read errors", errs))
-	}
-	fmt.Println()
-
-	// Recovery: a populated leaf restarts. The baseline folds its full
-	// WAL; the tiered store opens run footers and replays only the tail
-	// covering the current memtables.
-	recoverRun := func(tiered bool) (time.Duration, int) {
-		dir, derr := os.MkdirTemp("", "lsbench-lsm-rec")
-		if derr != nil {
-			fatal(derr)
-		}
-		defer os.RemoveAll(dir)
-		wal, werr := store.OpenShardedWAL(dir, shards)
-		if werr != nil {
-			fatal(werr)
-		}
-		sopts := []store.SightingDBOption{store.WithSightingWAL(wal)}
-		if tiered {
-			sopts = append(sopts, store.WithTiering(store.TierConfig{MemtableBytes: budget}))
-		}
-		db := store.NewShardedSightingDB(sopts...)
-		if rerr := db.Recover(); rerr != nil {
-			fatal(rerr)
-		}
-		pop := newSightings(recoverPop)
-		for _, s := range pop {
-			db.Put(s)
-		}
-		if tiered {
-			if merr := db.MaintainTiers(); merr != nil {
-				fatal(merr)
-			}
-		}
-		if ferr := wal.Flush(); ferr != nil {
-			fatal(ferr)
-		}
-		wal.Close()
-
-		wal2, werr := store.OpenShardedWAL(dir, shards)
-		if werr != nil {
-			fatal(werr)
-		}
-		defer wal2.Close()
-		sopts2 := []store.SightingDBOption{store.WithSightingWAL(wal2)}
-		if tiered {
-			sopts2 = append(sopts2, store.WithTiering(store.TierConfig{MemtableBytes: budget}))
-		}
-		db2 := store.NewShardedSightingDB(sopts2...)
-		start := time.Now()
-		if rerr := db2.Recover(); rerr != nil {
-			fatal(rerr)
-		}
-		return time.Since(start), db2.Len()
-	}
-	fullDur, fullLen := recoverRun(false)
-	tailDur, tailLen := recoverRun(true)
-	fmt.Printf("%-44s %12s %12s\n", fmt.Sprintf("recovery (%d sightings)", recoverPop), "time", "recovered")
-	fmt.Printf("%-44s %12v %12d\n", "full-WAL replay (all-RAM baseline)", fullDur, fullLen)
-	fmt.Printf("%-44s %12v %12d\n", "manifest open + WAL-tail replay (tiered)", tailDur, tailLen)
-	if tailDur > 0 {
-		fmt.Printf("speedup: %.1fx\n", fullDur.Seconds()/tailDur.Seconds())
 	}
 }
 

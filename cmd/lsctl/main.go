@@ -54,16 +54,15 @@ import (
 
 func main() {
 	var (
-		topoPath    = flag.String("topology", "ls.json", "topology file of the deployment")
-		entry       = flag.String("entry", "", "entry server id (e.g. r.0)")
-		host        = flag.String("host", "127.0.0.1", "local host to bind the client socket on")
-		timeout     = flag.Duration("timeout", 5*time.Second, "operation timeout")
-		batchMax    = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (≥ 2 enables batching)")
-		batchLinger = flag.Duration("batch-linger", 0, "ignored: batching no longer lingers, an envelope leaves as soon as the sender is idle; the flag goes with the next benchmark re-baseline")
-		retries     = flag.Int("retries", 1, "total attempts per operation (> 1 enables retries with backoff; duplicates are deduplicated server-side)")
-		retryBase   = flag.Duration("retry-backoff", 20*time.Millisecond, "base of the exponential retry backoff (full jitter)")
-		retryMax    = flag.Duration("retry-max-backoff", time.Second, "cap on one retry backoff draw")
-		retryTry    = flag.Duration("retry-timeout", 0, "per-attempt deadline (0 leaves the operation timeout in charge)")
+		topoPath  = flag.String("topology", "ls.json", "topology file of the deployment")
+		entry     = flag.String("entry", "", "entry server id (e.g. r.0)")
+		host      = flag.String("host", "127.0.0.1", "local host to bind the client socket on")
+		timeout   = flag.Duration("timeout", 5*time.Second, "operation timeout")
+		batchMax  = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (≥ 2 enables batching)")
+		retries   = flag.Int("retries", 1, "total attempts per operation (> 1 enables retries with backoff; duplicates are deduplicated server-side)")
+		retryBase = flag.Duration("retry-backoff", 20*time.Millisecond, "base of the exponential retry backoff (full jitter)")
+		retryMax  = flag.Duration("retry-max-backoff", time.Second, "cap on one retry backoff draw")
+		retryTry  = flag.Duration("retry-timeout", 0, "per-attempt deadline (0 leaves the operation timeout in charge)")
 	)
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -79,7 +78,6 @@ func main() {
 	}
 	network := transport.NewUDPWithOptions(transport.UDPOptions{
 		BatchMax:    *batchMax,
-		BatchLinger: *batchLinger,
 		CallTimeout: *timeout,
 	})
 	defer network.Close()

@@ -1,8 +1,8 @@
 // Async operation surface. Every blocking operation on Client and
 // TrackedObject is the lockstep special case of these: issue the request
 // through the transport's in-flight tracker (transport.CallAsync), get a
-// pending handle back, resolve it later. Fan-out callers — lsbench's
-// update storm, a UI prefetching many positions — keep hundreds of
+// pending handle back, resolve it later. Fan-out callers — the benchmark's
+// pipelined clients, a UI prefetching many positions — keep hundreds of
 // requests riding one socket concurrently; each request still carries its
 // own deadline, swept by the transport's timeout goroutine, so an
 // unanswered request resolves as a timeout error instead of leaking.

@@ -119,9 +119,8 @@ func (n *notifier) drain(to msg.NodeID) {
 			return
 		}
 		n.mu.Unlock()
-		if s.ctx.Err() != nil || !s.opts.PathRetry.Enabled() {
-			// Shutting down (or retries disabled): a best-effort flush, no
-			// retry loop to wait out.
+		if s.ctx.Err() != nil {
+			// Shutting down: a best-effort flush, no retry loop to wait out.
 			s.sendOrCount(to, m)
 			continue
 		}

@@ -197,11 +197,12 @@ func (s *Server) sendOrCount(to msg.NodeID, m msg.Message) {
 // call's resolution — the ack, or the sweeper's timeout — runs pathSend.acked
 // as a continuation, and a retry is a timer. A population registering at
 // once therefore costs one in-flight table entry per unacknowledged path
-// message, not a parked stack. Close abandons what is pending through the
-// server's context; once it has begun — or with retries disabled — a
-// message gets one best-effort send instead.
+// message, not a parked stack. A budget of one attempt is one tracked try
+// whose loss counts path_propagation_failed. Close abandons what is pending
+// through the server's context; once it has begun, a message gets one
+// best-effort send instead.
 func (s *Server) forwardPath(to msg.NodeID, m msg.Message) {
-	if !s.opts.PathRetry.Enabled() || s.ctx.Err() != nil {
+	if s.ctx.Err() != nil {
 		s.sendOrCount(to, m)
 		return
 	}

@@ -132,9 +132,10 @@ type Options struct {
 	// idempotent — every application is guarded by the sighting
 	// timestamp (PutIfNewer / RemoveIf) — so each hop re-sends on a
 	// swept timeout instead of letting one lost datagram strand an
-	// ancestor without (or with a stale) forwarding record. The zero
-	// value enables a small default budget; MaxAttempts 1 restores
-	// fire-and-forget.
+	// ancestor without (or with a stale) forwarding record. Event
+	// notifications are sent with the same budget. The zero value enables
+	// a small default budget; MaxAttempts 1 is a single tracked try whose
+	// loss is counted.
 	PathRetry transport.RetryPolicy
 	// EventQueueDepth bounds the delta queue feeding a leaf's event
 	// dispatcher. A full queue never blocks a commit: overflowing delta

@@ -675,57 +675,65 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // TestPathMessageResentUntilAcked loses a leaf's CreatePath on its way to
 // the root: no goroutine waits for the acknowledgement, so the swept
 // timeout itself has to start the re-send, and an exhausted budget has to
-// be counted, leaving no in-flight entry behind.
+// be counted, leaving no in-flight entry behind. A budget of one attempt
+// is one tracked try on the same path, so its single loss is counted too.
 func TestPathMessageResentUntilAcked(t *testing.T) {
-	var lose atomic.Int64 // CreatePaths to the root still to be lost
-	net := transport.NewInproc(transport.InprocOptions{
-		SweepInterval: 2 * time.Millisecond,
-		FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
-			if _, ok := env.Msg.(msg.CreatePath); ok && to == "r" && lose.Add(-1) >= 0 {
-				return transport.Fault{Drop: true}
+	for _, attempts := range []int{3, 1} {
+		t.Run(fmt.Sprintf("attempts=%d", attempts), func(t *testing.T) {
+			var lose atomic.Int64 // CreatePaths to the root still to be lost
+			net := transport.NewInproc(transport.InprocOptions{
+				SweepInterval: 2 * time.Millisecond,
+				FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
+					if _, ok := env.Msg.(msg.CreatePath); ok && to == "r" && lose.Add(-1) >= 0 {
+						return transport.Fault{Drop: true}
+					}
+					return transport.Fault{}
+				},
+			})
+			dep, err := hierarchy.Deploy(net, quadSpec(), server.Options{
+				PathRetry: transport.RetryPolicy{
+					MaxAttempts:   attempts,
+					BaseBackoff:   time.Millisecond,
+					MaxBackoff:    2 * time.Millisecond,
+					PerTryTimeout: 10 * time.Millisecond,
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return transport.Fault{}
-		},
-	})
-	dep, err := hierarchy.Deploy(net, quadSpec(), server.Options{
-		PathRetry: transport.RetryPolicy{
-			MaxAttempts:   3,
-			BaseBackoff:   time.Millisecond,
-			MaxBackoff:    2 * time.Millisecond,
-			PerTryTimeout: 10 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		dep.Close()
-		net.Close()
-	})
-	ls := &testLS{net: net, dep: dep}
-	root, _ := dep.Server("r")
-	leaf, _ := dep.Server("r.0")
-	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
-	failed := leaf.Metrics().Counter("path_propagation_failed")
+			t.Cleanup(func() {
+				dep.Close()
+				net.Close()
+			})
+			ls := &testLS{net: net, dep: dep}
+			root, _ := dep.Server("r")
+			leaf, _ := dep.Server("r.0")
+			owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
+			failed := leaf.Metrics().Counter("path_propagation_failed")
 
-	// Two of three attempts lost: the third arrives.
-	lose.Store(2)
-	if _, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(100, 100)), 10, 50, 3); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return root.VisitorCount() == 1 }, "the third CreatePath to reach the root")
-	if got := failed.Value(); got != 0 {
-		t.Errorf("path_propagation_failed = %d after a delivered path", got)
-	}
+			// All attempts but the last lost: the last arrives.
+			lose.Store(int64(attempts - 1))
+			if _, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(100, 100)), 10, 50, 3); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return root.VisitorCount() == 1 }, "the last CreatePath to reach the root")
+			if got := failed.Value(); got != 0 {
+				t.Errorf("path_propagation_failed = %d after a delivered path", got)
+			}
 
-	// All three lost: the message is given up, and counted.
-	lose.Store(3)
-	if _, err := owner.Register(ctx(t), sightingAt("o2", geo.Pt(120, 100)), 10, 50, 3); err != nil {
-		t.Fatal(err)
+			// Every attempt lost: the message is given up, and counted once.
+			lose.Store(int64(attempts))
+			if _, err := owner.Register(ctx(t), sightingAt("o2", geo.Pt(120, 100)), 10, 50, 3); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return failed.Value() == 1 }, "the exhausted budget to be counted")
+			waitFor(t, func() bool { return leaf.PendingCalls() == 0 }, "the leaf's in-flight table to empty")
+			if got := failed.Value(); got != 1 {
+				t.Errorf("path_propagation_failed = %d, want 1", got)
+			}
+			if got := root.VisitorCount(); got != 1 {
+				t.Errorf("root holds %d paths, want only o1's", got)
+			}
+		})
 	}
-	waitFor(t, func() bool { return failed.Value() == 1 }, "the exhausted budget to be counted")
-	if got := root.VisitorCount(); got != 1 {
-		t.Errorf("root holds %d paths, want only o1's", got)
-	}
-	waitFor(t, func() bool { return leaf.PendingCalls() == 0 }, "the leaf's in-flight table to empty")
 }

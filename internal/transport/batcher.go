@@ -20,9 +20,8 @@ import (
 // is the backpressure: at most one open batch per destination ever waits
 // for the flusher.
 
-// flusher is that rule, for the UDP batcher and for Inproc's modelled
-// batches alike: one goroutine that calls drain once for every kick, or
-// run of kicks, since its last call began.
+// flusher is that rule for the UDP batcher: one goroutine that calls drain
+// once for every kick, or run of kicks, since its last call began.
 type flusher struct {
 	// drain sends everything that is open. It runs only on the flusher's
 	// goroutine.

@@ -20,37 +20,32 @@ import (
 // a quarter of that leaves a 4x margin over what the calls really cost.
 func TestBatchedCallsDoNotLinger(t *testing.T) {
 	const calls = 200
-	for name, nw := range map[string]Network{
-		"udp":    NewUDPWithOptions(UDPOptions{BatchMax: 16}),
-		"inproc": NewInproc(InprocOptions{BatchMax: 16}),
-	} {
-		nw := nw
-		t.Run(name, func(t *testing.T) {
-			defer nw.Close()
-			if _, err := nw.Attach("server", valueEchoHandler); err != nil {
-				t.Fatal(err)
-			}
-			cli, err := nw.Attach("client", nil)
+	t.Run("udp", func(t *testing.T) {
+		nw := NewUDPWithOptions(UDPOptions{BatchMax: 16})
+		defer nw.Close()
+		if _, err := nw.Attach("server", valueEchoHandler); err != nil {
+			t.Fatal(err)
+		}
+		cli, err := nw.Attach("client", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		start := time.Now()
+		for i := 0; i < calls; i++ {
+			resp, err := cli.Call(ctx, "server", msg.ChangeAccReq{OID: "o", DesAcc: float64(i)})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("call %d: %v", i, err)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			start := time.Now()
-			for i := 0; i < calls; i++ {
-				resp, err := cli.Call(ctx, "server", msg.ChangeAccReq{OID: "o", DesAcc: float64(i)})
-				if err != nil {
-					t.Fatalf("call %d: %v", i, err)
-				}
-				if res, ok := resp.(msg.ChangeAccRes); !ok || res.OfferedAcc != float64(i) {
-					t.Fatalf("call %d resolved with %#v", i, resp)
-				}
+			if res, ok := resp.(msg.ChangeAccRes); !ok || res.OfferedAcc != float64(i) {
+				t.Fatalf("call %d resolved with %#v", i, resp)
 			}
-			if took, limit := time.Since(start), calls*2*time.Millisecond/4; took > limit {
-				t.Errorf("%d sequential calls took %v, want under %v: something on the path waits for a timer", calls, took, limit)
-			}
-		})
-	}
+		}
+		if took, limit := time.Since(start), calls*2*time.Millisecond/4; took > limit {
+			t.Errorf("%d sequential calls took %v, want under %v: something on the path waits for a timer", calls, took, limit)
+		}
+	})
 }
 
 // TestCoalescerExactlyOnceUnderLoad floods three destinations from eight
@@ -245,66 +240,6 @@ func TestBatcherClose(t *testing.T) {
 	// sweeper or a handler.
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines after Close, %d before the network existed", after, before)
-	}
-}
-
-// TestInprocBatchingDeliversExactlyOnce: the modelled batches follow the
-// same rule — everything delivered once, caps respected, open batches
-// delivered by Close.
-func TestInprocBatchingDeliversExactlyOnce(t *testing.T) {
-	const (
-		senders   = 4
-		perSender = 2_000
-		total     = senders * perSender
-	)
-	nw := NewInproc(InprocOptions{BatchMax: 8})
-	handled := make([]atomic.Uint32, total)
-	var done sync.WaitGroup
-	done.Add(total)
-	for _, d := range []msg.NodeID{"d0", "d1"} {
-		if _, err := nw.Attach(d, func(_ context.Context, _ msg.NodeID, m msg.Message) (msg.Message, error) {
-			if handled[int(m.(msg.NotifyAvailAcc).OfferedAcc)].Add(1) == 1 {
-				done.Done()
-			}
-			return nil, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var sending sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		src, err := nw.Attach(msg.NodeID(fmt.Sprintf("s%d", s)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sending.Add(1)
-		go func(s int) {
-			defer sending.Done()
-			for i := 0; i < perSender; i++ {
-				id := s*perSender + i
-				if err := src.Send(msg.NodeID(fmt.Sprintf("d%d", id%2)), msg.NotifyAvailAcc{OID: "o", OfferedAcc: float64(id)}); err != nil {
-					t.Errorf("send %d: %v", id, err)
-					return
-				}
-			}
-		}(s)
-	}
-	sending.Wait()
-	// Whatever is still open now is Close's to deliver, and Close waits
-	// for the handlers.
-	if err := nw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	done.Wait()
-	for i := range handled {
-		if n := handled[i].Load(); n != 1 {
-			t.Fatalf("envelope %d handled %d times", i, n)
-		}
-	}
-	select {
-	case <-nw.batchFl.done:
-	default:
-		t.Error("flusher still running after Close")
 	}
 }
 

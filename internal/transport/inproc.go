@@ -59,16 +59,6 @@ type InprocOptions struct {
 	// OnDeliver, if non-nil, observes every delivered message; used by
 	// the simulation harness to count messages and hops.
 	OnDeliver func(from, to msg.NodeID, m msg.Message)
-	// BatchMax ≥ 2 coalesces deliveries per (from, to) pair into batches
-	// of at most that many envelopes, modelling the UDP transport's
-	// datagram batching: one latency draw per batch instead of per
-	// envelope. 0 or 1 delivers each envelope on its own. The flush rule
-	// is the UDP batcher's (batcher.go): no timer, one flusher goroutine
-	// for the network, so a lone envelope is delivered as soon as the
-	// flusher runs and batches form only under load.
-	BatchMax int
-	// BatchLinger is ignored, as in UDPOptions, and goes when that goes.
-	BatchLinger time.Duration
 	// CallTimeout caps every Call/CallAsync deadline: the effective
 	// deadline is the earlier of the context's and now+CallTimeout.
 	// Zero means calls expire only on their own context's deadline.
@@ -102,13 +92,6 @@ type pairKey struct {
 // successor to overtake it.
 type heldEnv struct {
 	env msg.Envelope
-}
-
-// inprocBatch is the open delivery batch for one directed link.
-type inprocBatch struct {
-	from msg.NodeID
-	dst  *inprocNode
-	envs []msg.Envelope
 }
 
 // Inproc is an in-process Network: nodes are handler functions, each
@@ -148,13 +131,6 @@ type Inproc struct {
 	retries      *metrics.Counter
 	callTimeouts *metrics.Counter
 	lateReplies  *metrics.Counter
-
-	// batchMu guards the per-link delivery batches; batchFl (nil without
-	// batching) delivers the open ones whenever it gets a processor.
-	batchMu     sync.Mutex
-	batches     map[pairKey]*inprocBatch
-	batchClosed bool
-	batchFl     *flusher
 }
 
 var _ Network = (*Inproc)(nil)
@@ -173,7 +149,6 @@ func NewInproc(opts InprocOptions) *Inproc {
 		held:     make(map[pairKey]*heldEnv),
 		down:     make(map[msg.NodeID]bool),
 		blocked:  make(map[pairKey]bool),
-		batches:  make(map[pairKey]*inprocBatch),
 	}
 	if opts.Metrics != nil {
 		n.retries = opts.Metrics.Counter("wire_retries")
@@ -181,13 +156,6 @@ func NewInproc(opts InprocOptions) *Inproc {
 		n.lateReplies = opts.Metrics.Counter("wire_late_replies")
 	}
 	n.noteFaultsLocked()
-	if opts.BatchMax >= 2 {
-		n.batchFl = startFlusher(func() {
-			for _, b := range n.takeBatches(false) {
-				n.deliverBatch(b)
-			}
-		})
-	}
 	return n
 }
 
@@ -295,11 +263,6 @@ func (n *Inproc) Attach(id msg.NodeID, h Handler) (Node, error) {
 // Close implements Network. It waits up to a grace period for in-flight
 // deliveries so tests do not leak handler goroutines.
 func (n *Inproc) Close() error {
-	// The flusher goes first, while deliveries are still admitted: what it
-	// has taken is delivered, what it has not is flushed below.
-	if n.batchFl != nil {
-		n.batchFl.stop()
-	}
 	n.mu.Lock()
 	n.closed = true
 	nodes := make([]*inprocNode, 0, len(n.nodes))
@@ -310,7 +273,6 @@ func (n *Inproc) Close() error {
 	for _, nd := range nodes {
 		nd.calls.close()
 	}
-	n.flushBatches()
 	done := make(chan struct{})
 	go func() {
 		n.wg.Wait()
@@ -499,17 +461,12 @@ func (n *Inproc) enqueue(from msg.NodeID, dst *inprocNode, env msg.Envelope, reo
 	n.dispatch(from, dst, env, slotHeld)
 }
 
-// dispatch delivers one envelope, or adds it to the per-link batch when
-// batching is enabled. A request is handled on the handler executor:
-// concurrently with its sender and with every other envelope, in no
-// particular order. A reply is resolved right here, on the goroutine that
+// dispatch delivers one envelope. A request is handled on the handler
+// executor: concurrently with its sender and with every other envelope, in
+// no particular order. A reply is resolved right here, on the goroutine that
 // produced it (resolving never blocks); only a link with a modelled latency
 // to sleep out hands the reply to a worker too. slotHeld as in enqueue.
 func (n *Inproc) dispatch(from msg.NodeID, dst *inprocNode, env msg.Envelope, slotHeld bool) {
-	if n.opts.BatchMax >= 2 {
-		n.batchAdd(from, dst, env)
-		return
-	}
 	lat := n.latency(from, dst.id)
 	if env.Reply && lat <= 0 {
 		n.handle(from, dst, env)
@@ -523,90 +480,6 @@ func (n *Inproc) dispatch(from msg.NodeID, dst *inprocNode, env msg.Envelope, sl
 		time.Sleep(lat)
 		n.handle(from, dst, env)
 	})
-}
-
-// batchAdd coalesces env into the open batch for its link. A batch the
-// envelope fills is delivered here; a new one is the flusher's to deliver.
-func (n *Inproc) batchAdd(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
-	key := pairKey{from, dst.id}
-	n.batchMu.Lock()
-	if n.batchClosed {
-		n.batchMu.Unlock()
-		return
-	}
-	b := n.batches[key]
-	if b == nil {
-		b = &inprocBatch{from: from, dst: dst}
-		n.batches[key] = b
-	}
-	b.envs = append(b.envs, env)
-	count := len(b.envs)
-	if count >= n.opts.BatchMax {
-		delete(n.batches, key)
-	}
-	n.batchMu.Unlock()
-	switch {
-	case count >= n.opts.BatchMax:
-		n.deliverBatch(b)
-	case count == 1:
-		n.batchFl.kick()
-	}
-}
-
-// takeBatches detaches every open batch; final also refuses later adds.
-func (n *Inproc) takeBatches(final bool) []*inprocBatch {
-	n.batchMu.Lock()
-	defer n.batchMu.Unlock()
-	n.batchClosed = n.batchClosed || final
-	var open []*inprocBatch
-	for k, b := range n.batches {
-		open = append(open, b)
-		delete(n.batches, k)
-	}
-	return open
-}
-
-// deliverBatch delivers a flushed batch: one latency draw for the whole
-// batch (it models one datagram), then each request handled on the
-// executor, concurrently, and each reply resolved in place.
-func (n *Inproc) deliverBatch(b *inprocBatch) {
-	if !n.addDelivery() {
-		return
-	}
-	n.deliverBatchSlot(b)
-}
-
-// deliverBatchSlot is deliverBatch with the delivery slot already reserved.
-// The inner per-envelope Adds are plain: they always run while the outer
-// slot is held, so the counter cannot be zero when Close is waiting.
-func (n *Inproc) deliverBatchSlot(b *inprocBatch) {
-	handlers.run(func() {
-		defer n.wg.Done()
-		time.Sleep(n.latency(b.from, b.dst.id))
-		for _, env := range b.envs {
-			if env.Reply {
-				n.handle(b.from, b.dst, env)
-				continue
-			}
-			env := env
-			n.wg.Add(1)
-			handlers.run(func() {
-				defer n.wg.Done()
-				n.handle(b.from, b.dst, env)
-			})
-		}
-	})
-}
-
-// flushBatches delivers every open batch and refuses later ones; called on
-// network close, after the closed flag is up but before Close starts
-// waiting, so it reserves slots directly — the sequential Add still
-// happens-before the Wait.
-func (n *Inproc) flushBatches() {
-	for _, b := range n.takeBatches(true) {
-		n.wg.Add(1)
-		n.deliverBatchSlot(b)
-	}
 }
 
 // latency returns the configured one-way latency of a link.

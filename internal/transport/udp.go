@@ -49,7 +49,8 @@ type UDPOptions struct {
 	// produced faster than the node's flusher can put them on the wire.
 	BatchMax int
 	// BatchLinger is ignored: there is no linger any more. The field stays
-	// until the benchmark, which still passes it, is re-baselined.
+	// only because bench/rig/world.go still sets it; it goes when that line
+	// does.
 	BatchLinger time.Duration
 	// CallTimeout caps every Call/CallAsync deadline: the effective
 	// deadline is the earlier of the context's and now+CallTimeout.
