@@ -310,8 +310,8 @@ func TestCoveringIndexParity(t *testing.T) {
 	}
 
 	// TTL expiry: late in every lease, refresh every other object; then
-	// jump past the old leases and let the janitor and the update path's
-	// sweep tear the silent objects down.
+	// jump past the old leases and let the janitor tear the silent objects
+	// down.
 	skew.Add(int64(ttl * 2 / 3))
 	var silent []core.OID
 	for i, oid := range append([]core.OID(nil), w.order...) {

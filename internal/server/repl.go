@@ -645,9 +645,9 @@ func (r *replState) apply(stream int, rec msg.ReplRecord) error {
 	s := r.s
 	switch rec.Op {
 	case msg.ReplSightingPut:
-		s.sightings.PutBatch(rec.Sightings)
+		s.sightings.PutBatchAcc(rec.Sightings, nil, nil)
 	case msg.ReplSightingRemove:
-		s.sightings.Remove(rec.OID)
+		s.sightings.RemoveDelta(rec.OID)
 	case msg.ReplVisitorPut:
 		if err := s.visitors.Put(visitorRecord(rec.Visitor)); err != nil {
 			return err

@@ -110,7 +110,7 @@ func TestReplPairMirrorsWrites(t *testing.T) {
 	})
 
 	// Removals stream too.
-	a.sightings.Remove("o000")
+	a.sightings.RemoveDelta("o000")
 	if _, err := a.visitors.Remove("o000"); err != nil {
 		t.Fatal(err)
 	}

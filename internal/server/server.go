@@ -66,10 +66,16 @@ type Options struct {
 	// value computed in Algorithm 6-1 line 3. Default 10 m (GPS-grade).
 	AchievableAcc float64
 	// SightingTTL is the soft-state lifetime of sighting records
-	// (Section 5); zero disables expiry.
+	// (Section 5); zero disables expiry. The janitor is the only expiry
+	// detector: a record whose TTL passed is removed, and its visitor
+	// deregistered, at the next janitor tick, so it may outlive its TTL by
+	// up to one JanitorInterval.
 	SightingTTL time.Duration
-	// JanitorInterval is how often expired visitors are collected;
-	// defaults to SightingTTL/4.
+	// JanitorInterval is how often the janitor runs: it collects expired
+	// visitors, maintains the storage tiers and compacts grown sighting WAL
+	// segments. Zero picks a default from the enabled features
+	// (SightingTTL/4; else 1m with a SightingWAL; at most 5s with
+	// Tiering).
 	JanitorInterval time.Duration
 	// Shards partitions a leaf's sightingDB into that many independently
 	// locked shards keyed by object id, so concurrent updates scale
@@ -410,11 +416,7 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		}
 		// Feed committed update deltas straight into the event dispatcher;
 		// the enqueue never blocks the committing lane.
-		popts := []store.PipelineOption{store.OnCommit(s.enqueueDeltas)}
-		if opts.SightingTTL > 0 {
-			popts = append(popts, store.OnExpired(s.expireVisitors))
-		}
-		s.pipe = store.NewUpdatePipeline(s.sightings, popts...)
+		s.pipe = store.NewUpdatePipeline(s.sightings, store.OnCommit(s.enqueueDeltas))
 		s.dedupe = newDedupe(opts.DedupeWindow, opts.DedupeCap, opts.Clock)
 		if opts.ReplPeer != "" {
 			r := newReplState(s, msg.NodeID(opts.ReplPeer), s.sightings, opts.ReplStandby)
@@ -692,9 +694,9 @@ func (s *Server) janitorTick() {
 }
 
 // expireVisitors removes a batch of expired visitors, detected by the
-// janitor's scan or the update pipeline's amortized sweep. The removal
-// deltas feed the event engine once per batch, not once per id. It runs
-// with no store locks held.
+// janitor's Expired scan — the one expiry detector. The removal deltas
+// feed the event engine once per batch, not once per id. It runs with no
+// store locks held.
 func (s *Server) expireVisitors(ids []core.OID) {
 	var ds []store.Delta
 	for _, id := range ids {

@@ -42,11 +42,11 @@
 //     files, replication streams and snapshots do not contain it.
 //   - When it is unknown. AccUnknown (−1 — not the zero value, which means
 //     "perfectly accurate") marks every entry that did not arrive with an
-//     accuracy: Put, PutBatch, PutBatchAcc without accuracies and
-//     UpdatePipeline.Put, WAL replay (Recover), ReplInstallSnapshot, and
-//     every hit SearchEntries and NearestEntries read from a disk run. Consumers resolve an unknown
-//     accuracy through the source of truth, the visitorDB, so nothing
-//     depends on an accuracy being present.
+//     accuracy: Put, PutBatchAcc without accuracies and UpdatePipeline.Put,
+//     WAL replay (Recover), ReplInstallSnapshot, and every hit
+//     SearchEntries and NearestEntries read from a disk run. Consumers
+//     resolve an unknown accuracy through the source of truth, the
+//     visitorDB, so nothing depends on an accuracy being present.
 //   - Why it is never stale. An entry's accuracy changes only with the
 //     entry — a put for the object replaces both under the shard lock — or
 //     through SetAcc under the same lock, so the last writer wins, and the

@@ -98,7 +98,7 @@ func TestIndexPayloadInvariant(t *testing.T) {
 			putRandom(db, rng, "o", 300, 2000)
 			checkIndexPayloads(t, db, fmt.Sprintf("puts (%d shards)", shards))
 			for i := 0; i < 300; i += 3 {
-				db.Remove(core.OID(fmt.Sprintf("o%d", i)))
+				db.RemoveDelta(core.OID(fmt.Sprintf("o%d", i)))
 			}
 			checkIndexPayloads(t, db, fmt.Sprintf("removes (%d shards)", shards))
 		}
@@ -122,7 +122,7 @@ func TestIndexPayloadInvariant(t *testing.T) {
 		}
 		db := NewShardedSightingDB(WithSightingWAL(w))
 		putRandom(db, rand.New(rand.NewSource(4)), "o", 300, 2000)
-		db.Remove("o7")
+		db.RemoveDelta("o7")
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}

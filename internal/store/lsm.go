@@ -239,20 +239,13 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 	db.tier.flushes.Add(1)
 
 	// The manifest rename committed: reset the memtable.
-	sh.byID = make(map[core.OID]*sightingEntry)
-	sh.dead = make(map[core.OID]struct{})
-	sh.idx = spatial.NewQuadtree()
-	sh.nonempty = false
-	sh.stale = 0
-	sh.memBytes = 0
-	sh.sweepKeys = nil
-	sh.sweepPos = 0
+	db.resetMemtableLocked(sh)
 
 	// Empty the WAL segment — the tail now covers only the (empty)
 	// memtable. Best-effort: on failure the segment still replays to
 	// content the new run shadows record-for-record.
 	if db.wal != nil && db.wal.Err() == nil {
-		if err := db.wal.CompactShard(shard, nil); err != nil {
+		if err := db.wal.CompactShard(shard, nil, nil); err != nil {
 			return fmt.Errorf("store: resetting WAL segment after flush of shard %d: %w", shard, err)
 		}
 	}

@@ -582,14 +582,14 @@ func TestTieredFlushAndLookup(t *testing.T) {
 		}
 	}
 	// Cold remove plants a tombstone over the run-resident version.
-	if !tiered.Remove("o-007") {
+	if !removed(tiered, "o-007") {
 		t.Fatal("cold Remove failed")
 	}
 	oracle.Remove("o-007")
 	if _, ok := tiered.Get("o-007"); ok {
 		t.Fatal("removed record still visible")
 	}
-	if tiered.Remove("o-007") {
+	if removed(tiered, "o-007") {
 		t.Fatal("double Remove succeeded")
 	}
 
@@ -651,7 +651,7 @@ func TestTieredCompactionDropsShadowedVersions(t *testing.T) {
 	// Remove a few, flush the tombstones, then compact everything.
 	for i := 0; i < 10; i++ {
 		id := core.OID(fmt.Sprintf("o-%02d", i))
-		if !tiered.Remove(id) {
+		if !removed(tiered, id) {
 			t.Fatalf("Remove(%s)", id)
 		}
 		oracle.Remove(id)
@@ -767,7 +767,7 @@ func TestTieredOracleParity(t *testing.T) {
 				tiered.Put(s)
 				oracle.Put(s)
 			case k < 8: // remove (possibly cold, possibly absent)
-				got := tiered.Remove(id)
+				got := removed(tiered, id)
 				want := oracle.Remove(id)
 				if got != want {
 					t.Fatalf("round %d: Remove(%s) = %v, oracle %v", round, id, got, want)
@@ -924,7 +924,7 @@ func TestTieredSpatialShadowing(t *testing.T) {
 		oracle.Put(s)
 	}
 	remove := func(id string) {
-		if got, want := tiered.Remove(core.OID(id)), oracle.Remove(core.OID(id)); got != want {
+		if got, want := removed(tiered, core.OID(id)), oracle.Remove(core.OID(id)); got != want {
 			t.Fatalf("Remove(%s) = %v, oracle %v", id, got, want)
 		}
 	}
@@ -1107,7 +1107,7 @@ func populateTiered(t *testing.T, dir string, shards, n int) map[core.OID]core.S
 	for i := 0; i < n/10; i++ {
 		db.Put(core.Sighting{OID: core.OID(fmt.Sprintf("r-%04d", i)), T: base.Add(time.Second), Pos: geo.Pt(float64(i), 2), SensAcc: 5})
 	}
-	if !db.Remove(core.OID(fmt.Sprintf("r-%04d", n-1))) {
+	if !removed(db, core.OID(fmt.Sprintf("r-%04d", n-1))) {
 		t.Fatal("tail Remove failed")
 	}
 	want := storeState(db)
@@ -1312,7 +1312,7 @@ func TestTieredSoak(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				id := core.OID(fmt.Sprintf("w%d-%03d", w, rng.Intn(perID)))
 				if rng.Intn(10) == 0 {
-					db.Remove(id)
+					db.RemoveDelta(id)
 					delete(mine, id)
 					continue
 				}

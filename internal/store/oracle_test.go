@@ -60,7 +60,7 @@ func (o *oracleStore) Put(s core.Sighting) {
 	o.recs[s.OID] = oracleRec{s: s, expires: o.lease()}
 }
 
-func (o *oracleStore) PutBatch(batch []core.Sighting) {
+func (o *oracleStore) PutAll(batch []core.Sighting) {
 	for _, s := range batch {
 		o.Put(s)
 	}

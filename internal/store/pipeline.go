@@ -12,23 +12,21 @@ import (
 // hit the sighting store — the group-commit pattern applied to the paper's
 // update-heavy workload. Each shard has a combining lane: the first updater
 // to arrive becomes the lane leader and applies its own update immediately;
-// updates arriving while the leader is inside PutBatch queue up and are
+// updates arriving while the leader is inside PutBatchAcc queue up and are
 // applied as one batch under a single shard-lock acquisition when the
 // leader comes back around. Under low concurrency the pipeline degenerates
 // to a plain Put (one extra uncontended mutex); under high concurrency a
 // K-deep queue costs one lock acquisition instead of K, and superseded
-// updates to the same object are coalesced away by the store's PutBatch.
+// updates to the same object are coalesced away by the store's
+// PutBatchAcc.
 // Each update queued behind a lane leader bumps the handoff counter, which
 // diagnostics export beside the store's shard-lock contention samples.
 //
-// The pipeline also amortizes janitor work: after committing a batch, the
-// leader sweeps a bounded number of records for soft-state expiry and hands
-// any expired ids to the OnExpired callback, so expiry detection rides the
-// update path instead of relying solely on the periodic full scan.
+// The pipeline only puts. Soft-state expiry is not its job: the janitor's
+// Expired scan is the one expiry detector (see server.Options.SightingTTL).
 type UpdatePipeline struct {
-	db        SightingStore
-	onExpired func([]core.OID)
-	onCommit  func([]Delta)
+	db       SightingStore
+	onCommit func([]Delta)
 
 	// lanes has one combining lane per store shard.
 	lanes []updateLane
@@ -54,15 +52,6 @@ type pendingUpdate struct {
 
 // PipelineOption customizes an UpdatePipeline.
 type PipelineOption func(*UpdatePipeline)
-
-// OnExpired installs a callback receiving ids found expired during the
-// amortized post-batch sweep. The callback runs on an updater's goroutine
-// with no store locks held; it must tolerate ids that a concurrent update
-// has refreshed since the sweep (like the janitor's Expired snapshot, the
-// sweep is a point-in-time observation).
-func OnExpired(fn func([]core.OID)) PipelineOption {
-	return func(p *UpdatePipeline) { p.onExpired = fn }
-}
 
 // OnCommit installs a callback receiving the change deltas of every batch
 // the pipeline commits. The callback runs on the lane leader's goroutine
@@ -124,14 +113,12 @@ func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 	}{[1]core.Sighting{s}, [1]float64{acc}}
 	batch, accs := own.s[:], own.acc[:]
 	var dones []chan struct{}
-	applied := 0
 	for {
 		var deltas []Delta // nil: none wanted
 		if p.onCommit != nil {
 			deltas = make([]Delta, 0, len(batch))
 		}
 		deltas = p.db.PutBatchAcc(batch, accs, deltas)
-		applied += len(batch)
 		if p.onCommit != nil {
 			p.onCommit(deltas)
 		}
@@ -142,7 +129,7 @@ func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 		if len(lane.pending) == 0 {
 			lane.leading = false
 			lane.mu.Unlock()
-			break
+			return
 		}
 		queued := lane.pending
 		lane.pending = nil
@@ -153,21 +140,5 @@ func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 			accs = append(accs, pu.acc)
 			dones = append(dones, pu.done)
 		}
-	}
-	// Sweep only after giving up leadership: the OnExpired callback can
-	// be expensive (path teardown, event re-evaluation), and updates
-	// queueing behind the lane must not wait on it.
-	p.sweep(applied)
-}
-
-// sweep runs the amortized expiry scan after a leadership stint: the
-// budget scales with the number of updates committed so sweep cost stays a
-// constant fraction of update work.
-func (p *UpdatePipeline) sweep(applied int) {
-	if p.onExpired == nil || applied <= 0 {
-		return
-	}
-	if ids := p.db.SweepExpired(2 * applied); len(ids) > 0 {
-		p.onExpired(ids)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"locsvc/internal/geo"
 )
 
-// gatedStore wraps a SightingStore and blocks inside PutBatch until the
+// gatedStore wraps a SightingStore and blocks inside PutBatchAcc until the
 // test releases it, so tests can deterministically pile updates onto a
 // pipeline lane while its leader is mid-commit.
 type gatedStore struct {
@@ -48,7 +48,7 @@ func TestPipelineGroupCommit(t *testing.T) {
 		pipe.Put(sighting("leader", 0, 0))
 		close(leaderDone)
 	}()
-	first := <-gate.entered // leader is now inside PutBatch
+	first := <-gate.entered // leader is now inside PutBatchAcc
 	if len(first) != 1 || first[0].OID != "leader" {
 		t.Fatalf("first batch = %v", first)
 	}
@@ -88,46 +88,6 @@ func TestPipelineGroupCommit(t *testing.T) {
 	<-leaderDone
 	if inner.Len() != followers+1 {
 		t.Errorf("Len = %d, want %d", inner.Len(), followers+1)
-	}
-}
-
-// TestPipelineOnExpired verifies the amortized sweep reports expired ids on
-// the update path.
-func TestPipelineOnExpired(t *testing.T) {
-	now := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-
-	db := NewShardedSightingDB(WithShards(2), WithTTL(30*time.Second), WithClock(clock))
-	var expired []core.OID
-	pipe := NewUpdatePipeline(db, OnExpired(func(ids []core.OID) {
-		mu.Lock()
-		expired = append(expired, ids...)
-		mu.Unlock()
-	}))
-
-	pipe.Put(sighting("stale", 1, 1))
-	mu.Lock()
-	now = now.Add(time.Minute)
-	mu.Unlock()
-	// Fresh updates to other objects must surface the stale record via
-	// the bounded sweep within a few batches.
-	for i := 0; i < 8; i++ {
-		pipe.Put(sighting(fmt.Sprintf("fresh%d", i), float64(i), 0))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, id := range expired {
-		if id == "stale" {
-			found = true
-		}
-		if id != "stale" {
-			t.Errorf("unexpired id %s reported", id)
-		}
-	}
-	if !found {
-		t.Error("stale record never reported by the amortized sweep")
 	}
 }
 

@@ -350,8 +350,6 @@ func (db *ShardedSightingDB) resetMemtableLocked(sh *sightingShard) {
 	sh.nonempty = false
 	sh.stale = 0
 	sh.memBytes = 0
-	sh.sweepKeys = nil
-	sh.sweepPos = 0
 }
 
 // ReplInstallRuns applies a primary's tier-structure notification on a
@@ -379,7 +377,7 @@ func (db *ShardedSightingDB) ReplInstallRuns(shard int, names []string, nextSeq 
 	if clearMem {
 		db.resetMemtableLocked(sh)
 		if db.wal != nil && db.wal.Err() == nil {
-			if err := db.wal.CompactShard(shard, nil); err != nil {
+			if err := db.wal.CompactShard(shard, nil, nil); err != nil {
 				return fmt.Errorf("store: resetting WAL segment after run install of shard %d: %w", shard, err)
 			}
 		}
@@ -434,7 +432,7 @@ func (db *ShardedSightingDB) ReplInstallSnapshot(shard int, st ReplShardState, f
 		}
 	}
 	if db.wal != nil && db.wal.Err() == nil {
-		if err := db.wal.CompactShardState(shard, st.Live, st.Dead); err != nil {
+		if err := db.wal.CompactShard(shard, st.Live, st.Dead); err != nil {
 			return fmt.Errorf("store: rewriting WAL segment after snapshot install of shard %d: %w", shard, err)
 		}
 	}

@@ -14,10 +14,9 @@ import (
 
 // ShardedSightingDB is a SightingStore partitioned into N independently
 // locked shards keyed by object id. Each shard owns its slice of the hash
-// index, its own spatial sub-index and its own expiry-sweep cursor, all
-// guarded by one shard lock — so the Remove+Insert pair of an update is
-// applied atomically per shard and updates to different shards never
-// contend.
+// index and its own spatial sub-index, both guarded by one shard lock — so
+// the Remove+Insert pair of an update is applied atomically per shard and
+// updates to different shards never contend.
 //
 // Sharding is by object id, not by space: the update path (the hot path of
 // the paper's workloads) stays O(1) lock acquisitions regardless of where
@@ -41,13 +40,8 @@ type ShardedSightingDB struct {
 	clock  func() time.Time
 
 	// maintMu serializes the passes that rewrite per-shard persistent
-	// state across the whole store: CompactWAL, CompactWALIfGrown and
-	// MaintainTiers.
+	// state across the whole store: CompactWALIfGrown and MaintainTiers.
 	maintMu sync.Mutex
-
-	// sweepShardCursor rotates the shard SweepExpired starts at, so
-	// small budgets still cover every shard over successive calls.
-	sweepShardCursor atomic.Uint64
 
 	// wal, when non-nil, receives every committed batch and removal
 	// before it is applied; appends happen under the owning shard's lock,
@@ -95,10 +89,6 @@ type sightingShard struct {
 	bound    geo.Rect
 	nonempty bool
 	stale    int
-
-	// sweep cursor for the amortized expiry scan.
-	sweepKeys []core.OID
-	sweepPos  int
 
 	// Tiered mode only (tier non-nil, attached when the store opens its
 	// tiers). dead holds the memtable's tombstones: ids removed since the
@@ -295,8 +285,8 @@ func (db *ShardedSightingDB) Len() int {
 	return n
 }
 
-// Put inserts or replaces the record for s.OID and refreshes its expiration
-// date.
+// Put inserts or replaces the record for s.OID, with no accuracy, and
+// refreshes its expiration date: the one-record form of PutBatchAcc.
 func (db *ShardedSightingDB) Put(s core.Sighting) {
 	db.putOne(s, AccUnknown, nil)
 }
@@ -306,7 +296,7 @@ func (db *ShardedSightingDB) Put(s core.Sighting) {
 func (db *ShardedSightingDB) putOne(s core.Sighting, acc float64, out *[]Delta) {
 	sh, i := db.lockOwner(s.OID)
 	if db.wal != nil {
-		_ = db.wal.AppendPut(i, s)
+		_ = db.wal.AppendBatch(i, []core.Sighting{s})
 	}
 	d := db.putLocked(sh, s, acc)
 	db.maybeFlushBackpressure(sh, i)
@@ -316,42 +306,29 @@ func (db *ShardedSightingDB) putOne(s core.Sighting, acc float64, out *[]Delta) 
 	}
 }
 
-// PutBatch applies a batch of puts; later entries for the same object
+// PutBatchAcc implements SightingStore: later entries for the same object
 // override earlier ones. The batch is grouped by shard and each group
-// applied under a single lock acquisition. Within a group, updates to
-// the same object are coalesced — only the last sighting per object touches
+// applied under a single lock acquisition. Within a group, updates to the
+// same object are coalesced — only the last sighting per object touches
 // the spatial index, fusing its Remove+Insert pair once instead of once per
-// superseded update.
-func (db *ShardedSightingDB) PutBatch(batch []core.Sighting) {
-	db.putBatch(batch, nil, nil)
-}
-
-// PutBatchAcc implements SightingStore. Coalesced objects yield one delta
-// spanning the pre-batch position and the final one.
+// superseded update — and yield one delta spanning the pre-batch position
+// and the final one.
 func (db *ShardedSightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta {
-	if out == nil {
-		db.putBatch(batch, accs, nil)
-		return nil
+	var deltas *[]Delta // nil: none wanted
+	if out != nil {
+		deltas = &out
 	}
-	db.putBatch(batch, accs, &out)
-	return out
-}
-
-// putBatch is the body of the batch puts: accs[i], when accs is
-// non-nil, is recorded on batch[i]'s index entry, and deltas are appended
-// to *out when out is non-nil.
-func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out *[]Delta) {
 	switch len(batch) {
 	case 0:
-		return
+		return out
 	case 1:
-		db.putOne(batch[0], accAt(accs, 0), out)
-		return
+		db.putOne(batch[0], accAt(accs, 0), deltas)
+		return out
 	}
 	n := len(db.shards)
 	if n == 1 {
-		db.putGroup(0, batch, accs, out)
-		return
+		db.putGroup(0, batch, accs, deltas)
+		return out
 	}
 	// Fast path: batches assembled by a per-shard pipeline lane are
 	// single-shard by construction; detect that without allocating the
@@ -365,8 +342,8 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out
 		}
 	}
 	if same {
-		db.putGroup(first, batch, accs, out)
-		return
+		db.putGroup(first, batch, accs, deltas)
+		return out
 	}
 	groups := make([][]core.Sighting, n)
 	groupAccs := make([][]float64, n) // entries stay nil when accs is
@@ -379,9 +356,10 @@ func (db *ShardedSightingDB) putBatch(batch []core.Sighting, accs []float64, out
 	}
 	for i, grp := range groups {
 		if len(grp) > 0 {
-			db.putGroup(i, grp, groupAccs[i], out)
+			db.putGroup(i, grp, groupAccs[i], deltas)
 		}
 	}
+	return out
 }
 
 // putGroup applies one shard's slice of a batch under one lock acquisition,
@@ -492,32 +470,61 @@ func (db *ShardedSightingDB) Get(id core.OID) (core.Sighting, bool) {
 	return core.Sighting{}, false
 }
 
-// Remove deletes the record for id and reports whether it existed.
-func (db *ShardedSightingDB) Remove(id core.OID) bool {
-	_, ok := db.RemoveDelta(id)
-	return ok
+// RemoveDelta deletes the record for id and reports whether it existed;
+// the returned delta carries the removed record's last position. On a
+// tiered store removing a record that lives only in a run leaves a
+// memtable tombstone (persisted by the next flush, dropped with the
+// shadowed versions at compaction) so the run-resident version stops being
+// visible immediately.
+func (db *ShardedSightingDB) RemoveDelta(id core.OID) (Delta, bool) {
+	return db.remove(id, false)
 }
 
-// RemoveDelta is Remove with change reporting: the returned delta carries
-// the removed record's last position. On a tiered store removing a
-// record that lives only in a run leaves a memtable tombstone (persisted
-// by the next flush, dropped with the shadowed versions at compaction)
-// so the run-resident version stops being visible immediately.
-func (db *ShardedSightingDB) RemoveDelta(id core.OID) (Delta, bool) {
+// RemoveExpiredDelta is RemoveDelta for a record whose TTL has passed at
+// the time the shard lock is held, and a no-op for any other, so the
+// janitor, acting on a stale Expired scan, cannot tear down a concurrently
+// refreshed record.
+func (db *ShardedSightingDB) RemoveExpiredDelta(id core.OID) (Delta, bool) {
+	return db.remove(id, true)
+}
+
+// remove is the body of RemoveDelta and RemoveExpiredDelta. A record
+// absent from the memtable may still live in a disk run: the newest
+// on-disk version is resolved and, if live, removed by tombstone alone.
+func (db *ShardedSightingDB) remove(id core.OID, expiredOnly bool) (Delta, bool) {
 	sh, i := db.lockOwner(id)
 	defer sh.mu.Unlock()
-	e, ok := sh.byID[id]
-	if !ok {
-		return db.removeColdLocked(sh, i, id, false)
+	e, hot := sh.byID[id]
+	if !hot {
+		if sh.tier == nil {
+			return Delta{}, false
+		}
+		if _, gone := sh.dead[id]; gone {
+			return Delta{}, false
+		}
+		rec, found := sh.tierLookup(db.tier, id)
+		if !found || rec.tombstone {
+			return Delta{}, false
+		}
+		e = &sightingEntry{s: rec.s, expires: rec.expires}
 	}
-	db.logRemove(i, id)
-	sh.idx.Remove(id, e.s.Pos)
-	delete(sh.byID, id)
+	if expiredOnly && (db.ttl <= 0 || e.expires.IsZero() || !db.clock().After(e.expires)) {
+		return Delta{}, false
+	}
+	if db.wal != nil {
+		_ = db.wal.AppendRemove(i, id)
+	}
+	if hot {
+		sh.idx.Remove(id, e.s.Pos)
+		delete(sh.byID, id)
+		sh.noteRemove()
+		if db.tier != nil {
+			sh.memBytes -= memCost(id)
+		}
+	}
 	if db.tier != nil {
-		sh.memBytes -= memCost(id)
 		db.tombstoneLocked(sh, id)
 	}
-	sh.noteRemove()
 	return removeDelta(id, e), true
 }
 
@@ -531,55 +538,6 @@ func (db *ShardedSightingDB) tombstoneLocked(sh *sightingShard, id core.OID) {
 		sh.dead[id] = struct{}{}
 		sh.memBytes += tombCost(id)
 	}
-}
-
-// removeColdLocked removes a record that is absent from the memtable but
-// may live in a disk run: it resolves the newest on-disk version and, if
-// live (and, for expiredOnly, past its TTL), logs the removal and plants
-// a tombstone. Caller holds the shard's write lock.
-func (db *ShardedSightingDB) removeColdLocked(sh *sightingShard, i int, id core.OID, expiredOnly bool) (Delta, bool) {
-	if sh.tier == nil {
-		return Delta{}, false
-	}
-	if _, gone := sh.dead[id]; gone {
-		return Delta{}, false
-	}
-	rec, found := sh.tierLookup(db.tier, id)
-	if !found || rec.tombstone {
-		return Delta{}, false
-	}
-	if expiredOnly && (db.ttl <= 0 || rec.expires.IsZero() || !db.clock().After(rec.expires)) {
-		return Delta{}, false
-	}
-	db.logRemove(i, id)
-	db.tombstoneLocked(sh, id)
-	return removeDelta(id, &sightingEntry{s: rec.s, expires: rec.expires}), true
-}
-
-// RemoveExpiredDelta deletes the record for id only if its TTL has passed
-// at the time the shard lock is held, so callers acting on a stale expiry
-// observation (the janitor's Expired snapshot, the pipeline's amortized
-// sweep) cannot tear down a concurrently refreshed record. The returned
-// delta carries the removed record's last position.
-func (db *ShardedSightingDB) RemoveExpiredDelta(id core.OID) (Delta, bool) {
-	sh, i := db.lockOwner(id)
-	defer sh.mu.Unlock()
-	e, ok := sh.byID[id]
-	if !ok {
-		return db.removeColdLocked(sh, i, id, true)
-	}
-	if db.ttl <= 0 || e.expires.IsZero() || !db.clock().After(e.expires) {
-		return Delta{}, false
-	}
-	db.logRemove(i, id)
-	sh.idx.Remove(id, e.s.Pos)
-	delete(sh.byID, id)
-	if db.tier != nil {
-		sh.memBytes -= memCost(id)
-		db.tombstoneLocked(sh, id)
-	}
-	sh.noteRemove()
-	return removeDelta(id, e), true
 }
 
 // Expired returns the ids of all records whose soft-state TTL passed, from
@@ -612,59 +570,6 @@ func (db *ShardedSightingDB) Expired() []core.OID {
 		sh.mu.RUnlock()
 	}
 	return out
-}
-
-// SweepExpired implements SightingStore. At most max records are examined
-// in total, spread over the shards starting at a rotating shard, so
-// successive calls with small budgets still cover the whole database; each
-// shard resumes its own cursor and reports an id at most once per call.
-func (db *ShardedSightingDB) SweepExpired(max int) []core.OID {
-	if max <= 0 || db.ttl <= 0 {
-		return nil
-	}
-	n := len(db.shards)
-	start := int(db.sweepShardCursor.Add(1)-1) % n
-	var out []core.OID
-	remaining := max
-	for i := 0; i < n && remaining > 0; i++ {
-		ids, examined := db.sweepShard(db.shards[(start+i)%n], remaining)
-		out = append(out, ids...)
-		remaining -= examined
-	}
-	return out
-}
-
-// sweepShard examines up to max of one shard's records, resuming at the
-// shard's cursor, and returns the expired ids found plus how many records
-// it examined. The cursor's key snapshot is refilled only at the start of
-// a call, never mid-call, so a call cannot wrap and report an id twice.
-func (db *ShardedSightingDB) sweepShard(sh *sightingShard, max int) ([]core.OID, int) {
-	sh.lockWrite()
-	defer sh.mu.Unlock()
-	if len(sh.byID) == 0 {
-		return nil, 0
-	}
-	now := db.clock()
-	var out []core.OID
-	examined := 0
-	for ; examined < max; examined++ {
-		if sh.sweepPos >= len(sh.sweepKeys) {
-			if examined > 0 {
-				break // snapshot exhausted mid-call: resume next call
-			}
-			sh.sweepKeys = sh.sweepKeys[:0]
-			for id := range sh.byID {
-				sh.sweepKeys = append(sh.sweepKeys, id)
-			}
-			sh.sweepPos = 0
-		}
-		id := sh.sweepKeys[sh.sweepPos]
-		sh.sweepPos++
-		if e, ok := sh.byID[id]; ok && !e.expires.IsZero() && now.After(e.expires) {
-			out = append(out, id)
-		}
-	}
-	return out, examined
 }
 
 // SearchArea implements SightingStore by fanning the rectangle across the
@@ -833,15 +738,6 @@ func (db *ShardedSightingDB) ForEach(visit func(s core.Sighting) bool) {
 // String implements fmt.Stringer for diagnostics.
 func (db *ShardedSightingDB) String() string {
 	return fmt.Sprintf("ShardedSightingDB(%d shards, %d records)", db.NumShards(), db.Len())
-}
-
-// logRemove write-ahead-logs one removal. Caller holds the shard's write
-// lock.
-func (db *ShardedSightingDB) logRemove(shard int, id core.OID) {
-	if db.wal == nil {
-		return
-	}
-	_ = db.wal.AppendRemove(shard, id)
 }
 
 // WALErr returns the sticky error of the first failed WAL append, or nil
@@ -1043,7 +939,7 @@ func (db *ShardedSightingDB) recoverShardLocked(shard int) error {
 		for _, s := range live {
 			liveSlice = append(liveSlice, s)
 		}
-		_ = db.wal.CompactShard(shard, liveSlice)
+		_ = db.wal.CompactShard(shard, liveSlice, nil)
 	}
 	var expires time.Time
 	if db.ttl > 0 {
@@ -1057,37 +953,6 @@ func (db *ShardedSightingDB) recoverShardLocked(shard int) error {
 	return nil
 }
 
-// CompactWAL rewrites every shard segment to exactly its live sightings,
-// shard by shard under the shard lock (so no concurrent commit can fall
-// between the snapshot and the rewrite). Call it to keep replay time
-// proportional to the live set instead of the update history; the server's
-// janitor drives the grow-triggered variant, CompactWALIfGrown. Without an
-// attached WAL it is a no-op.
-func (db *ShardedSightingDB) CompactWAL() error {
-	if db.wal == nil {
-		return nil
-	}
-	if db.tier != nil {
-		// A live-set rewrite would drop the segment's tombstones while
-		// their shadowed versions still live in runs; tiered stores reset
-		// segments at flush time instead (MaintainTiers).
-		return db.MaintainTiers()
-	}
-	if err := db.wal.Err(); err != nil {
-		// A down WAL has stopped logging; the sticky error is the answer.
-		return err
-	}
-	db.maintMu.Lock()
-	defer db.maintMu.Unlock()
-	var errs []error
-	for i := range db.shards {
-		if err := db.compactShard(i); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // CompactWALIfGrown compacts only the shards whose segment has grown by
 // more than one live-set (plus walCompactSlack) since their last compaction — the
 // classic log-structured policy: amortized rewrite cost stays a constant
@@ -1096,9 +961,9 @@ func (db *ShardedSightingDB) CompactWAL() error {
 // While another compaction pass runs the call is skipped.
 func (db *ShardedSightingDB) CompactWALIfGrown() error {
 	if db.tier != nil {
-		// Tiered stores flush and compact through MaintainTiers; a
-		// live-set segment rewrite here would lose tombstones (see
-		// CompactWAL).
+		// Tiered stores flush and compact through MaintainTiers: a
+		// live-set rewrite would drop the segment's tombstones while their
+		// shadowed versions still live in runs.
 		return db.MaintainTiers()
 	}
 	if db.wal == nil || db.wal.Err() != nil {
@@ -1130,28 +995,20 @@ func (db *ShardedSightingDB) CompactWALIfGrown() error {
 }
 
 // compactShard snapshots one shard's live set under its lock and rewrites
-// the segment. In the WAL's asynchronous mode the disk work happens
-// outside the shard lock — updates only stall for the queue drain and the
-// in-memory snapshot, while records appended during the rewrite wait in
-// the buffer and land after the snapshot (BeginCompact/FinishCompact).
+// the segment outside it (BeginCompact/FinishCompact): updates only stall
+// for the queue drain and the in-memory snapshot, while records appended
+// during the rewrite wait in the buffer and land after the snapshot.
 // Caller holds maintMu, so no other pass rewrites the segment meanwhile.
 func (db *ShardedSightingDB) compactShard(i int) error {
 	sh := db.shards[i]
-	if db.wal.Asynchronous() {
-		sh.mu.Lock()
-		if err := db.wal.BeginCompact(i); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		live := sh.liveSnapshot()
-		sh.mu.Unlock()
-		return db.wal.FinishCompact(i, live)
-	}
-	// Synchronous mode appends directly to the segment under the shard
-	// lock, so the rewrite must hold it too.
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return db.wal.CompactShard(i, sh.liveSnapshot())
+	if err := db.wal.BeginCompact(i); err != nil {
+		sh.mu.Unlock()
+		return err
+	}
+	live := sh.liveSnapshot()
+	sh.mu.Unlock()
+	return db.wal.FinishCompact(i, live)
 }
 
 // liveSnapshot copies the shard's live sightings. Caller holds the shard's

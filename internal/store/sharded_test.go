@@ -28,7 +28,7 @@ func TestShardedSightingDBBasic(t *testing.T) {
 	if !ok || got.Pos != geo.Pt(7, 7) {
 		t.Fatalf("Get = %+v, %v", got, ok)
 	}
-	if !db.Remove("o7") || db.Remove("o7") {
+	if !removed(db, "o7") || removed(db, "o7") {
 		t.Error("Remove / double-Remove misbehaved")
 	}
 	count := 0
@@ -51,12 +51,12 @@ func TestShardedPutBatchCoalesces(t *testing.T) {
 	// Three updates of the same object in one batch: only the last
 	// position must survive, and the superseded ones must not linger in
 	// the spatial index.
-	db.PutBatch([]core.Sighting{
+	db.PutBatchAcc([]core.Sighting{
 		sighting("a", 1, 1),
 		sighting("b", 2, 2),
 		sighting("a", 50, 50),
 		sighting("a", 90, 90),
-	})
+	}, nil, nil)
 	if db.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", db.Len())
 	}
@@ -73,7 +73,7 @@ func TestShardedPutBatchCoalesces(t *testing.T) {
 	}
 }
 
-func TestShardedExpiryAndSweep(t *testing.T) {
+func TestShardedExpiry(t *testing.T) {
 	now := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
 	var mu sync.Mutex
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
@@ -89,49 +89,48 @@ func TestShardedExpiryAndSweep(t *testing.T) {
 	advance(20 * time.Second)
 	db.Put(sighting("o3", 3, 3)) // refresh one record
 	advance(20 * time.Second)
-	if got := db.Expired(); len(got) != 15 {
-		t.Errorf("Expired found %d, want 15", len(got))
-	}
-	// The bounded sweep must find every expired record across repeated
-	// calls, despite its per-call budget.
+	got := db.Expired()
 	found := map[core.OID]bool{}
-	for i := 0; i < 10; i++ {
-		for _, id := range db.SweepExpired(8) {
-			found[id] = true
-		}
+	for _, id := range got {
+		found[id] = true
 	}
-	if len(found) != 15 || found["o3"] {
-		t.Errorf("sweep found %d records (o3: %v), want 15 without o3", len(found), found["o3"])
+	if len(got) != 15 || len(found) != 15 || found["o3"] {
+		t.Errorf("Expired found %d records (%d distinct, o3: %v), want 15 without o3", len(got), len(found), found["o3"])
 	}
 }
 
-// TestSweepExpiredNoDuplicatesWithinCall: a budget far exceeding the
-// population must not wrap the cursor and report the same id twice in one
-// call: the call reports exactly what the oracle calls expired.
-func TestSweepExpiredNoDuplicatesWithinCall(t *testing.T) {
+// TestShardedExpiredMatchesOracle: a full Expired scan reports exactly what
+// the oracle calls expired — every id once, refreshed records left out —
+// at one shard and at four.
+func TestShardedExpiredMatchesOracle(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		now := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
 		clock := func() time.Time { return now } // single goroutine
 		db := NewShardedSightingDB(WithShards(shards), WithTTL(time.Second), WithClock(clock))
 		oracle := newOracleTTL(time.Second, clock)
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 12; i++ {
 			s := sighting(fmt.Sprintf("o%d", i), float64(i), 0)
 			db.Put(s)
 			oracle.Put(s)
 		}
 		now = now.Add(time.Minute)
-		got, want := db.SweepExpired(1000), oracle.Expired()
+		for i := 0; i < 12; i += 3 { // refreshed after their leases ran out
+			s := sighting(fmt.Sprintf("o%d", i), float64(i), 1)
+			db.Put(s)
+			oracle.Put(s)
+		}
+		got, want := db.Expired(), oracle.Expired()
 		sortOIDs(got)
 		sortOIDs(want)
-		if !equalOIDs(got, want) { // sorted, so a repeated id shows here
-			t.Errorf("shards=%d: SweepExpired(1000) = %v, oracle's Expired %v", shards, got, want)
+		if len(want) != 8 || !equalOIDs(got, want) { // sorted, so a repeated id shows here
+			t.Errorf("shards=%d: Expired = %v, oracle's %v (want 8 ids)", shards, got, want)
 		}
 	}
 }
 
 // TestRemoveExpiredGuardsRefresh: RemoveExpiredDelta must be a no-op for a
-// record refreshed after the expiry observation — the race the janitor and
-// the pipeline sweep act under — and agree with the oracle throughout.
+// record refreshed after the expiry observation — the race the janitor
+// acts under — and agree with the oracle throughout.
 func TestRemoveExpiredGuardsRefresh(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		now := time.Date(2026, 6, 12, 10, 0, 0, 0, time.UTC)
@@ -253,11 +252,11 @@ func TestShardedMatchesOracleRandomized(t *testing.T) {
 							float64(rng.Intn(20))*5, float64(rng.Intn(20))*5)
 					}
 					before := storeState(oracle)
-					oracle.PutBatch(batch)
+					oracle.PutAll(batch)
 					checkBatchDeltas(t, db.PutBatchAcc(batch, nil, []Delta{}), before, oracle)
 				case 2:
 					id := core.OID(fmt.Sprintf("o%d", rng.Intn(60)))
-					if db.Remove(id) != oracle.Remove(id) {
+					if removed(db, id) != oracle.Remove(id) {
 						t.Fatalf("Remove(%s) disagreed with oracle", id)
 					}
 				}
@@ -332,7 +331,7 @@ func TestShardedConcurrentMatchesOracle(t *testing.T) {
 								batch[i] = sighting(fmt.Sprintf("o%d", idx), rng.Float64()*side, rng.Float64()*side)
 								final[idx] = batch[i]
 							}
-							db.PutBatch(batch)
+							db.PutBatchAcc(batch, nil, nil)
 						}
 					}
 				}(w)
@@ -374,7 +373,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 						batch[j] = sighting(fmt.Sprintf("w%d-o%d", w%4, rng.Intn(40)),
 							rng.Float64()*100, rng.Float64()*100)
 					}
-					db.PutBatch(batch)
+					db.PutBatchAcc(batch, nil, nil)
 				case 3:
 					db.Get(core.OID(id))
 				case 4:
@@ -386,9 +385,9 @@ func TestShardedConcurrentHammer(t *testing.T) {
 						return n < 5
 					})
 				case 6:
-					db.Remove(core.OID(fmt.Sprintf("w%d-o%d", w%4, rng.Intn(40))))
+					db.RemoveDelta(core.OID(fmt.Sprintf("w%d-o%d", w%4, rng.Intn(40))))
 				case 7:
-					db.SweepExpired(8)
+					db.Expired()
 					if s, ok := db.Get(core.OID(id)); ok {
 						db.Put(s)
 					}
@@ -431,7 +430,7 @@ func TestShardedBoundPruningStaysExact(t *testing.T) {
 	// then tighten lazily as removals outnumber live records.
 	for i := 0; i < 200; i++ {
 		id := core.OID(fmt.Sprintf("b%d", i))
-		if db.Remove(id) != oracle.Remove(id) {
+		if removed(db, id) != oracle.Remove(id) {
 			t.Fatalf("Remove(%s) disagreed with oracle", id)
 		}
 	}
@@ -445,7 +444,7 @@ func TestShardedBoundPruningStaysExact(t *testing.T) {
 	var all []core.OID
 	db.ForEach(func(s core.Sighting) bool { all = append(all, s.OID); return true })
 	for _, id := range all {
-		if db.Remove(id) != oracle.Remove(id) {
+		if removed(db, id) != oracle.Remove(id) {
 			t.Fatalf("Remove(%s) disagreed with oracle", id)
 		}
 	}
@@ -458,60 +457,6 @@ func TestShardedBoundPruningStaysExact(t *testing.T) {
 	got := collectNearest(db, geo.Pt(1, 1), 5)
 	if len(got) != 0 {
 		t.Fatalf("nearest on empty store returned %d entries", len(got))
-	}
-}
-
-// TestSweepExpiredShardRotationFairness: successive small-budget sweeps
-// must visit every shard before revisiting one — the rotating start cursor
-// is what keeps a budget smaller than the shard count from starving the
-// tail shards. One expired record per shard, budget 1: each of the first N
-// calls must surface a new shard's record.
-func TestSweepExpiredShardRotationFairness(t *testing.T) {
-	now := time.Date(2026, 7, 28, 10, 0, 0, 0, time.UTC)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	const shards = 8
-	db := NewShardedSightingDB(WithShards(shards), WithTTL(time.Second), WithClock(clock))
-
-	// Exactly one record per shard, found by probing ids.
-	perShard := make(map[int]core.OID)
-	for i := 0; len(perShard) < shards; i++ {
-		id := core.OID(fmt.Sprintf("f%d", i))
-		sh := db.ShardFor(id)
-		if _, ok := perShard[sh]; ok {
-			continue
-		}
-		perShard[sh] = id
-		db.Put(sighting(string(id), float64(sh), 0))
-	}
-	mu.Lock()
-	now = now.Add(time.Minute)
-	mu.Unlock()
-
-	seen := map[core.OID]int{}
-	for call := 1; call <= shards; call++ {
-		ids := db.SweepExpired(1)
-		if len(ids) != 1 {
-			t.Fatalf("call %d: SweepExpired(1) returned %d ids, want 1", call, len(ids))
-		}
-		seen[ids[0]]++
-		if len(seen) != call {
-			t.Fatalf("call %d revisited a shard before covering all: %d distinct ids so far (%v)", call, len(seen), seen)
-		}
-	}
-	if len(seen) != shards {
-		t.Fatalf("after %d unit-budget sweeps, %d shards covered", shards, len(seen))
-	}
-	// The next full rotation revisits each exactly once more.
-	for call := 0; call < shards; call++ {
-		for _, id := range db.SweepExpired(1) {
-			seen[id]++
-		}
-	}
-	for id, n := range seen {
-		if n != 2 {
-			t.Errorf("shard of %s swept %d times over two rotations, want 2", id, n)
-		}
 	}
 }
 

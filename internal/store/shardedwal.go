@@ -26,7 +26,7 @@ import (
 // segment, in application order.
 //
 // The append unit is the group-commit batch of the update pipeline: one
-// WALSightingBatch record per PutBatch shard group, so the marshal and
+// WALSightingBatch record per PutBatchAcc shard group, so the marshal and
 // flush cost of durability is amortized over the batch exactly as the
 // combining lane amortizes lock cost.
 //
@@ -45,28 +45,33 @@ import (
 // epochs' files. Compaction keeps a segment's header; nothing writes a new
 // epoch.
 //
-// # Append modes
+// # The append path
 //
-// By default appends are asynchronous: AppendBatch/AppendRemove enqueue
-// the record on the shard's pending list (the caller holds the shard lock,
-// so list order is commit order — the update path pays one batch copy and
-// a slice append) and a per-segment writer goroutine swaps the list out,
-// encodes it, and commits the whole drain with a single write+flush. The
-// writer waits a short coalescing window (walCoalesceDelay) before each
-// swap, so even a trickle of updates amortizes the encode setup and the
-// syscall across a group — the group-commit idea applied once more, at the
-// disk boundary. This gives bounded-lag durability: at any kill point each
-// segment holds a consistent prefix of its shard's history, at most the
-// pending cap plus one coalescing window behind; Flush is the barrier that
-// waits for everything already appended to reach the OS. With WithSync
-// appends become synchronous with an fsync per record — full machine-crash
-// durability on the update path.
+// Every append — AppendBatch, AppendRemove, Mark — enqueues its record on
+// the shard's pending list (the caller holds the shard lock, so list order
+// is commit order — the update path pays one batch copy and a slice
+// append), and a per-segment writer goroutine swaps the list out, encodes
+// it, commits the whole drain with a single write+flush and then tees it.
+// The writer waits a short coalescing window (walCoalesceDelay) before
+// each swap, so even a trickle of updates amortizes the encode setup and
+// the syscall across a group — the group-commit idea applied once more, at
+// the disk boundary. This gives bounded-lag durability: at any kill point
+// each segment holds a consistent prefix of its shard's history, at most
+// the pending cap plus one coalescing window behind; Flush is the barrier
+// that waits for everything already appended to reach the OS.
+//
+// With WithSync an append also registers a barrier with its record, so the
+// writer commits at once (fsyncing the segment) and the append returns only
+// after its record is on disk and teed. The caller still holds the shard
+// lock, so a record is durable before the store applies it — full
+// machine-crash durability on the update path.
 //
 // A failed append or encode marks the WAL down: logging stops (keeping
 // every segment a clean prefix rather than writing past a gap) and the
 // sticky error is reported by Err, Flush and Close.
 type ShardedWAL struct {
-	dir  string
+	dir string
+	// sync (WithSync) makes every append wait for its own commit.
 	sync bool
 
 	// epoch is the layout epoch the directory opened at (see the type
@@ -75,7 +80,7 @@ type ShardedWAL struct {
 	epoch int64
 	count int
 	segs  []*FileWAL
-	bufs  []walShardBuf // nil in synchronous (WithSync) mode
+	bufs  []walShardBuf
 
 	// appended counts records logged per shard since that segment's last
 	// compaction, feeding the store's grow-triggered compaction policy.
@@ -95,15 +100,15 @@ type ShardedWAL struct {
 	closeErr  error
 }
 
-// ReplTee observes committed sighting-WAL records. The asynchronous mode
-// calls it from each shard's writer goroutine immediately after the
-// records reach the OS, so a teed record is always also durable locally;
-// the synchronous mode calls it inline under the store's shard lock.
-// Either way calls for one shard arrive in that shard's commit order.
+// ReplTee observes committed sighting-WAL records. Each shard's writer
+// goroutine calls it immediately after the records reach the OS, so a teed
+// record is always also durable locally, and calls for one shard arrive in
+// that shard's commit order. With WithSync the append waits for its tee
+// too.
 //
-// Implementations must not block (the writer goroutine, and in WithSync
-// mode the update path, stalls behind them) and must copy the TeePut
-// batch before returning — the slice is recycled.
+// Implementations must not block (the writer goroutine, and with WithSync
+// the update path, stalls behind them) and must copy the TeePut batch
+// before returning — the slice is recycled.
 type ReplTee interface {
 	// TeePut observes one committed put batch.
 	TeePut(shard int, batch []core.Sighting)
@@ -146,21 +151,7 @@ const walReplMark WALOp = "replmark"
 // the marker's position in the commit order meaningful: every record
 // appended before it under that lock is teed before it.
 func (w *ShardedWAL) Mark(shard int, token uint64) error {
-	if w.down.Load() {
-		return w.Err()
-	}
-	if w.bufs == nil {
-		if tee := w.replTee(); tee != nil {
-			tee.TeeMark(shard, token)
-		}
-		return nil
-	}
-	sb := &w.bufs[shard]
-	sb.mu.Lock()
-	sb.waitSpace()
-	sb.push(WALRecord{Op: walReplMark, Epoch: int64(token)})
-	sb.mu.Unlock()
-	return nil
+	return w.enqueue(shard, WALRecord{Op: walReplMark, Epoch: int64(token)}, nil)
 }
 
 // walShardBuf is one shard's pending append list, double-buffered with its
@@ -219,7 +210,7 @@ func (sb *walShardBuf) takeBatchBuf() []core.Sighting {
 
 // walPendingCap bounds a shard's pending record list; producers blocking
 // on it are the backpressure when the disk falls behind. It also bounds
-// what a kill can lose in the asynchronous mode.
+// what a kill can lose without WithSync.
 const walPendingCap = 4096
 
 // walCoalesceDelay is how long a writer lingers after the first pending
@@ -261,8 +252,9 @@ func parseSegmentName(name string) (shard int, epoch int64, ok bool) {
 // one). A directory that already holds history opens at the count its
 // segments were written under — the persistent log, not the flag, pins the
 // layout — and an epoch switch a crash left half-finished is folded forward
-// first (see the type comment). Passing WithSync selects the synchronous
-// fsync-per-append mode; otherwise appends are asynchronous.
+// first (see the type comment). Every segment gets its writer goroutine;
+// passing WithSync makes each append wait for its own fsynced commit (see
+// "The append path").
 func OpenShardedWAL(dir string, shards int, opts ...FileWALOption) (*ShardedWAL, error) {
 	shards, err := NormalizeShards(shards)
 	if err != nil {
@@ -291,13 +283,11 @@ func OpenShardedWAL(dir string, shards int, opts ...FileWALOption) (*ShardedWAL,
 		}
 		w.segs[i] = seg
 	}
-	if !w.sync {
-		w.bufs = make([]walShardBuf, w.count)
-		for i := range w.bufs {
-			w.bufs[i].initCond()
-			w.wg.Add(1)
-			go w.writer(i)
-		}
+	w.bufs = make([]walShardBuf, w.count)
+	for i := range w.bufs {
+		w.bufs[i].initCond()
+		w.wg.Add(1)
+		go w.writer(i)
 	}
 	return w, nil
 }
@@ -581,89 +571,53 @@ func (w *ShardedWAL) Epoch() int64 { return w.epoch }
 func (w *ShardedWAL) Dir() string { return w.dir }
 
 // AppendBatch logs one group-commit batch of sighting puts to shard's
-// segment — asynchronously in the default mode, durably before returning
-// with WithSync. Later entries for the same object supersede earlier ones,
-// matching SightingStore.PutBatch. The batch is copied; the caller may
-// reuse the slice. After a failed append the WAL is down (see Err) and
-// calls return the sticky error without logging.
+// segment (see "The append path" for when it is durable). Later entries
+// for the same object supersede earlier ones, matching
+// SightingStore.PutBatchAcc. The batch is copied; the caller may reuse the
+// slice. After a failed append the WAL is down (see Err) and calls return
+// the sticky error without logging.
 func (w *ShardedWAL) AppendBatch(shard int, batch []core.Sighting) error {
-	if w.down.Load() {
-		return w.Err()
-	}
-	return w.appendPutRecord(shard, batch, core.Sighting{}, false)
+	return w.enqueue(shard, WALRecord{Op: WALSightingBatch}, batch)
 }
 
-// AppendPut logs a single sighting put — the batch-of-one common case,
-// spared the caller-side slice — with the same mode semantics as
+// AppendRemove logs the removal of id to shard's segment, like
 // AppendBatch.
-func (w *ShardedWAL) AppendPut(shard int, s core.Sighting) error {
-	if w.down.Load() {
-		return w.Err()
-	}
-	return w.appendPutRecord(shard, nil, s, true)
-}
-
-// appendPutRecord commits one put record (batch, or the single sighting
-// when one is true) to shard's segment.
-func (w *ShardedWAL) appendPutRecord(shard int, batch []core.Sighting, s core.Sighting, one bool) error {
-	n := int64(len(batch))
-	if one {
-		n = 1
-	}
-	if w.bufs == nil {
-		rec := WALRecord{Op: WALSightingBatch, Sightings: batch}
-		if one {
-			rec.Sightings = []core.Sighting{s}
-		}
-		if err := w.segs[shard].Append(rec); err != nil {
-			w.fail(err)
-			return err
-		}
-		w.appended[shard].Add(n)
-		if tee := w.replTee(); tee != nil {
-			tee.TeePut(shard, rec.Sightings)
-		}
-		return nil
-	}
-	sb := &w.bufs[shard]
-	sb.mu.Lock()
-	sb.waitSpace()
-	cp := sb.takeBatchBuf()
-	if one {
-		cp = append(cp[:0], s)
-	} else {
-		cp = append(cp[:0], batch...)
-	}
-	sb.push(WALRecord{Op: WALSightingBatch, Sightings: cp})
-	sb.mu.Unlock()
-	w.appended[shard].Add(n)
-	return nil
-}
-
-// AppendRemove logs the removal of id to shard's segment, with the same
-// mode semantics as AppendBatch.
 func (w *ShardedWAL) AppendRemove(shard int, id core.OID) error {
+	return w.enqueue(shard, WALRecord{Op: WALSightingRemove, OID: id}, nil)
+}
+
+// enqueue puts rec on shard's pending list (a put record gets a copy of
+// batch as its payload) and, with WithSync, waits until the writer has
+// committed and teed it. The caller holds the store's shard lock across
+// that wait on purpose: it is what makes a record durable before the store
+// applies it.
+func (w *ShardedWAL) enqueue(shard int, rec WALRecord, batch []core.Sighting) error {
 	if w.down.Load() {
 		return w.Err()
-	}
-	if w.bufs == nil {
-		if err := w.segs[shard].Append(WALRecord{Op: WALSightingRemove, OID: id}); err != nil {
-			w.fail(err)
-			return err
-		}
-		w.appended[shard].Add(1)
-		if tee := w.replTee(); tee != nil {
-			tee.TeeRemove(shard, id)
-		}
-		return nil
 	}
 	sb := &w.bufs[shard]
 	sb.mu.Lock()
 	sb.waitSpace()
-	sb.push(WALRecord{Op: WALSightingRemove, OID: id})
+	if rec.Op == WALSightingBatch {
+		rec.Sightings = append(sb.takeBatchBuf(), batch...)
+	}
+	sb.push(rec)
+	var ack chan struct{}
+	if w.sync {
+		ack = sb.barrierLocked()
+	}
 	sb.mu.Unlock()
-	w.appended[shard].Add(1)
-	return nil
+	switch rec.Op {
+	case WALSightingBatch:
+		w.appended[shard].Add(int64(len(batch)))
+	case WALSightingRemove:
+		w.appended[shard].Add(1)
+	}
+	if ack == nil {
+		return nil
+	}
+	<-ack
+	return w.Err()
 }
 
 // writer is one segment's commit goroutine: it lingers for the coalescing
@@ -759,12 +713,12 @@ func (w *ShardedWAL) stopWriters() {
 
 // Flush blocks until every record appended before the call has been handed
 // to the OS, and returns the sticky append error, if any. It is the
-// durability barrier of the asynchronous mode (a no-op barrier with
-// WithSync, where appends are already synchronous).
+// durability barrier of appends made without WithSync (with it, every
+// append already waited for its own commit).
 func (w *ShardedWAL) Flush() error {
 	acks := make([]chan struct{}, len(w.bufs))
 	for i := range w.bufs {
-		acks[i] = barrier(&w.bufs[i])
+		acks[i] = w.bufs[i].barrier()
 	}
 	for _, ack := range acks {
 		<-ack
@@ -774,9 +728,15 @@ func (w *ShardedWAL) Flush() error {
 
 // barrier registers a flush barrier on a shard buffer and returns the
 // channel closed once everything currently buffered is committed.
-func barrier(sb *walShardBuf) chan struct{} {
-	ack := make(chan struct{})
+func (sb *walShardBuf) barrier() chan struct{} {
 	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	return sb.barrierLocked()
+}
+
+// barrierLocked is barrier for a caller holding sb.mu.
+func (sb *walShardBuf) barrierLocked() chan struct{} {
+	ack := make(chan struct{})
 	if sb.stop {
 		// Writer is gone (or going): nothing further will commit.
 		close(ack)
@@ -784,15 +744,12 @@ func barrier(sb *walShardBuf) chan struct{} {
 		sb.acks = append(sb.acks, ack)
 		sb.data.Signal()
 	}
-	sb.mu.Unlock()
 	return ack
 }
 
 // flushShard is Flush for a single shard buffer.
 func (w *ShardedWAL) flushShard(shard int) error {
-	if w.bufs != nil {
-		<-barrier(&w.bufs[shard])
-	}
+	<-w.bufs[shard].barrier()
 	return w.Err()
 }
 
@@ -839,32 +796,31 @@ func (w *ShardedWAL) AppendedSince(shard int) int64 {
 	return w.appended[shard].Load()
 }
 
-// CompactShard atomically rewrites shard's segment to one batch record
-// holding exactly the live sightings, after draining the shard's append
-// buffer (a buffered pre-snapshot record written after the snapshot would
-// un-supersede it on replay). The caller must guarantee no concurrent
-// appends to the same shard for the whole call (the store holds the shard
-// lock); in asynchronous mode the BeginCompact/FinishCompact pair lets the
-// disk work happen outside the shard lock instead.
-func (w *ShardedWAL) CompactShard(shard int, live []core.Sighting) error {
+// CompactShard atomically rewrites shard's segment so that it replays to
+// exactly (live, dead): one batch record holding the live sightings, then
+// one removal record per dead id — the tombstones a replicated snapshot
+// install must keep, or run-resident versions would resurrect on the next
+// crash. It first drains the shard's append buffer (a buffered
+// pre-snapshot record written after the snapshot would un-supersede it on
+// replay). The caller must guarantee no concurrent appends to the same
+// shard for the whole call (the store holds the shard lock); the
+// BeginCompact/FinishCompact pair lets the disk work happen outside the
+// shard lock instead.
+func (w *ShardedWAL) CompactShard(shard int, live []core.Sighting, dead []core.OID) error {
 	if err := w.flushShard(shard); err != nil {
 		return err
 	}
-	return w.rewriteSegment(shard, live)
+	return w.rewriteSegment(shard, live, dead)
 }
 
-// Asynchronous reports whether appends run through per-shard writer
-// goroutines (the default) rather than synchronously (WithSync).
-func (w *ShardedWAL) Asynchronous() bool { return !w.sync }
-
-// BeginCompact prepares shard for a low-stall compaction (asynchronous
-// mode only): it drains the shard's pending records to the current segment
-// and pauses the shard's writer, so a live-set snapshot the caller takes
-// before releasing the store's shard lock is consistent with the segment.
-// Appends keep flowing into the in-memory buffer while the caller rewrites
-// the segment with FinishCompact — they land after the snapshot in the new
-// segment, which is exactly the replay order that reproduces the store.
-// The caller must hold the store's shard lock across BeginCompact and the
+// BeginCompact prepares shard for a low-stall compaction: it drains the
+// shard's pending records to the current segment and pauses the shard's
+// writer, so a live-set snapshot the caller takes before releasing the
+// store's shard lock is consistent with the segment. Appends keep flowing
+// into the in-memory buffer while the caller rewrites the segment with
+// FinishCompact — they land after the snapshot in the new segment, which
+// is exactly the replay order that reproduces the store (a WithSync append
+// waits for that landing). The caller must hold the store's shard lock across BeginCompact and the
 // snapshot, and must call FinishCompact exactly once afterwards.
 func (w *ShardedWAL) BeginCompact(shard int) error {
 	if err := w.flushShard(shard); err != nil {
@@ -881,7 +837,7 @@ func (w *ShardedWAL) BeginCompact(shard int) error {
 // shard's writer, which then drains whatever accumulated during the
 // rewrite into the new segment. Called without the store's shard lock.
 func (w *ShardedWAL) FinishCompact(shard int, live []core.Sighting) error {
-	err := w.rewriteSegment(shard, live)
+	err := w.rewriteSegment(shard, live, nil)
 	sb := &w.bufs[shard]
 	sb.mu.Lock()
 	sb.compacting = false
@@ -891,16 +847,9 @@ func (w *ShardedWAL) FinishCompact(shard int, live []core.Sighting) error {
 }
 
 // rewriteSegment replaces shard's segment contents with its epoch header
-// (outside epoch 0, where no header exists) plus one live-set batch record,
-// and resets the growth counter.
-func (w *ShardedWAL) rewriteSegment(shard int, live []core.Sighting) error {
-	return w.rewriteSegmentState(shard, live, nil)
-}
-
-// rewriteSegmentState is rewriteSegment plus trailing tombstone records —
-// the rewrite a replicated snapshot install needs, where dropping the dead
-// set would resurrect run-resident versions on the next crash.
-func (w *ShardedWAL) rewriteSegmentState(shard int, live []core.Sighting, dead []core.OID) error {
+// (outside epoch 0, where no header exists), one live-set batch record and
+// one removal record per dead id, and resets the growth counter.
+func (w *ShardedWAL) rewriteSegment(shard int, live []core.Sighting, dead []core.OID) error {
 	var recs []WALRecord
 	if w.epoch > 0 {
 		// Keep the header: without it the next open would take the
@@ -918,16 +867,6 @@ func (w *ShardedWAL) rewriteSegmentState(shard int, live []core.Sighting, dead [
 	}
 	w.appended[shard].Store(0)
 	return nil
-}
-
-// CompactShardState is CompactShard extended with a tombstone set: the
-// rewritten segment replays to exactly (live, dead). The same concurrency
-// contract as CompactShard applies.
-func (w *ShardedWAL) CompactShardState(shard int, live []core.Sighting, dead []core.OID) error {
-	if err := w.flushShard(shard); err != nil {
-		return err
-	}
-	return w.rewriteSegmentState(shard, live, dead)
 }
 
 // Close drains the append buffers, stops the writers and closes every

@@ -109,7 +109,7 @@ func testEpochDirRecovery(t *testing.T, opts ...FileWALOption) {
 	}
 	for i := 0; i < 20; i++ {
 		id := core.OID(fmt.Sprintf("o%d", rng.Intn(90)))
-		if db.Remove(id) {
+		if removed(db, id) {
 			delete(oracle, id)
 		}
 	}
@@ -130,8 +130,8 @@ func TestResizeWALRecovery(t *testing.T) {
 	testEpochDirRecovery(t)
 }
 
-// TestResizeWALSyncMode is TestResizeWALRecovery in the synchronous
-// (WithSync) mode, whose append path skips the writer goroutines.
+// TestResizeWALSyncMode is TestResizeWALRecovery with WithSync, where every
+// append waits for the writer goroutine's fsynced commit of its record.
 func TestResizeWALSyncMode(t *testing.T) {
 	testEpochDirRecovery(t, WithSync())
 }
@@ -148,9 +148,7 @@ func TestWALEpochCompaction(t *testing.T) {
 			dir := t.TempDir()
 			oracle := writeEpochFixture(t, dir)
 			w, db := openEpochFixture(t, dir, oracle, tc.opts...)
-			if err := db.CompactWAL(); err != nil {
-				t.Fatal(err)
-			}
+			compactAllShards(t, db)
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +183,7 @@ func TestWALEpochFold(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		s := sighting(fmt.Sprintf("o%d", i), rng.Float64()*300, rng.Float64()*300)
 		all = append(all, s)
-		if err := w.AppendPut(spatial.ShardFor(s.OID, oldCount), s); err != nil {
+		if err := w.AppendBatch(spatial.ShardFor(s.OID, oldCount), []core.Sighting{s}); err != nil {
 			t.Fatal(err)
 		}
 		oracle[s.OID] = s

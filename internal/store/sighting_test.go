@@ -15,6 +15,12 @@ func sighting(id string, x, y float64) core.Sighting {
 	return core.Sighting{OID: core.OID(id), T: time.Now(), Pos: geo.Pt(x, y), SensAcc: 5}
 }
 
+// removed reports whether RemoveDelta removed id's record.
+func removed(db *ShardedSightingDB, id core.OID) bool {
+	_, ok := db.RemoveDelta(id)
+	return ok
+}
+
 // The TestSightingDB* tests drive the default layout, one shard.
 
 func TestSightingDBPutGetRemove(t *testing.T) {
@@ -28,11 +34,11 @@ func TestSightingDBPutGetRemove(t *testing.T) {
 	if db.Len() != 1 {
 		t.Errorf("Len = %d", db.Len())
 	}
-	if !db.Remove("o1") {
-		t.Error("Remove returned false")
+	if !removed(db, "o1") {
+		t.Error("RemoveDelta returned false")
 	}
-	if db.Remove("o1") {
-		t.Error("double Remove returned true")
+	if removed(db, "o1") {
+		t.Error("double RemoveDelta returned true")
 	}
 	if _, ok := db.Get("o1"); ok {
 		t.Error("Get after Remove succeeded")
@@ -102,9 +108,6 @@ func TestSightingDBExpiryDisabled(t *testing.T) {
 	db.Put(sighting("o", 1, 1))
 	if got := db.Expired(); got != nil {
 		t.Errorf("Expired with TTL=0 = %v", got)
-	}
-	if got := db.SweepExpired(10); got != nil {
-		t.Errorf("SweepExpired with TTL=0 = %v", got)
 	}
 }
 

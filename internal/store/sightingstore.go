@@ -7,18 +7,20 @@ import (
 )
 
 // AccUnknown is the accuracy of an index entry that records none: entries
-// put without one (Put, PutBatch, PutBatchAcc with nil accs), replayed from
-// a WAL, installed by replication or read from a disk run. See "Covering
-// index entries" in the package comment.
+// put without one (Put, PutBatchAcc with nil accs), replayed from a WAL,
+// installed by replication or read from a disk run. See "Covering index
+// entries" in the package comment.
 const AccUnknown = spatial.AccUnknown
 
 // SightingStore is the part of the sighting database that UpdatePipeline
-// and the benchmark rig call through an interface. ShardedSightingDB — N
-// independently locked shards keyed by object id, one by default, with a
-// batch API that applies a group of updates per shard under one lock
-// acquisition — is the only implementation outside tests, which substitute
-// a fake through it (pipeline_test.go); everything else about the store is
-// a method of the concrete type.
+// and the benchmark rig call through an interface: UpdatePipeline calls
+// NumShards and PutBatchAcc, and the rig's replay the three reads.
+// ShardedSightingDB — N independently locked shards keyed by object id, one
+// by default, with a batch API that applies a group of updates per shard
+// under one lock acquisition — is the only implementation outside tests,
+// which substitute a fake through it (pipeline_test.go); everything else
+// about the store, the removes and expiry included, is a method of the
+// concrete type.
 //
 // Implementations are safe for concurrent use. Queries observe a
 // consistent snapshot per shard; cross-shard queries are linearizable only
@@ -38,9 +40,6 @@ type SightingStore interface {
 	// several times yields one delta, spanning the pre-batch position and
 	// the final one; deltas for the same object are always in commit order.
 	PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta
-	// SweepExpired examines at most max records (resuming where the last
-	// sweep stopped) and returns the expired ids among them.
-	SweepExpired(max int) []core.OID
 	// Get returns the record for id via the hash index.
 	Get(id core.OID) (core.Sighting, bool)
 	// SearchArea visits every sighting inside the closed rectangle r.

@@ -24,13 +24,13 @@
 //
 // FileWAL.Append flushes the userspace buffer to the OS, so a log survives
 // a process crash or kill (the durability the paper's restart design
-// needs). WithSync additionally fsyncs per append for machine-crash
-// durability at the usual cost. ShardedWAL's default mode trades a bounded
-// lag for update-path speed: appends are enqueued per shard and a writer
-// goroutine commits queued records in order, so a kill can lose at most the
-// last queue-depth records per shard while every segment stays a clean
-// prefix of its shard's history; ShardedWAL.Flush is the barrier, and
-// WithSync selects fully synchronous fsync-per-append operation instead.
+// needs). WithSync additionally fsyncs every commit for machine-crash
+// durability at the usual cost. ShardedWAL has one append path: appends
+// are enqueued per shard and a writer goroutine commits queued records in
+// order, so a kill can lose at most the last queue-depth records per shard
+// while every segment stays a clean prefix of its shard's history, and
+// ShardedWAL.Flush is the barrier. With WithSync each append waits for the
+// writer's fsynced commit of its record, so nothing acknowledged is lost.
 //
 // # Recovery guarantees
 //
@@ -117,7 +117,7 @@ type WALRecord struct {
 	Visitor *VisitorRecord `json:"visitor,omitempty"`
 	// Sightings is the batch payload of a WALSightingBatch record; later
 	// entries for the same object supersede earlier ones, exactly as in
-	// SightingStore.PutBatch.
+	// SightingStore.PutBatchAcc.
 	Sightings []core.Sighting `json:"sightings,omitempty"`
 	// OID is the removed object of a WALSightingRemove record.
 	OID core.OID `json:"oid,omitempty"`
@@ -318,8 +318,8 @@ func (w *FileWAL) appendLocked(rec WALRecord) error {
 }
 
 // AppendRaw appends pre-encoded, newline-terminated records as a single
-// write and flush — the commit path of ShardedWAL's asynchronous appender,
-// which amortizes the syscall over a whole queue drain. The caller is
+// write and flush — the commit path of ShardedWAL's writer goroutines,
+// which amortize the syscall over a whole queue drain. The caller is
 // responsible for the encoding being valid JSON lines (appendWALRecordJSON).
 func (w *FileWAL) AppendRaw(data []byte) error {
 	w.mu.Lock()

@@ -21,7 +21,7 @@ type walTimeMemo struct {
 
 // appendWALRecordJSON appends rec's JSON-lines encoding (including the
 // trailing newline) to dst. Sighting records — the per-update hot path of
-// the asynchronous appender — are encoded by hand an order of magnitude
+// ShardedWAL's writer goroutines — are encoded by hand an order of magnitude
 // cheaper than encoding/json; everything else falls back to the standard
 // marshaler. memo (optional) carries the timestamp cache across calls. The
 // output is plain JSON that Replay's json.Unmarshal reads back

@@ -433,15 +433,15 @@ func TestShardedWALReplayEqualsOracle(t *testing.T) {
 				bid := ids[rng.Intn(len(ids))]
 				batch[i] = core.Sighting{OID: bid, T: now, Pos: geo.Pt(rng.Float64()*1000, rng.Float64()*1000), SensAcc: 5}
 			}
-			db.PutBatch(batch)
+			db.PutBatchAcc(batch, nil, nil)
 			for _, s := range batch {
 				oracle[s.OID] = s
 			}
 		case op < 9: // remove
-			if db.Remove(id) {
+			if removed(db, id) {
 				delete(oracle, id)
 			}
-		default: // expire: age the record's lease out, then sweep it
+		default: // expire: age the record's lease out, then remove it
 			if _, ok := oracle[id]; ok {
 				now = now.Add(2 * ttl)
 				if _, ok := db.RemoveExpiredDelta(id); !ok {
@@ -557,9 +557,7 @@ func TestShardedWALCompactThenRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizeBefore := dirSize(t, dir)
-	if err := db.CompactWAL(); err != nil {
-		t.Fatalf("CompactWAL: %v", err)
-	}
+	compactAllShards(t, db)
 	if sizeAfter := dirSize(t, dir); sizeAfter >= sizeBefore {
 		t.Errorf("compaction did not shrink the log: %d -> %d", sizeBefore, sizeAfter)
 	}
@@ -567,7 +565,7 @@ func TestShardedWALCompactThenRecover(t *testing.T) {
 	s := core.Sighting{OID: "late", T: now, Pos: geo.Pt(500, 500), SensAcc: 5}
 	db.Put(s)
 	oracle["late"] = s
-	if db.Remove("obj-3") {
+	if removed(db, "obj-3") {
 		delete(oracle, "obj-3")
 	}
 	if err := w.Flush(); err != nil {
@@ -599,7 +597,7 @@ func TestCompactWALIfGrown(t *testing.T) {
 	oracle := sightingOracle{}
 	now := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
 	// Heavy churn on few objects: history >> live set. Half the rounds go
-	// through PutBatch so the growth counter's batch-length accounting
+	// through PutBatchAcc so the growth counter's batch-length accounting
 	// (one batch record, len(batch) sightings) is exercised too.
 	for round := 0; round < 600; round++ {
 		batch := make([]core.Sighting, 0, 4)
@@ -613,7 +611,7 @@ func TestCompactWALIfGrown(t *testing.T) {
 			}
 			oracle[id] = s
 		}
-		db.PutBatch(batch)
+		db.PutBatchAcc(batch, nil, nil)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -686,11 +684,23 @@ func TestRecoverAutoCompactsChurnedLog(t *testing.T) {
 
 // Low-stall compaction interleaved with live writers must lose nothing:
 // records appended during a rewrite wait in the buffer and land after the
-// snapshot, so recovery still equals the oracle.
+// snapshot, so recovery still equals the oracle. With WithSync the writers
+// block on their commits while the rewrite holds the segment.
 func TestCompactWALConcurrentWithAppends(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []FileWALOption
+	}{{"async", nil}, {"sync", []FileWALOption{WithSync()}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			testCompactConcurrentWithAppends(t, tc.opts...)
+		})
+	}
+}
+
+func testCompactConcurrentWithAppends(t *testing.T, opts ...FileWALOption) {
 	const shards = 4
 	dir := t.TempDir()
-	w, err := OpenShardedWAL(dir, shards)
+	w, err := OpenShardedWAL(dir, shards, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -824,4 +834,16 @@ func dirSize(t *testing.T, dir string) int64 {
 		total += info.Size()
 	}
 	return total
+}
+
+// compactAllShards rewrites every segment of db's WAL to its shard's live
+// set, one shard after another, the way the janitor's grow-triggered pass
+// rewrites the shards that grew.
+func compactAllShards(t *testing.T, db *ShardedSightingDB) {
+	t.Helper()
+	for i := 0; i < db.NumShards(); i++ {
+		if err := db.compactShard(i); err != nil {
+			t.Fatalf("compacting shard %d: %v", i, err)
+		}
+	}
 }

@@ -1,0 +1,175 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"locsvc/internal/core"
+	"locsvc/internal/geo"
+)
+
+// recordingTee is a ReplTee that keeps, per shard, a one-line summary of
+// every put batch and removal it observed, in arrival order.
+type recordingTee struct {
+	mu   sync.Mutex
+	seen map[int][]string
+}
+
+func (r *recordingTee) TeePut(shard int, batch []core.Sighting) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.seen[shard] = append(r.seen[shard], summarizeRecord(WALRecord{Op: WALSightingBatch, Sightings: batch}))
+}
+
+func (r *recordingTee) TeeRemove(shard int, id core.OID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.seen[shard] = append(r.seen[shard], summarizeRecord(WALRecord{Op: WALSightingRemove, OID: id}))
+}
+
+func (r *recordingTee) TeeMark(int, uint64) {}
+
+func (r *recordingTee) shard(i int) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.seen[i]...)
+}
+
+// summarizeRecord renders a sighting record as a comparable line.
+func summarizeRecord(rec WALRecord) string {
+	if rec.Op == WALSightingRemove {
+		return "remove " + string(rec.OID)
+	}
+	line := "put"
+	for _, s := range rec.Sightings {
+		line += fmt.Sprintf(" %s@%v", s.OID, s.Pos)
+	}
+	return line
+}
+
+// segmentOnDisk reads shard's segment file as it is on disk now, without
+// going through the WAL, and summarizes its records.
+func segmentOnDisk(t *testing.T, dir string, shard int) []string {
+	t.Helper()
+	data, err := os.ReadFile(segmentPath(dir, shard, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec WALRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("segment %d: unparseable record %q: %v", shard, line, err)
+		}
+		out = append(out, summarizeRecord(rec))
+	}
+	return out
+}
+
+// TestSyncAppendDurableAndTeed pins what WithSync promises: when Put,
+// PutBatchAcc or RemoveDelta returns — with no Flush or Close — its record
+// is in the shard's segment file and the replication tee has seen it, both
+// in the shard's commit order.
+func TestSyncAppendDurableAndTeed(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenShardedWAL(dir, 2, WithSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	tee := &recordingTee{seen: map[int][]string{}}
+	w.SetReplTee(tee)
+	db := NewShardedSightingDB(WithSightingWAL(w))
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[int][]string{}
+	check := func(step string) {
+		t.Helper()
+		for shard := 0; shard < db.NumShards(); shard++ {
+			if got := segmentOnDisk(t, dir, shard); !reflect.DeepEqual(got, want[shard]) {
+				t.Fatalf("after %s: segment %d on disk holds %q, want %q", step, shard, got, want[shard])
+			}
+			if got := tee.shard(shard); !reflect.DeepEqual(got, want[shard]) {
+				t.Fatalf("after %s: tee saw %q on shard %d, want %q", step, got, shard, want[shard])
+			}
+		}
+	}
+	at := time.Date(2026, 10, 16, 9, 0, 0, 0, time.UTC)
+	put := func(id string, x float64) core.Sighting {
+		return core.Sighting{OID: core.OID(id), T: at, Pos: geo.Pt(x, x), SensAcc: 5}
+	}
+
+	for i := 0; i < 4; i++ {
+		s := put(fmt.Sprintf("p%d", i), float64(i))
+		db.Put(s)
+		want[db.ShardFor(s.OID)] = append(want[db.ShardFor(s.OID)], summarizeRecord(WALRecord{Op: WALSightingBatch, Sightings: []core.Sighting{s}}))
+		check("Put " + string(s.OID))
+	}
+
+	batch := []core.Sighting{put("b0", 10), put("b1", 11), put("b2", 12), put("b0", 13)}
+	accs := []float64{1, 2, 3, 4}
+	if ds := db.PutBatchAcc(batch, accs, []Delta{}); len(ds) != 3 {
+		t.Fatalf("PutBatchAcc reported %d deltas, want 3", len(ds))
+	}
+	groups := map[int][]core.Sighting{}
+	for _, s := range batch {
+		groups[db.ShardFor(s.OID)] = append(groups[db.ShardFor(s.OID)], s)
+	}
+	for shard, grp := range groups {
+		want[shard] = append(want[shard], summarizeRecord(WALRecord{Op: WALSightingBatch, Sightings: grp}))
+	}
+	check("PutBatchAcc")
+
+	for _, id := range []core.OID{"p1", "b0", "p3"} {
+		if _, ok := db.RemoveDelta(id); !ok {
+			t.Fatalf("RemoveDelta(%s) removed nothing", id)
+		}
+		want[db.ShardFor(id)] = append(want[db.ShardFor(id)], summarizeRecord(WALRecord{Op: WALSightingRemove, OID: id}))
+		check("RemoveDelta " + string(id))
+	}
+}
+
+// TestPutAllocs pins the allocations of a one-record put on a WAL-backed
+// store: the record's one-element batch must not escape on its way into
+// the WAL's pending list, whose batch buffers are recycled.
+func TestPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	w, err := OpenShardedWAL(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	db := NewShardedSightingDB(WithSightingWAL(w))
+	ids := make([]core.OID, 256)
+	for i := range ids {
+		ids[i] = core.OID(fmt.Sprintf("o%d", i))
+	}
+	at := time.Date(2026, 10, 16, 9, 0, 0, 0, time.UTC)
+	n := 0
+	put := func() {
+		db.Put(core.Sighting{OID: ids[n%len(ids)], T: at, Pos: geo.Pt(float64(n%97), float64(n%89)), SensAcc: 5})
+		n++
+	}
+	for range ids {
+		put()
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(2000, put); got > 2 {
+		t.Errorf("Put on an asynchronous WAL-backed store = %v allocs, want <= 2", got)
+	}
+}

@@ -128,7 +128,8 @@ type LocalConfig struct {
 	// AchievableAcc is the best accuracy the leaves' sensor
 	// infrastructure sustains (default 10 m).
 	AchievableAcc float64
-	// SightingTTL enables soft-state expiry of silent objects.
+	// SightingTTL enables soft-state expiry of silent objects; a leaf
+	// collects an expired object at its next janitor tick.
 	SightingTTL time.Duration
 	// JanitorInterval overrides the leaves' janitor cadence — the tick
 	// that collects expired visitors, maintains the storage tiers and
