@@ -60,7 +60,7 @@
 // memtable of a small per-shard LSM tree, letting a leaf hold sighting
 // populations larger than RAM and recover without replaying history.
 //
-// Run file format, version 2 (run-SSSS-NNNNNNNN.run, immutable once
+// Run file format, version 3 (run-SSSS-NNNNNNNN.run, immutable once
 // renamed into place; byte-level layout at the top of run.go):
 //
 //	[records][spatial leaves][bloom block][index block][leaf directory][112-byte footer]
@@ -68,16 +68,16 @@
 // Records sort strictly ascending by object id; each is a flags byte
 // (bit0 tombstone, bit1 T valid, bit2 expires valid), a uvarint-prefixed
 // id, and — for live records — a fixed 40-byte payload (T, X, Y, SensAcc,
-// expires). The spatial leaves index the live records by position: one
-// 24-byte entry (X, Y, record offset) each, sorted along a Hilbert curve
-// over the run's MBR and cut into leaves of 64; the leaf directory holds
-// one MBR per leaf. The bloom block is a double-hashed FNV-1a filter over
-// every record id (BloomBitsPerKey bits per key, default 10, ≈1% false
-// positives). The index block holds the key range plus a sparse index
-// (one entry per 16 records).
+// expires). The spatial leaves hold the live records a second time, in
+// the same encoding, sorted along a Hilbert curve over the run's MBR and
+// cut into leaves of 64, so they cover the spatial reads; the leaf
+// directory holds one MBR and one byte length per leaf. The bloom block
+// is a double-hashed FNV-1a filter over every record id (BloomBitsPerKey
+// bits per key, default 10, ≈1% false positives). The index block holds
+// the key range plus a sparse index (one entry per 16 records).
 //
 // Resident per run are the bloom filter, the sparse index and the leaf
-// directory (≈0.5 B per live record); records and spatial leaves are
+// directory (≈0.6 B per live record); records and spatial leaves are
 // read from disk on demand. The footer pins the region lengths, the
 // record/live counts, the MBR of the live records and one CRC per kind
 // of region: bloom + index + directory (verified at open, which reads
@@ -113,15 +113,16 @@
 // nearest-neighbor query runs a best-first cursor over the leaves ordered
 // by directory-MBR distance (merged behind the quadtree cursors and gated
 // by run-MBR distance, so a shard whose runs lie beyond the consumer's
-// stopping distance is never read). The shadow-check rule for these
-// pruned reads: a leaf entry is only a candidate — the query did not read
-// the places a newer version of the object could be — so for every entry
-// that passes the position test (and only those) the record is read at
-// its offset and its id checked against the memtable, the tombstone set
-// and, bloom-gated, every newer run; a hit in any of them drops the
-// candidate. A leaf whose entries leave its directory MBR or the records
-// region, and an entry whose record is not live at the entry's position,
-// are skipped and counted (TierStats.ReadErrors, gauge
+// stopping distance is never read). Either query takes each record from
+// the leaf it read, one pread per leaf, and decodes a record's id only
+// once its position passed the query's test. The shadow-check rule for
+// these pruned reads: a leaf record is only a candidate — the query did
+// not read the places a newer version of the object could be — so every
+// record that passes the position test (and only those) has its id
+// checked against the memtable, the tombstone set and, bloom-gated, every
+// newer run; a hit in any of them drops the candidate. A leaf that does
+// not hold exactly its share of well-formed live records, all inside its
+// directory MBR, is skipped and counted (TierStats.ReadErrors, gauge
 // sighting_tier_read_errors) — as are failed reads, decode errors and
 // checksum mismatches anywhere on the read path — so a damaged run shows
 // up instead of silently shrinking answers.

@@ -511,9 +511,9 @@ func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bo
 // tierSearch streams the shard's authoritative run-resident sightings
 // inside rect through visit. Per run it walks the in-RAM leaf directory,
 // reads only the spatial leaves whose MBR intersects rect, tests the
-// positions there, and reads and shadow-checks a record only for entries
-// inside rect. Caller holds the shard lock; reports false if visit stopped
-// the search.
+// positions there, and decodes and shadow-checks a record, out of the leaf
+// it was read with, only for entries inside rect. Caller holds the shard
+// lock; reports false if visit stopped the search.
 func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s core.Sighting) bool) bool {
 	t := sh.tier
 	if t == nil || len(t.runs) == 0 {
@@ -530,7 +530,7 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s c
 				continue
 			}
 			ts.leafReads.Add(1)
-			entries, err := r.readLeaf(i, sc)
+			entries, err := r.readLeaf(i, &sc.leaf, sc.entries[:0])
 			if err != nil {
 				ts.readErrs.Add(1)
 				continue
@@ -539,11 +539,7 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s c
 				if !rect.ContainsClosed(e.pos) {
 					continue
 				}
-				rec, err := r.recordAt(e, sc)
-				if err != nil {
-					ts.readErrs.Add(1)
-					continue
-				}
+				rec, _, _ := decodeRunRecord(e.rec, 0) // well-formed: decodeLeaf checked it
 				if sh.shadowed(ts, t.runs[:k], rec.s.OID) {
 					continue
 				}
@@ -562,7 +558,7 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s c
 // whose disk content lies beyond the consumer's stopping distance. When
 // opened, the source is a best-first cursor over the runs' spatial leaves
 // (tierNearestCursor), so a consumer that stops after k neighbors reads
-// only the leaves and records its frontier reached.
+// only the leaves its frontier reached.
 func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (spatial.CursorSource, bool) {
 	sh.mu.RLock()
 	t := sh.tier
@@ -597,8 +593,8 @@ func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (
 }
 
 // tierNearestItem is one frontier slot of a tierNearestCursor: an unread
-// spatial leaf keyed by its MBR's distance (leaf >= 0), or one leaf entry
-// keyed by its position's distance (leaf < 0).
+// spatial leaf keyed by its MBR's distance (leaf >= 0), or one record of a
+// leaf already read, keyed by its position's distance (leaf < 0).
 type tierNearestItem struct {
 	run   int32 // index into the cursor's run list
 	leaf  int32
@@ -629,7 +625,9 @@ func (c *tierNearestCursor) Next() (spatial.Neighbor, bool) {
 		r := c.runs[it.run]
 		if it.leaf >= 0 {
 			c.ts.leafReads.Add(1)
-			entries, err := r.readLeaf(int(it.leaf), c.sc)
+			// A buffer per leaf: the frontier keeps its records until popped.
+			var buf []byte
+			entries, err := r.readLeaf(int(it.leaf), &buf, c.sc.entries[:0])
 			if err != nil {
 				c.ts.readErrs.Add(1)
 				continue
@@ -639,11 +637,7 @@ func (c *tierNearestCursor) Next() (spatial.Neighbor, bool) {
 			}
 			continue
 		}
-		rec, err := r.recordAt(it.entry, c.sc)
-		if err != nil {
-			c.ts.readErrs.Add(1)
-			continue
-		}
+		rec, _, _ := decodeRunRecord(it.entry.rec, 0) // well-formed: decodeLeaf checked it
 		if c.sh.shadowed(c.ts, c.runs[:it.run], rec.s.OID) {
 			continue
 		}

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -167,15 +169,28 @@ func TestRunRoundtrip(t *testing.T) {
 	}
 
 	// Spatial block: every live record sits in exactly one leaf, inside
-	// that leaf's directory MBR, and its entry's offset decodes to the
-	// record the id lookup returns. Tombstones are not indexed.
+	// that leaf's directory MBR, byte-equal to its copy in the id-ordered
+	// records region. Tombstones are not indexed.
 	if want := (wantLive + runLeafEntries - 1) / runLeafEntries; len(r.leaves) != want {
 		t.Fatalf("%d leaves for %d live records, want %d", len(r.leaves), wantLive, want)
 	}
+	data, err := os.ReadFile(r.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[core.OID][]byte)
+	for pos := 0; pos < int(r.recordsLen); {
+		_, key, next, err := splitRunRecord(data[:r.recordsLen], pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID[core.OID(key)] = data[pos:next]
+		pos = next
+	}
 	indexed := make(map[core.OID]int)
-	sc := new(runScratch)
+	var buf []byte
 	for i := range r.leaves {
-		entries, err := r.readLeaf(i, sc)
+		entries, err := r.readLeaf(i, &buf, nil)
 		if err != nil {
 			t.Fatalf("readLeaf(%d): %v", i, err)
 		}
@@ -186,13 +201,12 @@ func TestRunRoundtrip(t *testing.T) {
 			if !r.leaves[i].ContainsClosed(e.pos) {
 				t.Fatalf("leaf %d MBR %v misses its entry %v", i, r.leaves[i], e.pos)
 			}
-			rec, err := r.recordAt(e, sc)
-			if err != nil {
-				t.Fatalf("recordAt(leaf %d entry %d): %v", i, j, err)
+			rec, _, err := decodeRunRecord(e.rec, 0)
+			if err != nil || rec.s.Pos != e.pos {
+				t.Fatalf("leaf %d entry %d at %v decodes to %+v (%v)", i, j, e.pos, rec, err)
 			}
-			byID, ok, err := r.get(rec.s.OID)
-			if err != nil || !ok || byID.s != rec.s || !byID.expires.Equal(rec.expires) {
-				t.Fatalf("leaf %d entry %d decodes to %+v, id lookup gives %+v (%v, %v)", i, j, rec, byID, ok, err)
+			if !bytes.Equal(e.rec, byID[rec.s.OID]) {
+				t.Fatalf("leaf %d entry %d is %x, its id-ordered copy %x", i, j, e.rec, byID[rec.s.OID])
 			}
 			indexed[rec.s.OID]++
 		}
@@ -263,10 +277,10 @@ func patchRun(t *testing.T, path string, edit func(data []byte) []byte) {
 	}
 }
 
-// TestRunSpatialCorruption is the corruption table of the v2 spatial
+// TestRunSpatialCorruption is the corruption table of the v3 spatial
 // block: whatever is damaged, the run is refused at open, fails verify, or
 // yields a counted-and-skipped leaf — never a panic or a read outside the
-// records region.
+// leaf.
 func TestRunSpatialCorruption(t *testing.T) {
 	dir := t.TempDir()
 	r := writeTestRun(t, dir, 0, 1, testRunRecords(200))
@@ -274,11 +288,12 @@ func TestRunSpatialCorruption(t *testing.T) {
 	spatialOff, spatialLen := r.recordsLen, r.spatialLen
 	dirOff := size - runFooterSize - int64(len(r.leaves))*runLeafDirEntrySize
 	footerOff := size - runFooterSize
-	r.retire(false)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, x3 := leafRecordAt(t, pristine, r, 0, 3)
+	r.retire(false)
 	restore := func() {
 		t.Helper()
 		if err := os.WriteFile(path, pristine, 0o644); err != nil {
@@ -316,15 +331,15 @@ func TestRunSpatialCorruption(t *testing.T) {
 
 	t.Run("footer length mismatch", func(t *testing.T) {
 		defer restore()
-		// Spatial length shrunk by one entry (and the records region grown
-		// to keep the sum), then the directory length off by one leaf.
+		// Spatial length shrunk (and the records region grown to keep the
+		// sum), then the directory length off by one leaf.
 		for _, field := range []int64{24, 48} {
 			patchRun(t, path, func(d []byte) []byte {
 				f := d[footerOff:]
 				switch field {
 				case 24:
-					putU64(f[24:], uint64(spatialLen-runLeafEntrySize))
-					putU64(f[0:], uint64(spatialOff+runLeafEntrySize))
+					putU64(f[24:], uint64(spatialLen-8))
+					putU64(f[0:], uint64(spatialOff+8))
 				case 48:
 					putU64(f[48:], getU64(f[48:])-runLeafDirEntrySize)
 					putU64(f[40:], getU64(f[40:])+runLeafDirEntrySize)
@@ -341,9 +356,9 @@ func TestRunSpatialCorruption(t *testing.T) {
 
 	t.Run("spatial checksum on full scan", func(t *testing.T) {
 		defer restore()
-		// The low mantissa byte of a coordinate: the entry stays inside its
-		// leaf's bounds, so only the region checksum can tell.
-		patchRun(t, path, func(d []byte) []byte { d[spatialOff+runLeafEntrySize*3] ^= 0x01; return d })
+		// The low mantissa byte of a coordinate: the record stays inside
+		// its leaf's bounds, so only the region checksum can tell.
+		patchRun(t, path, func(d []byte) []byte { d[x3] ^= 0x01; return d })
 		r, err := openRun(path)
 		if err != nil {
 			t.Fatalf("open reads no spatial leaf, yet failed: %v", err)
@@ -354,72 +369,146 @@ func TestRunSpatialCorruption(t *testing.T) {
 		}
 	})
 
-	t.Run("out-of-range offset", func(t *testing.T) {
-		defer restore()
-		patchRun(t, path, func(d []byte) []byte {
-			putU64(d[spatialOff+16:], uint64(spatialOff)+1000) // entry 0 of leaf 0
-			return d
-		})
-		r, err := openRun(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.retire(false)
-		sc := new(runScratch)
-		if _, err := r.readLeaf(0, sc); err == nil {
-			t.Fatal("leaf with an offset beyond the records region accepted")
-		}
-		if len(r.leaves) > 1 {
-			if _, err := r.readLeaf(1, sc); err != nil {
-				t.Fatalf("undamaged leaf 1 refused: %v", err)
+	// Leaf extents the directory's checksum vouches for, yet which do not
+	// tile the spatial region: refused at open, by the directory's own
+	// checks.
+	for name, c := range map[string]struct {
+		extent func(old uint32) uint32
+		want   string
+	}{
+		"extent past the spatial region": {func(uint32) uint32 { return uint32(spatialLen) + 1 }, "past"},
+		"extents off the region length":  {func(old uint32) uint32 { return old - 1 }, "add up"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer restore()
+			patchRun(t, path, func(d []byte) []byte {
+				e := d[dirOff+32:]
+				binary.LittleEndian.PutUint32(e, c.extent(binary.LittleEndian.Uint32(e)))
+				binary.LittleEndian.PutUint32(d[footerOff+96:], crc32.ChecksumIEEE(d[spatialOff+spatialLen:footerOff]))
+				return d
+			})
+			r, err := openRun(path)
+			if err == nil {
+				r.retire(false)
+				t.Fatal("openRun accepted leaf extents that do not tile the spatial region")
 			}
-		}
-	})
-
-	t.Run("offset into another record", func(t *testing.T) {
-		defer restore()
-		// Swap the offsets of two entries: both stay in range, but each now
-		// addresses a record at a different position.
-		patchRun(t, path, func(d []byte) []byte {
-			a, b := d[spatialOff+16:], d[spatialOff+runLeafEntrySize+16:]
-			x, y := getU64(a), getU64(b)
-			putU64(a, y)
-			putU64(b, x)
-			return d
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("openRun = %v, want the directory's extent check (%q)", err, c.want)
+			}
 		})
-		r, err := openRun(path)
+	}
+
+	// Damage inside a leaf, under a live store: the leaf is skipped by both
+	// spatial query kinds and counted, and the other leaves still answer.
+	for name, edit := range map[string]func(t *testing.T, d []byte, r *tierRun){
+		// The footer's live count one short: the last leaf holds one record
+		// more than the directory's share for it.
+		"wrong entry count": func(t *testing.T, d []byte, r *tierRun) {
+			f := d[r.size-runFooterSize:]
+			putU64(f[16:], getU64(f[16:])-1)
+		},
+		"tombstone in a leaf": func(t *testing.T, d []byte, r *tierRun) {
+			flags, _ := leafRecordAt(t, d, r, 1, 5)
+			d[flags] |= runFlagTombstone
+		},
+		"record outside the leaf's MBR": func(t *testing.T, d []byte, r *tierRun) {
+			_, x := leafRecordAt(t, d, r, 1, 5)
+			putU64(d[x:], math.Float64bits(1e9))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, live := damagedLeafStore(t, edit)
+			world := geo.R(-1, -1, 1000, 1000)
+			n := 0
+			db.SearchArea(world, func(core.Sighting) bool { n++; return true })
+			if n >= live || n < live-runLeafEntries {
+				t.Fatalf("damaged leaf: %d of %d answered, want the other leaves' records", n, live)
+			}
+			errs := db.TierStats().ReadErrors
+			if errs == 0 {
+				t.Fatal("damaged leaf not counted on a range read")
+			}
+			db.NearestFunc(geo.Pt(0, 0), func(core.Sighting, float64) bool { return true })
+			if db.TierStats().ReadErrors == errs {
+				t.Fatal("damaged leaf not counted on a nearest-neighbor pass")
+			}
+		})
+	}
+}
+
+// damagedLeafStore returns a one-shard tiered store whose only run holds
+// testRunRecords' live records, reopened after edit damaged its file, and
+// the number of those records.
+func damagedLeafStore(t *testing.T, edit func(t *testing.T, d []byte, r *tierRun)) (*ShardedSightingDB, int) {
+	t.Helper()
+	base := time.Unix(1000, 0)
+	db, _ := tieredPairBudget(t, 1, 64<<20, 0, func() time.Time { return base })
+	live := 0
+	for _, rec := range testRunRecords(200) {
+		if !rec.tombstone {
+			db.Put(rec.s)
+			live++
+		}
+	}
+	flushAll(t, db)
+	sh := db.shards[0]
+	old := sh.tier.runs[0]
+	patchRun(t, old.path, func(d []byte) []byte { edit(t, d, old); return d })
+	r, err := openRun(old.path)
+	if err != nil {
+		t.Fatalf("a run damaged inside a leaf must still open: %v", err)
+	}
+	sh.mu.Lock()
+	sh.tier.runs[0] = r
+	sh.mu.Unlock()
+	old.retire(false)
+	t.Cleanup(func() { r.retire(false) })
+	return db, live
+}
+
+// leafRecordAt returns the file offsets, in r's file bytes d, of record j
+// of spatial leaf i: its flags byte and its X coordinate.
+func leafRecordAt(t *testing.T, d []byte, r *tierRun, i, j int) (flags, x int64) {
+	t.Helper()
+	start := r.recordsLen + r.leafAt[i]
+	leaf := d[start : r.recordsLen+r.leafAt[i+1]]
+	for k, pos := 0, 0; ; k++ {
+		_, _, next, err := splitRunRecord(leaf, pos)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("leaf %d record %d: %v", i, k, err)
 		}
-		defer r.retire(false)
-		sc := new(runScratch)
-		entries, err := r.readLeaf(0, sc)
-		if err != nil {
-			t.Fatal(err)
+		if k == j {
+			return start + int64(pos), start + int64(next-runLivePayload+8)
 		}
-		if rec, err := r.recordAt(entries[0], sc); err == nil {
-			t.Fatalf("entry addressing another record decoded to %+v", rec)
-		}
-	})
+		pos = next
+	}
 }
 
 func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 
-// TestOpenRunRefusesV1 pins the no-fallback rule: a format-1 run (92-byte
-// footer, no spatial block) is refused with its version named.
+// TestOpenRunRefusesV1 pins the no-fallback rule: a run of an older
+// format — version 1 (92-byte footer, no spatial block) or version 2
+// (offset-addressed spatial leaves) — is refused with its version named.
 func TestOpenRunRefusesV1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), runFileName(0, 1))
-	v1 := make([]byte, 300) // records + meta stand-ins, then the v1 footer
-	footer := v1[len(v1)-92:]
-	binary.LittleEndian.PutUint32(footer[80:], 1)
-	binary.LittleEndian.PutUint64(footer[84:], runMagic)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := openRun(path)
-	if err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("openRun(v1 file) = %v, want an error naming version 1", err)
+	for _, old := range []struct {
+		version    uint32
+		footerSize int
+	}{{1, 92}, {2, 112}} {
+		t.Run(fmt.Sprintf("v%d", old.version), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), runFileName(0, 1))
+			data := make([]byte, 300) // records + meta stand-ins, then the footer
+			footer := data[len(data)-old.footerSize:]
+			binary.LittleEndian.PutUint32(footer[old.footerSize-12:], old.version)
+			binary.LittleEndian.PutUint64(footer[old.footerSize-8:], runMagic)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := openRun(path)
+			if want := fmt.Sprintf("version %d", old.version); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("openRun(v%d file) = %v, want an error naming %s", old.version, err, want)
+			}
+		})
 	}
 }
 
@@ -444,9 +533,44 @@ func TestRunGetAllocs(t *testing.T) {
 	}
 }
 
+// TestTierSearchAllocs pins the cold range read's allocation budget: the
+// leaf buffer is pooled and records are decoded out of it in place, so a
+// SearchEntries answered from a run allocates the returned ids and a
+// constant, however many leaves and records outside the rectangle it
+// passes over.
+func TestTierSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	base := time.Unix(1000, 0)
+	db, _ := tieredPairBudget(t, 1, 64<<20, 0, func() time.Time { return base })
+	for _, rec := range testRunRecords(500) {
+		if !rec.tombstone {
+			db.Put(rec.s)
+		}
+	}
+	flushAll(t, db)
+	rect := geo.R(20, 0.5, 60, 3.5) // rows 1-3 of the 100 x 5 grid, a slice of each
+	hits := 0
+	visit := func(core.OID, geo.Point, float64) bool { hits++; return true }
+	leafReads := db.TierStats().LeafReads
+	db.SearchEntries(rect, visit)
+	want, read := hits, db.TierStats().LeafReads-leafReads
+	if want == 0 || read < 2 || int64(want) >= read*runLeafEntries {
+		t.Fatalf("%d hits from %d leaves: the query must pass over records it does not return", want, read)
+	}
+	const constant = 2
+	if n := testing.AllocsPerRun(100, func() { db.SearchEntries(rect, visit) }); n > float64(want+constant) {
+		t.Fatalf("cold SearchEntries of %d hits allocates %.1f times, want <= %d", want, n, want+constant)
+	}
+	if st := db.TierStats(); st.ReadErrors != 0 {
+		t.Fatalf("%d read errors on an undamaged run", st.ReadErrors)
+	}
+}
+
 // FuzzRunSpatial feeds arbitrary bytes to the leaf-directory parser and
-// the leaf decoder: they must reject or decode, never panic or
-// index out of range.
+// the leaf decoder: they must reject or decode, never panic or index out
+// of range, and what they accept must be what they promise.
 func FuzzRunSpatial(f *testing.F) {
 	dir := f.TempDir()
 	name := runFileName(0, 1)
@@ -471,29 +595,41 @@ func FuzzRunSpatial(f *testing.F) {
 		f.Fatal(err)
 	}
 	dirOff := r.size - runFooterSize - int64(len(r.leaves))*runLeafDirEntrySize
-	f.Add(data[dirOff:r.size-runFooterSize], uint16(r.live))
-	f.Add(data[r.recordsLen:r.recordsLen+runLeafEntries*runLeafEntrySize], uint16(runLeafEntries))
-	f.Add([]byte{}, uint16(0))
+	f.Add(data[dirOff:r.size-runFooterSize], uint16(r.live), uint32(r.spatialLen))
+	f.Add(data[r.recordsLen:r.recordsLen+r.leafAt[1]], uint16(runLeafEntries), uint32(r.leafAt[1]))
+	f.Add([]byte{}, uint16(0), uint32(0))
 	r.retire(false)
 
-	f.Fuzz(func(t *testing.T, b []byte, live uint16) {
-		if leaves, err := parseLeafDir(b, int64(live)); err == nil {
-			if want := (int(live) + runLeafEntries - 1) / runLeafEntries; len(leaves) != want {
-				t.Fatalf("parseLeafDir returned %d leaves for %d live records", len(leaves), live)
+	f.Fuzz(func(t *testing.T, b []byte, live uint16, spatialLen uint32) {
+		if leaves, leafAt, err := parseLeafDir(b, int64(live), int64(spatialLen)); err == nil {
+			if want := (int(live) + runLeafEntries - 1) / runLeafEntries; len(leaves) != want || len(leafAt) != want+1 {
+				t.Fatalf("parseLeafDir returned %d leaves (%d bounds) for %d live records", len(leaves), len(leafAt), live)
 			}
-		}
-		if len(b) > runLeafEntries*runLeafEntrySize {
-			b = b[:runLeafEntries*runLeafEntrySize]
-		}
-		mbr := geo.R(0, 0, 100, 100)
-		if entries, err := decodeLeaf(nil, b, mbr, int64(live)); err == nil {
-			if len(entries) != len(b)/runLeafEntrySize {
-				t.Fatalf("decodeLeaf returned %d entries for %d bytes", len(entries), len(b))
-			}
-			for j, e := range entries {
-				if !mbr.ContainsClosed(e.pos) || e.off < 0 || e.off >= int64(live) {
-					t.Fatalf("decodeLeaf passed entry %d = %+v", j, e)
+			for i := range leaves {
+				if leafAt[i] > leafAt[i+1] {
+					t.Fatalf("leaf %d spans [%d, %d)", i, leafAt[i], leafAt[i+1])
 				}
+			}
+			if leafAt[0] != 0 || leafAt[len(leaves)] != int64(spatialLen) {
+				t.Fatalf("leaves tile [%d, %d), the region is %d bytes", leafAt[0], leafAt[len(leaves)], spatialLen)
+			}
+		}
+		n := min(int(live), runLeafEntries)
+		mbr := geo.R(0, 0, 100, 100)
+		if entries, err := decodeLeaf(nil, b, mbr, n); err == nil {
+			if len(entries) != n {
+				t.Fatalf("decodeLeaf returned %d entries, want %d", len(entries), n)
+			}
+			covered := 0
+			for j, e := range entries {
+				rec, next, err := decodeRunRecord(e.rec, 0)
+				if err != nil || next != len(e.rec) || rec.tombstone || rec.s.Pos != e.pos || !mbr.ContainsClosed(e.pos) {
+					t.Fatalf("decodeLeaf passed entry %d = %+v (%+v, %v)", j, e, rec, err)
+				}
+				covered += len(e.rec)
+			}
+			if covered != len(b) {
+				t.Fatalf("decodeLeaf's %d records cover %d of %d bytes", len(entries), covered, len(b))
 			}
 		}
 	})
@@ -1038,12 +1174,25 @@ func TestTierReadErrorsCounted(t *testing.T) {
 	}
 
 	t.Run("spatial leaf", func(t *testing.T) {
-		for name, off := range map[string]int64{"coordinate": 7, "offset": 16 + 6} { // exponent byte of X; a high byte of the offset
+		// From record 6 of leaf 1 on, the first record whose X is nonzero
+		// (so that flipping its exponent moves it out of the leaf's bounds):
+		// that exponent byte, or the record's id-length byte.
+		for name, field := range map[string]func(flags, x int64) int64{
+			"coordinate": func(_, x int64) int64 { return x + 7 },
+			"id length":  func(flags, _ int64) int64 { return flags + 1 },
+		} {
 			db, r := newStore(t)
 			if n := count(db); n != 300 || db.TierStats().ReadErrors != 0 {
 				t.Fatalf("%s: undamaged store answered %d with %d read errors", name, n, db.TierStats().ReadErrors)
 			}
-			patchRun(t, r.path, func(d []byte) []byte { d[r.recordsLen+runLeafEntrySize*70+off] ^= 0x20; return d }) // entry 6 of leaf 1
+			patchRun(t, r.path, func(d []byte) []byte {
+				flags, x := leafRecordAt(t, d, r, 1, 6)
+				for j := 7; getU64(d[x:]) == 0; j++ {
+					flags, x = leafRecordAt(t, d, r, 1, j)
+				}
+				d[field(flags, x)] ^= 0x20
+				return d
+			})
 			if n := count(db); n >= 300 || n < 300-runLeafEntries {
 				t.Fatalf("%s: damaged leaf: %d of 300 answered, want the other leaves' records", name, n)
 			}
@@ -1423,7 +1572,7 @@ func TestTieredMemoryBounded(t *testing.T) {
 	}
 	// The other resident part is run metadata: blooms (10 bits/record),
 	// sparse indexes (one ~40-byte entry per 16 records) and leaf
-	// directories (32 bytes per 64 live records) — a few bytes per record,
+	// directories (40 bytes per 64 live records) — a few bytes per record,
 	// and never less than the directories it must include.
 	var dirBytes int64
 	for _, sh := range db.shards {

@@ -20,7 +20,7 @@ import (
 )
 
 // This file implements the immutable sorted-run files of the tiered
-// sighting store (format version 2). The package comment describes how
+// sighting store (format version 3). The package comment describes how
 // the tiers use them; the file layout is specified here:
 //
 //	[records][spatial leaves][bloom block][index block][leaf directory][112-byte footer]
@@ -35,19 +35,21 @@ import (
 // Timestamps are UnixNano; a cleared validity bit means the zero
 // time.Time.
 //
-// The spatial leaves hold one 24-byte entry (X f64 | Y f64 | record
-// offset u64) per live record — tombstones have no position and are not
-// indexed — sorted by the Hilbert key of the position over the run's MBR
-// and cut into leaves of runLeafEntries entries (the last one may be
-// short). The leaf directory holds one 32-byte MBR (MinX, MinY, MaxX, MaxY
-// f64) per leaf, in leaf order.
+// The spatial leaves hold every live record a second time, in the same
+// encoding — tombstones have no position and are not indexed — sorted by
+// the Hilbert key of the position over the run's MBR and cut into leaves
+// of runLeafEntries records (the last one may be short), so a spatial read
+// takes each record from the one leaf it fetched. The leaf directory holds
+// one 36-byte entry per leaf, in leaf order: its MBR (MinX, MinY, MaxX,
+// MaxY f64) and its length in bytes (u32); the lengths add up to the
+// spatial region's.
 //
 // The bloom block is bloomFilter.marshal over every record's id
 // (tombstones included). The index block holds the run's key range and a
 // sparse index, one (oid, offset) entry per runSparseEvery records.
 //
 // Resident per run: bloom filter, sparse index and leaf directory
-// (≈0.5 B per live record); records and spatial leaves stay on disk.
+// (≈0.6 B per live record); records and spatial leaves stay on disk.
 //
 // The footer pins the five region lengths, the record counts, the MBR of
 // the live records and three CRC32s:
@@ -60,14 +62,13 @@ import (
 //     before it can propagate into a merged run.
 //   - crcSpatial covers the spatial leaves and is verified by verify (run
 //     before a fetched run is installed). Spatial reads in between check
-//     each leaf structurally instead: every entry must lie inside its
-//     directory MBR and point inside the records region, and the record
-//     read at an entry's offset must be live at exactly the entry's
-//     position. A leaf or entry failing that is skipped and counted as a
-//     read error.
+//     each leaf structurally instead: it must hold exactly its share of
+//     the live records, none of them a tombstone, each well-formed and
+//     inside the leaf's directory MBR. A leaf failing that is skipped and
+//     counted as a read error.
 const (
 	runMagic      uint64 = 0x4c5352554e303031 // "LSRUN001"
-	runVersion    uint32 = 2
+	runVersion    uint32 = 3
 	runFooterSize        = 112
 	// runTrailerSize is the footer's version + magic tail, at the same
 	// distance from the end of the file in every format version.
@@ -79,10 +80,9 @@ const (
 	runSparseEvery = 16
 
 	// runLeafEntries is the spatial leaf fan-out: a spatial read fetches
-	// and tests this many positions per directory MBR it cannot rule out.
+	// and tests this many records per directory MBR it cannot rule out.
 	runLeafEntries      = 64
-	runLeafEntrySize    = 24
-	runLeafDirEntrySize = 32
+	runLeafDirEntrySize = 36
 
 	runFlagTombstone = 1 << 0
 	runFlagHasT      = 1 << 1
@@ -216,11 +216,17 @@ type sparseEntry struct {
 	off int64
 }
 
-// leafEntry is one spatial-leaf entry: a live record's position and the
-// offset of the record in the records region.
+// leafEntry is one record of a spatial leaf: its position and its
+// encoding, aliasing the buffer the leaf was read into.
 type leafEntry struct {
 	pos geo.Point
-	off int64
+	rec []byte
+}
+
+// liveRef locates one live record's encoding in runWriter.liveEnc.
+type liveRef struct {
+	pos geo.Point
+	at  int
 }
 
 // runWriter streams records (strictly ascending by id) into a run file
@@ -228,8 +234,9 @@ type leafEntry struct {
 // exists complete under its final name or not at all. The records region
 // is written in one pass; what the writer keeps per record until finish is
 // one 8-byte hash (for the bloom filter, whose size needs the final count),
-// the sparse index and, per live record, one 24-byte leaf entry (the
-// spatial block is sorted along a curve over the final MBR).
+// the sparse index and, per live record, its encoding plus a 24-byte
+// reference to it (the spatial leaves copy the records in an order along
+// a curve over the final MBR).
 type runWriter struct {
 	dir, name string
 	tmp       *os.File
@@ -239,7 +246,8 @@ type runWriter struct {
 	count, live int64
 	hashes      []uint64
 	sparse      []sparseEntry
-	entries     []leafEntry
+	liveRefs    []liveRef
+	liveEnc     []byte // encodings of the live records, in id order
 	last        core.OID
 	minOID      core.OID
 	maxOID      core.OID
@@ -326,7 +334,8 @@ func (w *runWriter) add(rec runRecord) error {
 			w.mbr.GrowToInclude(rec.s.Pos)
 		}
 		w.live++
-		w.entries = append(w.entries, leafEntry{pos: rec.s.Pos, off: off})
+		w.liveRefs = append(w.liveRefs, liveRef{pos: rec.s.Pos, at: len(w.liveEnc)})
+		w.liveEnc = append(w.liveEnc, w.scratch...)
 	}
 	return nil
 }
@@ -353,34 +362,39 @@ func getRect(b []byte) geo.Rect {
 	}
 }
 
-// writeSpatial sorts the buffered leaf entries along the Hilbert curve
+// writeSpatial sorts the buffered live records along the Hilbert curve
 // over the run's MBR, appends them to the file as the spatial leaves and
 // returns the region's checksum and the leaf directory block.
 func (w *runWriter) writeSpatial() (crcSpatial uint32, dir []byte, err error) {
-	if int64(len(w.entries)) > math.MaxUint32 {
-		return 0, nil, fmt.Errorf("store: run %s holds %d live records, beyond the spatial block's limit", w.name, len(w.entries))
+	if int64(len(w.liveRefs)) > math.MaxUint32 {
+		return 0, nil, fmt.Errorf("store: run %s holds %d live records, beyond the spatial block's limit", w.name, len(w.liveRefs))
 	}
-	// Sort (curve key, entry index) pairs packed into one word each, then
-	// emit the entries in that order, a leaf at a time.
-	order := make([]uint64, len(w.entries))
-	for i, e := range w.entries {
-		order[i] = uint64(geo.HilbertKey(w.mbr, e.pos))<<32 | uint64(i)
+	// Sort (curve key, record index) pairs packed into one word each, then
+	// emit the records in that order, a leaf at a time.
+	order := make([]uint64, len(w.liveRefs))
+	for i, l := range w.liveRefs {
+		order[i] = uint64(geo.HilbertKey(w.mbr, l.pos))<<32 | uint64(i)
 	}
 	slices.Sort(order)
 
 	crc := crc32.NewIEEE()
-	leaf := make([]byte, 0, runLeafEntries*runLeafEntrySize)
+	var leaf []byte
 	for len(order) > 0 {
 		n := min(len(order), runLeafEntries)
-		first := w.entries[uint32(order[0])].pos
+		first := w.liveRefs[uint32(order[0])].pos
 		mbr := geo.Rect{Min: first, Max: first}
 		leaf = leaf[:0]
 		for _, o := range order[:n] {
-			e := w.entries[uint32(o)]
-			mbr.GrowToInclude(e.pos)
-			leaf = binary.LittleEndian.AppendUint64(leaf, math.Float64bits(e.pos.X))
-			leaf = binary.LittleEndian.AppendUint64(leaf, math.Float64bits(e.pos.Y))
-			leaf = binary.LittleEndian.AppendUint64(leaf, uint64(e.off))
+			i := int(uint32(o))
+			end := len(w.liveEnc)
+			if i+1 < len(w.liveRefs) {
+				end = w.liveRefs[i+1].at
+			}
+			mbr.GrowToInclude(w.liveRefs[i].pos)
+			leaf = append(leaf, w.liveEnc[w.liveRefs[i].at:end]...)
+		}
+		if int64(len(leaf)) > math.MaxUint32 {
+			return 0, nil, fmt.Errorf("store: run %s spatial leaf of %d bytes, beyond the directory's limit", w.name, len(leaf))
 		}
 		if err := w.bufw.write(leaf); err != nil {
 			return 0, nil, fmt.Errorf("store: writing run spatial leaf: %w", err)
@@ -388,6 +402,7 @@ func (w *runWriter) writeSpatial() (crcSpatial uint32, dir []byte, err error) {
 		crc.Write(leaf)
 		dir = append(dir, make([]byte, runLeafDirEntrySize)...)
 		putRect(dir[len(dir)-runLeafDirEntrySize:], mbr)
+		binary.LittleEndian.PutUint32(dir[len(dir)-4:], uint32(len(leaf)))
 		order = order[n:]
 	}
 	return crc.Sum32(), dir, nil
@@ -494,6 +509,7 @@ type tierRun struct {
 	bloom      *bloomFilter
 	sparse     []sparseEntry
 	leaves     []geo.Rect // leaf directory: MBR of spatial leaf i
+	leafAt     []int64    // spatial leaf i is [leafAt[i], leafAt[i+1]) past recordsLen
 	minOID     core.OID
 	maxOID     core.OID
 
@@ -563,8 +579,10 @@ func openRun(path string) (*tierRun, error) {
 	if r.recordsLen+r.spatialLen+bloomLen+idxLen+dirLen+runFooterSize != st.Size() {
 		return fail(fmt.Errorf("store: run %s region lengths inconsistent with size %d", path, st.Size()))
 	}
-	if r.live < 0 || r.live > r.count || r.spatialLen/runLeafEntrySize != r.live || r.spatialLen%runLeafEntrySize != 0 {
-		return fail(fmt.Errorf("store: run %s spatial block of %d bytes does not hold its %d live records", path, r.spatialLen, r.live))
+	// Every live record takes more than a byte of the spatial block, which
+	// bounds the leaf count before the directory is sized from it.
+	if r.live < 0 || r.live > r.count || r.live > r.spatialLen {
+		return fail(fmt.Errorf("store: run %s spatial block of %d bytes cannot hold its %d live records", path, r.spatialLen, r.live))
 	}
 	meta := make([]byte, bloomLen+idxLen+dirLen)
 	if _, err := f.ReadAt(meta, r.recordsLen+r.spatialLen); err != nil {
@@ -579,7 +597,7 @@ func openRun(path string) (*tierRun, error) {
 	if err := r.parseIndex(meta[bloomLen : bloomLen+idxLen]); err != nil {
 		return fail(fmt.Errorf("store: run %s index: %w", path, err))
 	}
-	if r.leaves, err = parseLeafDir(meta[bloomLen+idxLen:], r.live); err != nil {
+	if r.leaves, r.leafAt, err = parseLeafDir(meta[bloomLen+idxLen:], r.live, r.spatialLen); err != nil {
 		return fail(fmt.Errorf("store: run %s: %w", path, err))
 	}
 	r.refs.Store(1)
@@ -587,17 +605,28 @@ func openRun(path string) (*tierRun, error) {
 }
 
 // parseLeafDir decodes the leaf directory block of a run holding live
-// indexed records: one MBR per spatial leaf.
-func parseLeafDir(b []byte, live int64) ([]geo.Rect, error) {
+// indexed records in a spatial region of spatialLen bytes: one MBR per
+// spatial leaf, and the leaves' bounds within the region, which they must
+// tile exactly.
+func parseLeafDir(b []byte, live, spatialLen int64) (leaves []geo.Rect, leafAt []int64, err error) {
 	want := (live + runLeafEntries - 1) / runLeafEntries
 	if int64(len(b)) != want*runLeafDirEntrySize {
-		return nil, fmt.Errorf("leaf directory of %d bytes does not describe the %d leaves of %d live records", len(b), want, live)
+		return nil, nil, fmt.Errorf("leaf directory of %d bytes does not describe the %d leaves of %d live records", len(b), want, live)
 	}
-	leaves := make([]geo.Rect, want)
+	leaves = make([]geo.Rect, want)
+	leafAt = make([]int64, want+1)
 	for i := range leaves {
-		leaves[i] = getRect(b[i*runLeafDirEntrySize:])
+		e := b[i*runLeafDirEntrySize:]
+		leaves[i] = getRect(e)
+		leafAt[i+1] = leafAt[i] + int64(binary.LittleEndian.Uint32(e[32:]))
+		if leafAt[i+1] > spatialLen {
+			return nil, nil, fmt.Errorf("spatial leaf %d extends past the %d-byte spatial region", i, spatialLen)
+		}
 	}
-	return leaves, nil
+	if leafAt[want] != spatialLen {
+		return nil, nil, fmt.Errorf("spatial leaves add up to %d bytes, the spatial region holds %d", leafAt[want], spatialLen)
+	}
+	return leaves, leafAt, nil
 }
 
 // parseIndex decodes the index block into the key range and sparse index.
@@ -675,9 +704,9 @@ func (r *tierRun) retire(remove bool) {
 }
 
 // metaBytes estimates the run's resident metadata footprint: bloom
-// filter, sparse index and leaf directory.
+// filter, sparse index and leaf directory (an MBR and an offset per leaf).
 func (r *tierRun) metaBytes() int64 {
-	n := int64(len(r.bloom.bits)) + 128 + int64(len(r.leaves))*runLeafDirEntrySize
+	n := int64(len(r.bloom.bits)) + 128 + int64(len(r.leaves))*32 + int64(len(r.leafAt))*8
 	for _, e := range r.sparse {
 		n += int64(len(e.oid)) + 24
 	}
@@ -688,10 +717,9 @@ func (r *tierRun) metaBytes() int64 {
 // point lookups and spatial reads allocate only for the records they
 // return.
 type runScratch struct {
-	block   []byte // sparse-index block of a point lookup, grown on demand
-	leaf    [runLeafEntries * runLeafEntrySize]byte
+	block   []byte                    // sparse-index block of a point lookup, grown on demand
+	leaf    []byte                    // spatial leaf of a range read, grown on demand
 	entries [runLeafEntries]leafEntry // leaf, decoded
-	rec     [256]byte                 // first read of a record addressed by offset
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -743,75 +771,55 @@ func (r *tierRun) get(id core.OID) (runRecord, bool, error) {
 	return runRecord{}, false, nil
 }
 
-// readLeaf reads spatial leaf i and returns its entries (in sc, valid
-// until sc's next use). Every entry must lie inside the leaf's directory
-// MBR and address the records region; a leaf failing that is corrupt as a
-// whole.
-func (r *tierRun) readLeaf(i int, sc *runScratch) ([]leafEntry, error) {
-	n := min(r.live-int64(i)*runLeafEntries, runLeafEntries)
-	buf := sc.leaf[:n*runLeafEntrySize]
-	if _, err := r.f.ReadAt(buf, r.recordsLen+int64(i)*int64(len(sc.leaf))); err != nil {
+// readLeaf reads spatial leaf i into *buf (grown when short) and decodes
+// it into dst; the entries alias *buf. A leaf failing decodeLeaf's checks
+// is corrupt as a whole.
+func (r *tierRun) readLeaf(i int, buf *[]byte, dst []leafEntry) ([]leafEntry, error) {
+	start, end := r.leafAt[i], r.leafAt[i+1]
+	if int64(cap(*buf)) < end-start {
+		*buf = make([]byte, end-start)
+	}
+	b := (*buf)[:end-start]
+	if _, err := r.f.ReadAt(b, r.recordsLen+start); err != nil {
 		return nil, fmt.Errorf("store: reading run %s spatial leaf %d: %w", r.path, i, err)
 	}
-	entries, err := decodeLeaf(sc.entries[:0], buf, r.leaves[i], r.recordsLen)
+	n := int(min(r.live-int64(i)*runLeafEntries, runLeafEntries))
+	entries, err := decodeLeaf(dst, b, r.leaves[i], n)
 	if err != nil {
 		return nil, fmt.Errorf("store: run %s spatial leaf %d: %w", r.path, i, err)
 	}
 	return entries, nil
 }
 
-// decodeLeaf appends the entries of one spatial leaf to dst, validating
-// each against the leaf's directory MBR and the length of the records
-// region.
-func decodeLeaf(dst []leafEntry, buf []byte, mbr geo.Rect, recordsLen int64) ([]leafEntry, error) {
-	if len(buf)%runLeafEntrySize != 0 {
-		return nil, fmt.Errorf("torn entry (%d bytes)", len(buf))
+// decodeLeaf appends the n records of one spatial leaf to dst, checking
+// that buf holds exactly n well-formed live records, each inside the
+// leaf's directory MBR. Only positions are decoded; each entry keeps its
+// record's bytes for the caller to decode on a hit.
+func decodeLeaf(dst []leafEntry, buf []byte, mbr geo.Rect, n int) ([]leafEntry, error) {
+	i := 0
+	for pos := 0; pos < len(buf); i++ {
+		if i == n {
+			return nil, fmt.Errorf("%d bytes past its %d records", len(buf)-pos, n)
+		}
+		flags, _, next, err := splitRunRecord(buf, pos)
+		if err != nil {
+			return nil, err
+		}
+		if flags&runFlagTombstone != 0 {
+			return nil, fmt.Errorf("record %d is a tombstone", i)
+		}
+		payload := buf[next-runLivePayload:]
+		p := geo.Pt(math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])), math.Float64frombits(binary.LittleEndian.Uint64(payload[16:])))
+		if !mbr.ContainsClosed(p) {
+			return nil, fmt.Errorf("record %d at %v outside the leaf's bounds %v", i, p, mbr)
+		}
+		dst = append(dst, leafEntry{pos: p, rec: buf[pos:next]})
+		pos = next
 	}
-	for ; len(buf) > 0; buf = buf[runLeafEntrySize:] {
-		e := leafEntry{
-			pos: geo.Pt(math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])), math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))),
-			off: int64(binary.LittleEndian.Uint64(buf[16:])),
-		}
-		if !mbr.ContainsClosed(e.pos) {
-			return nil, fmt.Errorf("entry %d at %v outside the leaf's bounds %v", len(dst), e.pos, mbr)
-		}
-		if e.off < 0 || e.off >= recordsLen {
-			return nil, fmt.Errorf("entry %d offset %d outside the records region", len(dst), e.off)
-		}
-		dst = append(dst, e)
+	if i != n {
+		return nil, fmt.Errorf("%d records, want %d", i, n)
 	}
 	return dst, nil
-}
-
-// recordAt reads the record a (validated) leaf entry addresses. The record
-// must be live at exactly the entry's position — anything else means the
-// entry or the record is corrupt.
-func (r *tierRun) recordAt(e leafEntry, sc *runScratch) (runRecord, error) {
-	buf := sc.rec[:]
-	if rest := r.recordsLen - e.off; rest < int64(len(buf)) {
-		buf = buf[:rest]
-	}
-	if _, err := r.f.ReadAt(buf, e.off); err != nil {
-		return runRecord{}, fmt.Errorf("store: reading run %s record at %d: %w", r.path, e.off, err)
-	}
-	rec, _, err := decodeRunRecord(buf, 0)
-	if err != nil && int64(len(buf)) < r.recordsLen-e.off {
-		// An id too long for the first read: retry with everything the
-		// header can describe (a uvarint length and a 64 KiB id at most —
-		// ids arrive in datagrams).
-		long := make([]byte, min(r.recordsLen-e.off, 1+binary.MaxVarintLen64+1<<16+runLivePayload))
-		if _, err := r.f.ReadAt(long, e.off); err != nil {
-			return runRecord{}, fmt.Errorf("store: reading run %s record at %d: %w", r.path, e.off, err)
-		}
-		rec, _, err = decodeRunRecord(long, 0)
-	}
-	if err != nil {
-		return runRecord{}, fmt.Errorf("store: run %s record at %d: %w", r.path, e.off, err)
-	}
-	if rec.tombstone || rec.s.Pos != e.pos {
-		return runRecord{}, fmt.Errorf("store: run %s spatial entry at %v addresses a different record (offset %d)", r.path, e.pos, e.off)
-	}
-	return rec, nil
 }
 
 // verify reads the whole file once and checks both region checksums: a

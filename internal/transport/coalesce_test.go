@@ -237,9 +237,17 @@ func TestBatcherClose(t *testing.T) {
 	}
 	waitCounter(t, arrivals, 16, "envelopes sent just before Close")
 	// Read loops and flushers are waited for, and nothing here started a
-	// sweeper or a handler.
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines after Close, %d before the network existed", after, before)
+	// sweeper or a handler. The process-wide count also moves with
+	// goroutines this test did not start (an earlier test's
+	// time.AfterFunc firing, say), so it is polled until it settles; a
+	// goroutine this network leaked never leaves.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after > before {
+		stacks := make([]byte, 1<<20)
+		t.Errorf("%d goroutines after Close, %d before the network existed; all goroutines:\n%s", after, before, stacks[:runtime.Stack(stacks, true)])
 	}
 }
 
