@@ -109,7 +109,7 @@ func main() {
 		fsync        = flag.Bool("fsync", false, "fsync every WAL append (machine-crash durability)")
 		acc          = flag.Float64("acc", 10, "achievable accuracy of this leaf in meters")
 		ttl          = flag.Duration("ttl", 5*time.Minute, "soft-state TTL for sighting records (0 disables)")
-		caches       = flag.Bool("caches", true, "enable the Section 6.5 leaf caches")
+		caches       = flag.Bool("caches", true, "enable the Section 6.5 leaf caches for position and range queries (handovers always climb to the lowest common ancestor)")
 		restore      = flag.Bool("restore", false, "request updates from persisted visitors at startup")
 		batchMax     = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (≥ 2 enables batching; 1 sends each envelope alone)")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive call timeouts toward one peer that open its circuit breaker (0 disables breakers)")

@@ -136,7 +136,6 @@ func main() {
 
 	// Gather statistics.
 	handovers := reg.Counter("handover_initiated").Value()
-	direct := reg.Counter("handover_direct").Value()
 	expired := reg.Counter("soft_state_expired").Value()
 
 	var meanDev, maxDev float64
@@ -155,8 +154,8 @@ func main() {
 	if updates == 0 {
 		updates = 1
 	}
-	fmt.Printf("  handovers:             %d (%.1f%% of updates; %d via area cache)\n",
-		handovers, 100*float64(handovers)/float64(updates), direct)
+	fmt.Printf("  handovers:             %d (%.1f%% of updates)\n",
+		handovers, 100*float64(handovers)/float64(updates))
 	fmt.Printf("  soft-state expiries:   %d\n", expired)
 	fmt.Printf("  position deviation:    mean %.1f m, max %.1f m\n", meanDev, maxDev)
 	fmt.Printf("  transport messages:    %d\n", delivered.Load())

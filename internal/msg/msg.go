@@ -108,33 +108,25 @@ type RegisterFailed struct {
 type CreatePath struct {
 	OID  core.OID
 	Leaf LeafInfo
-	// SightingT is the timestamp of the sighting that caused this path
-	// (registration or handover). Servers stamp their records with it
-	// and ignore older path messages, making prune/repair races between
-	// consecutive handovers harmless. Every CreatePath — registration or
-	// post-direct-handover repair — climbs to the root: stopping at the
-	// first existing record (the apparent lowest common ancestor) is
-	// unsound when stale leftovers from reordered messages exist.
+	// SightingT is the timestamp of the registration's sighting. Servers
+	// stamp their records with it and ignore older path messages, so a
+	// CreatePath that arrives after a handover re-pointed the path cannot
+	// undo it. Every CreatePath climbs to the root: stopping at the first
+	// existing record (the apparent lowest common ancestor) is unsound when
+	// stale leftovers from reordered messages exist. Handovers never send
+	// one — Algorithm 6-3 fixes each hop's reference on its response path.
 	SightingT time.Time
 }
 
 // RemovePath deletes an object's forwarding references bottom-up; it is the
-// inverse of CreatePath, used by deregistration, soft-state expiry and
-// old-branch pruning after a cache-shortcut direct handover.
+// inverse of CreatePath, used by deregistration and soft-state expiry. A
+// handover prunes the old branch itself, on its response path.
 type RemovePath struct {
 	OID core.OID
 	// SightingT is the timestamp of the last sighting the sender holds
 	// for the object; records stamped with a newer sighting time refuse
 	// the removal (a fresher path was installed meanwhile).
 	SightingT time.Time
-	// HasNewPos marks a handover prune: the object still exists and
-	// NewPos is its current position. Servers whose service area
-	// contains NewPos are ancestors of the NEW agent as well — at and
-	// above the lowest common ancestor the old and new forwarding paths
-	// coincide — so they must keep their records; only the stale branch
-	// strictly below the LCA is removed.
-	HasNewPos bool
-	NewPos    geo.Point
 }
 
 // ---------------------------------------------------------------------------
@@ -174,12 +166,7 @@ type HandoverReq struct {
 	// OldAgent lets servers on the upward path distinguish the direction
 	// the request came from.
 	OldAgent NodeID
-	// Direct marks a cache-shortcut handover sent leaf-to-leaf without
-	// traversing the hierarchy (Section 6.5). The receiving leaf then
-	// repairs the forwarding path with CreatePath while the old agent
-	// prunes its stale branch with RemovePath.
-	Direct bool
-	Hops   int
+	Hops     int
 }
 
 // PosQueryDirect is a cache-shortcut position query sent by an entry server
@@ -477,10 +464,6 @@ type DiagRes struct {
 	// and write-lock contention counters. One entry per shard on a leaf (a
 	// default leaf has one shard); empty on non-leaf servers.
 	Shards []ShardDiag
-	// Epoch is always 0: the store no longer changes its shard count at
-	// runtime. The field stays for wire compatibility and is dropped at
-	// the next wire version bump.
-	Epoch uint64
 	// Tier is the tiered-storage snapshot; nil when tiering is disabled.
 	Tier *TierDiag
 	// Repl is the replication snapshot; nil when the server has no

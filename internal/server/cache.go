@@ -13,7 +13,11 @@ import (
 // on leaf servers:
 //
 //  1. (leaf server → service area): learned from LeafInfo piggybacked on
-//     protocol messages; lets handovers and range queries skip the tree.
+//     protocol messages; lets a range query fan out to the leaves it covers
+//     without the tree. It serves range queries only: handovers always climb
+//     to the lowest common ancestor (Algorithm 6-3), because the paper's
+//     leaf-to-leaf handover answered before the tree was re-pointed and left
+//     position queries dead-ending at the root meanwhile.
 //  2. (tracked object → current agent): learned from position query
 //     responses; lets position queries go straight to the agent.
 //  3. (tracked object → position descriptor): caches query results; aged
@@ -56,21 +60,6 @@ func (c *leafCaches) observeLeaf(li msg.LeafInfo) {
 	c.mu.Unlock()
 }
 
-// leafFor returns the cached leaf whose service area contains p.
-func (c *leafCaches) leafFor(p geo.Point) (msg.NodeID, bool) {
-	if !c.enableArea {
-		return "", false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for id, a := range c.areas {
-		if a.Contains(p) {
-			return id, true
-		}
-	}
-	return "", false
-}
-
 // leavesCovering returns cached leaves overlapping the rectangle r and
 // whether their cached areas jointly cover at least expected of the query
 // measure inside r. Only a full cover lets the entry server skip the tree
@@ -111,16 +100,6 @@ func (c *leafCaches) areaOf(id msg.NodeID) (core.Area, bool) {
 	defer c.mu.RUnlock()
 	a, ok := c.areas[id]
 	return a, ok
-}
-
-// invalidateLeaf drops a stale (leaf → area) entry.
-func (c *leafCaches) invalidateLeaf(id msg.NodeID) {
-	if !c.enableArea {
-		return
-	}
-	c.mu.Lock()
-	delete(c.areas, id)
-	c.mu.Unlock()
 }
 
 // observeAgent records an (object → agent) mapping.

@@ -139,132 +139,202 @@ func TestPosDescriptorCache(t *testing.T) {
 	}
 }
 
-func TestAreaCacheDirectHandover(t *testing.T) {
-	ls := newTestLS(t, quadSpec(), cacheOpts())
-	owner := ls.newClientAt(t, "owner", geo.Pt(700, 100), client.Options{})
-	obj, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(700, 100)), 10, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
-		return root.VisitorCount() == 1
-	}, "path at root")
+// TestWarmAreaCacheLeavesHandoverUnchanged checks that the (leaf → area)
+// cache serves range queries only: with r.1's area cached at r.0, a handover
+// from r.0 to r.1 still climbs to their lowest common ancestor and costs the
+// same envelopes as with every cache off.
+func TestWarmAreaCacheLeavesHandoverUnchanged(t *testing.T) {
+	handover := func(t *testing.T, opts server.Options) (envelopes int64) {
+		var delivered atomic.Int64
+		net := transport.NewInproc(transport.InprocOptions{
+			OnDeliver: func(_, _ msg.NodeID, _ msg.Message) { delivered.Add(1) },
+		})
+		dep, err := hierarchy.Deploy(net, quadSpec(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			dep.Close()
+			net.Close()
+		})
+		ls := &testLS{net: net, dep: dep}
+		root, _ := dep.Server("r")
+		oldLeaf, _ := dep.Server("r.0")
 
-	// Warm r.0's (leaf → area) cache: a range query spanning r.0 and
-	// r.1 makes r.1 send its leaf info to the entry server r.0.
-	q := ls.newClientAt(t, "warm", geo.Pt(100, 100), client.Options{})
-	if _, err := q.RangeQueryRect(ctx(t), geo.R(700, 50, 900, 150), 25, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	oldLeaf, _ := ls.dep.Server("r.0")
-	waitFor(t, func() bool {
-		return oldLeaf.Metrics().Counter("range_query_seen").Value() >= 0 && oldLeafHasArea(oldLeaf, geo.Pt(800, 100))
-	}, "r.0 learned r.1's area")
-
-	// Handover east: with the warm cache this goes leaf-to-leaf.
-	if err := obj.Update(ctx(t), sightingAt("o1", geo.Pt(800, 100))); err != nil {
-		t.Fatal(err)
-	}
-	if obj.Agent() != "r.1" {
-		t.Fatalf("agent = %s", obj.Agent())
-	}
-	if got := oldLeaf.Metrics().Counter("handover_direct").Value(); got != 1 {
-		t.Errorf("direct handovers = %d, want 1", got)
-	}
-
-	// The tree must be repaired: the root points to r.1 and queries work
-	// from anywhere.
-	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
-		rec, ok := rootVisitor(root, "o1")
-		return ok && rec.ForwardRef == "r.1"
-	}, "root repaired to r.1")
-	waitFor(t, func() bool { return oldLeaf.VisitorCount() == 0 }, "old agent cleaned")
-
-	remote := ls.newClientAt(t, "remote", geo.Pt(1400, 1400), client.Options{})
-	ld, err := remote.PosQuery(ctx(t), "o1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ld.Pos != geo.Pt(800, 100) {
-		t.Errorf("ld = %+v", ld)
-	}
-}
-
-// TestPosQueryDuringDirectHandoverRepair asks for an object inside the
-// window a direct handover opens: the old agent has dropped its records,
-// the root still points at it, and the new agent's CreatePath — held back
-// here by the network — has not arrived. The root must hold the query for
-// the repair instead of answering that the object is not tracked.
-func TestPosQueryDuringDirectHandoverRepair(t *testing.T) {
-	const repairDelay = 100 * time.Millisecond
-	var holdRepairs atomic.Bool
-	net := transport.NewInproc(transport.InprocOptions{
-		FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
-			if _, ok := env.Msg.(msg.CreatePath); ok && to == "r" && holdRepairs.Load() {
-				return transport.Fault{Delay: repairDelay}
+		owner := ls.newClientAt(t, "owner", geo.Pt(700, 100), client.Options{})
+		obj, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(700, 100)), 10, 50, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return root.VisitorCount() == 1 }, "path at root")
+		// Warm r.0's (leaf → area) cache: the first range query spanning
+		// r.0 and r.1 teaches r.0 r.1's area, the second goes straight
+		// to r.1 when the cache is on.
+		q := ls.newClientAt(t, "warm", geo.Pt(100, 100), client.Options{})
+		for i := 0; i < 2; i++ {
+			if _, err := q.RangeQueryRect(ctx(t), geo.R(700, 50, 900, 150), 25, 0.5); err != nil {
+				t.Fatal(err)
 			}
-			return transport.Fault{}
-		},
-	})
-	dep, err := hierarchy.Deploy(net, quadSpec(), server.Options{EnableAreaCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		dep.Close()
-		net.Close()
-	})
-	ls := &testLS{net: net, dep: dep}
-	root, _ := dep.Server("r")
-	oldLeaf, _ := dep.Server("r.0")
+		}
+		if opts.EnableAreaCache {
+			if got := oldLeaf.Metrics().Counter("range_query_cache_direct").Value(); got != 1 {
+				t.Fatalf("range queries r.0 sent by its area cache = %d, want 1: the cache is not warm", got)
+			}
+		}
 
-	owner := ls.newClientAt(t, "owner", geo.Pt(700, 100), client.Options{})
-	obj, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(700, 100)), 10, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return root.VisitorCount() == 1 }, "path at root")
-	// Warm r.0's (leaf → area) cache as TestAreaCacheDirectHandover does.
-	q := ls.newClientAt(t, "warm", geo.Pt(100, 100), client.Options{})
-	if _, err := q.RangeQueryRect(ctx(t), geo.R(700, 50, 900, 150), 25, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return oldLeafHasArea(oldLeaf, geo.Pt(800, 100)) }, "r.0 learned r.1's area")
-
-	holdRepairs.Store(true)
-	if err := obj.Update(ctx(t), sightingAt("o1", geo.Pt(800, 100))); err != nil {
-		t.Fatal(err)
-	}
-	if got := oldLeaf.Metrics().Counter("handover_direct").Value(); got != 1 {
-		t.Fatalf("direct handovers = %d, want 1", got)
-	}
-	if rec, _ := rootVisitor(root, "o1"); rec.ForwardRef != "r.0" {
-		t.Fatalf("root already points to %q: the repair was not held back", rec.ForwardRef)
+		before := quiescent(&delivered)
+		if err := obj.Update(ctx(t), sightingAt("o1", geo.Pt(800, 100))); err != nil {
+			t.Fatal(err)
+		}
+		if obj.Agent() != "r.1" {
+			t.Fatalf("agent = %s, want r.1", obj.Agent())
+		}
+		if got := root.Metrics().Counter("handover_seen").Value(); got != 1 {
+			t.Errorf("handovers seen at the lowest common ancestor = %d, want 1", got)
+		}
+		return quiescent(&delivered) - before
 	}
 
-	remote := ls.newClientAt(t, "remote", geo.Pt(1400, 1400), client.Options{})
-	asked := time.Now()
-	ld, err := remote.PosQuery(ctx(t), "o1")
-	if err != nil {
-		t.Fatalf("query inside the repair window: %v", err)
-	}
-	if ld.Pos != geo.Pt(800, 100) {
-		t.Errorf("ld = %+v, want the position at the new agent", ld)
-	}
-	if root.Metrics().Counter("pos_fwd_bounced").Value() == 0 {
-		t.Error("the query never dead-ended at the root: the window was not exercised")
-	}
-	if waited := time.Since(asked); waited > 2*repairDelay {
-		t.Errorf("query answered after %v: released by the grace period, not by the repair arriving after %v", waited, repairDelay)
+	cold := handover(t, server.Options{})
+	warm := handover(t, cacheOpts())
+	if warm != cold {
+		t.Errorf("the handover delivered %d envelopes with a warm area cache, %d with caches off", warm, cold)
 	}
 }
 
-// oldLeafHasArea checks the leaf-area cache through the exported test hook.
-func oldLeafHasArea(s *server.Server, p geo.Point) bool {
-	_, ok := s.CachedLeafForTest(p)
-	return ok
+// quiescent waits until the network has delivered nothing for 50 ms and
+// returns the delivery count then. It sleeps because what it waits for is
+// an absence: the acknowledgements and path messages earlier operations left
+// in flight have no completion event a test can observe.
+func quiescent(delivered *atomic.Int64) int64 {
+	last := delivered.Load()
+	for still := 0; still < 5; {
+		time.Sleep(10 * time.Millisecond)
+		if n := delivered.Load(); n != last {
+			last, still = n, 0
+		} else {
+			still++
+		}
+	}
+	return last
+}
+
+// TestPosQueryDuringHandover asks for an object while a handover is under
+// way: once with the HandoverReq from the lowest common ancestor down to the
+// new side held back by the network, once with the HandoverRes from the
+// lowest common ancestor back to the old side held back. Algorithm 6-3 keeps
+// a path from the root to an agent through both windows, so a query from a
+// third leaf finds the object at once and never bounces at the root.
+func TestPosQueryDuringHandover(t *testing.T) {
+	const hold = 100 * time.Millisecond
+	cases := []struct {
+		name               string
+		spec               hierarchy.Spec
+		from, to, third    geo.Point
+		oldAgent, newAgent msg.NodeID
+		// oldSide and newSide are the root's children toward the old and
+		// the new agent; the root is the lowest common ancestor.
+		oldSide, newSide msg.NodeID
+	}{
+		{
+			name: "sibling", spec: quadSpec(),
+			from: geo.Pt(700, 100), to: geo.Pt(800, 100), third: geo.Pt(1400, 1400),
+			oldAgent: "r.0", newAgent: "r.1", oldSide: "r.0", newSide: "r.1",
+		},
+		{
+			name: "cousin",
+			spec: hierarchy.Spec{
+				RootArea: geo.R(0, 0, 1600, 1600),
+				Levels:   []hierarchy.Level{{Rows: 2, Cols: 2}, {Rows: 2, Cols: 2}},
+			},
+			from: geo.Pt(700, 100), to: geo.Pt(900, 100), third: geo.Pt(1500, 1500),
+			oldAgent: "r.0.1", newAgent: "r.1.0", oldSide: "r.0", newSide: "r.1",
+		},
+	}
+	windows := []struct {
+		name string
+		// held picks the one envelope the network holds back.
+		held func(from, to, oldSide, newSide msg.NodeID, m msg.Message) bool
+	}{
+		{"request to the new side", func(from, to, _, newSide msg.NodeID, m msg.Message) bool {
+			_, ok := m.(msg.HandoverReq)
+			return ok && from == "r" && to == newSide
+		}},
+		{"response to the old side", func(from, to, oldSide, _ msg.NodeID, m msg.Message) bool {
+			_, ok := m.(msg.HandoverRes)
+			return ok && from == "r" && to == oldSide
+		}},
+	}
+	for _, tc := range cases {
+		for _, w := range windows {
+			tc, w := tc, w // the FaultPlan may outlive the iteration
+			t.Run(tc.name+"/"+w.name, func(t *testing.T) {
+				var armed atomic.Bool
+				opened := make(chan struct{}, 1)
+				net := transport.NewInproc(transport.InprocOptions{
+					FaultPlan: func(from, to msg.NodeID, env msg.Envelope) transport.Fault {
+						if w.held(from, to, tc.oldSide, tc.newSide, env.Msg) && armed.CompareAndSwap(true, false) {
+							opened <- struct{}{}
+							return transport.Fault{Delay: hold}
+						}
+						return transport.Fault{}
+					},
+				})
+				dep, err := hierarchy.Deploy(net, tc.spec, cacheOpts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() {
+					dep.Close()
+					net.Close()
+				})
+				ls := &testLS{net: net, dep: dep}
+				root, _ := dep.Server("r")
+
+				owner := ls.newClientAt(t, "owner", tc.from, client.Options{})
+				obj, err := owner.Register(ctx(t), sightingAt("o1", tc.from), 10, 50, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if obj.Agent() != tc.oldAgent {
+					t.Fatalf("initial agent = %s, want %s", obj.Agent(), tc.oldAgent)
+				}
+				waitFor(t, func() bool { return root.VisitorCount() == 1 }, "registration path at the root")
+				remote := ls.newClientAt(t, "remote", tc.third, client.Options{})
+
+				armed.Store(true)
+				moved := make(chan error, 1)
+				go func() { moved <- obj.Update(ctx(t), sightingAt("o1", tc.to)) }()
+				select {
+				case <-opened:
+				case err := <-moved:
+					t.Fatalf("handover finished (err %v) without the held message", err)
+				}
+
+				asked := time.Now()
+				ld, err := remote.PosQuery(ctx(t), "o1")
+				waited := time.Since(asked)
+				if err != nil {
+					t.Fatalf("query inside the window: %v", err)
+				}
+				if ld.Pos != tc.from && ld.Pos != tc.to {
+					t.Errorf("ld = %+v, want the old position %v or the new %v", ld, tc.from, tc.to)
+				}
+				if waited >= hold {
+					t.Errorf("query answered after %v, not inside the %v window", waited, hold)
+				}
+				if err := <-moved; err != nil {
+					t.Fatal(err)
+				}
+				if obj.Agent() != tc.newAgent {
+					t.Errorf("agent = %s, want %s", obj.Agent(), tc.newAgent)
+				}
+				if got := root.Metrics().Counter("pos_fwd_bounced").Value(); got != 0 {
+					t.Errorf("root bounced %d position queries", got)
+				}
+			})
+		}
+	}
 }
 
 func TestAreaCacheDirectRangeQuery(t *testing.T) {
@@ -433,5 +503,3 @@ func TestCachesDisabledByDefault(t *testing.T) {
 		t.Errorf("tree-routed queries = %d, want 3", got)
 	}
 }
-
-var _ = msg.NodeID("") // keep the import for helpers above

@@ -5,18 +5,12 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
-	"locsvc/internal/msg"
 	"locsvc/internal/store"
 )
 
 // VisitorForTest exposes visitor records to black-box tests.
 func (s *Server) VisitorForTest(oid core.OID) (store.VisitorRecord, bool) {
 	return s.visitors.Get(oid)
-}
-
-// CachedLeafForTest exposes the (leaf → area) cache to black-box tests.
-func (s *Server) CachedLeafForTest(p geo.Point) (msg.NodeID, bool) {
-	return s.caches.leafFor(p)
 }
 
 // EventSubCountForTest exposes the number of locally installed event

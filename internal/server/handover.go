@@ -125,40 +125,14 @@ func (s *Server) refreshAcc(oid core.OID) {
 	}
 }
 
-// forwardHandover starts handover processing: with a warm (leaf → area)
-// cache the old agent contacts the new leaf directly and repairs the tree
-// afterwards (Section 6.5); otherwise the request climbs the hierarchy as
-// in Algorithm 6-3.
+// forwardHandover starts handover processing: the request climbs the
+// hierarchy as in Algorithm 6-3, so the path from the root reaches an agent
+// at every moment. The leaf-to-leaf shortcut of Section 6.5 is not taken: it
+// answered first and re-pointed the tree afterwards, leaving a window in
+// which queries dead-ended, and no workload earned it.
 func (s *Server) forwardHandover(ctx context.Context, req msg.HandoverReq) (msg.HandoverRes, error) {
 	cctx, cancel := s.callCtx(ctx)
 	defer cancel()
-
-	if leaf, ok := s.caches.leafFor(req.S.Pos); ok && leaf != s.ID() {
-		direct := req
-		direct.Direct = true
-		resp, err := s.node.Call(cctx, leaf, direct)
-		if err == nil {
-			if hr, ok := resp.(msg.HandoverRes); ok {
-				s.writeMet.handoverDirect.Inc()
-				// Prune the old branch bottom-up; the repair
-				// CreatePath from the new agent re-points the
-				// LCA (see handleRemovePath for the guards).
-				if s.parent() != "" {
-					s.forwardPath(s.parentForOID(req.S.OID), msg.RemovePath{
-						OID:       req.S.OID,
-						SightingT: req.S.T,
-						HasNewPos: true,
-						NewPos:    req.S.Pos,
-					})
-				}
-				return hr, nil
-			}
-		}
-		// Stale cache entry or unreachable leaf: invalidate and fall
-		// back to the hierarchy.
-		s.caches.invalidateLeaf(leaf)
-		s.writeMet.handoverDirectMiss.Inc()
-	}
 
 	parent := s.parentForOID(req.S.OID)
 	if parent == "" {
@@ -183,26 +157,6 @@ func (s *Server) forwardHandover(ctx context.Context, req msg.HandoverReq) (msg.
 func (s *Server) handleHandover(ctx context.Context, from msg.NodeID, req msg.HandoverReq) (msg.Message, error) {
 	req.Hops++
 	s.writeMet.handoverSeen.Inc()
-
-	if req.Direct {
-		// Cache-shortcut delivery straight to this leaf (Section 6.5).
-		if !s.cfg.IsLeaf() || !s.inArea(req.S.Pos) {
-			return nil, core.ErrOutOfArea
-		}
-		res, err := s.becomeAgent(req)
-		if err != nil {
-			return nil, err
-		}
-		// Repair the forwarding path: a full-height CreatePath, so
-		// the root always learns the newest branch even when stale
-		// leftover records exist on the way up.
-		if s.parent() != "" {
-			s.forwardPath(s.parentForOID(req.S.OID), msg.CreatePath{
-				OID: req.S.OID, Leaf: s.leafInfo(), SightingT: req.S.T,
-			})
-		}
-		return res, nil
-	}
 
 	if !s.inArea(req.S.Pos) {
 		// Lines 16-20: forward upwards and drop our forwarding

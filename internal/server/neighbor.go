@@ -48,13 +48,12 @@ func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryR
 	rootBounds := s.rootArea.Bounds()
 	maxRadius := rootBounds.Width() + rootBounds.Height() // covers everything from any p
 
-	radius := s.opts.NNInitialRadius
+	// The first ring's radius is (w+h)/8 of the entry leaf's service-area
+	// bounds: a quarter of their mean side length.
+	sa := s.cfg.SA.Bounds()
+	radius := (sa.Width() + sa.Height()) / 8
 	if radius <= 0 {
-		sa := s.cfg.SA.Bounds()
-		radius = (sa.Width() + sa.Height()) / 8
-		if radius <= 0 {
-			radius = maxRadius / 64
-		}
+		radius = maxRadius / 64
 	}
 
 	// The overlap threshold only needs to be positive: any object whose

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"locsvc/internal/core"
@@ -171,28 +170,7 @@ func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 		res.OpID = req.Origin.OpID
 		res.Hops = req.Hops
 		s.respondToOrigin(req.Origin, res)
-	case ok:
-		if msg.NodeID(rec.ForwardRef) == from {
-			// The child this record points to just forwarded the
-			// query up, i.e. it found no record. Either our record
-			// is a stale leftover (a path message that arrived after
-			// a later handover moved the object elsewhere) or the
-			// child's record is being installed at this very moment
-			// by an in-flight handover — the two cases cannot be
-			// told apart here, so the record is kept and the query
-			// continues climbing; the hop TTL below bounds the
-			// bouncing a genuinely stale record can cause.
-			s.met.Counter("pos_fwd_bounced").Inc()
-			parent := s.parentForOID(req.OID)
-			if parent == "" {
-				// Nobody above to ask: hold the query for the repair
-				// that an in-flight handover is about to deliver.
-				s.holdForRepair(req)
-				return
-			}
-			s.forwardPosQueryOr(parent, req)
-			return
-		}
+	case ok && msg.NodeID(rec.ForwardRef) != from:
 		if req.Hops > maxFwdHops {
 			// A stale forwarding loop: give up quickly instead of
 			// letting the entry server wait for its timeout.
@@ -203,85 +181,27 @@ func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 		// Lines 6-7: follow the forwarding reference downwards.
 		s.forwardPosQueryOr(msg.NodeID(rec.ForwardRef), req)
 	default:
+		if ok {
+			// The child this record points to just forwarded the
+			// query up, i.e. it found no record: ours is a stale
+			// leftover (a path message that arrived after a later
+			// handover moved the object elsewhere). The record is
+			// kept and the query climbs on like one that found no
+			// record; the hop TTL bounds the bouncing. A handover in
+			// flight does not open this case: Algorithm 6-3
+			// re-points each hop on the new branch before the old
+			// branch lets go of its records, top-down.
+			s.met.Counter("pos_fwd_bounced").Inc()
+		}
 		// Lines 8-9: no record; forward upwards.
 		parent := s.parentForOID(req.OID)
 		if parent == "" {
-			// Root without a record: the object is not tracked.
+			// Root without a record to follow: the object is not
+			// tracked.
 			s.respondToOrigin(req.Origin, msg.PosQueryRes{OpID: req.Origin.OpID, Found: false, Hops: req.Hops})
 			return
 		}
 		s.forwardPosQueryOr(parent, req)
-	}
-}
-
-// repairGrace is how long the root holds a position query that dead-ended
-// on the root's own record before answering it not-found. A repair in
-// flight arrives within a round trip or two; the grace is what a genuinely
-// stale leftover record costs its askers, so it stays well under their
-// query timeout.
-const repairGrace = 250 * time.Millisecond
-
-// heldQueries holds, at the root, the position queries whose forwarding
-// path dead-ended: the root's record points to the very child that found
-// nothing below it. After a direct handover that is the normal state of
-// affairs for a moment — the old agent has dropped its records and pruned
-// its branch, while the new agent's CreatePath is still climbing — and the
-// object is not gone at all. So the query waits for the next change to the
-// object's path at the root (the repair, whose climb ends here, or a
-// removal), then descends again along whatever the root records by then.
-// Nothing blocks: a held query is an entry and a timer.
-type heldQueries struct {
-	mu sync.Mutex
-	m  map[core.OID][]*heldQuery
-}
-
-type heldQuery struct {
-	req   msg.PosQueryFwd
-	timer *time.Timer
-}
-
-// holdForRepair parks req until releaseHeld(req.OID) or the grace runs out.
-func (s *Server) holdForRepair(req msg.PosQueryFwd) {
-	h := &s.held
-	q := &heldQuery{req: req}
-	q.timer = time.AfterFunc(repairGrace, func() {
-		h.mu.Lock()
-		qs := h.m[req.OID]
-		for i := range qs {
-			if qs[i] != q {
-				continue
-			}
-			if qs = append(qs[:i], qs[i+1:]...); len(qs) == 0 {
-				delete(h.m, req.OID)
-			} else {
-				h.m[req.OID] = qs
-			}
-			h.mu.Unlock()
-			s.respondToOrigin(req.Origin, msg.PosQueryRes{OpID: req.Origin.OpID, Found: false, Hops: req.Hops})
-			return
-		}
-		h.mu.Unlock() // released meanwhile
-	})
-	h.mu.Lock()
-	if h.m == nil {
-		h.m = make(map[core.OID][]*heldQuery)
-	}
-	h.m[req.OID] = append(h.m[req.OID], q)
-	h.mu.Unlock()
-}
-
-// releaseHeld sends the queries held for oid down the tree again, from this
-// server's current record. The path-maintenance handlers call it after a
-// change to oid's record at the root.
-func (s *Server) releaseHeld(oid core.OID) {
-	h := &s.held
-	h.mu.Lock()
-	qs := h.m[oid]
-	delete(h.m, oid)
-	h.mu.Unlock()
-	for _, q := range qs {
-		q.timer.Stop()
-		s.handlePosQueryFwd("", q.req)
 	}
 }
 

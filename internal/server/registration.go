@@ -110,8 +110,8 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 func (s *Server) handleCreatePath(from msg.NodeID, req msg.CreatePath) {
 	s.observeLeafInfo(req.Leaf)
 	if s.cfg.IsLeaf() {
-		// A direct-handover repair can deliver CreatePath to a leaf
-		// only by misconfiguration; ignore.
+		// CreatePath climbs from a leaf to the root; one delivered to
+		// a leaf can come only from misconfiguration. Ignore it.
 		return
 	}
 	if _, err := s.visitors.PutIfNewer(store.VisitorRecord{
@@ -127,24 +127,14 @@ func (s *Server) handleCreatePath(from msg.NodeID, req msg.CreatePath) {
 	// subtree. Each ancestor applies or refuses independently by PathT.
 	if s.parent() != "" {
 		s.forwardPath(s.parentForOID(req.OID), req)
-		return
 	}
-	// The climb ends here, so the path below is whole again.
-	s.releaseHeld(req.OID)
 }
 
 // handleRemovePath tears a forwarding path down bottom-up: used by
-// deregistration, soft-state expiry, and old-branch pruning after a direct
-// handover. Two guards stop the removal where the path is still live:
-// a handover prune carries the object's new position and never removes
-// records at servers whose area contains it (the LCA and its ancestors,
-// where old and new paths coincide); and a server only removes its record
-// if the forwarding reference still points to the child the removal came
-// from (the branch was not re-pointed meanwhile).
+// deregistration and soft-state expiry. A server only removes its record if
+// the forwarding reference still points to the child the removal came from
+// (the branch was not re-pointed meanwhile).
 func (s *Server) handleRemovePath(from msg.NodeID, req msg.RemovePath) {
-	if req.HasNewPos && s.inArea(req.NewPos) {
-		return // ancestor of the new agent: record still needed
-	}
 	removed, err := s.visitors.RemoveIf(req.OID, func(rec store.VisitorRecord) bool {
 		// A fresher sighting re-installed this record, or the path
 		// was re-pointed away from the pruned branch: keep it.
@@ -154,14 +144,9 @@ func (s *Server) handleRemovePath(from msg.NodeID, req msg.RemovePath) {
 		s.met.Counter("visitor_db_errors").Inc()
 		return
 	}
-	if !removed {
-		return
-	}
-	if s.parent() != "" {
+	if removed && s.parent() != "" {
 		s.forwardPath(s.parentForOID(req.OID), req)
-		return
 	}
-	s.releaseHeld(req.OID)
 }
 
 // respondToOrigin sends an operation response directly to the node the

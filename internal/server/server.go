@@ -106,7 +106,8 @@ type Options struct {
 	// QueryTimeout bounds the entry server's wait for distributed query
 	// results.
 	QueryTimeout time.Duration
-	// EnableAreaCache turns on the (leaf server → service area) cache.
+	// EnableAreaCache turns on the (leaf server → service area) cache,
+	// which range queries use to fan out without the tree.
 	EnableAreaCache bool
 	// EnableAgentCache turns on the (object → agent) cache.
 	EnableAgentCache bool
@@ -117,9 +118,6 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Clock injects a time source for tests.
 	Clock func() time.Time
-	// NNInitialRadius seeds the nearest-neighbor expanding search;
-	// defaults to a quarter of the leaf service-area diagonal.
-	NNInitialRadius float64
 	// DedupeWindow bounds how long a leaf remembers replies to Seq-stamped
 	// requests (UpdateReq, RegisterReq) so a client retry is applied
 	// exactly once. Zero uses a 30s default; the window only needs to
@@ -258,7 +256,6 @@ type Server struct {
 
 	caches *leafCaches
 	pend   *pending
-	held   heldQueries
 	events *events
 	notify *notifier
 	met    *metrics.Registry
@@ -316,7 +313,6 @@ type writeCounters struct {
 	registerSeen, registerOK, registerFailed, registerDeduped *metrics.Counter
 	updatesLocal, updatesDeduped, updatesRedirectedStandby    *metrics.Counter
 	handoverInitiated, handoverSeen, handoverAccepted         *metrics.Counter
-	handoverDirect, handoverDirectMiss                        *metrics.Counter
 }
 
 func newWriteCounters(met *metrics.Registry) writeCounters {
@@ -331,8 +327,6 @@ func newWriteCounters(met *metrics.Registry) writeCounters {
 		handoverInitiated:        met.Counter("handover_initiated"),
 		handoverSeen:             met.Counter("handover_seen"),
 		handoverAccepted:         met.Counter("handover_accepted"),
-		handoverDirect:           met.Counter("handover_direct"),
-		handoverDirectMiss:       met.Counter("handover_direct_miss"),
 	}
 }
 

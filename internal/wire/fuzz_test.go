@@ -19,6 +19,12 @@ func FuzzDecode(f *testing.F) {
 		{From: "obj-1", CorrID: 42, Msg: msg.UpdateReq{S: core.Sighting{
 			OID: "truck-7", T: time.Unix(1_700_000_000, 0).UTC(), Pos: geo.Pt(123.5, 456.25), SensAcc: 10,
 		}}},
+		{From: "r.0", CorrID: 8, Msg: msg.HandoverReq{
+			S:        core.Sighting{OID: "truck-7", T: time.Unix(1_700_000_000, 0).UTC(), Pos: geo.Pt(800, 100), SensAcc: 10},
+			RegInfo:  core.RegInfo{DesAcc: 10, MinAcc: 50, MaxSpeed: 3, Registrant: "obj-1"},
+			OldAgent: "r.0", Hops: 1,
+		}},
+		{From: "r.0", CorrID: 9, Msg: msg.RemovePath{OID: "truck-7", SightingT: time.Unix(1_700_000_000, 0).UTC()}},
 		{From: "r.0", Reply: true, CorrID: 7, Msg: msg.PosQueryRes{
 			OpID: 9, Found: true, LD: core.LocationDescriptor{Pos: geo.Pt(1, 2), Acc: 3},
 			Agent: "r.1", MaxSpeed: 4, Hops: 2,

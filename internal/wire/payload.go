@@ -43,8 +43,6 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 	case msg.RemovePath:
 		dst = appendString(dst, string(m.OID))
 		dst = appendTime(dst, m.SightingT)
-		dst = appendBool(dst, m.HasNewPos)
-		dst = appendPoint(dst, m.NewPos)
 		return dst, msg.TagRemovePath, true
 	case msg.UpdateReq:
 		dst = appendSighting(dst, m.S)
@@ -60,7 +58,6 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendSighting(dst, m.S)
 		dst = appendRegInfo(dst, m.RegInfo)
 		dst = appendString(dst, string(m.OldAgent))
-		dst = appendBool(dst, m.Direct)
 		dst = appendInt(dst, m.Hops)
 		return dst, msg.TagHandoverReq, true
 	case msg.HandoverRes:
@@ -188,7 +185,6 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendInt(dst, m.Visitors)
 		dst = appendInt(dst, m.Sightings)
 		dst = appendShardDiags(dst, m.Shards)
-		dst = appendU64(dst, m.Epoch)
 		dst = appendTierDiag(dst, m.Tier)
 		dst = appendReplDiag(dst, m.Repl)
 		dst = appendI64(dst, m.PipelineOps)
@@ -274,8 +270,6 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 		return msg.RemovePath{
 			OID:       r.oid(),
 			SightingT: r.timestamp(),
-			HasNewPos: r.boolean(),
-			NewPos:    r.point(),
 		}, true
 	case msg.TagUpdateReq:
 		return msg.UpdateReq{S: r.sighting(), Seq: r.u64()}, true
@@ -291,7 +285,6 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			S:        r.sighting(),
 			RegInfo:  r.regInfo(),
 			OldAgent: r.nodeID(),
-			Direct:   r.boolean(),
 			Hops:     r.integer(),
 		}, true
 	case msg.TagHandoverRes:
@@ -422,7 +415,6 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			Visitors:         r.integer(),
 			Sightings:        r.integer(),
 			Shards:           r.shardDiags(),
-			Epoch:            r.u64(),
 			Tier:             r.tierDiag(),
 			Repl:             r.replDiag(),
 			PipelineOps:      r.i64(),

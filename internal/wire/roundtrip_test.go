@@ -251,13 +251,13 @@ func randomMessage(rng *rand.Rand, tag msg.Tag) (msg.Message, bool) {
 	case msg.TagCreatePath:
 		return msg.CreatePath{OID: randOID(rng), Leaf: randLeafInfo(rng), SightingT: randTime(rng)}, true
 	case msg.TagRemovePath:
-		return msg.RemovePath{OID: randOID(rng), SightingT: randTime(rng), HasNewPos: rng.Intn(2) == 0, NewPos: randPoint(rng)}, true
+		return msg.RemovePath{OID: randOID(rng), SightingT: randTime(rng)}, true
 	case msg.TagUpdateReq:
 		return msg.UpdateReq{S: randSighting(rng), Seq: rng.Uint64()}, true
 	case msg.TagUpdateRes:
 		return msg.UpdateRes{Moved: rng.Intn(2) == 0, NewAgent: randNodeID(rng), AgentInfo: randLeafInfo(rng), OfferedAcc: randF(rng)}, true
 	case msg.TagHandoverReq:
-		return msg.HandoverReq{S: randSighting(rng), RegInfo: randRegInfo(rng), OldAgent: randNodeID(rng), Direct: rng.Intn(2) == 0, Hops: randInt(rng)}, true
+		return msg.HandoverReq{S: randSighting(rng), RegInfo: randRegInfo(rng), OldAgent: randNodeID(rng), Hops: randInt(rng)}, true
 	case msg.TagHandoverRes:
 		return msg.HandoverRes{NewAgent: randNodeID(rng), AgentInfo: randLeafInfo(rng), OfferedAcc: randF(rng), Hops: randInt(rng)}, true
 	case msg.TagDeregisterReq:
@@ -303,7 +303,7 @@ func randomMessage(rng *rand.Rand, tag msg.Tag) (msg.Message, bool) {
 	case msg.TagDiagReq:
 		return msg.DiagReq{}, true
 	case msg.TagDiagRes:
-		return msg.DiagRes{Server: randNodeID(rng), IsLeaf: rng.Intn(2) == 0, Visitors: randInt(rng), Sightings: randInt(rng), Shards: randShardDiags(rng), Epoch: rng.Uint64(), Tier: randTierDiag(rng), Repl: randReplDiag(rng), PipelineOps: rng.Int63(), PipelineHandoffs: rng.Int63(), EventSubs: randInt(rng), EventCoordSubs: randInt(rng), Metrics: randString(rng)}, true
+		return msg.DiagRes{Server: randNodeID(rng), IsLeaf: rng.Intn(2) == 0, Visitors: randInt(rng), Sightings: randInt(rng), Shards: randShardDiags(rng), Tier: randTierDiag(rng), Repl: randReplDiag(rng), PipelineOps: rng.Int63(), PipelineHandoffs: rng.Int63(), EventSubs: randInt(rng), EventCoordSubs: randInt(rng), Metrics: randString(rng)}, true
 	case msg.TagAck:
 		return msg.Ack{}, true
 	case msg.TagErrorRes:

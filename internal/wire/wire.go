@@ -116,6 +116,12 @@
 //     starts empty: a client retry that straddles the failover may be
 //     re-applied once by the new primary (last-wins sighting semantics
 //     make this harmless; see the internal/server doc).
+//   - v4: one handover algorithm. HandoverReq lost Direct bool (the
+//     leaf-to-leaf cache shortcut is gone; every handover climbs to the
+//     lowest common ancestor), RemovePath lost HasNewPos bool + NewPos
+//     Point (the shortcut's old-branch prune was their only sender), and
+//     DiagRes lost Epoch uint64 (always 0 since the sighting store's
+//     shard count became fixed at construction).
 //
 // # Retry idempotency
 //
@@ -151,7 +157,7 @@ import (
 // wireVersion is the format generation of this codec. Bump it whenever an
 // existing message's field layout or a primitive encoding changes. See the
 // version history in the package doc.
-const wireVersion = 3
+const wireVersion = 4
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool, so a
 // rare huge envelope (an oversize range-query result rejected by the

@@ -15,8 +15,13 @@
 // agents holding sighting records in a main-memory database (spatial index
 // plus object-id hash index); non-leaf servers hold forwarding references
 // that form a root-to-agent path per object. Handovers move tracking
-// responsibility as objects cross service-area boundaries; three optional
-// leaf caches shortcut the tree for hot paths.
+// responsibility as objects cross service-area boundaries, always through
+// the lowest common ancestor of the old and the new agent, which re-points
+// the path before the old agent lets go. Three optional leaf caches
+// shortcut the tree for queries: position descriptors and agents for
+// position queries, leaf service areas for range-query fan-out. The paper's
+// leaf-to-leaf handover through the area cache is not implemented: it
+// answered before the tree was repaired, and queries dead-ended meanwhile.
 //
 // # Quick start
 //
@@ -178,7 +183,9 @@ type LocalConfig struct {
 	// with Replicas (default 500ms). Failover triggers after three
 	// consecutive probe failures.
 	ReplHealthInterval time.Duration
-	// EnableCaches turns on all three leaf caches of Section 6.5.
+	// EnableCaches turns on all three leaf caches of Section 6.5. They
+	// serve queries only: a handover still climbs to the lowest common
+	// ancestor of the old and the new agent.
 	EnableCaches bool
 	// HopLatency delays every message, modelling network hops.
 	HopLatency time.Duration
