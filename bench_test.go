@@ -635,11 +635,11 @@ func BenchmarkWALReplay(b *testing.B) {
 					Pos: geo.Pt(rng.Float64()*table1AreaSide, rng.Float64()*table1AreaSide),
 				})
 				if len(batch) == cap(batch) {
-					db.PutBatchAcc(batch, nil, nil)
+					db.PutBatch(batch, nil)
 					batch = batch[:0]
 				}
 			}
-			db.PutBatchAcc(batch, nil, nil)
+			db.PutBatch(batch, nil)
 			if err := db.WALErr(); err != nil {
 				b.Fatal(err)
 			}

@@ -99,7 +99,7 @@ func main() {
 		depth        = flag.Int("depth", 1, "number of hierarchy levels below the root (with -gen)")
 		host         = flag.String("host", "127.0.0.1", "host for generated addresses (with -gen)")
 		port         = flag.Int("port", 7000, "first port for generated addresses (with -gen)")
-		walPath      = flag.String("wal", "", "visitorDB WAL path (persistent forwarding paths)")
+		walPath      = flag.String("wal", "", "visitor-record WAL path (persistent forwarding paths; a leaf's registrations)")
 		swalDir      = flag.String("swal", "", "sightingDB WAL directory: one durable log segment per shard, replayed in parallel at startup (leaves only)")
 		shards       = flag.Int("shards", 1, "sighting-store shards on a leaf (independently locked, keyed by object id); an existing -swal directory keeps its own count")
 		tier         = flag.Bool("tier", false, "tiered (LSM) sighting storage: shards become memtables, older versions live in sorted runs beside the -swal segments, recovery replays only the WAL tail (leaves with -swal only)")

@@ -1,8 +1,9 @@
 // Recovery demonstrates the crash-recovery design of Section 5, upgraded
 // with durable sighting state:
 //
-//   - the visitorDB lives on persistent storage (a write-ahead log), so
-//     forwarding paths survive a server crash;
+//   - the leaf's visitor records — its registrations, which it keeps in
+//     the sighting store next to the sightings — live on persistent
+//     storage (a write-ahead log), so they survive a server crash;
 //   - the sightingDB — in the paper purely main-memory, rebuilt by asking
 //     every persisted visitor for a fresh update — here also keeps one
 //     durable log segment per shard (store.ShardedWAL). After a restart the
@@ -57,7 +58,7 @@ func main() {
 	}
 	rootArea := core.AreaFromRect(spec.RootArea)
 
-	// Start the tree; leaf r.0 gets a WAL-backed visitorDB and a sharded,
+	// Start the tree; leaf r.0 gets a registration log and a sharded,
 	// WAL-backed sightingDB.
 	servers := map[string]*server.Server{}
 	startServer := func(cfg store.ConfigRecord, durable bool) *server.Server {

@@ -217,8 +217,8 @@ type NotifyAvailAcc struct {
 }
 
 // RequestUpdate asks a tracked object for an immediate position update; a
-// recovering leaf server uses it to restore sightings for visitors found in
-// its persistent visitorDB (Section 5).
+// recovering leaf server uses it to restore sightings for the objects whose
+// registrations its persistent log kept (Section 5).
 type RequestUpdate struct {
 	OID core.OID
 }
@@ -518,7 +518,8 @@ type ReplDiag struct {
 type ReplOp uint8
 
 // Replicated stream record kinds. SightingPut/SightingRemove mirror the
-// sighting WAL tail; VisitorPut/VisitorRemove mirror the visitor log;
+// sighting WAL tail; VisitorPut/VisitorRemove mirror the registration
+// changes the store makes under the same shard lock;
 // Runs announces a flush or compaction whose immutable run files the
 // standby fetches via RunFetch; Snapshot carries a full stream state and
 // resets the receiver (bootstrap, gap healing, post-failover catch-up).
@@ -531,8 +532,8 @@ const (
 	ReplSnapshot
 )
 
-// VisitorState is the wire form of one visitor record (store.VisitorRecord)
-// for replication streams.
+// VisitorState is the wire form of one visitor record for replication
+// streams: a leaf's registration (store.Registration), ForwardRef empty.
 type VisitorState struct {
 	OID        core.OID
 	ForwardRef string
@@ -550,9 +551,9 @@ type ReplRecord struct {
 	Sightings []core.Sighting
 	// OID is the removed object of a ReplSightingRemove/ReplVisitorRemove.
 	OID core.OID
-	// Visitor is the record of a ReplVisitorPut.
+	// Visitor is the registration of a ReplVisitorPut.
 	Visitor VisitorState
-	// Visitors is the full visitor set of a visitor-stream ReplSnapshot.
+	// Visitors is the shard's registration set of a ReplSnapshot.
 	Visitors []VisitorState
 	// Dead is the tombstone set of a ReplSnapshot (objects removed from
 	// the memtable but still present in run files).
@@ -569,11 +570,10 @@ type ReplRecord struct {
 }
 
 // ReplAppend ships a batch of seq-numbered stream records from a primary
-// to its standby. Stream identifies the per-shard sighting stream (0 ≤
-// Stream < shard count) or the visitor stream (Stream == shard count);
-// FirstSeq is the sequence number of Recs[0], with consecutive records
-// numbered consecutively. The receiver applies records through its normal
-// store path and answers with a ReplAck.
+// to its standby. Stream identifies the shard's stream (0 ≤ Stream <
+// shard count); FirstSeq is the sequence number of Recs[0], with
+// consecutive records numbered consecutively. The receiver applies records
+// through its normal store path and answers with a ReplAck.
 type ReplAppend struct {
 	// Epoch fences zombies: a receiver at a higher epoch rejects the
 	// append (Fenced) instead of applying it.

@@ -25,10 +25,11 @@ import (
 // scripted random mix of every operation that installs, moves, re-annotates
 // or removes a sighting, and after each stretch compare range and
 // nearest-neighbor answers — at each leaf and through a client — with a
-// brute-force join of the leaves' sightingDBs and visitorDBs under the
+// brute-force join of the leaves' sightings and registrations under the
 // unprepared predicate (core.Area.RangeQualifies, core.SelectNearest). They
-// also walk every index entry for the covering invariant: an entry that
-// carries an accuracy carries its visitor record's current OfferedAcc.
+// also walk every index entry, memtable and run alike, for the covering
+// invariant: a registered object's entry carries its registration's
+// current OfferedAcc, an unregistered one's none.
 
 // parityWorld is one deployment under test plus the script's own view of
 // which objects exist.
@@ -334,8 +335,8 @@ func TestCoveringIndexParity(t *testing.T) {
 	}, "silent objects to expire")
 	w.check("after expiry")
 
-	// Crash recovery: the replayed entries carry no accuracy and resolve
-	// through the visitorDB; the updates that follow annotate them again.
+	// Crash recovery: the registration log replays before the sighting
+	// segments, so every replayed entry carries its accuracy again.
 	victim := w.dep.Leaves()[0]
 	cfg := configOf(t, w.dep, victim)
 	if err := w.dep.Servers[victim].Close(); err != nil {
@@ -347,16 +348,11 @@ func TestCoveringIndexParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.dep.Servers[victim] = srv
-	if n := w.check("after WAL recovery")[0]; n != 0 {
-		t.Fatalf("%d replayed entries carry an accuracy", n)
-	}
-	if got := srv.Metrics().Counter("range_acc_lookups").Value(); got == 0 {
-		t.Fatal("recovered leaf answered range queries without visitorDB lookups")
+	if n, want := w.check("after WAL recovery")[0], srv.VisitorCount(); n != want || n == 0 {
+		t.Fatalf("%d replayed entries carry an accuracy, want all %d", n, want)
 	}
 	w.steps(120)
-	if n := w.check("mix after WAL recovery")[0]; n == 0 {
-		t.Fatal("no entry was annotated again after recovery")
-	}
+	w.check("mix after WAL recovery")
 }
 
 func configOf(t *testing.T, dep *hierarchy.Deployment, id msg.NodeID) store.ConfigRecord {
@@ -400,12 +396,12 @@ func TestCoveringIndexParityTiered(t *testing.T) {
 			t.Fatalf("only %d flushes and %d compactions after %d rounds", f, c, round)
 		}
 	}
-	lookups := int64(0)
+	cold := int64(0)
 	for _, srv := range w.leaves() {
-		lookups += srv.Metrics().Counter("range_acc_lookups").Value()
+		cold += srv.SightingsForTest().TierStats().DiskLive
 	}
-	if lookups == 0 {
-		t.Fatal("cold hits resolved no accuracy through the visitorDB")
+	if cold == 0 {
+		t.Fatal("no entry was run-resident when the invariant was walked")
 	}
 }
 

@@ -57,7 +57,7 @@ func (s *Server) handleDiag() (msg.Message, error) {
 	res := msg.DiagRes{
 		Server:   s.ID(),
 		IsLeaf:   s.cfg.IsLeaf(),
-		Visitors: s.visitors.Len(),
+		Visitors: s.VisitorCount(),
 		Metrics:  s.met.Snapshot(),
 	}
 	if sdb := s.sightings; sdb != nil {

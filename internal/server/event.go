@@ -504,8 +504,11 @@ func (s *Server) applyDeltas(ds []store.Delta) {
 // applyCountDelta flips one object's membership in a count subscription
 // and reports whether it changed. Caller holds events.mu.
 func (s *Server) applyCountDelta(ls *leafSub, d store.Delta) bool {
-	now := d.Op == store.DeltaPut && ls.bounds.ContainsClosed(d.New) &&
-		s.countQualifies(ls.sub, d.OID, d.New)
+	now := false
+	if d.Op == store.DeltaPut && ls.bounds.ContainsClosed(d.New) {
+		reg, ok := s.sightings.Registration(d.OID)
+		now = ok && countQualifies(ls.sub, d.New, reg.OfferedAcc)
+	}
 	was := ls.members[d.OID]
 	if now == was {
 		return false
@@ -600,9 +603,9 @@ func (s *Server) resyncSub(ls *leafSub, force bool) {
 func (s *Server) resyncCount(ls *leafSub, force bool) {
 	sub := ls.sub
 	members := make(map[core.OID]bool)
-	s.sightings.SearchArea(ls.bounds, func(sight core.Sighting) bool {
-		if s.countQualifies(sub, sight.OID, sight.Pos) {
-			members[sight.OID] = true
+	s.sightings.SearchEntries(ls.bounds, func(id core.OID, pos geo.Point, acc float64) bool {
+		if countQualifies(sub, pos, acc) {
+			members[id] = true
 		}
 		return true
 	})
@@ -668,14 +671,14 @@ func (s *Server) resyncMeeting(ls *leafSub) {
 
 // countQualifies decides membership of one object in a count
 // subscription: position within the enlarged bounds is the caller's
-// precondition; the object must still be a registered visitor and its
-// location descriptor must majority-overlap the area.
-func (s *Server) countQualifies(sub msg.EventSubscribe, oid core.OID, pos geo.Point) bool {
-	rec, ok := s.visitors.Get(oid)
-	if !ok {
+// precondition; the object must be registered (acc is its offered
+// accuracy, store.AccUnknown when it is not), and its location descriptor
+// must majority-overlap the area.
+func countQualifies(sub msg.EventSubscribe, pos geo.Point, acc float64) bool {
+	if acc == store.AccUnknown {
 		return false
 	}
-	ld := core.LocationDescriptor{Pos: pos, Acc: rec.OfferedAcc}
+	ld := core.LocationDescriptor{Pos: pos, Acc: acc}
 	// Membership for events uses majority overlap, a pragmatic middle
 	// ground for "object is in the area".
 	return sub.Area.RangeQualifies(ld, sub.ReqAcc, 0.5)

@@ -8,9 +8,14 @@ import (
 	"locsvc/internal/store"
 )
 
-// VisitorForTest exposes visitor records to black-box tests.
+// VisitorForTest exposes visitor records to black-box tests: an inner
+// server's forwarding record, a leaf's registration (ForwardRef empty).
 func (s *Server) VisitorForTest(oid core.OID) (store.VisitorRecord, bool) {
-	return s.visitors.Get(oid)
+	if s.sightings == nil {
+		return s.visitors.Get(oid)
+	}
+	reg, ok := s.sightings.Registration(oid)
+	return store.VisitorRecord{OID: oid, OfferedAcc: reg.OfferedAcc, RegInfo: reg.RegInfo, PathT: reg.PathT}, ok
 }
 
 // EventSubCountForTest exposes the number of locally installed event
@@ -67,38 +72,47 @@ func (s *Server) LocalRangeForTest(area core.Area, reqAcc, reqOverlap float64) [
 	return s.localRangeResult(area, reqAcc, reqOverlap, area.Bounds().Enlarge(reqAcc))
 }
 
-// OracleEntriesForTest joins the sightingDB with the visitorDB by brute
-// force: every stored sighting that has a visitor record, as the entry a
+// OracleEntriesForTest joins the sightings with the registrations by brute
+// force: every stored sighting whose object is registered, as the entry a
 // query would report for it.
 func (s *Server) OracleEntriesForTest() []core.Entry {
-	var out []core.Entry
+	var sightings []core.Sighting
 	s.sightings.ForEach(func(sight core.Sighting) bool {
-		if rec, ok := s.visitors.Get(sight.OID); ok {
-			out = append(out, core.Entry{OID: sight.OID, LD: core.LocationDescriptor{Pos: sight.Pos, Acc: rec.OfferedAcc}})
-		}
+		sightings = append(sightings, sight)
 		return true
 	})
+	var out []core.Entry
+	for _, sight := range sightings {
+		if reg, ok := s.sightings.Registration(sight.OID); ok {
+			out = append(out, core.Entry{OID: sight.OID, LD: core.LocationDescriptor{Pos: sight.Pos, Acc: reg.OfferedAcc}})
+		}
+	}
 	return out
 }
 
-// CoveringEntriesForTest walks every index entry of the sightingDB and
-// checks the covering-entry invariant: an entry that carries an accuracy
-// carries its visitor record's current OfferedAcc. It returns how many
-// entries carry one and a description of every violation.
+// CoveringEntriesForTest walks every index entry of the sightingDB, from
+// the memtable and from the runs, and checks the covering-entry
+// invariant: the entry of a registered object carries its registration's
+// current OfferedAcc, the entry of an unregistered one AccUnknown. It
+// returns how many entries carry an accuracy and a description of every
+// violation.
 func (s *Server) CoveringEntriesForTest() (annotated int, violations []string) {
 	world := s.rootArea.Bounds().Enlarge(1e6)
+	accs := map[core.OID]float64{}
 	s.sightings.SearchEntries(world, func(id core.OID, _ geo.Point, acc float64) bool {
-		if acc == store.AccUnknown {
-			return true
-		}
-		annotated++
-		if rec, ok := s.visitors.Get(id); !ok {
-			violations = append(violations, fmt.Sprintf("%s: entry carries %v, no visitor record", id, acc))
-		} else if rec.OfferedAcc != acc {
-			violations = append(violations, fmt.Sprintf("%s: entry carries %v, visitor record offers %v", id, acc, rec.OfferedAcc))
-		}
+		accs[id] = acc
 		return true
 	})
+	for id, acc := range accs {
+		if acc != store.AccUnknown {
+			annotated++
+		}
+		if reg, ok := s.sightings.Registration(id); !ok && acc != store.AccUnknown {
+			violations = append(violations, fmt.Sprintf("%s: entry carries %v, no registration", id, acc))
+		} else if ok && reg.OfferedAcc != acc {
+			violations = append(violations, fmt.Sprintf("%s: entry carries %v, registration offers %v", id, acc, reg.OfferedAcc))
+		}
+	}
 	return annotated, violations
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"time"
 
 	"locsvc/internal/core"
 	"locsvc/internal/msg"
@@ -40,38 +41,33 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 		s.writeMet.updatesDeduped.Inc()
 		return reply, nil
 	}
-	accEpoch := s.accEpoch.Load()
-	rec, registered := s.visitors.Get(req.S.OID)
+	reg, registered := s.sightings.Registration(req.S.OID)
 	if !registered {
 		return nil, core.ErrNotFound
 	}
 
 	if s.inArea(req.S.Pos) {
 		// Line 8: plain in-area update, batched per shard by the
-		// pipeline under concurrency.
-		s.putSighting(req.S, rec.OfferedAcc, accEpoch)
+		// pipeline under concurrency. The store keeps the entry's
+		// accuracy in line with the registration.
+		s.pipe.Put(req.S)
 		s.writeMet.updatesLocal.Inc()
-		s.dedupe.rememberInArea(from, req.Seq, rec.OfferedAcc)
-		return msg.UpdateRes{OfferedAcc: rec.OfferedAcc}, nil
+		s.dedupe.rememberInArea(from, req.Seq, reg.OfferedAcc)
+		return msg.UpdateRes{OfferedAcc: reg.OfferedAcc}, nil
 	}
 
 	// Lines 1-6: the object left the service area — hand over.
 	s.writeMet.handoverInitiated.Inc()
 	res, err := s.forwardHandover(ctx, msg.HandoverReq{
 		S:        req.S,
-		RegInfo:  rec.RegInfo,
+		RegInfo:  reg.RegInfo,
 		OldAgent: s.ID(),
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Remove the visitor and sighting records (lines 5-6).
-	if d, ok := s.sightings.RemoveDelta(req.S.OID); ok {
-		s.enqueueDeltas([]store.Delta{d})
-	}
-	if _, derr := s.visitors.Remove(req.S.OID); derr != nil {
-		s.met.Counter("visitor_db_errors").Inc()
-	}
+	s.deregister(req.S.OID)
 	// Inform the tracked object of its new agent (line 4). Failed
 	// handovers are deliberately not remembered: a retry should attempt
 	// the handover again, not replay the failure.
@@ -83,46 +79,6 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 	}
 	s.dedupe.remember(from, req.Seq, ures)
 	return ures, nil
-}
-
-// putSighting commits sight through the update pipeline and records acc on
-// the sighting's index entry (see rangeScan for the invariant). acc is the
-// OfferedAcc of the object's visitor record as the caller read or wrote it
-// after loading epoch from accEpoch. If the epoch moved, an accuracy
-// rewrite ran meanwhile: the accuracy handed down may predate it while the
-// put landed after its re-annotation, so the entry is annotated again from
-// the visitor record.
-func (s *Server) putSighting(sight core.Sighting, acc float64, epoch uint64) {
-	s.pipe.PutAcc(sight, acc)
-	if s.accEpoch.Load() != epoch {
-		s.refreshAcc(sight.OID)
-	}
-}
-
-// visitorAccRewritten must follow every write (or removal) of a leaf's
-// visitor record that is not followed by a putSighting for the object: it
-// brings the accuracy on the sighting's index entry back in line.
-func (s *Server) visitorAccRewritten(oid core.OID) {
-	s.accEpoch.Add(1)
-	s.refreshAcc(oid)
-}
-
-// refreshAcc annotates oid's index entry with its visitor record's current
-// OfferedAcc (unknown when there is none), again if another rewrite landed
-// while it did — the later writer of the two then wins with the later
-// value.
-func (s *Server) refreshAcc(oid core.OID) {
-	for {
-		epoch := s.accEpoch.Load()
-		acc := float64(store.AccUnknown)
-		if rec, ok := s.visitors.Get(oid); ok {
-			acc = rec.OfferedAcc
-		}
-		s.sightings.SetAcc(oid, acc)
-		if s.accEpoch.Load() == epoch {
-			return
-		}
-	}
 }
 
 // forwardHandover starts handover processing: the request climbs the
@@ -175,8 +131,10 @@ func (s *Server) handleHandover(ctx context.Context, from msg.NodeID, req msg.Ha
 		if !ok {
 			return nil, core.ErrBadRequest
 		}
-		if _, derr := s.visitors.Remove(req.S.OID); derr != nil {
-			s.met.Counter("visitor_db_errors").Inc()
+		if !s.cfg.IsLeaf() {
+			if _, derr := s.visitors.Remove(req.S.OID); derr != nil {
+				s.met.Counter("visitor_db_errors").Inc()
+			}
 		}
 		hr.Hops++
 		return hr, nil
@@ -210,24 +168,42 @@ func (s *Server) handleHandover(ctx context.Context, from msg.NodeID, req msg.Ha
 	return hr, nil
 }
 
+// register installs sight's object's registration and sighting in one
+// store operation (Algorithm 6-1 lines 6-11, 6-3 lines 3-7) and feeds the
+// delta to the event engine.
+func (s *Server) register(sight core.Sighting, ri core.RegInfo, offered float64) error {
+	d, err := s.sightings.Register(sight, store.Registration{RegInfo: ri, OfferedAcc: offered, PathT: sight.T})
+	if err != nil {
+		s.met.Counter("visitor_db_errors").Inc()
+		return err
+	}
+	s.enqueueDeltas([]store.Delta{d})
+	return nil
+}
+
+// deregister removes id's registration and sighting in one store
+// operation, feeds the delta to the event engine and returns the removed
+// sighting's time; ok reports whether there was anything to remove.
+func (s *Server) deregister(id core.OID) (sightT time.Time, ok bool) {
+	d, sightT, ok, err := s.sightings.Deregister(id, false)
+	if err != nil {
+		s.met.Counter("visitor_db_errors").Inc()
+	}
+	if d.Op == store.DeltaRemove {
+		s.enqueueDeltas([]store.Delta{d})
+	}
+	return sightT, ok
+}
+
 // becomeAgent installs the visitor and sighting records on the new agent
 // (Algorithm 6-3 lines 3-7) and returns the handover response. The offered
 // accuracy is recomputed from this leaf's achievable accuracy, as different
 // leaves may sit on different sensor infrastructure.
 func (s *Server) becomeAgent(req msg.HandoverReq) (msg.HandoverRes, error) {
 	offered, _ := req.RegInfo.OfferedAcc(s.opts.AchievableAcc)
-	rec := store.VisitorRecord{
-		OID:        req.S.OID,
-		OfferedAcc: offered,
-		RegInfo:    req.RegInfo,
-		PathT:      req.S.T,
-	}
-	accEpoch := s.accEpoch.Load()
-	if err := s.visitors.Put(rec); err != nil {
-		s.met.Counter("visitor_db_errors").Inc()
+	if err := s.register(req.S, req.RegInfo, offered); err != nil {
 		return msg.HandoverRes{}, err
 	}
-	s.putSighting(req.S, offered, accEpoch)
 	s.writeMet.handoverAccepted.Inc()
 
 	// If the accuracy this leaf can offer differs from the registered

@@ -6,6 +6,7 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/msg"
+	"locsvc/internal/store"
 )
 
 // handlePosQuery implements the entry-server half of Algorithm 6-4: a
@@ -25,7 +26,7 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 
 	// Local case (Algorithm 6-4, lines 1-4): this server stores the
 	// visitor record.
-	if res, ok := s.localDescriptor(req.OID); ok {
+	if res, _ := s.localDescriptor(req.OID); res.Found {
 		s.met.Counter("pos_query_local").Inc()
 		return res, nil
 	}
@@ -115,34 +116,31 @@ func (s *Server) handlePosQueryDirect(req msg.PosQueryDirect) (msg.Message, erro
 	if !s.cfg.IsLeaf() {
 		return nil, core.ErrBadRequest
 	}
-	if res, ok := s.localDescriptor(req.OID); ok {
+	if res, _ := s.localDescriptor(req.OID); res.Found {
 		return res, nil
 	}
 	return nil, core.ErrNotFound
 }
 
-// localDescriptor builds a PosQueryRes from this leaf's own records.
-func (s *Server) localDescriptor(oid core.OID) (msg.PosQueryRes, bool) {
-	rec, ok := s.visitors.Get(oid)
-	if !ok || !s.cfg.IsLeaf() {
-		return msg.PosQueryRes{}, false
-	}
-	sight, ok := s.sightings.Get(oid)
-	if !ok {
-		// Visitor known but sighting lost (e.g. after restart, before
-		// the object re-reported). Treated as not found here; the
-		// caller may retry after RestoreVisitors took effect.
-		return msg.PosQueryRes{}, false
+// localDescriptor builds a PosQueryRes from this leaf's own records, read
+// in one store lookup; registered reports whether the object is registered
+// here. A registered object whose sighting was lost (after a restart,
+// before it re-reported) is not Found; the caller may retry after
+// RestoreVisitors took effect.
+func (s *Server) localDescriptor(oid core.OID) (res msg.PosQueryRes, registered bool) {
+	reg, sight, registered, sighted := s.sightings.Lookup(oid)
+	if !registered || !sighted {
+		return msg.PosQueryRes{}, registered
 	}
 	return msg.PosQueryRes{
 		Found: true,
-		LD:    core.LocationDescriptor{Pos: sight.Pos, Acc: rec.OfferedAcc},
+		LD:    core.LocationDescriptor{Pos: sight.Pos, Acc: reg.OfferedAcc},
 		Agent: s.ID(),
 		AgentInfo: msg.LeafInfo{
 			ID:   s.ID(),
 			Area: s.cfg.SA,
 		},
-		MaxSpeed: rec.RegInfo.MaxSpeed,
+		MaxSpeed: reg.RegInfo.MaxSpeed,
 	}, true
 }
 
@@ -157,19 +155,18 @@ const maxFwdHops = 32
 func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 	s.met.Counter("pos_fwd_seen").Inc()
 	req.Hops++
-	rec, ok := s.visitors.Get(req.OID)
-	switch {
-	case ok && s.cfg.IsLeaf():
-		// Lines 1-5: this server is the agent; answer the entry
-		// server directly.
-		res, found := s.localDescriptor(req.OID)
-		if !found {
-			s.respondToOrigin(req.Origin, msg.PosQueryRes{OpID: req.Origin.OpID, Found: false, Hops: req.Hops})
-			return
-		}
-		res.OpID = req.Origin.OpID
-		res.Hops = req.Hops
+	var rec store.VisitorRecord
+	ok := false
+	if !s.cfg.IsLeaf() {
+		rec, ok = s.visitors.Get(req.OID)
+	} else if res, registered := s.localDescriptor(req.OID); registered {
+		// Lines 1-5: this server is the agent; answer the entry server
+		// directly.
+		res.OpID, res.Hops = req.Origin.OpID, req.Hops
 		s.respondToOrigin(req.Origin, res)
+		return
+	}
+	switch {
 	case ok && msg.NodeID(rec.ForwardRef) != from:
 		if req.Hops > maxFwdHops {
 			// A stale forwarding loop: give up quickly instead of

@@ -255,17 +255,11 @@ func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64, en
 //
 // The covering-entry invariant the scan relies on: a candidate arrives as
 // (id, position, accuracy) read off the sighting store's index entry, and
-// an accuracy that is present equals the visitor record's OfferedAcc. The
-// server is the only writer of both: every put that installs an entry
-// hands down the OfferedAcc of the visitor record it just read or wrote
-// (putSighting), and every later write of a visitor record's OfferedAcc —
-// ChangeAcc, a replicated visitor record — re-annotates the entry
-// (refreshAcc), with the accEpoch check in putSighting closing the window
-// in which a put could carry an accuracy read before such a write and land
-// after it. Entries the server did not put — WAL replay, replication,
-// disk runs — carry store.AccUnknown, and those
-// alone are resolved through the visitorDB, which stays the source of
-// truth.
+// the accuracy is the OfferedAcc of the object's registration, which the
+// store keeps under the same shard lock and alone writes onto the entry
+// (see "Covering index entries" in the store package comment). An entry
+// without a registration carries store.AccUnknown and is not a registered
+// visitor of this leaf, so it never qualifies.
 type rangeScan struct {
 	s    *Server
 	pred core.RangePredicate
@@ -274,7 +268,7 @@ type rangeScan struct {
 	// value.
 	collect func(id core.OID, pos geo.Point, acc float64) bool
 
-	candidates, qualified, exact, lookups int64
+	candidates, qualified, exact int64
 }
 
 var rangeScanPool = sync.Pool{New: func() any {
@@ -308,7 +302,6 @@ func (sc *rangeScan) release() {
 	m.candidates.Add(sc.candidates)
 	m.qualified.Add(sc.qualified)
 	m.exact.Add(sc.exact)
-	m.lookups.Add(sc.lookups)
 	clear(sc.out) // drop the object-id strings
 	*sc = rangeScan{pred: sc.pred, out: sc.out[:0], collect: sc.collect}
 	rangeScanPool.Put(sc)
@@ -318,18 +311,11 @@ func (sc *rangeScan) release() {
 // predicate of Section 3.2 — to one index entry, returning the wire entry
 // when the object qualifies. It is shared by the range-query leaf path and
 // the nearest-neighbor local fast path, so both apply identical accuracy
-// and overlap semantics. Only an entry without a recorded accuracy costs a
-// visitorDB lookup (and an object without a visitor record never
-// qualifies).
+// and overlap semantics.
 func (sc *rangeScan) entryIfQualifies(id core.OID, pos geo.Point, acc float64) (core.Entry, bool) {
 	sc.candidates++
 	if acc == store.AccUnknown {
-		sc.lookups++
-		rec, ok := sc.s.visitors.Get(id)
-		if !ok {
-			return core.Entry{}, false
-		}
-		acc = rec.OfferedAcc
+		return core.Entry{}, false
 	}
 	ld := core.LocationDescriptor{Pos: pos, Acc: acc}
 	ok, exact := sc.pred.Qualifies(ld)
@@ -345,11 +331,10 @@ func (sc *rangeScan) entryIfQualifies(id core.OID, pos geo.Point, acc float64) (
 
 // rangeCounters are the leaf's range-evaluation outcome counters, resolved
 // once so a query books them without registry lookups: candidates the
-// index search delivered, how many qualified, how many needed the exact
-// overlap arithmetic and how many had to be resolved through the
-// visitorDB.
+// index search delivered, how many qualified and how many needed the exact
+// overlap arithmetic.
 type rangeCounters struct {
-	candidates, qualified, exact, lookups *metrics.Counter
+	candidates, qualified, exact *metrics.Counter
 }
 
 func newRangeCounters(met *metrics.Registry) rangeCounters {
@@ -357,7 +342,6 @@ func newRangeCounters(met *metrics.Registry) rangeCounters {
 		candidates: met.Counter("range_candidates"),
 		qualified:  met.Counter("range_qualified"),
 		exact:      met.Counter("range_exact_overlap"),
-		lookups:    met.Counter("range_acc_lookups"),
 	}
 }
 

@@ -29,16 +29,14 @@ func newScanLeaf(t testing.TB, opts Options) *Server {
 	return s
 }
 
-// install registers object i at p the way registration does: visitor
-// record first, then the sighting with the record's accuracy.
+// install registers object i at p the way registration does: the
+// registration and the sighting in one store operation.
 func install(t testing.TB, s *Server, i int, p geo.Point, acc float64) core.OID {
 	t.Helper()
 	oid := core.OID(fmt.Sprintf("o%05d", i))
-	epoch := s.accEpoch.Load()
-	if err := s.visitors.Put(store.VisitorRecord{OID: oid, OfferedAcc: acc, RegInfo: core.RegInfo{DesAcc: acc, MinAcc: 500}}); err != nil {
+	if err := s.register(core.Sighting{OID: oid, T: time.Now(), Pos: p, SensAcc: 5}, core.RegInfo{DesAcc: acc, MinAcc: 500}, acc); err != nil {
 		t.Fatal(err)
 	}
-	s.putSighting(core.Sighting{OID: oid, T: time.Now(), Pos: p, SensAcc: 5}, acc, epoch)
 	return oid
 }
 
@@ -74,34 +72,43 @@ func TestLocalRangeQueryAllocs(t *testing.T) {
 	}
 }
 
-// TestPutSightingNoticesAccuracyRewrite replays, step by step, the one
-// interleaving that could leave an index entry with a superseded accuracy:
-// an update reads the visitor record, a ChangeAcc runs to completion, and
-// only then does the update's put land.
-func TestPutSightingNoticesAccuracyRewrite(t *testing.T) {
-	s := newScanLeaf(t, Options{})
-	oid := install(t, s, 1, geo.Pt(100, 100), 10)
+// TestUpdateAfterChangeAccKeepsAccuracy replays, step by step, the
+// interleaving in which an update read its registration before a ChangeAcc
+// ran to completion and only then put its sighting: the put carries no
+// accuracy, so the entry keeps the one ChangeAcc wrote — on the memtable
+// entry it replaces, and on a fresh entry after the old one left for a run.
+func TestUpdateAfterChangeAccKeepsAccuracy(t *testing.T) {
+	tiered := Options{Tiering: &store.TierConfig{Dir: t.TempDir(), MemtableBytes: 1}}
+	for name, opts := range map[string]Options{"memtable": {}, "after a flush": tiered} {
+		s := newScanLeaf(t, opts)
+		oid := install(t, s, 1, geo.Pt(100, 100), 10)
+		reg, ok := s.sightings.Registration(oid) // the update's read: OfferedAcc 10
+		if !ok || reg.OfferedAcc != 10 {
+			t.Fatalf("%s: registration %+v, %v", name, reg, ok)
+		}
+		res, err := s.handleChangeAcc(msg.ChangeAccReq{OID: oid, DesAcc: 40, MinAcc: 500})
+		if err != nil || !res.(msg.ChangeAccRes).OK {
+			t.Fatalf("%s: ChangeAcc = %+v, %v", name, res, err)
+		}
+		if opts.Tiering != nil {
+			// Unregistered filler far away pushes the shard over its
+			// memtable budget.
+			for i := 0; i < 40; i++ {
+				s.sightings.Put(core.Sighting{OID: core.OID(fmt.Sprintf("f%02d", i)), T: time.Now(), Pos: geo.Pt(3000, 3000), SensAcc: 5})
+			}
+			if err := s.sightings.MaintainTiers(); err != nil || s.sightings.TierStats().Flushes == 0 {
+				t.Fatalf("%s: no flush (%v)", name, err)
+			}
+		}
+		s.pipe.Put(core.Sighting{OID: oid, T: time.Now(), Pos: geo.Pt(101, 100), SensAcc: 5})
 
-	epoch := s.accEpoch.Load()
-	rec, ok := s.visitors.Get(oid) // the update's read: OfferedAcc 10
-	if !ok {
-		t.Fatal("no visitor record")
-	}
-	res, err := s.handleChangeAcc(msg.ChangeAccReq{OID: oid, DesAcc: 40, MinAcc: 500})
-	if err != nil || !res.(msg.ChangeAccRes).OK {
-		t.Fatalf("ChangeAcc = %+v, %v", res, err)
-	}
-	s.putSighting(core.Sighting{OID: oid, T: time.Now(), Pos: geo.Pt(101, 100), SensAcc: 5}, rec.OfferedAcc, epoch)
-
-	if n, violations := s.CoveringEntriesForTest(); n != 1 || len(violations) > 0 {
-		t.Fatalf("%d annotated entries, violations %v", n, violations)
-	}
-	got := s.localRangeResult(core.AreaFromRect(geo.R(0, 0, 200, 200)), 100, 0.5, geo.R(-100, -100, 300, 300))
-	if len(got) != 1 || got[0].LD.Acc != 40 {
-		t.Fatalf("range result %+v, want the object at accuracy 40", got)
-	}
-	if v := s.met.Counter("range_acc_lookups").Value(); v != 0 {
-		t.Fatalf("%d visitorDB lookups for an annotated entry", v)
+		if n, violations := s.CoveringEntriesForTest(); n != 1 || len(violations) > 0 {
+			t.Fatalf("%s: %d annotated entries, violations %v", name, n, violations)
+		}
+		got := s.localRangeResult(core.AreaFromRect(geo.R(0, 0, 200, 200)), 100, 0.5, geo.R(-100, -100, 300, 300))
+		if len(got) != 1 || got[0].LD.Acc != 40 || got[0].LD.Pos != geo.Pt(101, 100) {
+			t.Fatalf("%s: range result %+v, want the object at (101, 100), accuracy 40", name, got)
+		}
 	}
 }
 
@@ -111,21 +118,18 @@ func TestPutSightingNoticesAccuracyRewrite(t *testing.T) {
 func TestDiagExportsRangeOutcomeCounters(t *testing.T) {
 	s := newScanLeaf(t, Options{})
 	// A 100 m query square: one object well inside, one across an edge,
-	// one across a corner, one beyond reach, and one the server did not
-	// annotate (put the way WAL replay and replication put).
+	// one across a corner, one beyond reach, and a sighting with no
+	// registration (a position recovered without its registration log).
 	install(t, s, 0, geo.Pt(150, 150), 10)
 	install(t, s, 1, geo.Pt(195, 150), 10)
 	install(t, s, 2, geo.Pt(203, 203), 10)
 	install(t, s, 3, geo.Pt(240, 150), 10)
-	if err := s.visitors.Put(store.VisitorRecord{OID: "plain", OfferedAcc: 10}); err != nil {
-		t.Fatal(err)
-	}
 	s.sightings.Put(core.Sighting{OID: "plain", T: time.Now(), Pos: geo.Pt(120, 120), SensAcc: 5})
 
 	area := core.AreaFromRect(geo.R(100, 100, 200, 200))
 	got := s.localRangeResult(area, 50, 0.5, area.Bounds().Enlarge(50))
-	if len(got) != 3 {
-		t.Fatalf("range result %+v, want the three objects mostly inside", got)
+	if len(got) != 2 {
+		t.Fatalf("range result %+v, want the two registered objects mostly inside", got)
 	}
 	res, err := s.handleDiag()
 	if err != nil {
@@ -134,9 +138,8 @@ func TestDiagExportsRangeOutcomeCounters(t *testing.T) {
 	snapshot := res.(msg.DiagRes).Metrics
 	for _, line := range []string{
 		"range_candidates = 5",
-		"range_qualified = 3",
+		"range_qualified = 2",
 		"range_exact_overlap = 1",
-		"range_acc_lookups = 1",
 	} {
 		if !strings.Contains(snapshot, line+"\n") {
 			t.Errorf("metrics snapshot lacks %q:\n%s", line, snapshot)

@@ -77,19 +77,10 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 		})
 	}
 	// Lines 6-11: create the visitor and sighting records.
-	rec := store.VisitorRecord{
-		OID:        req.S.OID,
-		OfferedAcc: offered,
-		RegInfo:    req.RegInfo,
-		PathT:      req.S.T,
-	}
-	accEpoch := s.accEpoch.Load()
-	if err := s.visitors.Put(rec); err != nil {
-		s.met.Counter("visitor_db_errors").Inc()
+	if err := s.register(req.S, req.RegInfo, offered); err != nil {
 		s.respondToOrigin(req.Origin, msg.ErrorResFrom(err))
 		return
 	}
-	s.putSighting(req.S, offered, accEpoch)
 	s.writeMet.registerOK.Inc()
 
 	// Line 12: answer the registering instance.
@@ -135,6 +126,9 @@ func (s *Server) handleCreatePath(from msg.NodeID, req msg.CreatePath) {
 // the forwarding reference still points to the child the removal came from
 // (the branch was not re-pointed meanwhile).
 func (s *Server) handleRemovePath(from msg.NodeID, req msg.RemovePath) {
+	if s.cfg.IsLeaf() {
+		return // a leaf keeps no forwarding records
+	}
 	removed, err := s.visitors.RemoveIf(req.OID, func(rec store.VisitorRecord) bool {
 		// A fresher sighting re-installed this record, or the path
 		// was re-pointed away from the pruned branch: keep it.
@@ -282,54 +276,47 @@ func (s *Server) handleDeregister(_ context.Context, req msg.DeregisterReq) (msg
 	if !s.cfg.IsLeaf() {
 		return nil, core.ErrBadRequest
 	}
-	if _, ok := s.visitors.Get(req.OID); !ok {
+	sightT, ok := s.deregister(req.OID)
+	if !ok {
 		return nil, core.ErrNotFound
 	}
-	lastT := s.opts.Clock()
-	if sight, ok := s.sightings.Get(req.OID); ok && sight.T.After(lastT) {
-		lastT = sight.T
-	}
-	if d, ok := s.sightings.RemoveDelta(req.OID); ok {
-		s.enqueueDeltas([]store.Delta{d})
-	}
-	if _, err := s.visitors.Remove(req.OID); err != nil {
-		s.met.Counter("visitor_db_errors").Inc()
-	}
-	if s.parent() != "" {
-		s.forwardPath(s.parentForOID(req.OID), msg.RemovePath{OID: req.OID, SightingT: lastT})
-	}
+	s.removePath(req.OID, sightT)
 	s.met.Counter("deregister_ok").Inc()
 	return msg.DeregisterRes{}, nil
 }
 
 // handleChangeAcc renegotiates the accuracy range at the agent
-// (Section 3.1). On success the visitor record is updated and the new
+// (Section 3.1). On success the registration is updated — the store
+// rewrites the index entry's accuracy under the same lock — and the new
 // offered accuracy returned; on failure the old registration stays valid.
 func (s *Server) handleChangeAcc(req msg.ChangeAccReq) (msg.Message, error) {
 	if !s.cfg.IsLeaf() {
 		return nil, core.ErrBadRequest
 	}
-	s.accMu.Lock()
-	defer s.accMu.Unlock()
-	rec, ok := s.visitors.Get(req.OID)
-	if !ok {
-		return nil, core.ErrNotFound
-	}
-	ri := rec.RegInfo
-	ri.DesAcc, ri.MinAcc = req.DesAcc, req.MinAcc
-	if err := ri.Validate(); err != nil {
-		return nil, core.ErrBadRequest
-	}
-	offered, ok := ri.OfferedAcc(s.opts.AchievableAcc)
-	if !ok {
-		return msg.ChangeAccRes{OK: false, OfferedAcc: s.opts.AchievableAcc}, nil
-	}
-	rec.RegInfo = ri
-	rec.OfferedAcc = offered
-	if err := s.visitors.Put(rec); err != nil {
+	var res msg.Message // stays nil for a malformed range
+	registered, err := s.sightings.UpdateRegistration(req.OID, func(reg *store.Registration) bool {
+		ri := reg.RegInfo
+		ri.DesAcc, ri.MinAcc = req.DesAcc, req.MinAcc
+		if ri.Validate() != nil {
+			return false
+		}
+		offered, ok := ri.OfferedAcc(s.opts.AchievableAcc)
+		if !ok {
+			res = msg.ChangeAccRes{OK: false, OfferedAcc: s.opts.AchievableAcc}
+			return false
+		}
+		reg.RegInfo, reg.OfferedAcc = ri, offered
+		res = msg.ChangeAccRes{OK: true, OfferedAcc: offered}
+		return true
+	})
+	switch {
+	case err != nil:
 		s.met.Counter("visitor_db_errors").Inc()
 		return nil, err
+	case !registered:
+		return nil, core.ErrNotFound
+	case res == nil:
+		return nil, core.ErrBadRequest
 	}
-	s.visitorAccRewritten(req.OID)
-	return msg.ChangeAccRes{OK: true, OfferedAcc: offered}, nil
+	return res, nil
 }

@@ -17,11 +17,13 @@ import (
 // This file is the server half of hot-standby leaf replication. A leaf
 // configured with Options.ReplPeer runs as one of a primary/standby pair:
 //
-//   - The primary's committed writes are observed through the store tees
-//     (sighting WAL drain order, visitor log commit order) and shipped to
-//     the standby as seq-numbered, batched ReplAppend calls — one stream
-//     per sighting shard plus one for the visitor database, so per-shard
-//     apply order is preserved without a global sequencer.
+//   - The primary's committed writes are observed through the sighting
+//     WAL's tee in each shard's drain order — sighting puts and removes,
+//     and the registration changes the store makes under the same shard
+//     lock, which ride the shard's queue in memory only — and shipped to
+//     the standby as seq-numbered, batched ReplAppend calls, one stream per
+//     shard, so per-shard apply order is preserved without a global
+//     sequencer. A shard snapshot carries the shard's registrations.
 //   - Tier-structure changes (flush, compaction) replicate as ReplRuns
 //     records; the standby fetches any run file it lacks in chunks
 //     (RunFetch) and installs the list through the same atomic manifest
@@ -41,9 +43,10 @@ import (
 // Seq-stamped retries; the promoted standby's reply dedupe window starts
 // empty, so a retry straddling the failover is applied again rather than
 // answered from memory — which is safe, because updates are idempotent
-// per (OID, T) and registration re-application is guarded by the
-// visitorDB. Queries between promotion and the next client update may
-// see the object's last replicated position instead of its very latest.
+// per (OID, T) and a re-applied registration installs the same
+// registration and sighting again. Queries between promotion and the next
+// client update may see the object's last replicated position instead of
+// its very latest.
 
 // Replication roles.
 const (
@@ -78,8 +81,7 @@ type replState struct {
 	epoch   atomic.Uint64
 	tokens  atomic.Uint64 // snapshot marker tokens
 
-	// streams holds one sender stream per sighting shard plus the visitor
-	// stream at index len-1.
+	// streams holds one sender stream per sighting shard.
 	streams []*replStream
 
 	// Receiver side: per-stream apply serialization and the next expected
@@ -119,9 +121,9 @@ func newReplState(s *Server, peer msg.NodeID, sdb *store.ShardedSightingDB, stan
 		s:        s,
 		peer:     peer,
 		sdb:      sdb,
-		streams:  make([]*replStream, n+1),
-		recvMu:   make([]sync.Mutex, n+1),
-		recvNext: make([]uint64, n+1),
+		streams:  make([]*replStream, n),
+		recvMu:   make([]sync.Mutex, n),
+		recvNext: make([]uint64, n),
 	}
 	for i := range r.streams {
 		st := &replStream{id: i, firstSeq: 1}
@@ -144,8 +146,6 @@ func newReplState(s *Server, peer msg.NodeID, sdb *store.ShardedSightingDB, stan
 	return r
 }
 
-func (r *replState) visitorStream() int { return len(r.streams) - 1 }
-
 func (r *replState) role() string {
 	if r.primary.Load() {
 		return replRolePrimary
@@ -165,46 +165,27 @@ func (r *replState) pendingTotal() int64 {
 	return n
 }
 
-// ---------------------------------------------------------------------------
-// Tee implementations: the primary's committed writes enter the streams
-// here. All of these run under store locks — enqueue only, never block.
-
-func (r *replState) TeePut(shard int, batch []core.Sighting) {
-	if !r.primary.Load() || len(batch) == 0 {
-		return
-	}
-	// The WAL writer recycles its batch slices; the queue needs its own.
-	cp := make([]core.Sighting, len(batch))
-	copy(cp, batch)
-	r.streams[shard].enqueue(msg.ReplRecord{Op: msg.ReplSightingPut, Sightings: cp})
-}
-
-func (r *replState) TeeRemove(shard int, id core.OID) {
+// TeeRecord implements store.ReplTee: the primary's committed records
+// enter their shard's stream here, on the WAL writer's goroutine — enqueue
+// only, never block.
+func (r *replState) TeeRecord(shard int, rec store.WALRecord) {
 	if !r.primary.Load() {
 		return
 	}
-	r.streams[shard].enqueue(msg.ReplRecord{Op: msg.ReplSightingRemove, OID: id})
-}
-
-func (r *replState) TeeMark(shard int, token uint64) {
-	if !r.primary.Load() {
-		return
+	out := msg.ReplRecord{Op: msg.ReplSightingRemove, OID: rec.OID}
+	switch rec.Op {
+	case store.WALSightingBatch:
+		// The WAL writer recycles its batch slices; the queue needs its own.
+		out = msg.ReplRecord{Op: msg.ReplSightingPut, Sightings: append([]core.Sighting(nil), rec.Sightings...)}
+	case store.WALPut:
+		v := rec.Visitor
+		out = msg.ReplRecord{Op: msg.ReplVisitorPut, Visitor: msg.VisitorState{OID: v.OID, OfferedAcc: v.OfferedAcc, RegInfo: v.RegInfo, PathT: v.PathT}}
+	case store.WALRemove:
+		out = msg.ReplRecord{Op: msg.ReplVisitorRemove, OID: rec.Visitor.OID}
+	case store.WALMark:
+		out = msg.ReplRecord{Op: replMarkerOp, NextSeq: uint64(rec.Epoch)}
 	}
-	r.streams[shard].enqueue(msg.ReplRecord{Op: replMarkerOp, NextSeq: token})
-}
-
-func (r *replState) TeeVisitorPut(rec store.VisitorRecord) {
-	if !r.primary.Load() {
-		return
-	}
-	r.streams[r.visitorStream()].enqueue(msg.ReplRecord{Op: msg.ReplVisitorPut, Visitor: visitorState(rec)})
-}
-
-func (r *replState) TeeVisitorRemove(id core.OID) {
-	if !r.primary.Load() {
-		return
-	}
-	r.streams[r.visitorStream()].enqueue(msg.ReplRecord{Op: msg.ReplVisitorRemove, OID: id})
+	r.streams[shard].enqueue(out)
 }
 
 // notifyRuns is the store's tier-change notifier (flush, compaction).
@@ -217,24 +198,14 @@ func (r *replState) notifyRuns(shard int, runs []string, nextSeq uint64, clearMe
 	r.streams[shard].enqueue(msg.ReplRecord{Op: msg.ReplRuns, Runs: runs, NextSeq: nextSeq, ClearMem: clearMem})
 }
 
-func visitorState(rec store.VisitorRecord) msg.VisitorState {
-	return msg.VisitorState{
-		OID:        rec.OID,
-		ForwardRef: rec.ForwardRef,
-		OfferedAcc: rec.OfferedAcc,
-		RegInfo:    rec.RegInfo,
-		PathT:      rec.PathT,
-	}
+// regState is a registration's wire form.
+func regState(id core.OID, reg store.Registration) msg.VisitorState {
+	return msg.VisitorState{OID: id, OfferedAcc: reg.OfferedAcc, RegInfo: reg.RegInfo, PathT: reg.PathT}
 }
 
-func visitorRecord(st msg.VisitorState) store.VisitorRecord {
-	return store.VisitorRecord{
-		OID:        st.OID,
-		ForwardRef: st.ForwardRef,
-		OfferedAcc: st.OfferedAcc,
-		RegInfo:    st.RegInfo,
-		PathT:      st.PathT,
-	}
+// registration is the registration a wire record describes.
+func registration(st msg.VisitorState) store.Registration {
+	return store.Registration{RegInfo: st.RegInfo, OfferedAcc: st.OfferedAcc, PathT: st.PathT}
 }
 
 // enqueue appends rec to the stream. On overflow the whole queue is
@@ -353,23 +324,10 @@ func (r *replState) pause() {
 	}
 }
 
-// startSync captures a snapshot for st. For the visitor stream the
-// snapshot record is enqueued inline under the visitorDB lock — its queue
-// position is its commit-order position. For a shard stream the store
-// enqueues a WAL marker instead; the marker surfaces through TeeMark at
-// the snapshot's position in the drain order, and popBatch substitutes
-// the payload there.
+// startSync captures a snapshot of st's shard. The store enqueues a WAL
+// marker with it; the marker surfaces through TeeRecord at the snapshot's
+// position in the drain order, and popBatch substitutes the payload there.
 func (r *replState) startSync(st *replStream) error {
-	if st.id == r.visitorStream() {
-		r.s.visitors.ReplSnapshot(func(live []store.VisitorRecord) {
-			states := make([]msg.VisitorState, len(live))
-			for i, rec := range live {
-				states[i] = visitorState(rec)
-			}
-			st.enqueue(msg.ReplRecord{Op: msg.ReplSnapshot, Visitors: states})
-		})
-		return nil
-	}
 	// A tiered primary may still be replaying its WAL tail in the
 	// background; a snapshot taken before the shard is warm would miss
 	// the tail for good (recovery rebuilds the memtable without teeing).
@@ -392,8 +350,12 @@ func (r *replState) startSync(st *replStream) error {
 		Op:        msg.ReplSnapshot,
 		Sightings: state.Live,
 		Dead:      state.Dead,
+		Visitors:  make([]msg.VisitorState, 0, len(state.Regs)),
 		Runs:      state.Runs,
 		NextSeq:   state.NextSeq,
+	}
+	for id, reg := range state.Regs {
+		rec.Visitors = append(rec.Visitors, regState(id, reg))
 	}
 	st.mu.Lock()
 	if st.syncTok == tok { // not cancelled by an overflow meanwhile
@@ -645,49 +607,34 @@ func (r *replState) apply(stream int, rec msg.ReplRecord) error {
 	s := r.s
 	switch rec.Op {
 	case msg.ReplSightingPut:
-		s.sightings.PutBatchAcc(rec.Sightings, nil, nil)
-	case msg.ReplSightingRemove:
-		s.sightings.RemoveDelta(rec.OID)
+		s.sightings.PutBatch(rec.Sightings, nil)
+	case msg.ReplSightingRemove, msg.ReplVisitorRemove:
+		// The primary removes a sighting and its registration together;
+		// whichever record comes first removes both here.
+		if _, _, _, err := s.sightings.Deregister(rec.OID, false); err != nil {
+			return err
+		}
 	case msg.ReplVisitorPut:
-		if err := s.visitors.Put(visitorRecord(rec.Visitor)); err != nil {
+		if err := s.sightings.PutRegistration(rec.Visitor.OID, registration(rec.Visitor)); err != nil {
 			return err
 		}
-		s.visitorAccRewritten(rec.Visitor.OID)
-	case msg.ReplVisitorRemove:
-		if _, err := s.visitors.Remove(rec.OID); err != nil {
-			return err
-		}
-		s.visitorAccRewritten(rec.OID)
 	case msg.ReplRuns:
 		if err := r.sdb.ReplInstallRuns(stream, rec.Runs, rec.NextSeq, rec.ClearMem, r.fetchRun(stream)); err != nil {
 			return err
 		}
 	case msg.ReplSnapshot:
-		if stream == r.visitorStream() {
-			recs := make([]store.VisitorRecord, len(rec.Visitors))
-			for i, st := range rec.Visitors {
-				recs[i] = visitorRecord(st)
-			}
-			if err := s.visitors.ReplReplaceAll(recs); err != nil {
-				return err
-			}
-			// A node demoted from primary still holds index entries it
-			// annotated itself; bring them in line with the records
-			// that just replaced its own.
-			s.accEpoch.Add(1)
-			for i := range recs {
-				s.refreshAcc(recs[i].OID)
-			}
-		} else {
-			state := store.ReplShardState{
-				Live:    rec.Sightings,
-				Dead:    rec.Dead,
-				Runs:    rec.Runs,
-				NextSeq: rec.NextSeq,
-			}
-			if err := r.sdb.ReplInstallSnapshot(stream, state, r.fetchRun(stream)); err != nil {
-				return err
-			}
+		state := store.ReplShardState{
+			Live:    rec.Sightings,
+			Dead:    rec.Dead,
+			Regs:    make(map[core.OID]store.Registration, len(rec.Visitors)),
+			Runs:    rec.Runs,
+			NextSeq: rec.NextSeq,
+		}
+		for _, v := range rec.Visitors {
+			state.Regs[v.OID] = registration(v)
+		}
+		if err := r.sdb.ReplInstallSnapshot(stream, state, r.fetchRun(stream)); err != nil {
+			return err
 		}
 		r.resyncs.Add(1)
 		s.met.Counter("repl_resyncs").Inc()

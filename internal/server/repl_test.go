@@ -100,23 +100,33 @@ func TestReplPairMirrorsWrites(t *testing.T) {
 	const n = 120
 	for i := 0; i < n; i++ {
 		s := replSighting(i)
-		a.pipe.Put(s)
-		if err := a.visitors.Put(store.VisitorRecord{OID: s.OID, OfferedAcc: 10, PathT: s.T}); err != nil {
+		if i%2 == 0 {
+			a.pipe.Put(s)
+			if err := a.sightings.PutRegistration(s.OID, store.Registration{OfferedAcc: 10, PathT: s.T}); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := a.register(s, core.RegInfo{DesAcc: 10, MinAcc: 50}, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := a.handleChangeAcc(msg.ChangeAccReq{OID: "o001", DesAcc: 30, MinAcc: 50}); err != nil {
+		t.Fatal(err)
+	}
 	waitUntil(t, "standby mirror of puts", func() bool {
-		return mirrored(a, b, n) && b.visitors.Len() == n
+		reg, ok := b.sightings.Registration("o001")
+		return mirrored(a, b, n) && b.VisitorCount() == n && ok && reg.OfferedAcc == 30
 	})
+	if _, violations := b.CoveringEntriesForTest(); len(violations) > 0 {
+		t.Fatalf("standby entries: %v", violations)
+	}
 
 	// Removals stream too.
-	a.sightings.RemoveDelta("o000")
-	if _, err := a.visitors.Remove("o000"); err != nil {
-		t.Fatal(err)
+	if _, ok := a.deregister("o000"); !ok {
+		t.Fatal("o000 was not registered")
 	}
 	waitUntil(t, "standby mirror of removes", func() bool {
 		_, ok := b.sightings.Get("o000")
-		_, vok := b.visitors.Get("o000")
+		_, vok := b.sightings.Registration("o000")
 		return !ok && !vok && b.sightings.Len() == n-1
 	})
 
@@ -139,14 +149,17 @@ func TestReplStandbyBootstrapsFromSnapshot(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.pipe.Put(replSighting(i))
 	}
-	if err := a.visitors.Put(store.VisitorRecord{OID: "o000", OfferedAcc: 10}); err != nil {
+	if err := a.sightings.PutRegistration("o000", store.Registration{OfferedAcc: 10}); err != nil {
 		t.Fatal(err)
 	}
 
 	b := newReplLeaf(t, net, "leafB", "leafA", true, nil)
 	waitUntil(t, "late-started standby to catch up", func() bool {
-		return mirrored(a, b, n) && b.visitors.Len() == 1
+		return mirrored(a, b, n) && b.VisitorCount() == 1
 	})
+	if n, violations := b.CoveringEntriesForTest(); n != 1 || len(violations) > 0 {
+		t.Fatalf("standby: %d annotated entries, violations %v", n, violations)
+	}
 	if got := b.repl.resyncs.Load(); got == 0 {
 		t.Error("standby caught up without a snapshot resync")
 	}

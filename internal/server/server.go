@@ -5,20 +5,25 @@
 // defines, and the three leaf-server caches of Section 6.5.
 //
 // One Server instance corresponds to one location server in the hierarchy.
-// Leaf servers own sighting records and act as agents for the objects in
-// their service area; non-leaf servers hold forwarding references only.
+// Leaf servers act as agents for the objects in their service area. A leaf
+// keeps each object's visitor record (Section 5) in the sighting store, as a
+// registration beside its sighting under one shard lock (store.Registration):
+// registration, handover, deregistration, accuracy change and expiry change
+// both in one store operation, and the store alone sets each index entry's
+// accuracy. Non-leaf servers hold forwarding references only, in a
+// store.VisitorDB.
 // Servers communicate exclusively through their transport.Node, so the same
 // implementation runs on the in-process simulation network and over UDP.
 //
 // # Replication and failover
 //
 // A leaf can run as half of a hot-standby pair (Options.ReplPeer). The
-// primary tees every committed WAL batch — sighting puts/removes per
-// shard, visitor records on a separate stream — to per-stream senders that
-// ship it to the standby in seq-numbered, ack-windowed batches; flushed
-// and compacted run files are not re-streamed but fetched by name (run
-// shipping) and installed under the standby's manifest after footer-CRC
-// verification. A standby answers position and range queries from its
+// primary tees every committed change — sighting puts and removes, and the
+// registration changes made under the same shard lock — to one stream per
+// shard, whose sender ships it to the standby in seq-numbered, ack-windowed
+// batches; flushed and compacted run files are not re-streamed but fetched
+// by name (run shipping) and installed under the standby's manifest after
+// footer-CRC verification. A standby answers position and range queries from its
 // mirror but redirects updates to the primary; a gap or a late start is
 // healed by a full-shard snapshot resync.
 //
@@ -46,6 +51,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -91,15 +97,20 @@ type Options struct {
 	// files as soon as the manifests are open while the WAL tail replays
 	// shard by shard behind the shard locks.
 	Tiering *store.TierConfig
-	// WAL persists the visitorDB; nil keeps it in memory only.
+	// WAL persists the visitor records — an inner server's forwarding
+	// table, a leaf's registrations, which its sighting store appends under
+	// the shard lock before a change is acknowledged — and is replayed by
+	// New and closed by Close; nil keeps them in memory only.
 	WAL store.WAL
 	// SightingWAL persists a leaf's sightingDB through one durable log
 	// segment per shard; nil keeps the sighting store purely in memory
 	// (the paper's baseline, rebuilt via RestoreVisitors after a crash).
 	// When set, the store adopts the WAL's shard count whatever Shards
-	// says, existing log contents are replayed (all shards in parallel)
-	// before the server attaches to the network, and the server closes the
-	// WAL on Close.
+	// says, existing log contents are replayed (all shards in parallel,
+	// after the WAL) before the server attaches to the network, and the
+	// server closes the WAL on Close. A leaf with a SightingWAL but no WAL
+	// recovers positions without registrations, which it does not serve
+	// until the objects register again.
 	SightingWAL *store.ShardedWAL
 	// CallTimeout bounds hop-by-hop calls (handover forwarding).
 	CallTimeout time.Duration
@@ -246,12 +257,14 @@ type Server struct {
 	node     transport.Node
 
 	// sightings is the main-memory sighting database (Section 5), of
-	// Options.Shards shards; nil on non-leaf servers.
+	// Options.Shards shards, and holds the leaf's registrations; nil on
+	// non-leaf servers.
 	sightings *store.ShardedSightingDB
 	// pipe batches concurrent position updates per shard (group commit);
-	// all sighting writes on the update/registration path go through it.
+	// every in-area update goes through it.
 	pipe *store.UpdatePipeline
-	// visitors is the (persistent) visitor database every server keeps.
+	// visitors is a non-leaf server's (persistent) forwarding table; nil
+	// on leaves.
 	visitors *store.VisitorDB
 
 	caches *leafCaches
@@ -269,14 +282,6 @@ type Server struct {
 	// writeMet are the counters of the registration, update and handover
 	// handlers.
 	writeMet writeCounters
-	// accEpoch counts rewrites of a visitor record's OfferedAcc that are
-	// not part of installing the object's sighting (ChangeAcc, replicated
-	// visitor records); putSighting compares it around its read of the
-	// visitor record to notice that the accuracy it hands down to the
-	// sighting's index entry may already be superseded. accMu serializes
-	// ChangeAcc's read-modify-write of the visitor record.
-	accEpoch atomic.Uint64
-	accMu    sync.Mutex
 
 	// repl, on a leaf with a replication peer, is its half of the
 	// primary/standby pair (repl.go); nil otherwise.
@@ -343,23 +348,17 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 	// (it would have closed them in Close), so release them rather than
 	// leak fds and writer goroutines to the caller.
 	closeWALs := func() {
-		if opts.SightingWAL != nil {
-			opts.SightingWAL.Close()
-		}
-	}
-	visitors, err := store.NewVisitorDB(opts.WAL)
-	if err != nil {
 		if opts.WAL != nil {
 			opts.WAL.Close()
 		}
-		closeWALs()
-		return nil, fmt.Errorf("server %s: opening visitorDB: %w", cfg.ID, err)
+		if opts.SightingWAL != nil {
+			opts.SightingWAL.Close()
+		}
 	}
 	s := &Server{
 		cfg:      cfg,
 		rootArea: rootArea,
 		opts:     opts,
-		visitors: visitors,
 		caches:   newLeafCaches(opts),
 		pend:     newPending(),
 		met:      opts.Metrics,
@@ -368,66 +367,22 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 	s.events = newEvents(cfg, opts.EventQueueDepth)
 	s.notify = newNotifier(s)
 	if cfg.IsLeaf() {
-		s.rangeMet = newRangeCounters(s.met)
-		shards, serr := store.NormalizeShards(opts.Shards)
-		if serr != nil {
-			visitors.Close()
+		if err := s.openLeafStore(); err != nil {
 			closeWALs()
-			return nil, fmt.Errorf("server %s: %w", cfg.ID, serr)
+			return nil, fmt.Errorf("server %s: %w", cfg.ID, err)
 		}
-		if opts.Tiering != nil && opts.SightingWAL == nil && opts.Tiering.Dir == "" {
-			visitors.Close()
+	} else {
+		visitors, err := store.NewVisitorDB(opts.WAL)
+		if err != nil {
 			closeWALs()
-			return nil, fmt.Errorf("server %s: Tiering requires a SightingWAL or an explicit TierConfig.Dir", cfg.ID)
+			return nil, fmt.Errorf("server %s: opening visitorDB: %w", cfg.ID, err)
 		}
-		if opts.ReplPeer != "" && opts.SightingWAL == nil {
-			visitors.Close()
-			closeWALs()
-			return nil, fmt.Errorf("server %s: ReplPeer requires a SightingWAL (the WAL tail is the replication stream)", cfg.ID)
-		}
-		sopts := []store.SightingDBOption{
-			store.WithTTL(opts.SightingTTL),
-			store.WithClock(opts.Clock),
-			store.WithShards(shards),
-		}
-		if opts.SightingWAL != nil {
-			sopts = append(sopts, store.WithSightingWAL(opts.SightingWAL))
-		}
-		if opts.Tiering != nil {
-			sopts = append(sopts, store.WithTiering(*opts.Tiering))
-		}
-		s.sightings = store.NewShardedSightingDB(sopts...)
-		// Replay the sighting WAL and open the tier manifests, whichever
-		// there are (nothing to do on an all-RAM leaf). With both, the
-		// store recovers in the background: the run manifests open
-		// synchronously — reads are served from disk immediately — and
-		// each shard's short WAL tail replays behind that shard's write
-		// lock. Close waits for the warm-up.
-		if err = s.sightings.RecoverBackground(); err != nil {
-			visitors.Close()
-			closeWALs()
-			return nil, fmt.Errorf("server %s: recovering sightingDB: %w", cfg.ID, err)
-		}
-		// Feed committed update deltas straight into the event dispatcher;
-		// the enqueue never blocks the committing lane.
-		s.pipe = store.NewUpdatePipeline(s.sightings, store.OnCommit(s.enqueueDeltas))
-		s.dedupe = newDedupe(opts.DedupeWindow, opts.DedupeCap, opts.Clock)
-		if opts.ReplPeer != "" {
-			r := newReplState(s, msg.NodeID(opts.ReplPeer), s.sightings, opts.ReplStandby)
-			s.repl = r
-			if opts.ReplStandby {
-				s.sightings.SetReplStandby(true)
-			}
-			opts.SightingWAL.SetReplTee(r)
-			s.sightings.SetReplNotify(r.notifyRuns)
-			visitors.SetReplTee(r)
-		}
+		s.visitors = visitors
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	node, err := network.Attach(msg.NodeID(cfg.ID), s.handle)
 	if err != nil {
 		s.cancel()
-		visitors.Close()
 		closeWALs()
 		return nil, fmt.Errorf("server %s: attaching to network: %w", cfg.ID, err)
 	}
@@ -453,6 +408,57 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 	return s, nil
 }
 
+// openLeafStore builds a leaf's sighting store over its logs and recovers
+// it. With a sighting WAL and tiers it recovers in the background: reads
+// are served from the runs at once while each shard's WAL tail replays
+// behind that shard's write lock. Close waits for the warm-up.
+func (s *Server) openLeafStore() error {
+	opts := s.opts
+	s.rangeMet = newRangeCounters(s.met)
+	shards, err := store.NormalizeShards(opts.Shards)
+	if err != nil {
+		return err
+	}
+	if opts.Tiering != nil && opts.SightingWAL == nil && opts.Tiering.Dir == "" {
+		return errors.New("Tiering requires a SightingWAL or an explicit TierConfig.Dir")
+	}
+	if opts.ReplPeer != "" && opts.SightingWAL == nil {
+		return errors.New("ReplPeer requires a SightingWAL (the WAL tail is the replication stream)")
+	}
+	sopts := []store.SightingDBOption{
+		store.WithTTL(opts.SightingTTL),
+		store.WithClock(opts.Clock),
+		store.WithShards(shards),
+	}
+	if opts.WAL != nil {
+		sopts = append(sopts, store.WithRegistrationLog(opts.WAL))
+	}
+	if opts.SightingWAL != nil {
+		sopts = append(sopts, store.WithSightingWAL(opts.SightingWAL))
+	}
+	if opts.Tiering != nil {
+		sopts = append(sopts, store.WithTiering(*opts.Tiering))
+	}
+	s.sightings = store.NewShardedSightingDB(sopts...)
+	if err := s.sightings.RecoverBackground(); err != nil {
+		return fmt.Errorf("recovering sightingDB: %w", err)
+	}
+	// Feed committed update deltas straight into the event dispatcher;
+	// the enqueue never blocks the committing lane.
+	s.pipe = store.NewUpdatePipeline(s.sightings, store.OnCommit(s.enqueueDeltas))
+	s.dedupe = newDedupe(opts.DedupeWindow, opts.DedupeCap, opts.Clock)
+	if opts.ReplPeer != "" {
+		r := newReplState(s, msg.NodeID(opts.ReplPeer), s.sightings, opts.ReplStandby)
+		s.repl = r
+		if opts.ReplStandby {
+			s.sightings.SetReplStandby(true)
+		}
+		opts.SightingWAL.SetReplTee(r)
+		s.sightings.SetReplNotify(r.notifyRuns)
+	}
+	return nil
+}
+
 // ID returns the server's node id.
 func (s *Server) ID() msg.NodeID { return msg.NodeID(s.cfg.ID) }
 
@@ -465,9 +471,14 @@ func (s *Server) IsLeaf() bool { return s.cfg.IsLeaf() }
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *metrics.Registry { return s.met }
 
-// VisitorCount returns the number of visitor records, mainly for tests and
-// diagnostics.
-func (s *Server) VisitorCount() int { return s.visitors.Len() }
+// VisitorCount returns the number of visitor records (a leaf's
+// registrations), mainly for tests and diagnostics.
+func (s *Server) VisitorCount() int {
+	if s.sightings != nil {
+		return s.sightings.RegistrationCount()
+	}
+	return s.visitors.Len()
+}
 
 // PendingCalls returns the number of in-flight outbound calls this server's
 // transport node is still awaiting replies for. Chaos tests assert it drops
@@ -516,15 +527,19 @@ func (s *Server) Close() error {
 			err = nerr
 		}
 		s.wg.Wait()
-		if verr := s.visitors.Close(); verr != nil && err == nil {
-			err = verr
-		}
 		if s.sightings != nil {
 			// A tiered leaf may still be replaying its WAL tail in the
 			// background; closing the WAL underneath that replay would turn
 			// an orderly shutdown into a spurious recovery failure.
 			if werr := s.sightings.WaitRecovered(); werr != nil && err == nil {
 				err = werr
+			}
+		}
+		// The visitor log: an inner server's forwarding table, a leaf's
+		// registration log.
+		if s.opts.WAL != nil {
+			if verr := s.opts.WAL.Close(); verr != nil && err == nil {
+				err = verr
 			}
 		}
 		if s.opts.SightingWAL != nil {
@@ -687,48 +702,46 @@ func (s *Server) janitorTick() {
 	}
 }
 
-// expireVisitors removes a batch of expired visitors, detected by the
-// janitor's Expired scan — the one expiry detector. The removal deltas
-// feed the event engine once per batch, not once per id. It runs with no
-// store locks held.
+// expireVisitors removes a batch of expired visitors like
+// deregistrations, detected by the janitor's Expired scan — the one expiry
+// detector. The scan is stale by the time this runs, so the store removes
+// an object only if its sighting is still expired under the shard lock:
+// one that a concurrent update refreshed in the meantime stays live and
+// nothing is torn down. The removal deltas feed the event engine once per
+// batch, not once per id. It runs with no store locks held.
 func (s *Server) expireVisitors(ids []core.OID) {
 	var ds []store.Delta
 	for _, id := range ids {
-		if d, ok := s.expireVisitor(id); ok {
+		d, sightT, ok, err := s.sightings.Deregister(id, true)
+		if err != nil {
+			s.met.Counter("visitor_db_errors").Inc()
+		}
+		if ok {
+			s.met.Counter("soft_state_expired").Inc()
+			s.removePath(id, sightT)
 			ds = append(ds, d)
 		}
 	}
 	s.enqueueDeltas(ds)
 }
 
-// expireVisitor removes one expired visitor like a deregistration,
-// reporting the removal delta if it removed anything. The expiry
-// observation that led here is stale by the time this runs, so removal is
-// conditional: a record that a concurrent update refreshed in the
-// meantime stays live and nothing is torn down. The caller feeds the
-// deltas to the event engine.
-func (s *Server) expireVisitor(id core.OID) (store.Delta, bool) {
+// removePath starts tearing down id's forwarding path above this leaf.
+// The RemovePath carries the later of now and the removed sighting's time
+// sightT, so no ancestor keeps a record the sighting installed.
+func (s *Server) removePath(id core.OID, sightT time.Time) {
+	if s.parent() == "" {
+		return
+	}
 	lastT := s.opts.Clock()
-	if sight, ok := s.sightings.Get(id); ok && sight.T.After(lastT) {
-		lastT = sight.T
+	if sightT.After(lastT) {
+		lastT = sightT
 	}
-	d, ok := s.sightings.RemoveExpiredDelta(id)
-	if !ok {
-		return store.Delta{}, false
-	}
-	s.met.Counter("soft_state_expired").Inc()
-	if _, err := s.visitors.Remove(id); err != nil {
-		s.met.Counter("visitor_db_errors").Inc()
-	}
-	if s.parent() != "" {
-		s.forwardPath(s.parentForOID(id), msg.RemovePath{OID: id, SightingT: lastT})
-	}
-	return d, true
+	s.forwardPath(s.parentForOID(id), msg.RemovePath{OID: id, SightingT: lastT})
 }
 
-// RestoreVisitors asks every visitor recorded in the (persistent) visitorDB
-// for a fresh position update. A recovering leaf server calls this after a
-// restart: the visitorDB survived on stable storage while the sightingDB
+// RestoreVisitors asks every object registered at this leaf for a fresh
+// position update. A recovering leaf server calls this after a restart:
+// the registrations survived in the registration log while the sightingDB
 // and its indexes were lost and are rebuilt as the update requests are
 // answered (Section 5).
 func (s *Server) RestoreVisitors() int {
@@ -736,13 +749,12 @@ func (s *Server) RestoreVisitors() int {
 		return 0
 	}
 	n := 0
-	s.visitors.ForEach(func(rec store.VisitorRecord) bool {
-		if rec.RegInfo.Registrant != "" {
-			if err := s.node.Send(msg.NodeID(rec.RegInfo.Registrant), msg.RequestUpdate{OID: rec.OID}); err == nil {
+	for id, reg := range s.sightings.Registrations() {
+		if reg.RegInfo.Registrant != "" {
+			if err := s.node.Send(msg.NodeID(reg.RegInfo.Registrant), msg.RequestUpdate{OID: id}); err == nil {
 				n++
 			}
 		}
-		return true
-	})
+	}
 	return n
 }

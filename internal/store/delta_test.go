@@ -25,7 +25,7 @@ func TestPutBatchDeltas(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			a := core.Sighting{OID: "a", Pos: geo.Pt(10, 10)}
 			b := core.Sighting{OID: "b", Pos: geo.Pt(20, 20)}
-			ds := db.PutBatchAcc([]core.Sighting{a, b}, nil, []Delta{})
+			ds := db.PutBatch([]core.Sighting{a, b}, []Delta{})
 			if len(ds) != 2 {
 				t.Fatalf("got %d deltas, want 2: %+v", len(ds), ds)
 			}
@@ -37,7 +37,7 @@ func TestPutBatchDeltas(t *testing.T) {
 
 			// An update reports the superseded position.
 			a2 := core.Sighting{OID: "a", Pos: geo.Pt(30, 30)}
-			ds = db.PutBatchAcc([]core.Sighting{a2}, nil, []Delta{})
+			ds = db.PutBatch([]core.Sighting{a2}, []Delta{})
 			if len(ds) != 1 {
 				t.Fatalf("got %d deltas, want 1", len(ds))
 			}
@@ -62,7 +62,7 @@ func TestPutBatchDeltasCoalesced(t *testing.T) {
 				{OID: "a", Pos: geo.Pt(3, 3)},
 				{OID: "a", Pos: geo.Pt(4, 4)},
 			}
-			ds := db.PutBatchAcc(batch, nil, []Delta{})
+			ds := db.PutBatch(batch, []Delta{})
 			want := Delta{Op: DeltaPut, OID: "a", Old: geo.Pt(1, 1), HasOld: true, New: geo.Pt(4, 4)}
 			if len(ds) != 1 || ds[0] != want {
 				t.Fatalf("deltas %+v, want exactly %+v", ds, want)
@@ -78,18 +78,18 @@ func TestRemoveDelta(t *testing.T) {
 	for name, db := range deltaStores(t) {
 		t.Run(name, func(t *testing.T) {
 			db.Put(core.Sighting{OID: "a", Pos: geo.Pt(5, 6)})
-			d, ok := db.RemoveDelta("a")
+			d, _, ok, _ := db.Deregister("a", false)
 			if !ok {
-				t.Fatal("RemoveDelta(a) found nothing")
+				t.Fatal("Deregister(a) found nothing")
 			}
 			if d.Op != DeltaRemove || d.OID != "a" || !d.HasOld || d.Old != geo.Pt(5, 6) {
 				t.Fatalf("remove delta %+v: want DeltaRemove with old (5,6)", d)
 			}
-			if _, ok := db.RemoveDelta("a"); ok {
-				t.Fatal("second RemoveDelta(a) reported a removal")
+			if _, _, ok, _ := db.Deregister("a", false); ok {
+				t.Fatal("second Deregister(a) reported a removal")
 			}
 			if _, ok := db.Get("a"); ok {
-				t.Fatal("record survived RemoveDelta")
+				t.Fatal("record survived Deregister")
 			}
 		})
 	}
@@ -110,13 +110,13 @@ func TestRemoveExpiredDelta(t *testing.T) {
 			cur = base
 			mu.Unlock()
 			db.Put(core.Sighting{OID: "a", Pos: geo.Pt(7, 8)})
-			if _, ok := db.RemoveExpiredDelta("a"); ok {
+			if _, _, ok, _ := db.Deregister("a", true); ok {
 				t.Fatal("unexpired record removed")
 			}
 			mu.Lock()
 			cur = base.Add(20 * time.Second)
 			mu.Unlock()
-			d, ok := db.RemoveExpiredDelta("a")
+			d, _, ok, _ := db.Deregister("a", true)
 			if !ok {
 				t.Fatal("expired record not removed")
 			}

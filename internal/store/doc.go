@@ -10,12 +10,14 @@
 //     UpdatePipeline batches concurrent updates per shard (group commit
 //     under one lock acquisition). The shard count is fixed when the store
 //     is built (WithShards, or the layout of an attached WAL directory), so
-//     every operation finds its shard with one hash of the object id.
-//   - VisitorDB — the per-server database of visitor records, persisted via
-//     an append-only log so that forwarding paths survive crashes. The paper
-//     used DB2 over JDBC; the log-plus-snapshot store here preserves the
-//     property that matters (durability of forwarding paths) without an
-//     external database.
+//     every operation finds its shard with one hash of the object id. Each
+//     shard also keeps the leaf's visitor records, as a registration table
+//     next to its memtable (Registration, WithRegistrationLog).
+//   - VisitorDB — an inner server's database of visitor records, its
+//     forwarding table, persisted via an append-only log so that
+//     forwarding paths survive crashes. The paper used DB2 over JDBC; the
+//     log-plus-snapshot store here preserves the property that matters
+//     (durability of forwarding paths) without an external database.
 //   - ShardedWAL — optional per-shard write-ahead logs for the sighting
 //     store (WithSightingWAL): each group-commit batch is one log append,
 //     and Recover replays all shards in parallel, bulk-loading each shard's
@@ -31,28 +33,23 @@
 // mirrored on the record), so a range or nearest-neighbor query can build
 // the location descriptor (pos, acc) and qualify a candidate from the index
 // bucket alone — SearchEntries and NearestEntries dereference no record
-// and their consumer needs no visitorDB lookup. The accuracy is derived
-// state; the invariant around it:
+// and their consumer needs no second lookup. The invariant around it:
 //
-//   - Who writes it. Only the caller of PutBatchAcc (UpdatePipeline.PutAcc)
-//     and SetAcc — the leaf server, which hands down the OfferedAcc of the
-//     visitor record it holds whenever it installs a sighting, and calls
-//     SetAcc whenever it rewrites that OfferedAcc afterwards. The store
-//     never invents, logs, ships or persists an accuracy: WAL records, run
-//     files, replication streams and snapshots do not contain it.
+//   - Who writes it. The store alone, from the registration in the same
+//     shard. A put keeps the accuracy of the entry it replaces and a new
+//     entry takes its registration's; every registration change rewrites
+//     the entry's accuracy under the same lock, and Deregister removes the
+//     two together. WAL replay and ReplInstallSnapshot take each entry's
+//     accuracy from the registration, and so does a hit SearchEntries or
+//     NearestEntries reads from a disk run, under the shard's read lock.
+//     WAL segments and run files carry no accuracy.
 //   - When it is unknown. AccUnknown (−1 — not the zero value, which means
-//     "perfectly accurate") marks every entry that did not arrive with an
-//     accuracy: Put, PutBatchAcc without accuracies and UpdatePipeline.Put,
-//     WAL replay (Recover), ReplInstallSnapshot, and every hit
-//     SearchEntries and NearestEntries read from a disk run. Consumers
-//     resolve an unknown accuracy through the source of truth, the
-//     visitorDB, so nothing depends on an accuracy being present.
-//   - Why it is never stale. An entry's accuracy changes only with the
-//     entry — a put for the object replaces both under the shard lock — or
-//     through SetAcc under the same lock, so the last writer wins, and the
-//     server orders its writes so that the last writer carries the visitor
-//     record's current value (server/rangequery.go, rangeScan). A flush
-//     drops the memtable entries and their accuracies with them.
+//     "perfectly accurate") marks exactly the entries of objects with no
+//     registration: sightings put by store-level callers, and positions
+//     recovered from a sighting WAL without the registration log.
+//   - Why it is never stale. The registration and the entry change under
+//     one shard lock, and nothing else writes either. A flush drops the
+//     memtable entries; the registrations stay.
 //
 // # Tiered sighting storage
 //

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -15,7 +16,8 @@ import (
 // indexPayloadErr is the test-only accessor for the invariant every read
 // path of the store relies on: each item of a shard's quadtree carries its
 // memtable record (Ref == byID[ID]) together with that record's accuracy
-// and position, and the tree holds exactly one item per record. It walks
+// and position, the accuracy is the object's registration's (AccUnknown
+// without one), and the tree holds exactly one item per record. It walks
 // every shard.
 func (db *ShardedSightingDB) indexPayloadErr() error {
 	everywhere := geo.R(math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1))
@@ -35,6 +37,8 @@ func (db *ShardedSightingDB) indexPayloadErr() error {
 				err = fmt.Errorf("shard %d: item %s carries Acc %v, record has %v", i, it.ID, it.Acc, e.acc)
 			case it.Pos != e.s.Pos:
 				err = fmt.Errorf("shard %d: item %s at %v, record at %v", i, it.ID, it.Pos, e.s.Pos)
+			case e.acc != sh.regAcc(it.ID):
+				err = fmt.Errorf("shard %d: record %s carries Acc %v, registration offers %v", i, it.ID, e.acc, sh.regAcc(it.ID))
 			}
 			return err == nil
 		})
@@ -58,8 +62,8 @@ func checkIndexPayloads(t *testing.T, db *ShardedSightingDB, after string) {
 }
 
 // putRandom puts n sightings of ids "<prefix>0".."<prefix>(ids-1)" at
-// random positions, half of them through PutBatchAcc in batches that
-// repeat ids (the coalesced path), half through Put.
+// random positions, half of them through PutBatch in batches that repeat
+// ids (the coalesced path), half through Put.
 func putRandom(db *ShardedSightingDB, rng *rand.Rand, prefix string, ids, n int) {
 	now := time.Now()
 	mk := func() core.Sighting {
@@ -75,13 +79,39 @@ func putRandom(db *ShardedSightingDB, rng *rand.Rand, prefix string, ids, n int)
 			continue
 		}
 		batch := make([]core.Sighting, 1+rng.Intn(8))
-		accs := make([]float64, len(batch))
 		for k := range batch {
 			batch[k] = mk()
-			accs[k] = float64(rng.Intn(50))
 		}
-		db.PutBatchAcc(batch, accs, nil)
+		db.PutBatch(batch, nil)
 		done += len(batch)
+	}
+}
+
+// registerRandom runs n random registration operations over the same ids
+// as putRandom: registrations with a sighting, registrations alone,
+// accuracy changes and deregistrations.
+func registerRandom(t *testing.T, db *ShardedSightingDB, rng *rand.Rand, prefix string, ids, n int) {
+	t.Helper()
+	for k := 0; k < n; k++ {
+		id := core.OID(fmt.Sprintf("%s%d", prefix, rng.Intn(ids)))
+		reg := Registration{OfferedAcc: float64(rng.Intn(50)), PathT: time.Now()}
+		var err error
+		switch rng.Intn(4) {
+		case 0:
+			_, err = db.Register(core.Sighting{OID: id, T: reg.PathT, Pos: geo.Pt(rng.Float64()*1000, rng.Float64()*1000)}, reg)
+		case 1:
+			err = db.PutRegistration(id, reg)
+		case 2:
+			_, err = db.UpdateRegistration(id, func(r *Registration) bool {
+				r.OfferedAcc = reg.OfferedAcc
+				return true
+			})
+		default:
+			_, _, _, err = db.Deregister(id, false)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -96,9 +126,10 @@ func TestIndexPayloadInvariant(t *testing.T) {
 			db := NewShardedSightingDB(WithShards(shards))
 			rng := rand.New(rand.NewSource(int64(shards)))
 			putRandom(db, rng, "o", 300, 2000)
+			registerRandom(t, db, rng, "o", 300, 500)
 			checkIndexPayloads(t, db, fmt.Sprintf("puts (%d shards)", shards))
 			for i := 0; i < 300; i += 3 {
-				db.RemoveDelta(core.OID(fmt.Sprintf("o%d", i)))
+				db.Deregister(core.OID(fmt.Sprintf("o%d", i)), false)
 			}
 			checkIndexPayloads(t, db, fmt.Sprintf("removes (%d shards)", shards))
 		}
@@ -109,9 +140,19 @@ func TestIndexPayloadInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		putRandom(db, rng, "o", 200, 1000)
 		for i := 0; i < 200; i += 2 {
-			db.SetAcc(core.OID(fmt.Sprintf("o%d", i)), float64(100+i))
+			if err := db.PutRegistration(core.OID(fmt.Sprintf("o%d", i)), Registration{OfferedAcc: float64(i)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		checkIndexPayloads(t, db, "SetAcc")
+		for i := 0; i < 200; i += 3 {
+			if _, err := db.UpdateRegistration(core.OID(fmt.Sprintf("o%d", i)), func(r *Registration) bool {
+				r.OfferedAcc = float64(100 + i)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkIndexPayloads(t, db, "accuracy changes")
 	})
 
 	t.Run("wal_recover", func(t *testing.T) {
@@ -120,9 +161,18 @@ func TestIndexPayloadInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := NewShardedSightingDB(WithSightingWAL(w))
+		regs := filepath.Join(dir, "registrations.wal")
+		rlog, err := OpenFileWAL(regs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := NewShardedSightingDB(WithSightingWAL(w), WithRegistrationLog(rlog))
 		putRandom(db, rand.New(rand.NewSource(4)), "o", 300, 2000)
-		db.RemoveDelta("o7")
+		registerRandom(t, db, rand.New(rand.NewSource(4)), "o", 300, 500)
+		db.Deregister("o7", false)
+		if err := rlog.Close(); err != nil {
+			t.Fatal(err)
+		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -131,12 +181,18 @@ func TestIndexPayloadInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w2.Close()
-		db2 := NewShardedSightingDB(WithSightingWAL(w2))
+		rlog2, err := OpenFileWAL(regs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rlog2.Close()
+		db2 := NewShardedSightingDB(WithSightingWAL(w2), WithRegistrationLog(rlog2))
 		if err := db2.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		if db2.Len() != db.Len() {
-			t.Fatalf("recovered %d records, want %d", db2.Len(), db.Len())
+		if db2.Len() != db.Len() || db2.RegistrationCount() != db.RegistrationCount() {
+			t.Fatalf("recovered %d records and %d registrations, want %d and %d",
+				db2.Len(), db2.RegistrationCount(), db.Len(), db.RegistrationCount())
 		}
 		checkIndexPayloads(t, db2, "Recover")
 		putRandom(db2, rand.New(rand.NewSource(5)), "o", 300, 500)
@@ -146,8 +202,10 @@ func TestIndexPayloadInvariant(t *testing.T) {
 	t.Run("repl_install_snapshot", func(t *testing.T) {
 		primary := NewShardedSightingDB(WithShards(2))
 		putRandom(primary, rand.New(rand.NewSource(6)), "p", 200, 1000)
+		registerRandom(t, primary, rand.New(rand.NewSource(6)), "p", 200, 300)
 		standby := NewShardedSightingDB(WithShards(2))
 		putRandom(standby, rand.New(rand.NewSource(7)), "s", 100, 500)
+		registerRandom(t, standby, rand.New(rand.NewSource(7)), "s", 100, 200)
 		for shard := 0; shard < 2; shard++ {
 			st, err := primary.ReplSnapshot(shard, uint64(shard+1))
 			if err != nil {
@@ -157,8 +215,9 @@ func TestIndexPayloadInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if standby.Len() != primary.Len() {
-			t.Fatalf("standby holds %d records, primary %d", standby.Len(), primary.Len())
+		if standby.Len() != primary.Len() || standby.RegistrationCount() != primary.RegistrationCount() {
+			t.Fatalf("standby holds %d records and %d registrations, primary %d and %d",
+				standby.Len(), standby.RegistrationCount(), primary.Len(), primary.RegistrationCount())
 		}
 		checkIndexPayloads(t, standby, "ReplInstallSnapshot")
 		putRandom(standby, rand.New(rand.NewSource(8)), "p", 200, 300)
@@ -172,6 +231,7 @@ func TestIndexPayloadInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		putRandom(db, rand.New(rand.NewSource(10)), "o", 300, 1000)
+		registerRandom(t, db, rand.New(rand.NewSource(10)), "o", 300, 300)
 		if err := db.MaintainTiers(); err != nil {
 			t.Fatal(err)
 		}
@@ -180,6 +240,7 @@ func TestIndexPayloadInvariant(t *testing.T) {
 		}
 		checkIndexPayloads(t, db, "flush")
 		putRandom(db, rand.New(rand.NewSource(11)), "o", 300, 200)
+		registerRandom(t, db, rand.New(rand.NewSource(11)), "o", 300, 100)
 		checkIndexPayloads(t, db, "puts after a flush")
 	})
 }

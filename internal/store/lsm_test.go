@@ -862,8 +862,8 @@ func TestTieredExpiry(t *testing.T) {
 	}
 	// Tear them down the way the janitor does.
 	for _, id := range exp {
-		if _, ok := tiered.RemoveExpiredDelta(id); !ok {
-			t.Fatalf("RemoveExpiredDelta(%s)", id)
+		if _, _, ok, _ := tiered.Deregister(id, true); !ok {
+			t.Fatalf("Deregister(%s, expired)", id)
 		}
 	}
 	for _, id := range oracle.Expired() {
@@ -927,7 +927,7 @@ func TestTieredOracleParity(t *testing.T) {
 			}
 		case 1: // expiry sweep through the janitor's teardown path
 			for _, id := range tiered.Expired() {
-				tiered.RemoveExpiredDelta(id)
+				tiered.Deregister(id, true)
 			}
 			for _, id := range oracle.Expired() {
 				oracle.RemoveExpiredDelta(id)
@@ -1461,7 +1461,7 @@ func TestTieredSoak(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				id := core.OID(fmt.Sprintf("w%d-%03d", w, rng.Intn(perID)))
 				if rng.Intn(10) == 0 {
-					db.RemoveDelta(id)
+					db.Deregister(id, false)
 					delete(mine, id)
 					continue
 				}

@@ -12,13 +12,12 @@ import (
 // hit the sighting store — the group-commit pattern applied to the paper's
 // update-heavy workload. Each shard has a combining lane: the first updater
 // to arrive becomes the lane leader and applies its own update immediately;
-// updates arriving while the leader is inside PutBatchAcc queue up and are
+// updates arriving while the leader is inside PutBatch queue up and are
 // applied as one batch under a single shard-lock acquisition when the
 // leader comes back around. Under low concurrency the pipeline degenerates
 // to a plain Put (one extra uncontended mutex); under high concurrency a
 // K-deep queue costs one lock acquisition instead of K, and superseded
-// updates to the same object are coalesced away by the store's
-// PutBatchAcc.
+// updates to the same object are coalesced away by the store's PutBatch.
 // Each update queued behind a lane leader bumps the handoff counter, which
 // diagnostics export beside the store's shard-lock contention samples.
 //
@@ -46,7 +45,6 @@ type updateLane struct {
 
 type pendingUpdate struct {
 	s    core.Sighting
-	acc  float64
 	done chan struct{}
 }
 
@@ -83,12 +81,7 @@ func (p *UpdatePipeline) Stats() (ops, handoffs int64) {
 
 // Put routes s through its shard's combining lane and returns once the
 // update is committed to the store. It is safe for concurrent use.
-func (p *UpdatePipeline) Put(s core.Sighting) { p.PutAcc(s, AccUnknown) }
-
-// PutAcc is Put for a caller that knows the object's offered accuracy: acc
-// is recorded on the index entry the update installs (see
-// SightingStore.PutBatchAcc).
-func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
+func (p *UpdatePipeline) Put(s core.Sighting) {
 	p.ops.Add(1)
 	lane := &p.lanes[spatial.ShardFor(s.OID, len(p.lanes))]
 	lane.mu.Lock()
@@ -96,7 +89,7 @@ func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 		// A leader is committing: enqueue and wait for it to apply us.
 		p.handoffs.Add(1)
 		done := make(chan struct{})
-		lane.pending = append(lane.pending, pendingUpdate{s: s, acc: acc, done: done})
+		lane.pending = append(lane.pending, pendingUpdate{s: s, done: done})
 		lane.mu.Unlock()
 		<-done
 		return
@@ -106,19 +99,14 @@ func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 
 	// Leader: commit own update, then drain whatever queued up meanwhile,
 	// batch by batch, until the lane is empty.
-	// The leader's own update and its accuracy share one allocation.
-	own := &struct {
-		s   [1]core.Sighting
-		acc [1]float64
-	}{[1]core.Sighting{s}, [1]float64{acc}}
-	batch, accs := own.s[:], own.acc[:]
+	batch := []core.Sighting{s}
 	var dones []chan struct{}
 	for {
 		var deltas []Delta // nil: none wanted
 		if p.onCommit != nil {
 			deltas = make([]Delta, 0, len(batch))
 		}
-		deltas = p.db.PutBatchAcc(batch, accs, deltas)
+		deltas = p.db.PutBatch(batch, deltas)
 		if p.onCommit != nil {
 			p.onCommit(deltas)
 		}
@@ -134,10 +122,9 @@ func (p *UpdatePipeline) PutAcc(s core.Sighting, acc float64) {
 		queued := lane.pending
 		lane.pending = nil
 		lane.mu.Unlock()
-		batch, accs, dones = batch[:0], accs[:0], dones[:0]
+		batch, dones = batch[:0], dones[:0]
 		for _, pu := range queued {
 			batch = append(batch, pu.s)
-			accs = append(accs, pu.acc)
 			dones = append(dones, pu.done)
 		}
 	}

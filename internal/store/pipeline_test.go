@@ -11,7 +11,7 @@ import (
 	"locsvc/internal/geo"
 )
 
-// gatedStore wraps a SightingStore and blocks inside PutBatchAcc until the
+// gatedStore wraps a SightingStore and blocks inside PutBatch until the
 // test releases it, so tests can deterministically pile updates onto a
 // pipeline lane while its leader is mid-commit.
 type gatedStore struct {
@@ -20,10 +20,10 @@ type gatedStore struct {
 	release chan struct{}        // one receive per batch to proceed
 }
 
-func (g *gatedStore) PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta {
+func (g *gatedStore) PutBatch(batch []core.Sighting, out []Delta) []Delta {
 	g.entered <- append([]core.Sighting(nil), batch...)
 	<-g.release
-	return g.SightingStore.PutBatchAcc(batch, accs, out)
+	return g.SightingStore.PutBatch(batch, out)
 }
 
 func TestPipelinePutApplies(t *testing.T) {
@@ -48,7 +48,7 @@ func TestPipelineGroupCommit(t *testing.T) {
 		pipe.Put(sighting("leader", 0, 0))
 		close(leaderDone)
 	}()
-	first := <-gate.entered // leader is now inside PutBatchAcc
+	first := <-gate.entered // leader is now inside PutBatch
 	if len(first) != 1 || first[0].OID != "leader" {
 		t.Fatalf("first batch = %v", first)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"time"
@@ -22,9 +23,9 @@ import (
 // stream must reproduce the primary's per-shard apply order, and every
 // hook here is positioned so that it does:
 //
-//   - WAL-teed records (puts, removes) are observed in segment commit
-//     order, which equals apply order because both happen under the
-//     shard's write lock.
+//   - WAL-teed records (puts, removes, registration changes) are observed
+//     in segment commit order, which equals apply order because both
+//     happen under the shard's write lock.
 //   - ReplSnapshot reads the shard's state AND enqueues a WAL marker
 //     inside one critical section, so the marker's position in the tee
 //     stream is exactly the snapshot's position in the apply order.
@@ -87,12 +88,13 @@ func (db *ShardedSightingDB) SetReplStandby(standby bool) {
 func (db *ShardedSightingDB) ReplStandby() bool { return db.replStandby.Load() }
 
 // ReplShardState is the snapshot of one shard a standby bootstraps from:
-// the memtable's live records and tombstones, the run list (newest first,
-// base names) and the run sequence cursor. Replaying Live/Dead over an
-// installed Runs list reproduces the shard byte-for-byte in effect.
+// the memtable's live records and tombstones, the registrations, the run
+// list (newest first, base names) and the run sequence cursor. Replaying
+// Live/Dead/Regs over an installed Runs list reproduces the shard in effect.
 type ReplShardState struct {
 	Live    []core.Sighting
 	Dead    []core.OID
+	Regs    map[core.OID]Registration
 	Runs    []string
 	NextSeq uint64
 }
@@ -107,7 +109,7 @@ func (db *ShardedSightingDB) replShard(shard int) (*sightingShard, error) {
 
 // ReplSnapshot captures shard's full state and, while still holding the
 // shard's write lock, enqueues a replication marker carrying token on the
-// shard's WAL stream. The marker surfaces through ReplTee.TeeMark at
+// shard's WAL stream. The marker surfaces through ReplTee.TeeRecord at
 // exactly the snapshot's position in the tee order: every record teed
 // before it is contained in the snapshot, every record teed after it was
 // applied after the snapshot was taken. That is what lets a sender splice
@@ -119,7 +121,7 @@ func (db *ShardedSightingDB) ReplSnapshot(shard int, token uint64) (ReplShardSta
 	}
 	sh.lockWrite()
 	defer sh.mu.Unlock()
-	st := ReplShardState{Live: sh.liveSnapshot()}
+	st := ReplShardState{Live: sh.liveSnapshot(), Regs: maps.Clone(sh.regs)}
 	if t := sh.tier; t != nil {
 		for id := range sh.dead {
 			st.Dead = append(st.Dead, id)
@@ -340,7 +342,7 @@ func (db *ShardedSightingDB) swapRunsLocked(sh *sightingShard, shard int, names 
 }
 
 // resetMemtableLocked clears the shard's memtable, tombstones and spatial
-// index. Caller holds the shard's write lock.
+// index; the registration table stays. Caller holds the shard's write lock.
 func (db *ShardedSightingDB) resetMemtableLocked(sh *sightingShard) {
 	sh.byID = make(map[core.OID]*sightingEntry)
 	if sh.tier != nil || sh.dead != nil {
@@ -386,12 +388,13 @@ func (db *ShardedSightingDB) ReplInstallRuns(shard int, names []string, nextSeq 
 }
 
 // ReplInstallSnapshot replaces shard's entire state — memtable, tombstone
-// set, run list, sequence cursor — with a primary's snapshot: the
-// bootstrap and gap-healing path. Run files are fetched off-lock; the
-// swap and the memtable rebuild happen under the shard's write lock; the
-// standby's WAL segment is rewritten to replay to exactly the installed
-// memtable (live records and tombstones both — dropping the tombstones
-// would resurrect run-resident versions on the next restart).
+// set, registrations, run list, sequence cursor — with a primary's
+// snapshot: the bootstrap and gap-healing path. Run files are fetched
+// off-lock; the swap, the logged registration changes and the memtable
+// rebuild happen under the shard's write lock; the standby's WAL segment
+// is rewritten to replay to exactly the installed memtable (live records
+// and tombstones both — dropping the tombstones would resurrect
+// run-resident versions on the next restart).
 func (db *ShardedSightingDB) ReplInstallSnapshot(shard int, st ReplShardState, fetch func(name string) error) error {
 	if len(st.Runs) > 0 && db.tier == nil {
 		return errors.New("store: snapshot with runs into an untiered store")
@@ -413,12 +416,24 @@ func (db *ShardedSightingDB) ReplInstallSnapshot(shard int, st ReplShardState, f
 		}
 	}
 	db.resetMemtableLocked(sh)
+	for id := range sh.regs {
+		if _, keep := st.Regs[id]; !keep {
+			if err := db.changeRegLocked(sh, shard, id, nil); err != nil {
+				return err
+			}
+		}
+	}
+	for id, reg := range st.Regs {
+		if err := db.changeRegLocked(sh, shard, id, &reg); err != nil {
+			return err
+		}
+	}
 	var expires time.Time
 	if db.ttl > 0 {
 		expires = db.clock().Add(db.ttl)
 	}
 	for _, s := range st.Live {
-		sh.byID[s.OID] = &sightingEntry{s: s, expires: expires, acc: AccUnknown}
+		sh.byID[s.OID] = &sightingEntry{s: s, expires: expires, acc: sh.regAcc(s.OID)}
 		sh.noteInsert(s.Pos)
 		if sh.tier != nil {
 			sh.memBytes += memCost(s.OID)

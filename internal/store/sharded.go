@@ -66,6 +66,7 @@ type ShardedSightingDB struct {
 	// repl.go.
 	replNotify  atomic.Pointer[replNotifyBox]
 	replStandby atomic.Bool
+	regLog      WAL // WithRegistrationLog
 }
 
 type sightingShard struct {
@@ -76,6 +77,13 @@ type sightingShard struct {
 	// instead of re-hashing every match through byID.
 	idx  *spatial.Quadtree
 	byID map[core.OID]*sightingEntry
+	// regs is the shard's registration table (registration.go), never
+	// flushed with the memtable. A change holds mu and regMu, so a reader
+	// may hold either: regMu alone serves the server's registration reads
+	// (every in-area update's), which would otherwise queue behind the
+	// shard's writers and range scans on a one-shard leaf.
+	regs  map[core.OID]Registration
+	regMu sync.RWMutex
 
 	// ops and contended sample write-lock pressure: ops counts write-path
 	// lock acquisitions, contended the subset that found the lock already
@@ -166,9 +174,10 @@ func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 		cfg.shards = cfg.wal.NumShards()
 	}
 	db := &ShardedSightingDB{
-		ttl:   cfg.ttl,
-		clock: cfg.clock,
-		wal:   cfg.wal,
+		ttl:    cfg.ttl,
+		clock:  cfg.clock,
+		wal:    cfg.wal,
+		regLog: cfg.regLog,
 	}
 	if cfg.tier != nil {
 		tc := cfg.tier.withDefaults()
@@ -186,6 +195,7 @@ func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 		db.shards[i] = &sightingShard{
 			idx:  spatial.NewQuadtree(),
 			byID: make(map[core.OID]*sightingEntry),
+			regs: make(map[core.OID]Registration),
 		}
 	}
 	return db
@@ -285,35 +295,42 @@ func (db *ShardedSightingDB) Len() int {
 	return n
 }
 
-// Put inserts or replaces the record for s.OID, with no accuracy, and
-// refreshes its expiration date: the one-record form of PutBatchAcc.
+// Put inserts or replaces the record for s.OID and refreshes its
+// expiration date: the one-record form of PutBatch.
 func (db *ShardedSightingDB) Put(s core.Sighting) {
-	db.putOne(s, AccUnknown, nil)
+	db.putOne(s, nil)
 }
 
 // putOne commits one sighting, appending its delta to *out when out is
 // non-nil.
-func (db *ShardedSightingDB) putOne(s core.Sighting, acc float64, out *[]Delta) {
+func (db *ShardedSightingDB) putOne(s core.Sighting, out *[]Delta) {
 	sh, i := db.lockOwner(s.OID)
-	if db.wal != nil {
-		_ = db.wal.AppendBatch(i, []core.Sighting{s})
-	}
-	d := db.putLocked(sh, s, acc)
-	db.maybeFlushBackpressure(sh, i)
+	d := db.putOneLocked(sh, i, s)
 	sh.mu.Unlock()
 	if out != nil {
 		*out = append(*out, d)
 	}
 }
 
-// PutBatchAcc implements SightingStore: later entries for the same object
+// putOneLocked logs and applies one sighting. Caller holds the shard's
+// write lock.
+func (db *ShardedSightingDB) putOneLocked(sh *sightingShard, shard int, s core.Sighting) Delta {
+	if db.wal != nil {
+		_ = db.wal.AppendBatch(shard, []core.Sighting{s})
+	}
+	d := db.putLocked(sh, s)
+	db.maybeFlushBackpressure(sh, shard)
+	return d
+}
+
+// PutBatch implements SightingStore: later entries for the same object
 // override earlier ones. The batch is grouped by shard and each group
 // applied under a single lock acquisition. Within a group, updates to the
 // same object are coalesced — only the last sighting per object touches
 // the spatial index, fusing its Remove+Insert pair once instead of once per
 // superseded update — and yield one delta spanning the pre-batch position
 // and the final one.
-func (db *ShardedSightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, out []Delta) []Delta {
+func (db *ShardedSightingDB) PutBatch(batch []core.Sighting, out []Delta) []Delta {
 	var deltas *[]Delta // nil: none wanted
 	if out != nil {
 		deltas = &out
@@ -322,12 +339,12 @@ func (db *ShardedSightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, 
 	case 0:
 		return out
 	case 1:
-		db.putOne(batch[0], accAt(accs, 0), deltas)
+		db.putOne(batch[0], deltas)
 		return out
 	}
 	n := len(db.shards)
 	if n == 1 {
-		db.putGroup(0, batch, accs, deltas)
+		db.putGroup(0, batch, deltas)
 		return out
 	}
 	// Fast path: batches assembled by a per-shard pipeline lane are
@@ -342,21 +359,17 @@ func (db *ShardedSightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, 
 		}
 	}
 	if same {
-		db.putGroup(first, batch, accs, deltas)
+		db.putGroup(first, batch, deltas)
 		return out
 	}
 	groups := make([][]core.Sighting, n)
-	groupAccs := make([][]float64, n) // entries stay nil when accs is
-	for k, s := range batch {
+	for _, s := range batch {
 		i := spatial.ShardFor(s.OID, n)
 		groups[i] = append(groups[i], s)
-		if accs != nil {
-			groupAccs[i] = append(groupAccs[i], accs[k])
-		}
 	}
 	for i, grp := range groups {
 		if len(grp) > 0 {
-			db.putGroup(i, grp, groupAccs[i], deltas)
+			db.putGroup(i, grp, deltas)
 		}
 	}
 	return out
@@ -370,7 +383,7 @@ func (db *ShardedSightingDB) PutBatchAcc(batch []core.Sighting, accs []float64, 
 // applied put appends its delta — on the coalesced path only the surviving
 // last-per-object puts apply, so each emitted delta spans pre-batch old to
 // batch-final new.
-func (db *ShardedSightingDB) putGroup(shard int, group []core.Sighting, accs []float64, out *[]Delta) {
+func (db *ShardedSightingDB) putGroup(shard int, group []core.Sighting, out *[]Delta) {
 	sh := db.shards[shard]
 	sh.lockWrite()
 	defer sh.mu.Unlock()
@@ -393,27 +406,35 @@ func (db *ShardedSightingDB) putGroup(shard int, group []core.Sighting, accs []f
 		if len(last) < len(group) {
 			for i, s := range group {
 				if last[s.OID] == i {
-					emit(db.putLocked(sh, s, accAt(accs, i)))
+					emit(db.putLocked(sh, s))
 				}
 			}
 			return
 		}
 	}
-	for i, s := range group {
-		emit(db.putLocked(sh, s, accAt(accs, i)))
+	for _, s := range group {
+		emit(db.putLocked(sh, s))
 	}
 }
 
-func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting, acc float64) Delta {
+// putLocked installs s in the memtable. The entry keeps the accuracy of
+// the entry it replaces, which every registration change keeps current; a
+// new entry takes its registration's. Caller holds the shard's write lock.
+func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting) Delta {
 	old := sh.byID[s.OID]
+	var acc float64
 	if old != nil {
+		acc = old.acc
 		sh.idx.Remove(s.OID, old.s.Pos)
 		sh.noteRemove()
-	} else if db.tier != nil {
-		sh.memBytes += memCost(s.OID)
-		if _, wasDead := sh.dead[s.OID]; wasDead {
-			delete(sh.dead, s.OID)
-			sh.memBytes -= tombCost(s.OID)
+	} else {
+		acc = sh.regAcc(s.OID)
+		if db.tier != nil {
+			sh.memBytes += memCost(s.OID)
+			if _, wasDead := sh.dead[s.OID]; wasDead {
+				delete(sh.dead, s.OID)
+				sh.memBytes -= tombCost(s.OID)
+			}
 		}
 	}
 	entry := &sightingEntry{s: s, acc: acc}
@@ -426,27 +447,6 @@ func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting, acc f
 	return putDelta(s, old)
 }
 
-// SetAcc replaces the accuracy recorded on id's index entry, leaving the
-// sighting and its expiration date alone. It reports false when the
-// memtable holds no entry for id: only the memtable entry is touched, and
-// a record that lives in a run has no accuracy to keep current.
-func (db *ShardedSightingDB) SetAcc(id core.OID, acc float64) bool {
-	sh, _ := db.lockOwner(id)
-	defer sh.mu.Unlock()
-	e, ok := sh.byID[id]
-	if !ok {
-		return false
-	}
-	if e.acc != acc {
-		// Same position, so the shard's bounding rectangle stands.
-		sh.idx.Remove(id, e.s.Pos)
-		e = &sightingEntry{s: e.s, expires: e.expires, acc: acc}
-		sh.byID[id] = e
-		sh.idx.InsertItem(e.item())
-	}
-	return true
-}
-
 // Get implements SightingStore. On a tiered store a memtable miss falls
 // through to the disk runs, newest to oldest, gated by each run's key
 // range and bloom filter; a memtable tombstone answers "gone" without
@@ -456,66 +456,34 @@ func (db *ShardedSightingDB) Get(id core.OID) (core.Sighting, bool) {
 	sh := db.shards[db.ShardFor(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e, ok := sh.byID[id]
-	if ok {
-		return e.s, true
+	e, _, ok := db.lookupLocked(sh, id)
+	return e.s, ok
+}
+
+// lookupLocked returns id's memtable entry (hot) or else its newest live
+// run version, with its registration's accuracy. Caller holds the lock.
+func (db *ShardedSightingDB) lookupLocked(sh *sightingShard, id core.OID) (e sightingEntry, hot, found bool) {
+	if p, ok := sh.byID[id]; ok {
+		return *p, true, true
 	}
 	if sh.tier != nil {
 		if _, gone := sh.dead[id]; !gone {
-			if rec, found := sh.tierLookup(db.tier, id); found && !rec.tombstone {
-				return rec.s, true
+			if rec, ok := sh.tierLookup(db.tier, id); ok && !rec.tombstone {
+				return sightingEntry{s: rec.s, expires: rec.expires, acc: sh.regAcc(id)}, false, true
 			}
 		}
 	}
-	return core.Sighting{}, false
+	return sightingEntry{}, false, false
 }
 
-// RemoveDelta deletes the record for id and reports whether it existed;
-// the returned delta carries the removed record's last position. On a
-// tiered store removing a record that lives only in a run leaves a
-// memtable tombstone (persisted by the next flush, dropped with the
-// shadowed versions at compaction) so the run-resident version stops being
-// visible immediately.
-func (db *ShardedSightingDB) RemoveDelta(id core.OID) (Delta, bool) {
-	return db.remove(id, false)
-}
-
-// RemoveExpiredDelta is RemoveDelta for a record whose TTL has passed at
-// the time the shard lock is held, and a no-op for any other, so the
-// janitor, acting on a stale Expired scan, cannot tear down a concurrently
-// refreshed record.
-func (db *ShardedSightingDB) RemoveExpiredDelta(id core.OID) (Delta, bool) {
-	return db.remove(id, true)
-}
-
-// remove is the body of RemoveDelta and RemoveExpiredDelta. A record
-// absent from the memtable may still live in a disk run: the newest
-// on-disk version is resolved and, if live, removed by tombstone alone.
-func (db *ShardedSightingDB) remove(id core.OID, expiredOnly bool) (Delta, bool) {
-	sh, i := db.lockOwner(id)
-	defer sh.mu.Unlock()
-	e, hot := sh.byID[id]
-	if !hot {
-		if sh.tier == nil {
-			return Delta{}, false
-		}
-		if _, gone := sh.dead[id]; gone {
-			return Delta{}, false
-		}
-		rec, found := sh.tierLookup(db.tier, id)
-		if !found || rec.tombstone {
-			return Delta{}, false
-		}
-		e = &sightingEntry{s: rec.s, expires: rec.expires}
-	}
-	if expiredOnly && (db.ttl <= 0 || e.expires.IsZero() || !db.clock().After(e.expires)) {
-		return Delta{}, false
-	}
+// removeLocked logs and applies the removal of id's sighting at pos, hot
+// or run-resident (by tombstone). Caller holds the shard's write lock.
+func (db *ShardedSightingDB) removeLocked(sh *sightingShard, shard int, id core.OID, pos geo.Point, hot bool) {
 	if db.wal != nil {
-		_ = db.wal.AppendRemove(i, id)
+		_ = db.wal.AppendRemove(shard, id)
 	}
 	if hot {
-		sh.idx.Remove(id, e.s.Pos)
+		sh.idx.Remove(id, pos)
 		delete(sh.byID, id)
 		sh.noteRemove()
 		if db.tier != nil {
@@ -525,7 +493,6 @@ func (db *ShardedSightingDB) remove(id core.OID, expiredOnly bool) (Delta, bool)
 	if db.tier != nil {
 		db.tombstoneLocked(sh, id)
 	}
-	return removeDelta(id, e), true
 }
 
 // tombstoneLocked records a memtable tombstone for id. Caller holds the
@@ -580,9 +547,9 @@ func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) 
 }
 
 // SearchEntries is SearchArea at index-entry level: visit receives the id,
-// the position and the recorded accuracy (AccUnknown when none) of every
-// match without the record behind the entry being read. It is the same
-// fan-out as SearchArea, delivering memtable hits off the index entries.
+// the position and the accuracy (AccUnknown for an unregistered object) of
+// every match, memtable hits read off the index entries without the record
+// behind them, run hits with their registration's accuracy.
 func (db *ShardedSightingDB) SearchEntries(r geo.Rect, visit func(id core.OID, pos geo.Point, acc float64) bool) {
 	db.search(r, hitSink{entry: visit})
 }
@@ -599,6 +566,7 @@ func (db *ShardedSightingDB) search(r geo.Rect, sink hitSink) {
 		}
 		if !sc.stopped && sh.tier != nil {
 			// Disk-resident records, through the runs' spatial leaves.
+			sc.sh = sh
 			sh.tierSearch(db.tier, r, sc.cold)
 		}
 		sh.mu.RUnlock()
@@ -630,14 +598,17 @@ func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting
 // NearestEntries is NearestFunc at index-entry level, like SearchEntries:
 // memtable neighbors are delivered off the cursor's index entries. A
 // neighbor that NearestFunc would re-resolve through Get is re-resolved
-// here too and delivered without an accuracy.
+// here too, with its registration's accuracy.
 func (db *ShardedSightingDB) NearestEntries(p geo.Point, visit func(id core.OID, pos geo.Point, acc, dist float64) bool) {
 	db.nearest(p, func(n spatial.Neighbor, e *sightingEntry) bool {
 		if e != nil {
 			return visit(n.ID, n.Pos, n.Acc, n.Dist)
 		}
-		s, found := db.Get(n.ID)
-		return !found || visit(s.OID, s.Pos, AccUnknown, n.Dist)
+		reg, s, registered, found := db.Lookup(n.ID)
+		if !registered {
+			reg.OfferedAcc = AccUnknown
+		}
+		return !found || visit(s.OID, s.Pos, reg.OfferedAcc, n.Dist)
 	})
 }
 
@@ -775,6 +746,9 @@ func (db *ShardedSightingDB) Recover() error {
 	if err := db.openTiers(); err != nil {
 		return err
 	}
+	if err := db.replayRegistrations(); err != nil {
+		return err
+	}
 	if db.wal == nil {
 		db.markWarm()
 		return nil
@@ -821,6 +795,9 @@ func (db *ShardedSightingDB) RecoverBackground() error {
 		return db.Recover()
 	}
 	if err := db.openTiers(); err != nil {
+		return err
+	}
+	if err := db.replayRegistrations(); err != nil {
 		return err
 	}
 	if !ts.warming.CompareAndSwap(false, true) {
@@ -946,7 +923,7 @@ func (db *ShardedSightingDB) recoverShardLocked(shard int) error {
 		expires = db.clock().Add(db.ttl)
 	}
 	for _, s := range live {
-		sh.byID[s.OID] = &sightingEntry{s: s, expires: expires, acc: AccUnknown}
+		sh.byID[s.OID] = &sightingEntry{s: s, expires: expires, acc: sh.regAcc(s.OID)}
 		sh.noteInsert(s.Pos)
 	}
 	sh.rebuildIndexLocked()

@@ -51,12 +51,12 @@ func TestShardedPutBatchCoalesces(t *testing.T) {
 	// Three updates of the same object in one batch: only the last
 	// position must survive, and the superseded ones must not linger in
 	// the spatial index.
-	db.PutBatchAcc([]core.Sighting{
+	db.PutBatch([]core.Sighting{
 		sighting("a", 1, 1),
 		sighting("b", 2, 2),
 		sighting("a", 50, 50),
 		sighting("a", 90, 90),
-	}, nil, nil)
+	}, nil)
 	if db.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", db.Len())
 	}
@@ -128,7 +128,7 @@ func TestShardedExpiredMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRemoveExpiredGuardsRefresh: RemoveExpiredDelta must be a no-op for a
+// TestRemoveExpiredGuardsRefresh: Deregister(id, true) must be a no-op for a
 // record refreshed after the expiry observation — the race the janitor
 // acts under — and agree with the oracle throughout.
 func TestRemoveExpiredGuardsRefresh(t *testing.T) {
@@ -146,10 +146,10 @@ func TestRemoveExpiredGuardsRefresh(t *testing.T) {
 		}
 		put(sighting("x", 1, 1)) // refreshed between observation and removal
 		for id, want := range map[core.OID]bool{"x": false, "y": true, "missing": false} {
-			got, removed := db.RemoveExpiredDelta(id)
+			got, _, removed, _ := db.Deregister(id, true)
 			wantDelta, oracleRemoved := oracle.RemoveExpiredDelta(id)
 			if removed != want || oracleRemoved != want || got != wantDelta {
-				t.Errorf("shards=%d: RemoveExpiredDelta(%s) = %+v, %v; oracle %+v, %v; want removed=%v",
+				t.Errorf("shards=%d: Deregister(%s, expired) = %+v, %v; oracle %+v, %v; want removed=%v",
 					shards, id, got, removed, wantDelta, oracleRemoved, want)
 			}
 		}
@@ -253,7 +253,7 @@ func TestShardedMatchesOracleRandomized(t *testing.T) {
 					}
 					before := storeState(oracle)
 					oracle.PutAll(batch)
-					checkBatchDeltas(t, db.PutBatchAcc(batch, nil, []Delta{}), before, oracle)
+					checkBatchDeltas(t, db.PutBatch(batch, []Delta{}), before, oracle)
 				case 2:
 					id := core.OID(fmt.Sprintf("o%d", rng.Intn(60)))
 					if removed(db, id) != oracle.Remove(id) {
@@ -331,7 +331,7 @@ func TestShardedConcurrentMatchesOracle(t *testing.T) {
 								batch[i] = sighting(fmt.Sprintf("o%d", idx), rng.Float64()*side, rng.Float64()*side)
 								final[idx] = batch[i]
 							}
-							db.PutBatchAcc(batch, nil, nil)
+							db.PutBatch(batch, nil)
 						}
 					}
 				}(w)
@@ -373,7 +373,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 						batch[j] = sighting(fmt.Sprintf("w%d-o%d", w%4, rng.Intn(40)),
 							rng.Float64()*100, rng.Float64()*100)
 					}
-					db.PutBatchAcc(batch, nil, nil)
+					db.PutBatch(batch, nil)
 				case 3:
 					db.Get(core.OID(id))
 				case 4:
@@ -385,7 +385,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 						return n < 5
 					})
 				case 6:
-					db.RemoveDelta(core.OID(fmt.Sprintf("w%d-o%d", w%4, rng.Intn(40))))
+					db.Deregister(core.OID(fmt.Sprintf("w%d-o%d", w%4, rng.Intn(40))), false)
 				case 7:
 					db.Expired()
 					if s, ok := db.Get(core.OID(id)); ok {

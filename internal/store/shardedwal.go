@@ -26,7 +26,7 @@ import (
 // segment, in application order.
 //
 // The append unit is the group-commit batch of the update pipeline: one
-// WALSightingBatch record per PutBatchAcc shard group, so the marshal and
+// WALSightingBatch record per PutBatch shard group, so the marshal and
 // flush cost of durability is amortized over the batch exactly as the
 // combining lane amortizes lock cost.
 //
@@ -47,11 +47,13 @@ import (
 //
 // # The append path
 //
-// Every append — AppendBatch, AppendRemove, Mark — enqueues its record on
-// the shard's pending list (the caller holds the shard lock, so list order
-// is commit order — the update path pays one batch copy and a slice
+// Every append — AppendBatch, AppendRemove, Mark and, while a replication
+// tee is installed, the store's registration changes — enqueues its record
+// on the shard's pending list (the caller holds the shard lock, so list
+// order is commit order — the update path pays one batch copy and a slice
 // append), and a per-segment writer goroutine swaps the list out, encodes
-// it, commits the whole drain with a single write+flush and then tees it.
+// it (markers and registration changes are never written to the segment),
+// commits the whole drain with a single write+flush and then tees it.
 // The writer waits a short coalescing window (walCoalesceDelay) before
 // each swap, so even a trickle of updates amortizes the encode setup and
 // the syscall across a group — the group-commit idea applied once more, at
@@ -100,25 +102,20 @@ type ShardedWAL struct {
 	closeErr  error
 }
 
-// ReplTee observes committed sighting-WAL records. Each shard's writer
-// goroutine calls it immediately after the records reach the OS, so a teed
-// record is always also durable locally, and calls for one shard arrive in
-// that shard's commit order. With WithSync the append waits for its tee
-// too.
-//
-// Implementations must not block (the writer goroutine, and with WithSync
-// the update path, stalls behind them) and must copy the TeePut batch
-// before returning — the slice is recycled.
+// ReplTee observes each shard's committed records, for replication. The
+// shard's writer goroutine calls it right after the records reach the OS,
+// so a teed record is always also durable locally, and calls for one shard
+// arrive in that shard's commit order. With WithSync the append waits for
+// its tee too. Implementations must not block (the writer goroutine, and
+// with WithSync the update path, stalls behind them).
 type ReplTee interface {
-	// TeePut observes one committed put batch.
-	TeePut(shard int, batch []core.Sighting)
-	// TeeRemove observes one committed removal.
-	TeeRemove(shard int, id core.OID)
-	// TeeMark observes a marker enqueued by Mark, at its exact position
-	// in the shard's commit order. Markers carry no state and are never
-	// written to disk; replication snapshots use them to pin where in the
-	// stream a snapshot was taken.
-	TeeMark(shard int, token uint64)
+	// TeeRecord observes one record: a put batch, whose Sightings the tee
+	// must copy (the slice is recycled); a removal; a registration change
+	// (WALPut or WALRemove, which the registration log holds on disk); or a
+	// marker enqueued by Mark (WALMark, its token in Epoch), which carries
+	// no state and pins where in the stream a replication snapshot was
+	// taken.
+	TeeRecord(shard int, rec WALRecord)
 }
 
 // replTeeBox wraps the tee for atomic.Pointer storage.
@@ -141,17 +138,25 @@ func (w *ShardedWAL) replTee() ReplTee {
 	return nil
 }
 
-// walReplMark is the in-memory-only record op of a replication marker. It
-// flows through the shard's append buffer for ordering but is never
-// encoded to the segment file, so replay never sees it.
-const walReplMark WALOp = "replmark"
+// WALMark is the record op of a replication marker (Mark). It flows through
+// the shard's append buffer for ordering but is never encoded to the
+// segment file, so replay never sees it.
+const WALMark WALOp = "replmark"
 
 // Mark enqueues a replication marker on shard's stream. The caller must
 // hold the store lock of the shard (like any append), which is what makes
 // the marker's position in the commit order meaningful: every record
 // appended before it under that lock is teed before it.
 func (w *ShardedWAL) Mark(shard int, token uint64) error {
-	return w.enqueue(shard, WALRecord{Op: walReplMark, Epoch: int64(token)}, nil)
+	return w.enqueue(shard, WALRecord{Op: WALMark, Epoch: int64(token)}, nil)
+}
+
+// appendRegistration enqueues a registration change for the replication
+// tee, in commit order like Mark, only while a tee is installed.
+func (w *ShardedWAL) appendRegistration(shard int, rec WALRecord) {
+	if w.replTee() != nil {
+		_ = w.enqueue(shard, rec, nil)
+	}
 }
 
 // walShardBuf is one shard's pending append list, double-buffered with its
@@ -573,7 +578,7 @@ func (w *ShardedWAL) Dir() string { return w.dir }
 // AppendBatch logs one group-commit batch of sighting puts to shard's
 // segment (see "The append path" for when it is durable). Later entries
 // for the same object supersede earlier ones, matching
-// SightingStore.PutBatchAcc. The batch is copied; the caller may reuse the
+// SightingStore.PutBatch. The batch is copied; the caller may reuse the
 // slice. After a failed append the WAL is down (see Err) and calls return
 // the sticky error without logging.
 func (w *ShardedWAL) AppendBatch(shard int, batch []core.Sighting) error {
@@ -660,7 +665,7 @@ func (w *ShardedWAL) writer(shard int) {
 			out = out[:0]
 			var err error
 			for _, rec := range local {
-				if rec.Op == walReplMark {
+				if rec.Op == WALMark || rec.Visitor != nil {
 					continue // in-memory only: teed below, never encoded
 				}
 				if out, err = appendWALRecordJSON(out, rec, &memo); err != nil {
@@ -673,19 +678,10 @@ func (w *ShardedWAL) writer(shard int) {
 					w.fail(err)
 				}
 			}
-			// Tee the drain in commit order now that it is durable. The tee
-			// must copy TeePut batches: local's Sightings slices are recycled
-			// into sb.free at the top of the next iteration.
+			// Tee the drain in commit order now that it is durable.
 			if tee := w.replTee(); err == nil && tee != nil {
 				for _, rec := range local {
-					switch rec.Op {
-					case WALSightingBatch:
-						tee.TeePut(shard, rec.Sightings)
-					case WALSightingRemove:
-						tee.TeeRemove(shard, rec.OID)
-					case walReplMark:
-						tee.TeeMark(shard, uint64(rec.Epoch))
-					}
+					tee.TeeRecord(shard, rec)
 				}
 			}
 		}

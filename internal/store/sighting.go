@@ -16,6 +16,7 @@ type sightingConfig struct {
 	shards int
 	wal    *ShardedWAL
 	tier   *TierConfig
+	regLog WAL
 }
 
 func defaultSightingConfig() sightingConfig {
@@ -72,15 +73,16 @@ func WithTiering(cfg TierConfig) SightingDBOption {
 }
 
 // sightingEntry is one memtable record. s and acc never change once the
-// entry is published (an update or SetAcc installs a fresh entry), so a
-// reader that got the pointer under the shard lock may keep reading them
-// after releasing it; expires is refreshed in place under the write lock.
+// entry is published (an update or an accuracy change installs a fresh
+// one), so a reader that got the pointer under the shard lock may keep
+// reading them after releasing it; expires is refreshed in place under the
+// write lock.
 type sightingEntry struct {
 	s       core.Sighting
 	expires time.Time
-	// acc is the object's offered accuracy as handed down by the server,
-	// AccUnknown when it was not (see "Covering index entries" in the
-	// package comment). The spatial index item carries a copy.
+	// acc is the OfferedAcc of the object's registration, AccUnknown when
+	// it has none (see "Covering index entries" in the package comment).
+	// The spatial index item carries a copy.
 	acc float64
 }
 
@@ -107,20 +109,23 @@ func (k hitSink) item(it *spatial.Item) bool {
 	return k.rec(it.Ref.(*sightingEntry).s)
 }
 
-// cold delivers a run-resident hit; runs do not record accuracies.
-func (k hitSink) cold(s core.Sighting) bool {
+// cold delivers a run-resident hit of shard sh with its registration's
+// accuracy. Caller holds sh's lock.
+func (k hitSink) cold(sh *sightingShard, s core.Sighting) bool {
 	if k.entry != nil {
-		return k.entry(s.OID, s.Pos, AccUnknown)
+		return k.entry(s.OID, s.Pos, sh.regAcc(s.OID))
 	}
 	return k.rec(s)
 }
 
 // indexScan is the visitor state of one rectangle search, pooled with its
 // visitor closures bound once so that a search allocates nothing: sink is
-// where the hits go, stopped whether the consumer ended the search.
+// where the hits go, stopped whether the consumer ended the search, sh the
+// shard whose runs the search is reading.
 type indexScan struct {
 	sink    hitSink
 	stopped bool
+	sh      *sightingShard
 
 	item func(it *spatial.Item) bool
 	cold func(s core.Sighting) bool
@@ -136,7 +141,7 @@ var indexScanPool = sync.Pool{New: func() any {
 		return false
 	}
 	sc.cold = func(s core.Sighting) bool {
-		if sc.sink.cold(s) {
+		if sc.sink.cold(sc.sh, s) {
 			return true
 		}
 		sc.stopped = true
@@ -152,7 +157,7 @@ func newIndexScan(sink hitSink) *indexScan {
 }
 
 func (sc *indexScan) release() {
-	sc.sink, sc.stopped = hitSink{}, false
+	sc.sink, sc.stopped, sc.sh = hitSink{}, false, nil
 	indexScanPool.Put(sc)
 }
 
@@ -168,15 +173,6 @@ func (sc *indexScan) search(idx *spatial.Quadtree, r geo.Rect) {
 // frozen benchmark rig (bench/rig/replay.go).
 func NewSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 	return NewShardedSightingDB(opts...)
-}
-
-// accAt returns the accuracy recorded for batch position i; a nil accs
-// means the caller knows none.
-func accAt(accs []float64, i int) float64 {
-	if accs == nil {
-		return AccUnknown
-	}
-	return accs[i]
 }
 
 // streamNearest walks one shard quadtree's nearest-neighbor cursor around

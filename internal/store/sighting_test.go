@@ -15,9 +15,9 @@ func sighting(id string, x, y float64) core.Sighting {
 	return core.Sighting{OID: core.OID(id), T: time.Now(), Pos: geo.Pt(x, y), SensAcc: 5}
 }
 
-// removed reports whether RemoveDelta removed id's record.
+// removed reports whether Deregister removed id's record.
 func removed(db *ShardedSightingDB, id core.OID) bool {
-	_, ok := db.RemoveDelta(id)
+	_, _, ok, _ := db.Deregister(id, false)
 	return ok
 }
 
@@ -35,10 +35,10 @@ func TestSightingDBPutGetRemove(t *testing.T) {
 		t.Errorf("Len = %d", db.Len())
 	}
 	if !removed(db, "o1") {
-		t.Error("RemoveDelta returned false")
+		t.Error("Deregister returned false")
 	}
 	if removed(db, "o1") {
-		t.Error("double RemoveDelta returned true")
+		t.Error("double Deregister returned true")
 	}
 	if _, ok := db.Get("o1"); ok {
 		t.Error("Get after Remove succeeded")

@@ -10,9 +10,10 @@ import (
 
 // VisitorRecord is one entry of a server's visitorDB (paper Section 5).
 // On a non-leaf server only ForwardRef is meaningful: it names the child
-// server next on the path to the visitor's agent. On a leaf server
-// ForwardRef is empty and OfferedAcc/RegInfo describe the registration; the
-// sighting itself lives in the sightingDB.
+// server next on the path to the visitor's agent. A leaf keeps its visitor
+// records as Registrations in the sighting store and writes them to its
+// registration log in this form, ForwardRef empty and OfferedAcc/RegInfo
+// describing the registration.
 type VisitorRecord struct {
 	OID core.OID `json:"oid"`
 	// ForwardRef is the child server id on the path towards the agent;
@@ -29,33 +30,15 @@ type VisitorRecord struct {
 	PathT time.Time `json:"pathT,omitempty"`
 }
 
-// VisitorDB stores visitor records, optionally persisted through a WAL so
-// forwarding paths survive crashes (the paper keeps the visitorDB on
-// persistent storage, updated only on registration, deregistration and
-// handover). It is safe for concurrent use.
+// VisitorDB is an inner server's forwarding table: its visitor records,
+// optionally persisted through a WAL so forwarding paths survive crashes
+// (the paper keeps the visitorDB on persistent storage, updated only on
+// registration, deregistration and handover). It is safe for concurrent
+// use.
 type VisitorDB struct {
 	mu   sync.RWMutex
 	recs map[core.OID]VisitorRecord
 	wal  WAL
-	// tee, when non-nil, observes every committed mutation inline under
-	// mu — its call order is exactly the apply order. See VisitorTee.
-	tee VisitorTee
-}
-
-// VisitorTee observes committed visitor-record mutations, in commit
-// order, for replication to a standby. Calls happen under the database
-// lock: implementations must only enqueue, never block, and must not call
-// back into the VisitorDB.
-type VisitorTee interface {
-	TeeVisitorPut(rec VisitorRecord)
-	TeeVisitorRemove(id core.OID)
-}
-
-// SetReplTee installs (or, with nil, removes) the replication tee.
-func (db *VisitorDB) SetReplTee(t VisitorTee) {
-	db.mu.Lock()
-	db.tee = t
-	db.mu.Unlock()
 }
 
 // NewVisitorDB returns a visitor database backed by wal. Pass NullWAL{} for
@@ -109,9 +92,6 @@ func (db *VisitorDB) Put(rec VisitorRecord) error {
 		return fmt.Errorf("store: appending visitor put: %w", err)
 	}
 	db.recs[rec.OID] = rec
-	if db.tee != nil {
-		db.tee.TeeVisitorPut(rec)
-	}
 	return nil
 }
 
@@ -130,9 +110,6 @@ func (db *VisitorDB) PutIfNewer(rec VisitorRecord) (bool, error) {
 		return false, fmt.Errorf("store: appending visitor put: %w", err)
 	}
 	db.recs[rec.OID] = rec
-	if db.tee != nil {
-		db.tee.TeeVisitorPut(rec)
-	}
 	return true, nil
 }
 
@@ -149,9 +126,6 @@ func (db *VisitorDB) RemoveIf(id core.OID, pred func(VisitorRecord) bool) (bool,
 		return false, fmt.Errorf("store: appending visitor remove: %w", err)
 	}
 	delete(db.recs, id)
-	if db.tee != nil {
-		db.tee.TeeVisitorRemove(id)
-	}
 	return true, nil
 }
 
@@ -167,9 +141,6 @@ func (db *VisitorDB) Remove(id core.OID) (bool, error) {
 		return false, fmt.Errorf("store: appending visitor remove: %w", err)
 	}
 	delete(db.recs, id)
-	if db.tee != nil {
-		db.tee.TeeVisitorRemove(id)
-	}
 	return true, nil
 }
 
@@ -182,36 +153,6 @@ func (db *VisitorDB) ForEach(visit func(rec VisitorRecord) bool) {
 			return
 		}
 	}
-}
-
-// ReplSnapshot passes the full live record set to fn while holding the
-// database lock, so fn's position in the tee order is exact: every
-// mutation teed before fn ran is contained in the snapshot, every one
-// teed after it was applied after. fn must only enqueue, never block.
-func (db *VisitorDB) ReplSnapshot(fn func(live []VisitorRecord)) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	live := make([]VisitorRecord, 0, len(db.recs))
-	for _, rec := range db.recs {
-		live = append(live, rec)
-	}
-	fn(live)
-}
-
-// ReplReplaceAll swaps the whole record set for recs and rewrites the WAL
-// to match — the standby's snapshot-install path.
-func (db *VisitorDB) ReplReplaceAll(recs []VisitorRecord) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	fresh := make(map[core.OID]VisitorRecord, len(recs))
-	for _, rec := range recs {
-		fresh[rec.OID] = rec
-	}
-	if err := db.wal.Compact(recs); err != nil {
-		return fmt.Errorf("store: rewriting visitor WAL for snapshot install: %w", err)
-	}
-	db.recs = fresh
-	return nil
 }
 
 // RewriteForward repoints every record whose ForwardRef is old to new —
@@ -231,26 +172,9 @@ func (db *VisitorDB) RewriteForward(old, new string) (int, error) {
 			return n, fmt.Errorf("store: appending forward rewrite: %w", err)
 		}
 		db.recs[id] = rec
-		if db.tee != nil {
-			db.tee.TeeVisitorPut(rec)
-		}
 		n++
 	}
 	return n, nil
-}
-
-// Compact rewrites the WAL to contain exactly the live records.
-func (db *VisitorDB) Compact() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	live := make([]VisitorRecord, 0, len(db.recs))
-	for _, rec := range db.recs {
-		live = append(live, rec)
-	}
-	if err := db.wal.Compact(live); err != nil {
-		return fmt.Errorf("store: compacting visitor WAL: %w", err)
-	}
-	return nil
 }
 
 // Close releases the underlying WAL.

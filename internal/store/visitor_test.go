@@ -95,65 +95,6 @@ func TestVisitorDBPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-func TestVisitorDBCompaction(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "visitors.wal")
-	wal, err := OpenFileWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := NewVisitorDB(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Many redundant writes to the same records.
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 5; i++ {
-			oid := core.OID(fmt.Sprintf("o%d", i))
-			if err := db.Put(VisitorRecord{OID: oid, ForwardRef: fmt.Sprintf("c%d", round)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size() {
-		t.Errorf("compaction did not shrink WAL: %d -> %d", before.Size(), after.Size())
-	}
-	// Appends continue to work after compaction, and state survives a
-	// reopen.
-	if err := db.Put(VisitorRecord{OID: "new", ForwardRef: "c"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wal2, err := OpenFileWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2, err := NewVisitorDB(wal2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if db2.Len() != 6 {
-		t.Errorf("post-compaction Len = %d, want 6", db2.Len())
-	}
-	rec, _ := db2.Get("o2")
-	if rec.ForwardRef != "c49" {
-		t.Errorf("o2 forwardRef = %q, want c49", rec.ForwardRef)
-	}
-}
-
 func TestFileWALTornTailIgnored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.wal")
 	wal, err := OpenFileWAL(path)
@@ -218,9 +159,6 @@ func TestNullWAL(t *testing.T) {
 		t.Error(err)
 	}
 	if err := w.Replay(func(WALRecord) error { t.Error("replayed something"); return nil }); err != nil {
-		t.Error(err)
-	}
-	if err := w.Compact(nil); err != nil {
 		t.Error(err)
 	}
 	if err := w.Close(); err != nil {

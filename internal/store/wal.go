@@ -6,9 +6,14 @@
 // record per '\n'-terminated line, appended in commit order. Two record
 // families share the framing:
 //
-//   - visitor mutations — Op "put"/"remove" with the Visitor field set;
-//     the VisitorDB appends one record per mutation (registration,
-//     deregistration, handover — rare by design, Section 5 of the paper);
+//   - visitor mutations — Op "put"/"remove" with the Visitor field set,
+//     one record per mutation (registration, deregistration, handover,
+//     accuracy change — rare by design, Section 5 of the paper): an inner
+//     server's VisitorDB logs its forwarding records, a leaf's sighting
+//     store its registrations (WithRegistrationLog), appended under the
+//     shard lock and replayed before the sighting segments. A registration
+//     record also rides its shard's ShardedWAL queue while a replication
+//     tee is installed, but is never written to a sighting segment;
 //   - sighting mutations — Op "sbatch" carrying a whole group-commit batch
 //     of sightings in one record, and Op "sremove" carrying one removed
 //     object id. These are appended by ShardedSightingDB through a
@@ -44,11 +49,11 @@
 //     dropping every record after it;
 //   - record length is unbounded; replay is not capped at any line size.
 //
-// Compact rewrites a log to its live set via a temporary file in the same
-// directory followed by an atomic rename. A crash (or any failure) before
-// the rename leaves the original log untouched and the WAL usable; leftover
-// ".wal-rewrite-*" temporaries are never read back, and OpenShardedWAL
-// sweeps them from sharded-log directories.
+// CompactRecords rewrites a log to its live set via a temporary file in the
+// same directory followed by an atomic rename. A crash (or any failure)
+// before the rename leaves the original log untouched and the WAL usable;
+// leftover ".wal-rewrite-*" temporaries are never read back, and
+// OpenShardedWAL sweeps them from sharded-log directories.
 //
 // # Crash ordering
 //
@@ -86,7 +91,8 @@ type WALOp string
 
 // WAL operations.
 const (
-	// WALPut and WALRemove are visitorDB mutations.
+	// WALPut and WALRemove are visitor-record mutations: an inner
+	// server's forwarding records, a leaf's registrations.
 	WALPut    WALOp = "put"
 	WALRemove WALOp = "remove"
 	// WALSightingBatch carries one group-commit batch of sighting puts;
@@ -117,7 +123,7 @@ type WALRecord struct {
 	Visitor *VisitorRecord `json:"visitor,omitempty"`
 	// Sightings is the batch payload of a WALSightingBatch record; later
 	// entries for the same object supersede earlier ones, exactly as in
-	// SightingStore.PutBatchAcc.
+	// SightingStore.PutBatch.
 	Sightings []core.Sighting `json:"sightings,omitempty"`
 	// OID is the removed object of a WALSightingRemove record.
 	OID core.OID `json:"oid,omitempty"`
@@ -128,15 +134,14 @@ type WALRecord struct {
 	ShardCount int   `json:"shards,omitempty"`
 }
 
-// WAL is the persistence backend of a VisitorDB. Implementations must allow
-// Replay before the first Append and tolerate Compact at any point.
+// WAL is the persistence backend of a VisitorDB and of a leaf's
+// registration log. Implementations must allow Replay before the first
+// Append.
 type WAL interface {
 	// Replay streams every logged record in order, oldest first.
 	Replay(fn func(WALRecord) error) error
 	// Append durably adds one record.
 	Append(rec WALRecord) error
-	// Compact atomically replaces the log with one Put per live record.
-	Compact(live []VisitorRecord) error
 	// Close releases resources.
 	Close() error
 }
@@ -153,18 +158,15 @@ func (NullWAL) Replay(func(WALRecord) error) error { return nil }
 // Append implements WAL.
 func (NullWAL) Append(WALRecord) error { return nil }
 
-// Compact implements WAL.
-func (NullWAL) Compact([]VisitorRecord) error { return nil }
-
 // Close implements WAL.
 func (NullWAL) Close() error { return nil }
 
 // FileWAL is a JSON-lines append-only log on disk. It substitutes the
-// paper's DB2 database: visitorDB changes are rare (registration,
-// deregistration, handover only), so a simple synchronous log keeps
-// forwarding paths durable at negligible cost. It also serves as the
-// per-shard segment of a ShardedWAL, where batch framing keeps the sighting
-// update path cheap.
+// paper's DB2 database: visitor-record changes are rare (registration,
+// deregistration, handover, accuracy change only), so a simple synchronous
+// log keeps forwarding paths and registrations durable at negligible cost.
+// It also serves as the per-shard segment of a ShardedWAL, where batch
+// framing keeps the sighting update path cheap.
 type FileWAL struct {
 	mu   sync.Mutex
 	path string
@@ -336,17 +338,6 @@ func (w *FileWAL) AppendRaw(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// Compact implements WAL: it writes the live set to a temporary file and
-// atomically renames it over the log. See CompactRecords for the failure
-// contract.
-func (w *FileWAL) Compact(live []VisitorRecord) error {
-	recs := make([]WALRecord, len(live))
-	for i := range live {
-		recs[i] = WALRecord{Op: WALPut, Visitor: &live[i]}
-	}
-	return w.CompactRecords(recs)
 }
 
 // walTempPattern names the temporaries of every atomic segment rewrite

@@ -266,7 +266,7 @@ func TestCompactFailureLeavesWALUsable(t *testing.T) {
 	if err := os.WriteFile(sub, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if cerr := w.Compact([]VisitorRecord{{OID: "a"}}); cerr == nil {
+	if cerr := w.CompactRecords([]WALRecord{{Op: WALPut, Visitor: &VisitorRecord{OID: "a"}}}); cerr == nil {
 		t.Fatal("Compact succeeded without its directory")
 	}
 	// The failure path must not have closed the log out from under us.
@@ -433,7 +433,7 @@ func TestShardedWALReplayEqualsOracle(t *testing.T) {
 				bid := ids[rng.Intn(len(ids))]
 				batch[i] = core.Sighting{OID: bid, T: now, Pos: geo.Pt(rng.Float64()*1000, rng.Float64()*1000), SensAcc: 5}
 			}
-			db.PutBatchAcc(batch, nil, nil)
+			db.PutBatch(batch, nil)
 			for _, s := range batch {
 				oracle[s.OID] = s
 			}
@@ -444,7 +444,7 @@ func TestShardedWALReplayEqualsOracle(t *testing.T) {
 		default: // expire: age the record's lease out, then remove it
 			if _, ok := oracle[id]; ok {
 				now = now.Add(2 * ttl)
-				if _, ok := db.RemoveExpiredDelta(id); !ok {
+				if _, _, ok, _ := db.Deregister(id, true); !ok {
 					t.Fatalf("step %d: %s did not expire", step, id)
 				}
 				delete(oracle, id)
@@ -597,7 +597,7 @@ func TestCompactWALIfGrown(t *testing.T) {
 	oracle := sightingOracle{}
 	now := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
 	// Heavy churn on few objects: history >> live set. Half the rounds go
-	// through PutBatchAcc so the growth counter's batch-length accounting
+	// through PutBatch so the growth counter's batch-length accounting
 	// (one batch record, len(batch) sightings) is exercised too.
 	for round := 0; round < 600; round++ {
 		batch := make([]core.Sighting, 0, 4)
@@ -611,7 +611,7 @@ func TestCompactWALIfGrown(t *testing.T) {
 			}
 			oracle[id] = s
 		}
-		db.PutBatchAcc(batch, nil, nil)
+		db.PutBatch(batch, nil)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

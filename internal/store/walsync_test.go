@@ -21,19 +21,14 @@ type recordingTee struct {
 	seen map[int][]string
 }
 
-func (r *recordingTee) TeePut(shard int, batch []core.Sighting) {
+func (r *recordingTee) TeeRecord(shard int, rec WALRecord) {
+	if rec.Op != WALSightingBatch && rec.Op != WALSightingRemove {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seen[shard] = append(r.seen[shard], summarizeRecord(WALRecord{Op: WALSightingBatch, Sightings: batch}))
+	r.seen[shard] = append(r.seen[shard], summarizeRecord(rec))
 }
-
-func (r *recordingTee) TeeRemove(shard int, id core.OID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seen[shard] = append(r.seen[shard], summarizeRecord(WALRecord{Op: WALSightingRemove, OID: id}))
-}
-
-func (r *recordingTee) TeeMark(int, uint64) {}
 
 func (r *recordingTee) shard(i int) []string {
 	r.mu.Lock()
@@ -76,7 +71,7 @@ func segmentOnDisk(t *testing.T, dir string, shard int) []string {
 }
 
 // TestSyncAppendDurableAndTeed pins what WithSync promises: when Put,
-// PutBatchAcc or RemoveDelta returns — with no Flush or Close — its record
+// PutBatch or Deregister returns — with no Flush or Close — its record
 // is in the shard's segment file and the replication tee has seen it, both
 // in the shard's commit order.
 func TestSyncAppendDurableAndTeed(t *testing.T) {
@@ -118,9 +113,8 @@ func TestSyncAppendDurableAndTeed(t *testing.T) {
 	}
 
 	batch := []core.Sighting{put("b0", 10), put("b1", 11), put("b2", 12), put("b0", 13)}
-	accs := []float64{1, 2, 3, 4}
-	if ds := db.PutBatchAcc(batch, accs, []Delta{}); len(ds) != 3 {
-		t.Fatalf("PutBatchAcc reported %d deltas, want 3", len(ds))
+	if ds := db.PutBatch(batch, []Delta{}); len(ds) != 3 {
+		t.Fatalf("PutBatch reported %d deltas, want 3", len(ds))
 	}
 	groups := map[int][]core.Sighting{}
 	for _, s := range batch {
@@ -129,14 +123,14 @@ func TestSyncAppendDurableAndTeed(t *testing.T) {
 	for shard, grp := range groups {
 		want[shard] = append(want[shard], summarizeRecord(WALRecord{Op: WALSightingBatch, Sightings: grp}))
 	}
-	check("PutBatchAcc")
+	check("PutBatch")
 
 	for _, id := range []core.OID{"p1", "b0", "p3"} {
-		if _, ok := db.RemoveDelta(id); !ok {
-			t.Fatalf("RemoveDelta(%s) removed nothing", id)
+		if _, _, ok, _ := db.Deregister(id, false); !ok {
+			t.Fatalf("Deregister(%s) removed nothing", id)
 		}
 		want[db.ShardFor(id)] = append(want[db.ShardFor(id)], summarizeRecord(WALRecord{Op: WALSightingRemove, OID: id}))
-		check("RemoveDelta " + string(id))
+		check("Deregister " + string(id))
 	}
 }
 

@@ -299,10 +299,12 @@ func TestRetryNonRetryableReturnsImmediately(t *testing.T) {
 // TestRetryOnOpenBreaker pins the interplay of the two mechanisms: an open
 // breaker fails attempts fast, and once the peer recovers past the cooldown
 // a later attempt in the same budget succeeds — the retry loop rides the
-// breaker's probe.
+// breaker's probe. The budget has room for a probe lost to a loaded host:
+// its attempt waits out the call timeout, and the breaker re-opens for
+// another cooldown before the next probe.
 func TestRetryOnOpenBreaker(t *testing.T) {
 	net := NewInproc(InprocOptions{
-		CallTimeout:      15 * time.Millisecond,
+		CallTimeout:      100 * time.Millisecond,
 		SweepInterval:    5 * time.Millisecond,
 		BreakerThreshold: 1,
 		BreakerCooldown:  30 * time.Millisecond,
@@ -325,7 +327,7 @@ func TestRetryOnOpenBreaker(t *testing.T) {
 	// Recover; a retried call must get through via the probe even though
 	// its first attempts hit the open breaker.
 	net.SetNodeDown("srv", false)
-	pol := RetryPolicy{MaxAttempts: 6, BaseBackoff: 15 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
+	pol := RetryPolicy{MaxAttempts: 12, BaseBackoff: 15 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
 	resp, cerr := CallWithRetry(context.Background(), cli, func() msg.NodeID { return "srv" },
 		msg.ChangeAccReq{OID: "o", DesAcc: 9}, pol)
 	if cerr != nil {

@@ -157,8 +157,9 @@ type LocalConfig struct {
 	// fields take the documented defaults.
 	Tiering *TierConfig
 	// WALDir enables durable server state. Every server persists its
-	// visitorDB (the forwarding paths of paper Section 5) to
-	// <dir>/<id>-visitors.wal, and every leaf additionally keeps one
+	// visitor records (paper Section 5: an inner server's forwarding
+	// paths, a leaf's registrations) to <dir>/<id>-visitors.wal, and
+	// every leaf additionally keeps one
 	// durable log segment per sighting shard under <dir>/<id>-sightings/,
 	// replayed in parallel on deployment. Restarting a Service on the
 	// same WALDir therefore restores tracked objects, their forwarding
