@@ -1,12 +1,22 @@
 package hierarchy
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"locsvc/internal/client"
+	"locsvc/internal/core"
 	"locsvc/internal/geo"
+	"locsvc/internal/msg"
 	"locsvc/internal/server"
+	"locsvc/internal/store"
 	"locsvc/internal/transport"
 )
 
@@ -186,5 +196,83 @@ func TestDeployInvalidSpec(t *testing.T) {
 func TestLevelFanout(t *testing.T) {
 	if got := (Level{Rows: 3, Cols: 2}).Fanout(); got != 6 {
 		t.Errorf("Fanout = %d", got)
+	}
+}
+
+// BenchmarkDeploymentHeapPerObject reports the live heap a deployment of
+// the benchmark's commute_updates shape (root, 2×2, 2×2 on Inproc, two
+// shards per leaf, a visitor log per server and a sighting WAL per leaf)
+// holds per registered object, once every forwarding path reaches the
+// root: the leaf's registration and sighting plus the forwarding records
+// of the level-1 server and the root. Run it with -benchtime=1x.
+func BenchmarkDeploymentHeapPerObject(b *testing.B) {
+	const objects, workers, side = 20_000, 8, 8000
+	spec := Spec{RootArea: geo.R(0, 0, side, side), Levels: []Level{{2, 2}, {2, 2}}}
+	for i := 0; i < b.N; i++ {
+		dir := b.TempDir()
+		net := transport.NewInproc(transport.InprocOptions{})
+		dep, err := DeployWith(net, spec, server.Options{Shards: 2}, func(rec store.ConfigRecord, o server.Options) (server.Options, error) {
+			vw, err := store.OpenFileWAL(filepath.Join(dir, rec.ID+"-visitors.wal"))
+			if err != nil {
+				return o, err
+			}
+			o.WAL = vw
+			if rec.IsLeaf() {
+				if o.SightingWAL, err = store.OpenShardedWAL(filepath.Join(dir, rec.ID+"-sightings"), 2); err != nil {
+					vw.Close()
+					return o, err
+				}
+			}
+			return o, nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				c, err := client.New(net, msg.NodeID(fmt.Sprintf("c%d", w)), dep.Leaves()[0], client.Options{})
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				defer c.Close()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for k := w; k < objects; k += workers {
+					p := geo.Pt(rng.Float64()*side, rng.Float64()*side)
+					leaf, _ := dep.LeafFor(p)
+					c.SetEntry(leaf)
+					s := core.Sighting{OID: core.OID(fmt.Sprintf("o%06d", k)), T: time.Now(), Pos: p, SensAcc: 5}
+					if _, err := c.Register(context.Background(), s, 10, 50, 3); err != nil {
+						errs[w] = err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(time.Minute); dep.RootVisitorCount() < objects; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				b.Fatalf("forwarding paths incomplete: %d of %d at the root", dep.RootVisitorCount(), objects)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/objects, "heapB/object")
+		dep.Close()
+		net.Close()
 	}
 }

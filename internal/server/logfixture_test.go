@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -169,4 +170,118 @@ func TestLeafLogFixtureVisitorLogOnly(t *testing.T) {
 		}
 	}
 	checkFixtureLeaf(t, srv)
+}
+
+// testdata/inner-logs/inner-visitors.wal is the forwarding log an inner
+// server "inner" (children inner.0 … inner.3) wrote before its table kept
+// a child slot and an int64 PathT per object: createPath records for
+// o1–o5, o4's in a +02:00 zone, an untimed record for o6, a handover of o1
+// to inner.3, the removal of o3 and the rewrite of inner.2's records to its
+// standby inner.2~s. innerFixture is what that build's Get answered after
+// replaying it.
+var innerFixture = []struct {
+	oid   core.OID
+	child string
+	pathT time.Time
+}{
+	{"o1", "inner.3", time.Unix(0, 1792141210000000007)},
+	{"o2", "inner.1", time.Unix(0, 1792141201123456789)},
+	{"o4", "inner.3", time.Unix(0, 1792141203500000000)},
+	{"o5", "inner.2~s", time.Unix(0, 1792141204999999999)},
+	{"o6", "inner.0", time.Time{}},
+}
+
+// writeInnerFixture replays, through a VisitorDB over the log at path, the
+// mutations that wrote testdata/inner-logs/inner-visitors.wal.
+func writeInnerFixture(t *testing.T, path string) {
+	t.Helper()
+	wal, err := store.OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := store.NewVisitorDB(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2026, 10, 16, 9, 0, 0, 0, time.UTC)
+	cest := time.FixedZone("CEST", 2*3600)
+	for _, rec := range []store.VisitorRecord{
+		{OID: "o1", ForwardRef: "inner.0", PathT: t0.Add(1)},
+		{OID: "o2", ForwardRef: "inner.1", PathT: t0.Add(time.Second + 123456789)},
+		{OID: "o3", ForwardRef: "inner.2", PathT: t0.Add(2 * time.Second)},
+		{OID: "o4", ForwardRef: "inner.3", PathT: time.Date(2026, 10, 16, 11, 0, 3, 500000000, cest)},
+		{OID: "o5", ForwardRef: "inner.2", PathT: t0.Add(4*time.Second + 999999999)},
+	} {
+		if _, err := db.PutIfNewer(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Put(store.VisitorRecord{OID: "o6", ForwardRef: "inner.0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put(store.VisitorRecord{OID: "o1", ForwardRef: "inner.3", PathT: t0.Add(10*time.Second + 7)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RemoveIf("o3", func(r store.VisitorRecord) bool { return r.ForwardRef == "inner.2" }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RewriteForward("inner.2", "inner.2~s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInnerLogFixture: an inner server opening the forwarding log an
+// earlier build wrote answers every lookup as that build did, and the same
+// mutations today write the same bytes.
+func TestInnerLogFixture(t *testing.T) {
+	fixture := filepath.Join("testdata", "inner-logs", "inner-visitors.wal")
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	written := filepath.Join(dir, "written.wal")
+	writeInnerFixture(t, written)
+	if got, err := os.ReadFile(written); err != nil || string(got) != string(want) {
+		t.Fatalf("log written today differs from the fixture (%v):\n%s\nwant:\n%s", err, got, want)
+	}
+
+	copied := filepath.Join(dir, "inner-visitors.wal")
+	if err := os.WriteFile(copied, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	vwal, err := store.OpenFileWAL(copied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewInproc(transport.InprocOptions{})
+	defer net.Close()
+	area := core.AreaFromRect(geo.R(0, 0, 1000, 1000))
+	cfg := store.ConfigRecord{ID: "inner", SA: area}
+	for i, cell := range geo.R(0, 0, 1000, 1000).SplitGrid(2, 2) {
+		cfg.Children = append(cfg.Children, store.ChildRecord{ID: fmt.Sprintf("inner.%d", i), SA: core.AreaFromRect(cell)})
+	}
+	srv, err := server.New(cfg, area, net, server.Options{WAL: vwal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if n := srv.VisitorCount(); n != len(innerFixture) {
+		t.Fatalf("%d forwarding records, want %d", n, len(innerFixture))
+	}
+	if rec, ok := srv.VisitorForTest("o3"); ok {
+		t.Fatalf("removed o3 came back: %+v", rec)
+	}
+	for _, o := range innerFixture {
+		rec, ok := srv.VisitorForTest(o.oid)
+		if !ok || rec.OID != o.oid || rec.ForwardRef != o.child || !rec.PathT.Equal(o.pathT) || rec.PathT.IsZero() != o.pathT.IsZero() {
+			t.Errorf("%s: %+v (%v), want %s at %v", o.oid, rec, ok, o.child, o.pathT)
+		}
+		if rec.OfferedAcc != 0 || rec.RegInfo != (core.RegInfo{}) {
+			t.Errorf("%s: forwarding record carries registration fields: %+v", o.oid, rec)
+		}
+	}
 }

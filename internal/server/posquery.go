@@ -6,7 +6,6 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/msg"
-	"locsvc/internal/store"
 )
 
 // handlePosQuery implements the entry-server half of Algorithm 6-4: a
@@ -155,10 +154,10 @@ const maxFwdHops = 32
 func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 	s.met.Counter("pos_fwd_seen").Inc()
 	req.Hops++
-	var rec store.VisitorRecord
+	var child string
 	ok := false
 	if !s.cfg.IsLeaf() {
-		rec, ok = s.visitors.Get(req.OID)
+		child, ok = s.visitors.Forward(req.OID)
 	} else if res, registered := s.localDescriptor(req.OID); registered {
 		// Lines 1-5: this server is the agent; answer the entry server
 		// directly.
@@ -167,7 +166,7 @@ func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 		return
 	}
 	switch {
-	case ok && msg.NodeID(rec.ForwardRef) != from:
+	case ok && msg.NodeID(child) != from:
 		if req.Hops > maxFwdHops {
 			// A stale forwarding loop: give up quickly instead of
 			// letting the entry server wait for its timeout.
@@ -176,7 +175,7 @@ func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 			return
 		}
 		// Lines 6-7: follow the forwarding reference downwards.
-		s.forwardPosQueryOr(msg.NodeID(rec.ForwardRef), req)
+		s.forwardPosQueryOr(msg.NodeID(child), req)
 	default:
 		if ok {
 			// The child this record points to just forwarded the

@@ -11,7 +11,8 @@
 // registration, handover, deregistration, accuracy change and expiry change
 // both in one store operation, and the store alone sets each index entry's
 // accuracy. Non-leaf servers hold forwarding references only, in a
-// store.VisitorDB.
+// store.VisitorDB: an inner server's forwarding table, a child slot and an
+// int64 PathT per object; store.VisitorRecord is its log and API form.
 // Servers communicate exclusively through their transport.Node, so the same
 // implementation runs on the in-process simulation network and over UDP.
 //
@@ -98,7 +99,8 @@ type Options struct {
 	// shard by shard behind the shard locks.
 	Tiering *store.TierConfig
 	// WAL persists the visitor records — an inner server's forwarding
-	// table, a leaf's registrations, which its sighting store appends under
+	// table (a child slot and an int64 PathT per object; store.VisitorRecord
+	// is its log and API form), a leaf's registrations, which its sighting store appends under
 	// the shard lock before a change is acknowledged — and is replayed by
 	// New and closed by Close; nil keeps them in memory only.
 	WAL store.WAL
@@ -263,8 +265,9 @@ type Server struct {
 	// pipe batches concurrent position updates per shard (group commit);
 	// every in-area update goes through it.
 	pipe *store.UpdatePipeline
-	// visitors is a non-leaf server's (persistent) forwarding table; nil
-	// on leaves.
+	// visitors is a non-leaf server's (persistent) forwarding table: a
+	// child slot and an int64 PathT per object, VisitorRecord its log and
+	// API form; nil on leaves.
 	visitors *store.VisitorDB
 
 	caches *leafCaches

@@ -13,9 +13,10 @@
 //     every operation finds its shard with one hash of the object id. Each
 //     shard also keeps the leaf's visitor records, as a registration table
 //     next to its memtable (Registration, WithRegistrationLog).
-//   - VisitorDB — an inner server's database of visitor records, its
-//     forwarding table, persisted via an append-only log so that
-//     forwarding paths survive crashes. The paper used DB2 over JDBC; the
+//   - VisitorDB — an inner server's forwarding table: a child slot and an
+//     int64 PathT per object; VisitorRecord is its log and API form. It is
+//     persisted via an append-only log so that forwarding paths survive
+//     crashes. The paper used DB2 over JDBC; the
 //     log-plus-snapshot store here preserves the property that matters
 //     (durability of forwarding paths) without an external database.
 //   - ShardedWAL — optional per-shard write-ahead logs for the sighting

@@ -186,13 +186,13 @@ func (db *ShardedSightingDB) replayRegistrations() error {
 	if db.regLog == nil {
 		return nil
 	}
-	logged, err := NewVisitorDB(db.regLog)
+	err := replayVisitors(db.regLog, func(rec VisitorRecord) {
+		db.shards[db.ShardFor(rec.OID)].regs[rec.OID] = Registration{RegInfo: rec.RegInfo, OfferedAcc: rec.OfferedAcc, PathT: rec.PathT}
+	}, func(id core.OID) {
+		delete(db.shards[db.ShardFor(id)].regs, id)
+	})
 	if err != nil {
 		return fmt.Errorf("store: replaying the registration log: %w", err)
 	}
-	logged.ForEach(func(rec VisitorRecord) bool {
-		db.shards[db.ShardFor(rec.OID)].regs[rec.OID] = Registration{RegInfo: rec.RegInfo, OfferedAcc: rec.OfferedAcc, PathT: rec.PathT}
-		return true
-	})
 	return nil
 }

@@ -2,18 +2,21 @@ package store
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"locsvc/internal/core"
 )
 
-// VisitorRecord is one entry of a server's visitorDB (paper Section 5).
-// On a non-leaf server only ForwardRef is meaningful: it names the child
-// server next on the path to the visitor's agent. A leaf keeps its visitor
-// records as Registrations in the sighting store and writes them to its
-// registration log in this form, ForwardRef empty and OfferedAcc/RegInfo
-// describing the registration.
+// VisitorRecord is the log and API form of a visitor record (paper
+// Section 5): what a VisitorDB logs, replicates and returns, and what a
+// leaf's registration log holds. An inner server's forwarding table keeps
+// only a child slot and an int64 PathT per object; in its records only
+// ForwardRef and PathT are meaningful. A leaf keeps its visitor records as
+// Registrations in the sighting store and logs them in this form,
+// ForwardRef empty and OfferedAcc/RegInfo describing the registration.
 type VisitorRecord struct {
 	OID core.OID `json:"oid"`
 	// ForwardRef is the child server id on the path towards the agent;
@@ -30,15 +33,50 @@ type VisitorRecord struct {
 	PathT time.Time `json:"pathT,omitempty"`
 }
 
-// VisitorDB is an inner server's forwarding table: its visitor records,
-// optionally persisted through a WAL so forwarding paths survive crashes
-// (the paper keeps the visitorDB on persistent storage, updated only on
-// registration, deregistration and handover). It is safe for concurrent
-// use.
+// fwd is one forwarding record in memory: the slot of the child next on the
+// path to the agent, and PathT as wall-clock nanoseconds (zeroPathT for the
+// zero Time, whose UnixNano is undefined).
+type fwd struct {
+	child uint32
+	pathT int64
+}
+
+// zeroPathT stands for a zero PathT.
+const zeroPathT = math.MinInt64
+
+func pathNanos(t time.Time) int64 {
+	if t.IsZero() {
+		return zeroPathT
+	}
+	return t.UnixNano()
+}
+
+func pathTime(ns int64) time.Time {
+	if ns == zeroPathT {
+		return time.Time{}
+	}
+	return time.Unix(0, ns).UTC()
+}
+
+// VisitorDB is an inner server's forwarding table (paper Section 5,
+// Algorithm 6-1's createPath): a child slot and an int64 PathT per object;
+// VisitorRecord is its log and API form. It is optionally persisted through
+// a WAL so forwarding paths survive crashes (the paper keeps the visitorDB
+// on persistent storage, updated only on registration, deregistration and
+// handover). A leaf keeps no VisitorDB; its visitor records live in the
+// sighting store (Registration).
+//
+// PathT is kept as wall-clock nanoseconds, so the table compares and
+// returns it without its monotonic clock reading, as the wire and the log
+// already do; Get returns it in UTC. It is safe for concurrent use.
 type VisitorDB struct {
 	mu   sync.RWMutex
-	recs map[core.OID]VisitorRecord
-	wal  WAL
+	recs map[core.OID]fwd
+	// children holds the child ids the records name, in the order they
+	// first appeared: the server's children and any standby RewriteForward
+	// promoted. A handful at most, so a slot is found by a linear scan.
+	children []string
+	wal      WAL
 }
 
 // NewVisitorDB returns a visitor database backed by wal. Pass NullWAL{} for
@@ -48,25 +86,51 @@ func NewVisitorDB(wal WAL) (*VisitorDB, error) {
 	if wal == nil {
 		wal = NullWAL{}
 	}
-	db := &VisitorDB{recs: make(map[core.OID]VisitorRecord), wal: wal}
-	err := wal.Replay(func(rec WALRecord) error {
+	db := &VisitorDB{recs: make(map[core.OID]fwd), wal: wal}
+	err := replayVisitors(wal, db.set, func(id core.OID) { delete(db.recs, id) })
+	if err != nil {
+		return nil, fmt.Errorf("store: replaying visitor WAL: %w", err)
+	}
+	return db, nil
+}
+
+// replayVisitors applies every put and remove record of log, oldest first.
+func replayVisitors(log WAL, put func(VisitorRecord), remove func(core.OID)) error {
+	return log.Replay(func(rec WALRecord) error {
 		if rec.Visitor == nil && (rec.Op == WALPut || rec.Op == WALRemove) {
 			return fmt.Errorf("store: visitor WAL record %q without visitor payload", rec.Op)
 		}
 		switch rec.Op {
 		case WALPut:
-			db.recs[rec.Visitor.OID] = *rec.Visitor
+			put(*rec.Visitor)
 		case WALRemove:
-			delete(db.recs, rec.Visitor.OID)
+			remove(rec.Visitor.OID)
 		default:
 			return fmt.Errorf("store: unknown WAL op %q in visitor WAL", rec.Op)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("store: replaying visitor WAL: %w", err)
+}
+
+// slot returns the index of child in db.children, adding it if new. Caller
+// holds the write lock.
+func (db *VisitorDB) slot(child string) uint32 {
+	i := slices.Index(db.children, child)
+	if i < 0 {
+		i = len(db.children)
+		db.children = append(db.children, child)
 	}
-	return db, nil
+	return uint32(i)
+}
+
+// set stores rec's forwarding record. Caller holds the write lock.
+func (db *VisitorDB) set(rec VisitorRecord) {
+	db.recs[rec.OID] = fwd{child: db.slot(rec.ForwardRef), pathT: pathNanos(rec.PathT)}
+}
+
+// record returns f in its API form. Caller holds the lock.
+func (db *VisitorDB) record(id core.OID, f fwd) VisitorRecord {
+	return VisitorRecord{OID: id, ForwardRef: db.children[f.child], PathT: pathTime(f.pathT)}
 }
 
 // Len returns the number of visitor records.
@@ -80,8 +144,22 @@ func (db *VisitorDB) Len() int {
 func (db *VisitorDB) Get(id core.OID) (VisitorRecord, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	rec, ok := db.recs[id]
-	return rec, ok
+	f, ok := db.recs[id]
+	if !ok {
+		return VisitorRecord{}, false
+	}
+	return db.record(id, f), true
+}
+
+// Forward returns the child id id's record forwards to.
+func (db *VisitorDB) Forward(id core.OID) (string, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	f, ok := db.recs[id]
+	if !ok {
+		return "", false
+	}
+	return db.children[f.child], true
 }
 
 // Put inserts or replaces a record and appends the change to the WAL.
@@ -91,7 +169,7 @@ func (db *VisitorDB) Put(rec VisitorRecord) error {
 	if err := db.wal.Append(WALRecord{Op: WALPut, Visitor: &rec}); err != nil {
 		return fmt.Errorf("store: appending visitor put: %w", err)
 	}
-	db.recs[rec.OID] = rec
+	db.set(rec)
 	return nil
 }
 
@@ -103,13 +181,13 @@ func (db *VisitorDB) Put(rec VisitorRecord) error {
 func (db *VisitorDB) PutIfNewer(rec VisitorRecord) (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if old, ok := db.recs[rec.OID]; ok && old.PathT.After(rec.PathT) {
+	if old, ok := db.recs[rec.OID]; ok && old.pathT > pathNanos(rec.PathT) {
 		return false, nil
 	}
 	if err := db.wal.Append(WALRecord{Op: WALPut, Visitor: &rec}); err != nil {
 		return false, fmt.Errorf("store: appending visitor put: %w", err)
 	}
-	db.recs[rec.OID] = rec
+	db.set(rec)
 	return true, nil
 }
 
@@ -118,8 +196,8 @@ func (db *VisitorDB) PutIfNewer(rec VisitorRecord) (bool, error) {
 func (db *VisitorDB) RemoveIf(id core.OID, pred func(VisitorRecord) bool) (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rec, ok := db.recs[id]
-	if !ok || !pred(rec) {
+	f, ok := db.recs[id]
+	if !ok || !pred(db.record(id, f)) {
 		return false, nil
 	}
 	if err := db.wal.Append(WALRecord{Op: WALRemove, Visitor: &VisitorRecord{OID: id}}); err != nil {
@@ -144,17 +222,6 @@ func (db *VisitorDB) Remove(id core.OID) (bool, error) {
 	return true, nil
 }
 
-// ForEach visits every record in unspecified order.
-func (db *VisitorDB) ForEach(visit func(rec VisitorRecord) bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for _, rec := range db.recs {
-		if !visit(rec) {
-			return
-		}
-	}
-}
-
 // RewriteForward repoints every record whose ForwardRef is old to new —
 // the parent-side rebind after a child failover — logging each rewrite.
 // It returns how many records changed; on a WAL failure the already
@@ -162,16 +229,22 @@ func (db *VisitorDB) ForEach(visit func(rec VisitorRecord) bool) {
 func (db *VisitorDB) RewriteForward(old, new string) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	from := slices.Index(db.children, old)
+	if from < 0 {
+		return 0, nil
+	}
+	to := db.slot(new)
 	n := 0
-	for id, rec := range db.recs {
-		if rec.ForwardRef != old {
+	for id, f := range db.recs {
+		if f.child != uint32(from) {
 			continue
 		}
-		rec.ForwardRef = new
+		f.child = to
+		rec := db.record(id, f)
 		if err := db.wal.Append(WALRecord{Op: WALPut, Visitor: &rec}); err != nil {
 			return n, fmt.Errorf("store: appending forward rewrite: %w", err)
 		}
-		db.recs[id] = rec
+		db.recs[id] = f
 		n++
 	}
 	return n, nil

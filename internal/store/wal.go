@@ -9,11 +9,13 @@
 //   - visitor mutations — Op "put"/"remove" with the Visitor field set,
 //     one record per mutation (registration, deregistration, handover,
 //     accuracy change — rare by design, Section 5 of the paper): an inner
-//     server's VisitorDB logs its forwarding records, a leaf's sighting
-//     store its registrations (WithRegistrationLog), appended under the
-//     shard lock and replayed before the sighting segments. A registration
-//     record also rides its shard's ShardedWAL queue while a replication
-//     tee is installed, but is never written to a sighting segment;
+//     server's forwarding table (VisitorDB: a child slot and an int64
+//     PathT per object; VisitorRecord is its log and API form) logs its
+//     forwarding records, a leaf's sighting store its registrations
+//     (WithRegistrationLog), appended under the shard lock and replayed
+//     before the sighting segments. A registration record also rides its
+//     shard's ShardedWAL queue while a replication tee is installed, but
+//     is never written to a sighting segment;
 //   - sighting mutations — Op "sbatch" carrying a whole group-commit batch
 //     of sightings in one record, and Op "sremove" carrying one removed
 //     object id. These are appended by ShardedSightingDB through a
@@ -134,8 +136,9 @@ type WALRecord struct {
 	ShardCount int   `json:"shards,omitempty"`
 }
 
-// WAL is the persistence backend of a VisitorDB and of a leaf's
-// registration log. Implementations must allow Replay before the first
+// WAL is the persistence backend of an inner server's forwarding table (a
+// VisitorDB: a child slot and an int64 PathT per object; VisitorRecord is
+// its log and API form) and of a leaf's registration log. Implementations must allow Replay before the first
 // Append.
 type WAL interface {
 	// Replay streams every logged record in order, oldest first.
