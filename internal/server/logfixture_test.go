@@ -172,6 +172,54 @@ func TestLeafLogFixtureVisitorLogOnly(t *testing.T) {
 	checkFixtureLeaf(t, srv)
 }
 
+// TestLeafLogFixtureRewrite: the registration changes the fixture's visitor
+// log records, applied today through a sighting store with a registration
+// log, write the same bytes.
+func TestLeafLogFixtureRewrite(t *testing.T) {
+	dir := copyFixture(t)
+	want, err := os.ReadFile(filepath.Join(dir, "leaf-visitors.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := store.OpenFileWAL(filepath.Join(dir, "leaf-visitors.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []store.WALRecord
+	if err := src.Replay(func(rec store.WALRecord) error { recs = append(recs, rec); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written := filepath.Join(dir, "written.wal")
+	wal, err := store.OpenFileWAL(written)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := store.NewShardedSightingDB(store.WithRegistrationLog(wal))
+	for _, rec := range recs {
+		v := rec.Visitor
+		switch rec.Op {
+		case store.WALPut:
+			err = db.PutRegistration(v.OID, store.Registration{RegInfo: v.RegInfo, OfferedAcc: v.OfferedAcc, PathT: v.PathT})
+		case store.WALRemove:
+			_, _, _, err = db.Deregister(v.OID, false)
+		default:
+			t.Fatalf("unexpected record %+v in the fixture", rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(written); err != nil || string(got) != string(want) {
+		t.Fatalf("log written today differs from the fixture (%v):\n%s\nwant:\n%s", err, got, want)
+	}
+}
+
 // testdata/inner-logs/inner-visitors.wal is the forwarding log an inner
 // server "inner" (children inner.0 … inner.3) wrote before its table kept
 // a child slot and an int64 PathT per object: createPath records for
