@@ -183,7 +183,7 @@ func (r *replState) TeeRecord(shard int, rec store.WALRecord) {
 	case store.WALRemove:
 		out = msg.ReplRecord{Op: msg.ReplVisitorRemove, OID: rec.Visitor.OID}
 	case store.WALMark:
-		out = msg.ReplRecord{Op: replMarkerOp, NextSeq: uint64(rec.Epoch)}
+		out = msg.ReplRecord{Op: replMarkerOp, NextSeq: rec.Token}
 	}
 	r.streams[shard].enqueue(out)
 }

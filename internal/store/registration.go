@@ -17,6 +17,11 @@ type Registration struct {
 	PathT      time.Time
 }
 
+// record returns id's registration in its log form.
+func (reg Registration) record(id core.OID) VisitorRecord {
+	return VisitorRecord{OID: id, OfferedAcc: reg.OfferedAcc, RegInfo: reg.RegInfo, PathT: reg.PathT}
+}
+
 // WithRegistrationLog persists the registrations through log (WALPut and
 // WALRemove records), appended under the shard lock before a change
 // applies and replayed by Recover. The caller closes the log.
@@ -55,7 +60,8 @@ func (sh *sightingShard) setAccLocked(id core.OID, acc float64) {
 func (db *ShardedSightingDB) changeRegLocked(sh *sightingShard, shard int, id core.OID, reg *Registration) error {
 	rec, acc := WALRecord{Op: WALRemove, Visitor: &VisitorRecord{OID: id}}, float64(AccUnknown)
 	if reg != nil {
-		rec = WALRecord{Op: WALPut, Visitor: &VisitorRecord{OID: id, OfferedAcc: reg.OfferedAcc, RegInfo: reg.RegInfo, PathT: reg.PathT}}
+		v := reg.record(id)
+		rec = WALRecord{Op: WALPut, Visitor: &v}
 		acc = reg.OfferedAcc
 	}
 	if db.regLog != nil {
@@ -186,7 +192,7 @@ func (db *ShardedSightingDB) replayRegistrations() error {
 	if db.regLog == nil {
 		return nil
 	}
-	err := replayVisitors(db.regLog, func(rec VisitorRecord) {
+	replayed, err := replayVisitors(db.regLog, func(rec VisitorRecord) {
 		db.shards[db.ShardFor(rec.OID)].regs[rec.OID] = Registration{RegInfo: rec.RegInfo, OfferedAcc: rec.OfferedAcc, PathT: rec.PathT}
 	}, func(id core.OID) {
 		delete(db.shards[db.ShardFor(id)].regs, id)
@@ -194,5 +200,18 @@ func (db *ShardedSightingDB) replayRegistrations() error {
 	if err != nil {
 		return fmt.Errorf("store: replaying the registration log: %w", err)
 	}
+	live := 0
+	for _, sh := range db.shards {
+		live += len(sh.regs)
+	}
+	compactVisitorLog(db.regLog, replayed, live, func() []VisitorRecord {
+		vs := make([]VisitorRecord, 0, live)
+		for _, sh := range db.shards {
+			for id, reg := range sh.regs {
+				vs = append(vs, reg.record(id))
+			}
+		}
+		return vs
+	})
 	return nil
 }

@@ -1,21 +1,15 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"locsvc/internal/core"
-	"locsvc/internal/spatial"
 )
 
 // ShardedWAL persists a sharded sighting store through one FileWAL segment
@@ -30,20 +24,13 @@ import (
 // flush cost of durability is amortized over the batch exactly as the
 // combining lane amortizes lock cost.
 //
-// # Epoch layouts
+// # Layout
 //
-// A directory this package creates stays at epoch 0: segments named
-// shard-NNNN.wal with no in-file marker, and the segment count fixed by the
-// first open. Earlier builds could re-partition a running store and moved
-// the directory to a later epoch, whose segments (shard-NNNN-eNNNNNN.wal)
-// each begin with a WALEpoch header (the epoch number and shard count)
-// followed by a snapshot of that shard's live set; such a segment
-// supersedes every older-epoch record of the objects hashing to its shard.
-// OpenShardedWAL still reads that layout: it opens at the newest epoch's
-// shard count, folds forward a switch a crash left half-done (writing the
-// missing segments from the older epochs' records) and deletes the older
-// epochs' files. Compaction keeps a segment's header; nothing writes a new
-// epoch.
+// A directory holds one segment per shard, named shard-NNNN.wal, with no
+// in-file marker; the first open fixes the segment count. Earlier builds
+// could re-partition a running store into epoch-stamped segments
+// (shard-NNNN-eNNNNNN.wal). OpenShardedWAL refuses a directory holding
+// one: the error names the file and nothing is deleted.
 //
 // # The append path
 //
@@ -76,10 +63,7 @@ type ShardedWAL struct {
 	// sync (WithSync) makes every append wait for its own commit.
 	sync bool
 
-	// epoch is the layout epoch the directory opened at (see the type
-	// comment) and count its segment count; both are fixed for the life
-	// of the WAL.
-	epoch int64
+	// count is the segment count, fixed for the life of the WAL.
 	count int
 	segs  []*FileWAL
 	bufs  []walShardBuf
@@ -112,7 +96,7 @@ type ReplTee interface {
 	// TeeRecord observes one record: a put batch, whose Sightings the tee
 	// must copy (the slice is recycled); a removal; a registration change
 	// (WALPut or WALRemove, which the registration log holds on disk); or a
-	// marker enqueued by Mark (WALMark, its token in Epoch), which carries
+	// marker enqueued by Mark (WALMark, its token in Token), which carries
 	// no state and pins where in the stream a replication snapshot was
 	// taken.
 	TeeRecord(shard int, rec WALRecord)
@@ -148,7 +132,7 @@ const WALMark WALOp = "replmark"
 // the marker's position in the commit order meaningful: every record
 // appended before it under that lock is teed before it.
 func (w *ShardedWAL) Mark(shard int, token uint64) error {
-	return w.enqueue(shard, WALRecord{Op: WALMark, Epoch: int64(token)}, nil)
+	return w.enqueue(shard, WALRecord{Op: WALMark, Token: token}, nil)
 }
 
 // appendRegistration enqueues a registration change for the replication
@@ -223,43 +207,39 @@ const walPendingCap = 4096
 // extra durability lag and the latency of a Flush barrier.
 const walCoalesceDelay = time.Millisecond
 
-// walCompactSlack is how far a segment's logged history may exceed its
-// live set before compaction triggers — shared by the janitor's
-// grow-triggered pass (CompactWALIfGrown) and the post-recovery
-// auto-compaction, so both fire at the same point.
+// walCompactSlack is how far a log's history may exceed its live set
+// before compaction triggers — shared by the janitor's grow-triggered pass
+// (CompactWALIfGrown), the post-recovery auto-compaction of a segment and
+// the compaction of a visitor log at open, so all fire at the same point.
 const walCompactSlack = 1024
 
-// segmentPath names shard i's log inside dir at epoch e. Epoch 0 has no
-// epoch in the name.
-func segmentPath(dir string, i int, epoch int64) string {
-	if epoch == 0 {
-		return filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", i))
-	}
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d-e%06d.wal", i, epoch))
+// segmentPath names shard i's log inside dir.
+func segmentPath(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", i))
 }
 
 // parseSegmentName inverts segmentPath for directory scans.
-func parseSegmentName(name string) (shard int, epoch int64, ok bool) {
+func parseSegmentName(name string) (shard int, ok bool) {
 	var i int
-	var e int64
-	if n, err := fmt.Sscanf(name, "shard-%d-e%d.wal", &i, &e); n == 2 && err == nil && name == fmt.Sprintf("shard-%04d-e%06d.wal", i, e) {
-		return i, e, true
-	}
 	if n, err := fmt.Sscanf(name, "shard-%d.wal", &i); n == 1 && err == nil && name == fmt.Sprintf("shard-%04d.wal", i) {
-		return i, 0, true
+		return i, true
 	}
-	return 0, 0, false
+	return 0, false
 }
+
+// epochSegmentGlob matches the segment names of the epoch layout
+// (shard-NNNN-eNNNNNN.wal) that earlier builds' re-partition wrote.
+// OpenShardedWAL refuses a directory holding one.
+const epochSegmentGlob = "shard-*-e*.wal"
 
 // OpenShardedWAL opens (creating if needed) a sharded sighting log under
 // dir. For a fresh directory, shards fixes the initial segment count
 // (normalized through NormalizeShards: negative is an error, zero means
 // one). A directory that already holds history opens at the count its
 // segments were written under — the persistent log, not the flag, pins the
-// layout — and an epoch switch a crash left half-finished is folded forward
-// first (see the type comment). Every segment gets its writer goroutine;
-// passing WithSync makes each append wait for its own fsynced commit (see
-// "The append path").
+// layout. A directory in the epoch layout is refused (see "Layout"). Every
+// segment gets its writer goroutine; passing WithSync makes each append
+// wait for its own fsynced commit (see "The append path").
 func OpenShardedWAL(dir string, shards int, opts ...FileWALOption) (*ShardedWAL, error) {
 	shards, err := NormalizeShards(shards)
 	if err != nil {
@@ -274,14 +254,14 @@ func OpenShardedWAL(dir string, shards int, opts ...FileWALOption) (*ShardedWAL,
 	}
 	w := &ShardedWAL{dir: dir, sync: probe.sync}
 
-	w.count, w.epoch, err = w.settleLayout(shards)
+	w.count, err = w.settleLayout(shards)
 	if err != nil {
 		return nil, err
 	}
 	w.segs = make([]*FileWAL, w.count)
 	w.appended = make([]atomic.Int64, w.count)
 	for i := range w.segs {
-		seg, err := OpenFileWAL(segmentPath(dir, i, w.epoch), opts...)
+		seg, err := OpenFileWAL(segmentPath(dir, i), opts...)
 		if err != nil {
 			w.Close()
 			return nil, err
@@ -297,280 +277,62 @@ func OpenShardedWAL(dir string, shards int, opts ...FileWALOption) (*ShardedWAL,
 	return w, nil
 }
 
-// settleLayout scans dir, folds any half-finished epoch transition forward
-// and returns the (count, epoch) the WAL operates at. After it returns the
-// directory is single-epoch: every shard of the returned epoch has a
-// segment file and no older-epoch files remain.
-func (w *ShardedWAL) settleLayout(requested int) (count int, epoch int64, err error) {
+// settleLayout scans dir and returns the segment count the WAL operates at
+// (see OpenShardedWAL). A directory holding an epoch-named segment is
+// refused before anything in it is deleted.
+func (w *ShardedWAL) settleLayout(requested int) (int, error) {
 	files, err := os.ReadDir(w.dir)
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: scanning sighting WAL dir %s: %w", w.dir, err)
+		return 0, fmt.Errorf("store: scanning sighting WAL dir %s: %w", w.dir, err)
 	}
-	byEpoch := make(map[int64]map[int]string)
+	segs := make(map[int]string)
+	var temps []string
 	for _, f := range files {
 		if f.IsDir() {
 			continue
 		}
-		shard, e, ok := parseSegmentName(f.Name())
-		if !ok {
-			// Sweep temporaries a crashed rewrite left behind; they were
-			// never renamed into place, so they carry no authority, and
-			// nothing else owns the directory while it is being opened.
-			if matched, _ := filepath.Match(walTempGlob, f.Name()); matched {
-				os.Remove(filepath.Join(w.dir, f.Name()))
-			}
-			continue
-		}
-		if byEpoch[e] == nil {
-			byEpoch[e] = make(map[int]string)
-		}
-		byEpoch[e][shard] = filepath.Join(w.dir, f.Name())
-	}
-	// Validate epoch-stamped segments: a valid one starts with a matching
-	// header record. Anything else (an empty or truncated file a crashed
-	// epoch switch left before its snapshot rename committed) is discarded
-	// — it never carried authority.
-	counts := make(map[int64]int)
-	for e, segs := range byEpoch {
-		if e == 0 {
-			continue
-		}
-		var ecount int
-		for shard, path := range segs {
-			hdr, invalid, herr := readEpochHeader(path)
-			if herr != nil {
-				// An I/O failure says nothing about the segment's
-				// content; discarding it here would silently replace the
-				// shard's data with a fold of absent older epochs. Fail
-				// the open instead and let the operator retry.
-				return 0, 0, herr
-			}
-			if invalid || hdr.Epoch != e || hdr.ShardCount <= 0 || shard >= hdr.ShardCount {
-				// Structurally not an epoch segment: the leftover of a
-				// switch that crashed before its atomic rename committed a
-				// complete snapshot. It never carried authority.
-				os.Remove(path)
-				delete(segs, shard)
-				continue
-			}
-			if ecount == 0 {
-				ecount = hdr.ShardCount
-			} else if ecount != hdr.ShardCount {
-				return 0, 0, fmt.Errorf("store: sighting WAL %s epoch %d segments disagree on shard count (%d vs %d)",
-					w.dir, e, ecount, hdr.ShardCount)
-			}
-		}
-		if len(segs) == 0 {
-			delete(byEpoch, e)
-			continue
-		}
-		counts[e] = ecount
-	}
-	// Epoch 0's count is the contiguous run of base segment files.
-	if segs := byEpoch[0]; len(segs) > 0 {
-		n := 0
-		for ; segs[n] != ""; n++ {
-		}
-		for shard, path := range segs {
-			if shard >= n {
-				// A gap precedes this file: it cannot be part of the
-				// epoch-0 layout (the layout writes 0..n-1). Stale.
-				os.Remove(path)
-				delete(segs, shard)
-			}
-		}
-		if n == 0 {
-			delete(byEpoch, 0)
-		} else {
-			counts[0] = n
+		path := filepath.Join(w.dir, f.Name())
+		if shard, ok := parseSegmentName(f.Name()); ok {
+			segs[shard] = path
+		} else if matched, _ := filepath.Match(epochSegmentGlob, f.Name()); matched {
+			return 0, fmt.Errorf("store: sighting WAL segment %s is in the epoch layout an earlier build's re-partition wrote; this build reads only shard-NNNN.wal segments", path)
+		} else if matched, _ := filepath.Match(walTempGlob, f.Name()); matched {
+			temps = append(temps, path)
 		}
 	}
-	if len(byEpoch) == 0 {
-		return requested, 0, nil
+	// Sweep temporaries a crashed rewrite left behind; they were never
+	// renamed into place, so they carry no authority, and nothing else owns
+	// the directory while it is being opened.
+	for _, path := range temps {
+		os.Remove(path)
 	}
-	maxEpoch := int64(-1)
-	for e := range byEpoch {
-		if e > maxEpoch {
-			maxEpoch = e
-		}
+	// The count is the contiguous run of segment files. A file after a gap
+	// cannot be part of the layout (which writes 0..n-1): it is stale.
+	n := 0
+	for ; segs[n] != ""; n++ {
 	}
-	count = counts[maxEpoch]
-	if maxEpoch == 0 {
-		// No epoch boundary on disk. Nonempty segments pin the count; a
-		// directory of all-empty segments (a crashed first open, an idle
-		// run) adopts the requested count instead.
-		nonempty := false
-		for _, path := range byEpoch[0] {
-			if st, serr := os.Stat(path); serr == nil && st.Size() > 0 {
-				nonempty = true
-				break
-			}
-		}
-		if !nonempty && count != requested {
-			for i := requested; i < count; i++ {
-				if rerr := os.Remove(segmentPath(w.dir, i, 0)); rerr != nil {
-					return 0, 0, fmt.Errorf("store: clearing stale empty segment: %w", rerr)
-				}
-			}
-			return requested, 0, nil
-		}
-		return count, 0, nil
-	}
-	// The log is past epoch 0. Finish any switch a crash interrupted:
-	// shards of the newest epoch that never switched recover
-	// their objects from the fold of every older epoch, filtered by the
-	// new mapping, and the result is written as their missing snapshot
-	// segments.
-	missing := make([]int, 0)
-	for j := 0; j < count; j++ {
-		if _, ok := byEpoch[maxEpoch][j]; !ok {
-			missing = append(missing, j)
-		}
-	}
-	if len(missing) > 0 {
-		live, ferr := foldEpochs(byEpoch, counts, maxEpoch)
-		if ferr != nil {
-			return 0, 0, ferr
-		}
-		missingSet := make(map[int]bool, len(missing))
-		for _, j := range missing {
-			missingSet[j] = true
-		}
-		perShard := make(map[int][]core.Sighting, len(missing))
-		for id, s := range live {
-			if j := spatial.ShardFor(id, count); missingSet[j] {
-				perShard[j] = append(perShard[j], s)
-			}
-		}
-		for _, j := range missing {
-			if cerr := writeEpochSegment(w.dir, j, maxEpoch, count, perShard[j]); cerr != nil {
-				return 0, 0, cerr
-			}
-		}
-	}
-	// The newest epoch is now complete; older files carry no authority.
-	for e, segs := range byEpoch {
-		if e == maxEpoch {
-			continue
-		}
-		for _, path := range segs {
+	for shard, path := range segs {
+		if shard >= n {
 			os.Remove(path)
 		}
 	}
-	return count, maxEpoch, nil
-}
-
-// foldEpochs replays every epoch older than top in ascending order into a
-// single per-object live map, honoring the epoch invariant: an epoch-e
-// segment for shard j supersedes all earlier state of the objects hashing
-// to j under epoch e's mapping (its head snapshot is their complete live
-// set), so those keys are cleared before the segment replays.
-func foldEpochs(byEpoch map[int64]map[int]string, counts map[int64]int, top int64) (map[core.OID]core.Sighting, error) {
-	epochs := make([]int64, 0, len(byEpoch))
-	for e := range byEpoch {
-		if e < top {
-			epochs = append(epochs, e)
+	// Nonempty segments pin the count; a directory of all-empty segments (a
+	// crashed first open, an idle run) adopts the requested count instead.
+	for i := 0; i < n; i++ {
+		if st, serr := os.Stat(segs[i]); serr == nil && st.Size() > 0 {
+			return n, nil
 		}
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	live := make(map[core.OID]core.Sighting)
-	for _, e := range epochs {
-		count := counts[e]
-		shards := make([]int, 0, len(byEpoch[e]))
-		for j := range byEpoch[e] {
-			shards = append(shards, j)
-		}
-		sort.Ints(shards)
-		for _, j := range shards {
-			if e > 0 {
-				for id := range live {
-					if spatial.ShardFor(id, count) == j {
-						delete(live, id)
-					}
-				}
-			}
-			if err := replaySegmentFile(byEpoch[e][j], func(rec WALRecord) error {
-				switch rec.Op {
-				case WALSightingBatch:
-					for _, s := range rec.Sightings {
-						live[s.OID] = s
-					}
-				case WALSightingRemove:
-					delete(live, rec.OID)
-				case WALEpoch:
-					// layout marker, no state
-				default:
-					return fmt.Errorf("store: unexpected WAL op %q folding sighting segment %s", rec.Op, byEpoch[e][j])
-				}
-				return nil
-			}); err != nil {
-				return nil, fmt.Errorf("store: folding sighting WAL epoch %d shard %d: %w", e, j, err)
-			}
+	for i := requested; i < n; i++ {
+		if rerr := os.Remove(segs[i]); rerr != nil {
+			return 0, fmt.Errorf("store: clearing stale empty segment: %w", rerr)
 		}
 	}
-	return live, nil
-}
-
-// replaySegmentFile replays one segment without keeping it open.
-func replaySegmentFile(path string, fn func(WALRecord) error) error {
-	seg, err := OpenFileWAL(path)
-	if err != nil {
-		return err
-	}
-	defer seg.Close()
-	return seg.Replay(fn)
-}
-
-// readEpochHeader reads the first record of an epoch segment. invalid
-// reports content that is structurally not an epoch segment (empty file,
-// unparseable or non-epoch first record — what a crashed switch leaves);
-// err reports I/O failures, which say nothing about the content and must
-// not be treated as invalidity.
-func readEpochHeader(path string) (rec WALRecord, invalid bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return WALRecord{}, false, fmt.Errorf("store: opening epoch segment %s: %w", path, err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 4096)
-	line, rerr := r.ReadBytes('\n')
-	if rerr != nil && rerr != io.EOF {
-		return WALRecord{}, false, fmt.Errorf("store: reading epoch header of %s: %w", path, rerr)
-	}
-	if len(bytes.TrimSpace(line)) == 0 {
-		return WALRecord{}, true, nil
-	}
-	if uerr := json.Unmarshal(bytes.TrimSuffix(line, []byte{'\n'}), &rec); uerr != nil {
-		return WALRecord{}, true, nil
-	}
-	if rec.Op != WALEpoch {
-		return WALRecord{}, true, nil
-	}
-	return rec, false, nil
-}
-
-// writeEpochSegment atomically creates shard j's segment for epoch e: the
-// header record plus one snapshot batch of live, written to a temporary
-// file, fsynced and renamed into place — so the segment either exists
-// complete (and carries authority for its shard's objects) or not at all,
-// through writeRecordsAtomic's write-temp/fsync/rename protocol.
-func writeEpochSegment(dir string, shard int, epoch int64, count int, live []core.Sighting) error {
-	recs := []WALRecord{{Op: WALEpoch, Epoch: epoch, ShardCount: count}}
-	if len(live) > 0 {
-		recs = append(recs, WALRecord{Op: WALSightingBatch, Sightings: live})
-	}
-	f, err := writeRecordsAtomic(segmentPath(dir, shard, epoch), recs)
-	if err != nil {
-		return err
-	}
-	return f.Close()
+	return requested, nil
 }
 
 // NumShards returns the number of log segments.
 func (w *ShardedWAL) NumShards() int { return w.count }
-
-// Epoch returns the layout epoch the directory opened at, for diagnostics.
-func (w *ShardedWAL) Epoch() int64 { return w.epoch }
 
 // Dir returns the directory holding the segments, for diagnostics.
 func (w *ShardedWAL) Dir() string { return w.dir }
@@ -773,15 +535,9 @@ func (w *ShardedWAL) fail(err error) {
 
 // ReplayShard streams shard's records oldest first, with FileWAL.Replay's
 // recovery guarantees (torn tail tolerated, mid-file corruption surfaced
-// with its offset). Epoch layout markers are consumed internally; callers
-// see only state-bearing records.
+// with its offset).
 func (w *ShardedWAL) ReplayShard(shard int, fn func(WALRecord) error) error {
-	return w.segs[shard].Replay(func(rec WALRecord) error {
-		if rec.Op == WALEpoch {
-			return nil
-		}
-		return fn(rec)
-	})
+	return w.segs[shard].Replay(fn)
 }
 
 // AppendedSince reports how many sightings and removals were logged to
@@ -842,16 +598,10 @@ func (w *ShardedWAL) FinishCompact(shard int, live []core.Sighting) error {
 	return err
 }
 
-// rewriteSegment replaces shard's segment contents with its epoch header
-// (outside epoch 0, where no header exists), one live-set batch record and
-// one removal record per dead id, and resets the growth counter.
+// rewriteSegment replaces shard's segment contents with one live-set batch
+// record and one removal record per dead id, and resets the growth counter.
 func (w *ShardedWAL) rewriteSegment(shard int, live []core.Sighting, dead []core.OID) error {
 	var recs []WALRecord
-	if w.epoch > 0 {
-		// Keep the header: without it the next open would take the
-		// segment for a crashed switch's leftover and delete it.
-		recs = append(recs, WALRecord{Op: WALEpoch, Epoch: w.epoch, ShardCount: w.count})
-	}
 	if len(live) > 0 {
 		recs = append(recs, WALRecord{Op: WALSightingBatch, Sightings: live})
 	}

@@ -87,16 +87,25 @@ func NewVisitorDB(wal WAL) (*VisitorDB, error) {
 		wal = NullWAL{}
 	}
 	db := &VisitorDB{recs: make(map[core.OID]fwd), wal: wal}
-	err := replayVisitors(wal, db.set, func(id core.OID) { delete(db.recs, id) })
+	replayed, err := replayVisitors(wal, db.set, func(id core.OID) { delete(db.recs, id) })
 	if err != nil {
 		return nil, fmt.Errorf("store: replaying visitor WAL: %w", err)
 	}
+	compactVisitorLog(wal, replayed, len(db.recs), func() []VisitorRecord {
+		live := make([]VisitorRecord, 0, len(db.recs))
+		for id, f := range db.recs {
+			live = append(live, db.record(id, f))
+		}
+		return live
+	})
 	return db, nil
 }
 
-// replayVisitors applies every put and remove record of log, oldest first.
-func replayVisitors(log WAL, put func(VisitorRecord), remove func(core.OID)) error {
-	return log.Replay(func(rec WALRecord) error {
+// replayVisitors applies every put and remove record of log, oldest first,
+// and returns how many it applied.
+func replayVisitors(log WAL, put func(VisitorRecord), remove func(core.OID)) (int, error) {
+	n := 0
+	err := log.Replay(func(rec WALRecord) error {
 		if rec.Visitor == nil && (rec.Op == WALPut || rec.Op == WALRemove) {
 			return fmt.Errorf("store: visitor WAL record %q without visitor payload", rec.Op)
 		}
@@ -108,8 +117,28 @@ func replayVisitors(log WAL, put func(VisitorRecord), remove func(core.OID)) err
 		default:
 			return fmt.Errorf("store: unknown WAL op %q in visitor WAL", rec.Op)
 		}
+		n++
 		return nil
 	})
+	return n, err
+}
+
+// compactVisitorLog rewrites log to one put per live record when its
+// replay applied more than live + walCompactSlack records, so the next open
+// replays the live set rather than every change ever logged — the rule the
+// sighting segments follow at recovery. records lists the live set; it is
+// called only when the log is rewritten. Best-effort like that rule: a
+// failed rewrite leaves the original log, which is still correct.
+func compactVisitorLog(log WAL, replayed, live int, records func() []VisitorRecord) {
+	if replayed <= live+walCompactSlack {
+		return
+	}
+	vs := records()
+	recs := make([]WALRecord, len(vs))
+	for i := range vs {
+		recs[i] = WALRecord{Op: WALPut, Visitor: &vs[i]}
+	}
+	_ = log.CompactRecords(recs)
 }
 
 // slot returns the index of child in db.children, adding it if new. Caller

@@ -529,3 +529,123 @@ func TestPutIfNewerConcurrent(t *testing.T) {
 		t.Errorf("final record = %+v, want c31", rec)
 	}
 }
+
+// TestVisitorLogCompactedAtOpen: a visitor log whose replay applies far
+// more records than its live set is rewritten to that live set when it is
+// opened — an inner server's forwarding table and a leaf's registrations
+// alike — and the table it reopens to answers as before, at that open and
+// at the next one, which replays the compacted log.
+func TestVisitorLogCompactedAtOpen(t *testing.T) {
+	const ids, changes = 10, 5000
+	base := time.Date(2026, 10, 17, 9, 0, 0, 0, time.UTC)
+	expectLines := func(t *testing.T, path string, want int) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(data), "\n"); n != want {
+			t.Fatalf("log holds %d records after the open, want the %d live ones", n, want)
+		}
+	}
+
+	t.Run("forwarding table", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "visitors.wal")
+		open := func() *VisitorDB {
+			t.Helper()
+			wal, err := OpenFileWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := NewVisitorDB(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+		db := open()
+		want := make(map[core.OID]VisitorRecord)
+		for i := 0; i < changes; i++ {
+			rec := VisitorRecord{OID: core.OID(fmt.Sprintf("o%d", i%ids)), ForwardRef: fmt.Sprintf("c%d", i%3), PathT: base.Add(time.Duration(i))}
+			if err := db.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+			want[rec.OID] = rec
+		}
+		if _, err := db.Remove("o3"); err != nil {
+			t.Fatal(err)
+		}
+		delete(want, "o3")
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			db := open()
+			expectLines(t, path, len(want))
+			if db.Len() != len(want) {
+				t.Fatalf("round %d: Len = %d, want %d", round, db.Len(), len(want))
+			}
+			for id, w := range want {
+				if got, ok := db.Get(id); !ok || got.ForwardRef != w.ForwardRef || !got.PathT.Equal(w.PathT) {
+					t.Fatalf("round %d: record %s = %+v, %v; want %+v", round, id, got, ok, w)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
+	t.Run("registrations", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "registrations.wal")
+		open := func() (*ShardedSightingDB, *FileWAL) {
+			t.Helper()
+			log, err := OpenFileWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := NewShardedSightingDB(WithShards(4), WithRegistrationLog(log))
+			if err := db.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			return db, log
+		}
+		db, log := open()
+		want := make(map[core.OID]Registration)
+		for i := 0; i < changes; i++ {
+			id := core.OID(fmt.Sprintf("o%d", i%ids))
+			reg := Registration{
+				RegInfo:    core.RegInfo{Registrant: "client", DesAcc: 10, MinAcc: 100, MaxSpeed: 3},
+				OfferedAcc: float64(i%7 + 1),
+				PathT:      base.Add(time.Duration(i)),
+			}
+			if _, err := db.Register(core.Sighting{OID: id, T: reg.PathT}, reg); err != nil {
+				t.Fatal(err)
+			}
+			want[id] = reg
+		}
+		if _, _, ok, err := db.Deregister("o3", false); !ok || err != nil {
+			t.Fatalf("Deregister: %v, %v", ok, err)
+		}
+		delete(want, "o3")
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			db, log := open()
+			expectLines(t, path, len(want))
+			got := db.Registrations()
+			if len(got) != len(want) {
+				t.Fatalf("round %d: %d registrations, want %d", round, len(got), len(want))
+			}
+			for id, w := range want {
+				if g, ok := got[id]; !ok || g.RegInfo != w.RegInfo || g.OfferedAcc != w.OfferedAcc || !g.PathT.Equal(w.PathT) {
+					t.Fatalf("round %d: registration %s = %+v, %v; want %+v", round, id, g, ok, w)
+				}
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}

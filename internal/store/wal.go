@@ -5,7 +5,7 @@
 // A log is a sequence of JSON-encoded WALRecord lines ("JSON lines"), one
 // record per '\n'-terminated line, appended in commit order. Every record
 // is encoded by hand (appendWALRecordJSON, byte for byte what json.Marshal
-// writes for visitor, epoch and sremove records); encoding/json only reads
+// writes for visitor and sremove records); encoding/json only reads
 // logs back. Two record families share the framing:
 //
 //   - visitor mutations — Op "put"/"remove" with the Visitor field set,
@@ -23,11 +23,8 @@
 //     object id. These are appended by ShardedSightingDB through a
 //     ShardedWAL, one log segment per shard; batch framing amortizes the
 //     marshal and flush cost across the batch exactly as the update
-//     pipeline's combining lane amortizes lock cost. Segments of a
-//     directory past epoch 0 — one an earlier build re-partitioned — start
-//     with an Op "epoch" layout marker (the epoch and the shard count ids
-//     are hashed across from that record on); see ShardedWAL for how
-//     recovery reads that layout.
+//     pipeline's combining lane amortizes lock cost; see ShardedWAL for the
+//     directory layout.
 //
 // # Durability modes
 //
@@ -57,23 +54,23 @@
 // same directory followed by an atomic rename. A crash (or any failure)
 // before the rename leaves the original log untouched and the WAL usable;
 // leftover ".wal-rewrite-*" temporaries are never read back, and
-// OpenShardedWAL sweeps them from sharded-log directories.
+// OpenShardedWAL sweeps them from sharded-log directories (nothing sweeps
+// one a crash left beside a visitor log).
 //
 // # Crash ordering
 //
-// Every atomic file swap in this package — segment compaction and
-// epoch-segment creation here, run and manifest installation in the
-// tiered store — follows the same four-step protocol, in this order:
-// write the temporary, fsync the temporary, rename it over the final
-// name, fsync the parent directory. The file fsync before the rename
-// guarantees the named file can never be observed with partial content;
-// the directory fsync after the rename is what makes the swap itself
-// durable — POSIX does not order a rename's directory update against the
-// renamed file's data, so rename-without-dir-fsync can lose the entry
-// (or resurrect the old inode) on power failure even though the file's
-// own fsync succeeded. Readers therefore trust any file they find under
-// a final name, and every recovery invariant (a manifest's runs exist; a
-// segment is a clean prefix) reduces to this ordering.
+// Every atomic file swap in this package — log compaction here, run and
+// manifest installation in the tiered store — follows the same four-step
+// protocol, in this order: write the temporary, fsync the temporary,
+// rename it over the final name, fsync the parent directory. The file
+// fsync before the rename guarantees the named file can never be observed
+// with partial content; the directory fsync after the rename is what makes
+// the swap itself durable — POSIX does not order a rename's directory
+// update against the renamed file's data, so rename-without-dir-fsync can
+// lose the entry (or resurrect the old inode) on power failure even though
+// the file's own fsync succeeded. Readers therefore trust any file they
+// find under a final name, and every recovery invariant (a manifest's runs
+// exist; a segment is a clean prefix) reduces to this ordering.
 package store
 
 import (
@@ -104,14 +101,6 @@ const (
 	// soft-state expiry).
 	WALSightingBatch  WALOp = "sbatch"
 	WALSightingRemove WALOp = "sremove"
-	// WALEpoch is the layout marker heading every sighting segment at
-	// epoch > 0: it records the epoch number and the shard count of the
-	// id→segment mapping the rest of the segment was written under, which
-	// is what lets recovery read a directory an earlier build
-	// re-partitioned, or crashed while re-partitioning. Only the open of
-	// such a directory and the compaction of its segments write it; it
-	// carries no object state.
-	WALEpoch WALOp = "epoch"
 )
 
 // ErrCorruptWAL marks an unparseable record before the final line of a log:
@@ -133,11 +122,9 @@ type WALRecord struct {
 	Sightings []core.Sighting `json:"sightings,omitempty"`
 	// OID is the removed object of a WALSightingRemove record.
 	OID core.OID `json:"oid,omitempty"`
-	// Epoch and ShardCount describe the segment layout of a WALEpoch
-	// record: the layout epoch and the number of shards ids are hashed
-	// across from this record on.
-	Epoch      int64 `json:"epoch,omitempty"`
-	ShardCount int   `json:"shards,omitempty"`
+	// Token is the token of a replication marker (WALMark), which lives
+	// only in memory: the encoder never writes it.
+	Token uint64 `json:"-"`
 }
 
 // WAL is the persistence backend of an inner server's forwarding table (a
@@ -149,6 +136,8 @@ type WAL interface {
 	Replay(fn func(WALRecord) error) error
 	// Append durably adds one record.
 	Append(rec WALRecord) error
+	// CompactRecords atomically replaces the log's contents with recs.
+	CompactRecords(recs []WALRecord) error
 	// Close releases resources.
 	Close() error
 }
@@ -165,6 +154,9 @@ func (NullWAL) Replay(func(WALRecord) error) error { return nil }
 // Append implements WAL.
 func (NullWAL) Append(WALRecord) error { return nil }
 
+// CompactRecords implements WAL.
+func (NullWAL) CompactRecords([]WALRecord) error { return nil }
+
 // Close implements WAL.
 func (NullWAL) Close() error { return nil }
 
@@ -178,8 +170,12 @@ func (NullWAL) Close() error { return nil }
 // samples while it ran json.Marshal, and 16–18 % once it encoded by hand.
 // Append encodes every record by hand into one buffer it keeps
 // (appendWALRecordJSON), so a visitor append allocates nothing and costs
-// one write. It also serves as the per-shard segment of a ShardedWAL, where
-// batch framing keeps the sighting update path cheap.
+// one write. A visitor log is compacted at open: when its replay went
+// through more than its live set plus walCompactSlack records, NewVisitorDB
+// and a leaf's Recover rewrite it to one put per live record
+// (CompactRecords), so a restart replays the live set, not the history.
+// It also serves as the per-shard segment of a ShardedWAL, where batch
+// framing keeps the sighting update path cheap.
 type FileWAL struct {
 	mu   sync.Mutex
 	path string
@@ -353,34 +349,31 @@ func (w *FileWAL) AppendRaw(data []byte) error {
 	return nil
 }
 
-// walTempPattern names the temporaries of every atomic segment rewrite
-// (compaction and epoch-segment creation). They are never read back;
-// OpenShardedWAL sweeps crash leftovers matching walTempGlob.
+// walTempPattern names the temporaries of CompactRecords. They are never
+// read back; OpenShardedWAL sweeps crash leftovers matching walTempGlob.
 const (
 	walTempPattern = ".wal-rewrite-*"
 	walTempGlob    = ".wal-*"
 )
 
-// writeRecordsAtomic encodes recs as JSON lines into a temporary file
-// beside path, flushes and fsyncs it, renames it over path, and fsyncs
-// the parent directory — the one shared implementation of the
-// write-temp/fsync/rename/dir-fsync protocol behind compaction and
-// epoch-segment creation (see the crash-ordering note in the package
-// comment). It returns the temporary's handle, which after the rename
-// refers to path and is positioned at the end, ready for the caller to
-// adopt for appends. Every failure path before the rename removes the
-// temporary and leaves path untouched; a directory-fsync failure after
-// the rename is reported, since the swap may not survive a machine
-// crash.
-func writeRecordsAtomic(path string, recs []WALRecord) (*os.File, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), walTempPattern)
+// CompactRecords atomically replaces the log's contents with recs, in
+// order, by the write-temp/fsync/rename/dir-fsync protocol (see the
+// crash-ordering note in the package comment). The temporary's file handle
+// becomes the new append handle, so no reopen can fail after the swap.
+// Every failure before the rename removes the temporary and leaves the
+// original log untouched, open and usable for further appends — a crash
+// anywhere before the rename loses nothing but the compaction.
+func (w *FileWAL) CompactRecords(recs []WALRecord) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	tmp, err := os.CreateTemp(filepath.Dir(w.path), walTempPattern)
 	if err != nil {
-		return nil, fmt.Errorf("store: creating segment rewrite file: %w", err)
+		return fmt.Errorf("store: creating segment rewrite file: %w", err)
 	}
-	abort := func(err error) (*os.File, error) {
+	abort := func(err error) error {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return nil, err
+		return err
 	}
 	bw := bufio.NewWriter(tmp)
 	var buf []byte
@@ -399,29 +392,8 @@ func writeRecordsAtomic(path string, recs []WALRecord) (*os.File, error) {
 	if err := tmp.Sync(); err != nil {
 		return abort(fmt.Errorf("store: syncing segment rewrite: %w", err))
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp.Name(), w.path); err != nil {
 		return abort(fmt.Errorf("store: renaming rewritten segment: %w", err))
-	}
-	if err := syncDir(path); err != nil {
-		// The rename committed in the live filesystem; only its durability
-		// against machine crash is in doubt. Report rather than unwind.
-		tmp.Close()
-		return nil, err
-	}
-	return tmp, nil
-}
-
-// CompactRecords atomically replaces the log's contents with recs, in
-// order (writeRecordsAtomic). The temporary's file handle becomes the new
-// append handle, so no reopen can fail after the swap. Every failure path
-// leaves the original log untouched, open and usable for further appends —
-// a crash anywhere before the rename loses nothing but the compaction.
-func (w *FileWAL) CompactRecords(recs []WALRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	tmp, err := writeRecordsAtomic(w.path, recs)
-	if err != nil {
-		return err
 	}
 	// The rename is the commit point: the temporary's handle now refers to
 	// the log, so adopt it and retire the old handle. Errors past this
@@ -429,15 +401,14 @@ func (w *FileWAL) CompactRecords(recs []WALRecord) error {
 	old := w.f
 	w.f = tmp
 	w.w = bufio.NewWriter(tmp)
-	// The rename's own durability (directory fsync) was handled inside
-	// writeRecordsAtomic, unconditionally: without it a machine crash could
-	// revert the directory entry to the old inode and orphan every later
-	// fsynced append.
-	var firstErr error
+	// The directory fsync makes the rename itself durable, with or without
+	// WithSync: without it a machine crash could revert the directory entry
+	// to the old inode and orphan every later fsynced append.
+	errs := []error{syncDir(w.path)}
 	if err := old.Close(); err != nil {
-		firstErr = fmt.Errorf("store: closing pre-compaction WAL handle: %w", err)
+		errs = append(errs, fmt.Errorf("store: closing pre-compaction WAL handle: %w", err))
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // Close implements WAL.

@@ -21,8 +21,8 @@ type walTimeMemo struct {
 
 // appendWALRecordJSON appends rec's JSON-lines encoding (including the
 // trailing newline) to dst. It is the one log encoder: every record kind is
-// encoded by hand, and encoding/json only reads logs back. Visitor, epoch
-// and sremove records are byte for byte what json.Marshal writes for them;
+// encoded by hand, and encoding/json only reads logs back. Visitor and
+// sremove records are byte for byte what json.Marshal writes for them;
 // a sighting batch writes its floats in strconv's shortest 'g' form, which
 // json.Unmarshal reads back to the same record. TestWALRecordEncodingRoundTrip
 // pins both. memo (optional) carries the timestamp cache across calls.
@@ -41,32 +41,20 @@ func appendWALRecordJSON(dst []byte, rec WALRecord, memo *walTimeMemo) ([]byte, 
 // omitempty rules are WALRecord's and VisitorRecord's struct tags.
 func appendWALRecord(dst []byte, rec WALRecord, memo *walTimeMemo) ([]byte, error) {
 	visitor, batch, oid := rec.Visitor != nil, len(rec.Sightings) > 0, rec.OID != ""
-	layout := rec.Epoch != 0 || rec.ShardCount != 0
 	switch {
-	case (rec.Op == WALPut || rec.Op == WALRemove) && visitor && !batch && !oid && !layout:
+	case (rec.Op == WALPut || rec.Op == WALRemove) && visitor && !batch && !oid:
 		dst = append(dst, `{"op":`...)
 		dst = appendJSONString(dst, string(rec.Op))
 		dst = append(dst, `,"visitor":`...)
 		out, err := appendVisitorJSON(dst, rec.Visitor, memo)
 		return append(out, '}'), err
-	case rec.Op == WALSightingBatch && !visitor && !oid && !layout:
+	case rec.Op == WALSightingBatch && !visitor && !oid:
 		return appendSightingBatchJSON(dst, rec.Sightings, memo)
-	case rec.Op == WALSightingRemove && !visitor && !batch && !layout:
+	case rec.Op == WALSightingRemove && !visitor && !batch:
 		dst = append(dst, `{"op":"sremove"`...)
 		if oid {
 			dst = append(dst, `,"oid":`...)
 			dst = appendJSONString(dst, string(rec.OID))
-		}
-		return append(dst, '}'), nil
-	case rec.Op == WALEpoch && !visitor && !batch && !oid:
-		dst = append(dst, `{"op":"epoch"`...)
-		if rec.Epoch != 0 {
-			dst = append(dst, `,"epoch":`...)
-			dst = strconv.AppendInt(dst, rec.Epoch, 10)
-		}
-		if rec.ShardCount != 0 {
-			dst = append(dst, `,"shards":`...)
-			dst = strconv.AppendInt(dst, int64(rec.ShardCount), 10)
 		}
 		return append(dst, '}'), nil
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 // The hand-rolled encoder must write what json.Marshal writes for every
-// visitor, epoch and sremove record, byte for byte, and refuse what it
+// visitor and sremove record, byte for byte, and refuse what it
 // refuses; a sighting batch must round-trip through Replay's json.Unmarshal
 // to exactly the record the standard marshaler would have preserved —
 // across awkward ids, timestamps and float shapes.
@@ -89,7 +89,7 @@ func TestWALRecordEncodingRoundTrip(t *testing.T) {
 	var memo walTimeMemo
 	for i := 0; i < 5000; i++ {
 		var rec WALRecord
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0:
 			rec = WALRecord{Op: WALSightingRemove, OID: randomID()}
 		case 1:
@@ -98,8 +98,6 @@ func TestWALRecordEncodingRoundTrip(t *testing.T) {
 			// A remove record carries only the id; its zero fields are
 			// written all the same.
 			rec = WALRecord{Op: WALRemove, Visitor: &VisitorRecord{OID: randomID()}}
-		case 3:
-			rec = WALRecord{Op: WALEpoch, Epoch: rng.Int63n(3) * rng.Int63(), ShardCount: rng.Intn(3) * rng.Intn(1<<20)}
 		default:
 			batch := make([]core.Sighting, rng.Intn(5))
 			for j := range batch {
@@ -180,11 +178,10 @@ func TestWALRecordEncodingRejectsNonFinite(t *testing.T) {
 	for _, rec := range []WALRecord{
 		{Op: WALPut},
 		{Op: WALRemove, Visitor: v, OID: "v"},
-		{Op: WALPut, Visitor: v, Epoch: 1},
 		{Op: WALSightingBatch, Visitor: v},
 		{Op: WALSightingRemove, OID: "x", Sightings: []core.Sighting{{OID: "x"}}},
-		{Op: WALEpoch, Epoch: 1, OID: "x"},
-		{Op: WALMark, Epoch: 1},
+		{Op: "epoch"},
+		{Op: WALMark, Token: 1},
 		{Op: "bogus"},
 	} {
 		if line, err := appendWALRecordJSON([]byte("keep"), rec, nil); err == nil || string(line) != "keep" {

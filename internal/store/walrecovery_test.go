@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -280,9 +281,8 @@ func TestCompactFailureLeavesWALUsable(t *testing.T) {
 
 // Reopening a sharded log with a different shard count adopts the count
 // persisted in the log once any segment holds history (the id→segment
-// mapping is a property of the persistent log; changing it takes a resize,
-// which stamps a new epoch) — while all-empty segments, as left by a
-// crashed first open or an idle run, must not pin the count.
+// mapping is a property of the persistent log) — while all-empty segments,
+// as left by a crashed first open or an idle run, must not pin the count.
 func TestShardedWALShardCountMismatch(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenShardedWAL(dir, 4)
@@ -333,8 +333,60 @@ func TestShardedWALShardCountMismatch(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(segmentPath(empty, 2, 0)); err == nil {
+	if _, err := os.Stat(segmentPath(empty, 2)); err == nil {
 		t.Fatal("stale empty segment survived the count change")
+	}
+}
+
+// TestOpenShardedWALRefusesEpochLayout: a directory holding a segment of the
+// epoch layout earlier builds' re-partition wrote (shard-NNNN-eNNNNNN.wal)
+// is refused, with the file named, and nothing in it is deleted or
+// created — neither the epoch segment, nor a valid segment beside it, nor
+// a rewrite temporary an ordinary open would sweep.
+func TestOpenShardedWALRefusesEpochLayout(t *testing.T) {
+	const epochName = "shard-0001-e000002.wal"
+	sremove := func(id string) []byte { return []byte(`{"op":"sremove","oid":"` + id + `"}` + "\n") }
+	epochBody := append([]byte(`{"op":"epoch","epoch":2,"shards":3}`+"\n"), sremove("a")...)
+	for _, tc := range []struct {
+		name   string
+		beside map[string][]byte
+	}{
+		{"alone", nil},
+		{"beside segments", map[string][]byte{"shard-0000.wal": sremove("b"), "shard-0001.wal": sremove("c")}},
+		{"beside a rewrite temporary", map[string][]byte{".wal-rewrite-123": sremove("d")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string][]byte{epochName: epochBody}
+			for name, body := range tc.beside {
+				files[name] = body
+			}
+			for name, body := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w, err := OpenShardedWAL(dir, 2)
+			if err == nil {
+				w.Close()
+				t.Fatal("opened a directory in the epoch layout")
+			}
+			if !strings.Contains(err.Error(), epochName) {
+				t.Errorf("error %q does not name %s", err, epochName)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != len(files) {
+				t.Errorf("directory holds %d files after the refusal, want %d", len(entries), len(files))
+			}
+			for name, body := range files {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, body) {
+					t.Errorf("%s after the refusal: %q, %v; want %q", name, got, err, body)
+				}
+			}
+		})
 	}
 }
 
@@ -798,7 +850,7 @@ func TestRecoverSurfacesShardCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the middle of shard 0's segment.
-	seg := segmentPath(dir, 0, 0)
+	seg := segmentPath(dir, 0)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)

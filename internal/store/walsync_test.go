@@ -52,7 +52,7 @@ func summarizeRecord(rec WALRecord) string {
 // going through the WAL, and summarizes its records.
 func segmentOnDisk(t *testing.T, dir string, shard int) []string {
 	t.Helper()
-	data, err := os.ReadFile(segmentPath(dir, shard, 0))
+	data, err := os.ReadFile(segmentPath(dir, shard))
 	if err != nil {
 		t.Fatal(err)
 	}
