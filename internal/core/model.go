@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"locsvc/internal/geo"
@@ -34,16 +35,33 @@ type Sighting struct {
 	SensAcc float64
 }
 
-// Validate reports whether the sighting is well formed.
+// Validate reports whether the sighting is well formed: an object id, a
+// finite position, a finite non-negative sensor accuracy and a timestamp
+// InNanoRange.
 func (s Sighting) Validate() error {
 	if s.OID == "" {
 		return errors.New("core: sighting has empty object id")
 	}
-	if s.SensAcc < 0 {
-		return fmt.Errorf("core: negative sensor accuracy %v", s.SensAcc)
+	if !finite(s.Pos.X) || !finite(s.Pos.Y) {
+		return fmt.Errorf("core: non-finite position %v", s.Pos)
+	}
+	if !finite(s.SensAcc) || s.SensAcc < 0 {
+		return fmt.Errorf("core: sensor accuracy %v is not a finite non-negative number", s.SensAcc)
+	}
+	if !InNanoRange(s.T) {
+		return fmt.Errorf("core: timestamp %v outside the range of UnixNano", s.T)
 	}
 	return nil
 }
+
+// InNanoRange reports whether t is the zero Time or an instant stores can
+// keep as UnixNano nanoseconds (years 1678–2262), less the lowest, which
+// they use to mark a zero time.
+func InNanoRange(t time.Time) bool {
+	return t.IsZero() || t.After(time.Unix(0, math.MinInt64)) && !t.After(time.Unix(0, math.MaxInt64))
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // LocationDescriptor is ld(o): the position stored for an object together
 // with its worst-case accuracy. The object is guaranteed to reside within
@@ -89,9 +107,12 @@ type RegInfo struct {
 }
 
 // Validate reports whether the requested accuracy range is well formed
-// (desired accuracy must be at least as good — i.e. as small — as the
-// minimum acceptable accuracy).
+// (finite, and the desired accuracy at least as good — i.e. as small — as
+// the minimum acceptable accuracy) and the speed finite.
 func (ri RegInfo) Validate() error {
+	if !finite(ri.DesAcc) || !finite(ri.MinAcc) || !finite(ri.MaxSpeed) {
+		return errors.New("core: non-finite accuracy bound or speed")
+	}
 	if ri.DesAcc < 0 || ri.MinAcc < 0 {
 		return errors.New("core: negative accuracy bound")
 	}

@@ -20,6 +20,28 @@ func TestSightingValidate(t *testing.T) {
 	if err := (Sighting{OID: "o", SensAcc: -1}).Validate(); err == nil {
 		t.Error("negative sensor accuracy accepted")
 	}
+	// What a store cannot keep — a non-finite number, a time UnixNano
+	// cannot represent — is refused; the range's own ends are kept.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, s := range []Sighting{
+		{OID: "o", SensAcc: nan},
+		{OID: "o", SensAcc: inf},
+		{OID: "o", Pos: geo.Pt(nan, 0)},
+		{OID: "o", Pos: geo.Pt(0, -inf)},
+		{OID: "o", T: time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{OID: "o", T: time.Date(1677, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{OID: "o", T: time.Unix(0, math.MinInt64)},
+		{OID: "o", T: time.Unix(0, math.MaxInt64).Add(1)},
+	} {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%+v accepted", s)
+		}
+	}
+	for _, at := range []time.Time{{}, time.Unix(0, math.MinInt64+1), time.Unix(0, math.MaxInt64)} {
+		if err := (Sighting{OID: "o", T: at}).Validate(); err != nil {
+			t.Errorf("timestamp %v refused: %v", at, err)
+		}
+	}
 }
 
 func TestLocationDescriptorArea(t *testing.T) {
@@ -57,6 +79,9 @@ func TestRegInfoValidate(t *testing.T) {
 		{"equal bounds", RegInfo{DesAcc: 25, MinAcc: 25}, true},
 		{"inverted", RegInfo{DesAcc: 50, MinAcc: 10}, false},
 		{"negative", RegInfo{DesAcc: -1, MinAcc: 10}, false},
+		{"NaN desired", RegInfo{DesAcc: math.NaN(), MinAcc: 10}, false},
+		{"infinite minimum", RegInfo{DesAcc: 10, MinAcc: math.Inf(1)}, false},
+		{"NaN speed", RegInfo{DesAcc: 10, MinAcc: 50, MaxSpeed: math.NaN()}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -2,9 +2,12 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,11 +21,13 @@ import (
 )
 
 // testdata/leaf-logs holds the logs a lone leaf wrote before its visitor
-// records moved into the sighting store: the visitor log (JSON lines, put
-// and remove records with the visitor payload) and a two-shard sighting WAL
-// directory. Six objects registered at 09:00:00–05 with desired accuracies
-// 5, 20, 35, 15, 12 and 25 (the leaf achieves 10 m); then o4 moved twice,
-// o2 once, o5 changed its desired accuracy to 50 and o6 deregistered.
+// records moved into the sighting store: the visitor log (put and remove
+// records with the visitor payload) and a two-shard sighting WAL
+// directory, in the binary log format; testdata/json-logs holds the same
+// records in the JSON lines that build wrote. Six objects registered at
+// 09:00:00–05 with desired accuracies 5, 20, 35, 15, 12 and 25 (the leaf
+// achieves 10 m); then o4 moved twice, o2 once, o5 changed its desired
+// accuracy to 50 and o6 deregistered.
 var fixtureObjects = []struct {
 	oid core.OID
 	pos geo.Point
@@ -39,7 +44,13 @@ var fixtureObjects = []struct {
 // may rewrite what it opens.
 func copyFixture(t *testing.T) string {
 	t.Helper()
-	src, dst := filepath.Join("testdata", "leaf-logs"), t.TempDir()
+	return copyTree(t, filepath.Join("testdata", "leaf-logs"))
+}
+
+// copyTree copies the directory src into a fresh directory.
+func copyTree(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
 	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
@@ -222,7 +233,8 @@ func TestLeafLogFixtureRewrite(t *testing.T) {
 
 // testdata/inner-logs/inner-visitors.wal is the forwarding log an inner
 // server "inner" (children inner.0 … inner.3) wrote before its table kept
-// a child slot and an int64 PathT per object: createPath records for
+// a child slot and an int64 PathT per object, in the binary log format (its
+// JSON-lines original is under testdata/json-logs): createPath records for
 // o1–o5, o4's in a +02:00 zone, an untimed record for o6, a handover of o1
 // to inner.3, the removal of o3 and the rewrite of inner.2's records to its
 // standby inner.2~s. innerFixture is what that build's Get answered after
@@ -331,5 +343,151 @@ func TestInnerLogFixture(t *testing.T) {
 		if rec.OfferedAcc != 0 || rec.RegInfo != (core.RegInfo{}) {
 			t.Errorf("%s: forwarding record carries registration fields: %+v", o.oid, rec)
 		}
+	}
+}
+
+// TestJSONLogFixturesRefused: the JSON-lines logs an earlier build wrote are
+// refused, not converted — a visitor log by OpenFileWAL, a sighting WAL
+// directory by OpenShardedWAL — with the file named, and every file is left
+// byte for byte as it was.
+func TestJSONLogFixturesRefused(t *testing.T) {
+	src := filepath.Join("testdata", "json-logs")
+	dir := copyTree(t, src)
+	for _, tc := range []struct {
+		refused string
+		open    func() error
+	}{
+		{"inner-logs/inner-visitors.wal", func() error {
+			_, err := store.OpenFileWAL(filepath.Join(dir, "inner-logs", "inner-visitors.wal"))
+			return err
+		}},
+		{"leaf-logs/leaf-visitors.wal", func() error {
+			_, err := store.OpenFileWAL(filepath.Join(dir, "leaf-logs", "leaf-visitors.wal"))
+			return err
+		}},
+		{"leaf-logs/leaf-sightings/shard-0000.wal", func() error {
+			_, err := store.OpenShardedWAL(filepath.Join(dir, "leaf-logs", "leaf-sightings"), 1)
+			return err
+		}},
+	} {
+		if err := tc.open(); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, tc.refused)) {
+			t.Errorf("opening %s: %v, want a refusal naming it", tc.refused, err)
+		}
+	}
+	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, rel)); err != nil || string(got) != string(want) {
+			t.Errorf("%s changed by the refused open (%v)", rel, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMalformedSightingRefusedAtLeaf: an update or a registration carrying
+// what the sighting log cannot keep — a NaN accuracy, a year-3000
+// timestamp — is refused with bad_request at the leaf, so the log stays
+// up, and a following valid update survives a close and reopen.
+func TestMalformedSightingRefusedAtLeaf(t *testing.T) {
+	dir := t.TempDir()
+	net := transport.NewInproc(transport.InprocOptions{})
+	defer net.Close()
+	replies := make(chan msg.Message, 8)
+	dev, err := net.Attach("dev", func(_ context.Context, _ msg.NodeID, m msg.Message) (msg.Message, error) {
+		replies <- m
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	open := func() (*server.Server, *store.ShardedWAL) {
+		t.Helper()
+		vwal, err := store.OpenFileWAL(filepath.Join(dir, "visitors.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		swal, err := store.OpenShardedWAL(filepath.Join(dir, "sightings"), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		area := core.AreaFromRect(geo.R(0, 0, 1000, 1000))
+		srv, err := server.New(store.ConfigRecord{ID: "leaf", SA: area}, area, net, server.Options{WAL: vwal, SightingWAL: swal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, swal
+	}
+	srv, swal := open()
+	defer func() { srv.Close() }()
+
+	ri := core.RegInfo{Registrant: "dev", DesAcc: 10, MinAcc: 100, MaxSpeed: 3}
+	seq := uint64(0)
+	register := func(s core.Sighting) msg.Message {
+		t.Helper()
+		seq++
+		if err := dev.Send("leaf", msg.RegisterReq{S: s, RegInfo: ri, Origin: msg.Origin{Node: "dev", OpID: seq}, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-replies:
+			return m
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no answer to the registration of %s", s.OID)
+			return nil
+		}
+	}
+	update := func(s core.Sighting) (msg.Message, error) {
+		seq++
+		return dev.Call(ctx(t), "leaf", msg.UpdateReq{S: s, Seq: seq})
+	}
+	at := time.Date(2026, 10, 16, 9, 0, 0, 0, time.UTC)
+	if m := register(core.Sighting{OID: "o1", T: at, Pos: geo.Pt(100, 100), SensAcc: 5}); msg.AsError(m) != nil {
+		t.Fatalf("valid registration answered %#v", m)
+	}
+
+	for _, bad := range []core.Sighting{
+		{T: at.Add(time.Second), Pos: geo.Pt(110, 100), SensAcc: math.NaN()},
+		{T: time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC), Pos: geo.Pt(120, 100), SensAcc: 5},
+	} {
+		bad.OID = "o1"
+		if res, err := update(bad); !errors.Is(err, core.ErrBadRequest) {
+			t.Errorf("update %+v: %#v, %v; want bad_request", bad, res, err)
+		}
+		bad.OID = "o2"
+		if m := register(bad); !errors.Is(msg.AsError(m), core.ErrBadRequest) {
+			t.Errorf("registration %+v answered %#v, want bad_request", bad, m)
+		}
+	}
+	if err := swal.Flush(); err != nil {
+		t.Fatalf("sighting log went down: %v", err)
+	}
+	srv.JanitorTickForTest()
+	if n := srv.Metrics().Counter("sighting_wal_down").Value(); n != 0 {
+		t.Fatalf("sighting_wal_down = %d", n)
+	}
+
+	if res, err := update(core.Sighting{OID: "o1", T: at.Add(2 * time.Second), Pos: geo.Pt(200, 300), SensAcc: 5}); err != nil {
+		t.Fatalf("valid update: %#v, %v", res, err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, _ = open()
+	if n := srv.VisitorCount(); n != 1 {
+		t.Fatalf("%d registrations after the reopen, want 1", n)
+	}
+	got := srv.LocalRangeForTest(core.AreaFromRect(geo.R(0, 0, 1000, 1000)), 100, 1e-9)
+	if len(got) != 1 || got[0].OID != "o1" || got[0].LD.Pos != geo.Pt(200, 300) {
+		t.Fatalf("after the reopen the leaf holds %+v, want o1 at (200, 300)", got)
 	}
 }

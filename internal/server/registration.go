@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"time"
 
 	"locsvc/internal/core"
@@ -47,6 +49,12 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 	}
 
 	// Leaf server responsible for the object's position (lines 2-15).
+	// A malformed request is refused before anything is remembered,
+	// stored or sent up the path.
+	if err := errors.Join(req.S.Validate(), req.RegInfo.Validate()); err != nil {
+		s.respondToOrigin(req.Origin, msg.ErrorResFrom(fmt.Errorf("%w: %v", core.ErrBadRequest, err)))
+		return
+	}
 	// A retried registration whose first application answered already —
 	// only the response was lost — re-sends the remembered outcome
 	// instead of re-applying (see the wire package's retry-idempotency

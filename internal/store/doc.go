@@ -86,6 +86,13 @@
 // the read path). A file of another format version is refused at open
 // with the version named; there is no fallback reader.
 //
+// Log format (visitor and registration logs, shard-NNNN.wal segments;
+// byte-level layout at the top of wal.go): the header LSWAL001, then
+// records framed by a length, its CRC32 and the payload's CRC32. A payload
+// reuses the record encoding above: a sighting batch is one live record per
+// sighting, a removal the id's tombstone. A JSON-lines log an earlier build
+// wrote is refused at open with the file named; there is no fallback reader.
+//
 // Manifest format (shard-SSSS.manifest, JSON): the shard's run list,
 // newest first, plus the next run sequence number. The manifest rename is
 // the commit point of every flush and compaction; run files no manifest

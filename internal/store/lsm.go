@@ -71,11 +71,12 @@ type tierState struct {
 
 	// warmed flips once recovery (synchronous or background) has replayed
 	// every shard's WAL tail; MaintainTiers is a no-op before that.
-	warmed  atomic.Bool
-	warming atomic.Bool
-	warmWG  sync.WaitGroup
-	warmMu  sync.Mutex
-	warmErr error
+	warmed   atomic.Bool
+	warming  atomic.Bool
+	warmWG   sync.WaitGroup
+	warmMu   sync.Mutex
+	warmErr  error // guarded by warmMu
+	warmLeft int   // shards still replaying, guarded by warmMu
 }
 
 // shardTier is one shard's run list. runs (newest first) is replaced

@@ -806,28 +806,23 @@ func (db *ShardedSightingDB) RecoverBackground() error {
 	for _, sh := range db.shards {
 		sh.mu.Lock()
 	}
+	ts.warmLeft = len(db.shards)
 	ts.warmWG.Add(len(db.shards))
 	for i := range db.shards {
 		go func(i int) {
 			defer ts.warmWG.Done()
 			err := db.recoverShardLocked(i)
 			db.shards[i].mu.Unlock()
-			if err != nil {
-				ts.warmMu.Lock()
-				ts.warmErr = errors.Join(ts.warmErr, err)
-				ts.warmMu.Unlock()
+			// The last shard to finish opens maintenance before its Done,
+			// so WaitRecovered never returns ahead of warmed.
+			ts.warmMu.Lock()
+			ts.warmErr = errors.Join(ts.warmErr, err)
+			if ts.warmLeft--; ts.warmLeft == 0 && ts.warmErr == nil {
+				ts.warmed.Store(true)
 			}
+			ts.warmMu.Unlock()
 		}(i)
 	}
-	go func() {
-		ts.warmWG.Wait()
-		ts.warmMu.Lock()
-		failed := ts.warmErr != nil
-		ts.warmMu.Unlock()
-		if !failed {
-			ts.warmed.Store(true)
-		}
-	}()
 	return nil
 }
 

@@ -20,17 +20,18 @@ import (
 // segment, in application order.
 //
 // The append unit is the group-commit batch of the update pipeline: one
-// WALSightingBatch record per PutBatch shard group, so the marshal and
+// WALSightingBatch record per PutBatch shard group, so the encode and
 // flush cost of durability is amortized over the batch exactly as the
 // combining lane amortizes lock cost.
 //
 // # Layout
 //
-// A directory holds one segment per shard, named shard-NNNN.wal, with no
-// in-file marker; the first open fixes the segment count. Earlier builds
-// could re-partition a running store into epoch-stamped segments
-// (shard-NNNN-eNNNNNN.wal). OpenShardedWAL refuses a directory holding
-// one: the error names the file and nothing is deleted.
+// A directory holds one segment per shard, named shard-NNNN.wal, each a log
+// in the binary format of wal.go with no marker beyond its header; the
+// first open fixes the segment count. Earlier builds could re-partition a
+// running store into epoch-stamped segments (shard-NNNN-eNNNNNN.wal), and
+// wrote segments in JSON lines. OpenShardedWAL refuses a directory holding
+// either: the error names the file and nothing is deleted or created.
 //
 // # The append path
 //
@@ -278,8 +279,9 @@ func OpenShardedWAL(dir string, shards int, opts ...FileWALOption) (*ShardedWAL,
 }
 
 // settleLayout scans dir and returns the segment count the WAL operates at
-// (see OpenShardedWAL). A directory holding an epoch-named segment is
-// refused before anything in it is deleted.
+// (see OpenShardedWAL). A directory holding an epoch-named segment, or a
+// segment that is not in the binary log format, is refused before anything
+// in it is deleted.
 func (w *ShardedWAL) settleLayout(requested int) (int, error) {
 	files, err := os.ReadDir(w.dir)
 	if err != nil {
@@ -293,6 +295,9 @@ func (w *ShardedWAL) settleLayout(requested int) (int, error) {
 		}
 		path := filepath.Join(w.dir, f.Name())
 		if shard, ok := parseSegmentName(f.Name()); ok {
+			if _, err := checkLogHeader(path); err != nil {
+				return 0, err
+			}
 			segs[shard] = path
 		} else if matched, _ := filepath.Match(epochSegmentGlob, f.Name()); matched {
 			return 0, fmt.Errorf("store: sighting WAL segment %s is in the epoch layout an earlier build's re-partition wrote; this build reads only shard-NNNN.wal segments", path)
@@ -316,10 +321,11 @@ func (w *ShardedWAL) settleLayout(requested int) (int, error) {
 			os.Remove(path)
 		}
 	}
-	// Nonempty segments pin the count; a directory of all-empty segments (a
-	// crashed first open, an idle run) adopts the requested count instead.
+	// Segments holding a record pin the count; a directory of segments
+	// holding at most the header (a crashed first open, an idle run) adopts
+	// the requested count instead.
 	for i := 0; i < n; i++ {
-		if st, serr := os.Stat(segs[i]); serr == nil && st.Size() > 0 {
+		if st, serr := os.Stat(segs[i]); serr == nil && st.Size() > int64(len(walHeader)) {
 			return n, nil
 		}
 	}
@@ -389,15 +395,13 @@ func (w *ShardedWAL) enqueue(shard int, rec WALRecord, batch []core.Sighting) er
 
 // writer is one segment's commit goroutine: it lingers for the coalescing
 // window once records are pending, swaps the shard's list out, encodes it
-// (timestamps memoized across the drain — group-commit records cluster in
-// time) and hands the whole drain to the segment as one write+flush.
+// and hands the whole drain to the segment as one write+flush.
 func (w *ShardedWAL) writer(shard int) {
 	defer w.wg.Done()
 	sb := &w.bufs[shard]
 	seg := w.segs[shard]
 	var local []WALRecord
 	var out []byte
-	var memo walTimeMemo
 	for {
 		sb.mu.Lock()
 		// Hand the previous drain's batch buffers back for reuse.
@@ -430,7 +434,7 @@ func (w *ShardedWAL) writer(shard int) {
 				if rec.Op == WALMark || rec.Visitor != nil {
 					continue // in-memory only: teed below, never encoded
 				}
-				if out, err = appendWALRecordJSON(out, rec, &memo); err != nil {
+				if out, err = appendWALRecord(out, rec); err != nil {
 					w.fail(err)
 					break
 				}
@@ -534,8 +538,8 @@ func (w *ShardedWAL) fail(err error) {
 }
 
 // ReplayShard streams shard's records oldest first, with FileWAL.Replay's
-// recovery guarantees (torn tail tolerated, mid-file corruption surfaced
-// with its offset).
+// recovery guarantees (torn tail truncated, a damaged record anywhere
+// surfaced with its offset).
 func (w *ShardedWAL) ReplayShard(shard int, fn func(WALRecord) error) error {
 	return w.segs[shard].Replay(fn)
 }

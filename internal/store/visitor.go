@@ -18,19 +18,19 @@ import (
 // Registrations in the sighting store and logs them in this form,
 // ForwardRef empty and OfferedAcc/RegInfo describing the registration.
 type VisitorRecord struct {
-	OID core.OID `json:"oid"`
+	OID core.OID
 	// ForwardRef is the child server id on the path towards the agent;
 	// empty on leaf servers.
-	ForwardRef string `json:"forwardRef,omitempty"`
+	ForwardRef string
 	// OfferedAcc is the accuracy currently offered for this visitor
 	// (leaf servers only).
-	OfferedAcc float64 `json:"offeredAcc,omitempty"`
+	OfferedAcc float64
 	// RegInfo is the registration information record (leaf servers only).
-	RegInfo core.RegInfo `json:"regInfo,omitempty"`
+	RegInfo core.RegInfo
 	// PathT is the timestamp of the sighting that installed this record;
 	// path-maintenance messages carrying older sighting times are
 	// ignored (see internal/server, handleRemovePath/handleCreatePath).
-	PathT time.Time `json:"pathT,omitempty"`
+	PathT time.Time
 }
 
 // fwd is one forwarding record in memory: the slot of the child next on the

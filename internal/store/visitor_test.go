@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -142,18 +144,31 @@ func TestRegistrationReplayOfRestartLog(t *testing.T) {
 	}
 }
 
+// framedPayload frames payload as appendWALRecord does, whatever it holds.
+func framedPayload(payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
 // TestRegistrationReplayErrors: the registration log replay refuses what
-// the visitor table's replay refuses.
+// the visitor table's replay refuses: correctly framed records that are
+// not visitor records.
 func TestRegistrationReplayErrors(t *testing.T) {
+	sremove, err := appendWALRecord(nil, WALRecord{Op: WALSightingRemove, OID: "o"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name string
-		line string
-		want string
+		name   string
+		record []byte
+		want   string
 	}{
-		// The encoder refuses a put without its payload, so the record
+		// The encoder writes no put without its payload, so the record
 		// goes into the log as raw bytes.
-		{"no payload", `{"op":"put"}`, `visitor WAL record "put" without visitor payload`},
-		{"unknown op", `{"op":"sremove","oid":"o"}`, `unknown WAL op "sremove" in visitor WAL`},
+		{"no payload", framedPayload([]byte{walOpPut}), "malformed payload"},
+		{"unknown op", sremove, `unknown WAL op "sremove" in visitor WAL`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "visitors.wal")
@@ -164,7 +179,7 @@ func TestRegistrationReplayErrors(t *testing.T) {
 			if err := wal.Append(WALRecord{Op: WALPut, Visitor: &VisitorRecord{OID: "ok"}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := wal.AppendRaw([]byte(tc.line + "\n")); err != nil {
+			if err := wal.AppendRaw(tc.record); err != nil {
 				t.Fatal(err)
 			}
 			if err := wal.Close(); err != nil {
@@ -203,12 +218,16 @@ func TestFileWALTornTailIgnored(t *testing.T) {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a torn write: garbage partial record at the tail.
+	// Simulate a torn write: the first half of a record at the tail.
+	torn, err := appendWALRecord(nil, WALRecord{Op: WALPut, Visitor: &VisitorRecord{OID: "torn"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"put","visitor":{"oid":"tor`); err != nil {
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -538,13 +557,13 @@ func TestPutIfNewerConcurrent(t *testing.T) {
 func TestVisitorLogCompactedAtOpen(t *testing.T) {
 	const ids, changes = 10, 5000
 	base := time.Date(2026, 10, 17, 9, 0, 0, 0, time.UTC)
-	expectLines := func(t *testing.T, path string, want int) {
+	expectRecords := func(t *testing.T, path string, want int) {
 		t.Helper()
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := strings.Count(string(data), "\n"); n != want {
+		if n := len(recordOffsets(t, data)); n != want {
 			t.Fatalf("log holds %d records after the open, want the %d live ones", n, want)
 		}
 	}
@@ -581,7 +600,7 @@ func TestVisitorLogCompactedAtOpen(t *testing.T) {
 		}
 		for round := 0; round < 2; round++ {
 			db := open()
-			expectLines(t, path, len(want))
+			expectRecords(t, path, len(want))
 			if db.Len() != len(want) {
 				t.Fatalf("round %d: Len = %d, want %d", round, db.Len(), len(want))
 			}
@@ -633,7 +652,7 @@ func TestVisitorLogCompactedAtOpen(t *testing.T) {
 		}
 		for round := 0; round < 2; round++ {
 			db, log := open()
-			expectLines(t, path, len(want))
+			expectRecords(t, path, len(want))
 			got := db.Registrations()
 			if len(got) != len(want) {
 				t.Fatalf("round %d: %d registrations, want %d", round, len(got), len(want))

@@ -2,29 +2,31 @@
 //
 // # Log format
 //
-// A log is a sequence of JSON-encoded WALRecord lines ("JSON lines"), one
-// record per '\n'-terminated line, appended in commit order. Every record
-// is encoded by hand (appendWALRecordJSON, byte for byte what json.Marshal
-// writes for visitor and sremove records); encoding/json only reads
-// logs back. Two record families share the framing:
+// Every log — a visitor log, a registration log, a sighting segment — is
+// the 8-byte header "LSWAL001" (magic and version, as runs carry LSRUN001)
+// followed by records in commit order, each a 12-byte frame and a payload:
 //
-//   - visitor mutations — Op "put"/"remove" with the Visitor field set,
-//     one record per mutation (registration, deregistration, handover,
-//     accuracy change — rare by design, Section 5 of the paper): an inner
-//     server's forwarding table (VisitorDB: a child slot and an int64
-//     PathT per object; VisitorRecord is its log and API form) logs its
-//     forwarding records, a leaf's sighting store its registrations
-//     (WithRegistrationLog), appended under the shard lock and replayed
-//     before the sighting segments. A registration record also rides its
-//     shard's ShardedWAL queue while a replication tee is installed, but
-//     is never written to a sighting segment;
-//   - sighting mutations — Op "sbatch" carrying a whole group-commit batch
-//     of sightings in one record, and Op "sremove" carrying one removed
-//     object id. These are appended by ShardedSightingDB through a
-//     ShardedWAL, one log segment per shard; batch framing amortizes the
-//     marshal and flush cost across the batch exactly as the update
-//     pipeline's combining lane amortizes lock cost; see ShardedWAL for the
-//     directory layout.
+//	length u32 | CRC32(length) u32 | CRC32(payload) u32 | payload
+//
+// little-endian, CRC32 with the IEEE table of the run files; the length's
+// own check makes a damaged length read as damage, not as a torn tail. A
+// payload is an op byte and a body, built from run.go's record encoding:
+//
+//   - put (1) or remove (2) of a visitor record: OID, ForwardRef,
+//     OfferedAcc, the four RegInfo fields, PathT through pathNanos
+//     (strings uvarint-length-prefixed, floats as IEEE bits) — an inner
+//     server's forwarding records (VisitorDB), a leaf's registrations
+//     (WithRegistrationLog), which replay before its sighting segments;
+//   - a sighting batch (3), one per group-commit batch: a uvarint count
+//     and one live run record without a lease per sighting; a sighting
+//     removal (4): the id's tombstone run record. ShardedWAL writes these,
+//     one segment per shard.
+//
+// Timestamps are UnixNano, so the encoder refuses a non-zero one outside
+// core.InNanoRange, as it refuses fields that do not fit the op and a
+// payload too long for the length field; decoded timestamps are UTC. A file
+// starting with '{' is the JSON-lines format earlier builds wrote:
+// OpenFileWAL and OpenShardedWAL refuse it, name it and touch nothing.
 //
 // # Durability modes
 //
@@ -40,15 +42,16 @@
 //
 // # Recovery guarantees
 //
-// Replay delivers the longest well-formed prefix of the log:
+// Replay delivers the longest intact prefix of the log:
 //
-//   - a partial final line — the torn tail a crash mid-append leaves — is
-//     ignored, and the store recovers to the state before that append;
-//   - an unparseable record anywhere before the final line is corruption,
-//     not a torn write: Replay stops and returns an error wrapping
-//     ErrCorruptWAL that identifies the byte offset, rather than silently
-//     dropping every record after it;
-//   - record length is unbounded; replay is not capped at any line size.
+//   - a frame or payload cut short by the end of the file — the torn tail
+//     a crash mid-append leaves — is ignored and truncated away, so the
+//     store recovers to the state before that append (OpenFileWAL likewise
+//     completes a header cut short);
+//   - a complete record failing its length check, its CRC or decoding is
+//     corruption wherever it lies, the last record included: Replay stops
+//     with an error wrapping ErrCorruptWAL that names the byte offset and
+//     leaves the file as it is, rather than dropping every later record.
 //
 // CompactRecords rewrites a log to its live set via a temporary file in the
 // same directory followed by an atomic rename. A crash (or any failure)
@@ -75,11 +78,12 @@ package store
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -103,28 +107,27 @@ const (
 	WALSightingRemove WALOp = "sremove"
 )
 
-// ErrCorruptWAL marks an unparseable record before the final line of a log:
-// mid-file damage that replay must surface instead of treating as a torn
-// tail. Errors wrapping it identify the byte offset of the bad record.
+// ErrCorruptWAL marks a complete log record that fails its checks: damage
+// replay must surface instead of treating as a torn tail. Errors wrapping it
+// identify the byte offset of the bad record.
 var ErrCorruptWAL = errors.New("store: corrupt WAL record")
 
 // WALRecord is one logged mutation. Exactly one payload field is set,
 // according to Op: Visitor for visitorDB records, Sightings for a sighting
-// batch, OID for a sighting removal. Replay decodes by its JSON tags and
-// VisitorRecord's, which appendWALRecordJSON writes by hand: change them
-// together (TestWALRecordEncodingRoundTrip catches a mismatch).
+// batch, OID for a sighting removal. appendWALRecord writes it to a log and
+// decodeWALRecord reads it back (see "Log format").
 type WALRecord struct {
-	Op      WALOp          `json:"op"`
-	Visitor *VisitorRecord `json:"visitor,omitempty"`
+	Op      WALOp
+	Visitor *VisitorRecord
 	// Sightings is the batch payload of a WALSightingBatch record; later
 	// entries for the same object supersede earlier ones, exactly as in
 	// SightingStore.PutBatch.
-	Sightings []core.Sighting `json:"sightings,omitempty"`
+	Sightings []core.Sighting
 	// OID is the removed object of a WALSightingRemove record.
-	OID core.OID `json:"oid,omitempty"`
+	OID core.OID
 	// Token is the token of a replication marker (WALMark), which lives
 	// only in memory: the encoder never writes it.
-	Token uint64 `json:"-"`
+	Token uint64
 }
 
 // WAL is the persistence backend of an inner server's forwarding table (a
@@ -160,22 +163,19 @@ func (NullWAL) CompactRecords([]WALRecord) error { return nil }
 // Close implements WAL.
 func (NullWAL) Close() error { return nil }
 
-// FileWAL is a JSON-lines append-only log on disk. It substitutes the
-// paper's DB2 database: visitor-record changes are rare (registration,
-// deregistration, handover, accuracy change only), so a simple synchronous
-// log keeps forwarding paths and registrations durable. Rare is not free:
-// the commute_updates benchmark registers 40 000 objects at three appends
-// each (the leaf's registration log, then two forwarding logs), and in a
-// CPU profile of its set-up on a 2-core VM, Append was 28–30 % of the
-// samples while it ran json.Marshal, and 16–18 % once it encoded by hand.
-// Append encodes every record by hand into one buffer it keeps
-// (appendWALRecordJSON), so a visitor append allocates nothing and costs
-// one write. A visitor log is compacted at open: when its replay went
-// through more than its live set plus walCompactSlack records, NewVisitorDB
-// and a leaf's Recover rewrite it to one put per live record
-// (CompactRecords), so a restart replays the live set, not the history.
-// It also serves as the per-shard segment of a ShardedWAL, where batch
-// framing keeps the sighting update path cheap.
+// FileWAL is an append-only log file in the binary log format. It
+// substitutes the paper's DB2 database: visitor-record changes are rare
+// (registration, deregistration, handover, accuracy change only), so a
+// simple synchronous log keeps forwarding paths and registrations durable.
+// Rare is not free: the commute_updates benchmark registers 40 000 objects
+// at three appends each (the leaf's registration log, then two forwarding
+// logs), so Append encodes into one buffer it keeps and a visitor append
+// allocates nothing and costs one write. A visitor log is compacted at
+// open: when its replay went through more than its live set plus
+// walCompactSlack records, NewVisitorDB and a leaf's Recover rewrite it to
+// one put per live record (CompactRecords), so a restart replays the live
+// set, not the history. It also serves as the per-shard segment of a
+// ShardedWAL, where batch framing keeps the sighting update path cheap.
 type FileWAL struct {
 	mu   sync.Mutex
 	path string
@@ -200,11 +200,22 @@ func WithSync() FileWALOption {
 	return func(w *FileWAL) { w.sync = true }
 }
 
-// OpenFileWAL opens (creating if needed) the log at path.
+// OpenFileWAL opens (creating if needed) the log at path. It writes the
+// header into a new or empty file, and completes one a crash cut short; a
+// file with any other start — a JSON-lines log an earlier build wrote — is
+// refused, untouched.
 func OpenFileWAL(path string, opts ...FileWALOption) (*FileWAL, error) {
+	missing, err := checkLogHeader(path)
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening WAL %s: %w", path, err)
+	}
+	if _, err := f.WriteString(walHeader[len(walHeader)-missing:]); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: writing WAL header of %s: %w", path, err)
 	}
 	w := &FileWAL{path: path, f: f, w: bufio.NewWriter(f)}
 	for _, opt := range opts {
@@ -220,6 +231,34 @@ func OpenFileWAL(path string, opts ...FileWALOption) (*FileWAL, error) {
 		}
 	}
 	return w, nil
+}
+
+// checkLogHeader reads the start of the log file at path. A missing file or
+// a prefix of the header — an empty file, or one a crash cut short while
+// creating it — is accepted, and missing says how many header bytes remain
+// to be written. A file an earlier build wrote in JSON lines, or anything
+// else, is refused with the file named.
+func checkLogHeader(path string) (missing int, err error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return len(walHeader), nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("store: opening WAL %s: %w", path, err)
+	}
+	defer f.Close()
+	var head [len(walHeader)]byte
+	n, err := io.ReadFull(f, head[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return 0, fmt.Errorf("store: reading WAL header of %s: %w", path, err)
+	}
+	switch {
+	case n > 0 && head[0] == '{':
+		return 0, fmt.Errorf("store: log %s is in the JSON-lines format an earlier build wrote; this build reads only %s logs", path, walHeader)
+	case string(head[:n]) != walHeader[:n]:
+		return 0, fmt.Errorf("store: log %s starts with %q, not the %s header", path, head[:n], walHeader)
+	}
+	return len(walHeader) - n, nil
 }
 
 // syncDir fsyncs the directory containing path, making a create or rename
@@ -239,77 +278,78 @@ func syncDir(path string) error {
 // Path returns the log's file path, for diagnostics.
 func (w *FileWAL) Path() string { return w.path }
 
-// Replay implements WAL. Only a partial final line — the torn tail a crash
-// mid-append leaves behind — is tolerated: it is ignored AND truncated
-// away, so later appends start a fresh line instead of gluing onto the
-// fragment (which would read back as corruption on the next restart). An
-// unterminated final line that parses whole is kept and its missing
-// newline written. An unparseable record anywhere earlier is corruption
-// and yields an error wrapping ErrCorruptWAL with the record's byte
-// offset, after fn has received the intact prefix. Records of any length
-// replay; there is no line-size cap.
+// Replay implements WAL. A frame or payload cut short by the end of the
+// file — the torn tail a crash mid-append leaves — is ignored AND truncated
+// away, so later appends start on a record boundary. A complete record that
+// fails its length check, its CRC or decoding is corruption and yields an
+// error wrapping ErrCorruptWAL with the record's byte offset, after fn has
+// received the intact prefix; the file is left as it is.
 func (w *FileWAL) Replay(fn func(WALRecord) error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.w.Flush(); err != nil {
 		return fmt.Errorf("store: flushing WAL before replay: %w", err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
+	st, err := w.f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: sizing WAL %s: %w", w.path, err)
+	}
+	end, offset := st.Size(), int64(len(walHeader))
+	if _, err := w.f.Seek(offset, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seeking WAL: %w", err)
 	}
 	// Always leave the file positioned at the end for later appends,
 	// whatever path returns.
 	defer w.f.Seek(0, io.SeekEnd)
 	r := bufio.NewReaderSize(w.f, 64*1024)
-	var offset int64
-	for {
-		line, rerr := r.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return fmt.Errorf("store: reading WAL at offset %d: %w", offset, rerr)
+	corrupt := func(what error) error {
+		return fmt.Errorf("%w at offset %d of %s: %v", ErrCorruptWAL, offset, w.path, what)
+	}
+	var frame [walFrameSize]byte
+	var payload []byte
+	for offset < end {
+		n := min(end-offset, walFrameSize)
+		if _, err := io.ReadFull(r, frame[:n]); err != nil {
+			return fmt.Errorf("store: reading WAL at offset %d: %w", offset, err)
 		}
-		terminated := bytes.HasSuffix(line, []byte{'\n'})
-		rec := bytes.TrimSuffix(line, []byte{'\n'})
-		if len(rec) > 0 {
-			var parsed WALRecord
-			if uerr := json.Unmarshal(rec, &parsed); uerr != nil {
-				if !terminated {
-					// Partial final line: the torn tail of a crashed
-					// append. Recover to the state before it, and cut the
-					// fragment off so the next append starts cleanly.
-					if terr := w.f.Truncate(offset); terr != nil {
-						return fmt.Errorf("store: truncating torn WAL tail at offset %d: %w", offset, terr)
-					}
-					return nil
-				}
-				return fmt.Errorf("%w at offset %d of %s: %v", ErrCorruptWAL, offset, w.path, uerr)
-			}
-			if err := fn(parsed); err != nil {
-				return err
-			}
-			if !terminated {
-				// A whole record whose trailing newline the crash ate:
-				// keep it and complete the framing so the next append
-				// does not fuse with it.
-				if _, werr := w.f.Seek(0, io.SeekEnd); werr != nil {
-					return fmt.Errorf("store: seeking WAL end: %w", werr)
-				}
-				if _, werr := w.f.Write([]byte{'\n'}); werr != nil {
-					return fmt.Errorf("store: terminating final WAL record: %w", werr)
-				}
-			}
+		size := int64(binary.LittleEndian.Uint32(frame[:]))
+		if n == walFrameSize && crc32.ChecksumIEEE(frame[:4]) != binary.LittleEndian.Uint32(frame[4:]) {
+			return corrupt(errors.New("damaged length"))
 		}
-		offset += int64(len(line))
-		if rerr == io.EOF {
+		if n < walFrameSize || end-offset-walFrameSize < size {
+			// The torn tail: cut it so appends resume on a record boundary.
+			if err := w.f.Truncate(offset); err != nil {
+				return fmt.Errorf("store: truncating torn WAL tail at offset %d: %w", offset, err)
+			}
 			return nil
 		}
+		if int64(cap(payload)) < size {
+			payload = make([]byte, size)
+		}
+		payload = payload[:size]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return fmt.Errorf("store: reading WAL at offset %d: %w", offset, err)
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[8:]) {
+			return corrupt(errors.New("payload checksum mismatch"))
+		}
+		rec, err := decodeWALRecord(payload)
+		if err != nil {
+			return corrupt(err)
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+		offset += walFrameSize + size
 	}
+	return nil
 }
 
 // Append implements WAL.
 func (w *FileWAL) Append(rec WALRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	buf, err := appendWALRecordJSON(w.buf[:0], rec, nil)
+	buf, err := appendWALRecord(w.buf[:0], rec)
 	if err != nil {
 		return err
 	}
@@ -328,10 +368,10 @@ func (w *FileWAL) Append(rec WALRecord) error {
 	return nil
 }
 
-// AppendRaw appends pre-encoded, newline-terminated records as a single
-// write and flush — the commit path of ShardedWAL's writer goroutines,
-// which amortize the syscall over a whole queue drain. The caller is
-// responsible for the encoding being valid JSON lines (appendWALRecordJSON).
+// AppendRaw appends pre-encoded, framed records as a single write and flush
+// — the commit path of ShardedWAL's writer goroutines, which amortize the
+// syscall over a whole queue drain. The caller is responsible for data
+// being whole records as appendWALRecord writes them.
 func (w *FileWAL) AppendRaw(data []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -375,19 +415,14 @@ func (w *FileWAL) CompactRecords(recs []WALRecord) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	bw := bufio.NewWriter(tmp)
-	var buf []byte
-	var memo walTimeMemo
+	buf := []byte(walHeader)
 	for _, rec := range recs {
-		if buf, err = appendWALRecordJSON(buf[:0], rec, &memo); err != nil {
+		if buf, err = appendWALRecord(buf, rec); err != nil {
 			return abort(err)
 		}
-		if _, err := bw.Write(buf); err != nil {
-			return abort(fmt.Errorf("store: writing segment rewrite: %w", err))
-		}
 	}
-	if err := bw.Flush(); err != nil {
-		return abort(fmt.Errorf("store: flushing segment rewrite: %w", err))
+	if _, err := tmp.Write(buf); err != nil {
+		return abort(fmt.Errorf("store: writing segment rewrite: %w", err))
 	}
 	if err := tmp.Sync(); err != nil {
 		return abort(fmt.Errorf("store: syncing segment rewrite: %w", err))

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,7 +19,7 @@ import (
 )
 
 // writeVisitorLog writes n visitor put records and returns the log path
-// plus the byte offset and length of every line.
+// plus the byte offset of every record.
 func writeVisitorLog(t *testing.T, n int) (string, []int64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "log.wal")
@@ -41,16 +42,59 @@ func writeVisitorLog(t *testing.T, n int) (string, []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var offsets []int64
-	off := int64(0)
-	for _, line := range strings.SplitAfter(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		offsets = append(offsets, off)
-		off += int64(len(line))
+	offsets := recordOffsets(t, data)
+	if len(offsets) != n {
+		t.Fatalf("log holds %d records, want %d", len(offsets), n)
 	}
 	return path, offsets
+}
+
+// recordOffsets walks the frames of a log file's contents and returns the
+// byte offset of every whole record after the header.
+func recordOffsets(t *testing.T, data []byte) []int64 {
+	t.Helper()
+	if !bytes.HasPrefix(data, []byte(walHeader)) {
+		t.Fatalf("log starts with %q, not the header", data[:min(len(data), len(walHeader))])
+	}
+	var offsets []int64
+	for off := len(walHeader); off+walFrameSize <= len(data); {
+		end := off + walFrameSize + int(binary.LittleEndian.Uint32(data[off:]))
+		if end > len(data) {
+			break
+		}
+		offsets = append(offsets, int64(off))
+		off = end
+	}
+	return offsets
+}
+
+// decodeLog decodes every whole record of a log file's contents without
+// going through a FileWAL.
+func decodeLog(t *testing.T, data []byte) []WALRecord {
+	t.Helper()
+	var recs []WALRecord
+	for _, off := range recordOffsets(t, data) {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		rec, err := decodeWALRecord(data[off+walFrameSize : off+walFrameSize+int64(n)])
+		if err != nil {
+			t.Fatalf("record at offset %d: %v", off, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// logFile is a log holding recs, as OpenFileWAL and Append write it.
+func logFile(t *testing.T, recs ...WALRecord) []byte {
+	t.Helper()
+	data := []byte(walHeader)
+	for _, rec := range recs {
+		var err error
+		if data, err = appendWALRecord(data, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return data
 }
 
 func replayAll(t *testing.T, path string) ([]WALRecord, error) {
@@ -65,52 +109,81 @@ func replayAll(t *testing.T, path string) ([]WALRecord, error) {
 	return got, rerr
 }
 
+// corruptLog rewrites the log at path with one byte flipped and returns
+// the file's size.
+func corruptLog(t *testing.T, path string, at int64) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[at] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(data))
+}
+
+// expectCorruptAt replays the log at path and checks that it reports
+// ErrCorruptWAL at offset after delivering the want records before it, and
+// that the file keeps its size.
+func expectCorruptAt(t *testing.T, path string, offset int64, want int, size int64) {
+	t.Helper()
+	got, rerr := replayAll(t, path)
+	if !errors.Is(rerr, ErrCorruptWAL) {
+		t.Fatalf("Replay error = %v, want ErrCorruptWAL", rerr)
+	}
+	if !strings.Contains(rerr.Error(), fmt.Sprintf("offset %d ", offset)) {
+		t.Errorf("error %q does not identify offset %d", rerr, offset)
+	}
+	if len(got) != want {
+		t.Errorf("intact prefix delivered %d records, want %d", len(got), want)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != size {
+		t.Errorf("log is %v bytes after the replay (%v), want it left at %d", st.Size(), err, size)
+	}
+}
+
 // A record corrupted in the middle of the log must surface an error naming
 // its offset — not be treated as a torn tail that silently discards every
 // later record.
 func TestReplayMidFileCorruption(t *testing.T) {
 	path, offsets := writeVisitorLog(t, 5)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Clobber a byte inside the third record, keeping its newline.
-	data[offsets[2]+1] = 0x00
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, rerr := replayAll(t, path)
-	if !errors.Is(rerr, ErrCorruptWAL) {
-		t.Fatalf("Replay error = %v, want ErrCorruptWAL", rerr)
-	}
-	if !strings.Contains(rerr.Error(), fmt.Sprintf("offset %d", offsets[2])) {
-		t.Errorf("error %q does not identify offset %d", rerr, offsets[2])
-	}
-	if len(got) != 2 {
-		t.Errorf("intact prefix delivered %d records, want 2", len(got))
-	}
+	size := corruptLog(t, path, offsets[2]+walFrameSize+1)
+	expectCorruptAt(t, path, offsets[2], 2, size)
 }
 
-// A corrupted FINAL record that is newline-terminated is a complete,
-// damaged record — corruption, not a torn write.
+// A corrupted FINAL record that is complete — its payload or its payload
+// CRC damaged — is corruption, not a torn write.
 func TestReplayCorruptTerminatedFinalLine(t *testing.T) {
-	path, offsets := writeVisitorLog(t, 3)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[offsets[2]+1] = 0x00
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, rerr := replayAll(t, path); !errors.Is(rerr, ErrCorruptWAL) {
-		t.Fatalf("Replay error = %v, want ErrCorruptWAL", rerr)
+	for _, at := range []int64{walFrameSize + 3, 9} {
+		path, offsets := writeVisitorLog(t, 3)
+		size := corruptLog(t, path, offsets[2]+at)
+		expectCorruptAt(t, path, offsets[2], 2, size)
 	}
 }
 
-// Truncating the log at any byte boundary — the torn tail a crash can
-// leave — must recover exactly the records whose lines survived whole, with
-// no error: a prefix-consistent store.
+// A damaged length is corruption at that record's offset, in the middle of
+// the log and in its last record alike: read as a length, it would make
+// the record look cut short and truncate every record after it.
+func TestReplayDamagedLength(t *testing.T) {
+	for _, tc := range []struct{ record, bit int }{{2, 0}, {2, 5}, {2, 30}, {4, 3}} {
+		path, offsets := writeVisitorLog(t, 5)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[offsets[tc.record]+int64(tc.bit/8)] ^= 1 << (tc.bit % 8)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		expectCorruptAt(t, path, offsets[tc.record], tc.record, int64(len(data)))
+	}
+}
+
+// Truncating the log at any byte — inside the header included, the torn
+// tail a crash can leave — must recover exactly the records that end at or
+// before the cut, with no error: a prefix-consistent store.
 func TestReplayTornTailPrefixProperty(t *testing.T) {
 	const records = 12
 	path, offsets := writeVisitorLog(t, records)
@@ -118,26 +191,17 @@ func TestReplayTornTailPrefixProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(42))
-	cuts := []int64{0, 1, int64(len(full)) - 1, int64(len(full))}
-	for i := 0; i < 40; i++ {
-		cuts = append(cuts, int64(rng.Intn(len(full)+1)))
-	}
-	for _, cut := range cuts {
+	for cut := int64(0); cut <= int64(len(full)); cut++ {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// The expected count is the number of lines whose content survives
-		// whole: a final line missing only its newline is still a complete
-		// record (truncation mid-record never parses, so accepting it is
-		// safe), hence end-1.
 		want := 0
 		for i := range offsets {
 			end := int64(len(full))
 			if i+1 < len(offsets) {
 				end = offsets[i+1]
 			}
-			if end-1 <= cut {
+			if end <= cut {
 				want++
 			}
 		}
@@ -153,10 +217,10 @@ func TestReplayTornTailPrefixProperty(t *testing.T) {
 				t.Fatalf("cut at %d: record %d = %+v, want o%d", cut, j, rec, j)
 			}
 		}
-		// The recovery must have healed the tail (truncated a fragment,
-		// terminated an unframed whole record): appending and replaying
-		// again yields the same prefix plus the new record — not a glued,
-		// corrupt line.
+		// The recovery must have healed the tail (completed a cut header,
+		// truncated a cut record): appending and replaying again yields the
+		// same prefix plus the new record — not a record glued onto a
+		// fragment.
 		w2, err := OpenFileWAL(path)
 		if err != nil {
 			t.Fatal(err)
@@ -188,8 +252,8 @@ func TestReplayLargeRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A sighting batch comfortably past 4 MiB when marshaled.
-	batch := make([]core.Sighting, 60_000)
+	// A sighting batch comfortably past 4 MiB when encoded.
+	batch := make([]core.Sighting, 100_000)
 	for i := range batch {
 		batch[i] = core.Sighting{OID: core.OID(fmt.Sprintf("obj-%06d", i)), Pos: geo.Pt(float64(i), 1)}
 	}
@@ -339,49 +403,72 @@ func TestShardedWALShardCountMismatch(t *testing.T) {
 }
 
 // TestOpenShardedWALRefusesEpochLayout: a directory holding a segment of the
-// epoch layout earlier builds' re-partition wrote (shard-NNNN-eNNNNNN.wal)
-// is refused, with the file named, and nothing in it is deleted or
-// created — neither the epoch segment, nor a valid segment beside it, nor
-// a rewrite temporary an ordinary open would sweep.
+// epoch layout earlier builds' re-partition wrote (shard-NNNN-eNNNNNN.wal),
+// or a segment in the JSON lines earlier builds wrote, is refused with the
+// file named, and so is a lone JSON-lines log; nothing is deleted, created
+// or rewritten — neither the refused file, nor a valid segment beside it,
+// nor a rewrite temporary or a segment after a gap an ordinary open would
+// sweep.
 func TestOpenShardedWALRefusesEpochLayout(t *testing.T) {
 	const epochName = "shard-0001-e000002.wal"
-	sremove := func(id string) []byte { return []byte(`{"op":"sremove","oid":"` + id + `"}` + "\n") }
-	epochBody := append([]byte(`{"op":"epoch","epoch":2,"shards":3}`+"\n"), sremove("a")...)
+	jsonRemove := func(id string) []byte { return []byte(`{"op":"sremove","oid":"` + id + `"}` + "\n") }
+	binRemove := func(id string) []byte { return logFile(t, WALRecord{Op: WALSightingRemove, OID: core.OID(id)}) }
+	epochBody := append([]byte(`{"op":"epoch","epoch":2,"shards":3}`+"\n"), jsonRemove("a")...)
+	sharded := func(dir string) error {
+		w, err := OpenShardedWAL(dir, 2)
+		if err == nil {
+			w.Close()
+		}
+		return err
+	}
 	for _, tc := range []struct {
-		name   string
-		beside map[string][]byte
+		name    string
+		files   map[string][]byte
+		refused string
+		open    func(dir string) error
 	}{
-		{"alone", nil},
-		{"beside segments", map[string][]byte{"shard-0000.wal": sremove("b"), "shard-0001.wal": sremove("c")}},
-		{"beside a rewrite temporary", map[string][]byte{".wal-rewrite-123": sremove("d")}},
+		{"alone", map[string][]byte{epochName: epochBody}, epochName, sharded},
+		{"beside segments", map[string][]byte{epochName: epochBody, "shard-0000.wal": binRemove("b"), "shard-0001.wal": binRemove("c")}, epochName, sharded},
+		{"beside a rewrite temporary", map[string][]byte{epochName: epochBody, ".wal-rewrite-123": binRemove("d")}, epochName, sharded},
+		{"JSON-lines segments", map[string][]byte{
+			"shard-0000.wal": jsonRemove("e"), "shard-0001.wal": jsonRemove("f"),
+			".wal-rewrite-456": jsonRemove("g"), "shard-0003.wal": jsonRemove("h"),
+		}, "shard-0000.wal", sharded},
+		{"JSON-lines log", map[string][]byte{"visitors.wal": []byte(`{"op":"put","visitor":{"oid":"o1","regInfo":{"Registrant":"","DesAcc":0,"MinAcc":0,"MaxSpeed":0},"pathT":"0001-01-01T00:00:00Z"}}` + "\n")},
+			"visitors.wal", func(dir string) error {
+				w, err := OpenFileWAL(filepath.Join(dir, "visitors.wal"))
+				if err == nil {
+					w.Close()
+				}
+				return err
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			files := map[string][]byte{epochName: epochBody}
-			for name, body := range tc.beside {
-				files[name] = body
-			}
-			for name, body := range files {
+			for name, body := range tc.files {
 				if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			w, err := OpenShardedWAL(dir, 2)
+			err := tc.open(dir)
 			if err == nil {
-				w.Close()
-				t.Fatal("opened a directory in the epoch layout")
+				t.Fatalf("opened a directory holding %s", tc.refused)
 			}
-			if !strings.Contains(err.Error(), epochName) {
-				t.Errorf("error %q does not name %s", err, epochName)
+			format := "epoch layout"
+			if tc.refused != epochName {
+				format = "JSON-lines format"
+			}
+			if !strings.Contains(err.Error(), filepath.Join(dir, tc.refused)) || !strings.Contains(err.Error(), format) {
+				t.Errorf("error %q does not name %s and the %s", err, tc.refused, format)
 			}
 			entries, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(entries) != len(files) {
-				t.Errorf("directory holds %d files after the refusal, want %d", len(entries), len(files))
+			if len(entries) != len(tc.files) {
+				t.Errorf("directory holds %d files after the refusal, want %d", len(entries), len(tc.files))
 			}
-			for name, body := range files {
+			for name, body := range tc.files {
 				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, body) {
 					t.Errorf("%s after the refusal: %q, %v; want %q", name, got, err, body)
 				}
@@ -851,14 +938,11 @@ func TestRecoverSurfacesShardCorruption(t *testing.T) {
 	}
 	// Corrupt the middle of shard 0's segment.
 	seg := segmentPath(dir, 0)
-	data, err := os.ReadFile(seg)
+	st, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] = 0x00
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptLog(t, seg, st.Size()/2)
 	w2, err := OpenShardedWAL(dir, shards)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -57,14 +55,7 @@ func segmentOnDisk(t *testing.T, dir string, shard int) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		var rec WALRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("segment %d: unparseable record %q: %v", shard, line, err)
-		}
+	for _, rec := range decodeLog(t, data) {
 		out = append(out, summarizeRecord(rec))
 	}
 	return out
