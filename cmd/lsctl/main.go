@@ -58,7 +58,7 @@ func main() {
 		entry     = flag.String("entry", "", "entry server id (e.g. r.0)")
 		host      = flag.String("host", "127.0.0.1", "local host to bind the client socket on")
 		timeout   = flag.Duration("timeout", 5*time.Second, "operation timeout")
-		batchMax  = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (≥ 2 enables batching)")
+		batchMax  = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (1, the default, is a cap of one: each envelope leaves alone)")
 		retries   = flag.Int("retries", 1, "total attempts per operation (> 1 enables retries with backoff; duplicates are deduplicated server-side)")
 		retryBase = flag.Duration("retry-backoff", 20*time.Millisecond, "base of the exponential retry backoff (full jitter)")
 		retryMax  = flag.Duration("retry-max-backoff", time.Second, "cap on one retry backoff draw")

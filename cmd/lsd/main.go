@@ -39,14 +39,16 @@
 // updates with a redirect until promoted; a recovered old primary is
 // fenced by the epoch and demotes itself to standby.
 //
-// -batch-max ≥ 2 turns on outbound datagram batching: up to that many
-// envelopes headed for the same peer ride one UDP datagram. No envelope
-// waits for a timer: one sent while the server is idle leaves at once,
-// alone, and envelopes share a datagram only when they are produced faster
-// than they can be sent, so batches grow with load. A batch of one is the
-// legacy wire frame byte-for-byte, so batching and non-batching servers
-// interoperate freely; batch traffic shows up in the wire_batches_in/out
-// and wire_envelopes_per_batch metrics. The socket asks for 4 MiB of kernel
+// -batch-max caps the outbound envelopes headed for the same peer that
+// ride one UDP datagram; the default 1 is a cap of one, every envelope its
+// own datagram, sent by the goroutine that produced it. No envelope waits
+// for a timer: one sent while the server is idle leaves at once, alone,
+// and envelopes share a datagram only when they are produced faster than
+// they can be sent, so batches grow with load. A batch of one is the
+// legacy wire frame byte-for-byte, so servers with any caps interoperate
+// freely; batch traffic shows up in the wire_batches_in/out and
+// wire_envelopes_per_batch metrics, failed socket writes in
+// wire_write_errors. The socket asks for 4 MiB of kernel
 // buffer each way; raise net.core.rmem_max/wmem_max if the host caps them
 // lower, or bursts of small datagrams are dropped at 208 KiB.
 //
@@ -111,7 +113,7 @@ func main() {
 		ttl          = flag.Duration("ttl", 5*time.Minute, "soft-state TTL for sighting records (0 disables)")
 		caches       = flag.Bool("caches", true, "enable the Section 6.5 leaf caches for position and range queries (handovers always climb to the lowest common ancestor)")
 		restore      = flag.Bool("restore", false, "request updates from persisted visitors at startup")
-		batchMax     = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (≥ 2 enables batching; 1 sends each envelope alone)")
+		batchMax     = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (1, the default, is a cap of one: each envelope leaves alone)")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive call timeouts toward one peer that open its circuit breaker (0 disables breakers)")
 		brkCooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker refuses calls before one probe call may half-open it")
 		standbyOf    = flag.String("standby-of", "", "run as the hot standby of this leaf: adopt its service area, mirror it via WAL-tail streaming and run shipping, serve after a parent-driven promotion (requires -swal; this server's -id must be in the topology's nodes but not its tree)")

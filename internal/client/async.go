@@ -57,25 +57,20 @@ func (u *PendingUpdate) Wait(ctx context.Context) error {
 
 // PendingPosQuery is one in-flight position query. Resolve it with Wait.
 type PendingPosQuery struct {
-	c   *Client
-	oid core.OID
-	p   *transport.PendingCall
+	p *transport.PendingCall
 }
 
 // PosQueryAsync issues a position query to the entry server and returns
-// without waiting for the response. It bypasses the client-side cache —
-// fan-out callers batch many distinct objects, where the cache check
-// belongs on the caller's side if wanted.
+// without waiting for the response.
 func (c *Client) PosQueryAsync(ctx context.Context, oid core.OID, accBound float64) (*PendingPosQuery, error) {
 	p, err := c.node.CallAsync(c.opCtx(ctx), c.Entry(), msg.PosQueryReq{OID: oid, AccBound: accBound})
 	if err != nil {
 		return nil, err
 	}
-	return &PendingPosQuery{c: c, oid: oid, p: p}, nil
+	return &PendingPosQuery{p: p}, nil
 }
 
-// Wait blocks until the query resolves and feeds the client cache like
-// PosQueryBounded.
+// Wait blocks until the query resolves.
 func (q *PendingPosQuery) Wait(ctx context.Context) (core.LocationDescriptor, error) {
 	resp, err := q.p.Wait(ctx)
 	if err != nil {
@@ -85,6 +80,5 @@ func (q *PendingPosQuery) Wait(ctx context.Context) (core.LocationDescriptor, er
 	if !ok || !res.Found {
 		return core.LocationDescriptor{}, core.ErrNotFound
 	}
-	q.c.cache.remember(q.oid, res)
 	return res.LD, nil
 }

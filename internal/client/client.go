@@ -65,7 +65,6 @@ type Client struct {
 	nextOp  uint64
 
 	events eventSubs
-	cache  clientCache
 }
 
 // New attaches a client node to the network. entry is the client's entry
@@ -383,10 +382,6 @@ func (c *Client) PosQuery(ctx context.Context, oid core.OID) (core.LocationDescr
 // hierarchy that would know the object — returns core.ErrUnavailable, not
 // core.ErrNotFound: the object may well be tracked behind the dark servers.
 func (c *Client) PosQueryBounded(ctx context.Context, oid core.OID, accBound float64) (core.LocationDescriptor, error) {
-	// Client-side caches first (Section 6.5; enable with EnableCache).
-	if ld, ok := c.posQueryViaCache(ctx, oid, accBound); ok {
-		return ld, nil
-	}
 	resp, err := c.callEntry(ctx, msg.PosQueryReq{OID: oid, AccBound: accBound})
 	if err != nil {
 		return core.LocationDescriptor{}, err
@@ -401,7 +396,6 @@ func (c *Client) PosQueryBounded(ctx context.Context, oid core.OID, accBound flo
 		}
 		return core.LocationDescriptor{}, core.ErrNotFound
 	}
-	c.cache.remember(oid, res)
 	return res.LD, nil
 }
 

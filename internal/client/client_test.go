@@ -210,68 +210,3 @@ func TestClientTimeoutOnDeadEntry(t *testing.T) {
 		t.Errorf("timeout took %v", elapsed)
 	}
 }
-
-func TestClientSideCache(t *testing.T) {
-	net, dep := deploy(t, server.Options{})
-	owner, err := client.New(net, "owner", "r.0", client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer owner.Close()
-	ctx := context.Background()
-	obj, err := owner.Register(ctx, core.Sighting{OID: "o", T: time.Now(), Pos: geo.Pt(10, 10), SensAcc: 5}, 10, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := client.New(net, "cached-client", "r.3", client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.EnableCache()
-
-	// First query fills the cache (retry until createPath settles).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := c.PosQuery(ctx, "o"); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first query never succeeded")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// Second query with a generous bound is served from the client's own
-	// position cache — kill the entry server to prove no server is asked.
-	srv, _ := dep.Server("r.3")
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ld, err := c.PosQueryBounded(ctx, "o", 10_000)
-	if err != nil {
-		t.Fatalf("cached query failed after entry death: %v", err)
-	}
-	if ld.Pos != geo.Pt(10, 10) {
-		t.Errorf("cached ld = %+v", ld)
-	}
-	// Without a bound the pos cache is skipped, but the agent cache still
-	// answers with a direct call to r.0 — no entry server involved.
-	ld, err = c.PosQuery(ctx, "o")
-	if err != nil {
-		t.Fatalf("agent-cache query failed: %v", err)
-	}
-	if ld.Pos != geo.Pt(10, 10) {
-		t.Errorf("agent-cached ld = %+v", ld)
-	}
-
-	// After a handover the cached agent is stale; with the entry dead the
-	// fallback also fails — the client must return an error, not a stale
-	// success, once the direct probe misses.
-	if err := obj.Update(ctx, core.Sighting{OID: "o", T: time.Now(), Pos: geo.Pt(900, 10), SensAcc: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.PosQuery(ctx, "o"); err == nil {
-		t.Error("stale agent cache produced an answer with dead entry")
-	}
-}

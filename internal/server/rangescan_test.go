@@ -78,7 +78,11 @@ func TestLocalRangeQueryAllocs(t *testing.T) {
 // accuracy, so the entry keeps the one ChangeAcc wrote — on the memtable
 // entry it replaces, and on a fresh entry after the old one left for a run.
 func TestUpdateAfterChangeAccKeepsAccuracy(t *testing.T) {
-	tiered := Options{Tiering: &store.TierConfig{Dir: t.TempDir(), MemtableBytes: 1}}
+	wal, err := store.OpenShardedWAL(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := Options{SightingWAL: wal, Tiering: &store.TierConfig{MemtableBytes: 1}}
 	for name, opts := range map[string]Options{"memtable": {}, "after a flush": tiered} {
 		s := newScanLeaf(t, opts)
 		oid := install(t, s, 1, geo.Pt(100, 100), 10)

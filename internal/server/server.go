@@ -93,10 +93,11 @@ type Options struct {
 	// Tiering turns a leaf's sighting store into a two-tier LSM: the
 	// in-memory shards become memtables and older versions migrate to
 	// immutable sorted runs on disk (store.TierConfig documents the
-	// knobs). Requires SightingWAL unless TierConfig.Dir is set
-	// explicitly. With a sighting WAL the leaf recovers in the background: reads are served from the run
-	// files as soon as the manifests are open while the WAL tail replays
-	// shard by shard behind the shard locks.
+	// knobs). Requires SightingWAL, whose directory holds the runs; New
+	// refuses Tiering without one. The leaf recovers in the background:
+	// reads are served from the run files as soon as the manifests are
+	// open while the WAL tail replays shard by shard behind the shard
+	// locks.
 	Tiering *store.TierConfig
 	// WAL persists the visitor records — an inner server's forwarding
 	// table (a child slot and an int64 PathT per object; store.VisitorRecord
@@ -422,8 +423,8 @@ func (s *Server) openLeafStore() error {
 	if err != nil {
 		return err
 	}
-	if opts.Tiering != nil && opts.SightingWAL == nil && opts.Tiering.Dir == "" {
-		return errors.New("Tiering requires a SightingWAL or an explicit TierConfig.Dir")
+	if opts.Tiering != nil && opts.SightingWAL == nil {
+		return errors.New("Tiering requires a SightingWAL (the runs live in its directory)")
 	}
 	if opts.ReplPeer != "" && opts.SightingWAL == nil {
 		return errors.New("ReplPeer requires a SightingWAL (the WAL tail is the replication stream)")

@@ -15,7 +15,7 @@ import (
 // handover, position and range queries — over real UDP sockets, the
 // transport of the paper's prototype.
 func TestEndToEndOverUDP(t *testing.T) {
-	net := transport.NewUDP()
+	net := transport.NewUDPWithOptions(transport.UDPOptions{})
 	defer net.Close()
 
 	spec := hierarchy.Spec{

@@ -225,8 +225,8 @@ func TestIndexPayloadInvariant(t *testing.T) {
 	})
 
 	t.Run("tiered_flush", func(t *testing.T) {
-		db := NewShardedSightingDB(WithShards(2),
-			WithTiering(TierConfig{Dir: t.TempDir(), MemtableBytes: 1, MaxRuns: 3}))
+		db := NewShardedSightingDB(WithSightingWAL(tempShardedWAL(t, 2)),
+			WithTiering(TierConfig{MemtableBytes: 1, MaxRuns: 3}))
 		if err := db.Recover(); err != nil {
 			t.Fatal(err)
 		}

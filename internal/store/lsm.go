@@ -22,14 +22,13 @@ import (
 // manifest (manifest.go). See the package comment for the full spec.
 
 // TierConfig enables and tunes tiered sighting storage. Zero-valued
-// fields take the defaults noted below. Run files and manifests are
-// per-shard, named by shard index, so a tier directory belongs to the
-// shard count it was written under.
+// fields take the defaults noted below. A tiered store needs a sighting
+// WAL: its run files and manifests live in the WAL's directory beside the
+// segments (the names cannot collide), per shard and named by shard
+// index, so a tier directory belongs to the shard count it was written
+// under. Tiering without the log would serve a flushed run over the
+// acknowledged updates that came after it once the store reopened.
 type TierConfig struct {
-	// Dir holds the run files and manifests. With an attached sighting
-	// WAL it defaults to the WAL's directory (run/manifest names cannot
-	// collide with segment names); without one it must be set.
-	Dir string
 	// MemtableBytes is the total memtable budget across all shards
 	// (estimated resident bytes of live entries and tombstones). A shard
 	// exceeding its share is flushed by MaintainTiers; at twice its share
@@ -60,7 +59,8 @@ func (c TierConfig) withDefaults() TierConfig {
 // and the background-recovery gate.
 type tierState struct {
 	cfg    TierConfig
-	budget int64 // per-shard soft memtable budget
+	dir    string // the sighting WAL's directory, holding runs and manifests
+	budget int64  // per-shard soft memtable budget
 
 	flushes     atomic.Int64
 	compactions atomic.Int64
@@ -131,13 +131,17 @@ func tierManifestFor(shard int, nextSeq uint64, runs []*tierRun) tierManifest {
 // openTiers loads every shard's manifest, sweeps crash leftovers
 // (temporaries and unreferenced runs), opens the referenced runs'
 // metadata and attaches the tiers to the shards. Called by the Recover
-// paths before any WAL replay; cost is O(run metadata), not O(data).
+// paths before any WAL replay; cost is O(run metadata), not O(data). A
+// tiered store without a sighting WAL is refused here.
 func (db *ShardedSightingDB) openTiers() error {
 	ts := db.tier
 	if ts == nil {
 		return nil
 	}
-	dir := ts.cfg.Dir
+	if db.wal == nil {
+		return errors.New("store: tiering requires a sighting WAL (WithSightingWAL): runs live in its directory")
+	}
+	dir := ts.dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: creating tier dir %s: %w", dir, err)
 	}

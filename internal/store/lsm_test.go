@@ -651,12 +651,25 @@ func tieredPair(t *testing.T, shards int, ttl time.Duration, clock func() time.T
 // cut runs.
 func tieredPairBudget(t *testing.T, shards int, budget int64, ttl time.Duration, clock func() time.Time) (*ShardedSightingDB, *oracleStore) {
 	t.Helper()
-	tiered := NewShardedSightingDB(WithTTL(ttl), WithClock(clock), WithShards(shards),
-		WithTiering(TierConfig{Dir: t.TempDir(), MemtableBytes: budget, MaxRuns: 3}))
+	tiered := NewShardedSightingDB(WithTTL(ttl), WithClock(clock), WithSightingWAL(tempShardedWAL(t, shards)),
+		WithTiering(TierConfig{MemtableBytes: budget, MaxRuns: 3}))
 	if err := tiered.Recover(); err != nil {
 		t.Fatal(err)
 	}
 	return tiered, newOracleTTL(ttl, clock)
+}
+
+// tempShardedWAL opens a sighting log of shards segments in a fresh
+// temporary directory, closed when the test ends. A tiered store keeps its
+// runs beside the segments.
+func tempShardedWAL(t testing.TB, shards int) *ShardedWAL {
+	t.Helper()
+	wal, err := OpenShardedWAL(t.TempDir(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wal.Close() })
+	return wal
 }
 
 // storeState snapshots a store's (or the oracle's) full logical content.
@@ -1281,6 +1294,21 @@ func reopenTiered(t *testing.T, dir string, shards int) (*ShardedSightingDB, *Sh
 	return db, wal
 }
 
+// TestTieringRequiresSightingWAL: the runs live in the sighting log's
+// directory, so both recovery paths refuse a tiered store without a log
+// and name it.
+func TestTieringRequiresSightingWAL(t *testing.T) {
+	for name, recover := range map[string]func(*ShardedSightingDB) error{
+		"Recover":           (*ShardedSightingDB).Recover,
+		"RecoverBackground": (*ShardedSightingDB).RecoverBackground,
+	} {
+		db := NewShardedSightingDB(WithShards(2), WithTiering(TierConfig{MemtableBytes: 1}))
+		if err := recover(db); err == nil || !strings.Contains(err.Error(), "sighting WAL") {
+			t.Errorf("%s = %v, want a refusal naming the sighting WAL", name, err)
+		}
+	}
+}
+
 func TestTieredRecoverTailOnly(t *testing.T) {
 	dir := t.TempDir()
 	want := populateTiered(t, dir, 2, 200)
@@ -1419,10 +1447,9 @@ func TestTieredSoak(t *testing.T) {
 	if testing.Short() {
 		ops = 2500
 	}
-	dir := t.TempDir()
 	db := NewShardedSightingDB(
-		WithShards(shards),
-		WithTiering(TierConfig{Dir: dir, MemtableBytes: 1, MaxRuns: 3}))
+		WithSightingWAL(tempShardedWAL(t, shards)),
+		WithTiering(TierConfig{MemtableBytes: 1, MaxRuns: 3}))
 	if err := db.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -1547,11 +1574,10 @@ func TestTieredSoak(t *testing.T) {
 // the backpressure bound (2x budget per shard) even without a janitor.
 func TestTieredMemoryBounded(t *testing.T) {
 	const shards = 2
-	dir := t.TempDir()
 	budget := int64(16 << 10) // per store; per shard max(budget/shards, 4096)
 	db := NewShardedSightingDB(
-		WithShards(shards),
-		WithTiering(TierConfig{Dir: dir, MemtableBytes: budget}))
+		WithSightingWAL(tempShardedWAL(t, shards)),
+		WithTiering(TierConfig{MemtableBytes: budget}))
 	if err := db.Recover(); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type regWorld struct {
 
 func (w *regWorld) clock() time.Time { return w.now }
 
-func (w *regWorld) options(dir string, wal *ShardedWAL, log WAL) []SightingDBOption {
+func (w *regWorld) options(wal *ShardedWAL, log WAL) []SightingDBOption {
 	opts := []SightingDBOption{WithShards(w.shards), WithTTL(w.ttl), WithClock(w.clock)}
 	if wal != nil {
 		opts = append(opts, WithSightingWAL(wal))
@@ -50,7 +50,7 @@ func (w *regWorld) options(dir string, wal *ShardedWAL, log WAL) []SightingDBOpt
 		opts = append(opts, WithRegistrationLog(log))
 	}
 	if w.tiered {
-		opts = append(opts, WithTiering(TierConfig{Dir: dir, MemtableBytes: 1, MaxRuns: 2}))
+		opts = append(opts, WithTiering(TierConfig{MemtableBytes: 1, MaxRuns: 2}))
 	}
 	return opts
 }
@@ -65,7 +65,7 @@ func (w *regWorld) open() {
 	if w.regLog, err = OpenFileWAL(filepath.Join(w.dir, "registrations.wal")); err != nil {
 		w.t.Fatal(err)
 	}
-	w.db = NewShardedSightingDB(w.options(filepath.Join(w.dir, "sightings"), w.wal, w.regLog)...)
+	w.db = NewShardedSightingDB(w.options(w.wal, w.regLog)...)
 	if err := w.db.RecoverBackground(); err != nil {
 		w.t.Fatal(err)
 	}
@@ -357,7 +357,11 @@ func TestRegistrationOracle(t *testing.T) {
 				}
 				w.open()
 				defer w.close()
-				w.standby = NewShardedSightingDB(w.options(t.TempDir(), nil, nil)...)
+				var standbyWAL *ShardedWAL
+				if tiered {
+					standbyWAL = tempShardedWAL(t, shards)
+				}
+				w.standby = NewShardedSightingDB(w.options(standbyWAL, nil)...)
 				if err := w.standby.Recover(); err != nil {
 					t.Fatal(err)
 				}

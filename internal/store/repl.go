@@ -163,7 +163,7 @@ func (db *ShardedSightingDB) ReadRunChunk(name string, off int64, maxBytes int) 
 	if maxBytes <= 0 || maxBytes > replFetchChunk {
 		maxBytes = replFetchChunk
 	}
-	f, err := os.Open(filepath.Join(ts.cfg.Dir, name))
+	f, err := os.Open(filepath.Join(ts.dir, name))
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -203,11 +203,11 @@ func (db *ShardedSightingDB) ReplFetchRun(name string, read func(off int64, maxB
 	if _, _, ok := parseRunName(name); !ok {
 		return fmt.Errorf("store: run fetch: invalid run name %q", name)
 	}
-	final := filepath.Join(ts.cfg.Dir, name)
+	final := filepath.Join(ts.dir, name)
 	if _, err := os.Stat(final); err == nil {
 		return nil
 	}
-	tmp, err := os.CreateTemp(ts.cfg.Dir, replFetchTempPattern)
+	tmp, err := os.CreateTemp(ts.dir, replFetchTempPattern)
 	if err != nil {
 		return fmt.Errorf("store: creating run fetch temp: %w", err)
 	}
@@ -273,7 +273,7 @@ func (db *ShardedSightingDB) fetchMissingRuns(names []string, fetch func(name st
 		if _, _, ok := parseRunName(name); !ok {
 			return fmt.Errorf("store: run install: invalid run name %q", name)
 		}
-		if _, err := os.Stat(filepath.Join(ts.cfg.Dir, name)); err == nil {
+		if _, err := os.Stat(filepath.Join(ts.dir, name)); err == nil {
 			continue
 		}
 		if fetch == nil {

@@ -181,14 +181,14 @@ func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 	}
 	if cfg.tier != nil {
 		tc := cfg.tier.withDefaults()
-		if tc.Dir == "" && cfg.wal != nil {
-			tc.Dir = cfg.wal.Dir()
-		}
 		budget := tc.MemtableBytes / int64(cfg.shards)
 		if budget < 4096 {
 			budget = 4096
 		}
 		db.tier = &tierState{cfg: tc, budget: budget}
+		if cfg.wal != nil {
+			db.tier.dir = cfg.wal.Dir()
+		}
 	}
 	db.shards = make([]*sightingShard, cfg.shards)
 	for i := range db.shards {

@@ -288,7 +288,6 @@ func (w *ShardedWAL) settleLayout(requested int) (int, error) {
 		return 0, fmt.Errorf("store: scanning sighting WAL dir %s: %w", w.dir, err)
 	}
 	segs := make(map[int]string)
-	var temps []string
 	for _, f := range files {
 		if f.IsDir() {
 			continue
@@ -301,15 +300,7 @@ func (w *ShardedWAL) settleLayout(requested int) (int, error) {
 			segs[shard] = path
 		} else if matched, _ := filepath.Match(epochSegmentGlob, f.Name()); matched {
 			return 0, fmt.Errorf("store: sighting WAL segment %s is in the epoch layout an earlier build's re-partition wrote; this build reads only shard-NNNN.wal segments", path)
-		} else if matched, _ := filepath.Match(walTempGlob, f.Name()); matched {
-			temps = append(temps, path)
 		}
-	}
-	// Sweep temporaries a crashed rewrite left behind; they were never
-	// renamed into place, so they carry no authority, and nothing else owns
-	// the directory while it is being opened.
-	for _, path := range temps {
-		os.Remove(path)
 	}
 	// The count is the contiguous run of segment files. A file after a gap
 	// cannot be part of the layout (which writes 0..n-1): it is stale.

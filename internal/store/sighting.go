@@ -62,9 +62,10 @@ func WithSightingWAL(w *ShardedWAL) SightingDBOption {
 
 // WithTiering enables tiered (LSM) sighting storage on a
 // ShardedSightingDB: each shard becomes the memtable of a per-shard LSM
-// tree whose sorted runs live under cfg.Dir (defaulting to the attached
-// WAL's directory). See the package comment for the full spec. The tier
-// activates when Recover or RecoverBackground opens it.
+// tree whose sorted runs live in the directory of the sighting WAL, which
+// must be attached with WithSightingWAL. See the package comment for the
+// full spec. The tier activates when Recover or RecoverBackground opens
+// it; both refuse a tiered store without a sighting WAL.
 func WithTiering(cfg TierConfig) SightingDBOption {
 	return func(c *sightingConfig) {
 		tc := cfg

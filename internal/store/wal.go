@@ -56,9 +56,8 @@
 // CompactRecords rewrites a log to its live set via a temporary file in the
 // same directory followed by an atomic rename. A crash (or any failure)
 // before the rename leaves the original log untouched and the WAL usable;
-// leftover ".wal-rewrite-*" temporaries are never read back, and
-// OpenShardedWAL sweeps them from sharded-log directories (nothing sweeps
-// one a crash left beside a visitor log).
+// a leftover temporary (".<log name>.rewrite-*") is never read back, and
+// OpenFileWAL sweeps the ones named after the log it opens.
 //
 // # Crash ordering
 //
@@ -86,6 +85,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"locsvc/internal/core"
@@ -203,7 +203,8 @@ func WithSync() FileWALOption {
 // OpenFileWAL opens (creating if needed) the log at path. It writes the
 // header into a new or empty file, and completes one a crash cut short; a
 // file with any other start — a JSON-lines log an earlier build wrote — is
-// refused, untouched.
+// refused, untouched. It removes the log's own rewrite temporaries a crash
+// left behind (see rewriteTempPrefix), and nothing else in the directory.
 func OpenFileWAL(path string, opts ...FileWALOption) (*FileWAL, error) {
 	missing, err := checkLogHeader(path)
 	if err != nil {
@@ -213,6 +214,7 @@ func OpenFileWAL(path string, opts ...FileWALOption) (*FileWAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening WAL %s: %w", path, err)
 	}
+	sweepRewriteTemps(path)
 	if _, err := f.WriteString(walHeader[len(walHeader)-missing:]); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: writing WAL header of %s: %w", path, err)
@@ -389,12 +391,28 @@ func (w *FileWAL) AppendRaw(data []byte) error {
 	return nil
 }
 
-// walTempPattern names the temporaries of CompactRecords. They are never
-// read back; OpenShardedWAL sweeps crash leftovers matching walTempGlob.
-const (
-	walTempPattern = ".wal-rewrite-*"
-	walTempGlob    = ".wal-*"
-)
+// rewriteTempPrefix starts the name of every temporary CompactRecords
+// writes for the log at path: a dot, the log's file name and ".rewrite-".
+// Several logs share a directory (every server's visitor log sits in one
+// WAL directory), so a log's temporaries carry its name and OpenFileWAL
+// sweeps only its own. They are never read back.
+func rewriteTempPrefix(path string) string {
+	return "." + filepath.Base(path) + ".rewrite-"
+}
+
+// sweepRewriteTemps removes the temporaries a crash inside CompactRecords
+// left beside the log at path. They were never renamed into place, so they
+// carry no authority, and one that cannot be listed or removed is only
+// garbage: the sweep is best effort and never fails the open.
+func sweepRewriteTemps(path string) {
+	dir, prefix := filepath.Dir(path), rewriteTempPrefix(path)
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), prefix) {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
 
 // CompactRecords atomically replaces the log's contents with recs, in
 // order, by the write-temp/fsync/rename/dir-fsync protocol (see the
@@ -406,7 +424,7 @@ const (
 func (w *FileWAL) CompactRecords(recs []WALRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	tmp, err := os.CreateTemp(filepath.Dir(w.path), walTempPattern)
+	tmp, err := os.CreateTemp(filepath.Dir(w.path), rewriteTempPrefix(w.path)+"*")
 	if err != nil {
 		return fmt.Errorf("store: creating segment rewrite file: %w", err)
 	}

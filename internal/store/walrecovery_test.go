@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -303,6 +304,39 @@ func TestCompactCrashBeforeRenameKeepsOriginal(t *testing.T) {
 	}
 }
 
+// TestOpenFileWALSweepsRewriteTemps: a crash inside CompactRecords leaves a
+// temporary named after its log. Opening that log removes it; a
+// neighbouring log's temporary in the same directory and the log's own
+// bytes are left as they were.
+func TestOpenFileWALSweepsRewriteTemps(t *testing.T) {
+	path, _ := writeVisitorLog(t, 3)
+	dir := filepath.Dir(path)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := filepath.Join(dir, ".log.wal.rewrite-123")
+	neighbour := filepath.Join(dir, ".other.wal.rewrite-456")
+	for _, p := range []string{own, neighbour} {
+		if err := os.WriteFile(p, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, rerr := replayAll(t, path)
+	if rerr != nil || len(got) != 3 {
+		t.Fatalf("replayed %d records (%v), want 3", len(got), rerr)
+	}
+	if _, err := os.Stat(own); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the log's own rewrite temporary survived the open: %v", err)
+	}
+	if _, err := os.Stat(neighbour); err != nil {
+		t.Errorf("a neighbouring log's rewrite temporary was touched: %v", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, want) {
+		t.Errorf("the log changed on open (%v)", err)
+	}
+}
+
 // Any Compact failure before the rename must leave the original log open
 // and usable: later Appends and Close must succeed and the appended record
 // must be durable.
@@ -429,10 +463,10 @@ func TestOpenShardedWALRefusesEpochLayout(t *testing.T) {
 	}{
 		{"alone", map[string][]byte{epochName: epochBody}, epochName, sharded},
 		{"beside segments", map[string][]byte{epochName: epochBody, "shard-0000.wal": binRemove("b"), "shard-0001.wal": binRemove("c")}, epochName, sharded},
-		{"beside a rewrite temporary", map[string][]byte{epochName: epochBody, ".wal-rewrite-123": binRemove("d")}, epochName, sharded},
+		{"beside a rewrite temporary", map[string][]byte{epochName: epochBody, ".shard-0000.wal.rewrite-123": binRemove("d")}, epochName, sharded},
 		{"JSON-lines segments", map[string][]byte{
 			"shard-0000.wal": jsonRemove("e"), "shard-0001.wal": jsonRemove("f"),
-			".wal-rewrite-456": jsonRemove("g"), "shard-0003.wal": jsonRemove("h"),
+			".shard-0001.wal.rewrite-456": jsonRemove("g"), "shard-0003.wal": jsonRemove("h"),
 		}, "shard-0000.wal", sharded},
 		{"JSON-lines log", map[string][]byte{"visitors.wal": []byte(`{"op":"put","visitor":{"oid":"o1","regInfo":{"Registrant":"","DesAcc":0,"MinAcc":0,"MaxSpeed":0},"pathT":"0001-01-01T00:00:00Z"}}` + "\n")},
 			"visitors.wal", func(dir string) error {

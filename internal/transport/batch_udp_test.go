@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"locsvc/internal/geo"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
+	"locsvc/internal/wire"
 )
 
 // waitCounter polls a counter until it reaches want or the deadline passes.
@@ -72,61 +76,100 @@ func TestUDPBatchingCoalesces(t *testing.T) {
 	}
 }
 
-// TestUDPBatchingInterop pins wire compatibility in both directions: a
-// batching sender talks to a non-batching receiver (1-envelope flushes are
-// legacy frames; multi-envelope batches are decoded by the batch-aware
-// read loop every UDP node runs), and a non-batching sender talks to a
-// batching receiver.
+// TestUDPBatchingInterop pins wire compatibility in both directions
+// between a node capped at one envelope per datagram and a batching one:
+// the batching sender's multi-envelope batches are decoded by the
+// batch-aware read loop every UDP node runs, and the cap-1 sender's
+// datagrams are each the bare legacy frame of one envelope, byte for byte.
 func TestUDPBatchingInterop(t *testing.T) {
-	regA := metrics.NewRegistry()
+	regA, regB := metrics.NewRegistry(), metrics.NewRegistry()
 	batching := NewUDPWithOptions(UDPOptions{Metrics: regA, BatchMax: 8})
 	defer batching.Close()
-	plain := NewUDP()
-	defer plain.Close()
+	single := NewUDPWithOptions(UDPOptions{Metrics: regB, BatchMax: 1})
+	defer single.Close()
 
-	got := make(chan float64, 64)
-	if _, err := plain.Attach("plain-sink", func(_ context.Context, _ msg.NodeID, m msg.Message) (msg.Message, error) {
-		if n, ok := m.(msg.NotifyAvailAcc); ok {
-			got <- n.OfferedAcc
+	// sendAll sends n notifications from src to sink and waits for each to
+	// arrive exactly once.
+	const n = 24
+	sendAll := func(src, dstNet *UDP, srcID, sinkID msg.NodeID) {
+		t.Helper()
+		got := make(chan float64, n)
+		if _, err := dstNet.Attach(sinkID, func(_ context.Context, _ msg.NodeID, m msg.Message) (msg.Message, error) {
+			if v, ok := m.(msg.NotifyAvailAcc); ok {
+				got <- v.OfferedAcc
+			}
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
+		from, err := src.Attach(srcID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cross-network: the sender needs a route to the sink.
+		addr, _ := dstNet.Route(sinkID)
+		if err := src.AddRoute(sinkID, addr); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := from.Send(sinkID, msg.NotifyAvailAcc{OID: "o", OfferedAcc: float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seen := make(map[float64]bool)
+		timeout := time.After(2 * time.Second)
+		for len(seen) < n {
+			select {
+			case v := <-got:
+				if seen[v] {
+					t.Fatalf("%s → %s: value %v delivered twice", srcID, sinkID, v)
+				}
+				seen[v] = true
+			case <-timeout:
+				t.Fatalf("%s → %s: only %d/%d envelopes arrived", srcID, sinkID, len(seen), n)
+			}
+		}
 	}
-	src, err := batching.Attach("batch-src", nil)
+
+	sendAll(batching, single, "batch-src", "single-sink")
+	if out := regA.Counter("wire_datagrams_out").Value(); out >= n {
+		t.Errorf("batching sender used %d datagrams for %d envelopes", out, n)
+	}
+	sendAll(single, batching, "single-src", "batch-sink")
+	if out := regB.Counter("wire_datagrams_out").Value(); out != n {
+		t.Errorf("cap-1 sender used %d datagrams for %d envelopes", out, n)
+	}
+
+	// Byte for byte: what the cap-1 node puts on the wire is the legacy
+	// frame wire.AppendEncode produces for the envelope.
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cross-network: the batching node needs a route to the plain one.
-	sinkAddr, ok := plain.Route("plain-sink")
-	if !ok {
-		t.Fatal("plain network has no route to its own node")
-	}
-	if err := batching.AddRoute("plain-sink", sinkAddr); err != nil {
+	defer raw.Close()
+	if err := single.AddRoute("raw", raw.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
-
-	const n = 24
-	for i := 0; i < n; i++ {
-		if err := src.Send("plain-sink", msg.NotifyAvailAcc{OID: "o", OfferedAcc: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+	from, err := single.Attach("single-raw-src", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := make(map[float64]bool)
-	timeout := time.After(2 * time.Second)
-	for len(seen) < n {
-		select {
-		case v := <-got:
-			if seen[v] {
-				t.Fatalf("value %v delivered twice", v)
-			}
-			seen[v] = true
-		case <-timeout:
-			t.Fatalf("only %d/%d envelopes arrived at the plain receiver", len(seen), n)
-		}
+	env := msg.Envelope{From: "single-raw-src", Msg: msg.NotifyAvailAcc{OID: "o", OfferedAcc: 7}}
+	if err := from.Send("raw", env.Msg); err != nil {
+		t.Fatal(err)
 	}
-	if out := regA.Counter("wire_datagrams_out").Value(); out >= n {
-		t.Errorf("batching sender used %d datagrams for %d envelopes", out, n)
+	want, err := wire.AppendEncode(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, maxDatagram)
+	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	got, _, err := raw.ReadFromUDP(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf[:got], want) {
+		t.Errorf("cap-1 datagram = %x, want the legacy frame %x", buf[:got], want)
 	}
 }
 
@@ -200,4 +243,38 @@ func TestUDPCallRoundTripWithBatching(t *testing.T) {
 		}
 	}
 	waitQuiesced(t, cli)
+}
+
+// TestUDPWriteErrorsCounted writes through a node whose socket is closed
+// under it. At a cap of one the envelope leaves on the sender's goroutine
+// and Send reports the failed write; at a cap of eight it leaves on the
+// flusher's, where no caller waits, so only wire_write_errors shows it.
+func TestUDPWriteErrorsCounted(t *testing.T) {
+	for _, batchMax := range []int{1, 8} {
+		t.Run(fmt.Sprintf("cap%d", batchMax), func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			nw := NewUDPWithOptions(UDPOptions{Metrics: reg, BatchMax: batchMax})
+			defer nw.Close()
+			if _, err := nw.Attach("sink", nil); err != nil {
+				t.Fatal(err)
+			}
+			src, err := nw.Attach("src", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.(*udpNode).conn.Close()
+			err = src.Send("sink", msg.NotifyAvailAcc{OID: "o"})
+			if batchMax == 1 {
+				if err == nil || !strings.Contains(err.Error(), "transport: sending to sink") {
+					t.Fatalf("Send = %v, want a sending error", err)
+				}
+			} else if err != nil {
+				t.Fatalf("Send = %v, want nil: the flusher writes", err)
+			}
+			waitCounter(t, reg.Counter("wire_write_errors"), 1, "wire_write_errors")
+			if out := reg.Counter("wire_datagrams_out").Value(); out != 0 {
+				t.Errorf("wire_datagrams_out = %d after a failed write", out)
+			}
+		})
+	}
 }

@@ -18,7 +18,8 @@ import (
 // travels alone, at once. A batch that reaches the count cap (BatchMax) or
 // would outgrow maxDatagram is sent by the goroutine that filled it, which
 // is the backpressure: at most one open batch per destination ever waits
-// for the flusher.
+// for the flusher. At a cap of one every envelope fills its own batch, so
+// it leaves on its sender's goroutine and the flusher is never woken.
 
 // flusher is that rule for the UDP batcher: one goroutine that calls drain
 // once for every kick, or run of kicks, since its last call began.
@@ -78,7 +79,7 @@ func (f *flusher) stop() {
 // the open batches and the caps, the flusher decides when they leave.
 type batcher struct {
 	nd  *udpNode
-	max int // count cap, ≥ 2
+	max int // count cap, ≥ 1
 	fl  *flusher
 
 	mu     sync.Mutex
@@ -106,18 +107,19 @@ func newBatcher(nd *udpNode, max int) *batcher {
 
 // add enqueues one encoded envelope frame for dst. The frame is copied, so
 // the caller may recycle its buffer immediately. A batch this frame fills,
-// or does not fit into any more, is sent here, after the lock is released.
-func (b *batcher) add(dst msg.NodeID, addr *net.UDPAddr, frame []byte) {
-	var full *pendingBatch
+// or does not fit into any more, is sent here, after the lock is released;
+// at a cap of one every frame fills its batch and leaves at once. The error
+// is the failed write of a datagram that carried this frame.
+func (b *batcher) add(dst msg.NodeID, addr *net.UDPAddr, frame []byte) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		b.nd.transmit(addr, frame, 1)
-		return
+		return b.nd.transmit(addr, frame, 1)
 	}
+	var spill *pendingBatch
 	pb := b.open[dst]
 	if pb != nil && pb.bb.SizeWith(len(frame)) > maxDatagram {
-		full, pb = pb, nil
+		spill, pb = pb, nil
 	}
 	if pb == nil {
 		pb = batchPool.Get().(*pendingBatch)
@@ -126,18 +128,24 @@ func (b *batcher) add(dst msg.NodeID, addr *net.UDPAddr, frame []byte) {
 	}
 	pb.bb.Add(frame)
 	n := pb.bb.Count()
-	if n >= b.max {
+	full := n >= b.max
+	if full {
 		delete(b.open, dst)
-		full = pb
 	}
 	b.mu.Unlock()
-	if n == 1 {
+	if n == 1 && !full {
 		// A new open batch: the only state the flusher may not know of.
 		b.fl.kick()
 	}
-	if full != nil {
-		b.send(full)
+	if spill != nil {
+		// The spilled envelopes' callers have returned: a failed write
+		// is only counted (wire_write_errors).
+		_ = b.send(spill)
 	}
+	if !full {
+		return nil
+	}
+	return b.send(pb)
 }
 
 // drain detaches every open batch and sends them.
@@ -149,22 +157,26 @@ func (b *batcher) drain() {
 	}
 	b.mu.Unlock()
 	for i, pb := range b.taken {
-		b.send(pb)
+		// No caller waits on a drained batch: a failed write is only
+		// counted (wire_write_errors).
+		_ = b.send(pb)
 		b.taken[i] = nil
 	}
 	b.taken = b.taken[:0]
 }
 
-// send assembles pb into one datagram, transmits it and recycles pb.
-func (b *batcher) send(pb *pendingBatch) {
+// send assembles pb into one datagram, transmits it, recycles pb and
+// returns the write's error.
+func (b *batcher) send(pb *pendingBatch) error {
 	bp := wire.GetBuffer()
 	data := pb.bb.AppendTo((*bp)[:0])
 	*bp = data
-	b.nd.transmit(pb.addr, data, pb.bb.Count())
+	err := b.nd.transmit(pb.addr, data, pb.bb.Count())
 	wire.PutBuffer(bp)
 	pb.bb.Reset()
 	pb.addr = nil
 	batchPool.Put(pb)
+	return err
 }
 
 // closeFlush routes subsequent adds straight to the socket, stops the

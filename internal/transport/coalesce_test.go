@@ -164,7 +164,7 @@ func TestBatcherClose(t *testing.T) {
 	// The peers live on a network of their own, which outlives the
 	// batching one.
 	regPeers := metrics.NewRegistry()
-	peers := NewUDPWithMetrics(regPeers)
+	peers := NewUDPWithOptions(UDPOptions{Metrics: regPeers})
 	defer peers.Close()
 	arrivals := regPeers.Counter("wire_envelopes_in")
 	for _, id := range []msg.NodeID{"p0", "p1"} {

@@ -34,7 +34,7 @@ func networks(t *testing.T) map[string]Network {
 	t.Helper()
 	return map[string]Network{
 		"inproc": NewInproc(InprocOptions{}),
-		"udp":    NewUDP(),
+		"udp":    NewUDPWithOptions(UDPOptions{}),
 	}
 }
 
@@ -131,7 +131,7 @@ func TestUnknownDestination(t *testing.T) {
 		t.Errorf("Call err = %v", err)
 	}
 
-	unw := NewUDP()
+	unw := NewUDPWithOptions(UDPOptions{})
 	defer unw.Close()
 	un, err := unw.Attach("a", nil)
 	if err != nil {
@@ -328,7 +328,7 @@ func TestNestedCalls(t *testing.T) {
 }
 
 func TestUDPRouteDirectory(t *testing.T) {
-	nw := NewUDP()
+	nw := NewUDPWithOptions(UDPOptions{})
 	defer nw.Close()
 	if err := nw.AddRoute("remote", "127.0.0.1:45678"); err != nil {
 		t.Fatal(err)

@@ -38,15 +38,15 @@ const socketBuffer = 4 << 20
 // UDPOptions configure a UDP network.
 type UDPOptions struct {
 	// Metrics receives the network's wire-level counters; nil gets a
-	// private registry (see NewUDPWithMetrics).
+	// private registry, which UDP.Metrics returns.
 	Metrics *metrics.Registry
-	// BatchMax ≥ 2 enables outbound batching with that many envelopes per
-	// datagram at most; 0 or 1 sends one envelope per datagram (the
-	// compatible default — a batch of one is a legacy frame anyway).
-	// Coalescing is self-clocked (see batcher.go): no envelope ever waits
-	// for a timer. One sent from an idle node leaves at once, alone;
-	// envelopes for one destination share a datagram only when they are
-	// produced faster than the node's flusher can put them on the wire.
+	// BatchMax caps the envelopes one datagram carries; 0 and 1 both mean
+	// a cap of one, so every envelope is its own datagram (a batch of one
+	// is a legacy frame) and leaves on its sender's goroutine. Coalescing
+	// is self-clocked (see batcher.go): no envelope ever waits for a
+	// timer. One sent from an idle node leaves at once, alone; envelopes
+	// for one destination share a datagram only when they are produced
+	// faster than the node's flusher can put them on the wire.
 	BatchMax int
 	// BatchLinger is ignored: there is no linger any more. The field stays
 	// only because bench/rig/world.go still sets it; it goes when that line
@@ -83,10 +83,11 @@ type UDPOptions struct {
 // back as soon as the binary codec has decoded out of them (decoded
 // envelopes share no memory with the datagram), and sends encode into
 // pooled buffers with the size guard applied before the socket write.
-// With BatchMax ≥ 2 outbound envelopes per destination are coalesced into
-// batch frames (see the batcher); receive is always batch-aware, so a
-// non-batching network interoperates with a batching peer. Every socket
-// asks for socketBuffer bytes of kernel buffer in each direction.
+// Outbound envelopes per destination are coalesced into batch frames of
+// at most BatchMax envelopes (see the batcher); receive is always
+// batch-aware, so a network capped at one envelope per datagram
+// interoperates with a batching peer. Every socket asks for socketBuffer
+// bytes of kernel buffer in each direction.
 type UDP struct {
 	opts UDPOptions
 
@@ -113,6 +114,7 @@ type UDP struct {
 	bytesOut     *metrics.Counter
 	datagramsIn  *metrics.Counter
 	datagramsOut *metrics.Counter
+	writeErrors  *metrics.Counter
 	decodeErrors *metrics.Counter
 	oversize     *metrics.Counter
 	batchesIn    *metrics.Counter
@@ -128,20 +130,9 @@ type UDP struct {
 
 var _ Network = (*UDP)(nil)
 
-// NewUDP creates a UDP network with an initially empty directory and a
-// private metrics registry (see NewUDPWithMetrics).
-func NewUDP() *UDP {
-	return NewUDPWithOptions(UDPOptions{})
-}
-
-// NewUDPWithMetrics creates a UDP network whose wire-level counters are
-// registered in reg; see NewUDPWithOptions.
-func NewUDPWithMetrics(reg *metrics.Registry) *UDP {
-	return NewUDPWithOptions(UDPOptions{Metrics: reg})
-}
-
-// NewUDPWithOptions creates a UDP network. Its wire-level instruments —
-// wire_bytes_in/out, wire_datagrams_in/out, wire_decode_errors,
+// NewUDPWithOptions creates a UDP network with an initially empty
+// directory. Its wire-level instruments — wire_bytes_in/out,
+// wire_datagrams_in/out, wire_write_errors, wire_decode_errors,
 // wire_oversize_dropped, wire_batches_in/out, wire_envelopes_in/out, the
 // wire_envelopes_per_batch histogram, wire_call_timeouts and
 // wire_late_replies — are registered in opts.Metrics. A process that runs
@@ -162,6 +153,7 @@ func NewUDPWithOptions(opts UDPOptions) *UDP {
 		bytesOut:     reg.Counter("wire_bytes_out"),
 		datagramsIn:  reg.Counter("wire_datagrams_in"),
 		datagramsOut: reg.Counter("wire_datagrams_out"),
+		writeErrors:  reg.Counter("wire_write_errors"),
 		decodeErrors: reg.Counter("wire_decode_errors"),
 		oversize:     reg.Counter("wire_oversize_dropped"),
 		batchesIn:    reg.Counter("wire_batches_in"),
@@ -229,7 +221,7 @@ func (u *UDP) Route(id msg.NodeID) (string, bool) {
 	return ua.String(), true
 }
 
-// newNode builds a node with its tracker and (if configured) batcher.
+// newNode builds a node with its tracker and batcher.
 func (u *UDP) newNode(id msg.NodeID, conn *net.UDPConn, h Handler) *udpNode {
 	// Best effort, see socketBuffer: a smaller buffer only loses datagrams
 	// sooner, which the call path survives like any other loss.
@@ -252,9 +244,7 @@ func (u *UDP) newNode(id msg.NodeID, conn *net.UDPConn, h Handler) *udpNode {
 		tc.onOutcome = nd.health.outcome
 	}
 	nd.calls = newCalls(tc)
-	if u.opts.BatchMax >= 2 {
-		nd.batch = newBatcher(nd, u.opts.BatchMax)
-	}
+	nd.batch = newBatcher(nd, max(u.opts.BatchMax, 1))
 	return nd
 }
 
@@ -337,9 +327,7 @@ func (u *UDP) Close() error {
 	u.mu.Unlock()
 	for _, n := range nodes {
 		n.calls.close()
-		if n.batch != nil {
-			n.batch.closeFlush()
-		}
+		n.batch.closeFlush()
 		n.conn.Close()
 	}
 	u.wg.Wait()
@@ -353,7 +341,7 @@ type udpNode struct {
 	handler Handler
 	calls   *calls
 	health  *health
-	batch   *batcher // nil when batching is off
+	batch   *batcher
 
 	handlerWG sync.WaitGroup
 }
@@ -475,22 +463,21 @@ func (nd *udpNode) process(env msg.Envelope, src netip.AddrPort) {
 }
 
 // transmit sends one assembled datagram carrying count envelopes and
-// records the wire counters. Send errors are best-effort-dropped for
-// batched flushes (the batcher has no caller to report to), matching UDP
-// loss semantics.
-func (nd *udpNode) transmit(addr *net.UDPAddr, data []byte, count int) {
-	_, err := nd.conn.WriteToUDP(data, addr)
-	if err != nil {
-		return
+// records the wire counters. A failed write is counted in
+// wire_write_errors and returned; the batcher passes it on only to a
+// sender whose own envelope the datagram carried.
+func (nd *udpNode) transmit(addr *net.UDPAddr, data []byte, count int) error {
+	if _, err := nd.conn.WriteToUDP(data, addr); err != nil {
+		nd.net.writeErrors.Inc()
+		return err
 	}
 	nd.net.datagramsOut.Inc()
 	nd.net.bytesOut.Add(int64(len(data)))
 	if count >= 2 {
 		nd.net.batchesOut.Inc()
 	}
-	if nd.batch != nil {
-		nd.net.envsPerBatch.Observe(float64(count))
-	}
+	nd.net.envsPerBatch.Observe(float64(count))
+	return nil
 }
 
 // write encodes and transmits an envelope to the directory address of dst.
@@ -500,8 +487,8 @@ func (nd *udpNode) transmit(addr *net.UDPAddr, data []byte, count int) {
 // directory entry (the paper's prototype likewise replies to the datagram
 // source). Encoding appends into a pooled buffer; an envelope that would
 // exceed maxDatagram fails here, before the socket write, with the message
-// type and encoded size. With batching enabled the encoded frame is handed
-// to the coalescer instead of the socket; it rides the next flushed batch.
+// type and encoded size. The encoded frame is handed to the coalescer,
+// which sends it at once or with its destination's next batch.
 func (nd *udpNode) write(dst msg.NodeID, env msg.Envelope) error {
 	nd.net.mu.RLock()
 	addr, ok := nd.net.dir[dst]
@@ -530,19 +517,11 @@ func (nd *udpNode) write(dst msg.NodeID, env msg.Envelope) error {
 		return fmt.Errorf("transport: %s envelope encodes to %d bytes, exceeding the %d-byte datagram limit", tag, len(data), maxDatagram)
 	}
 	nd.net.envelopesOut.Inc()
-	if nd.batch != nil {
-		nd.batch.add(dst, addr, data)
-		wire.PutBuffer(bp)
-		return nil
-	}
-	_, werr := nd.conn.WriteToUDP(data, addr)
-	n := len(data)
+	werr := nd.batch.add(dst, addr, data)
 	wire.PutBuffer(bp)
 	if werr != nil {
 		return fmt.Errorf("transport: sending to %s: %w", dst, werr)
 	}
-	nd.net.datagramsOut.Inc()
-	nd.net.bytesOut.Add(int64(n))
 	return nil
 }
 
@@ -600,8 +579,6 @@ func (nd *udpNode) Close() error {
 	delete(nd.net.nodes, nd.id)
 	nd.net.mu.Unlock()
 	nd.calls.close()
-	if nd.batch != nil {
-		nd.batch.closeFlush()
-	}
+	nd.batch.closeFlush()
 	return nd.conn.Close()
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestAttachAutoUsesAddressAsID(t *testing.T) {
-	nw := NewUDP()
+	nw := NewUDPWithOptions(UDPOptions{})
 	defer nw.Close()
 	n, err := nw.AttachAuto("127.0.0.1", nil)
 	if err != nil {
@@ -29,9 +29,9 @@ func TestAddressFallbackRouting(t *testing.T) {
 	// Two separate UDP networks (two "processes"): the server knows
 	// nothing about the client, but the client's node id is its socket
 	// address, so the server can reply and even initiate sends.
-	serverNet := NewUDP()
+	serverNet := NewUDPWithOptions(UDPOptions{})
 	defer serverNet.Close()
-	clientNet := NewUDP()
+	clientNet := NewUDPWithOptions(UDPOptions{})
 	defer clientNet.Close()
 
 	got := make(chan msg.NodeID, 1)
@@ -90,7 +90,7 @@ func TestAddressFallbackRouting(t *testing.T) {
 }
 
 func TestAddressFallbackRejectsNonAddresses(t *testing.T) {
-	nw := NewUDP()
+	nw := NewUDPWithOptions(UDPOptions{})
 	defer nw.Close()
 	n, err := nw.Attach("a", nil)
 	if err != nil {

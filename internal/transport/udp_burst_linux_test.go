@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
 )
 
@@ -68,11 +69,12 @@ func rcvbufOf(t *testing.T, conn *net.UDPConn) int {
 // queue is all that stands between a pipelining sender and a read loop that
 // is not getting the processor. Sixteen 128-deep windows of calls — the
 // depth a leaf's path messages reach while a fleet registers — arrive as
-// 2048 single-envelope datagrams at a node whose read loop is held still;
-// the 208 KiB default buffer keeps 256 of them. Nothing may be lost.
+// 2048 single-envelope datagrams — the sender's cap is one envelope per
+// datagram — at a node whose read loop is held still; the 208 KiB default
+// buffer keeps 256 of them. Nothing may be lost.
 func TestUDPBurstIntoStalledReader(t *testing.T) {
 	const depth, rounds = 128, 16
-	recv := NewUDP()
+	recv := NewUDPWithOptions(UDPOptions{})
 	defer recv.Close()
 	srv, err := recv.Attach("srv", valueEchoHandler)
 	if err != nil {
@@ -83,7 +85,8 @@ func TestUDPBurstIntoStalledReader(t *testing.T) {
 	if got := rcvbufOf(t, srv.(*udpNode).conn); got < socketBuffer {
 		t.Skipf("receive buffer is %d bytes, net.core.rmem_max allows no more; the burst needs %d", got, socketBuffer)
 	}
-	send := NewUDP() // no batching: every envelope its own datagram
+	sendMet := metrics.NewRegistry()
+	send := NewUDPWithOptions(UDPOptions{Metrics: sendMet, BatchMax: 1})
 	defer send.Close()
 	cli, err := send.Attach("cli", nil)
 	if err != nil {
@@ -121,5 +124,9 @@ func TestUDPBurstIntoStalledReader(t *testing.T) {
 	}
 	if dropsAfter, _ := udpRcvbufErrors(); countable && dropsAfter != dropsBefore {
 		t.Errorf("RcvbufErrors moved by %d during the burst", dropsAfter-dropsBefore)
+	}
+	dgrams, envs := sendMet.Counter("wire_datagrams_out").Value(), sendMet.Counter("wire_envelopes_out").Value()
+	if dgrams != envs || envs != depth*rounds {
+		t.Errorf("sender wrote %d datagrams for %d envelopes, want %d of each", dgrams, envs, depth*rounds)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // socket write with the message type and encoded size, instead of the
 // opaque "message too long" the kernel used to return.
 func TestOversizeEnvelopeFailsAtEncode(t *testing.T) {
-	nw := NewUDP()
+	nw := NewUDPWithOptions(UDPOptions{})
 	defer nw.Close()
 	if _, err := nw.Attach("sink", nil); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestOversizeEnvelopeFailsAtEncode(t *testing.T) {
 // disappearing silently.
 func TestWireMetricsCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
-	nw := NewUDPWithMetrics(reg)
+	nw := NewUDPWithOptions(UDPOptions{Metrics: reg})
 	defer nw.Close()
 	if nw.Metrics() != reg {
 		t.Fatal("Metrics() did not return the shared registry")

@@ -150,10 +150,10 @@ type LocalConfig struct {
 	Shards int
 	// Tiering turns each leaf's sighting store into a two-tier LSM:
 	// the in-memory shards hold only the recent tail (the memtable
-	// budget) and older versions live in immutable sorted runs under
-	// the leaf's WAL directory, so a leaf can track far more objects
-	// than fit in RAM and recovery replays only the short WAL tail.
-	// Requires WALDir (unless TierConfig.Dir is set per deployment). Zero
+	// budget) and older versions live in immutable sorted runs beside
+	// the leaf's sighting log segments, so a leaf can track far more
+	// objects than fit in RAM and recovery replays only the short log
+	// tail. Requires WALDir; NewLocal refuses Tiering without it. Zero
 	// fields take the documented defaults.
 	Tiering *TierConfig
 	// WALDir enables durable server state. Every server persists its
@@ -221,8 +221,8 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrBadRequest, err)
 	}
-	if cfg.Tiering != nil && cfg.WALDir == "" && cfg.Tiering.Dir == "" {
-		return nil, fmt.Errorf("%w: Tiering requires WALDir (or an explicit TierConfig.Dir)", core.ErrBadRequest)
+	if cfg.Tiering != nil && cfg.WALDir == "" {
+		return nil, fmt.Errorf("%w: Tiering requires WALDir (the runs live in each leaf's sighting log directory)", core.ErrBadRequest)
 	}
 	if cfg.Replicas {
 		if cfg.WALDir == "" {
@@ -242,21 +242,6 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 		EnableAreaCache:  cfg.EnableCaches,
 		EnableAgentCache: cfg.EnableCaches,
 		EnablePosCache:   cfg.EnableCaches,
-	}
-	// Tiering is per-leaf state: each leaf gets its own TierConfig whose
-	// Dir is distinct — by default the run files live next to the leaf's
-	// WAL segments (store.TierConfig defaults Dir to the WAL directory);
-	// an explicit Dir is subdivided per leaf so deployments never share
-	// run files.
-	tierFor := func(rec store.ConfigRecord) *store.TierConfig {
-		if cfg.Tiering == nil || !rec.IsLeaf() {
-			return nil
-		}
-		tc := *cfg.Tiering
-		if tc.Dir != "" {
-			tc.Dir = filepath.Join(tc.Dir, rec.ID)
-		}
-		return &tc
 	}
 	// replicaMapFor returns the primary→standby map a non-leaf server
 	// monitors with Replicas: only the leaves' direct parent probes and
@@ -293,7 +278,7 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 					return o, err
 				}
 				o.SightingWAL = sw
-				o.Tiering = tierFor(rec)
+				o.Tiering = cfg.Tiering
 				if cfg.Replicas {
 					o.ReplPeer = rec.ID + standbySuffix
 				}
@@ -301,11 +286,6 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 				o.Replicas = m
 				o.ReplHealthInterval = cfg.ReplHealthInterval
 			}
-			return o, nil
-		}
-	} else if cfg.Tiering != nil {
-		customize = func(rec store.ConfigRecord, o server.Options) (server.Options, error) {
-			o.Tiering = tierFor(rec)
 			return o, nil
 		}
 	}
@@ -343,7 +323,7 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 				return nil, err
 			}
 			o.SightingWAL = sw
-			o.Tiering = tierFor(sb)
+			o.Tiering = cfg.Tiering
 			s, err := server.New(sb, core.AreaFromRect(cfg.Area), net, o)
 			if err != nil {
 				svc.Close()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +74,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 func TestFacadeValidation(t *testing.T) {
 	if _, err := locsvc.NewLocal(locsvc.LocalConfig{}); !errors.Is(err, locsvc.ErrBadRequest) {
 		t.Errorf("empty area err = %v", err)
+	}
+	tiered := locsvc.LocalConfig{Area: locsvc.R(0, 0, 100, 100), Tiering: &locsvc.TierConfig{}}
+	if _, err := locsvc.NewLocal(tiered); !errors.Is(err, locsvc.ErrBadRequest) || !strings.Contains(err.Error(), "WALDir") {
+		t.Errorf("Tiering without WALDir err = %v, want ErrBadRequest naming WALDir", err)
 	}
 	svc, err := locsvc.NewLocal(locsvc.LocalConfig{Area: locsvc.R(0, 0, 100, 100)})
 	if err != nil {
