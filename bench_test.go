@@ -229,7 +229,8 @@ func getTable2World(b *testing.B) *table2World {
 			w.objects = append(w.objects, obj)
 			w.objPos = append(w.objPos, p)
 		}
-		// Let createPath propagation quiesce.
+		// Let createPath propagation quiesce: the facade signals nothing,
+		// and querying all 10 000 objects remotely would take longer.
 		time.Sleep(500 * time.Millisecond)
 		table2 = w
 	})
@@ -389,12 +390,22 @@ func BenchmarkCacheAblation(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			time.Sleep(100 * time.Millisecond) // createPath quiesce
 			remote, err := svc.NewClientAt("remote", locsvc.Pt(1490, 1490))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer remote.Close()
+			// Every createPath has reached the root once the remote client
+			// finds every object; until then a query is a definitive miss.
+			settled := time.Now().Add(10 * time.Second)
+			for i := 0; i < n; i++ {
+				oid := locsvc.OID(fmt.Sprintf("a-%d", i))
+				for _, err := remote.PosQuery(ctx, oid); err != nil; _, err = remote.PosQuery(ctx, oid) {
+					if time.Now().After(settled) {
+						b.Fatalf("%s not found remotely: %v", oid, err)
+					}
+				}
+			}
 			rng := rand.New(rand.NewSource(13))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -20,6 +20,7 @@
 // Numbers are produced on the in-process testbed (goroutine servers with a
 // synthetic per-hop latency); compare shapes, not absolute values, against
 // the paper (tables 1 and 2 print the paper's value beside each row).
+// Its timings read the wall clock, which is what they measure.
 package main
 
 import (

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/msg"
@@ -54,6 +55,9 @@ func (o Options) withDefaults() Options {
 type Client struct {
 	node transport.Node
 	opts Options
+	// clk is the network's clock (transport.ClockOf), which times the
+	// client's operations.
+	clk clock.Clock
 
 	// seq stamps side-effecting requests (RegisterReq, UpdateReq) with
 	// one monotonic per-client counter, the dedupe key for retries.
@@ -74,6 +78,7 @@ func New(network transport.Network, id msg.NodeID, entry msg.NodeID, opts Option
 	c := &Client{
 		entry:   entry,
 		opts:    opts.withDefaults(),
+		clk:     transport.ClockOf(network),
 		waiters: make(map[uint64]chan msg.Message),
 	}
 	node, err := network.Attach(id, c.handle)
@@ -216,7 +221,7 @@ func (c *Client) Register(ctx context.Context, s core.Sighting, desAcc, minAcc, 
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			transport.CountRetry(c.node)
-			if !c.opts.Retry.Pause(ctx, i) {
+			if !c.opts.Retry.Pause(ctx, c.clk, i) {
 				return nil, ctx.Err()
 			}
 		}
@@ -227,9 +232,9 @@ func (c *Client) Register(ctx context.Context, s core.Sighting, desAcc, minAcc, 
 			}
 			continue
 		}
-		// A stopped timer, not time.After: an unfired time.After stays
-		// alive for all of perTry, and a fleet registers in far less.
-		timer := time.NewTimer(perTry)
+		// A stopped timer, not one left to run out: an unfired timer
+		// stays alive for all of perTry, and a fleet registers in far less.
+		expired, timer := clock.After(c.clk, perTry)
 		select {
 		case m := <-ch:
 			timer.Stop()
@@ -251,7 +256,7 @@ func (c *Client) Register(ctx context.Context, s core.Sighting, desAcc, minAcc, 
 				}
 				return nil, core.ErrBadRequest
 			}
-		case <-timer.C:
+		case <-expired:
 			lastErr = fmt.Errorf("client: registration timed out: %w", context.DeadlineExceeded)
 		case <-ctx.Done():
 			timer.Stop()
@@ -410,7 +415,7 @@ func (c *Client) callEntry(ctx context.Context, m msg.Message) (msg.Message, err
 // in-flight tracker enforces the deadline (transport.WithCallDeadline), so
 // no operation pays for a timer context of its own.
 func (c *Client) opCtx(ctx context.Context) context.Context {
-	return transport.WithCallDeadline(ctx, c.opts.Timeout)
+	return transport.WithCallDeadline(ctx, c.clk, c.opts.Timeout)
 }
 
 // RangeResult is the client-side result of a range query. Partial marks a

@@ -3,7 +3,6 @@ package client_test
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -101,6 +100,7 @@ func TestSetEntry(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("query through new entry never succeeded")
 		}
+		// Polls: the CreatePath climb to the root signals nothing a client sees.
 		time.Sleep(10 * time.Millisecond)
 	}
 }
@@ -133,13 +133,13 @@ func TestAccChangeNotification(t *testing.T) {
 		}
 	})
 
-	var mu sync.Mutex
-	var notified []float64
+	notified := make(chan float64, 1)
 	c, err := client.New(net, "c", "r.0", client.Options{
 		OnAccChange: func(_ core.OID, acc float64) {
-			mu.Lock()
-			notified = append(notified, acc)
-			mu.Unlock()
+			select {
+			case notified <- acc: // the first notification is the one checked
+			default:
+			}
 		},
 	})
 	if err != nil {
@@ -162,24 +162,14 @@ func TestAccChangeNotification(t *testing.T) {
 	if obj.OfferedAcc() != 40 {
 		t.Errorf("acc after handover = %v, want 40", obj.OfferedAcc())
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(notified)
-		mu.Unlock()
-		if n > 0 {
-			break
+	select {
+	case acc := <-notified:
+		if acc != 40 {
+			t.Errorf("notified acc = %v, want 40", acc)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("notifyAvailAcc never arrived")
-		}
-		time.Sleep(5 * time.Millisecond)
+	case <-time.After(5 * time.Second):
+		t.Fatal("notifyAvailAcc never arrived")
 	}
-	mu.Lock()
-	if notified[0] != 40 {
-		t.Errorf("notified acc = %v, want 40", notified[0])
-	}
-	mu.Unlock()
 }
 
 func TestClientTimeoutOnDeadEntry(t *testing.T) {

@@ -33,13 +33,14 @@ func TestSetEntryConcurrentWithOperations(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var rotator, wg sync.WaitGroup
 
 	// The rotator: every entry read racing below must observe either the
-	// old or the new value, never a torn one.
-	wg.Add(1)
+	// old or the new value, never a torn one. It runs until every
+	// operation has finished.
+	rotator.Add(1)
 	go func() {
-		defer wg.Done()
+		defer rotator.Done()
 		leaves := []string{"r.0", "r.1", "r.2", "r.3"}
 		for i := 0; ; i++ {
 			select {
@@ -76,11 +77,11 @@ func TestSetEntryConcurrentWithOperations(t *testing.T) {
 		wg.Wait()
 		close(done)
 	}()
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
 	select {
 	case <-done:
 	case <-time.After(15 * time.Second):
 		t.Fatal("operations never finished")
 	}
+	close(stop)
+	rotator.Wait()
 }

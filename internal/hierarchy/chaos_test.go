@@ -144,6 +144,7 @@ func TestChaosSoak(t *testing.T) {
 		if time.Now().After(pathsBy) {
 			t.Fatalf("forwarding paths incomplete: %d of %d objects at the root", dep.RootVisitorCount(), len(positions))
 		}
+		// Polls: the chaos soak runs on the wall clock (ROADMAP direction 4).
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -266,6 +267,7 @@ func TestChaosSoak(t *testing.T) {
 				if _, qerr := clients["o3"].RangeQueryFull(soakCtx(t), wholeArea, 100, 0.5); qerr != nil {
 					t.Fatalf("round %d: post-recovery range query: %v", round, qerr)
 				}
+				// Paces the rounds: the chaos soak runs on the wall clock (ROADMAP direction 4).
 				time.Sleep(cooldown / 3)
 			}
 
@@ -296,6 +298,7 @@ func TestChaosSoak(t *testing.T) {
 			if time.Now().After(quiesceBy) {
 				t.Fatalf("server %s stuck with %d in-flight calls", id, srv.PendingCalls())
 			}
+			// Polls: the chaos soak runs on the wall clock (ROADMAP direction 4).
 			time.Sleep(10 * time.Millisecond)
 		}
 	}

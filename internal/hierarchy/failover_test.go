@@ -413,6 +413,7 @@ func waitSoak(t *testing.T, what string, cond func() bool) {
 		if cond() {
 			return
 		}
+		// Polls: the failover soak runs on the wall clock (ROADMAP direction 4).
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)

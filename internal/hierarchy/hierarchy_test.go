@@ -263,6 +263,7 @@ func BenchmarkDeploymentHeapPerObject(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		// Polls: path messages climb asynchronously and signal nothing.
 		for deadline := time.Now().Add(time.Minute); dep.RootVisitorCount() < objects; time.Sleep(10 * time.Millisecond) {
 			if time.Now().After(deadline) {
 				b.Fatalf("forwarding paths incomplete: %d of %d at the root", dep.RootVisitorCount(), objects)

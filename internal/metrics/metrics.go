@@ -71,6 +71,7 @@ var histSeed atomic.Uint64
 // NewHistogram returns an empty histogram with an independently seeded
 // reservoir.
 func NewHistogram() *Histogram {
+	// The wall clock only makes seeds differ between processes.
 	seed := histSeed.Add(0x9E3779B97F4A7C15) ^ uint64(time.Now().UnixNano())
 	return &Histogram{
 		samples: make([]float64, 0, reservoirSize),

@@ -7,11 +7,11 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"locsvc/internal/client"
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
@@ -53,13 +53,13 @@ type parityWorld struct {
 // here.
 type leafOptions func(id string, base server.Options) server.Options
 
-func newParityWorld(t *testing.T, seed int64, base server.Options, leaf leafOptions) *parityWorld {
+func newParityWorld(t *testing.T, seed int64, clk clock.Clock, base server.Options, leaf leafOptions) *parityWorld {
 	t.Helper()
 	spec := hierarchy.Spec{
 		RootArea: geo.R(0, 0, 1000, 500),
 		Levels:   []hierarchy.Level{{Rows: 1, Cols: 2}},
 	}
-	net := NewTestNet()
+	net := transport.NewInproc(transport.InprocOptions{Clock: clk})
 	dep, err := hierarchy.DeployWith(net, spec, base, func(cfg store.ConfigRecord, o server.Options) (server.Options, error) {
 		if cfg.IsLeaf() {
 			return leaf(cfg.ID, o), nil
@@ -295,15 +295,14 @@ func sum(ns []int) int {
 // through the whole mix, TTL expiry and a crash recovery.
 func TestCoveringIndexParity(t *testing.T) {
 	dir := t.TempDir()
-	var skew atomic.Int64 // nanoseconds the deployment's clock runs ahead
-	clock := func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	clk := clock.NewManual(time.Now())
 	const ttl = 30 * time.Minute
-	base := server.Options{SightingTTL: ttl, JanitorInterval: 20 * time.Millisecond, Clock: clock}
+	base := server.Options{SightingTTL: ttl, JanitorInterval: 20 * time.Millisecond}
 	leaf := func(id string, o server.Options) server.Options {
 		o.WAL, o.SightingWAL = openWALs(t, dir, id, 4)
 		return o
 	}
-	w := newParityWorld(t, 41, base, leaf)
+	w := newParityWorld(t, 41, clk, base, leaf)
 
 	w.steps(260)
 	if n := sum(w.check("after the mix")); n != len(w.objs) {
@@ -312,8 +311,8 @@ func TestCoveringIndexParity(t *testing.T) {
 
 	// TTL expiry: late in every lease, refresh every other object; then
 	// jump past the old leases and let the janitor tear the silent objects
-	// down.
-	skew.Add(int64(ttl * 2 / 3))
+	// down on the tick that jump delivers.
+	clk.Advance(ttl * 2 / 3)
 	var silent []core.OID
 	for i, oid := range append([]core.OID(nil), w.order...) {
 		if i%2 == 0 {
@@ -322,7 +321,7 @@ func TestCoveringIndexParity(t *testing.T) {
 			silent = append(silent, oid)
 		}
 	}
-	skew.Add(int64(ttl / 2))
+	clk.Advance(ttl / 2)
 	for _, oid := range silent {
 		w.forget(oid)
 	}
@@ -376,7 +375,7 @@ func TestCoveringIndexParityTiered(t *testing.T) {
 		o.Tiering = &store.TierConfig{MemtableBytes: 1, MaxRuns: 2} // floored at 4 KiB per shard
 		return o
 	}
-	w := newParityWorld(t, 43, base, leaf)
+	w := newParityWorld(t, 43, clock.Real{}, base, leaf)
 	tierStats := func() (flushes, compactions int64) {
 		for _, srv := range w.leaves() {
 			st := srv.SightingsForTest().TierStats()
@@ -420,7 +419,7 @@ func TestCoveringIndexParityStandby(t *testing.T) {
 		}
 		return o
 	}
-	w := newParityWorld(t, 47, base, leaf)
+	w := newParityWorld(t, 47, clock.Real{}, base, leaf)
 	w.steps(200)
 	w.check("primary alone")
 
@@ -457,7 +456,7 @@ func TestCoveringIndexParityStandby(t *testing.T) {
 // final OfferedAcc.
 func TestCoveringIndexConcurrentChangeAcc(t *testing.T) {
 	base := server.Options{Shards: 2}
-	w := newParityWorld(t, 53, base, func(_ string, o server.Options) server.Options { return o })
+	w := newParityWorld(t, 53, clock.Real{}, base, func(_ string, o server.Options) server.Options { return o })
 	const objects, rounds = 8, 150
 	for i := 0; i < objects; i++ {
 		w.register()

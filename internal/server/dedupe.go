@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/msg"
 )
 
@@ -69,7 +70,7 @@ type senderWindow struct {
 type dedupe struct {
 	window  int64 // nanoseconds
 	maxRing int   // largest power of two within DedupeCap
-	clock   func() time.Time
+	clk     clock.Clock
 	epoch   time.Time // now() counts from here
 
 	// mu guards the sender table, not the windows: lookups and remembers
@@ -79,15 +80,13 @@ type dedupe struct {
 	swept   int64 // now() of the last sweep
 }
 
-func newDedupe(window time.Duration, capacity int, clock func() time.Time) *dedupe {
+// newDedupe builds a leaf's table on the server's clock.
+func newDedupe(window time.Duration, capacity int, clk clock.Clock) *dedupe {
 	if window <= 0 {
 		window = defaultDedupeWindow
 	}
 	if capacity <= 0 {
 		capacity = defaultDedupeCap
-	}
-	if clock == nil {
-		clock = time.Now
 	}
 	maxRing := 1
 	for maxRing*2 <= capacity {
@@ -96,15 +95,15 @@ func newDedupe(window time.Duration, capacity int, clock func() time.Time) *dedu
 	return &dedupe{
 		window:  int64(window),
 		maxRing: maxRing,
-		clock:   clock,
-		epoch:   clock(),
+		clk:     clk,
+		epoch:   clk.Now(),
 		senders: make(map[msg.NodeID]*senderWindow),
 	}
 }
 
 // now is the table's time: nanoseconds since its creation, monotonic when
 // the clock's readings are.
-func (d *dedupe) now() int64 { return int64(d.clock().Sub(d.epoch)) }
+func (d *dedupe) now() int64 { return int64(d.clk.Now().Sub(d.epoch)) }
 
 // lookup returns the remembered reply for (sender, seq), if any. Seq 0 is
 // never remembered (unstamped senders opted out); a slot older than the

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"locsvc/internal/client"
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
@@ -22,15 +22,10 @@ import (
 // entries older than the window are misses, with no sweep needed to make
 // them so.
 func TestDedupeWindowEviction(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-
-	net := transport.NewInproc(transport.InprocOptions{})
+	clk := clock.NewManual(time.Unix(1000, 0))
+	net := transport.NewInproc(transport.InprocOptions{Clock: clk})
 	defer net.Close()
-	ls := newDedupeLeaf(t, net, server.Options{
-		Clock:        clock,
-		DedupeWindow: 10 * time.Second,
-	})
+	ls := newDedupeLeaf(t, net, server.Options{DedupeWindow: 10 * time.Second})
 
 	probe := attachProbe(t, net, "probe")
 	registerVia(t, net, "o1", geo.Pt(100, 100))
@@ -48,7 +43,7 @@ func TestDedupeWindowEviction(t *testing.T) {
 	}
 
 	// Past the window the same Seq is a miss: the update is applied anew.
-	now = now.Add(11 * time.Second)
+	clk.Advance(11 * time.Second)
 	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(120, 100), 1))
 	if got := ls.Metrics().Counter("updates_deduped").Value(); got != 1 {
 		t.Fatalf("updates_deduped after window = %d, want still 1", got)
@@ -223,16 +218,11 @@ func TestDedupeClearedByRestart(t *testing.T) {
 // replies for and the slots they hold, and drops the senders that have been
 // silent for a dedupe window.
 func TestDedupeGaugesAndSenderSweep(t *testing.T) {
-	var elapsed atomic.Int64
-	clock := func() time.Time { return time.Unix(1000, elapsed.Load()) }
-
-	net := transport.NewInproc(transport.InprocOptions{})
+	clk := clock.NewManual(time.Unix(1000, 0))
+	net := transport.NewInproc(transport.InprocOptions{Clock: clk})
 	defer net.Close()
 	// No JanitorInterval: the test is the only one to tick.
-	ls := newDedupeLeaf(t, net, server.Options{
-		Clock:        clock,
-		DedupeWindow: 10 * time.Second,
-	})
+	ls := newDedupeLeaf(t, net, server.Options{DedupeWindow: 10 * time.Second})
 	gauges := func() (senders, remembered int64) {
 		ls.JanitorTickForTest()
 		return ls.Metrics().Gauge("dedupe_senders").Value(), ls.Metrics().Gauge("dedupe_remembered").Value()
@@ -249,13 +239,13 @@ func TestDedupeGaugesAndSenderSweep(t *testing.T) {
 
 	// Half a window on, the probe is heard from again and the registrant
 	// is not; a full window after the registration only the probe is left.
-	elapsed.Add(int64(6 * time.Second))
+	clk.Advance(6 * time.Second)
 	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(110, 100), 4))
-	elapsed.Add(int64(5 * time.Second))
+	clk.Advance(5 * time.Second)
 	if senders, remembered := gauges(); senders != 1 || remembered != 4 {
 		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d; want the probe alone with its 4 replies", senders, remembered)
 	}
-	elapsed.Add(int64(10 * time.Second))
+	clk.Advance(10 * time.Second)
 	if senders, remembered := gauges(); senders != 0 || remembered != 0 {
 		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d a window after the last request; want 0, 0", senders, remembered)
 	}

@@ -9,24 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/msg"
 )
 
-// fakeClock is an injected time source the tests step by hand.
-type fakeClock struct{ nanos atomic.Int64 }
-
-func (c *fakeClock) now() time.Time          { return time.Unix(1000, c.nanos.Load()) }
-func (c *fakeClock) advance(d time.Duration) { c.nanos.Add(int64(d)) }
-
-// advanceTo moves the clock forward to d past its start, never back.
-func (c *fakeClock) advanceTo(d time.Duration) {
-	for {
-		cur := c.nanos.Load()
-		if int64(d) <= cur || c.nanos.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
+// manualClock returns a clock the tests step by hand.
+func manualClock() *clock.Manual { return clock.NewManual(time.Unix(1000, 0)) }
 
 // moved is a boxed reply that names the request it answers.
 func moved(sender msg.NodeID, seq uint64) msg.UpdateRes {
@@ -49,7 +37,7 @@ func (d *dedupe) ringLen(sender msg.NodeID) int {
 // TestDedupeSendersDoNotCollide pins that the key is (sender, seq): two
 // senders using the same seq each get their own reply back.
 func TestDedupeSendersDoNotCollide(t *testing.T) {
-	d := newDedupe(time.Minute, 8, new(fakeClock).now)
+	d := newDedupe(time.Minute, 8, manualClock())
 	d.remember("a", 7, moved("a", 7))
 	d.rememberInArea("b", 7, 25)
 
@@ -71,7 +59,7 @@ func TestDedupeDepthIsTheCap(t *testing.T) {
 	for _, tc := range []struct{ capacity, depth int }{
 		{1, 1}, {2, 2}, {3, 2}, {8, 8}, {100, 64}, {0, defaultDedupeCap},
 	} {
-		d := newDedupe(time.Minute, tc.capacity, new(fakeClock).now)
+		d := newDedupe(time.Minute, tc.capacity, manualClock())
 		newest := uint64(3 * tc.depth)
 		for seq := uint64(1); seq <= newest; seq++ {
 			d.rememberInArea("s", seq, float64(seq))
@@ -95,8 +83,8 @@ func TestDedupeDepthIsTheCap(t *testing.T) {
 // slot a remember would overwrite is still inside the window, and never
 // past the cap.
 func TestDedupeRingGrowth(t *testing.T) {
-	clock := new(fakeClock)
-	d := newDedupe(10*time.Second, 4, clock.now)
+	clk := manualClock()
+	d := newDedupe(10*time.Second, 4, clk)
 	for _, step := range []struct {
 		after    time.Duration // since the previous step
 		seq      uint64
@@ -111,7 +99,7 @@ func TestDedupeRingGrowth(t *testing.T) {
 		{time.Second, 6, 4, "seq 2 is live, but the ring is at the cap: overwritten"},
 		{20 * time.Second, 7, 4, "nothing shrinks a ring"},
 	} {
-		clock.advance(step.after)
+		clk.Advance(step.after)
 		d.rememberInArea("s", step.seq, 1)
 		if got := d.ringLen("s"); got != step.wantRing {
 			t.Fatalf("after seq %d (%s): ring has %d slots, want %d", step.seq, step.why, got, step.wantRing)
@@ -132,7 +120,7 @@ func TestDedupeRingGrowth(t *testing.T) {
 // TestDedupeZeroSeqOptsOut pins that an unstamped request is neither
 // remembered nor found, and costs no window.
 func TestDedupeZeroSeqOptsOut(t *testing.T) {
-	d := newDedupe(time.Minute, 8, new(fakeClock).now)
+	d := newDedupe(time.Minute, 8, manualClock())
 	d.remember("s", 0, moved("s", 0))
 	d.rememberInArea("s", 0, 10)
 	if _, ok := d.lookup("s", 0); ok {
@@ -147,14 +135,14 @@ func TestDedupeZeroSeqOptsOut(t *testing.T) {
 // changes nothing, while the same seq is applied anew — and remembered anew
 // — once the first has left the window.
 func TestDedupeFirstApplicationWins(t *testing.T) {
-	clock := new(fakeClock)
-	d := newDedupe(10*time.Second, 8, clock.now)
+	clk := manualClock()
+	d := newDedupe(10*time.Second, 8, clk)
 	d.rememberInArea("s", 5, 10)
 	d.remember("s", 5, moved("s", 5))
 	if got, ok := d.lookup("s", 5); !ok || !same(got, msg.UpdateRes{OfferedAcc: 10}) {
 		t.Errorf("lookup = %+v, %v; want the first application's in-area reply", got, ok)
 	}
-	clock.advance(10 * time.Second)
+	clk.Advance(10 * time.Second)
 	if _, ok := d.lookup("s", 5); ok {
 		t.Error("seq 5 still remembered a full window later")
 	}
@@ -171,7 +159,7 @@ func TestDedupeUpdatePathAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	d := newDedupe(time.Minute, 64, time.Now)
+	d := newDedupe(time.Minute, 64, clock.Real{})
 	seq := uint64(0)
 	update := func() {
 		seq++
@@ -192,21 +180,21 @@ func TestDedupeUpdatePathAllocatesNothing(t *testing.T) {
 // sweep drops exactly the senders whose newest request has left the window,
 // and a new sender triggers one when no janitor tick has for a window.
 func TestDedupeSweepDropsSilentSenders(t *testing.T) {
-	clock := new(fakeClock)
-	d := newDedupe(10*time.Second, 8, clock.now)
+	clk := manualClock()
+	d := newDedupe(10*time.Second, 8, clk)
 	d.rememberInArea("old", 1, 1)
-	clock.advance(6 * time.Second)
+	clk.Advance(6 * time.Second)
 	d.rememberInArea("new", 1, 1)
 	d.rememberInArea("new", 2, 1)
 	if senders, remembered := d.sweep(); senders != 2 || remembered != 3 {
 		t.Fatalf("sweep = %d senders, %d replies; want 2, 3", senders, remembered)
 	}
-	clock.advance(6 * time.Second)
+	clk.Advance(6 * time.Second)
 	if senders, remembered := d.sweep(); senders != 1 || remembered != 2 {
 		t.Fatalf("sweep = %d senders, %d replies; want 1, 2 (old is 12 s silent)", senders, remembered)
 	}
 	// No further tick: the arrival of a sender not seen before sweeps.
-	clock.advance(10 * time.Second)
+	clk.Advance(10 * time.Second)
 	d.rememberInArea("newer", 1, 1)
 	if got := d.ringLen("new"); got != 0 {
 		t.Errorf("sender silent for a window survived the arrival of a new one (ring %d)", got)
@@ -227,8 +215,8 @@ func TestDedupeHammer(t *testing.T) {
 		goroutines = 8
 		seqs       = 400
 	)
-	clock := new(fakeClock)
-	d := newDedupe(50*time.Millisecond, 16, clock.now)
+	clk := manualClock()
+	d := newDedupe(50*time.Millisecond, 16, clk)
 	ids := make([]msg.NodeID, senders)
 	for i := range ids {
 		ids[i] = msg.NodeID(fmt.Sprintf("c%02d", i))
@@ -259,7 +247,7 @@ func TestDedupeHammer(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				clock.advance(time.Millisecond)
+				clk.Advance(time.Millisecond)
 				d.sweep()
 				runtime.Gosched()
 			}
@@ -309,20 +297,28 @@ func TestDedupeHammer(t *testing.T) {
 // needs: one slot when it reports once per dedupe window or less often.
 func BenchmarkDedupe(b *testing.B) {
 	b.Run("pipelined/senders=2", func(b *testing.B) {
-		benchDedupe(b, 2, 2*20000, time.Now, func(int64) {})
+		benchDedupe(b, 2, 2*20000, clock.Real{}, func(int64) {})
 	})
 	for _, every := range []time.Duration{10 * time.Second, defaultDedupeWindow} {
 		b.Run(fmt.Sprintf("devices/senders=4096/every=%s", every), func(b *testing.B) {
-			clock := new(fakeClock)
+			clk := manualClock()
+			var at atomic.Int64 // the round the clock stands at
 			// One round over the devices is one report interval.
-			benchDedupe(b, 4096, 8*4096, clock.now, func(round int64) { clock.advanceTo(time.Duration(round) * every) })
+			benchDedupe(b, 4096, 8*4096, clk, func(round int64) {
+				for r := at.Load(); round > r; r = at.Load() {
+					if at.CompareAndSwap(r, round) {
+						clk.Advance(time.Duration(round-r) * every)
+						return
+					}
+				}
+			})
 		})
 	}
 }
 
 // benchDedupe issues warm requests before the timer starts, so that every
 // sender is known and every ring at its depth, then b.N more.
-func benchDedupe(b *testing.B, senders, warm int, clock func() time.Time, atRound func(round int64)) {
+func benchDedupe(b *testing.B, senders, warm int, clk clock.Clock, atRound func(round int64)) {
 	ids := make([]msg.NodeID, senders)
 	for i := range ids {
 		ids[i] = msg.NodeID(fmt.Sprintf("c%04d", i))
@@ -330,7 +326,7 @@ func benchDedupe(b *testing.B, senders, warm int, clock func() time.Time, atRoun
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	d := newDedupe(0, 0, clock)
+	d := newDedupe(0, 0, clk)
 	// The senders' streams are dealt out op by op: op n is sender n mod
 	// senders sending its seq n/senders+1, whichever goroutine draws it.
 	var next atomic.Int64

@@ -3,8 +3,8 @@ package server
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/msg"
@@ -248,7 +248,7 @@ func (s *Server) installSubscription(sub msg.EventSubscribe) {
 			// SubID) starts above any sequence its previous incarnation
 			// could have reached, so a stale in-flight report from the
 			// old epoch cannot outrank fresh ones at the coordinator.
-			seq:        uint64(s.opts.Clock().UnixNano()),
+			seq:        uint64(s.clk.Now().UnixNano()),
 			members:    make(map[core.OID]bool),
 			firedPairs: make(map[pairKey]bool),
 		}
@@ -288,7 +288,7 @@ func (s *Server) ensureCoordinatorLocked(sub msg.EventSubscribe) {
 		sub:        sub,
 		perLeaf:    make(map[msg.NodeID]int),
 		perLeafSeq: make(map[msg.NodeID]uint64),
-		notifySeq:  uint64(s.opts.Clock().UnixNano()),
+		notifySeq:  uint64(s.clk.Now().UnixNano()),
 	}
 }
 
@@ -398,9 +398,8 @@ func (s *Server) enqueueDeltas(ds []store.Delta) {
 // one goroutine keeps the incremental state free of cross-evaluation races
 // by construction; backpressure is the bounded queue plus the
 // overflow→resync policy, never a blocked committer.
-func (s *Server) eventDispatcher() {
+func (s *Server) eventDispatcher(tick *clock.Ticker) {
 	defer s.wg.Done()
-	tick := time.NewTicker(s.opts.EventResyncInterval)
 	defer tick.Stop()
 	for {
 		select {

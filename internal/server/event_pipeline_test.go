@@ -235,24 +235,21 @@ func runEventScenario(t *testing.T) {
 	leaves := []string{"r.0", "r.1", "r.2", "r.3"}
 	for _, cs := range activeCounts {
 		cs := cs
-		deadline := time.Now().Add(5 * time.Second)
-		for {
+		settled := func() bool {
 			total, fired, ok := coord.EventCoordTotalForTest(cs.id)
-			if ok && total == expected[cs.id] && fired == (total >= cs.threshold) {
-				break
-			}
-			if time.Now().After(deadline) {
-				var perLeaf []string
-				for _, id := range leaves {
-					srv, _ := ls.dep.Server(msg.NodeID(id))
-					if n, lok := srv.EventLocalCountForTest(cs.id); lok {
-						perLeaf = append(perLeaf, fmt.Sprintf("%s=%d", id, n))
-					}
+			return ok && total == expected[cs.id] && fired == (total >= cs.threshold)
+		}
+		if !eventually(settled) {
+			total, fired, ok := coord.EventCoordTotalForTest(cs.id)
+			var perLeaf []string
+			for _, id := range leaves {
+				srv, _ := ls.dep.Server(msg.NodeID(id))
+				if n, lok := srv.EventLocalCountForTest(cs.id); lok {
+					perLeaf = append(perLeaf, fmt.Sprintf("%s=%d", id, n))
 				}
-				t.Fatalf("%s (area %v, threshold %d): coordinator total=%d fired=%v ok=%v, want %d; per-leaf %v",
-					cs.id, cs.area.Bounds(), cs.threshold, total, fired, ok, expected[cs.id], perLeaf)
 			}
-			time.Sleep(5 * time.Millisecond)
+			t.Fatalf("%s (area %v, threshold %d): coordinator total=%d fired=%v ok=%v, want %d; per-leaf %v",
+				cs.id, cs.area.Bounds(), cs.threshold, total, fired, ok, expected[cs.id], perLeaf)
 		}
 	}
 	for _, ms := range meets {
@@ -286,11 +283,12 @@ func TestEventExpiryParity(t *testing.T) {
 }
 
 func runEventExpiry(t *testing.T) {
-	ls := newTestLS(t, quadSpec(), server.Options{
-		SightingTTL:         150 * time.Millisecond,
+	const ttl = 150 * time.Millisecond
+	ls, clk := newManualLS(t, quadSpec(), server.Options{
+		SightingTTL:         ttl,
 		JanitorInterval:     30 * time.Millisecond,
 		EventResyncInterval: 200 * time.Millisecond,
-	})
+	}, transport.InprocOptions{})
 	sub := ls.newClientAt(t, "subscriber", geo.Pt(100, 100), client.Options{})
 	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
 
@@ -310,8 +308,9 @@ func runEventExpiry(t *testing.T) {
 		return len(ns) >= 1 && ns[len(ns)-1].Fired && ns[len(ns)-1].Total == 2
 	}, "threshold notification")
 
-	// No more updates: both records expire and the predicate must
-	// transition off.
+	// No more updates: both records expire on the janitor tick past their
+	// TTL, and the predicate must transition off.
+	clk.Advance(ttl + 30*time.Millisecond)
 	waitFor(t, func() bool {
 		ns := rec.snapshot()
 		return len(ns) >= 2 && !ns[len(ns)-1].Fired
@@ -565,6 +564,7 @@ func TestEventFanoutSoak(t *testing.T) {
 			} else {
 				_ = subscriber.Unsubscribe(id, area)
 			}
+			// Paces the churn against the writers: a soak in real time, not a timer test.
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -123,3 +123,7 @@ func (s *Server) SightingsForTest() *store.ShardedSightingDB { return s.sighting
 // JanitorTickForTest runs one round of the leaf's periodic maintenance; for
 // servers deployed without a JanitorInterval, so no janitor runs beside it.
 func (s *Server) JanitorTickForTest() { s.janitorTick() }
+
+// PathReassertIntervalForTest is the cadence at which a path message whose
+// retry budget is spent is sent again.
+const PathReassertIntervalForTest = pathReassertInterval

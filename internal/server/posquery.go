@@ -2,8 +2,8 @@ package server
 
 import (
 	"context"
-	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/msg"
 )
@@ -31,7 +31,7 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 	}
 
 	// Cache shortcut 1: position-descriptor cache.
-	if ld, ok := s.caches.posFor(req.OID, req.AccBound, s.opts.Clock()); ok {
+	if ld, ok := s.caches.posFor(req.OID, req.AccBound, s.clk.Now()); ok {
 		s.met.Counter("pos_query_cache_pos").Inc()
 		return msg.PosQueryRes{Found: true, LD: ld}, nil
 	}
@@ -73,6 +73,10 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 		s.met.Counter("wire_degraded_queries").Inc()
 		return msg.PosQueryRes{Found: false, Partial: true}, nil
 	}
+	// A stopped timer, not an unfired one left to run out: a query
+	// answered in time releases it at once.
+	expired, timer := clock.After(s.clk, s.opts.QueryTimeout)
+	defer timer.Stop()
 	select {
 	case m := <-ch:
 		res, ok := m.(msg.PosQueryRes)
@@ -91,7 +95,7 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 		s.met.Counter("pos_query_remote").Inc()
 		s.rememberResponse(req.OID, res)
 		return res, nil
-	case <-time.After(s.opts.QueryTimeout):
+	case <-expired:
 		s.met.Counter("pos_query_timeout").Inc()
 		// Distinguishable from a definitive miss: the query never got an
 		// answer, so the truth is unknown.
@@ -107,7 +111,7 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 func (s *Server) rememberResponse(oid core.OID, res msg.PosQueryRes) {
 	s.caches.observeAgent(oid, res.Agent)
 	s.observeLeafInfo(res.AgentInfo)
-	s.caches.observePos(oid, res.LD, res.MaxSpeed, s.opts.Clock())
+	s.caches.observePos(oid, res.LD, res.MaxSpeed, s.clk.Now())
 }
 
 // handlePosQueryDirect answers a cache-shortcut query at the agent.

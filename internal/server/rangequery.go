@@ -3,8 +3,8 @@ package server
 import (
 	"context"
 	"sync"
-	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/metrics"
@@ -168,8 +168,8 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 
 	// Collection loop (lines 10-13): receive partial results until live
 	// plus dark cover accounts for the whole area.
-	timeout := time.NewTimer(s.opts.QueryTimeout)
-	defer timeout.Stop()
+	expired, timer := clock.After(s.clk, s.opts.QueryTimeout)
+	defer timer.Stop()
 	var parts [][]core.Entry // remote partial results, joined once at the end
 	for covered+darkCover+coverEpsilon*expected < expected {
 		select {
@@ -188,7 +188,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			if sub.Hops > out.hops {
 				out.hops = sub.Hops
 			}
-		case <-timeout.C:
+		case <-expired:
 			s.met.Counter("range_query_timeout").Inc()
 			// Return what we have: partial answers beat none under
 			// UDP loss; the shortfall is visible to the caller.

@@ -184,10 +184,13 @@ func (s *Server) sendOrCount(to msg.NodeID, m msg.Message) {
 // call's resolution — the ack, or the sweeper's timeout — runs pathSend.acked
 // as a continuation, and a retry is a timer. A population registering at
 // once therefore costs one in-flight table entry per unacknowledged path
-// message, not a parked stack. A budget of one attempt is one tracked try
-// whose loss counts path_propagation_failed. Close abandons what is pending
-// through the server's context; once it has begun, a message gets one
-// best-effort send instead.
+// message, not a parked stack. A message that spends its budget (a budget
+// of one attempt is one tracked try) counts path_propagation_failed once
+// and is then re-sent every pathReassertInterval, each re-send counted in
+// path_reasserted, until one is acknowledged or the message goes stale
+// (pathCurrent): an ancestor the budget gave up on is repaired once the
+// link heals. Close abandons what is pending through the server's context;
+// once it has begun, a message gets one best-effort send instead.
 func (s *Server) forwardPath(to msg.NodeID, m msg.Message) {
 	if s.ctx.Err() != nil {
 		s.sendOrCount(to, m)
@@ -196,12 +199,23 @@ func (s *Server) forwardPath(to msg.NodeID, m msg.Message) {
 	(&pathSend{s: s, to: to, m: m}).try()
 }
 
+// pathReassertInterval is the cadence at which a path message whose retry
+// budget is spent is sent again until acknowledged. It is slow next to any
+// budget's backoffs, so a peer that stays dark costs one tracked try per
+// interval.
+const pathReassertInterval = 5 * time.Second
+
 // pathSend is one forwarding-path message on its way to its acknowledgement.
+// Its steps run one after another — a try, the call's continuation, a timer
+// — so its fields need no lock.
 type pathSend struct {
 	s     *Server
 	to    msg.NodeID
 	m     msg.Message
 	tries int
+	// spent is set once the retry budget is exhausted: from then on the
+	// message is re-sent every pathReassertInterval.
+	spent bool
 }
 
 // try sends the message as a call with the per-try deadline.
@@ -211,7 +225,7 @@ func (p *pathSend) try() {
 		return
 	}
 	p.tries++
-	ctx, cancel := context.WithTimeout(s.ctx, s.opts.PathRetry.PerTryTimeout)
+	ctx, cancel := s.clk.WithTimeout(s.ctx, s.opts.PathRetry.PerTryTimeout)
 	pc, err := s.node.CallAsync(ctx, p.to, p.m)
 	cancel() // tracker keeps its own deadline; cancel only ends the slot wait
 	if err != nil {
@@ -229,20 +243,57 @@ func (p *pathSend) acked(reply msg.Message) {
 	}
 }
 
-// failed schedules the next try after the policy's backoff, or gives the
-// message up: budget exhausted, an error no retry clears, or shutdown.
+// failed schedules the next try: after the policy's backoff while the
+// budget lasts and the error is one a retry clears, otherwise — the first
+// time counted as path_propagation_failed — after pathReassertInterval.
+// Shutdown ends it.
 func (p *pathSend) failed(err error) {
 	s := p.s
 	if s.ctx.Err() != nil {
 		return
 	}
 	pol := s.opts.PathRetry
-	if p.tries >= pol.MaxAttempts || !transport.Retryable(err) {
-		s.met.Counter("path_propagation_failed").Inc()
+	if !p.spent && p.tries < pol.MaxAttempts && transport.Retryable(err) {
+		transport.CountRetry(s.node)
+		s.clk.AfterFunc(pol.Backoff(p.tries), p.try)
 		return
 	}
-	transport.CountRetry(s.node)
-	time.AfterFunc(pol.Backoff(p.tries), p.try)
+	if !p.spent {
+		p.spent = true
+		s.met.Counter("path_propagation_failed").Inc()
+	}
+	s.clk.AfterFunc(pathReassertInterval, p.reassert)
+}
+
+// reassert re-sends a message whose budget is spent, unless it has gone
+// stale meanwhile.
+func (p *pathSend) reassert() {
+	s := p.s
+	if s.ctx.Err() != nil || !s.pathCurrent(p.m) {
+		return
+	}
+	s.met.Counter("path_reasserted").Inc()
+	p.try()
+}
+
+// pathCurrent reports whether a path message is still worth re-sending. A
+// CreatePath is while this server holds a record for its object: the
+// object is in this subtree, so the ancestors should point here, and one
+// holding a newer record refuses the message by PathT. Once the record is
+// gone it is not, since a removed record leaves no PathT for an ancestor to
+// refuse it by. A RemovePath always is: RemoveIf refuses it against any
+// newer record.
+func (s *Server) pathCurrent(m msg.Message) bool {
+	cp, ok := m.(msg.CreatePath)
+	if !ok {
+		return true
+	}
+	if s.sightings != nil {
+		_, ok = s.sightings.Registration(cp.OID)
+	} else {
+		_, ok = s.visitors.Get(cp.OID)
+	}
+	return ok
 }
 
 // beginBackground reserves a slot in s.wg for work that must finish before
@@ -269,7 +320,7 @@ func (s *Server) beginBackground() bool {
 // destination is unreachable right now, which degraded queries translate
 // into dark-cover accounting instead of waiting out a timeout.
 func (s *Server) forward(to msg.NodeID, m msg.Message) error {
-	ctx, cancel := context.WithTimeout(context.Background(), s.opts.CallTimeout)
+	ctx, cancel := s.clk.WithTimeout(context.Background(), s.opts.CallTimeout)
 	defer cancel() // tracker keeps its own deadline; cancel only ends the slot wait
 	if _, err := s.node.CallAsync(ctx, to, m); err != nil {
 		s.met.Counter("send_errors").Inc()

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/msg"
@@ -318,10 +318,7 @@ func (r *replState) stopping() bool { return r.s.ctx.Err() != nil }
 
 // pause sleeps one send-idle period or until shutdown.
 func (r *replState) pause() {
-	select {
-	case <-r.s.ctx.Done():
-	case <-time.After(replSendIdle):
-	}
+	clock.Sleep(r.s.ctx, r.s.clk, replSendIdle)
 }
 
 // startSync captures a snapshot of st's shard. The store enqueues a WAL
@@ -735,15 +732,14 @@ func (r *replState) updateGauges() {
 // Probes ride the same transport as everything else, so an open breaker
 // (ErrBreakerOpen) counts as a failed probe without waiting out a
 // timeout; ReplFailThreshold consecutive failures trigger the takeover.
-func (s *Server) replMonitor() {
+func (s *Server) replMonitor(ticker *clock.Ticker) {
 	defer s.wg.Done()
+	defer ticker.Stop()
 	pairs := make(map[string]string, len(s.opts.Replicas))
 	for p, b := range s.opts.Replicas {
 		pairs[p] = b
 	}
 	fails := make(map[string]int, len(pairs))
-	ticker := time.NewTicker(s.opts.ReplHealthInterval)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-s.ctx.Done():
@@ -755,7 +751,7 @@ func (s *Server) replMonitor() {
 			// exchange: a lossy link must not read as a dead primary,
 			// or the monitor promotes standbys for every loss burst.
 			// An open breaker still fails the whole probe instantly.
-			ctx, cancel := context.WithTimeout(s.ctx, s.opts.ReplHealthInterval)
+			ctx, cancel := s.clk.WithTimeout(s.ctx, s.opts.ReplHealthInterval)
 			_, err := transport.CallWithRetry(ctx, s.node,
 				func() msg.NodeID { return msg.NodeID(primary) }, msg.DiagReq{},
 				transport.RetryPolicy{

@@ -57,6 +57,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 		if cond() {
 			return
 		}
+		// Polls: replication signals nothing a test could wait on.
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
@@ -314,12 +315,12 @@ func TestReplCloseUnderLoad(t *testing.T) {
 			}
 		}(w)
 	}
-	// Let flushes, run shipping and the streams churn before pulling the
-	// plug with the writers still running.
+	// Let flushes, run shipping and the streams churn — until the standby
+	// has installed a shipped run — before pulling the plug with the
+	// writers still running.
 	waitUntil(t, "replication churn before close", func() bool {
-		return b.sightings.Len() > 0
+		return b.sightings.Len() > 0 && b.repl.runsInstalled.Load() > 0
 	})
-	time.Sleep(100 * time.Millisecond)
 
 	closed := make(chan struct{})
 	go func() {

@@ -58,6 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/metrics"
@@ -130,8 +131,6 @@ type Options struct {
 	// Metrics receives the server's counters; a private registry is
 	// created when nil.
 	Metrics *metrics.Registry
-	// Clock injects a time source for tests.
-	Clock func() time.Time
 	// DedupeWindow bounds how long a leaf remembers replies to Seq-stamped
 	// requests (UpdateReq, RegisterReq) so a client retry is applied
 	// exactly once. Zero uses a 30s default; the window only needs to
@@ -218,9 +217,6 @@ func (o Options) withDefaults() Options {
 			o.JanitorInterval = 5 * time.Second
 		}
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
 	if o.PathRetry.MaxAttempts == 0 {
 		o.PathRetry = transport.RetryPolicy{
 			MaxAttempts: 4,
@@ -258,6 +254,9 @@ type Server struct {
 	rootArea core.Area
 	opts     Options
 	node     transport.Node
+	// clk is the network's clock (transport.ClockOf): the server's
+	// timestamps, timers and tickers all read it.
+	clk clock.Clock
 
 	// sightings is the main-memory sighting database (Section 5), of
 	// Options.Shards shards, and holds the leaf's registrations; nil on
@@ -363,6 +362,7 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		cfg:      cfg,
 		rootArea: rootArea,
 		opts:     opts,
+		clk:      transport.ClockOf(network),
 		caches:   newLeafCaches(opts),
 		pend:     newPending(),
 		met:      opts.Metrics,
@@ -391,12 +391,14 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		return nil, fmt.Errorf("server %s: attaching to network: %w", cfg.ID, err)
 	}
 	s.node = node
+	// The loops' tickers are armed here, not in the goroutines, so they run
+	// on the clock from New's return on.
 	if cfg.IsLeaf() {
 		s.wg.Add(1)
-		go s.eventDispatcher()
+		go s.eventDispatcher(s.clk.NewTicker(opts.EventResyncInterval))
 		if opts.JanitorInterval > 0 {
 			s.wg.Add(1)
-			go s.janitor()
+			go s.janitor(s.clk.NewTicker(opts.JanitorInterval))
 		}
 	}
 	if s.repl != nil {
@@ -407,7 +409,7 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 	}
 	if !cfg.IsLeaf() && len(opts.Replicas) > 0 {
 		s.wg.Add(1)
-		go s.replMonitor()
+		go s.replMonitor(s.clk.NewTicker(opts.ReplHealthInterval))
 	}
 	return s, nil
 }
@@ -431,7 +433,7 @@ func (s *Server) openLeafStore() error {
 	}
 	sopts := []store.SightingDBOption{
 		store.WithTTL(opts.SightingTTL),
-		store.WithClock(opts.Clock),
+		store.WithClock(s.clk.Now),
 		store.WithShards(shards),
 	}
 	if opts.WAL != nil {
@@ -450,7 +452,7 @@ func (s *Server) openLeafStore() error {
 	// Feed committed update deltas straight into the event dispatcher;
 	// the enqueue never blocks the committing lane.
 	s.pipe = store.NewUpdatePipeline(s.sightings, store.OnCommit(s.enqueueDeltas))
-	s.dedupe = newDedupe(opts.DedupeWindow, opts.DedupeCap, opts.Clock)
+	s.dedupe = newDedupe(opts.DedupeWindow, opts.DedupeCap, s.clk)
 	if opts.ReplPeer != "" {
 		r := newReplState(s, msg.NodeID(opts.ReplPeer), s.sightings, opts.ReplStandby)
 		s.repl = r
@@ -647,7 +649,7 @@ func (s *Server) handle(ctx context.Context, from msg.NodeID, m msg.Message) (ms
 
 // callCtx returns a context bounded by the hop-by-hop call timeout.
 func (s *Server) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(ctx, s.opts.CallTimeout)
+	return s.clk.WithTimeout(ctx, s.opts.CallTimeout)
 }
 
 // inArea reports whether p lies in this server's service area.
@@ -661,9 +663,8 @@ func (s *Server) parent() msg.NodeID { return msg.NodeID(s.cfg.Parent) }
 // janitor periodically deregisters visitors whose soft state expired
 // (Section 5): their records are removed locally and the forwarding path is
 // torn down bottom-up.
-func (s *Server) janitor() {
+func (s *Server) janitor(ticker *clock.Ticker) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.JanitorInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -736,7 +737,7 @@ func (s *Server) removePath(id core.OID, sightT time.Time) {
 	if s.parent() == "" {
 		return
 	}
-	lastT := s.opts.Clock()
+	lastT := s.clk.Now()
 	if sightT.After(lastT) {
 		lastT = sightT
 	}

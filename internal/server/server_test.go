@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"locsvc/internal/client"
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
@@ -44,6 +45,32 @@ func NewTestNet() *transport.Inproc {
 	return transport.NewInproc(transport.InprocOptions{})
 }
 
+// newManualLS is newTestLS on a network whose clock the test holds: no
+// timeout, backoff, cooldown, janitor tick or resync happens in the
+// deployment until the test advances the clock. netOpts configures the
+// network; its Clock is set here. The clock starts at the wall clock's
+// reading, so sightings stamped with time.Now are current.
+func newManualLS(t *testing.T, spec hierarchy.Spec, opts server.Options, netOpts transport.InprocOptions) (*testLS, *clock.Manual) {
+	t.Helper()
+	clk := clock.NewManual(time.Now())
+	netOpts.Clock = clk
+	net := transport.NewInproc(netOpts)
+	dep, err := hierarchy.Deploy(net, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		dep.Close()
+		net.Close()
+	})
+	return &testLS{net: net, dep: dep}, clk
+}
+
+// quadLeafTickers is how many tickers a quadSpec deployment keeps armed
+// without a janitor: each leaf's event-resync ticker. A node's call sweeper
+// adds one from its first call with a deadline on.
+const quadLeafTickers = 4
+
 func quadSpec() hierarchy.Spec {
 	return hierarchy.Spec{
 		RootArea: geo.R(0, 0, 1500, 1500),
@@ -71,10 +98,18 @@ func sightingAt(id string, p geo.Point) core.Sighting {
 	return core.Sighting{OID: core.OID(id), T: time.Now(), Pos: p, SensAcc: 5}
 }
 
+// ctx returns the context a test's operations run under. Ten seconds of
+// wall time cancel it, a guard against a hang, but it carries no deadline:
+// on a manual clock a deadline would be read on the clock's time line,
+// which a test may advance past it.
 func ctx(t *testing.T) context.Context {
 	t.Helper()
-	c, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	t.Cleanup(cancel)
+	c, cancel := context.WithCancel(context.Background())
+	guard := time.AfterFunc(10*time.Second, cancel)
+	t.Cleanup(func() {
+		guard.Stop()
+		cancel()
+	})
 	return c
 }
 
@@ -576,16 +611,29 @@ func TestChangeAcc(t *testing.T) {
 	}
 }
 
+// TestSoftStateExpiry: an object that sends no updates is deregistered
+// everywhere by the janitor tick that follows its TTL, and not before.
 func TestSoftStateExpiry(t *testing.T) {
-	ls := newTestLS(t, quadSpec(), server.Options{
-		SightingTTL:     200 * time.Millisecond,
+	const ttl = 200 * time.Millisecond
+	ls, clk := newManualLS(t, quadSpec(), server.Options{
+		SightingTTL:     ttl,
 		JanitorInterval: 50 * time.Millisecond,
-	})
+	}, transport.InprocOptions{})
 	c := ls.newClientAt(t, "client", geo.Pt(100, 100), client.Options{})
 	if _, err := c.Register(ctx(t), sightingAt("o1", geo.Pt(100, 100)), 10, 50, 3); err != nil {
 		t.Fatal(err)
 	}
-	// Without updates, the object must be deregistered everywhere.
+	root, _ := ls.dep.Server("r")
+	leaf, _ := ls.dep.Server("r.0")
+	waitFor(t, func() bool { return root.VisitorCount() == 1 }, "the forwarding path")
+
+	// The TTL reached but not passed: the tick finds the object alive.
+	clk.Advance(ttl)
+	if leaf.VisitorCount() != 1 || leaf.Metrics().Counter("soft_state_expired").Value() != 0 {
+		t.Fatal("object expired at its TTL, not after it")
+	}
+	// Past it, without updates, the object must be deregistered everywhere.
+	clk.Advance(50 * time.Millisecond)
 	waitFor(t, func() bool {
 		for _, srv := range ls.dep.Servers {
 			if srv.VisitorCount() != 0 {
@@ -596,25 +644,31 @@ func TestSoftStateExpiry(t *testing.T) {
 	}, "soft state expired")
 }
 
+// TestSoftStateKeptAliveByUpdates: updates more frequent than the TTL keep
+// an object registered across many janitor ticks and several TTLs.
 func TestSoftStateKeptAliveByUpdates(t *testing.T) {
-	ls := newTestLS(t, quadSpec(), server.Options{
-		SightingTTL:     300 * time.Millisecond,
+	const ttl = 300 * time.Millisecond
+	ls, clk := newManualLS(t, quadSpec(), server.Options{
+		SightingTTL:     ttl,
 		JanitorInterval: 50 * time.Millisecond,
-	})
+	}, transport.InprocOptions{})
 	c := ls.newClientAt(t, "client", geo.Pt(100, 100), client.Options{})
 	obj, err := c.Register(ctx(t), sightingAt("o1", geo.Pt(100, 100)), 10, 50, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(900 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	for i := 0; i < 9; i++ {
 		if err := obj.Update(ctx(t), sightingAt("o1", geo.Pt(100, 100))); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Millisecond)
+		clk.Advance(ttl / 3)
 	}
 	if _, err := c.PosQuery(ctx(t), "o1"); err != nil {
 		t.Errorf("object expired despite updates: %v", err)
+	}
+	leaf, _ := ls.dep.Server("r.0")
+	if got := leaf.Metrics().Counter("soft_state_expired").Value(); got != 0 {
+		t.Errorf("soft_state_expired = %d with an update every TTL/3", got)
 	}
 }
 
@@ -662,77 +716,140 @@ func TestUpdateUnknownObjectRejected(t *testing.T) {
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
+	if !eventually(cond) {
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// eventually polls cond until it holds or five seconds of wall time pass,
+// and reports whether it held. It waits for asynchronous work — messages
+// climbing the tree, a dispatcher catching up — that signals nothing a
+// test could wait on; the polling interval is this package's one sleep.
+func eventually(cond func() bool) bool {
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	return true
 }
 
 // TestPathMessageResentUntilAcked loses a leaf's CreatePath on its way to
 // the root: no goroutine waits for the acknowledgement, so the swept
-// timeout itself has to start the re-send, and an exhausted budget has to
-// be counted, leaving no in-flight entry behind. A budget of one attempt
-// is one tracked try on the same path, so its single loss is counted too.
+// timeout itself has to start the re-send, on the network's clock. A
+// message that spends its budget is counted once, leaves no in-flight
+// entry behind, and is re-asserted every PathReassertIntervalForTest until
+// the healed link delivers it. A budget of one attempt is one tracked try
+// on the same path, so its single loss is counted too.
 func TestPathMessageResentUntilAcked(t *testing.T) {
+	const (
+		perTry     = 10 * time.Millisecond
+		sweep      = 2 * time.Millisecond
+		maxBackoff = 2 * time.Millisecond
+		// The leaf tickers plus r.0's sweeper, which its first try arms.
+		idle = quadLeafTickers + 1
+	)
 	for _, attempts := range []int{3, 1} {
 		t.Run(fmt.Sprintf("attempts=%d", attempts), func(t *testing.T) {
-			var lose atomic.Int64 // CreatePaths to the root still to be lost
-			net := transport.NewInproc(transport.InprocOptions{
-				SweepInterval: 2 * time.Millisecond,
-				FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
-					if _, ok := env.Msg.(msg.CreatePath); ok && to == "r" && lose.Add(-1) >= 0 {
-						return transport.Fault{Drop: true}
-					}
-					return transport.Fault{}
-				},
-			})
-			dep, err := hierarchy.Deploy(net, quadSpec(), server.Options{
+			var lose atomic.Int64      // CreatePaths to the root still to be lost
+			sent := make(chan bool, 8) // per CreatePath to the root: was it lost
+			ls, clk := newManualLS(t, quadSpec(), server.Options{
 				PathRetry: transport.RetryPolicy{
 					MaxAttempts:   attempts,
 					BaseBackoff:   time.Millisecond,
-					MaxBackoff:    2 * time.Millisecond,
-					PerTryTimeout: 10 * time.Millisecond,
+					MaxBackoff:    maxBackoff,
+					PerTryTimeout: perTry,
+				},
+			}, transport.InprocOptions{
+				SweepInterval: sweep,
+				FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
+					if _, ok := env.Msg.(msg.CreatePath); !ok || to != "r" {
+						return transport.Fault{}
+					}
+					lost := lose.Add(-1) >= 0
+					sent <- lost
+					return transport.Fault{Drop: lost}
 				},
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				dep.Close()
-				net.Close()
-			})
-			ls := &testLS{net: net, dep: dep}
-			root, _ := dep.Server("r")
-			leaf, _ := dep.Server("r.0")
+			root, _ := ls.dep.Server("r")
+			leaf, _ := ls.dep.Server("r.0")
 			owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
 			failed := leaf.Metrics().Counter("path_propagation_failed")
+			reasserted := leaf.Metrics().Counter("path_reasserted")
+
+			// loseTries sees n tries of one message lost. Each is swept on
+			// the Advance past its deadline; the timer the sweep arms — the
+			// backoff, or the re-assertion once the budget is spent — is
+			// awaited, and a backoff is advanced past to send the next try.
+			loseTries := func(n int) {
+				t.Helper()
+				for i := 1; i <= n; i++ {
+					if !<-sent {
+						t.Fatalf("try %d delivered, want it lost", i)
+					}
+					clk.Advance(perTry + sweep)
+					clk.BlockUntil(idle + 1)
+					if i < attempts {
+						clk.Advance(maxBackoff)
+					}
+				}
+			}
 
 			// All attempts but the last lost: the last arrives.
 			lose.Store(int64(attempts - 1))
 			if _, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(100, 100)), 10, 50, 3); err != nil {
 				t.Fatal(err)
 			}
+			loseTries(attempts - 1)
+			if <-sent {
+				t.Fatal("the last try was lost, want it delivered")
+			}
 			waitFor(t, func() bool { return root.VisitorCount() == 1 }, "the last CreatePath to reach the root")
+			// Acknowledged before the clock moves on: an ack still on its
+			// way would be swept by the next Advance and spend o1's budget.
+			waitFor(t, func() bool { return leaf.PendingCalls() == 0 }, "the last try's acknowledgement")
 			if got := failed.Value(); got != 0 {
 				t.Errorf("path_propagation_failed = %d after a delivered path", got)
 			}
 
-			// Every attempt lost: the message is given up, and counted once.
+			// Every attempt lost: the message is given up, counted once,
+			// and nothing stays in flight while the re-assertion waits.
 			lose.Store(int64(attempts))
 			if _, err := owner.Register(ctx(t), sightingAt("o2", geo.Pt(120, 100)), 10, 50, 3); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, func() bool { return failed.Value() == 1 }, "the exhausted budget to be counted")
-			waitFor(t, func() bool { return leaf.PendingCalls() == 0 }, "the leaf's in-flight table to empty")
+			loseTries(attempts)
 			if got := failed.Value(); got != 1 {
 				t.Errorf("path_propagation_failed = %d, want 1", got)
 			}
+			if got := leaf.PendingCalls(); got != 0 {
+				t.Errorf("%d in-flight entries while the re-assertion waits", got)
+			}
 			if got := root.VisitorCount(); got != 1 {
 				t.Errorf("root holds %d paths, want only o1's", got)
+			}
+
+			// The link heals. Nothing is re-sent a nanosecond short of the
+			// cadence; at the cadence the re-sent message is delivered.
+			clk.Advance(server.PathReassertIntervalForTest - time.Nanosecond)
+			if got := reasserted.Value(); got != 0 {
+				t.Fatalf("path_reasserted = %d before the cadence", got)
+			}
+			clk.Advance(time.Nanosecond)
+			if got := reasserted.Value(); got != 1 {
+				t.Fatalf("path_reasserted = %d at the cadence, want 1", got)
+			}
+			if <-sent {
+				t.Fatal("the re-sent CreatePath was lost, want it delivered")
+			}
+			waitFor(t, func() bool { return root.VisitorCount() == 2 }, "the re-sent CreatePath to reach the root")
+			waitFor(t, func() bool { return leaf.PendingCalls() == 0 }, "the re-send's acknowledgement")
+			// Acknowledged: no further re-send, and still one failure.
+			clk.Advance(server.PathReassertIntervalForTest)
+			if got, fails := reasserted.Value(), failed.Value(); got != 1 || fails != 1 {
+				t.Errorf("after the acknowledgement path_reasserted = %d, path_propagation_failed = %d; want 1, 1", got, fails)
 			}
 		})
 	}

@@ -147,10 +147,7 @@ func TestSystemStress(t *testing.T) {
 	}
 
 	// Let asynchronous path maintenance settle, then check invariants.
-	deadline := time.Now().Add(5 * time.Second)
-	for ls.dep.RootVisitorCount() != numObjects && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	eventually(func() bool { return ls.dep.RootVisitorCount() == numObjects })
 	if got := ls.dep.RootVisitorCount(); got != numObjects {
 		t.Errorf("root paths unstable: %d/%d", got, numObjects)
 		root, _ := ls.dep.Server(ls.dep.Root())

@@ -6,7 +6,9 @@
 //
 // The paper's three load-generator machines become worker goroutines; its
 // 100 Mbit LAN becomes the in-process transport, optionally with a per-hop
-// latency model so that local/remote asymmetries stay visible.
+// latency model so that local/remote asymmetries stay visible. It measures
+// throughput and latency in wall time, so it reads the wall clock and runs
+// its deployments on clock.Real.
 package sim
 
 import (

@@ -44,6 +44,7 @@ func TestWorldRegistersObjects(t *testing.T) {
 	root, _ := w.Dep.Server("r")
 	waitRoot := time.Now().Add(5 * time.Second)
 	for root.VisitorCount() != 200 && time.Now().Before(waitRoot) {
+		// Polls: the simulator runs on the wall clock, and paths climb asynchronously.
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got := root.VisitorCount(); got != 200 {

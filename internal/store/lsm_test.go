@@ -1468,6 +1468,7 @@ func TestTieredSoak(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				// Paces maintenance against the writers: a soak in real time, not a timer test.
 				time.Sleep(time.Millisecond)
 			}
 		}

@@ -75,6 +75,7 @@ func TestPipelineGroupCommit(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("only %d/%d followers queued", n, followers)
 		}
+		// Polls: followers queue on goroutines that signal nothing.
 		time.Sleep(time.Millisecond)
 	}
 

@@ -19,14 +19,9 @@ import (
 // waitCounter polls a counter until it reaches want or the deadline passes.
 func waitCounter(t *testing.T, c *metrics.Counter, want int64, what string) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.Value() >= want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !eventually(2*time.Second, func() bool { return c.Value() >= want }) {
+		t.Fatalf("%s = %d, want ≥ %d", what, c.Value(), want)
 	}
-	t.Fatalf("%s = %d, want ≥ %d", what, c.Value(), want)
 }
 
 // TestUDPBatchingCoalesces drives a burst of one-way sends through a

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
 )
@@ -51,6 +52,8 @@ func (s PeerState) gaugeValue() int64 { return int64(s) }
 // breakerConfig tunes a node's per-peer health tracking. A zero threshold
 // disables breakers entirely (no map, no overhead on the call path).
 type breakerConfig struct {
+	// clk times the cooldown.
+	clk clock.Clock
 	// threshold is the consecutive-failure count that opens a breaker.
 	threshold int
 	// cooldown is how long an open breaker refuses calls before allowing
@@ -117,7 +120,7 @@ func (h *health) allow(to msg.NodeID) error {
 	case PeerClosed:
 		return nil
 	case PeerOpen:
-		if time.Since(p.openedAt) >= h.cfg.cooldown {
+		if h.cfg.clk.Now().Sub(p.openedAt) >= h.cfg.cooldown {
 			p.state = PeerHalfOpen
 			h.gauge(to, p.state)
 			return nil // this caller is the probe
@@ -164,7 +167,7 @@ func (h *health) failure(to msg.NodeID) {
 	p.fails++
 	if p.state == PeerHalfOpen || (p.state == PeerClosed && p.fails >= h.cfg.threshold) {
 		p.state = PeerOpen
-		p.openedAt = time.Now()
+		p.openedAt = h.cfg.clk.Now()
 		h.gauge(to, p.state)
 	}
 	h.mu.Unlock()
@@ -181,7 +184,7 @@ func (h *health) abortProbe(to msg.NodeID) {
 	h.mu.Lock()
 	if p := h.peers[to]; p != nil && p.state == PeerHalfOpen {
 		p.state = PeerOpen
-		p.openedAt = time.Now()
+		p.openedAt = h.cfg.clk.Now()
 		h.gauge(to, p.state)
 	}
 	h.mu.Unlock()

@@ -241,11 +241,8 @@ func TestBatcherClose(t *testing.T) {
 	// goroutines this test did not start (an earlier test's
 	// time.AfterFunc firing, say), so it is polled until it settles; a
 	// goroutine this network leaked never leaves.
-	after := runtime.NumGoroutine()
-	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after > before {
+	eventually(5*time.Second, func() bool { return runtime.NumGoroutine() <= before })
+	if after := runtime.NumGoroutine(); after > before {
 		stacks := make([]byte, 1<<20)
 		t.Errorf("%d goroutines after Close, %d before the network existed; all goroutines:\n%s", after, before, stacks[:runtime.Stack(stacks, true)])
 	}

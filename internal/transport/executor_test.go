@@ -18,12 +18,8 @@ import (
 // returned, which is after the caller saw the reply.
 func waitParkedAtMost(t *testing.T, limit int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for handlers.parkedWorkers() > limit {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d workers parked, want at most %d", handlers.parkedWorkers(), limit)
-		}
-		time.Sleep(time.Millisecond)
+	if !eventually(2*time.Second, func() bool { return handlers.parkedWorkers() <= limit }) {
+		t.Fatalf("%d workers parked, want at most %d", handlers.parkedWorkers(), limit)
 	}
 }
 
@@ -99,6 +95,7 @@ func TestExecutorBurstRetiresSurplusAndCloseDrains(t *testing.T) {
 				if _, slow := m.(msg.DiagReq); slow {
 					close(started)
 					<-release
+					// A slow handler: Close must wait for it to return.
 					time.Sleep(20 * time.Millisecond)
 					finished.Store(true)
 					return nil, nil
@@ -142,6 +139,7 @@ func TestExecutorBurstRetiresSurplusAndCloseDrains(t *testing.T) {
 			}
 			<-started
 			go func() {
+				// Releases the slow handler only once Close is waiting on it.
 				time.Sleep(50 * time.Millisecond)
 				close(release)
 			}()

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
+	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
 )
 
@@ -22,28 +24,44 @@ func valueEchoHandler(_ context.Context, _ msg.NodeID, m msg.Message) (msg.Messa
 	return msg.ChangeAccRes{OK: true, OfferedAcc: req.DesAcc}, nil
 }
 
+// eventually polls cond until it holds or within passes, and reports
+// whether it held. It waits for what a test cannot be signalled about: a
+// socket's read loop or a worker finishing after the caller already has
+// its answer. The polling interval is this package's one sleep.
+func eventually(within time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(within)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 // waitQuiesced polls until the node's in-flight table is empty, failing
-// the test after two seconds — the leak check every fault test ends with.
+// the test after two seconds — the leak check of the tests whose last
+// resolution may still be on its way.
 func waitQuiesced(t *testing.T, nd Node) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if nd.PendingCalls() == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !eventually(2*time.Second, func() bool { return nd.PendingCalls() == 0 }) {
+		t.Fatalf("in-flight table not empty at quiesce: %d entries leaked", nd.PendingCalls())
 	}
-	t.Fatalf("in-flight table not empty at quiesce: %d entries leaked", nd.PendingCalls())
 }
 
 // TestLateReplyAfterTimeoutDropped pins the tracker's central safety
 // property: a reply that arrives after its call timed out is dropped, not
 // crossed onto the next call. The fault plan delays the first call's reply
-// past the deadline; the second call must receive its own echoed value.
+// past the deadline; the second call must receive its own echoed value, and
+// the late reply, released by advancing the clock, is counted and dropped.
 func TestLateReplyAfterTimeoutDropped(t *testing.T) {
 	var delayed atomic.Bool
+	clk := clock.NewManual(time.Unix(1000, 0))
+	reg := metrics.NewRegistry()
 	net := NewInproc(InprocOptions{
 		SweepInterval: 5 * time.Millisecond,
+		Clock:         clk,
+		Metrics:       reg,
 		FaultPlan: func(_, _ msg.NodeID, env msg.Envelope) Fault {
 			if env.Reply && env.CorrID == 1 && delayed.CompareAndSwap(false, true) {
 				return Fault{Delay: 150 * time.Millisecond}
@@ -60,22 +78,24 @@ func TestLateReplyAfterTimeoutDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx1, cancel1 := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	ctx1, cancel1 := clk.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel1()
-	_, err = cli.Call(ctx1, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 111})
-	if err == nil {
+	p, err := cli.CallAsync(ctx1, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 111})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.BlockUntil(3) // the sweeper, ctx1's deadline and the held reply
+	clk.Advance(30 * time.Millisecond)
+	if _, err = p.Wait(ctx1); err == nil {
 		t.Fatal("delayed-reply call succeeded, want timeout")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout error = %v, want DeadlineExceeded in chain", err)
 	}
 
-	// The late reply (CorrID 1) is still in flight. The next call must
-	// get its own reply, id-exact, even though the late one arrives in
-	// the same window.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)
-	defer cancel2()
-	resp, err := cli.Call(ctx2, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 222})
+	// The late reply (CorrID 1) is still held. The next call must get its
+	// own reply, id-exact.
+	resp, err := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 222})
 	if err != nil {
 		t.Fatalf("second call: %v", err)
 	}
@@ -84,17 +104,23 @@ func TestLateReplyAfterTimeoutDropped(t *testing.T) {
 		t.Fatalf("second call got %#v, want its own echo 222 (late reply crossed?)", resp)
 	}
 
-	// Let the late reply land; it must be dropped without a trace in the
-	// in-flight table.
-	time.Sleep(200 * time.Millisecond)
-	waitQuiesced(t, cli)
+	// Release the late reply: it lands within the Advance, and must be
+	// dropped without a trace in the in-flight table.
+	clk.Advance(120 * time.Millisecond)
+	if got := reg.Counter("wire_late_replies").Value(); got != 1 {
+		t.Fatalf("wire_late_replies = %d, want 1", got)
+	}
+	assertQuiesced(t, cli)
 }
 
 // TestDuplicateRepliesResolveOnce pins exactly-once resolution: a
-// duplicated reply resolves its call a single time, and the extra copy is
-// dropped as late rather than resolving a neighbor.
+// duplicated reply resolves its call a single time, and the extra copies
+// are dropped as late rather than resolving a neighbor. Close drains the
+// deliveries, so every copy has landed when it returns.
 func TestDuplicateRepliesResolveOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
 	net := NewInproc(InprocOptions{
+		Metrics: reg,
 		FaultPlan: func(_, _ msg.NodeID, env msg.Envelope) Fault {
 			if env.Reply {
 				return Fault{Duplicate: 2} // every reply arrives three times
@@ -110,10 +136,9 @@ func TestDuplicateRepliesResolveOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 16; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		resp, err := cli.Call(ctx, "srv", msg.ChangeAccReq{OID: "o", DesAcc: float64(i)})
-		cancel()
+	const calls = 16
+	for i := 1; i <= calls; i++ {
+		resp, err := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: float64(i)})
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -121,16 +146,22 @@ func TestDuplicateRepliesResolveOnce(t *testing.T) {
 			t.Fatalf("call %d resolved with %#v (duplicate crossed?)", i, resp)
 		}
 	}
-	time.Sleep(50 * time.Millisecond) // let duplicate copies land
-	waitQuiesced(t, cli)
+	net.Close()
+	if got := reg.Counter("wire_late_replies").Value(); got != 2*calls {
+		t.Fatalf("wire_late_replies = %d, want %d (two extra copies per call)", got, 2*calls)
+	}
+	assertQuiesced(t, cli)
 }
 
 // TestOutOfOrderCorrelationIDExact issues a fan of concurrent requests
-// whose replies are forced to arrive in reverse order: every pending call
-// must still resolve with exactly its own echoed value.
+// whose replies are held for decreasing delays, so they are released in
+// the reverse of request order: every pending call must still resolve
+// with exactly its own echoed value.
 func TestOutOfOrderCorrelationIDExact(t *testing.T) {
 	const fan = 8
+	clk := clock.NewManual(time.Unix(1000, 0))
 	net := NewInproc(InprocOptions{
+		Clock: clk,
 		FaultPlan: func(_, _ msg.NodeID, env msg.Envelope) Fault {
 			if env.Reply {
 				// Higher CorrIDs get shorter delays: reply order is the
@@ -149,8 +180,7 @@ func TestOutOfOrderCorrelationIDExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
+	ctx := context.Background()
 	pending := make([]*PendingCall, 0, fan)
 	for i := 1; i <= fan; i++ {
 		p, err := cli.CallAsync(ctx, "srv", msg.ChangeAccReq{OID: "o", DesAcc: float64(i)})
@@ -162,6 +192,8 @@ func TestOutOfOrderCorrelationIDExact(t *testing.T) {
 		}
 		pending = append(pending, p)
 	}
+	clk.BlockUntil(fan - 1) // every reply held but the last call's
+	clk.Advance(fan * 10 * time.Millisecond)
 	for i, p := range pending {
 		resp, err := p.Wait(ctx)
 		if err != nil {
@@ -172,7 +204,7 @@ func TestOutOfOrderCorrelationIDExact(t *testing.T) {
 			t.Fatalf("call %d resolved with %#v, want echo %d", i+1, resp, i+1)
 		}
 	}
-	waitQuiesced(t, cli)
+	assertQuiesced(t, cli)
 }
 
 // TestSweeperResolvesAsTimeoutFrame pins the timeout-as-error-frame

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
 )
@@ -81,6 +82,13 @@ type InprocOptions struct {
 	// wire_late_replies, wire_breaker_open and peer_state series (shared by
 	// every node of this network).
 	Metrics *metrics.Registry
+	// Clock is the network's one time source: call deadlines, the sweeper,
+	// breaker cooldowns, retry backoffs, Latency, fault delays and the
+	// reorder hold-back run on it, and so does everything a server or
+	// client attached to the network times or stamps. A test passes a
+	// *clock.Manual and advances the whole deployment from its handle. Nil
+	// is clock.Real.
+	Clock clock.Clock
 }
 
 // pairKey identifies one directed (sender, receiver) link.
@@ -100,6 +108,7 @@ type Inproc struct {
 	mu     sync.RWMutex
 	nodes  map[msg.NodeID]*inprocNode
 	opts   InprocOptions
+	clk    clock.Clock
 	wg     sync.WaitGroup
 	closed bool
 
@@ -141,9 +150,14 @@ func NewInproc(opts InprocOptions) *Inproc {
 	if seed == 0 {
 		seed = 1
 	}
+	clk := opts.Clock
+	if clk == nil {
+		clk = clock.Real{}
+	}
 	n := &Inproc{
 		nodes:    make(map[msg.NodeID]*inprocNode),
 		opts:     opts,
+		clk:      clk,
 		dropRate: opts.DropRate,
 		rng:      rand.New(rand.NewSource(seed)),
 		held:     make(map[pairKey]*heldEnv),
@@ -158,6 +172,9 @@ func NewInproc(opts InprocOptions) *Inproc {
 	n.noteFaultsLocked()
 	return n
 }
+
+// Clock returns the network's clock.
+func (n *Inproc) Clock() clock.Clock { return n.clk }
 
 // noteFaultsLocked recomputes faulty. Caller holds dropMu (or is the
 // constructor).
@@ -239,12 +256,14 @@ func (n *Inproc) Attach(id msg.NodeID, h Handler) (Node, error) {
 	}
 	node := &inprocNode{id: id, net: n, handler: h}
 	node.health = newHealth(breakerConfig{
+		clk:       n.clk,
 		threshold: n.opts.BreakerThreshold,
 		cooldown:  n.opts.BreakerCooldown,
 		owner:     id,
 		metrics:   n.opts.Metrics,
 	})
 	tc := trackerConfig{
+		clk:         n.clk,
 		maxInFlight: n.opts.MaxInFlight,
 		sweepEvery:  n.opts.SweepInterval,
 	}
@@ -278,6 +297,8 @@ func (n *Inproc) Close() error {
 		n.wg.Wait()
 		close(done)
 	}()
+	// A wall-clock guard: under a manual clock nothing else would end the
+	// wait for a delivery parked on a timer the test never advances.
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -408,7 +429,7 @@ func (n *Inproc) deliver(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
 			if !n.addDelivery() {
 				continue
 			}
-			time.AfterFunc(f.Delay, func() {
+			n.clk.AfterFunc(f.Delay, func() {
 				defer n.wg.Done()
 				n.enqueue(from, dst, env, reorder, true)
 			})
@@ -443,7 +464,7 @@ func (n *Inproc) enqueue(from msg.NodeID, dst *inprocNode, env msg.Envelope, reo
 			if !n.addStage(slotHeld) {
 				return
 			}
-			time.AfterFunc(5*time.Millisecond, func() {
+			n.clk.AfterFunc(5*time.Millisecond, func() {
 				defer n.wg.Done()
 				n.dropMu.Lock()
 				if n.held[key] != h {
@@ -477,7 +498,9 @@ func (n *Inproc) dispatch(from msg.NodeID, dst *inprocNode, env msg.Envelope, sl
 	}
 	handlers.run(func() {
 		defer n.wg.Done()
-		time.Sleep(lat)
+		if lat > 0 {
+			clock.Sleep(context.Background(), n.clk, lat)
+		}
 		n.handle(from, dst, env)
 	})
 }
@@ -558,7 +581,7 @@ func (nd *inprocNode) CallAsync(ctx context.Context, to msg.NodeID, m msg.Messag
 		nd.health.abortProbe(to)
 		return nil, err
 	}
-	deadline := callDeadline(ctx, nd.net.opts.CallTimeout)
+	deadline := callDeadline(ctx, nd.net.clk, nd.net.opts.CallTimeout)
 	id, ch, rerr := nd.calls.register(ctx, to, deadline)
 	if rerr != nil {
 		nd.health.abortProbe(to)
@@ -577,6 +600,9 @@ func (nd *inprocNode) countRetry() {
 
 // PendingCalls implements Node.
 func (nd *inprocNode) PendingCalls() int { return nd.calls.pending() }
+
+// Clock implements Node.
+func (nd *inprocNode) Clock() clock.Clock { return nd.net.clk }
 
 // Close implements Node.
 func (nd *inprocNode) Close() error {

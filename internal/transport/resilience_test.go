@@ -7,32 +7,63 @@ import (
 	"testing"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
 )
 
-// breakerNet builds an inproc network with fast sweeping and breakers armed.
-func breakerNet(t *testing.T, threshold int, cooldown time.Duration, reg *metrics.Registry) *Inproc {
+// Breaker nets time calls out after breakerCallTimeout, swept every
+// breakerSweep, on a manual clock: a call to a dark peer resolves only when
+// the test advances past its deadline.
+const (
+	breakerCallTimeout = 30 * time.Millisecond
+	breakerSweep       = 5 * time.Millisecond
+)
+
+// breakerNet builds an inproc network on a manual clock with breakers armed.
+func breakerNet(t *testing.T, threshold int, cooldown time.Duration, reg *metrics.Registry) (*Inproc, *clock.Manual) {
 	t.Helper()
+	clk := clock.NewManual(time.Unix(1000, 0))
 	net := NewInproc(InprocOptions{
-		CallTimeout:      30 * time.Millisecond,
-		SweepInterval:    5 * time.Millisecond,
+		CallTimeout:      breakerCallTimeout,
+		SweepInterval:    breakerSweep,
 		BreakerThreshold: threshold,
 		BreakerCooldown:  cooldown,
 		Metrics:          reg,
+		Clock:            clk,
 	})
 	t.Cleanup(func() { net.Close() })
-	return net
+	return net, clk
+}
+
+// callPastDeadline issues a call and advances clk past its deadline, so a
+// call nobody answers resolves as the sweeper's timeout.
+func callPastDeadline(clk *clock.Manual, nd Node, to msg.NodeID, m msg.Message) error {
+	p, err := nd.CallAsync(context.Background(), to, m)
+	if err != nil {
+		return err
+	}
+	clk.Advance(breakerCallTimeout + breakerSweep)
+	_, err = p.Wait(context.Background())
+	return err
+}
+
+// assertQuiesced fails the test if nd's in-flight table holds an entry.
+func assertQuiesced(t *testing.T, nd Node) {
+	t.Helper()
+	if n := nd.PendingCalls(); n != 0 {
+		t.Fatalf("in-flight table not empty at quiesce: %d entries leaked", n)
+	}
 }
 
 // TestBreakerOpensAndFailsFast pins the breaker state machine's first half:
 // threshold consecutive swept timeouts toward a dark peer open the breaker,
 // after which calls fail fast with ErrBreakerOpen — no in-flight entry, no
-// timeout wait.
+// timeout wait: the clock never moves while they are refused.
 func TestBreakerOpensAndFailsFast(t *testing.T) {
 	reg := metrics.NewRegistry()
-	net := breakerNet(t, 3, time.Hour, reg) // cooldown never elapses in-test
+	net, clk := breakerNet(t, 3, time.Hour, reg) // the cooldown is never advanced past
 	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +75,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 
 	// Three consecutive timeouts open the breaker.
 	for i := 0; i < 3; i++ {
-		_, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
+		cerr := callPastDeadline(clk, cli, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
 		if !errors.Is(cerr, core.ErrTimeout) {
 			t.Fatalf("call %d to dark peer: err = %v, want timeout", i, cerr)
 		}
@@ -53,33 +84,27 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 		t.Fatalf("after %d timeouts breaker state = %v, want open", 3, st)
 	}
 
-	// Open breaker: fail fast, well under the 30ms call timeout.
-	start := time.Now()
+	// Open breaker: a blocking call returns without the clock moving.
 	_, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 2})
 	if !errors.Is(cerr, ErrBreakerOpen) {
 		t.Fatalf("open-breaker call err = %v, want ErrBreakerOpen", cerr)
 	}
-	if elapsed := time.Since(start); elapsed > 20*time.Millisecond {
-		t.Fatalf("open-breaker call took %v, want fail-fast", elapsed)
-	}
 	if got := reg.Counter("wire_breaker_open").Value(); got == 0 {
 		t.Fatal("wire_breaker_open counter not incremented")
 	}
-	if cli.PendingCalls() != 0 {
-		t.Fatalf("fail-fast call left %d in-flight entries", cli.PendingCalls())
-	}
+	assertQuiesced(t, cli)
 	// Sends are refused too: no point writing datagrams at a dark peer.
 	if serr := cli.Send("srv", msg.NotifyAvailAcc{OID: "o"}); !errors.Is(serr, ErrBreakerOpen) {
 		t.Fatalf("open-breaker send err = %v, want ErrBreakerOpen", serr)
 	}
 }
 
-// TestBreakerHalfOpensAndCloses pins the second half: after the cooldown
-// one probe call is admitted; its success closes the breaker and traffic
-// flows again, within one probe interval of the peer's recovery.
+// TestBreakerHalfOpensAndCloses pins the second half: the breaker refuses
+// calls for exactly the cooldown, then admits one probe call; its success
+// closes the breaker and traffic flows again.
 func TestBreakerHalfOpensAndCloses(t *testing.T) {
 	const cooldown = 50 * time.Millisecond
-	net := breakerNet(t, 2, cooldown, nil)
+	net, clk := breakerNet(t, 2, cooldown, nil)
 	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +115,21 @@ func TestBreakerHalfOpensAndCloses(t *testing.T) {
 
 	net.SetNodeDown("srv", true)
 	for i := 0; i < 2; i++ {
-		cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
+		callPastDeadline(clk, cli, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
 	}
 	if st := net.PeerState("cli", "srv"); st != PeerOpen {
 		t.Fatalf("breaker state = %v, want open", st)
 	}
 
-	// Peer recovers; after the cooldown the next call is the probe and
-	// must close the breaker.
+	// Peer recovers; a nanosecond short of the cooldown calls are still
+	// refused, at the cooldown the next call is the probe and must close
+	// the breaker.
 	net.SetNodeDown("srv", false)
-	time.Sleep(cooldown + 10*time.Millisecond)
+	clk.Advance(cooldown - time.Nanosecond)
+	if _, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 41}); !errors.Is(cerr, ErrBreakerOpen) {
+		t.Fatalf("call before the cooldown ended: err = %v, want ErrBreakerOpen", cerr)
+	}
+	clk.Advance(time.Nanosecond)
 	resp, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 42})
 	if cerr != nil {
 		t.Fatalf("probe call after recovery: %v", cerr)
@@ -117,7 +147,7 @@ func TestBreakerHalfOpensAndCloses(t *testing.T) {
 // concurrent calls while the probe is out fail fast.
 func TestBreakerFailedProbeReopens(t *testing.T) {
 	const cooldown = 40 * time.Millisecond
-	net := breakerNet(t, 2, cooldown, nil)
+	net, clk := breakerNet(t, 2, cooldown, nil)
 	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -128,28 +158,31 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 
 	net.SetNodeDown("srv", true)
 	for i := 0; i < 2; i++ {
-		cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
+		callPastDeadline(clk, cli, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
 	}
-	time.Sleep(cooldown + 10*time.Millisecond)
+	clk.Advance(cooldown)
 
-	// Peer still dark: the probe goes out (half-open) and times out.
-	done := make(chan error, 1)
-	go func() {
-		_, perr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 2})
-		done <- perr
-	}()
+	// Peer still dark: the probe goes out (half-open) and stays pending
+	// while the clock stands.
+	probe, err := cli.CallAsync(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 2})
+	if err != nil {
+		t.Fatalf("probe refused: %v", err)
+	}
+	if st := net.PeerState("cli", "srv"); st != PeerHalfOpen {
+		t.Fatalf("breaker state with the probe out = %v, want half-open", st)
+	}
 	// While the probe is in flight, other calls fail fast.
-	time.Sleep(5 * time.Millisecond)
 	if _, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 3}); !errors.Is(cerr, ErrBreakerOpen) {
 		t.Fatalf("call during probe err = %v, want ErrBreakerOpen", cerr)
 	}
-	if perr := <-done; !errors.Is(perr, core.ErrTimeout) {
+	clk.Advance(breakerCallTimeout + breakerSweep)
+	if _, perr := probe.Wait(context.Background()); !errors.Is(perr, core.ErrTimeout) {
 		t.Fatalf("probe err = %v, want timeout", perr)
 	}
 	if st := net.PeerState("cli", "srv"); st != PeerOpen {
 		t.Fatalf("breaker state after failed probe = %v, want open again", st)
 	}
-	waitQuiesced(t, cli)
+	assertQuiesced(t, cli)
 }
 
 // TestAsymmetricPartition pins Block's directedness: with cli→srv blocked,
@@ -157,20 +190,21 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 // srv's own calls) while srv's messages still reach cli — the classic
 // asymmetric-link failure where one side believes the other is dark.
 func TestAsymmetricPartition(t *testing.T) {
-	var atSrv, atCli atomic.Int64
-	counting := func(n *atomic.Int64) Handler {
-		return func(_ context.Context, _ msg.NodeID, _ msg.Message) (msg.Message, error) {
-			n.Add(1)
-			return nil, nil
-		}
-	}
+	var atSrv atomic.Int64
+	atCli := make(chan msg.Message, 1)
 	const cooldown = 30 * time.Millisecond
-	net := breakerNet(t, 1, cooldown, nil)
-	srv, err := net.Attach("srv", counting(&atSrv))
+	net, clk := breakerNet(t, 1, cooldown, nil)
+	srv, err := net.Attach("srv", func(_ context.Context, _ msg.NodeID, _ msg.Message) (msg.Message, error) {
+		atSrv.Add(1)
+		return nil, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := net.Attach("cli", counting(&atCli))
+	cli, err := net.Attach("cli", func(_ context.Context, _ msg.NodeID, m msg.Message) (msg.Message, error) {
+		atCli <- m
+		return nil, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +212,7 @@ func TestAsymmetricPartition(t *testing.T) {
 
 	// Blocked direction: the request never arrives, the call times out,
 	// and one timeout opens cli's breaker (threshold 1).
-	if _, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1}); !errors.Is(cerr, core.ErrTimeout) {
+	if cerr := callPastDeadline(clk, cli, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1}); !errors.Is(cerr, core.ErrTimeout) {
 		t.Fatalf("blocked-direction call err = %v, want timeout", cerr)
 	}
 	if got := atSrv.Load(); got != 0 {
@@ -194,18 +228,14 @@ func TestAsymmetricPartition(t *testing.T) {
 	if serr := srv.Send("cli", msg.NotifyAvailAcc{OID: "o"}); serr != nil {
 		t.Fatalf("live-direction send failed: %v", serr)
 	}
-	deadline := time.Now().Add(time.Second)
-	for atCli.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if got := atCli.Load(); got == 0 {
-		t.Fatal("live direction delivered nothing")
+	if m := <-atCli; m != (msg.NotifyAvailAcc{OID: "o"}) {
+		t.Fatalf("live direction delivered %#v", m)
 	}
 
 	// Healing the link lets the post-cooldown probe through; the probe's
 	// auto-acknowledged success closes cli's breaker.
 	net.Block("cli", "srv", false)
-	time.Sleep(cooldown + 10*time.Millisecond)
+	clk.Advance(cooldown)
 	if _, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 2}); cerr != nil {
 		t.Fatalf("post-heal probe call failed: %v", cerr)
 	}
@@ -215,7 +245,7 @@ func TestAsymmetricPartition(t *testing.T) {
 	if st := net.PeerState("cli", "srv"); st != PeerClosed {
 		t.Fatalf("breaker after heal = %v, want closed", st)
 	}
-	waitQuiesced(t, cli)
+	assertQuiesced(t, cli)
 }
 
 // TestCallWithRetrySucceedsUnderLoss pins the retry loop: under heavy
@@ -297,19 +327,14 @@ func TestRetryNonRetryableReturnsImmediately(t *testing.T) {
 }
 
 // TestRetryOnOpenBreaker pins the interplay of the two mechanisms: an open
-// breaker fails attempts fast, and once the peer recovers past the cooldown
-// a later attempt in the same budget succeeds — the retry loop rides the
-// breaker's probe. The budget has room for a probe lost to a loaded host:
-// its attempt waits out the call timeout, and the breaker re-opens for
-// another cooldown before the next probe.
+// breaker fails attempts fast, each followed by a backoff on the node's
+// clock, and once the peer has recovered and the cooldown has passed a
+// later attempt in the same budget succeeds — the retry loop rides the
+// breaker's probe. The node is observed attempt by attempt, so the test
+// advances the clock only while the loop is parked on a backoff.
 func TestRetryOnOpenBreaker(t *testing.T) {
-	net := NewInproc(InprocOptions{
-		CallTimeout:      100 * time.Millisecond,
-		SweepInterval:    5 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  30 * time.Millisecond,
-	})
-	defer net.Close()
+	const cooldown = 30 * time.Millisecond
+	net, clk := breakerNet(t, 1, cooldown, nil)
 	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -320,24 +345,59 @@ func TestRetryOnOpenBreaker(t *testing.T) {
 
 	// Trip the breaker.
 	net.SetNodeDown("srv", true)
-	cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
+	callPastDeadline(clk, cli, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
 	if st := net.PeerState("cli", "srv"); st != PeerOpen {
 		t.Fatalf("breaker = %v, want open", st)
 	}
 	// Recover; a retried call must get through via the probe even though
 	// its first attempts hit the open breaker.
 	net.SetNodeDown("srv", false)
+	obs := observedNode{Node: cli, attempts: make(chan error)}
 	pol := RetryPolicy{MaxAttempts: 12, BaseBackoff: 15 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
-	resp, cerr := CallWithRetry(context.Background(), cli, func() msg.NodeID { return "srv" },
-		msg.ChangeAccReq{OID: "o", DesAcc: 9}, pol)
-	if cerr != nil {
-		t.Fatalf("retried call across breaker recovery failed: %v", cerr)
+	type result struct {
+		resp msg.Message
+		err  error
 	}
-	if res, ok := resp.(msg.ChangeAccRes); !ok || res.OfferedAcc != 9 {
-		t.Fatalf("got %#v", resp)
+	done := make(chan result, 1)
+	go func() {
+		resp, cerr := CallWithRetry(context.Background(), obs, func() msg.NodeID { return "srv" },
+			msg.ChangeAccReq{OID: "o", DesAcc: 9}, pol)
+		done <- result{resp, cerr}
+	}()
+	refused := 0
+	for aerr := <-obs.attempts; aerr != nil; aerr = <-obs.attempts {
+		if !errors.Is(aerr, ErrBreakerOpen) {
+			t.Fatalf("attempt %d: err = %v, want ErrBreakerOpen", refused+1, aerr)
+		}
+		refused++
+		clk.BlockUntil(2) // the sweeper's ticker and the backoff
+		clk.Advance(cooldown)
+	}
+	if refused == 0 {
+		t.Fatal("the first attempt got through an open breaker")
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("retried call across breaker recovery failed: %v", r.err)
+	}
+	if res, ok := r.resp.(msg.ChangeAccRes); !ok || res.OfferedAcc != 9 {
+		t.Fatalf("got %#v", r.resp)
 	}
 	if st := net.PeerState("cli", "srv"); st != PeerClosed {
 		t.Fatalf("breaker after recovery = %v, want closed", st)
 	}
-	waitQuiesced(t, cli)
+	assertQuiesced(t, cli)
+}
+
+// observedNode hands the outcome of every Call to the test before the
+// caller sees it.
+type observedNode struct {
+	Node
+	attempts chan error
+}
+
+func (o observedNode) Call(ctx context.Context, to msg.NodeID, m msg.Message) (msg.Message, error) {
+	resp, err := o.Node.Call(ctx, to, m)
+	o.attempts <- err
+	return resp, err
 }

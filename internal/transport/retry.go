@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/msg"
 )
@@ -94,22 +95,16 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	return jitter(backoff)
 }
 
-// Pause sleeps out the backoff before attempt attempt+1 (see Backoff) and
-// reports whether it did; false means ctx ended first. Its timer is stopped
-// on the way out, so an abandoned pause leaves nothing behind.
-func (p RetryPolicy) Pause(ctx context.Context, attempt int) bool {
-	t := time.NewTimer(p.Backoff(attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+// Pause sleeps out the backoff before attempt attempt+1 (see Backoff) on
+// clk and reports whether it did; false means ctx ended first. Its timer is
+// stopped on the way out, so an abandoned pause leaves nothing behind.
+func (p RetryPolicy) Pause(ctx context.Context, clk clock.Clock, attempt int) bool {
+	return clock.Sleep(ctx, clk, p.Backoff(attempt))
 }
 
 // retryRNG is the shared jitter source. Backoff draws are rare (one per
-// retry, not per call), so one locked source is fine.
+// retry, not per call), so one locked source is fine. Its seed reads the
+// wall clock: it only has to differ between processes.
 var retryRNG = struct {
 	sync.Mutex
 	r *rand.Rand
@@ -125,7 +120,8 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(retryRNG.r.Int63n(int64(d)))
 }
 
-// CallWithRetry performs nd.Call(ctx, dest(), m) under pol. dest is
+// CallWithRetry performs nd.Call(ctx, dest(), m) under pol, timing
+// backoffs and per-try deadlines on the node's clock. dest is
 // re-read before every attempt so a retry follows agent rebinding (an
 // UpdateRes.Moved applied between attempts) and entry-server changes.
 // The last error is returned when the budget is exhausted; non-retryable
@@ -135,11 +131,12 @@ func CallWithRetry(ctx context.Context, nd Node, dest func() msg.NodeID, m msg.M
 	if attempts < 1 {
 		attempts = 1
 	}
+	clk := nd.Clock()
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			CountRetry(nd)
-			if !pol.Pause(ctx, i) {
+			if !pol.Pause(ctx, clk, i) {
 				return nil, lastErr
 			}
 		}
@@ -148,7 +145,7 @@ func CallWithRetry(ctx context.Context, nd Node, dest func() msg.NodeID, m msg.M
 			// A timer context, not WithCallDeadline: a try that ends on its
 			// own context is the caller giving up, which the peer's breaker
 			// does not count; a swept one would be a failure of the peer.
-			tryCtx, cancel = context.WithTimeout(ctx, pol.PerTryTimeout)
+			tryCtx, cancel = clk.WithTimeout(ctx, pol.PerTryTimeout)
 		}
 		res, err := nd.Call(tryCtx, dest(), m)
 		cancel()
@@ -156,7 +153,7 @@ func CallWithRetry(ctx context.Context, nd Node, dest func() msg.NodeID, m msg.M
 			return res, nil
 		}
 		lastErr = err
-		if !Retryable(lastErr) || ctx.Err() != nil || deadlinePassed(ctx) {
+		if !Retryable(lastErr) || ctx.Err() != nil || deadlinePassed(ctx, clk) {
 			return nil, lastErr
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/msg"
 )
 
@@ -60,6 +61,10 @@ type Node interface {
 	// PendingCalls returns the number of in-flight calls awaiting replies;
 	// a quiesced node reports zero (no leaked entries).
 	PendingCalls() int
+	// Clock returns the network's clock, which times the node's call
+	// deadlines, sweeps, breaker cooldowns and retry backoffs; code that
+	// holds the node reads its timestamps and arms its timers on it too.
+	Clock() clock.Clock
 	// Close detaches the node from the network.
 	Close() error
 }
@@ -70,6 +75,16 @@ type Network interface {
 	Attach(id msg.NodeID, h Handler) (Node, error)
 	// Close shuts the network down and waits for in-flight deliveries.
 	Close() error
+}
+
+// ClockOf returns n's clock: what its Clock method returns, or the wall
+// clock for a network without one (a decorator such as a tracing wrapper,
+// whose nodes still report the clock of the network they wrap).
+func ClockOf(n Network) clock.Clock {
+	if c, ok := n.(interface{ Clock() clock.Clock }); ok {
+		return c.Clock()
+	}
+	return clock.Real{}
 }
 
 // Errors returned by transports.
@@ -92,6 +107,8 @@ const defaultSweepInterval = 25 * time.Millisecond
 
 // trackerConfig tunes a node's in-flight call tracker.
 type trackerConfig struct {
+	// clk times deadlines and the sweeper.
+	clk clock.Clock
 	// maxInFlight caps concurrently outstanding calls; zero is unbounded.
 	maxInFlight int
 	// sweepEvery is the timeout goroutine's scan interval; zero uses
@@ -186,13 +203,16 @@ func (c *calls) register(ctx context.Context, to msg.NodeID, deadline time.Time)
 	ch := make(chan msg.Message, 1)
 	c.mu.Lock()
 	c.waiters[id] = &callWaiter{ch: ch, to: to, deadline: deadline}
-	startSweeper := !deadline.IsZero() && !c.sweeping
-	if startSweeper {
+	var ticker *clock.Ticker
+	if !deadline.IsZero() && !c.sweeping {
 		c.sweeping = true
+		// Armed here, not in the goroutine, so the first deadline is
+		// already being swept for when register returns.
+		ticker = c.cfg.clk.NewTicker(c.cfg.sweepEvery)
 	}
 	c.mu.Unlock()
-	if startSweeper {
-		go c.sweepLoop()
+	if ticker != nil {
+		go c.sweepLoop(ticker)
 	}
 	return id, ch, nil
 }
@@ -246,8 +266,7 @@ func (c *calls) deliver(id uint64, m msg.Message) bool {
 // expired entries with a timeout error frame, exactly as if the remote had
 // answered "timed out". It runs from the first deadline-bearing call until
 // the tracker closes.
-func (c *calls) sweepLoop() {
-	ticker := time.NewTicker(c.cfg.sweepEvery)
+func (c *calls) sweepLoop(ticker *clock.Ticker) {
 	defer ticker.Stop()
 	for {
 		select {
@@ -327,17 +346,18 @@ func replyOrError(m msg.Message) (msg.Message, error) {
 }
 
 // callDeadline resolves the deadline for a new call: the earlier of the
-// context's deadline and now+def. The configured default is a cap, not a
-// fallback — a call under a generous context still expires on the
-// network's timeout, so the sweeper (not the caller's context) resolves
-// lost replies and the timeout is observable in the wire metrics.
-func callDeadline(ctx context.Context, def time.Duration) time.Time {
+// context's deadline and now+def, now read on the node's clock clk. The
+// configured default is a cap, not a fallback — a call under a generous
+// context still expires on the network's timeout, so the sweeper (not the
+// caller's context) resolves lost replies and the timeout is observable in
+// the wire metrics.
+func callDeadline(ctx context.Context, clk clock.Clock, def time.Duration) time.Time {
 	var dl time.Time
 	if d, ok := ctx.Deadline(); ok {
 		dl = d
 	}
 	if def > 0 {
-		if capped := time.Now().Add(def); dl.IsZero() || capped.Before(dl) {
+		if capped := clk.Now().Add(def); dl.IsZero() || capped.Before(dl) {
 			dl = capped
 		}
 	}
@@ -346,15 +366,16 @@ func callDeadline(ctx context.Context, def time.Duration) time.Time {
 
 // WithCallDeadline returns a context for Call, CallAsync and
 // PendingCall.Wait whose deadline is the earlier of parent's and
-// now+timeout, and which costs no timer, goroutine or channel: cancellation
-// is parent's, and the deadline is only carried, for callDeadline to read.
+// now+timeout on clk (the node's clock), and which costs no timer,
+// goroutine or channel: cancellation is parent's, and the deadline is only
+// carried, for callDeadline to read.
 // What enforces it is the in-flight tracker's sweeper, which resolves the
 // call with a timeout error frame once the deadline has passed (and Wait
 // returns ErrClosed if the node closes first) — so, unlike
 // context.WithTimeout's, this context's Done never fires on the deadline
 // and it is of no use to code that selects on Done to learn about one.
-func WithCallDeadline(parent context.Context, timeout time.Duration) context.Context {
-	deadline := time.Now().Add(timeout)
+func WithCallDeadline(parent context.Context, clk clock.Clock, timeout time.Duration) context.Context {
+	deadline := clk.Now().Add(timeout)
 	if d, ok := parent.Deadline(); ok && !deadline.Before(d) {
 		return parent
 	}
@@ -368,11 +389,11 @@ type deadlineCtx struct {
 
 func (c deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
-// deadlinePassed reports whether ctx carries a deadline that is over,
-// whether or not anything has cancelled ctx for it.
-func deadlinePassed(ctx context.Context) bool {
+// deadlinePassed reports whether ctx carries a deadline that is over on
+// clk, whether or not anything has cancelled ctx for it.
+func deadlinePassed(ctx context.Context, clk clock.Clock) bool {
 	d, ok := ctx.Deadline()
-	return ok && !time.Now().Before(d)
+	return ok && !clk.Now().Before(d)
 }
 
 // PendingCall is one multiplexed in-flight request. It resolves exactly

@@ -160,6 +160,7 @@ func TestCallTimeout(t *testing.T) {
 	nw := NewInproc(InprocOptions{})
 	defer nw.Close()
 	if _, err := nw.Attach("slow", func(ctx context.Context, _ msg.NodeID, _ msg.Message) (msg.Message, error) {
+		// A slow handler: the caller's own context must end the call first.
 		time.Sleep(200 * time.Millisecond)
 		return msg.Ack{}, nil
 	}); err != nil {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"locsvc/internal/clock"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
 	"locsvc/internal/wire"
@@ -130,6 +131,10 @@ type UDP struct {
 
 var _ Network = (*UDP)(nil)
 
+// Clock returns the network's clock, always the wall clock: datagrams
+// cross real sockets in real time.
+func (u *UDP) Clock() clock.Clock { return clock.Real{} }
+
 // NewUDPWithOptions creates a UDP network with an initially empty
 // directory. Its wire-level instruments — wire_bytes_in/out,
 // wire_datagrams_in/out, wire_write_errors, wire_decode_errors,
@@ -229,12 +234,14 @@ func (u *UDP) newNode(id msg.NodeID, conn *net.UDPConn, h Handler) *udpNode {
 	_ = conn.SetWriteBuffer(socketBuffer)
 	nd := &udpNode{id: id, net: u, conn: conn, handler: h}
 	nd.health = newHealth(breakerConfig{
+		clk:       u.Clock(),
 		threshold: u.opts.BreakerThreshold,
 		cooldown:  u.opts.BreakerCooldown,
 		owner:     id,
 		metrics:   u.met,
 	})
 	tc := trackerConfig{
+		clk:         u.Clock(),
 		maxInFlight: u.opts.MaxInFlight,
 		sweepEvery:  u.opts.SweepInterval,
 		onTimeout:   u.callTimeouts.Inc,
@@ -549,7 +556,7 @@ func (nd *udpNode) CallAsync(ctx context.Context, to msg.NodeID, m msg.Message) 
 	if err := nd.health.allow(to); err != nil {
 		return nil, err
 	}
-	deadline := callDeadline(ctx, nd.net.opts.CallTimeout)
+	deadline := callDeadline(ctx, nd.Clock(), nd.net.opts.CallTimeout)
 	id, ch, err := nd.calls.register(ctx, to, deadline)
 	if err != nil {
 		nd.health.abortProbe(to)
@@ -572,6 +579,9 @@ func (nd *udpNode) PeerState(to msg.NodeID) PeerState { return nd.health.state(t
 
 // PendingCalls implements Node.
 func (nd *udpNode) PendingCalls() int { return nd.calls.pending() }
+
+// Clock implements Node.
+func (nd *udpNode) Clock() clock.Clock { return nd.net.Clock() }
 
 // Close implements Node.
 func (nd *udpNode) Close() error {

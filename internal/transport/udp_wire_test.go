@@ -87,12 +87,10 @@ func TestWireMetricsCounters(t *testing.T) {
 	// datagrams out, two in, symmetric byte counts. The server counts its
 	// reply after the send returns, which can be after the caller has the
 	// reply in hand, so give the out-counters a moment to settle.
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if reg.Counter("wire_datagrams_out").Value() >= 2 &&
-			reg.Counter("wire_bytes_out").Value() >= reg.Counter("wire_bytes_in").Value() {
-			break
-		}
-	}
+	eventually(2*time.Second, func() bool {
+		return reg.Counter("wire_datagrams_out").Value() >= 2 &&
+			reg.Counter("wire_bytes_out").Value() >= reg.Counter("wire_bytes_in").Value()
+	})
 	if got := reg.Counter("wire_datagrams_out").Value(); got != 2 {
 		t.Errorf("wire_datagrams_out = %d, want 2", got)
 	}
@@ -118,12 +116,8 @@ func TestWireMetricsCounters(t *testing.T) {
 	if _, err := conn.Write([]byte("definitely not an envelope")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter("wire_decode_errors").Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("decode error never counted")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !eventually(5*time.Second, func() bool { return reg.Counter("wire_decode_errors").Value() != 0 }) {
+		t.Fatal("decode error never counted")
 	}
 
 	// The loop survived: the same client call still works.

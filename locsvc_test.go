@@ -150,6 +150,7 @@ func TestFacadeReplicas(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("standby r.0~s never persisted a mirrored record")
 		}
+		// Polls: the facade keeps the wall clock, and the standby logs asynchronously.
 		time.Sleep(10 * time.Millisecond)
 	}
 }
