@@ -20,9 +20,10 @@ import (
 
 // PendingUpdate is one in-flight position update. Resolve it with Wait.
 type PendingUpdate struct {
-	t *TrackedObject
-	s core.Sighting
-	p *transport.PendingCall
+	t   *TrackedObject
+	s   core.Sighting
+	p   *transport.PendingCall
+	seq uint64
 }
 
 // UpdateAsync sends a position update to the object's agent and returns
@@ -33,17 +34,21 @@ func (t *TrackedObject) UpdateAsync(ctx context.Context, s core.Sighting) (*Pend
 	if s.OID != t.oid {
 		return nil, fmt.Errorf("%w: sighting for %s on handle of %s", core.ErrBadRequest, s.OID, t.oid)
 	}
-	p, err := t.c.node.CallAsync(t.c.opCtx(ctx), t.Agent(), msg.UpdateReq{S: s, Seq: t.c.nextSeq()})
+	ctx = t.c.opCtx(ctx)
+	seq, floor := t.c.seqs.draw(ctx)
+	p, err := t.c.node.CallAsync(ctx, t.Agent(), msg.UpdateReq{S: s, Seq: seq, Floor: floor})
 	if err != nil {
+		t.c.seqs.release(seq)
 		return nil, err
 	}
-	return &PendingUpdate{t: t, s: s, p: p}, nil
+	return &PendingUpdate{t: t, s: s, p: p, seq: seq}, nil
 }
 
 // Wait blocks until the update resolves: with the agent's response, with a
 // timeout error once the request deadline passes, or with ctx's error.
 func (u *PendingUpdate) Wait(ctx context.Context) error {
 	resp, err := u.p.Wait(ctx)
+	u.t.c.seqs.release(u.seq)
 	if err != nil {
 		return err
 	}

@@ -11,8 +11,8 @@ package client
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locsvc/internal/clock"
@@ -59,9 +59,7 @@ type Client struct {
 	// client's operations.
 	clk clock.Clock
 
-	// seq stamps side-effecting requests (RegisterReq, UpdateReq) with
-	// one monotonic per-client counter, the dedupe key for retries.
-	seq atomic.Uint64
+	seqs seqs // RegisterReq's and UpdateReq's Seq and Floor
 
 	mu      sync.Mutex
 	entry   msg.NodeID // guarded: SetEntry may race concurrent operations
@@ -75,10 +73,13 @@ type Client struct {
 // server: the nearby leaf server it directs all requests to (found through
 // a lookup service in the paper; hierarchy.Deployment.LeafFor here).
 func New(network transport.Network, id msg.NodeID, entry msg.NodeID, opts Options) (*Client, error) {
+	clk := transport.ClockOf(network)
+	first := uint64(max(clk.Now().UnixNano(), 1))
 	c := &Client{
 		entry:   entry,
 		opts:    opts.withDefaults(),
-		clk:     transport.ClockOf(network),
+		clk:     clk,
+		seqs:    seqs{clk: clk, next: first, floor: first, awaited: make(map[uint64]int64)},
 		waiters: make(map[uint64]chan msg.Message),
 	}
 	node, err := network.Attach(id, c.handle)
@@ -109,9 +110,49 @@ func (c *Client) SetEntry(entry msg.NodeID) {
 	c.mu.Unlock()
 }
 
-// nextSeq draws the next request sequence number (never 0 — 0 means
-// unstamped on the wire).
-func (c *Client) nextSeq() uint64 { return c.seq.Add(1) }
+// seqs draws the Seqs of a client's side-effecting requests and knows
+// which it still awaits: until its operation ends or its deadline passes.
+// The lowest is the ack floor every request carries. One lock draws a seq
+// and records it, so no goroutine sends a floor above a seq another has
+// drawn and not yet sent. The counter starts at the clock's reading in
+// nanoseconds (at least 1: Seq 0 is unstamped), so a client restarted
+// under the same node id draws above its previous incarnation's floors.
+type seqs struct {
+	clk     clock.Clock
+	mu      sync.Mutex
+	next    uint64           // the seq the next draw returns
+	floor   uint64           // no seq below it is awaited
+	awaited map[uint64]int64 // seq → its deadline in Unix nanoseconds
+}
+
+// draw returns a new seq, awaited until ctx's deadline or its release,
+// and the floor to send with it.
+func (q *seqs) draw(ctx context.Context) (seq, floor uint64) {
+	until := int64(math.MaxInt64)
+	if d, ok := ctx.Deadline(); ok {
+		until = d.UnixNano()
+	}
+	now := q.clk.Now().UnixNano()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for ; q.floor < q.next; q.floor++ {
+		if u, ok := q.awaited[q.floor]; ok && u > now {
+			break
+		}
+		delete(q.awaited, q.floor)
+	}
+	seq = q.next
+	q.next++
+	q.awaited[seq] = until
+	return seq, q.floor
+}
+
+// release records that seq's operation ended.
+func (q *seqs) release(seq uint64) {
+	q.mu.Lock()
+	delete(q.awaited, seq)
+	q.mu.Unlock()
+}
 
 // Close detaches the client from the network.
 func (c *Client) Close() error { return c.node.Close() }
@@ -203,11 +244,15 @@ func (c *Client) Register(ctx context.Context, s core.Sighting, desAcc, minAcc, 
 	// One OpID and one Seq for every attempt: a duplicate delivery makes
 	// the leaf re-send its remembered outcome instead of re-applying, and
 	// a late first reply resolves the same waiter a re-send is parked on.
+	// The seq is awaited until Register returns, whatever ctx's deadline.
+	seq, floor := c.seqs.draw(context.Background())
+	defer c.seqs.release(seq)
 	req := msg.RegisterReq{
 		S:       s,
 		RegInfo: ri,
 		Origin:  msg.Origin{Node: c.ID(), OpID: opID},
-		Seq:     c.nextSeq(),
+		Seq:     seq,
+		Floor:   floor,
 	}
 	attempts := c.opts.Retry.MaxAttempts
 	if attempts < 1 {
@@ -298,18 +343,14 @@ func (t *TrackedObject) LastSent() core.Sighting {
 // agent, re-read before every attempt so a rebinding applied in between is
 // honored.
 func (t *TrackedObject) Update(ctx context.Context, s core.Sighting) error {
-	if !t.c.opts.Retry.Enabled() {
-		u, err := t.UpdateAsync(ctx, s)
-		if err != nil {
-			return err
-		}
-		return u.Wait(ctx)
-	}
 	if s.OID != t.oid {
 		return fmt.Errorf("%w: sighting for %s on handle of %s", core.ErrBadRequest, s.OID, t.oid)
 	}
-	resp, err := transport.CallWithRetry(t.c.opCtx(ctx), t.c.node, t.Agent,
-		msg.UpdateReq{S: s, Seq: t.c.nextSeq()}, t.c.opts.Retry)
+	ctx = t.c.opCtx(ctx)
+	seq, floor := t.c.seqs.draw(ctx)
+	defer t.c.seqs.release(seq)
+	resp, err := transport.CallWithRetry(ctx, t.c.node, t.Agent,
+		msg.UpdateReq{S: s, Seq: seq, Floor: floor}, t.c.opts.Retry)
 	if err != nil {
 		return err
 	}

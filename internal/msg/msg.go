@@ -77,11 +77,11 @@ type RegisterReq struct {
 	Origin Origin
 	// Hops counts forwarding steps for metrics.
 	Hops int
-	// Seq is the sender's per-node sequence number (shared counter with
-	// UpdateReq.Seq; see that field). A leaf remembers the last replies
-	// per (Origin.Node, Seq) so a retried registration is applied exactly
-	// once and the original outcome is re-sent. 0 means unstamped.
-	Seq uint64
+	// Seq and Floor stamp the request as UpdateReq's do, from the same
+	// counter and floor, keyed by Origin.Node: a retried registration is
+	// applied exactly once and the original outcome is re-sent.
+	Seq   uint64
+	Floor uint64
 }
 
 // RegisterRes reports successful registration: the object's agent and the
@@ -137,12 +137,16 @@ type RemovePath struct {
 type UpdateReq struct {
 	S core.Sighting
 	// Seq is the sender's per-node sequence number, drawn from one
-	// monotonic counter per client (mirroring EventCount.Seq). The agent
-	// keeps a dedupe window keyed (sender, Seq) and applies a retried
-	// duplicate exactly once, replying with the remembered UpdateRes —
-	// critical when the first attempt triggered a handover and a re-apply
-	// would fail with not_found. 0 means unstamped (no dedupe).
+	// clock-seeded monotonic counter per client. The agent keeps the reply
+	// keyed (sender, Seq) and answers a retried duplicate with it instead
+	// of applying it again — critical when the first attempt triggered a
+	// handover. 0 means unstamped (no dedupe).
 	Seq uint64
+	// Floor is the lowest Seq the sender still awaited a reply for, from
+	// any destination, when it drew Seq. The agent forgets the replies
+	// below the highest floor seen and applies no request below it. A
+	// Floor above Seq is malformed.
+	Floor uint64
 }
 
 // UpdateRes acknowledges an update. If the update triggered a handover,

@@ -1,130 +1,114 @@
 package server
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"locsvc/internal/clock"
+	"locsvc/internal/core"
 	"locsvc/internal/msg"
 )
 
-// Retry deduplication. Transports retry idempotent calls on timeout, so a
-// leaf can receive the same UpdateReq or RegisterReq twice when only the
-// reply was lost. Requests stamped with a per-sender Seq are applied
-// exactly once: the first application remembers its reply here, and a
-// duplicate re-sends the remembered reply without touching the stores —
-// critical after a handover, where re-applying the update would fail with
-// not_found against the departed object.
-//
-// A sender's Seqs are monotonic (one counter across its request types), so
-// what has to be remembered is each sender's most recent requests, and
-// nothing orders one sender's requests against another's. The table is
-// therefore one small window per sender: a power-of-two ring of slots
-// indexed by seq & mask. A request a full ring behind the sender's newest
-// has been overwritten and is a miss; so is one older than DedupeWindow
-// (retries arrive within a retry budget, seconds at most). The update path
-// takes the sender table's read lock and the window's own lock — no lock is
-// shared between senders — and allocates nothing: an in-area reply is
-// rebuilt from the accuracy kept in the slot, only Moved and registration
-// replies are kept boxed.
-//
-// A ring starts at one slot and doubles, up to DedupeCap, only when a
-// remember would overwrite a slot that is still inside the window: a device
-// that reports once per window or less often costs one slot, a client
-// pipelining thousands of objects over one node grows the depth it needs.
-// Nothing shrinks a ring; sweep drops every window whose newest slot has
-// left DedupeWindow, and that bounds the table to the senders seen within
-// the window, each with at most one grown ring.
-//
-// A leaf restart or a failover forgets the windows with the process — which
-// is exactly right: the first post-restart update must be applied, not
-// answered from a stale remembered reply.
+// Retry deduplication. A transport retry can deliver an UpdateReq or
+// RegisterReq twice when only the reply was lost. A request stamped with a
+// per-sender Seq is applied once: the first application remembers its
+// reply, and a duplicate gets it back without touching the stores —
+// critical after a handover, where re-applying would fail with not_found.
+// Each request also carries its sender's ack floor, the lowest Seq it
+// still awaits from any leaf (Birrell & Nelson's at-most-once RPC, Raft's
+// client sessions). A sender's window holds the replies from the highest
+// floor seen up, in seq order; a request below it is a late copy its
+// sender gave up on, and is not applied. Windows share no lock, and an
+// in-area update allocates nothing: its reply is kept as the offered
+// accuracy. A sender silent for dedupeIdle is dropped at the next janitor
+// tick (or, without one, when a new sender arrives); a leaf restart or a
+// failover forgets every window, so the first update after it is applied.
 
-// Dedupe window defaults: long enough for every attempt of a default retry
-// budget; the cap is the pipeline depth one sender can have remembered.
-const (
-	defaultDedupeWindow = 30 * time.Second
-	defaultDedupeCap    = 4096
-)
+// dedupeIdle is how long a sender may be silent before its window is
+// dropped: longer than any retry budget a client spends on one request.
+const dedupeIdle = 30 * time.Second
+
+// notAwaited answers, unapplied, a request below its sender's floor.
+var notAwaited = msg.ErrorRes{Code: msg.CodeTimeout, Text: "request below its sender's ack floor, no longer awaited"}
+
+// floorErr refuses a request whose floor is above its own seq.
+func floorErr(seq, floor uint64) error {
+	if floor > seq {
+		return fmt.Errorf("%w: ack floor %d above seq %d", core.ErrBadRequest, floor, seq)
+	}
+	return nil
+}
 
 // dedupeSlot is one remembered outcome.
 type dedupeSlot struct {
-	seq uint64 // 0 marks an empty slot
-	at  int64  // dedupe.now() of the first application
-	// reply is the remembered reply, except for the one reply the update
-	// path produces per in-area update: UpdateRes{OfferedAcc: acc} is kept
-	// as acc with reply nil, and rebuilt on a hit.
+	seq uint64
+	// reply is the remembered reply, nil for an in-area update's
+	// UpdateRes{OfferedAcc: acc}, which a hit rebuilds.
 	acc   float64
 	reply msg.Message
 }
 
-// senderWindow is one sender's ring of remembered outcomes.
+// senderWindow is one sender's remembered outcomes.
 type senderWindow struct {
-	mu   sync.Mutex
-	ring []dedupeSlot // ring[seq&mask]; the length is a power of two
-	used int          // slots holding a seq, expired ones included
-	last int64        // at of the newest remember
+	mu    sync.Mutex
+	floor uint64       // the highest floor the sender has sent
+	held  []dedupeSlot // the replies, by seq
+	dead  int          // held[:dead] are below floor, compacted in bulk
+	last  int64        // dedupe.now() of the sender's newest lookup
 }
 
 // dedupe is the per-sender remembered-reply table of a leaf.
 type dedupe struct {
-	window  int64 // nanoseconds
-	maxRing int   // largest power of two within DedupeCap
-	clk     clock.Clock
-	epoch   time.Time // now() counts from here
+	clk   clock.Clock
+	epoch time.Time // now() counts from here
 
 	// mu guards the sender table, not the windows: lookups and remembers
-	// hold it shared, so adding a sender and sweeping exclude them all.
+	// hold it shared, adding a sender and sweeping exclusively.
 	mu      sync.RWMutex
 	senders map[msg.NodeID]*senderWindow
 	swept   int64 // now() of the last sweep
 }
 
 // newDedupe builds a leaf's table on the server's clock.
-func newDedupe(window time.Duration, capacity int, clk clock.Clock) *dedupe {
-	if window <= 0 {
-		window = defaultDedupeWindow
-	}
-	if capacity <= 0 {
-		capacity = defaultDedupeCap
-	}
-	maxRing := 1
-	for maxRing*2 <= capacity {
-		maxRing *= 2
-	}
-	return &dedupe{
-		window:  int64(window),
-		maxRing: maxRing,
-		clk:     clk,
-		epoch:   clk.Now(),
-		senders: make(map[msg.NodeID]*senderWindow),
-	}
+func newDedupe(clk clock.Clock) *dedupe {
+	return &dedupe{clk: clk, epoch: clk.Now(), senders: make(map[msg.NodeID]*senderWindow)}
 }
 
-// now is the table's time: nanoseconds since its creation, monotonic when
-// the clock's readings are.
+// now is the table's time: nanoseconds since its creation.
 func (d *dedupe) now() int64 { return int64(d.clk.Now().Sub(d.epoch)) }
 
-// lookup returns the remembered reply for (sender, seq), if any. Seq 0 is
-// never remembered (unstamped senders opted out); a slot older than the
-// window is a miss.
-func (d *dedupe) lookup(sender msg.NodeID, seq uint64) (msg.Message, bool) {
+// lookup raises sender's floor to floor and returns the reply for seq if
+// the request is not to be applied: the remembered one, or notAwaited
+// below the floor. Seq 0 is never remembered (unstamped senders opted
+// out). The caller has refused a floor above seq.
+func (d *dedupe) lookup(sender msg.NodeID, seq, floor uint64) (msg.Message, bool) {
 	if seq == 0 {
 		return nil, false
 	}
-	d.mu.RLock()
-	w := d.senders[sender]
-	d.mu.RUnlock()
-	if w == nil {
-		return nil, false
-	}
-	// A window the sweep dropped meanwhile holds nothing live: still a miss.
+	w := d.window(sender)
+	now := d.now()
 	w.mu.Lock()
-	sl := w.ring[seq&uint64(len(w.ring)-1)]
-	w.mu.Unlock()
-	if sl.seq != seq || d.now()-sl.at >= d.window {
+	defer w.mu.Unlock()
+	w.last = max(w.last, now)
+	if floor > w.floor {
+		w.floor = floor
+		if w.dead, _ = w.find(floor); 2*w.dead >= len(w.held) {
+			n := copy(w.held, w.held[w.dead:])
+			clear(w.held[n:]) // let the boxed replies go
+			w.held, w.dead = w.held[:n], 0
+		}
+	}
+	if seq < w.floor {
+		return notAwaited, true
+	}
+	i, ok := w.find(seq)
+	if !ok {
 		return nil, false
 	}
+	sl := w.held[i]
 	if sl.reply == nil {
 		return msg.UpdateRes{OfferedAcc: sl.acc}, true
 	}
@@ -142,77 +126,55 @@ func (d *dedupe) rememberInArea(sender msg.NodeID, seq uint64, offeredAcc float6
 	d.put(sender, dedupeSlot{seq: seq, acc: offeredAcc})
 }
 
+// put places sl in its sender's window. The first application wins: a
+// racing duplicate changes nothing. A seq the floor passed while it was
+// applied is not kept: nobody will retry it.
 func (d *dedupe) put(sender msg.NodeID, sl dedupeSlot) {
 	if sl.seq == 0 {
 		return
 	}
-	sl.at = d.now()
-	d.mu.RLock()
-	if w := d.senders[sender]; w != nil {
-		w.put(sl, d.window, d.maxRing)
-		d.mu.RUnlock()
-		return
-	}
-	d.mu.RUnlock()
-
-	// A sender not seen before (or since it was swept). Without a janitor
-	// tick, this is also what keeps the table swept.
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if sl.at-d.swept >= d.window {
-		d.sweepLocked(sl.at)
-	}
-	w := d.senders[sender]
-	if w == nil {
-		w = &senderWindow{ring: make([]dedupeSlot, 1)}
-		d.senders[sender] = w
-	}
-	w.put(sl, d.window, d.maxRing)
-}
-
-// put places sl in the ring. The first application wins: a racing duplicate
-// of a live slot changes nothing. A live slot of another seq makes the ring
-// double rather than forget it, until maxRing.
-func (w *senderWindow) put(sl dedupeSlot, window int64, maxRing int) {
+	w := d.window(sender)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for {
-		cur := &w.ring[sl.seq&uint64(len(w.ring)-1)]
-		if cur.seq != 0 && sl.at-cur.at < window {
-			if cur.seq == sl.seq {
-				return
-			}
-			if len(w.ring) < maxRing {
-				w.grow()
-				continue
-			}
-		}
-		if cur.seq == 0 {
-			w.used++
-		}
-		*cur = sl
-		if sl.at > w.last {
-			w.last = sl.at
-		}
+	if sl.seq < w.floor {
 		return
 	}
-}
-
-// grow doubles the ring. Slots that were distinct modulo the old length
-// stay distinct modulo the new one, so nothing is lost.
-func (w *senderWindow) grow() {
-	ring := make([]dedupeSlot, 2*len(w.ring))
-	for _, sl := range w.ring {
-		if sl.seq != 0 {
-			ring[sl.seq&uint64(len(ring)-1)] = sl
-		}
+	if i, found := w.find(sl.seq); !found {
+		w.held = slices.Insert(w.held, i, sl)
 	}
-	w.ring = ring
 }
 
-// sweep drops every window whose newest slot is older than the dedupe
-// window and reports what is left: the senders and the slots holding a
-// reply. The janitor calls it every tick.
+// find returns where seq is, or would be, in the window. w.mu is held.
+func (w *senderWindow) find(seq uint64) (int, bool) {
+	return slices.BinarySearchFunc(w.held, seq, func(sl dedupeSlot, seq uint64) int { return cmp.Compare(sl.seq, seq) })
+}
+
+// window returns sender's window, adding it for a sender not seen before
+// (or since it was swept). Without a janitor tick, that is also what keeps
+// the table swept.
+func (d *dedupe) window(sender msg.NodeID) *senderWindow {
+	d.mu.RLock()
+	w := d.senders[sender]
+	d.mu.RUnlock()
+	if w != nil {
+		return w
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	now := d.now()
+	if now-d.swept >= int64(dedupeIdle) {
+		d.sweepLocked(now)
+	}
+	if w = d.senders[sender]; w == nil {
+		w = &senderWindow{last: now}
+		d.senders[sender] = w
+	}
+	return w
+}
+
+// sweep drops every sender silent for dedupeIdle and reports what is
+// left: the senders and the replies they hold. The janitor calls it every
+// tick.
 func (d *dedupe) sweep() (senders, remembered int) {
 	now := d.now()
 	d.mu.Lock()
@@ -221,16 +183,21 @@ func (d *dedupe) sweep() (senders, remembered int) {
 	return len(d.senders), remembered
 }
 
-// sweepLocked runs with d.mu held exclusively, which excludes every
-// remember: the windows' fields are read without their locks.
+// sweepLocked runs with d.mu held exclusively. A window that held more in
+// a burst than it does now gives the memory back.
 func (d *dedupe) sweepLocked(now int64) (remembered int) {
 	d.swept = now
 	for id, w := range d.senders {
-		if now-w.last >= d.window {
+		w.mu.Lock()
+		if now-w.last >= int64(dedupeIdle) {
 			delete(d.senders, id)
 		} else {
-			remembered += w.used
+			remembered += len(w.held) - w.dead
+			if cap(w.held) > 2*(len(w.held)-w.dead)+8 {
+				w.held, w.dead = append([]dedupeSlot(nil), w.held[w.dead:]...), 0
+			}
 		}
+		w.mu.Unlock()
 	}
 	return remembered
 }

@@ -18,65 +18,153 @@ import (
 	"locsvc/internal/transport"
 )
 
-// TestDedupeWindowEviction pins the time-based half of the eviction policy:
-// entries older than the window are misses, with no sweep needed to make
-// them so.
-func TestDedupeWindowEviction(t *testing.T) {
-	clk := clock.NewManual(time.Unix(1000, 0))
-	net := transport.NewInproc(transport.InprocOptions{Clock: clk})
+// TestDedupeFloorEviction pins the eviction policy: a reply is held until
+// a later request's floor passes its seq, and a duplicate below the floor
+// is not applied — its sender had stopped waiting for it.
+func TestDedupeFloorEviction(t *testing.T) {
+	net := transport.NewInproc(transport.InprocOptions{})
 	defer net.Close()
-	ls := newDedupeLeaf(t, net, server.Options{DedupeWindow: 10 * time.Second})
+	ls := newDedupeLeaf(t, net, server.Options{})
+	counters := func() (local, deduped int64) {
+		return ls.Metrics().Counter("updates_local").Value(), ls.Metrics().Counter("updates_deduped").Value()
+	}
 
 	probe := attachProbe(t, net, "probe")
 	registerVia(t, net, "o1", geo.Pt(100, 100))
 
-	// Seq 1 applied and remembered.
-	res := callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(110, 100), 1))
-	if res.Moved {
-		t.Fatalf("in-area update reported Moved")
+	// Seq 1 applied and remembered; a duplicate is answered from the
+	// window, even one that would hand the object over if applied.
+	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(110, 100), 1))
+	if res := callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(999, 999), 1)); res.Moved {
+		t.Fatal("duplicate of an in-area update was applied as a handover")
+	}
+	if local, deduped := counters(); local != 1 || deduped != 1 {
+		t.Fatalf("updates_local = %d, updates_deduped = %d; want 1, 1", local, deduped)
 	}
 
-	// Within the window a duplicate is answered from the table.
+	// Seq 2 goes out while seq 1 is still awaited: seq 1 stays held.
+	req := updateReq("o1", geo.Pt(120, 100), 2)
+	req.Floor = 1
+	callUpdate(t, probe, ls.ID(), req)
 	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(999, 999), 1))
-	if got := ls.Metrics().Counter("updates_deduped").Value(); got != 1 {
-		t.Fatalf("updates_deduped = %d, want 1", got)
+	if local, deduped := counters(); local != 2 || deduped != 2 {
+		t.Fatalf("updates_local = %d, updates_deduped = %d; want 2, 2", local, deduped)
 	}
 
-	// Past the window the same Seq is a miss: the update is applied anew.
-	clk.Advance(11 * time.Second)
-	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(120, 100), 1))
-	if got := ls.Metrics().Counter("updates_deduped").Value(); got != 1 {
-		t.Fatalf("updates_deduped after window = %d, want still 1", got)
+	// Seq 3 says nothing below it is awaited: late copies of seqs 1 and 2
+	// are refused unapplied.
+	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(130, 100), 3))
+	for seq := uint64(1); seq <= 2; seq++ {
+		late := updateReq("o1", geo.Pt(999, 999), seq)
+		if _, err := probe.Call(ctx(t), ls.ID(), late); !errors.Is(err, core.ErrTimeout) {
+			t.Fatalf("late seq %d below the floor: err = %v, want a timeout", seq, err)
+		}
 	}
-	if got := ls.Metrics().Counter("updates_local").Value(); got != 2 {
-		t.Fatalf("updates_local = %d, want 2 (initial + post-window retry)", got)
+	if local, deduped := counters(); local != 3 || deduped != 4 {
+		t.Fatalf("updates_local = %d, updates_deduped = %d; want 3, 4", local, deduped)
+	}
+	resp, err := probe.Call(ctx(t), ls.ID(), msg.PosQueryReq{OID: "o1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos := resp.(msg.PosQueryRes).LD.Pos; pos != geo.Pt(130, 100) {
+		t.Fatalf("o1 at %v, want seq 3's (130, 100)", pos)
 	}
 }
 
-// TestDedupeCapEviction pins the depth half: a sender's window holds its
-// most recent requests, at most DedupeCap of them, and the oldest fall out
-// first.
-func TestDedupeCapEviction(t *testing.T) {
+// TestDedupeRetryAfterManyNewerRequests pins that a window is bounded by
+// what its sender awaits, not by a slot count: a handover's reply is
+// still answered from the window after 5 000 newer requests from the same
+// sender, because the sender never stopped awaiting it.
+func TestDedupeRetryAfterManyNewerRequests(t *testing.T) {
 	net := transport.NewInproc(transport.InprocOptions{})
 	defer net.Close()
-	ls := newDedupeLeaf(t, net, server.Options{DedupeCap: 3})
+	ls := newDedupeLeaf(t, net, server.Options{})
+
+	probe := attachProbe(t, net, "probe")
+	registerVia(t, net, "o1", geo.Pt(100, 100))
+	registerVia(t, net, "o2", geo.Pt(200, 200))
+
+	first := updateReq("o1", geo.Pt(1200, 100), 1) // out of r.0: a handover
+	if res := callUpdate(t, probe, ls.ID(), first); !res.Moved {
+		t.Fatalf("handover reply = %+v, want Moved", res)
+	}
+	for seq := uint64(2); seq <= 5001; seq++ {
+		req := updateReq("o2", geo.Pt(200+float64(seq%100), 200), seq)
+		req.Floor = 1
+		callUpdate(t, probe, ls.ID(), req)
+	}
+	before := ls.Metrics().Counter("updates_deduped").Value()
+	if res := callUpdate(t, probe, ls.ID(), first); !res.Moved || res.NewAgent != "r.1" {
+		t.Fatalf("retried handover reply = %+v, want the remembered Moved to r.1", res)
+	}
+	if got := ls.Metrics().Counter("updates_deduped").Value(); got != before+1 {
+		t.Fatalf("updates_deduped = %d, want %d", got, before+1)
+	}
+}
+
+// TestDedupeClientRestartSameID pins that a client restarted under the
+// same node id is not answered from its previous incarnation's replies:
+// its registration of another object is applied, and that object takes
+// updates.
+func TestDedupeClientRestartSameID(t *testing.T) {
+	net := transport.NewInproc(transport.InprocOptions{})
+	defer net.Close()
+	ls := newDedupeLeaf(t, net, server.Options{})
+
+	register := func(oid string, p geo.Point) (*client.Client, *client.TrackedObject) {
+		t.Helper()
+		c, err := client.New(net, "dev", ls.ID(), client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := c.Register(ctx(t), sightingAt(oid, p), 10, 50, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, obj
+	}
+	c, first := register("o1", geo.Pt(100, 100))
+	if err := first.Update(ctx(t), sightingAt("o1", geo.Pt(110, 100))); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	c, second := register("o2", geo.Pt(300, 300))
+	defer c.Close()
+	if got := ls.Metrics().Counter("register_deduped").Value(); got != 0 {
+		t.Fatalf("register_deduped = %d: the new incarnation was answered from the old one's replies", got)
+	}
+	if _, ok := ls.VisitorForTest("o2"); !ok {
+		t.Fatal("o2 not registered")
+	}
+	if err := second.Update(ctx(t), sightingAt("o2", geo.Pt(310, 300))); err != nil {
+		t.Fatalf("first update of o2: %v", err)
+	}
+}
+
+// TestDedupeFloorAboveSeqRefused pins that a request whose floor is above
+// its own seq is malformed: refused, and neither applied nor remembered.
+func TestDedupeFloorAboveSeqRefused(t *testing.T) {
+	net := transport.NewInproc(transport.InprocOptions{})
+	defer net.Close()
+	ls := newDedupeLeaf(t, net, server.Options{})
 
 	probe := attachProbe(t, net, "probe")
 	registerVia(t, net, "o1", geo.Pt(100, 100))
 
-	// Seqs 1..4 through a cap of 3: Seq 1 must have been dropped, so a
-	// retry of it is applied again rather than answered from the table.
-	for seq := uint64(1); seq <= 4; seq++ {
-		callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(100+float64(seq), 100), seq))
+	req := updateReq("o1", geo.Pt(110, 100), 2)
+	req.Floor = 3
+	if _, err := probe.Call(ctx(t), ls.ID(), req); !errors.Is(err, core.ErrBadRequest) {
+		t.Fatalf("floor above seq: err = %v, want bad request", err)
 	}
-	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(200, 100), 1))
-	if got := ls.Metrics().Counter("updates_deduped").Value(); got != 0 {
-		t.Fatalf("updates_deduped = %d, want 0 (seq 1 evicted by cap)", got)
+	if got := ls.Metrics().Counter("updates_local").Value(); got != 0 {
+		t.Fatalf("updates_local = %d, want 0", got)
 	}
-	// Seq 4 is still resident.
-	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(300, 100), 4))
-	if got := ls.Metrics().Counter("updates_deduped").Value(); got != 1 {
-		t.Fatalf("updates_deduped = %d, want 1 (seq 4 still remembered)", got)
+	// The refused request left no floor behind: seq 2 is still new.
+	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(110, 100), 2))
+	if got := ls.Metrics().Counter("updates_local").Value(); got != 1 {
+		t.Fatalf("updates_local = %d, want 1", got)
 	}
 }
 
@@ -215,14 +303,15 @@ func TestDedupeClearedByRestart(t *testing.T) {
 
 // TestDedupeGaugesAndSenderSweep pins what an operator sees of the table and
 // what bounds it: every janitor tick exports the senders a leaf remembers
-// replies for and the slots they hold, and drops the senders that have been
-// silent for a dedupe window.
+// replies for and the replies they hold, and drops the senders that have
+// been silent for the idle time.
 func TestDedupeGaugesAndSenderSweep(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	net := transport.NewInproc(transport.InprocOptions{Clock: clk})
 	defer net.Close()
+	idle := server.DedupeIdleForTest
 	// No JanitorInterval: the test is the only one to tick.
-	ls := newDedupeLeaf(t, net, server.Options{DedupeWindow: 10 * time.Second})
+	ls := newDedupeLeaf(t, net, server.Options{})
 	gauges := func() (senders, remembered int64) {
 		ls.JanitorTickForTest()
 		return ls.Metrics().Gauge("dedupe_senders").Value(), ls.Metrics().Gauge("dedupe_remembered").Value()
@@ -230,24 +319,30 @@ func TestDedupeGaugesAndSenderSweep(t *testing.T) {
 
 	probe := attachProbe(t, net, "probe")
 	registerVia(t, net, "o1", geo.Pt(100, 100)) // stamped by its client, "owner-o1"
+	// The probe keeps awaiting seq 1, so its window holds all its replies.
+	update := func(seq uint64) {
+		req := updateReq("o1", geo.Pt(100+float64(seq), 100), seq)
+		req.Floor = 1
+		callUpdate(t, probe, ls.ID(), req)
+	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(100+float64(seq), 100), seq))
+		update(seq)
 	}
 	if senders, remembered := gauges(); senders != 2 || remembered != 4 {
 		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d; want 2 senders (owner-o1, probe) holding 1 + 3 replies", senders, remembered)
 	}
 
-	// Half a window on, the probe is heard from again and the registrant
-	// is not; a full window after the registration only the probe is left.
-	clk.Advance(6 * time.Second)
-	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(110, 100), 4))
-	clk.Advance(5 * time.Second)
+	// Past half the idle time the probe is heard from again and the
+	// registrant is not; past the idle time only the probe is left.
+	clk.Advance(idle * 6 / 10)
+	update(4)
+	clk.Advance(idle / 2)
 	if senders, remembered := gauges(); senders != 1 || remembered != 4 {
 		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d; want the probe alone with its 4 replies", senders, remembered)
 	}
-	clk.Advance(10 * time.Second)
+	clk.Advance(idle)
 	if senders, remembered := gauges(); senders != 0 || remembered != 0 {
-		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d a window after the last request; want 0, 0", senders, remembered)
+		t.Fatalf("dedupe_senders = %d, dedupe_remembered = %d the idle time after the last request; want 0, 0", senders, remembered)
 	}
 }
 
@@ -297,8 +392,10 @@ func registerVia(t *testing.T, net *transport.Inproc, oid string, p geo.Point) {
 	}
 }
 
+// updateReq is a stamped update from a sender that awaits nothing older:
+// its floor is its own seq.
 func updateReq(oid string, p geo.Point, seq uint64) msg.UpdateReq {
-	return msg.UpdateReq{S: sightingAt(oid, p), Seq: seq}
+	return msg.UpdateReq{S: sightingAt(oid, p), Seq: seq, Floor: seq}
 }
 
 func callUpdate(t *testing.T, probe transport.Node, to msg.NodeID, req msg.UpdateReq) msg.UpdateRes {

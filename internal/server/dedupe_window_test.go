@@ -24,106 +24,88 @@ func moved(sender msg.NodeID, seq uint64) msg.UpdateRes {
 // same compares replies; an UpdateRes carries an area, so == would panic.
 func same(got, want msg.Message) bool { return reflect.DeepEqual(got, want) }
 
-// ringLen returns the length of sender's ring, 0 when it has no window.
-func (d *dedupe) ringLen(sender msg.NodeID) int {
+// held returns how many replies sender's window holds; ok is false when
+// the table has no window for it.
+func (d *dedupe) held(sender msg.NodeID) (n int, ok bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if w := d.senders[sender]; w != nil {
-		return len(w.ring)
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.held) - w.dead, true
 	}
-	return 0
+	return 0, false
+}
+
+// applyInArea is what the leaf does with an in-area update: look it up,
+// and remember its reply when it is new.
+func (d *dedupe) applyInArea(sender msg.NodeID, seq, floor uint64, acc float64) {
+	if _, dup := d.lookup(sender, seq, floor); !dup {
+		d.rememberInArea(sender, seq, acc)
+	}
 }
 
 // TestDedupeSendersDoNotCollide pins that the key is (sender, seq): two
 // senders using the same seq each get their own reply back.
 func TestDedupeSendersDoNotCollide(t *testing.T) {
-	d := newDedupe(time.Minute, 8, manualClock())
+	d := newDedupe(manualClock())
 	d.remember("a", 7, moved("a", 7))
 	d.rememberInArea("b", 7, 25)
 
-	if got, ok := d.lookup("a", 7); !ok || !same(got, moved("a", 7)) {
+	if got, ok := d.lookup("a", 7, 7); !ok || !same(got, moved("a", 7)) {
 		t.Errorf("lookup(a, 7) = %+v, %v; want a's Moved reply", got, ok)
 	}
-	if got, ok := d.lookup("b", 7); !ok || !same(got, msg.UpdateRes{OfferedAcc: 25}) {
+	if got, ok := d.lookup("b", 7, 7); !ok || !same(got, msg.UpdateRes{OfferedAcc: 25}) {
 		t.Errorf("lookup(b, 7) = %+v, %v; want b's in-area reply", got, ok)
 	}
-	if _, ok := d.lookup("c", 7); ok {
+	if _, ok := d.lookup("c", 7, 7); ok {
 		t.Error("lookup(c, 7) hit for a sender that never sent")
 	}
 }
 
-// TestDedupeDepthIsTheCap pins how far behind a sender's newest request a
-// retry can be: the window remembers the last N seqs, N the largest power
-// of two within DedupeCap.
-func TestDedupeDepthIsTheCap(t *testing.T) {
-	for _, tc := range []struct{ capacity, depth int }{
-		{1, 1}, {2, 2}, {3, 2}, {8, 8}, {100, 64}, {0, defaultDedupeCap},
-	} {
-		d := newDedupe(time.Minute, tc.capacity, manualClock())
-		newest := uint64(3 * tc.depth)
-		for seq := uint64(1); seq <= newest; seq++ {
-			d.rememberInArea("s", seq, float64(seq))
-		}
-		if got := d.ringLen("s"); got != tc.depth {
-			t.Errorf("cap %d: ring grew to %d slots, want %d", tc.capacity, got, tc.depth)
-		}
-		behind := newest - uint64(tc.depth)
-		if _, ok := d.lookup("s", behind); ok {
-			t.Errorf("cap %d: seq %d, %d behind the newest, is still remembered", tc.capacity, behind, tc.depth)
-		}
-		got, ok := d.lookup("s", behind+1)
-		if want := (msg.UpdateRes{OfferedAcc: float64(behind + 1)}); !ok || !same(got, want) {
-			t.Errorf("cap %d: lookup of seq %d, %d behind the newest = %+v, %v; want %+v",
-				tc.capacity, behind+1, tc.depth-1, got, ok, want)
+// TestDedupeFloorBoundsTheWindow pins what a window holds: every reply
+// from the sender's highest floor up, however far the newest request is
+// ahead of it, and nothing below it. A request below the floor is
+// answered notAwaited.
+func TestDedupeFloorBoundsTheWindow(t *testing.T) {
+	d := newDedupe(manualClock())
+	// Seq 1 stays awaited while 5 000 newer requests go by.
+	for seq := uint64(1); seq <= 5001; seq++ {
+		d.applyInArea("s", seq, 1, float64(seq))
+	}
+	if n, _ := d.held("s"); n != 5001 {
+		t.Fatalf("window holds %d replies under floor 1, want all 5001", n)
+	}
+	if got, ok := d.lookup("s", 1, 1); !ok || !same(got, msg.UpdateRes{OfferedAcc: 1}) {
+		t.Fatalf("lookup(s, 1) = %+v, %v; want the first reply", got, ok)
+	}
+	// The sender's next request says it awaits nothing below 4 990.
+	d.applyInArea("s", 5002, 4990, 5002)
+	if n, _ := d.held("s"); n != 13 {
+		t.Errorf("window holds %d replies under floor 4990, want 13", n)
+	}
+	for _, seq := range []uint64{1, 4989} {
+		if got, dup := d.lookup("s", seq, seq); !dup || got != notAwaited {
+			t.Errorf("lookup(s, %d) below the floor = %+v, %v; want notAwaited", seq, got, dup)
 		}
 	}
-}
-
-// TestDedupeRingGrowth pins the growth rule: a ring doubles only when the
-// slot a remember would overwrite is still inside the window, and never
-// past the cap.
-func TestDedupeRingGrowth(t *testing.T) {
-	clk := manualClock()
-	d := newDedupe(10*time.Second, 4, clk)
-	for _, step := range []struct {
-		after    time.Duration // since the previous step
-		seq      uint64
-		wantRing int
-		why      string
-	}{
-		{0, 1, 1, "first request"},
-		{11 * time.Second, 2, 1, "seq 1 had expired: overwritten in place"},
-		{time.Second, 3, 2, "seq 2 is live: double"},
-		{time.Second, 4, 4, "seq 2 is live in seq 4's slot: double"},
-		{time.Second, 5, 4, "seq 5's slot is empty"},
-		{time.Second, 6, 4, "seq 2 is live, but the ring is at the cap: overwritten"},
-		{20 * time.Second, 7, 4, "nothing shrinks a ring"},
-	} {
-		clk.Advance(step.after)
-		d.rememberInArea("s", step.seq, 1)
-		if got := d.ringLen("s"); got != step.wantRing {
-			t.Fatalf("after seq %d (%s): ring has %d slots, want %d", step.seq, step.why, got, step.wantRing)
-		}
-		if _, ok := d.lookup("s", step.seq); !ok {
-			t.Fatalf("seq %d not remembered right after its remember", step.seq)
-		}
+	if got, ok := d.lookup("s", 4990, 4990); !ok || !same(got, msg.UpdateRes{OfferedAcc: 4990}) {
+		t.Errorf("lookup(s, 4990) at the floor = %+v, %v; want its reply", got, ok)
 	}
-	// Growing lost nothing that was live: seq 6 overwrote seq 2 at the cap,
-	// everything before seq 7 has expired by now.
-	for seq, want := range map[uint64]bool{2: false, 5: false, 6: false, 7: true} {
-		if _, ok := d.lookup("s", seq); ok != want {
-			t.Errorf("lookup(seq %d) hit = %v, want %v", seq, ok, want)
-		}
+	// A floor lower than one already seen moves nothing.
+	d.applyInArea("s", 5003, 4000, 5003)
+	if got, dup := d.lookup("s", 4500, 4000); !dup || got != notAwaited {
+		t.Errorf("an older floor lowered the window: lookup(s, 4500) = %+v, %v", got, dup)
 	}
 }
 
 // TestDedupeZeroSeqOptsOut pins that an unstamped request is neither
 // remembered nor found, and costs no window.
 func TestDedupeZeroSeqOptsOut(t *testing.T) {
-	d := newDedupe(time.Minute, 8, manualClock())
+	d := newDedupe(manualClock())
 	d.remember("s", 0, moved("s", 0))
 	d.rememberInArea("s", 0, 10)
-	if _, ok := d.lookup("s", 0); ok {
+	if _, ok := d.lookup("s", 0, 0); ok {
 		t.Error("lookup(s, 0) hit")
 	}
 	if senders, remembered := d.sweep(); senders != 0 || remembered != 0 {
@@ -132,43 +114,44 @@ func TestDedupeZeroSeqOptsOut(t *testing.T) {
 }
 
 // TestDedupeFirstApplicationWins pins that a racing duplicate's remember
-// changes nothing, while the same seq is applied anew — and remembered anew
-// — once the first has left the window.
+// changes nothing, and that a reply whose seq the floor passed while it
+// was applied is not kept.
 func TestDedupeFirstApplicationWins(t *testing.T) {
-	clk := manualClock()
-	d := newDedupe(10*time.Second, 8, clk)
+	d := newDedupe(manualClock())
 	d.rememberInArea("s", 5, 10)
 	d.remember("s", 5, moved("s", 5))
-	if got, ok := d.lookup("s", 5); !ok || !same(got, msg.UpdateRes{OfferedAcc: 10}) {
+	if got, ok := d.lookup("s", 5, 5); !ok || !same(got, msg.UpdateRes{OfferedAcc: 10}) {
 		t.Errorf("lookup = %+v, %v; want the first application's in-area reply", got, ok)
 	}
-	clk.Advance(10 * time.Second)
-	if _, ok := d.lookup("s", 5); ok {
-		t.Error("seq 5 still remembered a full window later")
+	// Seq 6 is being applied when seq 7 arrives saying 6 is not awaited.
+	if _, dup := d.lookup("s", 6, 5); dup {
+		t.Fatal("seq 6 found before its remember")
 	}
-	d.remember("s", 5, moved("s", 5))
-	if got, ok := d.lookup("s", 5); !ok || !same(got, moved("s", 5)) {
-		t.Errorf("lookup after re-application = %+v, %v; want the new reply", got, ok)
+	d.applyInArea("s", 7, 7, 1)
+	d.remember("s", 6, moved("s", 6))
+	if n, _ := d.held("s"); n != 1 {
+		t.Errorf("window holds %d replies, want seq 7's alone", n)
 	}
 }
 
 // TestDedupeUpdatePathAllocatesNothing pins the cost of the table on an
 // in-area update: neither the lookup that misses nor the remember of the
-// reply allocates once the sender's ring has its depth.
+// reply allocates once the sender's window holds its depth.
 func TestDedupeUpdatePathAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	d := newDedupe(time.Minute, 64, clock.Real{})
+	d := newDedupe(clock.Real{})
 	seq := uint64(0)
 	update := func() {
 		seq++
-		if _, ok := d.lookup("s", seq); ok {
+		floor := max(seq, 64) - 63 // 64 in flight
+		if _, ok := d.lookup("s", seq, floor); ok {
 			t.Fatalf("lookup(s, %d) hit before its remember", seq)
 		}
 		d.rememberInArea("s", seq, 10)
 	}
-	for i := 0; i < 64; i++ { // the sender's window and the ring's doublings
+	for i := 0; i < 64; i++ { // the sender's window and its depth
 		update()
 	}
 	if allocs := testing.AllocsPerRun(1000, update); allocs != 0 {
@@ -177,27 +160,27 @@ func TestDedupeUpdatePathAllocatesNothing(t *testing.T) {
 }
 
 // TestDedupeSweepDropsSilentSenders pins the bound on the sender table: a
-// sweep drops exactly the senders whose newest request has left the window,
-// and a new sender triggers one when no janitor tick has for a window.
+// sweep drops exactly the senders silent for dedupeIdle, and a new sender
+// triggers one when no janitor tick has for that long.
 func TestDedupeSweepDropsSilentSenders(t *testing.T) {
 	clk := manualClock()
-	d := newDedupe(10*time.Second, 8, clk)
-	d.rememberInArea("old", 1, 1)
-	clk.Advance(6 * time.Second)
-	d.rememberInArea("new", 1, 1)
-	d.rememberInArea("new", 2, 1)
+	d := newDedupe(clk)
+	d.applyInArea("old", 1, 1, 1)
+	clk.Advance(dedupeIdle / 2)
+	d.applyInArea("new", 1, 1, 1)
+	d.applyInArea("new", 2, 1, 1)
 	if senders, remembered := d.sweep(); senders != 2 || remembered != 3 {
 		t.Fatalf("sweep = %d senders, %d replies; want 2, 3", senders, remembered)
 	}
-	clk.Advance(6 * time.Second)
+	clk.Advance(dedupeIdle / 2)
 	if senders, remembered := d.sweep(); senders != 1 || remembered != 2 {
-		t.Fatalf("sweep = %d senders, %d replies; want 1, 2 (old is 12 s silent)", senders, remembered)
+		t.Fatalf("sweep = %d senders, %d replies; want 1, 2 (old is dedupeIdle silent)", senders, remembered)
 	}
 	// No further tick: the arrival of a sender not seen before sweeps.
-	clk.Advance(10 * time.Second)
-	d.rememberInArea("newer", 1, 1)
-	if got := d.ringLen("new"); got != 0 {
-		t.Errorf("sender silent for a window survived the arrival of a new one (ring %d)", got)
+	clk.Advance(dedupeIdle)
+	d.applyInArea("newer", 1, 1, 1)
+	if n, ok := d.held("new"); ok {
+		t.Errorf("sender silent for dedupeIdle survived the arrival of a new one (%d replies)", n)
 	}
 	if senders, remembered := d.sweep(); senders != 1 || remembered != 1 {
 		t.Errorf("sweep = %d senders, %d replies; want 1, 1", senders, remembered)
@@ -206,21 +189,24 @@ func TestDedupeSweepDropsSilentSenders(t *testing.T) {
 
 // TestDedupeHammer runs 8 goroutines over the same 64 senders' seq streams,
 // so every (sender, seq) is looked up and remembered by several at once,
-// with a ring small enough to wrap all the time and a sweeper beside them.
-// Whatever the interleaving, a hit returns the reply remembered for exactly
-// that (sender, seq). Run under -race.
+// with floors trailing the seqs so windows drop replies all the time and
+// a sweeper beside them whose clock drops silent senders. Whatever the
+// interleaving, a hit returns the reply remembered for exactly that
+// (sender, seq). Run under -race.
 func TestDedupeHammer(t *testing.T) {
 	const (
 		senders    = 64
 		goroutines = 8
 		seqs       = 400
+		depth      = 4 // seqs in flight per sender
 	)
 	clk := manualClock()
-	d := newDedupe(50*time.Millisecond, 16, clk)
+	d := newDedupe(clk)
 	ids := make([]msg.NodeID, senders)
 	for i := range ids {
 		ids[i] = msg.NodeID(fmt.Sprintf("c%02d", i))
 	}
+	floor := func(seq uint64) uint64 { return max(seq, depth) - depth + 1 }
 	// Even seqs are in-area replies, odd ones boxed.
 	want := func(s int, seq uint64) msg.Message {
 		if seq%2 == 0 {
@@ -230,7 +216,7 @@ func TestDedupeHammer(t *testing.T) {
 	}
 	var hits atomic.Int64
 	check := func(s int, seq uint64) {
-		if got, ok := d.lookup(ids[s], seq); ok {
+		if got, ok := d.lookup(ids[s], seq, floor(seq)); ok && got != notAwaited {
 			hits.Add(1)
 			if !same(got, want(s, seq)) {
 				t.Errorf("lookup(%s, %d) = %+v, want %+v", ids[s], seq, got, want(s, seq))
@@ -247,7 +233,7 @@ func TestDedupeHammer(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				clk.Advance(time.Millisecond)
+				clk.Advance(dedupeIdle / 200)
 				d.sweep()
 				runtime.Gosched()
 			}
@@ -282,8 +268,8 @@ func TestDedupeHammer(t *testing.T) {
 		t.Error("no lookup ever hit: the hammer checked nothing")
 	}
 	for _, id := range ids {
-		if got := d.ringLen(id); got > 16 {
-			t.Errorf("%s: ring of %d slots, cap 16", id, got)
+		if n, _ := d.held(id); n > 2*depth {
+			t.Errorf("%s: window of %d replies behind a floor %d seqs back", id, n, depth)
 		}
 	}
 }
@@ -291,34 +277,18 @@ func TestDedupeHammer(t *testing.T) {
 // BenchmarkDedupe measures what one update pays the table — a lookup that
 // misses and the remember of its in-area reply — and what a sender costs
 // the leaf in memory, for the two kinds of sender there are: a client
-// pipelining thousands of objects over one node (the benchmark's), whose
-// ring grows to the cap, and a device tracking one object (the paper's
-// model), whose ring the growth rule keeps at the depth its report interval
-// needs: one slot when it reports once per dedupe window or less often.
+// pipelining 64 requests over one node (the benchmark's), whose window
+// holds those 64, and a device tracking one object (the paper's model),
+// which awaits one reply at a time.
 func BenchmarkDedupe(b *testing.B) {
-	b.Run("pipelined/senders=2", func(b *testing.B) {
-		benchDedupe(b, 2, 2*20000, clock.Real{}, func(int64) {})
-	})
-	for _, every := range []time.Duration{10 * time.Second, defaultDedupeWindow} {
-		b.Run(fmt.Sprintf("devices/senders=4096/every=%s", every), func(b *testing.B) {
-			clk := manualClock()
-			var at atomic.Int64 // the round the clock stands at
-			// One round over the devices is one report interval.
-			benchDedupe(b, 4096, 8*4096, clk, func(round int64) {
-				for r := at.Load(); round > r; r = at.Load() {
-					if at.CompareAndSwap(r, round) {
-						clk.Advance(time.Duration(round-r) * every)
-						return
-					}
-				}
-			})
-		})
-	}
+	b.Run("pipelined/senders=2/depth=64", func(b *testing.B) { benchDedupe(b, 2, 64) })
+	b.Run("devices/senders=4096", func(b *testing.B) { benchDedupe(b, 4096, 1) })
 }
 
 // benchDedupe issues warm requests before the timer starts, so that every
-// sender is known and every ring at its depth, then b.N more.
-func benchDedupe(b *testing.B, senders, warm int, clk clock.Clock, atRound func(round int64)) {
+// sender is known and every window at its depth, then b.N more. Each
+// request's floor trails its seq by depth-1: the sender awaits depth.
+func benchDedupe(b *testing.B, senders int, depth uint64) {
 	ids := make([]msg.NodeID, senders)
 	for i := range ids {
 		ids[i] = msg.NodeID(fmt.Sprintf("c%04d", i))
@@ -326,21 +296,20 @@ func benchDedupe(b *testing.B, senders, warm int, clk clock.Clock, atRound func(
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	d := newDedupe(0, 0, clk)
+	d := newDedupe(clock.Real{})
 	// The senders' streams are dealt out op by op: op n is sender n mod
 	// senders sending its seq n/senders+1, whichever goroutine draws it.
 	var next atomic.Int64
 	issue := func() {
 		n := next.Add(1) - 1
-		round := n / int64(senders)
-		atRound(round)
-		id, seq := ids[n%int64(senders)], uint64(round)+1
-		if _, ok := d.lookup(id, seq); ok {
+		id, seq := ids[n%int64(senders)], uint64(n/int64(senders))+1
+		// A request that another goroutine's floor overtook is notAwaited.
+		if r, ok := d.lookup(id, seq, max(seq, depth)-depth+1); ok && r != notAwaited {
 			b.Errorf("lookup(%s, %d) hit before its remember", id, seq)
 		}
 		d.rememberInArea(id, seq, 10)
 	}
-	for i := 0; i < warm; i++ {
+	for i := 0; i < senders*int(2*depth); i++ {
 		issue()
 	}
 	b.ReportAllocs()
@@ -354,6 +323,7 @@ func benchDedupe(b *testing.B, senders, warm int, clk clock.Clock, atRound func(
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(senders), "B/sender")
-	b.ReportMetric(float64(d.ringLen(ids[0])), "slots/sender")
+	n, _ := d.held(ids[0])
+	b.ReportMetric(float64(n), "replies/sender")
 	runtime.KeepAlive(d)
 }

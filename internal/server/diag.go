@@ -37,15 +37,6 @@ func (s *Server) shardMaintenance() {
 	}
 }
 
-// dedupeMaintenance runs once per janitor tick: it sweeps the retry-dedupe
-// table and exports its size, so an operator sees both how many senders a
-// leaf is remembering replies for and that the sweep runs.
-func (s *Server) dedupeMaintenance() {
-	senders, remembered := s.dedupe.sweep()
-	s.met.Gauge("dedupe_senders").Set(int64(senders))
-	s.met.Gauge("dedupe_remembered").Set(int64(remembered))
-}
-
 // shardGaugeName formats one shard's gauge series name.
 func shardGaugeName(prefix string, shard int) string {
 	return fmt.Sprintf("%s.%03d", prefix, shard)

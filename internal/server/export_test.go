@@ -124,6 +124,10 @@ func (s *Server) SightingsForTest() *store.ShardedSightingDB { return s.sighting
 // servers deployed without a JanitorInterval, so no janitor runs beside it.
 func (s *Server) JanitorTickForTest() { s.janitorTick() }
 
+// DedupeIdleForTest is how long a sender stays silent before a janitor
+// tick drops its retry-dedupe window.
+const DedupeIdleForTest = dedupeIdle
+
 // PathReassertIntervalForTest is the cadence at which a path message whose
 // retry budget is spent is sent again.
 const PathReassertIntervalForTest = pathReassertInterval

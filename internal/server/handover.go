@@ -17,7 +17,7 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 	if !s.cfg.IsLeaf() {
 		return nil, core.ErrBadRequest
 	}
-	if err := req.S.Validate(); err != nil {
+	if err := req.S.Validate(); err != nil || req.Floor > req.Seq {
 		return nil, core.ErrBadRequest
 	}
 	// A standby never accepts writes — an update applied here would fork
@@ -32,12 +32,11 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 			AgentInfo: msg.LeafInfo{ID: r.peer, Area: s.cfg.SA},
 		}, nil
 	}
-	// A transport-level retry whose first attempt was applied — only the
-	// reply was lost — gets the remembered reply without touching the
-	// stores. Critical after a handover: re-applying would fail with
-	// not_found against the departed record and strand the client on the
-	// old agent.
-	if reply, ok := s.dedupe.lookup(from, req.Seq); ok {
+	// A retry whose first attempt was applied — only the reply was lost —
+	// gets the remembered reply without touching the stores. Critical
+	// after a handover: re-applying would fail with not_found and strand
+	// the client on the old agent. A late copy is not applied either.
+	if reply, ok := s.dedupe.lookup(from, req.Seq, req.Floor); ok {
 		s.writeMet.updatesDeduped.Inc()
 		return reply, nil
 	}

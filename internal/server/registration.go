@@ -51,15 +51,14 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 	// Leaf server responsible for the object's position (lines 2-15).
 	// A malformed request is refused before anything is remembered,
 	// stored or sent up the path.
-	if err := errors.Join(req.S.Validate(), req.RegInfo.Validate()); err != nil {
+	if err := errors.Join(req.S.Validate(), req.RegInfo.Validate(), floorErr(req.Seq, req.Floor)); err != nil {
 		s.respondToOrigin(req.Origin, msg.ErrorResFrom(fmt.Errorf("%w: %v", core.ErrBadRequest, err)))
 		return
 	}
-	// A retried registration whose first application answered already —
-	// only the response was lost — re-sends the remembered outcome
-	// instead of re-applying (see the wire package's retry-idempotency
-	// rules).
-	if reply, ok := s.dedupe.lookup(req.Origin.Node, req.Seq); ok {
+	// A retried registration whose first application answered already
+	// gets the remembered outcome, and a late copy is not applied (see
+	// the wire package's retry-idempotency rules).
+	if reply, ok := s.dedupe.lookup(req.Origin.Node, req.Seq, req.Floor); ok {
 		s.writeMet.registerDeduped.Inc()
 		s.respondToOrigin(req.Origin, reply)
 		return

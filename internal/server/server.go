@@ -43,8 +43,8 @@
 // they are in the old primary's WAL and return on its recovery as a
 // standby — but until then queries served by the new primary may be that
 // many records stale. The sequence-numbered streams make replay after
-// reconnect idempotent. One post-promotion subtlety: the dedupe window
-// (Options.DedupeWindow) is not replicated, so a client retry that
+// reconnect idempotent. One post-promotion subtlety: the retry dedupe
+// windows (dedupe.go) are not replicated, so a client retry that
 // straddles a failover can be applied a second time by the new primary.
 // Both applications carry the same sighting timestamp and the stores apply
 // via PutIfNewer, so the double-apply is harmless to query answers.
@@ -131,19 +131,6 @@ type Options struct {
 	// Metrics receives the server's counters; a private registry is
 	// created when nil.
 	Metrics *metrics.Registry
-	// DedupeWindow bounds how long a leaf remembers replies to Seq-stamped
-	// requests (UpdateReq, RegisterReq) so a client retry is applied
-	// exactly once. Zero uses a 30s default; the window only needs to
-	// outlast the longest retry budget. A sender that has sent nothing for
-	// this long is dropped from the table.
-	DedupeWindow time.Duration
-	// DedupeCap bounds how many of one sender's most recent Seq-stamped
-	// requests a leaf remembers replies to: the pipeline depth a sender can
-	// retry across. The window is a ring indexed by seq, so the bound in
-	// effect is the largest power of two within DedupeCap; a sender only
-	// grows to it by having that many requests inside DedupeWindow. Zero
-	// uses a 4096-slot default.
-	DedupeCap int
 	// PathRetry is the retry budget for forwarding-path propagation
 	// (the CreatePath/RemovePath climbs). These one-way messages are
 	// idempotent — every application is guarded by the sighting
@@ -452,7 +439,7 @@ func (s *Server) openLeafStore() error {
 	// Feed committed update deltas straight into the event dispatcher;
 	// the enqueue never blocks the committing lane.
 	s.pipe = store.NewUpdatePipeline(s.sightings, store.OnCommit(s.enqueueDeltas))
-	s.dedupe = newDedupe(opts.DedupeWindow, opts.DedupeCap, s.clk)
+	s.dedupe = newDedupe(s.clk)
 	if opts.ReplPeer != "" {
 		r := newReplState(s, msg.NodeID(opts.ReplPeer), s.sightings, opts.ReplStandby)
 		s.repl = r
@@ -688,9 +675,11 @@ func (s *Server) janitorTick() {
 	if s.repl != nil {
 		s.repl.updateGauges()
 	}
-	// Forget the senders that have been silent for a dedupe window, and
+	// Forget the senders that have been silent for dedupeIdle, and
 	// export what the table holds.
-	s.dedupeMaintenance()
+	senders, remembered := s.dedupe.sweep()
+	s.met.Gauge("dedupe_senders").Set(int64(senders))
+	s.met.Gauge("dedupe_remembered").Set(int64(remembered))
 	// Surface a dead sighting WAL once: the store keeps serving (soft
 	// state), but the operator must learn durability is gone before the
 	// next crash proves it.

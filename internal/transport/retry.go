@@ -41,9 +41,6 @@ type RetryPolicy struct {
 	PerTryTimeout time.Duration
 }
 
-// Enabled reports whether the policy actually retries.
-func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
-
 // DefaultRetryPolicy is a sane client-side budget: 4 attempts keep the
 // failure probability negligible at realistic loss rates (20% loss each
 // way ≈ 0.36 per-attempt failure ≈ 1.7% after 4 tries) while bounding the

@@ -18,7 +18,13 @@ func FuzzDecode(f *testing.F) {
 	seeds := []msg.Envelope{
 		{From: "obj-1", CorrID: 42, Msg: msg.UpdateReq{S: core.Sighting{
 			OID: "truck-7", T: time.Unix(1_700_000_000, 0).UTC(), Pos: geo.Pt(123.5, 456.25), SensAcc: 10,
-		}}},
+		}, Seq: 1_700_000_000_000_000_042, Floor: 1_700_000_000_000_000_017}},
+		{From: "obj-1", Msg: msg.RegisterReq{
+			S:       core.Sighting{OID: "truck-7", T: time.Unix(1_700_000_000, 0).UTC(), Pos: geo.Pt(800, 100), SensAcc: 10},
+			RegInfo: core.RegInfo{DesAcc: 10, MinAcc: 50, MaxSpeed: 3, Registrant: "obj-1"},
+			Origin:  msg.Origin{Node: "obj-1", OpID: 3},
+			Seq:     1_700_000_000_000_000_043, Floor: 1_700_000_000_000_000_043,
+		}},
 		{From: "r.0", CorrID: 8, Msg: msg.HandoverReq{
 			S:        core.Sighting{OID: "truck-7", T: time.Unix(1_700_000_000, 0).UTC(), Pos: geo.Pt(800, 100), SensAcc: 10},
 			RegInfo:  core.RegInfo{DesAcc: 10, MinAcc: 50, MaxSpeed: 3, Registrant: "obj-1"},

@@ -22,6 +22,7 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendOrigin(dst, m.Origin)
 		dst = appendInt(dst, m.Hops)
 		dst = appendU64(dst, m.Seq)
+		dst = appendU64(dst, m.Floor)
 		return dst, msg.TagRegisterReq, true
 	case msg.RegisterRes:
 		dst = appendU64(dst, m.OpID)
@@ -47,6 +48,7 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 	case msg.UpdateReq:
 		dst = appendSighting(dst, m.S)
 		dst = appendU64(dst, m.Seq)
+		dst = appendU64(dst, m.Floor)
 		return dst, msg.TagUpdateReq, true
 	case msg.UpdateRes:
 		dst = appendBool(dst, m.Moved)
@@ -245,6 +247,7 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			Origin:  r.origin(),
 			Hops:    r.integer(),
 			Seq:     r.u64(),
+			Floor:   r.u64(),
 		}, true
 	case msg.TagRegisterRes:
 		return msg.RegisterRes{
@@ -272,7 +275,7 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			SightingT: r.timestamp(),
 		}, true
 	case msg.TagUpdateReq:
-		return msg.UpdateReq{S: r.sighting(), Seq: r.u64()}, true
+		return msg.UpdateReq{S: r.sighting(), Seq: r.u64(), Floor: r.u64()}, true
 	case msg.TagUpdateRes:
 		return msg.UpdateRes{
 			Moved:      r.boolean(),

@@ -243,7 +243,7 @@ func randReplDiag(rng *rand.Rand) *msg.ReplDiag {
 func randomMessage(rng *rand.Rand, tag msg.Tag) (msg.Message, bool) {
 	switch tag {
 	case msg.TagRegisterReq:
-		return msg.RegisterReq{S: randSighting(rng), RegInfo: randRegInfo(rng), Origin: randOrigin(rng), Hops: randInt(rng), Seq: rng.Uint64()}, true
+		return msg.RegisterReq{S: randSighting(rng), RegInfo: randRegInfo(rng), Origin: randOrigin(rng), Hops: randInt(rng), Seq: rng.Uint64(), Floor: rng.Uint64()}, true
 	case msg.TagRegisterRes:
 		return msg.RegisterRes{OpID: rng.Uint64(), Agent: randNodeID(rng), AgentInfo: randLeafInfo(rng), OfferedAcc: randF(rng), Hops: randInt(rng)}, true
 	case msg.TagRegisterFailed:
@@ -253,7 +253,7 @@ func randomMessage(rng *rand.Rand, tag msg.Tag) (msg.Message, bool) {
 	case msg.TagRemovePath:
 		return msg.RemovePath{OID: randOID(rng), SightingT: randTime(rng)}, true
 	case msg.TagUpdateReq:
-		return msg.UpdateReq{S: randSighting(rng), Seq: rng.Uint64()}, true
+		return msg.UpdateReq{S: randSighting(rng), Seq: rng.Uint64(), Floor: rng.Uint64()}, true
 	case msg.TagUpdateRes:
 		return msg.UpdateRes{Moved: rng.Intn(2) == 0, NewAgent: randNodeID(rng), AgentInfo: randLeafInfo(rng), OfferedAcc: randF(rng)}, true
 	case msg.TagHandoverReq:

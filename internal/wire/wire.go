@@ -122,6 +122,8 @@
 //     Point (the shortcut's old-branch prune was their only sender), and
 //     DiagRes lost Epoch uint64 (always 0 since the sighting store's
 //     shard count became fixed at construction).
+//   - v5: ack floors. UpdateReq and RegisterReq gained a trailing
+//     Floor uint64 after Seq (see Retry idempotency).
 //
 // # Retry idempotency
 //
@@ -131,15 +133,17 @@
 //
 //   - Requests with side effects carry a Seq drawn from one monotonic
 //     per-sender counter (UpdateReq.Seq, RegisterReq.Seq — the scheme
-//     EventCount.Seq introduced). Seq 0 means unstamped: the sender opted
-//     out of retries and the receiver applies the request unconditionally.
-//     Receivers keep a bounded, time-evicted dedupe window keyed
-//     (sender, Seq) and answer a duplicate by re-sending the remembered
-//     reply without re-applying.
-//   - A retried attempt re-sends the SAME Seq (and, for registrations,
-//     the same Origin.OpID). The sender must never reuse a Seq for a
-//     different request, so a fresh counter after sender restart is safe
-//     only because the receiver's window also evicts by time.
+//     EventCount.Seq introduced) and an ack floor (Floor): the lowest Seq
+//     the sender still awaits a reply for, from any receiver. Seq 0 means
+//     unstamped: the receiver applies the request unconditionally.
+//     Receivers keep each sender's replies from the highest floor seen
+//     up, re-send the remembered reply to a duplicate, and apply nothing
+//     below the floor.
+//   - A retried attempt re-sends the SAME Seq and Floor (and, for
+//     registrations, the same Origin.OpID). A Seq is never reused, and a
+//     restarted sender starts above its previous incarnation's Seqs (the
+//     client seeds its counter from the clock) so the old floor does not
+//     cover its new requests.
 //
 // Read-only queries (pos/range/neighbor/diag) carry no Seq; retrying them
 // needs no dedupe. Their responses instead carry the Partial/Unreachable
@@ -157,7 +161,7 @@ import (
 // wireVersion is the format generation of this codec. Bump it whenever an
 // existing message's field layout or a primitive encoding changes. See the
 // version history in the package doc.
-const wireVersion = 4
+const wireVersion = 5
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool, so a
 // rare huge envelope (an oversize range-query result rejected by the

@@ -15,11 +15,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		name string
 		env  msg.Envelope
 	}{
-		{"update", msg.Envelope{From: "obj-1", CorrID: 42, Msg: msg.UpdateReq{S: sight}}},
+		{"update", msg.Envelope{From: "obj-1", CorrID: 42, Msg: msg.UpdateReq{S: sight, Seq: 12, Floor: 9}}},
 		{"register", msg.Envelope{From: "client", Msg: msg.RegisterReq{
 			S:       sight,
 			RegInfo: core.RegInfo{Registrant: "client", DesAcc: 10, MinAcc: 50},
 			Origin:  msg.Origin{Node: "client", OpID: 7},
+			Seq:     13,
+			Floor:   13,
 		}}},
 		{"range fwd", msg.Envelope{From: "r.0", Msg: msg.RangeQueryFwd{
 			Area:       core.AreaFromRect(geo.R(0, 0, 100, 100)),
