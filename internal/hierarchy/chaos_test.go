@@ -41,8 +41,7 @@ func TestChaosSoak(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	net := transport.NewInproc(transport.InprocOptions{
-		DropRate:         dropRate,
-		Seed:             7,
+		FaultPlan:        transport.NewLoss(dropRate, 7).Plan,
 		SweepInterval:    10 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  cooldown,

@@ -52,8 +52,9 @@ func TestFailoverSoak(t *testing.T) {
 	// switched on for the kill/failover/healing window and back off for
 	// the final full-population oracle, keeping the soak's wall-clock
 	// spent on the failure path instead of on retried setup traffic.
+	loss := transport.NewLoss(0, 11)
 	net := transport.NewInproc(transport.InprocOptions{
-		Seed:             11,
+		FaultPlan:        loss.Plan,
 		SweepInterval:    10 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  cooldown,
@@ -277,7 +278,7 @@ func TestFailoverSoak(t *testing.T) {
 	// the kill races the janitor's flush loop by design), and from here
 	// through healing every probe, promotion, redirect and query rides
 	// the lossy network.
-	net.SetDropRate(dropRate)
+	loss.SetRate(dropRate)
 	net.SetNodeDown(victim, true)
 
 	// The root's health probes fail, the failover fires, and the heir
@@ -344,7 +345,7 @@ func TestFailoverSoak(t *testing.T) {
 	if reg.Counter("wire_retries").Value() == 0 {
 		t.Error("wire_retries = 0, the fault window exercised nothing")
 	}
-	net.SetDropRate(0)
+	loss.SetRate(0)
 
 	// Full-population oracle after healing: every object at its last
 	// confirmed position, and a whole-area range query complete and

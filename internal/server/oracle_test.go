@@ -129,7 +129,7 @@ func TestDistributedNeighborQueryMatchesOracle(t *testing.T) {
 // results, but nothing deadlocks or crashes, and the system keeps serving
 // once loss stops.
 func TestQueriesUnderMessageLoss(t *testing.T) {
-	net := transport.NewInproc(transport.InprocOptions{DropRate: 0.10, Seed: 9})
+	net := transport.NewInproc(transport.InprocOptions{FaultPlan: transport.NewLoss(0.10, 9).Plan})
 	dep, err := hierarchy.Deploy(net, quadSpec(), server.Options{
 		QueryTimeout: 100 * time.Millisecond,
 		CallTimeout:  100 * time.Millisecond,

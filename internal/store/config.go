@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
@@ -112,33 +110,4 @@ func (c ConfigRecord) Validate() error {
 func overlapsByArea(a, b core.Area) bool {
 	inter := a.Vertices.ClipRect(b.Bounds())
 	return inter.Area() > 1e-9
-}
-
-// SaveConfig writes the record as JSON to path (atomically via a temp file).
-func SaveConfig(c ConfigRecord, path string) error {
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: marshaling config: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: writing config: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: renaming config: %w", err)
-	}
-	return nil
-}
-
-// LoadConfig reads a record previously written by SaveConfig.
-func LoadConfig(path string) (ConfigRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ConfigRecord{}, fmt.Errorf("store: reading config: %w", err)
-	}
-	var c ConfigRecord
-	if err := json.Unmarshal(data, &c); err != nil {
-		return ConfigRecord{}, fmt.Errorf("store: parsing config: %w", err)
-	}
-	return c, nil
 }

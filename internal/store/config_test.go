@@ -1,8 +1,6 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -107,47 +105,4 @@ func TestConfigValidate(t *testing.T) {
 			t.Error("accepted")
 		}
 	})
-}
-
-func TestConfigSaveLoadRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "config.json")
-	orig := quadConfig()
-	orig.Parent = "" // root
-	if err := SaveConfig(orig, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadConfig(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != orig.ID || len(got.Children) != 4 {
-		t.Fatalf("loaded %+v", got)
-	}
-	if got.Children[2].ID != "c2" || got.Children[2].SA.Size() != 2500 {
-		t.Errorf("child 2 = %+v", got.Children[2])
-	}
-	if got.SA.Size() != 10000 {
-		t.Errorf("loaded area size = %v", got.SA.Size())
-	}
-}
-
-func TestLoadConfigErrors(t *testing.T) {
-	if _, err := LoadConfig(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := SaveConfig(quadConfig(), bad); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt it.
-	if err := writeFile(bad, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadConfig(bad); err == nil {
-		t.Error("corrupt file accepted")
-	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
 }

@@ -306,44 +306,66 @@ func TestInFlightCapBackpressure(t *testing.T) {
 	waitQuiesced(t, cli)
 }
 
-// TestSeededFaultsDeterministic pins the seeded knobs' reproducibility:
-// two networks with the same seed and rates deliver exactly the same
-// number of messages from the same sequential send schedule.
+// sendThroughLoss makes n sequential Sends through an Inproc network whose
+// FaultPlan is loss.Plan and returns how many were delivered.
+func sendThroughLoss(t *testing.T, loss *Loss, n int) int64 {
+	t.Helper()
+	var delivered atomic.Int64
+	net := NewInproc(InprocOptions{FaultPlan: loss.Plan})
+	sink := func(context.Context, msg.NodeID, msg.Message) (msg.Message, error) {
+		delivered.Add(1)
+		return nil, nil
+	}
+	if _, err := net.Attach("dst", sink); err != nil {
+		t.Fatal(err)
+	}
+	src, err := net.Attach("src", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := src.Send("dst", msg.NotifyAvailAcc{OID: "o", OfferedAcc: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Close() // waits for in-flight deliveries
+	return delivered.Load()
+}
+
+// TestInprocDropRate pins an Inproc network's injected drop rate in its
+// FaultPlan form: 1 000 sequential Sends through NewLoss(0.5, 42).Plan
+// deliver exactly 487, the count Inproc's former built-in seeded drop rate
+// delivered at the same rate and seed.
+func TestInprocDropRate(t *testing.T) {
+	if got := sendThroughLoss(t, NewLoss(0.5, 42), 1000); got != 487 {
+		t.Errorf("NewLoss(0.5, 42): delivered %d of 1000, want 487", got)
+	}
+}
+
+// TestSeededFaultsDeterministic pins a seeded Loss's draw sequence through
+// an Inproc FaultPlan: 1 000 sequential Sends deliver exactly the counts that
+// Inproc's former built-in seeded drop rate delivered at the same rate and
+// seed, so the loss soaks lose the same envelopes they always lost. A
+// lossless phase draws nothing: after 500 Sends at rate 0, SetRate(0.2)
+// delivers what a fresh Loss at 0.2 delivers, which keeps a soak's staged
+// fault window unchanged.
 func TestSeededFaultsDeterministic(t *testing.T) {
-	run := func(seed int64) int64 {
-		var delivered atomic.Int64
-		net := NewInproc(InprocOptions{
-			Seed:        seed,
-			DropRate:    0.2,
-			DupRate:     0.15,
-			ReorderRate: 0.1,
-			DelayJitter: 100 * time.Microsecond,
-			OnDeliver:   func(_, _ msg.NodeID, _ msg.Message) { delivered.Add(1) },
-		})
-		sink := func(_ context.Context, _ msg.NodeID, _ msg.Message) (msg.Message, error) { return nil, nil }
-		if _, err := net.Attach("dst", sink); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		rate float64
+		seed int64
+		want int64
+	}{{0.2, 7, 805}, {0.1, 9, 901}} {
+		if got := sendThroughLoss(t, NewLoss(c.rate, c.seed), 1000); got != c.want {
+			t.Errorf("NewLoss(%v, %d): delivered %d of 1000, want %d", c.rate, c.seed, got, c.want)
 		}
-		src, err := net.Attach("src", sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 500; i++ {
-			if err := src.Send("dst", msg.NotifyAvailAcc{OID: "o", OfferedAcc: float64(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		net.Close() // waits for in-flight deliveries, including held/delayed ones
-		return delivered.Load()
 	}
-	a1, a2, b := run(42), run(42), run(43)
-	if a1 != a2 {
-		t.Fatalf("same seed delivered %d then %d messages", a1, a2)
+
+	staged := NewLoss(0, 7)
+	if got := sendThroughLoss(t, staged, 500); got != 500 {
+		t.Fatalf("rate 0 delivered %d of 500", got)
 	}
-	if a1 == 0 || a1 == 500 {
-		t.Fatalf("faults had no visible effect: delivered %d/500", a1)
-	}
-	if b == a1 {
-		t.Logf("different seeds delivered the same count %d (possible, but suspicious)", b)
+	staged.SetRate(0.2)
+	if got := sendThroughLoss(t, staged, 1000); got != 805 {
+		t.Errorf("after 500 lossless sends, SetRate(0.2) delivered %d of 1000, want 805 as from a fresh Loss", got)
 	}
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,8 +21,10 @@ type Fault struct {
 	// Duplicate delivers that many extra copies, modelling datagram
 	// duplication.
 	Duplicate int
-	// Delay postpones delivery, modelling queueing or a detour. Combined
-	// with a shorter call deadline it turns a reply into a late reply.
+	// Delay postpones delivery, modelling queueing or a detour; later
+	// deliveries on the link overtake it, which is how a plan reorders.
+	// Combined with a shorter call deadline it turns a reply into a late
+	// reply.
 	Delay time.Duration
 }
 
@@ -33,29 +34,11 @@ type InprocOptions struct {
 	// nodes. Use it to model the paper's LAN (e.g. a few hundred
 	// microseconds per hop) or wide-area placements.
 	Latency func(from, to msg.NodeID) time.Duration
-	// DropRate is the probability in [0,1] that a one-way message is
-	// silently lost, modelling UDP loss for failure-injection tests.
-	// Replies to calls are subject to the same loss.
-	DropRate float64
-	// DupRate is the probability in [0,1] that a message is delivered
-	// twice, modelling datagram duplication.
-	DupRate float64
-	// ReorderRate is the probability in [0,1] that a message is held back
-	// and released only after the next message on the same (from, to)
-	// pair overtakes it (or after a short safety delay when no successor
-	// shows up), modelling datagram reordering.
-	ReorderRate float64
-	// DelayJitter, if positive, adds a uniform random delay in
-	// [0, DelayJitter) to every delivery.
-	DelayJitter time.Duration
-	// Seed seeds every random fault decision (drop, duplicate, reorder,
-	// jitter); zero uses a fixed default. With a single sending
-	// goroutine the fault sequence is fully deterministic.
-	Seed int64
-	// FaultPlan, if non-nil, scripts a deterministic fault for every
-	// delivery before the seeded knobs draw; tracker tests use it to
-	// target specific envelopes (a reply's CorrID, a particular message
-	// type) with exact drops, duplicates and delays.
+	// FaultPlan, if non-nil, scripts the fault of every delivery that no
+	// node or link fault (SetNodeDown, Block) has already dropped. Tracker
+	// tests use it to target specific envelopes (a reply's CorrID, a
+	// particular message type) with exact drops, duplicates and delays;
+	// soaks pass a seeded Loss's Plan.
 	FaultPlan func(from, to msg.NodeID, env msg.Envelope) Fault
 	// OnDeliver, if non-nil, observes every delivered message; used by
 	// the simulation harness to count messages and hops.
@@ -83,23 +66,16 @@ type InprocOptions struct {
 	// every node of this network).
 	Metrics *metrics.Registry
 	// Clock is the network's one time source: call deadlines, the sweeper,
-	// breaker cooldowns, retry backoffs, Latency, fault delays and the
-	// reorder hold-back run on it, and so does everything a server or
-	// client attached to the network times or stamps. A test passes a
-	// *clock.Manual and advances the whole deployment from its handle. Nil
-	// is clock.Real.
+	// breaker cooldowns, retry backoffs, Latency and fault delays run on
+	// it, and so does everything a server or client attached to the
+	// network times or stamps. A test passes a *clock.Manual and advances
+	// the whole deployment from its handle. Nil is clock.Real.
 	Clock clock.Clock
 }
 
 // pairKey identifies one directed (sender, receiver) link.
 type pairKey struct {
 	from, to msg.NodeID
-}
-
-// heldEnv is an envelope held back by the reorder fault, waiting for a
-// successor to overtake it.
-type heldEnv struct {
-	env msg.Envelope
 }
 
 // Inproc is an in-process Network: nodes are handler functions, each
@@ -112,20 +88,14 @@ type Inproc struct {
 	wg     sync.WaitGroup
 	closed bool
 
-	// faulty is false while nothing can touch a delivery — no plan, rate or
-	// jitter configured, no node down, no link blocked — and lets deliver
-	// skip the fault stage and its lock. Stored under dropMu by everything
-	// that changes one of those.
+	// faulty is false while nothing can touch a delivery — no plan, no
+	// node down, no link blocked — and lets deliver skip the fault stage
+	// and its lock. Stored under faultMu by everything that changes one of
+	// those.
 	faulty atomic.Bool
 
-	// dropMu guards rng (all seeded fault draws), held (the reorder
-	// hold-back slots) and the node-level fault maps down/blocked.
-	dropMu sync.Mutex
-	rng    *rand.Rand
-	// dropRate is the live loss probability, seeded from opts.DropRate
-	// and adjustable via SetDropRate.
-	dropRate float64
-	held     map[pairKey]*heldEnv
+	// faultMu guards the node-level fault maps down and blocked.
+	faultMu sync.Mutex
 	// down marks paused nodes: every delivery to or from a down node is
 	// silently dropped, modelling a crashed or partitioned process whose
 	// address still resolves (unlike Close, which unregisters the id).
@@ -146,23 +116,16 @@ var _ Network = (*Inproc)(nil)
 
 // NewInproc creates an in-process network.
 func NewInproc(opts InprocOptions) *Inproc {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	clk := opts.Clock
 	if clk == nil {
 		clk = clock.Real{}
 	}
 	n := &Inproc{
-		nodes:    make(map[msg.NodeID]*inprocNode),
-		opts:     opts,
-		clk:      clk,
-		dropRate: opts.DropRate,
-		rng:      rand.New(rand.NewSource(seed)),
-		held:     make(map[pairKey]*heldEnv),
-		down:     make(map[msg.NodeID]bool),
-		blocked:  make(map[pairKey]bool),
+		nodes:   make(map[msg.NodeID]*inprocNode),
+		opts:    opts,
+		clk:     clk,
+		down:    make(map[msg.NodeID]bool),
+		blocked: make(map[pairKey]bool),
 	}
 	if opts.Metrics != nil {
 		n.retries = opts.Metrics.Counter("wire_retries")
@@ -176,12 +139,10 @@ func NewInproc(opts InprocOptions) *Inproc {
 // Clock returns the network's clock.
 func (n *Inproc) Clock() clock.Clock { return n.clk }
 
-// noteFaultsLocked recomputes faulty. Caller holds dropMu (or is the
+// noteFaultsLocked recomputes faulty. Caller holds faultMu (or is the
 // constructor).
 func (n *Inproc) noteFaultsLocked() {
-	o := &n.opts
-	n.faulty.Store(o.FaultPlan != nil || o.DupRate > 0 || o.ReorderRate > 0 || o.DelayJitter > 0 ||
-		n.dropRate > 0 || len(n.down) > 0 || len(n.blocked) > 0)
+	n.faulty.Store(n.opts.FaultPlan != nil || len(n.down) > 0 || len(n.blocked) > 0)
 }
 
 // SetNodeDown pauses or resumes a node: while down, every delivery to or
@@ -189,35 +150,35 @@ func (n *Inproc) noteFaultsLocked() {
 // timeouts (and eventually open breakers), not ErrUnknownNode. It models a
 // crashed, wedged or fully partitioned process.
 func (n *Inproc) SetNodeDown(id msg.NodeID, down bool) {
-	n.dropMu.Lock()
+	n.faultMu.Lock()
 	if down {
 		n.down[id] = true
 	} else {
 		delete(n.down, id)
 	}
 	n.noteFaultsLocked()
-	n.dropMu.Unlock()
+	n.faultMu.Unlock()
 }
 
 // Block installs or removes an asymmetric partition: while blocked, every
 // delivery on the directed link from→to is silently dropped; the reverse
 // direction is unaffected.
 func (n *Inproc) Block(from, to msg.NodeID, blocked bool) {
-	n.dropMu.Lock()
+	n.faultMu.Lock()
 	if blocked {
 		n.blocked[pairKey{from, to}] = true
 	} else {
 		delete(n.blocked, pairKey{from, to})
 	}
 	n.noteFaultsLocked()
-	n.dropMu.Unlock()
+	n.faultMu.Unlock()
 }
 
 // nodeFaulted reports whether the directed link from→to is currently
 // severed by a node-level fault.
 func (n *Inproc) nodeFaulted(from, to msg.NodeID) bool {
-	n.dropMu.Lock()
-	defer n.dropMu.Unlock()
+	n.faultMu.Lock()
+	defer n.faultMu.Unlock()
 	if len(n.down) == 0 && len(n.blocked) == 0 {
 		return false
 	}
@@ -326,8 +287,8 @@ func (n *Inproc) addDelivery() bool {
 // chain. A caller that already holds a slot may Add unconditionally — the
 // counter is provably nonzero, which the WaitGroup contract allows even
 // concurrently with Wait — so deliveries already in the pipeline at Close
-// (delayed or held envelopes) run to completion; only brand-new entry
-// points go through the closed guard.
+// (delayed copies) run to completion; only brand-new entry points go
+// through the closed guard.
 func (n *Inproc) addStage(slotHeld bool) bool {
 	if slotHeld {
 		n.wg.Add(1)
@@ -350,67 +311,14 @@ func (n *Inproc) lookup(id msg.NodeID) (*inprocNode, error) {
 	return node, nil
 }
 
-// drawP draws one seeded probability decision.
-func (n *Inproc) drawP(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	n.dropMu.Lock()
-	defer n.dropMu.Unlock()
-	return n.rng.Float64() < p
-}
-
-// SetDropRate changes the network-wide datagram loss probability at
-// runtime. Soak tests use it to stage lossless setup and verification
-// phases around a lossy fault window.
-func (n *Inproc) SetDropRate(p float64) {
-	n.dropMu.Lock()
-	n.dropRate = p
-	n.noteFaultsLocked()
-	n.dropMu.Unlock()
-}
-
-// dropP returns the current loss probability.
-func (n *Inproc) dropP() float64 {
-	n.dropMu.Lock()
-	defer n.dropMu.Unlock()
-	return n.dropRate
-}
-
-// drawJitter draws one seeded jitter delay.
-func (n *Inproc) drawJitter() time.Duration {
-	if n.opts.DelayJitter <= 0 {
-		return 0
-	}
-	n.dropMu.Lock()
-	defer n.dropMu.Unlock()
-	return time.Duration(n.rng.Int63n(int64(n.opts.DelayJitter)))
-}
-
-// drawFault combines the scripted plan and the seeded knobs into one fault
-// decision for a delivery.
-func (n *Inproc) drawFault(from, to msg.NodeID, env msg.Envelope) Fault {
-	var f Fault
-	if plan := n.opts.FaultPlan; plan != nil {
-		f = plan(from, to, env)
-	}
-	if n.drawP(n.dropP()) {
-		f.Drop = true
-	}
-	if n.drawP(n.opts.DupRate) {
-		f.Duplicate++
-	}
-	f.Delay += n.drawJitter()
-	return f
-}
-
-// deliver runs the fault stage for one envelope, then hands the surviving
-// copies to the reorder stage and on to dispatch. Every random draw —
-// drop, duplicate, jitter and reorder — happens here, synchronously on
-// the sender's goroutine, so a sequential send schedule consumes the
-// seeded rng in a deterministic order regardless of timer interleaving.
-// A network with no fault of any kind configured skips the stage, and with
-// it two trips through the network-wide dropMu per envelope.
+// deliver runs the fault stage for one envelope — the node and link
+// faults, then the FaultPlan — and dispatches the surviving copies, a
+// delayed copy from a timer on the network's clock. The plan runs
+// synchronously on the sender's goroutine, so a sequential send schedule
+// consults it (and a seeded Loss draws) in a deterministic order
+// regardless of timer interleaving. A network with no fault of any kind
+// configured skips the stage, and with it a trip through the network-wide
+// faultMu per envelope.
 func (n *Inproc) deliver(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
 	if !n.faulty.Load() {
 		n.dispatch(from, dst, env, false)
@@ -419,11 +327,13 @@ func (n *Inproc) deliver(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
 	if n.nodeFaulted(from, dst.id) {
 		return
 	}
-	f := n.drawFault(from, dst.id, env)
+	var f Fault
+	if plan := n.opts.FaultPlan; plan != nil {
+		f = plan(from, dst.id, env)
+	}
 	if f.Drop {
 		return
 	}
-	reorder := n.drawP(n.opts.ReorderRate)
 	for i := 0; i <= f.Duplicate; i++ {
 		if f.Delay > 0 {
 			if !n.addDelivery() {
@@ -431,62 +341,21 @@ func (n *Inproc) deliver(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
 			}
 			n.clk.AfterFunc(f.Delay, func() {
 				defer n.wg.Done()
-				n.enqueue(from, dst, env, reorder, true)
+				n.dispatch(from, dst, env, true)
 			})
 			continue
 		}
-		n.enqueue(from, dst, env, reorder, false)
+		n.dispatch(from, dst, env, false)
 	}
-}
-
-// enqueue applies the reorder hold-back, then dispatches. slotHeld reports
-// whether the caller holds a delivery slot for the duration of this call
-// (true from tracked timer callbacks, false from a sender's goroutine).
-func (n *Inproc) enqueue(from msg.NodeID, dst *inprocNode, env msg.Envelope, reorder, slotHeld bool) {
-	if n.opts.ReorderRate > 0 {
-		key := pairKey{from, dst.id}
-		n.dropMu.Lock()
-		if h, ok := n.held[key]; ok {
-			// A successor arrived: it overtakes, then the held envelope
-			// is released behind it.
-			delete(n.held, key)
-			n.dropMu.Unlock()
-			n.dispatch(from, dst, env, slotHeld)
-			n.dispatch(from, dst, h.env, slotHeld)
-			return
-		}
-		if reorder {
-			h := &heldEnv{env: env}
-			n.held[key] = h
-			n.dropMu.Unlock()
-			// Safety valve: release the held envelope even if no
-			// successor ever overtakes it.
-			if !n.addStage(slotHeld) {
-				return
-			}
-			n.clk.AfterFunc(5*time.Millisecond, func() {
-				defer n.wg.Done()
-				n.dropMu.Lock()
-				if n.held[key] != h {
-					n.dropMu.Unlock()
-					return
-				}
-				delete(n.held, key)
-				n.dropMu.Unlock()
-				n.dispatch(from, dst, h.env, true)
-			})
-			return
-		}
-		n.dropMu.Unlock()
-	}
-	n.dispatch(from, dst, env, slotHeld)
 }
 
 // dispatch delivers one envelope. A request is handled on the handler
 // executor: concurrently with its sender and with every other envelope, in
 // no particular order. A reply is resolved right here, on the goroutine that
 // produced it (resolving never blocks); only a link with a modelled latency
-// to sleep out hands the reply to a worker too. slotHeld as in enqueue.
+// to sleep out hands the reply to a worker too. slotHeld reports whether the
+// caller holds a delivery slot for the duration of this call (true from a
+// delayed copy's timer, false from a sender's goroutine).
 func (n *Inproc) dispatch(from msg.NodeID, dst *inprocNode, env msg.Envelope, slotHeld bool) {
 	lat := n.latency(from, dst.id)
 	if env.Reply && lat <= 0 {

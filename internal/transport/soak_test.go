@@ -32,7 +32,7 @@ func TestMultiplexSoak(t *testing.T) {
 		MaxInFlight:   64,
 	})
 	defer nw.Close()
-	nw.SetLoss(0.2, 20260807)
+	nw.SetLoss(NewLoss(0.2, 20260807))
 
 	if _, err := nw.Attach("server", valueEchoHandler); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestMultiplexSoak(t *testing.T) {
 	// tracker resolved at least every ctx-independent timeout through the
 	// sweeper or saw the reply late.
 	if reg.Counter("wire_loss_injected").Value() == 0 {
-		t.Error("wire_loss_injected = 0 with SetLoss(0.2)")
+		t.Error("wire_loss_injected = 0 with a Loss at 0.2")
 	}
 	if to := reg.Counter("wire_call_timeouts").Value(); to < timedOut.Load() {
 		t.Errorf("wire_call_timeouts = %d, but %d calls timed out", to, timedOut.Load())

@@ -2,12 +2,16 @@
 // clients and tracked objects. Two implementations are provided:
 //
 //   - Inproc: every node is a handler function in one process, with
-//     injectable per-hop latency and loss. This substitutes the paper's
-//     testbed of five workstations on 100 Mbit Ethernet: hop counts, message
-//     sequences and concurrency are identical, only absolute wire time
-//     differs (InprocOptions.Latency models it per link).
+//     injectable per-hop latency, node and link faults, and a FaultPlan
+//     that drops, duplicates or delays single deliveries. This substitutes
+//     the paper's testbed of five workstations on 100 Mbit Ethernet: hop
+//     counts, message sequences and concurrency are identical, only
+//     absolute wire time differs (InprocOptions.Latency models it per link).
 //   - UDP: each node binds a datagram socket, mirroring the paper's choice
 //     of UDP for efficient client/server and server/server interaction.
+//
+// Random loss on either network comes from one seeded Loss: an Inproc
+// takes its Plan as the FaultPlan, a UDP network takes it through SetLoss.
 //
 // Both support one-way Send, blocking Call and multiplexed CallAsync with
 // hop-by-hop replies. Calls are correlated by request id through a shared

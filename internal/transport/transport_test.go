@@ -199,32 +199,6 @@ func TestInprocLatency(t *testing.T) {
 	}
 }
 
-func TestInprocDropRate(t *testing.T) {
-	var delivered atomic.Int64
-	nw := NewInproc(InprocOptions{DropRate: 0.5, Seed: 42})
-	if _, err := nw.Attach("sink", func(context.Context, msg.NodeID, msg.Message) (msg.Message, error) {
-		delivered.Add(1)
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	src, err := nw.Attach("src", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if err := src.Send("sink", msg.Ack{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nw.Close() // waits for in-flight deliveries
-	got := delivered.Load()
-	if got < 400 || got > 600 {
-		t.Errorf("delivered %d of %d with 50%% drop", got, n)
-	}
-}
-
 func TestInprocOnDeliverObserver(t *testing.T) {
 	var count atomic.Int64
 	nw := NewInproc(InprocOptions{

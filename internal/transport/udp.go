@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"locsvc/internal/clock"
@@ -102,10 +102,9 @@ type UDP struct {
 	// the network's read loops.
 	recvBufs sync.Pool
 
-	// lossMu guards the injected receive-loss state (tests only).
-	lossMu   sync.Mutex
-	lossRate float64
-	lossRng  *rand.Rand
+	// loss is the injected receive loss SetLoss installed (tests only);
+	// nil, and read without a lock, when none is.
+	loss atomic.Pointer[Loss]
 
 	// met and the resolved counters below record wire-level traffic.
 	// The registry is shared with the co-located server in lsd, so the
@@ -181,25 +180,18 @@ func NewUDPWithOptions(opts UDPOptions) *UDP {
 // Metrics returns the registry holding the network's wire-level counters.
 func (u *UDP) Metrics() *metrics.Registry { return u.met }
 
-// SetLoss injects seeded random receive loss: each incoming datagram is
-// dropped with probability rate, after the datagram counters but before
-// decoding — as if the kernel had lost it. Fault-injection soaks use it
-// to exercise the tracker's timeout path against a real socket.
-func (u *UDP) SetLoss(rate float64, seed int64) {
-	u.lossMu.Lock()
-	defer u.lossMu.Unlock()
-	u.lossRate = rate
-	u.lossRng = rand.New(rand.NewSource(seed))
-}
+// SetLoss injects receive loss: each incoming datagram is dropped as l
+// decides, after the datagram counters but before decoding — as if the
+// kernel had lost it; nil removes it. All of the network's read loops draw
+// from the one l. Fault-injection soaks use it to exercise the tracker's
+// timeout path against a real socket.
+func (u *UDP) SetLoss(l *Loss) { u.loss.Store(l) }
 
-// dropIncoming draws one injected-loss decision.
+// dropIncoming draws one injected-loss decision; with no loss installed it
+// takes no lock.
 func (u *UDP) dropIncoming() bool {
-	u.lossMu.Lock()
-	defer u.lossMu.Unlock()
-	if u.lossRate <= 0 || u.lossRng == nil {
-		return false
-	}
-	return u.lossRng.Float64() < u.lossRate
+	l := u.loss.Load()
+	return l != nil && l.Drop()
 }
 
 // AddRoute maps a node id to a UDP address ("host:port"). Servers started

@@ -98,20 +98,23 @@ func TestUDPBurstIntoStalledReader(t *testing.T) {
 	}
 	dropsBefore, countable := udpRcvbufErrors()
 
-	// Every read loop of recv stops at its next datagram, in dropIncoming.
-	recv.lossMu.Lock()
+	// Every read loop of recv stops at its next datagram, in dropIncoming,
+	// on the installed Loss's lock; at rate 0 it drops nothing.
+	loss := NewLoss(0, 1)
+	recv.SetLoss(loss)
+	loss.mu.Lock()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	pending := make([]*PendingCall, 0, depth*rounds)
 	for i := 0; i < depth*rounds; i++ {
 		p, err := cli.CallAsync(ctx, "srv", msg.ChangeAccReq{OID: "o", DesAcc: float64(i)})
 		if err != nil {
-			recv.lossMu.Unlock()
+			loss.mu.Unlock()
 			t.Fatalf("call %d: %v", i, err)
 		}
 		pending = append(pending, p)
 	}
-	recv.lossMu.Unlock()
+	loss.mu.Unlock()
 
 	for i, p := range pending {
 		resp, err := p.Wait(ctx)
