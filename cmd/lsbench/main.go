@@ -12,7 +12,6 @@
 //	lsbench -table A3     # hierarchy height/fan-out sweep
 //	lsbench -table A4     # update-protocol comparison
 //	lsbench -table A5     # query-locality sweep
-//	lsbench -table A6     # Section 4 HLR-style root partitioning
 //	lsbench -table F      # hot-standby replication: steady-state overhead, failover-to-first-query latency
 //	lsbench -table all    # everything
 //	lsbench -quick        # smaller populations, faster runs
@@ -29,7 +28,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +47,7 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A6, F or all")
+	table := flag.String("table", "all", "which table to run: 1, 2, A2 … A5, F or all")
 	quick := flag.Bool("quick", false, "reduced populations for a fast smoke run")
 	flag.Parse()
 
@@ -64,11 +62,10 @@ func main() {
 	run("A3", ablationHierarchy)
 	run("A4", ablationUpdateProtocols)
 	run("A5", ablationLocality)
-	run("A6", ablationRootPartitions)
 	run("F", tableRepl)
 
 	switch *table {
-	case "1", "2", "A2", "A3", "A4", "A5", "A6", "F", "all":
+	case "1", "2", "A2", "A3", "A4", "A5", "F", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(1)
@@ -503,57 +500,6 @@ func ablationLocality(quick bool) {
 		}
 		msgs := float64(w.Messages()-before) / float64(count)
 		fmt.Printf("%-10.2f %14.2f %14.1f\n", locality, mean, msgs)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablation A6: HLR-style root partitioning (Section 4).
-
-func ablationRootPartitions(quick bool) {
-	numObjects := 3_000
-	ops := 200
-	if quick {
-		numObjects, ops = 600, 60
-	}
-	fmt.Printf("\nAblation A6: root partitioning by object id (%d objects, remote position queries)\n\n", numObjects)
-	fmt.Printf("%-12s %22s %24s\n", "partitions", "records per partition", "query msgs per partition")
-
-	for _, parts := range []int{1, 2, 4} {
-		w, err := sim.NewWorld(sim.Config{
-			Spec: hierarchy.Spec{
-				RootArea:       geo.R(0, 0, 1500, 1500),
-				Levels:         []hierarchy.Level{{Rows: 2, Cols: 2}},
-				RootPartitions: parts,
-			},
-			NumObjects: numObjects,
-			Seed:       8,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		// Count PosQueryFwd arrivals per root partition through each
-		// server's own metrics registry.
-		roots := w.Dep.Roots()
-		before := make(map[msg.NodeID]int64)
-		for _, r := range roots {
-			srv, _ := w.Dep.Server(r)
-			before[r] = srv.Metrics().Counter("pos_fwd_seen").Value()
-		}
-		_, err = w.Run(context.Background(), sim.Load{
-			Workers: 8, OpsPerWorker: ops,
-			Mix: sim.Mix{PosQueries: 1}, Locality: 0, Seed: 13,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		var recStats, msgStats []string
-		for _, r := range roots {
-			srv, _ := w.Dep.Server(r)
-			recStats = append(recStats, fmt.Sprintf("%d", srv.VisitorCount()))
-			msgStats = append(msgStats, fmt.Sprintf("%d", srv.Metrics().Counter("pos_fwd_seen").Value()-before[r]))
-		}
-		fmt.Printf("%-12d %22s %24s\n", parts, strings.Join(recStats, "/"), strings.Join(msgStats, "/"))
-		w.Close()
 	}
 }
 

@@ -48,7 +48,11 @@ func TestOverlapFigure3Cases(t *testing.T) {
 
 func TestOverlapNeverExceedsOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := Area{Vertices: geo.RegularPolygon(geo.Pt(0, 0), 50, 8)}
+	const d = 35.35533905932738 // 50·cos 45°
+	a := Area{Vertices: geo.Polygon{
+		{X: 50, Y: 0}, {X: d, Y: d}, {X: 0, Y: 50}, {X: -d, Y: d},
+		{X: -50, Y: 0}, {X: -d, Y: -d}, {X: 0, Y: -50}, {X: d, Y: -d},
+	}}
 	for i := 0; i < 500; i++ {
 		ld := LocationDescriptor{
 			Pos: geo.Pt(rng.Float64()*200-100, rng.Float64()*200-100),

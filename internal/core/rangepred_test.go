@@ -213,8 +213,13 @@ func TestRangePredicateContainedCircleQualifiesAtFullOverlap(t *testing.T) {
 	var pred RangePredicate
 	for _, a := range randomConvexAreas(rng, 60) {
 		pred.Prepare(a, 1000, 1)
-		c := a.Vertices.Centroid()
-		// The largest circle around the centroid that stays inside.
+		// The mean of the vertices lies inside every convex polygon.
+		var c geo.Point
+		for _, v := range a.Vertices {
+			c = c.Add(v)
+		}
+		c = c.Scale(1 / float64(len(a.Vertices)))
+		// The largest circle around that point that stays inside.
 		r := math.Inf(1)
 		for i := range pred.edges {
 			e := &pred.edges[i]

@@ -80,10 +80,8 @@ type Projection struct {
 
 // Project maps a geographic coordinate to the local plane in meters.
 func (pr Projection) Project(ll LatLon) Point {
-	latRad := ll.Lat * math.Pi / 180
 	dLat := (ll.Lat - pr.Origin.Lat) * math.Pi / 180
 	dLon := (ll.Lon - pr.Origin.Lon) * math.Pi / 180
-	_ = latRad
 	cos := math.Cos(pr.Origin.Lat * math.Pi / 180)
 	return Point{X: earthRadiusM * dLon * cos, Y: earthRadiusM * dLat}
 }

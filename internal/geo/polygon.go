@@ -143,42 +143,3 @@ func clipHalfPlane(pg Polygon, inside func(Point) bool, cross func(a, b Point) P
 func (pg Polygon) IntersectRectArea(r Rect) float64 {
 	return pg.ClipRect(r).Area()
 }
-
-// Centroid returns the centroid of the polygon.
-func (pg Polygon) Centroid() Point {
-	if len(pg) == 0 {
-		return Point{}
-	}
-	a := pg.SignedArea()
-	if math.Abs(a) < 1e-12 {
-		// Degenerate: average vertices.
-		var c Point
-		for _, p := range pg {
-			c = c.Add(p)
-		}
-		return c.Scale(1 / float64(len(pg)))
-	}
-	var cx, cy float64
-	for i, p := range pg {
-		q := pg[(i+1)%len(pg)]
-		w := p.Cross(q)
-		cx += (p.X + q.X) * w
-		cy += (p.Y + q.Y) * w
-	}
-	return Point{cx / (6 * a), cy / (6 * a)}
-}
-
-// RegularPolygon returns an n-gon approximating a circle of radius rad
-// centered at c, in counter-clockwise order. Useful for building non-
-// rectangular query areas in tests and examples.
-func RegularPolygon(c Point, rad float64, n int) Polygon {
-	if n < 3 {
-		n = 3
-	}
-	out := make(Polygon, n)
-	for i := range out {
-		a := 2 * math.Pi * float64(i) / float64(n)
-		out[i] = Point{c.X + rad*math.Cos(a), c.Y + rad*math.Sin(a)}
-	}
-	return out
-}

@@ -137,32 +137,6 @@ func TestIntersectRectAreaRandomizedAgainstRectIntersect(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	sq := Polygon{{0, 0}, {10, 0}, {10, 10}, {0, 10}}
-	if got := sq.Centroid(); got.Dist(Pt(5, 5)) > 1e-9 {
-		t.Errorf("square centroid = %v", got)
-	}
-	tri := Polygon{{0, 0}, {6, 0}, {0, 6}}
-	if got := tri.Centroid(); got.Dist(Pt(2, 2)) > 1e-9 {
-		t.Errorf("triangle centroid = %v", got)
-	}
-}
-
-func TestRegularPolygonApproximatesCircle(t *testing.T) {
-	c := Pt(5, 5)
-	pg := RegularPolygon(c, 10, 256)
-	want := math.Pi * 100
-	if got := pg.Area(); math.Abs(got-want)/want > 0.01 {
-		t.Errorf("256-gon area = %v, want ~%v", got, want)
-	}
-	if got := pg.Centroid(); got.Dist(c) > 1e-6 {
-		t.Errorf("256-gon centroid = %v, want %v", got, c)
-	}
-	if got := RegularPolygon(c, 1, 2); len(got) != 3 {
-		t.Errorf("n<3 clamped to %d vertices, want 3", len(got))
-	}
-}
-
 func TestPolygonBounds(t *testing.T) {
 	pg := Polygon{{3, 1}, {-2, 4}, {7, -5}}
 	want := R(-2, -5, 7, 4)

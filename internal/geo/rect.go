@@ -121,20 +121,6 @@ func (r Rect) Intersect(s Rect) Rect {
 	return out
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
 // Enlarge grows r by margin on every side. It implements the paper's
 // Enlarge(area, reqAcc) used in range-query forwarding (Algorithm 6-5), which
 // widens the query area so agents of boundary candidates are not missed.

@@ -84,20 +84,6 @@ func TestRectIntersect(t *testing.T) {
 	}
 }
 
-func TestRectUnion(t *testing.T) {
-	a := R(0, 0, 1, 1)
-	b := R(5, 5, 6, 6)
-	if got := a.Union(b); got != R(0, 0, 6, 6) {
-		t.Errorf("Union = %v", got)
-	}
-	if got := (Rect{}).Union(a); got != a {
-		t.Errorf("empty union = %v", got)
-	}
-	if got := a.Union(Rect{}); got != a {
-		t.Errorf("union empty = %v", got)
-	}
-}
-
 func TestRectEnlarge(t *testing.T) {
 	r := R(0, 0, 10, 10).Enlarge(5)
 	if r != R(-5, -5, 15, 15) {

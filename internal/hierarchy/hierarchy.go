@@ -1,7 +1,8 @@
-// Package hierarchy constructs location-server trees: it partitions a root
+// Package hierarchy constructs location-server trees: it splits a root
 // service area into a regular grid per level (the paper's prototype divides
 // a square area into quarters), produces the configuration records of every
-// server, and deploys the resulting tree onto a transport network.
+// server, and deploys the resulting tree onto a transport network. A tree
+// has one root server, and every other server has exactly one parent.
 //
 // Server ids are path labels: the root is "r", its children "r.0", "r.1",
 // …, grandchildren "r.0.0" and so on, which keeps parent/child relations
@@ -37,12 +38,6 @@ func (l Level) Fanout() int { return l.Rows * l.Cols }
 type Spec struct {
 	RootArea geo.Rect
 	Levels   []Level
-	// RootPartitions > 1 replaces the single root server with that many
-	// partition servers sharing the root service area; visitor records
-	// are partitioned by object-id hash across them (Section 4's
-	// HLR-style partitioning for the root level). Zero or one keeps a
-	// single root.
-	RootPartitions int
 }
 
 // Validate checks the spec.
@@ -55,21 +50,12 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("hierarchy: level %d has grid %dx%d", i, l.Rows, l.Cols)
 		}
 	}
-	if s.RootPartitions < 0 {
-		return fmt.Errorf("hierarchy: negative root partitions")
-	}
-	if s.RootPartitions > 1 && len(s.Levels) == 0 {
-		return fmt.Errorf("hierarchy: root partitioning needs at least one level of children")
-	}
 	return nil
 }
 
 // NumServers returns the total number of servers the spec produces.
 func (s Spec) NumServers() int {
 	total, levelCount := 1, 1
-	if s.RootPartitions > 1 {
-		total = s.RootPartitions
-	}
 	for _, l := range s.Levels {
 		levelCount *= l.Fanout()
 		total += levelCount
@@ -85,9 +71,6 @@ func Build(spec Spec) ([]store.ConfigRecord, error) {
 	}
 	var out []store.ConfigRecord
 	build("r", "", spec.RootArea, spec.Levels, &out)
-	if spec.RootPartitions > 1 {
-		out = partitionRoot(out, spec.RootPartitions)
-	}
 	// Validate every record: children must tile their parent.
 	for _, c := range out {
 		if err := c.Validate(); err != nil {
@@ -95,30 +78,6 @@ func Build(spec Spec) ([]store.ConfigRecord, error) {
 		}
 	}
 	return out, nil
-}
-
-// partitionRoot replaces the root record with n identical partition servers
-// ("r#0" … "r#n-1") and points the root's children at the whole group.
-func partitionRoot(configs []store.ConfigRecord, n int) []store.ConfigRecord {
-	root := configs[0]
-	group := make([]string, n)
-	for i := range group {
-		group[i] = fmt.Sprintf("r#%d", i)
-	}
-	out := make([]store.ConfigRecord, 0, len(configs)+n-1)
-	for i := 0; i < n; i++ {
-		part := root
-		part.ID = group[i]
-		out = append(out, part)
-	}
-	for _, cfg := range configs[1:] {
-		if cfg.Parent == root.ID {
-			cfg.Parent = group[0]
-			cfg.ParentGroup = group
-		}
-		out = append(out, cfg)
-	}
-	return out
 }
 
 // build appends the record for one server and recurses into its children.
@@ -201,32 +160,17 @@ func DeployWith(network transport.Network, spec Spec, opts server.Options, custo
 	return d, nil
 }
 
-// Root returns the first root server's id ("r", or "r#0" when the root is
-// partitioned).
-func (d *Deployment) Root() msg.NodeID { return d.Roots()[0] }
+// Root returns the root server's id, "r". Build emits parents before
+// children, so the root is the first record.
+func (d *Deployment) Root() msg.NodeID { return msg.NodeID(d.Configs[0].ID) }
 
-// Roots returns all root server ids: a single entry unless the root level
-// is partitioned by object id.
-func (d *Deployment) Roots() []msg.NodeID {
-	var out []msg.NodeID
-	for _, cfg := range d.Configs {
-		if cfg.IsRoot() {
-			out = append(out, msg.NodeID(cfg.ID))
-		}
-	}
-	return out
-}
-
-// RootVisitorCount sums the visitor records across all root partitions —
-// the number of objects with complete forwarding paths.
+// RootVisitorCount returns the root's visitor record count — the number of
+// objects with complete forwarding paths.
 func (d *Deployment) RootVisitorCount() int {
-	total := 0
-	for _, r := range d.Roots() {
-		if srv, ok := d.Servers[r]; ok {
-			total += srv.VisitorCount()
-		}
+	if srv, ok := d.Servers[d.Root()]; ok {
+		return srv.VisitorCount()
 	}
-	return total
+	return 0
 }
 
 // Leaves returns the ids of all leaf servers in build order.

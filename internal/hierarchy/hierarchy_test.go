@@ -66,6 +66,16 @@ func TestBuildStructure(t *testing.T) {
 	if root.ID != "r" || !root.IsRoot() || root.IsLeaf() {
 		t.Errorf("root = %+v", root)
 	}
+	// Deployment.Root reads configs[0]: it must be the only root.
+	roots := 0
+	for _, cfg := range configs {
+		if cfg.IsRoot() {
+			roots++
+		}
+	}
+	if roots != 1 {
+		t.Errorf("%d records are roots, want 1", roots)
+	}
 	if len(root.Children) != 4 {
 		t.Fatalf("root children = %d", len(root.Children))
 	}
@@ -166,6 +176,8 @@ func TestDeployAndLeafFor(t *testing.T) {
 	if !ok || !srv.IsLeaf() {
 		t.Errorf("Server(r.2) = %v, %v", srv, ok)
 	}
+
+	checkRootVisitors(t, net, dep, []geo.Point{geo.Pt(100, 100), geo.Pt(900, 100), geo.Pt(100, 900), geo.Pt(900, 900), geo.Pt(950, 950)})
 }
 
 func TestDeploySingleServer(t *testing.T) {
@@ -182,6 +194,46 @@ func TestDeploySingleServer(t *testing.T) {
 	leaf, ok := dep.LeafFor(geo.Pt(50, 50))
 	if !ok || leaf != "r" {
 		t.Errorf("LeafFor = %v (root must be its own leaf)", leaf)
+	}
+	if dep.Root() != "r" {
+		t.Errorf("root = %s", dep.Root())
+	}
+
+	checkRootVisitors(t, net, dep, []geo.Point{geo.Pt(10, 10), geo.Pt(50, 50), geo.Pt(90, 20)})
+}
+
+// checkRootVisitors registers one object at each point, waits until the
+// root server holds a record for every one of them, and checks that
+// RootVisitorCount reports the root server's own count.
+func checkRootVisitors(t *testing.T, net transport.Network, dep *Deployment, pts []geo.Point) {
+	t.Helper()
+	root, ok := dep.Server(dep.Root())
+	if !ok {
+		t.Fatalf("no server for root %s", dep.Root())
+	}
+	for i, p := range pts {
+		oid := fmt.Sprintf("o%d", i)
+		entry, ok := dep.LeafFor(p)
+		if !ok {
+			t.Fatalf("no leaf for %v", p)
+		}
+		c, err := client.New(net, msg.NodeID("owner-"+oid), entry, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Register(context.Background(), core.Sighting{OID: core.OID(oid), T: time.Now(), Pos: p, SensAcc: 5}, 10, 50, 3); err != nil {
+			t.Fatalf("register %s: %v", oid, err)
+		}
+	}
+	// Polls: path messages climb asynchronously and signal nothing.
+	for deadline := time.Now().Add(10 * time.Second); root.VisitorCount() != len(pts); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("root holds %d of %d visitor records", root.VisitorCount(), len(pts))
+		}
+	}
+	if got, want := dep.RootVisitorCount(), root.VisitorCount(); got != want {
+		t.Errorf("RootVisitorCount = %d, root server's VisitorCount = %d", got, want)
 	}
 }
 

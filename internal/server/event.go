@@ -209,10 +209,8 @@ func (s *Server) handleEventSubscribe(from msg.NodeID, sub msg.EventSubscribe) {
 		}
 		// If the area extends beyond this leaf, keep routing from here.
 		if sub.Coordinator == s.ID() && from == sub.Subscriber {
-			if !s.cfg.SA.Bounds().ContainsRect(bounds) {
-				if s.parent() != "" {
-					s.sendOrCount(s.parentForKey(hashString(sub.SubID)), sub)
-				}
+			if parent := s.parent(); parent != "" && !s.cfg.SA.Bounds().ContainsRect(bounds) {
+				s.sendOrCount(parent, sub)
 			}
 		}
 		return
@@ -225,10 +223,8 @@ func (s *Server) handleEventSubscribe(from msg.NodeID, sub msg.EventSubscribe) {
 			s.sendOrCount(msg.NodeID(child.ID), sub)
 		}
 	}
-	if !s.cfg.SA.Bounds().ContainsRect(bounds) && !s.isParent(from) {
-		if s.parent() != "" {
-			s.sendOrCount(s.parentForKey(hashString(sub.SubID)), sub)
-		}
+	if parent := s.parent(); parent != "" && from != parent && !s.cfg.SA.Bounds().ContainsRect(bounds) {
+		s.sendOrCount(parent, sub)
 	}
 }
 
@@ -306,10 +302,8 @@ func (s *Server) handleEventUnsubscribe(from msg.NodeID, req msg.EventUnsubscrib
 		}
 		delete(e.coord, req.SubID)
 		e.mu.Unlock()
-		if !s.isParent(from) && !s.cfg.SA.Bounds().ContainsRect(bounds) {
-			if s.parent() != "" {
-				s.sendOrCount(s.parentForKey(hashString(req.SubID)), req)
-			}
+		if parent := s.parent(); parent != "" && from != parent && !s.cfg.SA.Bounds().ContainsRect(bounds) {
+			s.sendOrCount(parent, req)
 		}
 		return
 	}
@@ -321,10 +315,8 @@ func (s *Server) handleEventUnsubscribe(from msg.NodeID, req msg.EventUnsubscrib
 			s.sendOrCount(msg.NodeID(child.ID), req)
 		}
 	}
-	if !s.cfg.SA.Bounds().ContainsRect(bounds) && !s.isParent(from) {
-		if s.parent() != "" {
-			s.sendOrCount(s.parentForKey(hashString(req.SubID)), req)
-		}
+	if parent := s.parent(); parent != "" && from != parent && !s.cfg.SA.Bounds().ContainsRect(bounds) {
+		s.sendOrCount(parent, req)
 	}
 }
 

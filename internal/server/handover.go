@@ -89,7 +89,7 @@ func (s *Server) forwardHandover(ctx context.Context, req msg.HandoverReq) (msg.
 	cctx, cancel := s.callCtx(ctx)
 	defer cancel()
 
-	parent := s.parentForOID(req.S.OID)
+	parent := s.parent()
 	if parent == "" {
 		return msg.HandoverRes{}, core.ErrOutOfArea
 	}
@@ -116,7 +116,7 @@ func (s *Server) handleHandover(ctx context.Context, from msg.NodeID, req msg.Ha
 	if !s.inArea(req.S.Pos) {
 		// Lines 16-20: forward upwards and drop our forwarding
 		// reference once the response arrives.
-		parent := s.parentForOID(req.S.OID)
+		parent := s.parent()
 		if parent == "" {
 			return nil, core.ErrOutOfArea
 		}

@@ -37,7 +37,10 @@ func TestPolygonRangeQuery(t *testing.T) {
 	querier := ls.newClientAt(t, "querier", geo.Pt(1400, 100), client.Options{})
 	shapes := []core.Area{
 		// Hexagon around the center, straddling all four leaves.
-		{Vertices: geo.RegularPolygon(geo.Pt(750, 750), 300, 6)},
+		{Vertices: geo.Polygon{
+			{X: 1050, Y: 750}, {X: 900, Y: 1009.8076211353316}, {X: 600, Y: 1009.8076211353316},
+			{X: 450, Y: 750}, {X: 600, Y: 490.1923788646684}, {X: 900, Y: 490.1923788646684},
+		}},
 		// Triangle in the west.
 		core.AreaFromPoints([]geo.Point{{X: 100, Y: 100}, {X: 600, Y: 400}, {X: 100, Y: 900}}),
 		// Hull of a scattered point set.

@@ -55,7 +55,7 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 
 	// Remote case (lines 5-8): forward upwards, wait for the direct
 	// response from the agent.
-	parent := s.parentForOID(req.OID)
+	parent := s.parent()
 	if parent == "" {
 		// Single-server deployment and the object is unknown.
 		return nil, core.ErrNotFound
@@ -194,7 +194,7 @@ func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 			s.met.Counter("pos_fwd_bounced").Inc()
 		}
 		// Lines 8-9: no record; forward upwards.
-		parent := s.parentForOID(req.OID)
+		parent := s.parent()
 		if parent == "" {
 			// Root without a record to follow: the object is not
 			// tracked.

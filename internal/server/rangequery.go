@@ -148,7 +148,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			return out, nil
 		}
 	} else {
-		parent := s.parentForKey(opID)
+		parent := s.parent()
 		if parent == "" {
 			// Single-server deployment: our own contribution is all
 			// there is.
@@ -396,14 +396,12 @@ func (s *Server) handleRangeQueryFwd(from msg.NodeID, req msg.RangeQueryFwd) {
 	// … and upwards if part of the area lies outside our service area
 	// (and the query did not come from above).
 	outside := !s.cfg.SA.Bounds().ContainsRect(enlarged)
-	if outside && !s.isParent(from) {
-		if parent := s.parentForKey(req.Origin.OpID); parent != "" {
-			if err := s.forward(parent, req); err != nil {
-				// Everything outside this subtree is dark.
-				failed = append(failed, parent)
-				failedCover += req.Area.Vertices.IntersectRectArea(s.rootArea.Bounds()) -
-					req.Area.Vertices.IntersectRectArea(s.cfg.SA.Bounds())
-			}
+	if parent := s.parent(); outside && parent != "" && from != parent {
+		if err := s.forward(parent, req); err != nil {
+			// Everything outside this subtree is dark.
+			failed = append(failed, parent)
+			failedCover += req.Area.Vertices.IntersectRectArea(s.rootArea.Bounds()) -
+				req.Area.Vertices.IntersectRectArea(s.cfg.SA.Bounds())
 		}
 	}
 	if len(failed) > 0 {

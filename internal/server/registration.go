@@ -23,7 +23,7 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 
 	if !s.inArea(req.S.Pos) {
 		// Forward registration upwards (lines 20-21).
-		parent := s.parentForOID(req.S.OID)
+		parent := s.parent()
 		if parent == "" {
 			// Root: the position lies outside the entire service
 			// area; the registration fails definitively.
@@ -79,7 +79,7 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 
 	// Line 5: create the forwarding path up to the root.
 	if s.parent() != "" {
-		s.forwardPath(s.parentForOID(req.S.OID), msg.CreatePath{
+		s.forwardPath(s.parent(), msg.CreatePath{
 			OID: req.S.OID, Leaf: s.leafInfo(), SightingT: req.S.T,
 		})
 	}
@@ -124,7 +124,7 @@ func (s *Server) handleCreatePath(from msg.NodeID, req msg.CreatePath) {
 	// message carries the only information that re-points them onto this
 	// subtree. Each ancestor applies or refuses independently by PathT.
 	if s.parent() != "" {
-		s.forwardPath(s.parentForOID(req.OID), req)
+		s.forwardPath(s.parent(), req)
 	}
 }
 
@@ -146,7 +146,7 @@ func (s *Server) handleRemovePath(from msg.NodeID, req msg.RemovePath) {
 		return
 	}
 	if removed && s.parent() != "" {
-		s.forwardPath(s.parentForOID(req.OID), req)
+		s.forwardPath(s.parent(), req)
 	}
 }
 

@@ -730,7 +730,7 @@ func (s *Server) removePath(id core.OID, sightT time.Time) {
 	if sightT.After(lastT) {
 		lastT = sightT
 	}
-	s.forwardPath(s.parentForOID(id), msg.RemovePath{OID: id, SightingT: lastT})
+	s.forwardPath(s.parent(), msg.RemovePath{OID: id, SightingT: lastT})
 }
 
 // RestoreVisitors asks every object registered at this leaf for a fresh

@@ -16,8 +16,8 @@ type ChildRecord struct {
 }
 
 // ConfigRecord is a server's persistent configuration record c (paper
-// Section 5): its own service area, its parent and its children. For the
-// root server Parent is empty; for leaf servers Children is empty.
+// Section 5): its own service area, its one parent and its children. For
+// the root server Parent is empty; for leaf servers Children is empty.
 type ConfigRecord struct {
 	// ID is the server's node identifier.
 	ID string `json:"id"`
@@ -26,13 +26,6 @@ type ConfigRecord struct {
 	// Parent identifies the parent server; empty for the root (the
 	// paper's ε).
 	Parent string `json:"parent,omitempty"`
-	// ParentGroup lists the partition servers sharing the parent's
-	// service area when the parent level is partitioned by object id
-	// (Section 4: "information about tracked objects can be partitioned
-	// based on some portion of the object id", as for the GSM HLR).
-	// Empty means the parent is a single server; otherwise Parent is the
-	// first entry of the group.
-	ParentGroup []string `json:"parentGroup,omitempty"`
 	// Children holds one record per child server, empty for leaves.
 	Children []ChildRecord `json:"children,omitempty"`
 }

@@ -127,9 +127,6 @@ type LocalConfig struct {
 	// Levels describes the hierarchy below the root; empty means a
 	// single server.
 	Levels []Level
-	// RootPartitions > 1 partitions the root level by object-id hash
-	// (Section 4's HLR-style partitioning); requires at least one level.
-	RootPartitions int
 	// AchievableAcc is the best accuracy the leaves' sensor
 	// infrastructure sustains (default 10 m).
 	AchievableAcc float64
@@ -233,7 +230,7 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 		}
 	}
 	net := transport.NewInproc(opts)
-	spec := hierarchy.Spec{RootArea: cfg.Area, Levels: cfg.Levels, RootPartitions: cfg.RootPartitions}
+	spec := hierarchy.Spec{RootArea: cfg.Area, Levels: cfg.Levels}
 	base := server.Options{
 		AchievableAcc:    cfg.AchievableAcc,
 		SightingTTL:      cfg.SightingTTL,
@@ -245,9 +242,7 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 	}
 	// replicaMapFor returns the primary→standby map a non-leaf server
 	// monitors with Replicas: only the leaves' direct parent probes and
-	// promotes. With a partitioned root every partition monitors the same
-	// pairs independently — promotion is idempotent under epoch fencing,
-	// and each partition must rebind its own child slot anyway.
+	// promotes.
 	replicaMapFor := func(rec store.ConfigRecord) map[string]string {
 		if !cfg.Replicas || len(rec.Children) == 0 ||
 			strings.Count(rec.Children[0].ID, ".") != len(cfg.Levels) {
