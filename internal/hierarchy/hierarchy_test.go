@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,4 +329,83 @@ func BenchmarkDeploymentHeapPerObject(b *testing.B) {
 		dep.Close()
 		net.Close()
 	}
+}
+
+// BenchmarkRegisterPopulation registers a population into the benchmark's
+// tree shape (root, 2×2, 2×2 on Inproc, no logs) the way its set-up does:
+// two clients, each registering its objects one at a time, leaf by leaf,
+// entering at the object's leaf, until every forwarding path reaches the
+// root. It reports the time per registration and the path envelopes per
+// registration, each a tracked call with its own acknowledgement, counted
+// as they are delivered.
+func BenchmarkRegisterPopulation(b *testing.B) {
+	const objects, clients, side = 20_000, 2, 8000
+	spec := Spec{RootArea: geo.R(0, 0, side, side), Levels: []Level{{2, 2}, {2, 2}}}
+	var took time.Duration
+	var envelopes atomic.Int64
+	for i := 0; i < b.N; i++ {
+		net := transport.NewInproc(transport.InprocOptions{OnDeliver: func(_, _ msg.NodeID, m msg.Message) {
+			if _, ok := m.(msg.PathBatch); ok {
+				envelopes.Add(1)
+			}
+		}})
+		dep, err := Deploy(net, spec, server.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Each client's objects, grouped by leaf.
+		rng := rand.New(rand.NewSource(int64(i)))
+		byLeaf := make([]map[msg.NodeID][]core.Sighting, clients)
+		for c := range byLeaf {
+			byLeaf[c] = make(map[msg.NodeID][]core.Sighting)
+		}
+		for k := 0; k < objects; k++ {
+			p := geo.Pt(rng.Float64()*side, rng.Float64()*side)
+			leaf, _ := dep.LeafFor(p)
+			s := core.Sighting{OID: core.OID(fmt.Sprintf("o%06d", k)), T: time.Now(), Pos: p, SensAcc: 5}
+			byLeaf[k%clients][leaf] = append(byLeaf[k%clients][leaf], s)
+		}
+		start := time.Now()
+		var wg sync.WaitGroup
+		errs := make([]error, clients)
+		for c := range byLeaf {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				cl, err := client.New(net, msg.NodeID(fmt.Sprintf("c%d", c)), dep.Leaves()[0], client.Options{})
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				defer cl.Close()
+				for _, leaf := range dep.Leaves() {
+					cl.SetEntry(leaf)
+					for _, s := range byLeaf[c][leaf] {
+						if _, err := cl.Register(context.Background(), s, 10, 50, 3); err != nil {
+							errs[c] = err
+							return
+						}
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		// Polls: path messages climb asynchronously and signal nothing.
+		for deadline := time.Now().Add(time.Minute); dep.RootVisitorCount() < objects; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				b.Fatalf("forwarding paths incomplete: %d of %d at the root", dep.RootVisitorCount(), objects)
+			}
+		}
+		took += time.Since(start)
+		dep.Close()
+		net.Close()
+	}
+	regs := float64(b.N * objects)
+	b.ReportMetric(float64(took.Microseconds())/regs, "us/registration")
+	b.ReportMetric(float64(envelopes.Load())/regs, "pathEnvelopes/registration")
 }

@@ -102,31 +102,40 @@ type RegisterFailed struct {
 	Achievable float64
 }
 
-// CreatePath is sent leaf-to-root after a successful registration; each
-// receiving server records a forwarding reference to the child it received
-// the message from (the envelope's From).
-type CreatePath struct {
-	OID  core.OID
+// PathChange is one path message: a step of Algorithm 6-1's createPath
+// climb, which every server on the leaf-to-root path answers by recording
+// a forwarding reference to the child it came from (the envelope's From),
+// or of its inverse, removePath, which deregistration and soft-state expiry
+// send to tear that path down bottom-up. A handover never sends one: it
+// fixes each hop's reference on its response path (Algorithm 6-3), and
+// prunes the old branch there too. Path messages travel only inside a
+// PathBatch.
+type PathChange struct {
+	// Remove marks a removePath; otherwise the change is a createPath.
+	Remove bool
+	OID    core.OID
+	// Leaf is the registering leaf, which every server on the path caches
+	// (Section 6.5); zero on a removal.
 	Leaf LeafInfo
-	// SightingT is the timestamp of the registration's sighting. Servers
-	// stamp their records with it and ignore older path messages, so a
-	// CreatePath that arrives after a handover re-pointed the path cannot
-	// undo it. Every CreatePath climbs to the root: stopping at the first
-	// existing record (the apparent lowest common ancestor) is unsound when
-	// stale leftovers from reordered messages exist. Handovers never send
-	// one — Algorithm 6-3 fixes each hop's reference on its response path.
+	// SightingT is, for a createPath, the timestamp of the registration's
+	// sighting: servers stamp their records with it and ignore older path
+	// messages, so a createPath that arrives after a handover re-pointed
+	// the path cannot undo it. Every createPath climbs to the root:
+	// stopping at the first existing record (the apparent lowest common
+	// ancestor) is unsound when stale leftovers from reordered messages
+	// exist. For a removePath it is the timestamp of the last sighting the
+	// sender holds for the object; records stamped with a newer sighting
+	// time refuse the removal (a fresher path was installed meanwhile).
 	SightingT time.Time
 }
 
-// RemovePath deletes an object's forwarding references bottom-up; it is the
-// inverse of CreatePath, used by deregistration and soft-state expiry. A
-// handover prunes the old branch itself, on its response path.
-type RemovePath struct {
-	OID core.OID
-	// SightingT is the timestamp of the last sighting the sender holds
-	// for the object; records stamped with a newer sighting time refuse
-	// the removal (a fresher path was installed meanwhile).
-	SightingT time.Time
+// PathBatch carries the path messages one server sends its parent in one
+// tracked call, in the order it queued them; the receiver applies them in
+// that order and one acknowledgement covers the batch. Every path message
+// travels in one: a server keeps one batch in flight toward its parent, and
+// whatever queued meanwhile leaves as the next batch.
+type PathBatch struct {
+	Changes []PathChange
 }
 
 // ---------------------------------------------------------------------------
@@ -648,8 +657,6 @@ type ErrorRes struct {
 func (RegisterReq) isMessage()      {}
 func (RegisterRes) isMessage()      {}
 func (RegisterFailed) isMessage()   {}
-func (CreatePath) isMessage()       {}
-func (RemovePath) isMessage()       {}
 func (UpdateReq) isMessage()        {}
 func (UpdateRes) isMessage()        {}
 func (HandoverReq) isMessage()      {}
@@ -684,3 +691,4 @@ func (RunFetch) isMessage()         {}
 func (RunFetchRes) isMessage()      {}
 func (Promote) isMessage()          {}
 func (PromoteRes) isMessage()       {}
+func (PathBatch) isMessage()        {}

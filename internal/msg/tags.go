@@ -16,8 +16,8 @@ const (
 	TagRegisterReq      Tag = 1
 	TagRegisterRes      Tag = 2
 	TagRegisterFailed   Tag = 3
-	TagCreatePath       Tag = 4
-	TagRemovePath       Tag = 5
+	TagCreatePath       Tag = 4 // retired, see below
+	TagRemovePath       Tag = 5 // retired, see below
 	TagUpdateReq        Tag = 6
 	TagUpdateRes        Tag = 7
 	TagHandoverReq      Tag = 8
@@ -52,9 +52,15 @@ const (
 	TagRunFetchRes      Tag = 37
 	TagPromote          Tag = 38
 	TagPromoteRes       Tag = 39
+	TagPathBatch        Tag = 40
+
+	// TagCreatePath and TagRemovePath are retired since wire v6, when
+	// every path message began to travel in a PathBatch: no envelope
+	// carries them, and they are not in the registry. The names stay only
+	// because the benchmark module's trace tests still use them.
 
 	// tagEnd is one past the highest assigned tag.
-	tagEnd Tag = 40
+	tagEnd Tag = 41
 )
 
 // tagNames indexes message type names by tag, for diagnostics (oversize
@@ -63,8 +69,6 @@ var tagNames = [tagEnd]string{
 	TagRegisterReq:      "RegisterReq",
 	TagRegisterRes:      "RegisterRes",
 	TagRegisterFailed:   "RegisterFailed",
-	TagCreatePath:       "CreatePath",
-	TagRemovePath:       "RemovePath",
 	TagUpdateReq:        "UpdateReq",
 	TagUpdateRes:        "UpdateRes",
 	TagHandoverReq:      "HandoverReq",
@@ -99,6 +103,7 @@ var tagNames = [tagEnd]string{
 	TagRunFetchRes:      "RunFetchRes",
 	TagPromote:          "Promote",
 	TagPromoteRes:       "PromoteRes",
+	TagPathBatch:        "PathBatch",
 }
 
 // String returns the message type name the tag identifies.
@@ -135,10 +140,6 @@ func TagOf(m Message) (Tag, bool) {
 		return TagRegisterRes, true
 	case RegisterFailed:
 		return TagRegisterFailed, true
-	case CreatePath:
-		return TagCreatePath, true
-	case RemovePath:
-		return TagRemovePath, true
 	case UpdateReq:
 		return TagUpdateReq, true
 	case UpdateRes:
@@ -207,6 +208,8 @@ func TagOf(m Message) (Tag, bool) {
 		return TagPromote, true
 	case PromoteRes:
 		return TagPromoteRes, true
+	case PathBatch:
+		return TagPathBatch, true
 	}
 	return TagInvalid, false
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"locsvc/internal/core"
 	"locsvc/internal/msg"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
+	"locsvc/internal/wire"
 )
 
 // handleRegister implements Algorithm 6-1 (registration processing). The
@@ -77,18 +80,18 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 		return
 	}
 
-	// Line 5: create the forwarding path up to the root.
-	if s.parent() != "" {
-		s.forwardPath(s.parent(), msg.CreatePath{
-			OID: req.S.OID, Leaf: s.leafInfo(), SightingT: req.S.T,
-		})
-	}
 	// Lines 6-11: create the visitor and sighting records.
 	if err := s.register(req.S, req.RegInfo, offered); err != nil {
 		s.respondToOrigin(req.Origin, msg.ErrorResFrom(err))
 		return
 	}
 	s.writeMet.registerOK.Inc()
+	// Line 5: create the forwarding path up to the root. The paper sends
+	// createPath before it creates the records; it leaves here only once
+	// they stand, so a registration the store refused leaves no
+	// forwarding record at the ancestors that nothing would re-assert or
+	// remove.
+	s.forwardPath(msg.PathChange{OID: req.S.OID, Leaf: s.leafInfo(), SightingT: req.S.T})
 
 	// Line 12: answer the registering instance.
 	res := msg.RegisterRes{
@@ -102,52 +105,69 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 	s.respondToOrigin(req.Origin, res)
 }
 
+// handlePathBatch applies a child's batch of path messages in order, each
+// by handleCreatePath or handleRemovePath, and passes the ones that climb
+// on to this server's parent in one go. The transport's auto-ack covers
+// the batch once all are applied.
+func (s *Server) handlePathBatch(from msg.NodeID, b msg.PathBatch) {
+	up := make([]msg.PathChange, 0, len(b.Changes))
+	for _, c := range b.Changes {
+		var climbs bool
+		if c.Remove {
+			climbs = s.handleRemovePath(from, c)
+		} else {
+			climbs = s.handleCreatePath(from, c)
+		}
+		if climbs {
+			up = append(up, c)
+		}
+	}
+	s.forwardPath(up...)
+}
+
 // handleCreatePath implements the createPath half of Algorithm 6-1: every
 // server on the leaf-to-root path records a forwarding reference to the
-// child it received the message from.
-func (s *Server) handleCreatePath(from msg.NodeID, req msg.CreatePath) {
-	s.observeLeafInfo(req.Leaf)
+// child it received the message from. It reports whether the message
+// climbs on.
+func (s *Server) handleCreatePath(from msg.NodeID, c msg.PathChange) bool {
+	s.observeLeafInfo(c.Leaf)
 	if s.cfg.IsLeaf() {
-		// CreatePath climbs from a leaf to the root; one delivered to
+		// createPath climbs from a leaf to the root; one delivered to
 		// a leaf can come only from misconfiguration. Ignore it.
-		return
+		return false
 	}
 	if _, err := s.visitors.PutIfNewer(store.VisitorRecord{
-		OID: req.OID, ForwardRef: string(from), PathT: req.SightingT,
+		OID: c.OID, ForwardRef: string(from), PathT: c.SightingT,
 	}); err != nil {
 		s.met.Counter("visitor_db_errors").Inc()
-		return
+		return false
 	}
 	// Forward upwards even when the local record was newer and refused
 	// the update: the newer record may come from an intra-subtree
 	// handover that never reached the ancestors, in which case this very
 	// message carries the only information that re-points them onto this
 	// subtree. Each ancestor applies or refuses independently by PathT.
-	if s.parent() != "" {
-		s.forwardPath(s.parent(), req)
-	}
+	return true
 }
 
 // handleRemovePath tears a forwarding path down bottom-up: used by
 // deregistration and soft-state expiry. A server only removes its record if
 // the forwarding reference still points to the child the removal came from
-// (the branch was not re-pointed meanwhile).
-func (s *Server) handleRemovePath(from msg.NodeID, req msg.RemovePath) {
+// (the branch was not re-pointed meanwhile), and only a removal climbs on.
+func (s *Server) handleRemovePath(from msg.NodeID, c msg.PathChange) bool {
 	if s.cfg.IsLeaf() {
-		return // a leaf keeps no forwarding records
+		return false // a leaf keeps no forwarding records
 	}
-	removed, err := s.visitors.RemoveIf(req.OID, func(rec store.VisitorRecord) bool {
+	removed, err := s.visitors.RemoveIf(c.OID, func(rec store.VisitorRecord) bool {
 		// A fresher sighting re-installed this record, or the path
 		// was re-pointed away from the pruned branch: keep it.
-		return !rec.PathT.After(req.SightingT) && rec.ForwardRef == string(from)
+		return !rec.PathT.After(c.SightingT) && rec.ForwardRef == string(from)
 	})
 	if err != nil {
 		s.met.Counter("visitor_db_errors").Inc()
-		return
+		return false
 	}
-	if removed && s.parent() != "" {
-		s.forwardPath(s.parent(), req)
-	}
+	return removed
 }
 
 // respondToOrigin sends an operation response directly to the node the
@@ -167,130 +187,229 @@ func (s *Server) sendOrCount(to msg.NodeID, m msg.Message) {
 	}
 }
 
-// forwardPath propagates a forwarding-path change (CreatePath, RemovePath)
-// one hop with the PathRetry budget. Path messages are idempotent — every
-// application is guarded by the sighting timestamp — but they are also the
-// only copy of the information they carry: a lost CreatePath climb strands
-// an ancestor without a record and turns later queries for the object into
-// definitive not-founds. So unlike plain fan-out (where the query's own
-// deadline bounds the damage), each hop re-sends until the peer's ack or
-// the budget runs out.
+// forwardPath queues path messages (createPath, removePath) for this
+// server's parent on its path stream; on the root, which has no parent, it
+// does nothing. Path messages are idempotent — every application is
+// guarded by the sighting timestamp — but they are also the only copy of
+// the information they carry: a lost createPath climb strands an ancestor
+// without a record and turns later queries for the object into definitive
+// not-founds. So unlike plain fan-out (where the query's own deadline
+// bounds the damage), each hop re-sends until the peer's ack.
 //
-// The first send happens here, on the caller's goroutine, so the message is
-// on its way before the caller answers its own request; what is off the
-// request path by design (Algorithm 6-1 answers the client before the climb
-// completes) is the wait for the ack. No goroutine does that waiting: the
-// call's resolution — the ack, or the sweeper's timeout — runs pathSend.acked
-// as a continuation, and a retry is a timer. A population registering at
-// once therefore costs one in-flight table entry per unacknowledged path
-// message, not a parked stack. A message that spends its budget (a budget
-// of one attempt is one tracked try) counts path_propagation_failed once
-// and is then re-sent every pathReassertInterval, each re-send counted in
-// path_reasserted, until one is acknowledged or the message goes stale
+// The stream keeps one batch in flight: an idle stream sends what it is
+// given at once, on the caller's goroutine, so the message is on its way
+// before the caller answers its own request (Algorithm 6-1 answers the
+// client before the climb completes, not before it starts). Whatever is
+// queued while a batch is in flight leaves as the next batch, in one
+// tracked call, as soon as that batch is acknowledged or its first try
+// fails: no timer paces it, and a lost batch does not hold up the ones
+// behind it. Over a loss-free link, path messages therefore arrive in the
+// order they were queued.
+//
+// No goroutine waits for an acknowledgement: the call's resolution — the
+// ack, or the sweeper's timeout — runs pathBatch.acked as a continuation,
+// and a retry is a timer. A batch whose try fails is re-sent after the
+// PathRetry backoff while the budget lasts (a budget of one attempt is one
+// tracked try). Once it is spent, each of its messages counts
+// path_propagation_failed once, and the batch is re-sent every
+// pathReassertInterval, the re-sent messages counted in path_reasserted,
+// until one try is acknowledged or every message has gone stale
 // (pathCurrent): an ancestor the budget gave up on is repaired once the
-// link heals. Close abandons what is pending through the server's context;
-// once it has begun, a message gets one best-effort send instead.
-func (s *Server) forwardPath(to msg.NodeID, m msg.Message) {
-	if s.ctx.Err() != nil {
-		s.sendOrCount(to, m)
-		return
+// link heals. Close gives the messages still queued one best-effort send,
+// as it does a message queued after it began, and abandons the batches
+// still waiting for their acks.
+func (s *Server) forwardPath(changes ...msg.PathChange) {
+	if s.paths != nil && len(changes) > 0 {
+		s.paths.enqueue(changes)
 	}
-	(&pathSend{s: s, to: to, m: m}).try()
 }
 
-// pathReassertInterval is the cadence at which a path message whose retry
-// budget is spent is sent again until acknowledged. It is slow next to any
-// budget's backoffs, so a peer that stays dark costs one tracked try per
-// interval.
+// pathReassertInterval is the cadence at which a batch of path messages
+// whose retry budget is spent is sent again until acknowledged. It is slow
+// next to any budget's backoffs, so a peer that stays dark costs one
+// tracked try per interval.
 const pathReassertInterval = 5 * time.Second
 
-// pathSend is one forwarding-path message on its way to its acknowledgement.
-// Its steps run one after another — a try, the call's continuation, a timer
-// — so its fields need no lock.
-type pathSend struct {
-	s     *Server
-	to    msg.NodeID
-	m     msg.Message
-	tries int
+// pathStream carries a server's path messages to its parent: a FIFO queue
+// and a window of one batch (see forwardPath).
+type pathStream struct {
+	s  *Server
+	to msg.NodeID
+
+	mu    sync.Mutex
+	queue []msg.PathChange
+	// busy is set while a batch holds the window: from its first try until
+	// that try is acknowledged or fails.
+	busy bool
+	// closed is set by Close, which takes the queue; from then on every
+	// message gets one best-effort send.
+	closed bool
+}
+
+// enqueue appends changes to the queue and, on an idle stream, sends them
+// at once.
+func (st *pathStream) enqueue(changes []msg.PathChange) {
+	st.mu.Lock()
+	if st.closed {
+		st.mu.Unlock()
+		st.sendBestEffort(changes)
+		return
+	}
+	st.queue = append(st.queue, changes...)
+	idle := !st.busy
+	st.busy = true
+	st.mu.Unlock()
+	if idle {
+		st.next()
+	}
+}
+
+// next sends the next batch off the queue, as many messages as one
+// envelope carries within a datagram, or idles the stream.
+func (st *pathStream) next() {
+	st.mu.Lock()
+	if st.closed || len(st.queue) == 0 {
+		st.busy = false
+		st.mu.Unlock()
+		return
+	}
+	n := wire.PathBatchPrefix(st.s.ID(), st.queue, transport.MaxDatagram)
+	b := &pathBatch{st: st, changes: st.queue[:n:n], windowed: true}
+	if st.queue = st.queue[n:]; len(st.queue) == 0 {
+		st.queue = nil
+	}
+	st.mu.Unlock()
+	b.try()
+}
+
+// close takes the queue and gives it its one best-effort send.
+func (st *pathStream) close() {
+	st.mu.Lock()
+	st.closed = true
+	queued := st.queue
+	st.queue = nil
+	st.mu.Unlock()
+	st.sendBestEffort(queued)
+}
+
+// sendBestEffort sends changes one-way, in as many envelopes as the
+// datagram limit asks for.
+func (st *pathStream) sendBestEffort(changes []msg.PathChange) {
+	for len(changes) > 0 {
+		n := wire.PathBatchPrefix(st.s.ID(), changes, transport.MaxDatagram)
+		st.s.sendOrCount(st.to, msg.PathBatch{Changes: changes[:n:n]})
+		changes = changes[n:]
+	}
+}
+
+// pathBatch is one batch of path messages on its way to its
+// acknowledgement. Its steps run one after another — a try, the call's
+// continuation, a timer — so its fields need no lock. Its changes are
+// never written once sent: the receiver of an in-process delivery reads
+// the same slice.
+type pathBatch struct {
+	st      *pathStream
+	changes []msg.PathChange
+	tries   int
+	// windowed is set while the batch holds its stream's window. The
+	// batch gives the window up, the first time it is acknowledged or
+	// fails, by sending the next batch from the handler executor: the
+	// goroutine that resolves a call may be a read loop or the sweeper,
+	// which must not wait for an in-flight slot.
+	windowed bool
 	// spent is set once the retry budget is exhausted: from then on the
-	// message is re-sent every pathReassertInterval.
+	// batch is re-sent every pathReassertInterval.
 	spent bool
 }
 
-// try sends the message as a call with the per-try deadline.
-func (p *pathSend) try() {
-	s := p.s
+// try sends the batch as a call with the per-try deadline.
+func (b *pathBatch) try() {
+	s := b.st.s
 	if s.ctx.Err() != nil {
 		return
 	}
-	p.tries++
+	b.tries++
 	ctx, cancel := s.clk.WithTimeout(s.ctx, s.opts.PathRetry.PerTryTimeout)
-	pc, err := s.node.CallAsync(ctx, p.to, p.m)
+	pc, err := s.node.CallAsync(ctx, b.st.to, msg.PathBatch{Changes: b.changes})
 	cancel() // tracker keeps its own deadline; cancel only ends the slot wait
 	if err != nil {
-		p.failed(err)
+		b.failed(err)
 		return
 	}
-	pc.Then(p.acked)
+	pc.Then(b.acked)
 }
 
 // acked is the call's continuation (see PendingCall.Then): it runs on the
 // goroutine that resolved the call and does not block.
-func (p *pathSend) acked(reply msg.Message) {
+func (b *pathBatch) acked(reply msg.Message) {
 	if err := msg.AsError(reply); err != nil {
-		p.failed(err)
+		b.failed(err)
+		return
+	}
+	if b.windowed {
+		b.windowed = false
+		transport.Go(b.st.next)
 	}
 }
 
 // failed schedules the next try: after the policy's backoff while the
 // budget lasts and the error is one a retry clears, otherwise — the first
-// time counted as path_propagation_failed — after pathReassertInterval.
-// Shutdown ends it.
-func (p *pathSend) failed(err error) {
-	s := p.s
+// time counted as path_propagation_failed, once per message — after
+// pathReassertInterval. Shutdown ends it.
+func (b *pathBatch) failed(err error) {
+	if b.windowed {
+		// The next batch leaves once this one's timer is armed.
+		b.windowed = false
+		defer transport.Go(b.st.next)
+	}
+	s := b.st.s
 	if s.ctx.Err() != nil {
 		return
 	}
 	pol := s.opts.PathRetry
-	if !p.spent && p.tries < pol.MaxAttempts && transport.Retryable(err) {
+	if !b.spent && b.tries < pol.MaxAttempts && transport.Retryable(err) {
 		transport.CountRetry(s.node)
-		s.clk.AfterFunc(pol.Backoff(p.tries), p.try)
+		s.clk.AfterFunc(pol.Backoff(b.tries), b.try)
 		return
 	}
-	if !p.spent {
-		p.spent = true
-		s.met.Counter("path_propagation_failed").Inc()
+	if !b.spent {
+		b.spent = true
+		s.met.Counter("path_propagation_failed").Add(int64(len(b.changes)))
 	}
-	s.clk.AfterFunc(pathReassertInterval, p.reassert)
+	s.clk.AfterFunc(pathReassertInterval, b.reassert)
 }
 
-// reassert re-sends a message whose budget is spent, unless it has gone
-// stale meanwhile.
-func (p *pathSend) reassert() {
-	s := p.s
-	if s.ctx.Err() != nil || !s.pathCurrent(p.m) {
+// reassert re-sends a spent batch's messages that have not gone stale
+// meanwhile, if any.
+func (b *pathBatch) reassert() {
+	s := b.st.s
+	if s.ctx.Err() != nil {
 		return
 	}
-	s.met.Counter("path_reasserted").Inc()
-	p.try()
+	b.changes = slices.DeleteFunc(slices.Clone(b.changes), func(c msg.PathChange) bool { return !s.pathCurrent(c) })
+	if len(b.changes) == 0 {
+		return
+	}
+	s.met.Counter("path_reasserted").Add(int64(len(b.changes)))
+	b.try()
 }
 
 // pathCurrent reports whether a path message is still worth re-sending. A
-// CreatePath is while this server holds a record for its object: the
+// createPath is while this server holds a record for its object: the
 // object is in this subtree, so the ancestors should point here, and one
 // holding a newer record refuses the message by PathT. Once the record is
 // gone it is not, since a removed record leaves no PathT for an ancestor to
-// refuse it by. A RemovePath always is: RemoveIf refuses it against any
+// refuse it by. A removePath always is: RemoveIf refuses it against any
 // newer record.
-func (s *Server) pathCurrent(m msg.Message) bool {
-	cp, ok := m.(msg.CreatePath)
-	if !ok {
+func (s *Server) pathCurrent(c msg.PathChange) bool {
+	if c.Remove {
 		return true
 	}
+	var ok bool
 	if s.sightings != nil {
-		_, ok = s.sightings.Registration(cp.OID)
+		_, ok = s.sightings.Registration(c.OID)
 	} else {
-		_, ok = s.visitors.Get(cp.OID)
+		_, ok = s.visitors.Get(c.OID)
 	}
 	return ok
 }

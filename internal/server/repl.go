@@ -532,7 +532,7 @@ func (s *Server) handleReplAppend(req msg.ReplAppend) (msg.Message, error) {
 	}
 	// Applies write through the WAL and the tier manifests, which Close
 	// tears down after draining s.wg — so an apply must hold a slot for
-	// its whole run (the same guard as forwardPath) or not start at all.
+	// its whole run (the same guard as the notifier's drains) or not start at all.
 	if !s.beginBackground() {
 		return nil, core.ErrUnavailable
 	}

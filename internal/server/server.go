@@ -132,11 +132,12 @@ type Options struct {
 	// created when nil.
 	Metrics *metrics.Registry
 	// PathRetry is the retry budget for forwarding-path propagation
-	// (the CreatePath/RemovePath climbs). These one-way messages are
-	// idempotent — every application is guarded by the sighting
-	// timestamp (PutIfNewer / RemoveIf) — so each hop re-sends on a
-	// swept timeout instead of letting one lost datagram strand an
-	// ancestor without (or with a stale) forwarding record. Event
+	// (the createPath/removePath climbs), spent per batch: each batch of
+	// path messages a server sends its parent is one tracked call. Path
+	// messages are idempotent — every application is guarded by the
+	// sighting timestamp (PutIfNewer / RemoveIf) — so each hop re-sends a
+	// batch on a swept timeout instead of letting one lost datagram strand
+	// an ancestor without (or with a stale) forwarding record. Event
 	// notifications are sent with the same budget. The zero value enables
 	// a small default budget; MaxAttempts 1 is a single tracked try whose
 	// loss is counted.
@@ -257,6 +258,10 @@ type Server struct {
 	// API form; nil on leaves.
 	visitors *store.VisitorDB
 
+	// paths carries path messages to the parent (forwardPath); nil on
+	// the root.
+	paths *pathStream
+
 	caches *leafCaches
 	pend   *pending
 	events *events
@@ -354,6 +359,9 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		pend:     newPending(),
 		met:      opts.Metrics,
 		writeMet: newWriteCounters(opts.Metrics),
+	}
+	if cfg.Parent != "" {
+		s.paths = &pathStream{s: s, to: msg.NodeID(cfg.Parent)}
 	}
 	s.events = newEvents(cfg, opts.EventQueueDepth)
 	s.notify = newNotifier(s)
@@ -499,8 +507,9 @@ func (s *Server) leafInfo() msg.LeafInfo {
 // Close detaches the server from the network, stops its background
 // goroutines and closes the stores. The order is load-bearing: stopped
 // flips first (no new background work or replication applies start),
-// the lifetime context is cancelled (loops stop, retry loops give up,
-// unacknowledged path messages are abandoned), then the node detaches
+// the path messages still queued get their one best-effort send, the
+// lifetime context is cancelled (loops stop, retry loops give up,
+// unacknowledged path batches are abandoned), then the node detaches
 // (in-flight outbound calls resolve instead of waiting out their
 // timeouts), and only after every tracked task — janitor, event
 // dispatcher, notifier drains, replication senders and in-flight
@@ -512,6 +521,9 @@ func (s *Server) Close() error {
 		s.bgMu.Lock()
 		s.stopped = true
 		s.bgMu.Unlock()
+		if s.paths != nil {
+			s.paths.close()
+		}
 		s.cancel()
 		if s.repl != nil {
 			s.repl.wake()
@@ -554,11 +566,8 @@ func (s *Server) handle(ctx context.Context, from msg.NodeID, m msg.Message) (ms
 	case msg.RegisterReq:
 		s.handleRegister(ctx, req)
 		return nil, nil
-	case msg.CreatePath:
-		s.handleCreatePath(from, req)
-		return nil, nil
-	case msg.RemovePath:
-		s.handleRemovePath(from, req)
+	case msg.PathBatch:
+		s.handlePathBatch(from, req)
 		return nil, nil
 
 	// Updates and handover (Algorithms 6-2, 6-3).
@@ -720,17 +729,14 @@ func (s *Server) expireVisitors(ids []core.OID) {
 }
 
 // removePath starts tearing down id's forwarding path above this leaf.
-// The RemovePath carries the later of now and the removed sighting's time
+// The removePath carries the later of now and the removed sighting's time
 // sightT, so no ancestor keeps a record the sighting installed.
 func (s *Server) removePath(id core.OID, sightT time.Time) {
-	if s.parent() == "" {
-		return
-	}
 	lastT := s.clk.Now()
 	if sightT.After(lastT) {
 		lastT = sightT
 	}
-	s.forwardPath(s.parent(), msg.RemovePath{OID: id, SightingT: lastT})
+	s.forwardPath(msg.PathChange{Remove: true, OID: id, SightingT: lastT})
 }
 
 // RestoreVisitors asks every object registered at this leaf for a fresh

@@ -765,7 +765,7 @@ func TestPathMessageResentUntilAcked(t *testing.T) {
 			}, transport.InprocOptions{
 				SweepInterval: sweep,
 				FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
-					if _, ok := env.Msg.(msg.CreatePath); !ok || to != "r" {
+					if _, ok := env.Msg.(msg.PathBatch); !ok || to != "r" {
 						return transport.Fault{}
 					}
 					lost := lose.Add(-1) >= 0

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,8 +43,9 @@ func TestNothingTimedWhileClockStands(t *testing.T) {
 		BreakerThreshold: 1,
 		BreakerCooldown:  cooldown,
 		FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
-			cp, ok := env.Msg.(msg.CreatePath)
-			return transport.Fault{Drop: ok && cp.OID == "lost" && to == "r" && dropLost.Load()}
+			b, ok := env.Msg.(msg.PathBatch)
+			lost := ok && slices.ContainsFunc(b.Changes, func(c msg.PathChange) bool { return c.OID == "lost" })
+			return transport.Fault{Drop: lost && to == "r" && dropLost.Load()}
 		},
 	})
 	start := clk.Now()

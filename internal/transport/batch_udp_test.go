@@ -157,7 +157,7 @@ func TestUDPBatchingInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, maxDatagram)
+	buf := make([]byte, MaxDatagram)
 	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	got, _, err := raw.ReadFromUDP(buf)
 	if err != nil {
@@ -183,7 +183,7 @@ func bigResult() []core.Entry {
 }
 
 // TestUDPBatchSizeCapFlush checks the size-aware flush: envelopes too big
-// to share one maxDatagram datagram are split across datagrams instead of
+// to share one MaxDatagram datagram are split across datagrams instead of
 // producing an oversize write error.
 func TestUDPBatchSizeCapFlush(t *testing.T) {
 	reg := metrics.NewRegistry()

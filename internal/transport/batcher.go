@@ -16,7 +16,7 @@ import (
 // and leave with it. So batches form exactly when envelopes arrive faster
 // than they can be sent — under load — and a lone envelope on a quiet node
 // travels alone, at once. A batch that reaches the count cap (BatchMax) or
-// would outgrow maxDatagram is sent by the goroutine that filled it, which
+// would outgrow MaxDatagram is sent by the goroutine that filled it, which
 // is the backpressure: at most one open batch per destination ever waits
 // for the flusher. At a cap of one every envelope fills its own batch, so
 // it leaves on its sender's goroutine and the flusher is never woken.
@@ -118,7 +118,7 @@ func (b *batcher) add(dst msg.NodeID, addr *net.UDPAddr, frame []byte) error {
 	}
 	var spill *pendingBatch
 	pb := b.open[dst]
-	if pb != nil && pb.bb.SizeWith(len(frame)) > maxDatagram {
+	if pb != nil && pb.bb.SizeWith(len(frame)) > MaxDatagram {
 		spill, pb = pb, nil
 	}
 	if pb == nil {

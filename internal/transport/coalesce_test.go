@@ -53,7 +53,7 @@ func TestBatchedCallsDoNotLinger(t *testing.T) {
 // exactly once, envelopes counted exactly, fewer datagrams than envelopes,
 // no batch above the count cap. Every few hundred envelopes a sender slips
 // in one of 40 KiB, two of which do not fit a datagram: were a batch ever
-// assembled past maxDatagram the kernel would refuse it and its envelopes
+// assembled past MaxDatagram the kernel would refuse it and its envelopes
 // would be missing. Each sender stays at most a window ahead of the
 // handlers, so the kernel's socket queue cannot overflow whatever the
 // scheduler does.

@@ -102,12 +102,12 @@ func TestSendOneWay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := src.Send("sink", msg.RemovePath{OID: "o1"}); err != nil {
+			if err := src.Send("sink", msg.RequestUpdate{OID: "o1"}); err != nil {
 				t.Fatal(err)
 			}
 			select {
 			case m := <-got:
-				if rp, ok := m.(msg.RemovePath); !ok || rp.OID != "o1" {
+				if ru, ok := m.(msg.RequestUpdate); !ok || ru.OID != "o1" {
 					t.Errorf("got %#v", m)
 				}
 			case <-time.After(5 * time.Second):

@@ -16,14 +16,14 @@ import (
 	"locsvc/internal/wire"
 )
 
-// maxDatagram bounds encoded envelope size: the largest payload a UDP
+// MaxDatagram bounds encoded envelope size: the largest payload a UDP
 // datagram can physically carry (65,535-byte 16-bit length field minus
 // the 8-byte UDP and 20-byte IP headers). Anything larger fails at encode
 // time with the message type and encoded size — the kernel would only
 // ever answer EMSGSIZE. Room for ~1,600 range-query entries per
 // datagram; the paper's prototype likewise ran over a LAN with large UDP
-// datagrams.
-const maxDatagram = 65507
+// datagrams. A server splits its batches of path messages to fit it.
+const MaxDatagram = 65507
 
 // socketBuffer is the receive and send buffer requested for every node's
 // socket. With no linger in front of it the kernel queue is the only queue
@@ -98,7 +98,7 @@ type UDP struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// recvBufs recycles maxDatagram-sized receive buffers across all of
+	// recvBufs recycles MaxDatagram-sized receive buffers across all of
 	// the network's read loops.
 	recvBufs sync.Pool
 
@@ -171,7 +171,7 @@ func NewUDPWithOptions(opts UDPOptions) *UDP {
 		retries:      reg.Counter("wire_retries"),
 	}
 	u.recvBufs.New = func() any {
-		b := make([]byte, maxDatagram)
+		b := make([]byte, MaxDatagram)
 		return &b
 	}
 	return u
@@ -485,7 +485,7 @@ func (nd *udpNode) transmit(addr *net.UDPAddr, data []byte, count int) error {
 // socket address as node id, so servers can answer them without any
 // directory entry (the paper's prototype likewise replies to the datagram
 // source). Encoding appends into a pooled buffer; an envelope that would
-// exceed maxDatagram fails here, before the socket write, with the message
+// exceed MaxDatagram fails here, before the socket write, with the message
 // type and encoded size. The encoded frame is handed to the coalescer,
 // which sends it at once or with its destination's next batch.
 func (nd *udpNode) write(dst msg.NodeID, env msg.Envelope) error {
@@ -509,11 +509,11 @@ func (nd *udpNode) write(dst msg.NodeID, env msg.Envelope) error {
 		return err
 	}
 	*bp = data
-	if len(data) > maxDatagram {
+	if len(data) > MaxDatagram {
 		nd.net.oversize.Inc()
 		tag, _ := msg.TagOf(env.Msg)
 		wire.PutBuffer(bp)
-		return fmt.Errorf("transport: %s envelope encodes to %d bytes, exceeding the %d-byte datagram limit", tag, len(data), maxDatagram)
+		return fmt.Errorf("transport: %s envelope encodes to %d bytes, exceeding the %d-byte datagram limit", tag, len(data), MaxDatagram)
 	}
 	nd.net.envelopesOut.Inc()
 	werr := nd.batch.add(dst, addr, data)

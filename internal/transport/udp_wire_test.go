@@ -12,10 +12,11 @@ import (
 	"locsvc/internal/geo"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
+	"locsvc/internal/wire"
 )
 
 // TestOversizeEnvelopeFailsAtEncode verifies the encode-time datagram size
-// guard: an envelope that would exceed maxDatagram is rejected before the
+// guard: an envelope that would exceed MaxDatagram is rejected before the
 // socket write with the message type and encoded size, instead of the
 // opaque "message too long" the kernel used to return.
 func TestOversizeEnvelopeFailsAtEncode(t *testing.T) {
@@ -53,6 +54,69 @@ func TestOversizeEnvelopeFailsAtEncode(t *testing.T) {
 	// Nothing hit the wire.
 	if got := nw.Metrics().Counter("wire_datagrams_out").Value(); got != 0 {
 		t.Errorf("wire_datagrams_out = %d, want 0", got)
+	}
+}
+
+// TestPathBatchSplitFitsDatagrams splits a queue of path messages the way
+// a server's path stream does: with 64-byte object ids and a leaf area of
+// many vertices it takes several envelopes, each encodes within
+// MaxDatagram, and a UDP Send of each succeeds and delivers every message.
+func TestPathBatchSplitFitsDatagrams(t *testing.T) {
+	nw := NewUDPWithOptions(UDPOptions{})
+	defer nw.Close()
+	got := make(chan int, 64)
+	if _, err := nw.Attach("sink", func(_ context.Context, _ msg.NodeID, m msg.Message) (msg.Message, error) {
+		got <- len(m.(msg.PathBatch).Changes)
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	src, err := nw.Attach("r.3.2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var area core.Area
+	for i := 0; i < 256; i++ {
+		area.Vertices = append(area.Vertices, geo.Pt(float64(i), float64(i%17)))
+	}
+	changes := make([]msg.PathChange, 200)
+	for i := range changes {
+		changes[i] = msg.PathChange{
+			OID:       core.OID(fmt.Sprintf("%064d", i)),
+			Leaf:      msg.LeafInfo{ID: src.ID(), Area: area},
+			SightingT: time.Unix(1_700_000_000, int64(i)).UTC(),
+		}
+	}
+	envelopes := 0
+	for rest := changes; len(rest) > 0; envelopes++ {
+		n := wire.PathBatchPrefix(src.ID(), rest, MaxDatagram)
+		b := msg.PathBatch{Changes: rest[:n]}
+		data, err := wire.Encode(msg.Envelope{From: src.ID(), CorrID: 1<<64 - 1, Msg: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > MaxDatagram {
+			t.Fatalf("envelope %d: %d changes encode to %d bytes, over the %d-byte limit", envelopes, n, len(data), MaxDatagram)
+		}
+		if err := src.Send("sink", b); err != nil {
+			t.Fatalf("envelope %d of %d changes: %v", envelopes, n, err)
+		}
+		rest = rest[n:]
+	}
+	if envelopes < 3 {
+		t.Errorf("%d changes of ~4 KiB each took %d envelopes, want several", len(changes), envelopes)
+	}
+	delivered := 0
+	for i := 0; i < envelopes; i++ {
+		select {
+		case n := <-got:
+			delivered += n
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d envelopes delivered", i, envelopes)
+		}
+	}
+	if delivered != len(changes) {
+		t.Errorf("%d changes delivered, want %d", delivered, len(changes))
 	}
 }
 

@@ -107,7 +107,7 @@ func TestEncodeBatchEmpty(t *testing.T) {
 // TestBatchBuilderMatchesEncodeBatch proves the incremental builder (the
 // transport coalescer's path) produces byte-identical datagrams to the
 // one-shot encoder, and that its size projections are exact — the
-// coalescer's pre-flight maxDatagram check depends on them.
+// coalescer's pre-flight MaxDatagram check depends on them.
 func TestBatchBuilderMatchesEncodeBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, size := range []int{1, 2, 3, 7, 150} {

@@ -30,7 +30,10 @@ func FuzzDecode(f *testing.F) {
 			RegInfo:  core.RegInfo{DesAcc: 10, MinAcc: 50, MaxSpeed: 3, Registrant: "obj-1"},
 			OldAgent: "r.0", Hops: 1,
 		}},
-		{From: "r.0", CorrID: 9, Msg: msg.RemovePath{OID: "truck-7", SightingT: time.Unix(1_700_000_000, 0).UTC()}},
+		{From: "r.0", CorrID: 9, Msg: msg.PathBatch{Changes: []msg.PathChange{
+			{OID: "truck-7", Leaf: msg.LeafInfo{ID: "r.0", Area: core.AreaFromRect(geo.R(0, 0, 750, 750))}, SightingT: time.Unix(1_700_000_000, 0).UTC()},
+			{Remove: true, OID: "truck-8", SightingT: time.Unix(1_700_000_001, 5).UTC()},
+		}}},
 		{From: "r.0", Reply: true, CorrID: 7, Msg: msg.PosQueryRes{
 			OpID: 9, Found: true, LD: core.LocationDescriptor{Pos: geo.Pt(1, 2), Acc: 3},
 			Agent: "r.1", MaxSpeed: 4, Hops: 2,

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/msg"
@@ -36,15 +38,12 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendString(dst, string(m.Server))
 		dst = appendF64(dst, m.Achievable)
 		return dst, msg.TagRegisterFailed, true
-	case msg.CreatePath:
-		dst = appendString(dst, string(m.OID))
-		dst = appendLeafInfo(dst, m.Leaf)
-		dst = appendTime(dst, m.SightingT)
-		return dst, msg.TagCreatePath, true
-	case msg.RemovePath:
-		dst = appendString(dst, string(m.OID))
-		dst = appendTime(dst, m.SightingT)
-		return dst, msg.TagRemovePath, true
+	case msg.PathBatch:
+		dst = appendUvarint(dst, uint64(len(m.Changes)))
+		for _, c := range m.Changes {
+			dst = appendPathChange(dst, c)
+		}
+		return dst, msg.TagPathBatch, true
 	case msg.UpdateReq:
 		dst = appendSighting(dst, m.S)
 		dst = appendU64(dst, m.Seq)
@@ -263,17 +262,8 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			Server:     r.nodeID(),
 			Achievable: r.f64(),
 		}, true
-	case msg.TagCreatePath:
-		return msg.CreatePath{
-			OID:       r.oid(),
-			Leaf:      r.leafInfo(),
-			SightingT: r.timestamp(),
-		}, true
-	case msg.TagRemovePath:
-		return msg.RemovePath{
-			OID:       r.oid(),
-			SightingT: r.timestamp(),
-		}, true
+	case msg.TagPathBatch:
+		return msg.PathBatch{Changes: r.pathChanges()}, true
 	case msg.TagUpdateReq:
 		return msg.UpdateReq{S: r.sighting(), Seq: r.u64(), Floor: r.u64()}, true
 	case msg.TagUpdateRes:
@@ -630,6 +620,53 @@ func appendLeafInfo(dst []byte, li msg.LeafInfo) []byte {
 
 func (r *reader) leafInfo() msg.LeafInfo {
 	return msg.LeafInfo{ID: r.nodeID(), Area: r.area()}
+}
+
+// pathChangeMinSize is the smallest wire footprint of one msg.PathChange:
+// the Remove byte, an empty OID, an empty LeafInfo (two length bytes) and
+// a timestamp.
+const pathChangeMinSize = 1 + 1 + 2 + 12
+
+func appendPathChange(dst []byte, c msg.PathChange) []byte {
+	dst = appendBool(dst, c.Remove)
+	dst = appendString(dst, string(c.OID))
+	dst = appendLeafInfo(dst, c.Leaf)
+	return appendTime(dst, c.SightingT)
+}
+
+// pathChangeLen is the length appendPathChange gives c.
+func pathChangeLen(c msg.PathChange) int {
+	n := len(c.Leaf.Area.Vertices)
+	return 1 + stringLen(string(c.OID)) + stringLen(string(c.Leaf.ID)) + uvarintLen(uint64(n)) + 16*n + 12
+}
+
+func (r *reader) pathChanges() []msg.PathChange {
+	n := r.length(pathChangeMinSize)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	cs := make([]msg.PathChange, n)
+	for i := range cs {
+		cs[i] = msg.PathChange{Remove: r.boolean(), OID: r.oid(), Leaf: r.leafInfo(), SightingT: r.timestamp()}
+	}
+	return cs
+}
+
+// PathBatchPrefix returns how many of changes, taken from the front, one
+// PathBatch envelope from the node from carries within limit encoded
+// bytes: at least one, so a change too large for any envelope is still
+// offered, and refused by the transport's size guard like any oversize
+// envelope. The count is exact but for the change count's own prefix,
+// which it takes at its longest.
+func PathBatchPrefix(from msg.NodeID, changes []msg.PathChange, limit int) int {
+	// The frame header: version, tag, From, CorrID and flags.
+	size := 2 + stringLen(string(from)) + 8 + 1 + binary.MaxVarintLen64
+	for i, c := range changes {
+		if size += pathChangeLen(c); size > limit && i > 0 {
+			return i
+		}
+	}
+	return len(changes)
 }
 
 // shardDiagSize is the fixed wire footprint of one msg.ShardDiag.

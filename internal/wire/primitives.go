@@ -53,6 +53,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// stringLen is the length appendString gives s.
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
 // appendTime encodes t as a UTC instant: Unix seconds plus nanoseconds.
 // Monotonic readings and zone identity are dropped (see the package doc).
 func appendTime(dst []byte, t time.Time) []byte {

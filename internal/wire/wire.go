@@ -124,6 +124,12 @@
 //     shard count became fixed at construction).
 //   - v5: ack floors. UpdateReq and RegisterReq gained a trailing
 //     Floor uint64 after Seq (see Retry idempotency).
+//   - v6: batched path messages. PathBatch (tag 40) carries a server's
+//     path messages to its parent: a count, then per message Remove
+//     bool, OID, Leaf LeafInfo and SightingT, a removal's Leaf empty.
+//     CreatePath and RemovePath (tags 4 and 5) are retired: every path
+//     message travels in a PathBatch, and a sender splits a batch before
+//     its envelope outgrows a datagram (PathBatchPrefix).
 //
 // # Retry idempotency
 //
@@ -161,7 +167,7 @@ import (
 // wireVersion is the format generation of this codec. Bump it whenever an
 // existing message's field layout or a primitive encoding changes. See the
 // version history in the package doc.
-const wireVersion = 5
+const wireVersion = 6
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool, so a
 // rare huge envelope (an oversize range-query result rejected by the

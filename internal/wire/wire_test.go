@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,6 +46,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			Near:    []core.Entry{{OID: "taxi-5"}},
 		}}},
 		{"ack", msg.Envelope{From: "x", CorrID: 1, Reply: true, Msg: msg.Ack{}}},
+		{"path batch", msg.Envelope{From: "r.0.1", CorrID: 5, Msg: msg.PathBatch{Changes: []msg.PathChange{
+			{OID: "truck-7", Leaf: msg.LeafInfo{ID: "r.0.1", Area: core.AreaFromRect(geo.R(0, 0, 50, 50))}, SightingT: sight.T},
+			{Remove: true, OID: "truck-7", SightingT: sight.T.Add(time.Nanosecond)},
+			{OID: "truck-8", Leaf: msg.LeafInfo{ID: "r.0.1", Area: core.AreaFromRect(geo.R(0, 0, 50, 50))}, SightingT: sight.T},
+		}}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -76,6 +84,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 				if !ok || u.Nearest.OID != "taxi-3" || len(u.Near) != 1 {
 					t.Errorf("payload = %#v", got.Msg)
 				}
+			case msg.PathBatch:
+				if !reflect.DeepEqual(got.Msg, want) {
+					t.Errorf("payload = %#v, want %#v: every change, in order", got.Msg, want)
+				}
 			}
 		})
 	}
@@ -102,5 +114,47 @@ func TestEncodeDeterministicSize(t *testing.T) {
 	}
 	if len(a) != len(b) {
 		t.Errorf("encoding size unstable: %d vs %d", len(a), len(b))
+	}
+}
+
+// TestPathBatchPrefix checks the split a sender makes before a batch of
+// path messages outgrows a datagram: the prefix's envelope encodes within
+// the limit, one change more would not fit but for the count prefix's
+// slack, and a change too large for any envelope is still offered alone.
+func TestPathBatchPrefix(t *testing.T) {
+	area := core.Area{}
+	for i := 0; i < 40; i++ {
+		area.Vertices = append(area.Vertices, geo.Pt(float64(i), float64(i*i)))
+	}
+	changes := make([]msg.PathChange, 300)
+	for i := range changes {
+		changes[i] = msg.PathChange{Remove: i%7 == 0, OID: core.OID(fmt.Sprintf("object-%060d", i)), SightingT: time.Unix(1_700_000_000, int64(i)).UTC()}
+		if !changes[i].Remove {
+			changes[i].Leaf = msg.LeafInfo{ID: "r.3.2", Area: area}
+		}
+	}
+	encodedLen := func(cs []msg.PathChange) int {
+		data, err := Encode(msg.Envelope{From: "r.3.2", CorrID: 1 << 60, Msg: msg.PathBatch{Changes: cs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data)
+	}
+	for _, limit := range []int{1, 200, 1000, 4096, 65507} {
+		n := PathBatchPrefix("r.3.2", changes, limit)
+		if n < 1 || n > len(changes) {
+			t.Fatalf("limit %d: prefix %d of %d", limit, n, len(changes))
+		}
+		if got := encodedLen(changes[:n]); n > 1 && got > limit {
+			t.Errorf("limit %d: %d changes encode to %d bytes", limit, n, got)
+		}
+		if n < len(changes) {
+			if got := encodedLen(changes[:n+1]); got+binary.MaxVarintLen64-1 <= limit {
+				t.Errorf("limit %d: %d changes would fit in %d bytes, prefix stops at %d", limit, n+1, got, n)
+			}
+		}
+	}
+	if n := PathBatchPrefix("r.3.2", nil, 100); n != 0 {
+		t.Errorf("prefix of no changes = %d", n)
 	}
 }
