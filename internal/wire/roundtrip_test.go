@@ -372,6 +372,37 @@ func TestRoundTripEveryRegisteredType(t *testing.T) {
 			}
 		})
 	}
+	// The retired CreatePath and RemovePath envelopes live on as the two
+	// kinds of PathChange; each kind round-trips in batches of its own.
+	for _, kind := range []struct {
+		name   string
+		remove bool
+	}{{"CreatePath", false}, {"RemovePath", true}} {
+		kind := kind
+		t.Run(kind.name, func(t *testing.T) {
+			for i := 0; i < 128; i++ {
+				cs := make([]msg.PathChange, 1+rng.Intn(4))
+				for j := range cs {
+					cs[j] = msg.PathChange{Remove: kind.remove, OID: randOID(rng), SightingT: randTime(rng)}
+					if !kind.remove {
+						cs[j].Leaf = randLeafInfo(rng)
+					}
+				}
+				env := msg.Envelope{From: randNodeID(rng), CorrID: rng.Uint64(), Msg: msg.PathBatch{Changes: cs}}
+				data, err := Encode(env)
+				if err != nil {
+					t.Fatalf("Encode(%#v): %v", env, err)
+				}
+				got, err := Decode(data)
+				if err != nil {
+					t.Fatalf("Decode: %v (envelope %#v)", err, env)
+				}
+				if !reflect.DeepEqual(got, env) {
+					t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, env)
+				}
+			}
+		})
+	}
 }
 
 // TestRegistryDense pins the registry's shape: AllTags covers every
