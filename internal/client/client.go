@@ -293,6 +293,9 @@ func (c *Client) Register(ctx context.Context, s core.Sighting, desAcc, minAcc, 
 					lastSent:   s,
 				}, nil
 			case msg.RegisterFailed:
+				if res.Refused.Code != "" {
+					return nil, res.Refused.Err()
+				}
 				return nil, fmt.Errorf("%w: best achievable %.1f m at %s",
 					core.ErrAccuracy, res.Achievable, res.Server)
 			default:

@@ -14,6 +14,7 @@ import (
 	"locsvc/internal/hierarchy"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
+	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
@@ -28,9 +29,11 @@ import (
 //   - the parent's circuit breaker toward a dark leaf opens under timeouts
 //     and closes again within a few probe intervals of recovery,
 //   - no in-flight call entry outlives the soak (the trackers quiesce),
-//   - after full recovery the oracle invariants hold: every object is
-//     found at its last accepted position and a whole-area range query is
-//     complete and no longer partial.
+//   - after full recovery every object is found at its last accepted
+//     position and a whole-area range query is complete again,
+//   - every answer received on the way, mid-fault ones included, is right
+//     (internal/oracle): complete, or Partial and missing only objects
+//     that lie behind the servers it names.
 func TestChaosSoak(t *testing.T) {
 	const (
 		dropRate    = 0.2
@@ -85,6 +88,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	defer dep.Close()
 	rootArea := core.AreaFromRect(spec.RootArea)
+	truth := oracle.New(dep.Configs)
 	configFor := func(id msg.NodeID) store.ConfigRecord {
 		for _, cfg := range dep.Configs {
 			if msg.NodeID(cfg.ID) == id {
@@ -132,6 +136,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 		clients[oid] = c
 		objects[oid] = obj
+		truth.Track(obj)
 	}
 	// A registration is acknowledged before its CreatePath has climbed
 	// (Algorithm 6-1), and under the loss that is on already the climb may
@@ -149,12 +154,27 @@ func TestChaosSoak(t *testing.T) {
 
 	liveUpdate := func(oid string, p geo.Point) {
 		t.Helper()
+		truth.Sent(core.OID(oid), core.LocationDescriptor{Pos: p, Acc: objects[oid].OfferedAcc()})
 		if err := objects[oid].Update(soakCtx(t), sightingAt(oid, p)); err != nil {
 			t.Fatalf("live update %s: %v", oid, err)
 		}
+		truth.Track(objects[oid])
 		positions[oid] = p
 	}
 	wholeArea := core.AreaFromRect(geo.R(0, 0, 1500, 1500))
+	// wholeRange queries the whole area through o's client and returns
+	// the query's error; a wrong answer fails the soak.
+	wholeRange := func(round int, o string) (client.RangeResult, error) {
+		t.Helper()
+		res, err := clients[o].RangeQueryFull(soakCtx(t), wholeArea, 100, 0.5)
+		if err != nil {
+			return res, err
+		}
+		if cerr := truth.CheckRange(wholeArea, 100, 0.5, res); cerr != nil {
+			t.Fatalf("round %d: %v", round, cerr)
+		}
+		return res, nil
+	}
 
 	rounds := 2
 	if testing.Short() {
@@ -180,8 +200,9 @@ func TestChaosSoak(t *testing.T) {
 
 			// A query for the dark object degrades to unavailable,
 			// never to not-found or a hard transport error.
-			if _, qerr := clients["o1"].PosQuery(soakCtx(t), core.OID(oid)); !errors.Is(qerr, core.ErrUnavailable) {
-				t.Fatalf("round %d: dark posquery for %s err = %v, want ErrUnavailable", round, oid, qerr)
+			ld, qerr := clients["o1"].PosQuery(soakCtx(t), core.OID(oid))
+			if cerr := truth.CheckPos(core.OID(oid), ld, qerr); cerr != nil || !errors.Is(qerr, core.ErrUnavailable) {
+				t.Fatalf("round %d: dark posquery for %s err = %v (%v), want ErrUnavailable", round, oid, qerr, cerr)
 			}
 
 			// Whole-area range queries must come back Partial while
@@ -194,7 +215,7 @@ func TestChaosSoak(t *testing.T) {
 					t.Fatalf("round %d: breaker %s->%s never opened (partial seen: %v)",
 						round, dep.Root(), leaf, sawPartial)
 				}
-				res, qerr := clients["o3"].RangeQueryFull(soakCtx(t), wholeArea, 100, 0.5)
+				res, qerr := wholeRange(round, "o3")
 				if qerr != nil {
 					t.Fatalf("round %d: degraded range query: %v", round, qerr)
 				}
@@ -221,7 +242,11 @@ func TestChaosSoak(t *testing.T) {
 					wg.Add(1)
 					go func(i int) {
 						defer wg.Done()
-						_, qErrs[i] = clients["o3"].RangeQueryFull(soakCtx(t), wholeArea, 100, 0.5)
+						res, qerr := clients["o3"].RangeQueryFull(soakCtx(t), wholeArea, 100, 0.5)
+						if qerr == nil {
+							qerr = truth.CheckRange(wholeArea, 100, 0.5, res)
+						}
+						qErrs[i] = qerr
 					}(i)
 				}
 				wg.Wait()
@@ -250,6 +275,9 @@ func TestChaosSoak(t *testing.T) {
 				t.Fatal(serr)
 			}
 			dep.Servers[leaf] = srv
+			// Without a sighting log the restarted leaf knows the
+			// object is registered but not where it is.
+			truth.Lost(core.OID(oid))
 
 			// The breaker must close again shortly after recovery:
 			// the cooldown elapses, a probe call goes through, and
@@ -263,7 +291,7 @@ func TestChaosSoak(t *testing.T) {
 					t.Fatalf("round %d: breaker %s->%s still %v after recovery",
 						round, dep.Root(), leaf, net.PeerState(dep.Root(), leaf))
 				}
-				if _, qerr := clients["o3"].RangeQueryFull(soakCtx(t), wholeArea, 100, 0.5); qerr != nil {
+				if _, qerr := wholeRange(round, "o3"); qerr != nil {
 					t.Fatalf("round %d: post-recovery range query: %v", round, qerr)
 				}
 				// Paces the rounds: the chaos soak runs on the wall clock (ROADMAP direction 4).
@@ -273,13 +301,13 @@ func TestChaosSoak(t *testing.T) {
 			// The crashed leaf's object repopulates the rebuilt
 			// sightingDB with its next update (the WAL-restored
 			// visitor record accepts it), and the hierarchy is
-			// whole again: a complete, non-partial answer with all
-			// four objects must reappear.
+			// whole again: a complete answer, which the checker
+			// holds to all four objects, must reappear.
 			liveUpdate(oid, positions[oid].Add(step))
 			wholeBy := time.Now().Add(10 * time.Second)
 			for {
-				res, qerr := clients["o1"].RangeQueryFull(soakCtx(t), wholeArea, 100, 0.5)
-				if qerr == nil && !res.Partial && len(res.Objs) == len(positions) {
+				res, qerr := wholeRange(round, "o1")
+				if qerr == nil && !res.Partial {
 					break
 				}
 				if time.Now().After(wholeBy) {
@@ -302,19 +330,19 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
-	// Oracle invariants after full recovery: every object is found at
-	// its last accepted position. The 20% loss is still live, so one
-	// attempt can legitimately degrade (a dropped internal fan-out
-	// datagram reads as a dark subtree); the invariant is eventual
-	// success, bounded by a deadline.
-	for oid, want := range positions {
+	// After full recovery every object is found at its last accepted
+	// position. The 20% loss is still live, so one attempt can
+	// legitimately degrade (a dropped internal fan-out datagram reads as
+	// a dark subtree); the invariant is eventual success, bounded by a
+	// deadline.
+	for oid := range positions {
 		oracleBy := time.Now().Add(10 * time.Second)
 		for {
 			ld, qerr := clients["o1"].PosQuery(soakCtx(t), core.OID(oid))
+			if cerr := truth.CheckPos(core.OID(oid), ld, qerr); cerr != nil {
+				t.Errorf("final %v", cerr)
+			}
 			if qerr == nil {
-				if ld.Pos != want {
-					t.Errorf("final position of %s = %v, want %v", oid, ld.Pos, want)
-				}
 				break
 			}
 			if !errors.Is(qerr, core.ErrUnavailable) {
@@ -344,6 +372,7 @@ func TestChaosSoak(t *testing.T) {
 	if degraded == 0 {
 		t.Error("wire_degraded_queries = 0 across all servers")
 	}
+	t.Logf("answers checked: %+v", truth.Checked())
 }
 
 func soakCtx(t *testing.T) context.Context {

@@ -15,6 +15,7 @@ import (
 	"locsvc/internal/hierarchy"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
+	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
@@ -35,8 +36,9 @@ import (
 //     fenced by the promoted peer's higher epoch, demotes to standby and
 //     catches back up via snapshot + run fetch,
 //   - clients bound to the old primary are redirected and keep updating,
-//   - after healing, the position oracle holds for all objects and a
-//     whole-area range query is complete and non-partial.
+//   - after healing, every object is found at its last confirmed position
+//     and a whole-area range query is complete and non-partial,
+//   - every answer received on the way is right (internal/oracle).
 func TestFailoverSoak(t *testing.T) {
 	const (
 		dropRate    = 0.2
@@ -127,9 +129,11 @@ func TestFailoverSoak(t *testing.T) {
 		return store.ConfigRecord{}
 	}
 	standbys := map[msg.NodeID]*server.Server{}
+	configs := append([]store.ConfigRecord(nil), dep.Configs...)
 	for _, leaf := range dep.Leaves() {
 		cfg := configFor(leaf)
 		cfg.ID = standbyOf(cfg.ID)
+		configs = append(configs, cfg)
 		opts, oerr := leafOpts(cfg.ID, true)
 		if oerr != nil {
 			t.Fatal(oerr)
@@ -160,6 +164,9 @@ func TestFailoverSoak(t *testing.T) {
 	}
 	dep.Servers[dep.Root()] = root
 	defer root.Close()
+	// A promoted standby answers for its primary's area, so the truth
+	// knows both under their own ids.
+	truth := oracle.New(configs)
 
 	// One client and one object per quarter; o0 lives on the leaf that
 	// will be killed.
@@ -196,13 +203,31 @@ func TestFailoverSoak(t *testing.T) {
 		}
 		clients[oid] = c
 		objects[oid] = obj
+		truth.Track(obj)
 	}
-	update := func(oid string, p geo.Point) {
+	// send sends an update of oid to p, which the truth holds in flight.
+	send := func(oid string, p geo.Point) {
 		t.Helper()
+		truth.Sent(core.OID(oid), core.LocationDescriptor{Pos: p, Acc: objects[oid].OfferedAcc()})
 		if err := objects[oid].Update(soakCtx(t), sightingAt(oid, p)); err != nil {
 			t.Fatalf("update %s: %v", oid, err)
 		}
+	}
+	update := func(oid string, p geo.Point) {
+		t.Helper()
+		send(oid, p)
+		truth.Track(objects[oid])
 		positions[oid] = p
+	}
+	// posQuery asks for oid's position through o's client and checks the
+	// answer.
+	posQuery := func(o string, oid core.OID) (core.LocationDescriptor, error) {
+		t.Helper()
+		ld, err := clients[o].PosQuery(soakCtx(t), oid)
+		if cerr := truth.CheckPos(oid, ld, err); cerr != nil {
+			t.Fatal(cerr)
+		}
+		return ld, err
 	}
 
 	victim := msg.NodeID("r.0")
@@ -228,9 +253,11 @@ func TestFailoverSoak(t *testing.T) {
 	}
 	defer fillClient.Close()
 	for i := 0; i < fillers; i++ {
-		if _, rerr := fillClient.Register(soakCtx(t), sightingAt(string(fillID(i)), fillPos(i)), 10, 50, 3); rerr != nil {
+		obj, rerr := fillClient.Register(soakCtx(t), sightingAt(string(fillID(i)), fillPos(i)), 10, 50, 3)
+		if rerr != nil {
 			t.Fatalf("register filler %d: %v", i, rerr)
 		}
+		truth.Track(obj)
 	}
 	for i := 0; i < 40; i++ {
 		update("o0", geo.Pt(float64(50+i%600), float64(50+(i*7)%600)))
@@ -289,8 +316,8 @@ func TestFailoverSoak(t *testing.T) {
 		return root.Metrics().Counter("repl_failovers").Value() > 0
 	})
 	waitSoak(t, "promoted standby to serve the last acked position", func() bool {
-		ld, qerr := clients["o1"].PosQuery(soakCtx(t), "o0")
-		return qerr == nil && ld.Pos == final
+		_, qerr := posQuery("o1", "o0")
+		return qerr == nil
 	})
 	// The gauge follows the role on the heir's next janitor tick.
 	waitSoak(t, "heir's repl_role gauge to read 1 (primary)", func() bool {
@@ -333,11 +360,11 @@ func TestFailoverSoak(t *testing.T) {
 	// retried update lands), and writes keep flowing through the new
 	// primary back to the demoted one.
 	healed := geo.Pt(222, 333)
-	update("o0", healed) // redirect: rebinds the handle, not yet applied
+	send("o0", healed)   // redirect: rebinds the handle, not yet applied
 	update("o0", healed) // lands on the heir
 	waitSoak(t, "demoted primary to mirror post-failover writes", func() bool {
-		ld, qerr := clients["o1"].PosQuery(soakCtx(t), "o0")
-		return qerr == nil && ld.Pos == healed
+		_, qerr := posQuery("o1", "o0")
+		return qerr == nil
 	})
 
 	// The lossy fault window must actually have exercised the retry
@@ -347,20 +374,26 @@ func TestFailoverSoak(t *testing.T) {
 	}
 	loss.SetRate(0)
 
-	// Full-population oracle after healing: every object at its last
-	// confirmed position, and a whole-area range query complete and
-	// non-partial.
+	// After healing: every object at its last confirmed position, and a
+	// whole-area range query complete and non-partial.
 	for oid := range positions {
 		update(oid, positions[oid].Add(geo.Pt(3, 3)))
 	}
-	for oid, want := range positions {
+	// Bounded loss, spelled out: every filler was acked and the queue
+	// was drained before the kill, so the promoted (and since demoted)
+	// pair must still serve each one at its registration position.
+	var oids []core.OID
+	for oid := range positions {
+		oids = append(oids, core.OID(oid))
+	}
+	for i := 0; i < fillers; i++ {
+		oids = append(oids, fillID(i))
+	}
+	for _, oid := range oids {
 		oracleBy := time.Now().Add(15 * time.Second)
 		for {
-			ld, qerr := clients["o3"].PosQuery(soakCtx(t), core.OID(oid))
+			_, qerr := posQuery("o3", oid)
 			if qerr == nil {
-				if ld.Pos != want {
-					t.Errorf("final position of %s = %v, want %v", oid, ld.Pos, want)
-				}
 				break
 			}
 			if !errors.Is(qerr, core.ErrUnavailable) {
@@ -371,32 +404,16 @@ func TestFailoverSoak(t *testing.T) {
 			}
 		}
 	}
-	// Bounded loss, spelled out: every filler was acked and the queue
-	// was drained before the kill, so the promoted (and since demoted)
-	// pair must still serve each one at its registration position.
-	for i := 0; i < fillers; i++ {
-		want := fillPos(i)
-		oracleBy := time.Now().Add(15 * time.Second)
-		for {
-			ld, qerr := clients["o3"].PosQuery(soakCtx(t), fillID(i))
-			if qerr == nil {
-				if ld.Pos != want {
-					t.Errorf("filler %s position = %v, want %v", fillID(i), ld.Pos, want)
-				}
-				break
-			}
-			if !errors.Is(qerr, core.ErrUnavailable) {
-				t.Fatalf("filler posquery %s: %v", fillID(i), qerr)
-			}
-			if time.Now().After(oracleBy) {
-				t.Fatalf("filler posquery %s still unavailable after healing", fillID(i))
-			}
-		}
-	}
 	wholeArea := core.AreaFromRect(geo.R(0, 0, 1500, 1500))
 	waitSoak(t, "whole-area query to be complete and non-partial", func() bool {
 		res, qerr := clients["o1"].RangeQueryFull(soakCtx(t), wholeArea, 100, 0.5)
-		return qerr == nil && !res.Partial && len(res.Objs) == len(positions)+fillers
+		if qerr != nil {
+			return false
+		}
+		if cerr := truth.CheckRange(wholeArea, 100, 0.5, res); cerr != nil {
+			t.Fatal(cerr)
+		}
+		return !res.Partial
 	})
 
 	// Exactly one failover may have fired: the probe retries must keep
@@ -404,6 +421,7 @@ func TestFailoverSoak(t *testing.T) {
 	if got := root.Metrics().Counter("repl_failovers").Value(); got != 1 {
 		t.Errorf("repl_failovers = %d, want exactly 1 (spurious failover under loss)", got)
 	}
+	t.Logf("answers checked: %+v", truth.Checked())
 }
 
 // waitSoak polls cond with a soak-scale deadline.

@@ -94,12 +94,17 @@ type RegisterRes struct {
 	Hops       int
 }
 
-// RegisterFailed reports that the leaf cannot provide an accuracy within
-// the requested range; Achievable is the best it could do.
+// RegisterFailed reports that a registration did not take. With Refused
+// empty the leaf cannot provide an accuracy within the requested range and
+// Achievable is the best it could do; otherwise Refused says why the leaf
+// refused the request: malformed, refused by its store, or no longer
+// awaited by its sender. It carries the registration's OpID either way, so
+// the registering instance learns the outcome at once.
 type RegisterFailed struct {
 	OpID       uint64
 	Server     NodeID
 	Achievable float64
+	Refused    ErrorRes
 }
 
 // PathChange is one path message: a step of Algorithm 6-1's createPath
@@ -312,7 +317,11 @@ type RangeQuerySubRes struct {
 	// (open breaker or failed tracked send); UnreachableSize is the
 	// measure of area ∩ their service areas, which the entry server adds
 	// to its dark-cover tally so a degraded query still terminates fast
-	// instead of waiting for the full query timeout.
+	// instead of waiting for the full query timeout. A child that took
+	// the query but never acknowledged it is reported alone, once its
+	// call timed out, with Leaf set to the child's id and service area:
+	// only its acknowledgement may have been lost, so the entry server
+	// voids the report when a leaf inside that area answers.
 	Unreachable     []NodeID
 	UnreachableSize float64
 }
@@ -325,7 +334,10 @@ type RangeQueryRes struct {
 	Hops    int
 	// Partial marks a degraded answer: some leaves covering the query
 	// area were unreachable, so Objs may be missing their records.
-	// Unreachable names the dark servers (best effort, deduplicated).
+	// Unreachable names the dark servers (deduplicated): a missing record
+	// lies in the service area of one of them, except that a server
+	// whose parent failed it names that parent for everything beyond its
+	// own subtree.
 	Partial     bool
 	Unreachable []NodeID
 }

@@ -12,6 +12,7 @@ import (
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
 	"locsvc/internal/msg"
+	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
@@ -340,27 +341,17 @@ func TestPosQueryDuringHandover(t *testing.T) {
 func TestAreaCacheDirectRangeQuery(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), cacheOpts())
 	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
-	if _, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(800, 800)), 10, 50, 3); err != nil {
-		t.Fatal(err)
-	}
+	truth := oracle.New(ls.dep.Configs)
+	register(t, owner, truth, sightingAt("o1", geo.Pt(800, 800)), 10, 50, 3)
 
 	q := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
-	area := geo.R(700, 700, 900, 900) // entirely inside r.3
-	// First query traverses the tree and teaches r.0 about r.3's area.
-	objs, err := q.RangeQueryRect(ctx(t), area, 25, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 1 {
-		t.Fatalf("first query: %+v", objs)
-	}
-	// Second identical query can go straight to r.3.
-	objs, err = q.RangeQueryRect(ctx(t), area, 25, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 1 {
-		t.Fatalf("second query: %+v", objs)
+	area := core.AreaFromRect(geo.R(700, 700, 900, 900)) // entirely inside r.3
+	// The first query traverses the tree and teaches r.0 about r.3's
+	// area; the second, identical one can go straight to r.3.
+	for _, what := range []string{"first", "second"} {
+		if objs := checkedRange(t, q, truth, area, 25, 0.5); len(objs) != 1 {
+			t.Fatalf("%s query: %+v", what, objs)
+		}
 	}
 	entry, _ := ls.dep.Server("r.0")
 	if got := entry.Metrics().Counter("range_query_cache_direct").Value(); got != 1 {

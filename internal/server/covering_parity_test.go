@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
 	"locsvc/internal/msg"
+	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
@@ -23,13 +25,13 @@ import (
 
 // The covering-index parity tests drive a two-leaf hierarchy through a
 // scripted random mix of every operation that installs, moves, re-annotates
-// or removes a sighting, and after each stretch compare range and
-// nearest-neighbor answers — at each leaf and through a client — with a
-// brute-force join of the leaves' sightings and registrations under the
-// unprepared predicate (core.Area.RangeQualifies, core.SelectNearest). They
-// also walk every index entry, memtable and run alike, for the covering
-// invariant: a registered object's entry carries its registration's
-// current OfferedAcc, an unregistered one's none.
+// or removes a sighting, and after each stretch check range and
+// nearest-neighbor answers: a leaf's own against a brute-force join of its
+// sightings and registrations, a client's against the script's view of
+// every object, both under the unprepared predicate (the oracle package).
+// They also walk every index entry, memtable and run alike, for the
+// covering invariant: a registered object's entry carries its
+// registration's current OfferedAcc, an unregistered one's none.
 
 // parityWorld is one deployment under test plus the script's own view of
 // which objects exist.
@@ -170,38 +172,14 @@ func sortEntries(es []core.Entry) {
 	sort.Slice(es, func(i, j int) bool { return es[i].OID < es[j].OID })
 }
 
-// decisionTol is how close an exact overlap degree may sit to the
-// threshold before either decision counts as right.
-const decisionTol = 1e-9
-
-// checkRange compares one range answer with the old predicate applied to
-// the oracle join.
-func (w *parityWorld) checkRange(what string, got, oracle []core.Entry, area core.Area, reqAcc, reqOverlap float64) {
-	w.t.Helper()
-	gotByID := make(map[core.OID]core.Entry, len(got))
-	for _, e := range got {
-		if _, dup := gotByID[e.OID]; dup {
-			w.t.Fatalf("%s: %s reported twice", what, e.OID)
-		}
-		gotByID[e.OID] = e
+// truth is the script's view: every object at the last position it sent,
+// with the accuracy its agent offers.
+func (w *parityWorld) truth() *oracle.Oracle {
+	o := oracle.New(w.dep.Configs)
+	for _, obj := range w.objs {
+		o.Track(obj)
 	}
-	for _, e := range oracle {
-		ge, reported := gotByID[e.OID]
-		delete(gotByID, e.OID)
-		if reported && ge != e {
-			w.t.Fatalf("%s: %s reported as %+v, stores say %+v", what, e.OID, ge.LD, e.LD)
-		}
-		if e.LD.Acc <= reqAcc && math.Abs(area.Overlap(e.LD)-reqOverlap) <= decisionTol {
-			continue
-		}
-		if want := area.RangeQualifies(e.LD, reqAcc, reqOverlap); reported != want {
-			w.t.Fatalf("%s: %s %+v reported=%v, old predicate says %v (area %v, reqAcc %v, reqOverlap %v, overlap %v)",
-				what, e.OID, e.LD, reported, want, area.Bounds(), reqAcc, reqOverlap, area.Overlap(e.LD))
-		}
-	}
-	for oid := range gotByID {
-		w.t.Fatalf("%s: %s reported but not in the stores", what, oid)
-	}
+	return o
 }
 
 func (w *parityWorld) randomQuery() (core.Area, float64, float64) {
@@ -212,59 +190,57 @@ func (w *parityWorld) randomQuery() (core.Area, float64, float64) {
 	return core.AreaFromRect(geo.R(x, y, x+size, y+size)), reqAcc, reqOverlap
 }
 
-// check runs the invariant walker and the oracle comparisons and returns
-// how many index entries carry an accuracy, per leaf-level server checked.
+// check runs the invariant walker and the answer checks and returns how
+// many index entries carry an accuracy, per leaf-level server checked.
 func (w *parityWorld) check(stage string) []int {
 	w.t.Helper()
 	var annotated []int
-	var all []core.Entry
+	stored := 0
 	for i, srv := range append(w.leaves(), w.extra...) {
 		n, violations := srv.CoveringEntriesForTest()
 		if len(violations) > 0 {
 			w.t.Fatalf("%s: %s breaks the covering-entry invariant:\n%v", stage, srv.ID(), violations)
 		}
 		annotated = append(annotated, n)
-		oracle := srv.OracleEntriesForTest()
-		if i < len(w.dep.Leaves()) {
-			all = append(all, oracle...)
+		local := oracle.New(nil)
+		for _, e := range srv.OracleEntriesForTest() {
+			local.Acked(e.OID, e.LD)
+			if i < len(w.dep.Leaves()) {
+				stored++
+			}
 		}
 		for q := 0; q < 8; q++ {
 			area, reqAcc, reqOverlap := w.randomQuery()
-			got := srv.LocalRangeForTest(area, reqAcc, reqOverlap)
-			w.checkRange(fmt.Sprintf("%s: local range at %s", stage, srv.ID()), got, oracle, area, reqAcc, reqOverlap)
+			got := client.RangeResult{Objs: srv.LocalRangeForTest(area, reqAcc, reqOverlap)}
+			if err := local.CheckRange(area, reqAcc, reqOverlap, got); err != nil {
+				w.t.Fatalf("%s: local range at %s: %v", stage, srv.ID(), err)
+			}
 		}
 	}
-	if len(all) != len(w.objs) {
-		w.t.Fatalf("%s: stores hold %d objects, script expects %d", stage, len(all), len(w.objs))
+	if stored != len(w.objs) {
+		w.t.Fatalf("%s: stores hold %d objects, script expects %d", stage, stored, len(w.objs))
 	}
+	truth := w.truth()
 	for q := 0; q < 8; q++ {
 		area, reqAcc, reqOverlap := w.randomQuery()
 		res, err := w.querier.RangeQueryFull(ctx(w.t), area, reqAcc, reqOverlap)
 		if err != nil || res.Partial {
 			w.t.Fatalf("%s: range query: partial=%v err=%v", stage, res.Partial, err)
 		}
-		w.checkRange(stage+": client range", res.Objs, all, area, reqAcc, reqOverlap)
+		if err := truth.CheckRange(area, reqAcc, reqOverlap, res); err != nil {
+			w.t.Fatalf("%s: client %v", stage, err)
+		}
 	}
 	for q := 0; q < 8; q++ {
 		p := w.randomPos()
 		reqAcc := []float64{12, 30, 100}[w.rng.Intn(3)]
 		nearQual := w.rng.Float64() * 60
 		got, err := w.querier.NeighborQuery(ctx(w.t), p, reqAcc, nearQual)
-		want := core.SelectNearest(all, p, reqAcc, nearQual)
-		if !want.Found {
-			if err == nil {
-				w.t.Fatalf("%s: neighbor query at %v found %+v, oracle nothing", stage, p, got.Nearest)
-			}
-			continue
+		if cerr := truth.CheckNN(p, reqAcc, nearQual, got, err); cerr != nil {
+			w.t.Fatalf("%s: client %v", stage, cerr)
 		}
-		if err != nil {
-			w.t.Fatalf("%s: neighbor query at %v: %v (oracle %+v)", stage, p, err, want.Nearest)
-		}
-		sortEntries(got.Near)
-		sortEntries(want.Near)
-		if got.Nearest != want.Nearest || got.GuaranteedMinDist != want.GuaranteedMinDist || fmt.Sprint(got.Near) != fmt.Sprint(want.Near) {
-			w.t.Fatalf("%s: neighbor query at %v (reqAcc %v, nearQual %v):\n got %+v near %v\nwant %+v near %v",
-				stage, p, reqAcc, nearQual, got.Nearest, got.Near, want.Nearest, want.Near)
+		if err != nil && !errors.Is(err, core.ErrNotFound) || got.Partial {
+			w.t.Fatalf("%s: neighbor query at %v: partial=%v err=%v", stage, p, got.Partial, err)
 		}
 	}
 	return annotated

@@ -145,6 +145,7 @@ func TestDedupeClientRestartSameID(t *testing.T) {
 
 // TestDedupeFloorAboveSeqRefused pins that a request whose floor is above
 // its own seq is malformed: refused, and neither applied nor remembered.
+// An update is refused to its call, a registration under its OpID.
 func TestDedupeFloorAboveSeqRefused(t *testing.T) {
 	net := transport.NewInproc(transport.InprocOptions{})
 	defer net.Close()
@@ -165,6 +166,34 @@ func TestDedupeFloorAboveSeqRefused(t *testing.T) {
 	callUpdate(t, probe, ls.ID(), updateReq("o1", geo.Pt(110, 100), 2))
 	if got := ls.Metrics().Counter("updates_local").Value(); got != 1 {
 		t.Fatalf("updates_local = %d, want 1", got)
+	}
+
+	// A registration so stamped is refused under its OpID, so that its
+	// sender learns why at once, and nothing is registered.
+	replies := make(chan msg.Message, 1)
+	registrant, err := net.Attach("registrant", func(_ context.Context, _ msg.NodeID, m msg.Message) (msg.Message, error) {
+		replies <- m
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer registrant.Close()
+	ri := core.RegInfo{Registrant: "registrant", DesAcc: 10, MinAcc: 50, MaxSpeed: 3}
+	bad := msg.RegisterReq{S: sightingAt("o2", geo.Pt(120, 100)), RegInfo: ri, Origin: msg.Origin{Node: "registrant", OpID: 7}, Seq: 2, Floor: 3}
+	if err := registrant.Send(ls.ID(), bad); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-replies:
+		if f, _ := m.(msg.RegisterFailed); f.OpID != 7 || !isRefusal(m, core.ErrBadRequest) {
+			t.Fatalf("registration with its floor above its seq answered %+v, want a bad-request refusal of op 7", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no answer to the registration with its floor above its seq")
+	}
+	if n := ls.SightingCount(); n != 1 {
+		t.Fatalf("%d sightings, want o1 alone", n)
 	}
 }
 

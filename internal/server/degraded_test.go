@@ -2,7 +2,7 @@ package server_test
 
 import (
 	"errors"
-	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +11,7 @@ import (
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
 	"locsvc/internal/msg"
+	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 	"locsvc/internal/transport"
 )
@@ -18,8 +19,8 @@ import (
 // TestDegradedQueriesWithDarkLeaf runs every query type against the quad
 // hierarchy with exactly one leaf dark and checks that coordinators answer
 // with what the reachable part of the tree knows — marked Partial — instead
-// of failing outright. The oracle is the full object set minus the dark
-// leaf's quarter.
+// of failing outright. Every answer goes to the checker, which lets a
+// Partial answer lack only what lies under the servers it names.
 func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 	// No network-level call cap: the servers' own CallTimeout governs
 	// hop calls, and the client's operation timeout must outlive the
@@ -38,6 +39,7 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 	defer dep.Close()
 
 	// One object per quarter; o3 lives on the leaf that goes dark.
+	truth := oracle.New(dep.Configs)
 	objs := map[string]geo.Point{
 		"o0": geo.Pt(100, 100),   // r.0
 		"o1": geo.Pt(1200, 100),  // r.1
@@ -50,9 +52,7 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 			t.Fatal(cerr)
 		}
 		defer c.Close()
-		if _, rerr := c.Register(ctx(t), sightingAt(oid, p), 10, 50, 3); rerr != nil {
-			t.Fatal(rerr)
-		}
+		register(t, c, truth, sightingAt(oid, p), 10, 50, 3)
 	}
 
 	c, err := client.New(net, "querier", "r.0", client.Options{})
@@ -63,54 +63,29 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 
 	// Sanity before the fault: the full query sees all four objects and
 	// is not partial.
-	full, err := c.RangeQueryFull(ctx(t), core.AreaFromRect(geo.R(0, 0, 1500, 1500)), 100, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Partial || len(full.Objs) != 4 {
-		t.Fatalf("healthy query: partial=%v objs=%d", full.Partial, len(full.Objs))
-	}
+	whole := core.AreaFromRect(geo.R(0, 0, 1500, 1500))
+	checkedRange(t, c, truth, whole, 100, 0.5)
 
 	// Darken r.3: deliveries to and from it are dropped, its id stays
 	// attached — the shape of a paused or crashed process behind a live
 	// address.
 	net.SetNodeDown("r.3", true)
-
-	// The oracle minus the dark leaf.
-	reachable := map[string]geo.Point{"o0": objs["o0"], "o1": objs["o1"], "o2": objs["o2"]}
-	nearestReachable := func(p geo.Point) string {
-		best, bestD := "", math.Inf(1)
-		for oid, q := range reachable {
-			if d := p.Dist(q); d < bestD {
-				best, bestD = oid, d
-			}
-		}
-		return best
-	}
+	dark := []msg.NodeID{"r.3"}
 
 	tests := []struct {
 		name  string
 		check func(t *testing.T)
 	}{
 		{"range is partial and equals oracle minus dark leaf", func(t *testing.T) {
-			res, err := c.RangeQueryFull(ctx(t), core.AreaFromRect(geo.R(0, 0, 1500, 1500)), 100, 0.5)
+			res, err := c.RangeQueryFull(ctx(t), whole, 100, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Partial {
-				t.Error("range over a dark quarter not marked Partial")
+			if !res.Partial || !slices.Equal(res.Unreachable, dark) {
+				t.Errorf("range over a dark quarter: partial=%v unreachable=%v, want %v", res.Partial, res.Unreachable, dark)
 			}
-			got := map[string]bool{}
-			for _, e := range res.Objs {
-				got[string(e.OID)] = true
-			}
-			if len(got) != len(reachable) {
-				t.Fatalf("objs = %v, want exactly %v", got, reachable)
-			}
-			for oid := range reachable {
-				if !got[oid] {
-					t.Errorf("reachable object %s missing from degraded result", oid)
-				}
+			if err := truth.CheckRange(whole, 100, 0.5, res); err != nil {
+				t.Error(err)
 			}
 		}},
 		{"neighbor is partial and nearest among reachable", func(t *testing.T) {
@@ -121,11 +96,11 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Partial {
-				t.Error("neighbor query touching a dark quarter not marked Partial")
+			if !res.Partial || !slices.Equal(res.Unreachable, dark) {
+				t.Errorf("neighbor query touching a dark quarter: partial=%v unreachable=%v, want %v", res.Partial, res.Unreachable, dark)
 			}
-			if want := nearestReachable(p); string(res.Nearest.OID) != want {
-				t.Errorf("nearest = %s, want %s (nearest reachable)", res.Nearest.OID, want)
+			if err := truth.CheckNN(p, 100, 0, res, nil); err != nil {
+				t.Error(err)
 			}
 		}},
 		{"posquery for object behind dark leaf is unavailable, not not-found", func(t *testing.T) {
@@ -139,8 +114,8 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ld.Pos != objs["o1"] {
-				t.Errorf("pos = %v, want %v", ld.Pos, objs["o1"])
+			if err := truth.CheckPos("o1", ld, nil); err != nil {
+				t.Error(err)
 			}
 		}},
 		{"diag at a live entry is unaffected", func(t *testing.T) {

@@ -464,8 +464,8 @@ func TestMalformedSightingRefusedAtLeaf(t *testing.T) {
 			t.Errorf("update %+v: %#v, %v; want bad_request", bad, res, err)
 		}
 		bad.OID = "o2"
-		if m := register(bad); !errors.Is(msg.AsError(m), core.ErrBadRequest) {
-			t.Errorf("registration %+v answered %#v, want bad_request", bad, m)
+		if m := register(bad); !isRefusal(m, core.ErrBadRequest) {
+			t.Errorf("registration %+v answered %#v, want a bad_request refusal", bad, m)
 		}
 	}
 	if err := swal.Flush(); err != nil {
@@ -490,4 +490,10 @@ func TestMalformedSightingRefusedAtLeaf(t *testing.T) {
 	if len(got) != 1 || got[0].OID != "o1" || got[0].LD.Pos != geo.Pt(200, 300) {
 		t.Fatalf("after the reopen the leaf holds %+v, want o1 at (200, 300)", got)
 	}
+}
+
+// isRefusal reports whether m refuses a registration with err.
+func isRefusal(m msg.Message, err error) bool {
+	f, ok := m.(msg.RegisterFailed)
+	return ok && errors.Is(f.Refused.Err(), err)
 }

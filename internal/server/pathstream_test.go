@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -282,7 +283,6 @@ func (failingWAL) Append(store.WALRecord) error { return errors.New("registratio
 // leaves the leaf, so neither its parent nor the root keeps a forwarding
 // record that nothing would re-assert or remove.
 func TestRegistrationRefusedLeavesNoPath(t *testing.T) {
-	const timeout = time.Second
 	links := &pathLinks{}
 	clk := clock.NewManual(time.Now())
 	net := transport.NewInproc(transport.InprocOptions{
@@ -306,19 +306,12 @@ func TestRegistrationRefusedLeavesNoPath(t *testing.T) {
 		net.Close()
 	})
 	ls := &testLS{net: net, dep: dep}
-	owner := ls.newClientAt(t, "owner", pathAt, client.Options{Timeout: timeout})
-	done := make(chan error, 1)
-	go func() {
-		_, err := owner.Register(ctx(t), sightingAt("o1", pathAt), 10, 50, 3)
-		done <- err
-	}()
-	// The leaf answers the refusal with an error frame the client cannot
-	// match to its registration, so the client gives up at its timeout.
-	// Armed meanwhile: each leaf's resync ticker and the client's timer.
-	clk.BlockUntil(len(dep.Leaves()) + 1)
-	clk.Advance(timeout)
-	if err := <-done; err == nil {
-		t.Fatal("registration succeeded over a refusing registration log")
+	owner := ls.newClientAt(t, "owner", pathAt, client.Options{})
+	// The leaf refuses the registration under its OpID: Register returns
+	// the log's error while the clock stands still.
+	_, err = owner.Register(ctx(t), sightingAt("o1", pathAt), 10, 50, 3)
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("registration over a refusing registration log: err = %v, want the log's refusal", err)
 	}
 	leaf, _ := dep.Server(pathLeaf)
 	waitFor(t, func() bool { return leaf.Metrics().Counter("visitor_db_errors").Value() == 1 }, "the leaf to refuse the registration")

@@ -3,12 +3,12 @@ package server_test
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"locsvc/internal/client"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
+	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 )
 
@@ -21,16 +21,11 @@ func TestPolygonRangeQuery(t *testing.T) {
 	owner := ls.newClientAt(t, "owner", geo.Pt(10, 10), client.Options{})
 
 	rng := rand.New(rand.NewSource(55))
-	var known []core.Entry
+	truth := oracle.New(ls.dep.Configs)
 	const n = 200
 	for i := 0; i < n; i++ {
 		p := geo.Pt(rng.Float64()*1500, rng.Float64()*1500)
-		oid := core.OID(fmt.Sprintf("o%d", i))
-		obj, err := owner.Register(ctx(t), sightingAt(string(oid), p), 15, 100, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		known = append(known, core.Entry{OID: oid, LD: core.LocationDescriptor{Pos: p, Acc: obj.OfferedAcc()}})
+		register(t, owner, truth, sightingAt(fmt.Sprintf("o%d", i), p), 15, 100, 3)
 	}
 	waitFor(t, func() bool { return ls.dep.RootVisitorCount() == n }, "paths complete")
 
@@ -52,26 +47,8 @@ func TestPolygonRangeQuery(t *testing.T) {
 		if !area.Valid() {
 			t.Fatalf("shape %d invalid", si)
 		}
-		got, err := querier.RangeQuery(ctx(t), area, 20, 0.5)
-		if err != nil {
-			t.Fatalf("shape %d: %v", si, err)
-		}
-		var want []core.OID
-		for _, k := range known {
-			if area.RangeQualifies(k.LD, 20, 0.5) {
-				want = append(want, k.OID)
-			}
-		}
-		gotIDs := make([]core.OID, len(got))
-		for i, e := range got {
-			gotIDs[i] = e.OID
-		}
-		sort.Slice(gotIDs, func(i, j int) bool { return gotIDs[i] < gotIDs[j] })
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if !equalOIDs(gotIDs, want) {
-			t.Fatalf("shape %d: got %v, oracle %v", si, gotIDs, want)
-		}
-		if si == 0 && len(want) == 0 {
+		got := checkedRange(t, querier, truth, area, 20, 0.5)
+		if si == 0 && len(got) == 0 {
 			t.Fatal("hexagon query matched nothing; test population too sparse")
 		}
 	}

@@ -62,7 +62,7 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 	}
 	opID, ch := s.pend.open()
 	defer s.pend.close(opID)
-	if err := s.forward(parent, msg.PosQueryFwd{
+	if _, err := s.forward(parent, msg.PosQueryFwd{
 		OID:    req.OID,
 		Origin: msg.Origin{Node: s.ID(), OpID: opID},
 		Hops:   1,
@@ -212,7 +212,7 @@ func (s *Server) handlePosQueryFwd(from msg.NodeID, req msg.PosQueryFwd) {
 // behind the dark node, so this must stay distinguishable from a definitive
 // not-found.
 func (s *Server) forwardPosQueryOr(to msg.NodeID, req msg.PosQueryFwd) {
-	if err := s.forward(to, req); err != nil {
+	if _, err := s.forward(to, req); err != nil {
 		s.respondToOrigin(req.Origin, msg.PosQueryRes{
 			OpID: req.Origin.OpID, Found: false, Partial: true, Hops: req.Hops,
 		})

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"locsvc/internal/clock"
@@ -10,6 +11,7 @@ import (
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
 	"locsvc/internal/store"
+	"locsvc/internal/transport"
 )
 
 // coverEpsilon is the relative tolerance when comparing collected coverage
@@ -119,6 +121,9 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 	opID, ch := s.pend.open()
 	defer s.pend.close(opID)
 	origin := msg.Origin{Node: s.ID(), OpID: opID}
+	// sentTo are the servers the query went to from here: the parent, or
+	// on the cache shortcut the leaves themselves.
+	var sentTo []msg.NodeID
 
 	// The entry server itself already covers `covered` of the query; the
 	// cache only needs to account for the remainder.
@@ -126,12 +131,11 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 		// Cache shortcut (Section 6.5): contact the leaf servers for
 		// the area directly, without traversing the hierarchy.
 		s.met.Counter("range_query_cache_direct").Inc()
-		sent := 0
 		for _, leaf := range leaves {
 			if leaf == s.ID() {
 				continue
 			}
-			if err := s.forward(leaf, msg.RangeQueryFwd{
+			if _, err := s.forward(leaf, msg.RangeQueryFwd{
 				Area: area, ReqAcc: reqAcc, ReqOverlap: reqOverlap,
 				Origin: origin, Hops: 1,
 			}); err != nil {
@@ -141,9 +145,9 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 				}
 				continue
 			}
-			sent++
+			sentTo = append(sentTo, leaf)
 		}
-		if sent == 0 {
+		if len(sentTo) == 0 {
 			out.partial = len(out.unreachable) > 0
 			return out, nil
 		}
@@ -154,7 +158,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			// there is.
 			return out, nil
 		}
-		if err := s.forward(parent, msg.RangeQueryFwd{
+		if _, err := s.forward(parent, msg.RangeQueryFwd{
 			Area: area, ReqAcc: reqAcc, ReqOverlap: reqOverlap,
 			Origin: origin, Hops: 1,
 		}); err != nil {
@@ -164,13 +168,18 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			out.unreachable = mergeUnreachable(out.unreachable, parent)
 			return out, nil
 		}
+		sentTo = append(sentTo, parent)
 	}
 
 	// Collection loop (lines 10-13): receive partial results until live
 	// plus dark cover accounts for the whole area.
 	expired, timer := clock.After(s.clk, s.opts.QueryTimeout)
 	defer timer.Stop()
-	var parts [][]core.Entry // remote partial results, joined once at the end
+	var (
+		parts    [][]core.Entry // remote partial results, joined once at the end
+		answered []msg.LeafInfo // the leaves those came from
+		silent   []silentChild  // children reported for a missing acknowledgement
+	)
 	for covered+darkCover+coverEpsilon*expected < expected {
 		select {
 		case m := <-ch:
@@ -178,21 +187,50 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			if !ok {
 				continue
 			}
-			parts = append(parts, sub.Objs)
-			covered += sub.CoveredSize
-			darkCover += sub.UnreachableSize
-			out.unreachable = mergeUnreachable(out.unreachable, sub.Unreachable...)
-			if len(sub.Unreachable) == 0 {
-				out.servers++
-			}
 			if sub.Hops > out.hops {
 				out.hops = sub.Hops
+			}
+			switch {
+			case len(sub.Unreachable) == 0:
+				// A leaf's partial result. A silent child holding
+				// the leaf lost only its acknowledgement: its cover
+				// must not count twice.
+				silent = slices.DeleteFunc(silent, func(c silentChild) bool {
+					if !c.holds(sub.Leaf) {
+						return false
+					}
+					darkCover -= c.size
+					out.unreachable = slices.DeleteFunc(out.unreachable, func(id msg.NodeID) bool { return id == c.ID })
+					return true
+				})
+				answered = append(answered, sub.Leaf)
+				parts = append(parts, sub.Objs)
+				covered += sub.CoveredSize
+				out.servers++
+			case sub.Leaf.Valid():
+				c := silentChild{sub.Leaf, sub.UnreachableSize}
+				if slices.ContainsFunc(answered, c.holds) || slices.ContainsFunc(silent, func(o silentChild) bool { return o.ID == c.ID }) {
+					continue
+				}
+				silent = append(silent, c)
+				darkCover += c.size
+				out.unreachable = mergeUnreachable(out.unreachable, c.ID)
+			default:
+				darkCover += sub.UnreachableSize
+				out.unreachable = mergeUnreachable(out.unreachable, sub.Unreachable...)
 			}
 		case <-expired:
 			s.met.Counter("range_query_timeout").Inc()
 			// Return what we have: partial answers beat none under
-			// UDP loss; the shortfall is visible to the caller.
+			// UDP loss. A lost partial result names nobody, so the
+			// servers the query went to that have not answered are
+			// named: the shortfall lies behind them.
 			out.partial = true
+			for _, id := range sentTo {
+				if !slices.ContainsFunc(answered, func(l msg.LeafInfo) bool { return l.ID == id }) {
+					out.unreachable = mergeUnreachable(out.unreachable, id)
+				}
+			}
 			out.objs = joinEntries(out.objs, parts)
 			return out, nil
 		case <-ctx.Done():
@@ -205,6 +243,41 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 	s.met.Counter("range_query_remote").Inc()
 	out.objs = joinEntries(out.objs, parts)
 	return out, nil
+}
+
+// reportIfSilent reports child to the query's entry server as unreachable
+// should it never acknowledge its leg: a dark leaf or a crashed or
+// partitioned subtree is then named, with its service area, as soon as the
+// leg's call times out, and the entry's cover tally closes instead of
+// waiting out the query timeout. The child may have lost only its
+// acknowledgement; the entry server voids the report when a leaf inside
+// the child's area answers.
+func (s *Server) reportIfSilent(pc *transport.PendingCall, child store.ChildRecord, req msg.RangeQueryFwd) {
+	pc.Then(func(ack msg.Message) {
+		if msg.AsError(ack) == nil {
+			return
+		}
+		id := msg.NodeID(child.ID)
+		s.respondToOrigin(req.Origin, msg.RangeQuerySubRes{
+			OpID:            req.Origin.OpID,
+			Leaf:            msg.LeafInfo{ID: id, Area: child.SA},
+			Hops:            req.Hops,
+			Unreachable:     []msg.NodeID{id},
+			UnreachableSize: req.Area.Vertices.IntersectRectArea(child.SA.Bounds()),
+		})
+	})
+}
+
+// silentChild is a child a coordinator reported for a missing
+// acknowledgement, as the entry server counts it.
+type silentChild struct {
+	msg.LeafInfo
+	size float64
+}
+
+// holds reports whether leaf lies in the child's subtree.
+func (c silentChild) holds(leaf msg.LeafInfo) bool {
+	return leaf.ID == c.ID || c.Area.Contains(leaf.Area.Bounds().Center())
 }
 
 // joinEntries concatenates the local result and the remote partial results
@@ -384,20 +457,23 @@ func (s *Server) handleRangeQueryFwd(from msg.NodeID, req msg.RangeQueryFwd) {
 			continue
 		}
 		if enlarged.Intersects(child.SA.Bounds()) {
-			if err := s.forward(msg.NodeID(child.ID), req); err != nil {
+			pc, err := s.forward(msg.NodeID(child.ID), req)
+			if err != nil {
 				// Unreachable child: its whole subtree's share of
 				// the query is dark. Tell the entry server so its
 				// cover tally closes instead of timing out.
 				failed = append(failed, msg.NodeID(child.ID))
 				failedCover += req.Area.Vertices.IntersectRectArea(child.SA.Bounds())
+				continue
 			}
+			s.reportIfSilent(pc, child, req)
 		}
 	}
 	// … and upwards if part of the area lies outside our service area
 	// (and the query did not come from above).
 	outside := !s.cfg.SA.Bounds().ContainsRect(enlarged)
 	if parent := s.parent(); outside && parent != "" && from != parent {
-		if err := s.forward(parent, req); err != nil {
+		if _, err := s.forward(parent, req); err != nil {
 			// Everything outside this subtree is dark.
 			failed = append(failed, parent)
 			failedCover += req.Area.Vertices.IntersectRectArea(s.rootArea.Bounds()) -

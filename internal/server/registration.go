@@ -55,7 +55,7 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 	// A malformed request is refused before anything is remembered,
 	// stored or sent up the path.
 	if err := errors.Join(req.S.Validate(), req.RegInfo.Validate(), floorErr(req.Seq, req.Floor)); err != nil {
-		s.respondToOrigin(req.Origin, msg.ErrorResFrom(fmt.Errorf("%w: %v", core.ErrBadRequest, err)))
+		s.refuseRegister(req.Origin, msg.ErrorResFrom(fmt.Errorf("%w: %v", core.ErrBadRequest, err)))
 		return
 	}
 	// A retried registration whose first application answered already
@@ -63,6 +63,10 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 	// the wire package's retry-idempotency rules).
 	if reply, ok := s.dedupe.lookup(req.Origin.Node, req.Seq, req.Floor); ok {
 		s.writeMet.registerDeduped.Inc()
+		if why, refused := reply.(msg.ErrorRes); refused {
+			s.refuseRegister(req.Origin, why)
+			return
+		}
 		s.respondToOrigin(req.Origin, reply)
 		return
 	}
@@ -82,7 +86,7 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 
 	// Lines 6-11: create the visitor and sighting records.
 	if err := s.register(req.S, req.RegInfo, offered); err != nil {
-		s.respondToOrigin(req.Origin, msg.ErrorResFrom(err))
+		s.refuseRegister(req.Origin, msg.ErrorResFrom(err))
 		return
 	}
 	s.writeMet.registerOK.Inc()
@@ -103,6 +107,12 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 	}
 	s.dedupe.remember(req.Origin.Node, req.Seq, res)
 	s.respondToOrigin(req.Origin, res)
+}
+
+// refuseRegister answers a registration the leaf will not apply, under the
+// request's OpID so that the registering instance can match it.
+func (s *Server) refuseRegister(origin msg.Origin, why msg.ErrorRes) {
+	s.respondToOrigin(origin, msg.RegisterFailed{OpID: origin.OpID, Server: s.ID(), Refused: why})
 }
 
 // handlePathBatch applies a child's batch of path messages in order, each
@@ -430,21 +440,23 @@ func (s *Server) beginBackground() bool {
 // forward sends m to a hierarchy neighbor as a tracked one-way: the message
 // goes out as a call so the peer's auto-acknowledgement (or an explicit
 // response) feeds this node's per-peer breaker, and a swept timeout counts
-// against the peer. The reply itself is deliberately not awaited — fan-out
-// handlers return their results out-of-band to the query origin, exactly
-// like sendOrCount — so forward costs one in-flight entry until the ack or
-// the sweep, nothing more. A non-nil error means the message was NOT handed
-// to the network (open breaker, unknown destination, failed write): the
-// destination is unreachable right now, which degraded queries translate
-// into dark-cover accounting instead of waiting out a timeout.
-func (s *Server) forward(to msg.NodeID, m msg.Message) error {
+// against the peer. The reply itself is not awaited — fan-out handlers
+// return their results out-of-band to the query origin, exactly like
+// sendOrCount — so forward costs one in-flight entry until the ack or the
+// sweep, nothing more; a caller that wants to learn of a missing ack hands
+// the returned call a continuation (PendingCall.Then). A non-nil error
+// means the message was NOT handed to the network (open breaker, unknown
+// destination, failed write): the destination is unreachable right now,
+// which degraded queries translate into dark-cover accounting instead of
+// waiting out a timeout.
+func (s *Server) forward(to msg.NodeID, m msg.Message) (*transport.PendingCall, error) {
 	ctx, cancel := s.clk.WithTimeout(context.Background(), s.opts.CallTimeout)
 	defer cancel() // tracker keeps its own deadline; cancel only ends the slot wait
-	if _, err := s.node.CallAsync(ctx, to, m); err != nil {
+	pc, err := s.node.CallAsync(ctx, to, m)
+	if err != nil {
 		s.met.Counter("send_errors").Inc()
-		return err
 	}
-	return nil
+	return pc, err
 }
 
 // handleDeregister processes a deregistration at the object's agent: the

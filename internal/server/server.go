@@ -599,7 +599,9 @@ func (s *Server) handle(ctx context.Context, from msg.NodeID, m msg.Message) (ms
 		s.handleRangeQueryFwd(from, req)
 		return nil, nil
 	case msg.RangeQuerySubRes:
-		s.observeLeafInfo(req.Leaf)
+		if len(req.Unreachable) == 0 {
+			s.observeLeafInfo(req.Leaf)
+		}
 		s.pend.deliver(req.OpID, req)
 		return nil, nil
 
@@ -629,14 +631,6 @@ func (s *Server) handle(ctx context.Context, from msg.NodeID, m msg.Message) (ms
 	// Diagnostics.
 	case msg.DiagReq:
 		return s.handleDiag()
-
-	// Recovery aid.
-	case msg.RegisterFailed:
-		s.pend.deliver(req.OpID, req)
-		return nil, nil
-	case msg.RegisterRes:
-		s.pend.deliver(req.OpID, req)
-		return nil, nil
 
 	default:
 		return nil, fmt.Errorf("%w: server %s cannot handle %T", core.ErrBadRequest, s.cfg.ID, m)

@@ -14,6 +14,7 @@ import (
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
 	"locsvc/internal/msg"
+	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 	"locsvc/internal/transport"
 )
@@ -338,75 +339,41 @@ func TestPosQueryLocalVsRemote(t *testing.T) {
 func TestRangeQuerySpanningLeaves(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{})
 	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
-
-	// One object per quarter, near the center of the root area.
-	positions := []geo.Point{{X: 700, Y: 700}, {X: 800, Y: 700}, {X: 700, Y: 800}, {X: 800, Y: 800}}
-	for i, p := range positions {
-		if _, err := owner.Register(ctx(t), sightingAt(fmt.Sprintf("o%d", i), p), 10, 50, 3); err != nil {
-			t.Fatal(err)
-		}
+	truth := oracle.New(ls.dep.Configs)
+	// One object per quarter near the center of the root area, and one
+	// far away that must not be returned.
+	for i, p := range []geo.Point{{X: 700, Y: 700}, {X: 800, Y: 700}, {X: 700, Y: 800}, {X: 800, Y: 800}, {X: 1400, Y: 100}} {
+		register(t, owner, truth, sightingAt(fmt.Sprintf("o%d", i), p), 10, 50, 3)
 	}
-	// And one far away that must not be returned.
-	if _, err := owner.Register(ctx(t), sightingAt("far", geo.Pt(1400, 100)), 10, 50, 3); err != nil {
-		t.Fatal(err)
-	}
-
 	q := ls.newClientAt(t, "querier", geo.Pt(100, 1400), client.Options{})
-	objs, err := q.RangeQueryRect(ctx(t), geo.R(650, 650, 850, 850), 25, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 4 {
+	if objs := checkedRange(t, q, truth, core.AreaFromRect(geo.R(650, 650, 850, 850)), 25, 0.5); len(objs) != 4 {
 		t.Fatalf("range query returned %d objects: %+v", len(objs), objs)
-	}
-	seen := map[core.OID]bool{}
-	for _, e := range objs {
-		seen[e.OID] = true
-	}
-	for i := range positions {
-		if !seen[core.OID(fmt.Sprintf("o%d", i))] {
-			t.Errorf("o%d missing from result", i)
-		}
-	}
-	if seen["far"] {
-		t.Error("far object included")
 	}
 }
 
 func TestRangeQueryRespectsAccuracyAndOverlap(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{AchievableAcc: 30})
 	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
+	truth := oracle.New(ls.dep.Configs)
 	// Offered accuracy will be 30 (achievable) since desired 10 < 30.
-	if _, err := owner.Register(ctx(t), sightingAt("coarse", geo.Pt(300, 300)), 10, 100, 3); err != nil {
-		t.Fatal(err)
-	}
+	register(t, owner, truth, sightingAt("coarse", geo.Pt(300, 300)), 10, 100, 3)
 	q := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
-
-	// reqAcc 20 < offered 30: the object is filtered out (Fig. 3, o5).
-	objs, err := q.RangeQueryRect(ctx(t), geo.R(250, 250, 350, 350), 20, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 0 {
-		t.Errorf("accuracy filter failed: %+v", objs)
-	}
-	// reqAcc 30: passes.
-	objs, err = q.RangeQueryRect(ctx(t), geo.R(250, 250, 350, 350), 30, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 1 {
-		t.Errorf("want 1 object, got %+v", objs)
-	}
-
-	// Overlap threshold: object at the very edge of the query area
-	// overlaps ~50%; a 0.9 threshold excludes it.
-	objs, err = q.RangeQueryRect(ctx(t), geo.R(300, 250, 400, 350), 30, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 0 {
-		t.Errorf("overlap filter failed: %+v", objs)
+	for _, tc := range []struct {
+		what            string
+		area            geo.Rect
+		reqAcc, overlap float64
+		want            int
+	}{
+		// reqAcc 20 < offered 30: the object is filtered out (Fig. 3, o5).
+		{"accuracy filter", geo.R(250, 250, 350, 350), 20, 0.5, 0},
+		{"accurate enough", geo.R(250, 250, 350, 350), 30, 0.5, 1},
+		// At the very edge of the query area the object overlaps ~50%;
+		// a 0.9 threshold excludes it.
+		{"overlap filter", geo.R(300, 250, 400, 350), 30, 0.9, 0},
+	} {
+		if objs := checkedRange(t, q, truth, core.AreaFromRect(tc.area), tc.reqAcc, tc.overlap); len(objs) != tc.want {
+			t.Errorf("%s: %+v, want %d objects", tc.what, objs, tc.want)
+		}
 	}
 }
 
@@ -427,39 +394,18 @@ func TestRangeQueryInvalidParams(t *testing.T) {
 func TestNeighborQuery(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{})
 	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
+	truth := oracle.New(ls.dep.Configs)
 	// Nearest is in a different leaf than the query's entry server.
-	if _, err := owner.Register(ctx(t), sightingAt("near", geo.Pt(760, 760)), 10, 50, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := owner.Register(ctx(t), sightingAt("mid", geo.Pt(900, 760)), 10, 50, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := owner.Register(ctx(t), sightingAt("far", geo.Pt(1400, 1400)), 10, 50, 3); err != nil {
-		t.Fatal(err)
-	}
+	register(t, owner, truth, sightingAt("near", geo.Pt(760, 760)), 10, 50, 3)
+	register(t, owner, truth, sightingAt("mid", geo.Pt(900, 760)), 10, 50, 3)
+	register(t, owner, truth, sightingAt("far", geo.Pt(1400, 1400)), 10, 50, 3)
 
 	q := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
-	res, err := q.NeighborQuery(ctx(t), geo.Pt(700, 700), 25, 0)
-	if err != nil {
-		t.Fatal(err)
+	if res := checkedNN(t, q, truth, geo.Pt(700, 700), 25, 0); res.Nearest.OID != "near" || len(res.Near) != 0 {
+		t.Errorf("nearQual 0: nearest %s, nearObjSet %+v; want near alone", res.Nearest.OID, res.Near)
 	}
-	if res.Nearest.OID != "near" {
-		t.Fatalf("nearest = %s", res.Nearest.OID)
-	}
-	if len(res.Near) != 0 {
-		t.Errorf("nearQual=0 gave nearObjSet %+v", res.Near)
-	}
-	wantDist := geo.Pt(760, 760).Dist(geo.Pt(700, 700)) - 25
-	if diff := res.GuaranteedMinDist - wantDist; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("GuaranteedMinDist = %v, want %v", res.GuaranteedMinDist, wantDist)
-	}
-
 	// With a generous nearQual the mid object appears in nearObjSet.
-	res, err = q.NeighborQuery(ctx(t), geo.Pt(700, 700), 25, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Near) != 1 || res.Near[0].OID != "mid" {
+	if res := checkedNN(t, q, truth, geo.Pt(700, 700), 25, 200); len(res.Near) != 1 || res.Near[0].OID != "mid" {
 		t.Errorf("nearObjSet = %+v, want [mid]", res.Near)
 	}
 }
@@ -467,45 +413,25 @@ func TestNeighborQuery(t *testing.T) {
 // TestNeighborQueryLocalFastPath: an interior query whose whole collection
 // disc lies inside the entry leaf is answered off the leaf's own
 // nearest-neighbor cursor without touching the tree, and agrees with the
-// selection-rule oracle; a query near the leaf border must fall back to the
+// checker; a query near the leaf border must fall back to the
 // distributed expanding-ring search and still agree.
 func TestNeighborQueryLocalFastPath(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{})
 	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
-	var entries []core.Entry
+	truth := oracle.New(ls.dep.Configs)
 	for i, p := range []geo.Point{
 		geo.Pt(200, 200), geo.Pt(240, 200), geo.Pt(300, 350), geo.Pt(700, 700),
 		geo.Pt(760, 760), geo.Pt(1400, 200),
 	} {
-		oid := core.OID(fmt.Sprintf("n%d", i))
-		obj, err := owner.Register(ctx(t), sightingAt(string(oid), p), 10, 50, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, core.Entry{OID: oid, LD: core.LocationDescriptor{Pos: p, Acc: obj.OfferedAcc()}})
+		register(t, owner, truth, sightingAt(fmt.Sprintf("n%d", i), p), 10, 50, 3)
 	}
 	leaf, _ := ls.dep.Server("r.0")
 	q := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
 
-	check := func(p geo.Point, nearQual float64) {
-		t.Helper()
-		res, err := q.NeighborQuery(ctx(t), p, 25, nearQual)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := core.SelectNearest(entries, p, 25, nearQual)
-		if res.Nearest.OID != want.Nearest.OID {
-			t.Fatalf("query %v: nearest %s, oracle %s", p, res.Nearest.OID, want.Nearest.OID)
-		}
-		if len(res.Near) != len(want.Near) {
-			t.Fatalf("query %v: nearObjSet %d, oracle %d", p, len(res.Near), len(want.Near))
-		}
-	}
-
 	// Interior query: disc(nearest + nearQual + reqAcc) stays inside r.0,
 	// so the fast path must fire.
 	before := leaf.Metrics().Counter("neighbor_query_local_fast").Value()
-	check(geo.Pt(230, 210), 60)
+	checkedNN(t, q, truth, geo.Pt(230, 210), 25, 60)
 	if after := leaf.Metrics().Counter("neighbor_query_local_fast").Value(); after != before+1 {
 		t.Errorf("interior query: local fast count %d, want %d", after, before+1)
 	}
@@ -513,7 +439,7 @@ func TestNeighborQueryLocalFastPath(t *testing.T) {
 	// Border query: the nearest candidate's disc crosses into r.3, the
 	// fast path must decline and the distributed search must answer.
 	before = leaf.Metrics().Counter("neighbor_query_local_fast").Value()
-	check(geo.Pt(730, 730), 80)
+	checkedNN(t, q, truth, geo.Pt(730, 730), 25, 80)
 	if after := leaf.Metrics().Counter("neighbor_query_local_fast").Value(); after != before {
 		t.Errorf("border query took the fast path despite a crossing disc")
 	}
@@ -522,9 +448,7 @@ func TestNeighborQueryLocalFastPath(t *testing.T) {
 func TestNeighborQueryEmptyService(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{})
 	q := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
-	if _, err := q.NeighborQuery(ctx(t), geo.Pt(700, 700), 25, 0); !errors.Is(err, core.ErrNotFound) {
-		t.Errorf("err = %v, want ErrNotFound", err)
-	}
+	checkedNN(t, q, oracle.New(ls.dep.Configs), geo.Pt(700, 700), 25, 0)
 }
 
 // TestNeighborQueryAtExactObjectPosition: a nearest-neighbor query issued
@@ -536,25 +460,17 @@ func TestNeighborQueryEmptyService(t *testing.T) {
 // distributed expanding ring (query on a leaf border).
 func TestNeighborQueryAtExactObjectPosition(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{AchievableAcc: 10})
-	ctx := context.Background()
 	owner := ls.newClientAt(t, "nn-owner", geo.Pt(100, 100), client.Options{Timeout: 5 * time.Second})
+	truth := oracle.New(ls.dep.Configs)
 	positions := []geo.Point{
 		geo.Pt(100, 100), // deep inside leaf r.0: local fast path
 		geo.Pt(740, 740), // near the r.0 corner: distributed ring
 	}
 	for i, p := range positions {
-		if _, err := owner.Register(ctx, core.Sighting{
-			OID: core.OID(fmt.Sprintf("exact-%d", i)), T: time.Now(), Pos: p, SensAcc: 5,
-		}, 10, 100, 3); err != nil {
-			t.Fatal(err)
-		}
+		register(t, owner, truth, sightingAt(fmt.Sprintf("exact-%d", i), p), 10, 100, 3)
 	}
 	for i, p := range positions {
-		res, err := owner.NeighborQuery(ctx, p, 100, 0)
-		if err != nil {
-			t.Fatalf("NeighborQuery at exact position %v: %v", p, err)
-		}
-		if res.Nearest.OID != core.OID(fmt.Sprintf("exact-%d", i)) {
+		if res := checkedNN(t, owner, truth, p, 100, 0); res.Nearest.OID != core.OID(fmt.Sprintf("exact-%d", i)) {
 			t.Errorf("nearest at %v = %s, want exact-%d", p, res.Nearest.OID, i)
 		}
 	}
@@ -852,5 +768,53 @@ func TestPathMessageResentUntilAcked(t *testing.T) {
 				t.Errorf("after the acknowledgement path_reasserted = %d, path_propagation_failed = %d; want 1, 1", got, fails)
 			}
 		})
+	}
+}
+
+// TestStrayRegisterRepliesRefused: a server originates no registration, so
+// a RegisterRes or RegisterFailed sent to one is refused as a bad request
+// and reaches none of its pending queries, even one whose operation id it
+// carries. A FaultPlan holds the agent's answer to a position query while
+// the strays arrive at the query's entry server.
+func TestStrayRegisterRepliesRefused(t *testing.T) {
+	held := make(chan struct{}, 1)
+	ls, clk := newManualLS(t, quadSpec(), server.Options{}, transport.InprocOptions{
+		FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
+			if _, ok := env.Msg.(msg.PosQueryRes); ok && to == "r.0" {
+				held <- struct{}{}
+				return transport.Fault{Delay: time.Second}
+			}
+			return transport.Fault{}
+		},
+	})
+	p := geo.Pt(1200, 1200)
+	owner := ls.newClientAt(t, "owner", p, client.Options{})
+	truth := oracle.New(ls.dep.Configs)
+	register(t, owner, truth, sightingAt("o1", p), 10, 50, 3)
+	waitFor(t, func() bool { return ls.dep.RootVisitorCount() == 1 }, "the forwarding path")
+
+	querier := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
+	done := make(chan error, 1)
+	go func() {
+		ld, err := querier.PosQuery(ctx(t), "o1")
+		done <- errors.Join(err, truth.CheckPos("o1", ld, err))
+	}()
+	<-held
+
+	// The entry server's first pending operation has id 1.
+	probe := attachProbe(t, ls.net, "stray")
+	for opID := uint64(1); opID <= 4; opID++ {
+		for _, stray := range []msg.Message{
+			msg.RegisterRes{OpID: opID, Agent: "r.3"},
+			msg.RegisterFailed{OpID: opID, Server: "r.3"},
+		} {
+			if _, err := probe.Call(ctx(t), "r.0", stray); !errors.Is(err, core.ErrBadRequest) {
+				t.Fatalf("stray %T for op %d: err = %v, want bad request", stray, opID, err)
+			}
+		}
+	}
+	clk.Advance(time.Second)
+	if err := <-done; err != nil {
+		t.Fatalf("position query after the strays: %v", err)
 	}
 }

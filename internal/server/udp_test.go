@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"locsvc/internal/client"
+	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
 	"locsvc/internal/msg"
+	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 	"locsvc/internal/transport"
 )
@@ -63,21 +65,11 @@ func TestEndToEndOverUDP(t *testing.T) {
 		t.Errorf("agent after handover = %s", obj.Agent())
 	}
 
-	// Distributed range query over UDP.
-	objs, err := c.RangeQueryRect(ctx(t), geo.R(800, 200, 1000, 400), 25, 0.5)
-	if err != nil {
-		t.Fatalf("range query over UDP: %v", err)
-	}
-	if len(objs) != 1 || objs[0].OID != "o1" {
+	// Distributed range and nearest-neighbor queries over UDP.
+	truth := oracle.New(dep.Configs)
+	truth.Track(obj)
+	if objs := checkedRange(t, c, truth, core.AreaFromRect(geo.R(800, 200, 1000, 400)), 25, 0.5); len(objs) != 1 {
 		t.Errorf("range result = %+v", objs)
 	}
-
-	// Nearest neighbor over UDP.
-	res, err := c.NeighborQuery(ctx(t), geo.Pt(850, 250), 25, 0)
-	if err != nil {
-		t.Fatalf("neighbor query over UDP: %v", err)
-	}
-	if res.Nearest.OID != "o1" {
-		t.Errorf("nearest = %+v", res.Nearest)
-	}
+	checkedNN(t, c, truth, geo.Pt(850, 250), 25, 0)
 }

@@ -37,6 +37,8 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendU64(dst, m.OpID)
 		dst = appendString(dst, string(m.Server))
 		dst = appendF64(dst, m.Achievable)
+		dst = appendString(dst, m.Refused.Code)
+		dst = appendString(dst, m.Refused.Text)
 		return dst, msg.TagRegisterFailed, true
 	case msg.PathBatch:
 		dst = appendUvarint(dst, uint64(len(m.Changes)))
@@ -261,6 +263,7 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			OpID:       r.u64(),
 			Server:     r.nodeID(),
 			Achievable: r.f64(),
+			Refused:    msg.ErrorRes{Code: r.str(), Text: r.str()},
 		}, true
 	case msg.TagPathBatch:
 		return msg.PathBatch{Changes: r.pathChanges()}, true

@@ -262,7 +262,7 @@ func randomMessage(rng *rand.Rand, tag msg.Tag) (msg.Message, bool) {
 	case msg.TagRegisterRes:
 		return msg.RegisterRes{OpID: rng.Uint64(), Agent: randNodeID(rng), AgentInfo: randLeafInfo(rng), OfferedAcc: randF(rng), Hops: randInt(rng)}, true
 	case msg.TagRegisterFailed:
-		return msg.RegisterFailed{OpID: rng.Uint64(), Server: randNodeID(rng), Achievable: randF(rng)}, true
+		return msg.RegisterFailed{OpID: rng.Uint64(), Server: randNodeID(rng), Achievable: randF(rng), Refused: msg.ErrorRes{Code: randString(rng), Text: randString(rng)}}, true
 	case msg.TagPathBatch:
 		return msg.PathBatch{Changes: randPathChanges(rng)}, true
 	case msg.TagUpdateReq:

@@ -130,6 +130,11 @@
 //     CreatePath and RemovePath (tags 4 and 5) are retired: every path
 //     message travels in a PathBatch, and a sender splits a batch before
 //     its envelope outgrows a datagram (PathBatchPrefix).
+//   - v7: registration refusals. RegisterFailed gained a trailing
+//     Refused ErrorRes (Code and Text strings, both empty for an
+//     accuracy failure): a leaf answers a malformed, store-refused or
+//     no-longer-awaited registration with it under the request's OpID,
+//     where it used to send a bare ErrorRes the client could not match.
 //
 // # Retry idempotency
 //
@@ -167,7 +172,7 @@ import (
 // wireVersion is the format generation of this codec. Bump it whenever an
 // existing message's field layout or a primitive encoding changes. See the
 // version history in the package doc.
-const wireVersion = 6
+const wireVersion = 7
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool, so a
 // rare huge envelope (an oversize range-query result rejected by the
