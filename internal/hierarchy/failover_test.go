@@ -356,12 +356,11 @@ func TestFailoverSoak(t *testing.T) {
 	})
 
 	// The o0 client still points at the old primary: its next update is
-	// redirected to the heir (one Moved reply rebinds the handle, the
-	// retried update lands), and writes keep flowing through the new
-	// primary back to the demoted one.
+	// redirected to the heir, which Update re-sends to and returns from
+	// once it applied it, and writes keep flowing through the new primary
+	// back to the demoted one.
 	healed := geo.Pt(222, 333)
-	send("o0", healed)   // redirect: rebinds the handle, not yet applied
-	update("o0", healed) // lands on the heir
+	update("o0", healed)
 	waitSoak(t, "demoted primary to mirror post-failover writes", func() bool {
 		_, qerr := posQuery("o1", "o0")
 		return qerr == nil

@@ -257,9 +257,19 @@ func TestLevelFanout(t *testing.T) {
 // shards per leaf, a visitor log per server and a sighting WAL per leaf)
 // holds per registered object, once every forwarding path reaches the
 // root: the leaf's registration and sighting plus the forwarding records
-// of the level-1 server and the root. Run it with -benchtime=1x.
+// of the level-1 server and the root. It registers 20 000 objects from 8
+// clients, and the benchmark's population, 40 000 from 2 clients. Run it
+// with -benchtime=1x.
 func BenchmarkDeploymentHeapPerObject(b *testing.B) {
-	const objects, workers, side = 20_000, 8, 8000
+	for _, shape := range []struct{ objects, workers int }{{20_000, 8}, {40_000, 2}} {
+		b.Run(fmt.Sprintf("objects=%d,clients=%d", shape.objects, shape.workers), func(b *testing.B) {
+			deploymentHeapPerObject(b, shape.objects, shape.workers)
+		})
+	}
+}
+
+func deploymentHeapPerObject(b *testing.B, objects, workers int) {
+	const side = 8000
 	spec := Spec{RootArea: geo.R(0, 0, side, side), Levels: []Level{{2, 2}, {2, 2}}}
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
@@ -325,7 +335,7 @@ func BenchmarkDeploymentHeapPerObject(b *testing.B) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&after)
-		b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/objects, "heapB/object")
+		b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/float64(objects), "heapB/object")
 		dep.Close()
 		net.Close()
 	}

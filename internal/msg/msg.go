@@ -165,12 +165,15 @@ type UpdateReq struct {
 
 // UpdateRes acknowledges an update. If the update triggered a handover,
 // Moved is true and NewAgent names the object's new agent server, which the
-// object must contact from now on.
+// object must contact from now on. A replication standby answers an update
+// with Moved and Redirected both true and NewAgent its primary: nothing was
+// applied, and the object re-sends the update there.
 type UpdateRes struct {
 	Moved      bool
 	NewAgent   NodeID
 	AgentInfo  LeafInfo
 	OfferedAcc float64
+	Redirected bool
 }
 
 // HandoverReq transfers tracking responsibility after an object left its

@@ -21,15 +21,17 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 		return nil, core.ErrBadRequest
 	}
 	// A standby never accepts writes — an update applied here would fork
-	// the mirror from its primary. Redirect the client with the standard
-	// moved reply; nothing is remembered in the dedupe window, so a retry
-	// straddling a failover is re-answered by whoever is primary then.
+	// the mirror from its primary. Redirect the client to the primary,
+	// marked as applying nothing so it re-sends there; nothing is
+	// remembered in the dedupe window, so a retry straddling a failover is
+	// re-answered by whoever is primary then.
 	if r := s.repl; r != nil && !r.primary.Load() {
 		s.writeMet.updatesRedirectedStandby.Inc()
 		return msg.UpdateRes{
-			Moved:     true,
-			NewAgent:  r.peer,
-			AgentInfo: msg.LeafInfo{ID: r.peer, Area: s.cfg.SA},
+			Moved:      true,
+			NewAgent:   r.peer,
+			AgentInfo:  msg.LeafInfo{ID: r.peer, Area: s.cfg.SA},
+			Redirected: true,
 		}, nil
 	}
 	// A retry whose first attempt was applied — only the reply was lost —

@@ -2,11 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"locsvc/internal/client"
+	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/msg"
@@ -335,4 +338,78 @@ func TestReplCloseUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	writers.Wait()
+}
+
+// TestStandbyRedirectAppliedByPrimary: a client whose handle still names a
+// leaf that has since become the standby gets the standby's redirect, which
+// applies nothing; Update rebinds to the primary, re-sends the same update
+// there within its retry budget and returns nil only once the primary has
+// applied it. Nothing on the manual clock moves: no retry waits for a timer.
+func TestStandbyRedirectAppliedByPrimary(t *testing.T) {
+	clk := clock.NewManual(time.Now())
+	net := transport.NewInproc(transport.InprocOptions{Clock: clk})
+	defer net.Close()
+	a := newReplLeaf(t, net, "leafA", "leafB", false, nil)
+	b := newReplLeaf(t, net, "leafB", "leafA", true, nil)
+	c, err := client.New(net, "owner", "leafA", client.Options{Retry: transport.RetryPolicy{MaxAttempts: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := replSighting(1)
+	obj, err := c.Register(context.Background(), s, 10, 50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The pair swaps roles, and the new primary holds the object (its
+	// replication is not under test here).
+	a.repl.demoteTo(2)
+	b.repl.promote(2)
+	reg, ok := a.sightings.Registration(s.OID)
+	if !ok {
+		t.Fatal("registration missing on the old primary")
+	}
+	if _, err := b.sightings.Register(s, reg); err != nil {
+		t.Fatal(err)
+	}
+
+	moved := s
+	moved.Pos, moved.T = geo.Pt(500, 600), s.T.Add(time.Second)
+	if err := obj.Update(context.Background(), moved); err != nil {
+		t.Fatalf("Update through the standby: %v", err)
+	}
+	if got, ok := b.sightings.Get(s.OID); !ok || got.Pos != moved.Pos {
+		t.Errorf("primary holds %v (%v), want %v", got.Pos, ok, moved.Pos)
+	}
+	if got, _ := a.sightings.Get(s.OID); got.Pos == moved.Pos {
+		t.Error("the standby applied the update it redirected")
+	}
+	if obj.Agent() != "leafB" || obj.LastSent().Pos != moved.Pos || obj.OfferedAcc() != reg.OfferedAcc {
+		t.Errorf("handle: agent %s, last sent %v, offered %v; want leafB, %v, %v",
+			obj.Agent(), obj.LastSent().Pos, obj.OfferedAcc(), moved.Pos, reg.OfferedAcc)
+	}
+
+	// With no attempt to spare, a redirect is an error, not an applied
+	// update; the handle is rebound all the same.
+	one, err := client.New(net, "owner2", "leafB", client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	s2 := replSighting(2)
+	obj2, err := one.Register(context.Background(), s2, 10, 50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.repl.demoteTo(3)
+	a.repl.promote(3)
+	moved2 := s2
+	moved2.Pos, moved2.T = geo.Pt(700, 100), s2.T.Add(time.Second)
+	if err := obj2.Update(context.Background(), moved2); !errors.Is(err, core.ErrUnavailable) {
+		t.Fatalf("Update redirected with no attempt left = %v, want ErrUnavailable", err)
+	}
+	if obj2.Agent() != "leafA" || obj2.LastSent().Pos == moved2.Pos {
+		t.Errorf("handle after a spent redirect: agent %s, last sent %v; want leafA and the registration position", obj2.Agent(), obj2.LastSent().Pos)
+	}
 }

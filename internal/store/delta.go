@@ -37,19 +37,3 @@ type Delta struct {
 	// true for DeltaRemove).
 	HasOld bool
 }
-
-// putDelta builds the delta for committing s over the previous entry (nil
-// when the object is new).
-func putDelta(s core.Sighting, old *sightingEntry) Delta {
-	d := Delta{Op: DeltaPut, OID: s.OID, New: s.Pos}
-	if old != nil {
-		d.Old = old.s.Pos
-		d.HasOld = true
-	}
-	return d
-}
-
-// removeDelta builds the delta for deleting e.
-func removeDelta(id core.OID, e *sightingEntry) Delta {
-	return Delta{Op: DeltaRemove, OID: id, Old: e.s.Pos, HasOld: true}
-}

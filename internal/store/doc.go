@@ -11,8 +11,8 @@
 //     under one lock acquisition). The shard count is fixed when the store
 //     is built (WithShards, or the layout of an attached WAL directory), so
 //     every operation finds its shard with one hash of the object id. Each
-//     shard also keeps the leaf's visitor records, as a registration table
-//     next to its memtable (Registration, WithRegistrationLog).
+//     shard keeps one record per object: its memtable sighting, the leaf's
+//     visitor record (Registration, WithRegistrationLog) and its tombstone.
 //   - VisitorDB — an inner server's forwarding table: a child slot and an
 //     int64 PathT per object; VisitorRecord is its log and API form. It is
 //     persisted via an append-only log so that forwarding paths survive
@@ -29,28 +29,26 @@
 //
 // # Covering index entries
 //
-// A memtable record's spatial index entry carries, beside the object id
-// and the position, the object's offered accuracy (spatial.Item.Acc,
-// mirrored on the record), so a range or nearest-neighbor query can build
-// the location descriptor (pos, acc) and qualify a candidate from the index
-// bucket alone — SearchEntries and NearestEntries dereference no record
-// and their consumer needs no second lookup. The invariant around it:
+// A memtable sighting's spatial index entry carries, beside the object id
+// and the position, the object's offered accuracy (spatial.Item.Acc), so a
+// range or nearest-neighbor query can build the location descriptor (pos,
+// acc) and qualify a candidate from the index bucket alone — SearchEntries
+// and NearestEntries dereference no record and their consumer needs no
+// second lookup. The invariant around it:
 //
-//   - Who writes it. The store alone, from the registration in the same
-//     shard. A put keeps the accuracy of the entry it replaces and a new
-//     entry takes its registration's; every registration change rewrites
-//     the entry's accuracy under the same lock, and Deregister removes the
-//     two together. WAL replay and ReplInstallSnapshot take each entry's
-//     accuracy from the registration, and so does a hit SearchEntries or
-//     NearestEntries reads from a disk run, under the shard's read lock.
-//     WAL segments and run files carry no accuracy.
+//   - Who writes it. The store alone, from the registration on the
+//     object's record: an entry is built from the record, and every
+//     registration change rebuilds it under the same lock. A hit
+//     SearchEntries or NearestEntries reads from a disk run takes the
+//     accuracy from the record its shadow check looks up. WAL segments and
+//     run files carry no accuracy.
 //   - When it is unknown. AccUnknown (−1 — not the zero value, which means
 //     "perfectly accurate") marks exactly the entries of objects with no
 //     registration: sightings put by store-level callers, and positions
 //     recovered from a sighting WAL without the registration log.
-//   - Why it is never stale. The registration and the entry change under
-//     one shard lock, and nothing else writes either. A flush drops the
-//     memtable entries; the registrations stay.
+//   - Why it is never stale. The accuracy is kept once, on the record, and
+//     the entry follows it under one shard lock. A flush drops the records'
+//     sightings and tombstones; the registrations stay.
 //
 // # Tiered sighting storage
 //
@@ -109,28 +107,27 @@
 // is unaffected. Removing or expiring a record whose versions live only
 // in runs plants a memtable tombstone that shadows them until compaction.
 //
-// Read path: Get consults memtable, then tombstones, then runs newest to
-// oldest — each run gated by its key range and bloom filter, then one
-// sparse-index probe reading at most 16 records. Both spatial query kinds
-// read runs through the leaf directories: a range query takes the runs
-// whose MBR intersects the rectangle, reads only the leaves whose
+// Read path: Get consults the object's record (sighting, tombstone), then
+// runs newest to oldest — each run gated by its key range and bloom filter,
+// then one sparse-index probe reading at most 16 records. Both spatial
+// query kinds read runs through the leaf directories: a range query takes
+// the runs whose MBR intersects the rectangle, reads only the leaves whose
 // directory MBR intersects it and tests the positions there; a
 // nearest-neighbor query runs a best-first cursor over the leaves ordered
 // by directory-MBR distance (merged behind the quadtree cursors and gated
 // by run-MBR distance, so a shard whose runs lie beyond the consumer's
-// stopping distance is never read). Either query takes each record from
-// the leaf it read, one pread per leaf, and decodes a record's id only
-// once its position passed the query's test. The shadow-check rule for
-// these pruned reads: a leaf record is only a candidate — the query did
-// not read the places a newer version of the object could be — so every
-// record that passes the position test (and only those) has its id
-// checked against the memtable, the tombstone set and, bloom-gated, every
-// newer run; a hit in any of them drops the candidate. A leaf that does
-// not hold exactly its share of well-formed live records, all inside its
-// directory MBR, is skipped and counted (TierStats.ReadErrors, gauge
-// sighting_tier_read_errors) — as are failed reads, decode errors and
-// checksum mismatches anywhere on the read path — so a damaged run shows
-// up instead of silently shrinking answers.
+// stopping distance is never read). Either query takes each record from the
+// leaf it read, one pread per leaf, and decodes a record's id only once its
+// position passed the query's test. The shadow-check rule for these pruned
+// reads: a leaf record is only a candidate — the query did not read the
+// places a newer version of the object could be — so every record that
+// passes the position test (and only those) has its id looked up in the
+// shard's records (a sighting or tombstone drops it) and, bloom-gated, in
+// every newer run. A leaf that does not hold exactly its share of
+// well-formed live records, all inside its directory MBR, is skipped and
+// counted (TierStats.ReadErrors, gauge sighting_tier_read_errors) — as are
+// failed reads, decode errors and checksum mismatches anywhere on the read
+// path — so a damaged run shows up instead of silently shrinking answers.
 //
 // Compaction triggers: a shard exceeding MaxRuns runs (default 4) has its
 // whole run set k-way merged into one run off-lock — newest version per

@@ -15,10 +15,13 @@ import (
 
 // indexPayloadErr is the test-only accessor for the invariant every read
 // path of the store relies on: each item of a shard's quadtree carries its
-// memtable record (Ref == byID[ID]) together with that record's accuracy
-// and position, the accuracy is the object's registration's (AccUnknown
-// without one), and the tree holds exactly one item per record. It walks
-// every shard.
+// object (Ref == objs[ID]), whose memtable sighting it is, together with
+// the object's position and accuracy, the accuracy is the object's
+// registration's (AccUnknown without one), and the tree holds exactly one
+// item per memtable sighting. It also checks the shard's object map: no
+// object is left empty, the registration count matches, and on a tiered
+// shard the memtable list names each memtable id once. It walks every
+// shard.
 func (db *ShardedSightingDB) indexPayloadErr() error {
 	everywhere := geo.R(math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1))
 	for i, sh := range db.shards {
@@ -27,24 +30,47 @@ func (db *ShardedSightingDB) indexPayloadErr() error {
 		seen := 0
 		sh.idx.SearchItems(everywhere, func(it *spatial.Item) bool {
 			seen++
-			e := sh.byID[it.ID]
+			o := sh.objs[it.ID]
 			switch {
-			case e == nil:
+			case o == nil || o.mem != memSighting:
 				err = fmt.Errorf("shard %d: item %s has no record", i, it.ID)
-			case it.Ref != any(e):
-				err = fmt.Errorf("shard %d: item %s carries Ref %v, record is %p", i, it.ID, it.Ref, e)
-			case it.Acc != e.acc:
-				err = fmt.Errorf("shard %d: item %s carries Acc %v, record has %v", i, it.ID, it.Acc, e.acc)
-			case it.Pos != e.s.Pos:
-				err = fmt.Errorf("shard %d: item %s at %v, record at %v", i, it.ID, it.Pos, e.s.Pos)
-			case e.acc != sh.regAcc(it.ID):
-				err = fmt.Errorf("shard %d: record %s carries Acc %v, registration offers %v", i, it.ID, e.acc, sh.regAcc(it.ID))
+			case it.Ref != any(o):
+				err = fmt.Errorf("shard %d: item %s carries Ref %v, record is %p", i, it.ID, it.Ref, o)
+			case it.Pos != o.pos:
+				err = fmt.Errorf("shard %d: item %s at %v, record at %v", i, it.ID, it.Pos, o.pos)
+			case it.Acc != o.acc || o.reg == nil && o.acc != AccUnknown:
+				err = fmt.Errorf("shard %d: item %s carries Acc %v, record %v (registered: %v)", i, it.ID, it.Acc, o.acc, o.reg != nil)
 			}
 			return err == nil
 		})
-		if err == nil && (seen != len(sh.byID) || sh.idx.Len() != len(sh.byID)) {
+		count := map[memState]int{}
+		reg := 0
+		for id, o := range sh.objs {
+			if o.mem == memNone && o.reg == nil {
+				err = fmt.Errorf("shard %d: object %s holds nothing", i, id)
+			}
+			count[o.mem]++
+			if o.reg != nil {
+				reg++
+			}
+		}
+		if hot := count[memSighting]; err == nil && (seen != hot || sh.idx.Len() != hot) {
 			err = fmt.Errorf("shard %d: tree walks %d items and counts %d, hash index holds %d records",
-				i, seen, sh.idx.Len(), len(sh.byID))
+				i, seen, sh.idx.Len(), hot)
+		}
+		if err == nil && reg != sh.nreg {
+			err = fmt.Errorf("shard %d: %d registered objects, counted %d", i, reg, sh.nreg)
+		}
+		if listed := map[core.OID]bool{}; err == nil && sh.tier != nil {
+			for _, id := range sh.mem {
+				if o := sh.objs[id]; listed[id] || o == nil || o.mem == memNone {
+					err = fmt.Errorf("shard %d: memtable list holds %s twice or with nothing in the memtable", i, id)
+				}
+				listed[id] = true
+			}
+			if n := count[memSighting] + count[memTomb]; err == nil && len(listed) != n {
+				err = fmt.Errorf("shard %d: memtable list holds %d ids, the memtable %d", i, len(listed), n)
+			}
 		}
 		sh.mu.RUnlock()
 		if err != nil {

@@ -113,11 +113,12 @@ type TierStats struct {
 // Tiered reports whether tiered storage is configured.
 func (db *ShardedSightingDB) Tiered() bool { return db.tier != nil }
 
-// memCost estimates the resident cost of one live memtable entry (hash
-// bucket, entry struct, index node); tombCost of one tombstone. Rough by
-// design — the budget bounds order of magnitude, not bytes.
-func memCost(id core.OID) int64  { return int64(len(id))*2 + 160 }
-func tombCost(id core.OID) int64 { return int64(len(id)) + 48 }
+// memCost estimates the resident cost of what the memtable holds for id (a
+// sighting: hash bucket, record, index node; or a tombstone), registration
+// aside. Rough by design — the budget bounds order of magnitude, not bytes.
+func memCost(st memState, id core.OID) int64 {
+	return [...]int64{memNone: 0, memSighting: int64(len(id))*2 + 160, memTomb: int64(len(id)) + 48}[st]
+}
 
 // tierManifestFor builds the manifest describing runs (newest first).
 func tierManifestFor(shard int, nextSeq uint64, runs []*tierRun) tierManifest {
@@ -177,9 +178,6 @@ func (db *ShardedSightingDB) openTiers() error {
 		sh := db.shards[i]
 		sh.mu.Lock()
 		sh.tier = t
-		if sh.dead == nil {
-			sh.dead = make(map[core.OID]struct{})
-		}
 		sh.mu.Unlock()
 	}
 	return nil
@@ -201,16 +199,18 @@ func (db *ShardedSightingDB) openTiers() error {
 // emit no deltas: the store's logical content is unchanged.
 func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) error {
 	t := sh.tier
-	if t == nil || (len(sh.byID) == 0 && len(sh.dead) == 0) {
+	if t == nil || len(sh.mem) == 0 {
 		return nil
 	}
-	recs := make([]runRecord, 0, len(sh.byID)+len(sh.dead))
-	for _, e := range sh.byID {
-		recs = append(recs, runRecord{s: e.s, expires: e.expires})
-	}
-	for id := range sh.dead {
-		recs = append(recs, runRecord{s: core.Sighting{OID: id}, tombstone: true})
-	}
+	recs := make([]runRecord, 0, len(sh.mem))
+	sh.eachMem(func(id core.OID, o *object) bool {
+		rec := runRecord{s: core.Sighting{OID: id}, tombstone: true}
+		if o.mem == memSighting {
+			rec = runRecord{s: o.sighting(id), expires: unixTime(o.expires)}
+		}
+		recs = append(recs, rec)
+		return true
+	})
 	sort.Slice(recs, func(a, b int) bool { return recs[a].s.OID < recs[b].s.OID })
 
 	seq := t.nextSeq.Add(1) - 1
@@ -396,17 +396,13 @@ func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun
 	return openRun(filepath.Join(t.dir, name))
 }
 
-// tierLookup walks the shard's runs newest to oldest for id, gated by
-// key range and bloom filter, and returns the newest on-disk version
-// (possibly a tombstone — the caller interprets). The caller holds the
-// shard lock (either mode) and has already consulted the memtable.
-func (sh *sightingShard) tierLookup(ts *tierState, id core.OID) (runRecord, bool) {
-	t := sh.tier
-	if t == nil {
-		return runRecord{}, false
-	}
+// tierLookup walks runs (newest first) for id, gated by key range and
+// bloom filter, and returns the newest on-disk version (possibly a
+// tombstone — the caller interprets). The caller holds the shard lock
+// (either mode) and has already consulted the memtable.
+func tierLookup(ts *tierState, runs []*tierRun, id core.OID) (runRecord, bool) {
 	key := string(id)
-	for _, r := range t.runs {
+	for _, r := range runs {
 		if r.count == 0 || id < r.minOID || id > r.maxOID {
 			continue
 		}
@@ -430,34 +426,21 @@ func (sh *sightingShard) tierLookup(ts *tierState, id core.OID) (runRecord, bool
 // shadowed reports whether a version of id read from a run is not the
 // authoritative one: the memtable holds the id (live or tombstoned), or
 // one of newer — the runs ahead of that run in the list — contains it
-// (live or tombstone). A spatial read sees only the leaves its rectangle or
-// frontier touches, so it cannot know from what it read that a newer
-// version lies elsewhere; every hit is therefore checked by id — after the
-// position test, so only candidates inside the query pay the probes.
-func (sh *sightingShard) shadowed(ts *tierState, newer []*tierRun, id core.OID) bool {
-	if _, ok := sh.byID[id]; ok {
-		return true
-	}
-	if _, ok := sh.dead[id]; ok {
-		return true
-	}
-	key := string(id)
-	for _, r := range newer {
-		if r.count == 0 || id < r.minOID || id > r.maxOID {
-			continue
+// (live or tombstone); it also returns the accuracy of id's registration.
+// A spatial read sees only the leaves its rectangle or frontier
+// touches, so it cannot know from what it read that a newer version lies
+// elsewhere; every hit is therefore checked by id — after the position
+// test, so only candidates inside the query pay the probes.
+func (sh *sightingShard) shadowed(ts *tierState, newer []*tierRun, id core.OID) (acc float64, gone bool) {
+	acc = AccUnknown
+	if o := sh.objs[id]; o != nil {
+		if o.mem != memNone {
+			return acc, true
 		}
-		if !r.bloom.mayContain(key) {
-			ts.bloomMisses.Add(1)
-			continue
-		}
-		ts.bloomHits.Add(1)
-		if _, ok, err := r.get(id); err != nil {
-			ts.readErrs.Add(1)
-		} else if ok {
-			return true
-		}
+		acc = o.acc
 	}
-	return false
+	_, gone = tierLookup(ts, newer, id)
+	return acc, gone
 }
 
 // tierScanAll streams every authoritative on-disk record of the shard —
@@ -491,10 +474,7 @@ func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bo
 			if rec.tombstone {
 				return true
 			}
-			if _, ok := sh.byID[id]; ok {
-				return true
-			}
-			if _, ok := sh.dead[id]; ok {
+			if o := sh.objs[id]; o != nil && o.mem != memNone {
 				return true
 			}
 			if !visit(rec) {
@@ -514,12 +494,12 @@ func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bo
 }
 
 // tierSearch streams the shard's authoritative run-resident sightings
-// inside rect through visit. Per run it walks the in-RAM leaf directory,
-// reads only the spatial leaves whose MBR intersects rect, tests the
-// positions there, and decodes and shadow-checks a record, out of the leaf
-// it was read with, only for entries inside rect. Caller holds the shard
-// lock; reports false if visit stopped the search.
-func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s core.Sighting) bool) bool {
+// inside rect, with their accuracy, through visit. Per run it walks the
+// in-RAM leaf directory, reads only the spatial leaves whose MBR intersects
+// rect, tests the positions there, and decodes and shadow-checks a record,
+// out of the leaf it was read with, only for entries inside rect. Caller
+// holds the shard lock; reports false if visit stopped the search.
+func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s core.Sighting, acc float64) bool) bool {
 	t := sh.tier
 	if t == nil || len(t.runs) == 0 {
 		return true
@@ -545,10 +525,11 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s c
 					continue
 				}
 				rec, _, _ := decodeRunRecord(e.rec, 0) // well-formed: decodeLeaf checked it
-				if sh.shadowed(ts, t.runs[:k], rec.s.OID) {
+				acc, gone := sh.shadowed(ts, t.runs[:k], rec.s.OID)
+				if gone {
 					continue
 				}
-				if !visit(rec.s) {
+				if !visit(rec.s, acc) {
 					return false
 				}
 			}
@@ -643,7 +624,7 @@ func (c *tierNearestCursor) Next() (spatial.Neighbor, bool) {
 			continue
 		}
 		rec, _, _ := decodeRunRecord(it.entry.rec, 0) // well-formed: decodeLeaf checked it
-		if c.sh.shadowed(c.ts, c.runs[:it.run], rec.s.OID) {
+		if _, gone := c.sh.shadowed(c.ts, c.runs[:it.run], rec.s.OID); gone {
 			continue
 		}
 		return spatial.Neighbor{ID: rec.s.OID, Pos: rec.s.Pos, Dist: dist}, true

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"maps"
 	"time"
 
 	"locsvc/internal/core"
@@ -10,7 +9,7 @@ import (
 
 // Registration is a leaf's visitor record (Section 5): the registration
 // information, the accuracy offered for it and the timestamp of the sighting
-// that installed it, kept next to the memtable under the shard lock.
+// that installed it, kept on the object's record in the sighting store.
 type Registration struct {
 	RegInfo    core.RegInfo
 	OfferedAcc float64
@@ -29,40 +28,15 @@ func WithRegistrationLog(log WAL) SightingDBOption {
 	return func(c *sightingConfig) { c.regLog = log }
 }
 
-// regAcc is the accuracy id's index entry carries. Caller holds the shard
-// lock.
-func (sh *sightingShard) regAcc(id core.OID) float64 {
-	if reg, ok := sh.regs[id]; ok {
-		return reg.OfferedAcc
-	}
-	return AccUnknown
-}
-
-// setAccLocked rewrites the accuracy on id's memtable entry. Caller holds
-// the shard's write lock.
-func (sh *sightingShard) setAccLocked(id core.OID, acc float64) {
-	e, ok := sh.byID[id]
-	if !ok || e.acc == acc {
-		return
-	}
-	// Same position, so the shard's bounding rectangle stands.
-	sh.idx.Remove(id, e.s.Pos)
-	e = &sightingEntry{s: e.s, expires: e.expires, acc: acc}
-	sh.byID[id] = e
-	sh.idx.InsertItem(e.item())
-}
-
 // changeRegLocked makes reg id's registration, or removes it when reg is
 // nil: it logs the change (and queues it for the replication tee), applies
-// it under the registration lock and brings the accuracy of id's memtable
-// entry in line. A failed log append changes nothing. Caller holds the
-// shard's write lock.
+// it and brings the accuracy of id's index entry in line. A failed log
+// append changes nothing. Caller holds the shard's write lock.
 func (db *ShardedSightingDB) changeRegLocked(sh *sightingShard, shard int, id core.OID, reg *Registration) error {
-	rec, acc := WALRecord{Op: WALRemove, Visitor: &VisitorRecord{OID: id}}, float64(AccUnknown)
+	rec := WALRecord{Op: WALRemove, Visitor: &VisitorRecord{OID: id}}
 	if reg != nil {
 		v := reg.record(id)
 		rec = WALRecord{Op: WALPut, Visitor: &v}
-		acc = reg.OfferedAcc
 	}
 	if db.regLog != nil {
 		if err := db.regLog.Append(rec); err != nil {
@@ -72,15 +46,51 @@ func (db *ShardedSightingDB) changeRegLocked(sh *sightingShard, shard int, id co
 	if db.wal != nil {
 		db.wal.appendRegistration(shard, rec)
 	}
+	sh.setRegLocked(id, reg)
+	return nil
+}
+
+// setRegLocked makes reg id's registration (nil removes it), re-indexing a
+// memtable sighting whose accuracy changed. Caller holds the write lock.
+func (sh *sightingShard) setRegLocked(id core.OID, reg *Registration) {
+	o, spare := sh.objs[id], (*objectReg)(nil)
+	if o == nil {
+		if reg == nil {
+			return
+		}
+		// An object a registration creates holds it in the same allocation.
+		both := new(struct {
+			object
+			r objectReg
+		})
+		both.acc = AccUnknown
+		o, spare = sh.insert(id, &both.object), &both.r
+	}
+	was := o.acc
 	sh.regMu.Lock()
-	if reg != nil {
-		sh.regs[id] = *reg
+	if reg == nil {
+		if o.reg != nil {
+			sh.nreg--
+		}
+		o.reg, o.acc = nil, AccUnknown
 	} else {
-		delete(sh.regs, id)
+		if o.reg == nil {
+			if spare == nil {
+				spare = new(objectReg)
+			}
+			o.reg = spare
+			sh.nreg++
+		}
+		*o.reg = objectReg{info: reg.RegInfo, pathT: unixNanos(reg.PathT)}
+		o.acc = reg.OfferedAcc
 	}
 	sh.regMu.Unlock()
-	sh.setAccLocked(id, acc)
-	return nil
+	sh.dropIfEmpty(id, o)
+	if o.mem == memSighting && o.acc != was {
+		// Same position, so the shard's bounding rectangle stands.
+		sh.idx.Remove(id, o.pos)
+		sh.idx.InsertItem(o.item(id))
+	}
 }
 
 // Register installs the registration of s's object and the sighting under
@@ -111,11 +121,14 @@ func (db *ShardedSightingDB) PutRegistration(id core.OID, reg Registration) erro
 func (db *ShardedSightingDB) UpdateRegistration(id core.OID, change func(reg *Registration) bool) (bool, error) {
 	sh, i := db.lockOwner(id)
 	defer sh.mu.Unlock()
-	reg, ok := sh.regs[id]
-	if !ok || !change(&reg) {
-		return ok, nil
+	o := sh.objs[id]
+	if o == nil || o.reg == nil {
+		return false, nil
 	}
-	return true, db.changeRegLocked(sh, i, id, &reg)
+	if reg := o.registration(); change(&reg) {
+		return true, db.changeRegLocked(sh, i, id, &reg)
+	}
+	return true, nil
 }
 
 // Deregister removes id's sighting and registration, whichever the store
@@ -128,15 +141,29 @@ func (db *ShardedSightingDB) UpdateRegistration(id core.OID, change func(reg *Re
 func (db *ShardedSightingDB) Deregister(id core.OID, expiredOnly bool) (gone Delta, lastT time.Time, ok bool, err error) {
 	sh, i := db.lockOwner(id)
 	defer sh.mu.Unlock()
-	e, hot, found := db.lookupLocked(sh, id)
-	_, registered := sh.regs[id]
-	expired := found && db.ttl > 0 && !e.expires.IsZero() && db.clock().After(e.expires)
-	if expiredOnly && !expired || !found && !registered {
+	o, s, expires, found := db.lookupLocked(sh, id)
+	registered := o != nil && o.reg != nil
+	if expiredOnly && !(found && db.expired(expires, db.clock())) || !found && !registered {
 		return Delta{}, time.Time{}, false, nil
 	}
 	if found {
-		db.removeLocked(sh, i, id, e.s.Pos, hot)
-		gone, lastT = removeDelta(id, &e), e.s.T
+		if db.wal != nil {
+			_ = db.wal.AppendRemove(i, id)
+		}
+		hot := o != nil && o.mem == memSighting
+		if hot {
+			sh.idx.Remove(id, o.pos)
+		}
+		if sh.tier != nil {
+			sh.setMem(id, sh.obj(id), memTomb)
+		} else {
+			sh.setMem(id, o, memNone)
+			sh.dropIfEmpty(id, o)
+		}
+		if hot {
+			sh.noteRemove()
+		}
+		gone, lastT = Delta{Op: DeltaRemove, OID: id, Old: s.Pos, HasOld: true}, s.T
 	}
 	if registered {
 		err = db.changeRegLocked(sh, i, id, nil)
@@ -145,13 +172,15 @@ func (db *ShardedSightingDB) Deregister(id core.OID, expiredOnly bool) (gone Del
 }
 
 // Registration returns id's registration, read under the shard's
-// registration lock alone (see sightingShard.regs).
+// registration lock alone (see sightingShard.regMu).
 func (db *ShardedSightingDB) Registration(id core.OID) (Registration, bool) {
 	sh := db.shards[db.ShardFor(id)]
 	sh.regMu.RLock()
 	defer sh.regMu.RUnlock()
-	reg, ok := sh.regs[id]
-	return reg, ok
+	if o := sh.objs[id]; o != nil && o.reg != nil {
+		return o.registration(), true
+	}
+	return Registration{}, false
 }
 
 // Lookup returns id's registration and sighting, read under one shard lock.
@@ -159,9 +188,11 @@ func (db *ShardedSightingDB) Lookup(id core.OID) (reg Registration, s core.Sight
 	sh := db.shards[db.ShardFor(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	reg, registered = sh.regs[id]
-	e, _, sighted := db.lookupLocked(sh, id)
-	return reg, e.s, registered, sighted
+	o, s, _, sighted := db.lookupLocked(sh, id)
+	if registered = o != nil && o.reg != nil; registered {
+		reg = o.registration()
+	}
+	return reg, s, registered, sighted
 }
 
 // Registrations returns a copy of every registration.
@@ -169,7 +200,11 @@ func (db *ShardedSightingDB) Registrations() map[core.OID]Registration {
 	out := make(map[core.OID]Registration)
 	for _, sh := range db.shards {
 		sh.regMu.RLock()
-		maps.Copy(out, sh.regs)
+		for id, o := range sh.objs {
+			if o.reg != nil {
+				out[id] = o.registration()
+			}
+		}
 		sh.regMu.RUnlock()
 	}
 	return out
@@ -180,36 +215,31 @@ func (db *ShardedSightingDB) RegistrationCount() int {
 	n := 0
 	for _, sh := range db.shards {
 		sh.regMu.RLock()
-		n += len(sh.regs)
+		n += sh.nreg
 		sh.regMu.RUnlock()
 	}
 	return n
 }
 
-// replayRegistrations loads the registration log into the shards' tables,
-// on a store not yet shared.
+// replayRegistrations loads the registration log into the shards, on a
+// store not yet shared.
 func (db *ShardedSightingDB) replayRegistrations() error {
 	if db.regLog == nil {
 		return nil
 	}
 	replayed, err := replayVisitors(db.regLog, func(rec VisitorRecord) {
-		db.shards[db.ShardFor(rec.OID)].regs[rec.OID] = Registration{RegInfo: rec.RegInfo, OfferedAcc: rec.OfferedAcc, PathT: rec.PathT}
+		db.shards[db.ShardFor(rec.OID)].setRegLocked(rec.OID, &Registration{RegInfo: rec.RegInfo, OfferedAcc: rec.OfferedAcc, PathT: rec.PathT})
 	}, func(id core.OID) {
-		delete(db.shards[db.ShardFor(id)].regs, id)
+		db.shards[db.ShardFor(id)].setRegLocked(id, nil)
 	})
 	if err != nil {
 		return fmt.Errorf("store: replaying the registration log: %w", err)
 	}
-	live := 0
-	for _, sh := range db.shards {
-		live += len(sh.regs)
-	}
+	live := db.RegistrationCount()
 	compactVisitorLog(db.regLog, replayed, live, func() []VisitorRecord {
 		vs := make([]VisitorRecord, 0, live)
-		for _, sh := range db.shards {
-			for id, reg := range sh.regs {
-				vs = append(vs, reg.record(id))
-			}
+		for id, reg := range db.Registrations() {
+			vs = append(vs, reg.record(id))
 		}
 		return vs
 	})

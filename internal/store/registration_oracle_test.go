@@ -236,8 +236,10 @@ func (w *regWorld) reopen() {
 	w.close()
 	w.open()
 	for _, sh := range w.db.shards {
-		for id, e := range sh.byID {
-			w.m.expires[id] = e.expires
+		for id, o := range sh.objs {
+			if o.mem == memSighting {
+				w.m.expires[id] = unixTime(o.expires)
+			}
 		}
 	}
 }

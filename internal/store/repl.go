@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
-	"time"
 
 	"locsvc/internal/core"
 	"locsvc/internal/spatial"
@@ -121,11 +119,16 @@ func (db *ShardedSightingDB) ReplSnapshot(shard int, token uint64) (ReplShardSta
 	}
 	sh.lockWrite()
 	defer sh.mu.Unlock()
-	st := ReplShardState{Live: sh.liveSnapshot(), Regs: maps.Clone(sh.regs)}
-	if t := sh.tier; t != nil {
-		for id := range sh.dead {
+	st := ReplShardState{Live: sh.liveSnapshot(), Regs: make(map[core.OID]Registration, sh.nreg)}
+	for id, o := range sh.objs {
+		if o.reg != nil {
+			st.Regs[id] = o.registration()
+		}
+		if o.mem == memTomb {
 			st.Dead = append(st.Dead, id)
 		}
+	}
+	if t := sh.tier; t != nil {
 		st.Runs = runBaseNames(t.runs)
 		st.NextSeq = t.nextSeq.Load()
 	}
@@ -341,14 +344,19 @@ func (db *ShardedSightingDB) swapRunsLocked(sh *sightingShard, shard int, names 
 	return nil
 }
 
-// resetMemtableLocked clears the shard's memtable, tombstones and spatial
-// index; the registration table stays. Caller holds the shard's write lock.
+// resetMemtableLocked empties the memtable (sightings, tombstones, spatial
+// index); the registrations stay. Caller holds the shard's write lock.
 func (db *ShardedSightingDB) resetMemtableLocked(sh *sightingShard) {
-	sh.byID = make(map[core.OID]*sightingEntry)
-	if sh.tier != nil || sh.dead != nil {
-		sh.dead = make(map[core.OID]struct{})
-	}
+	sh.regMu.Lock()
+	sh.eachMem(func(id core.OID, o *object) bool {
+		if o.mem = memNone; o.reg == nil {
+			delete(sh.objs, id)
+		}
+		return true
+	})
+	sh.regMu.Unlock()
 	sh.idx = spatial.NewQuadtree()
+	sh.mem = sh.mem[:0]
 	sh.nonempty = false
 	sh.stale = 0
 	sh.memBytes = 0
@@ -416,7 +424,8 @@ func (db *ShardedSightingDB) ReplInstallSnapshot(shard int, st ReplShardState, f
 		}
 	}
 	db.resetMemtableLocked(sh)
-	for id := range sh.regs {
+	// Every object left holds a registration.
+	for id := range sh.objs {
 		if _, keep := st.Regs[id]; !keep {
 			if err := db.changeRegLocked(sh, shard, id, nil); err != nil {
 				return err
@@ -428,22 +437,14 @@ func (db *ShardedSightingDB) ReplInstallSnapshot(shard int, st ReplShardState, f
 			return err
 		}
 	}
-	var expires time.Time
-	if db.ttl > 0 {
-		expires = db.clock().Add(db.ttl)
-	}
+	expires := db.leaseEnd()
 	for _, s := range st.Live {
-		sh.byID[s.OID] = &sightingEntry{s: s, expires: expires, acc: sh.regAcc(s.OID)}
-		sh.noteInsert(s.Pos)
-		if sh.tier != nil {
-			sh.memBytes += memCost(s.OID)
-		}
+		db.setSighting(sh, sh.obj(s.OID), s, expires)
 	}
 	sh.rebuildIndexLocked()
 	if sh.tier != nil {
 		for _, id := range st.Dead {
-			sh.dead[id] = struct{}{}
-			sh.memBytes += tombCost(id)
+			sh.setMem(id, sh.obj(id), memTomb)
 		}
 	}
 	if db.wal != nil && db.wal.Err() == nil {

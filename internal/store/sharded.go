@@ -71,19 +71,18 @@ type ShardedSightingDB struct {
 
 type sightingShard struct {
 	mu sync.RWMutex
-	// idx is the shard's spatial index. Every item carries its
-	// *sightingEntry (Ref) and that entry's accuracy (Acc), so range and
-	// nearest-neighbor searches resolve records straight off the tree
-	// instead of re-hashing every match through byID.
-	idx  *spatial.Quadtree
-	byID map[core.OID]*sightingEntry
-	// regs is the shard's registration table (registration.go), never
-	// flushed with the memtable. A change holds mu and regMu, so a reader
-	// may hold either: regMu alone serves the server's registration reads
-	// (every in-area update's), which would otherwise queue behind the
-	// shard's writers and range scans on a one-shard leaf.
-	regs  map[core.OID]Registration
+	// objs is the shard's hash index, one object per id (object).
+	objs map[core.OID]*object
+	// idx is the shard's spatial index: one item per memtable sighting, with
+	// its *object (Ref) and accuracy (Acc), so its Len counts them.
+	idx *spatial.Quadtree
+	// regMu is held, besides mu, by every change to objs' membership and to
+	// a registration, so a reader may hold either: regMu alone serves the
+	// server's registration reads (every in-area update's), which would
+	// otherwise queue behind the shard's writers and range scans on a
+	// one-shard leaf. nreg counts registrations, guarded like them.
 	regMu sync.RWMutex
+	nreg  int
 
 	// ops and contended sample write-lock pressure: ops counts write-path
 	// lock acquisitions, contended the subset that found the lock already
@@ -99,13 +98,72 @@ type sightingShard struct {
 	stale    int
 
 	// Tiered mode only (tier non-nil, attached when the store opens its
-	// tiers). dead holds the memtable's tombstones: ids removed since the
-	// last flush whose older versions may still live in a run — a flush
-	// persists them as tombstone records and clears the map. memBytes is
-	// the approximate resident cost of byID + dead, the flush trigger.
+	// tiers). A tombstone marks an id removed since the last flush whose
+	// older versions may still live in a run; a flush persists it as a
+	// tombstone record. mem lists the ids the memtable holds a sighting or
+	// a tombstone for, so a flush visits the memtable, not every object.
+	// memBytes, the flush trigger, is their approximate resident cost.
 	tier     *shardTier
-	dead     map[core.OID]struct{}
+	mem      []core.OID
 	memBytes int64
+}
+
+// obj returns id's object, creating an empty one. Caller holds the write lock.
+func (sh *sightingShard) obj(id core.OID) *object {
+	if o := sh.objs[id]; o != nil {
+		return o
+	}
+	return sh.insert(id, &object{acc: AccUnknown})
+}
+
+// insert makes o id's object. Caller holds the write lock.
+func (sh *sightingShard) insert(id core.OID, o *object) *object {
+	sh.regMu.Lock()
+	sh.objs[id] = o
+	sh.regMu.Unlock()
+	return o
+}
+
+// dropIfEmpty deletes id's object once nothing is left on it.
+func (sh *sightingShard) dropIfEmpty(id core.OID, o *object) {
+	if o.mem != memNone || o.reg != nil {
+		return
+	}
+	sh.regMu.Lock()
+	delete(sh.objs, id)
+	sh.regMu.Unlock()
+}
+
+// setMem makes st, never memNone on a tiered shard (only a flush empties
+// its memtable), what the memtable holds for o, keeping mem and memBytes;
+// the spatial index is the caller's. Caller holds the write lock.
+func (sh *sightingShard) setMem(id core.OID, o *object, st memState) {
+	if sh.tier != nil {
+		if o.mem == memNone {
+			sh.mem = append(sh.mem, id)
+		}
+		sh.memBytes += memCost(st, id) - memCost(o.mem, id)
+	}
+	o.mem = st
+}
+
+// eachMem visits the objects the memtable holds something for — through
+// mem on a tiered shard, else every object — until visit returns false.
+// Caller holds the shard lock.
+func (sh *sightingShard) eachMem(visit func(id core.OID, o *object) bool) {
+	if sh.tier != nil {
+		for _, id := range sh.mem {
+			if !visit(id, sh.objs[id]) {
+				return
+			}
+		}
+		return
+	}
+	for id, o := range sh.objs {
+		if o.mem != memNone && !visit(id, o) {
+			return
+		}
+	}
 }
 
 // lockWrite acquires the shard's write lock, sampling contention: a failed
@@ -134,25 +192,27 @@ func (sh *sightingShard) noteInsert(p geo.Point) {
 // it lazily via the co-located hash index. Caller holds the shard's write
 // lock.
 func (sh *sightingShard) noteRemove() {
-	if len(sh.byID) == 0 {
+	if sh.idx.Len() == 0 {
 		sh.nonempty = false
 		sh.stale = 0
 		return
 	}
 	sh.stale++
-	if sh.stale <= len(sh.byID) {
+	if sh.stale <= sh.idx.Len() {
 		return
 	}
 	first := true
 	var b geo.Rect
-	for _, e := range sh.byID {
-		if first {
-			b = geo.Rect{Min: e.s.Pos, Max: e.s.Pos}
-			first = false
-			continue
+	sh.eachMem(func(_ core.OID, o *object) bool {
+		switch {
+		case o.mem != memSighting:
+		case first:
+			b, first = geo.Rect{Min: o.pos, Max: o.pos}, false
+		default:
+			b.GrowToInclude(o.pos)
 		}
-		b.GrowToInclude(e.s.Pos)
-	}
+		return true
+	})
 	sh.bound = b
 	sh.stale = 0
 }
@@ -194,8 +254,7 @@ func NewShardedSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 	for i := range db.shards {
 		db.shards[i] = &sightingShard{
 			idx:  spatial.NewQuadtree(),
-			byID: make(map[core.OID]*sightingEntry),
-			regs: make(map[core.OID]Registration),
+			objs: make(map[core.OID]*object),
 		}
 	}
 	return db
@@ -234,20 +293,25 @@ func (db *ShardedSightingDB) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(db.shards))
 	for i, sh := range db.shards {
 		sh.mu.RLock()
-		out[i] = ShardStat{Len: len(sh.byID), Ops: sh.ops.Load(), Contended: sh.contended.Load()}
+		out[i] = ShardStat{Len: sh.idx.Len(), Ops: sh.ops.Load(), Contended: sh.contended.Load()}
 		sh.mu.RUnlock()
 	}
 	return out
 }
 
-// rebuildIndexLocked bulk-loads the shard's quadtree from its hash index
-// (Quadtree.Rebuild), one item per record carrying the record and its
-// accuracy. Caller holds the shard's write lock.
+// rebuildIndexLocked bulk-loads the shard's quadtree from its memtable
+// sightings (Quadtree.Rebuild) and recomputes the bounding rectangle.
+// Caller holds the shard's write lock.
 func (sh *sightingShard) rebuildIndexLocked() {
-	items := make([]spatial.Item, 0, len(sh.byID))
-	for _, e := range sh.byID {
-		items = append(items, e.item())
-	}
+	var items []spatial.Item
+	sh.nonempty = false
+	sh.eachMem(func(id core.OID, o *object) bool {
+		if o.mem == memSighting {
+			items = append(items, o.item(id))
+			sh.noteInsert(o.pos)
+		}
+		return true
+	})
 	sh.idx.Rebuild(items)
 }
 
@@ -280,12 +344,12 @@ func (db *ShardedSightingDB) Len() int {
 	n := 0
 	for _, sh := range db.shards {
 		sh.mu.RLock()
-		n += len(sh.byID)
+		n += sh.idx.Len()
 		if sh.tier != nil {
 			for _, r := range sh.tier.runs {
 				n += int(r.live)
 			}
-			n -= len(sh.dead)
+			n -= len(sh.mem) - sh.idx.Len() // the tombstones
 		}
 		sh.mu.RUnlock()
 	}
@@ -417,34 +481,33 @@ func (db *ShardedSightingDB) putGroup(shard int, group []core.Sighting, out *[]D
 	}
 }
 
-// putLocked installs s in the memtable. The entry keeps the accuracy of
-// the entry it replaces, which every registration change keeps current; a
-// new entry takes its registration's. Caller holds the shard's write lock.
+// putLocked makes s its object's memtable sighting with a fresh lease.
+// Caller holds the shard's write lock.
 func (db *ShardedSightingDB) putLocked(sh *sightingShard, s core.Sighting) Delta {
-	old := sh.byID[s.OID]
-	var acc float64
-	if old != nil {
-		acc = old.acc
-		sh.idx.Remove(s.OID, old.s.Pos)
+	d := Delta{Op: DeltaPut, OID: s.OID, New: s.Pos}
+	o := sh.obj(s.OID)
+	if o.mem == memSighting {
+		d.Old, d.HasOld = o.pos, true
+		sh.idx.Remove(s.OID, o.pos)
 		sh.noteRemove()
-	} else {
-		acc = sh.regAcc(s.OID)
-		if db.tier != nil {
-			sh.memBytes += memCost(s.OID)
-			if _, wasDead := sh.dead[s.OID]; wasDead {
-				delete(sh.dead, s.OID)
-				sh.memBytes -= tombCost(s.OID)
-			}
-		}
 	}
-	entry := &sightingEntry{s: s, acc: acc}
-	if db.ttl > 0 {
-		entry.expires = db.clock().Add(db.ttl)
-	}
-	sh.byID[s.OID] = entry
-	sh.idx.InsertItem(entry.item())
+	db.setSighting(sh, o, s, db.leaseEnd())
+	sh.idx.InsertItem(o.item(s.OID))
 	sh.noteInsert(s.Pos)
-	return putDelta(s, old)
+	return d
+}
+
+// leaseEnd is the expiry of a sighting put now: zeroNanos without a TTL.
+func (db *ShardedSightingDB) leaseEnd() int64 {
+	if db.ttl <= 0 {
+		return zeroNanos
+	}
+	return db.clock().Add(db.ttl).UnixNano()
+}
+
+// expired reports whether a lease ending at expires has run out by now.
+func (db *ShardedSightingDB) expired(expires int64, now time.Time) bool {
+	return db.ttl > 0 && expires != zeroNanos && now.UnixNano() > expires
 }
 
 // Get implements SightingStore. On a tiered store a memtable miss falls
@@ -456,55 +519,30 @@ func (db *ShardedSightingDB) Get(id core.OID) (core.Sighting, bool) {
 	sh := db.shards[db.ShardFor(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e, _, ok := db.lookupLocked(sh, id)
-	return e.s, ok
+	_, s, _, ok := db.lookupLocked(sh, id)
+	return s, ok
 }
 
-// lookupLocked returns id's memtable entry (hot) or else its newest live
-// run version, with its registration's accuracy. Caller holds the lock.
-func (db *ShardedSightingDB) lookupLocked(sh *sightingShard, id core.OID) (e sightingEntry, hot, found bool) {
-	if p, ok := sh.byID[id]; ok {
-		return *p, true, true
+// lookupLocked returns id's object (nil if none) and its sighting and lease
+// end, from the memtable or, unless a tombstone hides them, the runs.
+func (db *ShardedSightingDB) lookupLocked(sh *sightingShard, id core.OID) (o *object, s core.Sighting, expires int64, found bool) {
+	o = sh.objs[id]
+	if o != nil && o.mem == memSighting {
+		return o, o.sighting(id), o.expires, true
 	}
-	if sh.tier != nil {
-		if _, gone := sh.dead[id]; !gone {
-			if rec, ok := sh.tierLookup(db.tier, id); ok && !rec.tombstone {
-				return sightingEntry{s: rec.s, expires: rec.expires, acc: sh.regAcc(id)}, false, true
-			}
+	if sh.tier != nil && (o == nil || o.mem != memTomb) {
+		if rec, ok := tierLookup(db.tier, sh.tier.runs, id); ok && !rec.tombstone {
+			return o, rec.s, unixNanos(rec.expires), true
 		}
 	}
-	return sightingEntry{}, false, false
+	return o, core.Sighting{}, zeroNanos, false
 }
 
-// removeLocked logs and applies the removal of id's sighting at pos, hot
-// or run-resident (by tombstone). Caller holds the shard's write lock.
-func (db *ShardedSightingDB) removeLocked(sh *sightingShard, shard int, id core.OID, pos geo.Point, hot bool) {
-	if db.wal != nil {
-		_ = db.wal.AppendRemove(shard, id)
-	}
-	if hot {
-		sh.idx.Remove(id, pos)
-		delete(sh.byID, id)
-		sh.noteRemove()
-		if db.tier != nil {
-			sh.memBytes -= memCost(id)
-		}
-	}
-	if db.tier != nil {
-		db.tombstoneLocked(sh, id)
-	}
-}
-
-// tombstoneLocked records a memtable tombstone for id. Caller holds the
-// shard's write lock on a tiered store.
-func (db *ShardedSightingDB) tombstoneLocked(sh *sightingShard, id core.OID) {
-	if sh.dead == nil {
-		sh.dead = make(map[core.OID]struct{})
-	}
-	if _, ok := sh.dead[id]; !ok {
-		sh.dead[id] = struct{}{}
-		sh.memBytes += tombCost(id)
-	}
+// setSighting makes s o's memtable sighting, leased until expires; the
+// spatial index is the caller's. Caller holds the shard's write lock.
+func (db *ShardedSightingDB) setSighting(sh *sightingShard, o *object, s core.Sighting, expires int64) {
+	sh.setMem(s.OID, o, memSighting)
+	o.pos, o.sensAcc, o.t, o.expires = s.Pos, s.SensAcc, unixNanos(s.T), expires
 }
 
 // Expired returns the ids of all records whose soft-state TTL passed, from
@@ -517,11 +555,12 @@ func (db *ShardedSightingDB) Expired() []core.OID {
 	for _, sh := range db.shards {
 		now := db.clock()
 		sh.mu.RLock()
-		for id, e := range sh.byID {
-			if !e.expires.IsZero() && now.After(e.expires) {
+		sh.eachMem(func(id core.OID, o *object) bool {
+			if o.mem == memSighting && db.expired(o.expires, now) {
 				out = append(out, id)
 			}
-		}
+			return true
+		})
 		if sh.tier != nil {
 			// Run-resident records expire too: report them so the caller
 			// tears them down through the normal removal path (which
@@ -566,7 +605,6 @@ func (db *ShardedSightingDB) search(r geo.Rect, sink hitSink) {
 		}
 		if !sc.stopped && sh.tier != nil {
 			// Disk-resident records, through the runs' spatial leaves.
-			sc.sh = sh
 			sh.tierSearch(db.tier, r, sc.cold)
 		}
 		sh.mu.RUnlock()
@@ -581,14 +619,13 @@ func (db *ShardedSightingDB) search(r geo.Rect, sink hitSink) {
 // only for the duration of one cursor advance, so writers are not starved
 // by a long enumeration, and a shard whose bounding rectangle lies beyond
 // the distance at which the consumer stops is never opened at all. A
-// memtable neighbor is delivered as the record the cursor's item points
-// at — the record that was live when its shard's cursor advanced — with no
-// second lookup. Cold neighbors of a tiered store are re-resolved through
-// Get, which skips entries removed since the advance.
+// neighbor is rebuilt from its object under the lock the stream holds (one
+// untiered shard) or else re-resolved through Get, since objects change in
+// place once the lock is released.
 func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting, dist float64) bool) {
-	db.nearest(p, func(n spatial.Neighbor, e *sightingEntry) bool {
-		if e != nil {
-			return visit(e.s, n.Dist)
+	db.nearest(p, func(n spatial.Neighbor, locked bool) bool {
+		if locked {
+			return visit(n.Ref.(*object).sighting(n.ID), n.Dist)
 		}
 		s, found := db.Get(n.ID)
 		return !found || visit(s, n.Dist)
@@ -596,12 +633,12 @@ func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting
 }
 
 // NearestEntries is NearestFunc at index-entry level, like SearchEntries:
-// memtable neighbors are delivered off the cursor's index entries. A
-// neighbor that NearestFunc would re-resolve through Get is re-resolved
-// here too, with its registration's accuracy.
+// memtable neighbors are delivered off the cursor's index entries, copies
+// taken under the shard lock. A cold neighbor is re-resolved through
+// Lookup, with its registration's accuracy.
 func (db *ShardedSightingDB) NearestEntries(p geo.Point, visit func(id core.OID, pos geo.Point, acc, dist float64) bool) {
-	db.nearest(p, func(n spatial.Neighbor, e *sightingEntry) bool {
-		if e != nil {
+	db.nearest(p, func(n spatial.Neighbor, _ bool) bool {
+		if n.Ref != nil {
 			return visit(n.ID, n.Pos, n.Acc, n.Dist)
 		}
 		reg, s, registered, found := db.Lookup(n.ID)
@@ -613,11 +650,10 @@ func (db *ShardedSightingDB) NearestEntries(p geo.Point, visit func(id core.OID,
 }
 
 // nearest is the merge behind NearestFunc and NearestEntries. visit
-// receives each neighbor with its memtable record and with n.Acc set to
-// that record's accuracy, both read off the cursor's item, or with a nil
-// record when the neighbor is a cold hit, to be re-resolved by id (the
-// runs' cursors carry no payload).
-func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor, e *sightingEntry) bool) {
+// receives each neighbor, a memtable one with its object (n.Ref) and
+// accuracy (n.Acc), a cold one with neither; locked reports that visit runs
+// under the neighbor's shard lock, so the object may be read.
+func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor, locked bool) bool) {
 	if len(db.shards) == 1 && db.tier == nil {
 		// Nothing to merge: stream straight off the sub-index.
 		sh := db.shards[0]
@@ -676,8 +712,7 @@ func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor,
 			}
 			seen[n.ID] = true
 		}
-		e, _ := n.Ref.(*sightingEntry)
-		if !visit(n, e) {
+		if !visit(n, false) {
 			return
 		}
 	}
@@ -688,12 +723,10 @@ func (db *ShardedSightingDB) ForEach(visit func(s core.Sighting) bool) {
 	for _, sh := range db.shards {
 		stopped := false
 		sh.mu.RLock()
-		for _, e := range sh.byID {
-			if !visit(e.s) {
-				stopped = true
-				break
-			}
-		}
+		sh.eachMem(func(id core.OID, o *object) bool {
+			stopped = o.mem == memSighting && !visit(o.sighting(id))
+			return !stopped
+		})
 		if !stopped && sh.tier != nil {
 			stopped = !sh.tierScanAll(db.tier, func(rec runRecord) bool {
 				return visit(rec.s)
@@ -724,8 +757,8 @@ func (db *ShardedSightingDB) WALErr() error {
 
 // Recover rebuilds the store from its attached WAL, replaying all shard
 // segments concurrently — the recovery-time payoff of sharding the log.
-// Each shard's records fold into a live set (batches apply in order, later
-// entries superseding earlier ones; removals delete), which then bulk-loads
+// Each shard's records fold into its objects (batches apply in order, later
+// entries superseding earlier ones; removals delete), which then bulk-load
 // the shard's spatial index in one balanced build (Quadtree.Rebuild)
 // instead of per-record inserts — replay input arrives in systematic
 // order, the incremental-insertion worst case.
@@ -852,32 +885,28 @@ func (db *ShardedSightingDB) recoverShard(shard int) error {
 // held by the caller.
 func (db *ShardedSightingDB) recoverShardLocked(shard int) error {
 	sh := db.shards[shard]
-	if len(sh.byID) != 0 {
-		return fmt.Errorf("store: recovering shard %d over %d live records (Recover must run on an empty store)", shard, len(sh.byID))
+	if n := sh.idx.Len(); n != 0 {
+		return fmt.Errorf("store: recovering shard %d over %d live records (Recover must run on an empty store)", shard, n)
 	}
 	tiered := sh.tier != nil
-	live := make(map[core.OID]core.Sighting)
-	var dead map[core.OID]struct{}
-	if tiered {
-		dead = make(map[core.OID]struct{})
-	}
+	expires := db.leaseEnd()
 	replayed := int64(0)
 	err := db.wal.ReplayShard(shard, func(rec WALRecord) error {
 		switch rec.Op {
 		case WALSightingBatch:
 			for _, s := range rec.Sightings {
-				live[s.OID] = s
-				if tiered {
-					delete(dead, s.OID)
-				}
+				db.setSighting(sh, sh.obj(s.OID), s, expires)
 			}
 			replayed += int64(len(rec.Sightings))
 		case WALSightingRemove:
-			delete(live, rec.OID)
+			o := sh.obj(rec.OID)
 			if tiered {
 				// The removed id's older versions may live in a run:
 				// rebuild the memtable tombstone that shadowed them.
-				dead[rec.OID] = struct{}{}
+				sh.setMem(rec.OID, o, memTomb)
+			} else {
+				sh.setMem(rec.OID, o, memNone)
+				sh.dropIfEmpty(rec.OID, o)
 			}
 			replayed++
 		default:
@@ -886,42 +915,21 @@ func (db *ShardedSightingDB) recoverShardLocked(shard int) error {
 		return nil
 	})
 	if err != nil {
+		db.resetMemtableLocked(sh)
 		return fmt.Errorf("store: replaying sighting shard %d: %w", shard, err)
 	}
-	if tiered {
-		sh.dead = dead
-		sh.memBytes = 0
-		for id := range dead {
-			sh.memBytes += tombCost(id)
-		}
-		for id := range live {
-			sh.memBytes += memCost(id)
-		}
-	}
+	sh.rebuildIndexLocked()
 	// Tiered shards never rewrite the segment from the live set here: that
 	// would drop the tail's tombstones and resurrect run-resident versions
 	// on the next crash. Their segment is reset by the next flush instead.
-	if !tiered && replayed > int64(len(live))+walCompactSlack {
+	if !tiered && replayed > int64(sh.idx.Len())+walCompactSlack {
 		// The history dwarfs the live set: rewrite the segment now so the
 		// next restart replays the snapshot, not the churn. Best-effort —
 		// a failure (full disk, say) keeps the original correct log, so
 		// recovery itself still succeeds; the janitor's grow-triggered
 		// pass will retry later.
-		liveSlice := make([]core.Sighting, 0, len(live))
-		for _, s := range live {
-			liveSlice = append(liveSlice, s)
-		}
-		_ = db.wal.CompactShard(shard, liveSlice, nil)
+		_ = db.wal.CompactShard(shard, sh.liveSnapshot(), nil)
 	}
-	var expires time.Time
-	if db.ttl > 0 {
-		expires = db.clock().Add(db.ttl)
-	}
-	for _, s := range live {
-		sh.byID[s.OID] = &sightingEntry{s: s, expires: expires, acc: sh.regAcc(s.OID)}
-		sh.noteInsert(s.Pos)
-	}
-	sh.rebuildIndexLocked()
 	return nil
 }
 
@@ -954,7 +962,7 @@ func (db *ShardedSightingDB) CompactWALIfGrown() error {
 			continue
 		}
 		sh.mu.RLock()
-		grown := appended > int64(len(sh.byID))+walCompactSlack
+		grown := appended > int64(sh.idx.Len())+walCompactSlack
 		sh.mu.RUnlock()
 		if !grown {
 			continue
@@ -986,9 +994,12 @@ func (db *ShardedSightingDB) compactShard(i int) error {
 // liveSnapshot copies the shard's live sightings. Caller holds the shard's
 // lock.
 func (sh *sightingShard) liveSnapshot() []core.Sighting {
-	live := make([]core.Sighting, 0, len(sh.byID))
-	for _, e := range sh.byID {
-		live = append(live, e.s)
-	}
+	live := make([]core.Sighting, 0, sh.idx.Len())
+	sh.eachMem(func(id core.OID, o *object) bool {
+		if o.mem == memSighting {
+			live = append(live, o.sighting(id))
+		}
+		return true
+	})
 	return live
 }

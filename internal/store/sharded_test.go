@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -512,4 +513,62 @@ func TestShardContentionSampling(t *testing.T) {
 	if stats[0].Len != 80 {
 		t.Errorf("Len = %d, want 80", stats[0].Len)
 	}
+}
+
+// TestShardedSightingDBBytesPerObject bounds a leaf store's memory per
+// object: one shard, no log, 40 000 objects either sighted only (store-level
+// puts) or registered as a leaf registers them. Each object is one record in
+// the shard's hash index, holding its sighting and its registration, plus
+// one quadtree item: ≈ 211 and ≈ 259 B on amd64, and the ceilings sit 5 %
+// above. Three maps (a sighting entry with time.Time fields, a registration
+// table, a tombstone set) took ≈ 243 and ≈ 401 B.
+func TestShardedSightingDBBytesPerObject(t *testing.T) {
+	const n = 40_000
+	ids := make([]core.OID, n)
+	for i := range ids {
+		ids[i] = core.OID(fmt.Sprintf("o%06d", i))
+	}
+	rng := rand.New(rand.NewSource(1))
+	pos := make([]geo.Point, n)
+	for i := range pos {
+		pos[i] = geo.Pt(rng.Float64()*2000, rng.Float64()*2000)
+	}
+	t0 := time.Date(2026, 10, 18, 9, 0, 0, 0, time.UTC)
+	info := core.RegInfo{Registrant: "c1", DesAcc: 10, MinAcc: 50, MaxSpeed: 3}
+	for _, tc := range []struct {
+		name       string
+		registered bool
+		ceiling    float64
+	}{
+		{"sighted", false, 222},
+		{"registered", true, 272},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			db := NewShardedSightingDB()
+			for i, id := range ids {
+				s := core.Sighting{OID: id, T: t0.Add(time.Duration(i)), Pos: pos[i], SensAcc: 5}
+				if !tc.registered {
+					db.Put(s)
+					continue
+				}
+				if _, err := db.Register(s, Registration{RegInfo: info, OfferedAcc: 10, PathT: s.T}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perObject := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+			t.Logf("%.1f B per %s object", perObject, tc.name)
+			if perObject > tc.ceiling {
+				t.Errorf("%.1f B per %s object, ceiling %.0f", perObject, tc.name, tc.ceiling)
+			}
+			runtime.KeepAlive(db)
+		})
+	}
+	runtime.KeepAlive(ids)
 }

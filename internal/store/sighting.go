@@ -73,23 +73,56 @@ func WithTiering(cfg TierConfig) SightingDBOption {
 	}
 }
 
-// sightingEntry is one memtable record. s and acc never change once the
-// entry is published (an update or an accuracy change installs a fresh
-// one), so a reader that got the pointer under the shard lock may keep
-// reading them after releasing it; expires is refreshed in place under the
-// write lock.
-type sightingEntry struct {
-	s       core.Sighting
-	expires time.Time
-	// acc is the OfferedAcc of the object's registration, AccUnknown when
-	// it has none (see "Covering index entries" in the package comment).
-	// The spatial index item carries a copy.
+// object is everything a shard knows about one id, under one key of its
+// hash index (Section 5): the memtable sighting, the registration and the
+// tombstone; the shard deletes it once none is left. Instants are UnixNano
+// (zeroNanos for the zero Time). Objects change in place under the shard
+// lock; reg and the map's membership change under regMu as well, which is
+// all a registration reader holds.
+type object struct {
+	// The sighting, while mem is memSighting.
+	pos     geo.Point
+	sensAcc float64
+	t       int64
+	expires int64
+
+	reg *objectReg // the registration, nil when the object has none
+	// acc is the registration's OfferedAcc, AccUnknown without one: the
+	// accuracy of the index entry (see "Covering index entries").
 	acc float64
+	mem memState
 }
 
-// item builds the entry's spatial index item.
-func (e *sightingEntry) item() spatial.Item {
-	return spatial.Item{ID: e.s.OID, Pos: e.s.Pos, Ref: e, Acc: e.acc}
+// memState is what the memtable holds for an object: nothing, its sighting
+// (indexed in the quadtree too), or a tombstone over the runs' versions.
+type memState uint8
+
+const (
+	memNone memState = iota
+	memSighting
+	memTomb
+)
+
+// objectReg is an object's registration as its shard keeps it, OfferedAcc
+// aside (object.acc).
+type objectReg struct {
+	info  core.RegInfo
+	pathT int64
+}
+
+// sighting rebuilds the object's memtable sighting.
+func (o *object) sighting(id core.OID) core.Sighting {
+	return core.Sighting{OID: id, T: unixTime(o.t), Pos: o.pos, SensAcc: o.sensAcc}
+}
+
+// registration rebuilds the object's registration; o.reg must be set.
+func (o *object) registration() Registration {
+	return Registration{RegInfo: o.reg.info, OfferedAcc: o.acc, PathT: unixTime(o.reg.pathT)}
+}
+
+// item builds the spatial index item of id's object.
+func (o *object) item(id core.OID) spatial.Item {
+	return spatial.Item{ID: id, Pos: o.pos, Ref: o, Acc: o.acc}
 }
 
 // hitSink delivers the hits of a search at the level the caller asked for:
@@ -102,34 +135,31 @@ type hitSink struct {
 }
 
 // item delivers a memtable hit off its index item, whose Ref is the
-// record. Caller holds the lock guarding the shard's index.
+// object. Caller holds the lock guarding the shard's index.
 func (k hitSink) item(it *spatial.Item) bool {
 	if k.entry != nil {
 		return k.entry(it.ID, it.Pos, it.Acc)
 	}
-	return k.rec(it.Ref.(*sightingEntry).s)
+	return k.rec(it.Ref.(*object).sighting(it.ID))
 }
 
-// cold delivers a run-resident hit of shard sh with its registration's
-// accuracy. Caller holds sh's lock.
-func (k hitSink) cold(sh *sightingShard, s core.Sighting) bool {
+// cold delivers a run-resident hit with its registration's accuracy.
+func (k hitSink) cold(s core.Sighting, acc float64) bool {
 	if k.entry != nil {
-		return k.entry(s.OID, s.Pos, sh.regAcc(s.OID))
+		return k.entry(s.OID, s.Pos, acc)
 	}
 	return k.rec(s)
 }
 
 // indexScan is the visitor state of one rectangle search, pooled with its
 // visitor closures bound once so that a search allocates nothing: sink is
-// where the hits go, stopped whether the consumer ended the search, sh the
-// shard whose runs the search is reading.
+// where the hits go, stopped whether the consumer ended the search.
 type indexScan struct {
 	sink    hitSink
 	stopped bool
-	sh      *sightingShard
 
 	item func(it *spatial.Item) bool
-	cold func(s core.Sighting) bool
+	cold func(s core.Sighting, acc float64) bool
 }
 
 var indexScanPool = sync.Pool{New: func() any {
@@ -141,8 +171,8 @@ var indexScanPool = sync.Pool{New: func() any {
 		sc.stopped = true
 		return false
 	}
-	sc.cold = func(s core.Sighting) bool {
-		if sc.sink.cold(sc.sh, s) {
+	sc.cold = func(s core.Sighting, acc float64) bool {
+		if sc.sink.cold(s, acc) {
 			return true
 		}
 		sc.stopped = true
@@ -158,7 +188,7 @@ func newIndexScan(sink hitSink) *indexScan {
 }
 
 func (sc *indexScan) release() {
-	sc.sink, sc.stopped, sc.sh = hitSink{}, false, nil
+	sc.sink, sc.stopped = hitSink{}, false
 	indexScanPool.Put(sc)
 }
 
@@ -177,14 +207,15 @@ func NewSightingDB(opts ...SightingDBOption) *ShardedSightingDB {
 }
 
 // streamNearest walks one shard quadtree's nearest-neighbor cursor around
-// p, handing visit each neighbor with its record and its accuracy (n.Acc),
-// both read off the cursor's item. Caller holds the lock guarding idx.
-func streamNearest(idx *spatial.Quadtree, p geo.Point, visit func(n spatial.Neighbor, e *sightingEntry) bool) {
+// p, handing visit each neighbor with its object (n.Ref) and accuracy
+// (n.Acc) read off the cursor's item. Caller holds the lock guarding idx
+// for the whole walk.
+func streamNearest(idx *spatial.Quadtree, p geo.Point, visit func(n spatial.Neighbor, locked bool) bool) {
 	c := idx.NearestCursor(p)
 	defer c.Close()
 	for {
 		n, ok := c.Next()
-		if !ok || !visit(n, n.Ref.(*sightingEntry)) {
+		if !ok || !visit(n, true) {
 			return
 		}
 	}

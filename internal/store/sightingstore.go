@@ -31,7 +31,7 @@ type SightingStore interface {
 	// NumShards returns the number of independently locked shards.
 	NumShards() int
 	// PutBatch is the general batch put. Each entry's index accuracy comes
-	// from the store's own registration table, never from the caller. With
+	// from the store's own registration records, never from the caller. With
 	// a non-nil out — pass an empty non-nil slice to ask, nil to skip — one
 	// Delta per committed change is appended to out and the extended slice
 	// returned. Superseded updates within the batch are coalesced: an

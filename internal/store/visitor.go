@@ -34,25 +34,26 @@ type VisitorRecord struct {
 }
 
 // fwd is one forwarding record in memory: the slot of the child next on the
-// path to the agent, and PathT as wall-clock nanoseconds (zeroPathT for the
+// path to the agent, and PathT as wall-clock nanoseconds (zeroNanos for the
 // zero Time, whose UnixNano is undefined).
 type fwd struct {
 	child uint32
 	pathT int64
 }
 
-// zeroPathT stands for a zero PathT.
-const zeroPathT = math.MinInt64
+// zeroNanos stands for a zero Time wherever the store keeps an instant as
+// wall-clock nanoseconds: a PathT, a sighting's T, an expiry.
+const zeroNanos = math.MinInt64
 
-func pathNanos(t time.Time) int64 {
+func unixNanos(t time.Time) int64 {
 	if t.IsZero() {
-		return zeroPathT
+		return zeroNanos
 	}
 	return t.UnixNano()
 }
 
-func pathTime(ns int64) time.Time {
-	if ns == zeroPathT {
+func unixTime(ns int64) time.Time {
+	if ns == zeroNanos {
 		return time.Time{}
 	}
 	return time.Unix(0, ns).UTC()
@@ -154,12 +155,12 @@ func (db *VisitorDB) slot(child string) uint32 {
 
 // set stores rec's forwarding record. Caller holds the write lock.
 func (db *VisitorDB) set(rec VisitorRecord) {
-	db.recs[rec.OID] = fwd{child: db.slot(rec.ForwardRef), pathT: pathNanos(rec.PathT)}
+	db.recs[rec.OID] = fwd{child: db.slot(rec.ForwardRef), pathT: unixNanos(rec.PathT)}
 }
 
 // record returns f in its API form. Caller holds the lock.
 func (db *VisitorDB) record(id core.OID, f fwd) VisitorRecord {
-	return VisitorRecord{OID: id, ForwardRef: db.children[f.child], PathT: pathTime(f.pathT)}
+	return VisitorRecord{OID: id, ForwardRef: db.children[f.child], PathT: unixTime(f.pathT)}
 }
 
 // Len returns the number of visitor records.
@@ -210,7 +211,7 @@ func (db *VisitorDB) Put(rec VisitorRecord) error {
 func (db *VisitorDB) PutIfNewer(rec VisitorRecord) (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if old, ok := db.recs[rec.OID]; ok && old.pathT > pathNanos(rec.PathT) {
+	if old, ok := db.recs[rec.OID]; ok && old.pathT > unixNanos(rec.PathT) {
 		return false, nil
 	}
 	if err := db.wal.Append(WALRecord{Op: WALPut, Visitor: &rec}); err != nil {

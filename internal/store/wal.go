@@ -13,7 +13,7 @@
 // payload is an op byte and a body, built from run.go's record encoding:
 //
 //   - put (1) or remove (2) of a visitor record: OID, ForwardRef,
-//     OfferedAcc, the four RegInfo fields, PathT through pathNanos
+//     OfferedAcc, the four RegInfo fields, PathT through unixNanos
 //     (strings uvarint-length-prefixed, floats as IEEE bits) — an inner
 //     server's forwarding records (VisitorDB), a leaf's registrations
 //     (WithRegistrationLog), which replay before its sighting segments;

@@ -73,7 +73,7 @@ func appendWALPayload(dst []byte, rec WALRecord) ([]byte, error) {
 
 // appendVisitorPayload appends a visitor record's fields in declaration
 // order: strings uvarint-length-prefixed, floats as IEEE bits, PathT
-// through pathNanos.
+// through unixNanos.
 func appendVisitorPayload(dst []byte, v *VisitorRecord) ([]byte, error) {
 	if !core.InNanoRange(v.PathT) {
 		return dst, fmt.Errorf("visitor %s: PathT %v outside the range of UnixNano", v.OID, v.PathT)
@@ -85,7 +85,7 @@ func appendVisitorPayload(dst []byte, v *VisitorRecord) ([]byte, error) {
 	for _, f := range [...]float64{v.RegInfo.DesAcc, v.RegInfo.MinAcc, v.RegInfo.MaxSpeed} {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	}
-	return binary.LittleEndian.AppendUint64(dst, uint64(pathNanos(v.PathT))), nil
+	return binary.LittleEndian.AppendUint64(dst, uint64(unixNanos(v.PathT))), nil
 }
 
 func appendWALString(dst []byte, s string) []byte {
@@ -165,7 +165,7 @@ func decodeVisitorPayload(p []byte) (*VisitorRecord, error) {
 	num := func() float64 { return math.Float64frombits(word()) }
 	v := &VisitorRecord{OID: core.OID(str()), ForwardRef: str(), OfferedAcc: num()}
 	v.RegInfo = core.RegInfo{Registrant: str(), DesAcc: num(), MinAcc: num(), MaxSpeed: num()}
-	v.PathT = pathTime(int64(word()))
+	v.PathT = unixTime(int64(word()))
 	if !ok || len(p) != 0 {
 		return nil, errWALPayload
 	}

@@ -34,6 +34,7 @@ func FuzzDecode(f *testing.F) {
 			{OID: "truck-7", Leaf: msg.LeafInfo{ID: "r.0", Area: core.AreaFromRect(geo.R(0, 0, 750, 750))}, SightingT: time.Unix(1_700_000_000, 0).UTC()},
 			{Remove: true, OID: "truck-8", SightingT: time.Unix(1_700_000_001, 5).UTC()},
 		}}},
+		{From: "r.0~s", Reply: true, CorrID: 6, Msg: msg.UpdateRes{Moved: true, NewAgent: "r.0", AgentInfo: msg.LeafInfo{ID: "r.0", Area: core.AreaFromRect(geo.R(0, 0, 750, 750))}, Redirected: true}},
 		{From: "r.0", Msg: msg.RegisterFailed{OpID: 3, Server: "r.0", Refused: msg.ErrorRes{Code: msg.CodeBadRequest, Text: "bad request: floor 44 above seq 43"}}},
 		{From: "r.0", Reply: true, CorrID: 7, Msg: msg.PosQueryRes{
 			OpID: 9, Found: true, LD: core.LocationDescriptor{Pos: geo.Pt(1, 2), Acc: 3},

@@ -56,6 +56,7 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendString(dst, string(m.NewAgent))
 		dst = appendLeafInfo(dst, m.AgentInfo)
 		dst = appendF64(dst, m.OfferedAcc)
+		dst = appendBool(dst, m.Redirected)
 		return dst, msg.TagUpdateRes, true
 	case msg.HandoverReq:
 		dst = appendSighting(dst, m.S)
@@ -275,6 +276,7 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			NewAgent:   r.nodeID(),
 			AgentInfo:  r.leafInfo(),
 			OfferedAcc: r.f64(),
+			Redirected: r.boolean(),
 		}, true
 	case msg.TagHandoverReq:
 		return msg.HandoverReq{

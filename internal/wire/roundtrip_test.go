@@ -268,7 +268,7 @@ func randomMessage(rng *rand.Rand, tag msg.Tag) (msg.Message, bool) {
 	case msg.TagUpdateReq:
 		return msg.UpdateReq{S: randSighting(rng), Seq: rng.Uint64(), Floor: rng.Uint64()}, true
 	case msg.TagUpdateRes:
-		return msg.UpdateRes{Moved: rng.Intn(2) == 0, NewAgent: randNodeID(rng), AgentInfo: randLeafInfo(rng), OfferedAcc: randF(rng)}, true
+		return msg.UpdateRes{Moved: rng.Intn(2) == 0, NewAgent: randNodeID(rng), AgentInfo: randLeafInfo(rng), OfferedAcc: randF(rng), Redirected: rng.Intn(2) == 0}, true
 	case msg.TagHandoverReq:
 		return msg.HandoverReq{S: randSighting(rng), RegInfo: randRegInfo(rng), OldAgent: randNodeID(rng), Hops: randInt(rng)}, true
 	case msg.TagHandoverRes:

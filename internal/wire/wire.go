@@ -135,6 +135,9 @@
 //     accuracy failure): a leaf answers a malformed, store-refused or
 //     no-longer-awaited registration with it under the request's OpID,
 //     where it used to send a bare ErrorRes the client could not match.
+//   - v8: standby redirects. UpdateRes gained a trailing Redirected bool:
+//     a replication standby's answer, nothing applied, which the client
+//     re-sends to NewAgent instead of taking it for a handover's.
 //
 // # Retry idempotency
 //
@@ -172,7 +175,7 @@ import (
 // wireVersion is the format generation of this codec. Bump it whenever an
 // existing message's field layout or a primitive encoding changes. See the
 // version history in the package doc.
-const wireVersion = 7
+const wireVersion = 8
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool, so a
 // rare huge envelope (an oversize range-query result rejected by the
