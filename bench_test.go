@@ -1,32 +1,37 @@
-// Benchmarks regenerating the paper's evaluation (Section 7).
+// Benchmarks regenerating the paper's evaluation (Section 7). The paper's
+// value follows each name. Absolute numbers differ from the paper's 2001
+// hardware; the shape — updates cheaper than range queries, position
+// queries cheapest, local ≪ remote, larger areas slower — is what the
+// reproduction checks.
 //
-// Table 1 (throughput of the data-storage component; 10 km × 10 km service
-// area, 25 000 tracked objects):
+// Table 1 (throughput of the data-storage component in operations/s;
+// 10 km × 10 km service area, 25 000 tracked objects):
 //
-//	BenchmarkTable1IndexCreation      — "creating index"
-//	BenchmarkTable1PositionUpdate     — "position updates"
-//	BenchmarkTable1PositionQuery      — "position query"
-//	BenchmarkTable1RangeQuery/10m     — "range query (10 m × 10 m)"
-//	BenchmarkTable1RangeQuery/100m    — "range query (100 m × 100 m)"
-//	BenchmarkTable1RangeQuery/1km     — "range query (1 km × 1 km)"
+//	BenchmarkTable1IndexCreation      — "creating index"                24 015
+//	BenchmarkTable1PositionUpdate     — "position updates"              41 494
+//	BenchmarkTable1PositionQuery      — "position query"               384 615
+//	BenchmarkTable1RangeQuery/10m     — "range query (10 m × 10 m)"     21 834
+//	BenchmarkTable1RangeQuery/100m    — "range query (100 m × 100 m)"   18 450
+//	BenchmarkTable1RangeQuery/1km     — "range query (1 km × 1 km)"      1 813
 //
 // Table 2 (response time and throughput on the distributed configuration;
-// 1.5 km × 1.5 km, one root plus four leaf servers, 10 000 objects):
+// 1.5 km × 1.5 km, one root plus four leaf servers, 10 000 objects). Each
+// case's "seq" sub-benchmark's ns/op is the response time, its "parallel"
+// one the throughput of 24 concurrent clients (ops/s):
 //
-//	BenchmarkTable2Update             — "position updates (with ACK)"
-//	BenchmarkTable2PosQueryLocal      — "local position query"
-//	BenchmarkTable2PosQueryRemote     — "remote position query"
-//	BenchmarkTable2RangeQueryLocal    — "local range query"
-//	BenchmarkTable2RangeQueryRemote/1 — "remote range query (1 server)"
-//	BenchmarkTable2RangeQueryRemote/2 — "remote range query (2 servers)"
-//	BenchmarkTable2RangeQueryRemote/4 — "remote range query (4 servers)"
+//	BenchmarkTable2Update                    — "position updates (with ACK)"     1.2 ms, 4 954/s
+//	BenchmarkTable2PosQueryLocal             — "local position query"            2.0 ms, 2 809/s
+//	BenchmarkTable2PosQueryRemote            — "remote position query"           6.3 ms,   728/s
+//	BenchmarkTable2RangeQueryLocal           — "local range query"               5.1 ms, 1 927/s
+//	BenchmarkTable2RangeQueryRemote/1server  — "remote range query (1 server)"  13.0 ms,   588/s
+//	BenchmarkTable2RangeQueryRemote/2servers — "remote range query (2 servers)" 14.6 ms,   364/s
+//	BenchmarkTable2RangeQueryRemote/4servers — "remote range query (4 servers)" 13.8 ms,   284/s
 //
-// Ablation (indexed in cmd/lsbench's command comment): BenchmarkCacheAblation
-// (A2). Absolute numbers differ from the paper's
-// 2001 hardware; the shape — updates cheaper than range queries, position
-// queries cheapest, local ≪ remote, larger areas slower — is what the
-// reproduction checks (lsbench -table 1 and -table 2 print the paper's
-// value beside each measured row).
+// BenchmarkCacheAblation is ablation A2's response time with the Section
+// 6.5 caches off and on. The message counts behind A2, the hierarchy shape
+// sweep A3 and the query-locality sweep A5 are exact, so they are asserted
+// by internal/server's TestShapeMessageCounts; the hot-standby failover is
+// internal/hierarchy's BenchmarkLeafFailover.
 package locsvc_test
 
 import (
@@ -35,6 +40,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,12 +258,42 @@ func leafOf(p locsvc.Point) int {
 	return q
 }
 
+// table2Workers is the parallel load behind Table 2's throughput column.
+const table2Workers = 24
+
+// table2Case runs op as Table 2's two columns: "seq" issues one operation
+// at a time, so its ns/op is the response time, "parallel" issues them from
+// table2Workers goroutines at once (at least that many where GOMAXPROCS
+// does not divide it) and reports the throughput.
+func table2Case(b *testing.B, seed int64, op func(ctx context.Context, rng *rand.Rand) error) {
+	ctx := context.Background()
+	b.Run("seq", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < b.N; i++ {
+			if err := op(ctx, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		procs := runtime.GOMAXPROCS(0)
+		b.SetParallelism((table2Workers + procs - 1) / procs)
+		b.RunParallel(func(pb *testing.PB) {
+			rng := benchRng()
+			for pb.Next() {
+				if err := op(ctx, rng); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+	})
+}
+
 func BenchmarkTable2Update(b *testing.B) {
 	w := getTable2World(b)
-	rng := rand.New(rand.NewSource(6))
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	table2Case(b, 6, func(ctx context.Context, rng *rand.Rand) error {
 		idx := rng.Intn(len(w.objects))
 		obj := w.objects[idx]
 		base := w.objPos[idx]
@@ -267,72 +303,46 @@ func BenchmarkTable2Update(b *testing.B) {
 		if leafOf(p) != leafOf(base) {
 			p = base
 		}
-		s := locsvc.Sighting{OID: obj.OID(), T: time.Now(), Pos: p, SensAcc: 5}
-		if err := obj.Update(ctx, s); err != nil {
-			b.Fatal(err)
+		return obj.Update(ctx, locsvc.Sighting{OID: obj.OID(), T: time.Now(), Pos: p, SensAcc: 5})
+	})
+}
+
+// posQueryFrom0 is a position query through the client pinned to r.0 for
+// a random object of quadrant q.
+func posQueryFrom0(w *table2World, q int) func(ctx context.Context, rng *rand.Rand) error {
+	var in []int
+	for i, p := range w.objPos {
+		if leafOf(p) == q {
+			in = append(in, i)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+	return func(ctx context.Context, rng *rand.Rand) error {
+		_, err := w.clients[0].PosQuery(ctx, w.objects[in[rng.Intn(len(in))]].OID())
+		return err
+	}
 }
 
 func BenchmarkTable2PosQueryLocal(b *testing.B) {
-	w := getTable2World(b)
-	rng := rand.New(rand.NewSource(7))
-	ctx := context.Background()
-	// Objects in quadrant 0, queried via the client pinned to r.0.
-	var local []int
-	for i, p := range w.objPos {
-		if leafOf(p) == 0 {
-			local = append(local, i)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := local[rng.Intn(len(local))]
-		if _, err := w.clients[0].PosQuery(ctx, w.objects[idx].OID()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	table2Case(b, 7, posQueryFrom0(getTable2World(b), 0))
 }
 
 func BenchmarkTable2PosQueryRemote(b *testing.B) {
-	w := getTable2World(b)
-	rng := rand.New(rand.NewSource(8))
-	ctx := context.Background()
-	// Objects in quadrant 3, queried via the client pinned to r.0.
-	var remote []int
-	for i, p := range w.objPos {
-		if leafOf(p) == 3 {
-			remote = append(remote, i)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := remote[rng.Intn(len(remote))]
-		if _, err := w.clients[0].PosQuery(ctx, w.objects[idx].OID()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	table2Case(b, 8, posQueryFrom0(getTable2World(b), 3))
 }
 
 func BenchmarkTable2RangeQueryLocal(b *testing.B) {
 	w := getTable2World(b)
-	rng := rand.New(rand.NewSource(9))
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	table2Case(b, 9, func(ctx context.Context, rng *rand.Rand) error {
 		// 50 m × 50 m inside quadrant 0 (the paper's medium size).
 		x := rng.Float64() * 650
 		y := rng.Float64() * 650
-		if _, err := w.clients[0].RangeQueryRect(ctx, locsvc.R(x, y, x+50, y+50), 100, 0.5); err != nil {
-			b.Fatal(err)
-		}
-	}
+		_, err := w.clients[0].RangeQueryRect(ctx, locsvc.R(x, y, x+50, y+50), 100, 0.5)
+		return err
+	})
 }
 
 func BenchmarkTable2RangeQueryRemote(b *testing.B) {
 	w := getTable2World(b)
-	ctx := context.Background()
 	cases := []struct {
 		name string
 		area locsvc.Rect
@@ -346,11 +356,10 @@ func BenchmarkTable2RangeQueryRemote(b *testing.B) {
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.clients[0].RangeQueryRect(ctx, bc.area, 100, 0.5); err != nil {
-					b.Fatal(err)
-				}
-			}
+			table2Case(b, 10, func(ctx context.Context, _ *rand.Rand) error {
+				_, err := w.clients[0].RangeQueryRect(ctx, bc.area, 100, 0.5)
+				return err
+			})
 		})
 	}
 }

@@ -347,17 +347,18 @@ func deploymentHeapPerObject(b *testing.B, objects, workers int) {
 // entering at the object's leaf, until every forwarding path reaches the
 // root. It reports the time per registration and the path envelopes per
 // registration, each a tracked call with its own acknowledgement, counted
-// as they are delivered.
+// by a pass-through FaultPlan as they are sent.
 func BenchmarkRegisterPopulation(b *testing.B) {
 	const objects, clients, side = 20_000, 2, 8000
 	spec := Spec{RootArea: geo.R(0, 0, side, side), Levels: []Level{{2, 2}, {2, 2}}}
 	var took time.Duration
 	var envelopes atomic.Int64
 	for i := 0; i < b.N; i++ {
-		net := transport.NewInproc(transport.InprocOptions{OnDeliver: func(_, _ msg.NodeID, m msg.Message) {
-			if _, ok := m.(msg.PathBatch); ok {
+		net := transport.NewInproc(transport.InprocOptions{FaultPlan: func(_, _ msg.NodeID, env msg.Envelope) transport.Fault {
+			if _, ok := env.Msg.(msg.PathBatch); ok {
 				envelopes.Add(1)
 			}
+			return transport.Fault{}
 		}})
 		dep, err := Deploy(net, spec, server.Options{})
 		if err != nil {

@@ -148,7 +148,10 @@ func TestWarmAreaCacheLeavesHandoverUnchanged(t *testing.T) {
 	handover := func(t *testing.T, opts server.Options) (envelopes int64) {
 		var delivered atomic.Int64
 		net := transport.NewInproc(transport.InprocOptions{
-			OnDeliver: func(_, _ msg.NodeID, _ msg.Message) { delivered.Add(1) },
+			FaultPlan: func(_, _ msg.NodeID, _ msg.Envelope) transport.Fault {
+				delivered.Add(1)
+				return transport.Fault{}
+			},
 		})
 		dep, err := hierarchy.Deploy(net, quadSpec(), opts)
 		if err != nil {

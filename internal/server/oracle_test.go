@@ -162,6 +162,19 @@ func register(t *testing.T, c *client.Client, truth *oracle.Oracle, s core.Sight
 	return obj
 }
 
+// checkedPos runs a position query against a deployment without faults:
+// the object must be found, where truth has it.
+func checkedPos(t *testing.T, c *client.Client, truth *oracle.Oracle, oid core.OID) {
+	t.Helper()
+	ld, err := c.PosQuery(ctx(t), oid)
+	if cerr := truth.CheckPos(oid, ld, err); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatalf("position query of %s: %v", oid, err)
+	}
+}
+
 // checkedRange runs a range query against a deployment without faults:
 // the answer must be complete and agree with truth.
 func checkedRange(t *testing.T, c *client.Client, truth *oracle.Oracle, area core.Area, reqAcc, reqOverlap float64) []core.Entry {

@@ -110,9 +110,6 @@ type TierStats struct {
 	Backlog       int   // shards over the MaxRuns compaction threshold
 }
 
-// Tiered reports whether tiered storage is configured.
-func (db *ShardedSightingDB) Tiered() bool { return db.tier != nil }
-
 // memCost estimates the resident cost of what the memtable holds for id (a
 // sighting: hash bucket, record, index node; or a tombstone), registration
 // aside. Rough by design — the budget bounds order of magnitude, not bytes.

@@ -40,9 +40,6 @@ type InprocOptions struct {
 	// particular message type) with exact drops, duplicates and delays;
 	// soaks pass a seeded Loss's Plan.
 	FaultPlan func(from, to msg.NodeID, env msg.Envelope) Fault
-	// OnDeliver, if non-nil, observes every delivered message; used by
-	// the simulation harness to count messages and hops.
-	OnDeliver func(from, to msg.NodeID, m msg.Message)
 	// CallTimeout caps every Call/CallAsync deadline: the effective
 	// deadline is the earlier of the context's and now+CallTimeout.
 	// Zero means calls expire only on their own context's deadline.
@@ -359,7 +356,7 @@ func (n *Inproc) deliver(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
 func (n *Inproc) dispatch(from msg.NodeID, dst *inprocNode, env msg.Envelope, slotHeld bool) {
 	lat := n.latency(from, dst.id)
 	if env.Reply && lat <= 0 {
-		n.handle(from, dst, env)
+		n.handle(dst, env)
 		return
 	}
 	if !n.addStage(slotHeld) {
@@ -370,7 +367,7 @@ func (n *Inproc) dispatch(from msg.NodeID, dst *inprocNode, env msg.Envelope, sl
 		if lat > 0 {
 			clock.Sleep(context.Background(), n.clk, lat)
 		}
-		n.handle(from, dst, env)
+		n.handle(dst, env)
 	})
 }
 
@@ -382,14 +379,11 @@ func (n *Inproc) latency(from, to msg.NodeID) time.Duration {
 	return 0
 }
 
-// handle executes one delivered envelope: observation, then reply
-// correlation through the tracker (which never blocks, so dispatch may call
-// this for a reply on whatever goroutine produced it) or the node's
-// handler, whose answer goes back through deliver on this same goroutine.
-func (n *Inproc) handle(from msg.NodeID, dst *inprocNode, env msg.Envelope) {
-	if obs := n.opts.OnDeliver; obs != nil {
-		obs(from, dst.id, env.Msg)
-	}
+// handle executes one delivered envelope: reply correlation through the
+// tracker (which never blocks, so dispatch may call this for a reply on
+// whatever goroutine produced it) or the node's handler, whose answer goes
+// back through deliver on this same goroutine.
+func (n *Inproc) handle(dst *inprocNode, env msg.Envelope) {
 	if env.Reply {
 		dst.calls.deliver(env.CorrID, env.Msg)
 		return

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,28 +195,6 @@ func TestInprocLatency(t *testing.T) {
 	}
 	if rtt := time.Since(start); rtt < 2*hop {
 		t.Errorf("round trip %v, want >= %v (two latency hops)", rtt, 2*hop)
-	}
-}
-
-func TestInprocOnDeliverObserver(t *testing.T) {
-	var count atomic.Int64
-	nw := NewInproc(InprocOptions{
-		OnDeliver: func(_, _ msg.NodeID, _ msg.Message) { count.Add(1) },
-	})
-	if _, err := nw.Attach("server", echoHandler(t)); err != nil {
-		t.Fatal(err)
-	}
-	c, err := nw.Attach("client", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Call(context.Background(), "server", msg.UpdateReq{}); err != nil {
-		t.Fatal(err)
-	}
-	nw.Close()
-	// One request + one reply.
-	if got := count.Load(); got != 2 {
-		t.Errorf("observed %d deliveries, want 2", got)
 	}
 }
 
