@@ -160,12 +160,6 @@ func (p *RangePredicate) overlap(ld LocationDescriptor) (ov float64, exact bool)
 	return p.area.Overlap(ld), true
 }
 
-// Overlap returns Area.Overlap(ld) for the prepared area.
-func (p *RangePredicate) Overlap(ld LocationDescriptor) float64 {
-	ov, _ := p.overlap(ld)
-	return ov
-}
-
 // Qualifies applies the predicate to one location descriptor, like
 // Area.RangeQualifies. exact reports whether the decision needed the exact
 // overlap arithmetic (the circle straddles the area's border).

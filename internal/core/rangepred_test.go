@@ -66,7 +66,7 @@ func checkAgainstExact(t *testing.T, a Area, ld LocationDescriptor) {
 	var pred RangePredicate
 	pred.Prepare(a, math.Inf(1), 0.5)
 	want := a.Overlap(ld)
-	got := pred.Overlap(ld)
+	got, _ := pred.overlap(ld)
 	if math.Abs(got-want) > overlapTol {
 		t.Fatalf("overlap %v, exact %v (diff %g)\narea %v\nld %+v", got, want, got-want, a.Vertices, ld)
 	}
@@ -226,7 +226,7 @@ func TestRangePredicateContainedCircleQualifiesAtFullOverlap(t *testing.T) {
 			r = math.Min(r, (c.X-e.a.X)*e.nx+(c.Y-e.a.Y)*e.ny)
 		}
 		for _, ld := range []LocationDescriptor{{Pos: c, Acc: r}, {Pos: c, Acc: r / 3}} {
-			if ov := pred.Overlap(ld); ov != 1 {
+			if ov, _ := pred.overlap(ld); ov != 1 {
 				t.Fatalf("contained circle overlap = %v, want exactly 1\narea %v\nld %+v", ov, a.Vertices, ld)
 			}
 			if ok, exact := pred.Qualifies(ld); !ok || exact {
@@ -250,8 +250,8 @@ func TestRangePredicateUnclassifiableAreas(t *testing.T) {
 		}
 		for i := 0; i < 200; i++ {
 			ld := LocationDescriptor{Pos: geo.Pt(rng.Float64()*140-20, rng.Float64()*140-20), Acc: rng.Float64() * 50}
-			if got, want := pred.Overlap(ld), a.Overlap(ld); got != want {
-				t.Fatalf("overlap %v, want %v for %+v in %v", got, want, ld, pg)
+			if got, _ := pred.overlap(ld); got != a.Overlap(ld) {
+				t.Fatalf("overlap %v, want %v for %+v in %v", got, a.Overlap(ld), ld, pg)
 			}
 			ok, _ := pred.Qualifies(ld)
 			if want := a.RangeQualifies(ld, 100, 0.5); ok != want {

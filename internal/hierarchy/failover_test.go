@@ -708,7 +708,7 @@ func leafFailover(b *testing.B, arm failoverArm) (unavailable time.Duration, fai
 	entry, _ := tree.dep.LeafFor(fleetPos(1, 0))
 	c, err := client.New(net, "fleet", entry, client.Options{
 		Timeout: 10 * time.Second,
-		Retry:   transport.DefaultRetryPolicy(),
+		Retry:   transport.RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * time.Millisecond, MaxBackoff: time.Second},
 	})
 	if err != nil {
 		b.Fatal(err)

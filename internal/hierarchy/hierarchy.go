@@ -53,16 +53,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// NumServers returns the total number of servers the spec produces.
-func (s Spec) NumServers() int {
-	total, levelCount := 1, 1
-	for _, l := range s.Levels {
-		levelCount *= l.Fanout()
-		total += levelCount
-	}
-	return total
-}
-
 // Build produces the configuration records for every server in the tree,
 // parents before children.
 func Build(spec Spec) ([]store.ConfigRecord, error) {
@@ -113,20 +103,14 @@ type Deployment struct {
 	leaves []store.ConfigRecord
 }
 
-// Deploy builds the tree for spec and starts one Server per config on the
-// network. opts apply to every server; use DeployWith to vary options per
-// server (per-leaf WALs, recovery scenarios).
-func Deploy(network transport.Network, spec Spec, opts server.Options) (*Deployment, error) {
-	return DeployWith(network, spec, opts, nil)
-}
-
-// DeployWith is Deploy with a per-server options hook: customize, when
-// non-nil, receives each server's config record plus the shared base
-// options and returns the options that server starts with — the seam for
-// per-leaf concerns such as visitor WALs, per-shard sighting WALs, and
+// DeployWith builds the tree for spec and starts one Server per config on
+// the network. opts apply to every server unless customize, when non-nil,
+// returns others: it receives each server's config record plus the shared
+// base options and returns the options that server starts with — the seam
+// for per-leaf concerns such as visitor WALs, per-shard sighting WALs, and
 // per-leaf shard counts (a hot downtown leaf can run more shards while
-// quiet leaves stay at one).
-// An error from customize aborts the deployment.
+// quiet leaves stay at one). An error from customize aborts the
+// deployment.
 func DeployWith(network transport.Network, spec Spec, opts server.Options, customize func(cfg store.ConfigRecord, base server.Options) (server.Options, error)) (*Deployment, error) {
 	configs, err := Build(spec)
 	if err != nil {
@@ -198,12 +182,6 @@ func (d *Deployment) LeafFor(p geo.Point) (msg.NodeID, bool) {
 		}
 	}
 	return "", false
-}
-
-// Server returns the server instance with the given id.
-func (d *Deployment) Server(id msg.NodeID) (*server.Server, bool) {
-	s, ok := d.Servers[id]
-	return s, ok
 }
 
 // Close shuts every server down.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,9 +48,12 @@ func TestNumServers(t *testing.T) {
 		{[]Level{{3, 3}, {2, 1}}, 1 + 9 + 18},
 	}
 	for _, tt := range tests {
-		spec := Spec{RootArea: geo.R(0, 0, 100, 100), Levels: tt.levels}
-		if got := spec.NumServers(); got != tt.want {
-			t.Errorf("NumServers(%v) = %d, want %d", tt.levels, got, tt.want)
+		configs, err := Build(Spec{RootArea: geo.R(0, 0, 100, 100), Levels: tt.levels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(configs); got != tt.want {
+			t.Errorf("servers of %v = %d, want %d", tt.levels, got, tt.want)
 		}
 	}
 }
@@ -173,9 +177,8 @@ func TestDeployAndLeafFor(t *testing.T) {
 		}
 	}
 
-	srv, ok := dep.Server("r.2")
-	if !ok || !srv.IsLeaf() {
-		t.Errorf("Server(r.2) = %v, %v", srv, ok)
+	if _, ok := dep.Servers["r.2"]; !ok || !slices.Contains(dep.Leaves(), "r.2") {
+		t.Errorf("r.2 is no running leaf: Servers[r.2] present %v, leaves %v", ok, dep.Leaves())
 	}
 
 	checkRootVisitors(t, net, dep, []geo.Point{geo.Pt(100, 100), geo.Pt(900, 100), geo.Pt(100, 900), geo.Pt(900, 900), geo.Pt(950, 950)})
@@ -208,7 +211,7 @@ func TestDeploySingleServer(t *testing.T) {
 // RootVisitorCount reports the root server's own count.
 func checkRootVisitors(t *testing.T, net transport.Network, dep *Deployment, pts []geo.Point) {
 	t.Helper()
-	root, ok := dep.Server(dep.Root())
+	root, ok := dep.Servers[dep.Root()]
 	if !ok {
 		t.Fatalf("no server for root %s", dep.Root())
 	}

@@ -49,13 +49,12 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 const reservoirSize = 8192
 
 // Histogram records value samples (typically latencies in seconds) with
-// reservoir sampling, retaining exact count, sum, min and max.
+// reservoir sampling, retaining exact count, sum and max.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []float64
 	count   int64
 	sum     float64
-	min     float64
 	max     float64
 	rng     *rand.Rand
 }
@@ -75,7 +74,6 @@ func NewHistogram() *Histogram {
 	seed := histSeed.Add(0x9E3779B97F4A7C15) ^ uint64(time.Now().UnixNano())
 	return &Histogram{
 		samples: make([]float64, 0, reservoirSize),
-		min:     math.Inf(1),
 		max:     math.Inf(-1),
 		rng:     rand.New(rand.NewSource(int64(seed))),
 	}
@@ -87,9 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	defer h.mu.Unlock()
 	h.count++
 	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -102,9 +97,6 @@ func (h *Histogram) Observe(v float64) {
 		h.samples[i] = v
 	}
 }
-
-// ObserveDuration records a duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
@@ -121,16 +113,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observation, or 0 if empty.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest observation, or 0 if empty.

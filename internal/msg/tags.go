@@ -213,15 +213,3 @@ func TagOf(m Message) (Tag, bool) {
 	}
 	return TagInvalid, false
 }
-
-// AllTags returns every assigned tag in ascending order. Tests iterate it
-// to prove codec coverage of the full registry.
-func AllTags() []Tag {
-	tags := make([]Tag, 0, tagEnd-1)
-	for t := Tag(1); t < tagEnd; t++ {
-		if tagNames[t] != "" {
-			tags = append(tags, t)
-		}
-	}
-	return tags
-}

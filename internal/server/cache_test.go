@@ -33,7 +33,7 @@ func TestAgentCacheShortcutsPositionQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
+		root := ls.dep.Servers["r"]
 		return root.VisitorCount() == 1
 	}, "path at root")
 
@@ -46,7 +46,7 @@ func TestAgentCacheShortcutsPositionQuery(t *testing.T) {
 	if _, err := remote.PosQuery(ctx(t), "o1"); err != nil {
 		t.Fatal(err)
 	}
-	entry, _ := ls.dep.Server("r.3")
+	entry := ls.dep.Servers["r.3"]
 	if got := entry.Metrics().Counter("pos_query_cache_agent").Value(); got != 1 {
 		t.Errorf("agent-cache hits = %d, want 1", got)
 	}
@@ -63,7 +63,7 @@ func TestAgentCacheInvalidatedAfterHandover(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
+		root := ls.dep.Servers["r"]
 		return root.VisitorCount() == 1
 	}, "path at root")
 
@@ -76,7 +76,7 @@ func TestAgentCacheInvalidatedAfterHandover(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
+		root := ls.dep.Servers["r"]
 		rec, ok := rootVisitor(root, "o1")
 		return ok && rec.ForwardRef == "r.1"
 	}, "root re-pointed to r.1")
@@ -89,7 +89,7 @@ func TestAgentCacheInvalidatedAfterHandover(t *testing.T) {
 	if ld.Pos != geo.Pt(800, 100) {
 		t.Errorf("ld = %+v", ld)
 	}
-	entry, _ := ls.dep.Server("r.3")
+	entry := ls.dep.Servers["r.3"]
 	if got := entry.Metrics().Counter("pos_query_cache_agent_miss").Value(); got != 1 {
 		t.Errorf("agent-cache misses = %d, want 1", got)
 	}
@@ -108,7 +108,7 @@ func TestPosDescriptorCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
+		root := ls.dep.Servers["r"]
 		return root.VisitorCount() == 1
 	}, "path at root")
 
@@ -126,7 +126,7 @@ func TestPosDescriptorCache(t *testing.T) {
 	if ld.Acc < 10 {
 		t.Errorf("cached accuracy %v not aged from 10", ld.Acc)
 	}
-	entry, _ := ls.dep.Server("r.3")
+	entry := ls.dep.Servers["r.3"]
 	if got := entry.Metrics().Counter("pos_query_cache_pos").Value(); got != 1 {
 		t.Errorf("pos-cache hits = %d, want 1", got)
 	}
@@ -162,8 +162,8 @@ func TestWarmAreaCacheLeavesHandoverUnchanged(t *testing.T) {
 			net.Close()
 		})
 		ls := &testLS{net: net, dep: dep}
-		root, _ := dep.Server("r")
-		oldLeaf, _ := dep.Server("r.0")
+		root := dep.Servers["r"]
+		oldLeaf := dep.Servers["r.0"]
 
 		owner := ls.newClientAt(t, "owner", geo.Pt(700, 100), client.Options{})
 		obj, err := owner.Register(ctx(t), sightingAt("o1", geo.Pt(700, 100)), 10, 50, 3)
@@ -293,7 +293,7 @@ func TestPosQueryDuringHandover(t *testing.T) {
 					net.Close()
 				})
 				ls := &testLS{net: net, dep: dep}
-				root, _ := dep.Server("r")
+				root := dep.Servers["r"]
 
 				owner := ls.newClientAt(t, "owner", tc.from, client.Options{})
 				obj, err := owner.Register(ctx(t), sightingAt("o1", tc.from), 10, 50, 3)
@@ -356,7 +356,7 @@ func TestAreaCacheDirectRangeQuery(t *testing.T) {
 			t.Fatalf("%s query: %+v", what, objs)
 		}
 	}
-	entry, _ := ls.dep.Server("r.0")
+	entry := ls.dep.Servers["r.0"]
 	if got := entry.Metrics().Counter("range_query_cache_direct").Value(); got != 1 {
 		t.Errorf("direct range queries = %d, want 1", got)
 	}
@@ -480,7 +480,7 @@ func TestCachesDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
+		root := ls.dep.Servers["r"]
 		return root.VisitorCount() == 1
 	}, "path at root")
 	remote := ls.newClientAt(t, "remote", geo.Pt(1400, 1400), client.Options{})
@@ -489,7 +489,7 @@ func TestCachesDisabledByDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entry, _ := ls.dep.Server("r.3")
+	entry := ls.dep.Servers["r.3"]
 	if got := entry.Metrics().Counter("pos_query_cache_agent").Value(); got != 0 {
 		t.Errorf("cache hits with caches disabled: %d", got)
 	}

@@ -243,7 +243,7 @@ func TestDedupeReplaysHandoverReply(t *testing.T) {
 	if !dup.Moved || dup.NewAgent != res.NewAgent {
 		t.Fatalf("duplicate reply = %+v, want remembered %+v", dup, res)
 	}
-	leaf, _ := ls.dep.Server("r.0")
+	leaf := ls.dep.Servers["r.0"]
 	if got := leaf.Metrics().Counter("updates_deduped").Value(); got != 1 {
 		t.Fatalf("updates_deduped = %d, want 1", got)
 	}
@@ -385,7 +385,7 @@ func newDedupeLeaf(t *testing.T, net *transport.Inproc, opts server.Options) *se
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dep.Close() })
-	leaf, ok := dep.Server("r.0")
+	leaf, ok := dep.Servers["r.0"]
 	if !ok {
 		t.Fatal("no r.0")
 	}

@@ -132,7 +132,7 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) { tc.check(t) })
 	}
 
-	entry, _ := dep.Server("r.0")
+	entry := dep.Servers["r.0"]
 	if got := entry.Metrics().Counter("wire_degraded_queries").Value(); got < 3 {
 		t.Errorf("wire_degraded_queries = %d, want >= 3 (range, neighbor, posquery)", got)
 	}

@@ -46,7 +46,7 @@ func TestDefaultLeafExportsOneShard(t *testing.T) {
 // too, without shard data.
 func TestDiagNonLeaf(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{AchievableAcc: 10})
-	srv, ok := ls.dep.Server(ls.dep.Root())
+	srv, ok := ls.dep.Servers[ls.dep.Root()]
 	if !ok {
 		t.Fatal("no root server")
 	}

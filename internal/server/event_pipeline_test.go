@@ -231,7 +231,7 @@ func runEventScenario(t *testing.T) {
 
 	// The coordinator for every subscription is the subscriber's entry
 	// leaf, r.0.
-	coord, _ := ls.dep.Server("r.0")
+	coord := ls.dep.Servers["r.0"]
 	leaves := []string{"r.0", "r.1", "r.2", "r.3"}
 	for _, cs := range activeCounts {
 		cs := cs
@@ -243,7 +243,7 @@ func runEventScenario(t *testing.T) {
 			total, fired, ok := coord.EventCoordTotalForTest(cs.id)
 			var perLeaf []string
 			for _, id := range leaves {
-				srv, _ := ls.dep.Server(msg.NodeID(id))
+				srv := ls.dep.Servers[msg.NodeID(id)]
 				if n, lok := srv.EventLocalCountForTest(cs.id); lok {
 					perLeaf = append(perLeaf, fmt.Sprintf("%s=%d", id, n))
 				}
@@ -257,7 +257,7 @@ func runEventScenario(t *testing.T) {
 		waitFor(t, func() bool {
 			got := make(map[[2]core.OID]bool)
 			for _, id := range leaves {
-				srv, _ := ls.dep.Server(msg.NodeID(id))
+				srv := ls.dep.Servers[msg.NodeID(id)]
 				for _, p := range srv.EventMeetingPairsForTest(ms.id) {
 					got[p] = true
 				}
@@ -315,7 +315,7 @@ func runEventExpiry(t *testing.T) {
 		ns := rec.snapshot()
 		return len(ns) >= 2 && !ns[len(ns)-1].Fired
 	}, "expiry transition")
-	coord, _ := ls.dep.Server("r.0")
+	coord := ls.dep.Servers["r.0"]
 	waitFor(t, func() bool {
 		total, _, ok := coord.EventCoordTotalForTest("soft")
 		return ok && total == 0
@@ -339,7 +339,7 @@ func TestFirstSubscriptionDuringUpdates(t *testing.T) {
 	subscriber := ls.newClientAt(t, "subscriber", geo.Pt(100, 100), client.Options{})
 	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
 	leafID, _ := ls.dep.LeafFor(geo.Pt(100, 100))
-	leaf, _ := ls.dep.Server(leafID)
+	leaf := ls.dep.Servers[leafID]
 	if n := leaf.EventSubCountForTest(); n != 0 {
 		t.Fatalf("leaf starts with %d subscriptions", n)
 	}
@@ -470,7 +470,7 @@ func TestEventSlowSubscriberBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, _ := dep.Server("r.0")
+	leaf := dep.Servers["r.0"]
 	waitFor(t, func() bool { return leaf.EventSubCountForTest() == 2 }, "subscriptions installed")
 
 	const rounds = 150

@@ -134,7 +134,7 @@ func TestMeetingEvent(t *testing.T) {
 	}
 	// Subscribing is a one-way send: wait until the one leaf the area
 	// covers (r.0, exactly) installed both.
-	leaf, _ := ls.dep.Server("r.0")
+	leaf := ls.dep.Servers["r.0"]
 	waitFor(t, func() bool { return leaf.EventSubCountForTest() == 2 }, "subscriptions installed on the covered leaf")
 
 	if _, err := owner.Register(ctx(t), sightingAt("alice", geo.Pt(100, 100)), 10, 50, 3); err != nil {
@@ -196,7 +196,7 @@ func TestUnsubscribeStopsNotifications(t *testing.T) {
 	}
 	// Allow the unsubscription to propagate, then trigger more changes.
 	waitFor(t, func() bool {
-		leaf, _ := ls.dep.Server("r.0")
+		leaf := ls.dep.Servers["r.0"]
 		return leaf.EventSubCountForTest() == 0
 	}, "subscription removed on leaf")
 	if _, err := owner.Register(ctx(t), sightingAt("b", geo.Pt(120, 120)), 10, 50, 3); err != nil {

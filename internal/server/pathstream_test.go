@@ -261,9 +261,9 @@ func TestPathStream(t *testing.T) {
 				t.Fatalf("leaf for %v is %s, want %s", pathAt, leaf, pathLeaf)
 			}
 			e := &pathEnv{t: t, clk: clk, links: links}
-			e.leaf, _ = ls.dep.Server(pathLeaf)
-			e.inner, _ = ls.dep.Server(pathInner)
-			e.root, _ = ls.dep.Server("r")
+			e.leaf = ls.dep.Servers[pathLeaf]
+			e.inner = ls.dep.Servers[pathInner]
+			e.root = ls.dep.Servers["r"]
 			e.owner = ls.newClientAt(t, "owner", pathAt, client.Options{})
 			for i := 1; i <= k; i++ {
 				e.queuedIDs = append(e.queuedIDs, fmt.Sprintf("o%d", i))
@@ -313,7 +313,7 @@ func TestRegistrationRefusedLeavesNoPath(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("registration over a refusing registration log: err = %v, want the log's refusal", err)
 	}
-	leaf, _ := dep.Server(pathLeaf)
+	leaf := dep.Servers[pathLeaf]
 	waitFor(t, func() bool { return leaf.Metrics().Counter("visitor_db_errors").Value() == 1 }, "the leaf to refuse the registration")
 	// The plan sees a path envelope on its sender's goroutine, and the
 	// leaf counts the refusal after it would have sent one: none was sent.
@@ -321,7 +321,7 @@ func TestRegistrationRefusedLeavesNoPath(t *testing.T) {
 		t.Errorf("%d path messages left the leaf for a refused registration", n)
 	}
 	for _, id := range []msg.NodeID{pathLeaf, pathInner, "r"} {
-		if srv, _ := dep.Server(id); holds(srv, "o1") {
+		if srv := dep.Servers[id]; holds(srv, "o1") {
 			t.Errorf("%s holds a record of the refused registration", id)
 		}
 	}

@@ -37,16 +37,21 @@ import (
 //     epoch, are answered Fenced, and the zombie demotes itself to
 //     standby, catching up from the new primary's runs and WAL tail.
 //
-// What failover can lose: only the unacknowledged WAL tail — records the
-// old primary committed locally but had not yet shipped (or had shipped
-// without receiving the ack). Clients recover those through their own
-// Seq-stamped retries; the promoted standby's reply dedupe window starts
-// empty, so a retry straddling the failover is applied again rather than
-// answered from memory — which is safe, because updates are idempotent
-// per (OID, T) and a re-applied registration installs the same
-// registration and sighting again. Queries between promotion and the next
-// client update may see the object's last replicated position instead of
-// its very latest.
+// What failover can lose: updates the old primary acknowledged whose tee
+// batches its standby had not yet applied. The primary answers a client
+// once the update is in its own store, before the standby holds it, and
+// the stream trails the acknowledgements by ≈ 5–6 ms (in
+// BenchmarkLeafFailover's standby arm the standby served the last round
+// 5.3–6.5 ms after the last acknowledgement); a kill inside that window
+// loses them, and in every standby-unsettled run all 24 objects of the
+// killed leaf came back at an older position. A client does not retry an
+// acknowledged update, so until the next one the promoted standby answers
+// the object's last replicated position. The records stay in the old
+// primary's WAL (see the package comment in server.go). Only a retry that
+// straddles the failover is applied again: the promoted standby's reply
+// dedupe window starts empty, which is safe, because updates are
+// idempotent per (OID, T) and a re-applied registration installs the same
+// registration and sighting again.
 
 // Replication roles.
 const (

@@ -220,7 +220,8 @@ func TestReplPromoteFencesZombiePrimary(t *testing.T) {
 	// primary's reverse stream (higher epoch) it must end up a standby.
 	a.pipe.Put(replSighting(n))
 	waitUntil(t, "zombie to be fenced into standby", func() bool {
-		return a.repl.role() == replRoleStandby && a.sightings.ReplStandby()
+		// demoteTo counts the demotion after the store's standby mark.
+		return a.repl.role() == replRoleStandby && a.met.Counter("repl_demotions").Value() > 0
 	})
 	fresh := core.Sighting{OID: "fresh", T: time.Now(), Pos: geo.Pt(500, 500), SensAcc: 5}
 	b.pipe.Put(fresh)

@@ -122,7 +122,7 @@ func TestUpwardRoutingCrossesEachLinkOnce(t *testing.T) {
 	subscriptions := func(want int64) func() bool {
 		return func() bool {
 			for _, cfg := range ls.dep.Configs {
-				srv, _ := ls.dep.Server(msg.NodeID(cfg.ID))
+				srv := ls.dep.Servers[msg.NodeID(cfg.ID)]
 				n := srv.Metrics().Gauge("event_subscriptions").Value()
 				if cfg.IsLeaf() && area.Bounds().Intersects(cfg.SA.Bounds()) {
 					if n != want {

@@ -463,12 +463,6 @@ func (s *Server) openLeafStore() error {
 // ID returns the server's node id.
 func (s *Server) ID() msg.NodeID { return msg.NodeID(s.cfg.ID) }
 
-// Config returns the server's configuration record.
-func (s *Server) Config() store.ConfigRecord { return s.cfg }
-
-// IsLeaf reports whether this server is a leaf.
-func (s *Server) IsLeaf() bool { return s.cfg.IsLeaf() }
-
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *metrics.Registry { return s.met }
 
@@ -480,11 +474,6 @@ func (s *Server) VisitorCount() int {
 	}
 	return s.visitors.Len()
 }
-
-// PendingCalls returns the number of in-flight outbound calls this server's
-// transport node is still awaiting replies for. Chaos tests assert it drops
-// to zero at quiesce — no stuck in-flight entries after faults.
-func (s *Server) PendingCalls() int { return s.node.PendingCalls() }
 
 // SightingCount returns the number of sighting records on a leaf (zero on
 // non-leaf servers).

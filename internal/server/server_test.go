@@ -131,8 +131,8 @@ func TestRegistrationCreatesForwardingPath(t *testing.T) {
 
 	// The forwarding path must exist on the agent and the root.
 	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
-		leaf, _ := ls.dep.Server("r.0")
+		root := ls.dep.Servers["r"]
+		leaf := ls.dep.Servers["r.0"]
 		return root.VisitorCount() == 1 && leaf.VisitorCount() == 1 && leaf.SightingCount() == 1
 	}, "forwarding path created")
 }
@@ -220,8 +220,8 @@ func TestHandoverAcrossSiblingLeaves(t *testing.T) {
 
 	// Old agent must have dropped its records; new agent holds them; the
 	// root's forwarding reference must point to the new child.
-	oldLeaf, _ := ls.dep.Server("r.0")
-	newLeaf, _ := ls.dep.Server("r.1")
+	oldLeaf := ls.dep.Servers["r.0"]
+	newLeaf := ls.dep.Servers["r.1"]
 	waitFor(t, func() bool {
 		return oldLeaf.VisitorCount() == 0 && oldLeaf.SightingCount() == 0 &&
 			newLeaf.VisitorCount() == 1 && newLeaf.SightingCount() == 1
@@ -261,7 +261,7 @@ func TestHandoverDeepHierarchy(t *testing.T) {
 	// The registration's CreatePath climbs asynchronously. Let it reach the
 	// root first: arriving at r.0 after the handovers below, it would
 	// re-create the record they removed there.
-	root, _ := ls.dep.Server("r")
+	root := ls.dep.Servers["r"]
 	waitFor(t, func() bool { return root.VisitorCount() == 1 }, "registration path at the root")
 
 	// Local handover within quadrant r.0 (crossing leaf boundary at 400).
@@ -283,9 +283,9 @@ func TestHandoverDeepHierarchy(t *testing.T) {
 	// The full forwarding path root → r.1 → r.1.0 must be intact, and
 	// the stale branch under r.0 gone.
 	waitFor(t, func() bool {
-		r0, _ := ls.dep.Server("r.0")
-		r01, _ := ls.dep.Server("r.0.1")
-		r1, _ := ls.dep.Server("r.1")
+		r0 := ls.dep.Servers["r.0"]
+		r01 := ls.dep.Servers["r.0.1"]
+		r1 := ls.dep.Servers["r.1"]
 		return r0.VisitorCount() == 0 && r01.VisitorCount() == 0 &&
 			r1.VisitorCount() == 1 && root.VisitorCount() == 1
 	}, "path rewired through root")
@@ -309,7 +309,7 @@ func TestPosQueryLocalVsRemote(t *testing.T) {
 	// CreatePath propagates leaf-to-root asynchronously (one-way
 	// messages, Algorithm 6-1); remote queries need the full path.
 	waitFor(t, func() bool {
-		root, _ := ls.dep.Server("r")
+		root := ls.dep.Servers["r"]
 		return root.VisitorCount() == 1
 	}, "forwarding path at root")
 	// Local query: client whose entry server is the object's agent.
@@ -425,7 +425,7 @@ func TestNeighborQueryLocalFastPath(t *testing.T) {
 	} {
 		register(t, owner, truth, sightingAt(fmt.Sprintf("n%d", i), p), 10, 50, 3)
 	}
-	leaf, _ := ls.dep.Server("r.0")
+	leaf := ls.dep.Servers["r.0"]
 	q := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
 
 	// Interior query: disc(nearest + nearQual + reqAcc) stays inside r.0,
@@ -539,8 +539,8 @@ func TestSoftStateExpiry(t *testing.T) {
 	if _, err := c.Register(ctx(t), sightingAt("o1", geo.Pt(100, 100)), 10, 50, 3); err != nil {
 		t.Fatal(err)
 	}
-	root, _ := ls.dep.Server("r")
-	leaf, _ := ls.dep.Server("r.0")
+	root := ls.dep.Servers["r"]
+	leaf := ls.dep.Servers["r.0"]
 	waitFor(t, func() bool { return root.VisitorCount() == 1 }, "the forwarding path")
 
 	// The TTL reached but not passed: the tick finds the object alive.
@@ -582,7 +582,7 @@ func TestSoftStateKeptAliveByUpdates(t *testing.T) {
 	if _, err := c.PosQuery(ctx(t), "o1"); err != nil {
 		t.Errorf("object expired despite updates: %v", err)
 	}
-	leaf, _ := ls.dep.Server("r.0")
+	leaf := ls.dep.Servers["r.0"]
 	if got := leaf.Metrics().Counter("soft_state_expired").Value(); got != 0 {
 		t.Errorf("soft_state_expired = %d with an update every TTL/3", got)
 	}
@@ -689,8 +689,8 @@ func TestPathMessageResentUntilAcked(t *testing.T) {
 					return transport.Fault{Drop: lost}
 				},
 			})
-			root, _ := ls.dep.Server("r")
-			leaf, _ := ls.dep.Server("r.0")
+			root := ls.dep.Servers["r"]
+			leaf := ls.dep.Servers["r.0"]
 			owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
 			failed := leaf.Metrics().Counter("path_propagation_failed")
 			reasserted := leaf.Metrics().Counter("path_reasserted")

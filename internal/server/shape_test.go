@@ -190,12 +190,12 @@ func TestShapeMessageCounts(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			spec := hierarchy.Spec{RootArea: geo.R(0, 0, side, side), Levels: sh.levels}
-			if got := spec.NumServers(); got != sh.servers {
-				t.Fatalf("servers = %d, want %d", got, sh.servers)
-			}
 			counter := newEnvelopeCounter()
 			ls, _ := newManualLS(t, spec, server.Options{EnableAgentCache: true},
 				transport.InprocOptions{FaultPlan: counter.plan})
+			if got := len(ls.dep.Servers); got != sh.servers {
+				t.Fatalf("servers = %d, want %d", got, sh.servers)
+			}
 			if got := len(ls.dep.Leaves()); got != sh.leaves {
 				t.Fatalf("leaves = %d, want %d", got, sh.leaves)
 			}
@@ -213,8 +213,8 @@ func TestShapeMessageCounts(t *testing.T) {
 				return id
 			}
 			entry := leafFor(geo.Pt(50, 50))
-			entrySrv, _ := ls.dep.Server(entry)
-			root, _ := ls.dep.Server(ls.dep.Root())
+			entrySrv := ls.dep.Servers[entry]
+			root := ls.dep.Servers[ls.dep.Root()]
 
 			// Register every object the rows use, each at its own leaf.
 			truth := oracle.New(ls.dep.Configs)

@@ -49,7 +49,7 @@ func TestNothingTimedWhileClockStands(t *testing.T) {
 		},
 	})
 	start := clk.Now()
-	root, _ := ls.dep.Server("r")
+	root := ls.dep.Servers["r"]
 	keptAt, lostAt := geo.Pt(100, 100), geo.Pt(1400, 1400)
 	keptLeafID, _ := ls.dep.LeafFor(keptAt)
 	lostLeafID, _ := ls.dep.LeafFor(lostAt)
@@ -116,10 +116,8 @@ func TestNothingTimedWhileClockStands(t *testing.T) {
 	if got := clk.Now(); !got.Equal(stood) {
 		t.Fatalf("the clock moved during the hold: %v", got.Sub(stood))
 	}
-	select {
-	case m := <-pending.Done():
-		t.Fatalf("a call to a downed node resolved while the clock stood: %#v", m)
-	default:
+	if n := probe.PendingCalls(); n != 1 {
+		t.Fatalf("a call to a downed node resolved while the clock stood: %d calls in flight, want 1", n)
 	}
 	if n := keptLeaf.Metrics().Counter("soft_state_expired").Value(); n != 0 || keptLeaf.VisitorCount() != 1 {
 		t.Fatalf("the TTL'd object expired while the clock stood (%d expired)", n)

@@ -150,7 +150,7 @@ func TestSystemStress(t *testing.T) {
 	eventually(func() bool { return ls.dep.RootVisitorCount() == numObjects })
 	if got := ls.dep.RootVisitorCount(); got != numObjects {
 		t.Errorf("root paths unstable: %d/%d", got, numObjects)
-		root, _ := ls.dep.Server(ls.dep.Root())
+		root := ls.dep.Servers[ls.dep.Root()]
 		for i := 0; i < numObjects; i++ {
 			oid := core.OID(fmt.Sprintf("o%d", i))
 			if _, ok := root.VisitorForTest(oid); !ok {
@@ -163,7 +163,7 @@ func TestSystemStress(t *testing.T) {
 	// across all leaves).
 	agentCount := map[core.OID]int{}
 	for _, leaf := range leaves {
-		srv, _ := ls.dep.Server(leaf)
+		srv := ls.dep.Servers[leaf]
 		for i := 0; i < numObjects; i++ {
 			oid := core.OID(fmt.Sprintf("o%d", i))
 			if rec, ok := srv.VisitorForTest(oid); ok && rec.ForwardRef == "" {

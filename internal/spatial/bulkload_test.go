@@ -22,6 +22,22 @@ func randomItems(n int, seed int64) []Item {
 	return items
 }
 
+// Depth returns the height of the tree: TestBulkLoadBalanced bounds it.
+func (t *Quadtree) Depth() int { return depthQ(t.root) }
+
+func depthQ(n *qnode) int {
+	if n == nil {
+		return 0
+	}
+	max := 0
+	for _, k := range n.kids {
+		if d := depthQ(k); d > max {
+			max = d
+		}
+	}
+	return max + 1
+}
+
 // bulkLoad returns a quadtree bulk-loaded from items through Rebuild.
 func bulkLoad(items []Item) *Quadtree {
 	t := NewQuadtree()

@@ -512,19 +512,3 @@ func (t *Quadtree) NearestFunc(p geo.Point, visit func(id core.OID, q geo.Point,
 		}
 	}
 }
-
-// Depth returns the height of the tree; exposed for tests and diagnostics.
-func (t *Quadtree) Depth() int { return depthQ(t.root) }
-
-func depthQ(n *qnode) int {
-	if n == nil {
-		return 0
-	}
-	max := 0
-	for _, k := range n.kids {
-		if d := depthQ(k); d > max {
-			max = d
-		}
-	}
-	return max + 1
-}

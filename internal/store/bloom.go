@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // bloomFilter is the per-run membership filter of the tiered sighting
@@ -88,9 +87,6 @@ func (b *bloomFilter) addHash(h uint64) {
 	}
 }
 
-// add inserts key.
-func (b *bloomFilter) add(key string) { b.addHash(bloomHash(key)) }
-
 // mayContain reports whether key may have been added. False positives at
 // roughly 0.62^bitsPerKey; never false negatives.
 func (b *bloomFilter) mayContain(key string) bool {
@@ -104,14 +100,6 @@ func (b *bloomFilter) mayContain(key string) bool {
 		h += d
 	}
 	return true
-}
-
-// fpRate estimates the expected false-positive rate for n inserted keys.
-func (b *bloomFilter) fpRate(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(b.k)*float64(n)/float64(b.nbits)), float64(b.k))
 }
 
 // marshal serializes the filter: k (uint32), nbits (uint64), bit array.

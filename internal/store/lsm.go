@@ -443,7 +443,7 @@ func (sh *sightingShard) shadowed(ts *tierState, newer []*tierRun, id core.OID) 
 // tierScanAll streams every authoritative on-disk record of the shard —
 // newest-first run order with a seen-set, skipping tombstones and ids
 // the memtable owns (live or tombstoned) — through visit. Full
-// enumeration only (ForEach, Expired): the seen-set makes first
+// enumeration only (Expired): the seen-set makes first
 // occurrence authoritative, which requires scanning every run. Caller
 // holds the shard lock; reports false if visit stopped the scan.
 func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bool) bool {

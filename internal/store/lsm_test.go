@@ -25,7 +25,7 @@ import (
 func TestBloomFilterNoFalseNegatives(t *testing.T) {
 	b := newBloomFilter(1000, 10)
 	for i := 0; i < 1000; i++ {
-		b.add(fmt.Sprintf("key-%d", i))
+		b.addHash(bloomHash(fmt.Sprintf("key-%d", i)))
 	}
 	for i := 0; i < 1000; i++ {
 		if !b.mayContain(fmt.Sprintf("key-%d", i)) {
@@ -48,7 +48,7 @@ func TestBloomFilterNoFalseNegatives(t *testing.T) {
 func TestBloomFilterMarshalRoundtrip(t *testing.T) {
 	b := newBloomFilter(100, 10)
 	for i := 0; i < 100; i++ {
-		b.add(fmt.Sprintf("k%d", i))
+		b.addHash(bloomHash(fmt.Sprintf("k%d", i)))
 	}
 	got, err := unmarshalBloom(b.marshal())
 	if err != nil {

@@ -82,9 +82,6 @@ func (db *ShardedSightingDB) SetReplStandby(standby bool) {
 	db.replStandby.Store(standby)
 }
 
-// ReplStandby reports whether the store is in standby mode.
-func (db *ShardedSightingDB) ReplStandby() bool { return db.replStandby.Load() }
-
 // ReplShardState is the snapshot of one shard a standby bootstraps from:
 // the memtable's live records and tombstones, the registrations, the run
 // list (newest first, base names) and the run sequence cursor. Replaying

@@ -359,12 +359,6 @@ func (db *ShardedSightingDB) Len() int {
 	return n
 }
 
-// Put inserts or replaces the record for s.OID and refreshes its
-// expiration date: the one-record form of PutBatch.
-func (db *ShardedSightingDB) Put(s core.Sighting) {
-	db.putOne(s, nil)
-}
-
 // putOne commits one sighting, appending its delta to *out when out is
 // non-nil.
 func (db *ShardedSightingDB) putOne(s core.Sighting, out *[]Delta) {
@@ -713,27 +707,6 @@ func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor,
 			seen[n.ID] = true
 		}
 		if !visit(n, false) {
-			return
-		}
-	}
-}
-
-// ForEach visits every stored sighting in unspecified order.
-func (db *ShardedSightingDB) ForEach(visit func(s core.Sighting) bool) {
-	for _, sh := range db.shards {
-		stopped := false
-		sh.mu.RLock()
-		sh.eachMem(func(id core.OID, o *object) bool {
-			stopped = o.mem == memSighting && !visit(o.sighting(id))
-			return !stopped
-		})
-		if !stopped && sh.tier != nil {
-			stopped = !sh.tierScanAll(db.tier, func(rec runRecord) bool {
-				return visit(rec.s)
-			})
-		}
-		sh.mu.RUnlock()
-		if stopped {
 			return
 		}
 	}

@@ -277,9 +277,6 @@ func syncDir(path string) error {
 	return nil
 }
 
-// Path returns the log's file path, for diagnostics.
-func (w *FileWAL) Path() string { return w.path }
-
 // Replay implements WAL. A frame or payload cut short by the end of the
 // file — the torn tail a crash mid-append leaves — is ignored AND truncated
 // away, so later appends start on a record boundary. A complete record that

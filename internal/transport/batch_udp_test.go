@@ -102,7 +102,7 @@ func TestUDPBatchingInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Cross-network: the sender needs a route to the sink.
-		addr, _ := dstNet.Route(sinkID)
+		addr, _ := route(dstNet, sinkID)
 		if err := src.AddRoute(sinkID, addr); err != nil {
 			t.Fatal(err)
 		}

@@ -177,7 +177,7 @@ func TestBatcherClose(t *testing.T) {
 	reg := metrics.NewRegistry()
 	nw := NewUDPWithOptions(UDPOptions{Metrics: reg, BatchMax: 16})
 	for _, id := range []msg.NodeID{"p0", "p1"} {
-		addr, _ := peers.Route(id)
+		addr, _ := route(peers, id)
 		if err := nw.AddRoute(id, addr); err != nil {
 			t.Fatal(err)
 		}

@@ -81,10 +81,3 @@ func (e *executor) work(fn func()) {
 		fn = <-slot
 	}
 }
-
-// parkedWorkers returns the number of idle workers.
-func (e *executor) parkedWorkers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.parked)
-}

@@ -18,8 +18,13 @@ import (
 // returned, which is after the caller saw the reply.
 func waitParkedAtMost(t *testing.T, limit int) {
 	t.Helper()
-	if !eventually(2*time.Second, func() bool { return handlers.parkedWorkers() <= limit }) {
-		t.Fatalf("%d workers parked, want at most %d", handlers.parkedWorkers(), limit)
+	parked := func() int {
+		handlers.mu.Lock()
+		defer handlers.mu.Unlock()
+		return len(handlers.parked)
+	}
+	if !eventually(2*time.Second, func() bool { return parked() <= limit }) {
+		t.Fatalf("%d workers parked, want at most %d", parked(), limit)
 	}
 }
 
@@ -208,7 +213,7 @@ func TestInlineLateReplyCountedNotCrossed(t *testing.T) {
 	close(gates[2])
 	waitCounter(t, late, 2, "wire_late_replies")
 	select {
-	case m := <-p3.Done():
+	case m := <-p3.ch:
 		t.Fatalf("pending call resolved by an orphaned reply: %#v", m)
 	default:
 	}

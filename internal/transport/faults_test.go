@@ -187,8 +187,8 @@ func TestOutOfOrderCorrelationIDExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("issuing call %d: %v", i, err)
 		}
-		if p.ID() != uint64(i) {
-			t.Fatalf("call %d got correlation id %d", i, p.ID())
+		if p.id != uint64(i) {
+			t.Fatalf("call %d got correlation id %d", i, p.id)
 		}
 		pending = append(pending, p)
 	}

@@ -35,10 +35,10 @@ type InprocOptions struct {
 	// microseconds per hop) or wide-area placements.
 	Latency func(from, to msg.NodeID) time.Duration
 	// FaultPlan, if non-nil, scripts the fault of every delivery that no
-	// node or link fault (SetNodeDown, Block) has already dropped. Tracker
-	// tests use it to target specific envelopes (a reply's CorrID, a
-	// particular message type) with exact drops, duplicates and delays;
-	// soaks pass a seeded Loss's Plan.
+	// downed node (SetNodeDown) has already dropped. Tracker tests use it
+	// to target specific envelopes (a reply's CorrID, a particular message
+	// type or link) with exact drops, duplicates and delays; soaks pass a
+	// seeded Loss's Plan.
 	FaultPlan func(from, to msg.NodeID, env msg.Envelope) Fault
 	// CallTimeout caps every Call/CallAsync deadline: the effective
 	// deadline is the earlier of the context's and now+CallTimeout.
@@ -70,11 +70,6 @@ type InprocOptions struct {
 	Clock clock.Clock
 }
 
-// pairKey identifies one directed (sender, receiver) link.
-type pairKey struct {
-	from, to msg.NodeID
-}
-
 // Inproc is an in-process Network: nodes are handler functions, each
 // delivered request handled concurrently on the handler executor.
 type Inproc struct {
@@ -86,20 +81,16 @@ type Inproc struct {
 	closed bool
 
 	// faulty is false while nothing can touch a delivery — no plan, no
-	// node down, no link blocked — and lets deliver skip the fault stage
-	// and its lock. Stored under faultMu by everything that changes one of
-	// those.
+	// node down — and lets deliver skip the fault stage and its lock.
+	// Stored under faultMu by everything that changes one of those.
 	faulty atomic.Bool
 
-	// faultMu guards the node-level fault maps down and blocked.
+	// faultMu guards down.
 	faultMu sync.Mutex
 	// down marks paused nodes: every delivery to or from a down node is
 	// silently dropped, modelling a crashed or partitioned process whose
 	// address still resolves (unlike Close, which unregisters the id).
 	down map[msg.NodeID]bool
-	// blocked drops deliveries on specific directed links, modelling
-	// asymmetric partitions.
-	blocked map[pairKey]bool
 
 	// retries counts CallWithRetry re-attempts by nodes of this network,
 	// callTimeouts the calls the deadline sweeper expired and lateReplies
@@ -118,11 +109,10 @@ func NewInproc(opts InprocOptions) *Inproc {
 		clk = clock.Real{}
 	}
 	n := &Inproc{
-		nodes:   make(map[msg.NodeID]*inprocNode),
-		opts:    opts,
-		clk:     clk,
-		down:    make(map[msg.NodeID]bool),
-		blocked: make(map[pairKey]bool),
+		nodes: make(map[msg.NodeID]*inprocNode),
+		opts:  opts,
+		clk:   clk,
+		down:  make(map[msg.NodeID]bool),
 	}
 	if opts.Metrics != nil {
 		n.retries = opts.Metrics.Counter("wire_retries")
@@ -139,57 +129,18 @@ func (n *Inproc) Clock() clock.Clock { return n.clk }
 // noteFaultsLocked recomputes faulty. Caller holds faultMu (or is the
 // constructor).
 func (n *Inproc) noteFaultsLocked() {
-	n.faulty.Store(n.opts.FaultPlan != nil || len(n.down) > 0 || len(n.blocked) > 0)
-}
-
-// SetNodeDown pauses or resumes a node: while down, every delivery to or
-// from it is silently dropped, but the node stays attached — callers see
-// timeouts (and eventually open breakers), not ErrUnknownNode. It models a
-// crashed, wedged or fully partitioned process.
-func (n *Inproc) SetNodeDown(id msg.NodeID, down bool) {
-	n.faultMu.Lock()
-	if down {
-		n.down[id] = true
-	} else {
-		delete(n.down, id)
-	}
-	n.noteFaultsLocked()
-	n.faultMu.Unlock()
-}
-
-// Block installs or removes an asymmetric partition: while blocked, every
-// delivery on the directed link from→to is silently dropped; the reverse
-// direction is unaffected.
-func (n *Inproc) Block(from, to msg.NodeID, blocked bool) {
-	n.faultMu.Lock()
-	if blocked {
-		n.blocked[pairKey{from, to}] = true
-	} else {
-		delete(n.blocked, pairKey{from, to})
-	}
-	n.noteFaultsLocked()
-	n.faultMu.Unlock()
+	n.faulty.Store(n.opts.FaultPlan != nil || len(n.down) > 0)
 }
 
 // nodeFaulted reports whether the directed link from→to is currently
-// severed by a node-level fault.
+// severed by a node that is down.
 func (n *Inproc) nodeFaulted(from, to msg.NodeID) bool {
 	n.faultMu.Lock()
 	defer n.faultMu.Unlock()
-	if len(n.down) == 0 && len(n.blocked) == 0 {
+	if len(n.down) == 0 {
 		return false
 	}
-	return n.down[from] || n.down[to] || n.blocked[pairKey{from, to}]
-}
-
-// PeerState returns the breaker state of node "of" toward destination
-// "to"; PeerClosed when breakers are disabled or "of" is not attached.
-func (n *Inproc) PeerState(of, to msg.NodeID) PeerState {
-	nd, err := n.lookup(of)
-	if err != nil {
-		return PeerClosed
-	}
-	return nd.health.state(to)
+	return n.down[from] || n.down[to]
 }
 
 type inprocNode struct {
@@ -308,8 +259,8 @@ func (n *Inproc) lookup(id msg.NodeID) (*inprocNode, error) {
 	return node, nil
 }
 
-// deliver runs the fault stage for one envelope — the node and link
-// faults, then the FaultPlan — and dispatches the surviving copies, a
+// deliver runs the fault stage for one envelope — the downed nodes, then
+// the FaultPlan — and dispatches the surviving copies, a
 // delayed copy from a timer on the network's clock. The plan runs
 // synchronously on the sender's goroutine, so a sequential send schedule
 // consults it (and a seeded Loss draws) in a deterministic order
@@ -460,9 +411,6 @@ func (nd *inprocNode) countRetry() {
 		nd.net.retries.Inc()
 	}
 }
-
-// PendingCalls implements Node.
-func (nd *inprocNode) PendingCalls() int { return nd.calls.pending() }
 
 // Clock implements Node.
 func (nd *inprocNode) Clock() clock.Clock { return nd.net.clk }

@@ -3,8 +3,6 @@ package transport
 import (
 	"math/rand"
 	"sync"
-
-	"locsvc/internal/msg"
 )
 
 // Loss is seeded random datagram loss, the one loss model of both
@@ -20,31 +18,9 @@ type Loss struct {
 	rng  *rand.Rand
 }
 
-// NewLoss returns a loss model that drops with probability rate in [0,1],
-// drawing from a source seeded with seed; seed 0 means 1.
-func NewLoss(rate float64, seed int64) *Loss {
-	if seed == 0 {
-		seed = 1
-	}
-	return &Loss{rate: rate, rng: rand.New(rand.NewSource(seed))}
-}
-
-// SetRate changes the loss probability at runtime. Soak tests use it to
-// stage lossless setup and verification phases around a lossy window.
-func (l *Loss) SetRate(rate float64) {
-	l.mu.Lock()
-	l.rate = rate
-	l.mu.Unlock()
-}
-
 // Drop draws one loss decision.
 func (l *Loss) Drop() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.rate > 0 && l.rng.Float64() < l.rate
-}
-
-// Plan is a FaultPlan that drops each delivery with the loss probability.
-func (l *Loss) Plan(_, _ msg.NodeID, _ msg.Envelope) Fault {
-	return Fault{Drop: l.Drop()}
 }

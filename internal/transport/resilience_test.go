@@ -185,15 +185,30 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	assertQuiesced(t, cli)
 }
 
-// TestAsymmetricPartition pins Block's directedness: with cli→srv blocked,
-// nothing from cli reaches srv (requests, and crucially also the replies to
-// srv's own calls) while srv's messages still reach cli — the classic
-// asymmetric-link failure where one side believes the other is dark.
+// TestAsymmetricPartition pins a directed partition, a FaultPlan that
+// drops one link: with cli→srv cut, nothing from cli reaches srv
+// (requests, and crucially also the replies to srv's own calls) while
+// srv's messages still reach cli — the classic asymmetric-link failure
+// where one side believes the other is dark.
 func TestAsymmetricPartition(t *testing.T) {
 	var atSrv atomic.Int64
 	atCli := make(chan msg.Message, 1)
 	const cooldown = 30 * time.Millisecond
-	net, clk := breakerNet(t, 1, cooldown, nil)
+	// The partition: while cut is set, every delivery on the directed link
+	// cli→srv is dropped; srv→cli is untouched.
+	var cut atomic.Bool
+	clk := clock.NewManual(time.Unix(1000, 0))
+	net := NewInproc(InprocOptions{
+		CallTimeout:      breakerCallTimeout,
+		SweepInterval:    breakerSweep,
+		BreakerThreshold: 1,
+		BreakerCooldown:  cooldown,
+		Clock:            clk,
+		FaultPlan: func(from, to msg.NodeID, _ msg.Envelope) Fault {
+			return Fault{Drop: cut.Load() && from == "cli" && to == "srv"}
+		},
+	})
+	t.Cleanup(func() { net.Close() })
 	srv, err := net.Attach("srv", func(_ context.Context, _ msg.NodeID, _ msg.Message) (msg.Message, error) {
 		atSrv.Add(1)
 		return nil, nil
@@ -208,7 +223,7 @@ func TestAsymmetricPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Block("cli", "srv", true)
+	cut.Store(true)
 
 	// Blocked direction: the request never arrives, the call times out,
 	// and one timeout opens cli's breaker (threshold 1).
@@ -234,7 +249,7 @@ func TestAsymmetricPartition(t *testing.T) {
 
 	// Healing the link lets the post-cooldown probe through; the probe's
 	// auto-acknowledged success closes cli's breaker.
-	net.Block("cli", "srv", false)
+	cut.Store(false)
 	clk.Advance(cooldown)
 	if _, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 2}); cerr != nil {
 		t.Fatalf("post-heal probe call failed: %v", cerr)

@@ -41,14 +41,6 @@ type RetryPolicy struct {
 	PerTryTimeout time.Duration
 }
 
-// DefaultRetryPolicy is a sane client-side budget: 4 attempts keep the
-// failure probability negligible at realistic loss rates (20% loss each
-// way ≈ 0.36 per-attempt failure ≈ 1.7% after 4 tries) while bounding the
-// worst-case added latency to well under a second.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * time.Millisecond, MaxBackoff: time.Second}
-}
-
 // Retryable reports whether err is worth another attempt: swept or local
 // timeouts (the datagram or its reply was probably lost) and open breakers
 // (the cooldown may have elapsed by the next backoff). Remote application

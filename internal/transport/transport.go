@@ -2,8 +2,8 @@
 // clients and tracked objects. Two implementations are provided:
 //
 //   - Inproc: every node is a handler function in one process, with
-//     injectable per-hop latency, node and link faults, and a FaultPlan
-//     that drops, duplicates or delays single deliveries. This substitutes
+//     injectable per-hop latency, downed nodes, and a FaultPlan that
+//     drops, duplicates or delays single deliveries. This substitutes
 //     the paper's testbed of five workstations on 100 Mbit Ethernet: hop
 //     counts, message sequences and concurrency are identical, only
 //     absolute wire time differs (InprocOptions.Latency models it per link).
@@ -304,13 +304,6 @@ func (c *calls) sweepLoop(ticker *clock.Ticker) {
 	}
 }
 
-// pending returns the number of in-flight entries.
-func (c *calls) pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}
-
 // close stops the sweeper, unblocks registrations waiting on a slot and
 // fails the callers parked in await with ErrClosed: nothing will resolve
 // their calls any more. Continuations left with Then are dropped.
@@ -409,14 +402,6 @@ type PendingCall struct {
 	id uint64
 	ch chan msg.Message
 }
-
-// ID returns the call's correlation id.
-func (p *PendingCall) ID() uint64 { return p.id }
-
-// Done exposes the resolution channel for select loops. The received
-// message may be an error frame; run it through msg.AsError. Most callers
-// want Wait.
-func (p *PendingCall) Done() <-chan msg.Message { return p.ch }
 
 // Wait blocks until the call resolves or ctx is done. Cancelling via ctx
 // removes the in-flight entry, so a reply arriving later is counted as

@@ -279,17 +279,28 @@ func TestNestedCalls(t *testing.T) {
 	}
 }
 
+// route returns the address registered for id on u.
+func route(u *UDP, id msg.NodeID) (string, bool) {
+	u.mu.RLock()
+	defer u.mu.RUnlock()
+	ua, ok := u.dir[id]
+	if !ok {
+		return "", false
+	}
+	return ua.String(), true
+}
+
 func TestUDPRouteDirectory(t *testing.T) {
 	nw := NewUDPWithOptions(UDPOptions{})
 	defer nw.Close()
 	if err := nw.AddRoute("remote", "127.0.0.1:45678"); err != nil {
 		t.Fatal(err)
 	}
-	addr, ok := nw.Route("remote")
+	addr, ok := route(nw, "remote")
 	if !ok || addr != "127.0.0.1:45678" {
-		t.Errorf("Route = %q, %v", addr, ok)
+		t.Errorf("route = %q, %v", addr, ok)
 	}
-	if _, ok := nw.Route("missing"); ok {
+	if _, ok := route(nw, "missing"); ok {
 		t.Error("missing route found")
 	}
 	if err := nw.AddRoute("bad", "not-an-address:xx"); err == nil {

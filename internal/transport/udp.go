@@ -39,7 +39,7 @@ const socketBuffer = 4 << 20
 // UDPOptions configure a UDP network.
 type UDPOptions struct {
 	// Metrics receives the network's wire-level counters; nil gets a
-	// private registry, which UDP.Metrics returns.
+	// private registry.
 	Metrics *metrics.Registry
 	// BatchMax caps the envelopes one datagram carries; 0 and 1 both mean
 	// a cap of one, so every envelope is its own datagram (a batch of one
@@ -177,16 +177,6 @@ func NewUDPWithOptions(opts UDPOptions) *UDP {
 	return u
 }
 
-// Metrics returns the registry holding the network's wire-level counters.
-func (u *UDP) Metrics() *metrics.Registry { return u.met }
-
-// SetLoss injects receive loss: each incoming datagram is dropped as l
-// decides, after the datagram counters but before decoding — as if the
-// kernel had lost it; nil removes it. All of the network's read loops draw
-// from the one l. Fault-injection soaks use it to exercise the tracker's
-// timeout path against a real socket.
-func (u *UDP) SetLoss(l *Loss) { u.loss.Store(l) }
-
 // dropIncoming draws one injected-loss decision; with no loss installed it
 // takes no lock.
 func (u *UDP) dropIncoming() bool {
@@ -205,17 +195,6 @@ func (u *UDP) AddRoute(id msg.NodeID, addr string) error {
 	defer u.mu.Unlock()
 	u.dir[id] = ua
 	return nil
-}
-
-// Route returns the address registered for id.
-func (u *UDP) Route(id msg.NodeID) (string, bool) {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	ua, ok := u.dir[id]
-	if !ok {
-		return "", false
-	}
-	return ua.String(), true
 }
 
 // newNode builds a node with its tracker and batcher.
@@ -564,13 +543,6 @@ func (nd *udpNode) CallAsync(ctx context.Context, to msg.NodeID, m msg.Message) 
 
 // countRetry feeds the network's wire_retries counter (retryCounter).
 func (nd *udpNode) countRetry() { nd.net.retries.Inc() }
-
-// PeerState returns this node's breaker state toward to (PeerClosed when
-// breakers are disabled).
-func (nd *udpNode) PeerState(to msg.NodeID) PeerState { return nd.health.state(to) }
-
-// PendingCalls implements Node.
-func (nd *udpNode) PendingCalls() int { return nd.calls.pending() }
 
 // Clock implements Node.
 func (nd *udpNode) Clock() clock.Clock { return nd.net.Clock() }

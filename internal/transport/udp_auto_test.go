@@ -19,9 +19,9 @@ func TestAttachAutoUsesAddressAsID(t *testing.T) {
 	if !strings.HasPrefix(string(n.ID()), "127.0.0.1:") {
 		t.Errorf("id = %q, want an address", n.ID())
 	}
-	addr, ok := nw.Route(n.ID())
+	addr, ok := route(nw, n.ID())
 	if !ok || addr != string(n.ID()) {
-		t.Errorf("Route(%s) = %q, %v", n.ID(), addr, ok)
+		t.Errorf("route(%s) = %q, %v", n.ID(), addr, ok)
 	}
 }
 
@@ -56,7 +56,7 @@ func TestAddressFallbackRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The client learns the server's address from its own directory.
-	serverAddr, _ := serverNet.Route("server")
+	serverAddr, _ := route(serverNet, "server")
 	if err := clientNet.AddRoute("server", serverAddr); err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestUDPBurstIntoStalledReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _ := recv.Route("srv")
+	addr, _ := route(recv, "srv")
 	if err := send.AddRoute("srv", addr); err != nil {
 		t.Fatal(err)
 	}

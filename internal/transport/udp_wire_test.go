@@ -48,11 +48,11 @@ func TestOversizeEnvelopeFailsAtEncode(t *testing.T) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
-	if got := nw.Metrics().Counter("wire_oversize_dropped").Value(); got != 1 {
+	if got := nw.met.Counter("wire_oversize_dropped").Value(); got != 1 {
 		t.Errorf("wire_oversize_dropped = %d, want 1", got)
 	}
 	// Nothing hit the wire.
-	if got := nw.Metrics().Counter("wire_datagrams_out").Value(); got != 0 {
+	if got := nw.met.Counter("wire_datagrams_out").Value(); got != 0 {
 		t.Errorf("wire_datagrams_out = %d, want 0", got)
 	}
 }
@@ -128,8 +128,8 @@ func TestWireMetricsCounters(t *testing.T) {
 	reg := metrics.NewRegistry()
 	nw := NewUDPWithOptions(UDPOptions{Metrics: reg})
 	defer nw.Close()
-	if nw.Metrics() != reg {
-		t.Fatal("Metrics() did not return the shared registry")
+	if nw.met != reg {
+		t.Fatal("the network does not count into the registry its options passed")
 	}
 
 	if _, err := nw.Attach("server", func(context.Context, msg.NodeID, msg.Message) (msg.Message, error) {
@@ -168,7 +168,7 @@ func TestWireMetricsCounters(t *testing.T) {
 
 	// A garbage datagram straight at the server's socket must count as a
 	// decode error (and not kill the read loop).
-	addr, ok := nw.Route("server")
+	addr, ok := route(nw, "server")
 	if !ok {
 		t.Fatal("server route missing")
 	}

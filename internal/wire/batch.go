@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 
 	"locsvc/internal/msg"
@@ -19,48 +18,10 @@ const batchMagic = 0xB7
 // uses it to reject impossible counts before allocating.
 const batchElemMin = 13
 
-// errEmptyBatch rejects encoding a batch of zero envelopes.
-var errEmptyBatch = errors.New("wire: encoding batch: no envelopes")
-
 // IsBatch reports whether data starts like a batch frame. A false return
 // means the datagram is (at most) a single legacy envelope frame.
 func IsBatch(data []byte) bool {
 	return len(data) > 0 && data[0] == batchMagic
-}
-
-// EncodeBatch serializes envs into a fresh buffer. It is the convenience
-// form of AppendEncodeBatch for callers without a buffer to reuse.
-func EncodeBatch(envs []msg.Envelope) ([]byte, error) {
-	return AppendEncodeBatch(nil, envs)
-}
-
-// AppendEncodeBatch appends the batch encoding of envs to dst and returns
-// the extended slice. A single envelope encodes as a plain legacy frame —
-// batching is invisible on the wire until there are at least two envelopes
-// to coalesce — and zero envelopes are an error.
-func AppendEncodeBatch(dst []byte, envs []msg.Envelope) ([]byte, error) {
-	switch len(envs) {
-	case 0:
-		return dst, errEmptyBatch
-	case 1:
-		return AppendEncode(dst, envs[0])
-	}
-	mark := len(dst)
-	dst = append(dst, batchMagic, wireVersion)
-	dst = appendUvarint(dst, uint64(len(envs)))
-	sp := GetBuffer()
-	for _, env := range envs {
-		frame, err := AppendEncode((*sp)[:0], env)
-		if err != nil {
-			PutBuffer(sp)
-			return dst[:mark], err
-		}
-		*sp = frame
-		dst = appendUvarint(dst, uint64(len(frame)))
-		dst = append(dst, frame...)
-	}
-	PutBuffer(sp)
-	return dst, nil
 }
 
 // DecodeBatch deserializes a batch datagram into its envelopes. A datagram
@@ -145,18 +106,6 @@ func (b *BatchBuilder) Add(frame []byte) {
 
 // Count returns the number of frames added since the last Reset.
 func (b *BatchBuilder) Count() int { return b.count }
-
-// Size returns the datagram size the current contents flush to: the bare
-// frame for a single envelope, header plus prefixed frames otherwise.
-func (b *BatchBuilder) Size() int {
-	switch b.count {
-	case 0:
-		return 0
-	case 1:
-		return b.first
-	}
-	return 2 + uvarintLen(uint64(b.count)) + len(b.items)
-}
 
 // SizeWith returns the flush size if one more frame of frameLen bytes were
 // added — the coalescer's pre-flight check against the datagram limit.
