@@ -43,8 +43,9 @@ func TestChaosSoak(t *testing.T) {
 	)
 
 	reg := metrics.NewRegistry()
+	down := transport.NewNodesDown(transport.NewLoss(dropRate, 7).Plan)
 	net := transport.NewInproc(transport.InprocOptions{
-		FaultPlan:        transport.NewLoss(dropRate, 7).Plan,
+		FaultPlan:        down.Plan,
 		SweepInterval:    10 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  cooldown,
@@ -191,7 +192,7 @@ func TestChaosSoak(t *testing.T) {
 			// Pause the leaf: deliveries in both directions are
 			// dropped while its id stays attached — calls toward
 			// it time out and feed the parent's breaker.
-			net.SetNodeDown(leaf, true)
+			down.SetNodeDown(leaf, true)
 
 			// Live-leaf operations must ride the retry budget
 			// through the loss and the dark quarter.
@@ -260,7 +261,7 @@ func TestChaosSoak(t *testing.T) {
 			// Crash it for real: close the paused server (its WAL
 			// closes with it) and restart from the same log. The
 			// visitorDB survives; the sightingDB starts empty.
-			net.SetNodeDown(leaf, false)
+			down.SetNodeDown(leaf, false)
 			if err := dep.Servers[leaf].Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -55,8 +55,9 @@ func TestFailoverSoak(t *testing.T) {
 	// the final full-population oracle, keeping the soak's wall-clock
 	// spent on the failure path instead of on retried setup traffic.
 	loss := transport.NewLoss(0, 11)
+	down := transport.NewNodesDown(loss.Plan)
 	net := transport.NewInproc(transport.InprocOptions{
-		FaultPlan:        loss.Plan,
+		FaultPlan:        down.Plan,
 		SweepInterval:    10 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  cooldown,
@@ -218,7 +219,7 @@ func TestFailoverSoak(t *testing.T) {
 	// through healing every probe, promotion, redirect and query rides
 	// the lossy network.
 	loss.SetRate(dropRate)
-	net.SetNodeDown(victim, true)
+	down.SetNodeDown(victim, true)
 
 	// The root's health probes fail, the failover fires, and the heir
 	// answers queries for the acked state. A posquery from another
@@ -240,7 +241,7 @@ func TestFailoverSoak(t *testing.T) {
 	// still configured as a primary (it never learned of the takeover).
 	// Its epoch-1 streams must be fenced by the heir, demoting it to
 	// standby, after which it catches up from the heir's snapshot.
-	net.SetNodeDown(victim, false)
+	down.SetNodeDown(victim, false)
 	revived, err := tree.restart(victim, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -693,7 +694,9 @@ func steadyRounds(b *testing.B, standby bool) time.Duration {
 // settled arm, the time until a query through r.1 finds an r.0 object
 // where it was last acknowledged and the queries that failed inside it.
 func leafFailover(b *testing.B, arm failoverArm) (unavailable time.Duration, failed, lost int) {
+	down := transport.NewNodesDown(nil)
 	net := transport.NewInproc(transport.InprocOptions{
+		FaultPlan:        down.Plan,
 		SweepInterval:    10 * time.Millisecond,
 		BreakerThreshold: 3,
 	})
@@ -785,7 +788,7 @@ func leafFailover(b *testing.B, arm failoverArm) (unavailable time.Duration, fai
 		return true, truth.CheckPos(oid, ld, err)
 	}
 
-	net.SetNodeDown(victim, true)
+	down.SetNodeDown(victim, true)
 	killed := time.Now()
 	restarted := make(chan error, 1)
 	if !arm.standby {
@@ -796,7 +799,7 @@ func leafFailover(b *testing.B, arm failoverArm) (unavailable time.Duration, fai
 		go func() {
 			time.Sleep(3 * failoverProbe)
 			_, err := tree.restart(victim, image)
-			net.SetNodeDown(victim, false)
+			down.SetNodeDown(victim, false)
 			restarted <- err
 		}()
 	}

@@ -25,7 +25,9 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 	// No network-level call cap: the servers' own CallTimeout governs
 	// hop calls, and the client's operation timeout must outlive the
 	// entry server's QueryTimeout to receive the partial answer.
+	down := transport.NewNodesDown(nil)
 	net := transport.NewInproc(transport.InprocOptions{
+		FaultPlan:     down.Plan,
 		SweepInterval: 20 * time.Millisecond,
 	})
 	defer net.Close()
@@ -69,7 +71,7 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 	// Darken r.3: deliveries to and from it are dropped, its id stays
 	// attached — the shape of a paused or crashed process behind a live
 	// address.
-	net.SetNodeDown("r.3", true)
+	down.SetNodeDown("r.3", true)
 	dark := []msg.NodeID{"r.3"}
 
 	tests := []struct {

@@ -33,6 +33,11 @@ func TestNothingTimedWhileClockStands(t *testing.T) {
 	)
 	var dropLost atomic.Bool // lose every CreatePath for "lost" to the root
 	dropLost.Store(true)
+	down := transport.NewNodesDown(func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
+		b, ok := env.Msg.(msg.PathBatch)
+		lost := ok && slices.ContainsFunc(b.Changes, func(c msg.PathChange) bool { return c.OID == "lost" })
+		return transport.Fault{Drop: lost && to == "r" && dropLost.Load()}
+	})
 	ls, clk := newManualLS(t, quadSpec(), server.Options{
 		SightingTTL:     ttl,
 		JanitorInterval: time.Second,
@@ -42,11 +47,7 @@ func TestNothingTimedWhileClockStands(t *testing.T) {
 		SweepInterval:    sweep,
 		BreakerThreshold: 1,
 		BreakerCooldown:  cooldown,
-		FaultPlan: func(_, to msg.NodeID, env msg.Envelope) transport.Fault {
-			b, ok := env.Msg.(msg.PathBatch)
-			lost := ok && slices.ContainsFunc(b.Changes, func(c msg.PathChange) bool { return c.OID == "lost" })
-			return transport.Fault{Drop: lost && to == "r" && dropLost.Load()}
-		},
+		FaultPlan:        down.Plan,
 	})
 	start := clk.Now()
 	root := ls.dep.Servers["r"]
@@ -79,7 +80,7 @@ func TestNothingTimedWhileClockStands(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { nd.Close() })
-		ls.net.SetNodeDown(id, true)
+		down.SetNodeDown(id, true)
 	}
 	first, err := probe.CallAsync(context.Background(), "dark", msg.DiagReq{})
 	if err != nil {
@@ -139,7 +140,7 @@ func TestNothingTimedWhileClockStands(t *testing.T) {
 	}
 
 	// The breaker admits a probe call at its cooldown, not before.
-	ls.net.SetNodeDown("dark", false)
+	down.SetNodeDown("dark", false)
 	openedAt := stood // by the sweep that timed the first call out
 	advanceTo := func(at time.Time) {
 		if d := at.Sub(clk.Now()); d > 0 {

@@ -61,8 +61,8 @@ type breakerConfig struct {
 	cooldown time.Duration
 	// owner names the observing node in peer_state gauge names.
 	owner msg.NodeID
-	// metrics, when non-nil, receives peer_state gauges and the
-	// wire_breaker_open fail-fast counter.
+	// metrics receives peer_state gauges and the wire_breaker_open
+	// fail-fast counter.
 	metrics *metrics.Registry
 }
 
@@ -95,11 +95,11 @@ func newHealth(cfg breakerConfig) *health {
 	if cfg.cooldown <= 0 {
 		cfg.cooldown = defaultBreakerCooldown
 	}
-	h := &health{cfg: cfg, peers: make(map[msg.NodeID]*peerHealth)}
-	if cfg.metrics != nil {
-		h.failFast = cfg.metrics.Counter("wire_breaker_open")
+	return &health{
+		cfg:      cfg,
+		failFast: cfg.metrics.Counter("wire_breaker_open"),
+		peers:    make(map[msg.NodeID]*peerHealth),
 	}
-	return h
 }
 
 // allow reports whether a call to dst may proceed. An open breaker past
@@ -128,9 +128,7 @@ func (h *health) allow(to msg.NodeID) error {
 	case PeerHalfOpen:
 		// A probe is already in flight; fail fast until it resolves.
 	}
-	if h.failFast != nil {
-		h.failFast.Inc()
-	}
+	h.failFast.Inc()
 	return ErrBreakerOpen
 }
 
@@ -215,8 +213,5 @@ func (h *health) state(to msg.NodeID) PeerState {
 
 // gauge publishes a state change; called with h.mu held.
 func (h *health) gauge(to msg.NodeID, s PeerState) {
-	if h.cfg.metrics == nil {
-		return
-	}
 	h.cfg.metrics.Gauge("peer_state." + string(h.cfg.owner) + "->" + string(to)).Set(s.gaugeValue())
 }

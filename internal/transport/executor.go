@@ -21,7 +21,8 @@ import "sync"
 // the working set of warm stacks as small as the concurrency of the moment;
 // a worker that finishes while maxParkedWorkers are already parked retires.
 // The executor keeps no account of running tasks: whoever submits one
-// tracks it (Inproc.wg, udpNode.handlerWG, the server's WaitGroup), and
+// tracks it — a node's request handlers in its network's link (Inproc.wg,
+// a UDP node's handlerWG), the server's drains in its WaitGroup — and
 // that owner's Close waits for it. Parked workers hold no task and belong
 // to no network, so a Close leaves them parked for the next one.
 

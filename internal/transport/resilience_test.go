@@ -21,11 +21,14 @@ const (
 	breakerSweep       = 5 * time.Millisecond
 )
 
-// breakerNet builds an inproc network on a manual clock with breakers armed.
-func breakerNet(t *testing.T, threshold int, cooldown time.Duration, reg *metrics.Registry) (*Inproc, *clock.Manual) {
+// breakerNet builds an inproc network on a manual clock with breakers
+// armed, whose nodes down pauses.
+func breakerNet(t *testing.T, threshold int, cooldown time.Duration, reg *metrics.Registry) (*Inproc, *NodesDown, *clock.Manual) {
 	t.Helper()
 	clk := clock.NewManual(time.Unix(1000, 0))
+	down := NewNodesDown(nil)
 	net := NewInproc(InprocOptions{
+		FaultPlan:        down.Plan,
 		CallTimeout:      breakerCallTimeout,
 		SweepInterval:    breakerSweep,
 		BreakerThreshold: threshold,
@@ -34,7 +37,7 @@ func breakerNet(t *testing.T, threshold int, cooldown time.Duration, reg *metric
 		Clock:            clk,
 	})
 	t.Cleanup(func() { net.Close() })
-	return net, clk
+	return net, down, clk
 }
 
 // callPastDeadline issues a call and advances clk past its deadline, so a
@@ -63,7 +66,7 @@ func assertQuiesced(t *testing.T, nd Node) {
 // timeout wait: the clock never moves while they are refused.
 func TestBreakerOpensAndFailsFast(t *testing.T) {
 	reg := metrics.NewRegistry()
-	net, clk := breakerNet(t, 3, time.Hour, reg) // the cooldown is never advanced past
+	net, down, clk := breakerNet(t, 3, time.Hour, reg) // the cooldown is never advanced past
 	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetNodeDown("srv", true)
+	down.SetNodeDown("srv", true)
 
 	// Three consecutive timeouts open the breaker.
 	for i := 0; i < 3; i++ {
@@ -104,7 +107,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 // closes the breaker and traffic flows again.
 func TestBreakerHalfOpensAndCloses(t *testing.T) {
 	const cooldown = 50 * time.Millisecond
-	net, clk := breakerNet(t, 2, cooldown, nil)
+	net, down, clk := breakerNet(t, 2, cooldown, nil)
 	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestBreakerHalfOpensAndCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	net.SetNodeDown("srv", true)
+	down.SetNodeDown("srv", true)
 	for i := 0; i < 2; i++ {
 		callPastDeadline(clk, cli, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
 	}
@@ -124,7 +127,7 @@ func TestBreakerHalfOpensAndCloses(t *testing.T) {
 	// Peer recovers; a nanosecond short of the cooldown calls are still
 	// refused, at the cooldown the next call is the probe and must close
 	// the breaker.
-	net.SetNodeDown("srv", false)
+	down.SetNodeDown("srv", false)
 	clk.Advance(cooldown - time.Nanosecond)
 	if _, cerr := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 41}); !errors.Is(cerr, ErrBreakerOpen) {
 		t.Fatalf("call before the cooldown ended: err = %v, want ErrBreakerOpen", cerr)
@@ -147,7 +150,7 @@ func TestBreakerHalfOpensAndCloses(t *testing.T) {
 // concurrent calls while the probe is out fail fast.
 func TestBreakerFailedProbeReopens(t *testing.T) {
 	const cooldown = 40 * time.Millisecond
-	net, clk := breakerNet(t, 2, cooldown, nil)
+	net, down, clk := breakerNet(t, 2, cooldown, nil)
 	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +159,7 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	net.SetNodeDown("srv", true)
+	down.SetNodeDown("srv", true)
 	for i := 0; i < 2; i++ {
 		callPastDeadline(clk, cli, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
 	}
@@ -313,6 +316,45 @@ func TestCallWithRetrySucceedsUnderLoss(t *testing.T) {
 	waitQuiesced(t, cli)
 }
 
+// TestRetriesCountedThroughWrappingNode pins that a node wrapping another
+// by embedding it — a tracing decorator's shape — still feeds its network's
+// wire_retries: under total request loss three attempts count two retries,
+// and a manual CountRetry through the wrapper counts one more.
+func TestRetriesCountedThroughWrappingNode(t *testing.T) {
+	reg := metrics.NewRegistry()
+	net := NewInproc(InprocOptions{
+		CallTimeout:   20 * time.Millisecond,
+		SweepInterval: 5 * time.Millisecond,
+		Metrics:       reg,
+		FaultPlan: func(_, _ msg.NodeID, env msg.Envelope) Fault {
+			return Fault{Drop: !env.Reply}
+		},
+	})
+	defer net.Close()
+	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := net.Attach("cli", valueEchoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := struct{ Node }{cli}
+
+	pol := RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	dest := func() msg.NodeID { return "srv" }
+	if _, err := CallWithRetry(context.Background(), wrapped, dest, msg.ChangeAccReq{OID: "o", DesAcc: 1}, pol); !errors.Is(err, core.ErrTimeout) {
+		t.Fatalf("call under total loss: err = %v, want timeout", err)
+	}
+	if got := reg.Counter("wire_retries").Value(); got != 2 {
+		t.Fatalf("wire_retries through the wrapper = %d, want 2", got)
+	}
+	CountRetry(wrapped)
+	if got := reg.Counter("wire_retries").Value(); got != 3 {
+		t.Fatalf("wire_retries after CountRetry through the wrapper = %d, want 3", got)
+	}
+	waitQuiesced(t, cli)
+}
+
 // TestRetryNonRetryableReturnsImmediately pins the budget guard: a
 // deterministic application error consumes exactly one attempt.
 func TestRetryNonRetryableReturnsImmediately(t *testing.T) {
@@ -349,7 +391,7 @@ func TestRetryNonRetryableReturnsImmediately(t *testing.T) {
 // advances the clock only while the loop is parked on a backoff.
 func TestRetryOnOpenBreaker(t *testing.T) {
 	const cooldown = 30 * time.Millisecond
-	net, clk := breakerNet(t, 1, cooldown, nil)
+	net, down, clk := breakerNet(t, 1, cooldown, nil)
 	if _, err := net.Attach("srv", valueEchoHandler); err != nil {
 		t.Fatal(err)
 	}
@@ -359,14 +401,14 @@ func TestRetryOnOpenBreaker(t *testing.T) {
 	}
 
 	// Trip the breaker.
-	net.SetNodeDown("srv", true)
+	down.SetNodeDown("srv", true)
 	callPastDeadline(clk, cli, "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1})
 	if st := net.PeerState("cli", "srv"); st != PeerOpen {
 		t.Fatalf("breaker = %v, want open", st)
 	}
 	// Recover; a retried call must get through via the probe even though
 	// its first attempts hit the open breaker.
-	net.SetNodeDown("srv", false)
+	down.SetNodeDown("srv", false)
 	obs := observedNode{Node: cli, attempts: make(chan error)}
 	pol := RetryPolicy{MaxAttempts: 12, BaseBackoff: 15 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
 	type result struct {

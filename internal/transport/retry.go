@@ -51,19 +51,11 @@ func Retryable(err error) bool {
 		errors.Is(err, ErrBreakerOpen)
 }
 
-// retryCounter is implemented by nodes whose network counts retries into
-// its metrics registry (wire_retries).
-type retryCounter interface{ countRetry() }
-
-// CountRetry feeds the node network's wire_retries counter, when it keeps
-// one. Manual retry loops — operations that cannot ride CallWithRetry, like
-// the client's one-way registration re-send — call it once per retry so the
-// counter stays a complete picture.
-func CountRetry(nd Node) {
-	if rc, ok := nd.(retryCounter); ok {
-		rc.countRetry()
-	}
-}
+// CountRetry feeds the node network's wire_retries counter. Manual retry
+// loops — operations that cannot ride CallWithRetry, like the client's
+// one-way registration re-send — call it once per retry so the counter
+// stays a complete picture.
+func CountRetry(nd Node) { nd.countRetry() }
 
 // Backoff draws the full-jitter sleep before attempt attempt+1 (attempt is
 // the 1-based count of attempts already made): uniform[0, min(Base·2^(a-1),

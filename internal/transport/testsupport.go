@@ -6,6 +6,7 @@ package transport
 
 import (
 	"math/rand"
+	"sync"
 
 	"locsvc/internal/msg"
 )
@@ -46,20 +47,50 @@ func (l *Loss) Plan(_, _ msg.NodeID, _ msg.Envelope) Fault {
 // stall a reader on l's lock.
 func (u *UDP) SetLoss(l *Loss) { u.loss.Store(l) }
 
-// SetNodeDown pauses or resumes a node: while down, every delivery to or
-// from it is silently dropped, but the node stays attached — callers see
+// NodesDown is a FaultPlan that pauses nodes: every delivery to or from a
+// down node is silently dropped, but the node stays attached — callers see
 // timeouts (and eventually open breakers), not ErrUnknownNode. It models a
-// crashed, wedged or fully partitioned process. Driven by TestChaosSoak,
-// TestFailoverSoak and TestDegradedQueriesWithDarkLeaf.
-func (n *Inproc) SetNodeDown(id msg.NodeID, down bool) {
-	n.faultMu.Lock()
+// crashed, wedged or fully partitioned process. Every other delivery goes
+// to the plan it wraps, so a wrapped seeded Loss draws for exactly the
+// deliveries between live nodes. Driven by TestChaosSoak, TestFailoverSoak,
+// TestDegradedQueriesWithDarkLeaf, TestNothingTimedWhileClockStands and
+// the breaker tests.
+type NodesDown struct {
+	next func(from, to msg.NodeID, env msg.Envelope) Fault
+
+	mu   sync.Mutex
+	down map[msg.NodeID]bool
+}
+
+// NewNodesDown returns a plan with every node up that defers to next; nil
+// delivers normally.
+func NewNodesDown(next func(from, to msg.NodeID, env msg.Envelope) Fault) *NodesDown {
+	return &NodesDown{next: next, down: make(map[msg.NodeID]bool)}
+}
+
+// SetNodeDown pauses or resumes a node.
+func (d *NodesDown) SetNodeDown(id msg.NodeID, down bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if down {
-		n.down[id] = true
+		d.down[id] = true
 	} else {
-		delete(n.down, id)
+		delete(d.down, id)
 	}
-	n.noteFaultsLocked()
-	n.faultMu.Unlock()
+}
+
+// Plan is the FaultPlan to pass as InprocOptions.FaultPlan.
+func (d *NodesDown) Plan(from, to msg.NodeID, env msg.Envelope) Fault {
+	d.mu.Lock()
+	severed := d.down[from] || d.down[to]
+	d.mu.Unlock()
+	if severed {
+		return Fault{Drop: true}
+	}
+	if d.next == nil {
+		return Fault{}
+	}
+	return d.next(from, to, env)
 }
 
 // PeerState returns the breaker state of node "of" toward destination
@@ -74,12 +105,9 @@ func (n *Inproc) PeerState(of, to msg.NodeID) PeerState {
 }
 
 // PendingCalls implements Node. TestChaosSoak (through
-// server.PendingCalls) asserts it drops to zero at quiesce.
-func (nd *inprocNode) PendingCalls() int { return nd.calls.pending() }
-
-// PendingCalls implements Node. TestMultiplexSoak asserts it drops to zero
-// at quiesce.
-func (nd *udpNode) PendingCalls() int { return nd.calls.pending() }
+// server.PendingCalls) and TestMultiplexSoak assert it drops to zero at
+// quiesce.
+func (e *endpoint) PendingCalls() int { return e.calls.pending() }
 
 // pending returns the number of in-flight entries.
 func (c *calls) pending() int {

@@ -1,24 +1,29 @@
 // Package transport moves protocol messages between location servers,
-// clients and tracked objects. Two implementations are provided:
+// clients and tracked objects. Two networks are provided:
 //
 //   - Inproc: every node is a handler function in one process, with
-//     injectable per-hop latency, downed nodes, and a FaultPlan that
-//     drops, duplicates or delays single deliveries. This substitutes
-//     the paper's testbed of five workstations on 100 Mbit Ethernet: hop
-//     counts, message sequences and concurrency are identical, only
-//     absolute wire time differs (InprocOptions.Latency models it per link).
+//     injectable per-hop latency and a FaultPlan that drops, duplicates
+//     or delays single deliveries (a NodesDown plan pauses whole nodes).
+//     This substitutes the paper's testbed of five workstations on
+//     100 Mbit Ethernet: hop counts, message sequences and concurrency
+//     are identical, only absolute wire time differs
+//     (InprocOptions.Latency models it per link).
 //   - UDP: each node binds a datagram socket, mirroring the paper's choice
 //     of UDP for efficient client/server and server/server interaction.
 //
 // Random loss on either network comes from one seeded Loss: an Inproc
 // takes its Plan as the FaultPlan, a UDP network takes it through SetLoss.
 //
-// Both support one-way Send, blocking Call and multiplexed CallAsync with
-// hop-by-hop replies. Calls are correlated by request id through a shared
-// in-flight tracker: per-call deadlines are swept by a timeout goroutine
-// that resolves expired entries as timeout error frames, and an optional
-// in-flight cap provides backpressure, so thousands of requests can ride
-// one socket concurrently instead of in lockstep.
+// The node is written once (endpoint.go), one call runtime over both
+// networks: one-way Send, blocking Call and multiplexed CallAsync with
+// hop-by-hop replies, per-peer breakers, and serving a request with its
+// reply. A network supplies only how an envelope leaves a node and the
+// accounting of the handler tasks it starts. Calls are correlated by
+// request id through the in-flight tracker: per-call deadlines are swept
+// by a timeout goroutine that resolves expired entries as timeout error
+// frames, and an optional in-flight cap provides backpressure, so
+// thousands of requests can ride one socket concurrently instead of in
+// lockstep.
 package transport
 
 import (
@@ -30,6 +35,7 @@ import (
 	"time"
 
 	"locsvc/internal/clock"
+	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
 )
 
@@ -71,6 +77,10 @@ type Node interface {
 	Clock() clock.Clock
 	// Close detaches the node from the network.
 	Close() error
+	// countRetry feeds the network's wire_retries counter. Unexported, so
+	// only this package's nodes implement Node, and a node that wraps one
+	// by embedding it still counts its retries.
+	countRetry()
 }
 
 // Network attaches nodes.
@@ -118,17 +128,16 @@ type trackerConfig struct {
 	// sweepEvery is the timeout goroutine's scan interval; zero uses
 	// defaultSweepInterval.
 	sweepEvery time.Duration
-	// onTimeout observes every call resolved by the deadline sweeper.
-	onTimeout func()
-	// onLate observes every reply that found no waiter (late after a
-	// timeout, a duplicate, or a cancellation).
-	onLate func()
-	// onOutcome observes every call resolution attributable to the peer:
-	// ok=true when a reply arrived (even an error frame — the peer is
-	// alive), ok=false when the deadline sweeper expired the call. Caller
-	// cancellations say nothing about the peer and are not reported. It
-	// feeds per-peer breaker state.
-	onOutcome func(to msg.NodeID, ok bool)
+	// timeouts counts every call resolved by the deadline sweeper.
+	timeouts *metrics.Counter
+	// late counts every reply that found no waiter (late after a timeout,
+	// a duplicate, or a cancellation).
+	late *metrics.Counter
+	// health, nil without breakers, learns every call resolution
+	// attributable to the peer: a reply arrived (even an error frame — the
+	// peer is alive), or the deadline sweeper expired the call. Caller
+	// cancellations say nothing about the peer and are not reported.
+	health *health
 }
 
 // calls is the in-flight tracker shared by the transport implementations:
@@ -252,16 +261,12 @@ func (c *calls) cancel(id uint64) {
 func (c *calls) deliver(id uint64, m msg.Message) bool {
 	w := c.take(id)
 	if w == nil {
-		if c.cfg.onLate != nil {
-			c.cfg.onLate()
-		}
+		c.cfg.late.Inc()
 		return false
 	}
 	// Accounting first: the caller this wakes may look at the breaker (its
 	// next call) or at the counters before this goroutine runs again.
-	if c.cfg.onOutcome != nil {
-		c.cfg.onOutcome(w.to, true)
-	}
+	c.cfg.health.outcome(w.to, true)
 	w.resolve(m)
 	return true
 }
@@ -292,12 +297,8 @@ func (c *calls) sweepLoop(ticker *clock.Ticker) {
 				}
 				// Counted before resolved, as in deliver: a caller that
 				// has its timeout finds it in wire_call_timeouts.
-				if c.cfg.onTimeout != nil {
-					c.cfg.onTimeout()
-				}
-				if c.cfg.onOutcome != nil {
-					c.cfg.onOutcome(w.to, false)
-				}
+				c.cfg.timeouts.Inc()
+				c.cfg.health.outcome(w.to, false)
 				w.resolve(msg.ErrorRes{Code: msg.CodeTimeout, Text: "in-flight call expired before its reply arrived"})
 			}
 		}

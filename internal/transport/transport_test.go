@@ -116,6 +116,33 @@ func TestSendOneWay(t *testing.T) {
 	}
 }
 
+// TestNilHandlerDropsRequests pins what a node attached without a handler
+// does with a request, on both networks: it drops it. A Send to it is lost
+// without harm to the process, a Call to it times out, and the caller's
+// in-flight table empties.
+func TestNilHandlerDropsRequests(t *testing.T) {
+	for name, nw := range networks(t) {
+		t.Run(name, func(t *testing.T) {
+			defer nw.Close()
+			if _, err := nw.Attach("mute", nil); err != nil {
+				t.Fatal(err)
+			}
+			cli, err := nw.Attach("cli", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cli.Send("mute", msg.RequestUpdate{OID: "o1"}); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+			ctx := WithCallDeadline(context.Background(), cli.Clock(), 50*time.Millisecond)
+			if _, err := cli.Call(ctx, "mute", msg.UpdateReq{}); !errors.Is(err, core.ErrTimeout) {
+				t.Fatalf("Call to a node without a handler: err = %v, want timeout", err)
+			}
+			waitQuiesced(t, cli)
+		})
+	}
+}
+
 func TestUnknownDestination(t *testing.T) {
 	nw := NewInproc(InprocOptions{})
 	defer nw.Close()

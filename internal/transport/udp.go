@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -122,10 +121,10 @@ type UDP struct {
 	envelopesIn  *metrics.Counter
 	envelopesOut *metrics.Counter
 	envsPerBatch *metrics.Histogram
-	callTimeouts *metrics.Counter
-	lateReplies  *metrics.Counter
 	lossInjected *metrics.Counter
-	retries      *metrics.Counter
+
+	// calling is what every node's calls run on.
+	calling *callConfig
 }
 
 var _ Network = (*UDP)(nil)
@@ -165,10 +164,16 @@ func NewUDPWithOptions(opts UDPOptions) *UDP {
 		envelopesIn:  reg.Counter("wire_envelopes_in"),
 		envelopesOut: reg.Counter("wire_envelopes_out"),
 		envsPerBatch: reg.Histogram("wire_envelopes_per_batch"),
-		callTimeouts: reg.Counter("wire_call_timeouts"),
-		lateReplies:  reg.Counter("wire_late_replies"),
 		lossInjected: reg.Counter("wire_loss_injected"),
-		retries:      reg.Counter("wire_retries"),
+		calling: newCallConfig(callConfig{
+			clk:              clock.Real{},
+			metrics:          reg,
+			callTimeout:      opts.CallTimeout,
+			sweepEvery:       opts.SweepInterval,
+			maxInFlight:      opts.MaxInFlight,
+			breakerThreshold: opts.BreakerThreshold,
+			breakerCooldown:  opts.BreakerCooldown,
+		}),
 	}
 	u.recvBufs.New = func() any {
 		b := make([]byte, MaxDatagram)
@@ -197,35 +202,6 @@ func (u *UDP) AddRoute(id msg.NodeID, addr string) error {
 	return nil
 }
 
-// newNode builds a node with its tracker and batcher.
-func (u *UDP) newNode(id msg.NodeID, conn *net.UDPConn, h Handler) *udpNode {
-	// Best effort, see socketBuffer: a smaller buffer only loses datagrams
-	// sooner, which the call path survives like any other loss.
-	_ = conn.SetReadBuffer(socketBuffer)
-	_ = conn.SetWriteBuffer(socketBuffer)
-	nd := &udpNode{id: id, net: u, conn: conn, handler: h}
-	nd.health = newHealth(breakerConfig{
-		clk:       u.Clock(),
-		threshold: u.opts.BreakerThreshold,
-		cooldown:  u.opts.BreakerCooldown,
-		owner:     id,
-		metrics:   u.met,
-	})
-	tc := trackerConfig{
-		clk:         u.Clock(),
-		maxInFlight: u.opts.MaxInFlight,
-		sweepEvery:  u.opts.SweepInterval,
-		onTimeout:   u.callTimeouts.Inc,
-		onLate:      u.lateReplies.Inc,
-	}
-	if nd.health != nil {
-		tc.onOutcome = nd.health.outcome
-	}
-	nd.calls = newCalls(tc)
-	nd.batch = newBatcher(nd, max(u.opts.BatchMax, 1))
-	return nd
-}
-
 // Attach implements Network, binding a fresh socket on 127.0.0.1. The
 // chosen address is added to the directory automatically.
 func (u *UDP) Attach(id msg.NodeID, h Handler) (Node, error) {
@@ -235,59 +211,54 @@ func (u *UDP) Attach(id msg.NodeID, h Handler) (Node, error) {
 // AttachAuto binds a socket on an ephemeral port of host and attaches the
 // node under its own address as node id ("127.0.0.1:54321"). Clients of a
 // UDP deployment attach this way: every server can then reach them via the
-// address-fallback routing in write without any directory distribution.
+// address-fallback routing in send without any directory distribution.
 func (u *UDP) AttachAuto(host string, h Handler) (Node, error) {
-	la, err := net.ResolveUDPAddr("udp", net.JoinHostPort(host, "0"))
-	if err != nil {
-		return nil, fmt.Errorf("transport: resolving %s: %w", host, err)
-	}
-	conn, err := net.ListenUDP("udp", la)
-	if err != nil {
-		return nil, fmt.Errorf("transport: binding %s: %w", host, err)
-	}
-	id := msg.NodeID(conn.LocalAddr().String())
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.closed {
-		conn.Close()
-		return nil, ErrClosed
-	}
-	if _, ok := u.nodes[id]; ok {
-		conn.Close()
-		return nil, ErrDuplicateID
-	}
-	node := u.newNode(id, conn, h)
-	u.nodes[id] = node
-	u.dir[id] = conn.LocalAddr().(*net.UDPAddr)
-	u.wg.Add(1)
-	go node.readLoop(&u.wg)
-	return node, nil
+	return u.attach("", net.JoinHostPort(host, "0"), h)
 }
 
 // AttachAddr binds the node's socket to a specific address.
 func (u *UDP) AttachAddr(id msg.NodeID, bind string, h Handler) (Node, error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.closed {
-		return nil, ErrClosed
-	}
-	if _, ok := u.nodes[id]; ok {
-		return nil, ErrDuplicateID
-	}
+	return u.attach(id, bind, h)
+}
+
+// attach binds a socket to bind and attaches a node on it under id, or
+// under the socket's own address when id is empty; the address goes into
+// the directory.
+func (u *UDP) attach(id msg.NodeID, bind string, h Handler) (Node, error) {
 	la, err := net.ResolveUDPAddr("udp", bind)
 	if err != nil {
-		return nil, fmt.Errorf("transport: resolving bind %s: %w", bind, err)
+		return nil, fmt.Errorf("transport: resolving %s: %w", bind, err)
 	}
 	conn, err := net.ListenUDP("udp", la)
 	if err != nil {
 		return nil, fmt.Errorf("transport: binding %s: %w", bind, err)
 	}
-	node := u.newNode(id, conn, h)
-	u.nodes[id] = node
-	u.dir[id] = conn.LocalAddr().(*net.UDPAddr)
+	addr := conn.LocalAddr().(*net.UDPAddr)
+	if id == "" {
+		id = msg.NodeID(addr.String())
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed {
+		conn.Close()
+		return nil, ErrClosed
+	}
+	if _, ok := u.nodes[id]; ok {
+		conn.Close()
+		return nil, ErrDuplicateID
+	}
+	// Best effort, see socketBuffer: a smaller buffer only loses datagrams
+	// sooner, which the call path survives like any other loss.
+	_ = conn.SetReadBuffer(socketBuffer)
+	_ = conn.SetWriteBuffer(socketBuffer)
+	nd := &udpNode{net: u, conn: conn}
+	nd.endpoint = newEndpoint(id, h, u.calling, nd)
+	nd.batch = newBatcher(nd, max(u.opts.BatchMax, 1))
+	u.nodes[id] = nd
+	u.dir[id] = addr
 	u.wg.Add(1)
-	go node.readLoop(&u.wg)
-	return node, nil
+	go nd.readLoop(&u.wg)
+	return nd, nil
 }
 
 // Close implements Network.
@@ -304,30 +275,23 @@ func (u *UDP) Close() error {
 	}
 	u.mu.Unlock()
 	for _, n := range nodes {
-		n.calls.close()
-		n.batch.closeFlush()
-		n.conn.Close()
+		n.Close()
 	}
 	u.wg.Wait()
 	return nil
 }
 
+// udpNode is an endpoint whose link is its socket: envelopes leave through
+// the batcher, and its request handlers are tracked in handlerWG, which the
+// read loop waits out when the socket closes.
 type udpNode struct {
-	id      msg.NodeID
-	net     *UDP
-	conn    *net.UDPConn
-	handler Handler
-	calls   *calls
-	health  *health
-	batch   *batcher
+	endpoint
+	net   *UDP
+	conn  *net.UDPConn
+	batch *batcher
 
 	handlerWG sync.WaitGroup
 }
-
-var _ Node = (*udpNode)(nil)
-
-// ID implements Node.
-func (nd *udpNode) ID() msg.NodeID { return nd.id }
 
 // readLoop receives datagrams until the socket closes. Each datagram is
 // read into a pooled buffer that goes straight through the batch-aware
@@ -388,11 +352,8 @@ func (nd *udpNode) readLoop(wg *sync.WaitGroup) {
 	}
 }
 
-// process routes one received envelope. A reply is resolved through the
-// tracker right here on the read loop (resolving never blocks); a request
-// is handled on the handler executor, concurrently with the read loop and
-// with every other envelope — of the same datagram too — in no particular
-// order, so a handler may block in nested calls.
+// process learns the sender's address of one received envelope, then
+// hands the envelope to the node.
 func (nd *udpNode) process(env msg.Envelope, src netip.AddrPort) {
 	// Learn the sender's address so replies and later messages to
 	// this node need no static directory entry. Known senders — the
@@ -411,34 +372,18 @@ func (nd *udpNode) process(env msg.Envelope, src netip.AddrPort) {
 			nd.net.mu.Unlock()
 		}
 	}
-	if env.Reply {
-		nd.calls.deliver(env.CorrID, env.Msg)
-		return
-	}
-	if nd.handler == nil {
-		return
-	}
-	nd.handlerWG.Add(1)
-	handlers.run(func() {
-		defer nd.handlerWG.Done()
-		resp, herr := nd.handler(context.Background(), env.From, env.Msg)
-		if env.CorrID == 0 {
-			return
-		}
-		var payload msg.Message
-		switch {
-		case herr != nil:
-			payload = msg.ErrorResFrom(herr)
-		case resp != nil:
-			payload = resp
-		default:
-			payload = msg.Ack{}
-		}
-		reply := msg.Envelope{From: nd.id, CorrID: env.CorrID, Reply: true, Msg: payload}
-		// Best effort: UDP replies may be lost like any datagram.
-		_ = nd.write(env.From, reply)
-	})
+	nd.receive(env)
 }
+
+// addTask reserves a handler task in handlerWG; a node takes requests
+// until its socket closes, so it never refuses.
+func (nd *udpNode) addTask() bool {
+	nd.handlerWG.Add(1)
+	return true
+}
+
+// doneTask frees a task addTask reserved.
+func (nd *udpNode) doneTask() { nd.handlerWG.Done() }
 
 // transmit sends one assembled datagram carrying count envelopes and
 // records the wire counters. A failed write is counted in
@@ -458,7 +403,7 @@ func (nd *udpNode) transmit(addr *net.UDPAddr, data []byte, count int) error {
 	return nil
 }
 
-// write encodes and transmits an envelope to the directory address of dst.
+// send encodes and transmits an envelope to the directory address of dst.
 // Node ids that are not in the directory but parse as "host:port" are sent
 // to that address directly: clients of a UDP deployment use their own
 // socket address as node id, so servers can answer them without any
@@ -467,7 +412,7 @@ func (nd *udpNode) transmit(addr *net.UDPAddr, data []byte, count int) error {
 // exceed MaxDatagram fails here, before the socket write, with the message
 // type and encoded size. The encoded frame is handed to the coalescer,
 // which sends it at once or with its destination's next batch.
-func (nd *udpNode) write(dst msg.NodeID, env msg.Envelope) error {
+func (nd *udpNode) send(dst msg.NodeID, env msg.Envelope) error {
 	nd.net.mu.RLock()
 	addr, ok := nd.net.dir[dst]
 	nd.net.mu.RUnlock()
@@ -502,50 +447,6 @@ func (nd *udpNode) write(dst msg.NodeID, env msg.Envelope) error {
 	}
 	return nil
 }
-
-// Send implements Node. An open breaker toward the destination fails
-// fast: one-way messages to a dark peer are pure loss anyway.
-func (nd *udpNode) Send(to msg.NodeID, m msg.Message) error {
-	if nd.health.state(to) == PeerOpen {
-		return ErrBreakerOpen
-	}
-	return nd.write(to, msg.Envelope{From: nd.id, Msg: m})
-}
-
-// Call implements Node: CallAsync followed by Wait, the lockstep special
-// case of the multiplexed path.
-func (nd *udpNode) Call(ctx context.Context, to msg.NodeID, m msg.Message) (msg.Message, error) {
-	p, err := nd.CallAsync(ctx, to, m)
-	if err != nil {
-		return nil, err
-	}
-	return p.Wait(ctx)
-}
-
-// CallAsync implements Node.
-func (nd *udpNode) CallAsync(ctx context.Context, to msg.NodeID, m msg.Message) (*PendingCall, error) {
-	if err := nd.health.allow(to); err != nil {
-		return nil, err
-	}
-	deadline := callDeadline(ctx, nd.Clock(), nd.net.opts.CallTimeout)
-	id, ch, err := nd.calls.register(ctx, to, deadline)
-	if err != nil {
-		nd.health.abortProbe(to)
-		return nil, err
-	}
-	if err := nd.write(to, msg.Envelope{From: nd.id, CorrID: id, Msg: m}); err != nil {
-		nd.calls.cancel(id)
-		nd.health.abortProbe(to)
-		return nil, err
-	}
-	return &PendingCall{c: nd.calls, id: id, ch: ch}, nil
-}
-
-// countRetry feeds the network's wire_retries counter (retryCounter).
-func (nd *udpNode) countRetry() { nd.net.retries.Inc() }
-
-// Clock implements Node.
-func (nd *udpNode) Clock() clock.Clock { return nd.net.Clock() }
 
 // Close implements Node.
 func (nd *udpNode) Close() error {
