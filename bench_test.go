@@ -27,6 +27,10 @@
 //	BenchmarkTable2RangeQueryRemote/2servers — "remote range query (2 servers)" 14.6 ms,   364/s
 //	BenchmarkTable2RangeQueryRemote/4servers — "remote range query (4 servers)" 13.8 ms,   284/s
 //
+// BenchmarkTable2RangeQueryRemote/4servers-300m has no counterpart in the
+// paper: its 300 m square returns hundreds of objects, so its B/op shows
+// what assembling a large answer from four leaves costs.
+//
 // BenchmarkCacheAblation is ablation A2's response time with the Section
 // 6.5 caches off and on. The message counts behind A2, the hierarchy shape
 // sweep A3 and the query-locality sweep A5 are exact, so they are asserted
@@ -353,6 +357,9 @@ func BenchmarkTable2RangeQueryRemote(b *testing.B) {
 		{"2servers", locsvc.R(1000, 725, 1050, 775)},
 		// Centered on the root midpoint (all four servers).
 		{"4servers", locsvc.R(725, 725, 775, 775)},
+		// A 300 m square on the root midpoint: ≈ 400 objects from all
+		// four servers, a quarter of them the entry server's own.
+		{"4servers-300m", locsvc.R(600, 600, 900, 900)},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {

@@ -27,6 +27,15 @@ import (
 // (which Area.Valid rejects, but a query may still carry) every circle
 // takes the exact path, as before.
 //
+// Bounds is the predicate's filter rectangle: the closed rectangle outside
+// which no position qualifies, so an index search over it sees every
+// candidate that can qualify. Below a reqOverlap of 0.5 it is the area's
+// bounds enlarged by reqAcc — a circle centred outside the area can still
+// overlap it enough. From 0.5 on it is the area's bounds themselves, grown
+// only by a rounding margin: the area lies in its bounding box, a convex
+// set, so a line through a centre outside the box keeps the whole box on
+// one side and the circle's overlap with the area stays below one half.
+//
 // A RangePredicate is not safe for concurrent Prepare; concurrent use of a
 // prepared one is fine. The zero value qualifies nothing.
 type RangePredicate struct {
@@ -35,6 +44,8 @@ type RangePredicate struct {
 	// edges holds the half-planes of a convex area; empty means "no
 	// classification, exact arithmetic for everything".
 	edges []areaEdge
+	// bounds is the filter rectangle Bounds returns.
+	bounds geo.Rect
 }
 
 // areaEdge is one edge's supporting line: a point on it and the unit
@@ -56,11 +67,30 @@ const overlapTie = 1e-9
 // closer to the border, Polygon.Contains' boundary tolerance decides.
 const pointMargin = 1e-6
 
+// boundsMargin is how far beyond the area's bounding box a position that
+// qualifies for a reqOverlap ≥ 0.5 can lie: only by rounding. A point
+// (accuracy 0) qualifies through Polygon.Contains, whose boundary
+// tolerance pointMargin covers. A circle of radius r ≤ reqAcc centred δ
+// beyond the box overlaps the area by at most the share of its disk
+// beyond a line at distance δ from its centre, which is below
+// 1/2 − δ/(2r) for δ ≤ r/2 (and below 0.2 farther out). The overlap
+// arithmetic errs by less than overlapTie relative to the circle, plus
+// the rounding of its coordinates, which pointMargin also absorbs, so the
+// circle reaches 0.5 only when δ < 2·overlapTie·r + pointMargin.
+func boundsMargin(reqAcc float64) float64 {
+	return pointMargin + 2*overlapTie*reqAcc
+}
+
 // Prepare compiles the predicate for area a and the two thresholds,
 // reusing the receiver's storage.
 func (p *RangePredicate) Prepare(a Area, reqAcc, reqOverlap float64) {
 	p.area, p.reqAcc, p.reqOverlap = a, reqAcc, reqOverlap
 	p.edges = p.edges[:0]
+	if reqOverlap >= 0.5 {
+		p.bounds = a.Bounds().Enlarge(boundsMargin(reqAcc))
+	} else {
+		p.bounds = a.Bounds().Enlarge(reqAcc)
+	}
 	vs := a.Vertices
 	signed := vs.SignedArea()
 	if signed == 0 || !vs.IsConvex() {
@@ -159,6 +189,10 @@ func (p *RangePredicate) overlap(ld LocationDescriptor) (ov float64, exact bool)
 	}
 	return p.area.Overlap(ld), true
 }
+
+// Bounds returns the closed rectangle outside which no location
+// descriptor's position qualifies (see the type's comment).
+func (p *RangePredicate) Bounds() geo.Rect { return p.bounds }
 
 // Qualifies applies the predicate to one location descriptor, like
 // Area.RangeQualifies. exact reports whether the decision needed the exact

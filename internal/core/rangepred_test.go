@@ -281,6 +281,87 @@ func TestRangePredicateZeroValueAndBadThresholds(t *testing.T) {
 	}
 }
 
+// TestRangePredicateBoundsHoldEveryQualifier: the filter rectangle holds
+// every position the predicate accepts, on every kind of area and at
+// every threshold; below a reqOverlap of 0.5 it is the reqAcc-enlarged
+// bounds, from 0.5 on it hugs the area's bounds. Descriptors lie at
+// random around the area, and on its vertices and edges and a hair to
+// either side of them, relative to the area's scale.
+func TestRangePredicateBoundsHoldEveryQualifier(t *testing.T) {
+	areas := []struct {
+		name string
+		pg   geo.Polygon
+	}{
+		{"100 m square", geo.R(1000, 2000, 1100, 2100).Poly()},
+		{"4 km rectangle", geo.R(-2000, 0, 2000, 1500).Poly()},
+		{"triangle", geo.Polygon{geo.Pt(0, 0), geo.Pt(200, 0), geo.Pt(30, 100)}},
+		{"hexagon", geo.Polygon{geo.Pt(500, 480), geo.Pt(540, 500), geo.Pt(540, 540), geo.Pt(500, 560), geo.Pt(460, 540), geo.Pt(460, 500)}},
+		{"sliver", geo.Polygon{geo.Pt(0, 0), geo.Pt(300, 299.5), geo.Pt(300, 300), geo.Pt(0, 0.5)}},
+		{"L-shape (not convex)", geo.Polygon{geo.Pt(0, 0), geo.Pt(100, 0), geo.Pt(100, 40), geo.Pt(40, 40), geo.Pt(40, 100), geo.Pt(0, 100)}},
+	}
+	offsets := []float64{0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6}
+	dirs := []geo.Point{geo.Pt(1, 0), geo.Pt(-1, 0), geo.Pt(0, 1), geo.Pt(0, -1),
+		geo.Pt(math.Sqrt2/2, math.Sqrt2/2), geo.Pt(-math.Sqrt2/2, math.Sqrt2/2),
+		geo.Pt(math.Sqrt2/2, -math.Sqrt2/2), geo.Pt(-math.Sqrt2/2, -math.Sqrt2/2)}
+	rng := rand.New(rand.NewSource(60))
+	for _, ac := range areas {
+		for _, pg := range []geo.Polygon{ac.pg, reversed(ac.pg)} {
+			a := Area{Vertices: pg}
+			b := a.Bounds()
+			scale := math.Max(b.Width(), b.Height())
+			// The places a descriptor is put: vertices, points along the
+			// edges, each moved by every offset in every direction, and
+			// random points around the area.
+			var spots []geo.Point
+			for i, v := range pg {
+				w := pg[(i+1)%len(pg)]
+				for _, c := range []geo.Point{v, v.Add(w.Sub(v).Scale(0.5)), v.Add(w.Sub(v).Scale(rng.Float64()))} {
+					for _, off := range offsets {
+						for _, d := range dirs {
+							spots = append(spots, c.Add(d.Scale(off*scale)))
+						}
+					}
+				}
+			}
+			for i := 0; i < 300; i++ {
+				spots = append(spots, geo.Pt(b.Min.X-scale/2+rng.Float64()*2*scale, b.Min.Y-scale/2+rng.Float64()*2*scale))
+			}
+			for _, reqAcc := range []float64{0.5, 50} {
+				for _, reqOverlap := range []float64{1e-9, 0.3, 0.5, 0.75, 1} {
+					var pred RangePredicate
+					pred.Prepare(a, reqAcc, reqOverlap)
+					rect := pred.Bounds()
+					if reqOverlap < 0.5 {
+						if want := b.Enlarge(reqAcc); rect != want {
+							t.Fatalf("%s, reqOverlap %v: Bounds %v, want the enlarged bounds %v", ac.name, reqOverlap, rect, want)
+						}
+					} else if !b.Enlarge(1e-5).ContainsRect(rect) {
+						t.Fatalf("%s, reqOverlap %v, reqAcc %v: Bounds %v reach beyond the area's bounds %v", ac.name, reqOverlap, reqAcc, rect, b)
+					}
+					accepted := 0
+					for _, p := range spots {
+						for _, acc := range []float64{0, rng.Float64() * reqAcc, reqAcc} {
+							ld := LocationDescriptor{Pos: p, Acc: acc}
+							ok, _ := pred.Qualifies(ld)
+							if !ok {
+								continue
+							}
+							accepted++
+							if !rect.ContainsClosed(p) {
+								t.Fatalf("%s, reqOverlap %v: %+v qualifies (overlap %.17g) outside Bounds %v",
+									ac.name, reqOverlap, ld, a.Overlap(ld), rect)
+							}
+						}
+					}
+					if accepted == 0 {
+						t.Fatalf("%s, reqOverlap %v: nothing qualified", ac.name, reqOverlap)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSelectNearestNearSetIsDistanceOrderedPrefix(t *testing.T) {
 	p := geo.Pt(0, 0)
 	cands := []Entry{

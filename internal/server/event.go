@@ -82,8 +82,12 @@ import (
 // every evaluation that writes them runs on the dispatcher goroutine.
 type leafSub struct {
 	sub msg.EventSubscribe
-	// bounds is the region the subscription matches against: the area
-	// enlarged by ReqAcc (count) or by the meeting distance (meeting).
+	// pred is a count subscription's membership predicate, prepared at
+	// install: majority overlap (countOverlap) within ReqAcc.
+	pred core.RangePredicate
+	// bounds is the region the subscription matches against: the count
+	// predicate's filter rectangle, outside which no position qualifies,
+	// or the area enlarged by the meeting distance.
 	bounds geo.Rect
 	// members is the current set of locally qualifying objects of a count
 	// subscription, maintained incrementally from deltas and rebuilt by
@@ -182,15 +186,10 @@ type meetingFire struct {
 	seq  uint64
 }
 
-// matchBounds returns the region a subscription matches sightings against.
-func matchBounds(sub msg.EventSubscribe) geo.Rect {
-	switch sub.Kind {
-	case msg.EventMeeting:
-		return sub.Area.Bounds().Enlarge(sub.Distance)
-	default:
-		return sub.Area.Bounds().Enlarge(sub.ReqAcc)
-	}
-}
+// countOverlap is the overlap degree a count subscription's member must
+// reach: majority overlap, a pragmatic middle ground for "object is in the
+// area".
+const countOverlap = 0.5
 
 // handleEventSubscribe routes and installs a subscription. Routing follows
 // the range-query pattern: climb while part of the area is outside the
@@ -237,7 +236,6 @@ func (s *Server) installSubscription(sub msg.EventSubscribe) {
 	if !exists {
 		ls = &leafSub{
 			sub:       sub,
-			bounds:    matchBounds(sub),
 			lastCount: -1,
 			// Seed the report sequence from the clock: a re-installed
 			// subscription (unsubscribe + resubscribe under the same
@@ -247,6 +245,15 @@ func (s *Server) installSubscription(sub msg.EventSubscribe) {
 			seq:        uint64(s.clk.Now().UnixNano()),
 			members:    make(map[core.OID]bool),
 			firedPairs: make(map[pairKey]bool),
+		}
+		if sub.Kind == msg.EventMeeting {
+			ls.bounds = sub.Area.Bounds().Enlarge(sub.Distance)
+		} else {
+			// A member's position lies in the filter rectangle, so a
+			// delta moving it out still stabs the subscription at its
+			// old position.
+			ls.pred.Prepare(sub.Area, sub.ReqAcc, countOverlap)
+			ls.bounds = ls.pred.Bounds()
 		}
 		e.local[sub.SubID] = ls
 		e.nlocal.Add(1)
@@ -498,7 +505,7 @@ func (s *Server) applyCountDelta(ls *leafSub, d store.Delta) bool {
 	now := false
 	if d.Op == store.DeltaPut && ls.bounds.ContainsClosed(d.New) {
 		reg, ok := s.sightings.Registration(d.OID)
-		now = ok && countQualifies(ls.sub, d.New, reg.OfferedAcc)
+		now = ok && ls.counts(d.New, reg.OfferedAcc)
 	}
 	was := ls.members[d.OID]
 	if now == was {
@@ -595,7 +602,7 @@ func (s *Server) resyncCount(ls *leafSub, force bool) {
 	sub := ls.sub
 	members := make(map[core.OID]bool)
 	s.sightings.SearchEntries(ls.bounds, func(id core.OID, pos geo.Point, acc float64) bool {
-		if countQualifies(sub, pos, acc) {
+		if ls.counts(pos, acc) {
 			members[id] = true
 		}
 		return true
@@ -660,19 +667,16 @@ func (s *Server) resyncMeeting(ls *leafSub) {
 	}
 }
 
-// countQualifies decides membership of one object in a count
-// subscription: position within the enlarged bounds is the caller's
-// precondition; the object must be registered (acc is its offered
-// accuracy, store.AccUnknown when it is not), and its location descriptor
-// must majority-overlap the area.
-func countQualifies(sub msg.EventSubscribe, pos geo.Point, acc float64) bool {
+// counts decides membership of one object in a count subscription: the
+// object must be registered (acc is its offered accuracy, store.AccUnknown
+// when it is not), and its location descriptor must pass the prepared
+// predicate, which decides as Area.RangeQualifies does.
+func (ls *leafSub) counts(pos geo.Point, acc float64) bool {
 	if acc == store.AccUnknown {
 		return false
 	}
-	ld := core.LocationDescriptor{Pos: pos, Acc: acc}
-	// Membership for events uses majority overlap, a pragmatic middle
-	// ground for "object is in the area".
-	return sub.Area.RangeQualifies(ld, sub.ReqAcc, 0.5)
+	ok, _ := ls.pred.Qualifies(core.LocationDescriptor{Pos: pos, Acc: acc})
+	return ok
 }
 
 // reportCount sends one count report to the coordinator, coalescing

@@ -69,7 +69,7 @@ func (s *Server) EventMeetingPairsForTest(subID string) [][2]core.OID {
 // LocalRangeForTest runs this leaf's own range evaluation, as the leaf half
 // of Algorithm 6-5 does.
 func (s *Server) LocalRangeForTest(area core.Area, reqAcc, reqOverlap float64) []core.Entry {
-	return s.localRangeResult(area, reqAcc, reqOverlap, area.Bounds().Enlarge(reqAcc))
+	return s.localRangeResult(area, reqAcc, reqOverlap)
 }
 
 // OracleEntriesForTest joins the sightings with the registrations by brute

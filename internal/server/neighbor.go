@@ -187,7 +187,7 @@ func (s *Server) neighborQueryLocal(req msg.NeighborQueryReq) (msg.Message, bool
 	}
 	// SelectNearest copies what it keeps, so the candidates can stay in
 	// the scan's pooled buffer.
-	sc.run(window, req.ReqAcc, anyOverlap, enlarged)
+	sc.run(window, req.ReqAcc, anyOverlap)
 	res := core.SelectNearest(sc.out, req.P, req.ReqAcc, req.NearQual)
 	if !res.Found {
 		return msg.NeighborQueryRes{Found: false}, true

@@ -104,15 +104,22 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 	covered := 0.0
 	darkCover := 0.0
 
-	// Local contribution (Algorithm 6-5, lines 3-7). The result slice is
-	// adopted as is: a local-only answer is never copied again.
+	// Local contribution (Algorithm 6-5, lines 3-7). The qualifying
+	// entries stay in the scan's pooled buffer until the answer is
+	// assembled, so joinEntries copies them once, together with the remote
+	// parts.
+	var local []core.Entry
 	if enlarged.Intersects(s.cfg.SA.Bounds()) {
-		out.objs = s.localRangeResult(area, reqAcc, reqOverlap, enlarged)
+		sc := s.newRangeScan()
+		defer sc.release()
+		sc.run(area, reqAcc, reqOverlap)
+		local = sc.out
 		covered += area.Vertices.IntersectRectArea(s.cfg.SA.Bounds())
 		out.servers++
 	}
 	if covered+coverEpsilon*expected >= expected || expected == 0 {
 		s.met.Counter("range_query_local").Inc()
+		out.objs = joinEntries(local, nil)
 		return out, nil
 	}
 
@@ -149,6 +156,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 		}
 		if len(sentTo) == 0 {
 			out.partial = len(out.unreachable) > 0
+			out.objs = joinEntries(local, nil)
 			return out, nil
 		}
 	} else {
@@ -156,6 +164,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 		if parent == "" {
 			// Single-server deployment: our own contribution is all
 			// there is.
+			out.objs = joinEntries(local, nil)
 			return out, nil
 		}
 		if _, err := s.forward(parent, msg.RangeQueryFwd{
@@ -166,6 +175,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			// everything beyond this leaf is dark right now.
 			out.partial = true
 			out.unreachable = mergeUnreachable(out.unreachable, parent)
+			out.objs = joinEntries(local, nil)
 			return out, nil
 		}
 		sentTo = append(sentTo, parent)
@@ -231,7 +241,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 					out.unreachable = mergeUnreachable(out.unreachable, id)
 				}
 			}
-			out.objs = joinEntries(out.objs, parts)
+			out.objs = joinEntries(local, parts)
 			return out, nil
 		case <-ctx.Done():
 			return rangeOutcome{}, ctx.Err()
@@ -241,7 +251,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 		out.partial = true
 	}
 	s.met.Counter("range_query_remote").Inc()
-	out.objs = joinEntries(out.objs, parts)
+	out.objs = joinEntries(local, parts)
 	return out, nil
 }
 
@@ -281,15 +291,15 @@ func (c silentChild) holds(leaf msg.LeafInfo) bool {
 }
 
 // joinEntries concatenates the local result and the remote partial results
-// with one exact-size allocation, or none when at most one of them holds
-// anything.
+// with one exact-size allocation. local is a pooled scan buffer and is
+// always copied; a remote part holding the whole answer is adopted as is.
 func joinEntries(local []core.Entry, parts [][]core.Entry) []core.Entry {
 	total := len(local)
 	for _, p := range parts {
 		total += len(p)
 	}
-	if total == len(local) {
-		return local
+	if total == 0 {
+		return nil
 	}
 	if len(local) == 0 {
 		for _, p := range parts {
@@ -308,18 +318,17 @@ func joinEntries(local []core.Entry, parts [][]core.Entry) []core.Entry {
 
 // localRangeResult evaluates the range predicate against this leaf's
 // sightingDB using the spatial index (Algorithm 6-5 lines 4-5). Candidate
-// positions are found within the reqAcc-enlarged bounds — an object whose
-// position lies outside the area can still qualify if its location area
-// overlaps enough (Section 3.2) — then filtered exactly. The result is one
-// allocation of just the size needed (nil when nothing qualifies).
-func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64, enlarged geo.Rect) []core.Entry {
+// positions are found within the predicate's filter rectangle
+// (core.RangePredicate.Bounds) — the reqAcc-enlarged bounds below a
+// reqOverlap of 0.5, where an object whose position lies outside the area
+// can still overlap it enough (Section 3.2), the area's bounds from 0.5
+// on — then filtered exactly. The result is one allocation of just the
+// size needed (nil when nothing qualifies).
+func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64) []core.Entry {
 	sc := s.newRangeScan()
 	defer sc.release()
-	sc.run(area, reqAcc, reqOverlap, enlarged)
-	if len(sc.out) == 0 {
-		return nil
-	}
-	return append([]core.Entry(nil), sc.out...)
+	sc.run(area, reqAcc, reqOverlap)
+	return joinEntries(sc.out, nil)
 }
 
 // rangeScan is the state of one leaf-side candidate scan — the prepared
@@ -362,10 +371,11 @@ func (s *Server) newRangeScan() *rangeScan {
 }
 
 // run evaluates the range predicate over this leaf's candidates inside
-// enlarged, appending the qualifying entries to out.
-func (sc *rangeScan) run(area core.Area, reqAcc, reqOverlap float64, enlarged geo.Rect) {
+// the prepared predicate's filter rectangle, appending the qualifying
+// entries to out.
+func (sc *rangeScan) run(area core.Area, reqAcc, reqOverlap float64) {
 	sc.pred.Prepare(area, reqAcc, reqOverlap)
-	sc.s.sightings.SearchEntries(enlarged, sc.collect)
+	sc.s.sightings.SearchEntries(sc.pred.Bounds(), sc.collect)
 }
 
 // release books the scan's tallies on the leaf's counters and returns it
@@ -437,7 +447,7 @@ func (s *Server) handleRangeQueryFwd(from msg.NodeID, req msg.RangeQueryFwd) {
 			})
 			return
 		}
-		objs := s.localRangeResult(req.Area, req.ReqAcc, req.ReqOverlap, enlarged)
+		objs := s.localRangeResult(req.Area, req.ReqAcc, req.ReqOverlap)
 		s.respondToOrigin(req.Origin, msg.RangeQuerySubRes{
 			OpID:        req.Origin.OpID,
 			Objs:        objs,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -58,10 +59,9 @@ func TestLocalRangeQueryAllocs(t *testing.T) {
 			}
 		}
 		area := core.AreaFromRect(geo.R(500, 500, 1000, 700))
-		enlarged := area.Bounds().Enlarge(50)
 		var res []core.Entry
 		allocs := testing.AllocsPerRun(50, func() {
-			res = s.localRangeResult(area, 50, 0.5, enlarged)
+			res = s.localRangeResult(area, 50, 0.5)
 		})
 		if len(res) != 1000 {
 			t.Fatalf("shards=%d: %d results, want 1000", shards, len(res))
@@ -109,7 +109,7 @@ func TestUpdateAfterChangeAccKeepsAccuracy(t *testing.T) {
 		if n, violations := s.CoveringEntriesForTest(); n != 1 || len(violations) > 0 {
 			t.Fatalf("%s: %d annotated entries, violations %v", name, n, violations)
 		}
-		got := s.localRangeResult(core.AreaFromRect(geo.R(0, 0, 200, 200)), 100, 0.5, geo.R(-100, -100, 300, 300))
+		got := s.localRangeResult(core.AreaFromRect(geo.R(0, 0, 200, 200)), 100, 0.5)
 		if len(got) != 1 || got[0].LD.Acc != 40 || got[0].LD.Pos != geo.Pt(101, 100) {
 			t.Fatalf("%s: range result %+v, want the object at (101, 100), accuracy 40", name, got)
 		}
@@ -122,16 +122,20 @@ func TestUpdateAfterChangeAccKeepsAccuracy(t *testing.T) {
 func TestDiagExportsRangeOutcomeCounters(t *testing.T) {
 	s := newScanLeaf(t, Options{})
 	// A 100 m query square: one object well inside, one across an edge,
-	// one across a corner, one beyond reach, and a sighting with no
+	// one inside a corner whose circle reaches mostly outside (the exact
+	// arithmetic decides it), one centred outside across a corner and one
+	// beyond reach (a majority-overlap query does not search outside the
+	// square, so neither is a candidate), and a sighting with no
 	// registration (a position recovered without its registration log).
 	install(t, s, 0, geo.Pt(150, 150), 10)
 	install(t, s, 1, geo.Pt(195, 150), 10)
 	install(t, s, 2, geo.Pt(203, 203), 10)
 	install(t, s, 3, geo.Pt(240, 150), 10)
+	install(t, s, 4, geo.Pt(198, 198), 10)
 	s.sightings.Put(core.Sighting{OID: "plain", T: time.Now(), Pos: geo.Pt(120, 120), SensAcc: 5})
 
 	area := core.AreaFromRect(geo.R(100, 100, 200, 200))
-	got := s.localRangeResult(area, 50, 0.5, area.Bounds().Enlarge(50))
+	got := s.localRangeResult(area, 50, 0.5)
 	if len(got) != 2 {
 		t.Fatalf("range result %+v, want the two registered objects mostly inside", got)
 	}
@@ -141,7 +145,7 @@ func TestDiagExportsRangeOutcomeCounters(t *testing.T) {
 	}
 	snapshot := res.(msg.DiagRes).Metrics
 	for _, line := range []string{
-		"range_candidates = 5",
+		"range_candidates = 4",
 		"range_qualified = 2",
 		"range_exact_overlap = 1",
 	} {
@@ -149,4 +153,64 @@ func TestDiagExportsRangeOutcomeCounters(t *testing.T) {
 			t.Errorf("metrics snapshot lacks %q:\n%s", line, snapshot)
 		}
 	}
+}
+
+// BenchmarkLocalRangeScan is one leaf's own range evaluation — the index
+// search over the predicate's filter rectangle and the exact filter — with
+// the benchmark workloads' population of 40 000 objects on one 4 km leaf
+// and their thresholds (reqAcc 50 m, majority overlap). Besides time and
+// B/op it reports per query the candidates the search delivered, the
+// qualifying results and the run leaves read: memtable squares of 100 m
+// and 1 km on an all-RAM leaf, and 200 m squares on a tiered leaf whose
+// sightings MaintainTiers has flushed to runs.
+func BenchmarkLocalRangeScan(b *testing.B) {
+	const (
+		objects = 40_000
+		reqAcc  = 50
+	)
+	populate := func(b *testing.B, opts Options) *Server {
+		s := newScanLeaf(b, opts)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < objects; i++ {
+			install(b, s, i, geo.Pt(rng.Float64()*4000, rng.Float64()*4000), 5+rng.Float64()*(reqAcc-5))
+		}
+		return s
+	}
+	scan := func(s *Server, side float64) func(b *testing.B) {
+		return func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			cands, leaves := s.rangeMet.candidates.Value(), s.sightings.TierStats().LeafReads
+			results := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x, y := 100+rng.Float64()*(3800-side), 100+rng.Float64()*(3800-side)
+				results += len(s.localRangeResult(core.AreaFromRect(geo.R(x, y, x+side, y+side)), reqAcc, 0.5))
+			}
+			b.StopTimer()
+			n := float64(b.N)
+			b.ReportMetric(float64(s.rangeMet.candidates.Value()-cands)/n, "candidates/op")
+			b.ReportMetric(float64(results)/n, "results/op")
+			b.ReportMetric(float64(s.sightings.TierStats().LeafReads-leaves)/n, "leaf_reads/op")
+		}
+	}
+
+	mem := populate(b, Options{})
+	b.Run("memtable/100m", scan(mem, 100))
+	b.Run("memtable/1km", scan(mem, 1000))
+
+	wal, err := store.OpenShardedWAL(b.TempDir(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A budget the population exceeds once, but not twice: no put flushes
+	// inline, and the one maintenance pass moves every sighting to a run.
+	tiered := populate(b, Options{Shards: 2, SightingWAL: wal, Tiering: &store.TierConfig{MemtableBytes: 4 << 20}})
+	if err := tiered.sightings.MaintainTiers(); err != nil {
+		b.Fatal(err)
+	}
+	if st := tiered.sightings.TierStats(); st.DiskLive != objects {
+		b.Fatalf("%d of %d sightings in runs after maintenance", st.DiskLive, objects)
+	}
+	b.Run("tiered/200m", scan(tiered, 200))
 }

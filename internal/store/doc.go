@@ -50,6 +50,13 @@
 //     the entry follows it under one shard lock. A flush drops the records'
 //     sightings and tombstones; the registrations stay.
 //
+// What a range query hands SearchEntries is its predicate's filter
+// rectangle (core.RangePredicate.Bounds): for the majority overlap every
+// client asks for, the query area's bounds, because no position outside
+// them qualifies; below 0.5, the bounds enlarged by reqAcc. Memtable
+// buckets and run leaves therefore deliver only candidates that can
+// qualify, and a cold run leaf outside the area is never read.
+//
 // # Tiered sighting storage
 //
 // With WithTiering, each shard of a ShardedSightingDB becomes the
