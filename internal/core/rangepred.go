@@ -55,6 +55,16 @@ type areaEdge struct {
 	nx, ny float64
 }
 
+// dist returns the signed distance of c from the edge's line, positive
+// inside. The conversions round each product before the sum (no fused
+// multiply-add), so the result is the same wherever it is computed and,
+// rounding being monotone, non-decreasing along the normal in each
+// coordinate: over a rectangle it is smallest at the corner the normal
+// points away from.
+func (e *areaEdge) dist(c geo.Point) float64 {
+	return float64((c.X-e.a.X)*e.nx) + float64((c.Y-e.a.Y)*e.ny)
+}
+
 // overlapTie is how close to reqOverlap a closed-form segment share may
 // come before the exact arithmetic decides instead. The two differ by
 // rounding only (around 1e-16; the tests hold them to 1e-9), but a circle
@@ -138,8 +148,7 @@ func (p *RangePredicate) classify(c geo.Point, r, margin float64) (class circleC
 	}
 	crossed := 0
 	for i := range p.edges {
-		e := &p.edges[i]
-		di := (c.X-e.a.X)*e.nx + (c.Y-e.a.Y)*e.ny
+		di := p.edges[i].dist(c)
 		if di <= -r-margin {
 			return circleOutside, 0
 		}
@@ -188,6 +197,37 @@ func (p *RangePredicate) overlap(ld LocationDescriptor) (ov float64, exact bool)
 		}
 	}
 	return p.area.Overlap(ld), true
+}
+
+// Interior is the bucket-level verdict: it reports whether every location
+// descriptor centred in the closed rectangle sub with an accuracy of at
+// most reqAcc qualifies, because each lies at least max(reqAcc,
+// pointMargin) inside every edge's half-plane. Qualifies classifies such a
+// descriptor as inside the area (overlap 1), needing no exact arithmetic,
+// so a consumer may qualify a whole bucket in sub on the accuracy test
+// alone. Per edge only the corner of sub nearest its line is tested:
+// edge distances are computed monotonically (areaEdge.dist), so no point
+// of sub, rounded as Qualifies rounds it, comes closer. A non-convex
+// area, and thresholds Qualifies rejects outright, have no interior.
+func (p *RangePredicate) Interior(sub geo.Rect) bool {
+	if len(p.edges) == 0 || p.reqOverlap <= 0 || p.reqOverlap > 1 {
+		return false
+	}
+	need := max(p.reqAcc, pointMargin)
+	for i := range p.edges {
+		e := &p.edges[i]
+		c := sub.Min
+		if e.nx < 0 {
+			c.X = sub.Max.X
+		}
+		if e.ny < 0 {
+			c.Y = sub.Max.Y
+		}
+		if !(e.dist(c) >= need) {
+			return false
+		}
+	}
+	return true
 }
 
 // Bounds returns the closed rectangle outside which no location

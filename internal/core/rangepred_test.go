@@ -382,3 +382,110 @@ func TestSelectNearestNearSetIsDistanceOrderedPrefix(t *testing.T) {
 		t.Fatalf("guaranteed min dist = %v, want 5", res.GuaranteedMinDist)
 	}
 }
+
+// TestRangePredicateInteriorNeverDisagrees: wherever the bucket-level
+// verdict calls a rectangle interior, Qualifies accepts every descriptor
+// centred in it with an accuracy of at most reqAcc without the exact
+// arithmetic, and rejects the less accurate ones — on rectangles and
+// convex polygons, below, at and above a reqOverlap of 0.5, at reqAcc 0
+// and above, for rectangles at random, hugging the area at exactly the
+// required depth and a hair less, and touching its border.
+func TestRangePredicateInteriorNeverDisagrees(t *testing.T) {
+	areas := []struct {
+		name   string
+		pg     geo.Polygon
+		convex bool
+	}{
+		{"100 m square", geo.R(1000, 2000, 1100, 2100).Poly(), true},
+		{"1 km rectangle", geo.R(-500, 0, 500, 400).Poly(), true},
+		{"1 km square turned by 45°", geo.Polygon{geo.Pt(707.1, 0), geo.Pt(1414.2, 707.1), geo.Pt(707.1, 1414.2), geo.Pt(0, 707.1)}, true},
+		{"triangle", geo.Polygon{geo.Pt(0, 0), geo.Pt(200, 0), geo.Pt(30, 100)}, true},
+		{"hexagon", geo.Polygon{geo.Pt(500, 480), geo.Pt(540, 500), geo.Pt(540, 540), geo.Pt(500, 560), geo.Pt(460, 540), geo.Pt(460, 500)}, true},
+		{"L-shape (not convex)", geo.Polygon{geo.Pt(0, 0), geo.Pt(100, 0), geo.Pt(100, 40), geo.Pt(40, 40), geo.Pt(40, 100), geo.Pt(0, 100)}, false},
+	}
+	rng := rand.New(rand.NewSource(61))
+	for _, ac := range areas {
+		for _, pg := range []geo.Polygon{ac.pg, reversed(ac.pg)} {
+			a := Area{Vertices: pg}
+			b := a.Bounds()
+			for _, reqAcc := range []float64{0, 20} {
+				need := math.Max(reqAcc, pointMargin)
+				for _, reqOverlap := range []float64{0.3, 0.5, 0.75, 1} {
+					var pred RangePredicate
+					pred.Prepare(a, reqAcc, reqOverlap)
+					// The rectangles the verdict is asked about.
+					var subs []geo.Rect
+					for i := 0; i < 400; i++ {
+						p := geo.Pt(b.Min.X-10+rng.Float64()*(b.Width()+20), b.Min.Y-10+rng.Float64()*(b.Height()+20))
+						q := p.Add(geo.Pt(rng.Float64()*b.Width()/4, rng.Float64()*b.Height()/4))
+						subs = append(subs, geo.Rect{Min: p, Max: q}, geo.Rect{Min: p, Max: p})
+					}
+					for _, v := range pg {
+						// A bucket with a corner on the border.
+						c := b.Center()
+						subs = append(subs, geo.Rect{Min: v, Max: v}, geo.R(v.X, v.Y, c.X, c.Y))
+					}
+					if ac.name == "100 m square" || ac.name == "1 km rectangle" {
+						// The coordinates nearest the border that lie need
+						// inside it, as the edge distance rounds them.
+						in := func(edge, dir float64) float64 {
+							x := edge + dir*need
+							for (x-edge)*dir < need {
+								x = math.Nextafter(x, dir*math.Inf(1))
+							}
+							return x
+						}
+						hug := geo.Rect{Min: geo.Pt(in(b.Min.X, 1), in(b.Min.Y, 1)), Max: geo.Pt(in(b.Max.X, -1), in(b.Max.Y, -1))}
+						if !pred.Interior(hug) {
+							t.Fatalf("%s reqAcc %v reqOverlap %v: the bounds shrunk by exactly %v are not interior", ac.name, reqAcc, reqOverlap, need)
+						}
+						hair := hug
+						hair.Min.X = math.Nextafter(hair.Min.X, math.Inf(-1))
+						subs = append(subs, hug, hair, geo.Rect{Min: hug.Min, Max: hug.Min}, geo.Rect{Min: hug.Max, Max: hug.Max})
+					}
+					interior := 0
+					for _, sub := range subs {
+						if !pred.Interior(sub) {
+							continue
+						}
+						interior++
+						if !ac.convex {
+							t.Fatalf("%s: %v called interior", ac.name, sub)
+						}
+						// Descriptors on the bucket's corners and edges and
+						// inside it.
+						spots := []geo.Point{sub.Min, sub.Max, geo.Pt(sub.Min.X, sub.Max.Y), geo.Pt(sub.Max.X, sub.Min.Y),
+							geo.Pt(sub.Min.X, sub.Center().Y), geo.Pt(sub.Center().X, sub.Max.Y), sub.Center()}
+						for k := 0; k < 4; k++ {
+							spots = append(spots, geo.Pt(sub.Min.X+rng.Float64()*sub.Width(), sub.Min.Y+rng.Float64()*sub.Height()))
+						}
+						for _, p := range spots {
+							for _, acc := range []float64{0, reqAcc, rng.Float64() * reqAcc, reqAcc + 1, -1} {
+								ok, exact := pred.Qualifies(LocationDescriptor{Pos: p, Acc: acc})
+								if want := acc <= reqAcc; ok != want || exact {
+									t.Fatalf("%s reqAcc %v reqOverlap %v: interior %v, descriptor (%v, %v) qualifies %v (exact %v), want %v",
+										ac.name, reqAcc, reqOverlap, sub, p, acc, ok, exact, want)
+								}
+							}
+						}
+					}
+					if ac.convex && interior == 0 {
+						t.Fatalf("%s reqAcc %v reqOverlap %v: no rectangle found interior", ac.name, reqAcc, reqOverlap)
+					}
+				}
+			}
+			// Thresholds Qualifies rejects outright leave no interior.
+			for _, reqOverlap := range []float64{0, -1, 1.5} {
+				var pred RangePredicate
+				pred.Prepare(a, 10, reqOverlap)
+				if c := b.Center(); pred.Interior(geo.Rect{Min: c, Max: c}) {
+					t.Fatalf("%s: reqOverlap %v leaves the centre interior", ac.name, reqOverlap)
+				}
+			}
+		}
+	}
+	var zero RangePredicate
+	if zero.Interior(geo.R(0, 0, 1, 1)) {
+		t.Fatal("the zero predicate has an interior")
+	}
+}

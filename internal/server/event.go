@@ -601,9 +601,11 @@ func (s *Server) resyncSub(ls *leafSub, force bool) {
 func (s *Server) resyncCount(ls *leafSub, force bool) {
 	sub := ls.sub
 	members := make(map[core.OID]bool)
-	s.sightings.SearchEntries(ls.bounds, func(id core.OID, pos geo.Point, acc float64) bool {
-		if ls.counts(pos, acc) {
-			members[id] = true
+	s.sightings.SearchBuckets(ls.bounds, func(items []spatial.Item, _ geo.Rect, inside bool) bool {
+		for i := range items {
+			if it := &items[i]; (inside || ls.bounds.ContainsClosed(it.Pos)) && ls.counts(it.Pos, it.Acc) {
+				members[it.ID] = true
+			}
 		}
 		return true
 	})

@@ -5,6 +5,7 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
+	"locsvc/internal/spatial"
 	"locsvc/internal/store"
 )
 
@@ -99,8 +100,12 @@ func (s *Server) OracleEntriesForTest() []core.Entry {
 func (s *Server) CoveringEntriesForTest() (annotated int, violations []string) {
 	world := s.rootArea.Bounds().Enlarge(1e6)
 	accs := map[core.OID]float64{}
-	s.sightings.SearchEntries(world, func(id core.OID, _ geo.Point, acc float64) bool {
-		accs[id] = acc
+	s.sightings.SearchBuckets(world, func(items []spatial.Item, _ geo.Rect, inside bool) bool {
+		for _, it := range items {
+			if inside || world.ContainsClosed(it.Pos) {
+				accs[it.ID] = it.Acc
+			}
+		}
 		return true
 	})
 	for id, acc := range accs {

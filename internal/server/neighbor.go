@@ -85,13 +85,22 @@ func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryR
 		}
 		partial = partial || out.partial
 		unreachable = mergeUnreachable(unreachable, out.unreachable...)
-		for _, e := range out.objs {
-			d := e.LD.Pos.Dist(req.P)
-			if d <= radius && (!found || d < nearestDist) {
-				nearestDist = d
-				found = true
+		// A ring step only needs the nearest distance: it reads the
+		// parts where they lie, joining none.
+		nearest := func(part []core.Entry) {
+			for _, e := range part {
+				d := e.LD.Pos.Dist(req.P)
+				if d <= radius && (!found || d < nearestDist) {
+					nearestDist = d
+					found = true
+				}
 			}
 		}
+		nearest(out.local)
+		for _, part := range out.parts {
+			nearest(part)
+		}
+		out.release()
 		if found {
 			break
 		}
@@ -117,7 +126,14 @@ func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryR
 	}
 	partial = partial || out.partial
 	unreachable = mergeUnreachable(unreachable, out.unreachable...)
-	res := core.SelectNearest(out.objs, req.P, req.ReqAcc, req.NearQual)
+	// SelectNearest copies what it keeps: a local-only answer is read in
+	// the scan's pooled buffer.
+	cands := out.local
+	if len(out.parts) > 0 {
+		cands = joinEntries(out.local, out.parts)
+	}
+	res := core.SelectNearest(cands, req.P, req.ReqAcc, req.NearQual)
+	out.release()
 	if !res.Found {
 		return finish(msg.NeighborQueryRes{Found: false}), nil
 	}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"locsvc/internal/clock"
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/metrics"
 	"locsvc/internal/msg"
+	"locsvc/internal/spatial"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
 )
@@ -37,11 +39,13 @@ func (s *Server) handleRangeQuery(ctx context.Context, req msg.RangeQueryReq) (m
 	if err != nil {
 		return nil, err
 	}
+	objs := joinEntries(out.local, out.parts)
+	out.release()
 	if out.partial {
 		s.met.Counter("wire_degraded_queries").Inc()
 	}
 	return msg.RangeQueryRes{
-		Objs:        out.objs,
+		Objs:        objs,
 		Servers:     out.servers,
 		Hops:        out.hops,
 		Partial:     out.partial,
@@ -49,17 +53,30 @@ func (s *Server) handleRangeQuery(ctx context.Context, req msg.RangeQueryReq) (m
 	}, nil
 }
 
-// rangeOutcome is the result of one distributed range collection. partial
-// marks a degraded answer: some of the query area is owned by servers that
-// were unreachable (or never answered before the query timeout), so the
+// rangeOutcome is the result of one distributed range collection, in
+// parts: local is the entry leaf's own contribution, still in the pooled
+// buffer of scan (nil when the leaf holds none of the area) and valid
+// until release, parts the remote partial results. partial marks a
+// degraded answer: some of the query area is owned by servers that were
+// unreachable (or never answered before the query timeout), so the
 // result covers only the live part of the hierarchy — a deliberately
 // different statement than "no objects there".
 type rangeOutcome struct {
-	objs        []core.Entry
+	scan        *rangeScan
+	local       []core.Entry
+	parts       [][]core.Entry
 	servers     int
 	hops        int
 	partial     bool
 	unreachable []msg.NodeID
+}
+
+// release returns the local scan to its pool.
+func (o *rangeOutcome) release() {
+	if o.scan != nil {
+		o.scan.release()
+		o.scan, o.local = nil, nil
+	}
 }
 
 // mergeUnreachable appends ids not already present (fan-out sets are a
@@ -82,7 +99,8 @@ func mergeUnreachable(dst []msg.NodeID, ids ...msg.NodeID) []msg.NodeID {
 
 // collectRange runs the distributed range query and returns the qualifying
 // objects, the number of contributing leaf servers and the maximum hop
-// count observed. It is shared by range and nearest-neighbor processing.
+// count observed. It is shared by range and nearest-neighbor processing;
+// the caller releases the outcome.
 //
 // Degraded mode: fan-out messages travel as tracked one-ways (forward), so
 // an unreachable destination — open breaker, dead address — is detected
@@ -105,21 +123,17 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 	darkCover := 0.0
 
 	// Local contribution (Algorithm 6-5, lines 3-7). The qualifying
-	// entries stay in the scan's pooled buffer until the answer is
-	// assembled, so joinEntries copies them once, together with the remote
-	// parts.
-	var local []core.Entry
+	// entries stay in the scan's pooled buffer until the caller reads or
+	// joins them.
 	if enlarged.Intersects(s.cfg.SA.Bounds()) {
-		sc := s.newRangeScan()
-		defer sc.release()
-		sc.run(area, reqAcc, reqOverlap)
-		local = sc.out
+		out.scan = s.newRangeScan()
+		out.scan.run(area, reqAcc, reqOverlap)
+		out.local = out.scan.out
 		covered += area.Vertices.IntersectRectArea(s.cfg.SA.Bounds())
 		out.servers++
 	}
 	if covered+coverEpsilon*expected >= expected || expected == 0 {
 		s.met.Counter("range_query_local").Inc()
-		out.objs = joinEntries(local, nil)
 		return out, nil
 	}
 
@@ -156,7 +170,6 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 		}
 		if len(sentTo) == 0 {
 			out.partial = len(out.unreachable) > 0
-			out.objs = joinEntries(local, nil)
 			return out, nil
 		}
 	} else {
@@ -164,7 +177,6 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 		if parent == "" {
 			// Single-server deployment: our own contribution is all
 			// there is.
-			out.objs = joinEntries(local, nil)
 			return out, nil
 		}
 		if _, err := s.forward(parent, msg.RangeQueryFwd{
@@ -175,7 +187,6 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			// everything beyond this leaf is dark right now.
 			out.partial = true
 			out.unreachable = mergeUnreachable(out.unreachable, parent)
-			out.objs = joinEntries(local, nil)
 			return out, nil
 		}
 		sentTo = append(sentTo, parent)
@@ -186,8 +197,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 	expired, timer := clock.After(s.clk, s.opts.QueryTimeout)
 	defer timer.Stop()
 	var (
-		parts    [][]core.Entry // remote partial results, joined once at the end
-		answered []msg.LeafInfo // the leaves those came from
+		answered []msg.LeafInfo // the leaves out.parts came from
 		silent   []silentChild  // children reported for a missing acknowledgement
 	)
 	for covered+darkCover+coverEpsilon*expected < expected {
@@ -214,7 +224,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 					return true
 				})
 				answered = append(answered, sub.Leaf)
-				parts = append(parts, sub.Objs)
+				out.parts = append(out.parts, sub.Objs)
 				covered += sub.CoveredSize
 				out.servers++
 			case sub.Leaf.Valid():
@@ -241,9 +251,9 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 					out.unreachable = mergeUnreachable(out.unreachable, id)
 				}
 			}
-			out.objs = joinEntries(local, parts)
 			return out, nil
 		case <-ctx.Done():
+			out.release()
 			return rangeOutcome{}, ctx.Err()
 		}
 	}
@@ -251,7 +261,6 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 		out.partial = true
 	}
 	s.met.Counter("range_query_remote").Inc()
-	out.objs = joinEntries(local, parts)
 	return out, nil
 }
 
@@ -317,13 +326,9 @@ func joinEntries(local []core.Entry, parts [][]core.Entry) []core.Entry {
 }
 
 // localRangeResult evaluates the range predicate against this leaf's
-// sightingDB using the spatial index (Algorithm 6-5 lines 4-5). Candidate
-// positions are found within the predicate's filter rectangle
-// (core.RangePredicate.Bounds) — the reqAcc-enlarged bounds below a
-// reqOverlap of 0.5, where an object whose position lies outside the area
-// can still overlap it enough (Section 3.2), the area's bounds from 0.5
-// on — then filtered exactly. The result is one allocation of just the
-// size needed (nil when nothing qualifies).
+// sightingDB using the spatial index (Algorithm 6-5 lines 4-5); see
+// rangeScan. The result is one allocation of just the size needed (nil
+// when nothing qualifies).
 func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64) []core.Entry {
 	sc := s.newRangeScan()
 	defer sc.release()
@@ -335,6 +340,16 @@ func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64) []
 // predicate, the qualifying entries so far and the outcome tallies —
 // pooled so that a query allocates nothing but its result.
 //
+// The scan searches the predicate's filter rectangle
+// (core.RangePredicate.Bounds) — the reqAcc-enlarged bounds below a
+// reqOverlap of 0.5, where an object whose position lies outside the area
+// can still overlap it enough (Section 3.2), the area's bounds from 0.5
+// on — and takes the store's candidates a bucket at a time, in one loop
+// per bucket (bucket). A bucket that lies inside the filter rectangle and
+// deep inside the area (core.RangePredicate.Interior) qualifies whole: an
+// item costs only the accuracy tests. Every other bucket goes item by item
+// through the full predicate (entryIfQualifies).
+//
 // The covering-entry invariant the scan relies on: a candidate arrives as
 // (id, position, accuracy) read off the sighting store's index entry, and
 // the accuracy is the OfferedAcc of the object's registration, which the
@@ -343,26 +358,16 @@ func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64) []
 // without a registration carries store.AccUnknown and is not a registered
 // visitor of this leaf, so it never qualifies.
 type rangeScan struct {
-	s    *Server
-	pred core.RangePredicate
-	out  []core.Entry
-	// collect is the scan's SearchEntries visitor, bound once per pooled
-	// value.
-	collect func(id core.OID, pos geo.Point, acc float64) bool
+	s      *Server
+	pred   core.RangePredicate
+	reqAcc float64
+	filter geo.Rect // pred.Bounds(), the rectangle searched
+	out    []core.Entry
 
-	candidates, qualified, exact int64
+	candidates, qualified, exact, interior int64
 }
 
-var rangeScanPool = sync.Pool{New: func() any {
-	sc := new(rangeScan)
-	sc.collect = func(id core.OID, pos geo.Point, acc float64) bool {
-		if e, ok := sc.entryIfQualifies(id, pos, acc); ok {
-			sc.out = append(sc.out, e)
-		}
-		return true
-	}
-	return sc
-}}
+var rangeScanPool = sync.Pool{New: func() any { return new(rangeScan) }}
 
 func (s *Server) newRangeScan() *rangeScan {
 	sc := rangeScanPool.Get().(*rangeScan)
@@ -375,7 +380,38 @@ func (s *Server) newRangeScan() *rangeScan {
 // entries to out.
 func (sc *rangeScan) run(area core.Area, reqAcc, reqOverlap float64) {
 	sc.pred.Prepare(area, reqAcc, reqOverlap)
-	sc.s.sightings.SearchEntries(sc.pred.Bounds(), sc.collect)
+	sc.reqAcc, sc.filter = reqAcc, sc.pred.Bounds()
+	sc.s.sightings.SearchBuckets(sc.filter, sc.bucket)
+}
+
+// bucket qualifies one bucket of candidates (see rangeScan). Items of a
+// bucket that straddles the filter rectangle's border are candidates only
+// inside it.
+func (sc *rangeScan) bucket(items []spatial.Item, sub geo.Rect, inside bool) bool {
+	if inside && sc.pred.Interior(sub) {
+		n := len(sc.out)
+		for i := range items {
+			it := &items[i]
+			if it.Acc == store.AccUnknown || it.Acc > sc.reqAcc {
+				continue
+			}
+			sc.out = append(sc.out, core.Entry{OID: it.ID, LD: core.LocationDescriptor{Pos: it.Pos, Acc: it.Acc}})
+		}
+		sc.candidates += int64(len(items))
+		sc.interior += int64(len(items))
+		sc.qualified += int64(len(sc.out) - n)
+		return true
+	}
+	for i := range items {
+		it := &items[i]
+		if !inside && !sc.filter.ContainsClosed(it.Pos) {
+			continue
+		}
+		if e, ok := sc.entryIfQualifies(it.ID, it.Pos, it.Acc); ok {
+			sc.out = append(sc.out, e)
+		}
+	}
+	return true
 }
 
 // release books the scan's tallies on the leaf's counters and returns it
@@ -385,8 +421,9 @@ func (sc *rangeScan) release() {
 	m.candidates.Add(sc.candidates)
 	m.qualified.Add(sc.qualified)
 	m.exact.Add(sc.exact)
+	m.interior.Add(sc.interior)
 	clear(sc.out) // drop the object-id strings
-	*sc = rangeScan{pred: sc.pred, out: sc.out[:0], collect: sc.collect}
+	*sc = rangeScan{pred: sc.pred, out: sc.out[:0]}
 	rangeScanPool.Put(sc)
 }
 
@@ -415,9 +452,11 @@ func (sc *rangeScan) entryIfQualifies(id core.OID, pos geo.Point, acc float64) (
 // rangeCounters are the leaf's range-evaluation outcome counters, resolved
 // once so a query books them without registry lookups: candidates the
 // index search delivered, how many qualified and how many needed the exact
-// overlap arithmetic.
+// overlap arithmetic. interior, the candidates of buckets qualified whole,
+// is kept beside them for benchmarks and not exported.
 type rangeCounters struct {
 	candidates, qualified, exact *metrics.Counter
+	interior                     atomic.Int64
 }
 
 func newRangeCounters(met *metrics.Registry) rangeCounters {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -68,6 +69,125 @@ func TestLocalRangeQueryAllocs(t *testing.T) {
 		}
 		if allocs > 2 {
 			t.Errorf("shards=%d: %.1f allocations per 1000-result local range query, want <= 2", shards, allocs)
+		}
+	}
+}
+
+// TestRangeScanMatchesPerItemEvaluation: the bucket-at-a-time scan, with
+// its whole-bucket shortcut, answers exactly what the range predicate
+// applied to every object in turn answers, and counts the same
+// candidates, qualified objects and exact overlaps, at one and four
+// shards, all-RAM and tiered (runs shadowed by newer memtable positions).
+// Objects lie at random and on a 25 m grid the query edges follow, with
+// accuracies of 0, within and above reqAcc, and without a registration.
+func TestRangeScanMatchesPerItemEvaluation(t *testing.T) {
+	type object struct {
+		pos geo.Point
+		acc float64
+	}
+	for _, tiered := range []bool{false, true} {
+		for _, shards := range []int{1, 4} {
+			name := fmt.Sprintf("shards=%d tiered=%v", shards, tiered)
+			opts := Options{Shards: shards}
+			if tiered {
+				wal, err := store.OpenShardedWAL(t.TempDir(), shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.SightingWAL, opts.Tiering = wal, &store.TierConfig{MemtableBytes: 1}
+			}
+			s := newScanLeaf(t, opts)
+			rng := rand.New(rand.NewSource(int64(7 + shards)))
+			place := func() geo.Point {
+				if rng.Intn(3) == 0 {
+					return geo.Pt(float64(rng.Intn(80))*25, float64(rng.Intn(80))*25)
+				}
+				return geo.Pt(rng.Float64()*2000, rng.Float64()*2000)
+			}
+			truth := map[core.OID]object{}
+			for i := 0; i < 3000; i++ {
+				p := place()
+				if i%10 == 0 {
+					oid := core.OID(fmt.Sprintf("plain%04d", i))
+					s.sightings.Put(core.Sighting{OID: oid, T: time.Now(), Pos: p, SensAcc: 5})
+					truth[oid] = object{p, store.AccUnknown}
+					continue
+				}
+				acc := []float64{0, 50, 80, rng.Float64() * 50}[rng.Intn(4)]
+				truth[install(t, s, i, p, acc)] = object{p, acc}
+			}
+			if tiered {
+				if err := s.sightings.MaintainTiers(); err != nil {
+					t.Fatal(err)
+				}
+				// A quarter moves: its memtable position shadows the runs'.
+				for oid, o := range truth {
+					if rng.Intn(4) == 0 {
+						o.pos = place()
+						s.sightings.Put(core.Sighting{OID: oid, T: time.Now(), Pos: o.pos, SensAcc: 5})
+						truth[oid] = o
+					}
+				}
+				if st := s.sightings.TierStats(); st.DiskLive == 0 || st.MemtableBytes == 0 {
+					t.Fatalf("%s: %d sightings in runs, %d memtable bytes: want both tiers in use", name, st.DiskLive, st.MemtableBytes)
+				}
+			}
+
+			var areas []core.Area
+			for _, side := range []float64{100, 300, 1000} {
+				x, y := float64(rng.Intn(40))*25, float64(rng.Intn(40))*25
+				areas = append(areas, core.AreaFromRect(geo.R(x, y, x+side, y+side)))
+				h := side / math.Sqrt2
+				areas = append(areas, core.AreaFromPoints([]geo.Point{geo.Pt(x+h, y), geo.Pt(x+2*h, y+h), geo.Pt(x+h, y+2*h), geo.Pt(x, y+h)}))
+				areas = append(areas, core.AreaFromPoints([]geo.Point{geo.Pt(x, y), geo.Pt(x+side, y), geo.Pt(x+side/3, y+side)}))
+			}
+			m := &s.rangeMet
+			interior := m.interior.Load()
+			for _, area := range areas {
+				for _, reqAcc := range []float64{0, 50} {
+					for _, reqOverlap := range []float64{0.3, 0.5, 0.75} {
+						var pred core.RangePredicate
+						pred.Prepare(area, reqAcc, reqOverlap)
+						want := map[core.OID]core.LocationDescriptor{}
+						var cands, qualified, exact int64
+						for oid, o := range truth {
+							if !pred.Bounds().ContainsClosed(o.pos) {
+								continue
+							}
+							cands++
+							if o.acc == store.AccUnknown {
+								continue
+							}
+							ld := core.LocationDescriptor{Pos: o.pos, Acc: o.acc}
+							ok, ex := pred.Qualifies(ld)
+							if ex {
+								exact++
+							}
+							if ok {
+								qualified++
+								want[oid] = ld
+							}
+						}
+						c0, q0, e0 := m.candidates.Value(), m.qualified.Value(), m.exact.Value()
+						got := s.localRangeResult(area, reqAcc, reqOverlap)
+						what := fmt.Sprintf("%s area %v reqAcc %v reqOverlap %v", name, area.Vertices, reqAcc, reqOverlap)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d results, per-item evaluation %d", what, len(got), len(want))
+						}
+						for _, e := range got {
+							if ld, ok := want[e.OID]; !ok || ld != e.LD {
+								t.Fatalf("%s: result %+v, per-item evaluation %+v (%v)", what, e, ld, ok)
+							}
+						}
+						if dc, dq, de := m.candidates.Value()-c0, m.qualified.Value()-q0, m.exact.Value()-e0; dc != cands || dq != qualified || de != exact {
+							t.Fatalf("%s: counted %d candidates, %d qualified, %d exact; per-item evaluation %d, %d, %d", what, dc, dq, de, cands, qualified, exact)
+						}
+					}
+				}
+			}
+			if m.interior.Load() == interior {
+				t.Fatalf("%s: no bucket qualified whole", name)
+			}
 		}
 	}
 }
@@ -159,10 +279,12 @@ func TestDiagExportsRangeOutcomeCounters(t *testing.T) {
 // search over the predicate's filter rectangle and the exact filter — with
 // the benchmark workloads' population of 40 000 objects on one 4 km leaf
 // and their thresholds (reqAcc 50 m, majority overlap). Besides time and
-// B/op it reports per query the candidates the search delivered, the
+// B/op it reports per query the candidates the search delivered, those of
+// them qualified at bucket level (a bucket deep inside the area), the
 // qualifying results and the run leaves read: memtable squares of 100 m
-// and 1 km on an all-RAM leaf, and 200 m squares on a tiered leaf whose
-// sightings MaintainTiers has flushed to runs.
+// and 1 km and a 1 km square turned by 45° on an all-RAM leaf, and 200 m
+// squares on a tiered leaf whose sightings MaintainTiers has flushed to
+// runs.
 func BenchmarkLocalRangeScan(b *testing.B) {
 	const (
 		objects = 40_000
@@ -176,28 +298,39 @@ func BenchmarkLocalRangeScan(b *testing.B) {
 		}
 		return s
 	}
-	scan := func(s *Server, side float64) func(b *testing.B) {
+	square := func(x, y, side float64) core.Area { return core.AreaFromRect(geo.R(x, y, x+side, y+side)) }
+	// diamond is a square of the given side turned by 45°, its bounding
+	// box's corner at (x, y).
+	diamond := func(x, y, side float64) core.Area {
+		h := side / math.Sqrt2
+		return core.AreaFromPoints([]geo.Point{geo.Pt(x+h, y), geo.Pt(x+2*h, y+h), geo.Pt(x+h, y+2*h), geo.Pt(x, y+h)})
+	}
+	scan := func(s *Server, shape func(x, y, side float64) core.Area, side float64) func(b *testing.B) {
 		return func(b *testing.B) {
+			extent := shape(0, 0, side).Bounds().Width()
 			rng := rand.New(rand.NewSource(2))
-			cands, leaves := s.rangeMet.candidates.Value(), s.sightings.TierStats().LeafReads
+			m := &s.rangeMet
+			cands, interior, leaves := m.candidates.Value(), m.interior.Load(), s.sightings.TierStats().LeafReads
 			results := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x, y := 100+rng.Float64()*(3800-side), 100+rng.Float64()*(3800-side)
-				results += len(s.localRangeResult(core.AreaFromRect(geo.R(x, y, x+side, y+side)), reqAcc, 0.5))
+				x, y := 100+rng.Float64()*(3800-extent), 100+rng.Float64()*(3800-extent)
+				results += len(s.localRangeResult(shape(x, y, side), reqAcc, 0.5))
 			}
 			b.StopTimer()
 			n := float64(b.N)
-			b.ReportMetric(float64(s.rangeMet.candidates.Value()-cands)/n, "candidates/op")
+			b.ReportMetric(float64(m.candidates.Value()-cands)/n, "candidates/op")
+			b.ReportMetric(float64(m.interior.Load()-interior)/n, "interior/op")
 			b.ReportMetric(float64(results)/n, "results/op")
 			b.ReportMetric(float64(s.sightings.TierStats().LeafReads-leaves)/n, "leaf_reads/op")
 		}
 	}
 
 	mem := populate(b, Options{})
-	b.Run("memtable/100m", scan(mem, 100))
-	b.Run("memtable/1km", scan(mem, 1000))
+	b.Run("memtable/100m", scan(mem, square, 100))
+	b.Run("memtable/1km", scan(mem, square, 1000))
+	b.Run("memtable/1km-turned", scan(mem, diamond, 1000))
 
 	wal, err := store.OpenShardedWAL(b.TempDir(), 2)
 	if err != nil {
@@ -212,5 +345,5 @@ func BenchmarkLocalRangeScan(b *testing.B) {
 	if st := tiered.sightings.TierStats(); st.DiskLive != objects {
 		b.Fatalf("%d of %d sightings in runs after maintenance", st.DiskLive, objects)
 	}
-	b.Run("tiered/200m", scan(tiered, 200))
+	b.Run("tiered/200m", scan(tiered, square, 200))
 }

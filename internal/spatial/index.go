@@ -6,13 +6,14 @@
 //
 // The quadtree stores (object id, position) entries, each optionally
 // carrying an opaque record payload and an accuracy (Item), answers
-// rectangle searches for range queries and streams neighbors in increasing
-// distance order for nearest-neighbor queries. Nearest-neighbor enumeration
-// is exposed two ways: push-style (NearestFunc) and as a resumable
-// pull-style Cursor (NearestCursor) whose best-first traversal pauses
-// between neighbors — the building block that lets the sharded store merge
-// per-shard streams without re-traversing each shard's prefix (see Cursor
-// for the contract).
+// rectangle searches for range queries a bucket at a time (SearchBuckets
+// hands over each leaf bucket in place, with the rectangle bounding it) and
+// streams neighbors in increasing distance order for nearest-neighbor
+// queries. Nearest-neighbor enumeration is exposed two ways: push-style
+// (NearestFunc) and as a resumable pull-style Cursor (NearestCursor) whose
+// best-first traversal pauses between neighbors — the building block that
+// lets the sharded store merge per-shard streams without re-traversing each
+// shard's prefix (see Cursor for the contract).
 //
 // The tree itself is single-threaded. The concurrent wrapper,
 // store.ShardedSightingDB, keeps one quadtree per shard (ShardFor picks it)
@@ -31,7 +32,7 @@ import (
 
 // Item is one indexed object. Ref is an opaque payload carried alongside
 // the entry: a store stashes its record pointer there and gets it back from
-// a search (SearchItems) or a nearest-neighbor cursor (Neighbor.Ref),
+// a search (SearchBuckets) or a nearest-neighbor cursor (Neighbor.Ref),
 // sparing a hash-map lookup per match on the hot read path. Acc rides along
 // the same way: the object's offered accuracy, so that a query can build
 // the location descriptor (Pos, Acc) from the index entry alone — the index

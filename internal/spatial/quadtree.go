@@ -338,24 +338,39 @@ func buildSubtree(items []Item, byX bool) *qnode {
 	return n
 }
 
-// Search implements Index with an iterative descent over an explicit
-// worklist (no call frame per node — range probes repeat once per shard,
-// so per-node overhead is the multiplier the sharded store pays). Descent
-// prunes twice: the classic quadrant half-plane tests, which never touch a
-// child node's memory, then each visited node's cached subtree rectangle —
-// so a subtree whose actual data lies nowhere near r is abandoned on entry
-// even when its quadrant region intersects r.
+// Search implements Index on SearchBuckets, testing each item of a bucket
+// that straddles r's border.
 func (t *Quadtree) Search(r geo.Rect, visit func(id core.OID, p geo.Point) bool) {
-	t.SearchItems(r, func(it *Item) bool { return visit(it.ID, it.Pos) })
+	t.SearchBuckets(r, func(items []Item, _ geo.Rect, inside bool) bool {
+		for i := range items {
+			if it := &items[i]; (inside || r.ContainsClosed(it.Pos)) && !visit(it.ID, it.Pos) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
-// SearchItems is Search handing back the stored Item (payload included)
-// per match, in place, without copying it out of its bucket. The pointer
-// aims into the tree: it is valid, and the Item must stay unmodified, for
-// the duration of the visit call only.
-func (t *Quadtree) SearchItems(r geo.Rect, visit func(it *Item) bool) {
+// SearchBuckets hands visit every leaf bucket whose subtree rectangle
+// meets the closed rectangle r, and the residents of every divider whose
+// position lies in r, a bucket at a time and in place: items aims into the
+// tree, so it is valid, and must stay unmodified, for the duration of the
+// visit call only. sub bounds every position in items (for residents it is
+// their one position); inside reports that sub lies in r, so that every
+// item does. A bucket that straddles r's border may hold items outside r,
+// which the visitor filters itself. Returning false from visit stops the
+// search; SearchBuckets reports whether it ran to the end.
+//
+// The descent is iterative over an explicit worklist (no call frame per
+// node — range probes repeat once per shard, so per-node overhead is the
+// multiplier the sharded store pays) and prunes twice: the classic
+// quadrant half-plane tests, which never touch a child node's memory, then
+// each visited node's cached subtree rectangle — so a subtree whose actual
+// data lies nowhere near r is abandoned on entry even when its quadrant
+// region intersects r.
+func (t *Quadtree) SearchBuckets(r geo.Rect, visit func(items []Item, sub geo.Rect, inside bool) bool) bool {
 	if t.root == nil {
-		return
+		return true
 	}
 	// The worklist holds pending siblings: at most three per level, so a
 	// fixed array covers any sanely balanced tree without allocating and
@@ -369,29 +384,13 @@ func (t *Quadtree) SearchItems(r geo.Rect, visit func(it *Item) bool) {
 			continue
 		}
 		if n.leaf {
-			if r.ContainsRect(n.sub) {
-				// The whole bucket lies inside r: emit without
-				// per-item containment tests.
-				for i := range n.items {
-					if !visit(&n.items[i]) {
-						return
-					}
-				}
-				continue
-			}
-			for i := range n.items {
-				if it := &n.items[i]; r.ContainsClosed(it.Pos) && !visit(it) {
-					return
-				}
+			if !visit(n.items, n.sub, r.ContainsRect(n.sub)) {
+				return false
 			}
 			continue
 		}
-		if r.ContainsClosed(n.pos) {
-			for i := range n.res {
-				if !visit(&n.res[i]) {
-					return
-				}
-			}
+		if len(n.res) > 0 && r.ContainsClosed(n.pos) && !visit(n.res, geo.Rect{Min: n.pos, Max: n.pos}, true) {
+			return false
 		}
 		// Push quadrants that can intersect r.
 		// Quadrant 0 (NE): x >= pos.X, y >= pos.Y, etc.
@@ -410,6 +409,7 @@ func (t *Quadtree) SearchItems(r geo.Rect, visit func(it *Item) bool) {
 			stack = append(stack, k)
 		}
 	}
+	return true
 }
 
 // qref is one pending step of a paused best-first traversal: a subtree

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,44 @@ func TestQuickSearchMatchesLinear(t *testing.T) {
 		r := geo.R(float64(qx0), float64(qy0), float64(qx1), float64(qy1))
 		want := idsIn(ref, r)
 		return equalIDs(idsIn(qt, r), want) && equalIDs(idsIn(sh, r), want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickSearchBucketsContract: every bucket SearchBuckets hands over
+// meets the query rectangle, its sub bounds each of its items, inside
+// holds only when sub lies in the rectangle, and the items inside the
+// rectangle, over all buckets, are exactly the linear reference's answer.
+func TestQuickSearchBucketsContract(t *testing.T) {
+	prop := func(ps pointSet, qx0, qy0, qx1, qy1 int8) bool {
+		ref := NewLinear()
+		qt := NewQuadtree()
+		for i, p := range ps {
+			id := core.OID(fmt.Sprintf("o%d", i))
+			ref.Insert(id, p)
+			qt.Insert(id, p)
+		}
+		r := geo.R(float64(qx0), float64(qy0), float64(qx1), float64(qy1))
+		var got []core.OID
+		ok := true
+		qt.SearchBuckets(r, func(items []Item, sub geo.Rect, inside bool) bool {
+			if !sub.IntersectsClosed(r) || inside != r.ContainsRect(sub) {
+				ok = false
+			}
+			for _, it := range items {
+				if !sub.ContainsClosed(it.Pos) {
+					ok = false
+				}
+				if r.ContainsClosed(it.Pos) {
+					got = append(got, it.ID)
+				}
+			}
+			return true
+		})
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		return ok && equalIDs(got, idsIn(ref, r))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -32,16 +32,18 @@
 // A memtable sighting's spatial index entry carries, beside the object id
 // and the position, the object's offered accuracy (spatial.Item.Acc), so a
 // range or nearest-neighbor query can build the location descriptor (pos,
-// acc) and qualify a candidate from the index bucket alone — SearchEntries
-// and NearestEntries dereference no record and their consumer needs no
-// second lookup. The invariant around it:
+// acc) and qualify a candidate from the index bucket alone — SearchBuckets
+// hands the consumer the quadtree's buckets themselves, NearestEntries
+// reads the cursor's entries, neither dereferences a record, and their
+// consumer needs no second lookup. The invariant around it:
 //
 //   - Who writes it. The store alone, from the registration on the
 //     object's record: an entry is built from the record, and every
 //     registration change rebuilds it under the same lock. A hit
-//     SearchEntries or NearestEntries reads from a disk run takes the
-//     accuracy from the record its shadow check looks up. WAL segments and
-//     run files carry no accuracy.
+//     SearchBuckets or NearestEntries reads from a disk run takes the
+//     accuracy from the record its shadow check looks up; SearchBuckets
+//     hands such hits on one batch per run leaf, built like a bucket.
+//     WAL segments and run files carry no accuracy.
 //   - When it is unknown. AccUnknown (−1 — not the zero value, which means
 //     "perfectly accurate") marks exactly the entries of objects with no
 //     registration: sightings put by store-level callers, and positions
@@ -50,12 +52,16 @@
 //     the entry follows it under one shard lock. A flush drops the records'
 //     sightings and tombstones; the registrations stay.
 //
-// What a range query hands SearchEntries is its predicate's filter
+// What a range query hands SearchBuckets is its predicate's filter
 // rectangle (core.RangePredicate.Bounds): for the majority overlap every
 // client asks for, the query area's bounds, because no position outside
-// them qualifies; below 0.5, the bounds enlarged by reqAcc. Memtable
-// buckets and run leaves therefore deliver only candidates that can
-// qualify, and a cold run leaf outside the area is never read.
+// them qualifies; below 0.5, the bounds enlarged by reqAcc. Only the
+// memtable buckets and run leaves that meet it are read, so a cold run
+// leaf outside the area never is, and the candidates are the items inside
+// it: a memtable bucket straddling its border is handed over whole, and
+// the consumer drops the items outside. Each bucket comes with the
+// rectangle bounding its positions, so the consumer can qualify one deep
+// inside the area whole (core.RangePredicate.Interior).
 //
 // # Tiered sighting storage
 //

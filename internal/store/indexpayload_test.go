@@ -28,20 +28,26 @@ func (db *ShardedSightingDB) indexPayloadErr() error {
 		sh.mu.RLock()
 		var err error
 		seen := 0
-		sh.idx.SearchItems(everywhere, func(it *spatial.Item) bool {
-			seen++
-			o := sh.objs[it.ID]
-			switch {
-			case o == nil || o.mem != memSighting:
-				err = fmt.Errorf("shard %d: item %s has no record", i, it.ID)
-			case it.Ref != any(o):
-				err = fmt.Errorf("shard %d: item %s carries Ref %v, record is %p", i, it.ID, it.Ref, o)
-			case it.Pos != o.pos:
-				err = fmt.Errorf("shard %d: item %s at %v, record at %v", i, it.ID, it.Pos, o.pos)
-			case it.Acc != o.acc || o.reg == nil && o.acc != AccUnknown:
-				err = fmt.Errorf("shard %d: item %s carries Acc %v, record %v (registered: %v)", i, it.ID, it.Acc, o.acc, o.reg != nil)
+		sh.idx.SearchBuckets(everywhere, func(items []spatial.Item, _ geo.Rect, _ bool) bool {
+			for k := range items {
+				it := &items[k]
+				seen++
+				o := sh.objs[it.ID]
+				switch {
+				case o == nil || o.mem != memSighting:
+					err = fmt.Errorf("shard %d: item %s has no record", i, it.ID)
+				case it.Ref != any(o):
+					err = fmt.Errorf("shard %d: item %s carries Ref %v, record is %p", i, it.ID, it.Ref, o)
+				case it.Pos != o.pos:
+					err = fmt.Errorf("shard %d: item %s at %v, record at %v", i, it.ID, it.Pos, o.pos)
+				case it.Acc != o.acc || o.reg == nil && o.acc != AccUnknown:
+					err = fmt.Errorf("shard %d: item %s carries Acc %v, record %v (registered: %v)", i, it.ID, it.Acc, o.acc, o.reg != nil)
+				}
+				if err != nil {
+					return false
+				}
 			}
-			return err == nil
+			return true
 		})
 		count := map[memState]int{}
 		reg := 0

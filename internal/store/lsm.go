@@ -490,19 +490,23 @@ func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bo
 	return true
 }
 
-// tierSearch streams the shard's authoritative run-resident sightings
-// inside rect, with their accuracy, through visit. Per run it walks the
-// in-RAM leaf directory, reads only the spatial leaves whose MBR intersects
-// rect, tests the positions there, and decodes and shadow-checks a record,
-// out of the leaf it was read with, only for entries inside rect. Caller
+// tierSearch hands visit the shard's authoritative run-resident sightings
+// inside rect, one batch per spatial leaf. Per run it walks the in-RAM leaf
+// directory, reads only the leaves whose MBR intersects rect, tests the
+// positions there, and decodes and shadow-checks a record, out of the leaf
+// it was read with, only for entries inside rect. A batch's items carry
+// their registration's accuracy and, as Ref, the record's sighting
+// (*core.Sighting); sub bounds the batch, which lies inside rect. Caller
 // holds the shard lock; reports false if visit stopped the search.
-func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s core.Sighting, acc float64) bool) bool {
+func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(items []spatial.Item, sub geo.Rect, inside bool) bool) bool {
 	t := sh.tier
 	if t == nil || len(t.runs) == 0 {
 		return true
 	}
 	sc := runScratchPool.Get().(*runScratch)
 	defer runScratchPool.Put(sc)
+	hits := runHitsPool.Get().(*runHits)
+	defer runHitsPool.Put(hits)
 	for k, r := range t.runs {
 		if r.live == 0 || !r.mbr.IntersectsClosed(rect) {
 			continue
@@ -517,6 +521,8 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s c
 				ts.readErrs.Add(1)
 				continue
 			}
+			n := 0
+			var sub geo.Rect
 			for _, e := range entries {
 				if !rect.ContainsClosed(e.pos) {
 					continue
@@ -526,9 +532,17 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(s c
 				if gone {
 					continue
 				}
-				if !visit(rec.s, acc) {
-					return false
+				if n == 0 {
+					sub = geo.Rect{Min: rec.s.Pos, Max: rec.s.Pos}
+				} else {
+					sub.GrowToInclude(rec.s.Pos)
 				}
+				hits.sightings[n] = rec.s
+				hits.items[n] = spatial.Item{ID: rec.s.OID, Pos: rec.s.Pos, Ref: &hits.sightings[n], Acc: acc}
+				n++
+			}
+			if n > 0 && !visit(hits.items[:n], sub, true) {
+				return false
 			}
 		}
 	}

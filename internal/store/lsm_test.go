@@ -17,6 +17,7 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
+	"locsvc/internal/spatial"
 )
 
 // ---------------------------------------------------------------------------
@@ -534,10 +535,10 @@ func TestRunGetAllocs(t *testing.T) {
 }
 
 // TestTierSearchAllocs pins the cold range read's allocation budget: the
-// leaf buffer is pooled and records are decoded out of it in place, so a
-// SearchEntries answered from a run allocates the returned ids and a
-// constant, however many leaves and records outside the rectangle it
-// passes over.
+// leaf buffer and the batches are pooled and records are decoded out of
+// the buffer in place, so a SearchBuckets answered from a run allocates
+// the returned ids and a constant, however many leaves and records
+// outside the rectangle it passes over.
 func TestTierSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -552,16 +553,23 @@ func TestTierSearchAllocs(t *testing.T) {
 	flushAll(t, db)
 	rect := geo.R(20, 0.5, 60, 3.5) // rows 1-3 of the 100 x 5 grid, a slice of each
 	hits := 0
-	visit := func(core.OID, geo.Point, float64) bool { hits++; return true }
+	visit := func(items []spatial.Item, _ geo.Rect, inside bool) bool {
+		for _, it := range items {
+			if inside || rect.ContainsClosed(it.Pos) {
+				hits++
+			}
+		}
+		return true
+	}
 	leafReads := db.TierStats().LeafReads
-	db.SearchEntries(rect, visit)
+	db.SearchBuckets(rect, visit)
 	want, read := hits, db.TierStats().LeafReads-leafReads
 	if want == 0 || read < 2 || int64(want) >= read*runLeafEntries {
 		t.Fatalf("%d hits from %d leaves: the query must pass over records it does not return", want, read)
 	}
 	const constant = 2
-	if n := testing.AllocsPerRun(100, func() { db.SearchEntries(rect, visit) }); n > float64(want+constant) {
-		t.Fatalf("cold SearchEntries of %d hits allocates %.1f times, want <= %d", want, n, want+constant)
+	if n := testing.AllocsPerRun(100, func() { db.SearchBuckets(rect, visit) }); n > float64(want+constant) {
+		t.Fatalf("cold SearchBuckets of %d hits allocates %.1f times, want <= %d", want, n, want+constant)
 	}
 	if st := db.TierStats(); st.ReadErrors != 0 {
 		t.Fatalf("%d read errors on an undamaged run", st.ReadErrors)

@@ -10,6 +10,7 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
+	"locsvc/internal/spatial"
 )
 
 // regModel is the brute-force model of a store's objects: each object's
@@ -267,7 +268,7 @@ func (w *regWorld) installSnapshot() {
 }
 
 // check compares db with the model: every object's sighting and
-// registration, and the accuracy of every hit SearchEntries and
+// registration, and the accuracy of every hit SearchBuckets and
 // NearestEntries deliver, from the memtable and from the runs alike —
 // the registration's OfferedAcc for a registered object, AccUnknown for
 // any other.
@@ -312,9 +313,13 @@ func (w *regWorld) check(db *ShardedSightingDB, after string) {
 		}
 	}
 	everywhere := geo.R(-1, -1, 1001, 1001)
-	hits("SearchEntries", func(f func(core.OID, geo.Point, float64)) {
-		db.SearchEntries(everywhere, func(id core.OID, pos geo.Point, acc float64) bool {
-			f(id, pos, acc)
+	hits("SearchBuckets", func(f func(core.OID, geo.Point, float64)) {
+		db.SearchBuckets(everywhere, func(items []spatial.Item, _ geo.Rect, inside bool) bool {
+			for _, it := range items {
+				if inside || everywhere.ContainsClosed(it.Pos) {
+					f(it.ID, it.Pos, it.Acc)
+				}
+			}
 			return true
 		})
 	})

@@ -17,6 +17,7 @@ import (
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
+	"locsvc/internal/spatial"
 )
 
 // This file implements the immutable sorted-run files of the tiered
@@ -723,6 +724,16 @@ type runScratch struct {
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// runHits is a range read's batch of one leaf's hits, pooled apart from
+// runScratch, which point lookups take too: the sightings and the index
+// items handed on, each item's Ref aiming at its sighting.
+type runHits struct {
+	sightings [runLeafEntries]core.Sighting
+	items     [runLeafEntries]spatial.Item
+}
+
+var runHitsPool = sync.Pool{New: func() any { return new(runHits) }}
 
 // get point-looks id up in the run: binary search over the sparse index,
 // then a bounded scan of at most runSparseEvery records. The caller has

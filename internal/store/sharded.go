@@ -572,37 +572,54 @@ func (db *ShardedSightingDB) Expired() []core.OID {
 	return out
 }
 
-// SearchArea implements SightingStore by fanning the rectangle across the
-// shards whose bounding rectangle intersects it. Each shard is visited
-// under its read lock; the search is a consistent snapshot per shard.
+// SearchArea implements SightingStore on SearchBuckets: each sighting
+// inside the closed rectangle r, rebuilt from its record.
 func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) bool) {
-	db.search(r, hitSink{rec: visit})
+	db.SearchBuckets(r, func(items []spatial.Item, _ geo.Rect, inside bool) bool {
+		for i := range items {
+			it := &items[i]
+			if !inside && !r.ContainsClosed(it.Pos) {
+				continue
+			}
+			var s core.Sighting
+			switch ref := it.Ref.(type) {
+			case *object:
+				s = ref.sighting(it.ID)
+			case *core.Sighting:
+				s = *ref
+			}
+			if !visit(s) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
-// SearchEntries is SearchArea at index-entry level: visit receives the id,
-// the position and the accuracy (AccUnknown for an unregistered object) of
-// every match, memtable hits read off the index entries without the record
-// behind them, run hits with their registration's accuracy.
-func (db *ShardedSightingDB) SearchEntries(r geo.Rect, visit func(id core.OID, pos geo.Point, acc float64) bool) {
-	db.search(r, hitSink{entry: visit})
-}
-
-// search runs the rectangle search over every shard until sink stops it.
-func (db *ShardedSightingDB) search(r geo.Rect, sink hitSink) {
-	// One pooled scan for all shards.
-	sc := newIndexScan(sink)
-	defer sc.release()
+// SearchBuckets is the store's one rectangle search. It fans r across the
+// shards whose bounding rectangle meets it and hands visit, under each
+// shard's read lock (a consistent snapshot per shard), the shard's index
+// entries a bucket at a time, in the form of spatial.Quadtree.SearchBuckets:
+// the memtable's leaf buckets and dividers' residents in place, then the
+// authoritative run-resident hits one batch per run leaf, each batch inside
+// r. An item carries the id, the position and the accuracy (AccUnknown for
+// an unregistered object) — see "Covering index entries" — so a consumer
+// qualifies a candidate without the record behind it; its Ref is the
+// store's own. Items are valid for the visit call only. Returning false
+// from visit stops the search.
+func (db *ShardedSightingDB) SearchBuckets(r geo.Rect, visit func(items []spatial.Item, sub geo.Rect, inside bool) bool) {
 	for _, sh := range db.shards {
 		sh.mu.RLock()
+		more := true
 		if sh.nonempty && sh.bound.IntersectsClosed(r) {
-			sc.search(sh.idx, r)
+			more = sh.idx.SearchBuckets(r, visit)
 		}
-		if !sc.stopped && sh.tier != nil {
+		if more && sh.tier != nil {
 			// Disk-resident records, through the runs' spatial leaves.
-			sh.tierSearch(db.tier, r, sc.cold)
+			more = sh.tierSearch(db.tier, r, visit)
 		}
 		sh.mu.RUnlock()
-		if sc.stopped {
+		if !more {
 			return
 		}
 	}
@@ -626,7 +643,7 @@ func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting
 	})
 }
 
-// NearestEntries is NearestFunc at index-entry level, like SearchEntries:
+// NearestEntries is NearestFunc at index-entry level, like SearchBuckets:
 // memtable neighbors are delivered off the cursor's index entries, copies
 // taken under the shard lock. A cold neighbor is re-resolved through
 // Lookup, with its registration's accuracy.

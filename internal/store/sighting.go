@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sync"
 	"time"
 
 	"locsvc/internal/core"
@@ -123,79 +122,6 @@ func (o *object) registration() Registration {
 // item builds the spatial index item of id's object.
 func (o *object) item(id core.OID) spatial.Item {
 	return spatial.Item{ID: id, Pos: o.pos, Ref: o, Acc: o.acc}
-}
-
-// hitSink delivers the hits of a search at the level the caller asked for:
-// entry receives (id, position, accuracy) read off the index entry without
-// touching the record behind it; rec receives the whole sighting. Exactly
-// one of the two is set.
-type hitSink struct {
-	entry func(id core.OID, pos geo.Point, acc float64) bool
-	rec   func(s core.Sighting) bool
-}
-
-// item delivers a memtable hit off its index item, whose Ref is the
-// object. Caller holds the lock guarding the shard's index.
-func (k hitSink) item(it *spatial.Item) bool {
-	if k.entry != nil {
-		return k.entry(it.ID, it.Pos, it.Acc)
-	}
-	return k.rec(it.Ref.(*object).sighting(it.ID))
-}
-
-// cold delivers a run-resident hit with its registration's accuracy.
-func (k hitSink) cold(s core.Sighting, acc float64) bool {
-	if k.entry != nil {
-		return k.entry(s.OID, s.Pos, acc)
-	}
-	return k.rec(s)
-}
-
-// indexScan is the visitor state of one rectangle search, pooled with its
-// visitor closures bound once so that a search allocates nothing: sink is
-// where the hits go, stopped whether the consumer ended the search.
-type indexScan struct {
-	sink    hitSink
-	stopped bool
-
-	item func(it *spatial.Item) bool
-	cold func(s core.Sighting, acc float64) bool
-}
-
-var indexScanPool = sync.Pool{New: func() any {
-	sc := new(indexScan)
-	sc.item = func(it *spatial.Item) bool {
-		if sc.sink.item(it) {
-			return true
-		}
-		sc.stopped = true
-		return false
-	}
-	sc.cold = func(s core.Sighting, acc float64) bool {
-		if sc.sink.cold(s, acc) {
-			return true
-		}
-		sc.stopped = true
-		return false
-	}
-	return sc
-}}
-
-func newIndexScan(sink hitSink) *indexScan {
-	sc := indexScanPool.Get().(*indexScan)
-	sc.sink = sink
-	return sc
-}
-
-func (sc *indexScan) release() {
-	sc.sink, sc.stopped = hitSink{}, false
-	indexScanPool.Put(sc)
-}
-
-// search runs the rectangle search over one shard's quadtree. Caller holds
-// the lock guarding idx.
-func (sc *indexScan) search(idx *spatial.Quadtree, r geo.Rect) {
-	idx.SearchItems(r, sc.item)
 }
 
 // NewSightingDB returns an empty one-shard sighting database.
