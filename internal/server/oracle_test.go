@@ -11,6 +11,7 @@ import (
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/hierarchy"
+	"locsvc/internal/msg"
 	"locsvc/internal/oracle"
 	"locsvc/internal/server"
 	"locsvc/internal/transport"
@@ -148,6 +149,93 @@ func TestQueriesUnderMessageLoss(t *testing.T) {
 		t.Error("no query succeeded under 10% loss")
 	}
 	t.Logf("answers checked: %+v", truth.Checked())
+}
+
+// TestDuplicatedPartialCountedOnce: a partial range result delivered twice
+// — UDP may duplicate a datagram — counts its cover and its entries once.
+// Every partial to the entry server r.0 arrives twice, and r.3's only when
+// the manual clock passes its delay. Counted twice, the doubled covers of
+// r.1 and r.2 would close the tally before r.3 answers: one leaf's objects
+// reported twice, r.3's missing, and the answer not Partial. The
+// nearest-neighbour ring runs on the same collection; its nearest object
+// lies in r.3.
+func TestDuplicatedPartialCountedOnce(t *testing.T) {
+	const hold = time.Second
+	ls, clk := newManualLS(t, quadSpec(), server.Options{}, transport.InprocOptions{
+		FaultPlan: func(from, to msg.NodeID, env msg.Envelope) transport.Fault {
+			if _, ok := env.Msg.(msg.RangeQuerySubRes); !ok || to != "r.0" {
+				return transport.Fault{}
+			}
+			f := transport.Fault{Duplicate: 1}
+			if from == "r.3" {
+				f.Delay = hold
+			}
+			return f
+		},
+	})
+	if leaf, _ := ls.dep.LeafFor(geo.Pt(1200, 1200)); leaf != "r.3" {
+		t.Fatalf("the north-east quarter is %s's, want r.3's", leaf)
+	}
+	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
+	truth := oracle.New(ls.dep.Configs)
+	objs := []geo.Point{
+		{X: 690, Y: 690}, {X: 100, Y: 600}, // r.0
+		{X: 830, Y: 700}, {X: 1400, Y: 100}, // r.1
+		{X: 700, Y: 830}, {X: 100, Y: 1400}, // r.2
+		{X: 780, Y: 780}, {X: 1400, Y: 1400}, // r.3
+	}
+	for i, p := range objs {
+		register(t, owner, truth, sightingAt(fmt.Sprintf("o%d", i), p), 10, 50, 3)
+	}
+	waitFor(t, func() bool { return ls.dep.RootVisitorCount() == len(objs) }, "the forwarding paths")
+
+	querier := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
+	dups := ls.dep.Servers["r.0"].Metrics().Counter("range_partial_duplicate")
+	// settle returns a query's outcome. Each of its collections counts
+	// r.1's and r.2's second copies while it waits for r.3, and only then
+	// does the clock pass r.3's delay.
+	settle := func(done <-chan error) error {
+		t.Helper()
+		for want := dups.Value() + 2; ; want += 2 {
+			waitFor(t, func() bool { return len(done) > 0 || dups.Value() >= want }, "the doubled partials")
+			select {
+			case err := <-done:
+				return err
+			default:
+				clk.Advance(hold)
+			}
+		}
+	}
+
+	area := core.AreaFromRect(geo.R(0, 0, 1500, 1500))
+	done := make(chan error, 1)
+	go func() {
+		res, err := querier.RangeQueryFull(ctx(t), area, 50, 0.5)
+		if err == nil && res.Partial {
+			err = fmt.Errorf("partial answer, unreachable %v", res.Unreachable)
+		}
+		done <- errors.Join(err, truth.CheckRange(area, 50, 0.5, res))
+	}()
+	if err := settle(done); err != nil {
+		t.Errorf("range query: %v", err)
+	}
+
+	p := geo.Pt(750, 750)
+	go func() {
+		res, err := querier.NeighborQuery(ctx(t), p, 30, 100)
+		if err == nil && res.Partial {
+			err = fmt.Errorf("partial answer, unreachable %v", res.Unreachable)
+		}
+		done <- errors.Join(err, truth.CheckNN(p, 30, 100, res, err))
+	}()
+	if err := settle(done); err != nil {
+		t.Errorf("neighbour query: %v", err)
+	}
+	// One collection for the range query, two for the ring: the search
+	// window and the collection window.
+	if got := dups.Value(); got != 6 {
+		t.Errorf("range_partial_duplicate = %d, want 6", got)
+	}
 }
 
 // register registers s through c and records the acknowledged state in

@@ -212,9 +212,15 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			}
 			switch {
 			case len(sub.Unreachable) == 0:
-				// A leaf's partial result. A silent child holding
-				// the leaf lost only its acknowledgement: its cover
-				// must not count twice.
+				// A leaf's partial result. A duplicated datagram
+				// delivers it twice: its cover and entries count
+				// once.
+				if slices.ContainsFunc(answered, func(l msg.LeafInfo) bool { return l.ID == sub.Leaf.ID }) {
+					s.met.Counter("range_partial_duplicate").Inc()
+					continue
+				}
+				// A silent child holding the leaf lost only its
+				// acknowledgement: its cover must not count twice.
 				silent = slices.DeleteFunc(silent, func(c silentChild) bool {
 					if !c.holds(sub.Leaf) {
 						return false

@@ -12,6 +12,11 @@ import (
 // regions in one; a sighting delta then touches only the subscriptions
 // whose areas contain its old or new position.
 //
+// Each node holds its rectangles in a slice of {id, rect}, so a stab reads
+// contiguous memory; byID maps an id to its node and its position in that
+// slice, and Remove swap-deletes, moving the node's last entry into the
+// gap.
+//
 // Inserting an existing id replaces its rectangle. Rectangles need not lie
 // inside the world rectangle: placement uses the world-clipped rectangle
 // (a rectangle outside the world entirely sits at the root), while matching
@@ -24,7 +29,18 @@ import (
 type RectIndex struct {
 	world geo.Rect
 	root  *rectNode
-	byID  map[string]*rectNode
+	byID  map[string]rectSlot
+}
+
+// rectSlot is where an id's rectangle lives: n.entries[i].
+type rectSlot struct {
+	n *rectNode
+	i int
+}
+
+type rectEntry struct {
+	id string
+	r  geo.Rect
 }
 
 // rectMaxDepth bounds the tree height: at depth 24 a node's side is the
@@ -35,7 +51,7 @@ type rectNode struct {
 	bounds  geo.Rect
 	parent  *rectNode
 	slot    int // index of this node in parent.kids
-	entries map[string]geo.Rect
+	entries []rectEntry
 	kids    [4]*rectNode
 	nkids   int
 }
@@ -46,7 +62,7 @@ func NewRectIndex(world geo.Rect) *RectIndex {
 	return &RectIndex{
 		world: world,
 		root:  &rectNode{bounds: world},
-		byID:  make(map[string]*rectNode),
+		byID:  make(map[string]rectSlot),
 	}
 }
 
@@ -95,23 +111,28 @@ func (ix *RectIndex) Insert(id string, r geo.Rect) {
 			}
 		}
 	}
-	if n.entries == nil {
-		n.entries = make(map[string]geo.Rect)
-	}
-	n.entries[id] = r
-	ix.byID[id] = n
+	ix.byID[id] = rectSlot{n, len(n.entries)}
+	n.entries = append(n.entries, rectEntry{id, r})
 }
 
 // Remove deletes the rectangle for id, reporting whether it existed. Nodes
 // left without entries and children are pruned so churn cannot grow the
 // tree without bound.
 func (ix *RectIndex) Remove(id string) bool {
-	n, ok := ix.byID[id]
+	sl, ok := ix.byID[id]
 	if !ok {
 		return false
 	}
-	delete(n.entries, id)
 	delete(ix.byID, id)
+	n := sl.n
+	last := len(n.entries) - 1
+	if sl.i != last {
+		moved := n.entries[last]
+		n.entries[sl.i] = moved
+		ix.byID[moved.id] = sl
+	}
+	n.entries[last] = rectEntry{} // drop the id string for the collector
+	n.entries = n.entries[:last]
 	for n != ix.root && len(n.entries) == 0 && n.nkids == 0 {
 		p := n.parent
 		p.kids[n.slot] = nil
@@ -128,8 +149,8 @@ func (ix *RectIndex) Stab(p geo.Point, visit func(id string, r geo.Rect) bool) {
 	if !ix.world.ContainsClosed(p) {
 		// Off-world point: placement clipping no longer guides the
 		// descent, so check every entry.
-		for id, n := range ix.byID {
-			if n.entries[id].ContainsClosed(p) && !visit(id, n.entries[id]) {
+		for _, sl := range ix.byID {
+			if e := sl.n.entries[sl.i]; e.r.ContainsClosed(p) && !visit(e.id, e.r) {
 				return
 			}
 		}
@@ -142,8 +163,8 @@ func (ix *RectIndex) Stab(p geo.Point, visit func(id string, r geo.Rect) bool) {
 // their closed boundaries, so a point on a split line can have matching
 // entries in more than one subtree.
 func (ix *RectIndex) stab(n *rectNode, p geo.Point, visit func(id string, r geo.Rect) bool) bool {
-	for id, r := range n.entries {
-		if r.ContainsClosed(p) && !visit(id, r) {
+	for i := range n.entries {
+		if e := &n.entries[i]; e.r.ContainsClosed(p) && !visit(e.id, e.r) {
 			return false
 		}
 	}

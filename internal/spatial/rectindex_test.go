@@ -130,3 +130,126 @@ func TestRectIndexReplace(t *testing.T) {
 		t.Fatal("new rectangle not matched after replace")
 	}
 }
+
+// TestRectIndexSwapDelete pins Remove's swap-delete inside one node:
+// whichever entry goes, the others stay found and a re-inserted id is
+// indexed once.
+func TestRectIndexSwapDelete(t *testing.T) {
+	// Four rectangles straddling the world's centre all sit at the root.
+	ids := []string{"a", "b", "c", "d"}
+	r := geo.R(40, 40, 60, 60)
+	for _, tc := range []struct {
+		name   string
+		remove string
+	}{
+		{"first", "a"},
+		{"middle", "c"},
+		{"last", "d"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := NewRectIndex(geo.R(0, 0, 100, 100))
+			for _, id := range ids {
+				ix.Insert(id, r)
+			}
+			if !ix.Remove(tc.remove) {
+				t.Fatalf("Remove(%s) = false", tc.remove)
+			}
+			if ix.Remove(tc.remove) {
+				t.Fatalf("second Remove(%s) = true", tc.remove)
+			}
+			var want []string
+			for _, id := range ids {
+				if id != tc.remove {
+					want = append(want, id)
+				}
+			}
+			checkStab(t, ix, geo.Pt(50, 50), want)
+			// Every survivor can still be removed: its slot moved with it.
+			for _, id := range want {
+				if !ix.Remove(id) {
+					t.Fatalf("Remove(%s) = false after %s left", id, tc.remove)
+				}
+			}
+			checkStab(t, ix, geo.Pt(50, 50), nil)
+		})
+	}
+	t.Run("reinsert present", func(t *testing.T) {
+		ix := NewRectIndex(geo.R(0, 0, 100, 100))
+		for _, id := range ids {
+			ix.Insert(id, r)
+		}
+		// "b" moves to another node; "a" stays in its own.
+		ix.Insert("b", geo.R(10, 10, 20, 20))
+		ix.Insert("a", geo.R(45, 45, 55, 55))
+		if ix.Len() != len(ids) {
+			t.Fatalf("Len() = %d, want %d", ix.Len(), len(ids))
+		}
+		checkStab(t, ix, geo.Pt(50, 50), []string{"a", "c", "d"})
+		checkStab(t, ix, geo.Pt(15, 15), []string{"b"})
+		checkStab(t, ix, geo.Pt(42, 42), []string{"c", "d"})
+	})
+}
+
+func checkStab(t *testing.T, ix *RectIndex, p geo.Point, want []string) {
+	t.Helper()
+	var got []string
+	ix.Stab(p, func(id string, _ geo.Rect) bool {
+		got = append(got, id)
+		return true
+	})
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Stab(%v) = %v, want %v", p, got, want)
+	}
+}
+
+// tripwireIndex is the event index of a leaf in the benchmark's udp_events
+// workload: 50 m cells on an 80 m pitch over a 2 000 m world.
+func tripwireIndex() (*RectIndex, geo.Rect) {
+	const side, pitch, cell = 2000.0, 80.0, 50.0
+	world := geo.R(0, 0, side, side)
+	ix := NewRectIndex(world)
+	for x := 0.0; x+cell <= side; x += pitch {
+		for y := 0.0; y+cell <= side; y += pitch {
+			ix.Insert(fmt.Sprintf("t%.0f-%.0f", x, y), geo.R(x, y, x+cell, y+cell))
+		}
+	}
+	return ix, world
+}
+
+// TestRectIndexStabAllocs: a stab allocates nothing; the event dispatcher
+// runs two per sighting delta.
+func TestRectIndexStabAllocs(t *testing.T) {
+	ix, _ := tripwireIndex()
+	rng := rand.New(rand.NewSource(1))
+	hits := 0
+	visit := func(string, geo.Rect) bool { hits++; return true }
+	if a := testing.AllocsPerRun(1000, func() {
+		ix.Stab(geo.Pt(rng.Float64()*2000, rng.Float64()*2000), visit)
+	}); a != 0 {
+		t.Errorf("Stab allocates %.1f times per call, want 0", a)
+	}
+	if hits == 0 {
+		t.Error("no stab hit a tripwire")
+	}
+}
+
+// BenchmarkRectIndexStab stabs the tripwire index at random points.
+func BenchmarkRectIndexStab(b *testing.B) {
+	ix, world := tripwireIndex()
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]geo.Point, 4096)
+	for i := range pts {
+		pts[i] = geo.Pt(world.Min.X+rng.Float64()*world.Width(), world.Min.Y+rng.Float64()*world.Height())
+	}
+	hits := 0
+	visit := func(string, geo.Rect) bool { hits++; return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Stab(pts[i%len(pts)], visit)
+	}
+	if hits == 0 {
+		b.Fatal("no stab hit a tripwire")
+	}
+}

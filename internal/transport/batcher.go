@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"runtime"
 	"sync"
 
 	"locsvc/internal/msg"
@@ -13,13 +14,18 @@ import (
 // node's flusher goroutine and leaves as soon as that goroutine gets a
 // processor; envelopes added while the flusher waits for a processor, or
 // is inside a send for another batch, join their destination's open batch
-// and leave with it. So batches form exactly when envelopes arrive faster
-// than they can be sent — under load — and a lone envelope on a quiet node
-// travels alone, at once. A batch that reaches the count cap (BatchMax) or
-// would outgrow MaxDatagram is sent by the goroutine that filled it, which
-// is the backpressure: at most one open batch per destination ever waits
-// for the flusher. At a cap of one every envelope fills its own batch, so
-// it leaves on its sender's goroutine and the flusher is never woken.
+// and leave with it. Once woken, the flusher yields its processor once
+// (runtime.Gosched) before it drains, so every goroutine already runnable
+// — handlers sending replies, a client issuing its pipeline — adds to the
+// open batches first. On an idle node nothing else is runnable, the yield
+// returns at once and costs a lone envelope nothing. So batches form
+// exactly when envelopes arrive faster than they can be sent — under load
+// — and a lone envelope on a quiet node travels alone, at once. A batch
+// that reaches the count cap (BatchMax) or would outgrow MaxDatagram is
+// sent by the goroutine that filled it, which is the backpressure: at most
+// one open batch per destination ever waits for the flusher. At a cap of
+// one every envelope fills its own batch, so it leaves on its sender's
+// goroutine and the flusher is never woken.
 
 // flusher is that rule for the UDP batcher: one goroutine that calls drain
 // once for every kick, or run of kicks, since its last call began.
@@ -51,6 +57,9 @@ func (f *flusher) loop() {
 	for {
 		select {
 		case <-f.wake:
+			// Let whatever is runnable add first: the yield is the
+			// wait of the rule above, and on an idle node it is none.
+			runtime.Gosched()
 			f.drain()
 		case <-f.quit:
 			return

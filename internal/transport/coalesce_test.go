@@ -254,3 +254,74 @@ func TestBatcherClose(t *testing.T) {
 func BenchmarkUDPCallBatched(b *testing.B) {
 	benchCall(b, NewUDPWithOptions(UDPOptions{BatchMax: 16}))
 }
+
+// TestUDPPipelinedCallsShareDatagrams is the other half of the
+// self-clocked rule: under load, batches form. A client keeps 64 calls in
+// flight to an echo handler, as the benchmark's async clients do; requests
+// issued and replies sent while a flusher is woken must leave together.
+// The bound is for a binary without the race detector, which slows every
+// goroutine and moves the ratio whether the flusher yields or not.
+func TestUDPPipelinedCallsShareDatagrams(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector reshapes the schedule the bound measures")
+	}
+	if got := pipelinedCalls(t, 20_000); got < 6 {
+		t.Errorf("%.2f envelopes per datagram with 64 calls in flight, want ≥ 6", got)
+	}
+}
+
+// BenchmarkUDPCallPipelined is one round trip over loopback UDP with 64
+// calls in flight, and reports how many envelopes shared a datagram.
+func BenchmarkUDPCallPipelined(b *testing.B) {
+	b.ReportAllocs()
+	b.ReportMetric(pipelinedCalls(b, b.N), "envelopes/datagram")
+}
+
+// pipelinedCalls makes n calls through a 64-deep CallAsync pipeline from
+// one UDP node to another's echo handler, checks every reply, and returns
+// the envelopes per datagram both nodes sent.
+func pipelinedCalls(tb testing.TB, n int) float64 {
+	tb.Helper()
+	const depth = 64
+	reg := metrics.NewRegistry()
+	nw := NewUDPWithOptions(UDPOptions{Metrics: reg, BatchMax: 16})
+	defer nw.Close()
+	if _, err := nw.Attach("server", valueEchoHandler); err != nil {
+		tb.Fatal(err)
+	}
+	cli, err := nw.Attach("client", nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	window := make(chan struct{}, depth)
+	var (
+		done sync.WaitGroup
+		bad  atomic.Int64
+	)
+	done.Add(n)
+	if b, ok := tb.(*testing.B); ok {
+		b.ResetTimer()
+	}
+	for i := 0; i < n; i++ {
+		window <- struct{}{}
+		pc, err := cli.CallAsync(ctx, "server", msg.ChangeAccReq{OID: "o", DesAcc: float64(i)})
+		if err != nil {
+			tb.Fatalf("call %d: %v", i, err)
+		}
+		want := float64(i)
+		pc.Then(func(m msg.Message) {
+			if res, ok := m.(msg.ChangeAccRes); !ok || res.OfferedAcc != want {
+				bad.Add(1)
+			}
+			<-window
+			done.Done()
+		})
+	}
+	done.Wait()
+	if k := bad.Load(); k > 0 {
+		tb.Fatalf("%d of %d calls resolved with a wrong reply", k, n)
+	}
+	return float64(reg.Counter("wire_envelopes_out").Value()) / float64(reg.Counter("wire_datagrams_out").Value())
+}
