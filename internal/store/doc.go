@@ -40,10 +40,13 @@
 //   - Who writes it. The store alone, from the registration on the
 //     object's record: an entry is built from the record, and every
 //     registration change rebuilds it under the same lock. A hit
-//     SearchBuckets or NearestEntries reads from a disk run takes the
-//     accuracy from the record its shadow check looks up; SearchBuckets
-//     hands such hits on one batch per run leaf, built like a bucket.
-//     WAL segments and run files carry no accuracy.
+//     SearchBuckets reads from a disk run takes the accuracy from the
+//     object record its verdict reads (see the read path): the one the
+//     run's object table names, or, where the table cannot answer, the one
+//     the id lookup finds; SearchBuckets hands such hits on one batch per
+//     run leaf, built like a bucket. NearestEntries re-resolves a cold
+//     neighbor through Lookup. WAL segments and run files carry no
+//     accuracy.
 //   - When it is unknown. AccUnknown (−1 — not the zero value, which means
 //     "perfectly accurate") marks exactly the entries of objects with no
 //     registration: sightings put by store-level callers, and positions
@@ -86,16 +89,18 @@
 // the key range plus a sparse index (one entry per 16 records).
 //
 // Resident per run are the bloom filter, the sparse index and the leaf
-// directory (≈0.6 B per live record); records and spatial leaves are
-// read from disk on demand. The footer pins the region lengths, the
-// record/live counts, the MBR of the live records and one CRC per kind
-// of region: bloom + index + directory (verified at open, which reads
-// only those — recovery stays O(metadata)), records (verified by every
-// complete scan: compaction, enumeration, fetched-run verification) and
-// spatial leaves (verified when a fetched run is checked before install;
-// ordinary spatial reads validate each leaf structurally instead — see
-// the read path). A file of another format version is refused at open
-// with the version named; there is no fallback reader.
+// directory (≈0.6 B per live record) and, for a run this process wrote,
+// its object table (8 B per live record; see the read path); records and
+// spatial leaves are read from disk on demand. The footer pins the region
+// lengths, the record/live counts, the MBR of the live records and one
+// CRC per kind of region: bloom + index + directory (verified at open,
+// which reads only those — recovery stays O(metadata)), records (verified
+// by every complete scan: compaction, enumeration, fetched-run
+// verification) and spatial leaves (verified when a fetched run is
+// checked before install; ordinary spatial reads validate each leaf
+// structurally instead — see the read path). A file of another format
+// version is refused at open with the version named; there is no fallback
+// reader.
 //
 // Log format (visitor and registration logs, shard-NNNN.wal segments;
 // byte-level layout at the top of wal.go): the header LSWAL001, then
@@ -121,26 +126,45 @@
 // in runs plants a memtable tombstone that shadows them until compaction.
 //
 // Read path: Get consults the object's record (sighting, tombstone), then
-// runs newest to oldest — each run gated by its key range and bloom filter,
-// then one sparse-index probe reading at most 16 records. Both spatial
-// query kinds read runs through the leaf directories: a range query takes
-// the runs whose MBR intersects the rectangle, reads only the leaves whose
-// directory MBR intersects it and tests the positions there; a
-// nearest-neighbor query runs a best-first cursor over the leaves ordered
-// by directory-MBR distance (merged behind the quadtree cursors and gated
-// by run-MBR distance, so a shard whose runs lie beyond the consumer's
-// stopping distance is never read). Either query takes each record from the
-// leaf it read, one pread per leaf, and decodes a record's id only once its
-// position passed the query's test. The shadow-check rule for these pruned
-// reads: a leaf record is only a candidate — the query did not read the
-// places a newer version of the object could be — so every record that
-// passes the position test (and only those) has its id looked up in the
+// runs newest to oldest — each run gated by its key range and bloom
+// filter, then one sparse-index probe reading at most 16 records. Both
+// spatial query kinds read runs through the leaf directories: a range
+// query takes the runs whose MBR intersects the rectangle, reads only the
+// leaves whose directory MBR intersects it and tests the positions there;
+// a nearest-neighbor query runs a best-first cursor over the leaves
+// ordered by directory-MBR distance (merged behind the quadtree cursors
+// and gated by run-MBR distance, so a shard whose runs lie beyond the
+// consumer's stopping distance is never read). Either query takes each
+// record from the leaf it read, one pread per leaf, and decodes a record's
+// id only once its position passed the query's test. The verdict rule for
+// these pruned reads: a leaf record is only a candidate — the query did
+// not read the places a newer version of the object could be — so every
+// record that passes the position test (and only those) is judged: is it
+// the newest version, and what accuracy does the registration give? A run
+// this process wrote carries an object table, one entry per spatial slot
+// (leaf·64 + entry) naming the object record of the id there; a flush
+// fills it from the memtable objects it writes that its reset keeps (the
+// registered ones), a compaction resolves the merged run's ids to the
+// registered objects under the shard's read lock before it publishes. Each
+// object keeps the sequence of the newest run a flush wrote it into (a
+// compaction sets its own for resolved objects of unknown sequence when no
+// run is newer). A hit whose entry names a live object of known sequence
+// is judged without hashing: the memtable holding the object drops it, so
+// does a sequence newer than the hit's run; otherwise it qualifies with
+// the object's accuracy. Every other hit is judged by id: looked up in the
 // shard's records (a sighting or tombstone drops it) and, bloom-gated, in
-// every newer run. A leaf that does not hold exactly its share of
-// well-formed live records, all inside its directory MBR, is skipped and
-// counted (TierStats.ReadErrors, gauge sighting_tier_read_errors) — as are
-// failed reads, decode errors and checksum mismatches anywhere on the read
-// path — so a damaged run shows up instead of silently shrinking answers.
+// every newer run. That covers runs opened from disk at recovery (which
+// builds no table and reads no run data) or installed by replication
+// (every install clears the shard's tables and sequences), until this
+// process first compacts them; ids without a registered object; objects of
+// unknown sequence; and objects deleted from the shard's map, which are
+// marked dead. A nearest-neighbor cursor uses the tables only while its
+// pinned run list is still the shard's current one. A leaf that does not
+// hold exactly its share of well-formed live records, all inside its
+// directory MBR, is skipped and counted (TierStats.ReadErrors, gauge
+// sighting_tier_read_errors) — as are failed reads, decode errors and
+// checksum mismatches anywhere on the read path — so a damaged run shows
+// up instead of silently shrinking answers.
 //
 // Compaction triggers: a shard exceeding MaxRuns runs (default 4) has its
 // whole run set k-way merged into one run off-lock — newest version per

@@ -82,12 +82,22 @@ type tierState struct {
 // shardTier is one shard's run list. runs (newest first) is replaced
 // copy-on-write under the shard's write lock and read under either lock;
 // nextSeq is reserved atomically so an inline flush and a concurrent
-// compaction never allocate the same run name.
+// compaction never allocate the same run name. swaps counts the
+// replacements of runs and installs the replication installs among them,
+// both guarded like runs.
 type shardTier struct {
-	dir     string
-	shard   int
-	nextSeq atomic.Uint64
-	runs    []*tierRun
+	dir      string
+	shard    int
+	nextSeq  atomic.Uint64
+	runs     []*tierRun
+	swaps    uint64
+	installs uint64
+}
+
+// setRuns makes runs the shard's run list. Caller holds the write lock.
+func (t *shardTier) setRuns(runs []*tierRun) {
+	t.runs = runs
+	t.swaps++
 }
 
 // TierStats is a point-in-time snapshot of the tiering machinery,
@@ -98,7 +108,7 @@ type TierStats struct {
 	MemtableBytes int64 // estimated resident memtable bytes, all shards
 	Runs          int   // run files across all shards
 	RunBytes      int64 // run file bytes on disk
-	MetaBytes     int64 // resident run metadata (blooms, sparse indexes, leaf directories)
+	MetaBytes     int64 // resident run metadata (blooms, sparse indexes, leaf directories, object tables)
 	DiskRecords   int64 // records in runs, tombstones included
 	DiskLive      int64 // live (non-tombstone) records in runs
 	Flushes       int64
@@ -199,13 +209,17 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 	if t == nil || len(sh.mem) == 0 {
 		return nil
 	}
-	recs := make([]runRecord, 0, len(sh.mem))
+	type memRecord struct {
+		runRecord
+		o *object
+	}
+	recs := make([]memRecord, 0, len(sh.mem))
 	sh.eachMem(func(id core.OID, o *object) bool {
 		rec := runRecord{s: core.Sighting{OID: id}, tombstone: true}
 		if o.mem == memSighting {
 			rec = runRecord{s: o.sighting(id), expires: unixTime(o.expires)}
 		}
-		recs = append(recs, rec)
+		recs = append(recs, memRecord{rec, o})
 		return true
 	})
 	sort.Slice(recs, func(a, b int) bool { return recs[a].s.OID < recs[b].s.OID })
@@ -216,10 +230,14 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 	if err != nil {
 		return err
 	}
+	live := make([]*object, 0, len(recs))
 	for _, rec := range recs {
-		if err := w.add(rec); err != nil {
+		if err := w.add(rec.runRecord); err != nil {
 			w.abort()
 			return err
+		}
+		if !rec.tombstone {
+			live = append(live, rec.o)
 		}
 	}
 	if err := w.finish(); err != nil {
@@ -230,6 +248,14 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 		os.Remove(filepath.Join(t.dir, name))
 		return err
 	}
+	// The reset below deletes, and marks dead, the objects without a
+	// registration: only the others enter the table and take the sequence.
+	run.seq = seq
+	for slot := range live {
+		if o := live[w.slotLive(slot)]; o.reg != nil {
+			run.setObj(slot, o)
+		}
+	}
 	newRuns := make([]*tierRun, 0, len(t.runs)+1)
 	newRuns = append(newRuns, run)
 	newRuns = append(newRuns, t.runs...)
@@ -237,7 +263,12 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 		run.retire(true)
 		return err
 	}
-	t.runs = newRuns
+	t.setRuns(newRuns)
+	for _, rec := range recs {
+		if rec.o.reg != nil {
+			rec.o.setSeq(seq)
+		}
+	}
 	db.tier.flushes.Add(1)
 
 	// The manifest rename committed: reset the memtable.
@@ -261,10 +292,12 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 // compactShardTier merges the shard's current runs (snapshotted under the
 // read lock) into one, dropping superseded versions, tombstones and
 // long-expired records, then atomically swaps the manifest. Readers never
-// block: the merge reads immutable pinned runs off-lock, and only the
-// final list swap takes the shard's write lock. Flushes racing the merge
-// only prepend runs, so the snapshot stays the exact suffix of the list.
-// The caller holds maintMu, serializing compactions against each other.
+// block: the merge reads immutable pinned runs off-lock, the merged run's
+// ids are resolved to objects under the read lock a chunk at a time, and
+// only the final list swap takes the shard's write lock. Flushes racing
+// the merge only prepend runs, so the snapshot stays the exact suffix of
+// the list. The caller holds maintMu, serializing compactions against
+// each other.
 func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) error {
 	sh.mu.RLock()
 	t := sh.tier
@@ -278,6 +311,7 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 		r.acquire() // cannot fail: the manifest reference is alive under the lock
 	}
 	seq := t.nextSeq.Add(1) - 1
+	installs := t.installs
 	sh.mu.RUnlock()
 
 	releaseSnap := func() {
@@ -285,10 +319,15 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 			r.release()
 		}
 	}
-	merged, err := db.mergeRuns(t, seq, snap, db.clock())
+	merged, w, err := db.mergeRuns(t, seq, snap, db.clock())
 	if err != nil {
 		releaseSnap()
 		return err
+	}
+	var unknown []*object
+	if merged != nil {
+		merged.seq = seq
+		unknown = sh.resolveObjs(merged, w)
 	}
 
 	sh.mu.Lock()
@@ -314,7 +353,25 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 		releaseSnap()
 		return err
 	}
-	t.runs = newRuns
+	t.setRuns(newRuns)
+	switch {
+	case t.installs != installs:
+		// An install cleared the shard's tables and sequences since the
+		// snapshot; the merged run's table must not outlive that.
+		if merged != nil {
+			merged.objs = nil
+		}
+	case len(keep) == 0:
+		// No run is newer than the merged one, so it holds the newest run
+		// version of every object resolved. (A run flushed since the
+		// snapshot may hold a version written for an earlier object of the
+		// same id, which an object of unknown sequence cannot rule out.)
+		for _, o := range unknown {
+			if !o.dead && !o.seqKnown {
+				o.setSeq(seq)
+			}
+		}
+	}
 	db.notifyRepl(shard, newRuns, t.nextSeq.Load(), false)
 	sh.mu.Unlock()
 	for _, r := range snap {
@@ -331,8 +388,9 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 // nothing older left to shadow); records expired for more than one full
 // TTL are dropped too — the extra TTL of slack guarantees the janitor's
 // Expired scan observed them (and tore down dependent server state)
-// before they vanish. Returns nil when every record was dropped.
-func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun, now time.Time) (*tierRun, error) {
+// before they vanish. Returns nil when every record was dropped, else the
+// run and its finished writer, which knows the run's spatial order.
+func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun, now time.Time) (*tierRun, *runWriter, error) {
 	iters := make([]*runIterator, len(snap))
 	heads := make([]runRecord, len(snap))
 	valid := make([]bool, len(snap))
@@ -347,7 +405,7 @@ func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun
 	name := runFileName(t.shard, seq)
 	w, err := newRunWriter(t.dir, name, db.tier.cfg.BloomBitsPerKey)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for {
 		best := -1
@@ -374,23 +432,52 @@ func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun
 		}
 		if err := w.add(rec); err != nil {
 			w.abort()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	for i := range snap {
 		if err := iters[i].error(); err != nil {
 			w.abort()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if w.count == 0 {
 		w.abort()
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err := w.finish(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return openRun(filepath.Join(t.dir, name))
+	r, err := openRun(filepath.Join(t.dir, name))
+	return r, w, err
+}
+
+// resolveChunk is how many ids resolveObjs looks up per read-lock hold,
+// so a large merged run does not queue the shard's writers behind it.
+const resolveChunk = 4096
+
+// resolveObjs fills the object table of run, not yet published, which w
+// finished, from the shard's map, under the read lock a chunk at a time,
+// and lists the objects it found whose sequence is unknown. Like a flush,
+// it leaves out objects without a registration: the next flush deletes
+// them. An entry stays valid whatever happens before the run is
+// published: an object deleted meanwhile is marked dead, and one flushed
+// meanwhile carries a sequence newer than the run's.
+func (sh *sightingShard) resolveObjs(run *tierRun, w *runWriter) (unknown []*object) {
+	n := int(run.live)
+	for lo := 0; lo < n; lo += resolveChunk {
+		sh.mu.RLock()
+		for slot := lo; slot < min(lo+resolveChunk, n); slot++ {
+			if o := sh.objs[core.OID(w.liveKey(w.slotLive(slot)))]; o != nil && o.reg != nil {
+				run.setObj(slot, o)
+				if !o.seqKnown {
+					unknown = append(unknown, o)
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return unknown
 }
 
 // tierLookup walks runs (newest first) for id, gated by key range and
@@ -420,14 +507,47 @@ func tierLookup(ts *tierState, runs []*tierRun, id core.OID) (runRecord, bool) {
 	return runRecord{}, false
 }
 
-// shadowed reports whether a version of id read from a run is not the
-// authoritative one: the memtable holds the id (live or tombstoned), or
-// one of newer — the runs ahead of that run in the list — contains it
+// judge is the verdict on a hit a spatial read took from runs[k] (a run
+// list of the shard, newest first) at spatial slot slot: the accuracy of
+// the registration of the record's object, id, and whether a newer version
+// hides the record. A spatial read sees only the leaves its rectangle or
+// frontier touches, so it cannot know from what it read that a newer
+// version lies elsewhere; every hit is therefore judged — after the
+// position test, so only candidates inside the query pay. With current
+// (runs is the shard's run list now), the run's object table answers when
+// it can (tableVerdict); otherwise, or without current, the id does
+// (shadowed).
+func (sh *sightingShard) judge(ts *tierState, runs []*tierRun, k, slot int, id core.OID, current bool) (acc float64, gone bool) {
+	if current {
+		if acc, gone, ok := runs[k].tableVerdict(slot); ok {
+			return acc, gone
+		}
+	}
+	return sh.shadowed(ts, runs[:k], id)
+}
+
+// tableVerdict judges the hit at slot from the run's object table alone,
+// without hashing the id: ok is false unless the entry names a live object
+// (not deleted from its shard's map) whose sequence is known. The memtable
+// holding that object hides the hit, and so does a newer run: the object's
+// sequence, that of the newest run this process wrote it into, is newer
+// than the run's. Caller holds the shard lock and reads the shard's
+// current run list.
+func (r *tierRun) tableVerdict(slot int) (acc float64, gone, ok bool) {
+	if r.objs == nil {
+		return 0, false, false
+	}
+	o := r.objs[slot]
+	if o == nil || o.dead || !o.seqKnown {
+		return 0, false, false
+	}
+	return o.acc, o.mem != memNone || uint64(o.seq) > r.seq, true
+}
+
+// shadowed is judge by id: a version of id read from a run is not the
+// authoritative one when the memtable holds the id (live or tombstoned),
+// or one of newer — the runs ahead of that run in the list — contains it
 // (live or tombstone); it also returns the accuracy of id's registration.
-// A spatial read sees only the leaves its rectangle or frontier
-// touches, so it cannot know from what it read that a newer version lies
-// elsewhere; every hit is therefore checked by id — after the position
-// test, so only candidates inside the query pay the probes.
 func (sh *sightingShard) shadowed(ts *tierState, newer []*tierRun, id core.OID) (acc float64, gone bool) {
 	acc = AccUnknown
 	if o := sh.objs[id]; o != nil {
@@ -493,8 +613,8 @@ func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bo
 // tierSearch hands visit the shard's authoritative run-resident sightings
 // inside rect, one batch per spatial leaf. Per run it walks the in-RAM leaf
 // directory, reads only the leaves whose MBR intersects rect, tests the
-// positions there, and decodes and shadow-checks a record, out of the leaf
-// it was read with, only for entries inside rect. A batch's items carry
+// positions there, and decodes and judges a record, out of the leaf it was
+// read with, only for entries inside rect. A batch's items carry
 // their registration's accuracy and, as Ref, the record's sighting
 // (*core.Sighting); sub bounds the batch, which lies inside rect. Caller
 // holds the shard lock; reports false if visit stopped the search.
@@ -523,12 +643,12 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(ite
 			}
 			n := 0
 			var sub geo.Rect
-			for _, e := range entries {
+			for j, e := range entries {
 				if !rect.ContainsClosed(e.pos) {
 					continue
 				}
 				rec, _, _ := decodeRunRecord(e.rec, 0) // well-formed: decodeLeaf checked it
-				acc, gone := sh.shadowed(ts, t.runs[:k], rec.s.OID)
+				acc, gone := sh.judge(ts, t.runs, k, i*runLeafEntries+j, rec.s.OID, true)
 				if gone {
 					continue
 				}
@@ -578,10 +698,11 @@ func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (
 		c := &tierNearestCursor{sh: sh, ts: db.tier, p: p, sc: runScratchPool.Get().(*runScratch)}
 		sh.mu.RLock()
 		c.runs = append(c.runs, sh.tier.runs...)
+		c.swaps = sh.tier.swaps
 		for k, r := range c.runs {
 			r.acquire() // cannot fail: the manifest reference is alive under the lock
 			for i, mbr := range r.leaves {
-				c.h.Push(mbr.DistToPoint(p), tierNearestItem{run: int32(k), leaf: int32(i)})
+				c.h.Push(mbr.DistToPoint(p), tierNearestItem{run: int32(k), at: uint32(i)})
 			}
 		}
 		sh.mu.RUnlock()
@@ -590,11 +711,12 @@ func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (
 }
 
 // tierNearestItem is one frontier slot of a tierNearestCursor: an unread
-// spatial leaf keyed by its MBR's distance (leaf >= 0), or one record of a
-// leaf already read, keyed by its position's distance (leaf < 0).
+// spatial leaf keyed by its MBR's distance (entry.rec nil, at the leaf), or
+// one record of a leaf already read, keyed by its position's distance (at
+// its spatial slot).
 type tierNearestItem struct {
 	run   int32 // index into the cursor's run list
-	leaf  int32
+	at    uint32
 	entry leafEntry
 }
 
@@ -602,17 +724,19 @@ type tierNearestItem struct {
 // sightings in order of increasing distance from p, best-first over the
 // leaf directories of a pinned snapshot of the shard's run list (newest
 // first). Every advance runs under the shard's read lock
-// (spatial.LockCursor): the shadow check reads the memtable. If the shard
+// (spatial.LockCursor): the verdict reads the memtable. If the shard
 // flushes or compacts between advances the stream degrades to a
 // best-effort snapshot, as the Cursor contract allows; NearestFunc
-// re-resolves every delivered id through Get.
+// re-resolves every delivered id through Get. The run tables judge hits
+// only while the pinned list is the shard's current one (swaps unchanged).
 type tierNearestCursor struct {
-	sh   *sightingShard
-	ts   *tierState
-	p    geo.Point
-	runs []*tierRun
-	h    spatial.MinHeap[tierNearestItem]
-	sc   *runScratch
+	sh    *sightingShard
+	ts    *tierState
+	p     geo.Point
+	runs  []*tierRun
+	swaps uint64
+	h     spatial.MinHeap[tierNearestItem]
+	sc    *runScratch
 }
 
 // Next implements spatial.Cursor.
@@ -620,22 +744,23 @@ func (c *tierNearestCursor) Next() (spatial.Neighbor, bool) {
 	for c.h.Len() > 0 {
 		dist, it := c.h.Pop()
 		r := c.runs[it.run]
-		if it.leaf >= 0 {
+		if it.entry.rec == nil {
 			c.ts.leafReads.Add(1)
 			// A buffer per leaf: the frontier keeps its records until popped.
 			var buf []byte
-			entries, err := r.readLeaf(int(it.leaf), &buf, c.sc.entries[:0])
+			entries, err := r.readLeaf(int(it.at), &buf, c.sc.entries[:0])
 			if err != nil {
 				c.ts.readErrs.Add(1)
 				continue
 			}
-			for _, e := range entries {
-				c.h.Push(c.p.Dist(e.pos), tierNearestItem{run: it.run, leaf: -1, entry: e})
+			for j, e := range entries {
+				c.h.Push(c.p.Dist(e.pos), tierNearestItem{run: it.run, at: it.at*runLeafEntries + uint32(j), entry: e})
 			}
 			continue
 		}
 		rec, _, _ := decodeRunRecord(it.entry.rec, 0) // well-formed: decodeLeaf checked it
-		if _, gone := c.sh.shadowed(c.ts, c.runs[:it.run], rec.s.OID); gone {
+		current := c.sh.tier.swaps == c.swaps
+		if _, gone := c.sh.judge(c.ts, c.runs, int(it.run), int(it.at), rec.s.OID, current); gone {
 			continue
 		}
 		return spatial.Neighbor{ID: rec.s.OID, Pos: rec.s.Pos, Dist: dist}, true
@@ -720,7 +845,7 @@ func (db *ShardedSightingDB) maybeFlushBackpressure(sh *sightingShard, shard int
 }
 
 // TierStats snapshots the tiering machinery. Zero-valued (Enabled false)
-// on untiiered stores.
+// on untiered stores.
 func (db *ShardedSightingDB) TierStats() TierStats {
 	ts := db.tier
 	if ts == nil {

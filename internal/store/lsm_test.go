@@ -220,9 +220,11 @@ func TestRunRoundtrip(t *testing.T) {
 	if err := r.verify(); err != nil {
 		t.Fatalf("verify of a fresh run: %v", err)
 	}
-	// The directory is resident metadata and must be accounted as such.
-	if min := int64(len(r.bloom.bits) + len(r.leaves)*runLeafDirEntrySize); r.metaBytes() < min {
-		t.Fatalf("metaBytes %d below bloom + leaf directory (%d)", r.metaBytes(), min)
+	// The directory and the object table a flush gives the run are
+	// resident metadata and must be accounted as such.
+	r.setObj(0, &object{})
+	if min := int64(len(r.bloom.bits)+len(r.leaves)*runLeafDirEntrySize) + r.live*8; r.metaBytes() < min {
+		t.Fatalf("metaBytes %d below bloom + leaf directory + object table (%d)", r.metaBytes(), min)
 	}
 }
 

@@ -289,8 +289,9 @@ func (db *ShardedSightingDB) fetchMissingRuns(names []string, fetch func(name st
 // swapRunsLocked replaces shard's run list with names (newest first),
 // reusing already-open runs, opening newly fetched ones and retiring the
 // dropped ones, and commits the new list through the manifest — the same
-// atomic swap flushes and compactions use. Caller holds the shard's write
-// lock; every failure path leaves the current list untouched.
+// atomic swap flushes and compactions use — and clears the shard's run
+// tables and object sequences. Caller holds the shard's write lock; every
+// failure path leaves the current list untouched.
 func (db *ShardedSightingDB) swapRunsLocked(sh *sightingShard, shard int, names []string, nextSeq uint64) error {
 	t := sh.tier
 	if t == nil {
@@ -331,12 +332,22 @@ func (db *ShardedSightingDB) swapRunsLocked(sh *sightingShard, shard int, names 
 		keep[name] = true
 	}
 	old := t.runs
-	t.runs = newRuns
+	t.setRuns(newRuns)
 	t.nextSeq.Store(nextSeq)
 	for _, r := range old {
 		if !keep[filepath.Base(r.path)] {
 			r.retire(true)
 		}
+	}
+	// The installed runs were written elsewhere: no object's sequence
+	// places it among them, so every hit is judged by id until this
+	// process writes runs of its own again.
+	t.installs++
+	for _, r := range old {
+		r.objs = nil
+	}
+	for _, o := range sh.objs {
+		o.seqKnown = false
 	}
 	return nil
 }
@@ -347,7 +358,7 @@ func (db *ShardedSightingDB) resetMemtableLocked(sh *sightingShard) {
 	sh.regMu.Lock()
 	sh.eachMem(func(id core.OID, o *object) bool {
 		if o.mem = memNone; o.reg == nil {
-			delete(sh.objs, id)
+			sh.deleteObj(id, o)
 		}
 		return true
 	})

@@ -50,7 +50,8 @@ import (
 // sparse index, one (oid, offset) entry per runSparseEvery records.
 //
 // Resident per run: bloom filter, sparse index and leaf directory
-// (≈0.6 B per live record); records and spatial leaves stay on disk.
+// (≈0.6 B per live record) and, for a run this process wrote, its object
+// table (8 B per live record); records and spatial leaves stay on disk.
 //
 // The footer pins the five region lengths, the record counts, the MBR of
 // the live records and three CRC32s:
@@ -255,6 +256,9 @@ type runWriter struct {
 	mbr         geo.Rect
 	bitsPerKey  int
 	scratch     []byte
+	// order holds, once finish wrote the spatial leaves, each spatial
+	// slot's (curve key, live record index) pair, in slot order.
+	order []uint64
 }
 
 // writeCounter tracks bytes written through a buffered writer.
@@ -347,6 +351,18 @@ func (w *runWriter) abort() {
 	os.Remove(w.tmp.Name())
 }
 
+// slotLive returns which live record, counted in the order added, the
+// finished run's spatial slot holds; slot leaf·runLeafEntries + entry is
+// the entry of that spatial leaf.
+func (w *runWriter) slotLive(slot int) int { return int(uint32(w.order[slot])) }
+
+// liveKey returns the id of the i-th live record added, aliasing the
+// writer's buffer.
+func (w *runWriter) liveKey(i int) []byte {
+	_, key, _, _ := splitRunRecord(w.liveEnc, w.liveRefs[i].at) // well-formed: add encoded it
+	return key
+}
+
 // putRect encodes r (MinX, MinY, MaxX, MaxY as f64) into b[:32]; getRect
 // decodes it. The footer's MBR and the leaf directory share the encoding.
 func putRect(b []byte, r geo.Rect) {
@@ -377,6 +393,7 @@ func (w *runWriter) writeSpatial() (crcSpatial uint32, dir []byte, err error) {
 		order[i] = uint64(geo.HilbertKey(w.mbr, l.pos))<<32 | uint64(i)
 	}
 	slices.Sort(order)
+	w.order = order
 
 	crc := crc32.NewIEEE()
 	var leaf []byte
@@ -513,6 +530,14 @@ type tierRun struct {
 	leafAt     []int64    // spatial leaf i is [leafAt[i], leafAt[i+1]) past recordsLen
 	minOID     core.OID
 	maxOID     core.OID
+
+	// objs is the run's object table, nil unless this process wrote the
+	// run, knew a registered object of it and no replication install has
+	// cleared it since: spatial slot leaf·runLeafEntries + entry maps to
+	// the object of the record there (nil: none known), and seq is the
+	// run's sequence. Guarded by the shard lock; see tableVerdict.
+	objs []*object
+	seq  uint64
 
 	refs            atomic.Int32
 	removeOnRelease atomic.Bool
@@ -704,10 +729,20 @@ func (r *tierRun) retire(remove bool) {
 	r.release()
 }
 
+// setObj makes o the object of the record at spatial slot, allocating the
+// run's object table on its first entry. Caller holds the run unpublished.
+func (r *tierRun) setObj(slot int, o *object) {
+	if r.objs == nil {
+		r.objs = make([]*object, r.live)
+	}
+	r.objs[slot] = o
+}
+
 // metaBytes estimates the run's resident metadata footprint: bloom
-// filter, sparse index and leaf directory (an MBR and an offset per leaf).
+// filter, sparse index, leaf directory (an MBR and an offset per leaf)
+// and object table (a pointer per live record).
 func (r *tierRun) metaBytes() int64 {
-	n := int64(len(r.bloom.bits)) + 128 + int64(len(r.leaves))*32 + int64(len(r.leafAt))*8
+	n := int64(len(r.bloom.bits)) + 128 + int64(len(r.leaves))*32 + int64(len(r.leafAt))*8 + int64(len(r.objs))*8
 	for _, e := range r.sparse {
 		n += int64(len(e.oid)) + 24
 	}

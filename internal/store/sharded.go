@@ -130,8 +130,16 @@ func (sh *sightingShard) dropIfEmpty(id core.OID, o *object) {
 		return
 	}
 	sh.regMu.Lock()
-	delete(sh.objs, id)
+	sh.deleteObj(id, o)
 	sh.regMu.Unlock()
+}
+
+// deleteObj removes id's object o from the map and marks it dead, so the
+// run tables that still hold it judge its hits by id. Caller holds the
+// write lock and regMu.
+func (sh *sightingShard) deleteObj(id core.OID, o *object) {
+	delete(sh.objs, id)
+	o.dead = true
 }
 
 // setMem makes st, never memNone on a tiered shard (only a flush empties

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"time"
 
 	"locsvc/internal/core"
@@ -90,6 +91,21 @@ type object struct {
 	// accuracy of the index entry (see "Covering index entries").
 	acc float64
 	mem memState
+
+	// What the run tables (tierRun.objs) need to judge a cold hit without
+	// the id: dead marks an object deleted from its shard's map; seq, while
+	// seqKnown, is the sequence of the newest run a flush wrote the object
+	// into (or a compaction, for an object no flush of this process had).
+	// Together they fit the padding of the 64-byte size class.
+	dead     bool
+	seqKnown bool
+	seq      uint32
+}
+
+// setSeq records that run seq holds o's newest version; a sequence beyond
+// uint32 leaves o unknown rather than wrap.
+func (o *object) setSeq(seq uint64) {
+	o.seq, o.seqKnown = uint32(seq), seq <= math.MaxUint32
 }
 
 // memState is what the memtable holds for an object: nothing, its sighting
