@@ -25,19 +25,6 @@ func (pg Polygon) SignedArea() float64 {
 	return sum / 2
 }
 
-// CCW returns the polygon in counter-clockwise orientation, reversing the
-// vertex order if necessary.
-func (pg Polygon) CCW() Polygon {
-	if pg.SignedArea() >= 0 {
-		return pg
-	}
-	out := make(Polygon, len(pg))
-	for i, p := range pg {
-		out[len(pg)-1-i] = p
-	}
-	return out
-}
-
 // Contains reports whether p lies inside the polygon (boundary counts as
 // inside), using the ray-crossing test. Works for arbitrary simple polygons.
 func (pg Polygon) Contains(p Point) bool {
@@ -86,60 +73,86 @@ func (pg Polygon) Bounds() Rect {
 	return r
 }
 
-// ClipRect clips the polygon to an axis-aligned rectangle using the
-// Sutherland–Hodgman algorithm. The input must be convex for the output to
-// be exact; rectangles and the convex query areas used throughout the
-// service satisfy this. The result is the intersection polygon (possibly
-// empty).
-func (pg Polygon) ClipRect(r Rect) Polygon {
-	out := pg.CCW()
-	// Clip against each of the four half-planes of r.
-	out = clipHalfPlane(out, func(p Point) bool { return p.X >= r.Min.X }, func(a, b Point) Point {
-		t := (r.Min.X - a.X) / (b.X - a.X)
-		return a.Lerp(b, t)
-	})
-	out = clipHalfPlane(out, func(p Point) bool { return p.X <= r.Max.X }, func(a, b Point) Point {
-		t := (r.Max.X - a.X) / (b.X - a.X)
-		return a.Lerp(b, t)
-	})
-	out = clipHalfPlane(out, func(p Point) bool { return p.Y >= r.Min.Y }, func(a, b Point) Point {
-		t := (r.Min.Y - a.Y) / (b.Y - a.Y)
-		return a.Lerp(b, t)
-	})
-	out = clipHalfPlane(out, func(p Point) bool { return p.Y <= r.Max.Y }, func(a, b Point) Point {
-		t := (r.Max.Y - a.Y) / (b.Y - a.Y)
-		return a.Lerp(b, t)
-	})
-	return out
-}
-
-// clipHalfPlane clips polygon vertices against one half-plane; inside
-// reports whether a point is kept and cross computes the boundary crossing.
-func clipHalfPlane(pg Polygon, inside func(Point) bool, cross func(a, b Point) Point) Polygon {
-	if len(pg) == 0 {
-		return nil
+// IntersectRectArea returns the area of the intersection of the polygon
+// (assumed convex, in either orientation) with rectangle r. It is Sutherland
+// and Hodgman's re-entrant clipper (CACM 1974): the vertices pass one at a
+// time through four stages, one per edge of r, each holding only its first
+// and last vertex, and each vertex leaving the last stage adds its term to
+// the shoelace sum. The clipped polygon is never stored, so nothing is
+// allocated whatever the vertex count.
+func (pg Polygon) IntersectRectArea(r Rect) float64 {
+	if len(pg) < 3 {
+		return 0
 	}
-	out := make(Polygon, 0, len(pg)+4)
-	for i, cur := range pg {
-		prev := pg[(i+len(pg)-1)%len(pg)]
-		curIn, prevIn := inside(cur), inside(prev)
-		switch {
-		case curIn && prevIn:
-			out = append(out, cur)
-		case curIn && !prevIn:
-			out = append(out, cross(prev, cur), cur)
-		case !curIn && prevIn:
-			out = append(out, cross(prev, cur))
+	c := rectClipper{r: r}
+	for _, p := range pg {
+		c.push(0, p)
+	}
+	// Close the polygon stage by stage: each stage's closing edge may
+	// pass vertices on to the next before that one closes.
+	for k := 0; k < len(c.stages)-1; k++ {
+		if s := &c.stages[k]; s.started {
+			c.edge(k, s.last, s.first)
 		}
 	}
-	if len(out) < 3 {
-		return nil
+	if out := &c.stages[len(c.stages)-1]; out.started {
+		c.sum += out.last.Cross(out.first)
 	}
-	return out
+	return math.Abs(c.sum) / 2
 }
 
-// IntersectRectArea returns the area of the intersection of the polygon
-// (assumed convex) with rectangle r.
-func (pg Polygon) IntersectRectArea(r Rect) float64 {
-	return pg.ClipRect(r).Area()
+// rectClipper is IntersectRectArea's pipeline. Stages 0-3 clip against
+// x >= r.Min.X, x <= r.Max.X, y >= r.Min.Y and y <= r.Max.Y; stage 4
+// receives the clipped polygon's vertices and sums their shoelace terms.
+type rectClipper struct {
+	r      Rect
+	stages [5]clipStage
+	sum    float64
+}
+
+// clipStage is what a stage remembers of the vertices it received.
+type clipStage struct {
+	first, last Point
+	started     bool
+}
+
+// side returns how far p lies inside stage k's half-plane; p is kept when
+// it is not negative.
+func (c *rectClipper) side(k int, p Point) float64 {
+	switch k {
+	case 0:
+		return p.X - c.r.Min.X
+	case 1:
+		return c.r.Max.X - p.X
+	case 2:
+		return p.Y - c.r.Min.Y
+	default:
+		return c.r.Max.Y - p.Y
+	}
+}
+
+// push hands vertex p to stage k.
+func (c *rectClipper) push(k int, p Point) {
+	s := &c.stages[k]
+	switch {
+	case !s.started:
+		s.first, s.started = p, true
+	case k == len(c.stages)-1:
+		c.sum += s.last.Cross(p)
+	default:
+		c.edge(k, s.last, p)
+	}
+	s.last = p
+}
+
+// edge clips the edge a→b at stage k and hands the next stage what is
+// kept: the crossing where the edge enters or leaves, and b if inside.
+func (c *rectClipper) edge(k int, a, b Point) {
+	da, db := c.side(k, a), c.side(k, b)
+	if (da >= 0) != (db >= 0) {
+		c.push(k+1, a.Lerp(b, da/(da-db)))
+	}
+	if db >= 0 {
+		c.push(k+1, b)
+	}
 }

@@ -36,12 +36,8 @@ func TestSignedAreaOrientation(t *testing.T) {
 	if cw.SignedArea() >= 0 {
 		t.Error("cw polygon has non-negative signed area")
 	}
-	fixed := cw.CCW()
-	if fixed.SignedArea() <= 0 {
-		t.Error("CCW() did not fix orientation")
-	}
-	if got := ccw.CCW().SignedArea(); got != ccw.SignedArea() {
-		t.Error("CCW() changed an already-ccw polygon")
+	if cw.SignedArea() != -ccw.SignedArea() {
+		t.Error("reversing the vertices did not negate the signed area")
 	}
 }
 
@@ -95,7 +91,7 @@ func TestClipRect(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got := square.ClipRect(tt.clip).Area()
+			got := square.IntersectRectArea(tt.clip)
 			if math.Abs(got-tt.want) > 1e-9 {
 				t.Errorf("clip area = %v, want %v", got, tt.want)
 			}
@@ -106,7 +102,7 @@ func TestClipRect(t *testing.T) {
 func TestClipRectTriangle(t *testing.T) {
 	tri := Polygon{{0, 0}, {10, 0}, {0, 10}}
 	// Clip to left half: result is a trapezoid of area 50 - 12.5 = 37.5.
-	got := tri.ClipRect(R(0, 0, 5, 10)).Area()
+	got := tri.IntersectRectArea(R(0, 0, 5, 10))
 	if math.Abs(got-37.5) > 1e-9 {
 		t.Errorf("triangle clip area = %v, want 37.5", got)
 	}
@@ -114,7 +110,7 @@ func TestClipRectTriangle(t *testing.T) {
 
 func TestClipRectClockwiseInput(t *testing.T) {
 	cw := Polygon{{0, 0}, {0, 10}, {10, 10}, {10, 0}}
-	got := cw.ClipRect(R(0, 0, 5, 5)).Area()
+	got := cw.IntersectRectArea(R(0, 0, 5, 5))
 	if math.Abs(got-25) > 1e-9 {
 		t.Errorf("cw clip area = %v, want 25", got)
 	}
@@ -145,5 +141,151 @@ func TestPolygonBounds(t *testing.T) {
 	}
 	if got := (Polygon{}).Bounds(); !got.Empty() {
 		t.Errorf("empty polygon bounds = %v", got)
+	}
+}
+
+// referenceClipArea is the textbook Sutherland–Hodgman clipper the
+// allocation-free IntersectRectArea is checked against: it materialises
+// the polygon after each of the rectangle's four half-planes and takes the
+// shoelace area of the last one.
+func referenceClipArea(pg Polygon, r Rect) float64 {
+	out := append(Polygon(nil), pg...)
+	halfPlanes := []struct {
+		inside func(Point) bool
+		t      func(a, b Point) float64
+	}{
+		{func(p Point) bool { return p.X >= r.Min.X }, func(a, b Point) float64 { return (r.Min.X - a.X) / (b.X - a.X) }},
+		{func(p Point) bool { return p.X <= r.Max.X }, func(a, b Point) float64 { return (r.Max.X - a.X) / (b.X - a.X) }},
+		{func(p Point) bool { return p.Y >= r.Min.Y }, func(a, b Point) float64 { return (r.Min.Y - a.Y) / (b.Y - a.Y) }},
+		{func(p Point) bool { return p.Y <= r.Max.Y }, func(a, b Point) float64 { return (r.Max.Y - a.Y) / (b.Y - a.Y) }},
+	}
+	for _, h := range halfPlanes {
+		in := out
+		out = nil
+		for i, cur := range in {
+			prev := in[(i+len(in)-1)%len(in)]
+			if h.inside(cur) != h.inside(prev) {
+				out = append(out, prev.Lerp(cur, h.t(prev, cur)))
+			}
+			if h.inside(cur) {
+				out = append(out, cur)
+			}
+		}
+	}
+	return out.Area()
+}
+
+// reversed returns pg with its vertex order, and so its orientation,
+// reversed.
+func reversed(pg Polygon) Polygon {
+	out := make(Polygon, len(pg))
+	for i, p := range pg {
+		out[len(pg)-1-i] = p
+	}
+	return out
+}
+
+// TestIntersectRectAreaMatchesReference compares IntersectRectArea with
+// referenceClipArea on convex polygons in both orientations against
+// rectangles placed inside, outside, across, along an edge of and at a
+// corner of them, zero-width ones included.
+func TestIntersectRectAreaMatchesReference(t *testing.T) {
+	hexagon := Polygon{}
+	for i := 0; i < 6; i++ {
+		a := float64(i) * math.Pi / 3
+		hexagon = append(hexagon, Pt(50+30*math.Cos(a), 50+30*math.Sin(a)))
+	}
+	polygons := map[string]Polygon{
+		"square":          R(20, 20, 80, 80).Poly(),
+		"turned by 45°":   {{50, 10}, {90, 50}, {50, 90}, {10, 50}},
+		"hexagon":         hexagon,
+		"triangle":        {{10, 10}, {90, 20}, {40, 85}},
+		"thin sliver":     {{0, 50}, {100, 50.001}, {100, 50.002}},
+		"many vertices":   ConvexHull(circlePoints(Pt(50, 50), 40, 200)),
+		"one vertex hull": {{50, 50}, {50, 50}, {50, 50}},
+	}
+	rects := map[string]Rect{
+		"containing":         R(0, 0, 100, 100),
+		"inside":             R(45, 45, 55, 55),
+		"outside":            R(200, 200, 300, 300),
+		"across the left":    R(-10, 30, 35, 70),
+		"quadrant":           R(50, 50, 150, 150),
+		"edge-touching":      R(80, 20, 120, 80), // the square's right edge
+		"corner-touching":    R(80, 80, 120, 120),
+		"zero-width":         R(50, 0, 50, 100),
+		"zero-height":        R(0, 50, 100, 50),
+		"point":              R(50, 50, 50, 50),
+		"thin strip through": R(49.5, -10, 50.5, 110),
+	}
+	check := func(t *testing.T, name string, pg Polygon, r Rect) {
+		t.Helper()
+		want := referenceClipArea(pg, r)
+		for _, p := range []Polygon{pg, reversed(pg)} {
+			got := p.IntersectRectArea(r)
+			if math.Abs(got-want) > 1e-9*(1+pg.Area()) {
+				t.Errorf("%s: IntersectRectArea = %v, reference %v", name, got, want)
+			}
+		}
+	}
+	for pn, pg := range polygons {
+		for rn, r := range rects {
+			check(t, pn+" / "+rn, pg, r)
+		}
+	}
+	// Edge- and corner-touching rectangles share no area with the square.
+	sq := polygons["square"]
+	for _, rn := range []string{"edge-touching", "corner-touching", "outside"} {
+		if got := sq.IntersectRectArea(rects[rn]); got != 0 {
+			t.Errorf("square / %s: area %v, want 0", rn, got)
+		}
+	}
+	if got := sq.IntersectRectArea(rects["containing"]); math.Abs(got-3600) > 1e-9 {
+		t.Errorf("square inside the rectangle: area %v, want 3600", got)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		pts := make([]Point, 3+rng.Intn(30))
+		for j := range pts {
+			pts[j] = Pt(rng.Float64()*100, rng.Float64()*100)
+		}
+		pg := ConvexHull(pts)
+		if rng.Intn(2) == 0 {
+			pg = reversed(pg)
+		}
+		x, y := rng.Float64()*120-10, rng.Float64()*120-10
+		w, h := rng.Float64()*60, rng.Float64()*60
+		if rng.Intn(10) == 0 {
+			w = 0
+		}
+		check(t, "random", pg, R(x, y, x+w, y+h))
+	}
+}
+
+// circlePoints returns n points on the circle of radius rad around c.
+func circlePoints(c Point, rad float64, n int) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		a := 2 * math.Pi * float64(i) / float64(n)
+		pts[i] = Pt(c.X+rad*math.Cos(a), c.Y+rad*math.Sin(a))
+	}
+	return pts
+}
+
+// TestIntersectRectAreaAllocatesNothing pins the coverage arithmetic of
+// every distributed query: no allocation, whatever the vertex count.
+func TestIntersectRectAreaAllocatesNothing(t *testing.T) {
+	big := ConvexHull(circlePoints(Pt(50, 50), 40, 500))
+	for _, pg := range []Polygon{R(20, 20, 80, 80).Poly(), reversed(big)} {
+		var area float64
+		allocs := testing.AllocsPerRun(100, func() {
+			area = pg.IntersectRectArea(R(30, 30, 130, 60))
+		})
+		if allocs != 0 {
+			t.Errorf("%d vertices: %v allocations per call, want 0", len(pg), allocs)
+		}
+		if area <= 0 {
+			t.Errorf("%d vertices: area %v", len(pg), area)
+		}
 	}
 }

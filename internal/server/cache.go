@@ -60,21 +60,20 @@ func (c *leafCaches) observeLeaf(li msg.LeafInfo) {
 	c.mu.Unlock()
 }
 
-// leavesCovering returns cached leaves overlapping the rectangle r and
-// whether their cached areas jointly cover at least expected of the query
-// measure inside r. Only a full cover lets the entry server skip the tree
-// (Section 6.5: "determine the leaf server(s) for this area from its
-// cache").
-func (c *leafCaches) leavesCovering(area core.Area, enlarged geo.Rect, expected float64, self msg.NodeID) ([]msg.NodeID, bool) {
+// leavesCovering appends to ids the cached leaves overlapping the
+// rectangle enlarged and reports whether their cached areas jointly cover
+// at least expected of the query measure. Only a full cover lets the entry
+// server skip the tree (Section 6.5: "determine the leaf server(s) for
+// this area from its cache").
+func (c *leafCaches) leavesCovering(ids []msg.NodeID, area core.Area, enlarged geo.Rect, expected float64, self msg.NodeID) ([]msg.NodeID, bool) {
 	if !c.enableArea {
-		return nil, false
+		return ids, false
 	}
 	if expected <= 0 {
-		return nil, true
+		return ids, true
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var ids []msg.NodeID
 	covered := 0.0
 	for id, a := range c.areas {
 		if id == self || !a.Bounds().Intersects(enlarged) {
@@ -83,10 +82,7 @@ func (c *leafCaches) leavesCovering(area core.Area, enlarged geo.Rect, expected 
 		ids = append(ids, id)
 		covered += area.Vertices.IntersectRectArea(a.Bounds())
 	}
-	if covered+1e-6*expected < expected {
-		return nil, false
-	}
-	return ids, true
+	return ids, covered+1e-6*expected >= expected
 }
 
 // areaOf returns the cached service area of one leaf; used by degraded

@@ -136,3 +136,7 @@ const DedupeIdleForTest = dedupeIdle
 // PathReassertIntervalForTest is the cadence at which a path message whose
 // retry budget is spent is sent again.
 const PathReassertIntervalForTest = pathReassertInterval
+
+// RaceEnabledForTest reports whether the race detector instruments this
+// test binary.
+const RaceEnabledForTest = raceEnabled

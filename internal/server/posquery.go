@@ -60,11 +60,11 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 		// Single-server deployment and the object is unknown.
 		return nil, core.ErrNotFound
 	}
-	opID, ch := s.pend.open()
-	defer s.pend.close(opID)
+	op := s.pend.open()
+	defer s.pend.close(op)
 	if _, err := s.forward(parent, msg.PosQueryFwd{
 		OID:    req.OID,
-		Origin: msg.Origin{Node: s.ID(), OpID: opID},
+		Origin: msg.Origin{Node: s.ID(), OpID: op.id},
 		Hops:   1,
 	}); err != nil {
 		// The route into the hierarchy is down (open breaker, dead
@@ -77,33 +77,33 @@ func (s *Server) handlePosQuery(ctx context.Context, req msg.PosQueryReq) (msg.M
 	// answered in time releases it at once.
 	expired, timer := clock.After(s.clk, s.opts.QueryTimeout)
 	defer timer.Stop()
-	select {
-	case m := <-ch:
-		res, ok := m.(msg.PosQueryRes)
-		if !ok {
-			return nil, core.ErrBadRequest
-		}
-		if !res.Found {
-			if res.Partial {
-				// Some server on the path could not reach the agent:
-				// the object may well exist behind the dark part.
-				s.met.Counter("wire_degraded_queries").Inc()
-				return res, nil
-			}
-			return nil, core.ErrNotFound
-		}
-		s.met.Counter("pos_query_remote").Inc()
-		s.rememberResponse(req.OID, res)
-		return res, nil
-	case <-expired:
+	m, err := s.pend.await(ctx, op, expired)
+	if err != nil {
+		return nil, err
+	}
+	if m == nil {
 		s.met.Counter("pos_query_timeout").Inc()
 		// Distinguishable from a definitive miss: the query never got an
 		// answer, so the truth is unknown.
 		s.met.Counter("wire_degraded_queries").Inc()
 		return msg.PosQueryRes{Found: false, Partial: true}, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	res, ok := m.(msg.PosQueryRes)
+	if !ok {
+		return nil, core.ErrBadRequest
+	}
+	if !res.Found {
+		if res.Partial {
+			// Some server on the path could not reach the agent: the
+			// object may well exist behind the dark part.
+			s.met.Counter("wire_degraded_queries").Inc()
+			return res, nil
+		}
+		return nil, core.ErrNotFound
+	}
+	s.met.Counter("pos_query_remote").Inc()
+	s.rememberResponse(req.OID, res)
+	return res, nil
 }
 
 // rememberResponse feeds the agent, area and position caches from a query

@@ -139,16 +139,22 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 
 	// Part of the area lies outside this server's responsibility: the
 	// query must be forwarded (lines 8-13).
-	opID, ch := s.pend.open()
-	defer s.pend.close(opID)
-	origin := msg.Origin{Node: s.ID(), OpID: opID}
+	op := s.pend.open()
+	defer s.pend.close(op)
+	// One boxed message serves every destination: a receiver copies it.
+	var fwd msg.Message = msg.RangeQueryFwd{
+		Area: area, ReqAcc: reqAcc, ReqOverlap: reqOverlap,
+		Origin: msg.Origin{Node: s.ID(), OpID: op.id}, Hops: 1,
+	}
 	// sentTo are the servers the query went to from here: the parent, or
 	// on the cache shortcut the leaves themselves.
-	var sentTo []msg.NodeID
+	var sentBuf [8]msg.NodeID
+	sentTo := sentBuf[:0]
 
 	// The entry server itself already covers `covered` of the query; the
 	// cache only needs to account for the remainder.
-	if leaves, ok := s.caches.leavesCovering(area, enlarged, expected-covered, s.ID()); ok {
+	var leafBuf [8]msg.NodeID
+	if leaves, ok := s.caches.leavesCovering(leafBuf[:0], area, enlarged, expected-covered, s.ID()); ok {
 		// Cache shortcut (Section 6.5): contact the leaf servers for
 		// the area directly, without traversing the hierarchy.
 		s.met.Counter("range_query_cache_direct").Inc()
@@ -156,10 +162,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			if leaf == s.ID() {
 				continue
 			}
-			if _, err := s.forward(leaf, msg.RangeQueryFwd{
-				Area: area, ReqAcc: reqAcc, ReqOverlap: reqOverlap,
-				Origin: origin, Hops: 1,
-			}); err != nil {
+			if _, err := s.forward(leaf, fwd); err != nil {
 				out.unreachable = mergeUnreachable(out.unreachable, leaf)
 				if a, known := s.caches.areaOf(leaf); known {
 					darkCover += area.Vertices.IntersectRectArea(a.Bounds())
@@ -179,10 +182,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 			// there is.
 			return out, nil
 		}
-		if _, err := s.forward(parent, msg.RangeQueryFwd{
-			Area: area, ReqAcc: reqAcc, ReqOverlap: reqOverlap,
-			Origin: origin, Hops: 1,
-		}); err != nil {
+		if _, err := s.forward(parent, fwd); err != nil {
 			// The route into the rest of the hierarchy is down:
 			// everything beyond this leaf is dark right now.
 			out.partial = true
@@ -197,60 +197,22 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 	expired, timer := clock.After(s.clk, s.opts.QueryTimeout)
 	defer timer.Stop()
 	var (
-		answered []msg.LeafInfo // the leaves out.parts came from
-		silent   []silentChild  // children reported for a missing acknowledgement
+		answeredBuf [8]msg.LeafInfo
+		answered    = answeredBuf[:0] // the leaves out.parts came from
+		silent      []silentChild     // children reported for a missing acknowledgement
 	)
 	for covered+darkCover+coverEpsilon*expected < expected {
-		select {
-		case m := <-ch:
-			sub, ok := m.(msg.RangeQuerySubRes)
-			if !ok {
-				continue
-			}
-			if sub.Hops > out.hops {
-				out.hops = sub.Hops
-			}
-			switch {
-			case len(sub.Unreachable) == 0:
-				// A leaf's partial result. A duplicated datagram
-				// delivers it twice: its cover and entries count
-				// once.
-				if slices.ContainsFunc(answered, func(l msg.LeafInfo) bool { return l.ID == sub.Leaf.ID }) {
-					s.met.Counter("range_partial_duplicate").Inc()
-					continue
-				}
-				// A silent child holding the leaf lost only its
-				// acknowledgement: its cover must not count twice.
-				silent = slices.DeleteFunc(silent, func(c silentChild) bool {
-					if !c.holds(sub.Leaf) {
-						return false
-					}
-					darkCover -= c.size
-					out.unreachable = slices.DeleteFunc(out.unreachable, func(id msg.NodeID) bool { return id == c.ID })
-					return true
-				})
-				answered = append(answered, sub.Leaf)
-				out.parts = append(out.parts, sub.Objs)
-				covered += sub.CoveredSize
-				out.servers++
-			case sub.Leaf.Valid():
-				c := silentChild{sub.Leaf, sub.UnreachableSize}
-				if slices.ContainsFunc(answered, c.holds) || slices.ContainsFunc(silent, func(o silentChild) bool { return o.ID == c.ID }) {
-					continue
-				}
-				silent = append(silent, c)
-				darkCover += c.size
-				out.unreachable = mergeUnreachable(out.unreachable, c.ID)
-			default:
-				darkCover += sub.UnreachableSize
-				out.unreachable = mergeUnreachable(out.unreachable, sub.Unreachable...)
-			}
-		case <-expired:
+		m, err := s.pend.await(ctx, op, expired)
+		if err != nil {
+			out.release()
+			return rangeOutcome{}, err
+		}
+		if m == nil {
 			s.met.Counter("range_query_timeout").Inc()
-			// Return what we have: partial answers beat none under
-			// UDP loss. A lost partial result names nobody, so the
-			// servers the query went to that have not answered are
-			// named: the shortfall lies behind them.
+			// Return what we have: partial answers beat none under UDP
+			// loss. A lost partial result names nobody, so the servers
+			// the query went to that have not answered are named: the
+			// shortfall lies behind them.
 			out.partial = true
 			for _, id := range sentTo {
 				if !slices.ContainsFunc(answered, func(l msg.LeafInfo) bool { return l.ID == id }) {
@@ -258,9 +220,47 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 				}
 			}
 			return out, nil
-		case <-ctx.Done():
-			out.release()
-			return rangeOutcome{}, ctx.Err()
+		}
+		sub, ok := m.(msg.RangeQuerySubRes)
+		if !ok {
+			continue
+		}
+		if sub.Hops > out.hops {
+			out.hops = sub.Hops
+		}
+		switch {
+		case len(sub.Unreachable) == 0:
+			// A leaf's partial result. A duplicated datagram delivers it
+			// twice: its cover and entries count once.
+			if slices.ContainsFunc(answered, func(l msg.LeafInfo) bool { return l.ID == sub.Leaf.ID }) {
+				s.met.Counter("range_partial_duplicate").Inc()
+				continue
+			}
+			// A silent child holding the leaf lost only its
+			// acknowledgement: its cover must not count twice.
+			silent = slices.DeleteFunc(silent, func(c silentChild) bool {
+				if !c.holds(sub.Leaf) {
+					return false
+				}
+				darkCover -= c.size
+				out.unreachable = slices.DeleteFunc(out.unreachable, func(id msg.NodeID) bool { return id == c.ID })
+				return true
+			})
+			answered = append(answered, sub.Leaf)
+			out.parts = append(out.parts, sub.Objs)
+			covered += sub.CoveredSize
+			out.servers++
+		case sub.Leaf.Valid():
+			c := silentChild{sub.Leaf, sub.UnreachableSize}
+			if slices.ContainsFunc(answered, c.holds) || slices.ContainsFunc(silent, func(o silentChild) bool { return o.ID == c.ID }) {
+				continue
+			}
+			silent = append(silent, c)
+			darkCover += c.size
+			out.unreachable = mergeUnreachable(out.unreachable, c.ID)
+		default:
+			darkCover += sub.UnreachableSize
+			out.unreachable = mergeUnreachable(out.unreachable, sub.Unreachable...)
 		}
 	}
 	if darkCover > 0 || len(out.unreachable) > 0 {
@@ -504,7 +504,9 @@ func (s *Server) handleRangeQueryFwd(from msg.NodeID, req msg.RangeQueryFwd) {
 	}
 
 	// Non-leaf (lines 7-15): forward downwards to overlapping children
-	// (except the one the query came from) …
+	// (except the one the query came from) … One boxed message serves
+	// every destination.
+	var fwd msg.Message = req
 	var failed []msg.NodeID
 	failedCover := 0.0
 	for _, child := range s.childRecords() {
@@ -512,7 +514,7 @@ func (s *Server) handleRangeQueryFwd(from msg.NodeID, req msg.RangeQueryFwd) {
 			continue
 		}
 		if enlarged.Intersects(child.SA.Bounds()) {
-			pc, err := s.forward(msg.NodeID(child.ID), req)
+			pc, err := s.forward(msg.NodeID(child.ID), fwd)
 			if err != nil {
 				// Unreachable child: its whole subtree's share of
 				// the query is dark. Tell the entry server so its
@@ -528,7 +530,7 @@ func (s *Server) handleRangeQueryFwd(from msg.NodeID, req msg.RangeQueryFwd) {
 	// (and the query did not come from above).
 	outside := !s.cfg.SA.Bounds().ContainsRect(enlarged)
 	if parent := s.parent(); outside && parent != "" && from != parent {
-		if _, err := s.forward(parent, req); err != nil {
+		if _, err := s.forward(parent, fwd); err != nil {
 			// Everything outside this subtree is dark.
 			failed = append(failed, parent)
 			failedCover += req.Area.Vertices.IntersectRectArea(s.rootArea.Bounds()) -

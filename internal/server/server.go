@@ -356,7 +356,7 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 		opts:     opts,
 		clk:      transport.ClockOf(network),
 		caches:   newLeafCaches(opts),
-		pend:     newPending(),
+		pend:     newPending(opts.Metrics),
 		met:      opts.Metrics,
 		writeMet: newWriteCounters(opts.Metrics),
 	}

@@ -84,8 +84,11 @@ func (c ConfigRecord) Validate() error {
 		}
 		sum += ch.SA.Size()
 		for _, other := range c.Children[:i] {
-			inter := ch.SA.Vertices.ClipRect(other.SA.Bounds())
-			if inter.Area() > 1e-6*ch.SA.Size() && overlapsByArea(ch.SA, other.SA) {
+			// Sharing a boundary is no overlap; the clip against the
+			// other's bounds is exact for the rectangle areas used in
+			// deployments.
+			inter := ch.SA.Vertices.IntersectRectArea(other.SA.Bounds())
+			if inter > 1e-6*ch.SA.Size() && inter > 1e-9 {
 				return fmt.Errorf("store: children %s and %s of %s overlap", ch.ID, other.ID, c.ID)
 			}
 		}
@@ -95,12 +98,4 @@ func (c ConfigRecord) Validate() error {
 		return fmt.Errorf("store: children of %s cover %.3f of parent area %.3f", c.ID, sum, parent)
 	}
 	return nil
-}
-
-// overlapsByArea reports whether two convex areas share real area (not just
-// a boundary), using rectangle clipping of a against b's bounds followed by
-// b's bounds check — exact for the rectangle areas used in deployments.
-func overlapsByArea(a, b core.Area) bool {
-	inter := a.Vertices.ClipRect(b.Bounds())
-	return inter.Area() > 1e-9
 }
