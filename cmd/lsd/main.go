@@ -18,8 +18,10 @@
 // the leaf's sighting store, -swal gives the store durable per-shard logs
 // that are replayed in parallel at startup (a -swal directory that already
 // holds history keeps the shard count it was written with, whatever
-// -shards says), and -fsync upgrades both WALs to machine-crash
-// durability. -tier layers tiered (LSM)
+// -shards says). Every WAL append reaches the OS before the change it logs
+// is acknowledged, so a killed process loses nothing acknowledged; -fsync
+// adds an fsync to each append, so a machine crash loses nothing either.
+// -tier layers tiered (LSM)
 // storage over -swal: the in-memory shards keep only the recent tail
 // (bounded by -tier-memtable-bytes) while older versions live in
 // immutable sorted runs beside the WAL segments, so a leaf can track far
@@ -108,7 +110,7 @@ func main() {
 		tierMemBytes = flag.Int64("tier-memtable-bytes", 64<<20, "total memtable budget across shards before runs are flushed to disk (with -tier)")
 		tierMaxRuns  = flag.Int("tier-max-runs", 4, "per-shard run-file count beyond which the janitor compacts (with -tier)")
 		tierBloom    = flag.Int("tier-bloom-bits", 10, "bloom-filter bits per key in each run file (with -tier)")
-		fsync        = flag.Bool("fsync", false, "fsync every WAL append (machine-crash durability)")
+		fsync        = flag.Bool("fsync", false, "fsync every WAL append: without it a killed process loses no acknowledged change, with it a machine crash loses none either")
 		acc          = flag.Float64("acc", 10, "achievable accuracy of this leaf in meters")
 		ttl          = flag.Duration("ttl", 5*time.Minute, "soft-state TTL for sighting records (0 disables)")
 		caches       = flag.Bool("caches", true, "enable the Section 6.5 leaf caches for position and range queries (handovers always climb to the lowest common ancestor)")

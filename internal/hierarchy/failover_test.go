@@ -183,10 +183,10 @@ func TestFailoverSoak(t *testing.T) {
 	})
 
 	// Drain the tail so "bounded loss = unacked WAL tail" means zero for
-	// everything confirmed so far. The tee into the replication queue is
-	// asynchronous (it rides the WAL writer's drain), so queue gauges
-	// can read empty before the last update ever entered it; the only
-	// honest barrier is the standby itself serving the final position.
+	// everything confirmed so far. Shipping the replication queue is
+	// asynchronous, so queue gauges can read empty while the standby
+	// has not yet applied the last update; the only honest barrier is the
+	// standby itself serving the final position.
 	probe, err := net.Attach("probe", func(ctx context.Context, from msg.NodeID, m msg.Message) (msg.Message, error) {
 		return nil, nil
 	})

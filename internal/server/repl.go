@@ -171,8 +171,8 @@ func (r *replState) pendingTotal() int64 {
 }
 
 // TeeRecord implements store.ReplTee: the primary's committed records
-// enter their shard's stream here, on the WAL writer's goroutine — enqueue
-// only, never block.
+// enter their shard's stream here, from the append that committed them
+// under the store's shard lock — enqueue only, never block.
 func (r *replState) TeeRecord(shard int, rec store.WALRecord) {
 	if !r.primary.Load() {
 		return
@@ -180,7 +180,7 @@ func (r *replState) TeeRecord(shard int, rec store.WALRecord) {
 	out := msg.ReplRecord{Op: msg.ReplSightingRemove, OID: rec.OID}
 	switch rec.Op {
 	case store.WALSightingBatch:
-		// The WAL writer recycles its batch slices; the queue needs its own.
+		// The batch is the appender's slice; the queue needs its own.
 		out = msg.ReplRecord{Op: msg.ReplSightingPut, Sightings: append([]core.Sighting(nil), rec.Sightings...)}
 	case store.WALPut:
 		v := rec.Visitor

@@ -348,7 +348,12 @@ func TestReplCloseUnderLoad(t *testing.T) {
 // applied it. Nothing on the manual clock moves: no retry waits for a timer.
 func TestStandbyRedirectAppliedByPrimary(t *testing.T) {
 	clk := clock.NewManual(time.Now())
-	net := transport.NewInproc(transport.InprocOptions{Clock: clk})
+	// Replication is not under test: no stream record reaches either leaf,
+	// so whatever a leaf holds it applied itself.
+	net := transport.NewInproc(transport.InprocOptions{Clock: clk, FaultPlan: func(_, _ msg.NodeID, env msg.Envelope) transport.Fault {
+		_, repl := env.Msg.(msg.ReplAppend)
+		return transport.Fault{Drop: repl}
+	}})
 	defer net.Close()
 	a := newReplLeaf(t, net, "leafA", "leafB", false, nil)
 	b := newReplLeaf(t, net, "leafB", "leafA", true, nil)

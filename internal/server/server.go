@@ -37,15 +37,16 @@
 // ("fenced") by the higher epoch, and on seeing the higher epoch in an ack
 // or reverse stream it demotes itself to standby and catches up.
 //
-// What failover loses is the unacked WAL tail: updates the old primary
-// acknowledged but whose tee batches had not yet been applied by the
-// standby when the primary died. Durability of those records is not lost —
-// they are in the old primary's WAL and return on its recovery as a
-// standby — but until then queries served by the new primary may be that
-// many records stale. The sequence-numbered streams make replay after
-// reconnect idempotent. One post-promotion subtlety: the retry dedupe
-// windows (dedupe.go) are not replicated, so a client retry that
-// straddles a failover can be applied a second time by the new primary.
+// What failover loses is the replication stream's unapplied tail: updates
+// the old primary acknowledged — each written to its sighting log and teed
+// before the reply — that the standby had not yet applied when the
+// primary died. Durability of those records is not lost — they are in the
+// old primary's log and return on its recovery as a standby — but until
+// then queries served by the new primary may be that many records stale.
+// The sequence-numbered streams make replay after reconnect idempotent.
+// One post-promotion subtlety: the retry dedupe windows (dedupe.go) are
+// not replicated, so a client retry that straddles a failover can be
+// applied a second time by the new primary.
 // Both applications carry the same sighting timestamp and the stores apply
 // via PutIfNewer, so the double-apply is harmless to query answers.
 package server
@@ -341,7 +342,7 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 	opts = opts.withDefaults()
 	// On any failure past this point the server owns the passed-in WALs
 	// (it would have closed them in Close), so release them rather than
-	// leak fds and writer goroutines to the caller.
+	// leak fds to the caller.
 	closeWALs := func() {
 		if opts.WAL != nil {
 			opts.WAL.Close()

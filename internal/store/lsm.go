@@ -195,8 +195,8 @@ func (db *ShardedSightingDB) openTiers() error {
 // of the manifest (atomic rename + dir fsync — the commit point), clear
 // the memtable, and reset the shard's WAL segment to empty. The caller
 // holds the shard's write lock for the whole call, so the run is a
-// consistent snapshot and no append can slip between the segment drain
-// and the rewrite.
+// consistent snapshot and no append can slip between it and the segment
+// rewrite.
 //
 // Crash ordering: a crash before the manifest rename leaves an orphan
 // run (swept at the next open) and an intact WAL — recovery replays the
@@ -282,9 +282,9 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 			return fmt.Errorf("store: resetting WAL segment after flush of shard %d: %w", shard, err)
 		}
 	}
-	// Notify replication after the segment drain: every put the new run
-	// covers has been teed to the standby by the time the drain's barrier
-	// released, so a ClearMem record enqueued now is ordered after them.
+	// Notify replication: every put the new run covers was teed by its own
+	// append under this lock, so a ClearMem record enqueued now is ordered
+	// after them.
 	db.notifyRepl(shard, newRuns, t.nextSeq.Load(), true)
 	return nil
 }

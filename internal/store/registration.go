@@ -44,7 +44,7 @@ func (db *ShardedSightingDB) changeRegLocked(sh *sightingShard, shard int, id co
 		}
 	}
 	if db.wal != nil {
-		db.wal.appendRegistration(shard, rec)
+		db.wal.teeRegistration(shard, rec)
 	}
 	sh.setRegLocked(id, reg)
 	return nil

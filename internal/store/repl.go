@@ -24,12 +24,12 @@ import (
 //   - WAL-teed records (puts, removes, registration changes) are observed
 //     in segment commit order, which equals apply order because both
 //     happen under the shard's write lock.
-//   - ReplSnapshot reads the shard's state AND enqueues a WAL marker
-//     inside one critical section, so the marker's position in the tee
-//     stream is exactly the snapshot's position in the apply order.
-//   - The flush notifier fires after the flushed segment's drain barrier,
-//     so by the time a ClearMem notification can be enqueued every put
-//     the new run covers has already been teed.
+//   - ReplSnapshot reads the shard's state AND tees a WAL marker inside
+//     one critical section, so the marker's position in the tee stream is
+//     exactly the snapshot's position in the apply order.
+//   - The flush notifier fires under the shard's write lock after the
+//     flush, and every put the new run covers was teed by its own append
+//     under that lock, so a ClearMem notification is ordered after them.
 
 // ReplNotifyFunc observes a tier-structure change of one shard: runs is
 // the shard's new run list (newest first, base names), nextSeq its run
@@ -103,7 +103,7 @@ func (db *ShardedSightingDB) replShard(shard int) (*sightingShard, error) {
 }
 
 // ReplSnapshot captures shard's full state and, while still holding the
-// shard's write lock, enqueues a replication marker carrying token on the
+// shard's write lock, tees a replication marker carrying token on the
 // shard's WAL stream. The marker surfaces through ReplTee.TeeRecord at
 // exactly the snapshot's position in the tee order: every record teed
 // before it is contained in the snapshot, every record teed after it was

@@ -97,6 +97,10 @@ type sightingShard struct {
 	nonempty bool
 	stale    int
 
+	// one is a single put's log batch, reused under the write lock: the
+	// tee call makes a batch escape, and this one is allocated once.
+	one [1]core.Sighting
+
 	// Tiered mode only (tier non-nil, attached when the store opens its
 	// tiers). A tombstone marks an id removed since the last flush whose
 	// older versions may still live in a run; a flush persists it as a
@@ -382,7 +386,8 @@ func (db *ShardedSightingDB) putOne(s core.Sighting, out *[]Delta) {
 // write lock.
 func (db *ShardedSightingDB) putOneLocked(sh *sightingShard, shard int, s core.Sighting) Delta {
 	if db.wal != nil {
-		_ = db.wal.AppendBatch(shard, []core.Sighting{s})
+		sh.one[0] = s
+		_ = db.wal.AppendBatch(shard, sh.one[:])
 	}
 	d := db.putLocked(sh, s)
 	db.maybeFlushBackpressure(sh, shard)
@@ -972,21 +977,14 @@ func (db *ShardedSightingDB) CompactWALIfGrown() error {
 	return errors.Join(errs...)
 }
 
-// compactShard snapshots one shard's live set under its lock and rewrites
-// the segment outside it (BeginCompact/FinishCompact): updates only stall
-// for the queue drain and the in-memory snapshot, while records appended
-// during the rewrite wait in the buffer and land after the snapshot.
+// compactShard rewrites one shard's segment to its live set under the
+// shard's lock, so no append can land between the snapshot and the rename.
 // Caller holds maintMu, so no other pass rewrites the segment meanwhile.
 func (db *ShardedSightingDB) compactShard(i int) error {
 	sh := db.shards[i]
 	sh.mu.Lock()
-	if err := db.wal.BeginCompact(i); err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	live := sh.liveSnapshot()
-	sh.mu.Unlock()
-	return db.wal.FinishCompact(i, live)
+	defer sh.mu.Unlock()
+	return db.wal.CompactShard(i, sh.liveSnapshot(), nil)
 }
 
 // liveSnapshot copies the shard's live sightings. Caller holds the shard's

@@ -30,15 +30,13 @@
 //
 // # Durability modes
 //
-// FileWAL.Append flushes the userspace buffer to the OS, so a log survives
+// FileWAL.Append hands each record to the OS in one write, so a log survives
 // a process crash or kill (the durability the paper's restart design
-// needs). WithSync additionally fsyncs every commit for machine-crash
-// durability at the usual cost. ShardedWAL has one append path: appends
-// are enqueued per shard and a writer goroutine commits queued records in
-// order, so a kill can lose at most the last queue-depth records per shard
-// while every segment stays a clean prefix of its shard's history, and
-// ShardedWAL.Flush is the barrier. With WithSync each append waits for the
-// writer's fsynced commit of its record, so nothing acknowledged is lost.
+// needs). WithSync additionally fsyncs every append for machine-crash
+// durability at the usual cost. ShardedWAL appends the same way, one
+// FileWAL.Append per record under the store's shard lock and before the
+// store applies it, so every log follows one rule: a change is acknowledged
+// only after its record reached the OS (and, with WithSync, the disk).
 //
 // # Recovery guarantees
 //
@@ -180,9 +178,8 @@ type FileWAL struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
-	w    *bufio.Writer
-	// buf is the encode buffer Append reuses, so a visitor append
-	// allocates nothing.
+	// buf is the encode buffer Append reuses, so an append allocates
+	// nothing; each append is one write straight from it.
 	buf []byte
 	// Sync forces an fsync after every append. Off by default: the
 	// paper's durability need is "survive process restart", and tests
@@ -219,7 +216,7 @@ func OpenFileWAL(path string, opts ...FileWALOption) (*FileWAL, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: writing WAL header of %s: %w", path, err)
 	}
-	w := &FileWAL{path: path, f: f, w: bufio.NewWriter(f)}
+	w := &FileWAL{path: path, f: f}
 	for _, opt := range opts {
 		opt(w)
 	}
@@ -286,9 +283,6 @@ func syncDir(path string) error {
 func (w *FileWAL) Replay(fn func(WALRecord) error) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("store: flushing WAL before replay: %w", err)
-	}
 	st, err := w.f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: sizing WAL %s: %w", w.path, err)
@@ -353,32 +347,8 @@ func (w *FileWAL) Append(rec WALRecord) error {
 		return err
 	}
 	w.buf = buf
-	if _, err := w.w.Write(buf); err != nil {
+	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("store: writing WAL record: %w", err)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("store: flushing WAL: %w", err)
-	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("store: syncing WAL: %w", err)
-		}
-	}
-	return nil
-}
-
-// AppendRaw appends pre-encoded, framed records as a single write and flush
-// — the commit path of ShardedWAL's writer goroutines, which amortize the
-// syscall over a whole queue drain. The caller is responsible for data
-// being whole records as appendWALRecord writes them.
-func (w *FileWAL) AppendRaw(data []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.w.Write(data); err != nil {
-		return fmt.Errorf("store: writing WAL records: %w", err)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("store: flushing WAL: %w", err)
 	}
 	if w.sync {
 		if err := w.f.Sync(); err != nil {
@@ -450,7 +420,6 @@ func (w *FileWAL) CompactRecords(recs []WALRecord) error {
 	// point cannot un-commit anything, so they are only reported.
 	old := w.f
 	w.f = tmp
-	w.w = bufio.NewWriter(tmp)
 	// The directory fsync makes the rename itself durable, with or without
 	// WithSync: without it a machine crash could revert the directory entry
 	// to the old inode and orphan every later fsynced append.
@@ -465,8 +434,5 @@ func (w *FileWAL) CompactRecords(recs []WALRecord) error {
 func (w *FileWAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("store: flushing WAL on close: %w", err)
-	}
 	return w.f.Close()
 }
