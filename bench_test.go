@@ -34,8 +34,8 @@
 // BenchmarkCacheAblation is ablation A2's response time with the Section
 // 6.5 caches off and on. The message counts behind A2, the hierarchy shape
 // sweep A3 and the query-locality sweep A5 are exact, so they are asserted
-// by internal/server's TestShapeMessageCounts; the hot-standby failover is
-// internal/hierarchy's BenchmarkLeafFailover.
+// by internal/server's TestShapeMessageCounts; a leaf's kill and restart
+// from its own logs is internal/hierarchy's BenchmarkLeafFailover.
 package locsvc_test
 
 import (

@@ -16,10 +16,6 @@
 // one registry between the server and its UDP transport, so the snapshot
 // includes the wire-level series (wire_bytes_in/out, wire_datagrams_in/out,
 // wire_decode_errors, wire_oversize_dropped) next to the protocol counters.
-// A leaf in a replication pair (lsd -repl-peer / -standby-of) adds a
-// replication block: role, peer, fencing epoch, stream lag (records sent
-// but unacked), fenced stale appends, and catch-up activity (run files
-// fetched, snapshot resyncs).
 //
 // register keeps the process alive with -keep to continue serving accuracy
 // notifications and recovery update requests; otherwise it exits after the
@@ -216,13 +212,6 @@ func main() {
 			fmt.Printf("  flushes: %d, compactions: %d (backlog %d shard(s))\n",
 				t.Flushes, t.Compactions, t.Backlog)
 			fmt.Printf("  bloom probes: %d admitted, %d skipped\n", t.BloomHits, t.BloomMisses)
-		}
-		if r := res.Repl; r != nil {
-			fmt.Printf("replication: %s, paired with %s (epoch %d)\n", r.Role, r.Peer, r.Epoch)
-			fmt.Printf("  stream: %d records acked, %d pending (lag), %d fenced stale appends\n",
-				r.Acked, r.Pending, r.Fenced)
-			fmt.Printf("  catch-up: %d runs fetched, %d snapshot resyncs\n",
-				r.RunsInstalled, r.Resyncs)
 		}
 		if res.EventSubs > 0 || res.EventCoordSubs > 0 {
 			fmt.Printf("event subscriptions: %d installed, %d coordinated\n",

@@ -26,20 +26,9 @@
 // (bounded by -tier-memtable-bytes) while older versions live in
 // immutable sorted runs beside the WAL segments, so a leaf can track far
 // more objects than fit in RAM and a restart replays only the short WAL
-// tail instead of the full history.
-//
-// -standby-of turns a process into the hot standby of a leaf: it adopts
-// the primary's service area under its own -id (which must have an address
-// in the topology's nodes map but holds no slot in the tree), mirrors the
-// primary's sightings and forwarding records via WAL-tail streaming, and
-// fetches the primary's immutable run files on flush and compaction (with
-// -tier). The primary is started with -repl-peer naming the standby, and
-// the pair's parent with -replicas primary=standby pairs: the parent
-// probes each primary every -repl-health-interval and, after
-// -repl-fail-threshold consecutive failures, promotes the standby under a
-// higher fencing epoch and rebinds its child slot. A standby answers
-// updates with a redirect until promoted; a recovered old primary is
-// fenced by the epoch and demotes itself to standby.
+// tail instead of the full history. A killed leaf is restarted with the
+// same -wal, -swal and -tier flags and comes back from its own files with
+// every acknowledged update.
 //
 // -batch-max caps the outbound envelopes headed for the same peer that
 // ride one UDP datagram; the default 1 is a cap of one, every envelope its
@@ -71,7 +60,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -118,11 +106,6 @@ func main() {
 		batchMax     = flag.Int("batch-max", 1, "coalesce up to this many outbound envelopes per destination into one datagram (1, the default, is a cap of one: each envelope leaves alone)")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive call timeouts toward one peer that open its circuit breaker (0 disables breakers)")
 		brkCooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker refuses calls before one probe call may half-open it")
-		standbyOf    = flag.String("standby-of", "", "run as the hot standby of this leaf: adopt its service area, mirror it via WAL-tail streaming and run shipping, serve after a parent-driven promotion (requires -swal; this server's -id must be in the topology's nodes but not its tree)")
-		replPeer     = flag.String("repl-peer", "", "primary side: stream this leaf's WAL tail and run files to the named hot standby (requires -swal)")
-		replicas     = flag.String("replicas", "", "parent side: comma-separated primary=standby leaf pairs to health-check, e.g. r.0=r.0s,r.1=r.1s; after -repl-fail-threshold failed probes the standby is promoted and the child slot rebound")
-		replInterval = flag.Duration("repl-health-interval", 500*time.Millisecond, "probe cadence for -replicas pairs")
-		replFails    = flag.Int("repl-fail-threshold", 3, "consecutive probe failures that trigger a failover (with -replicas)")
 	)
 	flag.Parse()
 
@@ -149,29 +132,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// A standby is not a slot in the tree: it runs the primary's config
-	// (same service area, same parent) under its own id, and only the
-	// nodes map needs to know its address.
-	lookup := *id
-	if *standbyOf != "" {
-		lookup = *standbyOf
-	}
 	var cfg store.ConfigRecord
 	found := false
 	for _, c := range configs {
-		if c.ID == lookup {
+		if c.ID == *id {
 			cfg, found = c, true
 			break
 		}
 	}
 	if !found {
-		fatal(fmt.Errorf("server %q not in topology (have %d servers)", lookup, len(configs)))
-	}
-	if *standbyOf != "" {
-		if !cfg.IsLeaf() {
-			fatal(fmt.Errorf("-standby-of %s: replication pairs are leaves, %s is an inner server", *standbyOf, *standbyOf))
-		}
-		cfg.ID = *id
+		fatal(fmt.Errorf("server %q not in topology (have %d servers)", *id, len(configs)))
 	}
 	bind, ok := topo.Nodes[*id]
 	if !ok {
@@ -239,29 +209,6 @@ func main() {
 			BloomBitsPerKey: *tierBloom,
 		}
 	}
-	if *standbyOf != "" && *replPeer != "" {
-		fatal(fmt.Errorf("-standby-of and -repl-peer are mutually exclusive (a server is one half of one pair)"))
-	}
-	if peer := *standbyOf + *replPeer; peer != "" {
-		if opts.SightingWAL == nil {
-			fatal(fmt.Errorf("replication requires -swal (the WAL tail is the replication stream)"))
-		}
-		opts.ReplPeer = peer
-		opts.ReplStandby = *standbyOf != ""
-	}
-	if *replicas != "" {
-		pairs := make(map[string]string)
-		for _, pair := range strings.Split(*replicas, ",") {
-			primary, standby, ok := strings.Cut(pair, "=")
-			if !ok || primary == "" || standby == "" {
-				fatal(fmt.Errorf("-replicas: %q is not primary=standby", pair))
-			}
-			pairs[primary] = standby
-		}
-		opts.Replicas = pairs
-		opts.ReplHealthInterval = *replInterval
-		opts.ReplFailThreshold = *replFails
-	}
 
 	// Attach on the configured address: server.New attaches via
 	// Network.Attach, which binds an ephemeral port, so pre-bind the
@@ -283,9 +230,6 @@ func main() {
 	}
 	if cfg.IsRoot() {
 		role = "root"
-	}
-	if *standbyOf != "" {
-		role = "standby of " + *standbyOf
 	}
 	fmt.Printf("lsd: server %s (%s) serving %v on %s\n", cfg.ID, role, cfg.SA.Bounds(), bind)
 

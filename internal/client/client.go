@@ -339,16 +339,13 @@ func (t *TrackedObject) LastSent() core.Sighting {
 }
 
 // Update sends a position update to the object's agent (Section 3.1) and
-// returns nil once an agent has applied it. On a handover the handle
+// returns nil once the agent has applied it. On a handover the handle
 // rebinds to the new agent transparently, as the paper's old agent
 // "informs the tracked object of its new agent". With a retry budget
 // configured, a timed-out update is re-sent with the same sequence number —
 // the agent applies it exactly once — against the handle's current agent,
 // re-read before every attempt so a rebinding applied in between is
-// honored. A replication standby's redirect applies nothing: the handle
-// rebinds to the standby's primary and re-sends the same sequence number
-// there, each redirect spending one attempt of the budget; with none left
-// Update fails with core.ErrUnavailable, the handle already rebound.
+// honored.
 func (t *TrackedObject) Update(ctx context.Context, s core.Sighting) error {
 	if s.OID != t.oid {
 		return fmt.Errorf("%w: sighting for %s on handle of %s", core.ErrBadRequest, s.OID, t.oid)
@@ -356,27 +353,17 @@ func (t *TrackedObject) Update(ctx context.Context, s core.Sighting) error {
 	ctx = t.c.opCtx(ctx)
 	seq, floor := t.c.seqs.draw(ctx)
 	defer t.c.seqs.release(seq)
-	req, pol := msg.UpdateReq{S: s, Seq: seq, Floor: floor}, t.c.opts.Retry
-	for {
-		resp, err := transport.CallWithRetry(ctx, t.c.node, t.Agent, req, pol)
-		if err != nil {
-			return err
-		}
-		res, ok := resp.(msg.UpdateRes)
-		if !ok {
-			return core.ErrBadRequest
-		}
-		if !res.Redirected {
-			t.applyUpdateRes(s, res)
-			return nil
-		}
-		t.mu.Lock()
-		t.agent = res.NewAgent
-		t.mu.Unlock()
-		if pol.MaxAttempts--; pol.MaxAttempts < 1 {
-			return fmt.Errorf("client: update of %s redirected by standby to %s with no attempt left: %w", t.oid, res.NewAgent, core.ErrUnavailable)
-		}
+	req := msg.UpdateReq{S: s, Seq: seq, Floor: floor}
+	resp, err := transport.CallWithRetry(ctx, t.c.node, t.Agent, req, t.c.opts.Retry)
+	if err != nil {
+		return err
 	}
+	res, ok := resp.(msg.UpdateRes)
+	if !ok {
+		return core.ErrBadRequest
+	}
+	t.applyUpdateRes(s, res)
+	return nil
 }
 
 // applyUpdateRes folds an accepted update's response into the handle:

@@ -165,15 +165,12 @@ type UpdateReq struct {
 
 // UpdateRes acknowledges an update. If the update triggered a handover,
 // Moved is true and NewAgent names the object's new agent server, which the
-// object must contact from now on. A replication standby answers an update
-// with Moved and Redirected both true and NewAgent its primary: nothing was
-// applied, and the object re-sends the update there.
+// object must contact from now on.
 type UpdateRes struct {
 	Moved      bool
 	NewAgent   NodeID
 	AgentInfo  LeafInfo
 	OfferedAcc float64
-	Redirected bool
 }
 
 // HandoverReq transfers tracking responsibility after an object left its
@@ -494,9 +491,6 @@ type DiagRes struct {
 	Shards []ShardDiag
 	// Tier is the tiered-storage snapshot; nil when tiering is disabled.
 	Tier *TierDiag
-	// Repl is the replication snapshot; nil when the server has no
-	// replication peer.
-	Repl *ReplDiag
 	// PipelineOps and PipelineHandoffs are the update pipeline's
 	// cumulative update count and how many of those queued behind a
 	// group-commit lane leader.
@@ -510,151 +504,6 @@ type DiagRes struct {
 	// Metrics is the server's metrics registry snapshot, one metric per
 	// line.
 	Metrics string
-}
-
-// ReplDiag is a server's replication snapshot: its role in the
-// primary/standby pair, the fencing epoch, and the stream counters the
-// lag gauges are built from. Present in a DiagRes only when a replication
-// peer is configured.
-type ReplDiag struct {
-	// Role is "primary" or "standby".
-	Role string
-	// Peer is the replication peer's node id.
-	Peer NodeID
-	// Epoch is the replication fencing epoch; promotion increments it.
-	Epoch uint64
-	// Pending counts records queued or in flight toward the peer but not
-	// yet acknowledged (the replication lag, in records). Acked counts
-	// records the peer has confirmed applying.
-	Pending int64
-	Acked   int64
-	// Fenced counts appends this server rejected because they carried a
-	// stale epoch (a zombie primary writing after its replacement).
-	Fenced int64
-	// RunsInstalled counts immutable run files this server fetched from
-	// its peer and installed (run shipping).
-	RunsInstalled int64
-	// Resyncs counts full-shard snapshot transfers (bootstrap, gap
-	// healing and post-failover catch-up).
-	Resyncs int64
-}
-
-// ---------------------------------------------------------------------------
-// Replication (primary/standby leaf pairs).
-
-// ReplOp is the kind of one replicated stream record.
-type ReplOp uint8
-
-// Replicated stream record kinds. SightingPut/SightingRemove mirror the
-// sighting WAL tail; VisitorPut/VisitorRemove mirror the registration
-// changes the store makes under the same shard lock;
-// Runs announces a flush or compaction whose immutable run files the
-// standby fetches via RunFetch; Snapshot carries a full stream state and
-// resets the receiver (bootstrap, gap healing, post-failover catch-up).
-const (
-	ReplSightingPut ReplOp = iota + 1
-	ReplSightingRemove
-	ReplVisitorPut
-	ReplVisitorRemove
-	ReplRuns
-	ReplSnapshot
-)
-
-// VisitorState is the wire form of one visitor record for replication
-// streams: a leaf's registration (store.Registration), ForwardRef empty.
-type VisitorState struct {
-	OID        core.OID
-	ForwardRef string
-	OfferedAcc float64
-	RegInfo    core.RegInfo
-	PathT      time.Time
-}
-
-// ReplRecord is one record of a replication stream. Op selects which
-// payload fields are meaningful; the rest ride along as zero values.
-type ReplRecord struct {
-	Op ReplOp
-	// Sightings is the batch payload of a ReplSightingPut, and the live
-	// memtable of a ReplSnapshot.
-	Sightings []core.Sighting
-	// OID is the removed object of a ReplSightingRemove/ReplVisitorRemove.
-	OID core.OID
-	// Visitor is the registration of a ReplVisitorPut.
-	Visitor VisitorState
-	// Visitors is the shard's registration set of a ReplSnapshot.
-	Visitors []VisitorState
-	// Dead is the tombstone set of a ReplSnapshot (objects removed from
-	// the memtable but still present in run files).
-	Dead []core.OID
-	// Runs is the shard's run-file list, newest first, of a ReplRuns or
-	// ReplSnapshot; NextSeq the shard's next run sequence number;
-	// ClearMem whether the event was a flush (the receiver clears its
-	// memtable — the flushed records are exactly the puts streamed before
-	// this record) rather than a compaction.
-	Runs    []string
-	NextSeq uint64
-	// ClearMem is set on the ReplRuns event of a flush.
-	ClearMem bool
-}
-
-// ReplAppend ships a batch of seq-numbered stream records from a primary
-// to its standby. Stream identifies the shard's stream (0 ≤ Stream <
-// shard count); FirstSeq is the sequence number of Recs[0], with
-// consecutive records numbered consecutively. The receiver applies records
-// through its normal store path and answers with a ReplAck.
-type ReplAppend struct {
-	// Epoch fences zombies: a receiver at a higher epoch rejects the
-	// append (Fenced) instead of applying it.
-	Epoch    uint64
-	Stream   int
-	FirstSeq uint64
-	Recs     []ReplRecord
-}
-
-// ReplAck answers a ReplAppend. NextSeq is the receiver's next expected
-// sequence number for the stream: on success FirstSeq+len(Recs), on a gap
-// the old value with NeedSync set (the sender schedules a Snapshot), on a
-// duplicate the already-applied high-water mark.
-type ReplAck struct {
-	// Epoch is the receiver's fencing epoch. Fenced reports that the
-	// append carried a stale epoch and was rejected; the sender must
-	// demote itself to standby and adopt Epoch.
-	Epoch    uint64
-	Stream   int
-	NextSeq  uint64
-	Fenced   bool
-	NeedSync bool
-}
-
-// RunFetch asks a peer for a chunk of an immutable run file, addressed by
-// (shard, file name). Off is the byte offset; MaxBytes caps the chunk so
-// a transfer rides many small datagrams.
-type RunFetch struct {
-	Shard    int
-	Name     string
-	Off      int64
-	MaxBytes int
-}
-
-// RunFetchRes answers a RunFetch with Data at the requested offset. Size
-// is the run file's total byte size, so the fetcher knows when it is
-// done; EOF confirms Off+len(Data) == Size.
-type RunFetchRes struct {
-	Size int64
-	Data []byte
-	EOF  bool
-}
-
-// Promote orders a standby to take over as primary (its parent detected
-// the primary dead). Epoch 0 lets the standby pick its own next epoch;
-// a non-zero value is a floor.
-type Promote struct {
-	Epoch uint64
-}
-
-// PromoteRes confirms a promotion with the new primary's fencing epoch.
-type PromoteRes struct {
-	Epoch uint64
 }
 
 // ---------------------------------------------------------------------------
@@ -700,10 +549,4 @@ func (DiagReq) isMessage()          {}
 func (DiagRes) isMessage()          {}
 func (Ack) isMessage()              {}
 func (ErrorRes) isMessage()         {}
-func (ReplAppend) isMessage()       {}
-func (ReplAck) isMessage()          {}
-func (RunFetch) isMessage()         {}
-func (RunFetchRes) isMessage()      {}
-func (Promote) isMessage()          {}
-func (PromoteRes) isMessage()       {}
 func (PathBatch) isMessage()        {}

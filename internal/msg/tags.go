@@ -46,18 +46,17 @@ const (
 	TagDiagRes          Tag = 31
 	TagAck              Tag = 32
 	TagErrorRes         Tag = 33
-	TagReplAppend       Tag = 34
-	TagReplAck          Tag = 35
-	TagRunFetch         Tag = 36
-	TagRunFetchRes      Tag = 37
-	TagPromote          Tag = 38
-	TagPromoteRes       Tag = 39
 	TagPathBatch        Tag = 40
 
 	// TagCreatePath and TagRemovePath are retired since wire v6, when
 	// every path message began to travel in a PathBatch: no envelope
 	// carries them, and they are not in the registry. The names stay only
 	// because the benchmark module's trace tests still use them.
+	//
+	// Values 34 to 39 are retired since wire v9, when leaf replication
+	// went: they were ReplAppend, ReplAck, RunFetch, RunFetchRes, Promote
+	// and PromoteRes. No envelope carries them and they are never
+	// reassigned.
 
 	// tagEnd is one past the highest assigned tag.
 	tagEnd Tag = 41
@@ -97,12 +96,6 @@ var tagNames = [tagEnd]string{
 	TagDiagRes:          "DiagRes",
 	TagAck:              "Ack",
 	TagErrorRes:         "ErrorRes",
-	TagReplAppend:       "ReplAppend",
-	TagReplAck:          "ReplAck",
-	TagRunFetch:         "RunFetch",
-	TagRunFetchRes:      "RunFetchRes",
-	TagPromote:          "Promote",
-	TagPromoteRes:       "PromoteRes",
 	TagPathBatch:        "PathBatch",
 }
 
@@ -196,18 +189,6 @@ func TagOf(m Message) (Tag, bool) {
 		return TagAck, true
 	case ErrorRes:
 		return TagErrorRes, true
-	case ReplAppend:
-		return TagReplAppend, true
-	case ReplAck:
-		return TagReplAck, true
-	case RunFetch:
-		return TagRunFetch, true
-	case RunFetchRes:
-		return TagRunFetchRes, true
-	case Promote:
-		return TagPromote, true
-	case PromoteRes:
-		return TagPromoteRes, true
 	case PathBatch:
 		return TagPathBatch, true
 	}

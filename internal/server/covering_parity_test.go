@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -46,9 +45,6 @@ type parityWorld struct {
 	objs    map[core.OID]*client.TrackedObject
 	order   []core.OID
 	nextID  int
-	// extra are servers outside the tree (a standby) that get the
-	// leaf-level checks too.
-	extra []*server.Server
 }
 
 // leafOptions builds one leaf's options; the parity scenarios differ only
@@ -168,10 +164,6 @@ func (w *parityWorld) leaves() []*server.Server {
 	return out
 }
 
-func sortEntries(es []core.Entry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].OID < es[j].OID })
-}
-
 // truth is the script's view: every object at the last position it sent,
 // with the accuracy its agent offers.
 func (w *parityWorld) truth() *oracle.Oracle {
@@ -196,7 +188,7 @@ func (w *parityWorld) check(stage string) []int {
 	w.t.Helper()
 	var annotated []int
 	stored := 0
-	for i, srv := range append(w.leaves(), w.extra...) {
+	for i, srv := range w.leaves() {
 		n, violations := srv.CoveringEntriesForTest()
 		if len(violations) > 0 {
 			w.t.Fatalf("%s: %s breaks the covering-entry invariant:\n%v", stage, srv.ID(), violations)
@@ -378,52 +370,6 @@ func TestCoveringIndexParityTiered(t *testing.T) {
 	if cold == 0 {
 		t.Fatal("no entry was run-resident when the invariant was walked")
 	}
-}
-
-// TestCoveringIndexParityStandby: one leaf gets a standby that starts late
-// (a snapshot resync) and then follows the stream; the standby's own
-// answers must match its own stores, and nothing it applies may leave an
-// index entry with a stale accuracy.
-func TestCoveringIndexParityStandby(t *testing.T) {
-	dir := t.TempDir()
-	base := server.Options{JanitorInterval: 20 * time.Millisecond}
-	const standbyID = "r.0~s"
-	leaf := func(id string, o server.Options) server.Options {
-		o.WAL, o.SightingWAL = openWALs(t, dir, id, 2)
-		if id == "r.0" {
-			o.ReplPeer = standbyID
-		}
-		return o
-	}
-	w := newParityWorld(t, 47, clock.Real{}, base, leaf)
-	w.steps(200)
-	w.check("primary alone")
-
-	cfg := configOf(t, w.dep, "r.0")
-	cfg.ID = standbyID
-	o := base
-	o.WAL, o.SightingWAL = openWALs(t, dir, standbyID, 2)
-	o.ReplPeer, o.ReplStandby = "r.0", true
-	standby, err := server.New(cfg, core.AreaFromRect(w.area), w.net, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { standby.Close() })
-	w.extra = append(w.extra, standby)
-
-	primary := w.dep.Servers["r.0"]
-	mirrored := func() bool {
-		a, b := primary.OracleEntriesForTest(), standby.OracleEntriesForTest()
-		sortEntries(a)
-		sortEntries(b)
-		return len(a) > 0 && fmt.Sprint(a) == fmt.Sprint(b)
-	}
-	waitFor(t, mirrored, "standby to resync from the snapshot")
-	w.check("after the standby resync")
-
-	w.steps(200)
-	waitFor(t, mirrored, "standby to follow the stream")
-	w.check("standby following the stream")
 }
 
 // TestCoveringIndexConcurrentChangeAcc races accuracy renegotiations

@@ -24,8 +24,8 @@ import (
 // sender gave up on, and is not applied. Windows share no lock, and an
 // in-area update allocates nothing: its reply is kept as the offered
 // accuracy. A sender silent for dedupeIdle is dropped at the next janitor
-// tick (or, without one, when a new sender arrives); a leaf restart or a
-// failover forgets every window, so the first update after it is applied.
+// tick (or, without one, when a new sender arrives); a leaf restart
+// forgets every window, so the first update after it is applied.
 
 // dedupeIdle is how long a sender may be silent before its window is
 // dropped: longer than any retry budget a client spends on one request.

@@ -76,7 +76,6 @@ func (s *Server) handleDiag() (msg.Message, error) {
 	if s.pipe != nil {
 		res.PipelineOps, res.PipelineHandoffs = s.pipe.Stats()
 	}
-	res.Repl = s.replDiag()
 	s.events.mu.Lock()
 	res.EventSubs = len(s.events.local)
 	res.EventCoordSubs = len(s.events.coord)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,10 +9,24 @@ import (
 	"time"
 
 	"locsvc/internal/core"
+	"locsvc/internal/geo"
 	"locsvc/internal/msg"
 	"locsvc/internal/store"
 	"locsvc/internal/transport"
 )
+
+// waitUntil polls cond until it holds or ten seconds of wall time pass: the
+// janitor's flushes and gauge refreshes signal nothing a test could wait on.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
 // TestDiagExportsTierReadErrors follows a damaged run file to the
 // operator: the store counts the failed read, the janitor exports it as
@@ -21,11 +36,11 @@ func TestDiagExportsTierReadErrors(t *testing.T) {
 	net := transport.NewInproc(transport.InprocOptions{})
 	defer net.Close()
 	dir := t.TempDir()
-	wal, err := store.OpenShardedWAL(dir, replTestShards)
+	wal, err := store.OpenShardedWAL(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(store.ConfigRecord{ID: "leafA", SA: replTestArea()}, replTestArea(), net, Options{
+	s, err := New(store.ConfigRecord{ID: "leafA", SA: kmSquare()}, kmSquare(), net, Options{
 		SightingWAL:     wal,
 		Tiering:         &store.TierConfig{MemtableBytes: 1},
 		JanitorInterval: 20 * time.Millisecond,
@@ -36,7 +51,7 @@ func TestDiagExportsTierReadErrors(t *testing.T) {
 	defer s.Close()
 	sdb := s.sightings
 	for i := 0; i < 400; i++ {
-		s.pipe.Put(replSighting(i))
+		s.pipe.Put(core.Sighting{OID: core.OID(fmt.Sprintf("o%03d", i)), T: time.Now(), Pos: geo.Pt(float64(1+i%999), float64(1+(i*7)%999)), SensAcc: 5})
 	}
 	waitUntil(t, "a flush", func() bool { return s.Metrics().Gauge("sighting_runs").Value() > 0 })
 	if v := s.Metrics().Gauge("sighting_tier_read_errors").Value(); v != 0 {

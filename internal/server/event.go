@@ -214,7 +214,7 @@ func (s *Server) handleEventSubscribe(from msg.NodeID, sub msg.EventSubscribe) {
 		}
 		return
 	}
-	for _, child := range s.childRecords() {
+	for _, child := range s.cfg.Children {
 		if msg.NodeID(child.ID) == from {
 			continue
 		}
@@ -314,7 +314,7 @@ func (s *Server) handleEventUnsubscribe(from msg.NodeID, req msg.EventUnsubscrib
 		}
 		return
 	}
-	for _, child := range s.childRecords() {
+	for _, child := range s.cfg.Children {
 		if msg.NodeID(child.ID) == from {
 			continue
 		}

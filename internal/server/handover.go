@@ -20,20 +20,6 @@ func (s *Server) handleUpdate(ctx context.Context, from msg.NodeID, req msg.Upda
 	if err := req.S.Validate(); err != nil || req.Floor > req.Seq {
 		return nil, core.ErrBadRequest
 	}
-	// A standby never accepts writes — an update applied here would fork
-	// the mirror from its primary. Redirect the client to the primary,
-	// marked as applying nothing so it re-sends there; nothing is
-	// remembered in the dedupe window, so a retry straddling a failover is
-	// re-answered by whoever is primary then.
-	if r := s.repl; r != nil && !r.primary.Load() {
-		s.writeMet.updatesRedirectedStandby.Inc()
-		return msg.UpdateRes{
-			Moved:      true,
-			NewAgent:   r.peer,
-			AgentInfo:  msg.LeafInfo{ID: r.peer, Area: s.cfg.SA},
-			Redirected: true,
-		}, nil
-	}
 	// A retry whose first attempt was applied — only the reply was lost —
 	// gets the remembered reply without touching the stores. Critical
 	// after a handover: re-applying would fail with not_found and strand
@@ -148,7 +134,7 @@ func (s *Server) handleHandover(ctx context.Context, from msg.NodeID, req msg.Ha
 
 	// Lines 8-15: forward downwards and create/reset the forwarding
 	// reference to the child on the new path.
-	child, ok := s.childFor(req.S.Pos)
+	child, ok := s.cfg.ChildFor(req.S.Pos)
 	if !ok {
 		return nil, core.ErrOutOfArea
 	}

@@ -237,7 +237,8 @@ func TestLeafLogFixtureRewrite(t *testing.T) {
 // JSON-lines original is under testdata/json-logs): createPath records for
 // o1–o5, o4's in a +02:00 zone, an untimed record for o6, a handover of o1
 // to inner.3, the removal of o3 and the rewrite of inner.2's records to its
-// standby inner.2~s. innerFixture is what that build's Get answered after
+// standby inner.2~s, a child outside the server's configuration, which the
+// table still opens. innerFixture is what that build's Get answered after
 // replaying it.
 var innerFixture = []struct {
 	oid   core.OID
@@ -285,7 +286,9 @@ func writeInnerFixture(t *testing.T, path string) {
 	if _, err := db.RemoveIf("o3", func(r store.VisitorRecord) bool { return r.ForwardRef == "inner.2" }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.RewriteForward("inner.2", "inner.2~s"); err != nil {
+	// The earlier build's failover rebound inner.2 to its standby and
+	// rewrote inner.2's one remaining record; the put logs the same record.
+	if err := db.Put(store.VisitorRecord{OID: "o5", ForwardRef: "inner.2~s", PathT: t0.Add(4*time.Second + 999999999)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {

@@ -509,7 +509,7 @@ func (s *Server) handleRangeQueryFwd(from msg.NodeID, req msg.RangeQueryFwd) {
 	var fwd msg.Message = req
 	var failed []msg.NodeID
 	failedCover := 0.0
-	for _, child := range s.childRecords() {
+	for _, child := range s.cfg.Children {
 		if msg.NodeID(child.ID) == from {
 			continue
 		}

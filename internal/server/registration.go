@@ -42,7 +42,7 @@ func (s *Server) handleRegister(ctx context.Context, req msg.RegisterReq) {
 
 	if !s.cfg.IsLeaf() {
 		// Forward registration downwards (lines 16-18).
-		child, ok := s.childFor(req.S.Pos)
+		child, ok := s.cfg.ChildFor(req.S.Pos)
 		if !ok {
 			s.respondToOrigin(req.Origin, msg.RegisterFailed{OpID: req.Origin.OpID, Server: s.ID()})
 			return

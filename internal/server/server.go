@@ -16,39 +16,17 @@
 // Servers communicate exclusively through their transport.Node, so the same
 // implementation runs on the in-process simulation network and over UDP.
 //
-// # Replication and failover
+// # Recovery
 //
-// A leaf can run as half of a hot-standby pair (Options.ReplPeer). The
-// primary tees every committed change — sighting puts and removes, and the
-// registration changes made under the same shard lock — to one stream per
-// shard, whose sender ships it to the standby in seq-numbered, ack-windowed
-// batches; flushed and compacted run files are not re-streamed but fetched
-// by name (run shipping) and installed under the standby's manifest after
-// footer-CRC verification. A standby answers position and range queries from its
-// mirror but redirects updates to the primary; a gap or a late start is
-// healed by a full-shard snapshot resync.
-//
-// Failover is driven by the pair's parent (Options.Replicas): it probes
-// each primary every ReplHealthInterval and, after ReplFailThreshold
-// consecutive failures, promotes the standby and rebinds the child slot
-// and its visitors' forwarding records. Every promotion raises the pair's
-// fencing epoch, and every replication message carries one: a zombie
-// primary that kept writing through a partition has its appends rejected
-// ("fenced") by the higher epoch, and on seeing the higher epoch in an ack
-// or reverse stream it demotes itself to standby and catches up.
-//
-// What failover loses is the replication stream's unapplied tail: updates
-// the old primary acknowledged — each written to its sighting log and teed
-// before the reply — that the standby had not yet applied when the
-// primary died. Durability of those records is not lost — they are in the
-// old primary's log and return on its recovery as a standby — but until
-// then queries served by the new primary may be that many records stale.
-// The sequence-numbered streams make replay after reconnect idempotent.
-// One post-promotion subtlety: the retry dedupe windows (dedupe.go) are
-// not replicated, so a client retry that straddles a failover can be
-// applied a second time by the new primary.
-// Both applications carry the same sighting timestamp and the stores apply
-// via PutIfNewer, so the double-apply is harmless to query answers.
+// A killed leaf restarts from its own files: the registration log (WAL),
+// the sighting log (SightingWAL, one segment per shard) and, when tiered,
+// its runs. Every update acknowledged while its sighting log was up comes
+// back, because each append reaches the OS before the update is answered.
+// After a failed append the leaf keeps serving from memory and counts
+// sighting_wal_down once; what it acknowledges from then on is lost at
+// the next restart. There is no hot standby: until the leaf is back, its
+// parent's breaker fails calls to it fast and queries over its area come
+// back Partial.
 package server
 
 import (
@@ -56,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locsvc/internal/clock"
@@ -156,27 +133,6 @@ type Options struct {
 	// re-reports, healing state a lost report or dropped delta left
 	// stale. Default 30s.
 	EventResyncInterval time.Duration
-	// ReplPeer names this leaf's hot-standby replication peer (see
-	// repl.go). Requires SightingWAL (the WAL tail is the replication
-	// stream). With ReplStandby false the server starts as the pair's
-	// primary, streaming its committed writes to the peer.
-	ReplPeer string
-	// ReplStandby starts the server in the standby role: it mirrors the
-	// peer's state, redirects update traffic to it and never
-	// restructures its tier on its own, until a Promote makes it
-	// primary.
-	ReplStandby bool
-	// Replicas, on a non-leaf, maps primary child ids to their standby
-	// ids. The server health-checks each primary and, after
-	// ReplFailThreshold consecutive probe failures, promotes the standby
-	// and rebinds the child record to it.
-	Replicas map[string]string
-	// ReplHealthInterval is the probe cadence (and per-probe timeout) of
-	// the failover monitor. Default 500ms.
-	ReplHealthInterval time.Duration
-	// ReplFailThreshold is how many consecutive probe failures trigger a
-	// failover. Default 3.
-	ReplFailThreshold int
 }
 
 // withDefaults fills unset options.
@@ -228,12 +184,6 @@ func (o Options) withDefaults() Options {
 	if o.EventResyncInterval <= 0 {
 		o.EventResyncInterval = 30 * time.Second
 	}
-	if o.ReplHealthInterval <= 0 {
-		o.ReplHealthInterval = 500 * time.Millisecond
-	}
-	if o.ReplFailThreshold <= 0 {
-		o.ReplFailThreshold = 3
-	}
 	return o
 }
 
@@ -279,27 +229,19 @@ type Server struct {
 	// handlers.
 	writeMet writeCounters
 
-	// repl, on a leaf with a replication peer, is its half of the
-	// primary/standby pair (repl.go); nil otherwise.
-	repl *replState
-	// children, once a failover rebound a child, holds the current child
-	// list; nil means cfg.Children is authoritative. Read through
-	// childRecords/childFor.
-	children atomic.Pointer[[]store.ChildRecord]
-
 	// walDownReported, the janitor's, remembers that a dead sighting WAL
 	// has been counted.
 	walDownReported bool
 
 	// ctx is the server's lifetime: Close cancels it, which stops the
 	// background loops and aborts every outbound retry loop running under
-	// it (path propagation, notifications, replication).
+	// it (path propagation, notifications).
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
 	// bgMu guards stopped, which refuses new background work (notifier
-	// drains, replication applies) once Close has started waiting on wg —
+	// drains) once Close has started waiting on wg —
 	// an Add racing the Wait at counter zero is a WaitGroup misuse.
 	bgMu    sync.Mutex
 	stopped bool
@@ -312,22 +254,21 @@ type Server struct {
 // takes the registry's lock and hashes the name on every call.
 type writeCounters struct {
 	registerSeen, registerOK, registerFailed, registerDeduped *metrics.Counter
-	updatesLocal, updatesDeduped, updatesRedirectedStandby    *metrics.Counter
+	updatesLocal, updatesDeduped                              *metrics.Counter
 	handoverInitiated, handoverSeen, handoverAccepted         *metrics.Counter
 }
 
 func newWriteCounters(met *metrics.Registry) writeCounters {
 	return writeCounters{
-		registerSeen:             met.Counter("register_seen"),
-		registerOK:               met.Counter("register_ok"),
-		registerFailed:           met.Counter("register_failed"),
-		registerDeduped:          met.Counter("register_deduped"),
-		updatesLocal:             met.Counter("updates_local"),
-		updatesDeduped:           met.Counter("updates_deduped"),
-		updatesRedirectedStandby: met.Counter("updates_redirected_standby"),
-		handoverInitiated:        met.Counter("handover_initiated"),
-		handoverSeen:             met.Counter("handover_seen"),
-		handoverAccepted:         met.Counter("handover_accepted"),
+		registerSeen:      met.Counter("register_seen"),
+		registerOK:        met.Counter("register_ok"),
+		registerFailed:    met.Counter("register_failed"),
+		registerDeduped:   met.Counter("register_deduped"),
+		updatesLocal:      met.Counter("updates_local"),
+		updatesDeduped:    met.Counter("updates_deduped"),
+		handoverInitiated: met.Counter("handover_initiated"),
+		handoverSeen:      met.Counter("handover_seen"),
+		handoverAccepted:  met.Counter("handover_accepted"),
 	}
 }
 
@@ -397,16 +338,6 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 			go s.janitor(s.clk.NewTicker(opts.JanitorInterval))
 		}
 	}
-	if s.repl != nil {
-		for _, st := range s.repl.streams {
-			s.wg.Add(1)
-			go s.repl.sender(st)
-		}
-	}
-	if !cfg.IsLeaf() && len(opts.Replicas) > 0 {
-		s.wg.Add(1)
-		go s.replMonitor(s.clk.NewTicker(opts.ReplHealthInterval))
-	}
 	return s, nil
 }
 
@@ -423,9 +354,6 @@ func (s *Server) openLeafStore() error {
 	}
 	if opts.Tiering != nil && opts.SightingWAL == nil {
 		return errors.New("Tiering requires a SightingWAL (the runs live in its directory)")
-	}
-	if opts.ReplPeer != "" && opts.SightingWAL == nil {
-		return errors.New("ReplPeer requires a SightingWAL (the WAL tail is the replication stream)")
 	}
 	sopts := []store.SightingDBOption{
 		store.WithTTL(opts.SightingTTL),
@@ -449,15 +377,6 @@ func (s *Server) openLeafStore() error {
 	// the enqueue never blocks the committing lane.
 	s.pipe = store.NewUpdatePipeline(s.sightings, store.OnCommit(s.enqueueDeltas))
 	s.dedupe = newDedupe(s.clk)
-	if opts.ReplPeer != "" {
-		r := newReplState(s, msg.NodeID(opts.ReplPeer), s.sightings, opts.ReplStandby)
-		s.repl = r
-		if opts.ReplStandby {
-			s.sightings.SetReplStandby(true)
-		}
-		opts.SightingWAL.SetReplTee(r)
-		s.sightings.SetReplNotify(r.notifyRuns)
-	}
 	return nil
 }
 
@@ -496,15 +415,14 @@ func (s *Server) leafInfo() msg.LeafInfo {
 
 // Close detaches the server from the network, stops its background
 // goroutines and closes the stores. The order is load-bearing: stopped
-// flips first (no new background work or replication applies start),
+// flips first (no new background work starts),
 // the path messages still queued get their one best-effort send, the
 // lifetime context is cancelled (loops stop, retry loops give up,
 // unacknowledged path batches are abandoned), then the node detaches
 // (in-flight outbound calls resolve instead of waiting out their
 // timeouts), and only after every tracked task — janitor, event
-// dispatcher, notifier drains, replication senders and in-flight
-// replication applies — has drained do the WALs and tier manifests close
-// underneath them.
+// dispatcher, notifier drains — has drained do the WALs and tier
+// manifests close underneath them.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -515,9 +433,6 @@ func (s *Server) Close() error {
 			s.paths.close()
 		}
 		s.cancel()
-		if s.repl != nil {
-			s.repl.wake()
-		}
 		if nerr := s.node.Close(); nerr != nil {
 			err = nerr
 		}
@@ -610,14 +525,6 @@ func (s *Server) handle(ctx context.Context, from msg.NodeID, m msg.Message) (ms
 		s.handleEventCount(req)
 		return nil, nil
 
-	// Replication (primary/standby leaf pairs, repl.go).
-	case msg.ReplAppend:
-		return s.handleReplAppend(req)
-	case msg.RunFetch:
-		return s.handleRunFetch(req)
-	case msg.Promote:
-		return s.handlePromote(req)
-
 	// Diagnostics.
 	case msg.DiagReq:
 		return s.handleDiag()
@@ -658,16 +565,7 @@ func (s *Server) janitor(ticker *clock.Ticker) {
 
 // janitorTick is one round of a leaf's periodic maintenance.
 func (s *Server) janitorTick() {
-	// A standby never expires soft state on its own: removals
-	// (including expiry) replicate from the primary, and expiring
-	// locally would diverge the mirror and tear down forwarding
-	// paths the primary still serves.
-	if s.repl == nil || s.repl.primary.Load() {
-		s.expireVisitors(s.sightings.Expired())
-	}
-	if s.repl != nil {
-		s.repl.updateGauges()
-	}
+	s.expireVisitors(s.sightings.Expired())
 	// Forget the senders that have been silent for dedupeIdle, and
 	// export what the table holds.
 	senders, remembered := s.dedupe.sweep()

@@ -14,13 +14,16 @@ import (
 	"locsvc/internal/transport"
 )
 
+// kmSquare is a one-leaf deployment's service area, 1 km square.
+func kmSquare() core.Area { return core.AreaFromRect(geo.R(0, 0, 1000, 1000)) }
+
 // TestTieringRequiresSightingWAL: a tiered leaf keeps its runs in its
 // sighting log's directory, so New refuses Tiering without a SightingWAL
 // and names the missing log.
 func TestTieringRequiresSightingWAL(t *testing.T) {
 	net := transport.NewInproc(transport.InprocOptions{})
 	defer net.Close()
-	_, err := New(store.ConfigRecord{ID: "leaf", SA: replTestArea()}, replTestArea(), net,
+	_, err := New(store.ConfigRecord{ID: "leaf", SA: kmSquare()}, kmSquare(), net,
 		Options{Tiering: &store.TierConfig{MemtableBytes: 1}})
 	if err == nil || !strings.Contains(err.Error(), "SightingWAL") {
 		t.Fatalf("New = %v, want a refusal naming the SightingWAL", err)
@@ -44,7 +47,7 @@ func TestTieredLeafRestartKeepsPostFlushUpdate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(store.ConfigRecord{ID: "leaf", SA: replTestArea()}, replTestArea(), net,
+		s, err := New(store.ConfigRecord{ID: "leaf", SA: kmSquare()}, kmSquare(), net,
 			Options{WAL: vw, SightingWAL: sw, Tiering: &store.TierConfig{MemtableBytes: 1}})
 		if err != nil {
 			t.Fatal(err)

@@ -95,10 +95,9 @@
 // lengths, the record/live counts, the MBR of the live records and one
 // CRC per kind of region: bloom + index + directory (verified at open,
 // which reads only those — recovery stays O(metadata)), records (verified
-// by every complete scan: compaction, enumeration, fetched-run
-// verification) and spatial leaves (verified when a fetched run is
-// checked before install; ordinary spatial reads validate each leaf
-// structurally instead — see the read path). A file of another format
+// by every complete scan: compaction, enumeration) and spatial leaves
+// (written, but read paths validate each leaf structurally instead — see
+// the read path). A file of another format
 // version is refused at open with the version named; there is no fallback
 // reader.
 //
@@ -154,9 +153,8 @@
 // the object's accuracy. Every other hit is judged by id: looked up in the
 // shard's records (a sighting or tombstone drops it) and, bloom-gated, in
 // every newer run. That covers runs opened from disk at recovery (which
-// builds no table and reads no run data) or installed by replication
-// (every install clears the shard's tables and sequences), until this
-// process first compacts them; ids without a registered object; objects of
+// builds no table and reads no run data), until this process first
+// compacts them; ids without a registered object; objects of
 // unknown sequence; and objects deleted from the shard's map, which are
 // marked dead. A nearest-neighbor cursor uses the tables only while its
 // pinned run list is still the shard's current one. A leaf that does not

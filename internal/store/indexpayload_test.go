@@ -231,31 +231,6 @@ func TestIndexPayloadInvariant(t *testing.T) {
 		checkIndexPayloads(t, db2, "puts after Recover")
 	})
 
-	t.Run("repl_install_snapshot", func(t *testing.T) {
-		primary := NewShardedSightingDB(WithShards(2))
-		putRandom(primary, rand.New(rand.NewSource(6)), "p", 200, 1000)
-		registerRandom(t, primary, rand.New(rand.NewSource(6)), "p", 200, 300)
-		standby := NewShardedSightingDB(WithShards(2))
-		putRandom(standby, rand.New(rand.NewSource(7)), "s", 100, 500)
-		registerRandom(t, standby, rand.New(rand.NewSource(7)), "s", 100, 200)
-		for shard := 0; shard < 2; shard++ {
-			st, err := primary.ReplSnapshot(shard, uint64(shard+1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := standby.ReplInstallSnapshot(shard, st, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if standby.Len() != primary.Len() || standby.RegistrationCount() != primary.RegistrationCount() {
-			t.Fatalf("standby holds %d records and %d registrations, primary %d and %d",
-				standby.Len(), standby.RegistrationCount(), primary.Len(), primary.RegistrationCount())
-		}
-		checkIndexPayloads(t, standby, "ReplInstallSnapshot")
-		putRandom(standby, rand.New(rand.NewSource(8)), "p", 200, 300)
-		checkIndexPayloads(t, standby, "puts after ReplInstallSnapshot")
-	})
-
 	t.Run("tiered_flush", func(t *testing.T) {
 		db := NewShardedSightingDB(WithSightingWAL(tempShardedWAL(t, 2)),
 			WithTiering(TierConfig{MemtableBytes: 1, MaxRuns: 3}))

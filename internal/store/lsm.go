@@ -83,15 +83,13 @@ type tierState struct {
 // copy-on-write under the shard's write lock and read under either lock;
 // nextSeq is reserved atomically so an inline flush and a concurrent
 // compaction never allocate the same run name. swaps counts the
-// replacements of runs and installs the replication installs among them,
-// both guarded like runs.
+// replacements of runs, guarded like runs.
 type shardTier struct {
-	dir      string
-	shard    int
-	nextSeq  atomic.Uint64
-	runs     []*tierRun
-	swaps    uint64
-	installs uint64
+	dir     string
+	shard   int
+	nextSeq atomic.Uint64
+	runs    []*tierRun
+	swaps   uint64
 }
 
 // setRuns makes runs the shard's run list. Caller holds the write lock.
@@ -278,15 +276,29 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 	// memtable. Best-effort: on failure the segment still replays to
 	// content the new run shadows record-for-record.
 	if db.wal != nil && db.wal.Err() == nil {
-		if err := db.wal.CompactShard(shard, nil, nil); err != nil {
+		if err := db.wal.CompactShard(shard, nil); err != nil {
 			return fmt.Errorf("store: resetting WAL segment after flush of shard %d: %w", shard, err)
 		}
 	}
-	// Notify replication: every put the new run covers was teed by its own
-	// append under this lock, so a ClearMem record enqueued now is ordered
-	// after them.
-	db.notifyRepl(shard, newRuns, t.nextSeq.Load(), true)
 	return nil
+}
+
+// resetMemtableLocked empties the memtable (sightings, tombstones, spatial
+// index); the registrations stay. Caller holds the shard's write lock.
+func (db *ShardedSightingDB) resetMemtableLocked(sh *sightingShard) {
+	sh.regMu.Lock()
+	sh.eachMem(func(id core.OID, o *object) bool {
+		if o.mem = memNone; o.reg == nil {
+			sh.deleteObj(id, o)
+		}
+		return true
+	})
+	sh.regMu.Unlock()
+	sh.idx = spatial.NewQuadtree()
+	sh.mem = sh.mem[:0]
+	sh.nonempty = false
+	sh.stale = 0
+	sh.memBytes = 0
 }
 
 // compactShardTier merges the shard's current runs (snapshotted under the
@@ -311,7 +323,6 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 		r.acquire() // cannot fail: the manifest reference is alive under the lock
 	}
 	seq := t.nextSeq.Add(1) - 1
-	installs := t.installs
 	sh.mu.RUnlock()
 
 	releaseSnap := func() {
@@ -354,14 +365,7 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 		return err
 	}
 	t.setRuns(newRuns)
-	switch {
-	case t.installs != installs:
-		// An install cleared the shard's tables and sequences since the
-		// snapshot; the merged run's table must not outlive that.
-		if merged != nil {
-			merged.objs = nil
-		}
-	case len(keep) == 0:
+	if len(keep) == 0 {
 		// No run is newer than the merged one, so it holds the newest run
 		// version of every object resolved. (A run flushed since the
 		// snapshot may hold a version written for an earlier object of the
@@ -372,7 +376,6 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 			}
 		}
 	}
-	db.notifyRepl(shard, newRuns, t.nextSeq.Load(), false)
 	sh.mu.Unlock()
 	for _, r := range snap {
 		r.retire(true) // off the manifest: delete once in-flight readers finish
@@ -789,10 +792,7 @@ func (c *tierNearestCursor) Close() {
 // or while another maintenance or compaction pass runs.
 func (db *ShardedSightingDB) MaintainTiers() error {
 	ts := db.tier
-	if ts == nil || !ts.warmed.Load() || db.replStandby.Load() {
-		// A standby never restructures its tier on its own: its run list
-		// mirrors the primary's and changes only through ReplInstallRuns /
-		// ReplInstallSnapshot.
+	if ts == nil || !ts.warmed.Load() {
 		return nil
 	}
 	if !db.maintMu.TryLock() {
@@ -836,7 +836,7 @@ func (db *ShardedSightingDB) MaintainTiers() error {
 // held; best-effort (the put itself already committed).
 func (db *ShardedSightingDB) maybeFlushBackpressure(sh *sightingShard, shard int) {
 	ts := db.tier
-	if ts == nil || sh.tier == nil || sh.memBytes <= 2*ts.budget || db.replStandby.Load() {
+	if ts == nil || sh.tier == nil || sh.memBytes <= 2*ts.budget {
 		return
 	}
 	// A failure is retried, and reported, by the janitor's next

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -1623,4 +1624,21 @@ func TestTieredMemoryBounded(t *testing.T) {
 	if db.Len() < 4000 {
 		t.Fatalf("Len = %d, want >= 4000", db.Len())
 	}
+}
+
+// verify reads the whole run once and checks both region checksums: a
+// complete scan of the records against crcData, then the spatial leaves
+// against crcSpatial.
+func (r *tierRun) verify() error {
+	if err := r.scan(func(runRecord) bool { return true }); err != nil {
+		return err
+	}
+	crc := crc32.NewIEEE()
+	if _, err := io.Copy(crc, io.NewSectionReader(r.f, r.recordsLen, r.spatialLen)); err != nil {
+		return fmt.Errorf("store: reading run %s spatial leaves: %w", r.path, err)
+	}
+	if crc.Sum32() != r.crcSpatial {
+		return fmt.Errorf("store: run %s spatial checksum mismatch", r.path)
+	}
+	return nil
 }

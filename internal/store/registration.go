@@ -29,10 +29,10 @@ func WithRegistrationLog(log WAL) SightingDBOption {
 }
 
 // changeRegLocked makes reg id's registration, or removes it when reg is
-// nil: it logs the change (and queues it for the replication tee), applies
-// it and brings the accuracy of id's index entry in line. A failed log
-// append changes nothing. Caller holds the shard's write lock.
-func (db *ShardedSightingDB) changeRegLocked(sh *sightingShard, shard int, id core.OID, reg *Registration) error {
+// nil: it logs the change, applies it and brings the accuracy of id's
+// index entry in line. A failed log append changes nothing. Caller holds
+// the shard's write lock.
+func (db *ShardedSightingDB) changeRegLocked(sh *sightingShard, id core.OID, reg *Registration) error {
 	rec := WALRecord{Op: WALRemove, Visitor: &VisitorRecord{OID: id}}
 	if reg != nil {
 		v := reg.record(id)
@@ -42,9 +42,6 @@ func (db *ShardedSightingDB) changeRegLocked(sh *sightingShard, shard int, id co
 		if err := db.regLog.Append(rec); err != nil {
 			return fmt.Errorf("store: appending registration of %s: %w", id, err)
 		}
-	}
-	if db.wal != nil {
-		db.wal.teeRegistration(shard, rec)
 	}
 	sh.setRegLocked(id, reg)
 	return nil
@@ -99,18 +96,10 @@ func (sh *sightingShard) setRegLocked(id core.OID, reg *Registration) {
 func (db *ShardedSightingDB) Register(s core.Sighting, reg Registration) (Delta, error) {
 	sh, i := db.lockOwner(s.OID)
 	defer sh.mu.Unlock()
-	if err := db.changeRegLocked(sh, i, s.OID, &reg); err != nil {
+	if err := db.changeRegLocked(sh, s.OID, &reg); err != nil {
 		return Delta{}, err
 	}
 	return db.putOneLocked(sh, i, s), nil
-}
-
-// PutRegistration makes reg id's registration: how a standby applies a
-// replicated registration change.
-func (db *ShardedSightingDB) PutRegistration(id core.OID, reg Registration) error {
-	sh, i := db.lockOwner(id)
-	defer sh.mu.Unlock()
-	return db.changeRegLocked(sh, i, id, &reg)
 }
 
 // UpdateRegistration lets change edit id's registration and, if change
@@ -119,14 +108,14 @@ func (db *ShardedSightingDB) PutRegistration(id core.OID, reg Registration) erro
 // must not block or call into the store. It reports whether id is
 // registered.
 func (db *ShardedSightingDB) UpdateRegistration(id core.OID, change func(reg *Registration) bool) (bool, error) {
-	sh, i := db.lockOwner(id)
+	sh, _ := db.lockOwner(id)
 	defer sh.mu.Unlock()
 	o := sh.objs[id]
 	if o == nil || o.reg == nil {
 		return false, nil
 	}
 	if reg := o.registration(); change(&reg) {
-		return true, db.changeRegLocked(sh, i, id, &reg)
+		return true, db.changeRegLocked(sh, id, &reg)
 	}
 	return true, nil
 }
@@ -166,7 +155,7 @@ func (db *ShardedSightingDB) Deregister(id core.OID, expiredOnly bool) (gone Del
 		gone, lastT = Delta{Op: DeltaRemove, OID: id, Old: s.Pos, HasOld: true}, s.T
 	}
 	if registered {
-		err = db.changeRegLocked(sh, i, id, nil)
+		err = db.changeRegLocked(sh, id, nil)
 	}
 	return gone, lastT, true, err
 }

@@ -22,41 +22,26 @@ type regModel struct {
 	regs      map[core.OID]Registration
 }
 
-// regWorld is one randomized run: a store over both logs, its model, a
-// second store that snapshots are installed into, and the clock they share.
+// regWorld is one randomized run: a store over both logs, its model and
+// the clock they share.
 type regWorld struct {
-	t       *testing.T
-	rng     *rand.Rand
-	dir     string
-	shards  int
-	tiered  bool
-	now     time.Time
-	ttl     time.Duration
-	db      *ShardedSightingDB
-	wal     *ShardedWAL
-	regLog  *FileWAL
-	standby *ShardedSightingDB
-	m       regModel
-	ids     []core.OID
+	t      *testing.T
+	rng    *rand.Rand
+	dir    string
+	shards int
+	tiered bool
+	now    time.Time
+	ttl    time.Duration
+	db     *ShardedSightingDB
+	wal    *ShardedWAL
+	regLog *FileWAL
+	m      regModel
+	ids    []core.OID
 }
 
 func (w *regWorld) clock() time.Time { return w.now }
 
-func (w *regWorld) options(wal *ShardedWAL, log WAL) []SightingDBOption {
-	opts := []SightingDBOption{WithShards(w.shards), WithTTL(w.ttl), WithClock(w.clock)}
-	if wal != nil {
-		opts = append(opts, WithSightingWAL(wal))
-	}
-	if log != nil {
-		opts = append(opts, WithRegistrationLog(log))
-	}
-	if w.tiered {
-		opts = append(opts, WithTiering(TierConfig{MemtableBytes: 1, MaxRuns: 2}))
-	}
-	return opts
-}
-
-// open opens the primary's logs under dir and recovers a store from them.
+// open opens the logs under dir and recovers a store from them.
 func (w *regWorld) open() {
 	w.t.Helper()
 	var err error
@@ -66,7 +51,12 @@ func (w *regWorld) open() {
 	if w.regLog, err = OpenFileWAL(filepath.Join(w.dir, "registrations.wal")); err != nil {
 		w.t.Fatal(err)
 	}
-	w.db = NewShardedSightingDB(w.options(w.wal, w.regLog)...)
+	opts := []SightingDBOption{WithShards(w.shards), WithTTL(w.ttl), WithClock(w.clock),
+		WithSightingWAL(w.wal), WithRegistrationLog(w.regLog)}
+	if w.tiered {
+		opts = append(opts, WithTiering(TierConfig{MemtableBytes: 1, MaxRuns: 2}))
+	}
+	w.db = NewShardedSightingDB(opts...)
 	if err := w.db.RecoverBackground(); err != nil {
 		w.t.Fatal(err)
 	}
@@ -154,7 +144,7 @@ func (w *regWorld) step() string {
 			w.m.regs[id] = reg
 		}
 		return "change acc " + string(id)
-	case r < 66: // a replicated registration change
+	case r < 66: // a registration without a sighting
 		id, reg := w.id(), w.registration()
 		if err := w.db.PutRegistration(id, reg); err != nil {
 			w.t.Fatal(err)
@@ -194,12 +184,9 @@ func (w *regWorld) step() string {
 			w.t.Fatal(err)
 		}
 		return "flush"
-	case r < 94:
+	default:
 		w.reopen()
 		return "reopen"
-	default:
-		w.installSnapshot()
-		return "snapshot install"
 	}
 }
 
@@ -243,28 +230,6 @@ func (w *regWorld) reopen() {
 			}
 		}
 	}
-}
-
-// installSnapshot installs a snapshot of every shard of the store into the
-// second store, which must then hold exactly the model too.
-func (w *regWorld) installSnapshot() {
-	w.t.Helper()
-	fetch := func(name string) error {
-		return w.standby.ReplFetchRun(name, func(off int64, max int) ([]byte, bool, error) {
-			data, _, eof, err := w.db.ReadRunChunk(name, off, max)
-			return data, eof, err
-		})
-	}
-	for shard := 0; shard < w.shards; shard++ {
-		st, err := w.db.ReplSnapshot(shard, uint64(shard+1))
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		if err := w.standby.ReplInstallSnapshot(shard, st, fetch); err != nil {
-			w.t.Fatal(err)
-		}
-	}
-	w.check(w.standby, "the snapshot's install")
 }
 
 // check compares db with the model: every object's sighting and
@@ -341,8 +306,8 @@ func (w *regWorld) check(db *ShardedSightingDB, after string) {
 
 // TestRegistrationOracle drives a store over both logs through random
 // sequences of registrations, updates, handover arrivals and departures,
-// accuracy changes, deregistrations, expiry, flushes, close-and-reopen and
-// snapshot installs into a second store, and after every step compares
+// accuracy changes, deregistrations, expiry, flushes and close-and-reopen,
+// and after every step compares
 // each object's sighting, registration and index-entry accuracy with a
 // brute-force model — at 1 and 4 shards, tiered and untiered.
 func TestRegistrationOracle(t *testing.T) {
@@ -364,14 +329,6 @@ func TestRegistrationOracle(t *testing.T) {
 				}
 				w.open()
 				defer w.close()
-				var standbyWAL *ShardedWAL
-				if tiered {
-					standbyWAL = tempShardedWAL(t, shards)
-				}
-				w.standby = NewShardedSightingDB(w.options(standbyWAL, nil)...)
-				if err := w.standby.Recover(); err != nil {
-					t.Fatal(err)
-				}
 				const steps = 400
 				coldSteps := 0
 				for i := 0; i < steps; i++ {

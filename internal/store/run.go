@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -60,10 +59,10 @@ import (
 //     open, which reads exactly those blocks and the footer — recovery
 //     cost is O(metadata).
 //   - crcData covers the records region and is verified by every complete
-//     scan (compaction, enumeration, verify), so data corruption surfaces
-//     before it can propagate into a merged run.
-//   - crcSpatial covers the spatial leaves and is verified by verify (run
-//     before a fetched run is installed). Spatial reads in between check
+//     scan (compaction, enumeration), so data corruption surfaces before it
+//     can propagate into a merged run.
+//   - crcSpatial covers the spatial leaves; no read path verifies it (the
+//     tests check the writer's against the file). Spatial reads check
 //     each leaf structurally instead: it must hold exactly its share of
 //     the live records, none of them a tombstone, each well-formed and
 //     inside the leaf's directory MBR. A leaf failing that is skipped and
@@ -532,8 +531,7 @@ type tierRun struct {
 	maxOID     core.OID
 
 	// objs is the run's object table, nil unless this process wrote the
-	// run, knew a registered object of it and no replication install has
-	// cleared it since: spatial slot leaf·runLeafEntries + entry maps to
+	// run and knew a registered object of it: spatial slot leaf·runLeafEntries + entry maps to
 	// the object of the record there (nil: none known), and seq is the
 	// run's sequence. Guarded by the shard lock; see tableVerdict.
 	objs []*object
@@ -866,23 +864,6 @@ func decodeLeaf(dst []leafEntry, buf []byte, mbr geo.Rect, n int) ([]leafEntry, 
 		return nil, fmt.Errorf("%d records, want %d", i, n)
 	}
 	return dst, nil
-}
-
-// verify reads the whole file once and checks both region checksums: a
-// complete scan of the records against crcData, then the spatial leaves
-// against crcSpatial. Run on a fetched file before it is installed.
-func (r *tierRun) verify() error {
-	if err := r.scan(func(runRecord) bool { return true }); err != nil {
-		return err
-	}
-	crc := crc32.NewIEEE()
-	if _, err := io.Copy(crc, io.NewSectionReader(r.f, r.recordsLen, r.spatialLen)); err != nil {
-		return fmt.Errorf("store: reading run %s spatial leaves: %w", r.path, err)
-	}
-	if crc.Sum32() != r.crcSpatial {
-		return fmt.Errorf("store: run %s spatial checksum mismatch", r.path)
-	}
-	return nil
 }
 
 // runIterator streams a run's records in id order, verifying the data

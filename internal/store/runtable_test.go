@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,15 +13,10 @@ import (
 	"locsvc/internal/spatial"
 )
 
-// tableWorld is a regWorld whose standby keeps logs of its own, so the two
-// stores can swap roles: a promoted standby flushes and compacts runs with
-// object tables of its own, and the demoted primary receives installs over
-// the tables it wrote.
+// tableWorld is a tiered regWorld that counts what the run tables judged
+// and the steps and compactions it took.
 type tableWorld struct {
 	*regWorld
-	otherDir    string
-	otherWAL    *ShardedWAL
-	otherLog    *FileWAL
 	judged      int            // run hits the tables judged
 	kinds       map[string]int // steps taken, by kind
 	compactions int64
@@ -40,52 +34,29 @@ func newTableWorld(t *testing.T, shards int, seed int64) *tableWorld {
 				regs:      map[core.OID]Registration{},
 			},
 		},
-		otherDir: t.TempDir(),
-		kinds:    map[string]int{},
+		kinds: map[string]int{},
 	}
 	for i := 0; i < 300; i++ {
 		w.ids = append(w.ids, core.OID(fmt.Sprintf("o%03d", i)))
 	}
 	w.open()
-	var err error
-	if w.otherWAL, err = OpenShardedWAL(filepath.Join(w.otherDir, "sightings"), shards); err != nil {
-		t.Fatal(err)
-	}
-	if w.otherLog, err = OpenFileWAL(filepath.Join(w.otherDir, "registrations.wal")); err != nil {
-		t.Fatal(err)
-	}
-	w.standby = NewShardedSightingDB(w.options(w.otherWAL, w.otherLog)...)
-	if err := w.standby.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	w.standby.SetReplStandby(true)
-	t.Cleanup(func() {
-		w.close()
-		w.otherWAL.Close()
-		w.otherLog.Close()
-	})
+	t.Cleanup(w.close)
 	return w
 }
 
 // step applies one random operation: one of regWorld's (puts, removes,
 // registrations, deregistrations, accuracy changes, expiry, janitor
-// flushes and compactions, reopens, snapshot installs into the standby),
-// a burst of puts that the inline backpressure flushes, an install of the
-// primary's runs into the standby, or a failover.
+// flushes and compactions, reopens) or a burst of puts that the inline
+// backpressure flushes.
 func (w *tableWorld) step() string {
 	db, before := w.db, w.db.TierStats().Compactions
 	var what string
-	switch r := w.rng.Intn(100); {
-	case r < 84:
+	if w.rng.Intn(100) < 90 {
 		what = w.regWorld.step()
-	case r < 90:
+	} else {
 		what = w.burst()
-	case r < 95:
-		what = w.installRuns()
-	default:
-		what = w.failover()
 	}
-	if w.db == db {
+	if w.db == db { // a reopen starts the counters over
 		w.compactions += w.db.TierStats().Compactions - before
 	}
 	w.kinds[strings.Fields(what)[0]]++
@@ -105,49 +76,6 @@ func (w *tableWorld) burst() string {
 		w.t.Fatal("a burst past twice the memtable budget flushed nothing inline")
 	}
 	return "burst"
-}
-
-// installRuns installs the primary's run lists into the standby, which may
-// hold tables of its own from a time as primary, judges the standby's run
-// hits there, and then brings it level with a snapshot.
-func (w *tableWorld) installRuns() string {
-	fetch := func(name string) error {
-		return w.standby.ReplFetchRun(name, func(off int64, max int) ([]byte, bool, error) {
-			data, _, eof, err := w.db.ReadRunChunk(name, off, max)
-			return data, eof, err
-		})
-	}
-	for shard, sh := range w.db.shards {
-		sh.mu.RLock()
-		names, next := runBaseNames(sh.tier.runs), sh.tier.nextSeq.Load()
-		sh.mu.RUnlock()
-		if err := w.standby.ReplInstallRuns(shard, names, next, false, fetch); err != nil {
-			w.t.Fatal(err)
-		}
-	}
-	w.judgeTables(w.standby, "a run install into the standby")
-	w.installSnapshot()
-	return "install runs"
-}
-
-// failover brings the standby level with a snapshot and swaps the roles.
-// The promoted store leased its memtable sightings at the install.
-func (w *tableWorld) failover() string {
-	w.installSnapshot()
-	w.db, w.standby = w.standby, w.db
-	w.dir, w.otherDir = w.otherDir, w.dir
-	w.wal, w.otherWAL = w.otherWAL, w.wal
-	w.regLog, w.otherLog = w.otherLog, w.regLog
-	w.db.SetReplStandby(false)
-	w.standby.SetReplStandby(true)
-	for _, sh := range w.db.shards {
-		for id, o := range sh.objs {
-			if o.mem == memSighting {
-				w.m.expires[id] = unixTime(o.expires)
-			}
-		}
-	}
-	return "failover"
 }
 
 // judgeTables compares, on every run hit of db, the run table's verdict
@@ -213,9 +141,8 @@ func (w *tableWorld) searchArea(after string) {
 // TestRunTableVerdictMatchesIdLookup drives a tiered store, at one and four
 // shards, through random puts, removes, registrations and deregistrations,
 // accuracy changes, expiry sweeps, janitor and inline-backpressure
-// flushes, compactions, reopens, run and snapshot installs into a standby
-// and failovers to it. After every step each run hit the run tables can
-// judge, on both stores, gets the verdict the id lookup gives (a hit they
+// flushes, compactions and reopens. After every step each run hit the run
+// tables can judge gets the verdict the id lookup gives (a hit they
 // cannot judge goes to the id lookup in the first place), and SearchArea,
 // SearchBuckets and NearestEntries answer what the model holds.
 func TestRunTableVerdictMatchesIdLookup(t *testing.T) {
@@ -234,11 +161,10 @@ func TestRunTableVerdictMatchesIdLookup(t *testing.T) {
 				what := w.step()
 				after := fmt.Sprintf("step %d (%s)", i, what)
 				w.judgeTables(w.db, after)
-				w.judgeTables(w.standby, after)
 				w.check(w.db, after)
 				w.searchArea(after)
 			}
-			for _, kind := range []string{"update", "deregister", "register", "change", "expire", "flush", "burst", "reopen", "install", "failover", "snapshot"} {
+			for _, kind := range []string{"update", "deregister", "register", "change", "expire", "flush", "burst", "reopen"} {
 				if w.kinds[kind] == 0 {
 					t.Errorf("no %q step in %d: %v", kind, steps, w.kinds)
 				}

@@ -60,13 +60,7 @@ type ShardedSightingDB struct {
 	// behind the memtable. Nil on all-RAM stores, the default.
 	tier *tierState
 
-	// replNotify, when set, observes every tier-structure change (flush,
-	// compaction) for run shipping to a standby; replStandby suppresses
-	// local tier maintenance while this store mirrors a primary. See
-	// repl.go.
-	replNotify  atomic.Pointer[replNotifyBox]
-	replStandby atomic.Bool
-	regLog      WAL // WithRegistrationLog
+	regLog WAL // WithRegistrationLog
 }
 
 type sightingShard struct {
@@ -97,8 +91,10 @@ type sightingShard struct {
 	nonempty bool
 	stale    int
 
-	// one is a single put's log batch, reused under the write lock: the
-	// tee call makes a batch escape, and this one is allocated once.
+	// one is a single put's log batch, reused under the write lock: a
+	// batch escapes because the record encoder's error path formats a
+	// sighting's id and time (appendWALRecord), and this one is allocated
+	// once.
 	one [1]core.Sighting
 
 	// Tiered mode only (tier non-nil, attached when the store opens its
@@ -697,9 +693,8 @@ func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor,
 		sh := sh
 		sh.mu.RLock()
 		usable := sh.nonempty
-		// Capture the sub-index now, under the lock: a tier flush (or a
-		// replicated snapshot install) replaces the memtable's tree and
-		// never mutates the old one again, so a cursor opened later on
+		// Capture the sub-index now, under the lock: a tier flush replaces
+		// the memtable's tree and never mutates the old one again, so a cursor opened later on
 		// this capture stays valid even if the shard flushes before the
 		// merge opens it.
 		idx := sh.idx
@@ -931,7 +926,7 @@ func (db *ShardedSightingDB) recoverShardLocked(shard int) error {
 		// a failure (full disk, say) keeps the original correct log, so
 		// recovery itself still succeeds; the janitor's grow-triggered
 		// pass will retry later.
-		_ = db.wal.CompactShard(shard, sh.liveSnapshot(), nil)
+		_ = db.wal.CompactShard(shard, sh.liveSnapshot())
 	}
 	return nil
 }
@@ -984,7 +979,7 @@ func (db *ShardedSightingDB) compactShard(i int) error {
 	sh := db.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return db.wal.CompactShard(i, sh.liveSnapshot(), nil)
+	return db.wal.CompactShard(i, sh.liveSnapshot())
 }
 
 // liveSnapshot copies the shard's live sightings. Caller holds the shard's

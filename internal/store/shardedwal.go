@@ -42,9 +42,7 @@ import (
 // disk before any reader can see its effect. An update is therefore
 // acknowledged only after its record is in the OS: a process kill loses
 // nothing acknowledged, and a machine crash loses nothing under WithSync
-// — the same rule as the registration log. The same call then tees the
-// record. Mark and the store's registration changes are teed alone: they
-// carry nothing a replay of the segment needs.
+// — the same rule as the registration log.
 //
 // Grouping comes from the caller, not from a timer: while one update
 // pipeline lane leader writes its batch, the updates arriving behind it
@@ -69,71 +67,8 @@ type ShardedWAL struct {
 	errMu sync.Mutex
 	err   error // first append failure, sticky
 
-	// tee, when set, observes every committed sighting record in per-shard
-	// commit order (see SetReplTee).
-	tee atomic.Pointer[replTeeBox]
-
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// ReplTee observes each shard's committed records, for replication. The
-// append that commits a record calls it, under the store's shard lock,
-// right after the record reached the OS — so a teed record is always also
-// durable locally, calls for one shard arrive in that shard's commit
-// order, and the update that made the record returns only after its tee.
-// Implementations must not block: the update path stalls behind them.
-type ReplTee interface {
-	// TeeRecord observes one record: a put batch, whose Sightings the tee
-	// must copy (the slice is the caller's); a removal; a registration
-	// change (WALPut or WALRemove, which the registration log holds on
-	// disk); or a marker teed by Mark (WALMark, its token in Token), which
-	// carries no state and pins where in the stream a replication snapshot
-	// was taken.
-	TeeRecord(shard int, rec WALRecord)
-}
-
-// replTeeBox wraps the tee for atomic.Pointer storage.
-type replTeeBox struct{ t ReplTee }
-
-// SetReplTee installs (or, with nil, removes) the replication tee.
-func (w *ShardedWAL) SetReplTee(t ReplTee) {
-	if t == nil {
-		w.tee.Store(nil)
-		return
-	}
-	w.tee.Store(&replTeeBox{t: t})
-}
-
-// WALMark is the record op of a replication marker (Mark). It is teed in
-// commit order but never written to the segment, so replay never sees it.
-const WALMark WALOp = "replmark"
-
-// Mark tees a replication marker on shard's stream. The caller must hold
-// the store lock of the shard (like any append), which is what makes the
-// marker's position in the commit order meaningful: every record appended
-// before it under that lock is teed before it.
-func (w *ShardedWAL) Mark(shard int, token uint64) error {
-	if w.down.Load() {
-		return w.Err()
-	}
-	w.teeRecord(shard, WALRecord{Op: WALMark, Token: token})
-	return nil
-}
-
-// teeRegistration tees a registration change, in commit order like
-// Mark; the registration log holds it on disk.
-func (w *ShardedWAL) teeRegistration(shard int, rec WALRecord) {
-	if !w.down.Load() {
-		w.teeRecord(shard, rec)
-	}
-}
-
-// teeRecord hands rec to the replication tee, if one is installed.
-func (w *ShardedWAL) teeRecord(shard int, rec WALRecord) {
-	if b := w.tee.Load(); b != nil {
-		b.t.TeeRecord(shard, rec)
-	}
 }
 
 // walCompactSlack is how far a log's history may exceed its live set
@@ -253,7 +188,7 @@ func (w *ShardedWAL) NumShards() int { return w.count }
 func (w *ShardedWAL) Dir() string { return w.dir }
 
 // AppendBatch logs one group-commit batch of sighting puts to shard's
-// segment and tees it (see "The append path"). Later entries for the same
+// segment (see "The append path"). Later entries for the same
 // object supersede earlier ones, matching SightingStore.PutBatch. The
 // caller may reuse the slice once the call returns. After a failed append
 // the WAL is down (see Err) and calls return the sticky error without
@@ -268,9 +203,9 @@ func (w *ShardedWAL) AppendRemove(shard int, id core.OID) error {
 	return w.append(shard, WALRecord{Op: WALSightingRemove, OID: id}, 1)
 }
 
-// append writes rec through to shard's segment, counts its n sightings or
-// removals toward compaction and tees it. The caller holds the store's
-// shard lock and has not yet applied the change.
+// append writes rec through to shard's segment and counts its n sightings
+// or removals toward compaction. The caller holds the store's shard lock
+// and has not yet applied the change.
 func (w *ShardedWAL) append(shard int, rec WALRecord, n int64) error {
 	if w.down.Load() {
 		return w.Err()
@@ -280,7 +215,6 @@ func (w *ShardedWAL) append(shard int, rec WALRecord, n int64) error {
 		return w.Err()
 	}
 	w.appended[shard].Add(n)
-	w.teeRecord(shard, rec)
 	return nil
 }
 
@@ -328,18 +262,13 @@ func (w *ShardedWAL) AppendedSince(shard int) int64 {
 }
 
 // CompactShard atomically rewrites shard's segment so that it replays to
-// exactly (live, dead): one batch record holding the live sightings, then
-// one removal record per dead id — the tombstones a replicated snapshot
-// install must keep, or run-resident versions would resurrect on the next
-// crash. The caller holds the store's shard lock for the whole call, so no
-// append can slip between the snapshot it passes and the rewrite.
-func (w *ShardedWAL) CompactShard(shard int, live []core.Sighting, dead []core.OID) error {
+// exactly live: one batch record holding the live sightings, or none. The
+// caller holds the store's shard lock for the whole call, so no append can
+// slip between the snapshot it passes and the rewrite.
+func (w *ShardedWAL) CompactShard(shard int, live []core.Sighting) error {
 	var recs []WALRecord
 	if len(live) > 0 {
 		recs = append(recs, WALRecord{Op: WALSightingBatch, Sightings: live})
-	}
-	for _, id := range dead {
-		recs = append(recs, WALRecord{Op: WALSightingRemove, OID: id})
 	}
 	if err := w.segs[shard].CompactRecords(recs); err != nil {
 		return err

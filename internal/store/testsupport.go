@@ -35,3 +35,12 @@ func (db *ShardedSightingDB) ForEach(visit func(s core.Sighting) bool) {
 		}
 	}
 }
+
+// PutRegistration makes reg id's registration, logged like Register's but
+// without a sighting. TestRegistrationOracle and TestLeafLogFixture write
+// registrations through it.
+func (db *ShardedSightingDB) PutRegistration(id core.OID, reg Registration) error {
+	sh, _ := db.lockOwner(id)
+	defer sh.mu.Unlock()
+	return db.changeRegLocked(sh, id, &reg)
+}

@@ -11,7 +11,7 @@ import (
 )
 
 // VisitorRecord is the log and API form of a visitor record (paper
-// Section 5): what a VisitorDB logs, replicates and returns, and what a
+// Section 5): what a VisitorDB logs and returns, and what a
 // leaf's registration log holds. An inner server's forwarding table keeps
 // only a child slot and an int64 PathT per object; in its records only
 // ForwardRef and PathT are meaningful. A leaf keeps its visitor records as
@@ -74,8 +74,9 @@ type VisitorDB struct {
 	mu   sync.RWMutex
 	recs map[core.OID]fwd
 	// children holds the child ids the records name, in the order they
-	// first appeared: the server's children and any standby RewriteForward
-	// promoted. A handful at most, so a slot is found by a linear scan.
+	// first appeared: the server's children, and any other id a replayed
+	// log names (an earlier build's failover logged its standbys' ids). A
+	// handful at most, so a slot is found by a linear scan.
 	children []string
 	wal      WAL
 }
@@ -250,34 +251,6 @@ func (db *VisitorDB) Remove(id core.OID) (bool, error) {
 	}
 	delete(db.recs, id)
 	return true, nil
-}
-
-// RewriteForward repoints every record whose ForwardRef is old to new —
-// the parent-side rebind after a child failover — logging each rewrite.
-// It returns how many records changed; on a WAL failure the already
-// rewritten records stay rewritten and the error is reported.
-func (db *VisitorDB) RewriteForward(old, new string) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	from := slices.Index(db.children, old)
-	if from < 0 {
-		return 0, nil
-	}
-	to := db.slot(new)
-	n := 0
-	for id, f := range db.recs {
-		if f.child != uint32(from) {
-			continue
-		}
-		f.child = to
-		rec := db.record(id, f)
-		if err := db.wal.Append(WALRecord{Op: WALPut, Visitor: &rec}); err != nil {
-			return n, fmt.Errorf("store: appending forward rewrite: %w", err)
-		}
-		db.recs[id] = f
-		n++
-	}
-	return n, nil
 }
 
 // Close releases the underlying WAL.

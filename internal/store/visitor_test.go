@@ -320,73 +320,6 @@ func TestVisitorDBPathTRoundTrip(t *testing.T) {
 	check(db2, "after restart")
 }
 
-// TestVisitorDBRewriteForwardBeyondChildren: a standby RewriteForward
-// promotes gets a slot of its own; records pointing at it answer Get and
-// Forward with it, records pointing elsewhere keep their child, and a
-// restart replay restores both.
-func TestVisitorDBRewriteForwardBeyondChildren(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "visitors.wal")
-	wal, err := OpenFileWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := NewVisitorDB(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Date(2026, 10, 16, 9, 0, 0, 0, time.UTC)
-	want := map[core.OID]string{}
-	for i := 0; i < 12; i++ {
-		id, child := core.OID(fmt.Sprintf("o%d", i)), fmt.Sprintf("r.%d", i%4)
-		if err := db.Put(VisitorRecord{OID: id, ForwardRef: child, PathT: t0.Add(time.Duration(i))}); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = child
-	}
-	n, err := db.RewriteForward("r.2", "r.2~s")
-	if err != nil || n != 3 {
-		t.Fatalf("RewriteForward = %d, %v; want 3 records", n, err)
-	}
-	for id, child := range want {
-		if child == "r.2" {
-			want[id] = "r.2~s"
-		}
-	}
-	if n, err := db.RewriteForward("r.9", "r.9~s"); err != nil || n != 0 {
-		t.Fatalf("RewriteForward of an unknown child = %d, %v", n, err)
-	}
-	check := func(db *VisitorDB, when string) {
-		t.Helper()
-		if db.Len() != len(want) {
-			t.Fatalf("%s: Len = %d, want %d", when, db.Len(), len(want))
-		}
-		for i := 0; i < len(want); i++ {
-			id := core.OID(fmt.Sprintf("o%d", i))
-			rec, ok := db.Get(id)
-			if !ok || rec.ForwardRef != want[id] || !rec.PathT.Equal(t0.Add(time.Duration(i))) {
-				t.Errorf("%s: Get(%s) = %+v, %v; want %s at %v", when, id, rec, ok, want[id], t0.Add(time.Duration(i)))
-			}
-			if child, ok := db.Forward(id); !ok || child != want[id] {
-				t.Errorf("%s: Forward(%s) = %q, %v; want %s", when, id, child, ok, want[id])
-			}
-		}
-	}
-	check(db, "before restart")
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wal2, err := OpenFileWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2, err := NewVisitorDB(wal2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	check(db2, "after restart")
-}
-
 // TestVisitorDBBytesPerRecord bounds the table's memory: a forwarding record
 // is a child slot and an int64 PathT, so 50 k of them must take well under
 // what a map of full VisitorRecords took (≈ 170 B per record at this size).

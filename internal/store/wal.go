@@ -123,9 +123,6 @@ type WALRecord struct {
 	Sightings []core.Sighting
 	// OID is the removed object of a WALSightingRemove record.
 	OID core.OID
-	// Token is the token of a replication marker (WALMark), which lives
-	// only in memory: the encoder never writes it.
-	Token uint64
 }
 
 // WAL is the persistence backend of an inner server's forwarding table (a

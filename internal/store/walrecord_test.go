@@ -169,7 +169,6 @@ func TestWALRecordEncodingRefuses(t *testing.T) {
 		{WALRecord{Op: WALSightingBatch, Visitor: v}, "do not fit"},
 		{WALRecord{Op: WALSightingRemove, OID: "x", Sightings: []core.Sighting{{OID: "x"}}}, "do not fit"},
 		{WALRecord{Op: "epoch"}, "do not fit"},
-		{WALRecord{Op: WALMark, Token: 1}, "do not fit"},
 		{WALRecord{Op: WALSightingBatch, Sightings: []core.Sighting{{OID: "ok"}, {OID: "late", T: year3000}}}, "outside the range"},
 		{WALRecord{Op: WALPut, Visitor: &VisitorRecord{OID: "v", PathT: time.Unix(0, math.MinInt64)}}, "outside the range"},
 	} {

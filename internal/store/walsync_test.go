@@ -4,35 +4,12 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 )
-
-// recordingTee is a ReplTee that keeps, per shard, a one-line summary of
-// every put batch and removal it observed, in arrival order.
-type recordingTee struct {
-	mu   sync.Mutex
-	seen map[int][]string
-}
-
-func (r *recordingTee) TeeRecord(shard int, rec WALRecord) {
-	if rec.Op != WALSightingBatch && rec.Op != WALSightingRemove {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seen[shard] = append(r.seen[shard], summarizeRecord(rec))
-}
-
-func (r *recordingTee) shard(i int) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.seen[i]...)
-}
 
 // summarizeRecord renders a sighting record as a comparable line.
 func summarizeRecord(rec WALRecord) string {
@@ -61,12 +38,11 @@ func segmentOnDisk(t *testing.T, dir string, shard int) []string {
 	return out
 }
 
-// TestSyncAppendDurableAndTeed pins the write-through promise with and
-// without WithSync: when Put, PutBatch or Deregister returns — with no
-// Flush or Close — its record is in the shard's segment file as read from
-// disk and the replication tee has seen it, both in the shard's commit
-// order.
-func TestSyncAppendDurableAndTeed(t *testing.T) {
+// TestSyncAppendDurable pins the write-through promise with and without
+// WithSync: when Put, PutBatch or Deregister returns — with no Flush or
+// Close — its record is in the shard's segment file as read from disk, in
+// the shard's commit order.
+func TestSyncAppendDurable(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []FileWALOption
@@ -81,8 +57,6 @@ func TestSyncAppendDurableAndTeed(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			tee := &recordingTee{seen: map[int][]string{}}
-			w.SetReplTee(tee)
 			db := NewShardedSightingDB(WithSightingWAL(w))
 			if err := db.Recover(); err != nil {
 				t.Fatal(err)
@@ -93,9 +67,6 @@ func TestSyncAppendDurableAndTeed(t *testing.T) {
 				for shard := 0; shard < db.NumShards(); shard++ {
 					if got := segmentOnDisk(t, dir, shard); !reflect.DeepEqual(got, want[shard]) {
 						t.Fatalf("after %s: segment %d on disk holds %q, want %q", step, shard, got, want[shard])
-					}
-					if got := tee.shard(shard); !reflect.DeepEqual(got, want[shard]) {
-						t.Fatalf("after %s: tee saw %q on shard %d, want %q", step, got, shard, want[shard])
 					}
 				}
 			}
@@ -136,9 +107,7 @@ func TestSyncAppendDurableAndTeed(t *testing.T) {
 }
 
 // TestPutAllocs pins the allocations of a one-record put on a WAL-backed
-// store at zero: the record is encoded into the segment's reused buffer,
-// and its one-element batch is the shard's own, so the tee call it passes
-// through does not move it to the heap.
+// store at zero: the record is encoded into the segment's reused buffer.
 func TestPutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -13,7 +13,7 @@ import (
 
 // NewLoss returns a loss model that drops with probability rate in [0,1],
 // drawing from a source seeded with seed; seed 0 means 1. Driven by
-// TestChaosSoak, TestFailoverSoak, TestQueriesUnderMessageLoss,
+// TestChaosSoak, TestLeafRestartSoak, TestQueriesUnderMessageLoss,
 // TestMultiplexSoak and TestSeededFaultsDeterministic.
 func NewLoss(rate float64, seed int64) *Loss {
 	if seed == 0 {
@@ -22,7 +22,7 @@ func NewLoss(rate float64, seed int64) *Loss {
 	return &Loss{rate: rate, rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetRate changes the loss probability at runtime. TestFailoverSoak uses
+// SetRate changes the loss probability at runtime. TestLeafRestartSoak uses
 // it to stage lossless setup and verification phases around a lossy
 // window; TestSeededFaultsDeterministic pins that a phase at rate 0 draws
 // nothing.
@@ -33,7 +33,7 @@ func (l *Loss) SetRate(rate float64) {
 }
 
 // Plan is a FaultPlan that drops each delivery with the loss probability.
-// TestChaosSoak, TestFailoverSoak and TestQueriesUnderMessageLoss pass it
+// TestChaosSoak, TestLeafRestartSoak and TestQueriesUnderMessageLoss pass it
 // as InprocOptions.FaultPlan.
 func (l *Loss) Plan(_, _ msg.NodeID, _ msg.Envelope) Fault {
 	return Fault{Drop: l.Drop()}
@@ -52,7 +52,7 @@ func (u *UDP) SetLoss(l *Loss) { u.loss.Store(l) }
 // timeouts (and eventually open breakers), not ErrUnknownNode. It models a
 // crashed, wedged or fully partitioned process. Every other delivery goes
 // to the plan it wraps, so a wrapped seeded Loss draws for exactly the
-// deliveries between live nodes. Driven by TestChaosSoak, TestFailoverSoak,
+// deliveries between live nodes. Driven by TestChaosSoak, TestLeafRestartSoak,
 // TestDegradedQueriesWithDarkLeaf, TestNothingTimedWhileClockStands and
 // the breaker tests.
 type NodesDown struct {

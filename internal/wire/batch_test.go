@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"locsvc/internal/msg"
@@ -220,6 +221,12 @@ func TestDecodeBatchRejectsCorruption(t *testing.T) {
 		bad[1] ^= 0xff
 		if _, err := DecodeBatch(bad); err == nil {
 			t.Fatal("wrong version accepted")
+		}
+		// A v8 sender could still put a standby redirect in an UpdateRes;
+		// its batches are refused by the header alone.
+		bad[1] = 8
+		if _, err := DecodeBatch(bad); err == nil || !strings.Contains(err.Error(), "unsupported wire version 8") {
+			t.Fatalf("a v8 batch header: %v, want a version error", err)
 		}
 	})
 

@@ -34,7 +34,7 @@ func FuzzDecode(f *testing.F) {
 			{OID: "truck-7", Leaf: msg.LeafInfo{ID: "r.0", Area: core.AreaFromRect(geo.R(0, 0, 750, 750))}, SightingT: time.Unix(1_700_000_000, 0).UTC()},
 			{Remove: true, OID: "truck-8", SightingT: time.Unix(1_700_000_001, 5).UTC()},
 		}}},
-		{From: "r.0~s", Reply: true, CorrID: 6, Msg: msg.UpdateRes{Moved: true, NewAgent: "r.0", AgentInfo: msg.LeafInfo{ID: "r.0", Area: core.AreaFromRect(geo.R(0, 0, 750, 750))}, Redirected: true}},
+		{From: "r.0", Reply: true, CorrID: 6, Msg: msg.UpdateRes{Moved: true, NewAgent: "r.1", AgentInfo: msg.LeafInfo{ID: "r.1", Area: core.AreaFromRect(geo.R(750, 0, 1500, 750))}}},
 		{From: "r.0", Msg: msg.RegisterFailed{OpID: 3, Server: "r.0", Refused: msg.ErrorRes{Code: msg.CodeBadRequest, Text: "bad request: floor 44 above seq 43"}}},
 		{From: "r.0", Reply: true, CorrID: 7, Msg: msg.PosQueryRes{
 			OpID: 9, Found: true, LD: core.LocationDescriptor{Pos: geo.Pt(1, 2), Acc: 3},
@@ -49,22 +49,26 @@ func FuzzDecode(f *testing.F) {
 		{From: "x", Msg: msg.EventNotify{SubID: "s", Fired: true, Total: 3, Objs: []core.OID{"a", "b"}}},
 		{From: "r", Msg: msg.DiagRes{Server: "r", Shards: []msg.ShardDiag{{Len: 1, Ops: 2, Contended: 3}}, Metrics: "m = 1\n"}},
 		{From: "y", CorrID: 1, Reply: true, Msg: msg.Ack{}},
-		{From: "r.0", CorrID: 3, Msg: msg.ReplAppend{Epoch: 2, Stream: 1, FirstSeq: 17, Recs: []msg.ReplRecord{
-			{Op: msg.ReplSightingPut, Sightings: []core.Sighting{{OID: "a", T: time.Unix(1_700_000_000, 0).UTC(), Pos: geo.Pt(1, 2), SensAcc: 3}}},
-			{Op: msg.ReplRuns, Runs: []string{"run-0001-00000002.run"}, NextSeq: 3, ClearMem: true},
-			{Op: msg.ReplSnapshot, Dead: []core.OID{"b"}, Runs: []string{"run-0001-00000001.run"}, NextSeq: 2},
-		}}},
-		{From: "r.0~s", CorrID: 3, Reply: true, Msg: msg.ReplAck{Epoch: 2, Stream: 1, NextSeq: 20}},
-		{From: "r.0~s", CorrID: 4, Msg: msg.RunFetch{Shard: 1, Name: "run-0001-00000002.run", Off: 4096, MaxBytes: 65536}},
-		{From: "r.0", CorrID: 4, Reply: true, Msg: msg.RunFetchRes{Size: 8192, Data: []byte{1, 2, 3}, EOF: false}},
-		{From: "r", CorrID: 5, Msg: msg.Promote{}},
-		{From: "r.0~s", CorrID: 5, Reply: true, Msg: msg.PromoteRes{Epoch: 3}},
 	}
+	frames := make([][]byte, 0, len(seeds)+6)
 	for _, env := range seeds {
 		data, err := Encode(env)
 		if err != nil {
 			f.Fatal(err)
 		}
+		frames = append(frames, data)
+	}
+	// Envelopes carrying the tags wire v9 retired (34–39, the replication
+	// messages), a payload behind the header: all must be refused.
+	for tag := byte(34); tag <= 39; tag++ {
+		data, err := Encode(msg.Envelope{From: "r.0", CorrID: uint64(tag), Msg: msg.Ack{}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		data[1] = tag
+		frames = append(frames, append(data, 2, 0, 0, 0, 0, 0, 0, 0, 1, 'a'))
+	}
+	for _, data := range frames {
 		f.Add(data)
 		// Truncations and bit flips seed the interesting failure space.
 		f.Add(data[:len(data)/2])

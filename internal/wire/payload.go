@@ -56,7 +56,6 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendString(dst, string(m.NewAgent))
 		dst = appendLeafInfo(dst, m.AgentInfo)
 		dst = appendF64(dst, m.OfferedAcc)
-		dst = appendBool(dst, m.Redirected)
 		return dst, msg.TagUpdateRes, true
 	case msg.HandoverReq:
 		dst = appendSighting(dst, m.S)
@@ -190,7 +189,6 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendInt(dst, m.Sightings)
 		dst = appendShardDiags(dst, m.Shards)
 		dst = appendTierDiag(dst, m.Tier)
-		dst = appendReplDiag(dst, m.Repl)
 		dst = appendI64(dst, m.PipelineOps)
 		dst = appendI64(dst, m.PipelineHandoffs)
 		dst = appendInt(dst, m.EventSubs)
@@ -203,36 +201,6 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendString(dst, m.Code)
 		dst = appendString(dst, m.Text)
 		return dst, msg.TagErrorRes, true
-	case msg.ReplAppend:
-		dst = appendU64(dst, m.Epoch)
-		dst = appendInt(dst, m.Stream)
-		dst = appendU64(dst, m.FirstSeq)
-		dst = appendReplRecords(dst, m.Recs)
-		return dst, msg.TagReplAppend, true
-	case msg.ReplAck:
-		dst = appendU64(dst, m.Epoch)
-		dst = appendInt(dst, m.Stream)
-		dst = appendU64(dst, m.NextSeq)
-		dst = appendBool(dst, m.Fenced)
-		dst = appendBool(dst, m.NeedSync)
-		return dst, msg.TagReplAck, true
-	case msg.RunFetch:
-		dst = appendInt(dst, m.Shard)
-		dst = appendString(dst, m.Name)
-		dst = appendI64(dst, m.Off)
-		dst = appendInt(dst, m.MaxBytes)
-		return dst, msg.TagRunFetch, true
-	case msg.RunFetchRes:
-		dst = appendI64(dst, m.Size)
-		dst = appendBytes(dst, m.Data)
-		dst = appendBool(dst, m.EOF)
-		return dst, msg.TagRunFetchRes, true
-	case msg.Promote:
-		dst = appendU64(dst, m.Epoch)
-		return dst, msg.TagPromote, true
-	case msg.PromoteRes:
-		dst = appendU64(dst, m.Epoch)
-		return dst, msg.TagPromoteRes, true
 	}
 	return dst, msg.TagInvalid, false
 }
@@ -276,7 +244,6 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			NewAgent:   r.nodeID(),
 			AgentInfo:  r.leafInfo(),
 			OfferedAcc: r.f64(),
-			Redirected: r.boolean(),
 		}, true
 	case msg.TagHandoverReq:
 		return msg.HandoverReq{
@@ -414,7 +381,6 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			Sightings:        r.integer(),
 			Shards:           r.shardDiags(),
 			Tier:             r.tierDiag(),
-			Repl:             r.replDiag(),
 			PipelineOps:      r.i64(),
 			PipelineHandoffs: r.i64(),
 			EventSubs:        r.integer(),
@@ -425,38 +391,6 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 		return msg.Ack{}, true
 	case msg.TagErrorRes:
 		return msg.ErrorRes{Code: r.str(), Text: r.str()}, true
-	case msg.TagReplAppend:
-		return msg.ReplAppend{
-			Epoch:    r.u64(),
-			Stream:   r.integer(),
-			FirstSeq: r.u64(),
-			Recs:     r.replRecords(),
-		}, true
-	case msg.TagReplAck:
-		return msg.ReplAck{
-			Epoch:    r.u64(),
-			Stream:   r.integer(),
-			NextSeq:  r.u64(),
-			Fenced:   r.boolean(),
-			NeedSync: r.boolean(),
-		}, true
-	case msg.TagRunFetch:
-		return msg.RunFetch{
-			Shard:    r.integer(),
-			Name:     r.str(),
-			Off:      r.i64(),
-			MaxBytes: r.integer(),
-		}, true
-	case msg.TagRunFetchRes:
-		return msg.RunFetchRes{
-			Size: r.i64(),
-			Data: r.bytes(),
-			EOF:  r.boolean(),
-		}, true
-	case msg.TagPromote:
-		return msg.Promote{Epoch: r.u64()}, true
-	case msg.TagPromoteRes:
-		return msg.PromoteRes{Epoch: r.u64()}, true
 	}
 	return nil, false
 }
@@ -716,170 +650,6 @@ func appendTierDiag(dst []byte, t *msg.TierDiag) []byte {
 	dst = appendI64(dst, t.BloomHits)
 	dst = appendI64(dst, t.BloomMisses)
 	return appendInt(dst, t.Backlog)
-}
-
-func appendReplDiag(dst []byte, d *msg.ReplDiag) []byte {
-	dst = appendBool(dst, d != nil)
-	if d == nil {
-		return dst
-	}
-	dst = appendString(dst, d.Role)
-	dst = appendString(dst, string(d.Peer))
-	dst = appendU64(dst, d.Epoch)
-	dst = appendI64(dst, d.Pending)
-	dst = appendI64(dst, d.Acked)
-	dst = appendI64(dst, d.Fenced)
-	dst = appendI64(dst, d.RunsInstalled)
-	return appendI64(dst, d.Resyncs)
-}
-
-func (r *reader) replDiag() *msg.ReplDiag {
-	if !r.boolean() || r.err != nil {
-		return nil
-	}
-	return &msg.ReplDiag{
-		Role:          r.str(),
-		Peer:          r.nodeID(),
-		Epoch:         r.u64(),
-		Pending:       r.i64(),
-		Acked:         r.i64(),
-		Fenced:        r.i64(),
-		RunsInstalled: r.i64(),
-		Resyncs:       r.i64(),
-	}
-}
-
-// sightingMinSize is the smallest wire footprint of one core.Sighting:
-// an empty-OID length byte, a timestamp (8+4), a point (2×8) and one
-// float64.
-const sightingMinSize = 1 + 12 + 16 + 8
-
-func appendSightings(dst []byte, ss []core.Sighting) []byte {
-	dst = appendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = appendSighting(dst, s)
-	}
-	return dst
-}
-
-func (r *reader) sightings() []core.Sighting {
-	n := r.length(sightingMinSize)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	ss := make([]core.Sighting, n)
-	for i := range ss {
-		ss[i] = r.sighting()
-	}
-	return ss
-}
-
-func appendStrings(dst []byte, ss []string) []byte {
-	dst = appendUvarint(dst, uint64(len(ss)))
-	for _, s := range ss {
-		dst = appendString(dst, s)
-	}
-	return dst
-}
-
-func (r *reader) strings() []string {
-	n := r.length(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = r.str()
-	}
-	return ss
-}
-
-// visitorStateMinSize is the smallest wire footprint of one
-// msg.VisitorState: two empty-string length bytes, two float64-bearing
-// composites (OfferedAcc + RegInfo's empty Registrant and three floats)
-// and a timestamp.
-const visitorStateMinSize = 1 + 1 + 8 + (1 + 3*8) + 12
-
-func appendVisitorState(dst []byte, v msg.VisitorState) []byte {
-	dst = appendString(dst, string(v.OID))
-	dst = appendString(dst, v.ForwardRef)
-	dst = appendF64(dst, v.OfferedAcc)
-	dst = appendRegInfo(dst, v.RegInfo)
-	return appendTime(dst, v.PathT)
-}
-
-func (r *reader) visitorState() msg.VisitorState {
-	return msg.VisitorState{
-		OID:        r.oid(),
-		ForwardRef: r.str(),
-		OfferedAcc: r.f64(),
-		RegInfo:    r.regInfo(),
-		PathT:      r.timestamp(),
-	}
-}
-
-func appendVisitorStates(dst []byte, vs []msg.VisitorState) []byte {
-	dst = appendUvarint(dst, uint64(len(vs)))
-	for _, v := range vs {
-		dst = appendVisitorState(dst, v)
-	}
-	return dst
-}
-
-func (r *reader) visitorStates() []msg.VisitorState {
-	n := r.length(visitorStateMinSize)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]msg.VisitorState, n)
-	for i := range vs {
-		vs[i] = r.visitorState()
-	}
-	return vs
-}
-
-// replRecordMinSize is the smallest wire footprint of one msg.ReplRecord:
-// the op byte, four empty-slice length bytes, an empty OID, an empty
-// visitor state, NextSeq and ClearMem.
-const replRecordMinSize = 1 + 1 + 1 + visitorStateMinSize + 1 + 1 + 1 + 8 + 1
-
-func appendReplRecords(dst []byte, recs []msg.ReplRecord) []byte {
-	dst = appendUvarint(dst, uint64(len(recs)))
-	for i := range recs {
-		rec := &recs[i]
-		dst = append(dst, byte(rec.Op))
-		dst = appendSightings(dst, rec.Sightings)
-		dst = appendString(dst, string(rec.OID))
-		dst = appendVisitorState(dst, rec.Visitor)
-		dst = appendVisitorStates(dst, rec.Visitors)
-		dst = appendOIDs(dst, rec.Dead)
-		dst = appendStrings(dst, rec.Runs)
-		dst = appendU64(dst, rec.NextSeq)
-		dst = appendBool(dst, rec.ClearMem)
-	}
-	return dst
-}
-
-func (r *reader) replRecords() []msg.ReplRecord {
-	n := r.length(replRecordMinSize)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	recs := make([]msg.ReplRecord, n)
-	for i := range recs {
-		recs[i] = msg.ReplRecord{
-			Op:        msg.ReplOp(r.u8()),
-			Sightings: r.sightings(),
-			OID:       r.oid(),
-			Visitor:   r.visitorState(),
-			Visitors:  r.visitorStates(),
-			Dead:      r.oids(),
-			Runs:      r.strings(),
-			NextSeq:   r.u64(),
-			ClearMem:  r.boolean(),
-		}
-	}
-	return recs
 }
 
 func (r *reader) tierDiag() *msg.TierDiag {

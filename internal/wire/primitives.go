@@ -161,22 +161,6 @@ func (r *reader) length(elemSize int) int {
 	return int(v)
 }
 
-// bytes reads a length-prefixed byte slice, copying it out of the
-// datagram. Zero length decodes as nil, matching the slice convention.
-func (r *reader) bytes() []byte {
-	n := r.length(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	return append([]byte(nil), r.take(n)...)
-}
-
-// appendBytes encodes a length-prefixed byte slice.
-func appendBytes(dst []byte, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
 // str reads a length-prefixed string, copying it out of the datagram.
 func (r *reader) str() string {
 	n := r.length(1)

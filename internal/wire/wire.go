@@ -100,22 +100,10 @@
 //     NeighborQueryRes gained trailing Partial bool + Unreachable
 //     []NodeID. New fields append after the v1 fields in struct
 //     declaration order, like any other field.
-//   - v3: leaf replication. DiagRes gained Repl *ReplDiag (presence-bool
-//     prefixed, like Tier) between Tier and PipelineOps; new messages
-//     ReplAppend/ReplAck (tags 34/35, the seq-numbered WAL-tail stream
-//     and its ack), RunFetch/RunFetchRes (36/37, chunked immutable-run
-//     transfer), Promote/PromoteRes (38/39, failover). Replication
-//     epochs ride inside ReplAppend/ReplAck, not the version byte: a
-//     zombie primary speaks the same wire version and is fenced by the
-//     epoch check in the receiver, so mixed-role confusion is an
-//     application-level rejection (ReplAck.Fenced), never a parse error.
-//     ReplAppend is idempotent by stream sequence number rather than the
-//     dedupe window: a retried batch re-sends the same FirstSeq and the
-//     receiver skips the already-applied prefix, so CallWithRetry is
-//     safe on it. A promoted standby keeps its own dedupe window, which
-//     starts empty: a client retry that straddles the failover may be
-//     re-applied once by the new primary (last-wins sighting semantics
-//     make this harmless; see the internal/server doc).
+//   - v3: leaf replication. DiagRes gained a replication snapshot
+//     (presence-bool prefixed, like Tier) between Tier and PipelineOps,
+//     and the replication messages took tags 34–39: the primary's stream
+//     and its ack, chunked run transfer and promotion. Gone since v9.
 //   - v4: one handover algorithm. HandoverReq lost Direct bool (the
 //     leaf-to-leaf cache shortcut is gone; every handover climbs to the
 //     lowest common ancestor), RemovePath lost HasNewPos bool + NewPos
@@ -135,9 +123,14 @@
 //     accuracy failure): a leaf answers a malformed, store-refused or
 //     no-longer-awaited registration with it under the request's OpID,
 //     where it used to send a bare ErrorRes the client could not match.
-//   - v8: standby redirects. UpdateRes gained a trailing Redirected bool:
+//   - v8: standby redirects. UpdateRes gained a trailing redirect bool:
 //     a replication standby's answer, nothing applied, which the client
 //     re-sends to NewAgent instead of taking it for a handover's.
+//   - v9: no replication. UpdateRes lost its trailing redirect bool and
+//     DiagRes its replication snapshot; ReplAppend, ReplAck, RunFetch,
+//     RunFetchRes, Promote and PromoteRes are gone and their tags 34–39
+//     retired: a killed leaf restarts from its own logs, and no leaf has a
+//     standby.
 //
 // # Retry idempotency
 //
@@ -175,7 +168,7 @@ import (
 // wireVersion is the format generation of this codec. Bump it whenever an
 // existing message's field layout or a primitive encoding changes. See the
 // version history in the package doc.
-const wireVersion = 8
+const wireVersion = 9
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool, so a
 // rare huge envelope (an oversize range-query result rejected by the

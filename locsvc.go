@@ -48,7 +48,6 @@ package locsvc
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"locsvc/internal/client"
@@ -166,21 +165,6 @@ type LocalConfig struct {
 	// WALSync fsyncs every WAL append (machine-crash durability instead
 	// of process-crash durability).
 	WALSync bool
-	// Replicas gives every leaf a hot standby: a second server named
-	// "<leaf>~s" that mirrors the leaf's sightings and visitors via
-	// WAL-tail streaming and fetches its immutable run files (run
-	// shipping). The leaves' parent health-checks each primary and, after
-	// repeated probe failures, promotes the standby under a higher fencing
-	// epoch and rebinds its forwarding records; clients follow the
-	// redirect transparently. Requires WALDir (the WAL tail is the
-	// replication stream) and at least one hierarchy level (the root has
-	// no parent to fail it over). See the internal/server package
-	// documentation for the failover semantics and the loss window.
-	Replicas bool
-	// ReplHealthInterval overrides the parents' primary-probe cadence
-	// with Replicas (default 500ms). Failover triggers after three
-	// consecutive probe failures.
-	ReplHealthInterval time.Duration
 	// EnableCaches turns on all three leaf caches of Section 6.5. They
 	// serve queries only: a handover still climbs to the lowest common
 	// ancestor of the old and the new agent.
@@ -193,15 +177,7 @@ type LocalConfig struct {
 type Service struct {
 	net *transport.Inproc
 	dep *hierarchy.Deployment
-	// standbys are the hot-standby leaf servers (LocalConfig.Replicas);
-	// they live outside the deployment tree because they hold no slot in
-	// the hierarchy until a failover promotes them.
-	standbys []*server.Server
 }
-
-// standbySuffix distinguishes a leaf's hot standby from the leaf itself
-// ("r.0" → "r.0~s"); '~' cannot appear in generated hierarchy ids.
-const standbySuffix = "~s"
 
 // NewLocal deploys a complete location-server hierarchy in-process. This is
 // the primary entry point for simulations, examples and tests; production
@@ -221,14 +197,6 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 	if cfg.Tiering != nil && cfg.WALDir == "" {
 		return nil, fmt.Errorf("%w: Tiering requires WALDir (the runs live in each leaf's sighting log directory)", core.ErrBadRequest)
 	}
-	if cfg.Replicas {
-		if cfg.WALDir == "" {
-			return nil, fmt.Errorf("%w: Replicas requires WALDir (the WAL tail is the replication stream)", core.ErrBadRequest)
-		}
-		if len(cfg.Levels) == 0 {
-			return nil, fmt.Errorf("%w: Replicas requires at least one level (the root has no parent to fail it over)", core.ErrBadRequest)
-		}
-	}
 	net := transport.NewInproc(opts)
 	spec := hierarchy.Spec{RootArea: cfg.Area, Levels: cfg.Levels}
 	base := server.Options{
@@ -239,20 +207,6 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 		EnableAreaCache:  cfg.EnableCaches,
 		EnableAgentCache: cfg.EnableCaches,
 		EnablePosCache:   cfg.EnableCaches,
-	}
-	// replicaMapFor returns the primary→standby map a non-leaf server
-	// monitors with Replicas: only the leaves' direct parent probes and
-	// promotes.
-	replicaMapFor := func(rec store.ConfigRecord) map[string]string {
-		if !cfg.Replicas || len(rec.Children) == 0 ||
-			strings.Count(rec.Children[0].ID, ".") != len(cfg.Levels) {
-			return nil
-		}
-		m := make(map[string]string, len(rec.Children))
-		for _, ch := range rec.Children {
-			m[ch.ID] = ch.ID + standbySuffix
-		}
-		return m
 	}
 	var walOpts []store.FileWALOption
 	if cfg.WALSync {
@@ -274,12 +228,6 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 				}
 				o.SightingWAL = sw
 				o.Tiering = cfg.Tiering
-				if cfg.Replicas {
-					o.ReplPeer = rec.ID + standbySuffix
-				}
-			} else if m := replicaMapFor(rec); m != nil {
-				o.Replicas = m
-				o.ReplHealthInterval = cfg.ReplHealthInterval
 			}
 			return o, nil
 		}
@@ -289,45 +237,7 @@ func NewLocal(cfg LocalConfig) (*Service, error) {
 		net.Close()
 		return nil, err
 	}
-	svc := &Service{net: net, dep: dep}
-	if cfg.Replicas {
-		// Standbys start after the primaries: a primary's senders retry
-		// into the void until its standby attaches, then bootstrap it
-		// with a snapshot. Each standby gets its own WALs and tier
-		// directory so a promotion never shares files with the old
-		// primary.
-		for _, rec := range dep.Configs {
-			if !rec.IsLeaf() {
-				continue
-			}
-			sb := rec
-			sb.ID = rec.ID + standbySuffix
-			o := base
-			o.ReplPeer = rec.ID
-			o.ReplStandby = true
-			vw, err := store.OpenFileWAL(filepath.Join(cfg.WALDir, sb.ID+"-visitors.wal"), walOpts...)
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			o.WAL = vw
-			sw, err := store.OpenShardedWAL(filepath.Join(cfg.WALDir, sb.ID+"-sightings"), shards, walOpts...)
-			if err != nil {
-				vw.Close()
-				svc.Close()
-				return nil, err
-			}
-			o.SightingWAL = sw
-			o.Tiering = cfg.Tiering
-			s, err := server.New(sb, core.AreaFromRect(cfg.Area), net, o)
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			svc.standbys = append(svc.standbys, s)
-		}
-	}
-	return svc, nil
+	return &Service{net: net, dep: dep}, nil
 }
 
 // NewClientAt attaches a client whose entry server is the leaf responsible
@@ -351,18 +261,9 @@ func (s *Service) EntryFor(p Point) (NodeID, bool) { return s.dep.LeafFor(p) }
 // Leaves returns the ids of all leaf servers.
 func (s *Service) Leaves() []NodeID { return s.dep.Leaves() }
 
-// Close shuts down every server (standbys first, so in-flight replication
-// applies drain before their primaries go away) and the network.
+// Close shuts down every server and the network.
 func (s *Service) Close() error {
-	var firstErr error
-	for _, sb := range s.standbys {
-		if err := sb.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := s.dep.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	err := s.dep.Close()
 	s.net.Close()
-	return firstErr
+	return err
 }
