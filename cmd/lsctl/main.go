@@ -206,7 +206,7 @@ func main() {
 			}
 			fmt.Printf("tiered storage: %s\n", state)
 			fmt.Printf("  memtables: %d bytes resident\n", t.MemtableBytes)
-			fmt.Printf("  runs: %d files, %d bytes on disk, %d bytes run metadata resident\n",
+			fmt.Printf("  runs: %d files, %d bytes on disk, %d bytes resident (metadata and spatial columns: position and id per live record)\n",
 				t.Runs, t.RunBytes, t.MetaBytes)
 			fmt.Printf("  disk records: %d (%d live)\n", t.DiskRecords, t.DiskLive)
 			fmt.Printf("  flushes: %d, compactions: %d (backlog %d shard(s))\n",

@@ -459,8 +459,9 @@ type TierDiag struct {
 	Warm bool
 	// MemtableBytes is the estimated resident size of all shard
 	// memtables; RunBytes the run files' on-disk size; MetaBytes the
-	// resident run metadata (bloom filters, sparse indexes and spatial
-	// leaf directories).
+	// resident run metadata (bloom filters, sparse indexes, spatial leaf
+	// directories, the spatial columns — position, id end and id of every
+	// live run record — and object tables).
 	MemtableBytes int64
 	RunBytes      int64
 	MetaBytes     int64

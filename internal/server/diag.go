@@ -30,9 +30,11 @@ func (s *Server) shardMaintenance() {
 		s.met.Gauge("sighting_compactions").Set(ts.Compactions)
 		s.met.Gauge("sighting_bloom_hits").Set(ts.BloomHits)
 		s.met.Gauge("sighting_bloom_misses").Set(ts.BloomMisses)
-		s.met.Gauge("sighting_tier_leaf_reads").Set(ts.LeafReads)
-		// Non-zero means a run is damaged and query answers are missing
-		// what it held.
+		// Run leaves whose resident positions range and nearest-neighbor
+		// queries tested; no disk read stands behind them.
+		s.met.Gauge("sighting_tier_leaves_scanned").Set(ts.LeavesScanned)
+		// Non-zero means a run's records are damaged and point lookups or
+		// scans are missing what it held.
 		s.met.Gauge("sighting_tier_read_errors").Set(ts.ReadErrors)
 	}
 }

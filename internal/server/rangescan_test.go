@@ -281,7 +281,7 @@ func TestDiagExportsRangeOutcomeCounters(t *testing.T) {
 // and their thresholds (reqAcc 50 m, majority overlap). Besides time and
 // B/op it reports per query the candidates the search delivered, those of
 // them qualified at bucket level (a bucket deep inside the area), the
-// qualifying results and the run leaves read: memtable squares of 100 m
+// qualifying results and the run leaves scanned: memtable squares of 100 m
 // and 1 km and a 1 km square turned by 45° on an all-RAM leaf, and 200 m
 // squares on a tiered leaf whose sightings MaintainTiers has flushed to
 // runs.
@@ -310,7 +310,7 @@ func BenchmarkLocalRangeScan(b *testing.B) {
 			extent := shape(0, 0, side).Bounds().Width()
 			rng := rand.New(rand.NewSource(2))
 			m := &s.rangeMet
-			cands, interior, leaves := m.candidates.Value(), m.interior.Load(), s.sightings.TierStats().LeafReads
+			cands, interior, leaves := m.candidates.Value(), m.interior.Load(), s.sightings.TierStats().LeavesScanned
 			results := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -323,7 +323,7 @@ func BenchmarkLocalRangeScan(b *testing.B) {
 			b.ReportMetric(float64(m.candidates.Value()-cands)/n, "candidates/op")
 			b.ReportMetric(float64(m.interior.Load()-interior)/n, "interior/op")
 			b.ReportMetric(float64(results)/n, "results/op")
-			b.ReportMetric(float64(s.sightings.TierStats().LeafReads-leaves)/n, "leaf_reads/op")
+			b.ReportMetric(float64(s.sightings.TierStats().LeavesScanned-leaves)/n, "leaves_scanned/op")
 		}
 	}
 

@@ -72,32 +72,35 @@
 // memtable of a small per-shard LSM tree, letting a leaf hold sighting
 // populations larger than RAM and recover without replaying history.
 //
-// Run file format, version 3 (run-SSSS-NNNNNNNN.run, immutable once
+// Run file format, version 4 (run-SSSS-NNNNNNNN.run, immutable once
 // renamed into place; byte-level layout at the top of run.go):
 //
-//	[records][spatial leaves][bloom block][index block][leaf directory][112-byte footer]
+//	[records][spatial columns][bloom block][index block][leaf directory][112-byte footer]
 //
 // Records sort strictly ascending by object id; each is a flags byte
 // (bit0 tombstone, bit1 T valid, bit2 expires valid), a uvarint-prefixed
 // id, and — for live records — a fixed 40-byte payload (T, X, Y, SensAcc,
-// expires). The spatial leaves hold the live records a second time, in
-// the same encoding, sorted along a Hilbert curve over the run's MBR and
-// cut into leaves of 64, so they cover the spatial reads; the leaf
-// directory holds one MBR and one byte length per leaf. The bloom block
+// expires). The spatial columns hold what a spatial read needs of each
+// live record, not the record: sorted along a Hilbert curve over the
+// run's MBR into slots, an X column, a Y column (f64 each), the end of
+// each slot's id (u32) and the ids back to back. Slots are cut into
+// leaves of 64; the leaf directory holds one MBR per leaf. The bloom block
 // is a double-hashed FNV-1a filter over every record id (BloomBitsPerKey
 // bits per key, default 10, ≈1% false positives). The index block holds
 // the key range plus a sparse index (one entry per 16 records).
 //
-// Resident per run are the bloom filter, the sparse index and the leaf
-// directory (≈0.6 B per live record) and, for a run this process wrote,
-// its object table (8 B per live record; see the read path); records and
-// spatial leaves are read from disk on demand. The footer pins the region
-// lengths, the record/live counts, the MBR of the live records and one
-// CRC per kind of region: bloom + index + directory (verified at open,
-// which reads only those — recovery stays O(metadata)), records (verified
-// by every complete scan: compaction, enumeration) and spatial leaves
-// (written, but read paths validate each leaf structurally instead — see
-// the read path). A file of another format
+// Resident per run are the bloom filter, the sparse index, the leaf
+// directory and the spatial columns — ≈ 21 B plus the id's length per
+// live record (16 B of position, 4 B of id end, the id, 0.5 B of
+// directory) — and, for a run this process wrote, its object table (8 B
+// per live record; see the read path); only the records stay on disk,
+// read by point lookups and scans. The footer pins the region lengths,
+// the record/live counts, the MBR of the live records and one CRC per
+// kind of region: bloom + index + directory and spatial columns (both
+// verified at open, which reads only those — opening a run costs
+// O(metadata + columns), and a run whose columns fail their checksum or
+// their own rules is refused there) and records (verified by every
+// complete scan: compaction, enumeration). A file of another format
 // version is refused at open with the version named; there is no fallback
 // reader.
 //
@@ -127,18 +130,20 @@
 // Read path: Get consults the object's record (sighting, tombstone), then
 // runs newest to oldest — each run gated by its key range and bloom
 // filter, then one sparse-index probe reading at most 16 records. Both
-// spatial query kinds read runs through the leaf directories: a range
-// query takes the runs whose MBR intersects the rectangle, reads only the
-// leaves whose directory MBR intersects it and tests the positions there;
-// a nearest-neighbor query runs a best-first cursor over the leaves
-// ordered by directory-MBR distance (merged behind the quadtree cursors
-// and gated by run-MBR distance, so a shard whose runs lie beyond the
-// consumer's stopping distance is never read). Either query takes each
-// record from the leaf it read, one pread per leaf, and decodes a record's
-// id only once its position passed the query's test. The verdict rule for
-// these pruned reads: a leaf record is only a candidate — the query did
-// not read the places a newer version of the object could be — so every
-// record that passes the position test (and only those) is judged: is it
+// spatial query kinds read runs through the leaf directories and the
+// resident columns, never the disk: a range query takes the runs whose
+// MBR intersects the rectangle and tests the positions of only the leaves
+// whose directory MBR intersects it; a nearest-neighbor query runs a
+// best-first cursor over the leaves ordered by directory-MBR distance
+// (merged behind the quadtree cursors and gated by run-MBR distance, so a
+// shard whose runs lie beyond the consumer's stopping distance is never
+// opened). A hit is an index entry — the position, an id aliasing the
+// run's id column and the registration's accuracy — so neither query
+// allocates per hit; SearchArea, the one reader needing a cold hit's
+// whole sighting, point-looks it up in the run holding it. The verdict
+// rule for these pruned reads: a slot is only a candidate — the query did
+// not look where a newer version of the object could be — so every
+// slot that passes the position test (and only those) is judged: is it
 // the newest version, and what accuracy does the registration give? A run
 // this process wrote carries an object table, one entry per spatial slot
 // (leaf·64 + entry) naming the object record of the id there; a flush
@@ -157,12 +162,11 @@
 // compacts them; ids without a registered object; objects of
 // unknown sequence; and objects deleted from the shard's map, which are
 // marked dead. A nearest-neighbor cursor uses the tables only while its
-// pinned run list is still the shard's current one. A leaf that does not
-// hold exactly its share of well-formed live records, all inside its
-// directory MBR, is skipped and counted (TierStats.ReadErrors, gauge
-// sighting_tier_read_errors) — as are failed reads, decode errors and
-// checksum mismatches anywhere on the read path — so a damaged run shows
-// up instead of silently shrinking answers.
+// pinned run list is still the shard's current one. Failed reads, decode
+// errors and checksum mismatches of the records — a point lookup's block,
+// a full scan — are counted (TierStats.ReadErrors, gauge
+// sighting_tier_read_errors), so a damaged run shows up instead of
+// silently shrinking answers.
 //
 // Compaction triggers: a shard exceeding MaxRuns runs (default 4) has its
 // whole run set k-way merged into one run off-lock — newest version per
@@ -173,7 +177,8 @@
 // unlink only after their last reader.
 //
 // Recovery order: load manifests → sweep unreferenced runs and
-// temporaries → open run footers/metadata (no record reads) → replay the
+// temporaries → open run footers, metadata and spatial columns (no record
+// reads) → replay the
 // short WAL tail covering the current memtable. Recover does all of that
 // before returning; RecoverBackground returns once the tiers are open
 // and warms the memtables behind per-shard locks, so reads are served

@@ -28,11 +28,18 @@ import (
 // index, so a tier directory belongs to the shard count it was written
 // under. Tiering without the log would serve a flushed run over the
 // acknowledged updates that came after it once the store reopened.
+//
+// Tiering moves the records out of RAM, not what a spatial query needs:
+// every run keeps each live record's position and id resident (≈ 21 B plus
+// the id's length; TierStats.MetaBytes), so range and nearest-neighbor
+// queries read no disk, and only point lookups of objects the memtable
+// does not hold do.
 type TierConfig struct {
 	// MemtableBytes is the total memtable budget across all shards
-	// (estimated resident bytes of live entries and tombstones). A shard
-	// exceeding its share is flushed by MaintainTiers; at twice its share
-	// the update path flushes inline (backpressure). Default 64 MiB.
+	// (estimated resident bytes of live entries and tombstones; the runs'
+	// resident columns are outside it). A shard exceeding its share is
+	// flushed by MaintainTiers; at twice its share the update path
+	// flushes inline (backpressure). Default 64 MiB.
 	MemtableBytes int64
 	// MaxRuns is the per-shard run count beyond which MaintainTiers
 	// compacts the shard's runs into one. Default 4.
@@ -62,12 +69,12 @@ type tierState struct {
 	dir    string // the sighting WAL's directory, holding runs and manifests
 	budget int64  // per-shard soft memtable budget
 
-	flushes     atomic.Int64
-	compactions atomic.Int64
-	bloomHits   atomic.Int64
-	bloomMisses atomic.Int64
-	leafReads   atomic.Int64 // spatial leaves fetched by range and NN reads
-	readErrs    atomic.Int64 // failed run reads: pread, decode, checksum, corrupt leaf
+	flushes       atomic.Int64
+	compactions   atomic.Int64
+	bloomHits     atomic.Int64
+	bloomMisses   atomic.Int64
+	leavesScanned atomic.Int64 // resident spatial leaves range and NN reads tested
+	readErrs      atomic.Int64 // failed run reads: point-lookup pread or decode, full-scan checksum
 
 	// warmed flips once recovery (synchronous or background) has replayed
 	// every shard's WAL tail; MaintainTiers is a no-op before that.
@@ -106,15 +113,15 @@ type TierStats struct {
 	MemtableBytes int64 // estimated resident memtable bytes, all shards
 	Runs          int   // run files across all shards
 	RunBytes      int64 // run file bytes on disk
-	MetaBytes     int64 // resident run metadata (blooms, sparse indexes, leaf directories, object tables)
+	MetaBytes     int64 // resident run metadata: blooms, sparse indexes, leaf directories, spatial columns (position, id end and id per live record) and object tables
 	DiskRecords   int64 // records in runs, tombstones included
 	DiskLive      int64 // live (non-tombstone) records in runs
 	Flushes       int64
 	Compactions   int64
 	BloomHits     int64 // run probes admitted by a bloom filter
 	BloomMisses   int64 // run probes skipped by a bloom filter
-	LeafReads     int64 // spatial leaves read by range and nearest-neighbor queries
-	ReadErrors    int64 // run reads that failed (I/O, decode, checksum, corrupt leaf); each shrinks an answer
+	LeavesScanned int64 // resident spatial leaves whose positions range and nearest-neighbor queries tested (no I/O)
+	ReadErrors    int64 // run reads that failed (a point lookup's pread or decode, a full scan's checksum); each shrinks an answer
 	Backlog       int   // shards over the MaxRuns compaction threshold
 }
 
@@ -136,8 +143,9 @@ func tierManifestFor(shard int, nextSeq uint64, runs []*tierRun) tierManifest {
 
 // openTiers loads every shard's manifest, sweeps crash leftovers
 // (temporaries and unreferenced runs), opens the referenced runs'
-// metadata and attaches the tiers to the shards. Called by the Recover
-// paths before any WAL replay; cost is O(run metadata), not O(data). A
+// metadata and spatial columns and attaches the tiers to the shards.
+// Called by the Recover paths before any WAL replay; cost is O(run
+// metadata + columns), no record read. A
 // tiered store without a sighting WAL is refused here.
 func (db *ShardedSightingDB) openTiers() error {
 	ts := db.tier
@@ -171,7 +179,7 @@ func (db *ShardedSightingDB) openTiers() error {
 		t := &shardTier{dir: dir, shard: i}
 		t.nextSeq.Store(manifests[i].NextSeq)
 		for _, name := range manifests[i].Runs {
-			r, err := openRun(filepath.Join(dir, name))
+			r, err := openRun(filepath.Join(dir, name), nil)
 			if err != nil {
 				for _, prev := range t.runs {
 					prev.retire(false)
@@ -224,7 +232,7 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 
 	seq := t.nextSeq.Add(1) - 1
 	name := runFileName(shard, seq)
-	w, err := newRunWriter(t.dir, name, db.tier.cfg.BloomBitsPerKey)
+	w, err := newRunWriter(t.dir, name, db.tier.cfg.BloomBitsPerKey, len(recs))
 	if err != nil {
 		return err
 	}
@@ -238,12 +246,8 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 			live = append(live, rec.o)
 		}
 	}
-	if err := w.finish(); err != nil {
-		return err
-	}
-	run, err := openRun(filepath.Join(t.dir, name))
+	run, err := w.finish()
 	if err != nil {
-		os.Remove(filepath.Join(t.dir, name))
 		return err
 	}
 	// The reset below deletes, and marks dead, the objects without a
@@ -330,7 +334,7 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 			r.release()
 		}
 	}
-	merged, w, err := db.mergeRuns(t, seq, snap, db.clock())
+	merged, err := db.mergeRuns(t, seq, snap, db.clock())
 	if err != nil {
 		releaseSnap()
 		return err
@@ -338,7 +342,7 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 	var unknown []*object
 	if merged != nil {
 		merged.seq = seq
-		unknown = sh.resolveObjs(merged, w)
+		unknown = sh.resolveObjs(merged)
 	}
 
 	sh.mu.Lock()
@@ -392,23 +396,25 @@ func (db *ShardedSightingDB) compactShardTier(sh *sightingShard, shard int) erro
 // TTL are dropped too — the extra TTL of slack guarantees the janitor's
 // Expired scan observed them (and tore down dependent server state)
 // before they vanish. Returns nil when every record was dropped, else the
-// run and its finished writer, which knows the run's spatial order.
-func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun, now time.Time) (*tierRun, *runWriter, error) {
+// run.
+func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun, now time.Time) (*tierRun, error) {
 	iters := make([]*runIterator, len(snap))
 	heads := make([]runRecord, len(snap))
 	valid := make([]bool, len(snap))
+	var records int64
 	for i, r := range snap {
 		iters[i] = r.iter()
 		heads[i], valid[i] = iters[i].next()
+		records += r.count
 	}
 	var expireCutoff time.Time
 	if db.ttl > 0 {
 		expireCutoff = now.Add(-db.ttl)
 	}
 	name := runFileName(t.shard, seq)
-	w, err := newRunWriter(t.dir, name, db.tier.cfg.BloomBitsPerKey)
+	w, err := newRunWriter(t.dir, name, db.tier.cfg.BloomBitsPerKey, int(records))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for {
 		best := -1
@@ -435,43 +441,39 @@ func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun
 		}
 		if err := w.add(rec); err != nil {
 			w.abort()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	for i := range snap {
 		if err := iters[i].error(); err != nil {
 			w.abort()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if w.count == 0 {
 		w.abort()
-		return nil, nil, nil
+		return nil, nil
 	}
-	if err := w.finish(); err != nil {
-		return nil, nil, err
-	}
-	r, err := openRun(filepath.Join(t.dir, name))
-	return r, w, err
+	return w.finish()
 }
 
 // resolveChunk is how many ids resolveObjs looks up per read-lock hold,
 // so a large merged run does not queue the shard's writers behind it.
 const resolveChunk = 4096
 
-// resolveObjs fills the object table of run, not yet published, which w
-// finished, from the shard's map, under the read lock a chunk at a time,
+// resolveObjs fills the object table of run, not yet published, from the
+// shard's map by the ids of its spatial columns, under the read lock a chunk at a time,
 // and lists the objects it found whose sequence is unknown. Like a flush,
 // it leaves out objects without a registration: the next flush deletes
 // them. An entry stays valid whatever happens before the run is
 // published: an object deleted meanwhile is marked dead, and one flushed
 // meanwhile carries a sequence newer than the run's.
-func (sh *sightingShard) resolveObjs(run *tierRun, w *runWriter) (unknown []*object) {
+func (sh *sightingShard) resolveObjs(run *tierRun) (unknown []*object) {
 	n := int(run.live)
 	for lo := 0; lo < n; lo += resolveChunk {
 		sh.mu.RLock()
 		for slot := lo; slot < min(lo+resolveChunk, n); slot++ {
-			if o := sh.objs[core.OID(w.liveKey(w.slotLive(slot)))]; o != nil && o.reg != nil {
+			if o := sh.objs[run.id(slot)]; o != nil && o.reg != nil {
 				run.setObj(slot, o)
 				if !o.seqKnown {
 					unknown = append(unknown, o)
@@ -614,22 +616,26 @@ func (sh *sightingShard) tierScanAll(ts *tierState, visit func(rec runRecord) bo
 }
 
 // tierSearch hands visit the shard's authoritative run-resident sightings
-// inside rect, one batch per spatial leaf. Per run it walks the in-RAM leaf
-// directory, reads only the leaves whose MBR intersects rect, tests the
-// positions there, and decodes and judges a record, out of the leaf it was
-// read with, only for entries inside rect. A batch's items carry
-// their registration's accuracy and, as Ref, the record's sighting
-// (*core.Sighting); sub bounds the batch, which lies inside rect. Caller
+// inside rect, one batch per spatial leaf. Per run it walks the leaf
+// directory, tests the resident positions of the leaves whose MBR
+// intersects rect, and judges a slot only when its position lies inside
+// rect; nothing is read from disk. A batch's items carry their
+// registration's accuracy, an id aliasing the run's id column and, as Ref,
+// the run (*tierRun); sub bounds the batch, which lies inside rect. Caller
 // holds the shard lock; reports false if visit stopped the search.
 func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(items []spatial.Item, sub geo.Rect, inside bool) bool) bool {
 	t := sh.tier
 	if t == nil || len(t.runs) == 0 {
 		return true
 	}
-	sc := runScratchPool.Get().(*runScratch)
-	defer runScratchPool.Put(sc)
 	hits := runHitsPool.Get().(*runHits)
 	defer runHitsPool.Put(hits)
+	var scanned int64
+	defer func() {
+		if scanned > 0 {
+			ts.leavesScanned.Add(scanned)
+		}
+	}()
 	for k, r := range t.runs {
 		if r.live == 0 || !r.mbr.IntersectsClosed(rect) {
 			continue
@@ -638,30 +644,25 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(ite
 			if !mbr.IntersectsClosed(rect) {
 				continue
 			}
-			ts.leafReads.Add(1)
-			entries, err := r.readLeaf(i, &sc.leaf, sc.entries[:0])
-			if err != nil {
-				ts.readErrs.Add(1)
-				continue
-			}
+			scanned++
 			n := 0
 			var sub geo.Rect
-			for j, e := range entries {
-				if !rect.ContainsClosed(e.pos) {
+			for slot := i * runLeafEntries; slot < min((i+1)*runLeafEntries, len(r.pos)); slot++ {
+				p := r.pos[slot]
+				if !rect.ContainsClosed(p) {
 					continue
 				}
-				rec, _, _ := decodeRunRecord(e.rec, 0) // well-formed: decodeLeaf checked it
-				acc, gone := sh.judge(ts, t.runs, k, i*runLeafEntries+j, rec.s.OID, true)
+				id := r.id(slot)
+				acc, gone := sh.judge(ts, t.runs, k, slot, id, true)
 				if gone {
 					continue
 				}
 				if n == 0 {
-					sub = geo.Rect{Min: rec.s.Pos, Max: rec.s.Pos}
+					sub = geo.Rect{Min: p, Max: p}
 				} else {
-					sub.GrowToInclude(rec.s.Pos)
+					sub.GrowToInclude(p)
 				}
-				hits.sightings[n] = rec.s
-				hits.items[n] = spatial.Item{ID: rec.s.OID, Pos: rec.s.Pos, Ref: &hits.sightings[n], Acc: acc}
+				hits.items[n] = spatial.Item{ID: id, Pos: p, Ref: r, Acc: acc}
 				n++
 			}
 			if n > 0 && !visit(hits.items[:n], sub, true) {
@@ -674,10 +675,10 @@ func (sh *sightingShard) tierSearch(ts *tierState, rect geo.Rect, visit func(ite
 
 // tierNearestSource builds the nearest-neighbor merge source covering the
 // shard's disk runs: MinDist is the closest distance any run's MBR
-// permits, so the lazy merge never opens (or reads) the runs of a shard
-// whose disk content lies beyond the consumer's stopping distance. When
-// opened, the source is a best-first cursor over the runs' spatial leaves
-// (tierNearestCursor), so a consumer that stops after k neighbors reads
+// permits, so the lazy merge never opens the runs of a shard whose disk
+// content lies beyond the consumer's stopping distance. When opened, the
+// source is a best-first cursor over the runs' spatial leaves
+// (tierNearestCursor), so a consumer that stops after k neighbors tests
 // only the leaves its frontier reached.
 func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (spatial.CursorSource, bool) {
 	sh.mu.RLock()
@@ -698,14 +699,14 @@ func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (
 		return spatial.CursorSource{}, false
 	}
 	return spatial.CursorSource{MinDist: minDist, Open: func() spatial.Cursor {
-		c := &tierNearestCursor{sh: sh, ts: db.tier, p: p, sc: runScratchPool.Get().(*runScratch)}
+		c := &tierNearestCursor{sh: sh, ts: db.tier, p: p}
 		sh.mu.RLock()
 		c.runs = append(c.runs, sh.tier.runs...)
 		c.swaps = sh.tier.swaps
 		for k, r := range c.runs {
 			r.acquire() // cannot fail: the manifest reference is alive under the lock
 			for i, mbr := range r.leaves {
-				c.h.Push(mbr.DistToPoint(p), tierNearestItem{run: int32(k), at: uint32(i)})
+				c.h.Push(mbr.DistToPoint(p), tierNearestItem{run: int32(k), at: uint32(i), leaf: true})
 			}
 		}
 		sh.mu.RUnlock()
@@ -713,33 +714,33 @@ func (db *ShardedSightingDB) tierNearestSource(sh *sightingShard, p geo.Point) (
 	}}, true
 }
 
-// tierNearestItem is one frontier slot of a tierNearestCursor: an unread
-// spatial leaf keyed by its MBR's distance (entry.rec nil, at the leaf), or
-// one record of a leaf already read, keyed by its position's distance (at
-// its spatial slot).
+// tierNearestItem is one frontier slot of a tierNearestCursor: a spatial
+// leaf not yet expanded, keyed by its MBR's distance (at the leaf), or one
+// spatial slot of an expanded leaf, keyed by its position's distance.
 type tierNearestItem struct {
-	run   int32 // index into the cursor's run list
-	at    uint32
-	entry leafEntry
+	run  int32 // index into the cursor's run list
+	at   uint32
+	leaf bool
 }
 
 // tierNearestCursor streams one shard's authoritative run-resident
 // sightings in order of increasing distance from p, best-first over the
-// leaf directories of a pinned snapshot of the shard's run list (newest
-// first). Every advance runs under the shard's read lock
-// (spatial.LockCursor): the verdict reads the memtable. If the shard
-// flushes or compacts between advances the stream degrades to a
-// best-effort snapshot, as the Cursor contract allows; NearestFunc
-// re-resolves every delivered id through Get. The run tables judge hits
-// only while the pinned list is the shard's current one (swaps unchanged).
+// leaf directories and resident positions of a pinned snapshot of the
+// shard's run list (newest first). Every advance runs under the shard's
+// read lock (spatial.LockCursor): the verdict reads the memtable. If the
+// shard flushes or compacts between advances the stream degrades to a
+// best-effort snapshot, as the Cursor contract allows. A neighbor carries
+// its registration's accuracy and, as Ref, its run. The run tables judge
+// hits only while the pinned list is the shard's current one (swaps
+// unchanged).
 type tierNearestCursor struct {
-	sh    *sightingShard
-	ts    *tierState
-	p     geo.Point
-	runs  []*tierRun
-	swaps uint64
-	h     spatial.MinHeap[tierNearestItem]
-	sc    *runScratch
+	sh      *sightingShard
+	ts      *tierState
+	p       geo.Point
+	runs    []*tierRun
+	swaps   uint64
+	h       spatial.MinHeap[tierNearestItem]
+	scanned int64
 }
 
 // Next implements spatial.Cursor.
@@ -747,37 +748,32 @@ func (c *tierNearestCursor) Next() (spatial.Neighbor, bool) {
 	for c.h.Len() > 0 {
 		dist, it := c.h.Pop()
 		r := c.runs[it.run]
-		if it.entry.rec == nil {
-			c.ts.leafReads.Add(1)
-			// A buffer per leaf: the frontier keeps its records until popped.
-			var buf []byte
-			entries, err := r.readLeaf(int(it.at), &buf, c.sc.entries[:0])
-			if err != nil {
-				c.ts.readErrs.Add(1)
-				continue
-			}
-			for j, e := range entries {
-				c.h.Push(c.p.Dist(e.pos), tierNearestItem{run: it.run, at: it.at*runLeafEntries + uint32(j), entry: e})
+		if it.leaf {
+			c.scanned++
+			for slot := int(it.at) * runLeafEntries; slot < min(int(it.at+1)*runLeafEntries, len(r.pos)); slot++ {
+				c.h.Push(c.p.Dist(r.pos[slot]), tierNearestItem{run: it.run, at: uint32(slot)})
 			}
 			continue
 		}
-		rec, _, _ := decodeRunRecord(it.entry.rec, 0) // well-formed: decodeLeaf checked it
+		id := r.id(int(it.at))
 		current := c.sh.tier.swaps == c.swaps
-		if _, gone := c.sh.judge(c.ts, c.runs, int(it.run), int(it.at), rec.s.OID, current); gone {
+		acc, gone := c.sh.judge(c.ts, c.runs, int(it.run), int(it.at), id, current)
+		if gone {
 			continue
 		}
-		return spatial.Neighbor{ID: rec.s.OID, Pos: rec.s.Pos, Dist: dist}, true
+		return spatial.Neighbor{ID: id, Pos: r.pos[it.at], Dist: dist, Ref: r, Acc: acc}, true
 	}
 	return spatial.Neighbor{}, false
 }
 
 // Close implements spatial.Cursor, unpinning the runs.
 func (c *tierNearestCursor) Close() {
-	if c.sc == nil {
+	if c.runs == nil {
 		return
 	}
-	runScratchPool.Put(c.sc)
-	c.sc = nil
+	if c.scanned > 0 {
+		c.ts.leavesScanned.Add(c.scanned)
+	}
 	for _, r := range c.runs {
 		r.release()
 	}
@@ -852,14 +848,14 @@ func (db *ShardedSightingDB) TierStats() TierStats {
 		return TierStats{}
 	}
 	out := TierStats{
-		Enabled:     true,
-		Warm:        ts.warmed.Load(),
-		Flushes:     ts.flushes.Load(),
-		Compactions: ts.compactions.Load(),
-		BloomHits:   ts.bloomHits.Load(),
-		BloomMisses: ts.bloomMisses.Load(),
-		LeafReads:   ts.leafReads.Load(),
-		ReadErrors:  ts.readErrs.Load(),
+		Enabled:       true,
+		Warm:          ts.warmed.Load(),
+		Flushes:       ts.flushes.Load(),
+		Compactions:   ts.compactions.Load(),
+		BloomHits:     ts.bloomHits.Load(),
+		BloomMisses:   ts.bloomMisses.Load(),
+		LeavesScanned: ts.leavesScanned.Load(),
+		ReadErrors:    ts.readErrs.Load(),
 	}
 	for _, sh := range db.shards {
 		sh.mu.RLock()

@@ -20,10 +20,10 @@ import (
 )
 
 // This file implements the immutable sorted-run files of the tiered
-// sighting store (format version 3). The package comment describes how
+// sighting store (format version 4). The package comment describes how
 // the tiers use them; the file layout is specified here:
 //
-//	[records][spatial leaves][bloom block][index block][leaf directory][112-byte footer]
+//	[records][spatial columns][bloom block][index block][leaf directory][112-byte footer]
 //
 // Records are sorted strictly by object id. Each record is
 //
@@ -35,41 +35,46 @@ import (
 // Timestamps are UnixNano; a cleared validity bit means the zero
 // time.Time.
 //
-// The spatial leaves hold every live record a second time, in the same
-// encoding — tombstones have no position and are not indexed — sorted by
-// the Hilbert key of the position over the run's MBR and cut into leaves
-// of runLeafEntries records (the last one may be short), so a spatial read
-// takes each record from the one leaf it fetched. The leaf directory holds
-// one 36-byte entry per leaf, in leaf order: its MBR (MinX, MinY, MaxX,
-// MaxY f64) and its length in bytes (u32); the lengths add up to the
-// spatial region's.
+// The spatial columns hold what a range or nearest-neighbor read needs of
+// each live record — its position and its id, not the record itself;
+// tombstones have no position and are not indexed. The live records are
+// sorted by the Hilbert key of the position over the run's MBR into
+// spatial slots, and the columns list them in slot order:
+//
+//	X f64 × live | Y f64 × live | idEnd u32 × live | id block
+//
+// Slot s's id is idBlock[idEnd[s-1]:idEnd[s]] (idEnd[-1] = 0), so the ends
+// never decrease and the last is the id block's length. Slots are cut into
+// leaves of runLeafEntries (the last one may be short); the leaf directory
+// holds one 32-byte MBR per leaf (MinX, MinY, MaxX, MaxY f64), in leaf
+// order, and every position lies inside its leaf's MBR and the run's.
 //
 // The bloom block is bloomFilter.marshal over every record's id
 // (tombstones included). The index block holds the run's key range and a
 // sparse index, one (oid, offset) entry per runSparseEvery records.
 //
-// Resident per run: bloom filter, sparse index and leaf directory
-// (≈0.6 B per live record) and, for a run this process wrote, its object
-// table (8 B per live record); records and spatial leaves stay on disk.
+// Resident per run: bloom filter, sparse index, leaf directory and the
+// spatial columns (≈ 21 B plus the id's length per live record: 16 B of
+// position, 4 B of id end, the id, 0.5 B of directory) and, for a run this
+// process wrote, its object table (8 B per live record); the records stay
+// on disk. Opening a run costs O(metadata + columns).
 //
 // The footer pins the five region lengths, the record counts, the MBR of
 // the live records and three CRC32s:
 //
 //   - crcMeta covers bloom + index + leaf directory and is verified at
-//     open, which reads exactly those blocks and the footer — recovery
-//     cost is O(metadata).
+//     open, which reads exactly those blocks, the footer and the spatial
+//     columns.
 //   - crcData covers the records region and is verified by every complete
 //     scan (compaction, enumeration), so data corruption surfaces before it
 //     can propagate into a merged run.
-//   - crcSpatial covers the spatial leaves; no read path verifies it (the
-//     tests check the writer's against the file). Spatial reads check
-//     each leaf structurally instead: it must hold exactly its share of
-//     the live records, none of them a tombstone, each well-formed and
-//     inside the leaf's directory MBR. A leaf failing that is skipped and
-//     counted as a read error.
+//   - crcSpatial covers the spatial columns and is verified at open, which
+//     also refuses columns whose id ends or positions break the rules
+//     above. Spatial reads then touch no disk, so damage to the columns
+//     cannot surface at query time.
 const (
 	runMagic      uint64 = 0x4c5352554e303031 // "LSRUN001"
-	runVersion    uint32 = 3
+	runVersion    uint32 = 4
 	runFooterSize        = 112
 	// runTrailerSize is the footer's version + magic tail, at the same
 	// distance from the end of the file in every format version.
@@ -80,10 +85,13 @@ const (
 	// binary search admit the run.
 	runSparseEvery = 16
 
-	// runLeafEntries is the spatial leaf fan-out: a spatial read fetches
-	// and tests this many records per directory MBR it cannot rule out.
+	// runLeafEntries is the spatial leaf fan-out: a spatial read tests this
+	// many positions per directory MBR it cannot rule out.
 	runLeafEntries      = 64
-	runLeafDirEntrySize = 36
+	runLeafDirEntrySize = 32
+	// runSlotSize is the column bytes of one spatial slot besides its id:
+	// X, Y and the id's end.
+	runSlotSize = 20
 
 	runFlagTombstone = 1 << 0
 	runFlagHasT      = 1 << 1
@@ -217,17 +225,11 @@ type sparseEntry struct {
 	off int64
 }
 
-// leafEntry is one record of a spatial leaf: its position and its
-// encoding, aliasing the buffer the leaf was read into.
-type leafEntry struct {
-	pos geo.Point
-	rec []byte
-}
-
-// liveRef locates one live record's encoding in runWriter.liveEnc.
+// liveRef is what a runWriter keeps of one live record until finish: its
+// position and its id.
 type liveRef struct {
 	pos geo.Point
-	at  int
+	id  core.OID
 }
 
 // runWriter streams records (strictly ascending by id) into a run file
@@ -235,9 +237,8 @@ type liveRef struct {
 // exists complete under its final name or not at all. The records region
 // is written in one pass; what the writer keeps per record until finish is
 // one 8-byte hash (for the bloom filter, whose size needs the final count),
-// the sparse index and, per live record, its encoding plus a 24-byte
-// reference to it (the spatial leaves copy the records in an order along
-// a curve over the final MBR).
+// the sparse index and, per live record, its position and id (the spatial
+// columns list them in an order along a curve over the final MBR).
 type runWriter struct {
 	dir, name string
 	tmp       *os.File
@@ -247,15 +248,14 @@ type runWriter struct {
 	count, live int64
 	hashes      []uint64
 	sparse      []sparseEntry
-	liveRefs    []liveRef
-	liveEnc     []byte // encodings of the live records, in id order
+	liveRefs    []liveRef // in id order
 	last        core.OID
 	minOID      core.OID
 	maxOID      core.OID
 	mbr         geo.Rect
 	bitsPerKey  int
 	scratch     []byte
-	// order holds, once finish wrote the spatial leaves, each spatial
+	// order holds, once finish wrote the spatial columns, each spatial
 	// slot's (curve key, live record index) pair, in slot order.
 	order []uint64
 }
@@ -292,8 +292,9 @@ func (wc *writeCounter) flush() error {
 	return err
 }
 
-// newRunWriter creates the temporary for dir/name.
-func newRunWriter(dir, name string, bitsPerKey int) (*runWriter, error) {
+// newRunWriter creates the temporary for dir/name, sized for the n records
+// the caller expects to add (a bound, not a limit).
+func newRunWriter(dir, name string, bitsPerKey, n int) (*runWriter, error) {
 	tmp, err := os.CreateTemp(dir, tierTempPattern)
 	if err != nil {
 		return nil, fmt.Errorf("store: creating run temp in %s: %w", dir, err)
@@ -305,6 +306,9 @@ func newRunWriter(dir, name string, bitsPerKey int) (*runWriter, error) {
 		crc:        crc32.NewIEEE(),
 		bufw:       writeCounter{w: tmp, b: make([]byte, 0, 64*1024)},
 		bitsPerKey: bitsPerKey,
+		hashes:     make([]uint64, 0, n),
+		sparse:     make([]sparseEntry, 0, n/runSparseEvery+1),
+		liveRefs:   make([]liveRef, 0, n),
 	}, nil
 }
 
@@ -338,8 +342,7 @@ func (w *runWriter) add(rec runRecord) error {
 			w.mbr.GrowToInclude(rec.s.Pos)
 		}
 		w.live++
-		w.liveRefs = append(w.liveRefs, liveRef{pos: rec.s.Pos, at: len(w.liveEnc)})
-		w.liveEnc = append(w.liveEnc, w.scratch...)
+		w.liveRefs = append(w.liveRefs, liveRef{pos: rec.s.Pos, id: id})
 	}
 	return nil
 }
@@ -354,13 +357,6 @@ func (w *runWriter) abort() {
 // finished run's spatial slot holds; slot leaf·runLeafEntries + entry is
 // the entry of that spatial leaf.
 func (w *runWriter) slotLive(slot int) int { return int(uint32(w.order[slot])) }
-
-// liveKey returns the id of the i-th live record added, aliasing the
-// writer's buffer.
-func (w *runWriter) liveKey(i int) []byte {
-	_, key, _, _ := splitRunRecord(w.liveEnc, w.liveRefs[i].at) // well-formed: add encoded it
-	return key
-}
 
 // putRect encodes r (MinX, MinY, MaxX, MaxY as f64) into b[:32]; getRect
 // decodes it. The footer's MBR and the leaf directory share the encoding.
@@ -378,68 +374,69 @@ func getRect(b []byte) geo.Rect {
 	}
 }
 
-// writeSpatial sorts the buffered live records along the Hilbert curve
-// over the run's MBR, appends them to the file as the spatial leaves and
-// returns the region's checksum and the leaf directory block.
-func (w *runWriter) writeSpatial() (crcSpatial uint32, dir []byte, err error) {
-	if int64(len(w.liveRefs)) > math.MaxUint32 {
-		return 0, nil, fmt.Errorf("store: run %s holds %d live records, beyond the spatial block's limit", w.name, len(w.liveRefs))
+// spatialColumns sorts the live records along the Hilbert curve over the
+// run's MBR into spatial slots and returns the spatial columns and the
+// leaf directory block that describe them.
+func (w *runWriter) spatialColumns() (section, dir []byte, err error) {
+	n := len(w.liveRefs)
+	idBytes := 0
+	for _, l := range w.liveRefs {
+		idBytes += len(l.id)
+	}
+	if int64(n) > math.MaxUint32 || int64(idBytes) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("store: run %s holds %d live records of %d id bytes, beyond the spatial columns' limit", w.name, n, idBytes)
 	}
 	// Sort (curve key, record index) pairs packed into one word each, then
-	// emit the records in that order, a leaf at a time.
-	order := make([]uint64, len(w.liveRefs))
+	// fill the columns in that order.
+	order := make([]uint64, n)
 	for i, l := range w.liveRefs {
 		order[i] = uint64(geo.HilbertKey(w.mbr, l.pos))<<32 | uint64(i)
 	}
 	slices.Sort(order)
 	w.order = order
 
-	crc := crc32.NewIEEE()
-	var leaf []byte
-	for len(order) > 0 {
-		n := min(len(order), runLeafEntries)
-		first := w.liveRefs[uint32(order[0])].pos
-		mbr := geo.Rect{Min: first, Max: first}
-		leaf = leaf[:0]
-		for _, o := range order[:n] {
-			i := int(uint32(o))
-			end := len(w.liveEnc)
-			if i+1 < len(w.liveRefs) {
-				end = w.liveRefs[i+1].at
-			}
-			mbr.GrowToInclude(w.liveRefs[i].pos)
-			leaf = append(leaf, w.liveEnc[w.liveRefs[i].at:end]...)
-		}
-		if int64(len(leaf)) > math.MaxUint32 {
-			return 0, nil, fmt.Errorf("store: run %s spatial leaf of %d bytes, beyond the directory's limit", w.name, len(leaf))
-		}
-		if err := w.bufw.write(leaf); err != nil {
-			return 0, nil, fmt.Errorf("store: writing run spatial leaf: %w", err)
-		}
-		crc.Write(leaf)
-		dir = append(dir, make([]byte, runLeafDirEntrySize)...)
-		putRect(dir[len(dir)-runLeafDirEntrySize:], mbr)
-		binary.LittleEndian.PutUint32(dir[len(dir)-4:], uint32(len(leaf)))
-		order = order[n:]
+	section = make([]byte, runSlotSize*n+idBytes)
+	xs, ys, ends, ids := section[:8*n], section[8*n:16*n], section[16*n:20*n], section[20*n:]
+	end := 0
+	for s, o := range order {
+		l := w.liveRefs[uint32(o)]
+		binary.LittleEndian.PutUint64(xs[8*s:], math.Float64bits(l.pos.X))
+		binary.LittleEndian.PutUint64(ys[8*s:], math.Float64bits(l.pos.Y))
+		end += copy(ids[end:], l.id)
+		binary.LittleEndian.PutUint32(ends[4*s:], uint32(end))
 	}
-	return crc.Sum32(), dir, nil
+	dir = make([]byte, 0, (n+runLeafEntries-1)/runLeafEntries*runLeafDirEntrySize)
+	for lo := 0; lo < n; lo += runLeafEntries {
+		first := w.liveRefs[uint32(order[lo])].pos
+		mbr := geo.Rect{Min: first, Max: first}
+		for _, o := range order[lo:min(lo+runLeafEntries, n)] {
+			mbr.GrowToInclude(w.liveRefs[uint32(o)].pos)
+		}
+		dir = dir[:len(dir)+runLeafDirEntrySize]
+		putRect(dir[len(dir)-runLeafDirEntrySize:], mbr)
+	}
+	return section, dir, nil
 }
 
-// finish writes the spatial leaves, the meta blocks and the footer, makes
-// the file and its directory entry durable, and renames it into place.
-func (w *runWriter) finish() error {
-	fail := func(err error) error {
+// finish writes the spatial columns, the meta blocks and the footer, makes
+// the file and its directory entry durable, renames it into place and
+// opens it, handing the run the columns it built: the run reads no
+// spatial byte back.
+func (w *runWriter) finish() (*tierRun, error) {
+	fail := func(err error) (*tierRun, error) {
 		w.abort()
-		return err
+		return nil, err
 	}
 	recordsLen := w.bufw.n
 	crcData := w.crc.Sum32()
 
-	crcSpatial, dir, err := w.writeSpatial()
+	section, dir, err := w.spatialColumns()
 	if err != nil {
 		return fail(err)
 	}
-	spatialLen := w.bufw.n - recordsLen
+	if err := w.bufw.write(section); err != nil {
+		return fail(fmt.Errorf("store: writing run spatial columns: %w", err))
+	}
 
 	bloom := newBloomFilter(int(w.count), w.bitsPerKey)
 	for _, h := range w.hashes {
@@ -468,13 +465,13 @@ func (w *runWriter) finish() error {
 	binary.LittleEndian.PutUint64(footer[0:], uint64(recordsLen))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(w.count))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(w.live))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(spatialLen))
+	binary.LittleEndian.PutUint64(footer[24:], uint64(len(section)))
 	binary.LittleEndian.PutUint64(footer[32:], uint64(len(bloomBlock)))
 	binary.LittleEndian.PutUint64(footer[40:], uint64(len(idx)))
 	binary.LittleEndian.PutUint64(footer[48:], uint64(len(dir)))
 	putRect(footer[56:], w.mbr)
 	binary.LittleEndian.PutUint32(footer[88:], crcData)
-	binary.LittleEndian.PutUint32(footer[92:], crcSpatial)
+	binary.LittleEndian.PutUint32(footer[92:], crc32.ChecksumIEEE(section))
 	binary.LittleEndian.PutUint32(footer[96:], crcMeta.Sum32())
 	binary.LittleEndian.PutUint32(footer[100:], runVersion)
 	binary.LittleEndian.PutUint64(footer[104:], runMagic)
@@ -492,43 +489,51 @@ func (w *runWriter) finish() error {
 	}
 	if err := w.tmp.Close(); err != nil {
 		os.Remove(w.tmp.Name())
-		return fmt.Errorf("store: closing run temp: %w", err)
+		return nil, fmt.Errorf("store: closing run temp: %w", err)
 	}
 	final := filepath.Join(w.dir, w.name)
 	if err := os.Rename(w.tmp.Name(), final); err != nil {
 		os.Remove(w.tmp.Name())
-		return fmt.Errorf("store: renaming run into place: %w", err)
+		return nil, fmt.Errorf("store: renaming run into place: %w", err)
 	}
 	// The rename must itself be durable: without the directory fsync a
 	// machine crash can forget the entry while the (fsynced) manifest
 	// written next already references it — an unopenable tier.
-	return syncDir(final)
+	if err := syncDir(final); err != nil {
+		return nil, err
+	}
+	r, err := openRun(final, section)
+	if err != nil {
+		os.Remove(final)
+		return nil, err
+	}
+	return r, nil
 }
 
 // tierRun is one opened immutable run: a read-only file handle plus the
 // in-RAM metadata (bloom filter, sparse index, leaf directory, key range,
-// MBR, counts) every probe is gated through. Runs are reference-counted:
-// the manifest holds one reference, enumerations that read the file
-// outside the shard lock hold one more for their duration, and the file is
-// closed (and, for compacted-away runs, deleted) when the last reference
-// drops.
+// MBR, counts) every probe is gated through and the spatial columns every
+// range and nearest-neighbor read is answered from. Runs are
+// reference-counted: the manifest holds one reference, enumerations that
+// read the file outside the shard lock hold one more for their duration,
+// and the file is closed (and, for compacted-away runs, deleted) when the
+// last reference drops.
 type tierRun struct {
 	path       string
 	f          *os.File
 	size       int64
 	recordsLen int64 // records region [0, recordsLen)
-	spatialLen int64 // spatial leaves [recordsLen, recordsLen+spatialLen)
+	spatialLen int64 // spatial columns [recordsLen, recordsLen+spatialLen)
 	count      int64
 	live       int64
 	mbr        geo.Rect
 	crcData    uint32
-	crcSpatial uint32
 	bloom      *bloomFilter
 	sparse     []sparseEntry
 	leaves     []geo.Rect // leaf directory: MBR of spatial leaf i
-	leafAt     []int64    // spatial leaf i is [leafAt[i], leafAt[i+1]) past recordsLen
-	minOID     core.OID
-	maxOID     core.OID
+	runColumns
+	minOID core.OID
+	maxOID core.OID
 
 	// objs is the run's object table, nil unless this process wrote the
 	// run and knew a registered object of it: spatial slot leaf·runLeafEntries + entry maps to
@@ -541,10 +546,30 @@ type tierRun struct {
 	removeOnRelease atomic.Bool
 }
 
-// openRun opens path, reading footer and meta blocks and verifying the
-// meta checksum. Neither the records nor the spatial leaves are read —
-// that is what keeps tiered recovery O(metadata).
-func openRun(path string) (*tierRun, error) {
+// runColumns are a run's spatial columns, resident and pointer-free: per
+// spatial slot its record's position and the end of its id in ids, which
+// holds the slots' ids back to back.
+type runColumns struct {
+	pos   []geo.Point
+	idEnd []uint32
+	ids   string
+}
+
+// id returns the id of the record at spatial slot, a substring of ids.
+func (c *runColumns) id(slot int) core.OID {
+	var start uint32
+	if slot > 0 {
+		start = c.idEnd[slot-1]
+	}
+	return core.OID(c.ids[start:c.idEnd[slot]])
+}
+
+// openRun opens path, reading footer, meta blocks and spatial columns and
+// verifying their checksums; a non-nil section is the spatial columns as
+// the run's writer wrote them, taken instead of reading them back. The
+// records are not read — that is what keeps tiered recovery O(metadata +
+// columns).
+func openRun(path string, section []byte) (*tierRun, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening run %s: %w", path, err)
@@ -587,7 +612,6 @@ func openRun(path string) (*tierRun, error) {
 		live:       int64(binary.LittleEndian.Uint64(footer[16:])),
 		spatialLen: int64(binary.LittleEndian.Uint64(footer[24:])),
 		crcData:    binary.LittleEndian.Uint32(footer[88:]),
-		crcSpatial: binary.LittleEndian.Uint32(footer[92:]),
 	}
 	bloomLen := int64(binary.LittleEndian.Uint64(footer[32:]))
 	idxLen := int64(binary.LittleEndian.Uint64(footer[40:]))
@@ -603,10 +627,8 @@ func openRun(path string) (*tierRun, error) {
 	if r.recordsLen+r.spatialLen+bloomLen+idxLen+dirLen+runFooterSize != st.Size() {
 		return fail(fmt.Errorf("store: run %s region lengths inconsistent with size %d", path, st.Size()))
 	}
-	// Every live record takes more than a byte of the spatial block, which
-	// bounds the leaf count before the directory is sized from it.
-	if r.live < 0 || r.live > r.count || r.live > r.spatialLen {
-		return fail(fmt.Errorf("store: run %s spatial block of %d bytes cannot hold its %d live records", path, r.spatialLen, r.live))
+	if r.live < 0 || r.live > r.count {
+		return fail(fmt.Errorf("store: run %s counts %d live of %d records", path, r.live, r.count))
 	}
 	meta := make([]byte, bloomLen+idxLen+dirLen)
 	if _, err := f.ReadAt(meta, r.recordsLen+r.spatialLen); err != nil {
@@ -621,36 +643,58 @@ func openRun(path string) (*tierRun, error) {
 	if err := r.parseIndex(meta[bloomLen : bloomLen+idxLen]); err != nil {
 		return fail(fmt.Errorf("store: run %s index: %w", path, err))
 	}
-	if r.leaves, r.leafAt, err = parseLeafDir(meta[bloomLen+idxLen:], r.live, r.spatialLen); err != nil {
+	if section == nil {
+		section = make([]byte, r.spatialLen)
+		if _, err := f.ReadAt(section, r.recordsLen); err != nil {
+			return fail(fmt.Errorf("store: reading run spatial columns %s: %w", path, err))
+		}
+	}
+	if int64(len(section)) != r.spatialLen || crc32.ChecksumIEEE(section) != binary.LittleEndian.Uint32(footer[92:]) {
+		return fail(fmt.Errorf("store: run %s spatial checksum mismatch", path))
+	}
+	if r.leaves, r.runColumns, err = parseSpatial(meta[bloomLen+idxLen:], section, r.live, r.mbr); err != nil {
 		return fail(fmt.Errorf("store: run %s: %w", path, err))
 	}
 	r.refs.Store(1)
 	return r, nil
 }
 
-// parseLeafDir decodes the leaf directory block of a run holding live
-// indexed records in a spatial region of spatialLen bytes: one MBR per
-// spatial leaf, and the leaves' bounds within the region, which they must
-// tile exactly.
-func parseLeafDir(b []byte, live, spatialLen int64) (leaves []geo.Rect, leafAt []int64, err error) {
+// parseSpatial decodes the leaf directory block dir and the spatial
+// columns section of a run holding live indexed records inside mbr: one
+// MBR per spatial leaf, and the columns, whose id ends must tile the id
+// block and whose positions must lie inside their leaf's MBR and mbr.
+func parseSpatial(dir, section []byte, live int64, mbr geo.Rect) (leaves []geo.Rect, cols runColumns, err error) {
+	if live < 0 || live > int64(len(section))/runSlotSize {
+		return nil, runColumns{}, fmt.Errorf("spatial columns of %d bytes cannot hold %d live records", len(section), live)
+	}
 	want := (live + runLeafEntries - 1) / runLeafEntries
-	if int64(len(b)) != want*runLeafDirEntrySize {
-		return nil, nil, fmt.Errorf("leaf directory of %d bytes does not describe the %d leaves of %d live records", len(b), want, live)
+	if int64(len(dir)) != want*runLeafDirEntrySize {
+		return nil, runColumns{}, fmt.Errorf("leaf directory of %d bytes does not describe the %d leaves of %d live records", len(dir), want, live)
 	}
+	n := int(live)
+	xs, ys, ends, ids := section[:8*n], section[8*n:16*n], section[16*n:20*n], section[20*n:]
 	leaves = make([]geo.Rect, want)
-	leafAt = make([]int64, want+1)
-	for i := range leaves {
-		e := b[i*runLeafDirEntrySize:]
-		leaves[i] = getRect(e)
-		leafAt[i+1] = leafAt[i] + int64(binary.LittleEndian.Uint32(e[32:]))
-		if leafAt[i+1] > spatialLen {
-			return nil, nil, fmt.Errorf("spatial leaf %d extends past the %d-byte spatial region", i, spatialLen)
+	cols = runColumns{pos: make([]geo.Point, n), idEnd: make([]uint32, n)}
+	var prev uint32
+	for s := 0; s < n; s++ {
+		if s%runLeafEntries == 0 {
+			leaves[s/runLeafEntries] = getRect(dir[s/runLeafEntries*runLeafDirEntrySize:])
 		}
+		p := geo.Pt(math.Float64frombits(binary.LittleEndian.Uint64(xs[8*s:])), math.Float64frombits(binary.LittleEndian.Uint64(ys[8*s:])))
+		if leaf := leaves[s/runLeafEntries]; !leaf.ContainsClosed(p) || !mbr.ContainsClosed(p) {
+			return nil, runColumns{}, fmt.Errorf("slot %d at %v outside its leaf's bounds %v or the run's %v", s, p, leaf, mbr)
+		}
+		end := binary.LittleEndian.Uint32(ends[4*s:])
+		if end < prev || int64(end) > int64(len(ids)) {
+			return nil, runColumns{}, fmt.Errorf("slot %d's id ends at %d, past the %d-byte id block or before its predecessor's %d", s, end, len(ids), prev)
+		}
+		cols.pos[s], cols.idEnd[s], prev = p, end, end
 	}
-	if leafAt[want] != spatialLen {
-		return nil, nil, fmt.Errorf("spatial leaves add up to %d bytes, the spatial region holds %d", leafAt[want], spatialLen)
+	if int(prev) != len(ids) {
+		return nil, runColumns{}, fmt.Errorf("ids add up to %d bytes, the id block holds %d", prev, len(ids))
 	}
-	return leaves, leafAt, nil
+	cols.ids = string(ids)
+	return leaves, cols, nil
 }
 
 // parseIndex decodes the index block into the key range and sparse index.
@@ -736,34 +780,30 @@ func (r *tierRun) setObj(slot int, o *object) {
 	r.objs[slot] = o
 }
 
-// metaBytes estimates the run's resident metadata footprint: bloom
-// filter, sparse index, leaf directory (an MBR and an offset per leaf)
-// and object table (a pointer per live record).
+// metaBytes is the run's resident footprint besides the file handle:
+// bloom filter, sparse index (an id and a 24-byte entry each), leaf
+// directory (an MBR per leaf), spatial columns (a position, an id end and
+// the id per live record) and object table (a pointer per live record).
 func (r *tierRun) metaBytes() int64 {
-	n := int64(len(r.bloom.bits)) + 128 + int64(len(r.leaves))*32 + int64(len(r.leafAt))*8 + int64(len(r.objs))*8
+	n := int64(len(r.bloom.bits)) + int64(len(r.leaves))*32 + int64(len(r.pos))*16 + int64(len(r.idEnd))*4 + int64(len(r.ids)) + int64(len(r.objs))*8
 	for _, e := range r.sparse {
 		n += int64(len(e.oid)) + 24
 	}
 	return n
 }
 
-// runScratch holds the read buffers of one run probe, pooled so that
-// point lookups and spatial reads allocate only for the records they
-// return.
+// runScratch holds the block buffer of one point lookup, pooled so that a
+// lookup allocates only for the record it returns.
 type runScratch struct {
-	block   []byte                    // sparse-index block of a point lookup, grown on demand
-	leaf    []byte                    // spatial leaf of a range read, grown on demand
-	entries [runLeafEntries]leafEntry // leaf, decoded
+	block []byte // grown on demand
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 
-// runHits is a range read's batch of one leaf's hits, pooled apart from
-// runScratch, which point lookups take too: the sightings and the index
-// items handed on, each item's Ref aiming at its sighting.
+// runHits is a range read's batch of one leaf's hits, pooled: the index
+// items handed on.
 type runHits struct {
-	sightings [runLeafEntries]core.Sighting
-	items     [runLeafEntries]spatial.Item
+	items [runLeafEntries]spatial.Item
 }
 
 var runHitsPool = sync.Pool{New: func() any { return new(runHits) }}
@@ -813,57 +853,6 @@ func (r *tierRun) get(id core.OID) (runRecord, bool, error) {
 		pos = next
 	}
 	return runRecord{}, false, nil
-}
-
-// readLeaf reads spatial leaf i into *buf (grown when short) and decodes
-// it into dst; the entries alias *buf. A leaf failing decodeLeaf's checks
-// is corrupt as a whole.
-func (r *tierRun) readLeaf(i int, buf *[]byte, dst []leafEntry) ([]leafEntry, error) {
-	start, end := r.leafAt[i], r.leafAt[i+1]
-	if int64(cap(*buf)) < end-start {
-		*buf = make([]byte, end-start)
-	}
-	b := (*buf)[:end-start]
-	if _, err := r.f.ReadAt(b, r.recordsLen+start); err != nil {
-		return nil, fmt.Errorf("store: reading run %s spatial leaf %d: %w", r.path, i, err)
-	}
-	n := int(min(r.live-int64(i)*runLeafEntries, runLeafEntries))
-	entries, err := decodeLeaf(dst, b, r.leaves[i], n)
-	if err != nil {
-		return nil, fmt.Errorf("store: run %s spatial leaf %d: %w", r.path, i, err)
-	}
-	return entries, nil
-}
-
-// decodeLeaf appends the n records of one spatial leaf to dst, checking
-// that buf holds exactly n well-formed live records, each inside the
-// leaf's directory MBR. Only positions are decoded; each entry keeps its
-// record's bytes for the caller to decode on a hit.
-func decodeLeaf(dst []leafEntry, buf []byte, mbr geo.Rect, n int) ([]leafEntry, error) {
-	i := 0
-	for pos := 0; pos < len(buf); i++ {
-		if i == n {
-			return nil, fmt.Errorf("%d bytes past its %d records", len(buf)-pos, n)
-		}
-		flags, _, next, err := splitRunRecord(buf, pos)
-		if err != nil {
-			return nil, err
-		}
-		if flags&runFlagTombstone != 0 {
-			return nil, fmt.Errorf("record %d is a tombstone", i)
-		}
-		payload := buf[next-runLivePayload:]
-		p := geo.Pt(math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])), math.Float64frombits(binary.LittleEndian.Uint64(payload[16:])))
-		if !mbr.ContainsClosed(p) {
-			return nil, fmt.Errorf("record %d at %v outside the leaf's bounds %v", i, p, mbr)
-		}
-		dst = append(dst, leafEntry{pos: p, rec: buf[pos:next]})
-		pos = next
-	}
-	if i != n {
-		return nil, fmt.Errorf("%d records, want %d", i, n)
-	}
-	return dst, nil
 }
 
 // runIterator streams a run's records in id order, verifying the data

@@ -86,25 +86,18 @@ func (w *tableWorld) judgeTables(db *ShardedSightingDB, after string) {
 	var bad string
 	for _, sh := range db.shards {
 		sh.mu.RLock()
-		var buf []byte
 		for k, r := range sh.tier.runs {
-			for i := range r.leaves {
-				entries, err := r.readLeaf(i, &buf, nil)
-				if err != nil {
-					bad = err.Error()
+			for slot := range r.pos {
+				acc, gone, ok := r.tableVerdict(slot)
+				if !ok {
+					continue
 				}
-				for j, e := range entries {
-					acc, gone, ok := r.tableVerdict(i*runLeafEntries + j)
-					if !ok {
-						continue
-					}
-					w.judged++
-					rec, _, _ := decodeRunRecord(e.rec, 0)
-					wantAcc, wantGone := sh.shadowed(db.tier, sh.tier.runs[:k], rec.s.OID)
-					if gone != wantGone || !gone && acc != wantAcc {
-						bad = fmt.Sprintf("%s in run %d of %d (seq %d) at slot %d: table (acc %v, gone %v), id lookup (acc %v, gone %v)",
-							rec.s.OID, k, len(sh.tier.runs), r.seq, i*runLeafEntries+j, acc, gone, wantAcc, wantGone)
-					}
+				w.judged++
+				id := r.id(slot)
+				wantAcc, wantGone := sh.shadowed(db.tier, sh.tier.runs[:k], id)
+				if gone != wantGone || !gone && acc != wantAcc {
+					bad = fmt.Sprintf("%s in run %d of %d (seq %d) at slot %d: table (acc %v, gone %v), id lookup (acc %v, gone %v)",
+						id, k, len(sh.tier.runs), r.seq, slot, acc, gone, wantAcc, wantGone)
 				}
 			}
 		}

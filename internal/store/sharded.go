@@ -582,7 +582,10 @@ func (db *ShardedSightingDB) Expired() []core.OID {
 }
 
 // SearchArea implements SightingStore on SearchBuckets: each sighting
-// inside the closed rectangle r, rebuilt from its record.
+// inside the closed rectangle r, rebuilt from its record — a memtable one
+// from its object, a cold one by a point lookup in the run that holds it,
+// since the run keeps only its position and id resident (and the object of
+// a run opened from disk holds no sighting).
 func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) bool) {
 	db.SearchBuckets(r, func(items []spatial.Item, _ geo.Rect, inside bool) bool {
 		for i := range items {
@@ -594,8 +597,12 @@ func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) 
 			switch ref := it.Ref.(type) {
 			case *object:
 				s = ref.sighting(it.ID)
-			case *core.Sighting:
-				s = *ref
+			case *tierRun:
+				rec, ok := tierLookup(db.tier, []*tierRun{ref}, it.ID)
+				if !ok {
+					continue // a read error, counted
+				}
+				s = rec.s
 			}
 			if !visit(s) {
 				return false
@@ -614,8 +621,9 @@ func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) 
 // r. An item carries the id, the position and the accuracy (AccUnknown for
 // an unregistered object) — see "Covering index entries" — so a consumer
 // qualifies a candidate without the record behind it; its Ref is the
-// store's own. Items are valid for the visit call only. Returning false
-// from visit stops the search.
+// store's own. Items are valid for the visit call only; the id of a cold
+// one aliases its run's resident id block, which a consumer keeping the id
+// keeps alive. Returning false from visit stops the search.
 func (db *ShardedSightingDB) SearchBuckets(r geo.Rect, visit func(items []spatial.Item, sub geo.Rect, inside bool) bool) {
 	for _, sh := range db.shards {
 		sh.mu.RLock()
@@ -624,7 +632,8 @@ func (db *ShardedSightingDB) SearchBuckets(r geo.Rect, visit func(items []spatia
 			more = sh.idx.SearchBuckets(r, visit)
 		}
 		if more && sh.tier != nil {
-			// Disk-resident records, through the runs' spatial leaves.
+			// Disk-resident records, through the runs' resident spatial
+			// columns.
 			more = sh.tierSearch(db.tier, r, visit)
 		}
 		sh.mu.RUnlock()
@@ -653,25 +662,18 @@ func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting
 }
 
 // NearestEntries is NearestFunc at index-entry level, like SearchBuckets:
-// memtable neighbors are delivered off the cursor's index entries, copies
-// taken under the shard lock. A cold neighbor is re-resolved through
-// Lookup, with its registration's accuracy.
+// every neighbor, memtable or cold, is delivered off its cursor's entry —
+// id, position and registration's accuracy, copies taken under the shard
+// lock — so a cold one reads no disk.
 func (db *ShardedSightingDB) NearestEntries(p geo.Point, visit func(id core.OID, pos geo.Point, acc, dist float64) bool) {
 	db.nearest(p, func(n spatial.Neighbor, _ bool) bool {
-		if n.Ref != nil {
-			return visit(n.ID, n.Pos, n.Acc, n.Dist)
-		}
-		reg, s, registered, found := db.Lookup(n.ID)
-		if !registered {
-			reg.OfferedAcc = AccUnknown
-		}
-		return !found || visit(s.OID, s.Pos, reg.OfferedAcc, n.Dist)
+		return visit(n.ID, n.Pos, n.Acc, n.Dist)
 	})
 }
 
 // nearest is the merge behind NearestFunc and NearestEntries. visit
-// receives each neighbor, a memtable one with its object (n.Ref) and
-// accuracy (n.Acc), a cold one with neither; locked reports that visit runs
+// receives each neighbor with its accuracy (n.Acc) and, as n.Ref, its
+// object (memtable) or its run (cold); locked reports that visit runs
 // under the neighbor's shard lock, so the object may be read.
 func (db *ShardedSightingDB) nearest(p geo.Point, visit func(n spatial.Neighbor, locked bool) bool) {
 	if len(db.shards) == 1 && db.tier == nil {
@@ -767,8 +769,8 @@ func (db *ShardedSightingDB) WALErr() error {
 // re-age them if their objects stay silent after the restart. Without an
 // attached WAL, Recover is a no-op.
 // On a tiered store Recover first opens the tiers — sweeping crash
-// leftovers, loading each shard's manifest and run metadata (O(metadata),
-// no record reads) — and then replays only the short WAL tail covering
+// leftovers, loading each shard's manifest, run metadata and spatial
+// columns (O(metadata + columns), no record reads) — and then replays only the short WAL tail covering
 // the current memtable: everything older was flushed into a run before
 // its segment was reset. That is the recovery-time payoff of tiering —
 // restart cost proportional to the hot set, not the history. See
@@ -809,8 +811,8 @@ func (db *ShardedSightingDB) markWarm() {
 }
 
 // RecoverBackground is Recover with a per-shard readiness gate instead
-// of a barrier: it opens the tiers synchronously (run metadata is all a
-// disk-resident read needs), takes every shard's write lock, returns,
+// of a barrier: it opens the tiers synchronously (run metadata and
+// columns are all a disk-resident read needs), takes every shard's write lock, returns,
 // and replays the WAL tails on background goroutines that release each
 // shard's lock as soon as that shard's memtable is warm. An operation
 // arriving before then simply blocks on the owning shard's lock for at
