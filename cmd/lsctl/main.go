@@ -200,11 +200,7 @@ func main() {
 				res.PipelineOps, res.PipelineHandoffs)
 		}
 		if t := res.Tier; t != nil {
-			state := "warming (WAL tail replaying)"
-			if t.Warm {
-				state = "warm"
-			}
-			fmt.Printf("tiered storage: %s\n", state)
+			fmt.Println("tiered storage:")
 			fmt.Printf("  memtables: %d bytes resident\n", t.MemtableBytes)
 			fmt.Printf("  runs: %d files, %d bytes on disk, %d bytes resident (metadata and spatial columns: position and id per live record)\n",
 				t.Runs, t.RunBytes, t.MetaBytes)

@@ -97,7 +97,6 @@ func main() {
 		tier         = flag.Bool("tier", false, "tiered (LSM) sighting storage: shards become memtables, older versions live in sorted runs beside the -swal segments, recovery replays only the WAL tail (leaves with -swal only)")
 		tierMemBytes = flag.Int64("tier-memtable-bytes", 64<<20, "total memtable budget across shards before runs are flushed to disk (with -tier)")
 		tierMaxRuns  = flag.Int("tier-max-runs", 4, "per-shard run-file count beyond which the janitor compacts (with -tier)")
-		tierBloom    = flag.Int("tier-bloom-bits", 10, "bloom-filter bits per key in each run file (with -tier)")
 		fsync        = flag.Bool("fsync", false, "fsync every WAL append: without it a killed process loses no acknowledged change, with it a machine crash loses none either")
 		acc          = flag.Float64("acc", 10, "achievable accuracy of this leaf in meters")
 		ttl          = flag.Duration("ttl", 5*time.Minute, "soft-state TTL for sighting records (0 disables)")
@@ -204,9 +203,8 @@ func main() {
 			fatal(fmt.Errorf("-tier requires -swal (the run files live in the WAL directory)"))
 		}
 		opts.Tiering = &store.TierConfig{
-			MemtableBytes:   *tierMemBytes,
-			MaxRuns:         *tierMaxRuns,
-			BloomBitsPerKey: *tierBloom,
+			MemtableBytes: *tierMemBytes,
+			MaxRuns:       *tierMaxRuns,
 		}
 	}
 

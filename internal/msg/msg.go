@@ -454,9 +454,6 @@ type ShardDiag struct {
 // store.TierStats. Present (non-nil) in a DiagRes only when tiering is
 // enabled.
 type TierDiag struct {
-	// Warm reports that recovery has replayed every shard's WAL tail;
-	// tier maintenance (flush/compaction) is gated until then.
-	Warm bool
 	// MemtableBytes is the estimated resident size of all shard
 	// memtables; RunBytes the run files' on-disk size; MetaBytes the
 	// resident run metadata (bloom filters, sparse indexes, spatial leaf

@@ -60,7 +60,6 @@ func (s *Server) handleDiag() (msg.Message, error) {
 		}
 		if ts := sdb.TierStats(); ts.Enabled {
 			res.Tier = &msg.TierDiag{
-				Warm:          ts.Warm,
 				MemtableBytes: ts.MemtableBytes,
 				Runs:          ts.Runs,
 				RunBytes:      ts.RunBytes,

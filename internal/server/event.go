@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -112,6 +113,10 @@ func orderedPair(a, b core.OID) pairKey {
 	}
 	return pairKey{a: a, b: b}
 }
+
+// cloneOID copies an id out of the store's index entry it came from, for a
+// pair kept past the search: a cold entry's id aliases its run's id block.
+func cloneOID(id core.OID) core.OID { return core.OID(strings.Clone(string(id))) }
 
 // coordSub is the coordinator-side state of one subscription.
 type coordSub struct {
@@ -523,17 +528,23 @@ func (s *Server) applyCountDelta(ls *leafSub, d store.Delta) bool {
 // delta: partners are searched only within the meeting distance around the
 // new position, pairs that separated are dropped, newly formed pairs are
 // appended to fires. Caller holds events.mu.
+//
+// Partners come from the store's index entries, which carry the id and
+// position a meeting needs, so a partner held only in a run reads no disk.
 func (s *Server) applyMeetingDelta(ls *leafSub, d store.Delta, fires []meetingFire) []meetingFire {
 	sub := ls.sub
 	var cur map[core.OID]bool
 	if d.Op == store.DeltaPut && ls.bounds.ContainsClosed(d.New) {
 		r := geo.RectAround(d.New, sub.Distance).Intersect(ls.bounds)
-		s.sightings.SearchArea(r, func(sight core.Sighting) bool {
-			if sight.OID != d.OID && sight.Pos.Dist(d.New) <= sub.Distance {
-				if cur == nil {
-					cur = make(map[core.OID]bool, 4)
+		s.sightings.SearchBuckets(r, func(items []spatial.Item, _ geo.Rect, inside bool) bool {
+			for i := range items {
+				it := &items[i]
+				if (inside || r.ContainsClosed(it.Pos)) && it.ID != d.OID && it.Pos.Dist(d.New) <= sub.Distance {
+					if cur == nil {
+						cur = make(map[core.OID]bool, 4)
+					}
+					cur[it.ID] = true
 				}
-				cur[sight.OID] = true
 			}
 			return true
 		})
@@ -555,6 +566,7 @@ func (s *Server) applyMeetingDelta(ls *leafSub, d store.Delta, fires []meetingFi
 	for q := range cur {
 		k := orderedPair(d.OID, q)
 		if !ls.firedPairs[k] {
+			k = orderedPair(d.OID, cloneOID(q))
 			ls.firedPairs[k] = true
 			ls.seq++
 			fires = append(fires, meetingFire{sub: sub, pair: k, seq: ls.seq})
@@ -636,16 +648,20 @@ func (s *Server) resyncCount(ls *leafSub, force bool) {
 // state.
 func (s *Server) resyncMeeting(ls *leafSub) {
 	sub := ls.sub
-	var inArea []core.Sighting
-	s.sightings.SearchArea(ls.bounds, func(sight core.Sighting) bool {
-		inArea = append(inArea, sight)
+	var inArea []spatial.Item
+	s.sightings.SearchBuckets(ls.bounds, func(items []spatial.Item, _ geo.Rect, inside bool) bool {
+		for i := range items {
+			if it := &items[i]; inside || ls.bounds.ContainsClosed(it.Pos) {
+				inArea = append(inArea, spatial.Item{ID: cloneOID(it.ID), Pos: it.Pos})
+			}
+		}
 		return true
 	})
 	meeting := make(map[pairKey]bool)
 	for i := 0; i < len(inArea); i++ {
 		for j := i + 1; j < len(inArea); j++ {
 			if inArea[i].Pos.Dist(inArea[j].Pos) <= sub.Distance {
-				meeting[orderedPair(inArea[i].OID, inArea[j].OID)] = true
+				meeting[orderedPair(inArea[i].ID, inArea[j].ID)] = true
 			}
 		}
 	}

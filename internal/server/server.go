@@ -73,10 +73,8 @@ type Options struct {
 	// in-memory shards become memtables and older versions migrate to
 	// immutable sorted runs on disk (store.TierConfig documents the
 	// knobs). Requires SightingWAL, whose directory holds the runs; New
-	// refuses Tiering without one. The leaf recovers in the background:
-	// reads are served from the run files as soon as the manifests are
-	// open while the WAL tail replays shard by shard behind the shard
-	// locks.
+	// refuses Tiering without one. New opens the runs and replays the WAL
+	// tail before the leaf serves, as it replays an untiered leaf's log.
 	Tiering *store.TierConfig
 	// WAL persists the visitor records — an inner server's forwarding
 	// table (a child slot and an int64 PathT per object; store.VisitorRecord
@@ -342,9 +340,8 @@ func New(cfg store.ConfigRecord, rootArea core.Area, network transport.Network, 
 }
 
 // openLeafStore builds a leaf's sighting store over its logs and recovers
-// it. With a sighting WAL and tiers it recovers in the background: reads
-// are served from the runs at once while each shard's WAL tail replays
-// behind that shard's write lock. Close waits for the warm-up.
+// it, tiered or not, before the leaf serves: a log that fails to replay
+// fails New.
 func (s *Server) openLeafStore() error {
 	opts := s.opts
 	s.rangeMet = newRangeCounters(s.met)
@@ -370,7 +367,7 @@ func (s *Server) openLeafStore() error {
 		sopts = append(sopts, store.WithTiering(*opts.Tiering))
 	}
 	s.sightings = store.NewShardedSightingDB(sopts...)
-	if err := s.sightings.RecoverBackground(); err != nil {
+	if err := s.sightings.Recover(); err != nil {
 		return fmt.Errorf("recovering sightingDB: %w", err)
 	}
 	// Feed committed update deltas straight into the event dispatcher;
@@ -437,14 +434,6 @@ func (s *Server) Close() error {
 			err = nerr
 		}
 		s.wg.Wait()
-		if s.sightings != nil {
-			// A tiered leaf may still be replaying its WAL tail in the
-			// background; closing the WAL underneath that replay would turn
-			// an orderly shutdown into a spurious recovery failure.
-			if werr := s.sightings.WaitRecovered(); werr != nil && err == nil {
-				err = werr
-			}
-		}
 		// The visitor log: an inner server's forwarding table, a leaf's
 		// registration log.
 		if s.opts.WAL != nil {

@@ -85,8 +85,8 @@
 // run's MBR into slots, an X column, a Y column (f64 each), the end of
 // each slot's id (u32) and the ids back to back. Slots are cut into
 // leaves of 64; the leaf directory holds one MBR per leaf. The bloom block
-// is a double-hashed FNV-1a filter over every record id (BloomBitsPerKey
-// bits per key, default 10, ≈1% false positives). The index block holds
+// is a double-hashed FNV-1a filter over every record id (10 bits per key,
+// bloomBitsPerKey, ≈1% false positives). The index block holds
 // the key range plus a sparse index (one entry per 16 records).
 //
 // Resident per run are the bloom filter, the sparse index, the leaf
@@ -139,11 +139,11 @@
 // shard whose runs lie beyond the consumer's stopping distance is never
 // opened). A hit is an index entry — the position, an id aliasing the
 // run's id column and the registration's accuracy — so neither query
-// allocates per hit; SearchArea, the one reader needing a cold hit's
-// whole sighting, point-looks it up in the run holding it. The verdict
-// rule for these pruned reads: a slot is only a candidate — the query did
-// not look where a newer version of the object could be — so every
-// slot that passes the position test (and only those) is judged: is it
+// allocates per hit; SearchArea, which only the benchmark rig's replay
+// calls, point-looks a cold hit's whole sighting up in the run holding
+// it. The verdict rule for these pruned reads: a slot is only a
+// candidate — the query did not look where a newer version of the object
+// could be — so every slot that passes the position test (and only those) is judged: is it
 // the newest version, and what accuracy does the registration give? A run
 // this process wrote carries an object table, one entry per spatial slot
 // (leaf·64 + entry) naming the object record of the id there; a flush
@@ -178,9 +178,8 @@
 //
 // Recovery order: load manifests → sweep unreferenced runs and
 // temporaries → open run footers, metadata and spatial columns (no record
-// reads) → replay the
-// short WAL tail covering the current memtable. Recover does all of that
-// before returning; RecoverBackground returns once the tiers are open
-// and warms the memtables behind per-shard locks, so reads are served
-// almost immediately after restart.
+// reads) → replay the short WAL tail covering the current memtable.
+// Recover does all of that before returning, tiered or not, and a tail
+// that fails to replay fails it: the store does not serve its runs
+// without the tail.
 package store

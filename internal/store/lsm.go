@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,9 +43,6 @@ type TierConfig struct {
 	// MaxRuns is the per-shard run count beyond which MaintainTiers
 	// compacts the shard's runs into one. Default 4.
 	MaxRuns int
-	// BloomBitsPerKey sizes each run's bloom filter. Default 10
-	// (≈1% false positives).
-	BloomBitsPerKey int
 }
 
 func (c TierConfig) withDefaults() TierConfig {
@@ -56,14 +52,10 @@ func (c TierConfig) withDefaults() TierConfig {
 	if c.MaxRuns <= 0 {
 		c.MaxRuns = 4
 	}
-	if c.BloomBitsPerKey <= 0 {
-		c.BloomBitsPerKey = 10
-	}
 	return c
 }
 
-// tierState is the store-level tiering state: configuration, counters,
-// and the background-recovery gate.
+// tierState is the store-level tiering state: configuration and counters.
 type tierState struct {
 	cfg    TierConfig
 	dir    string // the sighting WAL's directory, holding runs and manifests
@@ -75,15 +67,6 @@ type tierState struct {
 	bloomMisses   atomic.Int64
 	leavesScanned atomic.Int64 // resident spatial leaves range and NN reads tested
 	readErrs      atomic.Int64 // failed run reads: point-lookup pread or decode, full-scan checksum
-
-	// warmed flips once recovery (synchronous or background) has replayed
-	// every shard's WAL tail; MaintainTiers is a no-op before that.
-	warmed   atomic.Bool
-	warming  atomic.Bool
-	warmWG   sync.WaitGroup
-	warmMu   sync.Mutex
-	warmErr  error // guarded by warmMu
-	warmLeft int   // shards still replaying, guarded by warmMu
 }
 
 // shardTier is one shard's run list. runs (newest first) is replaced
@@ -109,7 +92,6 @@ func (t *shardTier) setRuns(runs []*tierRun) {
 // surfaced through server diagnostics (DiagRes) and lsctl stats.
 type TierStats struct {
 	Enabled       bool
-	Warm          bool  // recovery finished; maintenance active
 	MemtableBytes int64 // estimated resident memtable bytes, all shards
 	Runs          int   // run files across all shards
 	RunBytes      int64 // run file bytes on disk
@@ -196,6 +178,21 @@ func (db *ShardedSightingDB) openTiers() error {
 	return nil
 }
 
+// closeTiers undoes openTiers after a failed Recover: every shard drops
+// its runs, closing their files, so maintenance passes the shard over.
+func (db *ShardedSightingDB) closeTiers() {
+	for _, sh := range db.shards {
+		sh.mu.Lock()
+		if sh.tier != nil {
+			for _, r := range sh.tier.runs {
+				r.retire(false)
+			}
+			sh.tier = nil
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // flushShardLocked freezes the shard's memtable into a new sorted run:
 // write the run file (atomic rename + dir fsync), install it at the head
 // of the manifest (atomic rename + dir fsync — the commit point), clear
@@ -232,7 +229,7 @@ func (db *ShardedSightingDB) flushShardLocked(sh *sightingShard, shard int) erro
 
 	seq := t.nextSeq.Add(1) - 1
 	name := runFileName(shard, seq)
-	w, err := newRunWriter(t.dir, name, db.tier.cfg.BloomBitsPerKey, len(recs))
+	w, err := newRunWriter(t.dir, name, len(recs))
 	if err != nil {
 		return err
 	}
@@ -412,7 +409,7 @@ func (db *ShardedSightingDB) mergeRuns(t *shardTier, seq uint64, snap []*tierRun
 		expireCutoff = now.Add(-db.ttl)
 	}
 	name := runFileName(t.shard, seq)
-	w, err := newRunWriter(t.dir, name, db.tier.cfg.BloomBitsPerKey, int(records))
+	w, err := newRunWriter(t.dir, name, int(records))
 	if err != nil {
 		return nil, err
 	}
@@ -784,11 +781,12 @@ func (c *tierNearestCursor) Close() {
 // memtable exceeds its budget share, then compact every shard whose run
 // count exceeds MaxRuns. It replaces CompactWALIfGrown on tiered stores
 // and is likewise cheap when nothing grew and safe on every janitor
-// tick. A pass is skipped while recovery is still warming the memtables
-// or while another maintenance or compaction pass runs.
+// tick. A pass is skipped while another maintenance or compaction pass
+// runs. Only Recover attaches a shard's runs, so a shard whose tiers are
+// not open is passed over.
 func (db *ShardedSightingDB) MaintainTiers() error {
 	ts := db.tier
-	if ts == nil || !ts.warmed.Load() {
+	if ts == nil {
 		return nil
 	}
 	if !db.maintMu.TryLock() {
@@ -849,7 +847,6 @@ func (db *ShardedSightingDB) TierStats() TierStats {
 	}
 	out := TierStats{
 		Enabled:       true,
-		Warm:          ts.warmed.Load(),
 		Flushes:       ts.flushes.Load(),
 		Compactions:   ts.compactions.Load(),
 		BloomHits:     ts.bloomHits.Load(),

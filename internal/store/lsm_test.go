@@ -91,7 +91,7 @@ func testRunRecords(n int) []runRecord {
 func writeTestRun(t testing.TB, dir string, shard int, seq uint64, recs []runRecord) *tierRun {
 	t.Helper()
 	name := runFileName(shard, seq)
-	w, err := newRunWriter(dir, name, 10, len(recs))
+	w, err := newRunWriter(dir, name, len(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestRunRoundtrip(t *testing.T) {
 
 func TestRunWriterRejectsUnsortedKeys(t *testing.T) {
 	dir := t.TempDir()
-	w, err := newRunWriter(dir, runFileName(0, 1), 10, 2)
+	w, err := newRunWriter(dir, runFileName(0, 1), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1221,17 +1221,11 @@ func reopenTiered(t *testing.T, dir string, shards int) (*ShardedSightingDB, *Sh
 }
 
 // TestTieringRequiresSightingWAL: the runs live in the sighting log's
-// directory, so both recovery paths refuse a tiered store without a log
-// and name it.
+// directory, so Recover refuses a tiered store without a log and names it.
 func TestTieringRequiresSightingWAL(t *testing.T) {
-	for name, recover := range map[string]func(*ShardedSightingDB) error{
-		"Recover":           (*ShardedSightingDB).Recover,
-		"RecoverBackground": (*ShardedSightingDB).RecoverBackground,
-	} {
-		db := NewShardedSightingDB(WithShards(2), WithTiering(TierConfig{MemtableBytes: 1}))
-		if err := recover(db); err == nil || !strings.Contains(err.Error(), "sighting WAL") {
-			t.Errorf("%s = %v, want a refusal naming the sighting WAL", name, err)
-		}
+	db := NewShardedSightingDB(WithShards(2), WithTiering(TierConfig{MemtableBytes: 1}))
+	if err := db.Recover(); err == nil || !strings.Contains(err.Error(), "sighting WAL") {
+		t.Fatalf("Recover = %v, want a refusal naming the sighting WAL", err)
 	}
 }
 
@@ -1306,40 +1300,6 @@ func TestTieredRecoverRejectsCorruptManifest(t *testing.T) {
 	if err := db.Recover(); err == nil {
 		t.Fatal("Recover accepted a corrupt manifest")
 	}
-}
-
-func TestTieredRecoverBackground(t *testing.T) {
-	dir := t.TempDir()
-	want := populateTiered(t, dir, 4, 400)
-
-	db, wal := reopenTiered(t, dir, 4)
-	defer wal.Close()
-	if err := db.RecoverBackground(); err != nil {
-		t.Fatal(err)
-	}
-	// Reads are admitted immediately; each blocks at most on its own
-	// shard's tail replay (the shard lock is the readiness gate).
-	for i := 0; i < 100; i++ {
-		id := core.OID(fmt.Sprintf("r-%04d", i))
-		got, ok := db.Get(id)
-		if w, exists := want[id]; exists {
-			if !ok || got.Pos != w.Pos {
-				t.Fatalf("Get(%s) during warm-up = %+v, %v", id, got, ok)
-			}
-		} else if ok {
-			t.Fatalf("Get(%s) during warm-up resurrected a removed record", id)
-		}
-	}
-	if err := db.RecoverBackground(); err == nil {
-		t.Fatal("second RecoverBackground accepted")
-	}
-	if err := db.WaitRecovered(); err != nil {
-		t.Fatal(err)
-	}
-	if !db.TierStats().Warm {
-		t.Fatal("store not warm after WaitRecovered")
-	}
-	diffStates(t, "background-recovered", storeState(db), want)
 }
 
 // ---------------------------------------------------------------------------

@@ -57,10 +57,7 @@ func (w *regWorld) open() {
 		opts = append(opts, WithTiering(TierConfig{MemtableBytes: 1, MaxRuns: 2}))
 	}
 	w.db = NewShardedSightingDB(opts...)
-	if err := w.db.RecoverBackground(); err != nil {
-		w.t.Fatal(err)
-	}
-	if err := w.db.WaitRecovered(); err != nil {
+	if err := w.db.Recover(); err != nil {
 		w.t.Fatal(err)
 	}
 }

@@ -253,7 +253,6 @@ type runWriter struct {
 	minOID      core.OID
 	maxOID      core.OID
 	mbr         geo.Rect
-	bitsPerKey  int
 	scratch     []byte
 	// order holds, once finish wrote the spatial columns, each spatial
 	// slot's (curve key, live record index) pair, in slot order.
@@ -292,23 +291,26 @@ func (wc *writeCounter) flush() error {
 	return err
 }
 
+// bloomBitsPerKey sizes each run's bloom filter: ≈1% false positives.
+// The filter is stored in its run, so a change reaches new runs only.
+const bloomBitsPerKey = 10
+
 // newRunWriter creates the temporary for dir/name, sized for the n records
 // the caller expects to add (a bound, not a limit).
-func newRunWriter(dir, name string, bitsPerKey, n int) (*runWriter, error) {
+func newRunWriter(dir, name string, n int) (*runWriter, error) {
 	tmp, err := os.CreateTemp(dir, tierTempPattern)
 	if err != nil {
 		return nil, fmt.Errorf("store: creating run temp in %s: %w", dir, err)
 	}
 	return &runWriter{
-		dir:        dir,
-		name:       name,
-		tmp:        tmp,
-		crc:        crc32.NewIEEE(),
-		bufw:       writeCounter{w: tmp, b: make([]byte, 0, 64*1024)},
-		bitsPerKey: bitsPerKey,
-		hashes:     make([]uint64, 0, n),
-		sparse:     make([]sparseEntry, 0, n/runSparseEvery+1),
-		liveRefs:   make([]liveRef, 0, n),
+		dir:      dir,
+		name:     name,
+		tmp:      tmp,
+		crc:      crc32.NewIEEE(),
+		bufw:     writeCounter{w: tmp, b: make([]byte, 0, 64*1024)},
+		hashes:   make([]uint64, 0, n),
+		sparse:   make([]sparseEntry, 0, n/runSparseEvery+1),
+		liveRefs: make([]liveRef, 0, n),
 	}, nil
 }
 
@@ -438,7 +440,7 @@ func (w *runWriter) finish() (*tierRun, error) {
 		return fail(fmt.Errorf("store: writing run spatial columns: %w", err))
 	}
 
-	bloom := newBloomFilter(int(w.count), w.bitsPerKey)
+	bloom := newBloomFilter(int(w.count), bloomBitsPerKey)
 	for _, h := range w.hashes {
 		bloom.addHash(h)
 	}

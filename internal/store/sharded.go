@@ -585,7 +585,8 @@ func (db *ShardedSightingDB) Expired() []core.OID {
 // inside the closed rectangle r, rebuilt from its record — a memtable one
 // from its object, a cold one by a point lookup in the run that holds it,
 // since the run keeps only its position and id resident (and the object of
-// a run opened from disk holds no sighting).
+// a run opened from disk holds no sighting). No reader in the service
+// calls it; the benchmark rig's store replay does.
 func (db *ShardedSightingDB) SearchArea(r geo.Rect, visit func(s core.Sighting) bool) {
 	db.SearchBuckets(r, func(items []spatial.Item, _ geo.Rect, inside bool) bool {
 		for i := range items {
@@ -650,7 +651,8 @@ func (db *ShardedSightingDB) SearchBuckets(r geo.Rect, visit func(items []spatia
 // the distance at which the consumer stops is never opened at all. A
 // neighbor is rebuilt from its object under the lock the stream holds (one
 // untiered shard) or else re-resolved through Get, since objects change in
-// place once the lock is released.
+// place once the lock is released. No reader in the service calls it; the
+// benchmark rig's store replay does.
 func (db *ShardedSightingDB) NearestFunc(p geo.Point, visit func(s core.Sighting, dist float64) bool) {
 	db.nearest(p, func(n spatial.Neighbor, locked bool) bool {
 		if locked {
@@ -773,17 +775,25 @@ func (db *ShardedSightingDB) WALErr() error {
 // columns (O(metadata + columns), no record reads) — and then replays only the short WAL tail covering
 // the current memtable: everything older was flushed into a run before
 // its segment was reset. That is the recovery-time payoff of tiering —
-// restart cost proportional to the hot set, not the history. See
-// RecoverBackground for serving reads before the replay finishes.
-func (db *ShardedSightingDB) Recover() error {
+// restart cost proportional to the hot set, not the history. A segment
+// that fails to replay fails Recover, tiered or not, and is left as it
+// was: a store serving its runs without the tail would answer versions
+// older than acknowledged updates, and append new ones behind the damaged
+// record, where no replay reaches. A failed Recover closes the runs it
+// opened.
+func (db *ShardedSightingDB) Recover() (err error) {
 	if err := db.openTiers(); err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			db.closeTiers()
+		}
+	}()
 	if err := db.replayRegistrations(); err != nil {
 		return err
 	}
 	if db.wal == nil {
-		db.markWarm()
 		return nil
 	}
 	errs := make([]error, len(db.shards))
@@ -796,81 +806,7 @@ func (db *ShardedSightingDB) Recover() error {
 		}(i)
 	}
 	wg.Wait()
-	err := errors.Join(errs...)
-	if err == nil {
-		db.markWarm()
-	}
-	return err
-}
-
-// markWarm opens tier maintenance once recovery completed cleanly.
-func (db *ShardedSightingDB) markWarm() {
-	if db.tier != nil {
-		db.tier.warmed.Store(true)
-	}
-}
-
-// RecoverBackground is Recover with a per-shard readiness gate instead
-// of a barrier: it opens the tiers synchronously (run metadata and
-// columns are all a disk-resident read needs), takes every shard's write lock, returns,
-// and replays the WAL tails on background goroutines that release each
-// shard's lock as soon as that shard's memtable is warm. An operation
-// arriving before then simply blocks on the owning shard's lock for at
-// most that shard's tail replay — bounded by the memtable budget — so a
-// leaf restarting over a large tier serves disk-resident reads almost
-// immediately instead of stalling for a full-store replay. WaitRecovered
-// joins the background replay; tier maintenance stays gated until every
-// shard is warm. On an untiered store it falls back to the synchronous
-// Recover (there is no disk tier to serve from in the meantime).
-func (db *ShardedSightingDB) RecoverBackground() error {
-	ts := db.tier
-	if ts == nil || db.wal == nil {
-		return db.Recover()
-	}
-	if err := db.openTiers(); err != nil {
-		return err
-	}
-	if err := db.replayRegistrations(); err != nil {
-		return err
-	}
-	if !ts.warming.CompareAndSwap(false, true) {
-		return errors.New("store: RecoverBackground called twice")
-	}
-	for _, sh := range db.shards {
-		sh.mu.Lock()
-	}
-	ts.warmLeft = len(db.shards)
-	ts.warmWG.Add(len(db.shards))
-	for i := range db.shards {
-		go func(i int) {
-			defer ts.warmWG.Done()
-			err := db.recoverShardLocked(i)
-			db.shards[i].mu.Unlock()
-			// The last shard to finish opens maintenance before its Done,
-			// so WaitRecovered never returns ahead of warmed.
-			ts.warmMu.Lock()
-			ts.warmErr = errors.Join(ts.warmErr, err)
-			if ts.warmLeft--; ts.warmLeft == 0 && ts.warmErr == nil {
-				ts.warmed.Store(true)
-			}
-			ts.warmMu.Unlock()
-		}(i)
-	}
-	return nil
-}
-
-// WaitRecovered blocks until a RecoverBackground replay has warmed every
-// shard and returns its joined error. Immediate on stores recovered
-// synchronously (or not at all).
-func (db *ShardedSightingDB) WaitRecovered() error {
-	ts := db.tier
-	if ts == nil {
-		return nil
-	}
-	ts.warmWG.Wait()
-	ts.warmMu.Lock()
-	defer ts.warmMu.Unlock()
-	return ts.warmErr
+	return errors.Join(errs...)
 }
 
 // recoverShard replays one shard's segment and bulk-loads the shard.
@@ -878,13 +814,6 @@ func (db *ShardedSightingDB) recoverShard(shard int) error {
 	sh := db.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return db.recoverShardLocked(shard)
-}
-
-// recoverShardLocked is recoverShard with the shard's write lock already
-// held by the caller.
-func (db *ShardedSightingDB) recoverShardLocked(shard int) error {
-	sh := db.shards[shard]
 	if n := sh.idx.Len(); n != 0 {
 		return fmt.Errorf("store: recovering shard %d over %d live records (Recover must run on an empty store)", shard, n)
 	}

@@ -955,37 +955,72 @@ func TestRecoverRequiresEmptyStore(t *testing.T) {
 }
 
 // A corrupted middle record in one shard fails that shard's recovery (with
-// the offset surfaced) while the other shards still replay.
+// the offset surfaced) while the other shards still replay, and leaves the
+// segment as it was. A tiered store (a flush, then a tail) fails the same
+// way instead of serving its runs' older versions without the tail.
 func TestRecoverSurfacesShardCorruption(t *testing.T) {
 	const shards = 2
-	dir := t.TempDir()
-	w, err := OpenShardedWAL(dir, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := NewShardedSightingDB(WithSightingWAL(w))
-	for i := 0; i < 40; i++ {
-		db.Put(core.Sighting{OID: core.OID(fmt.Sprintf("obj-%d", i)), Pos: geo.Pt(float64(i), 0)})
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the middle of shard 0's segment.
-	seg := segmentPath(dir, 0)
-	st, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corruptLog(t, seg, st.Size()/2)
-	w2, err := OpenShardedWAL(dir, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	db2 := NewShardedSightingDB(WithSightingWAL(w2))
-	rerr := db2.Recover()
-	if !errors.Is(rerr, ErrCorruptWAL) {
-		t.Fatalf("Recover error = %v, want ErrCorruptWAL", rerr)
+	for _, tiered := range []bool{false, true} {
+		name := "untiered"
+		if tiered {
+			name = "tiered"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			var opts []SightingDBOption
+			if tiered {
+				populateTiered(t, dir, shards, 200)
+				opts = append(opts, WithTiering(TierConfig{MemtableBytes: 1, MaxRuns: 3}))
+			} else {
+				w, err := OpenShardedWAL(dir, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				db := NewShardedSightingDB(WithSightingWAL(w))
+				for i := 0; i < 40; i++ {
+					db.Put(core.Sighting{OID: core.OID(fmt.Sprintf("obj-%d", i)), Pos: geo.Pt(float64(i), 0)})
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Corrupt the middle of shard 0's segment.
+			seg := segmentPath(dir, 0)
+			st, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() < 4*int64(len(walHeader)) {
+				t.Fatalf("shard 0's segment holds %d bytes, too few to damage mid-log", st.Size())
+			}
+			corruptLog(t, seg, st.Size()/2)
+			damaged, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w2, err := OpenShardedWAL(dir, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db2 := NewShardedSightingDB(append(opts, WithSightingWAL(w2))...)
+			rerr := db2.Recover()
+			if !errors.Is(rerr, ErrCorruptWAL) {
+				t.Fatalf("Recover error = %v, want ErrCorruptWAL", rerr)
+			}
+			if st := db2.TierStats(); st.Runs != 0 {
+				t.Fatalf("the failed Recover kept %d runs open", st.Runs)
+			}
+			if err := w2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			after, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, damaged) {
+				t.Fatalf("a failed Recover rewrote the damaged segment: %d bytes, was %d", len(after), len(damaged))
+			}
+		})
 	}
 }
 

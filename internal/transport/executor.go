@@ -41,7 +41,7 @@ type executor struct {
 }
 
 // handlers is the process-wide executor. Like a sync.Pool it carries no
-// state from one task to the next beyond the warmed resource itself.
+// state from one task to the next beyond the reused worker itself.
 var handlers executor
 
 // Go runs fn on the handler executor: concurrently with the caller, like a

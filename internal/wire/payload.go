@@ -638,7 +638,6 @@ func appendTierDiag(dst []byte, t *msg.TierDiag) []byte {
 	if t == nil {
 		return dst
 	}
-	dst = appendBool(dst, t.Warm)
 	dst = appendI64(dst, t.MemtableBytes)
 	dst = appendI64(dst, t.RunBytes)
 	dst = appendI64(dst, t.MetaBytes)
@@ -657,7 +656,6 @@ func (r *reader) tierDiag() *msg.TierDiag {
 		return nil
 	}
 	return &msg.TierDiag{
-		Warm:          r.boolean(),
 		MemtableBytes: r.i64(),
 		RunBytes:      r.i64(),
 		MetaBytes:     r.i64(),

@@ -135,7 +135,6 @@ func randTierDiag(rng *rand.Rand) *msg.TierDiag {
 		return nil
 	}
 	return &msg.TierDiag{
-		Warm:          rng.Intn(2) == 0,
 		MemtableBytes: rng.Int63(),
 		RunBytes:      rng.Int63(),
 		MetaBytes:     rng.Int63(),

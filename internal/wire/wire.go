@@ -131,6 +131,9 @@
 //     RunFetchRes, Promote and PromoteRes are gone and their tags 34–39
 //     retired: a killed leaf restarts from its own logs, and no leaf has a
 //     standby.
+//   - v10: one recovery path. DiagRes's Tier snapshot lost its leading
+//     Warm bool: a tiered leaf replays its log before it serves, so there
+//     is no warm-up left to report.
 //
 // # Retry idempotency
 //
@@ -168,7 +171,7 @@ import (
 // wireVersion is the format generation of this codec. Bump it whenever an
 // existing message's field layout or a primitive encoding changes. See the
 // version history in the package doc.
-const wireVersion = 9
+const wireVersion = 10
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool, so a
 // rare huge envelope (an oversize range-query result rejected by the
