@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"locsvc/internal/geo"
 )
@@ -101,50 +102,51 @@ type NearestResult struct {
 }
 
 // SelectNearest applies the nearest-neighbor semantics of Section 3.2 to a
-// candidate set: objects whose accuracy is worse than reqAcc are discarded;
-// the remaining object with minimal recorded distance to p is returned,
-// together with nearObjSet — every other candidate o' with
-// DISTANCE(ld(o').pos, p) ≤ DISTANCE(ld(o).pos, p) + nearQual.
+// candidate set given in parts, read where they lie: objects whose
+// accuracy is worse than reqAcc are discarded; the remaining object with
+// minimal recorded distance to p is returned, together with nearObjSet —
+// every other candidate o' with DISTANCE(ld(o').pos, p) ≤
+// DISTANCE(ld(o).pos, p) + nearQual.
 //
 // Ties on distance are broken by object id so the result is deterministic
-// across servers and runs.
-func SelectNearest(candidates []Entry, p geo.Point, reqAcc, nearQual float64) NearestResult {
-	// Each qualifying candidate's distance is computed once and carried
-	// beside it through the sort.
-	type ranked struct {
-		e Entry
-		d float64
-	}
-	qual := make([]ranked, 0, len(candidates))
-	for _, e := range candidates {
-		if e.LD.Acc <= reqAcc {
-			qual = append(qual, ranked{e, e.LD.Pos.Dist(p)})
+// across servers and runs. One pass finds the nearest distance; only the
+// candidates within nearQual of it are copied and sorted, so the result
+// holds nothing of the parts.
+func SelectNearest(p geo.Point, reqAcc, nearQual float64, parts ...[]Entry) NearestResult {
+	dist, found := 0.0, false
+	for _, part := range parts {
+		for i := range part {
+			if e := &part[i]; e.LD.Acc <= reqAcc {
+				if d := e.LD.Pos.Dist(p); !found || d < dist {
+					dist, found = d, true
+				}
+			}
 		}
 	}
-	if len(qual) == 0 {
+	if !found {
 		return NearestResult{}
 	}
-	sort.Slice(qual, func(i, j int) bool {
-		if qual[i].d != qual[j].d {
-			return qual[i].d < qual[j].d
+	limit := dist + nearQual
+	var sel []Entry
+	for _, part := range parts {
+		for i := range part {
+			if e := &part[i]; e.LD.Acc <= reqAcc && e.LD.Pos.Dist(p) <= limit {
+				sel = append(sel, *e)
+			}
 		}
-		return qual[i].e.OID < qual[j].e.OID
+	}
+	slices.SortFunc(sel, func(a, b Entry) int {
+		if c := cmp.Compare(a.LD.Pos.Dist(p), b.LD.Pos.Dist(p)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.OID, b.OID)
 	})
-	dist := qual[0].d
-	res := NearestResult{
-		Nearest: qual[0].e,
-		Found:   true,
+	res := NearestResult{Nearest: sel[0], Found: true}
+	if len(sel) > 1 {
+		res.Near = sel[1:]
 	}
 	if g := dist - reqAcc; g > 0 {
 		res.GuaranteedMinDist = g
-	}
-	limit := dist + nearQual
-	// Sorted by distance, so nearObjSet is a prefix of the rest.
-	for _, r := range qual[1:] {
-		if r.d > limit {
-			break
-		}
-		res.Near = append(res.Near, r.e)
 	}
 	return res
 }

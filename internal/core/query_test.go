@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"locsvc/internal/geo"
@@ -98,7 +101,7 @@ func TestSelectNearestBasic(t *testing.T) {
 		{OID: "near", LD: LocationDescriptor{Pos: geo.Pt(10, 0), Acc: 10}},
 		{OID: "mid", LD: LocationDescriptor{Pos: geo.Pt(50, 0), Acc: 10}},
 	}
-	res := SelectNearest(cands, p, 20, 0)
+	res := SelectNearest(p, 20, 0, cands)
 	if !res.Found || res.Nearest.OID != "near" {
 		t.Fatalf("nearest = %+v", res)
 	}
@@ -116,7 +119,7 @@ func TestSelectNearestBasic(t *testing.T) {
 func TestSelectNearestGuaranteedDistance(t *testing.T) {
 	p := geo.Pt(0, 0)
 	cands := []Entry{{OID: "o", LD: LocationDescriptor{Pos: geo.Pt(100, 0), Acc: 25}}}
-	res := SelectNearest(cands, p, 25, 0)
+	res := SelectNearest(p, 25, 0, cands)
 	if math.Abs(res.GuaranteedMinDist-75) > 1e-9 {
 		t.Errorf("GuaranteedMinDist = %v, want 75", res.GuaranteedMinDist)
 	}
@@ -132,7 +135,7 @@ func TestSelectNearestFigure4Scenario(t *testing.T) {
 	o1 := Entry{OID: "o1", LD: LocationDescriptor{Pos: geo.Pt(0, 70), Acc: 15}}
 	o2 := Entry{OID: "o2", LD: LocationDescriptor{Pos: geo.Pt(0, 90), Acc: 15}}
 	o3 := Entry{OID: "o3", LD: LocationDescriptor{Pos: geo.Pt(55, 0), Acc: 50}}
-	res := SelectNearest([]Entry{o, o1, o2, o3}, p, reqAcc, nearQual)
+	res := SelectNearest(p, reqAcc, nearQual, []Entry{o, o1, o2, o3})
 	if res.Nearest.OID != "o" {
 		t.Fatalf("nearest = %v, want o", res.Nearest.OID)
 	}
@@ -158,7 +161,7 @@ func TestSelectNearestNearQualTwiceReqAccIncludesAllPotentiallyCloser(t *testing
 				},
 			})
 		}
-		res := SelectNearest(cands, p, reqAcc, 2*reqAcc)
+		res := SelectNearest(p, reqAcc, 2*reqAcc, cands)
 		if !res.Found {
 			continue
 		}
@@ -182,13 +185,13 @@ func TestSelectNearestNearQualTwiceReqAccIncludesAllPotentiallyCloser(t *testing
 }
 
 func TestSelectNearestEmptyAndFiltered(t *testing.T) {
-	res := SelectNearest(nil, geo.Pt(0, 0), 10, 5)
+	res := SelectNearest(geo.Pt(0, 0), 10, 5, nil)
 	if res.Found {
 		t.Error("empty candidate set reported Found")
 	}
-	res = SelectNearest([]Entry{
+	res = SelectNearest(geo.Pt(0, 0), 10, 5, []Entry{
 		{OID: "bad", LD: LocationDescriptor{Pos: geo.Pt(1, 1), Acc: 100}},
-	}, geo.Pt(0, 0), 10, 5)
+	})
 	if res.Found {
 		t.Error("accuracy-filtered candidate reported Found")
 	}
@@ -201,10 +204,155 @@ func TestSelectNearestDeterministicTieBreak(t *testing.T) {
 		{OID: "a", LD: LocationDescriptor{Pos: geo.Pt(0, 10), Acc: 1}},
 	}
 	for i := 0; i < 5; i++ {
-		res := SelectNearest(cands, p, 10, 0)
+		res := SelectNearest(p, 10, 0, cands)
 		if res.Nearest.OID != "a" {
 			t.Fatalf("tie break chose %v, want a", res.Nearest.OID)
 		}
+	}
+}
+
+// selectNearestReference is the selection rule as first written: every
+// qualifying candidate joined, ranked by (distance, OID) and sorted, the
+// nearObjSet read off as a prefix of the rest. SelectNearest must agree
+// with it on every input.
+func selectNearestReference(candidates []Entry, p geo.Point, reqAcc, nearQual float64) NearestResult {
+	type ranked struct {
+		e Entry
+		d float64
+	}
+	qual := make([]ranked, 0, len(candidates))
+	for _, e := range candidates {
+		if e.LD.Acc <= reqAcc {
+			qual = append(qual, ranked{e, e.LD.Pos.Dist(p)})
+		}
+	}
+	if len(qual) == 0 {
+		return NearestResult{}
+	}
+	sort.Slice(qual, func(i, j int) bool {
+		if qual[i].d != qual[j].d {
+			return qual[i].d < qual[j].d
+		}
+		return qual[i].e.OID < qual[j].e.OID
+	})
+	dist := qual[0].d
+	res := NearestResult{Nearest: qual[0].e, Found: true}
+	if g := dist - reqAcc; g > 0 {
+		res.GuaranteedMinDist = g
+	}
+	limit := dist + nearQual
+	for _, r := range qual[1:] {
+		if r.d > limit {
+			break
+		}
+		res.Near = append(res.Near, r.e)
+	}
+	return res
+}
+
+// TestSelectNearestMatchesReference: the in-place selection over parts
+// returns exactly what the sort-everything reference returns over the
+// joined candidates — on random parts, on empty and nil parts, on ties on
+// distance, on candidates above reqAcc, at nearQual 0 and large, and for a
+// query at a candidate's exact position.
+func TestSelectNearestMatchesReference(t *testing.T) {
+	// entries draws n candidates with ids from next, positions in a
+	// 400 m square around the origin and accuracies up to 50 m.
+	var next int
+	entry := func(pos geo.Point, acc float64) Entry {
+		next++
+		return Entry{OID: OID(fmt.Sprintf("o%03d", next)), LD: LocationDescriptor{Pos: pos, Acc: acc}}
+	}
+	entries := func(rng *rand.Rand, n int) []Entry {
+		var part []Entry
+		for i := 0; i < n; i++ {
+			part = append(part, entry(geo.Pt(rng.Float64()*400-200, rng.Float64()*400-200), rng.Float64()*50))
+		}
+		return part
+	}
+	randomParts := func(rng *rand.Rand) [][]Entry {
+		parts := make([][]Entry, rng.Intn(6))
+		for i := range parts {
+			parts[i] = entries(rng, rng.Intn(20))
+		}
+		return parts
+	}
+	// onCircle puts every candidate 5 m from the origin on whole-metre
+	// coordinates, so their distances tie exactly and the ids decide.
+	onCircle := func(rng *rand.Rand) [][]Entry {
+		pts := []geo.Point{geo.Pt(3, 4), geo.Pt(4, -3), geo.Pt(-5, 0), geo.Pt(0, 5), geo.Pt(-4, -3)}
+		parts := make([][]Entry, 2)
+		for _, i := range rng.Perm(len(pts)) {
+			k := rng.Intn(2)
+			parts[k] = append(parts[k], entry(pts[i], 10))
+		}
+		return parts
+	}
+	// steppedAcc gives every candidate an accuracy of 20, 30 or 40 m, so
+	// some sit exactly at a reqAcc of 30.
+	steppedAcc := func(rng *rand.Rand) [][]Entry {
+		parts := randomParts(rng)
+		for _, part := range parts {
+			for i := range part {
+				part[i].LD.Acc = float64(20 + 10*rng.Intn(3))
+			}
+		}
+		return parts
+	}
+	rows := []struct {
+		name             string
+		p                func(rng *rand.Rand, parts [][]Entry) geo.Point
+		reqAcc, nearQual float64
+		parts            func(rng *rand.Rand) [][]Entry
+	}{
+		{"random parts", nil, 30, 20, randomParts},
+		{"random parts, nearQual 0", nil, 30, 0, randomParts},
+		{"random parts, nearQual large", nil, 30, 1000, randomParts},
+		{"almost every candidate above reqAcc", nil, 0.5, 20, randomParts},
+		{"candidates below, at and above reqAcc", nil, 30, 20, steppedAcc},
+		{"no parts", nil, 30, 20, func(*rand.Rand) [][]Entry { return nil }},
+		{"nil and empty parts", nil, 30, 20, func(*rand.Rand) [][]Entry { return [][]Entry{nil, {}, nil} }},
+		{"empty parts beside one candidate", nil, 30, 20, func(rng *rand.Rand) [][]Entry { return [][]Entry{{}, entries(rng, 1), nil} }},
+		{"ties on distance", func(*rand.Rand, [][]Entry) geo.Point { return geo.Pt(0, 0) }, 30, 0, onCircle},
+		{"ties on distance, nearQual 0.5", func(*rand.Rand, [][]Entry) geo.Point { return geo.Pt(0, 0) }, 30, 0.5, onCircle},
+		{"ties on distance above reqAcc", func(*rand.Rand, [][]Entry) geo.Point { return geo.Pt(0, 0) }, 5, 0, onCircle},
+		{"at a candidate's exact position", func(rng *rand.Rand, parts [][]Entry) geo.Point {
+			for _, part := range parts {
+				if len(part) > 0 {
+					return part[rng.Intn(len(part))].LD.Pos
+				}
+			}
+			return geo.Pt(0, 0)
+		}, 50, 0, randomParts},
+		{"at a candidate's exact position, nearQual large", func(rng *rand.Rand, parts [][]Entry) geo.Point {
+			for _, part := range parts {
+				if len(part) > 0 {
+					return part[rng.Intn(len(part))].LD.Pos
+				}
+			}
+			return geo.Pt(0, 0)
+		}, 50, 1000, randomParts},
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for trial := 0; trial < 200; trial++ {
+				parts := row.parts(rng)
+				p := geo.Pt(rng.Float64()*400-200, rng.Float64()*400-200)
+				if row.p != nil {
+					p = row.p(rng, parts)
+				}
+				var joined []Entry
+				for _, part := range parts {
+					joined = append(joined, part...)
+				}
+				want := selectNearestReference(joined, p, row.reqAcc, row.nearQual)
+				got := SelectNearest(p, row.reqAcc, row.nearQual, parts...)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d at %v over %v:\n got %+v\nwant %+v", trial, p, parts, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -371,7 +371,7 @@ func TestSelectNearestNearSetIsDistanceOrderedPrefix(t *testing.T) {
 		{OID: "a", LD: LocationDescriptor{Pos: geo.Pt(10, 0), Acc: 1}},
 		{OID: "near", LD: LocationDescriptor{Pos: geo.Pt(25, 0), Acc: 1}},
 	}
-	res := SelectNearest(cands, p, 5, 15)
+	res := SelectNearest(p, 5, 15, cands)
 	if !res.Found || res.Nearest.OID != "a" {
 		t.Fatalf("nearest = %+v, want a (tie with b broken by id)", res.Nearest)
 	}

@@ -346,8 +346,10 @@ type RangeQueryRes struct {
 // Nearest-neighbor query (semantics in Section 3.2).
 
 // NeighborQueryReq is a client's nearest-neighbor query, a call to its
-// entry server, which resolves it with an expanding-ring search over the
-// range-query machinery.
+// entry server, which answers it off its own nearest-neighbor cursor when
+// the answer is provably local, and otherwise with collection windows over
+// the range-query machinery, starting from the bound its own nearest
+// candidate gives.
 type NeighborQueryReq struct {
 	P        geo.Point
 	ReqAcc   float64
@@ -361,7 +363,7 @@ type NeighborQueryRes struct {
 	Near              []core.Entry
 	GuaranteedMinDist float64
 	// Partial marks a degraded answer: an unreachable leaf overlapped one
-	// of the search rings, so a closer neighbor may exist on a dark
+	// of the collection windows, so a closer neighbor may exist on a dark
 	// server. Unreachable names the dark servers (deduplicated).
 	Partial     bool
 	Unreachable []NodeID

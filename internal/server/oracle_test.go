@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,7 +55,11 @@ func TestDistributedRangeQueryMatchesOracle(t *testing.T) {
 }
 
 // TestDistributedNeighborQueryMatchesOracle does the same for the
-// nearest-neighbor expanding search.
+// nearest-neighbor search. Each query enters both at P's own leaf, where
+// it mostly starts from the bound the leaf's own nearest candidate gives,
+// and at another leaf, where that candidate often lies past the leaf's
+// first radius and the search starts without a bound; both starts must
+// occur.
 func TestDistributedNeighborQueryMatchesOracle(t *testing.T) {
 	spec := hierarchy.Spec{
 		RootArea: geo.R(0, 0, 1600, 1600),
@@ -73,9 +78,28 @@ func TestDistributedNeighborQueryMatchesOracle(t *testing.T) {
 	waitFor(t, func() bool { return ls.dep.RootVisitorCount() == n }, "paths complete")
 
 	querier := ls.newClientAt(t, "querier", geo.Pt(800, 800), client.Options{})
+	leaves := ls.dep.Leaves()
+	count := func(name string) (n int64) {
+		for _, id := range leaves {
+			n += ls.dep.Servers[id].Metrics().Counter(name).Value()
+		}
+		return n
+	}
 	for trial := 0; trial < 25; trial++ {
 		p := geo.Pt(rng.Float64()*1600, rng.Float64()*1600)
-		checkedNN(t, querier, truth, p, 30, rng.Float64()*100)
+		nearQual := rng.Float64() * 100
+		own, _ := ls.dep.LeafFor(p)
+		other := leaves[(slices.Index(leaves, own)+1+rng.Intn(len(leaves)-1))%len(leaves)]
+		for _, entry := range []msg.NodeID{own, other} {
+			querier.SetEntry(entry)
+			checkedNN(t, querier, truth, p, 30, nearQual)
+		}
+	}
+	bounded := count("neighbor_query_local_bound")
+	unbounded := count("neighbor_query_seen") - count("neighbor_query_local_fast") - bounded
+	t.Logf("%d bounded and %d unbounded starts", bounded, unbounded)
+	if bounded == 0 || unbounded == 0 {
+		t.Errorf("%d bounded and %d unbounded starts, want both", bounded, unbounded)
 	}
 }
 
@@ -156,9 +180,10 @@ func TestQueriesUnderMessageLoss(t *testing.T) {
 // Every partial to the entry server r.0 arrives twice, and r.3's only when
 // the manual clock passes its delay. Counted twice, the doubled covers of
 // r.1 and r.2 would close the tally before r.3 answers: one leaf's objects
-// reported twice, r.3's missing, and the answer not Partial. The
-// nearest-neighbour ring runs on the same collection; its nearest object
-// lies in r.3.
+// reported twice, r.3's missing, and the answer not Partial. A
+// nearest-neighbour query runs on the same collection, whether it starts
+// from a bound off the entry leaf's own candidates or, without one, from
+// the entry leaf's first radius; each one's nearest object lies in r.3.
 func TestDuplicatedPartialCountedOnce(t *testing.T) {
 	const hold = time.Second
 	ls, clk := newManualLS(t, quadSpec(), server.Options{}, transport.InprocOptions{
@@ -190,7 +215,8 @@ func TestDuplicatedPartialCountedOnce(t *testing.T) {
 	waitFor(t, func() bool { return ls.dep.RootVisitorCount() == len(objs) }, "the forwarding paths")
 
 	querier := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
-	dups := ls.dep.Servers["r.0"].Metrics().Counter("range_partial_duplicate")
+	r0 := ls.dep.Servers["r.0"]
+	dups := r0.Metrics().Counter("range_partial_duplicate")
 	// settle returns a query's outcome. Each of its collections counts
 	// r.1's and r.2's second copies while it waits for r.3, and only then
 	// does the clock pass r.3's delay.
@@ -220,21 +246,39 @@ func TestDuplicatedPartialCountedOnce(t *testing.T) {
 		t.Errorf("range query: %v", err)
 	}
 
-	p := geo.Pt(750, 750)
-	go func() {
-		res, err := querier.NeighborQuery(ctx(t), p, 30, 100)
-		if err == nil && res.Partial {
-			err = fmt.Errorf("partial answer, unreachable %v", res.Unreachable)
+	// At (750, 750) r.0's own nearest, (690, 690), is 85 m away, within
+	// r.0's first radius of 187.5 m: the query starts from that bound and
+	// one collection over all four leaves finds (780, 780) inside it. At
+	// (745, 500) it is 198 m away, past the first radius, so the query
+	// starts without a bound; its first window reaches every leaf and
+	// finds (690, 690) outside the radius, and a second, grown to that
+	// distance, accepts it. Both windows wait for r.3.
+	bound, local := r0.Metrics().Counter("neighbor_query_local_bound"), r0.Metrics().Counter("neighbor_query_local_fast")
+	for _, q := range []struct {
+		p     geo.Point
+		bound int64
+	}{{geo.Pt(750, 750), 1}, {geo.Pt(745, 500), 0}} {
+		q := q
+		boundBefore, localBefore := bound.Value(), local.Value()
+		go func() {
+			res, err := querier.NeighborQuery(ctx(t), q.p, 30, 100)
+			if err == nil && res.Partial {
+				err = fmt.Errorf("partial answer, unreachable %v", res.Unreachable)
+			}
+			done <- errors.Join(err, truth.CheckNN(q.p, 30, 100, res, err))
+		}()
+		if err := settle(done); err != nil {
+			t.Errorf("neighbour query at %v: %v", q.p, err)
 		}
-		done <- errors.Join(err, truth.CheckNN(p, 30, 100, res, err))
-	}()
-	if err := settle(done); err != nil {
-		t.Errorf("neighbour query: %v", err)
+		if got := bound.Value() - boundBefore; got != q.bound || local.Value() != localBefore {
+			t.Errorf("neighbour query at %v: %d bounded starts and %d local answers, want %d and 0", q.p, got, local.Value()-localBefore, q.bound)
+		}
 	}
-	// One collection for the range query, two for the ring: the search
-	// window and the collection window.
-	if got := dups.Value(); got != 6 {
-		t.Errorf("range_partial_duplicate = %d, want 6", got)
+	// One collection for the range query, one for the bounded neighbour
+	// query and two for the unbounded one, each counting r.1's and r.2's
+	// second copies once.
+	if got := dups.Value(); got != 8 {
+		t.Errorf("range_partial_duplicate = %d, want 8", got)
 	}
 }
 

@@ -408,13 +408,23 @@ func TestNeighborQuery(t *testing.T) {
 	if res := checkedNN(t, q, truth, geo.Pt(700, 700), 25, 200); len(res.Near) != 1 || res.Near[0].OID != "mid" {
 		t.Errorf("nearObjSet = %+v, want [mid]", res.Near)
 	}
+	// r.0 holds nothing, so a query at (1100, 1100) starts without a
+	// bound: its first window, of half-side 188.5 m, holds "corner" 255 m
+	// away, past the 187.5 m radius, but not "axis", 210 m due east beyond
+	// the window's side. The window must grow to find it.
+	register(t, owner, truth, sightingAt("corner", geo.Pt(1280, 1280)), 10, 50, 3)
+	register(t, owner, truth, sightingAt("axis", geo.Pt(1310, 1100)), 10, 50, 3)
+	if res := checkedNN(t, q, truth, geo.Pt(1100, 1100), 25, 0); res.Nearest.OID != "axis" {
+		t.Errorf("nearest %s, want axis", res.Nearest.OID)
+	}
 }
 
 // TestNeighborQueryLocalFastPath: an interior query whose whole collection
 // disc lies inside the entry leaf is answered off the leaf's own
 // nearest-neighbor cursor without touching the tree, and agrees with the
 // checker; a query near the leaf border must fall back to the
-// distributed expanding-ring search and still agree.
+// distributed search, starting from the bound its own nearest candidate
+// gives, and still agree.
 func TestNeighborQueryLocalFastPath(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{})
 	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
@@ -437,11 +447,16 @@ func TestNeighborQueryLocalFastPath(t *testing.T) {
 	}
 
 	// Border query: the nearest candidate's disc crosses into r.3, the
-	// fast path must decline and the distributed search must answer.
+	// fast path must decline and the distributed search must answer,
+	// bounded by that candidate.
 	before = leaf.Metrics().Counter("neighbor_query_local_fast").Value()
+	bounded := leaf.Metrics().Counter("neighbor_query_local_bound").Value()
 	checkedNN(t, q, truth, geo.Pt(730, 730), 25, 80)
 	if after := leaf.Metrics().Counter("neighbor_query_local_fast").Value(); after != before {
 		t.Errorf("border query took the fast path despite a crossing disc")
+	}
+	if after := leaf.Metrics().Counter("neighbor_query_local_bound").Value(); after != bounded+1 {
+		t.Errorf("border query: bounded starts %d, want %d", after, bounded+1)
 	}
 }
 
@@ -455,23 +470,36 @@ func TestNeighborQueryEmptyService(t *testing.T) {
 // from exactly an object's recorded position with nearQual 0 used to
 // return not-found — the collection window around the nearest candidate
 // had radius 0, so its area was zero and every candidate's overlap degree
-// collapsed to 0 (pre-existing since the seed). Both resolution paths are
-// pinned: the provably-local cursor walk (query deep inside a leaf) and the
-// distributed expanding ring (query on a leaf border).
+// collapsed to 0 (pre-existing since the seed). All three resolution paths
+// are pinned, each entering at r.0: the provably-local cursor walk (query
+// deep inside the leaf), the distributed search from the bound r.0's own
+// candidate gives (query on the leaf's border) and the one without a bound
+// (query in r.3, whose nearest r.0 candidate lies past r.0's first
+// radius).
 func TestNeighborQueryAtExactObjectPosition(t *testing.T) {
 	ls := newTestLS(t, quadSpec(), server.Options{AchievableAcc: 10})
 	owner := ls.newClientAt(t, "nn-owner", geo.Pt(100, 100), client.Options{Timeout: 5 * time.Second})
 	truth := oracle.New(ls.dep.Configs)
-	positions := []geo.Point{
-		geo.Pt(100, 100), // deep inside leaf r.0: local fast path
-		geo.Pt(740, 740), // near the r.0 corner: distributed ring
+	entry := ls.dep.Servers["r.0"].Metrics()
+	rows := []struct {
+		p            geo.Point
+		local, bound int64
+	}{
+		{geo.Pt(300, 300), 1, 0},   // deep inside leaf r.0
+		{geo.Pt(740, 740), 0, 1},   // near the r.0 corner
+		{geo.Pt(1100, 1100), 0, 0}, // in r.3
 	}
-	for i, p := range positions {
-		register(t, owner, truth, sightingAt(fmt.Sprintf("exact-%d", i), p), 10, 100, 3)
+	for i, row := range rows {
+		register(t, owner, truth, sightingAt(fmt.Sprintf("exact-%d", i), row.p), 10, 100, 3)
 	}
-	for i, p := range positions {
-		if res := checkedNN(t, owner, truth, p, 100, 0); res.Nearest.OID != core.OID(fmt.Sprintf("exact-%d", i)) {
-			t.Errorf("nearest at %v = %s, want exact-%d", p, res.Nearest.OID, i)
+	for i, row := range rows {
+		local, bound := entry.Counter("neighbor_query_local_fast").Value(), entry.Counter("neighbor_query_local_bound").Value()
+		if res := checkedNN(t, owner, truth, row.p, 100, 0); res.Nearest.OID != core.OID(fmt.Sprintf("exact-%d", i)) {
+			t.Errorf("nearest at %v = %s, want exact-%d", row.p, res.Nearest.OID, i)
+		}
+		local, bound = entry.Counter("neighbor_query_local_fast").Value()-local, entry.Counter("neighbor_query_local_bound").Value()-bound
+		if local != row.local || bound != row.bound {
+			t.Errorf("query at %v: %d local answers and %d bounded starts, want %d and %d", row.p, local, bound, row.local, row.bound)
 		}
 	}
 }

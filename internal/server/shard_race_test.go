@@ -127,9 +127,9 @@ func TestShardedStoreConcurrency(t *testing.T) {
 					p := geo.Pt(rng.Float64()*1400, rng.Float64()*1400)
 					if _, err := cl.NeighborQuery(context.Background(), p, 100, 50); err != nil {
 						if errors.Is(err, core.ErrNotFound) {
-							// Transient: the nearest candidate can move
-							// between the ring and collection phases
-							// while movers run (at one shard too).
+							// Transient: candidates can move out of a
+							// collection window while it is collected
+							// and movers run (at one shard too).
 							nnMisses.Add(1)
 						} else {
 							queryErrs.Add(1)
