@@ -42,7 +42,9 @@ func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryR
 	if !s.cfg.IsLeaf() {
 		return nil, core.ErrBadRequest
 	}
-	if req.ReqAcc < 0 || req.NearQual < 0 {
+	// A non-finite p or parameter would make the search bound NaN or
+	// infinite, and the loop below would never meet its stopping test.
+	if !finite(req.P.X) || !finite(req.P.Y) || !finite(req.ReqAcc) || !finite(req.NearQual) || req.ReqAcc < 0 || req.NearQual < 0 {
 		return nil, core.ErrBadRequest
 	}
 	s.met.Counter("neighbor_query_seen").Inc()
@@ -169,3 +171,5 @@ func (s *Server) neighborQueryLocal(req msg.NeighborQueryReq, radius float64) (r
 		GuaranteedMinDist: sel.GuaranteedMinDist,
 	}, bound, true
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

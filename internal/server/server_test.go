@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -388,6 +389,33 @@ func TestRangeQueryInvalidParams(t *testing.T) {
 	}
 	if _, err := q.RangeQueryRect(ctx(t), geo.Rect{}, 25, 0.5); !errors.Is(err, core.ErrBadRequest) {
 		t.Errorf("empty area err = %v", err)
+	}
+}
+
+func TestNeighborQueryInvalidParams(t *testing.T) {
+	ls := newTestLS(t, quadSpec(), server.Options{})
+	owner := ls.newClientAt(t, "owner", geo.Pt(100, 100), client.Options{})
+	register(t, owner, oracle.New(ls.dep.Configs), sightingAt("obj", geo.Pt(900, 900)), 10, 50, 3)
+	q := ls.newClientAt(t, "querier", geo.Pt(100, 100), client.Options{})
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		what             string
+		p                geo.Point
+		reqAcc, nearQual float64
+	}{
+		{"NaN p", geo.Pt(nan, 100), 50, 0},
+		{"+Inf p", geo.Pt(100, inf), 50, 0},
+		{"-Inf p", geo.Pt(-inf, 100), 50, 0},
+		{"negative reqAcc", geo.Pt(100, 100), -1, 0},
+		{"NaN reqAcc", geo.Pt(100, 100), nan, 0},
+		{"+Inf reqAcc", geo.Pt(100, 100), inf, 0},
+		{"negative nearQual", geo.Pt(100, 100), 50, -1},
+		{"NaN nearQual", geo.Pt(100, 100), 50, nan},
+		{"+Inf nearQual", geo.Pt(100, 100), 50, inf},
+	} {
+		if _, err := q.NeighborQuery(ctx(t), tc.p, tc.reqAcc, tc.nearQual); !errors.Is(err, core.ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", tc.what, err)
+		}
 	}
 }
 
